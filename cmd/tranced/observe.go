@@ -137,8 +137,8 @@ func (s *server) writeMetricsProm(w http.ResponseWriter) {
 	reqs := promtext.Family{Name: "trance_route_requests_total", Help: "Query requests by route (query/level/strategy).", Type: "counter"}
 	errs := promtext.Family{Name: "trance_route_errors_total", Help: "Failed query requests by route.", Type: "counter"}
 	shuf := promtext.Family{Name: "trance_route_shuffle_bytes_total", Help: "Engine bytes shuffled by route.", Type: "counter"}
-	exBufs := promtext.Family{Name: "trance_route_shuffle_exchange_buffers_total", Help: "Shuffle buffers moved across the wide-operator boundary by route and representation (columnar = typed column buffers, boxed = row buffers).", Type: "counter"}
-	exBytes := promtext.Family{Name: "trance_route_shuffle_exchange_bytes_total", Help: "Metered shuffle bytes by route and representation (columnar buffers meter their compact typed encoding).", Type: "counter"}
+	exBufs := promtext.Family{Name: "trance_route_shuffle_exchange_buffers_total", Help: "Shuffle buffers moved across the wide-operator boundary by route and metered representation (columnar = typed wire encoding, boxed = value.Size row walk).", Type: "counter"}
+	exBytes := promtext.Family{Name: "trance_route_shuffle_exchange_bytes_total", Help: "Metered shuffle bytes by route and metered representation (columnar = size of the compact typed wire encoding).", Type: "counter"}
 	lat := promtext.Family{Name: "trance_route_latency_seconds", Help: "Query execution latency by route.", Type: "histogram"}
 	for _, route := range routes {
 		st := stats[route]

@@ -69,9 +69,9 @@ type routeStats struct {
 	LastElapsed  time.Duration
 	TotalElapsed time.Duration
 	ShuffleBytes int64
-	// Exchange accounting: how this route's shuffle buffers crossed the
-	// wide-operator boundary — typed column buffers metered by their compact
-	// encoding vs boxed row buffers metered by value.Size walks.
+	// Exchange accounting: how this route's shuffle buffers were metered —
+	// "columnar" at the size of their compact typed wire encoding, "boxed"
+	// by value.Size row walks (see dataflow.ExchangeStat).
 	ColumnarBuffers int64
 	BoxedBuffers    int64
 	ColumnarBytes   int64

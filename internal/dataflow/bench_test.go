@@ -26,15 +26,15 @@ func BenchmarkShuffle(b *testing.B) {
 	}
 }
 
-// BenchmarkColumnarShuffle compares the typed-column exchange against the
-// BoxedExchange ablation on the same typed-key repartition, reporting the
-// metered ShuffleBytes per op so benchstat can compare the two encodings
-// directly. Two row shapes bracket the compact encoding's win: "mixed"
-// (int64/float64/string/bool — scalars and string bytes meter the same both
-// ways, so the saving is the dropped per-row tuple framing plus bit-packed
-// bools) and "flags" (two int64s and six bools — the flag-heavy shape where
-// bit-packing one-eighth-sizes most of the row).
-func BenchmarkColumnarShuffle(b *testing.B) {
+// shuffleSchemas are the two row shapes BenchmarkColumnarShuffle repartitions
+// and TestWireSizePinsBenchSchemas pins: "mixed" (int64/float64/string/bool —
+// against a value.SizeRows walk the typed encoding saves the per-row tuple
+// framing and bit-packs the bools) and "flags" (two int64s and six bools — the
+// flag-heavy shape where bit-packing one-eighth-sizes most of the row).
+func shuffleSchemas() []struct {
+	name string
+	rows []Row
+} {
 	mixed := make([]Row, 50_000)
 	for i := range mixed {
 		mixed[i] = Row{
@@ -60,36 +60,33 @@ func BenchmarkColumnarShuffle(b *testing.B) {
 			i%13 == 0,
 		}
 	}
-	for _, s := range []struct {
+	return []struct {
 		name string
 		rows []Row
-	}{
-		{"schema=mixed", mixed},
-		{"schema=flags", flags},
-	} {
-		for _, boxed := range []bool{false, true} {
-			name := s.name + "/exchange=columnar"
-			if boxed {
-				name = s.name + "/exchange=boxed"
-			}
-			b.Run(name, func(b *testing.B) {
-				b.ReportAllocs()
-				var bytes int64
-				for i := 0; i < b.N; i++ {
-					c := NewContext(8)
-					c.BoxedExchange = boxed
-					d, err := c.FromRows(s.rows).RepartitionBy("b", []int{0})
-					if err != nil {
-						b.Fatal(err)
-					}
-					if d.Count() != int64(len(s.rows)) {
-						b.Fatal("wrong count")
-					}
-					bytes = c.Metrics.Snapshot().ShuffleBytes
+	}{{"mixed", mixed}, {"flags", flags}}
+}
+
+// BenchmarkColumnarShuffle measures a typed-key repartition of both schemas,
+// reporting the metered ShuffleBytes per op (the typed wire encoding's size)
+// alongside time and allocations.
+func BenchmarkColumnarShuffle(b *testing.B) {
+	for _, s := range shuffleSchemas() {
+		b.Run("schema="+s.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var bytes int64
+			for i := 0; i < b.N; i++ {
+				c := NewContext(8)
+				d, err := c.FromRows(s.rows).RepartitionBy("b", []int{0})
+				if err != nil {
+					b.Fatal(err)
 				}
-				b.ReportMetric(float64(bytes), "shuffle-B/op")
-			})
-		}
+				if d.Count() != int64(len(s.rows)) {
+					b.Fatal("wrong count")
+				}
+				bytes = c.Metrics.Snapshot().ShuffleBytes
+			}
+			b.ReportMetric(float64(bytes), "shuffle-B/op")
+		})
 	}
 }
 

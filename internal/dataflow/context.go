@@ -75,11 +75,6 @@ type Context struct {
 	// it to model plans that keep operators with their source relations and
 	// re-exchange data at every key-based step.
 	DisableGuarantees bool
-	// BoxedExchange forces every key-based shuffle onto the boxed row path,
-	// disabling the typed column buffers of the columnar exchange. Ablation
-	// knob: the differential oracle runs both arms and the benchmarks use it
-	// as the baseline.
-	BoxedExchange bool
 
 	// SharedPool, when non-nil, replaces the context's private worker pool so
 	// several concurrent jobs (each with its own Context) draw helper
@@ -180,10 +175,11 @@ type Metrics struct {
 	exchSeen  []string // first-seen order, for stable reporting
 }
 
-// ExchangeStat describes how shuffle data crossed the exchange boundary:
-// how many (source,target) buffers went out typed (columnar) versus boxed,
-// and the metered bytes of each representation. Boxed buffers are metered by
-// value.Size row walks; columnar buffers by their compact typed encoding.
+// ExchangeStat describes how the (source,target) buffers of shuffles were
+// metered: "columnar" buffers at the size of their compact typed wire
+// encoding (wireSize — every key-based shuffle of uniform-width rows), "boxed"
+// buffers by value.SizeRows (keyless rebalances and ragged-width sources).
+// The rows themselves cross the in-process exchange as handles either way.
 type ExchangeStat struct {
 	ColumnarBuffers int64
 	BoxedBuffers    int64

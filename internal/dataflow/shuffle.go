@@ -9,12 +9,8 @@ import (
 // RepartitionBy hash-partitions the dataset on the given key columns. If the
 // dataset already carries an identical partitioning guarantee the shuffle is
 // skipped entirely — this is how partitioning guarantees cut data movement
-// (paper Section 3). Every row moved through the shuffle is metered.
-//
-// Key-based shuffles take the columnar exchange path (see colbuffer.go)
-// unless the context's BoxedExchange ablation is set: map tasks transpose
-// their output into typed per-target column buffers, hash directly over the
-// vectors, and meter the compact typed encoding instead of walking every row.
+// (paper Section 3). Every row moved through the shuffle is metered at the
+// size of its buffer's typed wire encoding (see wireSize).
 func (d *Dataset) RepartitionBy(stage string, cols []int) (*Dataset, error) {
 	if d.err != nil {
 		return nil, d.err
@@ -24,7 +20,7 @@ func (d *Dataset) RepartitionBy(stage string, cols []int) (*Dataset, error) {
 		d.ctx.Metrics.SkippedShuffles.Add(1)
 		return d, nil
 	}
-	out, err := d.shuffle(stage, cols, func(int) func(Row) uint64 {
+	out, err := d.shuffle(stage, true, func(int) func(Row) uint64 {
 		return func(r Row) uint64 { return value.HashCols(r, cols) }
 	})
 	if err != nil {
@@ -34,40 +30,31 @@ func (d *Dataset) RepartitionBy(stage string, cols []int) (*Dataset, error) {
 	return out, nil
 }
 
-// shuffle redistributes rows into Parallelism partitions. keyCols names the
-// hash key columns when the shuffle is key-based — only then can the exchange
-// go columnar; keyless shuffles (Rebalance) pass nil and use hashFor, which
-// builds one hash function per source partition (stateful routing stays
-// partition-local and race-free).
+// shuffle redistributes rows into Parallelism partitions. hashFor builds one
+// hash function per source partition (stateful routing stays partition-local
+// and race-free). keyed marks a key-based shuffle, whose buffers are metered
+// at their typed wire encoding; keyless shuffles (Rebalance) and sources whose
+// rows disagree on width are metered by value.SizeRows.
 //
 // The exchange is pipelined: each map-side task streams its partition through
-// the dataset's fused narrow-operator chain directly into P per-target
+// the dataset's fused narrow-operator chain directly into P per-target row
 // buffers — the pre-shuffle map/filter chain is never materialized. Each
-// reduce-side task then concatenates its (source,target) buffers; on the
-// columnar path that concatenation also produces per-partition column sets
-// that seed the receiving chain's vectorized stages. Both sides run
-// goroutine-per-partition on the bounded worker pool, and every buffer
-// crossing the boundary is metered (per buffer, not per row).
-func (d *Dataset) shuffle(stage string, keyCols []int, hashFor func(part int) func(Row) uint64) (*Dataset, error) {
+// reduce-side task then concatenates its (source,target) buffers. Both sides
+// run goroutine-per-partition on the bounded worker pool, and every buffer
+// crossing the boundary is metered (per buffer, after routing). Rows are the
+// only representation that crosses; the meter reads them, it does not copy
+// them.
+func (d *Dataset) shuffle(stage string, keyed bool, hashFor func(part int) func(Row) uint64) (*Dataset, error) {
+	if d.err != nil {
+		return nil, d.err
+	}
 	c := d.ctx
 	p := c.Parallelism
 	c.Metrics.Stages.Add(1)
 	start := time.Now()
 
-	if d.err != nil {
-		return nil, d.err
-	}
-
-	columnar := keyCols != nil && !c.BoxedExchange
-
 	// Map side: source partition i streams into buckets[i][t] for target t.
-	// Columnar sources additionally fill colBufs[i][t]; a source that spilled
-	// (non-uniform row width) leaves its colBufs entry nil.
 	buckets := make([][][]Row, len(d.parts))
-	var colBufs [][]*ColBuffer
-	if columnar {
-		colBufs = make([][]*ColBuffer, len(d.parts))
-	}
 	mapErr := c.runParts(len(d.parts), func(i int) error {
 		local := make([][]Row, p)
 		// Pre-size every per-target slice for a uniform spread of this
@@ -76,46 +63,32 @@ func (d *Dataset) shuffle(stage string, keyCols []int, hashFor func(part int) fu
 		for t := range local {
 			local[t] = make([]Row, 0, hint)
 		}
+		hash := hashFor(i)
+		width, ragged := -1, false
+		d.feed(i, func(r Row) {
+			if width < 0 {
+				width = len(r)
+			} else if len(r) != width {
+				ragged = true
+			}
+			t := int(hash(r) % uint64(p))
+			local[t] = append(local[t], r)
+		})
+		typed := keyed && !ragged
 		var ex ExchangeStat
 		var recs int64
-		if columnar {
-			bufs := make([]*ColBuffer, p)
-			m := newColMapper(keyCols, p, bufs, local, hint)
-			d.feed(i, m.add)
-			m.flush()
-			if m.spilled {
-				for t := range local {
-					if len(local[t]) == 0 {
-						continue
-					}
-					ex.BoxedBuffers++
-					ex.BoxedBytes += value.SizeRows(local[t])
-					recs += int64(len(local[t]))
-				}
-			} else {
-				colBufs[i] = bufs
-				for t := range bufs {
-					if bufs[t] == nil || bufs[t].Len() == 0 {
-						continue
-					}
-					ex.ColumnarBuffers++
-					ex.ColumnarBytes += bufs[t].CompactBytes()
-					recs += int64(bufs[t].Len())
-				}
+		var meter wireMeter
+		for _, buf := range local {
+			if len(buf) == 0 {
+				continue
 			}
-		} else {
-			hash := hashFor(i)
-			d.feed(i, func(r Row) {
-				t := int(hash(r) % uint64(p))
-				local[t] = append(local[t], r)
-			})
-			for t := range local {
-				if len(local[t]) == 0 {
-					continue
-				}
+			recs += int64(len(buf))
+			if typed {
+				ex.ColumnarBuffers++
+				ex.ColumnarBytes += meter.wireSize(buf)
+			} else {
 				ex.BoxedBuffers++
-				ex.BoxedBytes += value.SizeRows(local[t])
-				recs += int64(len(local[t]))
+				ex.BoxedBytes += value.SizeRows(buf)
 			}
 		}
 		buckets[i] = local
@@ -129,17 +102,9 @@ func (d *Dataset) shuffle(stage string, keyCols []int, hashFor func(part int) fu
 		return nil, mapErr
 	}
 
-	// Reduce side: each target partition concatenates its row buckets and
-	// keeps the per-source column buffers as chunks in the same order — the
-	// columnar mirror is zero-copy, the map-side buffers are handed to the
-	// receiving chain's first vectorized stage as-is. A source that spilled
-	// (rows without columns) or a cross-source width disagreement drops the
-	// mirror for the affected target; the rows always stand alone.
+	// Reduce side: each target partition concatenates its row buckets in
+	// source order.
 	parts := make([][]Row, p)
-	var colChunks [][]colChunk
-	if columnar {
-		colChunks = make([][]colChunk, p)
-	}
 	reduceErr := c.runParts(p, func(t int) error {
 		var n int
 		for i := range buckets {
@@ -150,42 +115,115 @@ func (d *Dataset) shuffle(stage string, keyCols []int, hashFor func(part int) fu
 			rows = append(rows, buckets[i][t]...)
 		}
 		parts[t] = rows
-		if columnar && n > 0 {
-			chunks := make([]colChunk, 0, len(colBufs))
-			width := -1
-			for i := range buckets {
-				bn := len(buckets[i][t])
-				if bn == 0 {
-					continue
-				}
-				if colBufs[i] == nil || colBufs[i][t] == nil || colBufs[i][t].Len() != bn {
-					chunks = nil
-					break
-				}
-				cols := colBufs[i][t].Columns()
-				if len(cols) == 0 || (width >= 0 && len(cols) != width) {
-					chunks = nil
-					break
-				}
-				width = len(cols)
-				chunks = append(chunks, colChunk{cols: cols})
-			}
-			if len(chunks) > 0 {
-				colChunks[t] = chunks
-			}
-		}
 		return nil
 	})
+	c.Metrics.AddStageWall(stage, time.Since(start))
 	if reduceErr != nil {
-		c.Metrics.AddStageWall(stage, time.Since(start))
 		return nil, reduceErr
 	}
-
-	c.Metrics.AddStageWall(stage, time.Since(start))
 	if err := c.checkPartitions(stage, parts); err != nil {
 		return nil, err
 	}
-	return &Dataset{ctx: c, parts: parts, colChunks: colChunks}, nil
+	return &Dataset{ctx: c, parts: parts}, nil
+}
+
+// wireMeter sizes exchange buffers; its only state is per-column scratch
+// reused from one buffer to the next.
+type wireMeter struct{ cols []wireCol }
+
+// wireCol is the meter's state for one column of the buffer being sized.
+type wireCol struct {
+	// kind is latched by the first non-NULL cell and turns KindBoxed on a
+	// non-scalar cell or a cell of another kind.
+	kind    Kind
+	nonNull int
+	// bytes is the string payload of a KindString column, or Σ value.Size of
+	// the non-NULL cells of a KindBoxed one.
+	bytes int64
+}
+
+// wireSize returns the size of the compact typed encoding a network shuffle
+// would move for one (source,target) buffer of uniform-width rows — what
+// ShuffleBytes meters on key-based shuffles. Per column: 8 bytes per row for
+// int64/float64/date, string bytes plus a 4-byte length per row, one bit per
+// row for bool (in 64-bit words), Σ value.Size of the non-NULL cells for a
+// boxed column (non-scalar cells, or scalars of more than one kind), plus a
+// one-bit-per-row null bitmap (in 64-bit words) if the column has a NULL. An
+// all-NULL column costs its bitmap and nothing else. Compared with
+// value.SizeRows this drops the per-row tuple framing and bit-packs bools and
+// NULLs.
+func (m *wireMeter) wireSize(rows []Row) int64 {
+	width := len(rows[0])
+	if cap(m.cols) < width {
+		m.cols = make([]wireCol, width)
+	}
+	cols := m.cols[:width]
+	clear(cols)
+	for _, r := range rows {
+		for ci, v := range r {
+			if v == nil {
+				continue
+			}
+			k, payload := KindBoxed, int64(0)
+			switch x := v.(type) {
+			case int64:
+				k = KindInt64
+			case float64:
+				k = KindFloat64
+			case string:
+				k, payload = KindString, int64(len(x))
+			case bool:
+				k = KindBool
+			case value.Date:
+				k = KindDate
+			}
+			c := &cols[ci]
+			if c.nonNull == 0 {
+				c.kind = k
+			} else if c.kind != k && c.kind != KindBoxed {
+				// Kind conflict: the column goes boxed. Σ value.Size of the
+				// cells seen so far follows from the counts.
+				per := int64(8)
+				switch c.kind {
+				case KindString:
+					per = 4
+				case KindBool:
+					per = 1
+				}
+				c.bytes += per * int64(c.nonNull)
+				c.kind = KindBoxed
+			}
+			c.nonNull++
+			if c.kind == KindBoxed {
+				c.bytes += value.Size(v)
+			} else {
+				c.bytes += payload
+			}
+		}
+	}
+	n := len(rows)
+	bitmap := int64(8 * ((n + 63) / 64))
+	var total int64
+	for i := range cols {
+		c := &cols[i]
+		if c.nonNull < n {
+			total += bitmap
+		}
+		if c.nonNull == 0 {
+			continue
+		}
+		switch c.kind {
+		case KindInt64, KindFloat64, KindDate:
+			total += int64(8 * n)
+		case KindString:
+			total += int64(4*n) + c.bytes
+		case KindBool:
+			total += bitmap
+		default:
+			total += c.bytes
+		}
+	}
+	return total
 }
 
 // Rebalance redistributes rows round-robin (no key), dropping any guarantee.
@@ -194,7 +232,7 @@ func (d *Dataset) shuffle(stage string, keyCols []int, hashFor func(part int) fu
 // so sources do not all target the same sequence), keeping the map side free
 // of shared state.
 func (d *Dataset) Rebalance(stage string) (*Dataset, error) {
-	return d.shuffle(stage, nil, func(part int) func(Row) uint64 {
+	return d.shuffle(stage, false, func(part int) func(Row) uint64 {
 		i := uint64(part)
 		return func(Row) uint64 {
 			i++

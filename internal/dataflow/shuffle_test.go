@@ -1,0 +1,326 @@
+package dataflow
+
+import (
+	"fmt"
+	"hash/fnv"
+	"testing"
+
+	"github.com/trance-go/trance/internal/value"
+)
+
+// refWireSize is the meter's independent reference: transpose the routed
+// buffer with the kernels' own Transpose (inferred kinds, boxed on conflict)
+// and apply the documented wire-size formula to the resulting columns.
+func refWireSize(rows []Row) int64 {
+	var total int64
+	n := len(rows)
+	for _, c := range Transpose(rows).Cols {
+		total += int64(8 * len(c.Nulls))
+		switch c.Kind {
+		case KindInt64, KindFloat64, KindDate:
+			total += int64(8 * n)
+		case KindString:
+			total += int64(4 * n)
+			for i, s := range c.Strs {
+				if !c.Nulls.Get(i) {
+					total += int64(len(s))
+				}
+			}
+		case KindBool:
+			total += int64(8 * ((n + 63) / 64))
+		default:
+			for _, v := range c.Boxed {
+				if v != nil {
+					total += value.Size(v)
+				}
+			}
+		}
+	}
+	return total
+}
+
+// wordBoundaryRows builds n rows of (int64 with NULLs pinned to bits 63 and
+// 64, bool, two-byte string): row counts around the bitmap-word and BatchSize
+// boundaries must round bitmaps to whole words and nothing else.
+func wordBoundaryRows(n int) []Row {
+	rows := make([]Row, n)
+	for i := range rows {
+		var v value.Value = int64(i)
+		if i == 63 || i == 64 {
+			v = nil
+		}
+		rows[i] = Row{v, i%3 == 0, fmt.Sprintf("s%d", i%7)}
+	}
+	return rows
+}
+
+// TestShuffleMetersWireSize drives single-buffer shuffles (one source, one
+// target) and checks the exchange accounting against hand-computed sizes of
+// the typed wire encoding, and against the Transpose-based reference.
+func TestShuffleMetersWireSize(t *testing.T) {
+	nulls70 := make([]Row, 70) // spans a bitmap word boundary
+	for i := range nulls70 {
+		nulls70[i] = Row{nil}
+	}
+	big := make([]Row, 1024)
+	for i := range big {
+		big[i] = Row{int64(i), i%2 == 0}
+	}
+	cases := []struct {
+		name  string
+		rows  []Row
+		typed int64 // expected ColumnarBytes; 0 buffers expected boxed
+		boxed int64 // expected BoxedBytes (value.SizeRows fallback)
+	}{
+		{
+			// ints: 3×8 + 1 null word; floats: 3×8 + 1 null word; strings:
+			// 3×4 + 5 payload bytes; bools: 1 word.
+			name: "typed columns with nulls",
+			rows: []Row{
+				{int64(1), 2.5, "ab", true},
+				{int64(2), nil, "", false},
+				{nil, 1.0, "xyz", true},
+			},
+			typed: (3*8 + 8) + (3*8 + 8) + (3*4 + 5) + 8,
+		},
+		{
+			// No per-row tuple framing, bit-packed bools: 1024×8 + 16 words,
+			// against 1024×(4+8+1) for the row walk.
+			name:  "int and bool at scale",
+			rows:  big,
+			typed: 1024*8 + 16*8,
+		},
+		{
+			// A NULL prefix latches onto the first typed cell: 73 ints and a
+			// two-word bitmap.
+			name:  "all-NULL prefix then int64",
+			rows:  append(append([]Row{}, nulls70...), Row{int64(7)}, Row{nil}, Row{int64(9)}),
+			typed: 73*8 + 2*8,
+		},
+		{
+			name:  "all-NULL column costs only its bitmap",
+			rows:  []Row{{nil}, {nil}, {nil}},
+			typed: 8,
+		},
+		{
+			// int64 then string: the column goes boxed, Σ value.Size of the
+			// non-NULL cells (8+8 recovered from the counts, then 4+1), plus
+			// the null word.
+			name:  "kind conflict int64 then string",
+			rows:  []Row{{int64(1)}, {int64(2)}, {"x"}, {nil}},
+			typed: 8 + 8 + 5 + 8,
+		},
+		{
+			// string then bool: prefix is 4 per cell plus the payload so far.
+			name:  "kind conflict string then bool",
+			rows:  []Row{{"abc"}, {""}, {true}},
+			typed: (4 + 3) + 4 + 1,
+		},
+		{
+			name:  "kind conflict bool then float64",
+			rows:  []Row{{true}, {false}, {1.5}},
+			typed: 1 + 1 + 8,
+		},
+		{
+			// Non-scalar cells are boxed from the first one: tuple 4+8+5,
+			// label 6+(4+8), bag 4+(4+8); the key column is 3 dates.
+			name: "non-scalar cells",
+			rows: []Row{
+				{value.Date(1), value.Tuple{int64(1), "t"}},
+				{value.Date(2), value.Label{Site: 1, Payload: value.Tuple{int64(2)}}},
+				{value.Date(3), value.Bag{value.Tuple{int64(3)}}},
+			},
+			typed: 3*8 + (17 + 18 + 16),
+		},
+		{
+			name:  "zero-width rows",
+			rows:  []Row{{}, {}},
+			typed: 0,
+		},
+		{
+			// Ragged widths: the whole source falls back to the row walk.
+			name:  "width conflict",
+			rows:  []Row{{int64(1), "a"}, {int64(2), "b"}, {int64(3)}, {int64(4), "d"}},
+			boxed: 3*(4+8+5) + (4 + 8),
+		},
+		// Word boundaries: 8n (+ null words from n=64 on) + bool words + 6n.
+		{name: "n=1", rows: wordBoundaryRows(1), typed: 22},
+		{name: "n=63", rows: wordBoundaryRows(63), typed: 890},
+		{name: "n=64", rows: wordBoundaryRows(64), typed: 912},
+		{name: "n=65", rows: wordBoundaryRows(65), typed: 942},
+		{name: "n=1023", rows: wordBoundaryRows(1023), typed: 14578},
+		{name: "n=1024", rows: wordBoundaryRows(1024), typed: 14592},
+		{name: "n=1025", rows: wordBoundaryRows(1025), typed: 14622},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c := NewContext(1)
+			var keys []int
+			if len(tc.rows[0]) > 0 {
+				keys = []int{0}
+			}
+			out, err := c.FromPartitions([][]Row{tc.rows}).RepartitionBy("m", keys)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if out.Count() != int64(len(tc.rows)) {
+				t.Fatalf("%d rows out, %d in", out.Count(), len(tc.rows))
+			}
+			want := ExchangeStat{ColumnarBuffers: 1, ColumnarBytes: tc.typed}
+			if tc.boxed > 0 {
+				want = ExchangeStat{BoxedBuffers: 1, BoxedBytes: tc.boxed}
+				if sz := value.SizeRows(tc.rows); sz != tc.boxed {
+					t.Fatalf("value.SizeRows=%d, case expects %d", sz, tc.boxed)
+				}
+			} else if ref := refWireSize(tc.rows); ref != tc.typed {
+				t.Fatalf("reference wire size %d, case expects %d", ref, tc.typed)
+			}
+			s := c.Metrics.Snapshot()
+			if s.Exchange != want {
+				t.Fatalf("exchange %+v, want %+v", s.Exchange, want)
+			}
+			if s.ShuffleBytes != tc.typed+tc.boxed || s.ShuffleRecords != int64(len(tc.rows)) {
+				t.Fatalf("ShuffleBytes=%d ShuffleRecords=%d, want %d/%d",
+					s.ShuffleBytes, s.ShuffleRecords, tc.typed+tc.boxed, len(tc.rows))
+			}
+		})
+	}
+	if typed, walk := refWireSize(big), value.SizeRows(big); typed >= walk {
+		t.Fatalf("typed encoding %dB not smaller than the row walk %dB at 1024 rows", typed, walk)
+	}
+}
+
+// TestRebalanceMetersRowWalk: keyless shuffles keep the value.SizeRows meter.
+func TestRebalanceMetersRowWalk(t *testing.T) {
+	rows := []Row{{int64(1), true}, {int64(2), false}, {int64(3), true}}
+	c := NewContext(2)
+	if _, err := c.FromPartitions([][]Row{rows}).Rebalance("r"); err != nil {
+		t.Fatal(err)
+	}
+	ex := c.Metrics.Snapshot().Exchange
+	if ex.ColumnarBuffers != 0 || ex.BoxedBuffers != 2 || ex.BoxedBytes != value.SizeRows(rows) {
+		t.Fatalf("rebalance exchange %+v, want 2 boxed buffers of %dB total", ex, value.SizeRows(rows))
+	}
+}
+
+// TestWireSizePinsBenchSchemas pins the metered bytes of the two
+// BenchmarkColumnarShuffle schemas (8 partitions, key column 0) — the numbers
+// the benchmark has reported since the typed encoding was introduced.
+func TestWireSizePinsBenchSchemas(t *testing.T) {
+	want := map[string]int64{"mixed": 1_881_506, "flags": 839_936}
+	for _, s := range shuffleSchemas() {
+		c := NewContext(8)
+		if _, err := c.FromRows(s.rows).RepartitionBy("b", []int{0}); err != nil {
+			t.Fatal(err)
+		}
+		snap := c.Metrics.Snapshot()
+		if snap.ShuffleBytes != want[s.name] || snap.Exchange.BoxedBuffers != 0 {
+			t.Fatalf("schema %s: ShuffleBytes=%d (exchange %+v), want %d all typed",
+				s.name, snap.ShuffleBytes, snap.Exchange, want[s.name])
+		}
+	}
+}
+
+// TestShufflePoisonedInputCountsNoStage: a shuffle of a poisoned dataset
+// returns its error without counting a stage that never ran.
+func TestShufflePoisonedInputCountsNoStage(t *testing.T) {
+	c := NewContext(2)
+	d := c.FromRows([]Row{{int64(1)}, {int64(2)}}).Map(func(Row) Row { panic("boom") }).Force()
+	if d.Err() == nil {
+		t.Fatal("panicking stage did not poison the dataset")
+	}
+	if _, err := d.Rebalance("r"); err == nil {
+		t.Fatal("Rebalance of a poisoned dataset succeeded")
+	}
+	if _, err := d.RepartitionBy("k", []int{0}); err == nil {
+		t.Fatal("RepartitionBy of a poisoned dataset succeeded")
+	}
+	if s := c.Metrics.Snapshot(); s.Stages != 0 || len(s.StageWall) != 0 {
+		t.Fatalf("poisoned shuffles recorded stages=%d wall=%v, want none", s.Stages, s.StageWall)
+	}
+}
+
+// FuzzShuffleMeter fuzzes a key-based shuffle over generator-shaped rows
+// (mixed kinds, NULLs, boxed cells, optionally ragged widths) and asserts row
+// conservation (multiset equality), placement = HashCols % P with HashCols
+// equal to hash/fnv over the canonical key bytes, and exchange accounting
+// equal to the independent reference applied to every (source,target) buffer.
+func FuzzShuffleMeter(f *testing.F) {
+	f.Add([]byte{3, 1, 2, 3, 4, 5, 10, 200, 30, 4, 250, 6})
+	f.Add([]byte{0, 0, 9, 1, 2, 3})
+	f.Add([]byte{2, 7, 7, 8, 0, 1, 2, 3, 4, 5, 6, 7, 9}) // mixed-kind columns
+	f.Add([]byte{1, 1, 66, 1, 2, 3, 4, 5, 6, 7, 8, 9, 250, 251})
+	f.Add([]byte{131, 1, 2, 3, 4, 5, 10, 200, 30, 4, 250, 6}) // ragged widths
+	f.Fuzz(func(t *testing.T, data []byte) {
+		rows := decodeFuzzRows(data)
+		if len(rows) == 0 {
+			return
+		}
+		if data[0] >= 128 { // high bit: every fifth row grows a cell
+			for i := 4; i < len(rows); i += 5 {
+				rows[i] = append(append(Row{}, rows[i]...), nil)
+			}
+		}
+		const p = 3
+		keyCols := []int{0}
+		c := NewContext(p)
+		in := c.FromRows(rows)
+		out, err := in.RepartitionBy("f", keyCols)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		seen := map[string]int{}
+		for _, r := range rows {
+			seen[value.Key(value.Tuple(r))]++
+		}
+		for tt, part := range out.parts {
+			for _, r := range part {
+				h := fnv.New64a()
+				h.Write(value.AppendKey(nil, r[0]))
+				if got := value.HashCols(r, keyCols); got != h.Sum64() {
+					t.Fatalf("HashCols(%v)=%x, fnv over AppendKey=%x", r, got, h.Sum64())
+				}
+				if want := int(h.Sum64() % p); want != tt {
+					t.Fatalf("row %v in partition %d, hash says %d", r, tt, want)
+				}
+				seen[value.Key(value.Tuple(r))]--
+			}
+		}
+		for k, n := range seen {
+			if n != 0 {
+				t.Fatalf("row multiset changed across the shuffle: key %q off by %d", k, n)
+			}
+		}
+
+		var want ExchangeStat
+		for _, src := range in.parts {
+			bufs := make([][]Row, p)
+			ragged := false
+			for _, r := range src {
+				ragged = ragged || len(r) != len(src[0])
+				tt := value.HashCols(r, keyCols) % p
+				bufs[tt] = append(bufs[tt], r)
+			}
+			for _, buf := range bufs {
+				switch {
+				case len(buf) == 0:
+				case ragged:
+					want.BoxedBuffers++
+					want.BoxedBytes += value.SizeRows(buf)
+				default:
+					want.ColumnarBuffers++
+					want.ColumnarBytes += refWireSize(buf)
+				}
+			}
+		}
+		s := c.Metrics.Snapshot()
+		if s.Exchange != want {
+			t.Fatalf("exchange %+v, reference %+v", s.Exchange, want)
+		}
+		if s.ShuffleBytes != want.ColumnarBytes+want.BoxedBytes || s.ShuffleRecords != int64(len(rows)) {
+			t.Fatalf("ShuffleBytes=%d ShuffleRecords=%d, reference %d/%d",
+				s.ShuffleBytes, s.ShuffleRecords, want.ColumnarBytes+want.BoxedBytes, len(rows))
+		}
+	})
+}

@@ -80,13 +80,9 @@ func (a *vecArena) slot(i int) *dataflow.Column {
 // vecBatch lazily transposes the columns one batch of rows actually
 // references into the arena's scratch. ok turns false as soon as any
 // transpose demotes to the boxed fallback (dynamic type contradicted the
-// static schema). pre, when set, holds ready-made columns delivered by a
-// columnar shuffle; a column whose kind matches the schema is served from
-// there without transposing (and without touching the arena — pre columns
-// window shared exchange memory that the arena's reuse would scribble over).
+// static schema).
 type vecBatch struct {
 	rows  []dataflow.Row
-	pre   []dataflow.Column
 	width int
 	arena *vecArena
 }
@@ -106,29 +102,9 @@ func newVecBatchArena(rows []dataflow.Row, a *vecArena) *vecBatch {
 	return &vecBatch{rows: rows, width: width, arena: a}
 }
 
-// newVecBatchPre is newVecBatchArena seeded with pre-transposed exchange
-// columns (may be nil, or narrower than the rows if the chain widened them).
-func newVecBatchPre(rows []dataflow.Row, pre []dataflow.Column, a *vecArena) *vecBatch {
-	vb := newVecBatchArena(rows, a)
-	vb.pre = pre
-	return vb
-}
-
-// preCol returns the pre-transposed exchange column for idx when one exists
-// with the expected kind.
-func (vb *vecBatch) preCol(idx int, kind dataflow.Kind) *dataflow.Column {
-	if idx < len(vb.pre) && vb.pre[idx].Kind == kind {
-		return &vb.pre[idx]
-	}
-	return nil
-}
-
 func (vb *vecBatch) col(idx int, kind dataflow.Kind) (*dataflow.Column, bool) {
 	if idx >= vb.width {
 		return nil, false
-	}
-	if c := vb.preCol(idx, kind); c != nil {
-		return c, true
 	}
 	c := &vb.arena.cols[idx]
 	if !vb.arena.done[idx] {
@@ -262,8 +238,7 @@ func (v *vcmpConst) evalBits(vb *vecBatch) (dataflow.Bitmap, dataflow.Bitmap, bo
 	// kernel straight over the rows, skipping column materialization. On
 	// refusal (unsupported combo or a dynamic type mismatch) fall through to
 	// the materializing path, which reaches the identical verdict.
-	if col, isCol := v.e.(*vcol); isCol && col.idx < vb.width && !vb.arena.done[col.idx] &&
-		vb.preCol(col.idx, col.kind) == nil {
+	if col, isCol := v.e.(*vcol); isCol && col.idx < vb.width && !vb.arena.done[col.idx] {
 		if bits, ok := dataflow.CmpRowsConst(v.op, vb.rows, col.idx, col.kind, v.val); ok {
 			return bits, nil, true
 		}

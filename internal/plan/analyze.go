@@ -151,10 +151,11 @@ func collectQErrors(op Op, a *Analysis, out *[]QError) {
 	}
 }
 
-// ExchangeStat summarizes how a wide operator's shuffle stage moved its data
-// across the exchange: typed column buffers (columnar) versus boxed rows, and
-// the metered bytes of each. Runners aggregate the engine's per-stage
-// exchange accounting under the operator's base stage name before rendering.
+// ExchangeStat summarizes how a wide operator's shuffle stage metered the
+// buffers it moved across the exchange: at their typed wire encoding
+// (columnar) versus by value.Size row walks (boxed), and the bytes of each.
+// Runners aggregate the engine's per-stage exchange accounting under the
+// operator's base stage name before rendering.
 type ExchangeStat struct {
 	ColumnarBuffers, BoxedBuffers int64
 	ColumnarBytes, BoxedBytes     int64

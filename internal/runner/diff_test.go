@@ -327,14 +327,13 @@ func (g *dgen) query() nrc.Expr {
 // on). vec toggles the columnar batch path independently, so every seed runs
 // both the vectorized kernels and the row-at-a-time interpreter they must be
 // bit-identical to.
-func diffConfig(full, vec, noIdx, boxedEx bool, ests map[string]plan.TableEstimate, limit int64) runner.Config {
+func diffConfig(full, vec, noIdx bool, ests map[string]plan.TableEstimate, limit int64) runner.Config {
 	cfg := runner.DefaultConfig()
 	cfg.Parallelism = 3
 	cfg.NoPredicatePushdown = !full
 	cfg.NoCostModel = !full
 	cfg.NoVectorize = !vec
 	cfg.NoIndexScan = noIdx
-	cfg.BoxedExchange = boxedEx
 	cfg.Stats = ests
 	cfg.BroadcastLimit = limit
 	return cfg
@@ -444,21 +443,33 @@ var diffStrategies = append(runner.AllStrategies(), runner.Auto)
 // differential scale.
 var diffBroadcastLimits = []int64{0, 200, 64 << 10}
 
+// diffCounts tallies one or more runDifferential calls: how many engine runs
+// were compared against the oracle, and how many of them exercised each layer
+// (the vacuity floors of TestDifferentialOracle).
+type diffCounts struct {
+	runs       int // engine runs compared against the oracle
+	optimized  int // full runs whose plans the optimizer changed
+	vectorized int // vectorized runs that executed at least one columnar batch
+	indexed    int // runs that planned at least one index scan
+	typed      int // runs that metered at least one typed-encoding shuffle buffer
+}
+
+func (c *diffCounts) add(o diffCounts) {
+	c.runs += o.runs
+	c.optimized += o.optimized
+	c.vectorized += o.vectorized
+	c.indexed += o.indexed
+	c.typed += o.typed
+}
+
 // runDifferential executes one generated query under the full
 // strategy × {full, ablated} × {vectorized, row-only} × {indexed,
-// NoIndexScan} × {columnar-exchange, boxed-exchange} matrix and compares
-// each run against the oracle (the index arm only splits full runs: ablated
-// runs skip annotation and so never plan index scans; the exchange arm only
-// splits full vectorized indexed runs — the columnar shuffle path is on
-// everywhere else, so the boxed ablation is the interesting extra arm). The
-// query is regenerated from the same bytes for every compilation
-// (compilation annotates ASTs in place). Returns the number of runs whose
-// plans the optimizer changed, the number of vectorized runs that actually
-// executed at least one columnar batch, the number of runs that planned at
-// least one index scan, and the number of runs that moved typed column
-// buffers across a shuffle exchange, or an error describing the first
-// divergence.
-func runDifferential(data []byte, strict bool) (optimized, vectorized, indexed, columnar int, err error) {
+// NoIndexScan} matrix and compares each run against the oracle (the index arm
+// only splits full runs: ablated runs skip annotation and so never plan index
+// scans). The query is regenerated from the same bytes for every compilation
+// (compilation annotates ASTs in place). Returns the tallies, or an error
+// describing the first divergence.
+func runDifferential(data []byte, strict bool) (n diffCounts, err error) {
 	env := diffEnv()
 	g := &dgen{data: data}
 	inputs := g.dataset()
@@ -473,7 +484,7 @@ func runDifferential(data []byte, strict bool) (optimized, vectorized, indexed, 
 
 	want, err := oracleEval(q, env, inputs)
 	if err != nil {
-		return 0, 0, 0, 0, fmt.Errorf("generated query fails Check (generator bug): %v\n%s", err, nrc.Print(q))
+		return n, fmt.Errorf("generated query fails Check (generator bug): %v\n%s", err, nrc.Print(q))
 	}
 	ests := collectDiffStats(env, inputs)
 	applyIndexes(ests, chosen)
@@ -486,63 +497,53 @@ func runDifferential(data []byte, strict bool) (optimized, vectorized, indexed, 
 			}
 			for _, vec := range []bool{true, false} {
 				for _, noIdx := range noIdxArms {
-					boxedArms := []bool{false}
-					if full && vec && !noIdx {
-						boxedArms = []bool{false, true}
+					cfg := diffConfig(full, vec, noIdx, ests, limit)
+					cq, cerr := runner.Compile(mkQuery(), env, strat, cfg)
+					if cerr != nil {
+						if strict {
+							return n, fmt.Errorf("%s (full=%t, vec=%t, noidx=%t) does not compile: %v\n%s",
+								strat, full, vec, noIdx, cerr, nrc.Print(q))
+						}
+						return n, errSkip
 					}
-					for _, boxedEx := range boxedArms {
-						cfg := diffConfig(full, vec, noIdx, boxedEx, ests, limit)
-						cq, cerr := runner.Compile(mkQuery(), env, strat, cfg)
-						if cerr != nil {
-							if strict {
-								return optimized, vectorized, indexed, columnar, fmt.Errorf("%s (full=%t, vec=%t, noidx=%t, boxedex=%t) does not compile: %v\n%s",
-									strat, full, vec, noIdx, boxedEx, cerr, nrc.Print(q))
-							}
-							return optimized, vectorized, indexed, columnar, errSkip
-						}
-						if full && vec && !noIdx && !boxedEx && cq.Opt.Total() > 0 {
-							optimized++
-						}
-						if cq.Idx.Planned > 0 {
-							if noIdx {
-								return optimized, vectorized, indexed, columnar, fmt.Errorf(
-									"%s planned %d index scans with NoIndexScan set\n%s", strat, cq.Idx.Planned, nrc.Print(q))
-							}
-							indexed++
-						}
-						res := cq.Execute(context.Background(), inputs, runner.NewRunContext(cfg, cq.Strategy))
-						if res.Failed() {
-							return optimized, vectorized, indexed, columnar, fmt.Errorf("%s (full=%t, vec=%t, noidx=%t, boxedex=%t) failed: %v\n%s",
-								strat, full, vec, noIdx, boxedEx, res.Err, nrc.Print(q))
-						}
-						if vec && res.Metrics.VectorizedBatches > 0 {
-							vectorized++
-						}
-						ex := res.Metrics.Exchange
-						if boxedEx && ex.ColumnarBuffers > 0 {
-							return optimized, vectorized, indexed, columnar, fmt.Errorf(
-								"%s moved %d columnar buffers with BoxedExchange set\n%s", strat, ex.ColumnarBuffers, nrc.Print(q))
-						}
-						if ex.ColumnarBuffers > 0 {
-							columnar++
-						}
-						got, gerr := nestedOutput(cq, res)
-						if gerr != nil {
-							return optimized, vectorized, indexed, columnar, fmt.Errorf("%s (full=%t, vec=%t, noidx=%t, boxedex=%t) unshred: %v\n%s",
-								strat, full, vec, noIdx, boxedEx, gerr, nrc.Print(q))
-						}
-						if !value.Equal(got, want) {
-							return optimized, vectorized, indexed, columnar, fmt.Errorf(
-								"%s (full=%t, vec=%t, noidx=%t, boxedex=%t, resolved %s, bcast=%d, idx-planned=%d) diverges from the nrc.Eval oracle\nquery:\n%s\ninputs: %s\n got: %s\nwant: %s\nexplain:\n%s",
-								strat, full, vec, noIdx, boxedEx, cq.Strategy, limit, cq.Idx.Planned, nrc.Print(q), value.Format(value.Tuple{inputs["R"], inputs["S"]}),
-								value.Format(got), value.Format(want), cq.Explain())
-						}
+					if full && vec && !noIdx && cq.Opt.Total() > 0 {
+						n.optimized++
 					}
+					if cq.Idx.Planned > 0 {
+						if noIdx {
+							return n, fmt.Errorf(
+								"%s planned %d index scans with NoIndexScan set\n%s", strat, cq.Idx.Planned, nrc.Print(q))
+						}
+						n.indexed++
+					}
+					res := cq.Execute(context.Background(), inputs, runner.NewRunContext(cfg, cq.Strategy))
+					if res.Failed() {
+						return n, fmt.Errorf("%s (full=%t, vec=%t, noidx=%t) failed: %v\n%s",
+							strat, full, vec, noIdx, res.Err, nrc.Print(q))
+					}
+					if vec && res.Metrics.VectorizedBatches > 0 {
+						n.vectorized++
+					}
+					if res.Metrics.Exchange.ColumnarBuffers > 0 {
+						n.typed++
+					}
+					got, gerr := nestedOutput(cq, res)
+					if gerr != nil {
+						return n, fmt.Errorf("%s (full=%t, vec=%t, noidx=%t) unshred: %v\n%s",
+							strat, full, vec, noIdx, gerr, nrc.Print(q))
+					}
+					if !value.Equal(got, want) {
+						return n, fmt.Errorf(
+							"%s (full=%t, vec=%t, noidx=%t, resolved %s, bcast=%d, idx-planned=%d) diverges from the nrc.Eval oracle\nquery:\n%s\ninputs: %s\n got: %s\nwant: %s\nexplain:\n%s",
+							strat, full, vec, noIdx, cq.Strategy, limit, cq.Idx.Planned, nrc.Print(q), value.Format(value.Tuple{inputs["R"], inputs["S"]}),
+							value.Format(got), value.Format(want), cq.Explain())
+					}
+					n.runs++
 				}
 			}
 		}
 	}
-	return optimized, vectorized, indexed, columnar, nil
+	return n, nil
 }
 
 // errSkip marks an uncompilable fuzz-generated query (tolerated only in the
@@ -561,45 +562,43 @@ func seedBytes(seed int) []byte {
 
 // TestDifferentialOracle is the headline soundness gate: 300 generated
 // queries × (7 strategies + AUTO) × {full, ablated} × {vectorized,
-// row-only} × {indexed, NoIndexScan} × {columnar-exchange, boxed-exchange},
-// every run compared against the reference evaluator. Runs under -race in CI.
+// row-only} × {indexed, NoIndexScan}, every run compared against the
+// reference evaluator. Runs under -race in CI.
 func TestDifferentialOracle(t *testing.T) {
 	n := 300
 	if testing.Short() {
 		n = 60
 	}
-	optimized, vectorized, indexed, columnar := 0, 0, 0, 0
+	var total diffCounts
 	for seed := 0; seed < n; seed++ {
-		opt, vec, idx, col, err := runDifferential(seedBytes(seed), true)
-		optimized += opt
-		vectorized += vec
-		indexed += idx
-		columnar += col
+		c, err := runDifferential(seedBytes(seed), true)
+		total.add(c)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 	}
 	// The harness must actually exercise the optimizer, not vacuously pass
 	// on plans it never changes.
-	if optimized < n/4 {
-		t.Fatalf("only %d/%d×8 optimized runs changed a plan — generator no longer exercises the optimizer", optimized, n)
+	if total.optimized < n/4 {
+		t.Fatalf("only %d of %d runs over %d seeds changed a plan — generator no longer exercises the optimizer", total.optimized, total.runs, n)
 	}
 	// Likewise the vectorized half of the matrix must actually run columnar
 	// batches, not silently fall back to the row interpreter everywhere.
-	if vectorized < n/4 {
-		t.Fatalf("only %d/%d×16 vectorized runs executed a columnar batch — generator no longer exercises the vectorizer", vectorized, n)
+	if total.vectorized < n/4 {
+		t.Fatalf("only %d of %d runs over %d seeds executed a columnar batch — generator no longer exercises the vectorizer", total.vectorized, total.runs, n)
 	}
 	// And the index arm must actually plan index scans, not vacuously agree
 	// because no generated predicate ever hit an indexed column.
-	if indexed < n/4 {
-		t.Fatalf("only %d runs planned an index scan across %d seeds — generator no longer exercises index planning", indexed, n)
+	if total.indexed < n/4 {
+		t.Fatalf("only %d runs planned an index scan across %d seeds — generator no longer exercises index planning", total.indexed, n)
 	}
-	// And the columnar-exchange arm must actually move typed buffers across
-	// shuffles, not silently spill to boxed rows on every generated query.
-	if columnar < n/4 {
-		t.Fatalf("only %d runs moved typed column buffers across an exchange over %d seeds — the columnar shuffle path is no longer exercised", columnar, n)
+	// And key-based shuffles must actually meter typed-encoding buffers, not
+	// fall back to the boxed row walk on every generated query.
+	if total.typed < n/4 {
+		t.Fatalf("only %d runs metered a typed-encoding shuffle buffer over %d seeds — the wire-size meter is no longer exercised", total.typed, n)
 	}
-	t.Logf("%d queries × ~56 runs agreed with the oracle; optimizer changed plans in %d runs; %d runs executed columnar batches; %d runs planned index scans; %d runs shuffled typed column buffers", n, optimized, vectorized, indexed, columnar)
+	t.Logf("%d queries × %d runs each agreed with the oracle; optimizer changed plans in %d runs; %d runs executed columnar batches; %d runs planned index scans; %d runs metered typed-encoding shuffle buffers",
+		n, total.runs/n, total.optimized, total.vectorized, total.indexed, total.typed)
 }
 
 // TestAnalyzeStableAcrossRoutes re-runs a sampled subset of the differential
@@ -637,7 +636,7 @@ func TestAnalyzeStableAcrossRoutes(t *testing.T) {
 
 		for _, vec := range []bool{true, false} {
 			for _, noIdx := range []bool{false, true} {
-				cfg := diffConfig(true, vec, noIdx, false, ests, limit)
+				cfg := diffConfig(true, vec, noIdx, ests, limit)
 				cq, cerr := runner.Compile(mkQuery(), env, runner.Standard, cfg)
 				if cerr != nil {
 					t.Fatalf("seed %d (vec=%t, noidx=%t): compile: %v", seed, vec, noIdx, cerr)
@@ -690,7 +689,7 @@ func FuzzDifferential(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{255, 1, 254, 3, 252, 7, 248, 15, 240, 31, 224, 63, 192, 127, 128})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if _, _, _, _, err := runDifferential(data, false); err != nil {
+		if _, err := runDifferential(data, false); err != nil {
 			if err == errSkip {
 				t.Skip("generated query outside the compilable fragment")
 			}

@@ -183,12 +183,6 @@ type Config struct {
 	// columns (see plan.AnnotateOpts, docs/INDEXES.md, and
 	// BenchmarkIndexScanAblation). Results are identical either way.
 	NoIndexScan bool
-	// BoxedExchange is the columnar exchange's ablation knob: key-based
-	// shuffles move boxed rows instead of typed column buffers (see
-	// dataflow/colbuffer.go, docs/VECTORIZE.md, and
-	// BenchmarkColumnarShuffle). Results are identical either way — the
-	// differential oracle runs both arms.
-	BoxedExchange bool
 	// AutoSkewFraction is the heavy-key row fraction at or above which Auto
 	// picks a skew-aware route; 0 means DefaultAutoSkewFraction.
 	AutoSkewFraction float64

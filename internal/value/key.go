@@ -2,7 +2,6 @@ package value
 
 import (
 	"encoding/binary"
-	"hash/fnv"
 	"math"
 )
 
@@ -64,20 +63,76 @@ func KeyCols(row Tuple, cols []int) string {
 	return string(buf)
 }
 
-// Hash64 hashes a flat value with FNV-1a over its canonical encoding.
-func Hash64(v Value) uint64 {
-	h := fnv.New64a()
-	h.Write(AppendKey(nil, v))
-	return h.Sum64()
+// FNV-1a 64-bit parameters; identical to hash/fnv.New64a.
+const (
+	fnvOffset64 uint64 = 14695981039346656037
+	fnvPrime64  uint64 = 1099511628211
+)
+
+func fnvByte(h uint64, b byte) uint64 { return (h ^ uint64(b)) * fnvPrime64 }
+
+func fnvU32(h uint64, v uint32) uint64 {
+	h = fnvByte(h, byte(v>>24))
+	h = fnvByte(h, byte(v>>16))
+	h = fnvByte(h, byte(v>>8))
+	return fnvByte(h, byte(v))
 }
 
-// HashCols hashes the composite key of row projected on cols.
-func HashCols(row Tuple, cols []int) uint64 {
-	h := fnv.New64a()
-	buf := make([]byte, 0, 16*len(cols))
-	for _, c := range cols {
-		buf = AppendKey(buf[:0], row[c])
-		h.Write(buf)
+func fnvU64(h uint64, v uint64) uint64 {
+	return fnvU32(fnvU32(h, uint32(v>>32)), uint32(v))
+}
+
+// foldKey folds the AppendKey encoding of v into the FNV-1a state h without
+// materializing the bytes: hashing a key allocates nothing. It must mirror
+// AppendKey case by case — partition placement and the statistics sketches
+// depend on the two agreeing (TestHashMatchesFNVOverAppendKey pins it).
+func foldKey(h uint64, v Value) uint64 {
+	switch x := v.(type) {
+	case nil:
+		return fnvByte(h, 0x00)
+	case bool:
+		if x {
+			return fnvByte(fnvByte(h, 0x01), 1)
+		}
+		return fnvByte(fnvByte(h, 0x01), 0)
+	case int64:
+		return fnvU64(fnvByte(h, 0x02), uint64(x))
+	case float64:
+		return fnvU64(fnvByte(h, 0x03), math.Float64bits(x))
+	case Date:
+		return fnvU64(fnvByte(h, 0x04), uint64(x))
+	case string:
+		h = fnvU32(fnvByte(h, 0x05), uint32(len(x)))
+		for i := 0; i < len(x); i++ {
+			h = fnvByte(h, x[i])
+		}
+		return h
+	case Label:
+		return foldTuple(fnvU32(fnvByte(h, 0x06), uint32(x.Site)), x.Payload)
+	case Tuple:
+		return foldTuple(h, x)
+	default:
+		panic("value: bags and unknown types cannot be keys")
 	}
-	return h.Sum64()
+}
+
+func foldTuple(h uint64, t Tuple) uint64 {
+	h = fnvU32(fnvByte(h, 0x07), uint32(len(t)))
+	for _, e := range t {
+		h = foldKey(h, e)
+	}
+	return h
+}
+
+// Hash64 hashes a flat value with FNV-1a over its canonical encoding.
+func Hash64(v Value) uint64 { return foldKey(fnvOffset64, v) }
+
+// HashCols hashes the composite key of row projected on cols: FNV-1a over the
+// concatenated per-column encodings, i.e. over the bytes of KeyCols.
+func HashCols(row Tuple, cols []int) uint64 {
+	h := fnvOffset64
+	for _, c := range cols {
+		h = foldKey(h, row[c])
+	}
+	return h
 }
