@@ -535,21 +535,16 @@ func BenchmarkPushdownAblation(b *testing.B) {
 	}
 }
 
-// BenchmarkVectorizeAblation measures the columnar batch execution path
-// (runner.Config.NoVectorize ablation) on the same selective queries as the
-// pushdown ablation: after pushdown, their guards sit directly above the
-// scans as narrow selections (and the burden query adds an arithmetic
-// extension), exactly the shape the vectorizer turns into per-column kernel
-// loops over 1024-row batches. Results are bit-identical either way (the
-// differential oracle runs both halves); this benchmark isolates the
-// interpreter-dispatch savings. Compile time and input conversion sit
-// outside the timed region; compare vec=on vs vec=off with benchstat.
-func BenchmarkVectorizeAblation(b *testing.B) {
+// BenchmarkSelectiveNarrow measures the narrow σ/ext/π chain — the row
+// interpreter, fused per partition — on a flat selective scan and on the same
+// selective queries as the pushdown ablation: after pushdown, their guards
+// sit directly above the scans as narrow selections (and the burden query
+// adds an arithmetic extension), so interpreter dispatch is most of the work.
+// Compile time and input conversion sit outside the timed region.
+func BenchmarkSelectiveNarrow(b *testing.B) {
 	tables := tpch.Generate(tpchConfig(0))
-	// The flat scan case gets a larger Lineitem so its 1024-row batches
-	// actually fill: at the shared config's 3.6K rows every partition holds a
-	// single partial batch and per-batch fixed costs (transpose, arena reset)
-	// drown the kernel win this benchmark exists to measure.
+	// The flat scan case gets a larger Lineitem: at the shared config's 3.6K
+	// rows per-run fixed costs drown the per-row work it exists to measure.
 	flatCfg := tpchConfig(0)
 	flatCfg.Customers = scaled(2000)
 	flatTables := tpch.Generate(flatCfg)
@@ -583,32 +578,25 @@ func BenchmarkVectorizeAblation(b *testing.B) {
 	}
 	for _, c := range cases {
 		for _, strat := range []runner.Strategy{runner.Standard, runner.Shred} {
-			for _, vec := range []bool{true, false} {
-				mode := "on"
-				if !vec {
-					mode = "off"
+			b.Run(fmt.Sprintf("%s/%s", c.name, strat), func(b *testing.B) {
+				cfg := benchConfig(inputBytes(c.inputs))
+				cfg.MaxPartitionBytes = 0
+				cq, err := runner.Compile(c.mk(), c.env, strat, cfg)
+				if err != nil {
+					b.Fatal(err)
 				}
-				b.Run(fmt.Sprintf("%s/%s/vec=%s", c.name, strat, mode), func(b *testing.B) {
-					cfg := benchConfig(inputBytes(c.inputs))
-					cfg.MaxPartitionBytes = 0
-					cfg.NoVectorize = !vec
-					cq, err := runner.Compile(c.mk(), c.env, strat, cfg)
-					if err != nil {
-						b.Fatal(err)
+				rows, err := cq.InputRows(c.inputs)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					res := cq.ExecuteRows(context.Background(), rows, runner.NewRunContext(cfg, strat))
+					if res.Failed() {
+						b.Fatal(res.Err)
 					}
-					rows, err := cq.InputRows(c.inputs)
-					if err != nil {
-						b.Fatal(err)
-					}
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						res := cq.ExecuteRows(context.Background(), rows, runner.NewRunContext(cfg, strat))
-						if res.Failed() {
-							b.Fatal(res.Err)
-						}
-					}
-				})
-			}
+				}
+			})
 		}
 	}
 }
@@ -811,9 +799,10 @@ func BenchmarkIndexScanAblation(b *testing.B) {
 		},
 		{
 			// ~10% × ~9% range guards over the flat leaf join: past the
-			// crossover where position-list gathers beat the vectorized
-			// sweep — this pair of arms measured idx=on LOSING (3.8ms vs
-			// 2.1ms), which is what pinned the range gate at the crossover.
+			// crossover where position-list gathers beat the fused sweep —
+			// this pair of arms measured idx=on LOSING (3.8ms vs 2.1ms,
+			// against the since-removed kernel sweep; docs/INDEXES.md), which
+			// is what pinned the range gate at the crossover.
 			// The planner now refuses the conversion here, so both arms run
 			// the fused sweep and stay benchstat-identical by construction.
 			name: "selective-n2f-l0",

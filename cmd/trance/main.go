@@ -178,7 +178,7 @@ func cmdQuery(args []string) {
 	strategy := fs.String("strategy", "standard", "evaluation strategy")
 	show := fs.Int("show", 0, "result rows to print (0 = all)")
 	explain := fs.Bool("explain", false, "print the compiled plans before and after the rule-based optimizer (predicate pushdown etc.) to stderr")
-	analyze := fs.Bool("analyze", false, "run with per-operator instrumentation and print the analyzed plans (actual rows, wall, batches, q-error) to stderr")
+	analyze := fs.Bool("analyze", false, "run with per-operator instrumentation and print the analyzed plans (actual rows, wall, q-error) to stderr")
 	timing := fs.Bool("timing", false, "print the request trace (per-phase wall-clock breakdown) to stderr")
 	_ = fs.Parse(args)
 
@@ -242,8 +242,8 @@ func cmdQuery(args []string) {
 }
 
 // runSessionQuery evaluates one prepared session query; with analyze set the
-// run is instrumented and the analyzed plans (actual rows, wall times, batch
-// counts, q-error) go to stderr.
+// run is instrumented and the analyzed plans (actual rows, wall times,
+// q-error) go to stderr.
 func runSessionQuery(ctx context.Context, sq *trance.SessionQuery, strat trance.Strategy, analyze bool) ([]map[string]any, error) {
 	rows, res, err := sq.RunJSONFull(ctx, strat, analyze)
 	if err != nil {

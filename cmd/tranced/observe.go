@@ -57,7 +57,6 @@ func (s *server) handleTrace(w http.ResponseWriter, r *http.Request) {
 func (s *server) writeMetricsProm(w http.ResponseWriter) {
 	cache := trance.PlanCacheStats()
 	opt := trance.OptimizerCounters()
-	vec := trance.VectorizeCounters()
 	idx := trance.IndexCounters()
 
 	one := func(name, help, typ string, v float64) promtext.Family {
@@ -99,8 +98,6 @@ func (s *server) writeMetricsProm(w http.ResponseWriter) {
 		one("trance_optimizer_true_selects_dropped_total", "Trivially-true selections dropped.", "counter", float64(opt.TrueSelectsDropped)),
 		one("trance_optimizer_false_selects_cut_total", "Trivially-false selections cut.", "counter", float64(opt.FalseSelectsCut)),
 		one("trance_optimizer_pushes_refused_total", "Pushdowns refused at soundness boundaries.", "counter", float64(opt.PushesRefused)),
-		one("trance_vectorize_ops_vectorized_total", "Narrow operators compiled to columnar kernels.", "counter", float64(vec.OpsVectorized)),
-		one("trance_vectorize_ops_fallback_total", "Narrow operators kept on the row interpreter.", "counter", float64(vec.OpsFallback)),
 		one("trance_index_built_total", "Secondary indexes built.", "counter", float64(idx.Built)),
 		one("trance_index_refused_total", "Index builds refused.", "counter", float64(idx.Refused)),
 		one("trance_index_maintained_total", "Incremental index maintenance operations.", "counter", float64(idx.Maintained)),

@@ -940,7 +940,7 @@ func (s *server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	var err error
 	if analyze {
 		// EXPLAIN ANALYZE: execute the route with per-operator instrumentation
-		// over the bound catalog data and render actual rows/wall/batches
+		// over the bound catalog data and render actual rows/wall
 		// beside the static annotations, plus the q-error summary.
 		text, err = rt.sq.ExplainAnalyze(r.Context(), rt.strat)
 	} else {
@@ -974,7 +974,7 @@ func analyzeParam(r *http.Request) bool {
 // it — the serving-side way to check whether a pushed-down predicate planned
 // as an index scan (the `[index=…]` operator annotation, docs/INDEXES.md).
 // With ?analyze=1 the query IS executed, with per-operator instrumentation,
-// and the plans render actual rows/wall/batches plus a q-error summary
+// and the plans render actual rows/wall plus a q-error summary
 // (docs/OBSERVABILITY.md).
 func (s *server) handleTextExplain(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxTextQueryBytes))
@@ -1135,7 +1135,6 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 	cache := trance.PlanCacheStats()
 	opt := trance.OptimizerCounters()
-	vec := trance.VectorizeCounters()
 	idx := trance.IndexCounters()
 	writeJSON(w, http.StatusOK, map[string]any{
 		"uptime_s": time.Since(s.started).Seconds(),
@@ -1157,10 +1156,6 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			"true_selects_dropped": opt.TrueSelectsDropped,
 			"false_selects_cut":    opt.FalseSelectsCut,
 			"pushes_refused":       opt.PushesRefused,
-		},
-		"vectorize": map[string]any{
-			"ops_vectorized": vec.OpsVectorized,
-			"ops_fallback":   vec.OpsFallback,
 		},
 		"index": map[string]any{
 			"built":           idx.Built,

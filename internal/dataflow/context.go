@@ -164,8 +164,6 @@ type Metrics struct {
 	PeakPartitionRows atomic.Int64 // largest materialized partition observed (rows)
 	Stages            atomic.Int64 // shuffle stages executed
 	SkippedShuffles   atomic.Int64 // shuffles avoided thanks to partitioning guarantees
-	VectorizedBatches atomic.Int64 // columnar batches processed by vectorized stages
-	VectorizedRows    atomic.Int64 // rows processed by vectorized stages
 
 	mu        sync.Mutex
 	stageWall map[string]time.Duration
@@ -234,26 +232,6 @@ func (m *Metrics) AddStageWall(stage string, d time.Duration) {
 	m.stageWall[stage] += d
 }
 
-// Reset zeroes all counters.
-func (m *Metrics) Reset() {
-	m.ShuffleBytes.Store(0)
-	m.ShuffleRecords.Store(0)
-	m.BroadcastBytes.Store(0)
-	m.PeakPartition.Store(0)
-	m.PeakPartitionRows.Store(0)
-	m.Stages.Store(0)
-	m.SkippedShuffles.Store(0)
-	m.VectorizedBatches.Store(0)
-	m.VectorizedRows.Store(0)
-	m.mu.Lock()
-	m.stageWall = nil
-	m.stageSeen = nil
-	m.exchange = ExchangeStat{}
-	m.stageExch = nil
-	m.exchSeen = nil
-	m.mu.Unlock()
-}
-
 // Snapshot is a plain-struct copy of Metrics, convenient for reporting.
 type Snapshot struct {
 	ShuffleBytes      int64
@@ -263,8 +241,8 @@ type Snapshot struct {
 	PeakPartitionRows int64
 	Stages            int64
 	SkippedShuffles   int64
-	VectorizedBatches int64
-	VectorizedRows    int64
+	// VectorizedRows is always zero; bench/inproc.go is its last reader.
+	VectorizedRows int64
 	// Exchange totals how shuffle buffers crossed the boundary.
 	Exchange ExchangeStat
 	// StageWall lists per-stage wall times in first-execution order.
@@ -284,8 +262,6 @@ func (m *Metrics) Snapshot() Snapshot {
 		PeakPartitionRows: m.PeakPartitionRows.Load(),
 		Stages:            m.Stages.Load(),
 		SkippedShuffles:   m.SkippedShuffles.Load(),
-		VectorizedBatches: m.VectorizedBatches.Load(),
-		VectorizedRows:    m.VectorizedRows.Load(),
 	}
 	m.mu.Lock()
 	for _, name := range m.stageSeen {
@@ -300,9 +276,9 @@ func (m *Metrics) Snapshot() Snapshot {
 }
 
 func (s Snapshot) String() string {
-	return fmt.Sprintf("shuffle=%dB/%drec broadcast=%dB peakPart=%dB/%drows stages=%d skipped=%d vec=%dbatch/%drows exchange=%dcol/%dboxed",
+	return fmt.Sprintf("shuffle=%dB/%drec broadcast=%dB peakPart=%dB/%drows stages=%d skipped=%d exchange=%dcol/%dboxed",
 		s.ShuffleBytes, s.ShuffleRecords, s.BroadcastBytes, s.PeakPartition, s.PeakPartitionRows,
-		s.Stages, s.SkippedShuffles, s.VectorizedBatches, s.VectorizedRows,
+		s.Stages, s.SkippedShuffles,
 		s.Exchange.ColumnarBuffers, s.Exchange.BoxedBuffers)
 }
 

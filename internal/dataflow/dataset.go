@@ -3,36 +3,9 @@ package dataflow
 import (
 	"errors"
 	"sort"
-	"sync"
 
 	"github.com/trance-go/trance/internal/value"
 )
-
-// rowBufPool recycles the BatchSize row-header buffers used by the batching
-// stages (FilterVec/MapVec). Stage factories run once per partition, and
-// shredded plans instantiate many small partitions — allocating a fresh 24KB
-// buffer each time dominated the vectorized path's allocation profile. Buffers
-// are fetched lazily on the first row and returned at flush, the one point
-// feed guarantees a stage is done emitting.
-var rowBufPool = sync.Pool{New: func() any {
-	s := make([]Row, 0, BatchSize)
-	return &s
-}}
-
-func getRowBuf() *[]Row { return rowBufPool.Get().(*[]Row) }
-
-// putRowBuf clears the buffered row headers (so pooled buffers don't pin row
-// memory) and returns the buffer to the pool; always returns nil for
-// assignment back to the owner.
-func putRowBuf(bufp *[]Row) *[]Row {
-	if bufp != nil {
-		b := (*bufp)[:cap(*bufp)]
-		clear(b)
-		*bufp = b[:0]
-		rowBufPool.Put(bufp)
-	}
-	return nil
-}
 
 // Partitioner records a key-based partitioning guarantee: all rows whose
 // composite key over Cols is equal live in the same partition.
@@ -60,20 +33,11 @@ func (p *Partitioner) equal(o *Partitioner) bool {
 // zero or more output rows via emit.
 type stageFn func(r Row, emit func(Row))
 
-// stage is one instantiated fused operator. Row-at-a-time operators populate
-// only fn. Batching operators (the vectorized filter/map stages) additionally
-// set flush, called once after the partition's last row so a buffered partial
-// batch still reaches the downstream chain.
-type stage struct {
-	fn    stageFn
-	flush func(emit func(Row))
-}
-
 // stageFactory instantiates a stage for one partition. Stages that carry
-// per-partition state (AddUniqueID's sequence counter, a vectorized stage's
-// batch buffer) get a fresh instance per partition per pass, which keeps
-// replays deterministic and parallel passes race-free.
-type stageFactory func(part int) stage
+// per-partition state (AddUniqueID's sequence counter) get a fresh instance
+// per partition per pass, which keeps replays deterministic and parallel
+// passes race-free.
+type stageFactory func(part int) stageFn
 
 // Dataset is a partitioned collection of rows bound to a Context. Rows are
 // never mutated, but the Dataset itself is lazy with respect to narrow
@@ -149,30 +113,16 @@ func (d *Dataset) withStage(f stageFactory) *Dataset {
 
 // feed streams partition part through the fused operator chain into sink.
 // This is the pipelined execution path: a row travels Map → Filter → … →
-// sink without any intermediate partition ever being allocated. Batching
-// stages are flushed upstream-first after the last source row, so a partial
-// batch flushed out of stage i still flows through stages i+1…n (and their
-// flushes, in turn).
+// sink without any intermediate partition ever being allocated.
 func (d *Dataset) feed(part int, sink func(Row)) {
-	type boundFlush struct {
-		flush func(emit func(Row))
-		next  func(Row)
-	}
 	emit := sink
-	var flushes []boundFlush
 	for i := len(d.stages) - 1; i >= 0; i-- {
-		st := d.stages[i](part)
+		fn := d.stages[i](part)
 		next := emit
-		emit = func(r Row) { st.fn(r, next) }
-		if st.flush != nil {
-			flushes = append(flushes, boundFlush{st.flush, next})
-		}
+		emit = func(r Row) { fn(r, next) }
 	}
 	for _, r := range d.parts[part] {
 		emit(r)
-	}
-	for i := len(flushes) - 1; i >= 0; i-- {
-		flushes[i].flush(flushes[i].next)
 	}
 }
 
@@ -256,8 +206,8 @@ func (d *Dataset) CollectSorted() []Row {
 // wide operator or action consumes the dataset. Preserves partitioning only
 // if the caller says key columns survive — use MapPreserving for that.
 func (d *Dataset) Map(fn func(Row) Row) *Dataset {
-	return d.withStage(func(int) stage {
-		return stage{fn: func(r Row, emit func(Row)) { emit(fn(r)) }}
+	return d.withStage(func(int) stageFn {
+		return func(r Row, emit func(Row)) { emit(fn(r)) }
 	})
 }
 
@@ -273,103 +223,13 @@ func (d *Dataset) MapPreserving(fn func(Row) Row) *Dataset {
 // Filter keeps rows satisfying pred. Narrow, fused, lazy; preserves the
 // partitioning guarantee.
 func (d *Dataset) Filter(pred func(Row) bool) *Dataset {
-	out := d.withStage(func(int) stage {
-		return stage{fn: func(r Row, emit func(Row)) {
+	out := d.withStage(func(int) stageFn {
+		return func(r Row, emit func(Row)) {
 			if pred(r) {
 				emit(r)
 			}
-		}}
-	})
-	out.partitioner = d.partitioner
-	return out
-}
-
-// FilterVec keeps rows satisfying a batched predicate. Rows are buffered into
-// BatchSize windows; pred sees one window at a time and returns its selection
-// bitmap (typically produced by the vector kernels over transposed columns).
-// Selected rows are emitted untouched — no reconstruction from columns — so
-// results are bit-identical to Filter with the equivalent row predicate.
-// Narrow, fused, lazy; preserves the partitioning guarantee.
-func (d *Dataset) FilterVec(pred func(rows []Row) Bitmap) *Dataset {
-	m := &d.ctx.Metrics
-	out := d.withStage(func(int) stage {
-		var bufp *[]Row
-		run := func(emit func(Row)) {
-			if bufp == nil || len(*bufp) == 0 {
-				return
-			}
-			buf := *bufp
-			sel := pred(buf)
-			for i, r := range buf {
-				if sel.Get(i) {
-					emit(r)
-				}
-			}
-			m.VectorizedBatches.Add(1)
-			m.VectorizedRows.Add(int64(len(buf)))
-			*bufp = buf[:0]
-		}
-		return stage{
-			fn: func(r Row, emit func(Row)) {
-				if bufp == nil {
-					bufp = getRowBuf()
-				}
-				*bufp = append(*bufp, r)
-				if len(*bufp) == BatchSize {
-					run(emit)
-				}
-			},
-			flush: func(emit func(Row)) {
-				run(emit)
-				bufp = putRowBuf(bufp)
-			},
 		}
 	})
-	out.partitioner = d.partitioner
-	return out
-}
-
-// MapVec applies a batched 1:1 transform: fn receives a BatchSize window and
-// must return exactly one output row per input row, in order. Narrow, fused,
-// lazy; drops the guarantee (use MapVecPreserving when key columns survive).
-func (d *Dataset) MapVec(fn func(rows []Row) []Row) *Dataset {
-	m := &d.ctx.Metrics
-	return d.withStage(func(int) stage {
-		var bufp *[]Row
-		run := func(emit func(Row)) {
-			if bufp == nil || len(*bufp) == 0 {
-				return
-			}
-			buf := *bufp
-			for _, r := range fn(buf) {
-				emit(r)
-			}
-			m.VectorizedBatches.Add(1)
-			m.VectorizedRows.Add(int64(len(buf)))
-			*bufp = buf[:0]
-		}
-		return stage{
-			fn: func(r Row, emit func(Row)) {
-				if bufp == nil {
-					bufp = getRowBuf()
-				}
-				*bufp = append(*bufp, r)
-				if len(*bufp) == BatchSize {
-					run(emit)
-				}
-			},
-			flush: func(emit func(Row)) {
-				run(emit)
-				bufp = putRowBuf(bufp)
-			},
-		}
-	})
-}
-
-// MapVecPreserving is MapVec keeping the partitioning guarantee; the caller
-// asserts key columns survive in place.
-func (d *Dataset) MapVecPreserving(fn func(rows []Row) []Row) *Dataset {
-	out := d.MapVec(fn)
 	out.partitioner = d.partitioner
 	return out
 }
@@ -377,12 +237,12 @@ func (d *Dataset) MapVecPreserving(fn func(rows []Row) []Row) *Dataset {
 // FlatMap expands every row to zero or more rows. Narrow, fused, lazy; drops
 // the guarantee.
 func (d *Dataset) FlatMap(fn func(Row) []Row) *Dataset {
-	return d.withStage(func(int) stage {
-		return stage{fn: func(r Row, emit func(Row)) {
+	return d.withStage(func(int) stageFn {
+		return func(r Row, emit func(Row)) {
 			for _, o := range fn(r) {
 				emit(o)
 			}
-		}}
+		}
 	})
 }
 
@@ -402,16 +262,16 @@ func (d *Dataset) FlatMapPreserving(fn func(Row) []Row) *Dataset {
 // the unique-ID insertion performed by the outer-unnest operator of the
 // paper.
 func (d *Dataset) AddUniqueID() *Dataset {
-	out := d.withStage(func(part int) stage {
+	out := d.withStage(func(part int) stageFn {
 		base := int64(part) << 40
 		var seq int64
-		return stage{fn: func(r Row, emit func(Row)) {
+		return func(r Row, emit func(Row)) {
 			nr := make(Row, len(r)+1)
 			copy(nr, r)
 			nr[len(r)] = base | seq
 			seq++
 			emit(nr)
-		}}
+		}
 	})
 	out.partitioner = d.partitioner
 	return out

@@ -1,6 +1,7 @@
 package dataflow
 
 import (
+	"errors"
 	"sync/atomic"
 	"testing"
 
@@ -222,5 +223,85 @@ func TestBroadcastJoinStreamsLazyLeft(t *testing.T) {
 	}
 	if j.Count() != 20 {
 		t.Fatalf("join count = %d, want 20", j.Count())
+	}
+}
+
+// TestNarrowOperatorsAndThePartitioner pins which narrow operators carry the
+// partitioning guarantee across: after one, a GroupReduce on the guaranteed
+// columns either skips its shuffle (guarantee kept) or shuffles again
+// (guarantee dropped). Row counts show the operator itself ran.
+func TestNarrowOperatorsAndThePartitioner(t *testing.T) {
+	ident := func(r Row) Row { return r }
+	twice := func(r Row) []Row { return []Row{r, r} }
+	cases := []struct {
+		name  string
+		apply func(*Dataset) *Dataset
+		keeps bool
+		rows  int64
+	}{
+		{"Map", func(d *Dataset) *Dataset { return d.Map(ident) }, false, 6},
+		{"MapPreserving", func(d *Dataset) *Dataset { return d.MapPreserving(ident) }, true, 6},
+		{"FlatMap", func(d *Dataset) *Dataset { return d.FlatMap(twice) }, false, 12},
+		{"FlatMapPreserving", func(d *Dataset) *Dataset { return d.FlatMapPreserving(twice) }, true, 12},
+		{"Filter", func(d *Dataset) *Dataset {
+			return d.Filter(func(r Row) bool { return r[1].(int64) > 1 })
+		}, true, 3},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c := NewContext(3)
+			in, err := c.FromRows(rowsOfInts(1, 1, 1, 2, 2, 1, 2, 2, 3, 1, 3, 2)).RepartitionBy("by-key", []int{0})
+			if err != nil {
+				t.Fatal(err)
+			}
+			d := tc.apply(in)
+			if got := d.Partitioner() != nil; got != tc.keeps {
+				t.Fatalf("partitioner kept=%t, want %t", got, tc.keeps)
+			}
+			before := c.Metrics.Snapshot()
+			var rows int64
+			if _, err := d.GroupReduce("g", []int{0}, func(rs []Row) []Row {
+				atomic.AddInt64(&rows, int64(len(rs)))
+				return rs[:1]
+			}); err != nil {
+				t.Fatal(err)
+			}
+			after := c.Metrics.Snapshot()
+			if rows != tc.rows {
+				t.Fatalf("GroupReduce saw %d rows, want %d", rows, tc.rows)
+			}
+			if skipped := after.SkippedShuffles-before.SkippedShuffles == 1; skipped != tc.keeps {
+				t.Fatalf("shuffle skipped=%t, want %t", skipped, tc.keeps)
+			}
+			if shuffled := after.ShuffleRecords > before.ShuffleRecords; shuffled == tc.keeps {
+				t.Fatalf("rows crossed a shuffle=%t with the guarantee kept=%t", shuffled, tc.keeps)
+			}
+		})
+	}
+}
+
+// TestCheckMemory verifies the in-place expansion check: it materializes the
+// pending chain under a named stage wall, tracks the peak, and fails the job
+// once a partition outgrows MaxPartitionBytes.
+func TestCheckMemory(t *testing.T) {
+	expand := func(r Row) []Row { return []Row{r, r, r, r} }
+	c := NewContext(2)
+	c.MaxPartitionBytes = 1 << 20
+	d := c.FromRows(rowsOfInts(1, 1, 2, 2)).FlatMap(expand)
+	if err := d.CheckMemory("unnest#1"); err != nil {
+		t.Fatal(err)
+	}
+	s := c.Metrics.Snapshot()
+	if len(s.StageWall) != 1 || s.StageWall[0].Stage != "unnest#1" {
+		t.Fatalf("stage wall not recorded: %+v", s.StageWall)
+	}
+	if s.PeakPartitionRows != 4 || s.PeakPartition <= 0 {
+		t.Fatalf("peak not tracked: %dB/%d rows", s.PeakPartition, s.PeakPartitionRows)
+	}
+
+	c.MaxPartitionBytes = s.PeakPartition - 1
+	err := c.FromRows(rowsOfInts(1, 1, 2, 2)).FlatMap(expand).CheckMemory("unnest#2")
+	if !errors.Is(err, ErrMemoryExceeded) {
+		t.Fatalf("want ErrMemoryExceeded, got %v", err)
 	}
 }

@@ -127,6 +127,21 @@ func (d *Dataset) shuffle(stage string, keyed bool, hashFor func(part int) func(
 	return &Dataset{ctx: c, parts: parts}, nil
 }
 
+// Kind is the physical type wireMeter latches for a column of an exchange
+// buffer.
+type Kind uint8
+
+// Column kinds. KindBoxed covers labels, nested bags/tuples, and columns
+// holding scalars of more than one kind.
+const (
+	KindInt64 Kind = iota
+	KindFloat64
+	KindString
+	KindBool
+	KindDate
+	KindBoxed
+)
+
 // wireMeter sizes exchange buffers; its only state is per-column scratch
 // reused from one buffer to the next.
 type wireMeter struct{ cols []wireCol }

@@ -8,30 +8,64 @@ import (
 	"github.com/trance-go/trance/internal/value"
 )
 
-// refWireSize is the meter's independent reference: transpose the routed
-// buffer with the kernels' own Transpose (inferred kinds, boxed on conflict)
-// and apply the documented wire-size formula to the resulting columns.
+// refWireSize is the meter's independent reference: a direct scan per column.
+// Pass one decides the column's kind from all its non-NULL cells (boxed on a
+// non-scalar cell or two scalar kinds, all-NULL has none); pass two applies
+// the documented wire-size formula.
 func refWireSize(rows []Row) int64 {
-	var total int64
+	scalarKind := func(v value.Value) Kind {
+		switch v.(type) {
+		case int64:
+			return KindInt64
+		case float64:
+			return KindFloat64
+		case string:
+			return KindString
+		case bool:
+			return KindBool
+		case value.Date:
+			return KindDate
+		}
+		return KindBoxed
+	}
 	n := len(rows)
-	for _, c := range Transpose(rows).Cols {
-		total += int64(8 * len(c.Nulls))
-		switch c.Kind {
+	words := int64(8 * ((n + 63) / 64))
+	var total int64
+	for c := range rows[0] {
+		kind, nonNull := KindBoxed, 0
+		for _, r := range rows {
+			if r[c] == nil {
+				continue
+			}
+			if k := scalarKind(r[c]); nonNull == 0 {
+				kind = k
+			} else if k != kind {
+				kind = KindBoxed
+			}
+			nonNull++
+		}
+		if nonNull < n {
+			total += words // null bitmap
+		}
+		if nonNull == 0 {
+			continue
+		}
+		switch kind {
 		case KindInt64, KindFloat64, KindDate:
 			total += int64(8 * n)
+		case KindBool:
+			total += words
 		case KindString:
 			total += int64(4 * n)
-			for i, s := range c.Strs {
-				if !c.Nulls.Get(i) {
+			for _, r := range rows {
+				if s, ok := r[c].(string); ok {
 					total += int64(len(s))
 				}
 			}
-		case KindBool:
-			total += int64(8 * ((n + 63) / 64))
 		default:
-			for _, v := range c.Boxed {
-				if v != nil {
-					total += value.Size(v)
+			for _, r := range rows {
+				if r[c] != nil {
+					total += value.Size(r[c])
 				}
 			}
 		}
@@ -40,8 +74,8 @@ func refWireSize(rows []Row) int64 {
 }
 
 // wordBoundaryRows builds n rows of (int64 with NULLs pinned to bits 63 and
-// 64, bool, two-byte string): row counts around the bitmap-word and BatchSize
-// boundaries must round bitmaps to whole words and nothing else.
+// 64, bool, two-byte string): row counts around the bitmap-word boundaries
+// (64, 1024) must round bitmaps to whole words and nothing else.
 func wordBoundaryRows(n int) []Row {
 	rows := make([]Row, n)
 	for i := range rows {
@@ -56,7 +90,7 @@ func wordBoundaryRows(n int) []Row {
 
 // TestShuffleMetersWireSize drives single-buffer shuffles (one source, one
 // target) and checks the exchange accounting against hand-computed sizes of
-// the typed wire encoding, and against the Transpose-based reference.
+// the typed wire encoding, and against the direct-scan reference.
 func TestShuffleMetersWireSize(t *testing.T) {
 	nulls70 := make([]Row, 70) // spans a bitmap word boundary
 	for i := range nulls70 {
@@ -238,6 +272,62 @@ func TestShufflePoisonedInputCountsNoStage(t *testing.T) {
 	if s := c.Metrics.Snapshot(); s.Stages != 0 || len(s.StageWall) != 0 {
 		t.Fatalf("poisoned shuffles recorded stages=%d wall=%v, want none", s.Stages, s.StageWall)
 	}
+}
+
+// decodeFuzzRows derives a deterministic row set from a fuzz byte stream:
+// width and per-column kind come from the header, cells from the tail, with
+// NULLs, negative ints, dates, empty strings, and boxed nested values all
+// reachable.
+func decodeFuzzRows(data []byte) []Row {
+	if len(data) < 2 {
+		return nil
+	}
+	width := 1 + int(data[0])%4
+	kinds := make([]byte, width)
+	for c := 0; c < width; c++ {
+		kinds[c] = data[1+c%max(1, len(data)-1)] % 8
+	}
+	pos := 1 + width
+	next := func() byte {
+		if pos >= len(data) {
+			pos = 1 + width
+			if pos >= len(data) {
+				return 0
+			}
+		}
+		b := data[pos]
+		pos++
+		return b
+	}
+	nRows := int(next()) % 70
+	rows := make([]Row, nRows)
+	for i := range rows {
+		r := make(Row, width)
+		for c := 0; c < width; c++ {
+			k := kinds[c]
+			if k == 7 { // mixed column: re-draw the kind per cell
+				k = next() % 7
+			}
+			switch sel := next(); k {
+			case 0:
+				r[c] = nil
+			case 1:
+				r[c] = int64(sel) - 128 // negative and positive ints
+			case 2:
+				r[c] = (float64(sel) - 128) / 4
+			case 3:
+				r[c] = string([]byte{'a' + sel%3})[:int(sel)%2] // "" or one char
+			case 4:
+				r[c] = sel%2 == 1
+			case 5:
+				r[c] = value.Date(int64(sel) - 128)
+			default:
+				r[c] = value.Tuple{int64(sel)} // boxed fallback
+			}
+		}
+		rows[i] = r
+	}
+	return rows
 }
 
 // FuzzShuffleMeter fuzzes a key-based shuffle over generator-shaped rows

@@ -89,28 +89,3 @@ func instrFlatMap(ns *plan.NodeStats, fn func(dataflow.Row) []dataflow.Row) func
 		return out
 	}
 }
-
-// batchTimer starts a wall measurement for one columnar batch; batchDone
-// records the batch's rows and wall. kernel=false marks a batch that demoted
-// to the row interpreter mid-run.
-func batchTimer(ns *plan.NodeStats) time.Time {
-	if ns != nil {
-		return time.Now()
-	}
-	return time.Time{}
-}
-
-func batchDone(ns *plan.NodeStats, start time.Time, rowsIn, rowsOut int, kernel bool) {
-	if ns == nil {
-		return
-	}
-	ns.WallNS.Add(time.Since(start).Nanoseconds())
-	ns.Batches.Add(1)
-	ns.RowsIn.Add(int64(rowsIn))
-	ns.RowsOut.Add(int64(rowsOut))
-	if kernel {
-		ns.VecBatches.Add(1)
-	} else {
-		ns.FallbackBatches.Add(1)
-	}
-}

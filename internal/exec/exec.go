@@ -14,7 +14,6 @@ package exec
 import (
 	"fmt"
 	"runtime/debug"
-	"sync"
 	"time"
 
 	"github.com/trance-go/trance/internal/core"
@@ -36,15 +35,10 @@ type Executor struct {
 	// SkewAware enables the skew-resilient operator implementations of
 	// paper Section 5 for joins and BagToDict.
 	SkewAware bool
-	// Vectorize routes narrow operators whose expressions compile to vector
-	// kernels (see vector.go) through the engine's columnar batch stages.
-	// Results are bit-identical to the row interpreter either way.
-	Vectorize bool
 	// Analysis, when non-nil, collects per-operator runtime statistics
 	// (EXPLAIN ANALYZE): narrow operators wrap their fused closures with row
 	// and wall counters, wide operators record their dataflow stage name and
-	// output cardinality. Nil keeps the execution path untouched apart from
-	// per-batch nil checks.
+	// output cardinality. Nil keeps the execution path untouched.
 	Analysis *plan.Analysis
 
 	// raw retains the row slices of BindRows inputs: index positions address
@@ -315,47 +309,9 @@ func (ex *Executor) join(l, r *dataflow.Dataset, x *plan.Join) (*dataflow.Datase
 	return l.Join(stage("join"), r, x.LCols, x.RCols, rw, x.Outer)
 }
 
-// arenaPool pools vectorized-stage scratch; one pool per stage keeps arena
-// shapes (row width, slot count) consistent.
-func arenaPool() *sync.Pool {
-	return &sync.Pool{New: func() any { return &vecArena{} }}
-}
-
 func (ex *Executor) applySelect(in *dataflow.Dataset, x *plan.Select) *dataflow.Dataset {
 	ns := ex.node(x)
-	var prog vexpr
-	if ex.Vectorize {
-		prog, _ = compileVexpr(x.Pred)
-	}
 	if x.NullifyCols == nil {
-		if prog != nil {
-			pool := arenaPool()
-			return in.FilterVec(func(rows []dataflow.Row) dataflow.Bitmap {
-				start := batchTimer(ns)
-				ar := pool.Get().(*vecArena)
-				defer pool.Put(ar)
-				vb := newVecBatchArena(rows, ar)
-				vals, nulls, ok := evalBits(prog, vb)
-				if !ok {
-					// Dynamic types contradicted the schema for this batch:
-					// row interpreter, same result.
-					out := dataflow.NewBitmap(len(rows))
-					for i, r := range rows {
-						if b, _ := x.Pred.Eval(r).(bool); b {
-							out.Set(i)
-						}
-					}
-					batchDone(ns, start, len(rows), out.Count(), false)
-					return out
-				}
-				// Always materialize a fresh bitmap: vals may be backed by the
-				// arena (a bare bool column predicate), which goes back to the
-				// pool before the caller reads the selection.
-				out := dataflow.AndNotBitmap(vals, nulls, len(rows))
-				batchDone(ns, start, len(rows), out.Count(), true)
-				return out
-			})
-		}
 		return in.Filter(instrPred(ns, func(r dataflow.Row) bool {
 			b, _ := x.Pred.Eval(r).(bool)
 			return b
@@ -369,38 +325,6 @@ func (ex *Executor) applySelect(in *dataflow.Dataset, x *plan.Select) *dataflow.
 		}
 		return nr
 	}
-	if prog != nil {
-		pool := arenaPool()
-		return in.MapVecPreserving(func(rows []dataflow.Row) []dataflow.Row {
-			start := batchTimer(ns)
-			ar := pool.Get().(*vecArena)
-			defer pool.Put(ar)
-			vb := newVecBatchArena(rows, ar)
-			out := make([]dataflow.Row, len(rows))
-			vals, nulls, ok := evalBits(prog, vb)
-			if !ok {
-				for i, r := range rows {
-					if b, _ := x.Pred.Eval(r).(bool); b {
-						out[i] = r
-					} else {
-						out[i] = nullify(r)
-					}
-				}
-				batchDone(ns, start, len(rows), len(out), false)
-				return out
-			}
-			sel := dataflow.AndNotBitmap(vals, nulls, len(rows))
-			for i, r := range rows {
-				if sel.Get(i) {
-					out[i] = r
-				} else {
-					out[i] = nullify(r)
-				}
-			}
-			batchDone(ns, start, len(rows), len(out), true)
-			return out
-		})
-	}
 	return in.MapPreserving(instrMap(ns, func(r dataflow.Row) dataflow.Row {
 		if b, _ := x.Pred.Eval(r).(bool); b {
 			return r
@@ -411,19 +335,6 @@ func (ex *Executor) applySelect(in *dataflow.Dataset, x *plan.Select) *dataflow.
 
 func (ex *Executor) applyExtend(in *dataflow.Dataset, x *plan.Extend) *dataflow.Dataset {
 	ns := ex.node(x)
-	if ex.Vectorize {
-		if outs, _ := compileOuts(x.Exprs); outs != nil {
-			pool := arenaPool()
-			return in.MapVecPreserving(func(rows []dataflow.Row) []dataflow.Row {
-				start := batchTimer(ns)
-				ar := pool.Get().(*vecArena)
-				defer pool.Put(ar)
-				res, kernel := extendBatch(newVecBatchArena(rows, ar), x, outs)
-				batchDone(ns, start, len(rows), len(res), kernel)
-				return res
-			})
-		}
-	}
 	return in.MapPreserving(instrMap(ns, func(r dataflow.Row) dataflow.Row {
 		nr := make(dataflow.Row, len(r)+len(x.Exprs))
 		copy(nr, r)
@@ -434,52 +345,11 @@ func (ex *Executor) applyExtend(in *dataflow.Dataset, x *plan.Extend) *dataflow.
 	}))
 }
 
-// extendBatch evaluates one batch of a vectorized Extend: kernel expressions
-// compute whole columns first, then rows are assembled with direct copies for
-// bare column/constant outputs. Falls back to per-row Eval if any column
-// demoted; the second result reports whether the kernels held.
-func extendBatch(vb *vecBatch, x *plan.Extend, outs []outExpr) ([]dataflow.Row, bool) {
-	rows := vb.rows
-	cols, ok := evalOutCols(vb, outs)
-	res := make([]dataflow.Row, len(rows))
-	for i, r := range rows {
-		nr := make(dataflow.Row, len(r)+len(outs))
-		copy(nr, r)
-		for j, oe := range outs {
-			switch {
-			case !ok:
-				nr[len(r)+j] = x.Exprs[j].Expr.Eval(r)
-			case oe.kernel != nil:
-				nr[len(r)+j] = cols[j].Get(i)
-			case oe.copyIdx >= 0:
-				nr[len(r)+j] = r[oe.copyIdx]
-			default:
-				nr[len(r)+j] = oe.rowExpr.Eval(r)
-			}
-		}
-		res[i] = nr
-	}
-	return res, ok
-}
-
 func (ex *Executor) applyProject(in *dataflow.Dataset, x *plan.Project) *dataflow.Dataset {
 	ns := ex.node(x)
 	bagOut := make([]bool, len(x.Outs))
 	for i, ne := range x.Outs {
 		_, bagOut[i] = ne.Expr.Type().(nrc.BagType)
-	}
-	if ex.Vectorize {
-		if outs, _ := compileOuts(x.Outs); outs != nil {
-			pool := arenaPool()
-			return in.MapVec(func(rows []dataflow.Row) []dataflow.Row {
-				start := batchTimer(ns)
-				ar := pool.Get().(*vecArena)
-				defer pool.Put(ar)
-				res, kernel := projectBatch(newVecBatchArena(rows, ar), x, outs, bagOut)
-				batchDone(ns, start, len(rows), len(res), kernel)
-				return res
-			})
-		}
 	}
 	return in.Map(instrMap(ns, func(r dataflow.Row) dataflow.Row {
 		nr := make(dataflow.Row, len(x.Outs))
@@ -492,54 +362,6 @@ func (ex *Executor) applyProject(in *dataflow.Dataset, x *plan.Project) *dataflo
 		}
 		return nr
 	}))
-}
-
-// projectBatch evaluates one batch of a vectorized Project, applying the
-// NULL→empty-bag cast exactly like the row path. The second result reports
-// whether the kernels held.
-func projectBatch(vb *vecBatch, x *plan.Project, outs []outExpr, bagOut []bool) ([]dataflow.Row, bool) {
-	rows := vb.rows
-	cols, ok := evalOutCols(vb, outs)
-	res := make([]dataflow.Row, len(rows))
-	for i, r := range rows {
-		nr := make(dataflow.Row, len(outs))
-		for j, oe := range outs {
-			var v value.Value
-			switch {
-			case !ok:
-				v = x.Outs[j].Expr.Eval(r)
-			case oe.kernel != nil:
-				v = cols[j].Get(i)
-			case oe.copyIdx >= 0:
-				v = r[oe.copyIdx]
-			default:
-				v = oe.rowExpr.Eval(r)
-			}
-			if v == nil && x.CastBags && bagOut[j] {
-				v = value.Bag{}
-			}
-			nr[j] = v
-		}
-		res[i] = nr
-	}
-	return res, ok
-}
-
-// evalOutCols runs every kernel output over the batch; ok=false reverts the
-// whole batch to row evaluation.
-func evalOutCols(vb *vecBatch, outs []outExpr) ([]dataflow.Column, bool) {
-	cols := make([]dataflow.Column, len(outs))
-	for j, oe := range outs {
-		if oe.kernel == nil {
-			continue
-		}
-		c, ok := oe.kernel.evalCol(vb)
-		if !ok {
-			return nil, false
-		}
-		cols[j] = c
-	}
-	return cols, true
 }
 
 func applyUnnest(in *dataflow.Dataset, x *plan.Unnest, ns *plan.NodeStats) *dataflow.Dataset {

@@ -43,42 +43,42 @@ func normalize(s string) string {
 
 func TestParseBasics(t *testing.T) {
 	cases := map[string]string{
-		"1 + 2 * 3":                 "1 + 2 * 3",
-		"(1 + 2) * 3":               "(1 + 2) * 3",
-		"1 - 2 - 3":                 "1 - 2 - 3",
-		"1 - (2 - 3)":               "1 - (2 - 3)",
-		"x.a.b":                     "x.a.b",
-		"-5":                        "-5",
-		"-x.a":                      "0 - x.a",
-		"-2.5":                      "-2.5",
-		"1.0":                       "1.0",
-		"1e3":                       "1000.0",
-		`"hi\n"`:                    `"hi\n"`,
-		"true && false || ! true":   "true && false || !true",
-		"a == b && c != d":          "a == b && c != d",
-		"a union b union c":         "a union b union c",
-		"a union (b union c)":       "a union (b union c)",
-		`date("2020-01-15")`:        `date("2020-01-15")`,
-		"{ x }":                     "{ x }",
-		"{}":                        "{}",
-		"{a := 1, b := x.f}":        "{ a := 1, b := x.f }",
-		"{ {a := 1} }":              "{ { a := 1 } }",
-		"get(x)":                    "get(x)",
-		"dedup(R)":                  "dedup(R)",
-		"empty(int)":                "empty(int)",
-		"empty({a: int, b: bag({c: date})})": "empty({a: int, b: bag({c: date})})",
-		"groupby[a,b](R)":           "groupby[a,b](R)",
-		"groupby[a as grp](R)":      "groupby[a as grp](R)",
-		"sumby[a; t](R)":            "sumby[a; t](R)",
-		"sumby[; t](R)":             "sumby[; t](R)",
-		"for x in R union { x }":    "for x in R union { x }",
-		"if a then { x }":           "if a then { x }",
-		"if a then 1 else 2":        "if a then 1 else 2",
-		"let x := 1 in { x }":       "let x := 1 in { x }",
-		"`tpch/ndb-l2`":             "`tpch/ndb-l2`",
-		"`for`":                     "`for`",
-		"x.`weird field`":           "x.`weird field`",
-		"x.`a``b`":                  "x.`a``b`",
+		"1 + 2 * 3":                             "1 + 2 * 3",
+		"(1 + 2) * 3":                           "(1 + 2) * 3",
+		"1 - 2 - 3":                             "1 - 2 - 3",
+		"1 - (2 - 3)":                           "1 - (2 - 3)",
+		"x.a.b":                                 "x.a.b",
+		"-5":                                    "-5",
+		"-x.a":                                  "0 - x.a",
+		"-2.5":                                  "-2.5",
+		"1.0":                                   "1.0",
+		"1e3":                                   "1000.0",
+		`"hi\n"`:                                `"hi\n"`,
+		"true && false || ! true":               "true && false || !true",
+		"a == b && c != d":                      "a == b && c != d",
+		"a union b union c":                     "a union b union c",
+		"a union (b union c)":                   "a union (b union c)",
+		`date("2020-01-15")`:                    `date("2020-01-15")`,
+		"{ x }":                                 "{ x }",
+		"{}":                                    "{}",
+		"{a := 1, b := x.f}":                    "{ a := 1, b := x.f }",
+		"{ {a := 1} }":                          "{ { a := 1 } }",
+		"get(x)":                                "get(x)",
+		"dedup(R)":                              "dedup(R)",
+		"empty(int)":                            "empty(int)",
+		"empty({a: int, b: bag({c: date})})":    "empty({a: int, b: bag({c: date})})",
+		"groupby[a,b](R)":                       "groupby[a,b](R)",
+		"groupby[a as grp](R)":                  "groupby[a as grp](R)",
+		"sumby[a; t](R)":                        "sumby[a; t](R)",
+		"sumby[; t](R)":                         "sumby[; t](R)",
+		"for x in R union { x }":                "for x in R union { x }",
+		"if a then { x }":                       "if a then { x }",
+		"if a then 1 else 2":                    "if a then 1 else 2",
+		"let x := 1 in { x }":                   "let x := 1 in { x }",
+		"`tpch/ndb-l2`":                         "`tpch/ndb-l2`",
+		"`for`":                                 "`for`",
+		"x.`weird field`":                       "x.`weird field`",
+		"x.`a``b`":                              "x.`a``b`",
 		"if a then (if b then 1 else 2) else 3": "if a then (if b then 1 else 2) else 3",
 		"for x in (for y in R union { y }) union { x }": "for x in (for y in R union { y }) union { x }",
 		"for x in R union for y in S union { x }":       "for x in R union for y in S union { x }",

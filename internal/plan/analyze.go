@@ -29,9 +29,6 @@ type NodeStats struct {
 	// (narrow operators). Wide operators leave it zero and report the wall of
 	// their dataflow Stage instead.
 	WallNS atomic.Int64
-	// Batches counts columnar batches; VecBatches of them ran on vector
-	// kernels, FallbackBatches demoted to the row interpreter mid-run.
-	Batches, VecBatches, FallbackBatches atomic.Int64
 	// IndexMatched counts rows gathered through a secondary index;
 	// IndexFallbacks counts executions that degraded to the full scan plus
 	// the span predicate.
@@ -163,7 +160,7 @@ type ExchangeStat struct {
 
 // ExplainAnalyzed renders the plan like Explain, appending each node's
 // measured runtime annotation beside its static one: `[est_rows=N]` gains
-// `[actual_rows=M wall=… batches=…]`. stageWall resolves wide operators'
+// `[actual_rows=M rows_in=… wall=…]`. stageWall resolves wide operators'
 // wall time from the run's per-stage metrics (pass the Result.Metrics stage
 // walls); nil omits wide-op walls. exchange resolves wide operators' shuffle
 // exchange accounting (columnar vs boxed buffers and compact bytes), keyed
@@ -221,10 +218,6 @@ func analyzeAnnotation(op Op, a *Analysis, stageWall map[string]time.Duration, e
 	}
 	if wall > 0 {
 		fmt.Fprintf(&sb, " wall=%s", wall.Round(time.Microsecond))
-	}
-	if b := ns.Batches.Load(); b > 0 {
-		fmt.Fprintf(&sb, " batches=%d vec=%d fallback=%d",
-			b, ns.VecBatches.Load(), ns.FallbackBatches.Load())
 	}
 	if m := ns.IndexMatched.Load(); m > 0 || ns.IndexFallbacks.Load() > 0 {
 		if fb := ns.IndexFallbacks.Load(); fb > 0 {

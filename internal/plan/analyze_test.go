@@ -84,9 +84,6 @@ func analyzedTree() (Op, *Analysis) {
 	sns.RowsIn.Store(580)
 	sns.RowsOut.Store(97)
 	sns.WallNS.Store(int64(180 * time.Microsecond))
-	sns.Batches.Store(4)
-	sns.VecBatches.Store(3)
-	sns.FallbackBatches.Store(1)
 	return sel, a
 }
 
@@ -109,12 +106,12 @@ func TestExplainAnalyzedRendering(t *testing.T) {
 	root, a := analyzedTree()
 	text := ExplainAnalyzed(root, a, map[string]time.Duration{"join#1": 2 * time.Millisecond}, nil)
 	for _, want := range []string{
-		"[actual_rows=97 rows_in=580 wall=180µs batches=4 vec=3 fallback=1]",
+		"[actual_rows=97 rows_in=580 wall=180µs]",
 		"wall=2ms",    // the join resolves its stage wall from the map
 		"q_err=1.03",  // join: 600 est vs 580 actual
 		"q_err=12.50", // index scan: 4 est vs 50 actual
 		"index_matched=50",
-		"[actual_rows=100]", // plain scan: no wall, no batches
+		"[actual_rows=100]", // plain scan: no wall
 	} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("analyzed explain missing %q:\n%s", want, text)

@@ -77,25 +77,21 @@ type Select struct {
 	In          Op
 	Pred        Expr
 	NullifyCols []int
-	// Vec is the vectorizer's verdict (set by exec.AnnotateVectorize).
-	Vec *VecNote
 }
 
 func (s *Select) Columns() []Column { return s.In.Columns() }
 func (s *Select) Children() []Op    { return []Op{s.In} }
 func (s *Select) Describe() string {
 	if s.NullifyCols != nil {
-		return fmt.Sprintf("σ̄ %s (nullify %v)%s", s.Pred, s.NullifyCols, s.Vec.describe())
+		return fmt.Sprintf("σ̄ %s (nullify %v)", s.Pred, s.NullifyCols)
 	}
-	return fmt.Sprintf("σ %s%s", s.Pred, s.Vec.describe())
+	return fmt.Sprintf("σ %s", s.Pred)
 }
 
 // Extend appends computed columns, keeping all input columns in place.
 type Extend struct {
 	In    Op
 	Exprs []NamedExpr
-	// Vec is the vectorizer's verdict (set by exec.AnnotateVectorize).
-	Vec *VecNote
 }
 
 func (e *Extend) Columns() []Column {
@@ -108,7 +104,7 @@ func (e *Extend) Columns() []Column {
 	return out
 }
 func (e *Extend) Children() []Op   { return []Op{e.In} }
-func (e *Extend) Describe() string { return "ext " + namedExprString(e.Exprs) + e.Vec.describe() }
+func (e *Extend) Describe() string { return "ext " + namedExprString(e.Exprs) }
 
 // Project replaces the schema with the given output expressions. CastBags
 // additionally converts NULL bag-typed outputs to empty bags — applied at the
@@ -117,8 +113,6 @@ type Project struct {
 	In       Op
 	Outs     []NamedExpr
 	CastBags bool
-	// Vec is the vectorizer's verdict (set by exec.AnnotateVectorize).
-	Vec *VecNote
 }
 
 func (p *Project) Columns() []Column {
@@ -129,7 +123,7 @@ func (p *Project) Columns() []Column {
 	return out
 }
 func (p *Project) Children() []Op   { return []Op{p.In} }
-func (p *Project) Describe() string { return "π " + namedExprString(p.Outs) + p.Vec.describe() }
+func (p *Project) Describe() string { return "π " + namedExprString(p.Outs) }
 
 // AddIndex appends a column holding an ID unique across the dataset — the
 // unique-ID insertion the outer operators of the paper perform before

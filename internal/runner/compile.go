@@ -54,9 +54,6 @@ type Compiled struct {
 	// Opt accumulates the optimizer's rule-hit counters over every plan of
 	// this compilation.
 	Opt plan.OptStats
-	// Vec accumulates the vectorizer's verdicts over every plan of this
-	// compilation (zero when Config.NoVectorize skipped annotation).
-	Vec plan.VecStats
 	// Idx accumulates the planner's Select→IndexScan conversions over every
 	// plan of this compilation (zero when Config.NoIndexScan ablated them).
 	Idx plan.IndexStats
@@ -163,24 +160,7 @@ func (cq *Compiled) compileStandard(q nrc.Expr) error {
 	}
 	cq.RawPlan = op
 	cq.Plan = cq.annotate(cq.optimize(op))
-	cq.vectorize(cq.Plan, cq.RawPlan)
 	return nil
-}
-
-// vectorize records the vectorizer's per-operator verdicts on a finished plan
-// (rendered by Explain, counted in /metrics) unless the ablation knob is on.
-// The executor consults the same compiler at run time, so the annotation is
-// exactly what ExecuteRows will do. The pre-optimizer copy kept for Explain
-// diffs is annotated too (without counting), so before/after trees compare
-// under the same notation.
-func (cq *Compiled) vectorize(op, raw plan.Op) {
-	if cq.Cfg.NoVectorize || op == nil {
-		return
-	}
-	cq.Vec.Add(exec.AnnotateVectorize(op))
-	if raw != nil && raw != op {
-		exec.AnnotateVectorizeQuiet(raw)
-	}
 }
 
 // optimize runs the rule-based plan optimizer (predicate pushdown, select
@@ -230,7 +210,6 @@ func (cq *Compiled) compileShredded(q nrc.Expr, topName string) error {
 	cq.Stmts = make([]core.CompiledStmt, len(stmts))
 	for i, st := range stmts {
 		cq.Stmts[i] = core.CompiledStmt{Name: st.Name, Plan: cq.annotate(cq.optimize(st.Plan))}
-		cq.vectorize(cq.Stmts[i].Plan, st.Plan)
 	}
 
 	if cq.Strategy.unshreds() {
@@ -243,7 +222,6 @@ func (cq *Compiled) compileShredded(q nrc.Expr, topName string) error {
 		}
 		cq.RawUnshred = uplan
 		cq.Unshred = cq.annotate(cq.optimize(uplan))
-		cq.vectorize(cq.Unshred, cq.RawUnshred)
 	}
 	return nil
 }
@@ -459,7 +437,6 @@ func (cq *Compiled) ExecuteRowsOpts(ctx context.Context, rows map[string][]dataf
 		defer recoverTo(&err, "execute")
 		ex := exec.New(dctx)
 		ex.SkewAware = cq.Strategy.skewAware()
-		ex.Vectorize = !cq.Cfg.NoVectorize
 		ex.Indexes = idxs
 		ex.Analysis = opts.Analysis
 		for name, r := range rows {

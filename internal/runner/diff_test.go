@@ -324,15 +324,12 @@ func (g *dgen) query() nrc.Expr {
 // collected statistics and a generator-chosen broadcast limit; the ablated
 // configuration disables both the rule-based optimizer and the cost model
 // (so every seed also runs the un-annotated plans Auto degrades to Standard
-// on). vec toggles the columnar batch path independently, so every seed runs
-// both the vectorized kernels and the row-at-a-time interpreter they must be
-// bit-identical to.
-func diffConfig(full, vec, noIdx bool, ests map[string]plan.TableEstimate, limit int64) runner.Config {
+// on).
+func diffConfig(full, noIdx bool, ests map[string]plan.TableEstimate, limit int64) runner.Config {
 	cfg := runner.DefaultConfig()
 	cfg.Parallelism = 3
 	cfg.NoPredicatePushdown = !full
 	cfg.NoCostModel = !full
-	cfg.NoVectorize = !vec
 	cfg.NoIndexScan = noIdx
 	cfg.Stats = ests
 	cfg.BroadcastLimit = limit
@@ -447,28 +444,25 @@ var diffBroadcastLimits = []int64{0, 200, 64 << 10}
 // were compared against the oracle, and how many of them exercised each layer
 // (the vacuity floors of TestDifferentialOracle).
 type diffCounts struct {
-	runs       int // engine runs compared against the oracle
-	optimized  int // full runs whose plans the optimizer changed
-	vectorized int // vectorized runs that executed at least one columnar batch
-	indexed    int // runs that planned at least one index scan
-	typed      int // runs that metered at least one typed-encoding shuffle buffer
+	runs      int // engine runs compared against the oracle
+	optimized int // full runs whose plans the optimizer changed
+	indexed   int // runs that planned at least one index scan
+	typed     int // runs that metered at least one typed-encoding shuffle buffer
 }
 
 func (c *diffCounts) add(o diffCounts) {
 	c.runs += o.runs
 	c.optimized += o.optimized
-	c.vectorized += o.vectorized
 	c.indexed += o.indexed
 	c.typed += o.typed
 }
 
 // runDifferential executes one generated query under the full
-// strategy × {full, ablated} × {vectorized, row-only} × {indexed,
-// NoIndexScan} matrix and compares each run against the oracle (the index arm
-// only splits full runs: ablated runs skip annotation and so never plan index
-// scans). The query is regenerated from the same bytes for every compilation
-// (compilation annotates ASTs in place). Returns the tallies, or an error
-// describing the first divergence.
+// strategy × {full, full+NoIndexScan, ablated} matrix and compares each run
+// against the oracle (the index arm only splits full runs: ablated runs skip
+// annotation and so never plan index scans). The query is regenerated from
+// the same bytes for every compilation (compilation annotates ASTs in place).
+// Returns the tallies, or an error describing the first divergence.
 func runDifferential(data []byte, strict bool) (n diffCounts, err error) {
 	env := diffEnv()
 	g := &dgen{data: data}
@@ -495,51 +489,46 @@ func runDifferential(data []byte, strict bool) (n diffCounts, err error) {
 			if full {
 				noIdxArms = []bool{false, true}
 			}
-			for _, vec := range []bool{true, false} {
-				for _, noIdx := range noIdxArms {
-					cfg := diffConfig(full, vec, noIdx, ests, limit)
-					cq, cerr := runner.Compile(mkQuery(), env, strat, cfg)
-					if cerr != nil {
-						if strict {
-							return n, fmt.Errorf("%s (full=%t, vec=%t, noidx=%t) does not compile: %v\n%s",
-								strat, full, vec, noIdx, cerr, nrc.Print(q))
-						}
-						return n, errSkip
+			for _, noIdx := range noIdxArms {
+				cfg := diffConfig(full, noIdx, ests, limit)
+				cq, cerr := runner.Compile(mkQuery(), env, strat, cfg)
+				if cerr != nil {
+					if strict {
+						return n, fmt.Errorf("%s (full=%t, noidx=%t) does not compile: %v\n%s",
+							strat, full, noIdx, cerr, nrc.Print(q))
 					}
-					if full && vec && !noIdx && cq.Opt.Total() > 0 {
-						n.optimized++
-					}
-					if cq.Idx.Planned > 0 {
-						if noIdx {
-							return n, fmt.Errorf(
-								"%s planned %d index scans with NoIndexScan set\n%s", strat, cq.Idx.Planned, nrc.Print(q))
-						}
-						n.indexed++
-					}
-					res := cq.Execute(context.Background(), inputs, runner.NewRunContext(cfg, cq.Strategy))
-					if res.Failed() {
-						return n, fmt.Errorf("%s (full=%t, vec=%t, noidx=%t) failed: %v\n%s",
-							strat, full, vec, noIdx, res.Err, nrc.Print(q))
-					}
-					if vec && res.Metrics.VectorizedBatches > 0 {
-						n.vectorized++
-					}
-					if res.Metrics.Exchange.ColumnarBuffers > 0 {
-						n.typed++
-					}
-					got, gerr := nestedOutput(cq, res)
-					if gerr != nil {
-						return n, fmt.Errorf("%s (full=%t, vec=%t, noidx=%t) unshred: %v\n%s",
-							strat, full, vec, noIdx, gerr, nrc.Print(q))
-					}
-					if !value.Equal(got, want) {
-						return n, fmt.Errorf(
-							"%s (full=%t, vec=%t, noidx=%t, resolved %s, bcast=%d, idx-planned=%d) diverges from the nrc.Eval oracle\nquery:\n%s\ninputs: %s\n got: %s\nwant: %s\nexplain:\n%s",
-							strat, full, vec, noIdx, cq.Strategy, limit, cq.Idx.Planned, nrc.Print(q), value.Format(value.Tuple{inputs["R"], inputs["S"]}),
-							value.Format(got), value.Format(want), cq.Explain())
-					}
-					n.runs++
+					return n, errSkip
 				}
+				if full && !noIdx && cq.Opt.Total() > 0 {
+					n.optimized++
+				}
+				if cq.Idx.Planned > 0 {
+					if noIdx {
+						return n, fmt.Errorf(
+							"%s planned %d index scans with NoIndexScan set\n%s", strat, cq.Idx.Planned, nrc.Print(q))
+					}
+					n.indexed++
+				}
+				res := cq.Execute(context.Background(), inputs, runner.NewRunContext(cfg, cq.Strategy))
+				if res.Failed() {
+					return n, fmt.Errorf("%s (full=%t, noidx=%t) failed: %v\n%s",
+						strat, full, noIdx, res.Err, nrc.Print(q))
+				}
+				if res.Metrics.Exchange.ColumnarBuffers > 0 {
+					n.typed++
+				}
+				got, gerr := nestedOutput(cq, res)
+				if gerr != nil {
+					return n, fmt.Errorf("%s (full=%t, noidx=%t) unshred: %v\n%s",
+						strat, full, noIdx, gerr, nrc.Print(q))
+				}
+				if !value.Equal(got, want) {
+					return n, fmt.Errorf(
+						"%s (full=%t, noidx=%t, resolved %s, bcast=%d, idx-planned=%d) diverges from the nrc.Eval oracle\nquery:\n%s\ninputs: %s\n got: %s\nwant: %s\nexplain:\n%s",
+						strat, full, noIdx, cq.Strategy, limit, cq.Idx.Planned, nrc.Print(q), value.Format(value.Tuple{inputs["R"], inputs["S"]}),
+						value.Format(got), value.Format(want), cq.Explain())
+				}
+				n.runs++
 			}
 		}
 	}
@@ -561,9 +550,8 @@ func seedBytes(seed int) []byte {
 }
 
 // TestDifferentialOracle is the headline soundness gate: 300 generated
-// queries × (7 strategies + AUTO) × {full, ablated} × {vectorized,
-// row-only} × {indexed, NoIndexScan}, every run compared against the
-// reference evaluator. Runs under -race in CI.
+// queries × (7 strategies + AUTO) × {full, full+NoIndexScan, ablated}, every
+// run compared against the reference evaluator. Runs under -race in CI.
 func TestDifferentialOracle(t *testing.T) {
 	n := 300
 	if testing.Short() {
@@ -582,11 +570,6 @@ func TestDifferentialOracle(t *testing.T) {
 	if total.optimized < n/4 {
 		t.Fatalf("only %d of %d runs over %d seeds changed a plan — generator no longer exercises the optimizer", total.optimized, total.runs, n)
 	}
-	// Likewise the vectorized half of the matrix must actually run columnar
-	// batches, not silently fall back to the row interpreter everywhere.
-	if total.vectorized < n/4 {
-		t.Fatalf("only %d of %d runs over %d seeds executed a columnar batch — generator no longer exercises the vectorizer", total.vectorized, total.runs, n)
-	}
 	// And the index arm must actually plan index scans, not vacuously agree
 	// because no generated predicate ever hit an indexed column.
 	if total.indexed < n/4 {
@@ -597,17 +580,16 @@ func TestDifferentialOracle(t *testing.T) {
 	if total.typed < n/4 {
 		t.Fatalf("only %d runs metered a typed-encoding shuffle buffer over %d seeds — the wire-size meter is no longer exercised", total.typed, n)
 	}
-	t.Logf("%d queries × %d runs each agreed with the oracle; optimizer changed plans in %d runs; %d runs executed columnar batches; %d runs planned index scans; %d runs metered typed-encoding shuffle buffers",
-		n, total.runs/n, total.optimized, total.vectorized, total.indexed, total.typed)
+	t.Logf("%d queries × %d runs each agreed with the oracle; optimizer changed plans in %d runs; %d runs planned index scans; %d runs metered typed-encoding shuffle buffers",
+		n, total.runs/n, total.optimized, total.indexed, total.typed)
 }
 
 // TestAnalyzeStableAcrossRoutes re-runs a sampled subset of the differential
-// seeds with per-operator instrumentation enabled across the {vectorized,
-// row-only} × {indexed, index-ablated} matrix and checks that EXPLAIN ANALYZE
-// is an observation, not an intervention: every combination still agrees with
-// the oracle, the root operator's measured actual_rows equals the oracle
-// cardinality in every combination, and the analyzed explain text renders the
-// runtime annotations.
+// seeds with per-operator instrumentation enabled, indexed and index-ablated,
+// and checks that EXPLAIN ANALYZE is an observation, not an intervention: both
+// arms still agree with the oracle, the root operator's measured actual_rows
+// equals the oracle cardinality in both, and the analyzed explain text renders
+// the runtime annotations.
 func TestAnalyzeStableAcrossRoutes(t *testing.T) {
 	step := 25
 	if testing.Short() {
@@ -634,43 +616,41 @@ func TestAnalyzeStableAcrossRoutes(t *testing.T) {
 		ests := collectDiffStats(env, inputs)
 		applyIndexes(ests, chosen)
 
-		for _, vec := range []bool{true, false} {
-			for _, noIdx := range []bool{false, true} {
-				cfg := diffConfig(true, vec, noIdx, ests, limit)
-				cq, cerr := runner.Compile(mkQuery(), env, runner.Standard, cfg)
-				if cerr != nil {
-					t.Fatalf("seed %d (vec=%t, noidx=%t): compile: %v", seed, vec, noIdx, cerr)
-				}
-				a := plan.NewAnalysis()
-				res := cq.ExecuteWithOpts(context.Background(), inputs,
-					runner.NewRunContext(cfg, cq.Strategy), runner.ExecOptions{Analysis: a})
-				if res.Failed() {
-					t.Fatalf("seed %d (vec=%t, noidx=%t): %v", seed, vec, noIdx, res.Err)
-				}
-				got, gerr := nestedOutput(cq, res)
-				if gerr != nil {
-					t.Fatalf("seed %d (vec=%t, noidx=%t): %v", seed, vec, noIdx, gerr)
-				}
-				if !value.Equal(got, want) {
-					t.Fatalf("seed %d (vec=%t, noidx=%t): instrumented run diverges from the oracle\n got: %s\nwant: %s",
-						seed, vec, noIdx, value.Format(got), value.Format(want))
-				}
-				// Only measured roots are held to the oracle cardinality;
-				// a plan whose root the executor never instrumented (e.g. a
-				// pure leaf) renders without the check.
-				if ns := res.Analyze.Lookup(cq.Plan); ns != nil {
-					if actual := ns.RowsOut.Load(); actual != int64(len(want)) {
-						t.Fatalf("seed %d (vec=%t, noidx=%t): root actual_rows=%d, oracle cardinality=%d",
-							seed, vec, noIdx, actual, len(want))
-					}
-					measuredRoots++
-				}
-				if text := cq.ExplainAnalyze(res); !strings.Contains(text, "[actual_rows=") {
-					t.Fatalf("seed %d (vec=%t, noidx=%t): analyzed explain carries no runtime annotation:\n%s",
-						seed, vec, noIdx, text)
-				}
-				checked++
+		for _, noIdx := range []bool{false, true} {
+			cfg := diffConfig(true, noIdx, ests, limit)
+			cq, cerr := runner.Compile(mkQuery(), env, runner.Standard, cfg)
+			if cerr != nil {
+				t.Fatalf("seed %d (noidx=%t): compile: %v", seed, noIdx, cerr)
 			}
+			a := plan.NewAnalysis()
+			res := cq.ExecuteWithOpts(context.Background(), inputs,
+				runner.NewRunContext(cfg, cq.Strategy), runner.ExecOptions{Analysis: a})
+			if res.Failed() {
+				t.Fatalf("seed %d (noidx=%t): %v", seed, noIdx, res.Err)
+			}
+			got, gerr := nestedOutput(cq, res)
+			if gerr != nil {
+				t.Fatalf("seed %d (noidx=%t): %v", seed, noIdx, gerr)
+			}
+			if !value.Equal(got, want) {
+				t.Fatalf("seed %d (noidx=%t): instrumented run diverges from the oracle\n got: %s\nwant: %s",
+					seed, noIdx, value.Format(got), value.Format(want))
+			}
+			// Only measured roots are held to the oracle cardinality;
+			// a plan whose root the executor never instrumented (e.g. a
+			// pure leaf) renders without the check.
+			if ns := res.Analyze.Lookup(cq.Plan); ns != nil {
+				if actual := ns.RowsOut.Load(); actual != int64(len(want)) {
+					t.Fatalf("seed %d (noidx=%t): root actual_rows=%d, oracle cardinality=%d",
+						seed, noIdx, actual, len(want))
+				}
+				measuredRoots++
+			}
+			if text := cq.ExplainAnalyze(res); !strings.Contains(text, "[actual_rows=") {
+				t.Fatalf("seed %d (noidx=%t): analyzed explain carries no runtime annotation:\n%s",
+					seed, noIdx, text)
+			}
+			checked++
 		}
 	}
 	if measuredRoots < checked/2 {

@@ -33,7 +33,7 @@ func (cq *Compiled) Explain() string {
 	return sb.String()
 }
 
-// explainHeader writes the strategy/optimizer/vectorize/index preamble shared
+// explainHeader writes the strategy/optimizer/index preamble shared
 // by Explain and ExplainAnalyze.
 func (cq *Compiled) explainHeader(sb *strings.Builder) {
 	if cq.Requested == Auto {
@@ -49,11 +49,6 @@ func (cq *Compiled) explainHeader(sb *strings.Builder) {
 	} else {
 		fmt.Fprintf(sb, "optimizer: %s\n", cq.Opt.String())
 	}
-	if cq.Cfg.NoVectorize {
-		sb.WriteString("vectorize: disabled (NoVectorize)\n")
-	} else {
-		fmt.Fprintf(sb, "vectorize: %s\n", cq.Vec.String())
-	}
 	if cq.Cfg.NoIndexScan {
 		sb.WriteString("index: disabled (NoIndexScan)\n")
 	} else if cq.Idx.Planned > 0 {
@@ -63,8 +58,8 @@ func (cq *Compiled) explainHeader(sb *strings.Builder) {
 
 // ExplainAnalyze renders the compiled plans annotated with the per-operator
 // runtime statistics of one execution (res must come from a run with
-// ExecOptions.Analysis set). Each operator line gains actual rows, wall time,
-// and batch counts beside its static [est_rows=…] annotation; joins and index
+// ExecOptions.Analysis set). Each operator line gains actual rows and wall
+// time beside its static [est_rows=…] annotation; joins and index
 // scans additionally get a q-error summary block comparing the optimizer's
 // cardinality estimate against the observed row count.
 func (cq *Compiled) ExplainAnalyze(res *Result) string {

@@ -88,8 +88,8 @@ func TestGoldenExplains(t *testing.T) {
 		write("biomed-selective.explain", sb.String())
 	}
 
-	// The all-narrow Q6-style scan pipeline of the vectorize ablation: every
-	// operator annotated, two [vec] and one fallback with its reason.
+	// The all-narrow Q6-style scan pipeline adhoc_serve's flat_selective
+	// requests run: scan → σ → π on both routes, no wide operator.
 	{
 		var sb strings.Builder
 		for _, strat := range []runner.Strategy{runner.Standard, runner.ShredUnshred} {

@@ -161,13 +161,6 @@ type Config struct {
 	// docs/OPTIMIZER.md); used by the ablation bench and the differential
 	// oracle harness.
 	NoPredicatePushdown bool
-	// NoVectorize disables the columnar batch execution path: narrow
-	// operators stay on the row-at-a-time interpreter even when their
-	// expressions compile to vector kernels (see exec.AnnotateVectorize and
-	// docs/VECTORIZE.md). Results are identical either way — this is the
-	// vectorizer's ablation knob, exercised by the differential oracle and
-	// BenchmarkVectorizeAblation.
-	NoVectorize bool
 
 	// Stats provides per-input table statistics (keyed by the input variable
 	// name) to the cost-based planning layer: join method choice and input

@@ -195,12 +195,11 @@ func NestedToFlatSelective(level int) nrc.Expr {
 // Lineitem relation, in the spirit of TPC-H Q6: keep lineitems whose
 // discounted revenue l_extendedprice·(1−l_discount) clears a threshold and
 // that are large and lightly discounted (~2% of generated rows survive all
-// three conjuncts). The revenue conjunct is deliberately first: the row
-// interpreter must box two intermediate floats per scanned row to evaluate
-// it, while the vector kernels compute the whole expression in reused column
-// scratch. Every operator in the compiled plan is narrow and every
-// expression scalar, so the query isolates the columnar path's win from
-// join/shuffle costs — BenchmarkVectorizeAblation runs it both ways.
+// three conjuncts). The revenue conjunct is deliberately first, so every
+// scanned row pays the arithmetic. Every operator in the compiled plan is
+// narrow and every expression scalar, so the query isolates the narrow
+// chain's per-row cost from join/shuffle costs (BenchmarkSelectiveNarrow, and
+// the benchmark's flat_selective request kind).
 func FlatSelective() nrc.Expr {
 	l := nrc.V("l")
 	revenue := func() nrc.Expr {

@@ -224,7 +224,7 @@ type explainOptions struct {
 
 // WithAnalyze makes Explain execute the query over the given inputs and
 // annotate every plan operator with the observed runtime statistics — actual
-// rows in/out, wall time, batch counts, index probe outcomes — beside the
+// rows in/out, wall time, index probe outcomes — beside the
 // static cost annotations, followed by a per-join/per-scan q-error summary
 // (EXPLAIN ANALYZE).
 func WithAnalyze(inputs map[string]Bag) ExplainOption {
@@ -516,8 +516,8 @@ func fingerprint(q Expr, env Env, cfg Config) string {
 	for _, n := range names {
 		fmt.Fprintf(h, "%s:%s\n", n, env[n])
 	}
-	fmt.Fprintf(h, "de=%t prune=%t pushdown=%t vec=%t noidx=%t\n",
-		cfg.DomainElimination, !cfg.NoColumnPruning, !cfg.NoPredicatePushdown, !cfg.NoVectorize, cfg.NoIndexScan)
+	fmt.Fprintf(h, "de=%t prune=%t pushdown=%t noidx=%t\n",
+		cfg.DomainElimination, !cfg.NoColumnPruning, !cfg.NoPredicatePushdown, cfg.NoIndexScan)
 	// Cost-model inputs: the broadcast limit and auto thresholds change what
 	// Annotate/ChooseStrategy compile, and the statistics digest ties cached
 	// plans to the dataset generation they were costed against — a Drop +

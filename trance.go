@@ -292,17 +292,6 @@ type OptimizerStats = plan.OptStats
 // /metrics). Per-query counters appear in PreparedQuery.Explain output.
 func OptimizerCounters() OptimizerStats { return plan.GlobalOptStats() }
 
-// VectorizeStats counts, per compilation, how many narrow operators
-// (selections, extensions, projections) compiled to columnar batch kernels
-// versus fell back to the row-at-a-time interpreter. See docs/VECTORIZE.md.
-type VectorizeStats = plan.VecStats
-
-// VectorizeCounters returns the process-wide vectorizer counters, aggregated
-// over every compilation since start (served by tranced /metrics). Per-query
-// counters and per-operator fallback reasons appear in PreparedQuery.Explain
-// output.
-func VectorizeCounters() VectorizeStats { return plan.GlobalVecStats() }
-
 // IndexStats are the process-wide secondary-index subsystem counters: builds,
 // refusals, incremental maintenance, rebuilds, planned and executed index
 // scans, fallbacks, and matched rows. See docs/INDEXES.md.
