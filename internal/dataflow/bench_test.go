@@ -90,8 +90,8 @@ func BenchmarkColumnarShuffle(b *testing.B) {
 	}
 }
 
-// BenchmarkHashJoin measures the build-probe equi-join.
-func BenchmarkHashJoin(b *testing.B) {
+// benchJoin joins 20 000 × 5 000 benchRows on one column.
+func benchJoin(b *testing.B, col int) {
 	left := benchRows(20_000)
 	right := benchRows(5_000)
 	b.ReportAllocs()
@@ -99,7 +99,33 @@ func BenchmarkHashJoin(b *testing.B) {
 		c := NewContext(8)
 		l := c.FromRows(left)
 		r := c.FromRows(right)
-		if _, err := l.Join("b", r, []int{0}, []int{0}, 3, false); err != nil {
+		if _, err := l.Join("b", r, []int{col}, []int{col}, 3, false); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkHashJoin measures the build-probe equi-join on a unique key: two
+// shuffles, 5 000 build keys, 20 000 probes, 5 000 output rows — the table,
+// not the output, is what it times.
+func BenchmarkHashJoin(b *testing.B) { benchJoin(b, 1) }
+
+// BenchmarkHashJoinFanout joins on i % 97: ~52 build rows per key and ~1 M
+// output rows, so it times allocating the output, not build or probe.
+func BenchmarkHashJoinFanout(b *testing.B) { benchJoin(b, 0) }
+
+// BenchmarkCoGroup measures the join+nest fusion primitive: both sides
+// grouped on i % 97, one output row per left key.
+func BenchmarkCoGroup(b *testing.B) {
+	left := benchRows(20_000)
+	right := benchRows(5_000)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		c := NewContext(8)
+		_, err := c.FromRows(left).CoGroup("b", c.FromRows(right), []int{0}, []int{0}, func(ls, rs []Row) []Row {
+			return []Row{{ls[0][0], int64(len(ls)), int64(len(rs))}}
+		})
+		if err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -183,13 +209,13 @@ func BenchmarkGroupReduce(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		c := NewContext(8)
-		_, err := c.FromRows(rows).GroupReduce("b", []int{0}, func(rs []Row) []Row {
+		_, err := c.FromRows(rows).GroupReduce("b", []int{0}, perGroup(func(rs []Row) []Row {
 			var s int64
 			for _, r := range rs {
 				s += r[1].(int64)
 			}
 			return []Row{{rs[0][0], s}}
-		})
+		}))
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -361,19 +361,29 @@ func (c *Context) timeStage(stage string, fn func() error) error {
 	return err
 }
 
-// checkPartitions records peak partition sizes and enforces the memory cap.
+// checkPartitions sizes every partition with a row walk, then records the
+// peaks and enforces the memory cap.
 func (c *Context) checkPartitions(stage string, parts [][]Row) error {
-	var failed atomic.Bool
+	mem := make([]int64, len(parts))
 	_ = c.runParts(len(parts), func(i int) error {
-		sz := value.SizeRows(parts[i])
+		mem[i] = value.SizeRows(parts[i])
+		return nil
+	})
+	return c.checkSizes(stage, parts, mem)
+}
+
+// checkSizes records peak partition sizes and enforces the memory cap, given
+// value.SizeRows of every partition in mem.
+func (c *Context) checkSizes(stage string, parts [][]Row, mem []int64) error {
+	failed := false
+	for i, sz := range mem {
 		maxInt64(&c.Metrics.PeakPartition, sz)
 		maxInt64(&c.Metrics.PeakPartitionRows, int64(len(parts[i])))
 		if c.MaxPartitionBytes > 0 && sz > c.MaxPartitionBytes {
-			failed.Store(true)
+			failed = true
 		}
-		return nil
-	})
-	if failed.Load() {
+	}
+	if failed {
 		return fmt.Errorf("stage %s: %w", stage, ErrMemoryExceeded)
 	}
 	return nil

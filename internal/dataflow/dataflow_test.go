@@ -209,13 +209,13 @@ func TestGroupReduceSum(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		rows = append(rows, Row{int64(i % 4), int64(1)})
 	}
-	g, err := c.FromRows(rows).GroupReduce("g", []int{0}, func(rs []Row) []Row {
+	g, err := c.FromRows(rows).GroupReduce("g", []int{0}, perGroup(func(rs []Row) []Row {
 		var s int64
 		for _, r := range rs {
 			s += r[1].(int64)
 		}
 		return []Row{{rs[0][0], s}}
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -389,7 +389,7 @@ func TestQuickGroupPreservesRowMultiset(t *testing.T) {
 		}
 		c := NewContext(1 + r.Intn(8))
 		d := c.FromRows(rows)
-		g, err := d.GroupReduce("q", []int{0}, func(rs []Row) []Row { return rs })
+		g, err := d.GroupReduce("q", []int{0}, perGroup(func(rs []Row) []Row { return rs }))
 		if err != nil {
 			return false
 		}
@@ -446,4 +446,12 @@ func ExampleDataset_Join() {
 	// Output:
 	// 5 bolt
 	// 10 bolt
+}
+
+// perGroup adapts a stateless group → rows function to GroupReduce's
+// per-partition reducer factory.
+func perGroup(fn func(rs []Row) []Row) func(rows, groups int) Reducer {
+	return func(int, int) Reducer {
+		return func(out, group []Row) []Row { return append(out, fn(group)...) }
+	}
 }

@@ -54,6 +54,12 @@ type Dataset struct {
 	parts       [][]Row
 	stages      []stageFactory
 	partitioner *Partitioner
+	// hashes, when non-nil, parallels parts: hashes[i][j] is value.HashCols of
+	// parts[i][j] over partitioner.Cols — the routing hashes the key-based
+	// shuffle that built the dataset computed, kept so the group table behind
+	// it does not hash the rows again. Only RepartitionBy sets it, on a
+	// dataset with no pending stages; derived datasets never inherit it.
+	hashes [][]uint64
 	// err poisons the dataset after a partition task failed (memory cap or a
 	// recovered panic): operators and actions keep returning it instead of
 	// computing over partial data.
@@ -232,6 +238,30 @@ func (d *Dataset) Filter(pred func(Row) bool) *Dataset {
 	})
 	out.partitioner = d.partitioner
 	return out
+}
+
+// Split routes every row to one of two datasets in a single pass over the
+// fused chain: the rows pred accepts, and the rest. Both keep d's partition
+// layout and guarantee. It is the pair Filter(pred), Filter(not pred) without
+// running the chain, or pred, twice — and so, unlike Filter, it materializes.
+func (d *Dataset) Split(pred func(Row) bool) (yes, no *Dataset) {
+	yes = &Dataset{ctx: d.ctx, parts: make([][]Row, len(d.parts)), partitioner: d.partitioner, err: d.err}
+	no = &Dataset{ctx: d.ctx, parts: make([][]Row, len(d.parts)), partitioner: d.partitioner, err: d.err}
+	if d.err != nil {
+		return yes, no
+	}
+	err := d.ctx.runParts(len(d.parts), func(i int) error {
+		d.feed(i, func(r Row) {
+			if pred(r) {
+				yes.parts[i] = append(yes.parts[i], r)
+			} else {
+				no.parts[i] = append(no.parts[i], r)
+			}
+		})
+		return nil
+	})
+	yes.err, no.err = err, err
+	return yes, no
 }
 
 // FlatMap expands every row to zero or more rows. Narrow, fused, lazy; drops

@@ -1,19 +1,23 @@
 package dataflow
 
-import (
-	"time"
+import "time"
 
-	"github.com/trance-go/trance/internal/value"
-)
+// Reducer folds one key group into output rows appended to out. The group
+// holds all rows sharing the composite key, in arrival order and in their
+// original layout; it is a view into the partition's arena, valid for reading
+// after the call but not to be modified.
+type Reducer func(out []Row, group []Row) []Row
 
 // GroupReduce hash-partitions by the key columns (skipping the shuffle when
-// the guarantee already holds) and applies reduce to every key group,
-// streaming rows through any pending fused operator chain into the group
-// table. The groups slice passed to reduce contains all rows sharing the
-// composite key; rows keep their original layout. The result carries no
-// guarantee; callers that keep key columns in place can reinstate it with
-// WithPartitioner.
-func (d *Dataset) GroupReduce(stage string, cols []int, reduce func(rows []Row) []Row) (*Dataset, error) {
+// the guarantee already holds) and reduces every key group, streaming rows
+// through any pending fused operator chain into the group table. Grouping is
+// two-pass — intern every row's key, then place the rows group by group in
+// one arena — so newReducer is instantiated once per partition knowing how
+// many rows and groups it will see (a reducer can cut its output from slabs
+// sized up front) and is then called once per group in first-seen order. The
+// result carries no guarantee; callers that keep key columns in place can
+// reinstate it with WithPartitioner.
+func (d *Dataset) GroupReduce(stage string, cols []int, newReducer func(rows, groups int) Reducer) (*Dataset, error) {
 	sh, err := d.RepartitionBy(stage, cols)
 	if err != nil {
 		return nil, err
@@ -21,18 +25,11 @@ func (d *Dataset) GroupReduce(stage string, cols []int, reduce func(rows []Row) 
 	start := time.Now()
 	parts := make([][]Row, len(sh.parts))
 	reduceErr := d.ctx.runParts(len(sh.parts), func(i int) error {
-		groups := make(map[string][]Row)
-		order := make([]string, 0, 64)
-		sh.feed(i, func(r Row) {
-			k := value.KeyCols(r, cols)
-			if _, ok := groups[k]; !ok {
-				order = append(order, k)
-			}
-			groups[k] = append(groups[k], r)
-		})
-		var out []Row
-		for _, k := range order {
-			out = append(out, reduce(groups[k])...)
+		t, g := sh.groupPart(i, cols, false)
+		reduce := newReducer(len(g.arena), t.len())
+		out := make([]Row, 0, t.len())
+		for id := 0; id < t.len(); id++ {
+			out = reduce(out, g.group(uint32(id)))
 		}
 		parts[i] = out
 		return nil
@@ -49,9 +46,11 @@ func (d *Dataset) GroupReduce(stage string, cols []int, reduce func(rows []Row) 
 
 // WithPartitioner asserts a partitioning guarantee on the dataset. It is the
 // caller's responsibility that the assertion holds (used by executor
-// operators whose output provably keeps key co-location).
+// operators whose output provably keeps key co-location). Hashes carried from
+// a shuffle on other columns do not survive the assertion.
 func (d *Dataset) WithPartitioner(cols []int) *Dataset {
 	d.partitioner = &Partitioner{Cols: cols}
+	d.hashes = nil
 	return d
 }
 
@@ -73,5 +72,7 @@ func (d *Dataset) Distinct(stage string) (*Dataset, error) {
 	for i := range cols {
 		cols[i] = i
 	}
-	return d.GroupReduce(stage, cols, func(rows []Row) []Row { return rows[:1] })
+	return d.GroupReduce(stage, cols, func(int, int) Reducer {
+		return func(out, group []Row) []Row { return append(out, group[0]) }
+	})
 }

@@ -31,13 +31,13 @@ func (d *Dataset) Join(stage string, right *Dataset, lcols, rcols []int, rightWi
 	start := time.Now()
 	parts := make([][]Row, len(ls.parts))
 	joinErr := d.ctx.runParts(len(ls.parts), func(i int) error {
-		var build map[string][]Row
+		var build joinTable
 		if i < len(rs.parts) {
-			build = buildJoinMap(rs, i, rcols)
+			build.keys, build.rows = rs.groupPart(i, rcols, true)
 		}
 		var out []Row
-		ls.feed(i, func(l Row) {
-			probeJoin(l, build, lcols, rightWidth, leftOuter, func(r Row) { out = append(out, r) })
+		ls.feedKeyed(i, lcols, func(l Row, h uint64) {
+			out = build.probe(out, l, h, lcols, rightWidth, leftOuter)
 		})
 		parts[i] = out
 		return nil
@@ -70,12 +70,16 @@ func (d *Dataset) BroadcastJoin(stage string, right *Dataset, lcols, rcols []int
 	}
 	d.ctx.Metrics.BroadcastBytes.Add(value.SizeRows(rrows) * int64(d.ctx.Parallelism))
 	start := time.Now()
-	build := buildJoinMapRows(rrows, rcols)
+	// One table over the collected rows, probed read-only by every partition.
+	// With rcols nil (cross join) every row lands under the empty key, so each
+	// probe matches all of them.
+	var build joinTable
+	build.keys, build.rows = d.ctx.FromPartitions([][]Row{rrows}).groupPart(0, rcols, true)
 	parts := make([][]Row, len(d.parts))
 	joinErr := d.ctx.runParts(len(d.parts), func(i int) error {
 		var out []Row
-		d.feed(i, func(l Row) {
-			probeJoin(l, build, lcols, rightWidth, leftOuter, func(r Row) { out = append(out, r) })
+		d.feedKeyed(i, lcols, func(l Row, h uint64) {
+			out = build.probe(out, l, h, lcols, rightWidth, leftOuter)
 		})
 		parts[i] = out
 		return nil
@@ -92,54 +96,35 @@ func (d *Dataset) BroadcastJoin(stage string, right *Dataset, lcols, rcols []int
 	return out, nil
 }
 
-// buildJoinMap builds the hash table over one partition of the right side,
-// streaming through any pending fused chain.
-func buildJoinMap(rs *Dataset, part int, rcols []int) map[string][]Row {
-	build := make(map[string][]Row, len(rs.parts[part]))
-	rs.feed(part, func(r Row) {
-		if anyNullCols(r, rcols) {
-			return
-		}
-		k := value.KeyCols(r, rcols)
-		build[k] = append(build[k], r)
-	})
-	return build
+// joinTable is the build side of a hash join: the distinct non-NULL keys and
+// the build rows placed under them in build order. The zero value matches
+// nothing.
+type joinTable struct {
+	keys *groupTable
+	rows grouped
 }
 
-// buildJoinMapRows builds the hash table over collected rows (broadcast
-// side). With rcols nil (cross join) every row lands under the empty key, so
-// each probe matches all of them.
-func buildJoinMapRows(rows []Row, rcols []int) map[string][]Row {
-	build := make(map[string][]Row, len(rows))
-	for _, r := range rows {
-		if anyNullCols(r, rcols) {
-			continue
-		}
-		k := value.KeyCols(r, rcols)
-		build[k] = append(build[k], r)
-	}
-	return build
-}
-
-// probeJoin probes one left row against the build table, emitting joined rows
-// (or the NULL-padded row under leftOuter).
-func probeJoin(l Row, build map[string][]Row, lcols []int, rightWidth int, leftOuter bool, emit func(Row)) {
+// probe appends to out the rows one left row (key hash h over lcols) joins to:
+// left ++ right for every match in build order, or the NULL-padded row under
+// leftOuter when there is none.
+func (b *joinTable) probe(out []Row, l Row, h uint64, lcols []int, rightWidth int, leftOuter bool) []Row {
 	var matches []Row
-	if !anyNullCols(l, lcols) {
-		matches = build[value.KeyCols(l, lcols)]
+	if b.keys != nil && !anyNullCols(l, lcols) {
+		matches = b.rows.group(b.keys.find(h, l, lcols))
 	}
 	if len(matches) == 0 {
 		if leftOuter {
-			emit(padRight(l, rightWidth))
+			out = append(out, padRight(l, rightWidth))
 		}
-		return
+		return out
 	}
 	for _, r := range matches {
 		nr := make(Row, len(l)+len(r))
 		copy(nr, l)
 		copy(nr[len(l):], r)
-		emit(nr)
+		out = append(out, nr)
 	}
+	return out
 }
 
 func anyNullCols(r Row, cols []int) bool {
@@ -158,9 +143,10 @@ func padRight(l Row, rightWidth int) Row {
 }
 
 // CoGroup shuffles both sides on their keys and invokes fn once per distinct
-// key with all left and right rows carrying it. It is the engine primitive
-// behind the paper's join+nest → cogroup fusion (Section 3, Optimization):
-// grouping happens during the join, avoiding a separate regrouping shuffle.
+// left key, in first-seen order, with all left and right rows carrying it. It
+// is the engine primitive behind the paper's join+nest → cogroup fusion
+// (Section 3, Optimization): grouping happens during the join, avoiding a
+// separate regrouping shuffle.
 func (d *Dataset) CoGroup(stage string, right *Dataset, lcols, rcols []int, fn func(lrows, rrows []Row) []Row) (*Dataset, error) {
 	ls, err := d.RepartitionBy(stage+"/L", lcols)
 	if err != nil {
@@ -173,28 +159,22 @@ func (d *Dataset) CoGroup(stage string, right *Dataset, lcols, rcols []int, fn f
 	start := time.Now()
 	parts := make([][]Row, len(ls.parts))
 	cgErr := d.ctx.runParts(len(ls.parts), func(i int) error {
-		lgroups := make(map[string][]Row)
-		order := make([]string, 0, 64)
-		ls.feed(i, func(r Row) {
-			k := value.KeyCols(r, lcols)
-			if _, ok := lgroups[k]; !ok {
-				order = append(order, k)
-			}
-			lgroups[k] = append(lgroups[k], r)
-		})
-		rgroups := make(map[string][]Row)
+		keys, lrows := ls.groupPart(i, lcols, false)
+		// The right side looks itself up under the left's keys: a right row
+		// whose key no left row carries belongs to no group.
+		var rrows grouped
 		if i < len(rs.parts) {
-			rs.feed(i, func(r Row) {
+			rows, ids := rs.assignPart(i, rcols, func(r Row, h uint64) uint32 {
 				if anyNullCols(r, rcols) {
-					return
+					return noGroup
 				}
-				k := value.KeyCols(r, rcols)
-				rgroups[k] = append(rgroups[k], r)
+				return keys.find(h, r, rcols)
 			})
+			rrows = place(rows, ids, keys.len())
 		}
 		var out []Row
-		for _, k := range order {
-			out = append(out, fn(lgroups[k], rgroups[k])...)
+		for id := 0; id < keys.len(); id++ {
+			out = append(out, fn(lrows.group(uint32(id)), rrows.group(uint32(id)))...)
 		}
 		parts[i] = out
 		return nil

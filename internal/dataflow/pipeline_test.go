@@ -109,7 +109,7 @@ func TestStageWallTimesRecorded(t *testing.T) {
 	if _, err := d.Join("probe", r, []int{0}, []int{0}, 2, false); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.GroupReduce("gamma", []int{0}, func(rs []Row) []Row { return rs[:1] }); err != nil {
+	if _, err := d.GroupReduce("gamma", []int{0}, perGroup(func(rs []Row) []Row { return rs[:1] })); err != nil {
 		t.Fatal(err)
 	}
 	seen := map[string]bool{}
@@ -180,13 +180,13 @@ func TestParallelismEquivalence(t *testing.T) {
 		d := c.FromRows(rows).
 			Map(func(r Row) Row { return Row{r[0], r[1].(int64) * 3} }).
 			Filter(func(r Row) bool { return r[1].(int64)%2 == 0 })
-		g, err := d.GroupReduce("g", []int{0}, func(rs []Row) []Row {
+		g, err := d.GroupReduce("g", []int{0}, perGroup(func(rs []Row) []Row {
 			var s int64
 			for _, r := range rs {
 				s += r[1].(int64)
 			}
 			return []Row{{rs[0][0], s}}
-		})
+		}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -260,10 +260,10 @@ func TestNarrowOperatorsAndThePartitioner(t *testing.T) {
 			}
 			before := c.Metrics.Snapshot()
 			var rows int64
-			if _, err := d.GroupReduce("g", []int{0}, func(rs []Row) []Row {
+			if _, err := d.GroupReduce("g", []int{0}, perGroup(func(rs []Row) []Row {
 				atomic.AddInt64(&rows, int64(len(rs)))
 				return rs[:1]
-			}); err != nil {
+			})); err != nil {
 				t.Fatal(err)
 			}
 			after := c.Metrics.Snapshot()

@@ -30,11 +30,22 @@ func (d *Dataset) RepartitionBy(stage string, cols []int) (*Dataset, error) {
 	return out, nil
 }
 
+// exchangeBuffers is what one map task hands the reduce side: per target, the
+// routed rows, their routing hashes (key-based shuffles only — a side channel
+// the byte meter does not see, it is defined over cells) and their
+// value.SizeRows, which falls out of the metering walk.
+type exchangeBuffers struct {
+	rows   [][]Row
+	hashes [][]uint64
+	mem    []int64
+}
+
 // shuffle redistributes rows into Parallelism partitions. hashFor builds one
 // hash function per source partition (stateful routing stays partition-local
 // and race-free). keyed marks a key-based shuffle, whose buffers are metered
-// at their typed wire encoding; keyless shuffles (Rebalance) and sources whose
-// rows disagree on width are metered by value.SizeRows.
+// at their typed wire encoding and whose routing hashes travel with the rows;
+// keyless shuffles (Rebalance) and sources whose rows disagree on width are
+// metered by value.SizeRows.
 //
 // The exchange is pipelined: each map-side task streams its partition through
 // the dataset's fused narrow-operator chain directly into P per-target row
@@ -43,7 +54,8 @@ func (d *Dataset) RepartitionBy(stage string, cols []int) (*Dataset, error) {
 // run goroutine-per-partition on the bounded worker pool, and every buffer
 // crossing the boundary is metered (per buffer, after routing). Rows are the
 // only representation that crosses; the meter reads them, it does not copy
-// them.
+// them, and the one walk it makes also yields the in-memory size the
+// per-partition peak and the memory cap are checked against.
 func (d *Dataset) shuffle(stage string, keyed bool, hashFor func(part int) func(Row) uint64) (*Dataset, error) {
 	if d.err != nil {
 		return nil, d.err
@@ -53,15 +65,22 @@ func (d *Dataset) shuffle(stage string, keyed bool, hashFor func(part int) func(
 	c.Metrics.Stages.Add(1)
 	start := time.Now()
 
-	// Map side: source partition i streams into buckets[i][t] for target t.
-	buckets := make([][][]Row, len(d.parts))
+	// Map side: source partition i streams into buckets[i].rows[t] for
+	// target t.
+	buckets := make([]exchangeBuffers, len(d.parts))
 	mapErr := c.runParts(len(d.parts), func(i int) error {
-		local := make([][]Row, p)
+		local := exchangeBuffers{rows: make([][]Row, p), mem: make([]int64, p)}
 		// Pre-size every per-target slice for a uniform spread of this
 		// source's rows — a capacity hint only, skew just grows past it.
 		hint := len(d.parts[i])/p + 1
-		for t := range local {
-			local[t] = make([]Row, 0, hint)
+		for t := range local.rows {
+			local.rows[t] = make([]Row, 0, hint)
+		}
+		if keyed {
+			local.hashes = make([][]uint64, p)
+			for t := range local.hashes {
+				local.hashes[t] = make([]uint64, 0, hint)
+			}
 		}
 		hash := hashFor(i)
 		width, ragged := -1, false
@@ -71,24 +90,31 @@ func (d *Dataset) shuffle(stage string, keyed bool, hashFor func(part int) func(
 			} else if len(r) != width {
 				ragged = true
 			}
-			t := int(hash(r) % uint64(p))
-			local[t] = append(local[t], r)
+			h := hash(r)
+			t := int(h % uint64(p))
+			local.rows[t] = append(local.rows[t], r)
+			if keyed {
+				local.hashes[t] = append(local.hashes[t], h)
+			}
 		})
 		typed := keyed && !ragged
 		var ex ExchangeStat
 		var recs int64
 		var meter wireMeter
-		for _, buf := range local {
+		for t, buf := range local.rows {
 			if len(buf) == 0 {
 				continue
 			}
 			recs += int64(len(buf))
 			if typed {
+				var wire int64
+				wire, local.mem[t] = meter.wireSize(buf)
 				ex.ColumnarBuffers++
-				ex.ColumnarBytes += meter.wireSize(buf)
+				ex.ColumnarBytes += wire
 			} else {
+				local.mem[t] = value.SizeRows(buf)
 				ex.BoxedBuffers++
-				ex.BoxedBytes += value.SizeRows(buf)
+				ex.BoxedBytes += local.mem[t]
 			}
 		}
 		buckets[i] = local
@@ -102,29 +128,41 @@ func (d *Dataset) shuffle(stage string, keyed bool, hashFor func(part int) func(
 		return nil, mapErr
 	}
 
-	// Reduce side: each target partition concatenates its row buckets in
-	// source order.
-	parts := make([][]Row, p)
+	// Reduce side: each target partition concatenates its buffers in source
+	// order and sums their sizes.
+	out := &Dataset{ctx: c, parts: make([][]Row, p)}
+	if keyed {
+		out.hashes = make([][]uint64, p)
+	}
+	mem := make([]int64, p)
 	reduceErr := c.runParts(p, func(t int) error {
 		var n int
 		for i := range buckets {
-			n += len(buckets[i][t])
+			n += len(buckets[i].rows[t])
+			mem[t] += buckets[i].mem[t]
 		}
 		rows := make([]Row, 0, n)
 		for i := range buckets {
-			rows = append(rows, buckets[i][t]...)
+			rows = append(rows, buckets[i].rows[t]...)
 		}
-		parts[t] = rows
+		out.parts[t] = rows
+		if keyed {
+			hashes := make([]uint64, 0, n)
+			for i := range buckets {
+				hashes = append(hashes, buckets[i].hashes[t]...)
+			}
+			out.hashes[t] = hashes
+		}
 		return nil
 	})
 	c.Metrics.AddStageWall(stage, time.Since(start))
 	if reduceErr != nil {
 		return nil, reduceErr
 	}
-	if err := c.checkPartitions(stage, parts); err != nil {
+	if err := c.checkSizes(stage, out.parts, mem); err != nil {
 		return nil, err
 	}
-	return &Dataset{ctx: c, parts: parts}, nil
+	return out, nil
 }
 
 // Kind is the physical type wireMeter latches for a column of an exchange
@@ -157,17 +195,21 @@ type wireCol struct {
 	bytes int64
 }
 
-// wireSize returns the size of the compact typed encoding a network shuffle
-// would move for one (source,target) buffer of uniform-width rows — what
-// ShuffleBytes meters on key-based shuffles. Per column: 8 bytes per row for
-// int64/float64/date, string bytes plus a 4-byte length per row, one bit per
-// row for bool (in 64-bit words), Σ value.Size of the non-NULL cells for a
-// boxed column (non-scalar cells, or scalars of more than one kind), plus a
-// one-bit-per-row null bitmap (in 64-bit words) if the column has a NULL. An
-// all-NULL column costs its bitmap and nothing else. Compared with
-// value.SizeRows this drops the per-row tuple framing and bit-packs bools and
-// NULLs.
-func (m *wireMeter) wireSize(rows []Row) int64 {
+// wireSize returns two sizes of one (source,target) buffer of uniform-width
+// rows from a single walk. wire is the size of the compact typed encoding a
+// network shuffle would move — what ShuffleBytes meters on key-based shuffles.
+// Per column: 8 bytes per row for int64/float64/date, string bytes plus a
+// 4-byte length per row, one bit per row for bool (in 64-bit words), Σ
+// value.Size of the non-NULL cells for a boxed column (non-scalar cells, or
+// scalars of more than one kind), plus a one-bit-per-row null bitmap (in
+// 64-bit words) if the column has a NULL. An all-NULL column costs its bitmap
+// and nothing else. Compared with value.SizeRows this drops the per-row tuple
+// framing and bit-packs bools and NULLs. mem is value.SizeRows(rows) itself —
+// the in-memory estimate the partition peak and the memory cap use —
+// recovered from the same per-column counts: 4 per row, 1 per NULL, and per
+// non-NULL cell 8, 1 (bool), 4 plus the payload (string) or its value.Size
+// (boxed).
+func (m *wireMeter) wireSize(rows []Row) (wire, mem int64) {
 	width := len(rows[0])
 	if cap(m.cols) < width {
 		m.cols = make([]wireCol, width)
@@ -218,27 +260,32 @@ func (m *wireMeter) wireSize(rows []Row) int64 {
 	}
 	n := len(rows)
 	bitmap := int64(8 * ((n + 63) / 64))
-	var total int64
+	mem = int64(4 * n)
 	for i := range cols {
 		c := &cols[i]
+		mem += int64(n - c.nonNull)
 		if c.nonNull < n {
-			total += bitmap
+			wire += bitmap
 		}
 		if c.nonNull == 0 {
 			continue
 		}
 		switch c.kind {
 		case KindInt64, KindFloat64, KindDate:
-			total += int64(8 * n)
+			wire += int64(8 * n)
+			mem += int64(8 * c.nonNull)
 		case KindString:
-			total += int64(4*n) + c.bytes
+			wire += int64(4*n) + c.bytes
+			mem += int64(4*c.nonNull) + c.bytes
 		case KindBool:
-			total += bitmap
+			wire += bitmap
+			mem += int64(c.nonNull)
 		default:
-			total += c.bytes
+			wire += c.bytes
+			mem += c.bytes
 		}
 	}
-	return total
+	return wire, mem
 }
 
 // Rebalance redistributes rows round-robin (no key), dropping any guarantee.

@@ -335,6 +335,10 @@ func decodeFuzzRows(data []byte) []Row {
 // conservation (multiset equality), placement = HashCols % P with HashCols
 // equal to hash/fnv over the canonical key bytes, and exchange accounting
 // equal to the independent reference applied to every (source,target) buffer.
+// The meter's second result — the in-memory size it derives from the same
+// walk — must equal value.SizeRows of the buffer, the recorded partition peak
+// the largest value.SizeRows of an output partition, and every carried
+// routing hash HashCols of its row.
 func FuzzShuffleMeter(f *testing.F) {
 	f.Add([]byte{3, 1, 2, 3, 4, 5, 10, 200, 30, 4, 250, 6})
 	f.Add([]byte{0, 0, 9, 1, 2, 3})
@@ -364,8 +368,13 @@ func FuzzShuffleMeter(f *testing.F) {
 		for _, r := range rows {
 			seen[value.Key(value.Tuple(r))]++
 		}
+		var peak int64
 		for tt, part := range out.parts {
-			for _, r := range part {
+			peak = max(peak, value.SizeRows(part))
+			for j, r := range part {
+				if got := out.hashes[tt][j]; got != value.HashCols(r, keyCols) {
+					t.Fatalf("row %v carried hash %x, HashCols=%x", r, got, value.HashCols(r, keyCols))
+				}
 				h := fnv.New64a()
 				h.Write(value.AppendKey(nil, r[0]))
 				if got := value.HashCols(r, keyCols); got != h.Sum64() {
@@ -401,12 +410,19 @@ func FuzzShuffleMeter(f *testing.F) {
 				default:
 					want.ColumnarBuffers++
 					want.ColumnarBytes += refWireSize(buf)
+					var m wireMeter
+					if _, mem := m.wireSize(buf); mem != value.SizeRows(buf) {
+						t.Fatalf("meter derived %dB in memory for %v, value.SizeRows=%d", mem, buf, value.SizeRows(buf))
+					}
 				}
 			}
 		}
 		s := c.Metrics.Snapshot()
 		if s.Exchange != want {
 			t.Fatalf("exchange %+v, reference %+v", s.Exchange, want)
+		}
+		if s.PeakPartition != peak {
+			t.Fatalf("PeakPartition=%d, largest output partition walks to %d", s.PeakPartition, peak)
 		}
 		if s.ShuffleBytes != want.ColumnarBytes+want.BoxedBytes || s.ShuffleRecords != int64(len(rows)) {
 			t.Fatalf("ShuffleBytes=%d ShuffleRecords=%d, reference %d/%d",

@@ -430,83 +430,97 @@ func (ex *Executor) nest(in *dataflow.Dataset, x *plan.Nest) (*dataflow.Dataset,
 	if ns := ex.node(x); ns != nil {
 		ns.Stage = stage
 	}
-	out, err := in.GroupReduce(stage, x.GroupCols, func(rows []dataflow.Row) []dataflow.Row {
-		nr := make(dataflow.Row, width+aggWidth)
-		for i, c := range x.GroupCols {
-			nr[i] = rows[0][c]
+	// Slab cells per input row: under Γ⊎ its slot in the group's bag and,
+	// unless elements are bare scalars, its element tuple.
+	elemWidth, perRow := 0, 0
+	if x.Agg == plan.AggBag {
+		if !x.ScalarElem {
+			elemWidth = len(x.ValueCols)
 		}
-		for j, c := range x.CarryCols {
-			nr[len(x.GroupCols)+j] = rows[0][c]
-		}
+		perRow = 1 + elemWidth
+	}
+	out, err := in.GroupReduce(stage, x.GroupCols, func(nrows, ngroups int) dataflow.Reducer {
+		// The group sizes are known before the first group is reduced, so a
+		// partition's output rows — and for Γ⊎ its bags and their element
+		// tuples — are cut from one slab instead of allocated one by one.
+		slab := make(valueSlab, ngroups*(width+aggWidth)+nrows*perRow)
+		return func(out, rows []dataflow.Row) []dataflow.Row {
+			nr := dataflow.Row(slab.cut(width + aggWidth))
+			for i, c := range x.GroupCols {
+				nr[i] = rows[0][c]
+			}
+			for j, c := range x.CarryCols {
+				nr[len(x.GroupCols)+j] = rows[0][c]
+			}
 
-		hadReal := false
-		if x.Agg == plan.AggBag {
-			bag := value.Bag{}
+			hadReal := false
+			if x.Agg == plan.AggBag {
+				bag := value.Bag(slab.cut(len(rows)))[:0]
+				for _, r := range rows {
+					if !present(r) {
+						continue
+					}
+					hadReal = true
+					if x.ScalarElem {
+						bag = append(bag, r[x.ValueCols[0]])
+						continue
+					}
+					elem := value.Tuple(slab.cut(elemWidth))
+					for i, c := range x.ValueCols {
+						v := r[c]
+						if v == nil && bagValue[i] {
+							v = value.Bag{}
+						}
+						elem[i] = v
+					}
+					bag = append(bag, elem)
+				}
+				switch {
+				case hadReal:
+					nr[width] = bag
+				case x.Mode == plan.Structural:
+					nr[width] = value.Bag{}
+				case x.Mode == plan.ExplicitNested:
+					nr[width] = nil // marker row
+				default: // ExplicitRoot: drop phantom-only group
+					return out
+				}
+				return append(out, nr)
+			}
+
+			// AggSum.
+			sums := nr[width:]
 			for _, r := range rows {
 				if !present(r) {
 					continue
 				}
 				hadReal = true
-				if x.ScalarElem {
-					bag = append(bag, r[x.ValueCols[0]])
-					continue
-				}
-				elem := make(value.Tuple, len(x.ValueCols))
 				for i, c := range x.ValueCols {
 					v := r[c]
-					if v == nil && bagValue[i] {
-						v = value.Bag{}
+					if v == nil {
+						continue // NULL contribution counts as zero
 					}
-					elem[i] = v
+					if sums[i] == nil {
+						sums[i] = v
+					} else {
+						sums[i] = nrc.EvalArith(nrc.Add, sums[i], v)
+					}
 				}
-				bag = append(bag, elem)
 			}
-			switch {
-			case hadReal:
-				nr[width] = bag
-			case x.Mode == plan.Structural:
-				nr[width] = value.Bag{}
-			case x.Mode == plan.ExplicitNested:
-				nr[width] = nil // marker row
-			default: // ExplicitRoot: drop phantom-only group
-				return nil
+			if !hadReal {
+				if x.Mode == plan.ExplicitRoot {
+					return out
+				}
+				// marker row: sums stay NULL
+			} else {
+				for i, c := range x.ValueCols {
+					if sums[i] == nil {
+						sums[i] = nrc.ZeroValue(inCols[c].Type)
+					}
+				}
 			}
-			return []dataflow.Row{nr}
+			return append(out, nr)
 		}
-
-		// AggSum.
-		sums := make([]value.Value, len(x.ValueCols))
-		for _, r := range rows {
-			if !present(r) {
-				continue
-			}
-			hadReal = true
-			for i, c := range x.ValueCols {
-				v := r[c]
-				if v == nil {
-					continue // NULL contribution counts as zero
-				}
-				if sums[i] == nil {
-					sums[i] = v
-				} else {
-					sums[i] = nrc.EvalArith(nrc.Add, sums[i], v)
-				}
-			}
-		}
-		if !hadReal {
-			if x.Mode == plan.ExplicitRoot {
-				return nil
-			}
-			// marker row: sums stay NULL
-		} else {
-			for i, c := range x.ValueCols {
-				if sums[i] == nil {
-					sums[i] = nrc.ZeroValue(inCols[c].Type)
-				}
-			}
-		}
-		copy(nr[width:], sums)
-		return []dataflow.Row{nr}
 	})
 	if err != nil {
 		return nil, err
@@ -516,4 +530,15 @@ func (ex *Executor) nest(in *dataflow.Dataset, x *plan.Nest) (*dataflow.Dataset,
 		keyPos[i] = i
 	}
 	return out.WithPartitioner(keyPos), nil
+}
+
+// valueSlab is a run of value cells handed out in pieces.
+type valueSlab []value.Value
+
+// cut takes the next n cells, with capacity n so that an append to the piece
+// can never run into its neighbour.
+func (s *valueSlab) cut(n int) []value.Value {
+	piece := (*s)[:n:n]
+	*s = (*s)[n:]
+	return piece
 }

@@ -6,7 +6,6 @@ import (
 	"github.com/trance-go/trance/internal/dataflow"
 	"github.com/trance-go/trance/internal/plan"
 	"github.com/trance-go/trance/internal/skew"
-	"github.com/trance-go/trance/internal/value"
 )
 
 // triple is a skew-triple (paper Section 5): a light component whose keys may
@@ -16,7 +15,7 @@ import (
 // operator needs it).
 type triple struct {
 	light, heavy *dataflow.Dataset
-	keys         map[string]bool
+	keys         skew.KeySet
 	keyCols      []int
 }
 
@@ -39,7 +38,7 @@ func (t triple) mapBoth(fn func(*dataflow.Dataset) *dataflow.Dataset) triple {
 
 // keysFor returns the heavy keys of the triple over cols, recomputing them by
 // sampling when unknown or associated with different columns.
-func (ex *Executor) keysFor(t triple, cols []int) (triple, map[string]bool) {
+func (ex *Executor) keysFor(t triple, cols []int) (triple, skew.KeySet) {
 	if t.keys != nil && intsEqual(t.keyCols, cols) {
 		return t, t.keys
 	}
@@ -213,12 +212,7 @@ func (ex *Executor) skewJoin(x *plan.Join) (triple, error) {
 
 	lt, hk := ex.keysFor(lt, x.LCols)
 
-	rightLight := right.Filter(func(r dataflow.Row) bool {
-		return !hk[keyOfCols(r, x.RCols)]
-	})
-	rightHeavy := right.Filter(func(r dataflow.Row) bool {
-		return hk[keyOfCols(r, x.RCols)]
-	})
+	rightLight, rightHeavy := skew.Split(right, x.RCols, hk)
 
 	light, err := ex.recordWide(x)(ex.join(lt.light, rightLight, x))
 	if err != nil {
@@ -231,10 +225,6 @@ func (ex *Executor) skewJoin(x *plan.Join) (triple, error) {
 		return triple{}, err
 	}
 	return triple{light: light, heavy: heavy, keys: hk, keyCols: x.LCols}, nil
-}
-
-func keyOfCols(r dataflow.Row, cols []int) string {
-	return value.KeyCols(r, cols)
 }
 
 func intsEqual(a, b []int) bool {

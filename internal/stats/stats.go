@@ -189,14 +189,13 @@ func Collect(b value.Bag, t nrc.BagType, opts Options) *Table {
 	}
 	d := ctx.FromRows(rows)
 	det := skew.Detector{Threshold: opts.Threshold, SampleSize: opts.SampleSize}
-	heavy := make([]map[string]bool, len(fields))
-	for i, f := range fields {
-		heavy[i] = det.HeavyKeys(d, []int{f.idx})
-	}
-
+	heavy := make([]skew.KeySet, len(fields))
+	keyCols := make([][]int, len(fields))
 	cols := make([]colAcc, len(fields))
-	for i := range cols {
-		cols[i] = colAcc{sketch: newKMV(opts.SketchSize), heavyCounts: map[string]heavyCount{}}
+	for i, f := range fields {
+		keyCols[i] = []int{f.idx}
+		heavy[i] = det.HeavyKeys(d, keyCols[i])
+		cols[i] = colAcc{sketch: newKMV(opts.SketchSize), heavyCounts: make([]heavyCount, len(heavy[i]))}
 	}
 	for _, r := range rows {
 		for i, f := range fields {
@@ -214,16 +213,14 @@ func Collect(b value.Bag, t nrc.BagType, opts Options) *Table {
 			}
 			ca.sketch.add(value.Hash64(v))
 			if len(heavy[i]) > 0 {
-				if k := value.KeyCols(r, []int{f.idx}); heavy[i][k] {
-					hc := ca.heavyCounts[k]
+				if k := heavy[i].Find(r, keyCols[i]); k >= 0 {
+					hc := &ca.heavyCounts[k]
 					hc.count++
 					if hc.count == 1 {
 						hc.rendered = value.Format(v)
 					}
-					ca.heavyCounts[k] = hc
 				}
 			}
-			cols[i] = *ca
 		}
 	}
 
@@ -233,6 +230,9 @@ func Collect(b value.Bag, t nrc.BagType, opts Options) *Table {
 		col := Column{Name: f.name, Type: f.typ, NDV: ndv, Exact: exact, Min: ca.min, Max: ca.max, Nulls: ca.nulls}
 		var heavyRows int64
 		for _, hc := range ca.heavyCounts {
+			if hc.count == 0 {
+				continue // a heavy NULL: counted under Nulls, not as a key
+			}
 			col.Heavy = append(col.Heavy, HeavyKey{Value: hc.rendered, Count: hc.count, Fraction: float64(hc.count) / float64(tab.Rows)})
 			heavyRows += hc.count
 		}
@@ -257,7 +257,7 @@ type colAcc struct {
 	min, max    value.Value
 	nulls       int64
 	sketch      *kmv
-	heavyCounts map[string]heavyCount
+	heavyCounts []heavyCount // parallel to the column's heavy-key set
 }
 
 type scalarField struct {

@@ -69,6 +69,34 @@ func TestCollectCountsNulls(t *testing.T) {
 	}
 }
 
+// TestCollectHeavyNullIsNotAKey: when NULL itself is frequent enough for the
+// detector to flag it, the histogram still lists only real keys — the NULLs
+// are counted under Nulls, and HeavyFraction covers the listed keys alone.
+func TestCollectHeavyNullIsNotAKey(t *testing.T) {
+	b := make(value.Bag, 600)
+	for i := range b {
+		switch i % 3 {
+		case 0:
+			b[i] = value.Tuple{nil}
+		case 1:
+			b[i] = value.Tuple{int64(4)}
+		default:
+			b[i] = value.Tuple{int64(1000 + i)}
+		}
+	}
+	tab := Collect(b, nrc.BagOf(nrc.Tup("k", nrc.IntT)), Options{})
+	c, _ := tab.Column("k")
+	if c.Nulls != 200 {
+		t.Fatalf("nulls = %d, want 200", c.Nulls)
+	}
+	if len(c.Heavy) != 1 || c.Heavy[0].Value != "4" || c.Heavy[0].Count != 200 {
+		t.Fatalf("heavy keys = %+v, want only key 4 with count 200", c.Heavy)
+	}
+	if c.HeavyFraction < 0.33 || c.HeavyFraction > 0.34 {
+		t.Fatalf("heavy fraction = %.3f, want 1/3", c.HeavyFraction)
+	}
+}
+
 // TestKMVEstimateWithinBound draws columns with known distinct counts well
 // above the sketch size and checks the KMV estimate lands within the
 // documented error bound: standard error ≈ 1/√(k−2), so 5σ ≈ 16% at k=1024.
@@ -156,7 +184,7 @@ func TestHeavyKeysAgreeWithDetector(t *testing.T) {
 		t.Fatalf("histogram has %d heavy keys, detector flagged %d", len(c.Heavy), len(want))
 	}
 	for _, hk := range c.Heavy {
-		if !want[value.KeyCols(dataflow.Row{parseIntKey(t, hk.Value)}, []int{0})] {
+		if !want.Has(dataflow.Row{parseIntKey(t, hk.Value)}, []int{0}) {
 			t.Fatalf("histogram key %q not flagged by detector", hk.Value)
 		}
 	}

@@ -63,6 +63,68 @@ func KeyCols(row Tuple, cols []int) string {
 	return string(buf)
 }
 
+// EqualCols reports whether the composite key of a over acols equals that of
+// b over bcols, i.e. KeyCols(a, acols) == KeyCols(b, bcols), without building
+// either string. It is the equality hash tables keyed by HashCols verify
+// collisions with, so it must mirror AppendKey case by case exactly as foldKey
+// does: values of different kinds never match (int64 5 ≠ float64 5.0), floats
+// compare by bit pattern (0.0 ≠ -0.0, NaN = the same NaN), and NULL = NULL —
+// join callers drop NULL-keyed rows before they ask. Compare is not this
+// relation: it merges the numeric kinds.
+func EqualCols(a Tuple, acols []int, b Tuple, bcols []int) bool {
+	if len(acols) != len(bcols) {
+		return false
+	}
+	for i, c := range acols {
+		if !equalKey(a[c], b[bcols[i]]) {
+			return false
+		}
+	}
+	return true
+}
+
+func equalKey(a, b Value) bool {
+	switch x := a.(type) {
+	case nil:
+		return b == nil
+	case bool:
+		y, ok := b.(bool)
+		return ok && x == y
+	case int64:
+		y, ok := b.(int64)
+		return ok && x == y
+	case float64:
+		y, ok := b.(float64)
+		return ok && math.Float64bits(x) == math.Float64bits(y)
+	case Date:
+		y, ok := b.(Date)
+		return ok && x == y
+	case string:
+		y, ok := b.(string)
+		return ok && x == y
+	case Label:
+		y, ok := b.(Label)
+		return ok && x.Site == y.Site && equalKeyTuple(x.Payload, y.Payload)
+	case Tuple:
+		y, ok := b.(Tuple)
+		return ok && equalKeyTuple(x, y)
+	default:
+		panic("value: bags and unknown types cannot be keys")
+	}
+}
+
+func equalKeyTuple(a, b Tuple) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if !equalKey(a[i], b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
 // FNV-1a 64-bit parameters; identical to hash/fnv.New64a.
 const (
 	fnvOffset64 uint64 = 14695981039346656037
