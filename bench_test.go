@@ -461,7 +461,7 @@ func BenchmarkPreparedVsUnprepared(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := pq.Run(context.Background(), inputs, strat); err != nil {
+				if _, err := pq.Run(context.Background(), pq.BindData(inputs), strat); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -524,7 +524,7 @@ func BenchmarkPushdownAblation(b *testing.B) {
 					}
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
-						res := cq.ExecuteRows(context.Background(), rows, runner.NewRunContext(cfg, strat))
+						res := runner.Execute(context.Background(), []*runner.Compiled{cq}, rows, nil, runner.NewRunContext(cfg, strat), runner.ExecOptions{})
 						if res.Failed() {
 							b.Fatal(res.Err)
 						}
@@ -591,7 +591,7 @@ func BenchmarkSelectiveNarrow(b *testing.B) {
 				}
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					res := cq.ExecuteRows(context.Background(), rows, runner.NewRunContext(cfg, strat))
+					res := runner.Execute(context.Background(), []*runner.Compiled{cq}, rows, nil, runner.NewRunContext(cfg, strat), runner.ExecOptions{})
 					if res.Failed() {
 						b.Fatal(res.Err)
 					}
@@ -717,7 +717,7 @@ func BenchmarkPreparedPipelineVsUnprepared(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := pp.Run(context.Background(), inputs, strat); err != nil {
+				if _, err := pp.Run(context.Background(), pp.BindData(inputs), strat); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -862,7 +862,7 @@ func BenchmarkIndexScanAblation(b *testing.B) {
 				idxs := cq.BuildIndexes(c.inputs)
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					res := cq.ExecuteRowsIndexed(context.Background(), rows, idxs, runner.NewRunContext(cfg, runner.Standard))
+					res := runner.Execute(context.Background(), []*runner.Compiled{cq}, rows, idxs, runner.NewRunContext(cfg, runner.Standard), runner.ExecOptions{})
 					if res.Failed() {
 						b.Fatal(res.Err)
 					}
@@ -901,7 +901,7 @@ func BenchmarkAnalyzeOverhead(b *testing.B) {
 		}
 		run := func(b *testing.B, analysis func() *plan.Analysis) {
 			for i := 0; i < b.N; i++ {
-				res := cq.ExecuteRowsOpts(context.Background(), rows, nil,
+				res := runner.Execute(context.Background(), []*runner.Compiled{cq}, rows, nil,
 					runner.NewRunContext(cfg, strat), runner.ExecOptions{Analysis: analysis()})
 				if res.Failed() {
 					b.Fatal(res.Err)

@@ -888,7 +888,32 @@ func (s *Session) Prepare(q Expr) (*SessionQuery, error) { return s.PrepareNamed
 
 // PrepareNamed is Prepare with a label used in errors and metrics.
 func (s *Session) PrepareNamed(name string, q Expr) (*SessionQuery, error) {
-	sq := &SessionQuery{s: s, name: name, q: q, vars: sortedVars(nrc.FreeVars(q))}
+	return s.newQuery(nrc.FreeVars(q), func(opts PrepareOptions) (*PreparedQuery, error) {
+		opts.Name = name
+		return Prepare(q, opts)
+	})
+}
+
+// PreparePipeline is Prepare for a multi-step program (see PreparePipeline):
+// the steps' free variables (outputs of earlier steps are not free) resolve
+// against the catalog, repeated runs hit the plan cache for every step and
+// re-resolve when a referenced dataset mutates.
+func (s *Session) PreparePipeline(steps []PipelineStep) (*SessionQuery, error) {
+	asg := make([]nrc.Assignment, len(steps))
+	for i, st := range steps {
+		asg[i] = nrc.Assignment{Name: st.Name, Expr: st.Query}
+	}
+	return s.newQuery(nrc.FreeVarsProgram(asg), func(opts PrepareOptions) (*PreparedQuery, error) {
+		return PreparePipeline(steps, opts)
+	})
+}
+
+func (s *Session) newQuery(vars map[string]bool, prepare func(PrepareOptions) (*PreparedQuery, error)) (*SessionQuery, error) {
+	sq := &SessionQuery{s: s, prepare: prepare, vars: make([]string, 0, len(vars))}
+	for v := range vars {
+		sq.vars = append(sq.vars, v)
+	}
+	sort.Strings(sq.vars)
 	sq.mu.Lock()
 	defer sq.mu.Unlock()
 	if err := sq.refreshLocked(); err != nil {
@@ -919,18 +944,18 @@ func (s *Session) PrepareText(name, src string) (*SessionQuery, error) {
 
 // PrepareTextPipeline parses a multi-statement program (trance.ParseProgram:
 // `name := expr;` assignments ending in a result expression) and prepares it
-// as a pipeline against the catalog. Errors carry caret diagnostics like
-// PrepareText.
-func (s *Session) PrepareTextPipeline(src string) (*SessionPipeline, error) {
+// against the catalog like PreparePipeline. Errors carry caret diagnostics
+// like PrepareText.
+func (s *Session) PrepareTextPipeline(src string) (*SessionQuery, error) {
 	r, err := parse.Program(src)
 	if err != nil {
 		return nil, err
 	}
-	sp, err := s.PreparePipeline(ProgramSteps(r.Program))
+	sq, err := s.PreparePipeline(ProgramSteps(r.Program))
 	if err != nil {
 		return nil, diagnose(&r.Source, err)
 	}
-	return sp, nil
+	return sq, nil
 }
 
 // diagnose points a prepare-time error back into parsed query text: type
@@ -947,44 +972,15 @@ func diagnose(src *parse.Source, err error) error {
 	return src.Diagnose(err)
 }
 
-// PreparePipeline resolves the steps' free variables (outputs of earlier
-// steps are not free) against the catalog and sets up compile-once
-// evaluation of the whole pipeline (see PreparePipeline): repeated runs hit
-// the plan cache for every step and re-resolve when a referenced dataset
-// mutates, like SessionQuery.
-func (s *Session) PreparePipeline(steps []PipelineStep) (*SessionPipeline, error) {
-	asg := make([]nrc.Assignment, len(steps))
-	for i, st := range steps {
-		asg[i] = nrc.Assignment{Name: st.Name, Expr: st.Query}
-	}
-	sp := &SessionPipeline{s: s, steps: steps, vars: sortedVars(nrc.FreeVarsProgram(asg))}
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
-	if err := sp.refreshLocked(); err != nil {
-		return nil, err
-	}
-	return sp, nil
-}
-
-func sortedVars(set map[string]bool) []string {
-	vars := make([]string, 0, len(set))
-	for v := range set {
-		vars = append(vars, v)
-	}
-	sort.Strings(vars)
-	return vars
-}
-
-// SessionQuery is a query prepared against a catalog: compiled plans come
-// from the process-wide plan cache, input conversion is cached per route,
-// any number of goroutines may Run concurrently, and every Run re-resolves
-// against the catalog when a referenced dataset's generation moved (see
-// Session).
+// SessionQuery is a query or multi-step program prepared against a catalog:
+// compiled plans come from the process-wide plan cache, input conversion is
+// cached per route, any number of goroutines may Run concurrently, and every
+// Run re-resolves against the catalog when a referenced dataset's generation
+// moved (see Session).
 type SessionQuery struct {
-	s    *Session
-	name string
-	q    Expr
-	vars []string
+	s       *Session
+	prepare func(PrepareOptions) (*PreparedQuery, error)
+	vars    []string
 
 	mu   sync.Mutex // guards the cached resolution below
 	pq   *PreparedQuery
@@ -1004,20 +1000,21 @@ func (sq *SessionQuery) refreshLocked() error {
 	if len(ests) > 0 {
 		cfg.Stats = ests
 	}
-	// Re-preparing shares the query AST with the prior generation's prepared
-	// query, and both Prepare's typecheck and lazy compilation annotate it in
-	// place — so every generation serializes on one compile mutex.
+	opts := PrepareOptions{Env: env, Config: &cfg, Pool: s.pool}
+	// Re-preparing shares the ASTs with the prior generation's prepared query,
+	// and both Prepare's typecheck and lazy compilation annotate them in place
+	// — so every generation serializes on one compile mutex.
 	var pq *PreparedQuery
 	if sq.pq != nil {
 		mu := sq.pq.compileMu
 		mu.Lock()
-		pq, err = Prepare(sq.q, PrepareOptions{Name: sq.name, Env: env, Config: &cfg, Pool: s.pool})
+		pq, err = sq.prepare(opts)
 		if pq != nil {
 			pq.compileMu = mu
 		}
 		mu.Unlock()
 	} else {
-		pq, err = Prepare(sq.q, PrepareOptions{Name: sq.name, Env: env, Config: &cfg, Pool: s.pool})
+		pq, err = sq.prepare(opts)
 	}
 	if err != nil {
 		return err
@@ -1037,225 +1034,61 @@ func (sq *SessionQuery) refreshLocked() error {
 func (sq *SessionQuery) current() (*PreparedQuery, *PreparedData, error) {
 	sq.mu.Lock()
 	defer sq.mu.Unlock()
-	if sq.pq != nil && sq.s.cat.generationsUnchanged(sq.vars, sq.s.bind, sq.gens) {
+	if sq.s.cat.generationsUnchanged(sq.vars, sq.s.bind, sq.gens) {
 		return sq.pq, sq.data, nil
 	}
 	if err := sq.refreshLocked(); err != nil {
 		// A referenced dataset was dropped without a replacement: keep
 		// serving the last snapshot rather than failing the serving path.
 		var ue *UnknownDatasetError
-		if errors.As(err, &ue) && sq.pq != nil {
-			return sq.pq, sq.data, nil
+		if !errors.As(err, &ue) {
+			return nil, nil, err
 		}
-		return nil, nil, err
 	}
 	return sq.pq, sq.data, nil
 }
 
-// Prepared exposes the current underlying prepared query (output types,
-// columns, fingerprint), refreshed against the catalog like Run.
+// Prepared exposes the underlying prepared query (output type, schema,
+// fingerprint, explain), refreshed against the catalog like Run; when the
+// refresh fails it is the last one that resolved.
 func (sq *SessionQuery) Prepared() *PreparedQuery {
-	pq, _, err := sq.current()
-	if err != nil {
-		sq.mu.Lock()
-		defer sq.mu.Unlock()
-		return sq.pq
+	if pq, _, err := sq.current(); err == nil {
+		return pq
 	}
-	return pq
+	sq.mu.Lock()
+	defer sq.mu.Unlock()
+	return sq.pq
 }
 
 // Run evaluates the query under the strategy over the current catalog
 // generations of the referenced datasets (re-resolving after mutations; see
-// Session).
-func (sq *SessionQuery) Run(ctx context.Context, strat Strategy) (*Result, error) {
-	return sq.runStrategy(ctx, strat, false)
-}
-
-// RunAnalyzed is Run with EXPLAIN ANALYZE instrumentation: the execution
-// collects per-operator runtime statistics into Result.Analyze (render with
-// ExplainAnalyze or PreparedQuery.ExplainAnalyzeResult).
-func (sq *SessionQuery) RunAnalyzed(ctx context.Context, strat Strategy) (*Result, error) {
-	return sq.runStrategy(ctx, strat, true)
-}
-
-func (sq *SessionQuery) runStrategy(ctx context.Context, strat Strategy, analyze bool) (*Result, error) {
+// Session), exactly like PreparedQuery.Run over the data the session bound —
+// plus a resolve span when ctx carries a trace. The Result's rows, Columns
+// and plans all come from the one generation the run resolved to.
+func (sq *SessionQuery) Run(ctx context.Context, strat Strategy, opts ...RunOption) (*Result, error) {
 	rsp := trace.From(ctx).Span().Child("resolve")
 	pq, data, err := sq.current()
-	if err == nil && pq != nil {
+	if err == nil {
 		rsp.Set("query", pq.label())
 	}
 	rsp.End()
 	if err != nil {
 		return nil, err
 	}
-	if analyze {
-		return pq.RunBoundAnalyzed(ctx, data, strat)
-	}
-	return pq.RunBound(ctx, data, strat)
+	return pq.Run(ctx, data, strat, opts...)
 }
 
-// ExplainAnalyze executes the query under the strategy with per-operator
-// instrumentation over the currently bound catalog data and renders the
-// analyzed plans with a q-error summary — the text behind
-// `trance query -analyze` and tranced POST /explain?analyze=1.
-func (sq *SessionQuery) ExplainAnalyze(ctx context.Context, strat Strategy) (string, error) {
-	pq, data, err := sq.current()
-	if err != nil {
-		return "", err
-	}
-	res, err := pq.RunBoundAnalyzed(ctx, data, strat)
-	if err != nil {
-		return "", err
-	}
-	return pq.ExplainAnalyzeResult(strat, res)
-}
-
-// RunJSON is Run plus JSON encoding: the result rows rendered as objects
-// using the strategy's output schema — the query half of the catalog's
-// JSON-in → query → JSON-out round trip. Rows come back in the engine's
-// canonical sorted order, so output is deterministic.
+// RunJSON is Run plus Result.JSON: the result rows rendered as objects typed
+// by the run's own output schema — the query half of the catalog's JSON-in →
+// query → JSON-out round trip. Rows come back in the engine's canonical
+// sorted order, so output is deterministic.
 func (sq *SessionQuery) RunJSON(ctx context.Context, strat Strategy) ([]map[string]any, error) {
-	rows, _, err := sq.RunJSONFull(ctx, strat, false)
-	return rows, err
-}
-
-// RunJSONFull is RunJSON returning the underlying Result too — its TraceID,
-// engine metrics, and (with analyze set) the per-operator statistics in
-// Result.Analyze. The returned Result may be non-nil even on error.
-func (sq *SessionQuery) RunJSONFull(ctx context.Context, strat Strategy, analyze bool) ([]map[string]any, *Result, error) {
-	cols, err := sq.pq.OutputSchema(strat)
+	res, err := sq.Run(ctx, strat)
 	if err != nil {
-		return nil, nil, err
-	}
-	res, err := sq.runStrategy(ctx, strat, analyze)
-	if err != nil {
-		return nil, res, err
+		return nil, err
 	}
 	esp := trace.From(ctx).Span().Child("encode")
-	out := encodeRowsJSON(res.Output.CollectSorted(), cols)
-	esp.End()
-	return out, res, nil
+	defer esp.End()
+	rows, _ := res.JSON(0)
+	return rows, nil
 }
-
-// encodeRowsJSON renders engine rows as JSON objects typed by cols.
-func encodeRowsJSON(rows []dataflow.Row, cols []OutputColumn) []map[string]any {
-	fields := make([]nrc.Field, len(cols))
-	for i, c := range cols {
-		fields[i] = nrc.Field{Name: c.Name, Type: c.Type}
-	}
-	tuples := make([]value.Tuple, len(rows))
-	for i, r := range rows {
-		tuples[i] = value.Tuple(r)
-	}
-	return ingest.EncodeRows(tuples, fields)
-}
-
-// SessionPipeline is a pipeline prepared against a catalog: compiled step
-// plans come from the process-wide plan cache, input conversion is cached
-// per route, and every Run re-resolves against the catalog when a referenced
-// dataset's generation moved (see Session).
-type SessionPipeline struct {
-	s     *Session
-	steps []PipelineStep
-	vars  []string
-
-	mu   sync.Mutex // guards the cached resolution below
-	pp   *PreparedPipeline
-	data *PreparedData
-	gens map[string]int64
-}
-
-// refreshLocked re-resolves the pipeline against the catalog's current
-// generations and re-prepares it. Caller holds sp.mu.
-func (sp *SessionPipeline) refreshLocked() error {
-	s := sp.s
-	env, inputs, gens, ests, idxs, err := s.cat.resolve(sp.vars, s.bind)
-	if err != nil {
-		return err
-	}
-	cfg := s.cfg
-	if len(ests) > 0 {
-		cfg.Stats = ests
-	}
-	// Step ASTs are shared across generations; serialize their annotation on
-	// one compile mutex exactly like SessionQuery.refreshLocked.
-	var pp *PreparedPipeline
-	if sp.pp != nil {
-		mu := sp.pp.compileMu
-		mu.Lock()
-		pp, err = PreparePipeline(sp.steps, PrepareOptions{Env: env, Config: &cfg, Pool: s.pool})
-		if pp != nil {
-			pp.compileMu = mu
-		}
-		mu.Unlock()
-	} else {
-		pp, err = PreparePipeline(sp.steps, PrepareOptions{Env: env, Config: &cfg, Pool: s.pool})
-	}
-	if err != nil {
-		return err
-	}
-	data := pp.BindData(inputs)
-	data.convert = s.converter(gens)
-	data.idxs = idxs
-	s.pruneRows(gens)
-	sp.pp, sp.data, sp.gens = pp, data, gens
-	return nil
-}
-
-func (sp *SessionPipeline) current() (*PreparedPipeline, *PreparedData, error) {
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
-	if sp.pp != nil && sp.s.cat.generationsUnchanged(sp.vars, sp.s.bind, sp.gens) {
-		return sp.pp, sp.data, nil
-	}
-	if err := sp.refreshLocked(); err != nil {
-		var ue *UnknownDatasetError
-		if errors.As(err, &ue) && sp.pp != nil {
-			return sp.pp, sp.data, nil
-		}
-		return nil, nil, err
-	}
-	return sp.pp, sp.data, nil
-}
-
-// Prepared exposes the current underlying prepared pipeline, refreshed
-// against the catalog like Run.
-func (sp *SessionPipeline) Prepared() *PreparedPipeline {
-	pp, _, err := sp.current()
-	if err != nil {
-		sp.mu.Lock()
-		defer sp.mu.Unlock()
-		return sp.pp
-	}
-	return pp
-}
-
-// Run executes the pipeline under the strategy over the current catalog
-// generations of the referenced datasets (re-resolving after mutations; see
-// Session).
-func (sp *SessionPipeline) Run(ctx context.Context, strat Strategy) (*PipelineResult, error) {
-	pp, data, err := sp.current()
-	if err != nil {
-		return nil, err
-	}
-	return pp.RunBound(ctx, data, strat)
-}
-
-// RunJSON is Run plus JSON encoding of the final step's output, typed by the
-// pipeline's output schema — SessionQuery.RunJSON for pipelines.
-func (sp *SessionPipeline) RunJSON(ctx context.Context, strat Strategy) ([]map[string]any, error) {
-	cols, err := sp.pp.OutputSchema(strat)
-	if err != nil {
-		return nil, err
-	}
-	res, err := sp.Run(ctx, strat)
-	if err != nil {
-		return nil, err
-	}
-	return encodeRowsJSON(res.Output.CollectSorted(), cols), nil
-}
-
-// ToJSON renders a runtime value as a json.Marshal-able Go value guided by
-// its static type: tuples become objects, bags arrays, dates yyyy-mm-dd
-// strings, NULL null — the inverse of Catalog.RegisterJSON's conversion.
-func ToJSON(v Value, t Type) any { return ingest.Encode(v, t) }

@@ -361,3 +361,95 @@ func TestCatalogAnalyzeAppendRace(t *testing.T) {
 		}
 	}
 }
+
+// TestRunJSONFollowsReregisteredType: the JSON field names come from the same
+// catalog resolution as the rows. Dropping a dataset and re-registering it
+// under a different tuple type must make the next RunJSON answer with the new
+// fields — not encode the new rows under the dropped generation's schema.
+func TestRunJSONFollowsReregisteredType(t *testing.T) {
+	cat := trance.NewCatalog()
+	if err := cat.Register("D", trance.BagOf(trance.Tup("a", trance.StringT)), trance.Bag{trance.Tuple{"s"}}); err != nil {
+		t.Fatal(err)
+	}
+	sq, err := cat.NewSession(trance.SessionOptions{}).Prepare(
+		trance.ForIn("x", trance.V("D"), trance.SingOf(trance.V("x"))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	if rows, err := sq.RunJSON(ctx, trance.Standard); err != nil || len(rows) != 1 || rows[0]["a"] != "s" {
+		t.Fatalf("first generation: %v, %v", rows, err)
+	}
+	cat.Drop("D")
+	if err := cat.Register("D", trance.BagOf(trance.Tup("b", trance.StringT, "c", trance.IntT)),
+		trance.Bag{trance.Tuple{"s", int64(7)}}); err != nil {
+		t.Fatal(err)
+	}
+	for _, strat := range []trance.Strategy{trance.Standard, trance.ShredUnshred} {
+		rows, err := sq.RunJSON(ctx, strat)
+		if err != nil {
+			t.Fatalf("%s: %v", strat, err)
+		}
+		if len(rows) != 1 || len(rows[0]) != 2 || rows[0]["b"] != "s" || rows[0]["c"] != int64(7) {
+			t.Fatalf("%s: want [{b: s, c: 7}] from the re-registered type, got %v", strat, rows)
+		}
+	}
+}
+
+// TestRunJSONRacesAppend: RunJSON and Run on one session query while the
+// dataset keeps appending — every reader resolves schema and rows under the
+// query's lock, so the race detector stays quiet and every answer is a whole
+// generation (the key row is always there, with the query's two fields).
+func TestRunJSONRacesAppend(t *testing.T) {
+	cat := trance.NewCatalog()
+	if err := cat.Register("D", mutType(), mutBag(20)); err != nil {
+		t.Fatal(err)
+	}
+	sq, err := cat.NewSession(trance.SessionOptions{}).Prepare(mutQuery(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				rows, err := sq.RunJSON(ctx, trance.Standard)
+				if err != nil || len(rows) != 1 || len(rows[0]) != 2 || rows[0]["id"] != int64(7) {
+					t.Errorf("RunJSON under append: %v, %v", rows, err)
+					return
+				}
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				if res, err := sq.Run(ctx, trance.ShredUnshred); err != nil || res.Output.Count() != 1 {
+					t.Errorf("Run under append: %v", err)
+					return
+				}
+			}
+		}()
+	}
+	for i := 0; i < 40; i++ {
+		if _, err := cat.Append("D", trance.Bag{mutRow(int64(1000 + i))}); err != nil {
+			t.Error(err)
+			break
+		}
+	}
+	close(done)
+	wg.Wait()
+}

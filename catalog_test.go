@@ -318,7 +318,7 @@ func TestRunPipelineReusesPlanCache(t *testing.T) {
 	}
 }
 
-func collectPipelineBag(res *trance.PipelineResult) trance.Bag {
+func collectPipelineBag(res *trance.Result) trance.Bag {
 	out := make(trance.Bag, 0)
 	for _, r := range res.Output.CollectSorted() {
 		out = append(out, trance.Tuple(r))
@@ -354,11 +354,11 @@ func TestPipelineFingerprintsAreEnvAware(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ri, err := ppI.Run(context.Background(), map[string]trance.Bag{"RI": {trance.Tuple{int64(7)}}}, trance.Standard)
+	ri, err := ppI.Run(context.Background(), ppI.BindData(map[string]trance.Bag{"RI": {trance.Tuple{int64(7)}}}), trance.Standard)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs, err := ppS.Run(context.Background(), map[string]trance.Bag{"RS": {trance.Tuple{"seven"}}}, trance.Standard)
+	rs, err := ppS.Run(context.Background(), ppS.BindData(map[string]trance.Bag{"RS": {trance.Tuple{"seven"}}}), trance.Standard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -368,10 +368,10 @@ func TestPipelineFingerprintsAreEnvAware(t *testing.T) {
 	if got := collectPipelineBag(rs); !trance.ValuesEqual(got, trance.Bag{trance.Tuple{"seven"}}) {
 		t.Fatalf("string pipeline: %s", trance.FormatValue(got))
 	}
-	if ot, want := ppI.OutType(1).String(), "Bag(⟨x: int⟩)"; ot != want {
+	if ot, want := ppI.OutType().String(), "Bag(⟨x: int⟩)"; ot != want {
 		t.Fatalf("int pipeline out type %s, want %s", ot, want)
 	}
-	if ot, want := ppS.OutType(1).String(), "Bag(⟨x: string⟩)"; ot != want {
+	if ot, want := ppS.OutType().String(), "Bag(⟨x: string⟩)"; ot != want {
 		t.Fatalf("string pipeline out type %s, want %s", ot, want)
 	}
 }

@@ -166,10 +166,10 @@ func cmdRun(args []string) {
 
 // cmdQuery is the JSON-in → query → JSON-out path: ingest a JSON dataset
 // into a catalog (schema inferred), prepare either an identity scan or an
-// ad-hoc textual NRC query (-q, see docs/QUERYLANG.md) through a session,
-// run it under the chosen strategy, and print the rows back as NDJSON.
-// Schema and timing go to stderr so stdout stays pipeable. Parse and type
-// errors in -q are reported as caret diagnostics pointing into the text.
+// ad-hoc textual NRC query or program (-q, see docs/QUERYLANG.md) through a
+// session, run it under the chosen strategy, and print the rows back as
+// NDJSON. Schema and timing go to stderr so stdout stays pipeable. Parse and
+// type errors in -q are reported as caret diagnostics pointing into the text.
 func cmdQuery(args []string) {
 	fs := flag.NewFlagSet("query", flag.ExitOnError)
 	input := fs.String("input", "", "JSON input: NDJSON or a JSON array; a file path or - for stdin")
@@ -207,19 +207,21 @@ func cmdQuery(args []string) {
 	strat := parseStrategy(*strategy)
 	t := trance.NewTrace("trance query")
 	ctx := trance.ContextWithTrace(context.Background(), t)
-	var rows []map[string]any
+	// A bare expression is a query; any other text parses as a program (a
+	// single assignment like `y := expr` lands there too, and a genuine syntax
+	// error reports from the program parse, which accepts a superset).
+	var sq *trance.SessionQuery
 	var err error
-	if *text != "" {
-		rows, err = runText(ctx, sess, *text, strat, *explain, *analyze)
-	} else {
-		var sq *trance.SessionQuery
+	if *text == "" {
 		sq, err = sess.PrepareNamed(*name, trance.ForIn("x", trance.V(*name), trance.SingOf(trance.V("x"))))
-		if err == nil {
-			if *explain {
-				printExplain(sq.Prepared().Explain(strat))
-			}
-			rows, err = runSessionQuery(ctx, sq, strat, *analyze)
-		}
+	} else if _, perr := trance.Parse(*text); perr == nil {
+		sq, err = sess.PrepareText("adhoc", *text)
+	} else {
+		sq, err = sess.PrepareTextPipeline(*text)
+	}
+	var rows []map[string]any
+	if err == nil {
+		rows, err = runSessionQuery(ctx, sq, strat, *explain, *analyze)
 	}
 	t.Finish()
 	if err != nil {
@@ -241,60 +243,35 @@ func cmdQuery(args []string) {
 	fmt.Fprintf(os.Stderr, "%s: %d rows\n", strat, len(rows))
 }
 
-// runSessionQuery evaluates one prepared session query; with analyze set the
-// run is instrumented and the analyzed plans (actual rows, wall times,
-// q-error) go to stderr.
-func runSessionQuery(ctx context.Context, sq *trance.SessionQuery, strat trance.Strategy, analyze bool) ([]map[string]any, error) {
-	rows, res, err := sq.RunJSONFull(ctx, strat, analyze)
-	if err != nil {
-		return nil, err
-	}
-	if analyze {
-		printExplain(sq.Prepared().ExplainAnalyzeResult(strat, res))
-	}
-	return rows, nil
-}
-
-// runText prepares and runs an ad-hoc text query — or, when the text is not
-// a bare expression (it contains assignments), a multi-statement program —
-// against the session. With explain set, the compiled plans (before and
-// after the rule-based optimizer) go to stderr first; analyze additionally
-// instruments the run and prints the analyzed plans.
-func runText(ctx context.Context, sess *trance.Session, text string, strat trance.Strategy, explain, analyze bool) ([]map[string]any, error) {
-	if _, err := trance.Parse(text); err == nil {
-		sq, err := sess.PrepareText("adhoc", text)
-		if err != nil {
-			return nil, err
-		}
-		if explain {
-			printExplain(sq.Prepared().Explain(strat))
-		}
-		return runSessionQuery(ctx, sq, strat, analyze)
-	}
-	// Not a bare expression: parse as a program (a single assignment like
-	// `y := expr` lands here too). A genuine syntax error reports from the
-	// program parse, which accepts a superset.
-	sp, err := sess.PrepareTextPipeline(text)
-	if err != nil {
-		return nil, err
-	}
+// runSessionQuery evaluates a prepared query or program and renders its rows.
+// With explain set, the compiled plans (before and after the rule-based
+// optimizer) go to stderr first; analyze instruments the run and prints the
+// analyzed plans (actual rows, wall times, q-error) of what ran.
+func runSessionQuery(ctx context.Context, sq *trance.SessionQuery, strat trance.Strategy, explain, analyze bool) ([]map[string]any, error) {
 	if explain {
-		printExplain(sp.Prepared().Explain(strat))
+		// Compile errors surface when the query actually runs, so they are
+		// only logged here.
+		if text, err := sq.Prepared().Explain(strat); err != nil {
+			fmt.Fprintf(os.Stderr, "explain unavailable: %v\n", err)
+		} else {
+			fmt.Fprintln(os.Stderr, text)
+		}
+	}
+	var opts []trance.RunOption
+	if analyze {
+		opts = append(opts, trance.Analyze())
+	}
+	res, err := sq.Run(ctx, strat, opts...)
+	if err != nil {
+		return nil, err
 	}
 	if analyze {
-		fmt.Fprintln(os.Stderr, "analyze: not supported for multi-statement programs yet")
+		fmt.Fprintln(os.Stderr, res.ExplainAnalyze())
 	}
-	return sp.RunJSON(ctx, strat)
-}
-
-// printExplain writes an explain text to stderr (compile errors surface when
-// the query actually runs, so they are only logged here).
-func printExplain(text string, err error) {
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "explain unavailable: %v\n", err)
-		return
-	}
-	fmt.Fprintln(os.Stderr, text)
+	esp := trance.TraceFromContext(ctx).Span().Child("encode")
+	defer esp.End()
+	rows, _ := res.JSON(0)
+	return rows, nil
 }
 
 func cmdBiomed(args []string) {

@@ -16,10 +16,7 @@ import (
 
 	"github.com/trance-go/trance"
 	"github.com/trance-go/trance/internal/biomed"
-	"github.com/trance-go/trance/internal/ingest"
-	"github.com/trance-go/trance/internal/nrc"
 	"github.com/trance-go/trance/internal/tpch"
-	"github.com/trance-go/trance/internal/value"
 )
 
 // serverConfig sizes the preloaded datasets and the engine.
@@ -662,14 +659,45 @@ func (s *server) handleDatasetStats(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// route is a resolved (prepared query, level, strategy) triple shared by
-// GET /query and GET /explain.
+// route is what a /query or /explain request resolved to: the prepared query
+// and strategy to run, and how metrics keys, replies and errors name it.
 type route struct {
-	name      string
+	name      string // served query name; "adhoc" for POSTed text
 	level     int
 	sq        *trance.SessionQuery
 	strat     trance.Strategy
 	stratName string
+	what      string // names the route in error messages
+}
+
+// key is the route's /metrics key.
+func (rt route) key() string { return fmt.Sprintf("%s/L%d/%s", rt.name, rt.level, rt.stratName) }
+
+// strategyParam parses ?strategy= (default standard), writing a 400 and
+// returning ok=false for an unknown name.
+func strategyParam(w http.ResponseWriter, r *http.Request) (strat trance.Strategy, name string, ok bool) {
+	name = r.URL.Query().Get("strategy")
+	if name == "" {
+		name = "standard"
+	}
+	if strat, ok = trance.ParseStrategy(name); !ok {
+		httpError(w, http.StatusBadRequest, "unknown strategy %q (see /strategies)", name)
+	}
+	return strat, name, ok
+}
+
+// limitParam parses ?limit= (default 20; 0 = all rows), writing a 400 and
+// returning ok=false for a malformed one.
+func limitParam(w http.ResponseWriter, r *http.Request) (limit int, ok bool) {
+	limit = 20
+	if ls := r.URL.Query().Get("limit"); ls != "" {
+		var err error
+		if limit, err = strconv.Atoi(ls); err != nil || limit < 0 {
+			httpError(w, http.StatusBadRequest, "bad limit %q", ls)
+			return 0, false
+		}
+	}
+	return limit, true
 }
 
 // resolveRoute resolves the name/level/strategy parameters GET /query and
@@ -677,8 +705,7 @@ type route struct {
 // parameter.
 func (s *server) resolveRoute(w http.ResponseWriter, r *http.Request) (route, bool) {
 	q := r.URL.Query()
-	var rt route
-	rt.name = q.Get("name")
+	rt := route{name: q.Get("name")}
 	entry, ok := s.lookupQuery(rt.name)
 	if !ok {
 		httpError(w, http.StatusBadRequest, "unknown query %q (see / for the catalog)", rt.name)
@@ -697,16 +724,34 @@ func (s *server) resolveRoute(w http.ResponseWriter, r *http.Request) (route, bo
 		httpError(w, http.StatusBadRequest, "query %s has no level %d (levels %v)", rt.name, rt.level, entry.levels)
 		return rt, false
 	}
-	rt.stratName = q.Get("strategy")
-	if rt.stratName == "" {
-		rt.stratName = "standard"
+	rt.strat, rt.stratName, ok = strategyParam(w, r)
+	rt.what = fmt.Sprintf("%s (%s)", rt.name, rt.stratName)
+	return rt, ok
+}
+
+// textRoute reads the query text and ?strategy= that POST /query and
+// POST /explain share, writing a 4xx and returning ok=false on an oversized or
+// empty body or an unknown strategy. The text is not prepared yet: rt.sq is
+// for the caller to fill from textQuery.
+func textRoute(w http.ResponseWriter, r *http.Request) (src string, rt route, ok bool) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxTextQueryBytes))
+	if err != nil {
+		status := http.StatusBadRequest
+		var mbe *http.MaxBytesError
+		if errors.As(err, &mbe) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		httpError(w, status, "read query text: %v", err)
+		return "", rt, false
 	}
-	rt.strat, ok = trance.ParseStrategy(rt.stratName)
-	if !ok {
-		httpError(w, http.StatusBadRequest, "unknown strategy %q (see /strategies)", rt.stratName)
-		return rt, false
+	if src = strings.TrimSpace(string(body)); src == "" {
+		httpError(w, http.StatusBadRequest, "empty query text (POST the query as the request body)")
+		return "", rt, false
 	}
-	return rt, true
+	rt.name = "adhoc"
+	rt.strat, rt.stratName, ok = strategyParam(w, r)
+	rt.what = fmt.Sprintf("(%s)", rt.stratName)
+	return src, rt, ok
 }
 
 // handleQuery evaluates one prepared query: name + level + strategy → JSON
@@ -717,77 +762,56 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	name, level, sq, strat, stratName := rt.name, rt.level, rt.sq, rt.strat, rt.stratName
-	limit := 20
-	if ls := r.URL.Query().Get("limit"); ls != "" {
-		var err error
-		limit, err = strconv.Atoi(ls)
-		if err != nil || limit < 0 {
-			httpError(w, http.StatusBadRequest, "bad limit %q", ls)
-			return
-		}
+	limit, ok := limitParam(w, r)
+	if !ok {
+		return
 	}
-
-	t, r := s.startTrace(w, r, "GET /query "+name)
+	t, r := s.startTrace(w, r, "GET /query "+rt.name)
 	defer s.finishTrace(t)
-	t.Span().Set("route", fmt.Sprintf("%s/L%d/%s", name, level, stratName))
+	t.Span().Set("route", rt.key())
+	s.runAndReply(w, r, t, rt, limit, map[string]any{"query": rt.name, "level": rt.level, "trace_id": t.ID})
+}
 
-	cols, err := sq.Prepared().OutputSchema(strat)
-	if err != nil {
-		// Compilation failed: the query/strategy combination is unservable —
-		// a client-side problem, reported without crashing anything.
-		s.record(name, level, stratName, nil, true)
-		httpError(w, http.StatusBadRequest, "compile %s (%s): %v", name, stratName, err)
+// runAndReply is the one way a request reaches the engine and a result
+// reaches the client: run the route, fold the outcome into its /metrics
+// entry, and write the rows typed by the schema the run itself carries
+// (res.Columns) — one catalog resolution per request, so schema and rows
+// cannot come from different generations. extra fields are merged into the
+// response object.
+func (s *server) runAndReply(w http.ResponseWriter, r *http.Request, t *trance.Trace, rt route, limit int, extra map[string]any) {
+	res, err := rt.sq.Run(r.Context(), rt.strat)
+	s.record(rt, res, err != nil)
+	switch {
+	case err == nil:
+	case r.Context().Err() != nil && errors.Is(err, r.Context().Err()):
+		return // client went away; nothing sensible to write
+	case res == nil:
+		// The run never reached the executor: the query no longer resolves or
+		// typechecks against the catalog, or the query/strategy combination
+		// does not compile — a client-side problem, reported without crashing
+		// anything.
+		httpError(w, http.StatusBadRequest, "compile %s: %v", rt.what, err)
+		return
+	default:
+		httpError(w, http.StatusInternalServerError, "execute %s: %v", rt.what, err)
 		return
 	}
-	res, err := sq.Run(r.Context(), strat)
-	if err != nil {
-		s.record(name, level, stratName, res, true)
-		if errors.Is(err, r.Context().Err()) && r.Context().Err() != nil {
-			return // client went away; nothing sensible to write
-		}
-		httpError(w, http.StatusInternalServerError, "execute %s (%s): %v", name, stratName, err)
-		return
-	}
-	s.record(name, level, stratName, res, false)
-	extra := map[string]any{"query": name, "level": level, "trace_id": t.ID}
-	if strat == trance.Auto {
+	if rt.strat == trance.Auto {
 		extra["requested"] = "auto"
 		extra["chosen_strategy"] = res.Strategy.CLIName()
 	}
 	esp := t.Span().Child("encode")
-	s.writeQueryResult(w, res, cols, limit, extra)
-	esp.End()
-}
-
-// writeQueryResult renders a run's rows as typed JSON, applying the row
-// limit; extra fields are merged into the response object.
-func (s *server) writeQueryResult(w http.ResponseWriter, res *trance.Result, cols []trance.OutputColumn, limit int, extra map[string]any) {
+	defer esp.End()
 	// The strategy that actually ran — under strategy=auto this is the route
 	// the cost model chose, visible without parsing the body.
 	w.Header().Set("X-Trance-Strategy", res.Strategy.CLIName())
-	rows := res.Output.CollectSorted()
-	total := len(rows)
-	truncated := false
-	if limit > 0 && len(rows) > limit {
-		rows = rows[:limit]
-		truncated = true
-	}
-	fields := make([]nrc.Field, len(cols))
-	for i, c := range cols {
-		fields[i] = nrc.Field{Name: c.Name, Type: c.Type}
-	}
-	tuples := make([]value.Tuple, len(rows))
-	for i, row := range rows {
-		tuples[i] = value.Tuple(row)
-	}
-	results := ingest.EncodeRows(tuples, fields)
+	results, total := res.JSON(limit)
 	type colInfo struct {
 		Name string `json:"name"`
 		Type string `json:"type"`
 	}
-	colOut := make([]colInfo, len(cols))
-	for i, c := range cols {
+	colOut := make([]colInfo, len(res.Columns))
+	for i, c := range res.Columns {
 		colOut[i] = colInfo{Name: c.Name, Type: c.Type.String()}
 	}
 	out := map[string]any{
@@ -795,7 +819,7 @@ func (s *server) writeQueryResult(w http.ResponseWriter, res *trance.Result, col
 		"elapsed_ms": float64(res.Elapsed.Microseconds()) / 1000,
 		"rows":       total,
 		"returned":   len(results),
-		"truncated":  truncated,
+		"truncated":  len(results) < total,
 		"columns":    colOut,
 		"results":    results,
 	}
@@ -849,80 +873,31 @@ func (s *server) textQuery(src string) (*trance.SessionQuery, error) {
 // errors return 400 with a multi-line caret diagnostic in "error"; nothing a
 // client posts can crash the process.
 func (s *server) handleTextQuery(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxTextQueryBytes))
-	if err != nil {
-		status := http.StatusBadRequest
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			status = http.StatusRequestEntityTooLarge
-		}
-		httpError(w, status, "read query text: %v", err)
-		return
-	}
-	src := strings.TrimSpace(string(body))
-	if src == "" {
-		httpError(w, http.StatusBadRequest, "empty query text (POST the query as the request body)")
-		return
-	}
-	q := r.URL.Query()
-	stratName := q.Get("strategy")
-	if stratName == "" {
-		stratName = "standard"
-	}
-	strat, ok := trance.ParseStrategy(stratName)
+	src, rt, ok := textRoute(w, r)
 	if !ok {
-		httpError(w, http.StatusBadRequest, "unknown strategy %q (see /strategies)", stratName)
 		return
 	}
-	limit := 20
-	if ls := q.Get("limit"); ls != "" {
-		var lerr error
-		limit, lerr = strconv.Atoi(ls)
-		if lerr != nil || limit < 0 {
-			httpError(w, http.StatusBadRequest, "bad limit %q", ls)
-			return
-		}
+	limit, ok := limitParam(w, r)
+	if !ok {
+		return
 	}
-
 	t, r := s.startTrace(w, r, "POST /query")
 	defer s.finishTrace(t)
 
 	psp := t.Span().Child("parse")
-	sq, err := s.textQuery(src)
+	var err error
+	rt.sq, err = s.textQuery(src)
 	psp.End()
 	if err != nil {
-		s.record("adhoc", 0, stratName, nil, true)
+		s.record(rt, nil, true)
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	cols, err := sq.Prepared().OutputSchema(strat)
-	if err != nil {
-		s.record("adhoc", 0, stratName, nil, true)
-		httpError(w, http.StatusBadRequest, "compile (%s): %v", stratName, err)
-		return
-	}
-	res, err := sq.Run(r.Context(), strat)
-	if err != nil {
-		s.record("adhoc", 0, stratName, res, true)
-		if errors.Is(err, r.Context().Err()) && r.Context().Err() != nil {
-			return
-		}
-		httpError(w, http.StatusInternalServerError, "execute (%s): %v", stratName, err)
-		return
-	}
-	s.record("adhoc", 0, stratName, res, false)
-	extra := map[string]any{
-		"query":       "adhoc",
-		"fingerprint": sq.Prepared().Fingerprint()[:12],
+	s.runAndReply(w, r, t, rt, limit, map[string]any{
+		"query":       rt.name,
+		"fingerprint": rt.sq.Prepared().Fingerprint()[:12],
 		"trace_id":    t.ID,
-	}
-	if strat == trance.Auto {
-		extra["requested"] = "auto"
-		extra["chosen_strategy"] = res.Strategy.CLIName()
-	}
-	esp := t.Span().Child("encode")
-	s.writeQueryResult(w, res, cols, limit, extra)
-	esp.End()
+	})
 }
 
 // handleExplain renders a served query's compiled plans before and after the
@@ -935,94 +910,60 @@ func (s *server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	analyze := analyzeParam(r)
-	var text string
-	var err error
-	if analyze {
-		// EXPLAIN ANALYZE: execute the route with per-operator instrumentation
-		// over the bound catalog data and render actual rows/wall
-		// beside the static annotations, plus the q-error summary.
-		text, err = rt.sq.ExplainAnalyze(r.Context(), rt.strat)
-	} else {
-		text, err = rt.sq.Prepared().Explain(rt.strat)
-	}
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "explain %s (%s): %v", rt.name, rt.stratName, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"query":    rt.name,
-		"level":    rt.level,
-		"strategy": rt.strat.String(),
-		"analyze":  analyze,
-		"explain":  text,
-	})
-}
-
-// analyzeParam reports whether the request asked for EXPLAIN ANALYZE
-// (?analyze=1 / true / yes).
-func analyzeParam(r *http.Request) bool {
-	switch strings.ToLower(r.URL.Query().Get("analyze")) {
-	case "1", "true", "yes":
-		return true
-	}
-	return false
+	s.explainAndReply(w, r, rt, map[string]any{"query": rt.name, "level": rt.level})
 }
 
 // handleTextExplain renders the compiled plans of an ad-hoc textual query
 // (the POST /query body format, same ?strategy= parameter) without running
 // it — the serving-side way to check whether a pushed-down predicate planned
 // as an index scan (the `[index=…]` operator annotation, docs/INDEXES.md).
-// With ?analyze=1 the query IS executed, with per-operator instrumentation,
-// and the plans render actual rows/wall plus a q-error summary
-// (docs/OBSERVABILITY.md).
 func (s *server) handleTextExplain(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxTextQueryBytes))
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "read query text: %v", err)
-		return
-	}
-	src := strings.TrimSpace(string(body))
-	if src == "" {
-		httpError(w, http.StatusBadRequest, "empty query text (POST the query as the request body)")
-		return
-	}
-	stratName := r.URL.Query().Get("strategy")
-	if stratName == "" {
-		stratName = "standard"
-	}
-	strat, ok := trance.ParseStrategy(stratName)
+	src, rt, ok := textRoute(w, r)
 	if !ok {
-		httpError(w, http.StatusBadRequest, "unknown strategy %q (see /strategies)", stratName)
 		return
 	}
-	sq, err := s.textQuery(src)
-	if err != nil {
+	var err error
+	if rt.sq, err = s.textQuery(src); err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	analyze := analyzeParam(r)
+	s.explainAndReply(w, r, rt, map[string]any{"query": rt.name})
+}
+
+// explainAndReply writes the route's explain text merged into out. With
+// ?analyze=1 (/ true / yes) the route IS executed, with per-operator
+// instrumentation over the bound catalog data, and the plans that ran render
+// actual rows/wall beside the static annotations plus a q-error summary
+// (EXPLAIN ANALYZE, docs/OBSERVABILITY.md).
+func (s *server) explainAndReply(w http.ResponseWriter, r *http.Request, rt route, out map[string]any) {
+	analyze := false
+	switch strings.ToLower(r.URL.Query().Get("analyze")) {
+	case "1", "true", "yes":
+		analyze = true
+	}
 	var text string
+	var err error
 	if analyze {
-		text, err = sq.ExplainAnalyze(r.Context(), strat)
+		var res *trance.Result
+		if res, err = rt.sq.Run(r.Context(), rt.strat, trance.Analyze()); err == nil {
+			text = res.ExplainAnalyze()
+		}
 	} else {
-		text, err = sq.Prepared().Explain(strat)
+		text, err = rt.sq.Prepared().Explain(rt.strat)
 	}
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "explain (%s): %v", stratName, err)
+		httpError(w, http.StatusBadRequest, "explain %s: %v", rt.what, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"query":    "adhoc",
-		"strategy": strat.String(),
-		"analyze":  analyze,
-		"explain":  text,
-	})
+	out["strategy"] = rt.strat.String()
+	out["analyze"] = analyze
+	out["explain"] = text
+	writeJSON(w, http.StatusOK, out)
 }
 
 // record folds one run's outcome and engine metrics into the route's stats.
-func (s *server) record(name string, level int, strat string, res *trance.Result, failed bool) {
-	key := fmt.Sprintf("%s/L%d/%s", name, level, strat)
+func (s *server) record(rt route, res *trance.Result, failed bool) {
+	key := rt.key()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st, ok := s.stats[key]

@@ -135,4 +135,8 @@ func TestTextQueryErrors(t *testing.T) {
 	// Bad strategy/limit and oversized bodies are rejected.
 	postText(t, ts, "/query?strategy=warp", "for c in `tpch/customer` union { c }", http.StatusBadRequest)
 	postText(t, ts, "/query?limit=-2", "for c in `tpch/customer` union { c }", http.StatusBadRequest)
+	postText(t, ts, "/explain?strategy=warp", "for c in `tpch/customer` union { c }", http.StatusBadRequest)
+	oversized := strings.Repeat("x", maxTextQueryBytes+1)
+	postText(t, ts, "/query", oversized, http.StatusRequestEntityTooLarge)
+	postText(t, ts, "/explain", oversized, http.StatusRequestEntityTooLarge)
 }

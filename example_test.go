@@ -180,11 +180,15 @@ func ExampleCatalog() {
 		fmt.Println("prepare failed:", err)
 		return
 	}
-	rows, err := sq.RunJSON(context.Background(), trance.ShredUnshred)
+	// The one Run: the Result carries the rows, their schema, timings and
+	// engine metrics; JSON renders the rows by that schema (sq.RunJSON is
+	// this pair in one call).
+	res, err := sq.Run(context.Background(), trance.ShredUnshred)
 	if err != nil {
 		fmt.Println("run failed:", err)
 		return
 	}
+	rows, _ := res.JSON(0) // 0: no row limit
 	for _, row := range rows {
 		b, _ := json.Marshal(row)
 		fmt.Println(string(b))
@@ -229,7 +233,7 @@ func ExamplePrepare() {
 		{"R": {trance.Tuple{"bob", trance.Bag{trance.Tuple{int64(40)}}}}},
 	} {
 		for _, strat := range []trance.Strategy{trance.Standard, trance.ShredUnshred} {
-			res, err := pq.Run(context.Background(), data, strat)
+			res, err := pq.Run(context.Background(), pq.BindData(data), strat)
 			if err != nil {
 				fmt.Println("run failed:", err)
 				return

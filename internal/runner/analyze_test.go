@@ -67,7 +67,7 @@ func TestAnalyzeRowConservation(t *testing.T) {
 			t.Fatalf("%s: %v", strat, err)
 		}
 		a := plan.NewAnalysis()
-		res := cq.ExecuteWithOpts(context.Background(), inputs, NewRunContext(cfg, strat), ExecOptions{Analysis: a})
+		res := ExecuteInputs(context.Background(), []*Compiled{cq}, inputs, NewRunContext(cfg, strat), ExecOptions{Analysis: a})
 		if res.Failed() {
 			t.Fatalf("%s: %v", strat, res.Err)
 		}
@@ -143,22 +143,22 @@ func TestExplainAnalyzeRendering(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := plan.NewAnalysis()
-	res := cq.ExecuteWithOpts(context.Background(), inputs, NewRunContext(cfg, Standard), ExecOptions{Analysis: a})
+	res := ExecuteInputs(context.Background(), []*Compiled{cq}, inputs, NewRunContext(cfg, Standard), ExecOptions{Analysis: a})
 	if res.Failed() {
 		t.Fatal(res.Err)
 	}
-	text := cq.ExplainAnalyze(res)
+	text := res.ExplainAnalyze()
 	for _, want := range []string{"=== plan (analyzed) ===", "[actual_rows=", "execution: wall="} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("analyzed explain missing %q:\n%s", want, text)
 		}
 	}
 
-	plain := cq.Execute(context.Background(), inputs, NewRunContext(cfg, Standard))
+	plain := ExecuteInputs(context.Background(), []*Compiled{cq}, inputs, NewRunContext(cfg, Standard), ExecOptions{})
 	if plain.Failed() {
 		t.Fatal(plain.Err)
 	}
-	if got := cq.ExplainAnalyze(plain); !strings.Contains(got, "no runtime statistics") {
+	if got := plain.ExplainAnalyze(); !strings.Contains(got, "no runtime statistics") {
 		t.Fatalf("uninstrumented result should say so:\n%s", got)
 	}
 }
@@ -172,7 +172,7 @@ func TestAnalyzeOffLeavesNoTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := cq.Execute(context.Background(), inputs, NewRunContext(cfg, Standard))
+	res := ExecuteInputs(context.Background(), []*Compiled{cq}, inputs, NewRunContext(cfg, Standard), ExecOptions{})
 	if res.Failed() {
 		t.Fatal(res.Err)
 	}

@@ -202,7 +202,7 @@ func TestAutoFallsBackWhenShredFails(t *testing.T) {
 		t.Fatalf("fallback not recorded in reasons: %v", cq.AutoReasons)
 	}
 	// The fallback artifact must actually run.
-	res := cq.Execute(context.Background(), map[string]value.Bag{"RN": rn}, runner.NewRunContext(cfg, cq.Strategy))
+	res := runner.ExecuteInputs(context.Background(), []*runner.Compiled{cq}, map[string]value.Bag{"RN": rn}, runner.NewRunContext(cfg, cq.Strategy), runner.ExecOptions{})
 	if res.Err != nil {
 		t.Fatalf("fallback execution failed: %v", res.Err)
 	}
@@ -283,11 +283,62 @@ func BenchmarkAutoStrategy(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res := cq.ExecuteRows(context.Background(), rows, runner.NewRunContext(cfg, cq.Strategy))
+				res := runner.Execute(context.Background(), []*runner.Compiled{cq}, rows, nil, runner.NewRunContext(cfg, cq.Strategy), runner.ExecOptions{})
 				if res.Err != nil {
 					b.Fatal(res.Err)
 				}
 			}
 		})
 	}
+}
+
+// TestAutoProgramKeepsOneRoute: Auto resolves once per program. The second
+// step alone would pick the shredded route (a selective pushed predicate on
+// the nested RN), but it reads the first step's output, which the first step's
+// standard route left bound as a nested dataset — so it must follow that route
+// rather than scan shredded components nothing bound.
+func TestAutoProgramKeepsOneRoute(t *testing.T) {
+	env := nrc.Env{"R": flatAutoEnv()["R"], "RN": nestedAutoEnv()["RN"]}
+	r, _ := flatAutoData(400, false)
+	inputs := map[string]value.Bag{"R": r, "RN": nestedAutoData(400, false)}
+	steps := func() []runner.PipelineStep {
+		return []runner.PipelineStep{
+			{Name: "P", Query: nrc.ForIn("r", nrc.V("R"), nrc.SingOf(nrc.V("r")))},
+			{Name: "Out", Query: nrc.ForIn("n", nrc.V("RN"),
+				nrc.IfThen(nrc.EqOf(nrc.P(nrc.V("n"), "k"), nrc.C(5)),
+					nrc.ForIn("p", nrc.V("P"),
+						nrc.IfThen(nrc.EqOf(nrc.P(nrc.V("p"), "k"), nrc.P(nrc.V("n"), "k")),
+							nrc.SingOf(nrc.Record("k", nrc.P(nrc.V("n"), "k"), "v", nrc.P(nrc.V("p"), "v")))))))},
+		}
+	}
+	cfg := runner.DefaultConfig()
+	cfg.Parallelism = 4
+	cfg.Stats = collectStats(t, env, inputs, cfg.Parallelism)
+
+	alone, err := runner.CompileStep(steps()[1].Query, nrc.Env{"P": env["R"], "RN": env["RN"]}, runner.Auto, cfg, "Out")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !alone.Strategy.IsShredded() {
+		t.Fatalf("vacuous: the second step on its own resolves to %s, not a shredded route", alone.Strategy)
+	}
+	want := runner.RunPipeline(steps(), env, inputs, runner.Standard, cfg)
+	got := runner.RunPipeline(steps(), env, inputs, runner.Auto, cfg)
+	if want.Failed() || got.Failed() {
+		t.Fatalf("standard: %v; auto: %v", want.Err, got.Err)
+	}
+	if got.Strategy != runner.Standard {
+		t.Fatalf("auto program ran its last step on %s, want the first step's STANDARD", got.Strategy)
+	}
+	if a, b := collectRows(got), collectRows(want); len(a) != 1 || !value.Equal(a, b) {
+		t.Fatalf("auto program: %s, standard: %s", value.Format(a), value.Format(b))
+	}
+}
+
+func collectRows(res *runner.Result) value.Bag {
+	out := value.Bag{}
+	for _, r := range res.Output.Collect() {
+		out = append(out, value.Tuple(r))
+	}
+	return out
 }

@@ -23,11 +23,21 @@ import (
 // unshredding strategies) the pruned unshred plan. A Compiled is immutable
 // after Compile returns and safe to Execute from many goroutines at once
 // over different inputs — plan operators and their scalar expressions are
-// pure, and every run gets its own executor and dataflow context.
+// pure, and every run gets its own executor and dataflow context. It is one
+// step of a program; a program is a []*Compiled in step order.
 type Compiled struct {
+	// Name is the step name: what later steps of a program reference the
+	// output by, and the materialization name of the shredded route ("Q" for
+	// a query compiled on its own).
+	Name     string
 	Strategy Strategy
 	Cfg      Config
 	Env      nrc.Env
+	// Out is the step's checked (nested) output type.
+	Out nrc.Type
+	// Columns is the flat schema of the dataset the step produces (see
+	// OutputColumn); Execute hands the final step's to Result.Columns.
+	Columns []OutputColumn
 
 	// Requested is the strategy Compile was asked for. It differs from
 	// Strategy only when it was Auto: Strategy then holds the concrete route
@@ -80,16 +90,16 @@ func Compile(q nrc.Expr, env nrc.Env, strat Strategy, cfg Config) (*Compiled, er
 	return CompileStep(q, env, strat, cfg, "Q")
 }
 
-// CompileStep is Compile with an explicit materialization name for the
-// shredded route. Pipeline steps need it: a step's materialized components
-// are bound under topName (the step name), so later steps — compiled against
-// shred.InputEnv(topName, …) — resolve them.
-func CompileStep(q nrc.Expr, env nrc.Env, strat Strategy, cfg Config, topName string) (cq *Compiled, err error) {
+// CompileStep is Compile with an explicit step name. Program steps need it: a
+// step's materialized components are bound under the name, so later steps —
+// compiled against shred.InputEnv(name, …) — resolve them.
+func CompileStep(q nrc.Expr, env nrc.Env, strat Strategy, cfg Config, name string) (cq *Compiled, err error) {
 	defer recoverTo(&err, "compile")
-	if _, cerr := nrc.Check(q, env); cerr != nil {
+	out, cerr := nrc.Check(q, env)
+	if cerr != nil {
 		return nil, cerr
 	}
-	cq = &Compiled{Strategy: strat, Cfg: cfg, Env: env, Requested: strat}
+	cq = &Compiled{Name: name, Strategy: strat, Cfg: cfg, Env: env, Out: out, Requested: strat}
 	if strat == Auto {
 		choice, cerr := ChooseStrategy(q, env, cfg)
 		if cerr != nil {
@@ -99,10 +109,9 @@ func CompileStep(q nrc.Expr, env nrc.Env, strat Strategy, cfg Config, topName st
 		cq.AutoReasons = choice.Reasons
 	}
 	if cq.Strategy.IsShredded() {
-		err := cq.compileShredded(q, topName)
+		err := cq.compileShredded(q)
 		if err == nil {
-			countAutoChoice(cq)
-			return cq, nil
+			return cq.finish(), nil
 		}
 		if cq.Requested != Auto {
 			return nil, err
@@ -122,14 +131,54 @@ func CompileStep(q nrc.Expr, env nrc.Env, strat Strategy, cfg Config, topName st
 	if err := cq.compileStandard(q); err != nil {
 		return nil, err
 	}
-	countAutoChoice(cq)
-	return cq, nil
+	return cq.finish(), nil
 }
 
-func countAutoChoice(cq *Compiled) {
+// finish derives the output schema from the compiled plans and counts an Auto
+// resolution.
+func (cq *Compiled) finish() *Compiled {
+	cq.Columns = outputSchema(cq.OutputPlan(), cq.Out, cq.Strategy)
 	if cq.Requested == Auto {
 		autoChoices[cq.Strategy].Add(1)
 	}
+	return cq
+}
+
+// OutputColumn describes one column of a strategy's output dataset.
+type OutputColumn struct {
+	Name string
+	Type nrc.Type
+}
+
+// outputSchema is the flat schema of the dataset a step produces. When the
+// output is the nested value (standard and unshredding routes) the columns
+// carry the checked output type's field names and types instead of the plan's
+// internal column labels (which prefix nested fields with compiler variables,
+// e.g. "co.odate"); for Shred the materialized top-bag columns (labels in
+// place of inner bags) are returned unchanged.
+func outputSchema(op plan.Op, out nrc.Type, strat Strategy) []OutputColumn {
+	pcols := op.Columns()
+	cols := make([]OutputColumn, len(pcols))
+	for i, c := range pcols {
+		cols[i] = OutputColumn{Name: c.Name, Type: c.Type}
+	}
+	if strat.IsShredded() && !strat.unshreds() {
+		return cols
+	}
+	bt, ok := out.(nrc.BagType)
+	if !ok {
+		return cols
+	}
+	if tt, ok := bt.Elem.(nrc.TupleType); ok && len(tt.Fields) == len(cols) {
+		for i, f := range tt.Fields {
+			cols[i] = OutputColumn{Name: f.Name, Type: f.Type}
+		}
+		return cols
+	}
+	if len(cols) == 1 {
+		cols[0].Type = bt.Elem
+	}
+	return cols
 }
 
 // annotate applies the cost model (plan.Annotate) when table statistics are
@@ -175,8 +224,8 @@ func (cq *Compiled) optimize(op plan.Op) plan.Op {
 	return out
 }
 
-func (cq *Compiled) compileShredded(q nrc.Expr, topName string) error {
-	mat, err := shred.ShredQuery(q, cq.Env, topName, shred.Options{DomainElimination: cq.Cfg.DomainElimination})
+func (cq *Compiled) compileShredded(q nrc.Expr) error {
+	mat, err := shred.ShredQuery(q, cq.Env, cq.Name, shred.Options{DomainElimination: cq.Cfg.DomainElimination})
 	if err != nil {
 		return fmt.Errorf("shredding: %w", err)
 	}
@@ -244,7 +293,7 @@ func NewRunContext(cfg Config, strat Strategy) *dataflow.Context {
 // top-level rows for standard routes, value-shredded component rows for
 // shredded routes. The conversion depends only on the route and the input
 // environment, so callers evaluating a fixed dataset repeatedly (a serving
-// process) compute it once and pass the result to ExecuteRows. The returned
+// process) compute it once and pass the result to Execute. The returned
 // rows are never mutated by the engine and may be shared by any number of
 // concurrent executions.
 func (cq *Compiled) InputRows(inputs map[string]value.Bag) (map[string][]dataflow.Row, error) {
@@ -285,25 +334,6 @@ func (cq *Compiled) InputRowsOne(name string, b value.Bag) (rows map[string][]da
 		rows[comp] = tuplesToRows(ts)
 	}
 	return rows, nil
-}
-
-// Execute evaluates the compiled artifacts over one set of inputs on the
-// given dataflow context: InputRows + ExecuteRows. It never shares mutable
-// state with other executions of the same Compiled, so any number may run
-// concurrently; panics anywhere in execution degrade to Result.Err. The
-// context's cancellation is honored between statements (best effort — an
-// individual statement runs to completion).
-func (cq *Compiled) Execute(ctx context.Context, inputs map[string]value.Bag, dctx *dataflow.Context) *Result {
-	return cq.ExecuteWithOpts(ctx, inputs, dctx, ExecOptions{})
-}
-
-// ExecuteWithOpts is Execute with observability options.
-func (cq *Compiled) ExecuteWithOpts(ctx context.Context, inputs map[string]value.Bag, dctx *dataflow.Context, opts ExecOptions) *Result {
-	rows, err := cq.InputRows(inputs)
-	if err != nil {
-		return &Result{Strategy: cq.Strategy, Mat: cq.Mat, Err: err, Metrics: dctx.Metrics.Snapshot()}
-	}
-	return cq.ExecuteRowsOpts(ctx, rows, cq.BuildIndexes(inputs), dctx, opts)
 }
 
 // BuildIndexes constructs secondary-index sets for every input column the
@@ -400,21 +430,8 @@ func (cq *Compiled) MapIndexes(byDataset map[string]*index.Set) map[string]*inde
 	return out
 }
 
-// ExecuteRows is Execute over pre-converted input rows (see InputRows).
-// Input preparation stays outside the timed region either way — the paper
-// reports runtime after caching all inputs.
-func (cq *Compiled) ExecuteRows(ctx context.Context, rows map[string][]dataflow.Row, dctx *dataflow.Context) *Result {
-	return cq.ExecuteRowsIndexed(ctx, rows, nil, dctx)
-}
-
-// ExecuteRowsIndexed is ExecuteRows with bound secondary indexes, keyed like
-// rows (see MapIndexes). IndexScan nodes resolve spans against them; inputs
-// without a usable entry fall back to full scans plus the span predicate.
-func (cq *Compiled) ExecuteRowsIndexed(ctx context.Context, rows map[string][]dataflow.Row, idxs map[string]*index.Set, dctx *dataflow.Context) *Result {
-	return cq.ExecuteRowsOpts(ctx, rows, idxs, dctx, ExecOptions{})
-}
-
-// ExecOptions carries per-execution observability hooks.
+// ExecOptions carries per-execution observability hooks; they apply to every
+// step of the program.
 type ExecOptions struct {
 	// Analysis, when non-nil, collects per-operator runtime statistics
 	// (EXPLAIN ANALYZE) into the given collector; the Result carries it as
@@ -424,49 +441,103 @@ type ExecOptions struct {
 	Span *trace.Span
 }
 
-// ExecuteRowsOpts is ExecuteRowsIndexed with observability options.
-func (cq *Compiled) ExecuteRowsOpts(ctx context.Context, rows map[string][]dataflow.Row, idxs map[string]*index.Set, dctx *dataflow.Context, opts ExecOptions) *Result {
-	res := &Result{Strategy: cq.Strategy, Mat: cq.Mat, Analyze: opts.Analysis}
+// Execute is the one way a compiled program reaches the engine: it builds the
+// executor on dctx, binds the pre-converted input rows (InputRows) and the
+// secondary indexes keyed like them (MapIndexes; nil is always sound —
+// IndexScan then falls back to a full scan plus its span predicate), and runs
+// the steps in order. A query is the one-step program. All steps share the
+// executor, so each step's output — the nested dataset on standard routes, the
+// materialized shredded components on shredded routes — is visible to later
+// steps without re-conversion (paper Section 4), and only the final step of an
+// unshredding strategy restores nested output. Input preparation stays
+// outside the timed region — the paper reports runtime after caching all
+// inputs.
+//
+// Execute shares no mutable state between executions of the same program, so
+// any number may run concurrently; panics anywhere in execution degrade to
+// Result.Err. Cancellation of ctx is honored between statements (best effort
+// — an individual statement runs to completion).
+func Execute(ctx context.Context, prog []*Compiled, rows map[string][]dataflow.Row, idxs map[string]*index.Set, dctx *dataflow.Context, opts ExecOptions) *Result {
+	last := prog[len(prog)-1]
+	res := &Result{Strategy: last.Strategy, Mat: last.Mat, Columns: last.Columns, Analyze: opts.Analysis, FailedStep: -1, prog: prog}
 	func() {
 		var err error
+		step := 0
 		defer func() {
-			if err != nil && res.Err == nil {
-				res.Err = err
+			if err != nil {
+				res.FailedStep, res.Err = step, err
 			}
 		}()
 		defer recoverTo(&err, "execute")
 		ex := exec.New(dctx)
-		ex.SkewAware = cq.Strategy.skewAware()
+		ex.SkewAware = last.Strategy.skewAware()
 		ex.Indexes = idxs
 		ex.Analysis = opts.Analysis
 		for name, r := range rows {
 			ex.BindRows(name, r)
 		}
-		cq.runOn(ctx, ex, res, opts.Span)
+		for i, cq := range prog {
+			step = i
+			start := time.Now()
+			if cq.Strategy.IsShredded() {
+				err = cq.executeShredded(ctx, ex, res, opts.Span)
+			} else {
+				err = cq.executeStandard(ctx, ex, res, opts.Span)
+			}
+			d := time.Since(start)
+			res.StepElapsed = append(res.StepElapsed, d)
+			res.Elapsed += d
+			if err != nil {
+				if len(prog) > 1 {
+					err = fmt.Errorf("step %s: %w", cq.Name, err)
+				}
+				return
+			}
+			if i == len(prog)-1 {
+				break
+			}
+			// Bind the step's output as an input of later steps: the nested
+			// dataset under the step name, or the shredded top bag under the
+			// MatName convention (the step's dictionaries were already bound
+			// per materialized assignment by executeShredded).
+			if cq.Strategy.IsShredded() {
+				ex.Bind(shred.MatName(cq.Name, nil), res.Shredded[cq.Mat.TopName])
+			} else {
+				ex.Bind(cq.Name, res.Output)
+			}
+		}
 	}()
 	res.Metrics = dctx.Metrics.Snapshot()
 	return res
 }
 
-// runOn evaluates the compiled plans on an existing executor. Pipelines use
-// it to share one executor (and therefore the bindings of prior steps'
-// outputs) across the steps of a run. sp, when non-nil, receives one child
-// span per executed statement.
-func (cq *Compiled) runOn(ctx context.Context, ex *exec.Executor, res *Result, sp *trace.Span) {
-	if cq.Strategy.IsShredded() {
-		cq.executeShredded(ctx, ex, res, sp)
-	} else {
-		cq.executeStandard(ctx, ex, res, sp)
+// ExecuteInputs is Execute for one-shot callers holding nested values: it
+// converts the inputs (InputRows) and builds the indexes the plans planned
+// (BuildIndexes) on every call. Callers evaluating a fixed dataset repeatedly
+// convert once and call Execute.
+func ExecuteInputs(ctx context.Context, prog []*Compiled, inputs map[string]value.Bag, dctx *dataflow.Context, opts ExecOptions) *Result {
+	rows, err := prog[0].InputRows(inputs)
+	if err != nil {
+		res := Failure(prog[len(prog)-1].Strategy, err)
+		res.Metrics = dctx.Metrics.Snapshot()
+		return res
 	}
+	var idxs map[string]*index.Set
+	for _, cq := range prog {
+		if idxs = cq.BuildIndexes(inputs); idxs != nil {
+			break
+		}
+	}
+	return Execute(ctx, prog, rows, idxs, dctx, opts)
 }
 
-func (cq *Compiled) executeStandard(ctx context.Context, ex *exec.Executor, res *Result, sp *trace.Span) {
+// executeStandard runs the step's plan on the program's executor, leaving its
+// dataset in res.Output. sp, when non-nil, receives one child span per
+// executed statement.
+func (cq *Compiled) executeStandard(ctx context.Context, ex *exec.Executor, res *Result, sp *trace.Span) error {
 	if err := ctx.Err(); err != nil {
-		res.Err = err
-		return
+		return err
 	}
-
-	start := time.Now()
 	ssp := sp.Child("execute plan")
 	out, err := ex.Run(cq.Plan)
 	if err == nil {
@@ -474,22 +545,21 @@ func (cq *Compiled) executeStandard(ctx context.Context, ex *exec.Executor, res 
 		err = out.Err()
 	}
 	ssp.End()
-	res.Elapsed = time.Since(start)
 	if err != nil {
-		res.Err = err
-		return
+		return err
 	}
 	res.Output = out
+	return nil
 }
 
-func (cq *Compiled) executeShredded(ctx context.Context, ex *exec.Executor, res *Result, sp *trace.Span) {
-	start := time.Now()
+// executeShredded runs the step's materialized assignments (binding each for
+// its downstream consumers) and, under an unshredding strategy, the unshred
+// plan, leaving the components in res.Shredded and the result in res.Output.
+func (cq *Compiled) executeShredded(ctx context.Context, ex *exec.Executor, res *Result, sp *trace.Span) error {
 	outs := map[string]*dataflow.Dataset{}
 	for _, st := range cq.Stmts {
 		if err := ctx.Err(); err != nil {
-			res.Elapsed = time.Since(start)
-			res.Err = err
-			return
+			return err
 		}
 		ssp := sp.Child("execute " + st.Name)
 		d, err := ex.Run(st.Plan)
@@ -499,37 +569,30 @@ func (cq *Compiled) executeShredded(ctx context.Context, ex *exec.Executor, res 
 		}
 		ssp.End()
 		if err != nil {
-			res.Elapsed = time.Since(start)
-			res.Err = fmt.Errorf("assignment %s: %w", st.Name, err)
-			return
+			return fmt.Errorf("assignment %s: %w", st.Name, err)
 		}
 		outs[st.Name] = d
 	}
 	res.Shredded = outs
 	res.Output = outs[cq.Mat.TopName]
-
-	if cq.Strategy.unshreds() {
-		if err := ctx.Err(); err != nil {
-			res.Elapsed = time.Since(start)
-			res.Err = err
-			return
-		}
-		ssp := sp.Child("execute unshred")
-		out, err := ex.Run(cq.Unshred)
-		if err == nil {
-			out.Force()
-			err = out.Err()
-		}
-		ssp.End()
-		res.Elapsed = time.Since(start)
-		if err != nil {
-			res.Err = err
-			return
-		}
-		res.Output = out
-		return
+	if !cq.Strategy.unshreds() {
+		return nil
 	}
-	res.Elapsed = time.Since(start)
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	ssp := sp.Child("execute unshred")
+	out, err := ex.Run(cq.Unshred)
+	if err == nil {
+		out.Force()
+		err = out.Err()
+	}
+	ssp.End()
+	if err != nil {
+		return err
+	}
+	res.Output = out
+	return nil
 }
 
 // OutputPlan returns the plan whose column schema matches the Output dataset

@@ -48,9 +48,12 @@ func diffEnv() nrc.Env {
 var diffStrs = []string{"ash", "birch", "cedar", "oak"}
 
 // dgen deterministically derives datasets and queries from a byte stream.
+// root names the relation the generated comprehensions range over: the input
+// R, or the step that copies it in the program arm.
 type dgen struct {
 	data []byte
 	i    int
+	root string
 }
 
 func (g *dgen) b() byte {
@@ -293,7 +296,7 @@ func (g *dgen) comp(withSub bool) nrc.Expr {
 	if useJoin {
 		body = nrc.ForIn("s", nrc.V("S"), body)
 	}
-	return nrc.ForIn("x", nrc.V("R"), body)
+	return nrc.ForIn("x", nrc.V(g.root), body)
 }
 
 // query builds one top-level query: a plain flat or nested comprehension, or
@@ -448,6 +451,9 @@ type diffCounts struct {
 	optimized int // full runs whose plans the optimizer changed
 	indexed   int // runs that planned at least one index scan
 	typed     int // runs that metered at least one typed-encoding shuffle buffer
+	// shreddedSteps counts program runs whose second step read the first
+	// step's output in shredded form.
+	shreddedSteps int
 }
 
 func (c *diffCounts) add(o diffCounts) {
@@ -455,6 +461,7 @@ func (c *diffCounts) add(o diffCounts) {
 	c.optimized += o.optimized
 	c.indexed += o.indexed
 	c.typed += o.typed
+	c.shreddedSteps += o.shreddedSteps
 }
 
 // runDifferential executes one generated query under the full
@@ -470,11 +477,11 @@ func runDifferential(data []byte, strict bool) (n diffCounts, err error) {
 	limit := diffBroadcastLimits[g.n(len(diffBroadcastLimits))]
 	chosen := g.chooseIndexes()
 	queryAt := g.i
-	mkQuery := func() nrc.Expr {
-		qg := &dgen{data: data, i: queryAt}
+	mkQuery := func(root string) nrc.Expr {
+		qg := &dgen{data: data, i: queryAt, root: root}
 		return qg.query()
 	}
-	q := mkQuery()
+	q := mkQuery("R")
 
 	want, err := oracleEval(q, env, inputs)
 	if err != nil {
@@ -491,7 +498,7 @@ func runDifferential(data []byte, strict bool) (n diffCounts, err error) {
 			}
 			for _, noIdx := range noIdxArms {
 				cfg := diffConfig(full, noIdx, ests, limit)
-				cq, cerr := runner.Compile(mkQuery(), env, strat, cfg)
+				cq, cerr := runner.Compile(mkQuery("R"), env, strat, cfg)
 				if cerr != nil {
 					if strict {
 						return n, fmt.Errorf("%s (full=%t, noidx=%t) does not compile: %v\n%s",
@@ -509,7 +516,7 @@ func runDifferential(data []byte, strict bool) (n diffCounts, err error) {
 					}
 					n.indexed++
 				}
-				res := cq.Execute(context.Background(), inputs, runner.NewRunContext(cfg, cq.Strategy))
+				res := runner.ExecuteInputs(context.Background(), []*runner.Compiled{cq}, inputs, runner.NewRunContext(cfg, cq.Strategy), runner.ExecOptions{})
 				if res.Failed() {
 					return n, fmt.Errorf("%s (full=%t, noidx=%t) failed: %v\n%s",
 						strat, full, noIdx, res.Err, nrc.Print(q))
@@ -531,6 +538,44 @@ func runDifferential(data []byte, strict bool) (n diffCounts, err error) {
 				n.runs++
 			}
 		}
+	}
+
+	// The program arm: the same query as the second step of a two-step
+	// program whose first step copies R, so the query reads a step output —
+	// the nested dataset on standard routes, the shred.MatName components the
+	// first step left bound on shredded ones — instead of a converted input.
+	// The copy is the identity on bags, so the oracle value is unchanged.
+	for _, strat := range diffStrategies {
+		cfg := diffConfig(true, false, ests, limit)
+		prog, cerr := runner.CompilePipeline([]runner.PipelineStep{
+			{Name: "P", Query: nrc.ForIn("x", nrc.V("R"), nrc.SingOf(nrc.V("x")))},
+			{Name: "Out", Query: mkQuery("P")},
+		}, env, strat, cfg)
+		if cerr != nil {
+			if strict {
+				return n, fmt.Errorf("%s program does not compile: %v\n%s", strat, cerr, nrc.Print(q))
+			}
+			return n, errSkip
+		}
+		last := prog[1]
+		res := runner.ExecuteInputs(context.Background(), prog, inputs, runner.NewRunContext(cfg, last.Strategy), runner.ExecOptions{})
+		if res.Failed() {
+			return n, fmt.Errorf("%s program failed at step %d: %v\n%s", strat, res.FailedStep, res.Err, nrc.Print(q))
+		}
+		got, gerr := nestedOutput(last, res)
+		if gerr != nil {
+			return n, fmt.Errorf("%s program unshred: %v\n%s", strat, gerr, nrc.Print(q))
+		}
+		if !value.Equal(got, want) {
+			return n, fmt.Errorf(
+				"%s program (resolved %s, bcast=%d) diverges from the nrc.Eval oracle\nquery over P := R:\n%s\ninputs: %s\n got: %s\nwant: %s\nexplain:\n%s",
+				strat, last.Strategy, limit, nrc.Print(q), value.Format(value.Tuple{inputs["R"], inputs["S"]}),
+				value.Format(got), value.Format(want), runner.Explain(prog))
+		}
+		if last.Strategy.IsShredded() {
+			n.shreddedSteps++
+		}
+		n.runs++
 	}
 	return n, nil
 }
@@ -580,8 +625,13 @@ func TestDifferentialOracle(t *testing.T) {
 	if total.typed < n/4 {
 		t.Fatalf("only %d runs metered a typed-encoding shuffle buffer over %d seeds — the wire-size meter is no longer exercised", total.typed, n)
 	}
-	t.Logf("%d queries × %d runs each agreed with the oracle; optimizer changed plans in %d runs; %d runs planned index scans; %d runs metered typed-encoding shuffle buffers",
-		n, total.runs/n, total.optimized, total.indexed, total.typed)
+	// And the program arm must actually bind step outputs in shredded form,
+	// not only as nested datasets.
+	if total.shreddedSteps < n/10 {
+		t.Fatalf("only %d programs over %d seeds read a step output on a shredded route — step-output binding is no longer exercised", total.shreddedSteps, n)
+	}
+	t.Logf("%d queries × %d runs each agreed with the oracle; optimizer changed plans in %d runs; %d runs planned index scans; %d runs metered typed-encoding shuffle buffers; %d programs read a shredded step output",
+		n, total.runs/n, total.optimized, total.indexed, total.typed, total.shreddedSteps)
 }
 
 // TestAnalyzeStableAcrossRoutes re-runs a sampled subset of the differential
@@ -605,7 +655,7 @@ func TestAnalyzeStableAcrossRoutes(t *testing.T) {
 		chosen := g.chooseIndexes()
 		queryAt := g.i
 		mkQuery := func() nrc.Expr {
-			qg := &dgen{data: data, i: queryAt}
+			qg := &dgen{data: data, i: queryAt, root: "R"}
 			return qg.query()
 		}
 
@@ -623,7 +673,7 @@ func TestAnalyzeStableAcrossRoutes(t *testing.T) {
 				t.Fatalf("seed %d (noidx=%t): compile: %v", seed, noIdx, cerr)
 			}
 			a := plan.NewAnalysis()
-			res := cq.ExecuteWithOpts(context.Background(), inputs,
+			res := runner.ExecuteInputs(context.Background(), []*runner.Compiled{cq}, inputs,
 				runner.NewRunContext(cfg, cq.Strategy), runner.ExecOptions{Analysis: a})
 			if res.Failed() {
 				t.Fatalf("seed %d (noidx=%t): %v", seed, noIdx, res.Err)
@@ -646,7 +696,7 @@ func TestAnalyzeStableAcrossRoutes(t *testing.T) {
 				}
 				measuredRoots++
 			}
-			if text := cq.ExplainAnalyze(res); !strings.Contains(text, "[actual_rows=") {
+			if text := res.ExplainAnalyze(); !strings.Contains(text, "[actual_rows=") {
 				t.Fatalf("seed %d (noidx=%t): analyzed explain carries no runtime annotation:\n%s",
 					seed, noIdx, text)
 			}

@@ -8,12 +8,29 @@ import (
 	"github.com/trance-go/trance/internal/plan"
 )
 
-// Explain renders every compiled plan of the artifact, showing the plan
+// Explain renders every compiled plan of the program, showing each plan
 // before and after the rule-based optimizer pass (predicate pushdown, select
 // fusion, constant folding) plus the optimizer's rule-hit counters. Plans the
-// optimizer left unchanged are printed once. The output backs
-// `trance query -explain`, the tranced GET /explain route, and the golden
+// optimizer left unchanged are printed once, and the steps of a multi-step
+// program each get a "--- step" header. The output backs
+// `trance query -explain`, the tranced /explain routes, and the golden
 // fixtures under internal/runner/testdata.
+func Explain(prog []*Compiled) string {
+	var sb strings.Builder
+	for i, cq := range prog {
+		stepHeader(&sb, prog, i)
+		sb.WriteString(cq.Explain())
+	}
+	return sb.String()
+}
+
+func stepHeader(sb *strings.Builder, prog []*Compiled, i int) {
+	if len(prog) > 1 {
+		fmt.Fprintf(sb, "--- step %d: %s ---\n", i+1, prog[i].Name)
+	}
+}
+
+// Explain is the one-step Explain.
 func (cq *Compiled) Explain() string {
 	var sb strings.Builder
 	cq.explainHeader(&sb)
@@ -56,29 +73,26 @@ func (cq *Compiled) explainHeader(sb *strings.Builder) {
 	}
 }
 
-// ExplainAnalyze renders the compiled plans annotated with the per-operator
-// runtime statistics of one execution (res must come from a run with
-// ExecOptions.Analysis set). Each operator line gains actual rows and wall
-// time beside its static [est_rows=…] annotation; joins and index
-// scans additionally get a q-error summary block comparing the optimizer's
-// cardinality estimate against the observed row count.
-func (cq *Compiled) ExplainAnalyze(res *Result) string {
+// ExplainAnalyze renders the plans of the program that produced the result,
+// annotated with the per-operator runtime statistics of that execution (a run
+// with ExecOptions.Analysis set). Each operator line gains actual rows and
+// wall time beside its static [est_rows=…] annotation; joins and index scans
+// additionally get a q-error summary block per step comparing the optimizer's
+// cardinality estimate against the observed row count. Rendering from the
+// result — not from a fresh lookup — means the plans shown are the ones that
+// ran, whatever the catalog did since.
+func (r *Result) ExplainAnalyze() string {
 	var sb strings.Builder
-	cq.explainHeader(&sb)
-	a := res.Analyze
-	if a == nil {
-		sb.WriteString("analyze: no runtime statistics collected (run with analyze enabled)\n")
-		return sb.String()
-	}
+	a := r.Analyze
 	wall := map[string]time.Duration{}
-	for _, st := range res.Metrics.StageWall {
+	for _, st := range r.Metrics.StageWall {
 		wall[st.Stage] += st.Wall
 	}
 	// Shuffle stages are named under the operator's base stage plus a side
 	// suffix ("join#1/L"); node stats carry the base name, so the exchange
 	// accounting aggregates under the text before the first '/'.
 	exch := map[string]plan.ExchangeStat{}
-	for _, se := range res.Metrics.StageExchange {
+	for _, se := range r.Metrics.StageExchange {
 		base := se.Stage
 		if i := strings.IndexByte(base, '/'); i >= 0 {
 			base = base[:i]
@@ -90,25 +104,36 @@ func (cq *Compiled) ExplainAnalyze(res *Result) string {
 		cur.BoxedBytes += se.BoxedBytes
 		exch[base] = cur
 	}
-	if cq.Plan != nil {
-		fmt.Fprintf(&sb, "=== plan (analyzed) ===\n%s", plan.ExplainAnalyzed(cq.Plan, a, wall, exch))
-	}
-	for _, st := range cq.Stmts {
-		fmt.Fprintf(&sb, "=== assignment %s (analyzed) ===\n%s", st.Name, plan.ExplainAnalyzed(st.Plan, a, wall, exch))
-	}
-	if cq.Unshred != nil {
-		fmt.Fprintf(&sb, "=== unshred plan (analyzed) ===\n%s", plan.ExplainAnalyzed(cq.Unshred, a, wall, exch))
-	}
-	qerrs := cq.qErrors(a)
-	if len(qerrs) > 0 {
-		sb.WriteString("=== q-error (estimate vs actual) ===\n")
-		for _, q := range qerrs {
-			fmt.Fprintf(&sb, "q-error %.2f  est=%d actual=%d  %s\n", q.Q, q.Est, q.Actual, q.Node)
+	for i, cq := range r.prog {
+		stepHeader(&sb, r.prog, i)
+		cq.explainHeader(&sb)
+		if a == nil {
+			continue
+		}
+		if cq.Plan != nil {
+			fmt.Fprintf(&sb, "=== plan (analyzed) ===\n%s", plan.ExplainAnalyzed(cq.Plan, a, wall, exch))
+		}
+		for _, st := range cq.Stmts {
+			fmt.Fprintf(&sb, "=== assignment %s (analyzed) ===\n%s", st.Name, plan.ExplainAnalyzed(st.Plan, a, wall, exch))
+		}
+		if cq.Unshred != nil {
+			fmt.Fprintf(&sb, "=== unshred plan (analyzed) ===\n%s", plan.ExplainAnalyzed(cq.Unshred, a, wall, exch))
+		}
+		qerrs := cq.qErrors(a)
+		if len(qerrs) > 0 {
+			sb.WriteString("=== q-error (estimate vs actual) ===\n")
+			for _, q := range qerrs {
+				fmt.Fprintf(&sb, "q-error %.2f  est=%d actual=%d  %s\n", q.Q, q.Est, q.Actual, q.Node)
+			}
 		}
 	}
+	if a == nil {
+		sb.WriteString("analyze: no runtime statistics collected (run with analyze enabled)\n")
+		return sb.String()
+	}
 	fmt.Fprintf(&sb, "execution: wall=%s shuffled=%dB rows_shuffled=%d\n",
-		res.Elapsed.Round(time.Microsecond), res.Metrics.ShuffleBytes, res.Metrics.ShuffleRecords)
-	if e := res.Metrics.Exchange; e.ColumnarBuffers+e.BoxedBuffers > 0 {
+		r.Elapsed.Round(time.Microsecond), r.Metrics.ShuffleBytes, r.Metrics.ShuffleRecords)
+	if e := r.Metrics.Exchange; e.ColumnarBuffers+e.BoxedBuffers > 0 {
 		fmt.Fprintf(&sb, "exchange: columnar_buffers=%d boxed_buffers=%d columnar_bytes=%dB boxed_bytes=%dB\n",
 			e.ColumnarBuffers, e.BoxedBuffers, e.ColumnarBytes, e.BoxedBytes)
 	}
@@ -145,13 +170,4 @@ func explainPair(sb *strings.Builder, what string, raw, opt plan.Op) {
 	}
 	fmt.Fprintf(sb, "=== %s (before optimizer) ===\n%s", what, before)
 	fmt.Fprintf(sb, "=== %s (after optimizer) ===\n%s", what, after)
-}
-
-// ExplainPipeline renders the Explain of every step of a compiled pipeline.
-func (cp *CompiledPipeline) ExplainPipeline() string {
-	var sb strings.Builder
-	for i, st := range cp.Steps {
-		fmt.Fprintf(&sb, "--- step %d: %s ---\n%s", i+1, st.Name, st.CQ.Explain())
-	}
-	return sb.String()
 }

@@ -105,11 +105,11 @@ func TestGoldenExplains(t *testing.T) {
 
 	// The five-step biomedical pipeline under the standard route.
 	{
-		cp, err := runner.CompilePipeline(biomed.Steps(), biomed.Env(), runner.Standard, cfg)
+		prog, err := runner.CompilePipeline(biomed.Steps(), biomed.Env(), runner.Standard, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		write("biomed-pipeline.explain", cp.ExplainPipeline())
+		write("biomed-pipeline.explain", runner.Explain(prog))
 	}
 
 	// Cost-annotated plans: the same flat-to-nested query compiled against

@@ -3,13 +3,8 @@ package runner
 import (
 	"context"
 	"fmt"
-	"time"
 
-	"github.com/trance-go/trance/internal/dataflow"
-	"github.com/trance-go/trance/internal/exec"
-	"github.com/trance-go/trance/internal/index"
 	"github.com/trance-go/trance/internal/nrc"
-	"github.com/trance-go/trance/internal/shred"
 	"github.com/trance-go/trance/internal/value"
 )
 
@@ -18,32 +13,6 @@ import (
 type PipelineStep struct {
 	Name  string
 	Query nrc.Expr
-}
-
-// PipelineResult reports a pipeline run: per-step runtimes and the first
-// failure, if any. In shredded strategies intermediate results stay shredded
-// between steps (paper Section 4: shredded output feeds the next constituent
-// query without reconstruction); only the final step unshreds under the
-// unshredding strategies. The whole pipeline typechecks and compiles before
-// any step executes, so a malformed step fails the run with an empty
-// StepElapsed rather than after earlier steps have burned time.
-type PipelineResult struct {
-	Strategy    Strategy
-	StepElapsed []time.Duration
-	FailedStep  int // -1 when every step completed
-	Err         error
-	Metrics     dataflow.Snapshot
-	// Output is the final step's result dataset (top bag when shredded
-	// without unshredding).
-	Output *dataflow.Dataset
-}
-
-// Failed reports whether any step crashed.
-func (r *PipelineResult) Failed() bool { return r.Err != nil }
-
-func (r *PipelineResult) fail(step int, err error) {
-	r.FailedStep = step
-	r.Err = err
 }
 
 // StepError tags a pipeline typecheck/compile failure with the step it
@@ -96,10 +65,16 @@ func ResolveSteps(steps []PipelineStep, env nrc.Env) (envs []nrc.Env, outs []nrc
 	return envs, outs, nil
 }
 
-// StepStrategy is the effective strategy for one step: intermediate steps of
-// an unshredding pipeline stay shredded (their consumers read the shredded
-// components directly), only the last step pays for unshredding.
-func StepStrategy(strat Strategy, last bool) Strategy {
+// StepStrategy is the effective strategy for one step of a program. Auto
+// resolves once, at the first step (first is its compilation, nil while
+// compiling it): later steps read its output in the representation its route
+// left bound — nested or shredded — so they follow that route. Intermediate
+// steps of an unshredding program stay shredded (their consumers read the
+// shredded components directly); only the last step pays for unshredding.
+func StepStrategy(strat Strategy, first *Compiled, last bool) Strategy {
+	if strat == Auto && first != nil {
+		strat = first.Strategy
+	}
 	if last || !strat.unshreds() {
 		return strat
 	}
@@ -109,128 +84,33 @@ func StepStrategy(strat Strategy, last bool) Strategy {
 	return Shred
 }
 
-// CompiledStep is one compiled constituent of a CompiledPipeline.
-type CompiledStep struct {
-	Name string
-	// Out is the step's checked (nested) output type.
-	Out nrc.Type
-	// CQ is the step's compiled artifact under the step's effective strategy.
-	CQ *Compiled
-}
-
-// CompiledPipeline holds the per-step compiled artifacts of a pipeline. Like
-// Compiled, it is immutable after construction and safe to Execute from many
-// goroutines at once over different inputs.
-type CompiledPipeline struct {
-	Strategy Strategy
-	Cfg      Config
-	Steps    []CompiledStep
-}
-
 // CompilePipeline typechecks and compiles every step up front (each against
-// the base env extended with prior outputs). Serving paths that run the same
-// pipeline repeatedly should compile the steps through a plan cache instead
-// and assemble the CompiledPipeline themselves — the root package's
-// PreparePipeline does.
-func CompilePipeline(steps []PipelineStep, env nrc.Env, strat Strategy, cfg Config) (*CompiledPipeline, error) {
-	envs, outs, err := ResolveSteps(steps, env)
+// the base env extended with prior outputs) into the program Execute runs.
+// Serving paths that run the same program repeatedly compile the steps through
+// a plan cache instead — the root package's Prepare/PreparePipeline do.
+func CompilePipeline(steps []PipelineStep, env nrc.Env, strat Strategy, cfg Config) ([]*Compiled, error) {
+	envs, _, err := ResolveSteps(steps, env)
 	if err != nil {
 		return nil, err
 	}
-	cp := &CompiledPipeline{Strategy: strat, Cfg: cfg}
+	prog := make([]*Compiled, len(steps))
 	for i, st := range steps {
-		eff := StepStrategy(strat, i == len(steps)-1)
-		cq, err := CompileStep(st.Query, envs[i], eff, cfg, st.Name)
-		if err != nil {
+		eff := StepStrategy(strat, prog[0], i == len(steps)-1)
+		if prog[i], err = CompileStep(st.Query, envs[i], eff, cfg, st.Name); err != nil {
 			return nil, &StepError{Step: i, Name: st.Name, Err: err}
 		}
-		cp.Steps = append(cp.Steps, CompiledStep{Name: st.Name, Out: outs[i], CQ: cq})
 	}
-	return cp, nil
-}
-
-// Execute runs the compiled steps in order over one set of inputs on the
-// given dataflow context: InputRows + ExecuteRows. All steps share one
-// executor, so each step's output — the nested dataset on standard routes,
-// the materialized shredded components on shredded routes — is visible to
-// later steps without re-conversion. Input preparation stays outside the
-// timed region.
-func (cp *CompiledPipeline) Execute(ctx context.Context, inputs map[string]value.Bag, dctx *dataflow.Context) *PipelineResult {
-	rows, err := cp.Steps[0].CQ.InputRows(inputs)
-	if err != nil {
-		return &PipelineResult{Strategy: cp.Strategy, FailedStep: 0, Err: err, Metrics: dctx.Metrics.Snapshot()}
-	}
-	return cp.ExecuteRows(ctx, rows, dctx)
-}
-
-// ExecuteRows is Execute over pre-converted input rows (the first step's
-// Compiled.InputRows); serving paths evaluating a fixed dataset repeatedly
-// compute the conversion once and pass it here.
-func (cp *CompiledPipeline) ExecuteRows(ctx context.Context, rows map[string][]dataflow.Row, dctx *dataflow.Context) *PipelineResult {
-	return cp.ExecuteRowsIndexed(ctx, rows, nil, dctx)
-}
-
-// ExecuteRowsIndexed is ExecuteRows with bound secondary indexes, keyed like
-// rows for the pipeline's route (see Compiled.MapIndexes); IndexScan nodes of
-// any step resolve spans against them.
-func (cp *CompiledPipeline) ExecuteRowsIndexed(ctx context.Context, rows map[string][]dataflow.Row, idxs map[string]*index.Set, dctx *dataflow.Context) *PipelineResult {
-	res := &PipelineResult{Strategy: cp.Strategy, FailedStep: -1}
-	func() {
-		var err error
-		step := 0
-		defer func() {
-			if err != nil && res.Err == nil {
-				res.fail(step, err)
-			}
-		}()
-		defer recoverTo(&err, "pipeline execute")
-
-		ex := exec.New(dctx)
-		ex.SkewAware = cp.Strategy.skewAware()
-		ex.Indexes = idxs
-		for name, r := range rows {
-			ex.BindRows(name, r)
-		}
-		for i, st := range cp.Steps {
-			step = i
-			sres := &Result{Strategy: st.CQ.Strategy, Mat: st.CQ.Mat}
-			st.CQ.runOn(ctx, ex, sres, nil)
-			res.StepElapsed = append(res.StepElapsed, sres.Elapsed)
-			if sres.Err != nil {
-				err = fmt.Errorf("step %s: %w", st.Name, sres.Err)
-				return
-			}
-			res.Output = sres.Output
-			if i == len(cp.Steps)-1 {
-				break
-			}
-			// Bind the step's output as an input of later steps: the nested
-			// dataset under the step name, or the shredded top bag under the
-			// MatName convention (the step's dictionaries were already bound
-			// per materialized assignment by the shredded executor).
-			if st.CQ.Strategy.IsShredded() {
-				ex.Bind(shred.MatName(st.Name, nil), sres.Shredded[st.CQ.Mat.TopName])
-			} else {
-				ex.Bind(st.Name, sres.Output)
-			}
-		}
-	}()
-	res.Metrics = dctx.Metrics.Snapshot()
-	return res
+	return prog, nil
 }
 
 // RunPipeline executes the steps in order under one strategy, binding each
 // step's output as an input of later steps: one-shot compile + execute.
 // Serving paths should use the root package's PreparePipeline, which reuses
 // the process-wide plan cache across calls.
-func RunPipeline(steps []PipelineStep, env nrc.Env, inputs map[string]value.Bag, strat Strategy, cfg Config) *PipelineResult {
-	cp, err := CompilePipeline(steps, env, strat, cfg)
+func RunPipeline(steps []PipelineStep, env nrc.Env, inputs map[string]value.Bag, strat Strategy, cfg Config) *Result {
+	prog, err := CompilePipeline(steps, env, strat, cfg)
 	if err != nil {
-		res := &PipelineResult{Strategy: strat, FailedStep: 0, Err: err}
-		if se, ok := err.(*StepError); ok {
-			res.FailedStep = se.Step
-		}
-		return res
+		return Failure(strat, err)
 	}
-	return cp.Execute(context.Background(), inputs, NewRunContext(cfg, strat))
+	return ExecuteInputs(context.Background(), prog, inputs, NewRunContext(cfg, strat), ExecOptions{})
 }

@@ -6,9 +6,11 @@ package runner
 
 import (
 	"context"
+	"errors"
 	"time"
 
 	"github.com/trance-go/trance/internal/dataflow"
+	"github.com/trance-go/trance/internal/ingest"
 	"github.com/trance-go/trance/internal/nrc"
 	"github.com/trance-go/trance/internal/plan"
 	"github.com/trance-go/trance/internal/shred"
@@ -212,18 +214,29 @@ type Job struct {
 	Inputs map[string]value.Bag
 }
 
-// Result reports one strategy execution.
+// Result reports one execution of a program (a query is the one-step
+// program) under one strategy.
 type Result struct {
+	// Strategy is the route the final step ran on — the resolved route when
+	// Auto was requested.
 	Strategy Strategy
-	// Output is the result dataset: nested rows for Standard/SparkSQL and
-	// unshredding strategies, the materialized top bag for Shred.
+	// Output is the final step's result dataset: nested rows for
+	// Standard/SparkSQL and unshredding strategies, the materialized top bag
+	// for Shred.
 	Output *dataflow.Dataset
-	// Shredded holds every materialized assignment for shredded strategies.
+	// Columns is the flat schema of Output, from the same compilation the rows
+	// came from (see OutputColumn).
+	Columns []OutputColumn
+	// Shredded holds every materialized assignment of the final step for
+	// shredded strategies.
 	Shredded map[string]*dataflow.Dataset
-	// Mat is the materialized program (shredded strategies only).
+	// Mat is the final step's materialized program (shredded strategies only).
 	Mat     *shred.Materialized
 	Metrics dataflow.Snapshot
-	Elapsed time.Duration
+	// Elapsed is the total of StepElapsed, the per-step runtimes (one entry
+	// per step that started; input conversion is outside the timed region).
+	Elapsed     time.Duration
+	StepElapsed []time.Duration
 	// Analyze holds per-operator runtime statistics when the run executed
 	// with ExecOptions.Analysis set (EXPLAIN ANALYZE); nil otherwise.
 	Analyze *plan.Analysis
@@ -231,12 +244,53 @@ type Result struct {
 	// the caller attached one; empty otherwise.
 	TraceID string
 	// Err is non-nil when the run failed (e.g. simulated memory saturation —
-	// the paper's F entries).
-	Err error
+	// the paper's F entries), and FailedStep is then the index of the step it
+	// failed in; FailedStep is -1 when every step completed. The whole program
+	// typechecks and compiles before any step executes, so a malformed step
+	// fails the run with an empty StepElapsed rather than after earlier steps
+	// have burned time.
+	Err        error
+	FailedStep int
+
+	// prog is the compiled program that produced the result (ExplainAnalyze).
+	prog []*Compiled
 }
 
 // Failed reports whether the run crashed.
 func (r *Result) Failed() bool { return r.Err != nil }
+
+// Failure reports a run that never reached the executor: a typecheck, compile
+// or input-conversion error. FailedStep comes from the StepError when the
+// error carries one.
+func Failure(strat Strategy, err error) *Result {
+	res := &Result{Strategy: strat, Err: err}
+	var se *StepError
+	if errors.As(err, &se) {
+		res.FailedStep = se.Step
+	}
+	return res
+}
+
+// JSON renders the output rows as objects typed by Columns, in the engine's
+// canonical sorted order — the query half of the catalog's JSON-in → query →
+// JSON-out round trip. A positive limit keeps only the first limit rows;
+// total counts them all.
+func (r *Result) JSON(limit int) (out []map[string]any, total int) {
+	fields := make([]nrc.Field, len(r.Columns))
+	for i, c := range r.Columns {
+		fields[i] = nrc.Field{Name: c.Name, Type: c.Type}
+	}
+	rows := r.Output.CollectSorted()
+	total = len(rows)
+	if limit > 0 && total > limit {
+		rows = rows[:limit]
+	}
+	tuples := make([]value.Tuple, len(rows))
+	for i, row := range rows {
+		tuples[i] = value.Tuple(row)
+	}
+	return ingest.EncodeRows(tuples, fields), total
+}
 
 // Run executes the job under the given strategy: one-shot compile + execute.
 // Serving paths that evaluate the same query repeatedly should Compile once
@@ -244,9 +298,9 @@ func (r *Result) Failed() bool { return r.Err != nil }
 func Run(job Job, strat Strategy, cfg Config) *Result {
 	cq, err := Compile(job.Query, job.Env, strat, cfg)
 	if err != nil {
-		return &Result{Strategy: strat, Err: err}
+		return Failure(strat, err)
 	}
-	return cq.Execute(context.Background(), job.Inputs, NewRunContext(cfg, strat))
+	return ExecuteInputs(context.Background(), []*Compiled{cq}, job.Inputs, NewRunContext(cfg, strat), ExecOptions{})
 }
 
 func rowsOf(b value.Bag) []dataflow.Row {

@@ -178,7 +178,7 @@ func TestCompileOnceExecuteMany(t *testing.T) {
 			t.Fatalf("%s run: %v", strat, want.Err)
 		}
 		for i := 0; i < 2; i++ {
-			res := cq.Execute(context.Background(), inputs, NewRunContext(cfg, strat))
+			res := ExecuteInputs(context.Background(), []*Compiled{cq}, inputs, NewRunContext(cfg, strat), ExecOptions{})
 			if res.Failed() {
 				t.Fatalf("%s execute %d: %v", strat, i, res.Err)
 			}
@@ -224,7 +224,7 @@ func TestExecuteHonorsCancellation(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res := cq.Execute(ctx, inputs, NewRunContext(DefaultConfig(), Shred))
+	res := ExecuteInputs(ctx, []*Compiled{cq}, inputs, NewRunContext(DefaultConfig(), Shred), ExecOptions{})
 	if !res.Failed() || !errors.Is(res.Err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", res.Err)
 	}

@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -33,8 +34,7 @@ func NewPool(workers int) *Pool { return dataflow.NewPool(workers) }
 // machine by default.
 var defaultPool = dataflow.NewPool(0)
 
-// poolFor resolves the worker pool for a prepared query, pipeline or
-// session: the explicit override, else a private pool sized by
+// poolFor resolves the worker pool for a prepared query or session: the explicit override, else a private pool sized by
 // Config.Workers when set, else the process-wide default.
 func poolFor(cfg Config, override *Pool) *Pool {
 	if override != nil {
@@ -64,25 +64,32 @@ type PrepareOptions struct {
 	Pool *Pool
 }
 
-// PreparedQuery is a query compiled once and evaluated many times. All
-// methods are safe for concurrent use: any number of goroutines may Run the
-// same PreparedQuery over different datasets at once; they share the
+// PreparedQuery is a program — one or more named steps, a query being the
+// one-step case — compiled once and evaluated many times. Every step's
+// compilation goes through the process-wide plan cache, keyed by an env-aware
+// fingerprint: a step's key digests the step query, the base environment plus
+// the resolved output types of every prior step, and its effective strategy.
+// Two programs sharing a prefix therefore share the prefix's compiled plans,
+// and re-preparing the same program compiles nothing.
+//
+// All methods are safe for concurrent use: any number of goroutines may Run
+// the same PreparedQuery over different datasets at once; they share the
 // per-strategy compiled plans and one bounded worker pool, while every run
 // gets its own dataflow context and metrics.
 type PreparedQuery struct {
-	name    string
-	query   Expr
-	env     Env
-	cfg     Config
-	outType Type
-	pool    *Pool
-	fp      string // fingerprint of (query, env, compile-relevant config)
+	name  string
+	steps []PipelineStep
+	envs  []Env    // per-step compile environment (base + prior outputs)
+	outs  []Type   // per-step checked output type
+	fps   []string // per-step fingerprint of (query, env, compile-relevant config)
+	cfg   Config
+	pool  *Pool
 
-	// compileMu serializes strategy compilations of this query: compilation
-	// type-annotates the shared AST in place, so concurrent first-Runs under
-	// different strategies must not compile simultaneously. Cache hits do not
-	// take the lock. It is a pointer so a session's generation refresh can
-	// share one mutex across re-preparations of the same AST.
+	// compileMu serializes strategy compilations of this program: compilation
+	// type-annotates the shared step ASTs in place, so concurrent first-Runs
+	// under different strategies must not compile simultaneously. Cache hits do
+	// not take the lock. It is a pointer so a session's generation refresh can
+	// share one mutex across re-preparations of the same ASTs.
 	compileMu *sync.Mutex
 }
 
@@ -99,10 +106,6 @@ func Prepare(query Expr, opts PrepareOptions) (*PreparedQuery, error) {
 	if opts.Env == nil {
 		return nil, fmt.Errorf("trance: Prepare requires PrepareOptions.Env")
 	}
-	cfg := DefaultConfig()
-	if opts.Config != nil {
-		cfg = *opts.Config
-	}
 	t, err := nrc.Check(query, opts.Env)
 	if err != nil {
 		if opts.Name != "" {
@@ -110,263 +113,181 @@ func Prepare(query Expr, opts PrepareOptions) (*PreparedQuery, error) {
 		}
 		return nil, err
 	}
-	pq := &PreparedQuery{
-		name:      opts.Name,
-		query:     query,
-		env:       opts.Env,
-		cfg:       cfg,
-		outType:   t,
-		pool:      poolFor(cfg, opts.Pool),
-		fp:        fingerprint(query, opts.Env, cfg),
-		compileMu: &sync.Mutex{},
+	pq := newPrepared(opts, []PipelineStep{{Name: "Q", Query: query}}, []Env{opts.Env}, []Type{t})
+	pq.fps = []string{fingerprint(query, opts.Env, pq.cfg)}
+	return pq, pq.compileEager(opts.Strategies)
+}
+
+// PreparePipeline is Prepare for a multi-step program: every step typechecks
+// against the base environment extended with the outputs of prior steps, and
+// each (step, strategy) compiles exactly once process-wide. Shredded
+// strategies keep intermediate results shredded between steps and unshred
+// only the final output (paper Section 4).
+//
+// PreparePipeline takes ownership of the step ASTs; do not share them
+// between concurrent Prepare calls.
+func PreparePipeline(steps []PipelineStep, opts PrepareOptions) (*PreparedQuery, error) {
+	if opts.Env == nil {
+		return nil, fmt.Errorf("trance: PreparePipeline requires PrepareOptions.Env")
 	}
-	for _, s := range opts.Strategies {
-		if _, err := pq.compiled(s); err != nil {
-			return nil, fmt.Errorf("prepare %s (%s): %w", pq.label(), s, err)
+	envs, outs, err := runner.ResolveSteps(steps, opts.Env)
+	if err != nil {
+		if opts.Name != "" {
+			return nil, fmt.Errorf("prepare pipeline %s: %w", opts.Name, err)
+		}
+		return nil, err
+	}
+	pq := newPrepared(opts, append([]PipelineStep(nil), steps...), envs, outs)
+	for i, st := range steps {
+		pq.fps = append(pq.fps, fingerprint(st.Query, envs[i], pq.cfg)+"|step="+st.Name)
+	}
+	return pq, pq.compileEager(opts.Strategies)
+}
+
+func newPrepared(opts PrepareOptions, steps []PipelineStep, envs []Env, outs []Type) *PreparedQuery {
+	cfg := DefaultConfig()
+	if opts.Config != nil {
+		cfg = *opts.Config
+	}
+	return &PreparedQuery{
+		name: opts.Name, steps: steps, envs: envs, outs: outs,
+		cfg: cfg, pool: poolFor(cfg, opts.Pool), compileMu: &sync.Mutex{},
+	}
+}
+
+func (pq *PreparedQuery) compileEager(strats []Strategy) error {
+	for _, s := range strats {
+		if _, _, err := pq.compiled(s); err != nil {
+			return fmt.Errorf("prepare %s (%s): %w", pq.label(), s, err)
 		}
 	}
-	return pq, nil
+	return nil
 }
 
 func (pq *PreparedQuery) label() string {
 	if pq.name != "" {
 		return pq.name
 	}
-	return "query " + pq.fp[:12]
+	return "query " + pq.fps[0][:12]
 }
 
 // Name returns the label given at Prepare time.
 func (pq *PreparedQuery) Name() string { return pq.name }
 
-// Fingerprint returns the hex digest identifying (query, environment,
-// compile-relevant config) in the compilation cache. Strategy keys are
-// derived from it.
-func (pq *PreparedQuery) Fingerprint() string { return pq.fp }
+// Fingerprint returns what identifies (program, environment, compile-relevant
+// config) in the compilation cache: the hex digest of a query, the ";"-joined
+// per-step fingerprints of a multi-step program. Strategy keys are derived
+// from it.
+func (pq *PreparedQuery) Fingerprint() string { return strings.Join(pq.fps, ";") }
 
-// OutType returns the query's checked output type.
-func (pq *PreparedQuery) OutType() Type { return pq.outType }
-
-// Query returns the prepared NRC expression (shared AST — treat as
-// read-only).
-func (pq *PreparedQuery) Query() Expr { return pq.query }
+// OutType returns the checked output type (of the final step).
+func (pq *PreparedQuery) OutType() Type { return pq.outs[len(pq.outs)-1] }
 
 // OutputColumn describes one column of a strategy's output dataset.
-type OutputColumn struct {
-	Name string
-	Type Type
-}
+type OutputColumn = runner.OutputColumn
 
-// OutputColumns reports the flat schema of the dataset Run returns under the
-// strategy: the nested output schema for standard and unshredding routes,
-// the materialized top-bag schema (labels in place of inner bags) for Shred.
-// It compiles the strategy if needed.
-func (pq *PreparedQuery) OutputColumns(strat Strategy) ([]OutputColumn, error) {
-	cq, err := pq.compiled(strat)
-	if err != nil {
-		return nil, err
-	}
-	op := cq.OutputPlan()
-	if op == nil {
-		return nil, fmt.Errorf("%s (%s): no output plan", pq.label(), strat)
-	}
-	var cols []OutputColumn
-	for _, c := range op.Columns() {
-		cols = append(cols, OutputColumn{Name: c.Name, Type: c.Type})
-	}
-	return cols, nil
-}
-
-// OutputSchema is OutputColumns with the query's own field names: when the
-// strategy's output is the nested value (standard routes and unshredding
-// routes), the columns carry the checked output type's names and types
-// instead of the plan's internal column labels (which prefix nested fields
-// with compiler variables, e.g. "co.odate"). For Shred the materialized
-// top-bag columns are returned unchanged. JSON encoders should prefer this.
+// OutputSchema reports the flat schema of the dataset Run returns under the
+// strategy, compiling it if needed: the query's own field names and types
+// when the output is the nested value (standard and unshredding routes), the
+// materialized top-bag columns (labels in place of inner bags) for Shred. A
+// Result carries the same schema as Result.Columns.
 func (pq *PreparedQuery) OutputSchema(strat Strategy) ([]OutputColumn, error) {
-	cols, err := pq.OutputColumns(strat)
+	prog, _, err := pq.compiled(strat)
 	if err != nil {
 		return nil, err
 	}
-	return namedSchema(cols, pq.outType, strat), nil
+	return prog[len(prog)-1].Columns, nil
 }
 
-// namedSchema maps a strategy's plan output columns to the query's own field
-// names where the output is the nested value (see OutputSchema).
-func namedSchema(cols []OutputColumn, outType Type, strat Strategy) []OutputColumn {
-	if strat.IsShredded() && !(strat == ShredUnshred || strat == ShredUnshredSkew) {
-		return cols
+// Explain compiles the strategy if needed and renders every plan of every
+// step before and after the rule-based optimizer pass (predicate pushdown,
+// select fusion, constant folding), plus the optimizer's rule-hit counters —
+// the text behind `trance query -explain` and the tranced /explain routes.
+// For the plans annotated with what a run observed, Run with Analyze() and
+// render Result.ExplainAnalyze.
+func (pq *PreparedQuery) Explain(strat Strategy) (string, error) {
+	prog, _, err := pq.compiled(strat)
+	if err != nil {
+		return "", fmt.Errorf("%s (%s): %w", pq.label(), strat, err)
 	}
-	bt, ok := outType.(nrc.BagType)
-	if !ok {
-		return cols
-	}
-	if tt, ok := bt.Elem.(nrc.TupleType); ok && len(tt.Fields) == len(cols) {
-		out := make([]OutputColumn, len(tt.Fields))
-		for i, f := range tt.Fields {
-			out[i] = OutputColumn{Name: f.Name, Type: f.Type}
-		}
-		return out
-	}
-	if len(cols) == 1 {
-		return []OutputColumn{{Name: cols[0].Name, Type: bt.Elem}}
-	}
-	return cols
+	return runner.Explain(prog), nil
 }
 
-// ExplainOption configures PreparedQuery.Explain.
-type ExplainOption func(*explainOptions)
+// RunOption adjusts one Run.
+type RunOption func(*runOptions)
 
-type explainOptions struct {
-	analyze bool
-	inputs  map[string]Bag
-	data    *PreparedData
-}
+type runOptions struct{ analyze bool }
 
-// WithAnalyze makes Explain execute the query over the given inputs and
-// annotate every plan operator with the observed runtime statistics — actual
-// rows in/out, wall time, index probe outcomes — beside the
-// static cost annotations, followed by a per-join/per-scan q-error summary
-// (EXPLAIN ANALYZE).
-func WithAnalyze(inputs map[string]Bag) ExplainOption {
-	return func(o *explainOptions) { o.analyze, o.inputs = true, inputs }
-}
+// Analyze instruments the run (EXPLAIN ANALYZE): the execution collects
+// per-operator runtime statistics — actual rows in/out, wall time, index probe
+// outcomes — into Result.Analyze, and Result.ExplainAnalyze renders the plans
+// with them beside the static cost annotations, followed by a q-error summary.
+// The instrumented run is slightly slower; leave it off on hot paths.
+func Analyze() RunOption { return func(o *runOptions) { o.analyze = true } }
 
-// WithAnalyzeBound is WithAnalyze over data bound with BindData: the serving
-// path, where input conversion is cached and catalog indexes are bound.
-func WithAnalyzeBound(data *PreparedData) ExplainOption {
-	return func(o *explainOptions) { o.analyze, o.data = true, data }
-}
-
-// Explain compiles the strategy if needed and renders every plan of the
-// compiled artifact before and after the rule-based optimizer pass
-// (predicate pushdown, select fusion, constant folding), plus the
-// optimizer's rule-hit counters — the text behind `trance query -explain`
-// and the tranced GET /explain route. With WithAnalyze/WithAnalyzeBound the
-// query is additionally executed and the plans are rendered with per-operator
-// runtime statistics and a q-error summary.
-func (pq *PreparedQuery) Explain(strat Strategy, opts ...ExplainOption) (string, error) {
-	var o explainOptions
+// Run evaluates the prepared program under the strategy over data bound with
+// BindData (pq.Run(ctx, pq.BindData(inputs), strat) for a one-off). The
+// compiled plans are looked up in the compilation cache (and compiled on first
+// use); input conversion is cached per route on the data; execution runs on a
+// fresh dataflow context drawing workers from the shared pool. A nil Result
+// means the program did not compile (or ctx was already done); failures from
+// there on (including recovered panics) return the Result — its Metrics,
+// StepElapsed and FailedStep are valid — beside the error. Cancellation of ctx
+// is honored between plan statements. When ctx carries a trace the run records
+// compile, bind and execute spans and stamps Result.TraceID.
+func (pq *PreparedQuery) Run(ctx context.Context, data *PreparedData, strat Strategy, opts ...RunOption) (*Result, error) {
+	var o runOptions
 	for _, fn := range opts {
 		fn(&o)
 	}
-	cq, err := pq.compiled(strat)
-	if err != nil {
-		return "", fmt.Errorf("%s (%s): %w", pq.label(), strat, err)
-	}
-	if !o.analyze {
-		return cq.Explain(), nil
-	}
-	var res *Result
-	if o.data != nil {
-		res, err = pq.runBound(context.Background(), o.data, strat, true)
+	tr := trace.From(ctx)
+	csp := tr.Span().Child("compile")
+	prog, compiledNow, err := pq.compiled(strat)
+	if compiledNow {
+		csp.Set("cache", "miss")
 	} else {
-		res, err = pq.run(context.Background(), o.inputs, strat, true)
+		csp.Set("cache", "hit")
 	}
-	if err != nil {
-		return "", err
+	if err == nil {
+		csp.Set("strategy", prog[len(prog)-1].Strategy.String())
 	}
-	return cq.ExplainAnalyze(res), nil
-}
-
-// ExplainAnalyzeResult renders the analyzed plans of a Result produced by
-// RunAnalyzed/RunBoundAnalyzed under the same strategy, without re-running.
-func (pq *PreparedQuery) ExplainAnalyzeResult(strat Strategy, res *Result) (string, error) {
-	cq, err := pq.compiled(strat)
-	if err != nil {
-		return "", fmt.Errorf("%s (%s): %w", pq.label(), strat, err)
-	}
-	return cq.ExplainAnalyze(res), nil
-}
-
-// Run evaluates the prepared query under the strategy over one set of
-// inputs. The compiled plans are looked up in the compilation cache (and
-// compiled on first use); execution runs on a fresh dataflow context drawing
-// workers from the prepared query's shared pool. Compile errors and
-// exec-time failures (including recovered panics) are returned as errors —
-// when the returned Result is non-nil its Metrics and Elapsed are valid even
-// on failure. Cancellation of ctx is honored between plan statements.
-//
-// Run converts the nested inputs into engine rows on every call
-// (value-shredding them on shredded routes); when the same dataset is
-// evaluated repeatedly, BindData + RunBound amortize that conversion too.
-func (pq *PreparedQuery) Run(ctx context.Context, inputs map[string]Bag, strat Strategy) (*Result, error) {
-	return pq.run(ctx, inputs, strat, false)
-}
-
-// RunAnalyzed is Run with EXPLAIN ANALYZE instrumentation: the execution
-// collects per-operator runtime statistics into Result.Analyze, renderable
-// with ExplainAnalyzeResult. The instrumented run is slightly slower; leave
-// it off on hot paths.
-func (pq *PreparedQuery) RunAnalyzed(ctx context.Context, inputs map[string]Bag, strat Strategy) (*Result, error) {
-	return pq.run(ctx, inputs, strat, true)
-}
-
-func (pq *PreparedQuery) run(ctx context.Context, inputs map[string]Bag, strat Strategy, analyze bool) (*Result, error) {
-	cq, err := pq.tracedCompile(ctx, strat)
+	csp.End()
 	if err != nil {
 		return nil, fmt.Errorf("%s (%s): %w", pq.label(), strat, err)
+	}
+	bsp := tr.Span().Child("bind")
+	rows, err := data.rowsFor(prog[0])
+	bsp.End()
+	if err != nil {
+		err = fmt.Errorf("%s (%s): prepare inputs: %w", pq.label(), strat, err)
+		return runner.Failure(strat, err), err
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	opts, finish := execOptions(ctx, analyze)
-	res := cq.ExecuteWithOpts(ctx, inputs, pq.runContext(strat), opts)
-	finish(res)
+	var eopts runner.ExecOptions
+	if o.analyze {
+		eopts.Analysis = plan.NewAnalysis()
+	}
+	eopts.Span = tr.Span().Child("execute")
+	dctx := runner.NewRunContext(pq.cfg, strat)
+	dctx.SharedPool = pq.pool
+	res := runner.Execute(ctx, prog, rows, prog[0].MapIndexes(data.idxs), dctx, eopts)
+	eopts.Span.End()
+	if tr != nil {
+		res.TraceID = tr.ID
+	}
 	if res.Err != nil {
 		return res, fmt.Errorf("%s (%s): %w", pq.label(), strat, res.Err)
 	}
 	return res, nil
 }
 
-// tracedCompile resolves the compiled artifact for the strategy, recording a
-// compile span — with cache-hit/miss attribution and the resolved strategy —
-// on the request trace when the context carries one.
-func (pq *PreparedQuery) tracedCompile(ctx context.Context, strat Strategy) (*runner.Compiled, error) {
-	sp := trace.From(ctx).Span().Child("compile")
-	cq, compiled, err := pq.compiledTracked(strat)
-	if compiled {
-		sp.Set("cache", "miss")
-	} else {
-		sp.Set("cache", "hit")
-	}
-	if err == nil {
-		sp.Set("strategy", cq.Strategy.String())
-	}
-	sp.End()
-	return cq, err
-}
-
-// execOptions builds the runner ExecOptions for one evaluation: an Analysis
-// collector when analyze is on, and an execute span when the context carries
-// a trace. The returned finish ends the span and stamps the trace ID onto
-// the result.
-func execOptions(ctx context.Context, analyze bool) (runner.ExecOptions, func(*Result)) {
-	var opts runner.ExecOptions
-	if analyze {
-		opts.Analysis = plan.NewAnalysis()
-	}
-	tr := trace.From(ctx)
-	esp := tr.Span().Child("execute")
-	opts.Span = esp
-	return opts, func(res *Result) {
-		esp.End()
-		if res != nil && tr != nil {
-			res.TraceID = tr.ID
-		}
-	}
-}
-
-func (pq *PreparedQuery) runContext(strat Strategy) *dataflow.Context {
-	dctx := runner.NewRunContext(pq.cfg, strat)
-	dctx.SharedPool = pq.pool
-	return dctx
-}
-
 // PreparedData is a dataset bound to a prepared query: the conversion of
 // nested values into engine rows — top-level rows for standard routes,
 // value-shredded dictionary components for shredded routes — is computed
-// once per route on first use and shared by every RunBound call and any
-// number of goroutines. Bind the data once at load time and serve requests
+// once per route on first use and shared by every Run and any number of
+// goroutines. Bind the data once at load time and serve requests
 // from it (what cmd/tranced does with its preloaded datasets).
 type PreparedData struct {
 	raw map[string]Bag
@@ -379,7 +300,7 @@ type PreparedData struct {
 	convert func(cq *runner.Compiled, name string, b Bag) (map[string][]dataflow.Row, error)
 
 	// idxs are the secondary indexes of the bound datasets, keyed by variable
-	// name (sessions fill them from the catalog). RunBound re-keys them for
+	// name (sessions fill them from the catalog). Run re-keys them for
 	// the route and binds them so IndexScan plans resolve spans against them;
 	// nil makes every IndexScan fall back to a full scan plus its predicate.
 	idxs map[string]*index.Set
@@ -388,28 +309,15 @@ type PreparedData struct {
 	byRoute map[bool]*preparedRows // IsShredded → converted rows
 }
 
-// indexesFor returns the bound secondary indexes keyed for the compilation's
-// route (nil when the data has none).
-func (pd *PreparedData) indexesFor(cq *runner.Compiled) map[string]*index.Set {
-	if len(pd.idxs) == 0 {
-		return nil
-	}
-	return cq.MapIndexes(pd.idxs)
-}
-
 type preparedRows struct {
 	rows map[string][]dataflow.Row
 	err  error
 }
 
-// BindData associates a dataset with the prepared query for repeated
-// evaluation. The input bags are captured by reference and must not be
-// mutated afterwards.
+// BindData associates a dataset with the prepared query for evaluation. The
+// input bags are captured by reference and must not be mutated afterwards;
+// the data must be run by a query with the same input environment.
 func (pq *PreparedQuery) BindData(inputs map[string]Bag) *PreparedData {
-	return newPreparedData(inputs)
-}
-
-func newPreparedData(inputs map[string]Bag) *PreparedData {
 	return &PreparedData{raw: inputs, byRoute: map[bool]*preparedRows{}}
 }
 
@@ -441,63 +349,50 @@ func (pd *PreparedData) rowsFor(cq *runner.Compiled) (map[string][]dataflow.Row,
 	return rows, err
 }
 
-// RunBound is Run over data bound once with BindData: input conversion is
-// cached per route, so the serving hot path does no per-request shredding.
-// The data must have been bound by a query with the same input environment.
-func (pq *PreparedQuery) RunBound(ctx context.Context, data *PreparedData, strat Strategy) (*Result, error) {
-	return pq.runBound(ctx, data, strat, false)
+// compiled assembles the program for the strategy from the plan cache,
+// compiling each missing (step, strategy) slot exactly once process-wide;
+// compiledNow reports whether this call performed a compilation (false =
+// served from the cache — the trace layer's cache-hit attribution).
+// Intermediate steps of unshredding strategies compile as their shredded-only
+// variant (see runner.StepStrategy), sharing cache slots with plain Shred
+// programs.
+func (pq *PreparedQuery) compiled(strat Strategy) (prog []*runner.Compiled, compiledNow bool, err error) {
+	prog = make([]*runner.Compiled, len(pq.steps))
+	for i, st := range pq.steps {
+		eff := runner.StepStrategy(strat, prog[0], i == len(pq.steps)-1)
+		entry := planCache.entry(pq.fps[i] + "|" + eff.String())
+		entry.once.Do(func() {
+			pq.compileMu.Lock()
+			defer pq.compileMu.Unlock()
+			planCache.compiles.Add(1)
+			compiledNow = true
+			entry.cq, entry.err = runner.CompileStep(st.Query, pq.envs[i], eff, pq.cfg, st.Name)
+		})
+		if entry.err != nil {
+			if len(pq.steps) > 1 {
+				return nil, compiledNow, &runner.StepError{Step: i, Name: st.Name, Err: entry.err}
+			}
+			return nil, compiledNow, entry.err
+		}
+		prog[i] = entry.cq
+	}
+	return prog, compiledNow, nil
 }
 
-// RunBoundAnalyzed is RunBound with EXPLAIN ANALYZE instrumentation (see
-// RunAnalyzed).
-func (pq *PreparedQuery) RunBoundAnalyzed(ctx context.Context, data *PreparedData, strat Strategy) (*Result, error) {
-	return pq.runBound(ctx, data, strat, true)
-}
-
-func (pq *PreparedQuery) runBound(ctx context.Context, data *PreparedData, strat Strategy, analyze bool) (*Result, error) {
-	cq, err := pq.tracedCompile(ctx, strat)
-	if err != nil {
-		return nil, fmt.Errorf("%s (%s): %w", pq.label(), strat, err)
+// RunPipeline executes a multi-step program under one strategy, binding each
+// step's output as an input of later steps. Compilation goes through the
+// process-wide plan cache — a repeated program compiles each step exactly
+// once (PreparePipeline is the compile-once serving API this wraps).
+func RunPipeline(steps []PipelineStep, env Env, inputs map[string]Bag, strat Strategy, cfg Config) *Result {
+	pq, err := PreparePipeline(steps, PrepareOptions{Env: env, Config: &cfg})
+	var res *Result
+	if err == nil {
+		res, err = pq.Run(context.Background(), pq.BindData(inputs), strat)
 	}
-	bsp := trace.From(ctx).Span().Child("bind")
-	rows, err := data.rowsFor(cq)
-	bsp.End()
-	if err != nil {
-		return nil, fmt.Errorf("%s (%s): prepare inputs: %w", pq.label(), strat, err)
+	if res == nil {
+		res = runner.Failure(strat, err)
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	opts, finish := execOptions(ctx, analyze)
-	res := cq.ExecuteRowsOpts(ctx, rows, data.indexesFor(cq), pq.runContext(strat), opts)
-	finish(res)
-	if res.Err != nil {
-		return res, fmt.Errorf("%s (%s): %w", pq.label(), strat, res.Err)
-	}
-	return res, nil
-}
-
-// compiled returns the cached compilation for the strategy, compiling it
-// exactly once process-wide per (fingerprint, strategy).
-func (pq *PreparedQuery) compiled(strat Strategy) (*runner.Compiled, error) {
-	cq, _, err := pq.compiledTracked(strat)
-	return cq, err
-}
-
-// compiledTracked is compiled plus whether this call performed the
-// compilation (false = served from the plan cache) — the trace layer's
-// cache-hit attribution.
-func (pq *PreparedQuery) compiledTracked(strat Strategy) (*runner.Compiled, bool, error) {
-	entry := planCache.entry(pq.fp + "|" + strat.String())
-	ran := false
-	entry.once.Do(func() {
-		pq.compileMu.Lock()
-		defer pq.compileMu.Unlock()
-		planCache.compiles.Add(1)
-		ran = true
-		entry.cq, entry.err = runner.Compile(pq.query, pq.env, strat, pq.cfg)
-	})
-	return entry.cq, ran, entry.err
+	return res
 }
 
 // fingerprint digests everything that affects compilation: the query's

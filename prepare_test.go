@@ -67,7 +67,7 @@ func TestPrepareCompilesEachStrategyOnce(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			strat := strategies[g%len(strategies)]
-			if _, err := pq.Run(context.Background(), prepInputs(0), strat); err != nil {
+			if _, err := pq.Run(context.Background(), pq.BindData(prepInputs(0)), strat); err != nil {
 				errs <- fmt.Errorf("goroutine %d (%v): %w", g, strat, err)
 			}
 		}(g)
@@ -82,7 +82,7 @@ func TestPrepareCompilesEachStrategyOnce(t *testing.T) {
 		t.Fatalf("want exactly %d compilations (one per strategy), got %d", len(strategies), got)
 	}
 	// Re-running hits the cache without compiling.
-	if _, err := pq.Run(context.Background(), prepInputs(0), trance.Standard); err != nil {
+	if _, err := pq.Run(context.Background(), pq.BindData(prepInputs(0)), trance.Standard); err != nil {
 		t.Fatal(err)
 	}
 	final := trance.PlanCacheStats()
@@ -110,7 +110,7 @@ func TestPreparedQueryConcurrentRuns(t *testing.T) {
 	// Sequential oracle per dataset shift.
 	want := map[int64]trance.Bag{}
 	for shift := int64(0); shift < 4; shift++ {
-		res, err := pq.Run(context.Background(), prepInputs(shift), trance.Standard)
+		res, err := pq.Run(context.Background(), pq.BindData(prepInputs(shift)), trance.Standard)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -126,7 +126,7 @@ func TestPreparedQueryConcurrentRuns(t *testing.T) {
 			defer wg.Done()
 			shift := int64(g % 4)
 			strat := strategies[g%len(strategies)]
-			res, err := pq.Run(context.Background(), prepInputs(shift), strat)
+			res, err := pq.Run(context.Background(), pq.BindData(prepInputs(shift)), strat)
 			if err != nil {
 				errs <- fmt.Errorf("goroutine %d (%v): %w", g, strat, err)
 				return
@@ -162,7 +162,7 @@ func TestDistinctPreparedQueriesSharePool(t *testing.T) {
 	}
 	want := make([]trance.Bag, len(pqs))
 	for i, pq := range pqs {
-		res, err := pq.Run(context.Background(), prepInputs(7100), trance.ShredUnshred)
+		res, err := pq.Run(context.Background(), pq.BindData(prepInputs(7100)), trance.ShredUnshred)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -177,7 +177,7 @@ func TestDistinctPreparedQueriesSharePool(t *testing.T) {
 			wg.Add(1)
 			go func(i int, pq *trance.PreparedQuery) {
 				defer wg.Done()
-				res, err := pq.Run(context.Background(), prepInputs(7100), trance.ShredUnshred)
+				res, err := pq.Run(context.Background(), pq.BindData(prepInputs(7100)), trance.ShredUnshred)
 				if err != nil {
 					errs <- fmt.Errorf("query %d: %w", i, err)
 					return
@@ -214,7 +214,7 @@ func TestPrepareAndRunDegradeToErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = pq.Run(context.Background(), map[string]trance.Bag{"R": {trance.Tuple{int(7)}}}, trance.Standard)
+	_, err = pq.Run(context.Background(), pq.BindData(map[string]trance.Bag{"R": {trance.Tuple{int(7)}}}), trance.Standard)
 	if err == nil {
 		t.Fatal("corrupt input data must fail the run")
 	}
@@ -222,7 +222,7 @@ func TestPrepareAndRunDegradeToErrors(t *testing.T) {
 		t.Fatalf("error should mention the recovered panic: %v", err)
 	}
 	// The prepared query stays healthy for good data afterwards.
-	res, err := pq.Run(context.Background(), map[string]trance.Bag{"R": {trance.Tuple{int64(7)}}}, trance.Standard)
+	res, err := pq.Run(context.Background(), pq.BindData(map[string]trance.Bag{"R": {trance.Tuple{int64(7)}}}), trance.Standard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,21 +231,21 @@ func TestPrepareAndRunDegradeToErrors(t *testing.T) {
 	}
 }
 
-// OutputColumns reflects the route: nested schema for unshredding routes,
+// OutputSchema reflects the route: nested schema for unshredding routes,
 // label-bearing top schema for Shred.
-func TestPreparedOutputColumns(t *testing.T) {
+func TestPreparedOutputSchema(t *testing.T) {
 	pq, err := trance.Prepare(prepQuery(7003), trance.PrepareOptions{Name: "cols", Env: prepEnv()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	std, err := pq.OutputColumns(trance.Standard)
+	std, err := pq.OutputSchema(trance.Standard)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(std) != 2 || std[0].Name != "k" || std[1].Name != "big" {
 		t.Fatalf("standard columns: %+v", std)
 	}
-	sh, err := pq.OutputColumns(trance.Shred)
+	sh, err := pq.OutputSchema(trance.Shred)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,9 +254,9 @@ func TestPreparedOutputColumns(t *testing.T) {
 	}
 }
 
-// RunBound must agree with Run while converting/shredding the inputs only
-// once per route.
-func TestRunBoundMatchesRun(t *testing.T) {
+// Runs sharing one BindData must agree with a run over a fresh BindData while
+// converting/shredding the inputs only once per route.
+func TestSharedBindMatchesFreshBind(t *testing.T) {
 	pq, err := trance.Prepare(prepQuery(7004), trance.PrepareOptions{Name: "bound", Env: prepEnv()})
 	if err != nil {
 		t.Fatal(err)
@@ -264,7 +264,7 @@ func TestRunBoundMatchesRun(t *testing.T) {
 	inputs := prepInputs(0)
 	data := pq.BindData(inputs)
 	for _, strat := range []trance.Strategy{trance.Standard, trance.Shred, trance.ShredUnshred} {
-		want, err := pq.Run(context.Background(), inputs, strat)
+		want, err := pq.Run(context.Background(), pq.BindData(inputs), strat)
 		if err != nil {
 			t.Fatalf("%v run: %v", strat, err)
 		}
@@ -274,13 +274,13 @@ func TestRunBoundMatchesRun(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				got, err := pq.RunBound(context.Background(), data, strat)
+				got, err := pq.Run(context.Background(), data, strat)
 				if err != nil {
 					errs <- err
 					return
 				}
 				if !trance.ValuesEqual(collectBag(got), collectBag(want)) {
-					errs <- fmt.Errorf("%v: bound result differs from Run", strat)
+					errs <- fmt.Errorf("%v: shared-bind result differs from a fresh bind", strat)
 				}
 			}()
 		}
@@ -317,7 +317,7 @@ func TestPlanCacheBounded(t *testing.T) {
 		t.Fatalf("want at least 2 evictions, got %d", stats.Evictions)
 	}
 	// The first (evicted) query still runs — it just recompiles.
-	res, err := queries[0].Run(context.Background(), prepInputs(0), trance.Standard)
+	res, err := queries[0].Run(context.Background(), queries[0].BindData(prepInputs(0)), trance.Standard)
 	if err != nil {
 		t.Fatal(err)
 	}

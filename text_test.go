@@ -53,8 +53,7 @@ for c in CO union
 	}
 	// Structurally identical queries share a fingerprint (and compiled plans).
 	if sqText.Prepared().Fingerprint() != sqBuilt.Prepared().Fingerprint() {
-		t.Fatalf("text and builder fingerprints differ:\n%s\nvs\n%s",
-			trance.Print(sqText.Prepared().Query()), trance.Print(sqBuilt.Prepared().Query()))
+		t.Fatalf("text and builder fingerprints differ:\n%s\nvs\n%s", text, trance.Print(built))
 	}
 	for _, strat := range []trance.Strategy{trance.Standard, trance.Shred, trance.ShredUnshred} {
 		a, err := sqText.RunJSON(context.Background(), strat)
@@ -143,6 +142,52 @@ sumby[cname; qty](Flat)`
 		}
 		if byName["alice"] != 15.0 || byName["bob"] != 40.0 {
 			t.Fatalf("%s: totals %v", strat, byName)
+		}
+	}
+}
+
+// TestProgramRunsLikeAQuery: a multi-statement program takes the same one
+// path a query does, so with a trace attached and Analyze() it records the
+// resolve/compile/bind/execute spans, stamps the trace ID, times both steps,
+// and renders per-operator actuals for both steps — what `trance query
+// -analyze -timing` prints for program text.
+func TestProgramRunsLikeAQuery(t *testing.T) {
+	cat := textCatalog(t)
+	sess := cat.NewSession(trance.SessionOptions{})
+	sq, err := sess.PrepareTextPipeline(`
+Flat := for c in CO union
+          for o in c.orders union
+            { { cname := c.cname, qty := o.qty } };
+sumby[cname; qty](Flat)`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, strat := range []trance.Strategy{trance.Standard, trance.ShredUnshred} {
+		tr := trance.NewTrace("test")
+		res, err := sq.Run(trance.ContextWithTrace(context.Background(), tr), strat, trance.Analyze())
+		tr.Finish()
+		if err != nil {
+			t.Fatalf("%s: %v", strat, err)
+		}
+		tree := tr.Tree()
+		for _, span := range []string{"resolve", "compile", "bind", "execute"} {
+			if !strings.Contains(tree, span) {
+				t.Errorf("%s: trace lacks a %s span:\n%s", strat, span, tree)
+			}
+		}
+		if res.TraceID == "" || res.TraceID != tr.ID {
+			t.Errorf("%s: TraceID %q, want %q", strat, res.TraceID, tr.ID)
+		}
+		if len(res.StepElapsed) != 2 || res.FailedStep != -1 {
+			t.Errorf("%s: StepElapsed %v, FailedStep %d", strat, res.StepElapsed, res.FailedStep)
+		}
+		text := res.ExplainAnalyze()
+		first, second, ok := strings.Cut(text, "--- step 2: result ---")
+		if !ok || !strings.Contains(first, "--- step 1: Flat ---") {
+			t.Fatalf("%s: analyzed explain lacks the step headers:\n%s", strat, text)
+		}
+		if !strings.Contains(first, "actual_rows=") || !strings.Contains(second, "actual_rows=") {
+			t.Errorf("%s: analyzed explain lacks per-operator actuals for both steps:\n%s", strat, text)
 		}
 	}
 }

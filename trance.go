@@ -33,14 +33,19 @@
 //	sq, _ := cat.NewSession(trance.SessionOptions{}).PrepareText("inc",
 //	        `for x in R union { { b := x.a + 1 } }`)
 //
-// One-shot evaluation over explicit inputs is Run (see ExampleRun); Prepare
-// and PreparePipeline are the lower-level compile-once APIs: each
-// (query, strategy) — and each pipeline step, under env-aware fingerprints —
-// compiles exactly once into a thread-safe process-wide cache, and the
-// cached plans evaluate from any number of goroutines over different
-// datasets on one shared bounded worker pool, with panics converted to
-// errors at the compile and exec boundaries (see ExampleCatalog,
-// ExamplePrepare, docs/SERVING.md, and the cmd/tranced HTTP service).
+// A query is a one-step program, and there is one way to run either: every
+// executable — a SessionQuery, or the lower-level PreparedQuery that Prepare
+// and PreparePipeline return — has one Run(ctx, …, strategy, ...RunOption),
+// with Analyze() (EXPLAIN ANALYZE) the only option, returning one Result:
+// rows, their schema (Result.Columns, Result.JSON), per-step timings, engine
+// metrics, and with Analyze() the measured plans (Result.ExplainAnalyze).
+// Each (step, strategy) — under env-aware fingerprints — compiles exactly
+// once into a thread-safe process-wide cache, and the cached plans evaluate
+// from any number of goroutines over different datasets on one shared bounded
+// worker pool, with panics converted to errors at the compile and exec
+// boundaries (see ExampleCatalog, ExamplePrepare, docs/SERVING.md, and the
+// cmd/tranced HTTP service). One-shot evaluation over explicit inputs is
+// Run/RunPipeline (see ExampleRun).
 //
 // See examples/ for complete programs, README.md for a quickstart,
 // docs/ARCHITECTURE.md for the architecture and paper-to-package map, and
@@ -173,10 +178,9 @@ func Parse(src string) (Expr, error) {
 
 // ParseProgram parses a multi-statement program: `name := expr;`
 // assignments (later statements may reference earlier names) ending in a
-// result expression, which maps onto the pipeline machinery — each
-// assignment becomes a PipelineStep, and a final bare expression becomes the
-// step "result". See Session.PrepareTextPipeline for the catalog-resolved,
-// compile-once serving path.
+// result expression — each assignment becomes a PipelineStep, and a final
+// bare expression becomes the step "result". See Session.PrepareTextPipeline
+// for the catalog-resolved, compile-once serving path.
 func ParseProgram(src string) (*Program, error) {
 	r, err := parse.Program(src)
 	if err != nil {
@@ -256,12 +260,11 @@ type (
 	Config = runner.Config
 	// Job is a query over named nested inputs.
 	Job = runner.Job
-	// Result reports one run.
+	// Result reports one run of a query or multi-step program. Result.JSON
+	// renders its rows and Result.ExplainAnalyze its measured plans.
 	Result = runner.Result
-	// PipelineStep is one constituent query of a multi-step pipeline.
+	// PipelineStep is one named step of a multi-step program.
 	PipelineStep = runner.PipelineStep
-	// PipelineResult reports a pipeline run.
-	PipelineResult = runner.PipelineResult
 	// Metrics is a snapshot of engine counters, including per-stage wall
 	// times (Metrics.StageWall).
 	Metrics = dataflow.Snapshot
@@ -273,9 +276,8 @@ type (
 func DefaultConfig() Config { return runner.DefaultConfig() }
 
 // Run executes a job under a strategy: one-shot compile + execute. Serving
-// paths should Prepare (or use a Catalog/Session) instead; RunPipeline in
-// prepared_pipeline.go is the multi-step equivalent and reuses the plan
-// cache.
+// paths should Prepare (or use a Catalog/Session) instead; RunPipeline is the
+// multi-step equivalent and reuses the plan cache.
 func Run(job Job, strat Strategy, cfg Config) *Result { return runner.Run(job, strat, cfg) }
 
 // OptimizerStats counts rule applications of the compile-time plan
@@ -308,8 +310,8 @@ func IndexRefusalReasons() map[string]int64 { return index.RefusalReasons() }
 
 // Observability (see docs/OBSERVABILITY.md).
 type (
-	// Analysis collects per-operator runtime statistics during an
-	// EXPLAIN ANALYZE run (Result.Analyze).
+	// Analysis collects per-operator runtime statistics during a run with
+	// Analyze() (Result.Analyze).
 	Analysis = plan.Analysis
 	// NodeStats are one plan operator's observed runtime statistics.
 	NodeStats = plan.NodeStats
@@ -326,8 +328,8 @@ type (
 )
 
 // NewTrace starts a request trace with a fresh random ID and an open root
-// span. Attach it to a context with ContextWithTrace; every Run/RunBound on
-// that context records parse/compile/bind/execute child spans.
+// span. Attach it to a context with ContextWithTrace; every Run on that
+// context records resolve/compile/bind/execute child spans.
 func NewTrace(name string) *Trace { return trace.New(name) }
 
 // NewTraceRing creates a bounded trace buffer keeping the most recent n
