@@ -12,7 +12,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -219,35 +218,35 @@ func cmdQuery(args []string) {
 	} else {
 		sq, err = sess.PrepareTextPipeline(*text)
 	}
-	var rows []map[string]any
+	var res *trance.Result
 	if err == nil {
-		rows, err = runSessionQuery(ctx, sq, strat, *explain, *analyze)
+		res, err = runSessionQuery(ctx, sq, strat, *explain, *analyze)
 	}
-	t.Finish()
 	if err != nil {
 		log.Fatalf("query failed:\n%v", err)
 	}
-	enc := json.NewEncoder(os.Stdout)
-	for i, row := range rows {
-		if *show > 0 && i >= *show {
-			fmt.Fprintf(os.Stderr, "… %d more rows (-show 0 for all)\n", len(rows)-i)
-			break
-		}
-		if err := enc.Encode(row); err != nil {
-			log.Fatal(err)
-		}
+	returned, total, err := res.WriteJSON(ctx, os.Stdout, *show, "", "\n")
+	if err != nil {
+		log.Fatal(err)
+	}
+	t.Finish()
+	if returned > 0 {
+		fmt.Println()
+	}
+	if returned < total {
+		fmt.Fprintf(os.Stderr, "… %d more rows (-show 0 for all)\n", total-returned)
 	}
 	if *timing {
 		fmt.Fprint(os.Stderr, t.Tree())
 	}
-	fmt.Fprintf(os.Stderr, "%s: %d rows\n", strat, len(rows))
+	fmt.Fprintf(os.Stderr, "%s: %d rows\n", strat, total)
 }
 
-// runSessionQuery evaluates a prepared query or program and renders its rows.
-// With explain set, the compiled plans (before and after the rule-based
-// optimizer) go to stderr first; analyze instruments the run and prints the
-// analyzed plans (actual rows, wall times, q-error) of what ran.
-func runSessionQuery(ctx context.Context, sq *trance.SessionQuery, strat trance.Strategy, explain, analyze bool) ([]map[string]any, error) {
+// runSessionQuery evaluates a prepared query or program. With explain set,
+// the compiled plans (before and after the rule-based optimizer) go to stderr
+// first; analyze instruments the run and prints the analyzed plans (actual
+// rows, wall times, q-error) of what ran.
+func runSessionQuery(ctx context.Context, sq *trance.SessionQuery, strat trance.Strategy, explain, analyze bool) (*trance.Result, error) {
 	if explain {
 		// Compile errors surface when the query actually runs, so they are
 		// only logged here.
@@ -268,10 +267,7 @@ func runSessionQuery(ctx context.Context, sq *trance.SessionQuery, strat trance.
 	if analyze {
 		fmt.Fprintln(os.Stderr, res.ExplainAnalyze())
 	}
-	esp := trance.TraceFromContext(ctx).Span().Child("encode")
-	defer esp.End()
-	rows, _ := res.JSON(0)
-	return rows, nil
+	return res, nil
 }
 
 func cmdBiomed(args []string) {

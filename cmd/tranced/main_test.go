@@ -196,6 +196,9 @@ func TestMetricsEndpoint(t *testing.T) {
 	if len(stages) == 0 {
 		t.Fatal("route should report per-stage wall times")
 	}
+	if route["reply_bytes"].(float64) <= 0 || route["reply_ms"].(float64) <= 0 {
+		t.Fatalf("route should report what its replies cost: reply_bytes=%v reply_ms=%v", route["reply_bytes"], route["reply_ms"])
+	}
 }
 
 // Hammer one query family from many goroutines across strategies: every

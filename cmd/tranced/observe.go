@@ -137,6 +137,8 @@ func (s *server) writeMetricsProm(w http.ResponseWriter) {
 	exBufs := promtext.Family{Name: "trance_route_shuffle_exchange_buffers_total", Help: "Shuffle buffers moved across the wide-operator boundary by route and metered representation (columnar = typed wire encoding, boxed = value.Size row walk).", Type: "counter"}
 	exBytes := promtext.Family{Name: "trance_route_shuffle_exchange_bytes_total", Help: "Metered shuffle bytes by route and metered representation (columnar = size of the compact typed wire encoding).", Type: "counter"}
 	lat := promtext.Family{Name: "trance_route_latency_seconds", Help: "Query execution latency by route.", Type: "histogram"}
+	replyBytes := promtext.Family{Name: "trance_route_reply_bytes_total", Help: "Reply body bytes written by route.", Type: "counter"}
+	replySecs := promtext.Family{Name: "trance_route_reply_seconds_total", Help: "Seconds spent collecting, encoding and writing reply bodies by route (not part of the latency histogram).", Type: "counter"}
 	for _, route := range routes {
 		st := stats[route]
 		ls := []promtext.Label{{Name: "route", Value: route}}
@@ -152,9 +154,11 @@ func (s *server) writeMetricsProm(w http.ResponseWriter) {
 			promtext.Sample{Labels: columnar, Value: float64(st.ColumnarBytes)},
 			promtext.Sample{Labels: boxed, Value: float64(st.BoxedBytes)})
 		lat.Samples = append(lat.Samples, promtext.HistogramSamples(ls, latencyBuckets, st.Hist[:], st.HistInf, st.HistSum)...)
+		replyBytes.Samples = append(replyBytes.Samples, promtext.Sample{Labels: ls, Value: float64(st.ReplyBytes)})
+		replySecs.Samples = append(replySecs.Samples, promtext.Sample{Labels: ls, Value: st.ReplyTime.Seconds()})
 	}
 	if len(reqs.Samples) > 0 {
-		fams = append(fams, reqs, errs, shuf, exBufs, exBytes, lat)
+		fams = append(fams, reqs, errs, shuf, exBufs, exBytes, lat, replyBytes, replySecs)
 	}
 
 	var buf bytes.Buffer

@@ -59,6 +59,8 @@ func TestPrometheusScrape(t *testing.T) {
 		"trance_plan_cache_compiles_total": "counter",
 		"trance_route_requests_total":      "counter",
 		"trance_route_latency_seconds":     "histogram",
+		"trance_route_reply_bytes_total":   "counter",
+		"trance_route_reply_seconds_total": "counter",
 	}
 	for name, typ := range wantTypes {
 		fam := first[name]
@@ -81,6 +83,16 @@ func TestPrometheusScrape(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("route label %q missing: %+v", route, first["trance_route_requests_total"].Samples)
+	}
+	// What the request cost after the engine returned is on the scrape too.
+	for _, name := range []string{"trance_route_reply_bytes_total", "trance_route_reply_seconds_total"} {
+		found = false
+		for _, s := range first[name].Samples {
+			found = found || s.Labels["route"] == route && s.Value > 0
+		}
+		if !found {
+			t.Fatalf("%s has no positive sample for route %q: %+v", name, route, first[name].Samples)
+		}
 	}
 
 	// Counters must be monotonic across scrapes: run another query, scrape
@@ -159,7 +171,7 @@ func TestTraceIDRoundTrip(t *testing.T) {
 		t.Fatalf("trace has no root span: %v", out)
 	}
 	names := spanNames(root)
-	for _, want := range []string{"resolve", "execute", "encode"} {
+	for _, want := range []string{"resolve", "execute", "collect", "encode"} {
 		if !names[want] {
 			t.Fatalf("span %q missing from trace tree %v", want, names)
 		}

@@ -75,6 +75,11 @@ type routeStats struct {
 	BoxedBytes      int64
 	StageWall       map[string]time.Duration
 	stageOrder      []string
+	// ReplyBytes and ReplyTime total what runAndReply spent after the engine
+	// returned: collecting, encoding and writing the body. The latency
+	// histogram observes only the engine's own Elapsed.
+	ReplyBytes int64
+	ReplyTime  time.Duration
 	// Hist counts run latencies per latencyBuckets bound; HistInf counts
 	// observations above the last bound and HistSum totals all observed
 	// latencies (seconds). Together they form one Prometheus histogram.
@@ -772,63 +777,6 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	s.runAndReply(w, r, t, rt, limit, map[string]any{"query": rt.name, "level": rt.level, "trace_id": t.ID})
 }
 
-// runAndReply is the one way a request reaches the engine and a result
-// reaches the client: run the route, fold the outcome into its /metrics
-// entry, and write the rows typed by the schema the run itself carries
-// (res.Columns) — one catalog resolution per request, so schema and rows
-// cannot come from different generations. extra fields are merged into the
-// response object.
-func (s *server) runAndReply(w http.ResponseWriter, r *http.Request, t *trance.Trace, rt route, limit int, extra map[string]any) {
-	res, err := rt.sq.Run(r.Context(), rt.strat)
-	s.record(rt, res, err != nil)
-	switch {
-	case err == nil:
-	case r.Context().Err() != nil && errors.Is(err, r.Context().Err()):
-		return // client went away; nothing sensible to write
-	case res == nil:
-		// The run never reached the executor: the query no longer resolves or
-		// typechecks against the catalog, or the query/strategy combination
-		// does not compile — a client-side problem, reported without crashing
-		// anything.
-		httpError(w, http.StatusBadRequest, "compile %s: %v", rt.what, err)
-		return
-	default:
-		httpError(w, http.StatusInternalServerError, "execute %s: %v", rt.what, err)
-		return
-	}
-	if rt.strat == trance.Auto {
-		extra["requested"] = "auto"
-		extra["chosen_strategy"] = res.Strategy.CLIName()
-	}
-	esp := t.Span().Child("encode")
-	defer esp.End()
-	// The strategy that actually ran — under strategy=auto this is the route
-	// the cost model chose, visible without parsing the body.
-	w.Header().Set("X-Trance-Strategy", res.Strategy.CLIName())
-	results, total := res.JSON(limit)
-	type colInfo struct {
-		Name string `json:"name"`
-		Type string `json:"type"`
-	}
-	colOut := make([]colInfo, len(res.Columns))
-	for i, c := range res.Columns {
-		colOut[i] = colInfo{Name: c.Name, Type: c.Type.String()}
-	}
-	out := map[string]any{
-		"strategy":   res.Strategy.String(),
-		"elapsed_ms": float64(res.Elapsed.Microseconds()) / 1000,
-		"rows":       total,
-		"returned":   len(results),
-		"truncated":  len(results) < total,
-		"columns":    colOut,
-		"results":    results,
-	}
-	for k, v := range extra {
-		out[k] = v
-	}
-	writeJSON(w, http.StatusOK, out)
-}
-
 // textQuery returns a prepared session query for an ad-hoc query text,
 // serving repeats from a bounded cache. Only successful preparations are
 // cached, so a text that failed because its dataset had not been uploaded
@@ -961,16 +909,31 @@ func (s *server) explainAndReply(w http.ResponseWriter, r *http.Request, rt rout
 	writeJSON(w, http.StatusOK, out)
 }
 
-// record folds one run's outcome and engine metrics into the route's stats.
-func (s *server) record(rt route, res *trance.Result, failed bool) {
+// routeStatsLocked returns the route's stats entry, creating it; s.mu is held.
+func (s *server) routeStatsLocked(rt route) *routeStats {
 	key := rt.key()
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	st, ok := s.stats[key]
 	if !ok {
 		st = &routeStats{StageWall: map[string]time.Duration{}}
 		s.stats[key] = st
 	}
+	return st
+}
+
+// recordReply folds one written reply body into the route's stats.
+func (s *server) recordReply(rt route, bytes int64, d time.Duration) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	st := s.routeStatsLocked(rt)
+	st.ReplyBytes += bytes
+	st.ReplyTime += d
+}
+
+// record folds one run's outcome and engine metrics into the route's stats.
+func (s *server) record(rt route, res *trance.Result, failed bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	st := s.routeStatsLocked(rt)
 	st.Count++
 	if failed {
 		st.Errors++
@@ -1051,6 +1014,8 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		ShuffleBytes int64       `json:"shuffle_bytes"`
 		Exchange     exchangeOut `json:"shuffle_exchange"`
 		StageWallMs  []stageMs   `json:"stage_wall_ms"`
+		ReplyBytes   int64       `json:"reply_bytes"`
+		ReplyMs      float64     `json:"reply_ms"`
 	}
 	ms := func(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
 
@@ -1067,6 +1032,8 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 				BoxedBytes:      st.BoxedBytes,
 			},
 			StageWallMs: []stageMs{},
+			ReplyBytes:  st.ReplyBytes,
+			ReplyMs:     ms(st.ReplyTime),
 		}
 		for _, stage := range st.stageOrder {
 			ro.StageWallMs = append(ro.StageWallMs, stageMs{Stage: stage, Ms: ms(st.StageWall[stage])})

@@ -221,3 +221,27 @@ func BenchmarkGroupReduce(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkCollectTop is the driver side of a limit=20 reply over a 10 000
+// row result: the bounded heap against the full sort it replaced.
+func BenchmarkCollectTop(b *testing.B) {
+	rows := make([]Row, 10_000)
+	for i := range rows {
+		rows[i] = Row{int64((i * 7919) % 10_007), fmt.Sprintf("name-%d", i%101), float64(i) / 3}
+	}
+	d := NewContext(8).FromRows(rows)
+	for _, k := range []int{20, 0} {
+		name := fmt.Sprintf("k=%d", k)
+		if k == 0 {
+			name = "full-sort"
+		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if got, total := d.CollectTop(k); total != len(rows) || k > 0 && len(got) != k {
+					b.Fatalf("%d rows of %d", len(got), total)
+				}
+			}
+		})
+	}
+}

@@ -455,3 +455,55 @@ func perGroup(fn func(rs []Row) []Row) func(rows, groups int) Reducer {
 		return func(out, group []Row) []Row { return append(out, fn(group)...) }
 	}
 }
+
+// TestCollectTopIsPrefixOfCollectSorted: for every k, CollectTop(k) is the
+// first k rows of the full sort and the exact total — over rows that repeat,
+// and rows that tie under the value order yet differ (5 and 5.0, one bag in
+// two element orders), which only their Collect order can rank.
+func TestCollectTopIsPrefixOfCollectSorted(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	var rows []Row
+	for i := 0; i < 300; i++ {
+		var n value.Value = int64(rng.Intn(6))
+		if rng.Intn(2) == 0 {
+			n = float64(n.(int64))
+		}
+		bag := value.Bag{int64(1), int64(2), "x"}
+		rng.Shuffle(len(bag), func(a, b int) { bag[a], bag[b] = bag[b], bag[a] })
+		rows = append(rows, Row{n, bag, fmt.Sprintf("s%d", rng.Intn(3))})
+	}
+	for _, parallelism := range []int{1, 3, 8} {
+		c := NewContext(parallelism)
+		// A pending stage, so the action has to force it.
+		d := c.FromRows(rows).Filter(func(r Row) bool { return r[2] != "s9" })
+		all := d.CollectSorted()
+		if len(all) != len(rows) {
+			t.Fatalf("CollectSorted: %d rows, want %d", len(all), len(rows))
+		}
+		for i := 1; i < len(all); i++ {
+			if value.CompareSeq(all[i-1], all[i]) > 0 {
+				t.Fatalf("CollectSorted out of order at %d", i)
+			}
+		}
+		for _, k := range []int{-1, 0, 1, 2, 7, 20, 150, len(rows) - 1, len(rows), len(rows) + 1} {
+			got, total := d.CollectTop(k)
+			want := all
+			if k > 0 && k < len(all) {
+				want = all[:k]
+			}
+			if total != len(rows) || len(got) != len(want) {
+				t.Fatalf("parallelism %d, CollectTop(%d): %d rows of %d, want %d of %d", parallelism, k, len(got), total, len(want), len(rows))
+			}
+			for i := range got {
+				// Identity, not equality: among tied rows the same one.
+				if &got[i][0] != &want[i][0] {
+					t.Fatalf("parallelism %d, CollectTop(%d): row %d is %s, the full sort has %s there",
+						parallelism, k, i, value.Format(got[i]), value.Format(want[i]))
+				}
+			}
+		}
+	}
+	if got, total := NewContext(4).Empty().CollectTop(5); len(got) != 0 || total != 0 {
+		t.Fatalf("CollectTop on an empty dataset: %d rows, total %d", len(got), total)
+	}
+}

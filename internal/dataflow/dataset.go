@@ -2,7 +2,7 @@ package dataflow
 
 import (
 	"errors"
-	"sort"
+	"slices"
 
 	"github.com/trance-go/trance/internal/value"
 )
@@ -201,11 +201,72 @@ func (d *Dataset) Collect() []Row {
 // CollectSorted gathers all rows in the deterministic value order, for tests
 // and reproducible output.
 func (d *Dataset) CollectSorted() []Row {
-	rows := d.Collect()
-	sort.Slice(rows, func(i, j int) bool {
-		return value.Compare(value.Tuple(rows[i]), value.Tuple(rows[j])) < 0
-	})
+	rows, _ := d.CollectTop(0)
 	return rows
+}
+
+// ranked is a row with its position in Collect order, which breaks ties
+// between rows that compare equal.
+type ranked struct {
+	row Row
+	seq int
+}
+
+func compareRanked(a, b ranked) int {
+	if c := value.CompareSeq(a.row, b.row); c != 0 {
+		return c
+	}
+	return a.seq - b.seq
+}
+
+// CollectTop gathers the first k rows of the deterministic value order (all
+// of them when k <= 0) beside the exact row count. With 0 < k < Count() it
+// is one pass over the materialized partitions through a k-element heap
+// instead of a sort of every row. Rows that compare equal (5 and 5.0, a bag
+// in two element orders) rank by their Collect order either way, so the k
+// rows are exactly the first k of CollectSorted.
+func (d *Dataset) CollectTop(k int) (rows []Row, total int) {
+	total = int(d.Count())
+	if k <= 0 || k > total {
+		k = total
+	}
+	// h holds the k least rows seen so far; once it is full and rows remain,
+	// as a max-heap: h[0] is the one the next smaller row evicts. A descending
+	// slice is already such a heap.
+	h := make([]ranked, 0, k)
+	seq := 0
+	for _, p := range d.parts {
+		for _, r := range p {
+			switch {
+			case len(h) < k:
+				if h = append(h, ranked{r, seq}); len(h) == k && k < total {
+					slices.SortFunc(h, func(a, b ranked) int { return compareRanked(b, a) })
+				}
+			case value.CompareSeq(r, h[0].row) < 0: // a tie loses to the earlier row
+				h[0] = ranked{r, seq}
+				for i := 0; ; {
+					big := i
+					for c := 2*i + 1; c <= 2*i+2 && c < k; c++ {
+						if compareRanked(h[c], h[big]) > 0 {
+							big = c
+						}
+					}
+					if big == i {
+						break
+					}
+					h[i], h[big] = h[big], h[i]
+					i = big
+				}
+			}
+			seq++
+		}
+	}
+	slices.SortFunc(h, compareRanked)
+	rows = make([]Row, k)
+	for i, e := range h {
+		rows[i] = e.row
+	}
+	return rows, total
 }
 
 // Map applies fn to every row. Narrow, fused, and lazy: nothing runs until a

@@ -10,6 +10,7 @@ import (
 	"github.com/trance-go/trance/internal/dataflow"
 	"github.com/trance-go/trance/internal/exec"
 	"github.com/trance-go/trance/internal/index"
+	"github.com/trance-go/trance/internal/ingest"
 	"github.com/trance-go/trance/internal/nrc"
 	"github.com/trance-go/trance/internal/plan"
 	"github.com/trance-go/trance/internal/shred"
@@ -38,6 +39,9 @@ type Compiled struct {
 	// Columns is the flat schema of the dataset the step produces (see
 	// OutputColumn); Execute hands the final step's to Result.Columns.
 	Columns []OutputColumn
+	// rowEnc renders rows of Columns as JSON; compiled with the plans, so a
+	// cached route pays for it once (Result.WriteJSON).
+	rowEnc *ingest.RowEncoder
 
 	// Requested is the strategy Compile was asked for. It differs from
 	// Strategy only when it was Auto: Strategy then holds the concrete route
@@ -138,6 +142,7 @@ func CompileStep(q nrc.Expr, env nrc.Env, strat Strategy, cfg Config, name strin
 // resolution.
 func (cq *Compiled) finish() *Compiled {
 	cq.Columns = outputSchema(cq.OutputPlan(), cq.Out, cq.Strategy)
+	cq.rowEnc = ingest.NewRowEncoder(cq.Columns)
 	if cq.Requested == Auto {
 		autoChoices[cq.Strategy].Add(1)
 	}
@@ -145,10 +150,7 @@ func (cq *Compiled) finish() *Compiled {
 }
 
 // OutputColumn describes one column of a strategy's output dataset.
-type OutputColumn struct {
-	Name string
-	Type nrc.Type
-}
+type OutputColumn = nrc.Field
 
 // outputSchema is the flat schema of the dataset a step produces. When the
 // output is the nested value (standard and unshredding routes) the columns

@@ -7,6 +7,7 @@ package runner
 import (
 	"context"
 	"errors"
+	"io"
 	"time"
 
 	"github.com/trance-go/trance/internal/dataflow"
@@ -14,6 +15,7 @@ import (
 	"github.com/trance-go/trance/internal/nrc"
 	"github.com/trance-go/trance/internal/plan"
 	"github.com/trance-go/trance/internal/shred"
+	"github.com/trance-go/trance/internal/trace"
 	"github.com/trance-go/trance/internal/value"
 )
 
@@ -273,23 +275,29 @@ func Failure(strat Strategy, err error) *Result {
 
 // JSON renders the output rows as objects typed by Columns, in the engine's
 // canonical sorted order — the query half of the catalog's JSON-in → query →
-// JSON-out round trip. A positive limit keeps only the first limit rows;
-// total counts them all.
+// JSON-out round trip, for callers that want Go values; WriteJSON writes the
+// same rows as bytes. A positive limit keeps only the first limit rows; total
+// counts them all.
 func (r *Result) JSON(limit int) (out []map[string]any, total int) {
-	fields := make([]nrc.Field, len(r.Columns))
-	for i, c := range r.Columns {
-		fields[i] = nrc.Field{Name: c.Name, Type: c.Type}
-	}
-	rows := r.Output.CollectSorted()
-	total = len(rows)
-	if limit > 0 && total > limit {
-		rows = rows[:limit]
-	}
-	tuples := make([]value.Tuple, len(rows))
-	for i, row := range rows {
-		tuples[i] = value.Tuple(row)
-	}
-	return ingest.EncodeRows(tuples, fields), total
+	rows, total := r.Output.CollectTop(limit)
+	return ingest.EncodeRows(rows, r.Columns), total
+}
+
+// WriteJSON streams the output rows to w as compact JSON objects typed by
+// Columns — keys sorted, encoding/json's escaping, non-finite reals as null —
+// in the engine's canonical sorted order. A positive limit writes only the
+// first limit rows, found without sorting the rest; total counts them all.
+// Each row is preceded by lead and consecutive rows are joined by sep, so
+// ("", "\n") frames NDJSON and ("\n    ", ",") the elements of an indented
+// array. When ctx carries a trace the call records collect and encode spans.
+func (r *Result) WriteJSON(ctx context.Context, w io.Writer, limit int, lead, sep string) (returned, total int, err error) {
+	sp := trace.From(ctx).Span()
+	csp := sp.Child("collect")
+	rows, total := r.Output.CollectTop(limit)
+	csp.End()
+	esp := sp.Child("encode")
+	defer esp.End()
+	return len(rows), total, r.prog[len(r.prog)-1].rowEnc.WriteRows(w, rows, lead, sep)
 }
 
 // Run executes the job under the given strategy: one-shot compile + execute.

@@ -11,6 +11,7 @@ package value
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -37,7 +38,22 @@ func (d Date) Day() int { return int(d % 100) }
 
 // String formats the date as yyyy-mm-dd.
 func (d Date) String() string {
-	return fmt.Sprintf("%04d-%02d-%02d", d.Year(), d.Month(), d.Day())
+	var b [10]byte
+	return string(d.AppendText(b[:0]))
+}
+
+// AppendText appends the yyyy-mm-dd form to dst. A Date outside years 0–9999
+// (MakeDate takes any ints) has no ten-byte form and takes the general
+// formatter.
+func (d Date) AppendText(dst []byte) []byte {
+	y, m, dd := d.Year(), d.Month(), d.Day()
+	if d < 0 || y > 9999 {
+		return fmt.Appendf(dst, "%04d-%02d-%02d", y, m, dd)
+	}
+	return append(dst,
+		byte('0'+y/1000), byte('0'+y/100%10), byte('0'+y/10%10), byte('0'+y%10), '-',
+		byte('0'+m/10), byte('0'+m%10), '-',
+		byte('0'+dd/10), byte('0'+dd%10))
 }
 
 // ParseDate parses a yyyy-mm-dd string (Date.String's inverse). It accepts
@@ -247,15 +263,9 @@ func Compare(a, b Value) int {
 		}
 		return Compare(x.Payload, y.Payload)
 	case Tuple:
-		y := b.(Tuple)
-		if c := compareSeq([]Value(x), []Value(y)); c != 0 {
-			return c
-		}
-		return 0
+		return CompareSeq(x, b.(Tuple))
 	case Bag:
-		y := b.(Bag)
-		xs, ys := sortedBag(x), sortedBag(y)
-		return compareSeq(xs, ys)
+		return CompareSeq(sortedBag(x), sortedBag(b.(Bag)))
 	default:
 		panic(fmt.Sprintf("value: unsupported type %T", a))
 	}
@@ -271,7 +281,10 @@ func toF(v Value) float64 {
 	panic("value: not numeric")
 }
 
-func compareSeq(xs, ys []Value) int {
+// CompareSeq orders two value sequences lexicographically by Compare, a
+// proper prefix first. It is Compare on two Tuples without boxing either
+// into a Value, which is what sorting rows wants.
+func CompareSeq(xs, ys []Value) int {
 	n := len(xs)
 	if len(ys) < n {
 		n = len(ys)
@@ -301,47 +314,43 @@ func sortedBag(b Bag) []Value {
 // Format renders a value for display: tuples as ⟨…⟩, bags as {…} with
 // canonical element order so output is deterministic.
 func Format(v Value) string {
-	var sb strings.Builder
-	format(&sb, v)
-	return sb.String()
+	return string(AppendFormat(nil, v))
 }
 
-func format(sb *strings.Builder, v Value) {
+// AppendFormat appends Format(v) to dst.
+func AppendFormat(dst []byte, v Value) []byte {
 	switch x := v.(type) {
 	case nil:
-		sb.WriteString("NULL")
+		return append(dst, "NULL"...)
 	case bool:
-		fmt.Fprintf(sb, "%t", x)
+		return strconv.AppendBool(dst, x)
 	case int64:
-		fmt.Fprintf(sb, "%d", x)
+		return strconv.AppendInt(dst, x, 10)
 	case float64:
-		fmt.Fprintf(sb, "%g", x)
+		return strconv.AppendFloat(dst, x, 'g', -1, 64)
 	case Date:
-		sb.WriteString(x.String())
+		return x.AppendText(dst)
 	case string:
-		fmt.Fprintf(sb, "%q", x)
+		return strconv.AppendQuote(dst, x)
 	case Label:
-		fmt.Fprintf(sb, "L%d", x.Site)
-		format(sb, x.Payload)
+		dst = append(dst, 'L')
+		dst = strconv.AppendInt(dst, int64(x.Site), 10)
+		return AppendFormat(dst, x.Payload)
 	case Tuple:
-		sb.WriteString("⟨")
-		for i, e := range x {
-			if i > 0 {
-				sb.WriteString(", ")
-			}
-			format(sb, e)
-		}
-		sb.WriteString("⟩")
+		return appendSeq(append(dst, "⟨"...), x, "⟩")
 	case Bag:
-		sb.WriteString("{")
-		for i, e := range sortedBag(x) {
-			if i > 0 {
-				sb.WriteString(", ")
-			}
-			format(sb, e)
-		}
-		sb.WriteString("}")
+		return appendSeq(append(dst, '{'), sortedBag(x), "}")
 	default:
 		panic(fmt.Sprintf("value: unsupported type %T", v))
 	}
+}
+
+func appendSeq(dst []byte, xs []Value, closer string) []byte {
+	for i, e := range xs {
+		if i > 0 {
+			dst = append(dst, ", "...)
+		}
+		dst = AppendFormat(dst, e)
+	}
+	return append(dst, closer...)
 }

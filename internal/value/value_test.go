@@ -1,6 +1,7 @@
 package value
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -17,6 +18,59 @@ func TestDate(t *testing.T) {
 	}
 	if MakeDate(1996, 12, 31) >= d {
 		t.Fatal("date order broken")
+	}
+	// String builds its ten bytes by hand; pin it to the format it replaced,
+	// past both ends of the four-digit years too.
+	for _, d := range []Date{0, 1, MakeDate(1, 1, 1), MakeDate(999, 9, 9), MakeDate(2024, 12, 31), MakeDate(9999, 99, 99),
+		MakeDate(10000, 1, 1), MakeDate(123456, 7, 8), -1, MakeDate(-44, 3, 15)} {
+		if want := fmt.Sprintf("%04d-%02d-%02d", d.Year(), d.Month(), d.Day()); d.String() != want {
+			t.Errorf("Date(%d).String() = %q, want %q", int64(d), d.String(), want)
+		}
+	}
+}
+
+// TestCompareSeqAgreesWithCompare: the unboxed comparator row sorts use is
+// Compare on the same two sequences as Tuples, for every kind of element.
+func TestCompareSeqAgreesWithCompare(t *testing.T) {
+	tuples := []Tuple{
+		{},
+		{nil},
+		{nil, nil},
+		{int64(5)},
+		{5.0}, // ties with int64(5): numbers compare across int and real
+		{4.5},
+		{int64(5), "a"},
+		{5.0, "b"},
+		{true}, {false},
+		{"a"}, {"a", nil}, {"b"},
+		{MakeDate(2020, 1, 1)}, {MakeDate(2020, 1, 2), int64(1)},
+		{Label{Site: 1, Payload: Tuple{int64(1)}}},
+		{Label{Site: 1, Payload: Tuple{1.0}}},
+		{Label{Site: 2, Payload: Tuple{}}},
+		{Tuple{int64(1), "x"}}, {Tuple{int64(1)}},
+		{Bag{}}, {Bag{int64(1), int64(2)}}, {Bag{int64(2), int64(1)}}, // one multiset, two orders
+		{Bag{Tuple{"k", Bag{2.5}}, nil}},
+		{int64(1), Bag{Tuple{int64(1), Bag{"deep"}}}, nil, "tail"},
+	}
+	for _, a := range tuples {
+		for _, b := range tuples {
+			if got, want := sign(CompareSeq(a, b)), sign(Compare(a, b)); got != want {
+				t.Errorf("CompareSeq(%s, %s) = %d, Compare = %d", Format(a), Format(b), got, want)
+			}
+		}
+	}
+	r := rand.New(rand.NewSource(1))
+	for i := 0; i < 2000; i++ {
+		a, b := make(Tuple, r.Intn(4)), make(Tuple, r.Intn(4))
+		for j := range a {
+			a[j] = randomFlat(r, 0)
+		}
+		for j := range b {
+			b[j] = randomFlat(r, 0)
+		}
+		if got, want := sign(CompareSeq(a, b)), sign(Compare(a, b)); got != want {
+			t.Fatalf("CompareSeq(%s, %s) = %d, Compare = %d", Format(a), Format(b), got, want)
+		}
 	}
 }
 
