@@ -175,9 +175,9 @@ type Metrics struct {
 
 // ExchangeStat describes how the (source,target) buffers of shuffles were
 // metered: "columnar" buffers at the size of their compact typed wire
-// encoding (wireSize — every key-based shuffle of uniform-width rows), "boxed"
-// buffers by value.SizeRows (keyless rebalances and ragged-width sources).
-// The rows themselves cross the in-process exchange as handles either way.
+// encoding (wireSize — every source of uniform-width rows), "boxed" buffers
+// by value.SizeRows (ragged-width sources). The rows themselves cross the
+// in-process exchange as handles either way.
 type ExchangeStat struct {
 	ColumnarBuffers int64
 	BoxedBuffers    int64
@@ -248,7 +248,7 @@ type Snapshot struct {
 	// StageWall lists per-stage wall times in first-execution order.
 	StageWall []StageTime
 	// StageExchange lists per-stage exchange accounting in first-execution
-	// order (key-based and rebalance shuffle stages only).
+	// order (shuffle stages only).
 	StageExchange []StageExchange
 }
 

@@ -273,7 +273,7 @@ func TestUnionAndAddUniqueID(t *testing.T) {
 	if u.Count() != 3 {
 		t.Fatalf("union=%d", u.Count())
 	}
-	withID := u.AddUniqueID()
+	withID := u.AddUniqueID(0)
 	seen := map[int64]bool{}
 	for _, r := range withID.Collect() {
 		id := r[2].(int64)
@@ -407,31 +407,6 @@ func TestQuickGroupPreservesRowMultiset(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestRebalanceSpreadsRows(t *testing.T) {
-	c := NewContext(4)
-	var rows []Row
-	for i := 0; i < 100; i++ {
-		rows = append(rows, Row{int64(1)})
-	}
-	d := c.FromRows(rows)
-	rb, err := d.Rebalance("rb")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rb.Count() != 100 {
-		t.Fatal("rows lost in rebalance")
-	}
-	nonEmpty := 0
-	for _, p := range rb.parts {
-		if len(p) > 0 {
-			nonEmpty++
-		}
-	}
-	if nonEmpty < 2 {
-		t.Fatalf("rebalance left data on %d partitions", nonEmpty)
 	}
 }
 

@@ -349,12 +349,13 @@ func (d *Dataset) FlatMapPreserving(fn func(Row) []Row) *Dataset {
 // AddUniqueID appends a new column holding an ID unique across the dataset,
 // without any shuffle: IDs combine the partition index and a per-partition
 // sequence number, assigned by a fused stage whose counter is instantiated
-// per partition per pass (so replays produce identical IDs). This implements
-// the unique-ID insertion performed by the outer-unnest operator of the
-// paper.
-func (d *Dataset) AddUniqueID() *Dataset {
+// per partition per pass (so replays produce identical IDs). tag is or-ed into
+// every ID, so datasets numbered under tags that differ in a bit above the
+// partition field share no ID. This implements the unique-ID insertion
+// performed by the outer-unnest operator of the paper.
+func (d *Dataset) AddUniqueID(tag int64) *Dataset {
 	out := d.withStage(func(part int) stageFn {
-		base := int64(part) << 40
+		base := tag | int64(part)<<40
 		var seq int64
 		return func(r Row, emit func(Row)) {
 			nr := make(Row, len(r)+1)

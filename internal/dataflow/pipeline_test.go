@@ -147,7 +147,7 @@ func TestPeakPartitionRowsTracked(t *testing.T) {
 // pipeline may replay when a lazy dataset is consumed by two operators).
 func TestAddUniqueIDDeterministicAcrossReplays(t *testing.T) {
 	c := NewContext(3)
-	d := c.FromRows(rowsOfInts(1, 1, 2, 2, 3, 3, 4, 4, 5, 5)).AddUniqueID()
+	d := c.FromRows(rowsOfInts(1, 1, 2, 2, 3, 3, 4, 4, 5, 5)).AddUniqueID(0)
 	collect := func() []Row {
 		var out []Row
 		for i := range d.parts {

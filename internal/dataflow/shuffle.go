@@ -20,9 +20,7 @@ func (d *Dataset) RepartitionBy(stage string, cols []int) (*Dataset, error) {
 		d.ctx.Metrics.SkippedShuffles.Add(1)
 		return d, nil
 	}
-	out, err := d.shuffle(stage, true, func(int) func(Row) uint64 {
-		return func(r Row) uint64 { return value.HashCols(r, cols) }
-	})
+	out, err := d.shuffle(stage, cols)
 	if err != nil {
 		return nil, err
 	}
@@ -31,20 +29,18 @@ func (d *Dataset) RepartitionBy(stage string, cols []int) (*Dataset, error) {
 }
 
 // exchangeBuffers is what one map task hands the reduce side: per target, the
-// routed rows, their routing hashes (key-based shuffles only — a side channel
-// the byte meter does not see, it is defined over cells) and their
-// value.SizeRows, which falls out of the metering walk.
+// routed rows, their routing hashes (a side channel the byte meter does not
+// see, it is defined over cells) and their value.SizeRows, which falls out of
+// the metering walk.
 type exchangeBuffers struct {
 	rows   [][]Row
 	hashes [][]uint64
 	mem    []int64
 }
 
-// shuffle redistributes rows into Parallelism partitions. hashFor builds one
-// hash function per source partition (stateful routing stays partition-local
-// and race-free). keyed marks a key-based shuffle, whose buffers are metered
-// at their typed wire encoding and whose routing hashes travel with the rows;
-// keyless shuffles (Rebalance) and sources whose rows disagree on width are
+// shuffle redistributes rows into Parallelism partitions by value.HashCols
+// over cols. Buffers are metered at their typed wire encoding and the routing
+// hashes travel with the rows; a source whose rows disagree on width is
 // metered by value.SizeRows.
 //
 // The exchange is pipelined: each map-side task streams its partition through
@@ -56,7 +52,7 @@ type exchangeBuffers struct {
 // only representation that crosses; the meter reads them, it does not copy
 // them, and the one walk it makes also yields the in-memory size the
 // per-partition peak and the memory cap are checked against.
-func (d *Dataset) shuffle(stage string, keyed bool, hashFor func(part int) func(Row) uint64) (*Dataset, error) {
+func (d *Dataset) shuffle(stage string, cols []int) (*Dataset, error) {
 	if d.err != nil {
 		return nil, d.err
 	}
@@ -69,20 +65,14 @@ func (d *Dataset) shuffle(stage string, keyed bool, hashFor func(part int) func(
 	// target t.
 	buckets := make([]exchangeBuffers, len(d.parts))
 	mapErr := c.runParts(len(d.parts), func(i int) error {
-		local := exchangeBuffers{rows: make([][]Row, p), mem: make([]int64, p)}
+		local := exchangeBuffers{rows: make([][]Row, p), hashes: make([][]uint64, p), mem: make([]int64, p)}
 		// Pre-size every per-target slice for a uniform spread of this
 		// source's rows — a capacity hint only, skew just grows past it.
 		hint := len(d.parts[i])/p + 1
 		for t := range local.rows {
 			local.rows[t] = make([]Row, 0, hint)
+			local.hashes[t] = make([]uint64, 0, hint)
 		}
-		if keyed {
-			local.hashes = make([][]uint64, p)
-			for t := range local.hashes {
-				local.hashes[t] = make([]uint64, 0, hint)
-			}
-		}
-		hash := hashFor(i)
 		width, ragged := -1, false
 		d.feed(i, func(r Row) {
 			if width < 0 {
@@ -90,14 +80,11 @@ func (d *Dataset) shuffle(stage string, keyed bool, hashFor func(part int) func(
 			} else if len(r) != width {
 				ragged = true
 			}
-			h := hash(r)
+			h := value.HashCols(r, cols)
 			t := int(h % uint64(p))
 			local.rows[t] = append(local.rows[t], r)
-			if keyed {
-				local.hashes[t] = append(local.hashes[t], h)
-			}
+			local.hashes[t] = append(local.hashes[t], h)
 		})
-		typed := keyed && !ragged
 		var ex ExchangeStat
 		var recs int64
 		var meter wireMeter
@@ -106,7 +93,7 @@ func (d *Dataset) shuffle(stage string, keyed bool, hashFor func(part int) func(
 				continue
 			}
 			recs += int64(len(buf))
-			if typed {
+			if !ragged {
 				var wire int64
 				wire, local.mem[t] = meter.wireSize(buf)
 				ex.ColumnarBuffers++
@@ -130,10 +117,7 @@ func (d *Dataset) shuffle(stage string, keyed bool, hashFor func(part int) func(
 
 	// Reduce side: each target partition concatenates its buffers in source
 	// order and sums their sizes.
-	out := &Dataset{ctx: c, parts: make([][]Row, p)}
-	if keyed {
-		out.hashes = make([][]uint64, p)
-	}
+	out := &Dataset{ctx: c, parts: make([][]Row, p), hashes: make([][]uint64, p)}
 	mem := make([]int64, p)
 	reduceErr := c.runParts(p, func(t int) error {
 		var n int
@@ -141,18 +125,12 @@ func (d *Dataset) shuffle(stage string, keyed bool, hashFor func(part int) func(
 			n += len(buckets[i].rows[t])
 			mem[t] += buckets[i].mem[t]
 		}
-		rows := make([]Row, 0, n)
+		rows, hashes := make([]Row, 0, n), make([]uint64, 0, n)
 		for i := range buckets {
 			rows = append(rows, buckets[i].rows[t]...)
+			hashes = append(hashes, buckets[i].hashes[t]...)
 		}
-		out.parts[t] = rows
-		if keyed {
-			hashes := make([]uint64, 0, n)
-			for i := range buckets {
-				hashes = append(hashes, buckets[i].hashes[t]...)
-			}
-			out.hashes[t] = hashes
-		}
+		out.parts[t], out.hashes[t] = rows, hashes
 		return nil
 	})
 	c.Metrics.AddStageWall(stage, time.Since(start))
@@ -197,7 +175,7 @@ type wireCol struct {
 
 // wireSize returns two sizes of one (source,target) buffer of uniform-width
 // rows from a single walk. wire is the size of the compact typed encoding a
-// network shuffle would move — what ShuffleBytes meters on key-based shuffles.
+// network shuffle would move — what ShuffleBytes meters.
 // Per column: 8 bytes per row for int64/float64/date, string bytes plus a
 // 4-byte length per row, one bit per row for bool (in 64-bit words), Σ
 // value.Size of the non-NULL cells for a boxed column (non-scalar cells, or
@@ -286,19 +264,4 @@ func (m *wireMeter) wireSize(rows []Row) (wire, mem int64) {
 		}
 	}
 	return wire, mem
-}
-
-// Rebalance redistributes rows round-robin (no key), dropping any guarantee.
-// Used to spread data evenly, e.g. after a highly selective filter. The
-// round-robin counter is per source partition (offset by the partition index
-// so sources do not all target the same sequence), keeping the map side free
-// of shared state.
-func (d *Dataset) Rebalance(stage string) (*Dataset, error) {
-	return d.shuffle(stage, false, func(part int) func(Row) uint64 {
-		i := uint64(part)
-		return func(Row) uint64 {
-			i++
-			return i
-		}
-	})
 }

@@ -224,19 +224,6 @@ func TestShuffleMetersWireSize(t *testing.T) {
 	}
 }
 
-// TestRebalanceMetersRowWalk: keyless shuffles keep the value.SizeRows meter.
-func TestRebalanceMetersRowWalk(t *testing.T) {
-	rows := []Row{{int64(1), true}, {int64(2), false}, {int64(3), true}}
-	c := NewContext(2)
-	if _, err := c.FromPartitions([][]Row{rows}).Rebalance("r"); err != nil {
-		t.Fatal(err)
-	}
-	ex := c.Metrics.Snapshot().Exchange
-	if ex.ColumnarBuffers != 0 || ex.BoxedBuffers != 2 || ex.BoxedBytes != value.SizeRows(rows) {
-		t.Fatalf("rebalance exchange %+v, want 2 boxed buffers of %dB total", ex, value.SizeRows(rows))
-	}
-}
-
 // TestWireSizePinsBenchSchemas pins the metered bytes of the two
 // BenchmarkColumnarShuffle schemas (8 partitions, key column 0) — the numbers
 // the benchmark has reported since the typed encoding was introduced.
@@ -262,9 +249,6 @@ func TestShufflePoisonedInputCountsNoStage(t *testing.T) {
 	d := c.FromRows([]Row{{int64(1)}, {int64(2)}}).Map(func(Row) Row { panic("boom") }).Force()
 	if d.Err() == nil {
 		t.Fatal("panicking stage did not poison the dataset")
-	}
-	if _, err := d.Rebalance("r"); err == nil {
-		t.Fatal("Rebalance of a poisoned dataset succeeded")
 	}
 	if _, err := d.RepartitionBy("k", []int{0}); err == nil {
 		t.Fatal("RepartitionBy of a poisoned dataset succeeded")

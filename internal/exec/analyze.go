@@ -23,8 +23,7 @@ func (ex *Executor) node(op plan.Op) *plan.NodeStats {
 // recordWide returns a pass-through for a wide operator's (dataset, error)
 // result that records the materialized output cardinality. Wide operators
 // materialize their partitions, so Count after the fact is a cheap sum.
-func (ex *Executor) recordWide(op plan.Op) func(*dataflow.Dataset, error) (*dataflow.Dataset, error) {
-	ns := ex.node(op)
+func recordWide(ns *plan.NodeStats) func(*dataflow.Dataset, error) (*dataflow.Dataset, error) {
 	return func(d *dataflow.Dataset, err error) (*dataflow.Dataset, error) {
 		if err == nil && ns != nil {
 			ns.RowsOut.Add(d.Count())

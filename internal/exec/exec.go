@@ -7,8 +7,9 @@
 // wide operators (Join, Nest, Dedup, BagToDict) at shuffle boundaries.
 // Unnest also maps to a fused FlatMap but is materialized immediately by the
 // CheckMemory call that models in-place flattening pressure, so fusion
-// always terminates there. The skew-aware variants of Section 5 live in
-// skew.go.
+// always terminates there. One interpreter (run) evaluates every operator
+// over the skew-triples of Section 5 (skew.go); a skew-unaware run is the
+// case of no heavy component.
 package exec
 
 import (
@@ -16,11 +17,11 @@ import (
 	"runtime/debug"
 	"time"
 
-	"github.com/trance-go/trance/internal/core"
 	"github.com/trance-go/trance/internal/dataflow"
 	"github.com/trance-go/trance/internal/index"
 	"github.com/trance-go/trance/internal/nrc"
 	"github.com/trance-go/trance/internal/plan"
+	"github.com/trance-go/trance/internal/skew"
 	"github.com/trance-go/trance/internal/value"
 )
 
@@ -68,6 +69,17 @@ func (ex *Executor) nextStage(kind string) string {
 	return fmt.Sprintf("%s#%d", kind, ex.stage)
 }
 
+// wideStage is nextStage for an operator that materializes under a dataflow
+// stage of its own, recording the name on the operator's stats slot (nil when
+// analyze is off) so its stage wall resolves at render time.
+func (ex *Executor) wideStage(ns *plan.NodeStats, kind string) string {
+	stage := ex.nextStage(kind)
+	if ns != nil {
+		ns.Stage = stage
+	}
+	return stage
+}
+
 // Run evaluates a plan and returns the resulting dataset. Driver-side panics
 // (malformed plans, type confusion while building operators) are converted
 // into errors; panics inside partition tasks are already converted by the
@@ -79,162 +91,157 @@ func (ex *Executor) Run(op plan.Op) (d *dataflow.Dataset, err error) {
 			d, err = nil, fmt.Errorf("exec: panic evaluating plan: %v\n%s", r, debug.Stack())
 		}
 	}()
-	if ex.SkewAware {
-		st, err := ex.runSkew(op)
-		if err != nil {
-			return nil, err
-		}
-		return st.merge(), nil
+	t, err := ex.run(op)
+	if err != nil {
+		return nil, err
 	}
-	return ex.run(op)
+	return t.merge(), nil
 }
 
-// RunProgram executes compiled assignments in order, binding each result for
-// later statements, and returns every assignment's dataset.
-func (ex *Executor) RunProgram(stmts []core.CompiledStmt) (map[string]*dataflow.Dataset, error) {
-	out := map[string]*dataflow.Dataset{}
-	for _, st := range stmts {
-		d, err := ex.Run(st.Plan)
-		if err == nil {
-			ex.Bind(st.Name, d)
-			err = d.Err() // Bind forces; surface a poisoned dataset now
+// run is the one plan interpreter. Every operator is defined over
+// skew-triples (paper Figure 6); the standard operator is the case of no
+// heavy component, which is every triple of a skew-unaware run. Only Join and
+// BagToDict treat heavy keys differently from light ones.
+func (ex *Executor) run(op plan.Op) (triple, error) {
+	// Every operator but the leaves evaluates its (left) input first.
+	var in triple
+	if ch := op.Children(); len(ch) > 0 {
+		var err error
+		if in, err = ex.run(ch[0]); err != nil {
+			return triple{}, err
 		}
-		if err != nil {
-			return nil, fmt.Errorf("assignment %s: %w", st.Name, err)
-		}
-		out[st.Name] = d
 	}
-	return out, nil
-}
-
-func (ex *Executor) run(op plan.Op) (*dataflow.Dataset, error) {
+	ns := ex.node(op)
 	switch x := op.(type) {
 	case *plan.Scan:
 		d, ok := ex.Inputs[x.Input]
 		if !ok {
-			return nil, fmt.Errorf("exec: unbound input %q", x.Input)
+			return triple{}, fmt.Errorf("exec: unbound input %q", x.Input)
 		}
-		if ns := ex.node(x); ns != nil {
+		if ns != nil {
 			ns.RowsOut.Add(d.Count()) // bound inputs are materialized; Count is cheap
 		}
-		return d, nil
+		return ex.allLight(d, nil)
 
 	case *plan.Values:
 		rows := make([]dataflow.Row, len(x.Rows))
 		copy(rows, x.Rows)
-		if ns := ex.node(x); ns != nil {
+		if ns != nil {
 			ns.RowsOut.Add(int64(len(rows)))
 		}
-		return ex.Ctx.FromRows(rows), nil
+		return ex.allLight(ex.Ctx.FromRows(rows), nil)
 
 	case *plan.IndexScan:
-		return ex.runIndexScan(x)
+		return ex.allLight(ex.runIndexScan(x))
 
 	case *plan.Select:
-		in, err := ex.run(x.In)
-		if err != nil {
-			return nil, err
-		}
-		return ex.applySelect(in, x), nil
+		return in.mapBoth(func(d *dataflow.Dataset) *dataflow.Dataset { return ex.applySelect(d, x) }), nil
 
 	case *plan.Extend:
-		in, err := ex.run(x.In)
-		if err != nil {
-			return nil, err
-		}
-		return ex.applyExtend(in, x), nil
+		return in.mapBoth(func(d *dataflow.Dataset) *dataflow.Dataset { return ex.applyExtend(d, x) }), nil
 
 	case *plan.Project:
-		in, err := ex.run(x.In)
-		if err != nil {
-			return nil, err
-		}
-		return ex.applyProject(in, x), nil
+		out := in.mapBoth(func(d *dataflow.Dataset) *dataflow.Dataset { return ex.applyProject(d, x) })
+		out.keys, out.keyCols = nil, nil // projection changes the layout
+		return out, nil
 
 	case *plan.AddIndex:
-		in, err := ex.run(x.In)
-		if err != nil {
-			return nil, err
+		// IDs feed label identity across statements, so the two components
+		// number their rows apart: the heavy side sets a bit above the
+		// partition and sequence fields.
+		out := triple{light: in.light.AddUniqueID(0), keys: in.keys, keyCols: in.keyCols}
+		if in.heavy != nil {
+			out.heavy = in.heavy.AddUniqueID(heavyIDBit)
 		}
-		out := in.AddUniqueID()
-		if ns := ex.node(x); ns != nil {
-			out = out.MapPreserving(countRows(ns))
+		if ns != nil {
+			out = out.mapBoth(func(d *dataflow.Dataset) *dataflow.Dataset { return d.MapPreserving(countRows(ns)) })
 		}
 		return out, nil
 
 	case *plan.Unnest:
-		in, err := ex.run(x.In)
-		if err != nil {
-			return nil, err
-		}
-		ns := ex.node(x)
-		out := applyUnnest(in, x, ns)
+		out := in.mapBoth(func(d *dataflow.Dataset) *dataflow.Dataset { return applyUnnest(d, x, ns) })
 		// Flattening materially expands partitions in place: a worker
 		// holding a large inner collection must hold its flattened form
 		// (paper Section 6: flattening skewed inner collections saturates
 		// worker memory).
-		stage := ex.nextStage("unnest")
-		if ns != nil {
-			ns.Stage = stage
+		if err := out.light.CheckMemory(ex.wideStage(ns, "unnest")); err != nil {
+			return triple{}, err
 		}
-		if err := out.CheckMemory(stage); err != nil {
-			return nil, err
+		if out.heavy != nil {
+			if err := out.heavy.CheckMemory(ex.nextStage("unnest/heavy")); err != nil {
+				return triple{}, err
+			}
 		}
 		return out, nil
 
 	case *plan.Join:
-		l, err := ex.run(x.L)
+		rt, err := ex.run(x.R)
 		if err != nil {
-			return nil, err
+			return triple{}, err
 		}
-		r, err := ex.run(x.R)
+		right, record := rt.merge(), recordWide(ns)
+		if !ex.SkewAware || len(x.LCols) == 0 {
+			// No key to be heavy on: the standard join, of each component (a
+			// cross join broadcasts the right side to both).
+			out := in
+			if out.light, err = record(ex.join(in.light, right, x, ns)); err != nil {
+				return triple{}, err
+			}
+			if in.heavy != nil && in.heavy.Count() > 0 {
+				out.heavy, err = record(ex.join(in.heavy, right, x, ns))
+			}
+			return out, err
+		}
+		// Skew-aware join (paper Figure 6): the light parts join with
+		// key-based shuffling; the heavy rows of the left stay in place and
+		// the matching right rows are broadcast to them.
+		in = ex.keysFor(in, x.LCols)
+		rightLight, rightHeavy := skew.Split(right, x.RCols, in.keys)
+		light, err := record(ex.join(in.light, rightLight, x, ns))
 		if err != nil {
-			return nil, err
+			return triple{}, err
 		}
-		return ex.recordWide(x)(ex.join(l, r, x))
+		// The broadcast side's rows are part of the same join node's output:
+		// record them too, so skew-strategy plans carry a complete actual_rows.
+		heavy, err := record(in.heavy.BroadcastJoin(ex.nextStage("skewjoin"), rightHeavy, x.LCols, x.RCols, len(x.R.Columns()), x.Outer))
+		return triple{light: light, heavy: heavy, keys: in.keys, keyCols: x.LCols}, err
 
 	case *plan.Nest:
-		in, err := ex.run(x.In)
-		if err != nil {
-			return nil, err
-		}
-		return ex.recordWide(x)(ex.nest(in, x))
+		// Γ, dedup and ⊎ merge light and heavy and follow the standard
+		// implementation (paper Figure 6: an empty heavy component and a null
+		// heavy-key set come back).
+		return ex.allLight(recordWide(ns)(ex.nest(in.merge(), x, ex.wideStage(ns, "nest"))))
 
 	case *plan.DedupOp:
-		in, err := ex.run(x.In)
-		if err != nil {
-			return nil, err
-		}
-		stage := ex.nextStage("dedup")
-		if ns := ex.node(x); ns != nil {
-			ns.Stage = stage
-		}
-		return ex.recordWide(x)(in.Distinct(stage))
+		return ex.allLight(recordWide(ns)(in.merge().Distinct(ex.wideStage(ns, "dedup"))))
 
 	case *plan.UnionAll:
-		l, err := ex.run(x.L)
+		rt, err := ex.run(x.R)
 		if err != nil {
-			return nil, err
+			return triple{}, err
 		}
-		r, err := ex.run(x.R)
-		if err != nil {
-			return nil, err
-		}
-		u := l.Union(r)
-		return ex.recordWide(x)(u, u.Err())
+		u := in.merge().Union(rt.merge())
+		return ex.allLight(recordWide(ns)(u, u.Err()))
 
 	case *plan.BagToDict:
-		in, err := ex.run(x.In)
+		cols := []int{x.LabelCol}
+		if ex.SkewAware {
+			// Skew-aware BagToDict (paper Figure 6): repartition only the
+			// light labels; heavy labels stay where they are.
+			in = ex.keysFor(in, cols)
+		}
+		light, err := recordWide(ns)(in.light.RepartitionBy(ex.wideStage(ns, "bagToDict"), cols))
 		if err != nil {
-			return nil, err
+			return triple{}, err
 		}
-		stage := ex.nextStage("bagToDict")
-		if ns := ex.node(x); ns != nil {
-			ns.Stage = stage
+		// The operator's output is the union of both components: record the
+		// heavy rows too, so actual_rows matches what flows downstream.
+		if ns != nil && in.heavy != nil {
+			ns.RowsOut.Add(in.heavy.Count())
 		}
-		return ex.recordWide(x)(in.RepartitionBy(stage, []int{x.LabelCol}))
+		return triple{light: light, heavy: in.heavy, keys: in.keys, keyCols: cols}, nil
 	}
-	return nil, fmt.Errorf("exec: unknown operator %T", op)
+	return triple{}, fmt.Errorf("exec: unknown operator %T", op)
 }
 
 // runIndexScan resolves an IndexScan's spans against the input's bound
@@ -280,33 +287,25 @@ func (ex *Executor) runIndexScan(x *plan.IndexScan) (*dataflow.Dataset, error) {
 
 // join dispatches between shuffle and broadcast joins; like Spark, inputs
 // under the broadcast limit are broadcast automatically.
-func (ex *Executor) join(l, r *dataflow.Dataset, x *plan.Join) (*dataflow.Dataset, error) {
-	ns := ex.node(x)
-	stage := func(kind string) string {
-		s := ex.nextStage(kind)
-		if ns != nil {
-			ns.Stage = s
-		}
-		return s
-	}
+func (ex *Executor) join(l, r *dataflow.Dataset, x *plan.Join, ns *plan.NodeStats) (*dataflow.Dataset, error) {
 	rw := len(x.R.Columns())
 	if len(x.LCols) == 0 {
 		// Cross join: broadcast the right side.
-		return l.BroadcastJoin(stage("cross"), r, nil, nil, rw, x.Outer)
+		return l.BroadcastJoin(ex.wideStage(ns, "cross"), r, nil, nil, rw, x.Outer)
 	}
+	var broadcast bool
 	if x.Cost != nil {
 		// The cost model decided at plan time; honor it over the runtime
 		// size heuristic (the two can disagree when estimates are off — the
 		// differential oracle checks both paths stay sound).
-		if x.Cost.Method == plan.JoinBroadcast {
-			return l.BroadcastJoin(stage("bjoin"), r, x.LCols, x.RCols, rw, x.Outer)
-		}
-		return l.Join(stage("join"), r, x.LCols, x.RCols, rw, x.Outer)
+		broadcast = x.Cost.Method == plan.JoinBroadcast
+	} else {
+		broadcast = ex.Ctx.BroadcastLimit > 0 && r.SizeBytes() <= ex.Ctx.BroadcastLimit
 	}
-	if ex.Ctx.BroadcastLimit > 0 && r.SizeBytes() <= ex.Ctx.BroadcastLimit {
-		return l.BroadcastJoin(stage("bjoin"), r, x.LCols, x.RCols, rw, x.Outer)
+	if broadcast {
+		return l.BroadcastJoin(ex.wideStage(ns, "bjoin"), r, x.LCols, x.RCols, rw, x.Outer)
 	}
-	return l.Join(stage("join"), r, x.LCols, x.RCols, rw, x.Outer)
+	return l.Join(ex.wideStage(ns, "join"), r, x.LCols, x.RCols, rw, x.Outer)
 }
 
 func (ex *Executor) applySelect(in *dataflow.Dataset, x *plan.Select) *dataflow.Dataset {
@@ -403,7 +402,7 @@ func applyUnnest(in *dataflow.Dataset, x *plan.Unnest, ns *plan.NodeStats) *data
 // operators; they register their group without contributing. Structural nests
 // keep every group (empty bags); explicit nests below the root emit NULL
 // marker rows for phantom-only groups; at the root those groups are dropped.
-func (ex *Executor) nest(in *dataflow.Dataset, x *plan.Nest) (*dataflow.Dataset, error) {
+func (ex *Executor) nest(in *dataflow.Dataset, x *plan.Nest, stage string) (*dataflow.Dataset, error) {
 	inCols := x.In.Columns()
 	bagValue := make([]bool, len(x.ValueCols))
 	for i, c := range x.ValueCols {
@@ -426,10 +425,6 @@ func (ex *Executor) nest(in *dataflow.Dataset, x *plan.Nest) (*dataflow.Dataset,
 		return true
 	}
 
-	stage := ex.nextStage("nest")
-	if ns := ex.node(x); ns != nil {
-		ns.Stage = stage
-	}
 	// Slab cells per input row: under Γ⊎ its slot in the group's bag and,
 	// unless elements are bare scalars, its element tuple.
 	elemWidth, perRow := 0, 0

@@ -2,6 +2,7 @@ package exec_test
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"github.com/trance-go/trance/internal/dataflow"
@@ -113,5 +114,83 @@ func TestValuesOperator(t *testing.T) {
 	}
 	if out.Count() != 2 {
 		t.Fatalf("values rows: %d", out.Count())
+	}
+}
+
+// skewedJoin is L ⋈ R on k over 2 000 rows of one heavy key and 200 rows of
+// distinct light ones, against a right side holding one row per key.
+func skewedJoin(ex *exec.Executor) *plan.Join {
+	var l, r []dataflow.Row
+	for i := 0; i < 2200; i++ {
+		k := int64(7)
+		if i >= 2000 {
+			k = int64(100 + i)
+			r = append(r, dataflow.Row{k, "light"})
+		}
+		l = append(l, dataflow.Row{k, int64(i)})
+	}
+	r = append(r, dataflow.Row{int64(7), "heavy"})
+	ex.BindRows("L", l)
+	ex.BindRows("R", r)
+	return &plan.Join{
+		L:     &plan.Scan{Input: "L", Cols: []plan.Column{{Name: "k", Type: nrc.IntT}, {Name: "seq", Type: nrc.IntT}}},
+		R:     &plan.Scan{Input: "R", Cols: []plan.Column{{Name: "rk", Type: nrc.IntT}, {Name: "tag", Type: nrc.StringT}}},
+		LCols: []int{0}, RCols: []int{0},
+	}
+}
+
+// TestAddIndexUniqueAcrossSkewComponents: the IDs AddIndex hands out feed
+// label identity across statements, so they must be distinct over the light
+// and the heavy component of a skew join's output together.
+func TestAddIndexUniqueAcrossSkewComponents(t *testing.T) {
+	ex := exec.New(dataflow.NewContext(4))
+	ex.SkewAware = true
+	out, err := ex.Run(&plan.AddIndex{In: skewedJoin(ex), Name: "id"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := out.Collect()
+	if len(rows) != 2200 {
+		t.Fatalf("%d rows, want 2200", len(rows))
+	}
+	seen := map[int64]bool{}
+	for _, r := range rows {
+		seen[r[len(r)-1].(int64)] = true
+	}
+	if len(seen) != len(rows) {
+		t.Fatalf("%d distinct IDs over %d rows", len(seen), len(rows))
+	}
+}
+
+// TestOperatorsOverSkewJoinOutput runs the two operators that treat a heavy
+// component specially — a cross join, which has no key to split on, and
+// BagToDict, which re-splits on its label — directly over a skew join's output,
+// and holds them row for row to the skew-unaware run of the same plan.
+func TestOperatorsOverSkewJoinOutput(t *testing.T) {
+	plans := map[string]func(*plan.Join) plan.Op{
+		"cross": func(j *plan.Join) plan.Op {
+			side := &plan.Values{Cols: []plan.Column{{Name: "c", Type: nrc.IntT}}, Rows: []plan.Row{{int64(1)}, {int64(2)}}}
+			return &plan.Join{L: j, R: side}
+		},
+		"bagToDict": func(j *plan.Join) plan.Op { return &plan.BagToDict{In: j, LabelCol: 0} },
+	}
+	for name, over := range plans {
+		var got [2][]dataflow.Row
+		for i, skewAware := range []bool{false, true} {
+			ctx := dataflow.NewContext(4)
+			ex := exec.New(ctx)
+			ex.SkewAware = skewAware
+			out, err := ex.Run(over(skewedJoin(ex)))
+			if err != nil {
+				t.Fatalf("%s (skew-aware %t): %v", name, skewAware, err)
+			}
+			got[i] = out.CollectSorted()
+			if stages := ctx.Metrics.Snapshot().StageWall; skewAware && !strings.HasPrefix(stages[1].Stage, "skewjoin#") {
+				t.Fatalf("%s: the input join did not take the skew-aware arm: %v", name, stages)
+			}
+		}
+		if len(got[0]) == 0 || value.Compare(bagOf(got[0], false), bagOf(got[1], false)) != 0 {
+			t.Fatalf("%s: skew-aware run returned %d rows, skew-unaware %d, or they differ", name, len(got[1]), len(got[0]))
+		}
 	}
 }

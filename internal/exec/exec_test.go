@@ -331,9 +331,14 @@ func TestProgramExecution(t *testing.T) {
 	for name, b := range flatInputs() {
 		ex.BindRows(name, rowsOf(b))
 	}
-	results, err := ex.RunProgram(stmts)
-	if err != nil {
-		t.Fatal(err)
+	results := map[string]*dataflow.Dataset{}
+	for _, st := range stmts {
+		d, err := ex.Run(st.Plan)
+		if err != nil {
+			t.Fatalf("assignment %s: %v", st.Name, err)
+		}
+		ex.Bind(st.Name, d)
+		results[st.Name] = d
 	}
 	// Oracle.
 	var s *nrc.Scope

@@ -10,21 +10,6 @@ import (
 	"github.com/trance-go/trance/internal/value"
 )
 
-// compiledPlans collects every plan tree the artifact executes.
-func compiledPlans(cq *Compiled) []plan.Op {
-	var out []plan.Op
-	if cq.Plan != nil {
-		out = append(out, cq.Plan)
-	}
-	for _, st := range cq.Stmts {
-		out = append(out, st.Plan)
-	}
-	if cq.Unshred != nil {
-		out = append(out, cq.Unshred)
-	}
-	return out
-}
-
 func forEachOp(op plan.Op, fn func(plan.Op)) {
 	fn(op)
 	for _, ch := range op.Children() {
@@ -52,12 +37,24 @@ func narrowInput(op plan.Op) plan.Op {
 	return nil
 }
 
-// TestAnalyzeRowConservation runs an instrumented execution and checks the
-// per-operator counters against the dataflow's own invariants: every narrow
-// operator consumed exactly the rows its input produced, the root operator
-// produced exactly the rows the result holds, and every wide operator's
-// recorded stage resolves against Result.Metrics — which is what makes the
-// rendered analyze wall totals agree with the run's stage walls.
+// stagedOp reports whether the operator materializes under a dataflow stage
+// of its own, which its stats slot must name (⊎ concatenates without one).
+func stagedOp(op plan.Op) bool {
+	switch op.(type) {
+	case *plan.Unnest, *plan.Join, *plan.Nest, *plan.DedupOp, *plan.BagToDict:
+		return true
+	}
+	return false
+}
+
+// TestAnalyzeRowConservation runs an instrumented execution under every
+// strategy and holds every operator of every executed statement to the
+// dataflow's own invariants: it has a stats slot that recorded output rows,
+// every narrow operator consumed exactly the rows its input produced, every
+// operator with a stage of its own names one that resolves against
+// Result.Metrics — which is what makes the rendered analyze wall totals agree
+// with the run's stage walls — and the root operator produced exactly the rows
+// the result holds.
 func TestAnalyzeRowConservation(t *testing.T) {
 	inputs := map[string]value.Bag{"COP": testdata.SmallCOP(), "Part": testdata.SmallPart()}
 	cfg := DefaultConfig()
@@ -80,55 +77,43 @@ func TestAnalyzeRowConservation(t *testing.T) {
 			stages[st.Stage] = true
 		}
 		chains, wides := 0, 0
-		for _, p := range compiledPlans(cq) {
-			forEachOp(p, func(op plan.Op) {
+		for _, st := range cq.Stmts {
+			forEachOp(st.Plan, func(op plan.Op) {
 				ns := a.Lookup(op)
 				if ns == nil {
+					t.Errorf("%s: %s: %s has no stats slot", strat, st.Label, op.Describe())
 					return
 				}
-				if ns.Stage != "" {
+				if ns.RowsOut.Load() == 0 {
+					t.Errorf("%s: %s: %s recorded no output rows", strat, st.Label, op.Describe())
+				}
+				if stagedOp(op) {
 					wides++
 					if !stages[ns.Stage] {
-						t.Errorf("%s: %s recorded stage %q absent from Result.Metrics stage walls",
-							strat, op.Describe(), ns.Stage)
+						t.Errorf("%s: %s: %s recorded stage %q absent from Result.Metrics stage walls",
+							strat, st.Label, op.Describe(), ns.Stage)
 					}
 				}
 				in := narrowInput(op)
-				if in == nil {
-					return
-				}
-				child := a.Lookup(in)
-				if child == nil {
-					return
+				if in == nil || a.Lookup(in) == nil {
+					return // a missing child slot is reported at the child
 				}
 				chains++
-				if got, want := ns.RowsIn.Load(), child.RowsOut.Load(); got != want {
-					t.Errorf("%s: %s consumed %d rows but its input %s produced %d",
-						strat, op.Describe(), got, in.Describe(), want)
+				if got, want := ns.RowsIn.Load(), a.Lookup(in).RowsOut.Load(); got != want {
+					t.Errorf("%s: %s: %s consumed %d rows but its input %s produced %d",
+						strat, st.Label, op.Describe(), got, in.Describe(), want)
 				}
 			})
 		}
-		if chains == 0 {
-			t.Fatalf("%s: no narrow chains were instrumented — conservation check is vacuous", strat)
+		if chains == 0 || wides == 0 {
+			t.Fatalf("%s: %d narrow chains, %d staged operators — conservation check is vacuous", strat, chains, wides)
 		}
 
-		// The last executed plan's root feeds the result verbatim.
-		rootPlan := cq.Plan
-		if cq.Unshred != nil {
-			rootPlan = cq.Unshred
-		} else if rootPlan == nil && len(cq.Stmts) > 0 {
-			rootPlan = cq.Stmts[len(cq.Stmts)-1].Plan
+		// The output plan's root feeds the result verbatim.
+		if got, want := a.Lookup(cq.OutputPlan()).RowsOut.Load(), res.Output.Count(); got != want {
+			t.Errorf("%s: root reported %d rows, result holds %d", strat, got, want)
 		}
-		out := res.Output
-		if out == nil && cq.Mat != nil {
-			out = res.Shredded[cq.Mat.TopName]
-		}
-		if ns := a.Lookup(rootPlan); ns != nil && out != nil {
-			if got, want := ns.RowsOut.Load(), out.Count(); got != want {
-				t.Errorf("%s: root reported %d rows, result holds %d", strat, got, want)
-			}
-		}
-		t.Logf("%s: %d narrow chains conserved, %d wide stages resolved", strat, chains, wides)
+		t.Logf("%s: %d narrow chains conserved, %d staged operators resolved", strat, chains, wides)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime/debug"
+	"strings"
 	"time"
 
 	"github.com/trance-go/trance/internal/core"
@@ -19,13 +20,12 @@ import (
 )
 
 // Compiled holds every compile-time artifact of one (query, environment,
-// strategy, config) combination: the pruned standard plan, or the
-// materialized shredded program with its compiled statements and (for
-// unshredding strategies) the pruned unshred plan. A Compiled is immutable
-// after Compile returns and safe to Execute from many goroutines at once
-// over different inputs — plan operators and their scalar expressions are
-// pure, and every run gets its own executor and dataflow context. It is one
-// step of a program; a program is a []*Compiled in step order.
+// strategy, config) combination: the statements Execute runs in order and, on
+// shredded routes, the materialized program they came from. A Compiled is
+// immutable after Compile returns and safe to Execute from many goroutines at
+// once over different inputs — plan operators and their scalar expressions
+// are pure, and every run gets its own executor and dataflow context. It is
+// one step of a program; a program is a []*Compiled in step order.
 type Compiled struct {
 	// Name is the step name: what later steps of a program reference the
 	// output by, and the materialization name of the shredded route ("Q" for
@@ -49,28 +49,53 @@ type Compiled struct {
 	Requested   Strategy
 	AutoReasons []string
 
-	// Plan is the algebraic plan of the standard routes (nil when shredded).
-	Plan plan.Op
 	// Mat is the materialized shredded program (shredded routes only).
 	Mat *shred.Materialized
-	// Stmts are the compiled assignments of the shredded program.
-	Stmts []core.CompiledStmt
-	// Unshred is the pruned plan restoring nested output (unshredding
-	// strategies only).
-	Unshred plan.Op
-
-	// RawPlan, RawStmts and RawUnshred keep the pre-optimizer plans so
-	// Explain can show before/after diffs. They alias the optimized fields
-	// when the optimizer is disabled (Config.NoPredicatePushdown).
-	RawPlan    plan.Op
-	RawStmts   []core.CompiledStmt
-	RawUnshred plan.Op
+	// Stmts are the plans of the step in execution order: the one plan of a
+	// standard route, the assignments of the shredded program, and after them
+	// the pruned plan restoring nested output on an unshredding route.
+	Stmts []Stmt
 	// Opt accumulates the optimizer's rule-hit counters over every plan of
 	// this compilation.
 	Opt plan.OptStats
 	// Idx accumulates the planner's Select→IndexScan conversions over every
 	// plan of this compilation (zero when Config.NoIndexScan ablated them).
 	Idx plan.IndexStats
+}
+
+// Stmt is one plan of a compiled step.
+type Stmt struct {
+	// Label heads the statement's section in Explain: "plan", "assignment
+	// <name>" or "unshred plan".
+	Label string
+	// Bind is the name later statements (and steps) scan the statement's
+	// dataset under; empty for a plan that only produces the step's output.
+	Bind string
+	// Raw is the plan before the optimizer and Plan the one that runs; they
+	// alias each other when the optimizer is disabled
+	// (Config.NoPredicatePushdown).
+	Raw, Plan plan.Op
+}
+
+// addStmt optimizes and annotates raw and appends it to the step.
+func (cq *Compiled) addStmt(label, bind string, raw plan.Op) {
+	cq.Stmts = append(cq.Stmts, Stmt{Label: label, Bind: bind, Raw: raw, Plan: cq.annotate(cq.optimize(raw))})
+}
+
+// spanName names the statement's execute span: "execute plan", "execute
+// <name>" for an assignment, "execute unshred".
+func (st Stmt) spanName() string {
+	if st.Bind != "" {
+		return "execute " + st.Bind
+	}
+	return "execute " + strings.TrimSuffix(st.Label, " plan")
+}
+
+// yieldsOutput reports whether st's dataset is (so far) the step's output: any
+// plan that is not an assignment, or the top bag of a shredded program (only
+// shredded routes, which have a Mat, hold assignments).
+func (cq *Compiled) yieldsOutput(st Stmt) bool {
+	return st.Bind == "" || st.Bind == cq.Mat.TopName
 }
 
 // recoverTo converts a panic into an error carrying the stack, so malformed
@@ -130,7 +155,7 @@ func CompileStep(q nrc.Expr, env nrc.Env, strat Strategy, cfg Config, name strin
 		} else {
 			cq.Strategy = Standard
 		}
-		cq.Mat, cq.Stmts, cq.RawStmts, cq.Unshred, cq.RawUnshred = nil, nil, nil, nil, nil
+		cq.Mat, cq.Stmts = nil, nil
 	}
 	if err := cq.compileStandard(q); err != nil {
 		return nil, err
@@ -209,8 +234,7 @@ func (cq *Compiled) compileStandard(q nrc.Expr) error {
 	if err != nil {
 		return fmt.Errorf("compile: %w", err)
 	}
-	cq.RawPlan = op
-	cq.Plan = cq.annotate(cq.optimize(op))
+	cq.addStmt("plan", "", op)
 	return nil
 }
 
@@ -257,10 +281,8 @@ func (cq *Compiled) compileShredded(q nrc.Expr) error {
 	if err != nil {
 		return fmt.Errorf("compile shredded: %w", err)
 	}
-	cq.RawStmts = stmts
-	cq.Stmts = make([]core.CompiledStmt, len(stmts))
-	for i, st := range stmts {
-		cq.Stmts[i] = core.CompiledStmt{Name: st.Name, Plan: cq.annotate(cq.optimize(st.Plan))}
+	for _, st := range stmts {
+		cq.addStmt("assignment "+st.Name, st.Name, st.Plan)
 	}
 
 	if cq.Strategy.unshreds() {
@@ -271,8 +293,7 @@ func (cq *Compiled) compileShredded(q nrc.Expr) error {
 		if !cq.Cfg.NoColumnPruning {
 			uplan = plan.Prune(uplan)
 		}
-		cq.RawUnshred = uplan
-		cq.Unshred = cq.annotate(cq.optimize(uplan))
+		cq.addStmt("unshred plan", "", uplan)
 	}
 	return nil
 }
@@ -481,11 +502,7 @@ func Execute(ctx context.Context, prog []*Compiled, rows map[string][]dataflow.R
 		for i, cq := range prog {
 			step = i
 			start := time.Now()
-			if cq.Strategy.IsShredded() {
-				err = cq.executeShredded(ctx, ex, res, opts.Span)
-			} else {
-				err = cq.executeStandard(ctx, ex, res, opts.Span)
-			}
+			err = cq.execute(ctx, ex, res, opts.Span)
 			d := time.Since(start)
 			res.StepElapsed = append(res.StepElapsed, d)
 			res.Elapsed += d
@@ -501,7 +518,7 @@ func Execute(ctx context.Context, prog []*Compiled, rows map[string][]dataflow.R
 			// Bind the step's output as an input of later steps: the nested
 			// dataset under the step name, or the shredded top bag under the
 			// MatName convention (the step's dictionaries were already bound
-			// per materialized assignment by executeShredded).
+			// per materialized assignment by execute).
 			if cq.Strategy.IsShredded() {
 				ex.Bind(shred.MatName(cq.Name, nil), res.Shredded[cq.Mat.TopName])
 			} else {
@@ -533,85 +550,49 @@ func ExecuteInputs(ctx context.Context, prog []*Compiled, inputs map[string]valu
 	return Execute(ctx, prog, rows, idxs, dctx, opts)
 }
 
-// executeStandard runs the step's plan on the program's executor, leaving its
-// dataset in res.Output. sp, when non-nil, receives one child span per
-// executed statement.
-func (cq *Compiled) executeStandard(ctx context.Context, ex *exec.Executor, res *Result, sp *trace.Span) error {
-	if err := ctx.Err(); err != nil {
-		return err
+// execute runs the step's statements in order on the program's executor. An
+// assignment is bound for the statements after it and kept in res.Shredded; the
+// last statement yielding output leaves it in res.Output. sp, when non-nil,
+// receives one child span per executed statement.
+func (cq *Compiled) execute(ctx context.Context, ex *exec.Executor, res *Result, sp *trace.Span) error {
+	if cq.Mat != nil {
+		res.Shredded = map[string]*dataflow.Dataset{}
 	}
-	ssp := sp.Child("execute plan")
-	out, err := ex.Run(cq.Plan)
-	if err == nil {
-		out.Force() // charge trailing fused narrow work to the timed region
-		err = out.Err()
-	}
-	ssp.End()
-	if err != nil {
-		return err
-	}
-	res.Output = out
-	return nil
-}
-
-// executeShredded runs the step's materialized assignments (binding each for
-// its downstream consumers) and, under an unshredding strategy, the unshred
-// plan, leaving the components in res.Shredded and the result in res.Output.
-func (cq *Compiled) executeShredded(ctx context.Context, ex *exec.Executor, res *Result, sp *trace.Span) error {
-	outs := map[string]*dataflow.Dataset{}
 	for _, st := range cq.Stmts {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		ssp := sp.Child("execute " + st.Name)
+		ssp := sp.Child(st.spanName())
 		d, err := ex.Run(st.Plan)
 		if err == nil {
-			ex.Bind(st.Name, d) // forces once for all downstream consumers
-			err = d.Err()
+			err = d.Force().Err() // charge trailing fused narrow work to the timed region
 		}
 		ssp.End()
 		if err != nil {
-			return fmt.Errorf("assignment %s: %w", st.Name, err)
+			if st.Bind != "" {
+				err = fmt.Errorf("%s: %w", st.Label, err)
+			}
+			return err
 		}
-		outs[st.Name] = d
+		if st.Bind != "" {
+			ex.Bind(st.Bind, d)
+			res.Shredded[st.Bind] = d
+		}
+		if cq.yieldsOutput(st) {
+			res.Output = d
+		}
 	}
-	res.Shredded = outs
-	res.Output = outs[cq.Mat.TopName]
-	if !cq.Strategy.unshreds() {
-		return nil
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	ssp := sp.Child("execute unshred")
-	out, err := ex.Run(cq.Unshred)
-	if err == nil {
-		out.Force()
-		err = out.Err()
-	}
-	ssp.End()
-	if err != nil {
-		return err
-	}
-	res.Output = out
 	return nil
 }
 
 // OutputPlan returns the plan whose column schema matches the Output dataset
 // Execute produces: the standard plan, the unshred plan, or the shredded
 // program's top assignment.
-func (cq *Compiled) OutputPlan() plan.Op {
-	switch {
-	case cq.Plan != nil:
-		return cq.Plan
-	case cq.Unshred != nil:
-		return cq.Unshred
-	default:
-		for _, st := range cq.Stmts {
-			if st.Name == cq.Mat.TopName {
-				return st.Plan
-			}
+func (cq *Compiled) OutputPlan() (out plan.Op) {
+	for _, st := range cq.Stmts {
+		if cq.yieldsOutput(st) {
+			out = st.Plan
 		}
 	}
-	return nil
+	return out
 }

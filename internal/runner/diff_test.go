@@ -689,7 +689,7 @@ func TestAnalyzeStableAcrossRoutes(t *testing.T) {
 			// Only measured roots are held to the oracle cardinality;
 			// a plan whose root the executor never instrumented (e.g. a
 			// pure leaf) renders without the check.
-			if ns := res.Analyze.Lookup(cq.Plan); ns != nil {
+			if ns := res.Analyze.Lookup(cq.OutputPlan()); ns != nil {
 				if actual := ns.RowsOut.Load(); actual != int64(len(want)) {
 					t.Fatalf("seed %d (noidx=%t): root actual_rows=%d, oracle cardinality=%d",
 						seed, noIdx, actual, len(want))

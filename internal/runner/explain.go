@@ -34,18 +34,8 @@ func stepHeader(sb *strings.Builder, prog []*Compiled, i int) {
 func (cq *Compiled) Explain() string {
 	var sb strings.Builder
 	cq.explainHeader(&sb)
-	if cq.Plan != nil {
-		explainPair(&sb, "plan", cq.RawPlan, cq.Plan)
-	}
-	for i, st := range cq.Stmts {
-		var raw plan.Op
-		if i < len(cq.RawStmts) {
-			raw = cq.RawStmts[i].Plan
-		}
-		explainPair(&sb, "assignment "+st.Name, raw, st.Plan)
-	}
-	if cq.Unshred != nil {
-		explainPair(&sb, "unshred plan", cq.RawUnshred, cq.Unshred)
+	for _, st := range cq.Stmts {
+		explainPair(&sb, st.Label, st.Raw, st.Plan)
 	}
 	return sb.String()
 }
@@ -110,16 +100,11 @@ func (r *Result) ExplainAnalyze() string {
 		if a == nil {
 			continue
 		}
-		if cq.Plan != nil {
-			fmt.Fprintf(&sb, "=== plan (analyzed) ===\n%s", plan.ExplainAnalyzed(cq.Plan, a, wall, exch))
-		}
+		var qerrs []plan.QError
 		for _, st := range cq.Stmts {
-			fmt.Fprintf(&sb, "=== assignment %s (analyzed) ===\n%s", st.Name, plan.ExplainAnalyzed(st.Plan, a, wall, exch))
+			fmt.Fprintf(&sb, "=== %s (analyzed) ===\n%s", st.Label, plan.ExplainAnalyzed(st.Plan, a, wall, exch))
+			qerrs = append(qerrs, plan.QErrors(st.Plan, a)...)
 		}
-		if cq.Unshred != nil {
-			fmt.Fprintf(&sb, "=== unshred plan (analyzed) ===\n%s", plan.ExplainAnalyzed(cq.Unshred, a, wall, exch))
-		}
-		qerrs := cq.qErrors(a)
 		if len(qerrs) > 0 {
 			sb.WriteString("=== q-error (estimate vs actual) ===\n")
 			for _, q := range qerrs {
@@ -140,30 +125,10 @@ func (r *Result) ExplainAnalyze() string {
 	return sb.String()
 }
 
-// qErrors collects estimate-vs-actual ratios from every compiled plan tree.
-func (cq *Compiled) qErrors(a *plan.Analysis) []plan.QError {
-	var out []plan.QError
-	if cq.Plan != nil {
-		out = append(out, plan.QErrors(cq.Plan, a)...)
-	}
-	for _, st := range cq.Stmts {
-		out = append(out, plan.QErrors(st.Plan, a)...)
-	}
-	if cq.Unshred != nil {
-		out = append(out, plan.QErrors(cq.Unshred, a)...)
-	}
-	return out
-}
-
 // explainPair prints one plan section; when the optimizer changed the plan,
 // both the before and after trees are shown.
 func explainPair(sb *strings.Builder, what string, raw, opt plan.Op) {
-	after := plan.Explain(opt)
-	if raw == nil {
-		fmt.Fprintf(sb, "=== %s ===\n%s", what, after)
-		return
-	}
-	before := plan.Explain(raw)
+	before, after := plan.Explain(raw), plan.Explain(opt)
 	if before == after {
 		fmt.Fprintf(sb, "=== %s (unchanged by optimizer) ===\n%s", what, after)
 		return
