@@ -160,6 +160,10 @@ func (ex *Executor) run(op plan.Op) (triple, error) {
 
 	case *plan.Unnest:
 		out := in.mapBoth(func(d *dataflow.Dataset) *dataflow.Dataset { return applyUnnest(d, x, ns) })
+		out.keyCols = unnestedKeyCols(x, in.keyCols)
+		if out.keyCols == nil {
+			out.keys = nil
+		}
 		// Flattening materially expands partitions in place: a worker
 		// holding a large inner collection must hold its flattened form
 		// (paper Section 6: flattening skewed inner collections saturates
@@ -363,33 +367,53 @@ func (ex *Executor) applyProject(in *dataflow.Dataset, x *plan.Project) *dataflo
 	}))
 }
 
+// applyUnnest writes, per input row, one output row per bag element (one
+// NULL-extended row for an empty bag under μ̄) holding only the columns x
+// lists, all of them cut from one slab.
 func applyUnnest(in *dataflow.Dataset, x *plan.Unnest, ns *plan.NodeStats) *dataflow.Dataset {
-	elems := x.ElemFields()
 	width := len(x.In.Columns())
-	scalarElem := len(elems) == 1 && elems[0].Name == "_value"
+	// Output cells by source: input columns (the tombstoned bag column is left
+	// NULL) and element fields.
+	type cell struct{ out, src int }
+	var passed, elems []cell
+	w := len(x.Columns())
+	for o := 0; o < w; o++ {
+		switch c := x.Full(o); {
+		case c >= width:
+			elems = append(elems, cell{o, c - width})
+		case c != x.BagCol:
+			passed = append(passed, cell{o, c})
+		}
+	}
+	_, tupleElem := x.In.Columns()[x.BagCol].Type.(nrc.BagType).Elem.(nrc.TupleType)
 	return in.FlatMap(instrFlatMap(ns, func(r dataflow.Row) []dataflow.Row {
-		bagV := r[x.BagCol]
-		base := make(dataflow.Row, width)
-		copy(base, r)
-		base[x.BagCol] = nil // tombstone the unnested attribute
-		bag, _ := bagV.(value.Bag)
-		if len(bag) == 0 {
+		bag, _ := r[x.BagCol].(value.Bag)
+		n := len(bag)
+		if n == 0 {
 			if !x.Outer {
 				return nil
 			}
-			nr := make(dataflow.Row, width+len(elems))
-			copy(nr, base)
-			return []dataflow.Row{nr}
+			n = 1
 		}
-		out := make([]dataflow.Row, len(bag))
-		for i, e := range bag {
-			nr := make(dataflow.Row, width+len(elems))
-			copy(nr, base)
-			if scalarElem {
-				nr[width] = e
-			} else {
-				et := e.(value.Tuple)
-				copy(nr[width:], et)
+		slab := make(valueSlab, n*w)
+		out := make([]dataflow.Row, n)
+		for i := range out {
+			nr := dataflow.Row(slab.cut(w))
+			for _, c := range passed {
+				nr[c.out] = r[c.src]
+			}
+			switch {
+			case i >= len(bag):
+				// μ̄ of an empty bag: the element columns stay NULL
+			case tupleElem:
+				e := bag[i].(value.Tuple)
+				for _, c := range elems {
+					nr[c.out] = e[c.src]
+				}
+			default:
+				for _, c := range elems {
+					nr[c.out] = bag[i]
+				}
 			}
 			out[i] = nr
 		}

@@ -194,3 +194,76 @@ func TestOperatorsOverSkewJoinOutput(t *testing.T) {
 		}
 	}
 }
+
+// TestUnnestWritesOnlyListedColumns: μ/μ̄ with an output column list writes
+// those cells, in that order — pass-through columns, the NULL tombstone when
+// it is listed, element fields (or the bare element of a scalar bag) — and
+// NULL element cells for the one row μ̄ keeps of an empty bag.
+func TestUnnestWritesOnlyListedColumns(t *testing.T) {
+	elem := nrc.TupleType{Fields: []nrc.Field{{Name: "p", Type: nrc.IntT}, {Name: "q", Type: nrc.IntT}}}
+	scan := &plan.Scan{Input: "R", Cols: []plan.Column{
+		{Name: "a", Type: nrc.IntT},
+		{Name: "ts", Type: nrc.BagType{Elem: elem}},
+		{Name: "ns", Type: nrc.BagType{Elem: nrc.IntT}},
+	}}
+	rows := []dataflow.Row{
+		{int64(1), value.Bag{value.Tuple{int64(10), int64(11)}, value.Tuple{int64(20), int64(21)}}, value.Bag{int64(7), int64(8)}},
+		{int64(2), value.Bag{}, nil},
+	}
+	cases := []struct {
+		name string
+		op   *plan.Unnest
+		want []dataflow.Row
+	}{
+		// Full layout: a, ts, ns, t.p, t.q.
+		{"μ̄ tuple elements, reordered", &plan.Unnest{In: scan, BagCol: 1, Prefix: "t", Outer: true, Outs: []int{4, 0}},
+			[]dataflow.Row{{int64(11), int64(1)}, {int64(21), int64(1)}, {nil, int64(2)}}},
+		{"μ drops the empty bag's row", &plan.Unnest{In: scan, BagCol: 1, Prefix: "t", Outs: []int{0, 3}},
+			[]dataflow.Row{{int64(1), int64(10)}, {int64(1), int64(20)}}},
+		{"the tombstone is NULL when listed", &plan.Unnest{In: scan, BagCol: 1, Prefix: "t", Outs: []int{1, 3}},
+			[]dataflow.Row{{nil, int64(10)}, {nil, int64(20)}}},
+		// Full layout: a, ts, ns, n._value.
+		{"μ̄ scalar elements", &plan.Unnest{In: scan, BagCol: 2, Prefix: "n", Outer: true, Outs: []int{3, 0}},
+			[]dataflow.Row{{int64(7), int64(1)}, {int64(8), int64(1)}, {nil, int64(2)}}},
+		{"no list writes the full layout", &plan.Unnest{In: scan, BagCol: 2, Prefix: "n"},
+			[]dataflow.Row{{int64(1), rows[0][1], nil, int64(7)}, {int64(1), rows[0][1], nil, int64(8)}}},
+	}
+	for _, c := range cases {
+		ex := exec.New(dataflow.NewContext(2))
+		ex.BindRows("R", rows)
+		out, err := ex.Run(c.op)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if got := out.CollectSorted(); value.Compare(bagOf(got, false), bagOf(c.want, false)) != 0 {
+			t.Errorf("%s: got %v, want %v", c.name, got, c.want)
+		}
+	}
+}
+
+// TestSkewKeysFollowUnnestOutputs: above a μ that moves the columns, a skew
+// join's heavy keys are known for where the key column went — not for the
+// column now at its old position, which the next join here is keyed on.
+func TestSkewKeysFollowUnnestOutputs(t *testing.T) {
+	var got [2][]dataflow.Row
+	for i, skewAware := range []bool{false, true} {
+		ex := exec.New(dataflow.NewContext(4))
+		ex.SkewAware = skewAware
+		j := skewedJoin(ex)
+		width := len(j.Columns())
+		xs := &plan.ConstE{Val: value.Bag{int64(1), int64(2)}, Typ: nrc.BagType{Elem: nrc.IntT}}
+		withBag := &plan.Extend{In: j, Exprs: []plan.NamedExpr{{Name: "xs", Expr: xs}}}
+		// μ writes (x, k): x takes position 0, where the heavy key k was.
+		un := &plan.Unnest{In: withBag, BagCol: width, Prefix: "x", Outs: []int{width + 1, j.LCols[0]}}
+		names := &plan.Values{Cols: []plan.Column{{Name: "n", Type: nrc.IntT}, {Name: "name", Type: nrc.StringT}},
+			Rows: []plan.Row{{int64(1), "one"}, {int64(2), "two"}}}
+		out, err := ex.Run(&plan.Join{L: un, R: names, LCols: []int{0}, RCols: []int{0}})
+		if err != nil {
+			t.Fatalf("skew-aware %t: %v", skewAware, err)
+		}
+		got[i] = out.CollectSorted()
+	}
+	if len(got[0]) != 4400 || value.Compare(bagOf(got[0], false), bagOf(got[1], false)) != 0 {
+		t.Fatalf("skew-aware run returned %d rows, skew-unaware %d (want 4400), or they differ", len(got[1]), len(got[0]))
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"slices"
 
 	"github.com/trance-go/trance/internal/dataflow"
+	"github.com/trance-go/trance/internal/plan"
 	"github.com/trance-go/trance/internal/skew"
 )
 
@@ -66,4 +67,20 @@ func (ex *Executor) keysFor(t triple, cols []int) triple {
 	hk := skew.NewDetector().HeavyKeys(merged, cols)
 	light, heavy := skew.Split(merged, cols, hk)
 	return triple{light: light, heavy: heavy, keys: hk, keyCols: cols}
+}
+
+// unnestedKeyCols is where μ's output holds the heavy-key columns of its
+// input, nil when it writes only some of them (the heavy keys are then
+// unknown, as after a projection).
+func unnestedKeyCols(x *plan.Unnest, keyCols []int) []int {
+	if x.Outs == nil {
+		return keyCols
+	}
+	out := make([]int, len(keyCols))
+	for i, k := range keyCols {
+		if out[i] = slices.Index(x.Outs, k); out[i] < 0 {
+			return nil
+		}
+	}
+	return out
 }

@@ -225,14 +225,18 @@ func (a *annotator) walk(op Op) (Op, nodeEst) {
 
 	case *Unnest:
 		in, e := a.walk(x.In)
-		out := &Unnest{In: in, BagCol: x.BagCol, Prefix: x.Prefix, Outer: x.Outer}
+		out := &Unnest{In: in, BagCol: x.BagCol, Prefix: x.Prefix, Outer: x.Outer, Outs: x.Outs}
 		n := len(out.Columns())
 		if !e.known() {
 			return out, unknownEst(n)
 		}
 		cols := make([]ColEstimate, n)
-		copy(cols, e.cols)
-		cols[x.BagCol] = ColEstimate{} // tombstoned
+		for i := range cols {
+			// Element fields are unknown, and so is the tombstoned bag column.
+			if c := x.Full(i); c < len(e.cols) && c != x.BagCol {
+				cols[i] = e.cols[c]
+			}
+		}
 		return out, nodeEst{rows: e.rows * defaultFanout, bytes: e.bytes * defaultFanout, cols: cols}
 
 	case *Join:
@@ -248,7 +252,7 @@ func (a *annotator) walk(op Op) (Op, nodeEst) {
 			return out, unknownEst(n)
 		}
 		cols := make([]ColEstimate, n)
-		for i, c := range x.GroupCols {
+		for i, c := range x.passed() {
 			if c < len(e.cols) {
 				cols[i] = e.cols[c]
 			}

@@ -297,3 +297,28 @@ func TestIndexScanRangeGate(t *testing.T) {
 		t.Fatalf("point predicate on ordered column no longer converts:\n%s", Explain(eqa))
 	}
 }
+
+// TestAnnotateCarriedColumnKeepsEstimate: a Γ hands its carried columns'
+// estimates on like its grouping columns', so a ⋈ on a carried outer attribute
+// is still estimated from its NDV.
+func TestAnnotateCarriedColumnKeepsEstimate(t *testing.T) {
+	nest := &Nest{In: scanOf("R", "a", "b"), GroupCols: []int{1}, CarryCols: []int{0}, ValueCols: []int{0},
+		Agg: AggBag, ScalarElem: true, OutName: "as"}
+	a := &annotator{tables: testTables()}
+	_, e := a.walk(nest)
+	if got := e.cols[1]; got.NDV != 5000 || got.Min != int64(0) || got.Max != int64(9999) {
+		t.Fatalf("carried column a leaves Γ with estimate %+v, want NDV 5000 in [0, 9999]", got)
+	}
+	if got := e.cols[0]; got.NDV != 10 {
+		t.Fatalf("grouping column b leaves Γ with estimate %+v, want NDV 10", got)
+	}
+	if got := e.cols[2]; got.NDV != 0 {
+		t.Fatalf("the aggregate has estimate %+v, want unknown", got)
+	}
+
+	// |Γ| = 10000/4; joined to S on a: 2500·100 / max(NDV a, NDV k) = 50.
+	j := findJoin(t, Annotate(&Join{L: nest, R: scanOf("S", "k"), LCols: []int{1}, RCols: []int{0}}, testTables(), 64<<10))
+	if j.Cost == nil || j.Cost.EstRows != 50 {
+		t.Fatalf("join on a carried column: cost %+v, want est_rows=50", j.Cost)
+	}
+}

@@ -1,0 +1,119 @@
+package plan
+
+import "slices"
+
+// idDeps records, for every output column of an operator, which of the
+// operator's own output columns hold an AddIndex ID that functionally
+// determines it: any two output rows agreeing on such an ID column agree on
+// the dependent column. An ID column lists itself.
+//
+// An AddIndex ID is unique per row it numbered, so it determines every column
+// of that row. The dependency survives the operators that only repeat, drop or
+// regroup whole rows of their (left) input: σ, π's column copies, ext, μ/μ̄
+// pass-through columns (the tombstone included: it is NULL on every row), the
+// left side of ⋈/⟕, dedup, BagToDict, and the group and carry outputs of Γ. It
+// is cleared for a column σ̄ nullifies (rows sharing an ID then differ on it),
+// for the right side of a join, for computed columns, for aggregates, and by
+// ⊎, whose inputs number their rows independently. A dependency is on an
+// output position, so a π that drops the ID drops its dependents with it.
+//
+// Prune leans on this to key a Γ by the IDs alone. That in turn leans on IDs
+// being unique across the light and heavy components of a skew-aware run
+// (exec.heavyIDBit); TestNarrowedKeysUnderSkew in internal/runner is the
+// end-to-end check.
+type idDeps [][]int
+
+// idDepsOf computes the dependencies of op's output columns.
+func idDepsOf(op Op) idDeps {
+	switch x := op.(type) {
+	case *Select:
+		return idDepsOf(x.In).without(x.NullifyCols)
+
+	case *Extend:
+		return append(idDepsOf(x.In), make(idDeps, len(x.Exprs))...)
+
+	case *Project:
+		src := make([]int, len(x.Outs))
+		for i, ne := range x.Outs {
+			src[i] = -1
+			if c, ok := ne.Expr.(*Col); ok {
+				src[i] = c.Idx
+			}
+		}
+		return idDepsOf(x.In).gather(src)
+
+	case *AddIndex:
+		in := idDepsOf(x.In)
+		id := len(in)
+		out := make(idDeps, id+1)
+		for i, d := range in {
+			out[i] = append(append([]int{}, d...), id)
+		}
+		out[id] = []int{id}
+		return out
+
+	case *Unnest:
+		full := append(idDepsOf(x.In), make(idDeps, len(x.ElemFields()))...)
+		if x.Outs == nil {
+			return full
+		}
+		return full.gather(x.Outs)
+
+	case *Join:
+		return append(idDepsOf(x.L), make(idDeps, len(x.R.Columns()))...)
+
+	case *Nest:
+		src := x.passed()
+		out := idDepsOf(x.In).gather(src)
+		return append(out, make(idDeps, len(x.Columns())-len(src))...)
+
+	case *DedupOp:
+		return idDepsOf(x.In)
+
+	case *BagToDict:
+		return idDepsOf(x.In)
+	}
+	// Leaves and ⊎: nothing is known to be determined.
+	return make(idDeps, len(op.Columns()))
+}
+
+// gather is the dependencies of an output whose column i copies input column
+// src[i] (negative: not a copy). A dependency on an input ID becomes one on
+// every output position copying that ID, and is lost when none does.
+func (d idDeps) gather(src []int) idDeps {
+	copies := make(map[int][]int, len(src))
+	for i, s := range src {
+		if s >= 0 {
+			copies[s] = append(copies[s], i)
+		}
+	}
+	out := make(idDeps, len(src))
+	for i, s := range src {
+		if s < 0 {
+			continue
+		}
+		for _, id := range d[s] {
+			out[i] = append(out[i], copies[id]...)
+		}
+	}
+	return out
+}
+
+// without clears cols: they depend on nothing, and nothing depends on them.
+func (d idDeps) without(cols []int) idDeps {
+	if len(cols) == 0 {
+		return d
+	}
+	out := make(idDeps, len(d))
+	for i, ids := range d {
+		if slices.Contains(cols, i) {
+			continue
+		}
+		for _, id := range ids {
+			if !slices.Contains(cols, id) {
+				out[i] = append(out[i], id)
+			}
+		}
+	}
+	return out
+}

@@ -149,6 +149,12 @@ type Unnest struct {
 	BagCol int
 	Prefix string
 	Outer  bool
+	// Outs, when non-nil, lists the columns the operator writes, in output
+	// order, as positions of the full layout (the input columns followed by
+	// the element fields). Prune fills it from what the operators above read,
+	// so a flattened row is built once at its final width; nil writes the
+	// full layout.
+	Outs []int
 }
 
 // ElemFields returns the element fields of the unnested bag column.
@@ -160,12 +166,27 @@ func (u *Unnest) ElemFields() []nrc.Field {
 	return []nrc.Field{{Name: "_value", Type: bt.Elem}}
 }
 
+// Full returns the position in the full layout of output column i.
+func (u *Unnest) Full(i int) int {
+	if u.Outs == nil {
+		return i
+	}
+	return u.Outs[i]
+}
+
 func (u *Unnest) Columns() []Column {
 	in := u.In.Columns()
-	out := make([]Column, 0, len(in)+2)
-	out = append(out, in...)
+	full := make([]Column, 0, len(in)+2)
+	full = append(full, in...)
 	for _, f := range u.ElemFields() {
-		out = append(out, Column{Name: u.Prefix + "." + f.Name, Type: f.Type})
+		full = append(full, Column{Name: u.Prefix + "." + f.Name, Type: f.Type})
+	}
+	if u.Outs == nil {
+		return full
+	}
+	out := make([]Column, len(u.Outs))
+	for i, c := range u.Outs {
+		out[i] = full[c]
 	}
 	return out
 }
@@ -175,7 +196,11 @@ func (u *Unnest) Describe() string {
 	if u.Outer {
 		sym = "μ̄"
 	}
-	return fmt.Sprintf("%s $%d as %s", sym, u.BagCol, u.Prefix)
+	s := fmt.Sprintf("%s $%d as %s", sym, u.BagCol, u.Prefix)
+	if u.Outs != nil {
+		s += fmt.Sprintf(" out%v", u.Outs)
+	}
+	return s
 }
 
 // Join is an equi-join (⋈) or left outer join (⧑) on column equality. Output
@@ -209,7 +234,8 @@ func (j *Join) Describe() string {
 // Nest is Γ^{agg value}_{key}: a key-based reduce (paper Section 2). Rows are
 // grouped by GroupCols; ValueCols form the contribution of each row — a
 // collected element for Γ⊎, summands for Γ+. CarryCols are columns
-// functionally determined by the group key (previously built inner bags)
+// functionally determined by the group key (previously built inner bags, and
+// the outer attributes an AddIndex ID in the key determines — see Prune)
 // passed through from the first row of each group. GDepth marks how many of
 // GroupCols form the outer grouping prefix G (used by explicit modes).
 //
@@ -250,13 +276,16 @@ func (n *Nest) ElemType() nrc.Type {
 	return nrc.TupleType{Fields: fs}
 }
 
+// passed returns the input columns the output starts with: GroupCols ++
+// CarryCols, each constant within a group.
+func (n *Nest) passed() []int {
+	return append(append([]int{}, n.GroupCols...), n.CarryCols...)
+}
+
 func (n *Nest) Columns() []Column {
 	in := n.In.Columns()
 	out := make([]Column, 0, len(n.GroupCols)+len(n.CarryCols)+len(n.ValueCols))
-	for _, c := range n.GroupCols {
-		out = append(out, in[c])
-	}
-	for _, c := range n.CarryCols {
+	for _, c := range n.passed() {
 		out = append(out, in[c])
 	}
 	if n.Agg == AggBag {

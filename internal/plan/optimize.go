@@ -223,20 +223,23 @@ func pushdown(op Op, preds []Expr, st *OptStats) Op {
 
 	case *Unnest:
 		base := len(x.In.Columns())
+		remap := make(map[int]int, len(x.Columns()))
+		for i := range x.Columns() {
+			remap[i] = x.Full(i)
+		}
 		var below, above []Expr
 		for _, p := range preds {
-			cols := ExprCols(p, nil)
 			ok := true
-			for _, c := range cols {
+			for _, c := range ExprCols(p, nil) {
 				// Element columns don't exist below; the unnested bag column
 				// is tombstoned (NULL) above, so its value differs too — a
 				// push below would be unsound, count it as refused.
-				if c == x.BagCol {
+				if remap[c] == x.BagCol {
 					ok = false
 					st.PushesRefused++
 					break
 				}
-				if c >= base {
+				if remap[c] >= base {
 					ok = false
 					break
 				}
@@ -246,21 +249,22 @@ func pushdown(op Op, preds []Expr, st *OptStats) Op {
 				// are unchanged and each input row maps to ≥0 output rows
 				// carrying them verbatim.
 				st.PredicatesPushed++
-				below = append(below, p)
+				below = append(below, RemapExpr(p, remap))
 			} else {
 				above = append(above, p)
 			}
 		}
-		out := &Unnest{In: pushdown(x.In, below, st), BagCol: x.BagCol, Prefix: x.Prefix, Outer: x.Outer}
+		out := &Unnest{In: pushdown(x.In, below, st), BagCol: x.BagCol, Prefix: x.Prefix, Outer: x.Outer, Outs: x.Outs}
 		return wrapSelect(out, above)
 
 	case *Join:
 		return pushJoin(x, preds, st)
 
 	case *Nest:
-		groupN := len(x.GroupCols)
-		remap := make(map[int]int, groupN)
-		for i, c := range x.GroupCols {
+		// Grouping and carry columns are constant within a group.
+		passed := x.passed()
+		remap := make(map[int]int, len(passed))
+		for i, c := range passed {
 			remap[i] = c
 		}
 		var below, above []Expr
@@ -268,17 +272,16 @@ func pushdown(op Op, preds []Expr, st *OptStats) Op {
 			cols := ExprCols(p, nil)
 			groupOnly := true
 			for _, c := range cols {
-				if c >= groupN {
+				if c >= len(passed) {
 					groupOnly = false
 					break
 				}
 			}
 			switch {
 			case groupOnly && x.Mode == Structural:
-				// Grouping columns are constant within a group, so filtering
-				// groups after Γ equals filtering rows before it. Structural
-				// nests emit every group unconditionally, so no marker-row
-				// machinery can observe the difference.
+				// Filtering groups after Γ equals filtering rows before it.
+				// Structural nests emit every group unconditionally, so no
+				// marker-row machinery can observe the difference.
 				st.PredicatesPushed++
 				below = append(below, RemapExpr(p, remap))
 			case groupOnly:

@@ -1,19 +1,44 @@
 package plan
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Prune performs column pruning (paper Section 3, Optimization): unused
 // columns are projected away before the data-moving operators (joins and
 // nests), and computed columns nobody reads are dropped. This is the
 // optimization that lets the shredded route drop all non-label attributes of
 // intermediate dictionaries (paper Section 6, nested-to-flat discussion).
+//
+// Pruning reaches through Γ and μ (docs/OPTIMIZER.md): a grouping column an
+// AddIndex ID in the key determines (idDeps) leaves the key — carried when the
+// parent reads it, pruned down to the scan when nobody does — and μ writes
+// only the columns read above it.
+//
+// Every output column is needed and the layout is kept: the root of a plan,
+// like an input of ⊎, is read by position.
 func Prune(op Op) Op {
-	need := make([]bool, len(op.Columns()))
+	n := len(op.Columns())
+	need := make([]bool, n)
 	for i := range need {
 		need[i] = true
 	}
-	out, _ := prune(op, need)
-	return out
+	in, rm := prune(op, need)
+	cols := in.Columns()
+	inPlace := len(cols) == n
+	for i := 0; inPlace && i < n; i++ {
+		inPlace = rm[i] == i
+	}
+	if inPlace {
+		return in
+	}
+	outs := make([]NamedExpr, n)
+	for i := range outs {
+		c := cols[rm[i]]
+		outs[i] = NamedExpr{Name: c.Name, Expr: &Col{Idx: rm[i], Name: c.Name, Typ: c.Type}}
+	}
+	return &Project{In: in, Outs: outs}
 }
 
 // prune rewrites op to compute (at least) the needed columns, returning the
@@ -94,17 +119,29 @@ func prune(op Op, need []bool) (Op, map[int]int) {
 	case *Unnest:
 		base := len(x.In.Columns())
 		childNeed := make([]bool, base)
-		for i := 0; i < base && i < len(need); i++ {
-			childNeed[i] = need[i]
-		}
 		childNeed[x.BagCol] = true
-		in, rm := prune(x.In, childNeed)
-		out := copyMap(rm)
-		newBase := len(in.Columns())
-		for i := range x.ElemFields() {
-			out[base+i] = newBase + i
+		for i := range x.Columns() {
+			if c := x.Full(i); need[i] && c < base {
+				childNeed[c] = true
+			}
 		}
-		return &Unnest{In: in, BagCol: rm[x.BagCol], Prefix: x.Prefix, Outer: x.Outer}, out
+		in, rm := prune(x.In, childNeed)
+		newBase := len(in.Columns())
+		// μ writes what is read above it, and nothing else.
+		outs := []int{}
+		out := map[int]int{}
+		for i := range x.Columns() {
+			if !need[i] {
+				continue
+			}
+			out[i] = len(outs)
+			if c := x.Full(i); c < base {
+				outs = append(outs, rm[c])
+			} else {
+				outs = append(outs, newBase+c-base)
+			}
+		}
+		return &Unnest{In: in, BagCol: rm[x.BagCol], Prefix: x.Prefix, Outer: x.Outer, Outs: outs}, out
 
 	case *Join:
 		lw := len(x.L.Columns())
@@ -134,63 +171,65 @@ func prune(op Op, need []bool) (Op, map[int]int) {
 		}, out
 
 	case *Nest:
-		w := len(x.In.Columns())
-		childNeed := make([]bool, w)
-		markCols(childNeed, x.GroupCols)
-		markCols(childNeed, x.ValueCols)
-		markCols(childNeed, x.PresenceCols)
-		// Carry columns are only kept when the parent reads them.
-		var keptCarry []int
-		for j, c := range x.CarryCols {
-			outPos := len(x.GroupCols) + j
-			if outPos < len(need) && need[outPos] {
-				keptCarry = append(keptCarry, c)
-				childNeed[c] = true
+		// An ID in the key determines some of the other grouping columns: the
+		// groups are the same without them, and any row of a group holds their
+		// value. Each is dropped against a column still in the key, so of two
+		// copies of an ID one stays.
+		deps := idDepsOf(x.In)
+		passed := x.passed()
+		inKey := make([]bool, len(passed))
+		for i := range x.GroupCols {
+			inKey[i] = true
+		}
+		for i, c := range x.GroupCols {
+			for j, k := range x.GroupCols {
+				if j != i && inKey[j] && slices.Contains(deps[c], k) {
+					inKey[i] = false
+					break
+				}
 			}
 		}
+		// Output layout: key ++ carries ++ aggregate(s). A determined grouping
+		// column joins the carries; a carry is kept when the parent reads it.
+		var key, carry []int
+		gdepth := 0
+		out := map[int]int{}
+		for pos, c := range passed {
+			if inKey[pos] {
+				out[pos] = len(key)
+				key = append(key, c)
+				if pos < x.GDepth {
+					gdepth++
+				}
+			}
+		}
+		for pos, c := range passed {
+			if !inKey[pos] && need[pos] {
+				out[pos] = len(key) + len(carry)
+				carry = append(carry, c)
+			}
+		}
+		for i := len(passed); i < len(x.Columns()); i++ {
+			out[i] = len(key) + len(carry) + i - len(passed)
+		}
+		childNeed := make([]bool, len(x.In.Columns()))
+		markCols(childNeed, key)
+		markCols(childNeed, carry)
+		markCols(childNeed, x.ValueCols)
+		markCols(childNeed, x.PresenceCols)
 		in, rm := pruneNarrow(x.In, childNeed)
-		n := &Nest{
+		return &Nest{
 			In:           in,
-			GroupCols:    remapInts(x.GroupCols, rm),
-			GDepth:       x.GDepth,
-			CarryCols:    remapInts(keptCarry, rm),
+			GroupCols:    remapInts(key, rm),
+			GDepth:       gdepth,
+			CarryCols:    remapInts(carry, rm),
 			ValueCols:    remapInts(x.ValueCols, rm),
 			PresenceCols: remapInts(x.PresenceCols, rm),
 			Agg:          x.Agg,
 			Mode:         x.Mode,
 			OutName:      x.OutName,
 			ScalarElem:   x.ScalarElem,
-		}
-		// Output remap: groups keep positions; kept carries compact; the
-		// aggregate column(s) shift left by the dropped carries.
-		out := map[int]int{}
-		for i := range x.GroupCols {
-			out[i] = i
-		}
-		pos := len(x.GroupCols)
-		for j := range x.CarryCols {
-			old := len(x.GroupCols) + j
-			kept := false
-			for _, c := range keptCarry {
-				if c == x.CarryCols[j] {
-					kept = true
-					break
-				}
-			}
-			if kept {
-				out[old] = pos
-				pos++
-			}
-		}
-		aggWidth := 1
-		if x.Agg == AggSum {
-			aggWidth = len(x.ValueCols)
-		}
-		oldAggBase := len(x.GroupCols) + len(x.CarryCols)
-		for i := 0; i < aggWidth; i++ {
-			out[oldAggBase+i] = pos + i
-		}
-		return n, out
+		}, out
 
 	case *DedupOp:
 		// Dedup compares whole rows: every column is semantically needed.
@@ -203,13 +242,7 @@ func prune(op Op, need []bool) (Op, map[int]int) {
 
 	case *UnionAll:
 		// Both branches must keep identical layouts: require everything.
-		all := make([]bool, len(x.L.Columns()))
-		for i := range all {
-			all[i] = true
-		}
-		l, _ := prune(x.L, all)
-		r, _ := prune(x.R, all)
-		return &UnionAll{L: l, R: r}, identity(len(all))
+		return &UnionAll{L: Prune(x.L), R: Prune(x.R)}, identity(len(x.Columns()))
 
 	case *BagToDict:
 		w := len(x.In.Columns())

@@ -325,12 +325,14 @@ func (g *dgen) query() nrc.Expr {
 // diffConfig is the cluster sizing for differential runs: small enough to be
 // fast, parallel enough to exercise shuffles. The full configuration carries
 // collected statistics and a generator-chosen broadcast limit; the ablated
-// configuration disables both the rule-based optimizer and the cost model
-// (so every seed also runs the un-annotated plans Auto degrades to Standard
-// on).
+// configuration disables column pruning, the rule-based optimizer and the cost
+// model (so every seed also runs the plans as the unnesting stage wrote them,
+// Γ keyed by every flat column, and the un-annotated plans Auto degrades to
+// Standard on).
 func diffConfig(full, noIdx bool, ests map[string]plan.TableEstimate, limit int64) runner.Config {
 	cfg := runner.DefaultConfig()
 	cfg.Parallelism = 3
+	cfg.NoColumnPruning = !full
 	cfg.NoPredicatePushdown = !full
 	cfg.NoCostModel = !full
 	cfg.NoIndexScan = noIdx
@@ -449,6 +451,9 @@ var diffBroadcastLimits = []int64{0, 200, 64 << 10}
 type diffCounts struct {
 	runs      int // engine runs compared against the oracle
 	optimized int // full runs whose plans the optimizer changed
+	pushed    int // predicate × operator crossings of those runs
+	nested    int // seeds with a Γ above an addIndex on some strategy's ablated plans
+	narrowed  int // those of them where the strategy's full plans key their Γs by fewer columns
 	indexed   int // runs that planned at least one index scan
 	typed     int // runs that metered at least one typed-encoding shuffle buffer
 	// shreddedSteps counts program runs whose second step read the first
@@ -459,6 +464,9 @@ type diffCounts struct {
 func (c *diffCounts) add(o diffCounts) {
 	c.runs += o.runs
 	c.optimized += o.optimized
+	c.pushed += o.pushed
+	c.nested += o.nested
+	c.narrowed += o.narrowed
 	c.indexed += o.indexed
 	c.typed += o.typed
 	c.shreddedSteps += o.shreddedSteps
@@ -490,7 +498,9 @@ func runDifferential(data []byte, strict bool) (n diffCounts, err error) {
 	ests := collectDiffStats(env, inputs)
 	applyIndexes(ests, chosen)
 
+	nested, narrowed := false, false
 	for _, strat := range diffStrategies {
+		keyCols := map[bool]int{} // Γ key columns of the strategy's plans, by arm
 		for _, full := range []bool{true, false} {
 			noIdxArms := []bool{false}
 			if full {
@@ -508,6 +518,12 @@ func runDifferential(data []byte, strict bool) (n diffCounts, err error) {
 				}
 				if full && !noIdx && cq.Opt.Total() > 0 {
 					n.optimized++
+					n.pushed += int(cq.Opt.PredicatesPushed)
+				}
+				if !noIdx {
+					var overID bool
+					keyCols[full], overID = nestKeyCols(cq)
+					nested = nested || overID && !full
 				}
 				if cq.Idx.Planned > 0 {
 					if noIdx {
@@ -538,6 +554,15 @@ func runDifferential(data []byte, strict bool) (n diffCounts, err error) {
 				n.runs++
 			}
 		}
+		if keyCols[true] < keyCols[false] {
+			narrowed = true
+		}
+	}
+	if nested {
+		n.nested++
+	}
+	if narrowed {
+		n.narrowed++
 	}
 
 	// The program arm: the same query as the second step of a two-step
@@ -580,6 +605,27 @@ func runDifferential(data []byte, strict bool) (n diffCounts, err error) {
 	return n, nil
 }
 
+// nestKeyCols counts the grouping columns of every Γ the compilation runs, and
+// reports whether one of them sits above an addIndex.
+func nestKeyCols(cq *runner.Compiled) (n int, overID bool) {
+	var walk func(plan.Op) (hasID bool)
+	walk = func(op plan.Op) (hasID bool) {
+		_, hasID = op.(*plan.AddIndex)
+		for _, ch := range op.Children() {
+			hasID = walk(ch) || hasID
+		}
+		if nest, ok := op.(*plan.Nest); ok {
+			n += len(nest.GroupCols)
+			overID = overID || hasID
+		}
+		return hasID
+	}
+	for _, st := range cq.Stmts {
+		walk(st.Plan)
+	}
+	return n, overID
+}
+
 // errSkip marks an uncompilable fuzz-generated query (tolerated only in the
 // fuzz target; the curated seeds of TestDifferentialOracle must all compile).
 var errSkip = fmt.Errorf("skip")
@@ -615,6 +661,17 @@ func TestDifferentialOracle(t *testing.T) {
 	if total.optimized < n/4 {
 		t.Fatalf("only %d of %d runs over %d seeds changed a plan — generator no longer exercises the optimizer", total.optimized, total.runs, n)
 	}
+	// Nor may a predicate stop higher than it did before Γ's outer attributes
+	// became carried columns (8407 crossings at PR 21 over these seeds).
+	if n == 300 && total.pushed < 8407 {
+		t.Fatalf("%d predicate × operator crossings over %d seeds, 8407 before Γ was keyed by the IDs", total.pushed, n)
+	}
+	// And pruning must actually reach through Γ: wherever the ablated plans
+	// group above an addIndex — by every flat column — the full plans group by
+	// fewer. (The generator draws a nested head in 48 of the 300 seeds.)
+	if total.narrowed < total.nested || total.nested < n/8 {
+		t.Fatalf("%d of %d seeds group above an addIndex and %d of those key the Γ by fewer columns than their NoColumnPruning arm — the narrowing is no longer exercised", total.nested, n, total.narrowed)
+	}
 	// And the index arm must actually plan index scans, not vacuously agree
 	// because no generated predicate ever hit an indexed column.
 	if total.indexed < n/4 {
@@ -630,8 +687,8 @@ func TestDifferentialOracle(t *testing.T) {
 	if total.shreddedSteps < n/10 {
 		t.Fatalf("only %d programs over %d seeds read a step output on a shredded route — step-output binding is no longer exercised", total.shreddedSteps, n)
 	}
-	t.Logf("%d queries × %d runs each agreed with the oracle; optimizer changed plans in %d runs; %d runs planned index scans; %d runs metered typed-encoding shuffle buffers; %d programs read a shredded step output",
-		n, total.runs/n, total.optimized, total.indexed, total.typed, total.shreddedSteps)
+	t.Logf("%d queries × %d runs each agreed with the oracle; optimizer changed plans in %d runs (%d crossings); %d seeds keyed a Γ by the IDs; %d runs planned index scans; %d runs metered typed-encoding shuffle buffers; %d programs read a shredded step output",
+		n, total.runs/n, total.optimized, total.pushed, total.narrowed, total.indexed, total.typed, total.shreddedSteps)
 }
 
 // TestAnalyzeStableAcrossRoutes re-runs a sampled subset of the differential
