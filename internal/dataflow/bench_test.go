@@ -3,6 +3,8 @@ package dataflow
 import (
 	"fmt"
 	"testing"
+
+	"github.com/trance-go/trance/internal/value"
 )
 
 func benchRows(n int) []Row {
@@ -99,7 +101,7 @@ func benchJoin(b *testing.B, col int) {
 		c := NewContext(8)
 		l := c.FromRows(left)
 		r := c.FromRows(right)
-		if _, err := l.Join("b", r, []int{col}, []int{col}, 3, false); err != nil {
+		if _, err := l.Join("b", r, []int{col}, []int{col}, JoinOut{RightWidth: 3}, false); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -141,8 +143,51 @@ func BenchmarkBroadcastJoin(b *testing.B) {
 		c := NewContext(8)
 		l := c.FromRows(left)
 		r := c.FromRows(right)
-		if _, err := l.BroadcastJoin("b", r, []int{0}, []int{0}, 3, false); err != nil {
+		if _, err := l.BroadcastJoin("b", r, []int{0}, []int{0}, JoinOut{RightWidth: 3}, false); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkJoinProject is BenchmarkBroadcastJoin writing a projection in the
+// probe: two copied columns and a computed one per match, cut from the arena.
+func BenchmarkJoinProject(b *testing.B) {
+	left := benchRows(20_000)
+	right := benchRows(500)
+	jo := JoinOut{RightWidth: 3, Cols: []int{1, 5, -1}, Eval: []func(Row) value.Value{
+		2: func(lr Row) value.Value { return lr[0] == lr[3] },
+	}}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c := NewContext(8)
+		if _, err := c.FromRows(left).BroadcastJoin("b", c.FromRows(right), []int{0}, []int{0}, jo, false); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkNarrowChain runs narrowChain's three operators the way the executor
+// writes them: every output row cut from the stage's arena.
+func BenchmarkNarrowChain(b *testing.B) {
+	rows := benchRows(50_000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d := NewContext(8).FromRows(rows).
+			Map(func(a *Arena, r Row) Row {
+				nr := a.Row(3)
+				nr[0], nr[1], nr[2] = r[0], r[1].(int64)%7, r[2]
+				return nr
+			}).
+			Filter(func(r Row) bool { return r[1].(int64)%2 == 0 }).
+			Map(func(a *Arena, r Row) Row {
+				nr := a.Row(2)
+				copy(nr, r)
+				return nr
+			})
+		if d.Count() == 0 {
+			b.Fatal("no rows")
 		}
 	}
 }
@@ -150,9 +195,9 @@ func BenchmarkBroadcastJoin(b *testing.B) {
 // narrowChain applies the benchmark's three-operator narrow chain to d.
 func narrowChain(d *Dataset) *Dataset {
 	return d.
-		Map(func(r Row) Row { return Row{r[0], r[1].(int64) * 3, r[2]} }).
+		Map(func(_ *Arena, r Row) Row { return Row{r[0], r[1].(int64) * 3, r[2]} }).
 		Filter(func(r Row) bool { return r[1].(int64)%2 == 0 }).
-		Map(func(r Row) Row { return Row{r[0], r[1]} })
+		Map(func(_ *Arena, r Row) Row { return Row{r[0], r[1]} })
 }
 
 // BenchmarkNarrowChainFused measures a map→filter→map chain executed the
@@ -176,11 +221,11 @@ func BenchmarkNarrowChainMaterialized(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		c := NewContext(8)
 		d := c.FromRows(rows)
-		d = d.Map(func(r Row) Row { return Row{r[0], r[1].(int64) * 3, r[2]} })
+		d = d.Map(func(_ *Arena, r Row) Row { return Row{r[0], r[1].(int64) * 3, r[2]} })
 		d.force()
 		d = d.Filter(func(r Row) bool { return r[1].(int64)%2 == 0 })
 		d.force()
-		d = d.Map(func(r Row) Row { return Row{r[0], r[1]} })
+		d = d.Map(func(_ *Arena, r Row) Row { return Row{r[0], r[1]} })
 		d.force()
 		if d.Count() != 25_000 {
 			b.Fatal("wrong count")

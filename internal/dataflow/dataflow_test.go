@@ -37,7 +37,7 @@ func TestFromRowsRoundTrip(t *testing.T) {
 func TestMapFilterFlatMap(t *testing.T) {
 	c := NewContext(3)
 	d := c.FromRows(rowsOfInts(1, 1, 2, 2, 3, 3, 4, 4))
-	doubled := d.Map(func(r Row) Row { return Row{r[0], r[1].(int64) * 2} })
+	doubled := d.Map(func(_ *Arena, r Row) Row { return Row{r[0], r[1].(int64) * 2} })
 	evens := doubled.Filter(func(r Row) bool { return r[1].(int64)%4 == 0 })
 	if evens.Count() != 2 {
 		t.Fatalf("filter count=%d", evens.Count())
@@ -124,7 +124,7 @@ func TestInnerJoin(t *testing.T) {
 	c := NewContext(4)
 	l := c.FromRows([]Row{{int64(1), "a"}, {int64(2), "b"}, {int64(2), "b2"}, {int64(3), "c"}})
 	r := c.FromRows([]Row{{int64(2), "X"}, {int64(2), "Y"}, {int64(3), "Z"}, {int64(9), "w"}})
-	j, err := l.Join("j", r, []int{0}, []int{0}, 2, false)
+	j, err := l.Join("j", r, []int{0}, []int{0}, JoinOut{RightWidth: 2}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestLeftOuterJoinPadsNulls(t *testing.T) {
 	c := NewContext(3)
 	l := c.FromRows([]Row{{int64(1), "a"}, {int64(2), "b"}})
 	r := c.FromRows([]Row{{int64(2), "X"}})
-	j, err := l.Join("j", r, []int{0}, []int{0}, 2, true)
+	j, err := l.Join("j", r, []int{0}, []int{0}, JoinOut{RightWidth: 2}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,14 +162,14 @@ func TestJoinNullKeysNeverMatch(t *testing.T) {
 	c := NewContext(2)
 	l := c.FromRows([]Row{{nil, "a"}, {int64(1), "b"}})
 	r := c.FromRows([]Row{{nil, "X"}, {int64(1), "Y"}})
-	inner, err := l.Join("j", r, []int{0}, []int{0}, 2, false)
+	inner, err := l.Join("j", r, []int{0}, []int{0}, JoinOut{RightWidth: 2}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if inner.Count() != 1 {
 		t.Fatalf("null keys must not match, got %d rows", inner.Count())
 	}
-	outer, err := l.Join("j2", r, []int{0}, []int{0}, 2, true)
+	outer, err := l.Join("j2", r, []int{0}, []int{0}, JoinOut{RightWidth: 2}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func TestBroadcastJoinNoShuffleOfLeft(t *testing.T) {
 	l := c.FromRows(rows)
 	r := c.FromRows([]Row{{int64(0), "z"}, {int64(1), "o"}})
 	before := c.Metrics.Snapshot()
-	j, err := l.BroadcastJoin("bj", r, []int{0}, []int{0}, 2, false)
+	j, err := l.BroadcastJoin("bj", r, []int{0}, []int{0}, JoinOut{RightWidth: 2}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,7 +359,7 @@ func TestQuickJoinMatchesNestedLoop(t *testing.T) {
 			rrows[i] = Row{int64(r.Intn(5)), int64(100 + i)}
 		}
 		c := NewContext(1 + r.Intn(6))
-		j, err := c.FromRows(lrows).Join("q", c.FromRows(rrows), []int{0}, []int{0}, 2, false)
+		j, err := c.FromRows(lrows).Join("q", c.FromRows(rrows), []int{0}, []int{0}, JoinOut{RightWidth: 2}, false)
 		if err != nil {
 			return false
 		}
@@ -414,7 +414,7 @@ func ExampleDataset_Join() {
 	c := NewContext(2)
 	parts := c.FromRows([]Row{{int64(1), "bolt"}, {int64(2), "nut"}})
 	orders := c.FromRows([]Row{{int64(1), int64(10)}, {int64(1), int64(5)}})
-	j, _ := orders.Join("ex", parts, []int{0}, []int{0}, 2, false)
+	j, _ := orders.Join("ex", parts, []int{0}, []int{0}, JoinOut{RightWidth: 2}, false)
 	for _, r := range j.CollectSorted() {
 		fmt.Println(r[1], r[3])
 	}

@@ -270,18 +270,20 @@ func (d *Dataset) CollectTop(k int) (rows []Row, total int) {
 }
 
 // Map applies fn to every row. Narrow, fused, and lazy: nothing runs until a
-// wide operator or action consumes the dataset. Preserves partitioning only
-// if the caller says key columns survive — use MapPreserving for that.
-func (d *Dataset) Map(fn func(Row) Row) *Dataset {
+// wide operator or action consumes the dataset. fn takes the rows it writes
+// from the arena it is handed, one per partition task. Preserves partitioning
+// only if the caller says key columns survive — use MapPreserving for that.
+func (d *Dataset) Map(fn func(*Arena, Row) Row) *Dataset {
 	return d.withStage(func(int) stageFn {
-		return func(r Row, emit func(Row)) { emit(fn(r)) }
+		a := new(Arena)
+		return func(r Row, emit func(Row)) { emit(fn(a, r)) }
 	})
 }
 
 // MapPreserving is Map for transformations that leave the key columns of the
 // current partitioning guarantee intact at the same positions, so the
 // guarantee survives (e.g. value-side projections of a dictionary).
-func (d *Dataset) MapPreserving(fn func(Row) Row) *Dataset {
+func (d *Dataset) MapPreserving(fn func(*Arena, Row) Row) *Dataset {
 	out := d.Map(fn)
 	out.partitioner = d.partitioner
 	return out
@@ -357,8 +359,9 @@ func (d *Dataset) AddUniqueID(tag int64) *Dataset {
 	out := d.withStage(func(part int) stageFn {
 		base := tag | int64(part)<<40
 		var seq int64
+		var a Arena
 		return func(r Row, emit func(Row)) {
-			nr := make(Row, len(r)+1)
+			nr := a.Row(len(r) + 1)
 			copy(nr, r)
 			nr[len(r)] = base | seq
 			seq++

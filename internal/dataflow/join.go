@@ -1,6 +1,7 @@
 package dataflow
 
 import (
+	"slices"
 	"time"
 
 	"github.com/trance-go/trance/internal/value"
@@ -10,13 +11,13 @@ import (
 // hash-partitioned on their key columns (shuffles are skipped for sides whose
 // partitioning guarantee already matches), then joined per partition with a
 // build-probe hash join; probe rows stream through any pending fused operator
-// chain of the left side. Output rows are left ++ right. With leftOuter set,
-// unmatched left rows survive padded with rightWidth NULL columns — the NULL
-// machinery the Γ operators later cast away.
+// chain of the left side. Output rows are what jo writes over left ++ right.
+// With leftOuter set, unmatched left rows survive with NULL right columns —
+// the NULL machinery the Γ operators later cast away.
 //
 // Rows whose key contains a NULL never match (SQL semantics); under
 // leftOuter they are preserved with NULL padding.
-func (d *Dataset) Join(stage string, right *Dataset, lcols, rcols []int, rightWidth int, leftOuter bool) (*Dataset, error) {
+func (d *Dataset) Join(stage string, right *Dataset, lcols, rcols []int, jo JoinOut, leftOuter bool) (*Dataset, error) {
 	ls, err := d.RepartitionBy(stage+"/L", lcols)
 	if err != nil {
 		return nil, err
@@ -36,8 +37,9 @@ func (d *Dataset) Join(stage string, right *Dataset, lcols, rcols []int, rightWi
 			build.keys, build.rows = rs.groupPart(i, rcols, true)
 		}
 		var out []Row
+		write := jo.writer()
 		ls.feedKeyed(i, lcols, func(l Row, h uint64) {
-			out = build.probe(out, l, h, lcols, rightWidth, leftOuter)
+			out = build.probe(out, l, h, lcols, write, leftOuter)
 		})
 		parts[i] = out
 		return nil
@@ -50,7 +52,7 @@ func (d *Dataset) Join(stage string, right *Dataset, lcols, rcols []int, rightWi
 		return nil, err
 	}
 	out := &Dataset{ctx: d.ctx, parts: parts}
-	out.partitioner = &Partitioner{Cols: lcols}
+	out.partitioner = jo.guarantee(&Partitioner{Cols: lcols})
 	return out, nil
 }
 
@@ -58,9 +60,10 @@ func (d *Dataset) Join(stage string, right *Dataset, lcols, rcols []int, rightWi
 // joins locally: no shuffle of the left at all — left rows stream through
 // their fused chain straight into the probe. The broadcast volume is metered
 // separately from shuffle (Spark likewise reports it apart). The left's
-// partitioning guarantee is preserved — the property the skew-aware join of
-// paper Figure 6 relies on to leave heavy keys where they are.
-func (d *Dataset) BroadcastJoin(stage string, right *Dataset, lcols, rcols []int, rightWidth int, leftOuter bool) (*Dataset, error) {
+// partitioning guarantee is preserved where jo keeps its columns — the
+// property the skew-aware join of paper Figure 6 relies on to leave heavy keys
+// where they are.
+func (d *Dataset) BroadcastJoin(stage string, right *Dataset, lcols, rcols []int, jo JoinOut, leftOuter bool) (*Dataset, error) {
 	if d.err != nil {
 		return nil, d.err
 	}
@@ -78,8 +81,9 @@ func (d *Dataset) BroadcastJoin(stage string, right *Dataset, lcols, rcols []int
 	parts := make([][]Row, len(d.parts))
 	joinErr := d.ctx.runParts(len(d.parts), func(i int) error {
 		var out []Row
+		write := jo.writer()
 		d.feedKeyed(i, lcols, func(l Row, h uint64) {
-			out = build.probe(out, l, h, lcols, rightWidth, leftOuter)
+			out = build.probe(out, l, h, lcols, write, leftOuter)
 		})
 		parts[i] = out
 		return nil
@@ -92,8 +96,87 @@ func (d *Dataset) BroadcastJoin(stage string, right *Dataset, lcols, rcols []int
 		return nil, err
 	}
 	out := &Dataset{ctx: d.ctx, parts: parts}
-	out.partitioner = d.partitioner
+	out.partitioner = jo.guarantee(d.partitioner)
 	return out, nil
+}
+
+// JoinOut describes the row a join writes for a left row l and a right row r
+// over the layout l ++ r. The zero Cols writes that layout itself.
+type JoinOut struct {
+	// RightWidth is the width of the right rows: the NULL cells an unmatched
+	// outer row has in their place.
+	RightWidth int
+	// Cols, when non-nil, lists the cells of an output row: a position of
+	// l ++ r to copy, or -1 for the cell Eval computes from the l ++ r row.
+	Cols []int
+	// Eval parallels Cols, set where Cols is -1.
+	Eval []func(Row) value.Value
+}
+
+// Remap returns where the output holds the columns cols of the left input, or
+// nil when one of them is not copied: whatever names left columns across the
+// join — a partitioning guarantee, the heavy-key columns of a skew-triple —
+// goes through it.
+func (o JoinOut) Remap(cols []int) []int {
+	if o.Cols == nil {
+		return cols
+	}
+	out := make([]int, len(cols))
+	for i, c := range cols {
+		if out[i] = slices.Index(o.Cols, c); out[i] < 0 {
+			return nil
+		}
+	}
+	return out
+}
+
+// guarantee is the guarantee p of the left input as the output holds it.
+func (o JoinOut) guarantee(p *Partitioner) *Partitioner {
+	if p == nil || o.Cols == nil {
+		return p
+	}
+	if cols := o.Remap(p.Cols); cols != nil {
+		return &Partitioner{Cols: cols}
+	}
+	return nil
+}
+
+// writer returns what writes the output rows of one partition task: write(l,
+// r) is the row of a match, write(l, nil) that of an outer join's miss. Rows
+// are cut from the task's arena, and computed cells read a scratch l ++ r row
+// that is reused.
+func (o JoinOut) writer() (write func(l, r Row) Row) {
+	var arena Arena
+	if o.Cols == nil {
+		return func(l, r Row) Row {
+			nr := arena.Row(len(l) + o.RightWidth)
+			copy(nr, l)
+			copy(nr[len(l):], r)
+			return nr
+		}
+	}
+	var scratch Row
+	computed := slices.Contains(o.Cols, -1)
+	return func(l, r Row) Row {
+		if computed {
+			scratch = append(append(scratch[:0], l...), r...)
+			for len(scratch) < len(l)+o.RightWidth {
+				scratch = append(scratch, nil)
+			}
+		}
+		nr := arena.Row(len(o.Cols))
+		for i, c := range o.Cols {
+			switch {
+			case c < 0:
+				nr[i] = o.Eval[i](scratch)
+			case c < len(l):
+				nr[i] = l[c]
+			case r != nil:
+				nr[i] = r[c-len(l)]
+			}
+		}
+		return nr
+	}
 }
 
 // joinTable is the build side of a hash join: the distinct non-NULL keys and
@@ -105,24 +188,18 @@ type joinTable struct {
 }
 
 // probe appends to out the rows one left row (key hash h over lcols) joins to:
-// left ++ right for every match in build order, or the NULL-padded row under
+// what write makes of every match in build order, or of the miss under
 // leftOuter when there is none.
-func (b *joinTable) probe(out []Row, l Row, h uint64, lcols []int, rightWidth int, leftOuter bool) []Row {
+func (b *joinTable) probe(out []Row, l Row, h uint64, lcols []int, write func(l, r Row) Row, leftOuter bool) []Row {
 	var matches []Row
 	if b.keys != nil && !anyNullCols(l, lcols) {
 		matches = b.rows.group(b.keys.find(h, l, lcols))
 	}
-	if len(matches) == 0 {
-		if leftOuter {
-			out = append(out, padRight(l, rightWidth))
-		}
-		return out
+	if len(matches) == 0 && leftOuter {
+		return append(out, write(l, nil))
 	}
 	for _, r := range matches {
-		nr := make(Row, len(l)+len(r))
-		copy(nr, l)
-		copy(nr[len(l):], r)
-		out = append(out, nr)
+		out = append(out, write(l, r))
 	}
 	return out
 }
@@ -134,12 +211,6 @@ func anyNullCols(r Row, cols []int) bool {
 		}
 	}
 	return false
-}
-
-func padRight(l Row, rightWidth int) Row {
-	nr := make(Row, len(l)+rightWidth)
-	copy(nr, l)
-	return nr
 }
 
 // CoGroup shuffles both sides on their keys and invokes fn once per distinct

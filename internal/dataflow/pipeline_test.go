@@ -16,9 +16,9 @@ func TestNarrowOperatorsAreFusedAndLazy(t *testing.T) {
 	var calls atomic.Int64
 	d := c.FromRows(rowsOfInts(1, 1, 2, 2, 3, 3, 4, 4))
 	chained := d.
-		Map(func(r Row) Row { calls.Add(1); return Row{r[0], r[1].(int64) * 10} }).
+		Map(func(_ *Arena, r Row) Row { calls.Add(1); return Row{r[0], r[1].(int64) * 10} }).
 		Filter(func(r Row) bool { calls.Add(1); return r[1].(int64) >= 20 }).
-		Map(func(r Row) Row { calls.Add(1); return Row{r[0]} })
+		Map(func(_ *Arena, r Row) Row { calls.Add(1); return Row{r[0]} })
 	if got := len(chained.stages); got != 3 {
 		t.Fatalf("pending fused stages = %d, want 3", got)
 	}
@@ -49,7 +49,7 @@ func TestNarrowOperatorsAreFusedAndLazy(t *testing.T) {
 func TestShuffleConsumesFusedChain(t *testing.T) {
 	c := NewContext(4)
 	d := c.FromRows(rowsOfInts(1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6))
-	lazy := d.Map(func(r Row) Row { return Row{r[0].(int64) % 2, r[1]} }).
+	lazy := d.Map(func(_ *Arena, r Row) Row { return Row{r[0].(int64) % 2, r[1]} }).
 		Filter(func(r Row) bool { return r[1].(int64) != 6 })
 	out, err := lazy.RepartitionBy("fused", []int{0})
 	if err != nil {
@@ -79,7 +79,7 @@ func TestWorkerPoolBounded(t *testing.T) {
 		for i := range rows {
 			rows[i] = Row{int64(i)}
 		}
-		d := c.FromRows(rows).Map(func(r Row) Row {
+		d := c.FromRows(rows).Map(func(_ *Arena, r Row) Row {
 			n := cur.Add(1)
 			maxInt64(&peak, n)
 			for i := 0; i < 1000; i++ { // widen the overlap window
@@ -106,7 +106,7 @@ func TestStageWallTimesRecorded(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := c.FromRows(rowsOfInts(1, 10, 2, 20))
-	if _, err := d.Join("probe", r, []int{0}, []int{0}, 2, false); err != nil {
+	if _, err := d.Join("probe", r, []int{0}, []int{0}, JoinOut{RightWidth: 2}, false); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := d.GroupReduce("gamma", []int{0}, perGroup(func(rs []Row) []Row { return rs[:1] })); err != nil {
@@ -178,7 +178,7 @@ func TestParallelismEquivalence(t *testing.T) {
 			rows = append(rows, Row{int64(i % 13), int64(i)})
 		}
 		d := c.FromRows(rows).
-			Map(func(r Row) Row { return Row{r[0], r[1].(int64) * 3} }).
+			Map(func(_ *Arena, r Row) Row { return Row{r[0], r[1].(int64) * 3} }).
 			Filter(func(r Row) bool { return r[1].(int64)%2 == 0 })
 		g, err := d.GroupReduce("g", []int{0}, perGroup(func(rs []Row) []Row {
 			var s int64
@@ -214,7 +214,7 @@ func TestBroadcastJoinStreamsLazyLeft(t *testing.T) {
 	}
 	lazy := c.FromRows(rows).Filter(func(r Row) bool { return r[0].(int64) < 2 })
 	r := c.FromRows([]Row{{int64(0), "z"}, {int64(1), "o"}, {int64(2), "t"}})
-	j, err := lazy.BroadcastJoin("bj", r, []int{0}, []int{0}, 2, false)
+	j, err := lazy.BroadcastJoin("bj", r, []int{0}, []int{0}, JoinOut{RightWidth: 2}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +231,7 @@ func TestBroadcastJoinStreamsLazyLeft(t *testing.T) {
 // columns either skips its shuffle (guarantee kept) or shuffles again
 // (guarantee dropped). Row counts show the operator itself ran.
 func TestNarrowOperatorsAndThePartitioner(t *testing.T) {
-	ident := func(r Row) Row { return r }
+	ident := func(_ *Arena, r Row) Row { return r }
 	twice := func(r Row) []Row { return []Row{r, r} }
 	cases := []struct {
 		name  string

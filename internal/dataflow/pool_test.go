@@ -15,7 +15,7 @@ func TestPartitionPanicBecomesError(t *testing.T) {
 	for i := range rows {
 		rows[i] = Row{int64(i)}
 	}
-	d := ctx.FromRows(rows).Map(func(r Row) Row {
+	d := ctx.FromRows(rows).Map(func(_ *Arena, r Row) Row {
 		if r[0].(int64) == 7 {
 			panic("poisoned row")
 		}
@@ -50,7 +50,7 @@ func TestSharedPoolConcurrentJobs(t *testing.T) {
 				for i := range rows {
 					rows[i] = Row{int64(i + j)}
 				}
-				d := ctx.FromRows(rows).Map(func(r Row) Row {
+				d := ctx.FromRows(rows).Map(func(_ *Arena, r Row) Row {
 					return Row{r[0].(int64) * 2}
 				})
 				out, err := d.Distinct("dedup")

@@ -246,7 +246,7 @@ func TestWireSizePinsBenchSchemas(t *testing.T) {
 // returns its error without counting a stage that never ran.
 func TestShufflePoisonedInputCountsNoStage(t *testing.T) {
 	c := NewContext(2)
-	d := c.FromRows([]Row{{int64(1)}, {int64(2)}}).Map(func(Row) Row { panic("boom") }).Force()
+	d := c.FromRows([]Row{{int64(1)}, {int64(2)}}).Map(func(*Arena, Row) Row { panic("boom") }).Force()
 	if d.Err() == nil {
 		t.Fatal("panicking stage did not poison the dataset")
 	}

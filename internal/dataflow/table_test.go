@@ -97,7 +97,7 @@ func TestGroupTableMatchesKeyStrings(t *testing.T) {
 				if k == nil {
 					want = nil
 				}
-				got := build.probe(nil, l, hash(Row{k}), []int{1}, 2, false)
+				got := build.probe(nil, l, hash(Row{k}), []int{1}, JoinOut{RightWidth: 2}.writer(), false)
 				if len(got) != len(want) {
 					t.Fatalf("probe %s matched %d rows, key strings give %d", value.Format(k), len(got), len(want))
 				}
@@ -170,10 +170,10 @@ func TestJoinNullKeysEitherSide(t *testing.T) {
 	type joinFn func(l, r *Dataset, cols []int, outer bool) (*Dataset, error)
 	joins := map[string]joinFn{
 		"shuffle": func(l, r *Dataset, cols []int, outer bool) (*Dataset, error) {
-			return l.Join("j", r, cols, cols, 3, outer)
+			return l.Join("j", r, cols, cols, JoinOut{RightWidth: 3}, outer)
 		},
 		"broadcast": func(l, r *Dataset, cols []int, outer bool) (*Dataset, error) {
-			return l.BroadcastJoin("bj", r, cols, cols, 3, outer)
+			return l.BroadcastJoin("bj", r, cols, cols, JoinOut{RightWidth: 3}, outer)
 		},
 	}
 	for name, join := range joins {
@@ -279,7 +279,7 @@ func TestShuffleCarriesRoutingHashes(t *testing.T) {
 			}
 		}
 	}
-	lazy := sh.MapPreserving(func(r Row) Row { return r })
+	lazy := sh.MapPreserving(func(_ *Arena, r Row) Row { return r })
 	if lazy.hashes != nil || sh.Filter(func(Row) bool { return true }).hashes != nil {
 		t.Fatal("a derived dataset inherited the carried hashes")
 	}
@@ -305,11 +305,11 @@ func TestShuffleCarriesRoutingHashes(t *testing.T) {
 		t.Fatalf("carried hashes grouped %v, computed hashes %v", carried.Collect(), computed.Collect())
 	}
 	right := c.FromRows([]Row{{int64(3), "r"}, {int64(16), "s"}, {int64(40), "t"}})
-	j1, err := sh.Join("j1", right, cols, cols, 2, true)
+	j1, err := sh.Join("j1", right, cols, cols, JoinOut{RightWidth: 2}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	j2, err := lazy.Join("j2", right, cols, cols, 2, true)
+	j2, err := lazy.Join("j2", right, cols, cols, JoinOut{RightWidth: 2}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +326,7 @@ func TestSplitOnePass(t *testing.T) {
 	c.Workers = 1
 	var mapped, asked int
 	d := c.FromRows(rowsOfInts(1, 1, 2, 2, 3, 3, 4, 4, 5, 5)).WithPartitioner([]int{0}).
-		MapPreserving(func(r Row) Row { mapped++; return r })
+		MapPreserving(func(_ *Arena, r Row) Row { mapped++; return r })
 	even, odd := d.Split(func(r Row) bool { asked++; return r[0].(int64)%2 == 0 })
 	if mapped != 5 || asked != 5 {
 		t.Fatalf("chain ran %d times, predicate %d, want 5 each", mapped, asked)
@@ -337,7 +337,7 @@ func TestSplitOnePass(t *testing.T) {
 	if !even.Partitioner().equal(d.Partitioner()) || !odd.Partitioner().equal(d.Partitioner()) {
 		t.Fatal("split dropped the partitioning guarantee")
 	}
-	bad := c.FromRows(rowsOfInts(1, 1)).Map(func(Row) Row { panic("boom") })
+	bad := c.FromRows(rowsOfInts(1, 1)).Map(func(*Arena, Row) Row { panic("boom") })
 	yes, no := bad.Split(func(Row) bool { return true })
 	if yes.Err() == nil || no.Err() == nil {
 		t.Fatal("split of a panicking chain did not poison both sides")

@@ -34,8 +34,8 @@ func recordWide(ns *plan.NodeStats) func(*dataflow.Dataset, error) (*dataflow.Da
 
 // countRows is an identity row function counting 1:1 throughput — used to
 // meter operators with no closure of their own (AddIndex).
-func countRows(ns *plan.NodeStats) func(dataflow.Row) dataflow.Row {
-	return func(r dataflow.Row) dataflow.Row {
+func countRows(ns *plan.NodeStats) func(*dataflow.Arena, dataflow.Row) dataflow.Row {
+	return func(_ *dataflow.Arena, r dataflow.Row) dataflow.Row {
 		ns.RowsIn.Add(1)
 		ns.RowsOut.Add(1)
 		return r
@@ -60,13 +60,13 @@ func instrPred(ns *plan.NodeStats, pred func(dataflow.Row) bool) func(dataflow.R
 }
 
 // instrMap wraps a 1:1 row function with rows/wall accounting.
-func instrMap(ns *plan.NodeStats, fn func(dataflow.Row) dataflow.Row) func(dataflow.Row) dataflow.Row {
+func instrMap(ns *plan.NodeStats, fn func(*dataflow.Arena, dataflow.Row) dataflow.Row) func(*dataflow.Arena, dataflow.Row) dataflow.Row {
 	if ns == nil {
 		return fn
 	}
-	return func(r dataflow.Row) dataflow.Row {
+	return func(a *dataflow.Arena, r dataflow.Row) dataflow.Row {
 		start := time.Now()
-		out := fn(r)
+		out := fn(a, r)
 		ns.WallNS.Add(time.Since(start).Nanoseconds())
 		ns.RowsIn.Add(1)
 		ns.RowsOut.Add(1)

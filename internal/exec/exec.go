@@ -142,8 +142,7 @@ func (ex *Executor) run(op plan.Op) (triple, error) {
 
 	case *plan.Project:
 		out := in.mapBoth(func(d *dataflow.Dataset) *dataflow.Dataset { return ex.applyProject(d, x) })
-		out.keys, out.keyCols = nil, nil // projection changes the layout
-		return out, nil
+		return out.withKeyCols(nil), nil // projection changes the layout
 
 	case *plan.AddIndex:
 		// IDs feed label identity across statements, so the two components
@@ -160,10 +159,7 @@ func (ex *Executor) run(op plan.Op) (triple, error) {
 
 	case *plan.Unnest:
 		out := in.mapBoth(func(d *dataflow.Dataset) *dataflow.Dataset { return applyUnnest(d, x, ns) })
-		out.keyCols = unnestedKeyCols(x, in.keyCols)
-		if out.keyCols == nil {
-			out.keys = nil
-		}
+		out = out.withKeyCols(unnestedKeyCols(x, in.keyCols))
 		// Flattening materially expands partitions in place: a worker
 		// holding a large inner collection must hold its flattened form
 		// (paper Section 6: flattening skewed inner collections saturates
@@ -183,16 +179,16 @@ func (ex *Executor) run(op plan.Op) (triple, error) {
 		if err != nil {
 			return triple{}, err
 		}
-		right, record := rt.merge(), recordWide(ns)
+		right, record, jo := rt.merge(), recordWide(ns), joinOut(x)
 		if !ex.SkewAware || len(x.LCols) == 0 {
 			// No key to be heavy on: the standard join, of each component (a
 			// cross join broadcasts the right side to both).
-			out := in
-			if out.light, err = record(ex.join(in.light, right, x, ns)); err != nil {
+			out := in.withKeyCols(jo.Remap(in.keyCols))
+			if out.light, err = record(ex.join(in.light, right, x, jo, ns)); err != nil {
 				return triple{}, err
 			}
 			if in.heavy != nil && in.heavy.Count() > 0 {
-				out.heavy, err = record(ex.join(in.heavy, right, x, ns))
+				out.heavy, err = record(ex.join(in.heavy, right, x, jo, ns))
 			}
 			return out, err
 		}
@@ -201,14 +197,14 @@ func (ex *Executor) run(op plan.Op) (triple, error) {
 		// the matching right rows are broadcast to them.
 		in = ex.keysFor(in, x.LCols)
 		rightLight, rightHeavy := skew.Split(right, x.RCols, in.keys)
-		light, err := record(ex.join(in.light, rightLight, x, ns))
+		light, err := record(ex.join(in.light, rightLight, x, jo, ns))
 		if err != nil {
 			return triple{}, err
 		}
 		// The broadcast side's rows are part of the same join node's output:
 		// record them too, so skew-strategy plans carry a complete actual_rows.
-		heavy, err := record(in.heavy.BroadcastJoin(ex.nextStage("skewjoin"), rightHeavy, x.LCols, x.RCols, len(x.R.Columns()), x.Outer))
-		return triple{light: light, heavy: heavy, keys: in.keys, keyCols: x.LCols}, err
+		heavy, err := record(in.heavy.BroadcastJoin(ex.nextStage("skewjoin"), rightHeavy, x.LCols, x.RCols, jo, x.Outer))
+		return triple{light: light, heavy: heavy, keys: in.keys}.withKeyCols(jo.Remap(x.LCols)), err
 
 	case *plan.Nest:
 		// Γ, dedup and ⊎ merge light and heavy and follow the standard
@@ -291,11 +287,10 @@ func (ex *Executor) runIndexScan(x *plan.IndexScan) (*dataflow.Dataset, error) {
 
 // join dispatches between shuffle and broadcast joins; like Spark, inputs
 // under the broadcast limit are broadcast automatically.
-func (ex *Executor) join(l, r *dataflow.Dataset, x *plan.Join, ns *plan.NodeStats) (*dataflow.Dataset, error) {
-	rw := len(x.R.Columns())
+func (ex *Executor) join(l, r *dataflow.Dataset, x *plan.Join, jo dataflow.JoinOut, ns *plan.NodeStats) (*dataflow.Dataset, error) {
 	if len(x.LCols) == 0 {
 		// Cross join: broadcast the right side.
-		return l.BroadcastJoin(ex.wideStage(ns, "cross"), r, nil, nil, rw, x.Outer)
+		return l.BroadcastJoin(ex.wideStage(ns, "cross"), r, nil, nil, jo, x.Outer)
 	}
 	var broadcast bool
 	if x.Cost != nil {
@@ -307,9 +302,28 @@ func (ex *Executor) join(l, r *dataflow.Dataset, x *plan.Join, ns *plan.NodeStat
 		broadcast = ex.Ctx.BroadcastLimit > 0 && r.SizeBytes() <= ex.Ctx.BroadcastLimit
 	}
 	if broadcast {
-		return l.BroadcastJoin(ex.wideStage(ns, "bjoin"), r, x.LCols, x.RCols, rw, x.Outer)
+		return l.BroadcastJoin(ex.wideStage(ns, "bjoin"), r, x.LCols, x.RCols, jo, x.Outer)
 	}
-	return l.Join(ex.wideStage(ns, "join"), r, x.LCols, x.RCols, rw, x.Outer)
+	return l.Join(ex.wideStage(ns, "join"), r, x.LCols, x.RCols, jo, x.Outer)
+}
+
+// joinOut is the row x's probe writes: L ++ R, or x.Outs over it with plain
+// columns copied straight from their side.
+func joinOut(x *plan.Join) dataflow.JoinOut {
+	jo := dataflow.JoinOut{RightWidth: len(x.R.Columns())}
+	if x.Outs == nil {
+		return jo
+	}
+	jo.Cols = make([]int, len(x.Outs))
+	jo.Eval = make([]func(dataflow.Row) value.Value, len(x.Outs))
+	for i, ne := range x.Outs {
+		if c, ok := ne.Expr.(*plan.Col); ok {
+			jo.Cols[i] = c.Idx
+		} else {
+			jo.Cols[i], jo.Eval[i] = -1, ne.Expr.Eval
+		}
+	}
+	return jo
 }
 
 func (ex *Executor) applySelect(in *dataflow.Dataset, x *plan.Select) *dataflow.Dataset {
@@ -320,26 +334,23 @@ func (ex *Executor) applySelect(in *dataflow.Dataset, x *plan.Select) *dataflow.
 			return b
 		}))
 	}
-	nullify := func(r dataflow.Row) dataflow.Row {
-		nr := make(dataflow.Row, len(r))
+	return in.MapPreserving(instrMap(ns, func(a *dataflow.Arena, r dataflow.Row) dataflow.Row {
+		if b, _ := x.Pred.Eval(r).(bool); b {
+			return r
+		}
+		nr := a.Row(len(r))
 		copy(nr, r)
 		for _, c := range x.NullifyCols {
 			nr[c] = nil
 		}
 		return nr
-	}
-	return in.MapPreserving(instrMap(ns, func(r dataflow.Row) dataflow.Row {
-		if b, _ := x.Pred.Eval(r).(bool); b {
-			return r
-		}
-		return nullify(r)
 	}))
 }
 
 func (ex *Executor) applyExtend(in *dataflow.Dataset, x *plan.Extend) *dataflow.Dataset {
 	ns := ex.node(x)
-	return in.MapPreserving(instrMap(ns, func(r dataflow.Row) dataflow.Row {
-		nr := make(dataflow.Row, len(r)+len(x.Exprs))
+	return in.MapPreserving(instrMap(ns, func(a *dataflow.Arena, r dataflow.Row) dataflow.Row {
+		nr := a.Row(len(r) + len(x.Exprs))
 		copy(nr, r)
 		for i, ne := range x.Exprs {
 			nr[len(r)+i] = ne.Expr.Eval(r)
@@ -354,8 +365,8 @@ func (ex *Executor) applyProject(in *dataflow.Dataset, x *plan.Project) *dataflo
 	for i, ne := range x.Outs {
 		_, bagOut[i] = ne.Expr.Type().(nrc.BagType)
 	}
-	return in.Map(instrMap(ns, func(r dataflow.Row) dataflow.Row {
-		nr := make(dataflow.Row, len(x.Outs))
+	return in.Map(instrMap(ns, func(a *dataflow.Arena, r dataflow.Row) dataflow.Row {
+		nr := a.Row(len(x.Outs))
 		for i, ne := range x.Outs {
 			v := ne.Expr.Eval(r)
 			if v == nil && x.CastBags && bagOut[i] {
@@ -395,10 +406,10 @@ func applyUnnest(in *dataflow.Dataset, x *plan.Unnest, ns *plan.NodeStats) *data
 			}
 			n = 1
 		}
-		slab := make(valueSlab, n*w)
+		slab := make(dataflow.Slab, n*w)
 		out := make([]dataflow.Row, n)
 		for i := range out {
-			nr := dataflow.Row(slab.cut(w))
+			nr := dataflow.Row(slab.Cut(w))
 			for _, c := range passed {
 				nr[c.out] = r[c.src]
 			}
@@ -462,9 +473,9 @@ func (ex *Executor) nest(in *dataflow.Dataset, x *plan.Nest, stage string) (*dat
 		// The group sizes are known before the first group is reduced, so a
 		// partition's output rows — and for Γ⊎ its bags and their element
 		// tuples — are cut from one slab instead of allocated one by one.
-		slab := make(valueSlab, ngroups*(width+aggWidth)+nrows*perRow)
+		slab := make(dataflow.Slab, ngroups*(width+aggWidth)+nrows*perRow)
 		return func(out, rows []dataflow.Row) []dataflow.Row {
-			nr := dataflow.Row(slab.cut(width + aggWidth))
+			nr := dataflow.Row(slab.Cut(width + aggWidth))
 			for i, c := range x.GroupCols {
 				nr[i] = rows[0][c]
 			}
@@ -474,7 +485,7 @@ func (ex *Executor) nest(in *dataflow.Dataset, x *plan.Nest, stage string) (*dat
 
 			hadReal := false
 			if x.Agg == plan.AggBag {
-				bag := value.Bag(slab.cut(len(rows)))[:0]
+				bag := value.Bag(slab.Cut(len(rows)))[:0]
 				for _, r := range rows {
 					if !present(r) {
 						continue
@@ -484,7 +495,7 @@ func (ex *Executor) nest(in *dataflow.Dataset, x *plan.Nest, stage string) (*dat
 						bag = append(bag, r[x.ValueCols[0]])
 						continue
 					}
-					elem := value.Tuple(slab.cut(elemWidth))
+					elem := value.Tuple(slab.Cut(elemWidth))
 					for i, c := range x.ValueCols {
 						v := r[c]
 						if v == nil && bagValue[i] {
@@ -549,15 +560,4 @@ func (ex *Executor) nest(in *dataflow.Dataset, x *plan.Nest, stage string) (*dat
 		keyPos[i] = i
 	}
 	return out.WithPartitioner(keyPos), nil
-}
-
-// valueSlab is a run of value cells handed out in pieces.
-type valueSlab []value.Value
-
-// cut takes the next n cells, with capacity n so that an append to the piece
-// can never run into its neighbour.
-func (s *valueSlab) cut(n int) []value.Value {
-	piece := (*s)[:n:n]
-	*s = (*s)[n:]
-	return piece
 }

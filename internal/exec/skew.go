@@ -47,6 +47,15 @@ func (t triple) merge() *dataflow.Dataset {
 	return t.light.Union(t.heavy)
 }
 
+// withKeyCols is t with its heavy keys over cols, where an operator moved the
+// key columns to; nil — it dropped one — leaves the heavy keys unknown.
+func (t triple) withKeyCols(cols []int) triple {
+	if t.keyCols = cols; cols == nil {
+		t.keys = nil
+	}
+	return t
+}
+
 // mapBoth applies a narrow operator to both components; nothing runs until a
 // wide operator consumes them.
 func (t triple) mapBoth(fn func(*dataflow.Dataset) *dataflow.Dataset) triple {

@@ -209,6 +209,11 @@ type Join struct {
 	L, R         Op
 	LCols, RCols []int
 	Outer        bool
+	// Outs, when non-nil, is the projection the probe writes in place of
+	// L ++ R: expressions over that layout (an unmatched outer row has NULL
+	// right columns). Empty and non-nil is a projection to no columns. Only
+	// Fuse sets it, from the π directly above the join.
+	Outs []NamedExpr
 	// Cost, when set, is the cost model's annotation (see Annotate): the
 	// executor honors Cost.Method instead of its runtime size heuristic, and
 	// Explain renders the estimate.
@@ -216,6 +221,9 @@ type Join struct {
 }
 
 func (j *Join) Columns() []Column {
+	if j.Outs != nil {
+		return (&Project{Outs: j.Outs}).Columns()
+	}
 	return append(append([]Column{}, j.L.Columns()...), j.R.Columns()...)
 }
 func (j *Join) Children() []Op { return []Op{j.L, j.R} }
@@ -225,6 +233,9 @@ func (j *Join) Describe() string {
 		sym = "⟕"
 	}
 	s := fmt.Sprintf("%s L%v=R%v", sym, j.LCols, j.RCols)
+	if j.Outs != nil {
+		s += " out[" + namedExprString(j.Outs) + "]"
+	}
 	if j.Cost != nil {
 		s += j.Cost.describe()
 	}

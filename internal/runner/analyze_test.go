@@ -2,11 +2,16 @@ package runner
 
 import (
 	"context"
+	"slices"
 	"strings"
 	"testing"
 
+	"github.com/trance-go/trance/internal/dataflow"
+	"github.com/trance-go/trance/internal/nrc"
 	"github.com/trance-go/trance/internal/plan"
+	"github.com/trance-go/trance/internal/stats"
 	"github.com/trance-go/trance/internal/testdata"
+	"github.com/trance-go/trance/internal/tpch"
 	"github.com/trance-go/trance/internal/value"
 )
 
@@ -163,5 +168,121 @@ func TestAnalyzeOffLeavesNoTrace(t *testing.T) {
 	}
 	if res.Analyze != nil {
 		t.Fatal("analyze-off run carries an Analysis")
+	}
+}
+
+// TestAnalyzeFusedJoins: EXPLAIN ANALYZE reads a join that writes its
+// projection the way it read the π above the plain join. Running the plans as
+// they were before plan.Fuse, every join reports the same actual_rows — which
+// are also the rows of the π or ext that was folded into it — the q-error
+// block lists the same joins with the same estimates, and instrumented,
+// uninstrumented and unfused runs return the same rows in the same order.
+func TestAnalyzeFusedJoins(t *testing.T) {
+	tables := tpch.Generate(tpch.Config{Customers: 20, OrdersPerCustomer: 3, LinesPerOrder: 3, Parts: 10, Seed: 1})
+	env := tpch.Env(tpch.NestedToNested, 2, false)
+	inputs := map[string]value.Bag{"NDB": tpch.BuildNested(tables, 2, true), "Part": tables.Part}
+	cfg := DefaultConfig()
+	cfg.Stats = map[string]plan.TableEstimate{}
+	for name, typ := range env {
+		cfg.Stats[name] = stats.Collect(inputs[name], typ.(nrc.BagType), stats.Options{}).Estimate()
+	}
+	type joinAt struct {
+		join   *plan.Join
+		parent plan.Op
+	}
+	joinsOf := func(root plan.Op) (out []joinAt) {
+		var walk func(op, parent plan.Op)
+		walk = func(op, parent plan.Op) {
+			if j, ok := op.(*plan.Join); ok {
+				out = append(out, joinAt{j, parent})
+			}
+			for _, ch := range op.Children() {
+				walk(ch, op)
+			}
+		}
+		walk(root, nil)
+		return out
+	}
+	for _, strat := range []Strategy{Standard, ShredUnshred, StandardSkew} {
+		cq, err := Compile(tpch.Query(tpch.NestedToNested, 2, false), env, strat, cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", strat, err)
+		}
+		unfused := *cq
+		unfused.Stmts = slices.Clone(cq.Stmts)
+		for i := range unfused.Stmts {
+			unfused.Stmts[i].Plan = unfused.Stmts[i].unfused
+		}
+		run := func(cq *Compiled, a *plan.Analysis) []dataflow.Row {
+			res := ExecuteInputs(context.Background(), []*Compiled{cq}, inputs, NewRunContext(cfg, strat), ExecOptions{Analysis: a})
+			if res.Failed() {
+				t.Fatalf("%s: %v", strat, res.Err)
+			}
+			return res.Output.Collect()
+		}
+		fusedStats, unfusedStats := plan.NewAnalysis(), plan.NewAnalysis()
+		rows := run(cq, fusedStats)
+		for what, other := range map[string][]dataflow.Row{"analyze off": run(cq, nil), "unfused plans": run(&unfused, unfusedStats)} {
+			if len(rows) == 0 || !slices.EqualFunc(rows, other, func(a, b dataflow.Row) bool { return value.Equal(value.Tuple(a), value.Tuple(b)) }) {
+				t.Fatalf("%s: %d rows analyzed, %d with %s, or they differ", strat, len(rows), len(other), what)
+			}
+		}
+
+		folded, estimated := 0, 0
+		for i, st := range cq.Stmts {
+			was := joinsOf(unfused.Stmts[i].Plan)
+			for k, at := range joinsOf(st.Plan) {
+				got := fusedStats.Lookup(at.join).RowsOut.Load()
+				if want := unfusedStats.Lookup(was[k].join).RowsOut.Load(); got != want {
+					t.Errorf("%s, %s: %s reports %d rows, %d before fusion", strat, st.Label, at.join.Describe(), got, want)
+				}
+				if at.join.Outs == nil {
+					continue
+				}
+				folded++
+				if want := unfusedStats.Lookup(was[k].parent).RowsOut.Load(); got != want {
+					t.Errorf("%s, %s: %s reports %d rows, the %s it folded reported %d", strat, st.Label, at.join.Describe(), got, was[k].parent.Describe(), want)
+				}
+			}
+			qs, wasQs := plan.QErrors(st.Plan, fusedStats), plan.QErrors(unfused.Stmts[i].Plan, unfusedStats)
+			if len(qs) != len(wasQs) {
+				t.Fatalf("%s, %s: %d q-error lines, %d before fusion", strat, st.Label, len(qs), len(wasQs))
+			}
+			for k := range qs {
+				estimated++
+				if qs[k].Est != wasQs[k].Est || qs[k].Actual != wasQs[k].Actual {
+					t.Errorf("%s, %s: q-error of %s is est=%d actual=%d, before fusion est=%d actual=%d",
+						strat, st.Label, qs[k].Node, qs[k].Est, qs[k].Actual, wasQs[k].Est, wasQs[k].Actual)
+				}
+			}
+		}
+		// Shredded component scans carry no statistics: no join above them is
+		// estimated (docs/COSTMODEL.md).
+		if folded == 0 || estimated == 0 && !strat.IsShredded() {
+			t.Fatalf("%s: %d fused joins, %d q-error lines — nothing compared", strat, folded, estimated)
+		}
+	}
+}
+
+// TestExplainFusionIsNotAnOptimizerChange: a plan only plan.Fuse changed prints
+// once, fused, as unchanged by the optimizer; one the optimizer changed prints
+// the raw plan before and the fused plan after.
+func TestExplainFusionIsNotAnOptimizerChange(t *testing.T) {
+	cfg := DefaultConfig()
+	cq, err := Compile(tpch.Query(tpch.NestedToNested, 2, false), tpch.Env(tpch.NestedToNested, 2, false), Standard, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	text := cq.Explain()
+	if !strings.Contains(text, "=== plan (unchanged by optimizer) ===") || strings.Count(text, " out[c_custkey") != 1 || strings.Contains(text, "\n  ext ") {
+		t.Fatalf("want one fused plan under \"unchanged by optimizer\":\n%s", text)
+	}
+	cq, err = Compile(tpch.NestedToFlatSelective(2), tpch.Env(tpch.NestedToFlat, 2, false), Standard, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, after, ok := strings.Cut(cq.Explain(), "=== plan (after optimizer) ===")
+	if !ok || !strings.Contains(before, "=== plan (before optimizer) ===") || strings.Contains(before, "=R[0] out[") || !strings.Contains(after, "=R[0] out[") {
+		t.Fatalf("want the raw plan before and the fused plan after:\n%s", cq.Explain())
 	}
 }

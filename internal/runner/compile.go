@@ -71,15 +71,23 @@ type Stmt struct {
 	// Bind is the name later statements (and steps) scan the statement's
 	// dataset under; empty for a plan that only produces the step's output.
 	Bind string
-	// Raw is the plan before the optimizer and Plan the one that runs; they
-	// alias each other when the optimizer is disabled
-	// (Config.NoPredicatePushdown).
+	// Raw is the plan before the optimizer and Plan the one that runs: the
+	// optimized, annotated plan after plan.Fuse (which Config.NoColumnPruning
+	// ablates with the rest of the column pruning).
 	Raw, Plan plan.Op
+	// unfused is the optimized plan before plan.Fuse: what Explain compares
+	// with Raw to say whether the optimizer changed the plan.
+	unfused plan.Op
 }
 
-// addStmt optimizes and annotates raw and appends it to the step.
+// addStmt optimizes, annotates and fuses raw and appends it to the step. Fuse
+// runs last, so pushdown and the cost model never see a fused operator.
 func (cq *Compiled) addStmt(label, bind string, raw plan.Op) {
-	cq.Stmts = append(cq.Stmts, Stmt{Label: label, Bind: bind, Raw: raw, Plan: cq.annotate(cq.optimize(raw))})
+	st := Stmt{Label: label, Bind: bind, Raw: raw, unfused: cq.annotate(cq.optimize(raw))}
+	if st.Plan = st.unfused; !cq.Cfg.NoColumnPruning {
+		st.Plan = plan.Fuse(st.unfused)
+	}
+	cq.Stmts = append(cq.Stmts, st)
 }
 
 // spanName names the statement's execute span: "execute plan", "execute

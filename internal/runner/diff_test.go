@@ -456,6 +456,8 @@ type diffCounts struct {
 	narrowed  int // those of them where the strategy's full plans key their Γs by fewer columns
 	indexed   int // runs that planned at least one index scan
 	typed     int // runs that metered at least one typed-encoding shuffle buffer
+	fused     int // seeds with a join writing its projection on some strategy's full plans
+	composed  int // seeds where some strategy's full plans hold fewer π/ext than its ablated plans
 	// shreddedSteps counts program runs whose second step read the first
 	// step's output in shredded form.
 	shreddedSteps int
@@ -469,6 +471,8 @@ func (c *diffCounts) add(o diffCounts) {
 	c.narrowed += o.narrowed
 	c.indexed += o.indexed
 	c.typed += o.typed
+	c.fused += o.fused
+	c.composed += o.composed
 	c.shreddedSteps += o.shreddedSteps
 }
 
@@ -498,9 +502,10 @@ func runDifferential(data []byte, strict bool) (n diffCounts, err error) {
 	ests := collectDiffStats(env, inputs)
 	applyIndexes(ests, chosen)
 
-	nested, narrowed := false, false
+	nested, narrowed, fused, composed := false, false, false, false
 	for _, strat := range diffStrategies {
 		keyCols := map[bool]int{} // Γ key columns of the strategy's plans, by arm
+		narrowOps := map[bool]int{}
 		for _, full := range []bool{true, false} {
 			noIdxArms := []bool{false}
 			if full {
@@ -524,6 +529,12 @@ func runDifferential(data []byte, strict bool) (n diffCounts, err error) {
 					var overID bool
 					keyCols[full], overID = nestKeyCols(cq)
 					nested = nested || overID && !full
+					var fusedJoins int
+					fusedJoins, narrowOps[full] = fusionOf(cq)
+					if fusedJoins > 0 && !full {
+						return n, fmt.Errorf("%s holds %d fused joins with NoColumnPruning set\n%s", strat, fusedJoins, cq.Explain())
+					}
+					fused = fused || fusedJoins > 0
 				}
 				if cq.Idx.Planned > 0 {
 					if noIdx {
@@ -557,12 +568,21 @@ func runDifferential(data []byte, strict bool) (n diffCounts, err error) {
 		if keyCols[true] < keyCols[false] {
 			narrowed = true
 		}
+		if narrowOps[true] < narrowOps[false] {
+			composed = true
+		}
 	}
 	if nested {
 		n.nested++
 	}
 	if narrowed {
 		n.narrowed++
+	}
+	if fused {
+		n.fused++
+	}
+	if composed {
+		n.composed++
 	}
 
 	// The program arm: the same query as the second step of a two-step
@@ -626,6 +646,29 @@ func nestKeyCols(cq *runner.Compiled) (n int, overID bool) {
 	return n, overID
 }
 
+// fusionOf counts, over the plans the compilation runs, the joins that write
+// their projection (plan.Fuse folded the π above them) and the π/ext nodes.
+func fusionOf(cq *runner.Compiled) (fusedJoins, narrowOps int) {
+	var walk func(plan.Op)
+	walk = func(op plan.Op) {
+		switch x := op.(type) {
+		case *plan.Join:
+			if x.Outs != nil {
+				fusedJoins++
+			}
+		case *plan.Project, *plan.Extend:
+			narrowOps++
+		}
+		for _, ch := range op.Children() {
+			walk(ch)
+		}
+	}
+	for _, st := range cq.Stmts {
+		walk(st.Plan)
+	}
+	return fusedJoins, narrowOps
+}
+
 // errSkip marks an uncompilable fuzz-generated query (tolerated only in the
 // fuzz target; the curated seeds of TestDifferentialOracle must all compile).
 var errSkip = fmt.Errorf("skip")
@@ -672,6 +715,11 @@ func TestDifferentialOracle(t *testing.T) {
 	if total.narrowed < total.nested || total.nested < n/8 {
 		t.Fatalf("%d of %d seeds group above an addIndex and %d of those key the Γ by fewer columns than their NoColumnPruning arm — the narrowing is no longer exercised", total.nested, n, total.narrowed)
 	}
+	// And fusion must actually fold projections into joins (the ablated arm
+	// holding none is checked per run) and compose π/ext chains.
+	if total.fused < n/4 || total.composed < n/4 {
+		t.Fatalf("%d of %d seeds run a join that writes its projection, %d hold fewer π/ext than their NoColumnPruning arm — plan.Fuse is no longer exercised", total.fused, n, total.composed)
+	}
 	// And the index arm must actually plan index scans, not vacuously agree
 	// because no generated predicate ever hit an indexed column.
 	if total.indexed < n/4 {
@@ -687,8 +735,8 @@ func TestDifferentialOracle(t *testing.T) {
 	if total.shreddedSteps < n/10 {
 		t.Fatalf("only %d programs over %d seeds read a step output on a shredded route — step-output binding is no longer exercised", total.shreddedSteps, n)
 	}
-	t.Logf("%d queries × %d runs each agreed with the oracle; optimizer changed plans in %d runs (%d crossings); %d seeds keyed a Γ by the IDs; %d runs planned index scans; %d runs metered typed-encoding shuffle buffers; %d programs read a shredded step output",
-		n, total.runs/n, total.optimized, total.pushed, total.narrowed, total.indexed, total.typed, total.shreddedSteps)
+	t.Logf("%d queries × %d runs each agreed with the oracle; optimizer changed plans in %d runs (%d crossings); %d seeds keyed a Γ by the IDs; %d seeds fused a join and %d composed a chain; %d runs planned index scans; %d runs metered typed-encoding shuffle buffers; %d programs read a shredded step output",
+		n, total.runs/n, total.optimized, total.pushed, total.narrowed, total.fused, total.composed, total.indexed, total.typed, total.shreddedSteps)
 }
 
 // TestAnalyzeStableAcrossRoutes re-runs a sampled subset of the differential

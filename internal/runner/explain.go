@@ -35,7 +35,7 @@ func (cq *Compiled) Explain() string {
 	var sb strings.Builder
 	cq.explainHeader(&sb)
 	for _, st := range cq.Stmts {
-		explainPair(&sb, st.Label, st.Raw, st.Plan)
+		explainPair(&sb, st)
 	}
 	return sb.String()
 }
@@ -126,13 +126,14 @@ func (r *Result) ExplainAnalyze() string {
 }
 
 // explainPair prints one plan section; when the optimizer changed the plan,
-// both the before and after trees are shown.
-func explainPair(sb *strings.Builder, what string, raw, opt plan.Op) {
-	before, after := plan.Explain(raw), plan.Explain(opt)
-	if before == after {
-		fmt.Fprintf(sb, "=== %s (unchanged by optimizer) ===\n%s", what, after)
+// both the before and after trees are shown. The tree shown as the outcome is
+// the one that runs; fusion alone does not count as an optimizer change.
+func explainPair(sb *strings.Builder, st Stmt) {
+	before, after := plan.Explain(st.Raw), plan.Explain(st.Plan)
+	if before == plan.Explain(st.unfused) {
+		fmt.Fprintf(sb, "=== %s (unchanged by optimizer) ===\n%s", st.Label, after)
 		return
 	}
-	fmt.Fprintf(sb, "=== %s (before optimizer) ===\n%s", what, before)
-	fmt.Fprintf(sb, "=== %s (after optimizer) ===\n%s", what, after)
+	fmt.Fprintf(sb, "=== %s (before optimizer) ===\n%s", st.Label, before)
+	fmt.Fprintf(sb, "=== %s (after optimizer) ===\n%s", st.Label, after)
 }

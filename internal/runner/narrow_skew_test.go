@@ -80,3 +80,91 @@ func TestNarrowedKeysUnderSkew(t *testing.T) {
 		}
 	}
 }
+
+// TestFusedJoinsUnderSkew: at skew 3 the level-2 nested-to-nested query
+// returns the same rows whether its joins write their projection (plan.Fuse)
+// or L ++ R under a π (NoColumnPruning), on every route that splits heavy keys
+// — where the heavy-key columns of the skew-triples have to follow the fused
+// joins' layouts — and on the one auto picks from the statistics.
+func TestFusedJoinsUnderSkew(t *testing.T) {
+	tables := tpch.Generate(tpch.Config{Customers: 60, OrdersPerCustomer: 5, LinesPerOrder: 4, Parts: 30, SkewFactor: 3, Seed: 1})
+	env := tpch.Env(tpch.NestedToNested, 2, false)
+	inputs := map[string]value.Bag{"NDB": tpch.BuildNested(tables, 2, true), "Part": tables.Part}
+	fused := runner.DefaultConfig()
+	fused.BroadcastLimit = 0 // bytes are broadcast only to the heavy rows of a skew join
+	fused.Stats = collectDiffStats(env, inputs)
+	unfused := fused
+	unfused.NoColumnPruning = true
+	for _, strat := range []runner.Strategy{runner.StandardSkew, runner.ShredSkew, runner.ShredUnshredSkew, runner.Auto} {
+		var outs [2]value.Bag
+		for i, cfg := range []runner.Config{fused, unfused} {
+			cq, err := runner.Compile(tpch.Query(tpch.NestedToNested, 2, false), env, strat, cfg)
+			if err != nil {
+				t.Fatalf("%s: %v", strat, err)
+			}
+			if !cq.Strategy.SkewAware() {
+				t.Fatalf("%s resolved to %s, which splits no heavy keys", strat, cq.Strategy)
+			}
+			if joins, _ := fusionOf(cq); (joins > 0) != (i == 0) {
+				t.Fatalf("%s (NoColumnPruning=%t): %d joins write their projection\n%s", strat, cfg.NoColumnPruning, joins, cq.Explain())
+			}
+			res := runner.ExecuteInputs(t.Context(), []*runner.Compiled{cq}, inputs, runner.NewRunContext(cfg, cq.Strategy), runner.ExecOptions{})
+			if res.Failed() {
+				t.Fatalf("%s: %v", strat, res.Err)
+			}
+			if res.Metrics.BroadcastBytes == 0 {
+				t.Fatalf("%s: no heavy key — the skew join broadcast nothing", strat)
+			}
+			if outs[i], err = nestedOutput(cq, res); err != nil {
+				t.Fatalf("%s: %v", strat, err)
+			}
+		}
+		if len(outs[0]) == 0 || !value.Equal(outs[0], outs[1]) {
+			t.Fatalf("%s: fused joins return %d rows, π over plain joins %d, or they differ:\n got %s\nwant %s",
+				strat, len(outs[0]), len(outs[1]), value.Format(outs[0]), value.Format(outs[1]))
+		}
+	}
+}
+
+// TestFusedJoinReadByNobody: a keyed join whose columns the output never reads
+// sits under a zero-column π (plan.Prune builds it) as the left side of a cross
+// join. Folded into the join that π is still a projection to no columns — not
+// "write L ++ R" — or every position above it shifts and the output reads a
+// customer key where it meant a part name.
+func TestFusedJoinReadByNobody(t *testing.T) {
+	tables := tpch.Generate(tpch.Config{Customers: 6, OrdersPerCustomer: 2, LinesPerOrder: 1, Parts: 3, Seed: 1})
+	o, c, p := nrc.V("o"), nrc.V("c"), nrc.V("p")
+	q := nrc.ForIn("o", nrc.V("Orders"), nrc.ForIn("c", nrc.V("Customer"),
+		nrc.IfThen(nrc.EqOf(nrc.P(o, "o_custkey"), nrc.P(c, "c_custkey")),
+			nrc.ForIn("p", nrc.V("Part"), nrc.SingOf(nrc.Record("name", nrc.P(p, "p_name")))))))
+	want, err := oracleEval(q, tpch.FlatEnv(), tables.Inputs())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, strat := range []runner.Strategy{runner.Standard, runner.StandardSkew, runner.ShredUnshred} {
+		// Without the optimizer the π reaches Fuse as Prune built it, Outs nil;
+		// pushdown rebuilds every π it crosses with an empty, non-nil Outs.
+		for _, noPushdown := range []bool{true, false} {
+			cfg := runner.DefaultConfig()
+			cfg.NoPredicatePushdown = noPushdown
+			cq, err := runner.Compile(q, tpch.FlatEnv(), strat, cfg)
+			if err != nil {
+				t.Fatalf("%s: %v", strat, err)
+			}
+			if joins, _ := fusionOf(cq); joins == 0 {
+				t.Fatalf("%s: no join writes its projection\n%s", strat, cq.Explain())
+			}
+			res := runner.ExecuteInputs(t.Context(), []*runner.Compiled{cq}, tables.Inputs(), runner.NewRunContext(cfg, strat), runner.ExecOptions{})
+			if res.Failed() {
+				t.Fatalf("%s: %v", strat, res.Err)
+			}
+			got, err := nestedOutput(cq, res)
+			if err != nil {
+				t.Fatalf("%s: %v", strat, err)
+			}
+			if len(want) != 12*3 || !value.Equal(got, want) {
+				t.Fatalf("%s:\n got %s\nwant %s\n%s", strat, value.Format(got), value.Format(want), cq.Explain())
+			}
+		}
+	}
+}
