@@ -142,7 +142,8 @@ func (c *Catalog) add(name string, t nrc.BagType, b Bag, source string) (Dataset
 // autoIndexes builds the registration-time secondary indexes of a dataset:
 // one hash+range index per column the statistics flag as selective (see
 // stats.Table.SelectiveColumns). Build refusals (label columns, mixed-type
-// keys) are counted under their reason in IndexCounters and skipped.
+// keys) are counted under their reason (Counters' index.refusal_reasons) and
+// skipped.
 func autoIndexes(b Bag, bt nrc.BagType, st *stats.Table) (*index.Set, map[string]bool) {
 	set := index.NewSet()
 	var auto map[string]bool
@@ -323,7 +324,7 @@ func (e *catalogEntry) successor(gen int64) *catalogEntry {
 // Append adds rows to a registered dataset. The rows are validated against
 // the dataset's element type up front, statistics are recollected over the
 // combined data, and every secondary index is maintained incrementally
-// (index extension over the tail — IndexCounters.Maintained). The new entry
+// (index extension over the tail — Counters' index.maintained). The new entry
 // carries a fresh generation, so a session's next Run re-resolves data,
 // statistics, and plans — an append is never served from stale rows or a
 // stale plan — while queries already executing keep their snapshot.
@@ -439,7 +440,7 @@ func columnScalarType(bt nrc.BagType, col string) (nrc.ScalarType, bool) {
 // Delete removes every row whose column equals v (the engine's value.Compare
 // equality, so 5 matches 5.0; a NULL column value matches nothing) and
 // returns the number removed. Statistics are recollected and the dataset's
-// indexes rebuilt over the surviving rows (IndexCounters.Rebuilt); the
+// indexes rebuilt over the surviving rows (Counters' index.rebuilt); the
 // generation bump invalidates prepared routes exactly like Append.
 func (c *Catalog) Delete(name, column string, v Value) (int, error) {
 	if v == nil {
@@ -507,7 +508,7 @@ func (c *Catalog) deleteWhere(name string, mk func(nrc.BagType) (func(Value) boo
 
 // rebuildIndexes rebuilds every index of a set over new data — deletions
 // invalidate row positions wholesale. Each rebuild is counted
-// (IndexCounters.Rebuilt); a column that is no longer indexable is dropped.
+// (Counters' index.rebuilt); a column that is no longer indexable is dropped.
 func rebuildIndexes(old *index.Set, b Bag, bt nrc.BagType) *index.Set {
 	out := index.NewSet()
 	for _, col := range old.Names() {

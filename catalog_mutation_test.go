@@ -149,16 +149,16 @@ func TestCatalogCreateIndexAndListing(t *testing.T) {
 	}
 
 	// Append maintains every index incrementally; Delete rebuilds them.
-	before := trance.IndexCounters()
+	before := trance.Counters()
 	if _, err := cat.Append("D", trance.Bag{mutRow(500), mutRow(501)}); err != nil {
 		t.Fatal(err)
 	}
 	if idx = byCol(); idx["id"].Rows != 202 || idx["id"].Keys != 202 || idx["grp"].Rows != 202 {
 		t.Fatalf("indexes not maintained by append: %+v", idx)
 	}
-	mid := trance.IndexCounters()
-	if mid.Maintained <= before.Maintained {
-		t.Fatalf("append must extend indexes incrementally: %+v -> %+v", before, mid)
+	mid := trance.Counters()
+	if mid["index.maintained"] <= before["index.maintained"] {
+		t.Fatalf("append must extend indexes incrementally: %v -> %v", before, mid)
 	}
 	if n, err := cat.Delete("D", "id", int64(500)); err != nil || n != 1 {
 		t.Fatalf("delete: %d, %v", n, err)
@@ -166,8 +166,8 @@ func TestCatalogCreateIndexAndListing(t *testing.T) {
 	if idx = byCol(); idx["id"].Rows != 201 || idx["id"].Keys != 201 {
 		t.Fatalf("indexes not rebuilt by delete: %+v", idx)
 	}
-	if after := trance.IndexCounters(); after.Rebuilt <= mid.Rebuilt {
-		t.Fatalf("delete must rebuild indexes: %+v -> %+v", mid, after)
+	if after := trance.Counters(); after["index.rebuilt"] <= mid["index.rebuilt"] {
+		t.Fatalf("delete must rebuild indexes: %v -> %v", mid, after)
 	}
 }
 
@@ -218,7 +218,7 @@ func TestSessionMutationOracle(t *testing.T) {
 		}
 	}
 
-	before := trance.IndexCounters()
+	before := trance.Counters()
 	check("initial")
 
 	// Append a tail including a duplicate of the probed key.
@@ -251,9 +251,9 @@ func TestSessionMutationOracle(t *testing.T) {
 
 	// The indexed session must actually have planned and executed index
 	// scans, or the comparison above proved nothing about them.
-	after := trance.IndexCounters()
-	if after.PlannedScans <= before.PlannedScans || after.Scans <= before.Scans {
-		t.Fatalf("no index scans planned/executed across the oracle steps: %+v -> %+v", before, after)
+	after := trance.Counters()
+	if after["index.planned_scans"] <= before["index.planned_scans"] || after["index.scans"] <= before["index.scans"] {
+		t.Fatalf("no index scans planned/executed across the oracle steps: %v -> %v", before, after)
 	}
 	if text, err := sessions["indexed"].Prepared().Explain(trance.Standard); err != nil || !strings.Contains(text, "[index=") {
 		t.Fatalf("indexed session explain lacks [index=…]: %v\n%s", err, text)

@@ -284,7 +284,7 @@ func TestRunPipelineReusesPlanCache(t *testing.T) {
 	strategies := []trance.Strategy{trance.Standard, trance.Shred, trance.ShredUnshred}
 
 	var want trance.Bag
-	before := trance.PlanCacheStats()
+	before := trance.Counters()
 	for round := 0; round < 4; round++ {
 		for _, strat := range strategies {
 			res := trance.RunPipeline(pipelineSteps(8101), env, inputs, strat, trance.DefaultConfig())
@@ -306,14 +306,14 @@ func TestRunPipelineReusesPlanCache(t *testing.T) {
 			}
 		}
 	}
-	after := trance.PlanCacheStats()
+	after := trance.Counters()
 	// Standard: 2 steps. Shred: 2 steps. ShredUnshred: final step only (its
 	// intermediate step shares the Shred slot). 4 rounds never recompile.
 	wantCompiles := int64(5)
-	if got := after.Compiles - before.Compiles; got != wantCompiles {
+	if got := after["plan_cache.compiles"] - before["plan_cache.compiles"]; got != wantCompiles {
 		t.Fatalf("want exactly %d step compilations across 12 pipeline runs, got %d", wantCompiles, got)
 	}
-	if after.Hits <= before.Hits {
+	if after["plan_cache.hits"] <= before["plan_cache.hits"] {
 		t.Fatal("repeated pipelines should hit the plan cache")
 	}
 }

@@ -155,11 +155,11 @@ func cmdRun(args []string) {
 		log.Fatalf("run failed: %v", res.Err)
 	}
 	fmt.Printf("%s: %v, rows=%d, %s\n", res.Strategy, res.Elapsed, res.Output.Count(), res.Metrics)
-	for i, row := range res.Output.CollectSorted() {
-		if i >= *show {
-			break
+	if *show > 0 { // CollectTop(0) would be every row
+		rows, _ := res.Output.CollectTop(*show)
+		for _, row := range rows {
+			fmt.Println("  ", value.Format(value.Tuple(row)))
 		}
-		fmt.Println("  ", value.Format(value.Tuple(row)))
 	}
 }
 

@@ -16,6 +16,7 @@ import (
 
 	"github.com/trance-go/trance"
 	"github.com/trance-go/trance/internal/biomed"
+	"github.com/trance-go/trance/internal/metrics"
 	"github.com/trance-go/trance/internal/tpch"
 )
 
@@ -1041,41 +1042,28 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		routes[key] = ro
 	}
 
-	cache := trance.PlanCacheStats()
-	opt := trance.OptimizerCounters()
-	idx := trance.IndexCounters()
-	writeJSON(w, http.StatusOK, map[string]any{
+	doc := map[string]any{
 		"uptime_s": time.Since(s.started).Seconds(),
 		"requests": s.requests.Load(),
 		"workers":  s.pool.Workers(),
 		"datasets": len(s.catalog.Names()),
-		"plan_cache": map[string]any{
-			"entries":   cache.Entries,
-			"compiles":  cache.Compiles,
-			"hits":      cache.Hits,
-			"evictions": cache.Evictions,
-		},
-		"auto_strategy": trance.AutoCounters(),
-		"optimizer": map[string]any{
-			"predicates_pushed":    opt.PredicatesPushed,
-			"join_side_derived":    opt.JoinSideDerived,
-			"selects_fused":        opt.SelectsFused,
-			"constants_folded":     opt.ConstantsFolded,
-			"true_selects_dropped": opt.TrueSelectsDropped,
-			"false_selects_cut":    opt.FalseSelectsCut,
-			"pushes_refused":       opt.PushesRefused,
-		},
-		"index": map[string]any{
-			"built":           idx.Built,
-			"refused":         idx.Refused,
-			"maintained":      idx.Maintained,
-			"rebuilt":         idx.Rebuilt,
-			"planned_scans":   idx.PlannedScans,
-			"scans":           idx.Scans,
-			"fallbacks":       idx.Fallbacks,
-			"rows_matched":    idx.RowsMatched,
-			"refusal_reasons": trance.IndexRefusalReasons(),
-		},
-		"routes": routes,
-	})
+		"routes":   routes,
+	}
+	// Every registered process-wide metric, its dotted path nested one level;
+	// a labelled family is its label value → count object.
+	for _, m := range metrics.Gather() {
+		var v any = m.Value
+		if m.Values != nil {
+			v = m.Values
+		}
+		group, key, nested := strings.Cut(m.Path, ".")
+		if !nested {
+			doc[group] = v
+		} else if sub, ok := doc[group].(map[string]any); ok {
+			sub[key] = v
+		} else {
+			doc[group] = map[string]any{key: v}
+		}
+	}
+	writeJSON(w, http.StatusOK, doc)
 }

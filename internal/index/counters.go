@@ -4,97 +4,47 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
+
+	"github.com/trance-go/trance/internal/metrics"
 )
 
-// Counters are the process-wide index subsystem counters, served by
-// trance.IndexCounters and the tranced /metrics index block.
-type Counters struct {
-	// Built counts successful index builds (registration-time auto-builds and
-	// explicit CreateIndex calls alike).
-	Built int64
-	// Refused counts refused builds (non-scalar keys, mixed-type columns,
-	// range-over-bool); RefusalReasons breaks them down.
-	Refused int64
-	// Maintained counts incremental Extend merges performed by Append.
-	Maintained int64
-	// Rebuilt counts full rebuilds performed by Delete.
-	Rebuilt int64
-	// PlannedScans counts Select→IndexScan conversions made by the planner.
-	PlannedScans int64
-	// Scans counts IndexScan nodes executed against a bound index.
-	Scans int64
-	// Fallbacks counts IndexScan nodes executed without a usable bound index
-	// (degraded to a full scan plus the span predicate).
-	Fallbacks int64
-	// RowsMatched totals the rows gathered by executed index scans.
-	RowsMatched int64
-}
+// The process-wide index subsystem counters (docs/OBSERVABILITY.md).
+var (
+	built        = metrics.NewCounter("index.built", "trance_index_built_total", "Secondary indexes built.")
+	refused      = metrics.NewCounter("index.refused", "trance_index_refused_total", "Index builds refused.")
+	refusals     = metrics.NewVec("index.refusal_reasons", "trance_index_refusals_total", "Index build refusals by reason.", "reason")
+	maintained   = metrics.NewCounter("index.maintained", "trance_index_maintained_total", "Incremental index maintenance operations.")
+	rebuilt      = metrics.NewCounter("index.rebuilt", "trance_index_rebuilt_total", "Index rebuilds.")
+	plannedScans = metrics.NewCounter("index.planned_scans", "trance_index_planned_scans_total", "Index scans planned.")
+	scans        = metrics.NewCounter("index.scans", "trance_index_scans_total", "Index scans executed.")
+	fallbacks    = metrics.NewCounter("index.fallbacks", "trance_index_fallbacks_total", "Index scans that fell back to full scans.")
+	rowsMatched  = metrics.NewCounter("index.rows_matched", "trance_index_rows_matched_total", "Rows matched by index scans.")
+)
 
-var global struct {
-	built, refused, maintained, rebuilt atomic.Int64
-	planned, scans, fallbacks, matched  atomic.Int64
-}
-
-var refusals struct {
-	mu      sync.Mutex
-	reasons map[string]int64
-}
-
-// Global returns the process-wide counters.
-func Global() Counters {
-	return Counters{
-		Built:        global.built.Load(),
-		Refused:      global.refused.Load(),
-		Maintained:   global.maintained.Load(),
-		Rebuilt:      global.rebuilt.Load(),
-		PlannedScans: global.planned.Load(),
-		Scans:        global.scans.Load(),
-		Fallbacks:    global.fallbacks.Load(),
-		RowsMatched:  global.matched.Load(),
-	}
-}
-
-// RefusalReasons returns a copy of the per-reason refusal counts.
-func RefusalReasons() map[string]int64 {
-	refusals.mu.Lock()
-	defer refusals.mu.Unlock()
-	out := make(map[string]int64, len(refusals.reasons))
-	for k, v := range refusals.reasons {
-		out[k] = v
-	}
-	return out
-}
-
-// refuse counts a build refusal under its reason and returns the error.
+// refuse counts a build refusal (non-scalar keys, mixed-type columns,
+// range-over-bool) under its reason and returns the error.
 func refuse(col, reason string) error {
-	global.refused.Add(1)
-	refusals.mu.Lock()
-	if refusals.reasons == nil {
-		refusals.reasons = map[string]int64{}
-	}
-	refusals.reasons[reason]++
-	refusals.mu.Unlock()
+	refused.Add(1)
+	refusals.Add(reason, 1)
 	return fmt.Errorf("index: cannot index column %s: %s", col, reason)
 }
 
-func recordBuild()    { global.built.Add(1) }
-func recordMaintain() { global.maintained.Add(1) }
-
 // RecordRebuild counts a delete-triggered full rebuild.
-func RecordRebuild() { global.rebuilt.Add(1) }
+func RecordRebuild() { rebuilt.Add(1) }
 
 // RecordPlanned counts a Select→IndexScan conversion at plan time.
-func RecordPlanned() { global.planned.Add(1) }
+func RecordPlanned() { plannedScans.Add(1) }
 
-// RecordScan counts one executed index scan gathering matched rows.
+// RecordScan counts one IndexScan executed against a bound index, gathering
+// matched rows.
 func RecordScan(matched int64) {
-	global.scans.Add(1)
-	global.matched.Add(matched)
+	scans.Add(1)
+	rowsMatched.Add(matched)
 }
 
-// RecordFallback counts an IndexScan executed without a usable bound index.
-func RecordFallback() { global.fallbacks.Add(1) }
+// RecordFallback counts an IndexScan executed without a usable bound index
+// (degraded to a full scan plus the span predicate).
+func RecordFallback() { fallbacks.Add(1) }
 
 // Set is a concurrency-safe collection of column indexes for one dataset (or
 // one bound input). Column indexes are immutable; the set itself may gain

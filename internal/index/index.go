@@ -191,7 +191,7 @@ func Build(col string, hash, ordered bool, vals []value.Value) (*ColumnIndex, er
 	if ci.hasOrdered {
 		ci.sortKeys()
 	}
-	recordBuild()
+	built.Add(1)
 	return ci, nil
 }
 
@@ -336,7 +336,7 @@ func (ci *ColumnIndex) Extend(tail []value.Value) (*ColumnIndex, error) {
 	if out.hasOrdered {
 		out.sortKeys()
 	}
-	recordMaintain()
+	maintained.Add(1)
 	return out, nil
 }
 

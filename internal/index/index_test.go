@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/trance-go/trance/internal/metrics"
 	"github.com/trance-go/trance/internal/value"
 )
 
@@ -121,8 +122,8 @@ func TestSpanFormatting(t *testing.T) {
 }
 
 func TestBuildRefusals(t *testing.T) {
-	before := RefusalReasons()
-	refusedBefore := Global().Refused
+	before := refusals.Load()
+	refusedBefore := refused.Load()
 
 	cases := []struct {
 		name          string
@@ -147,13 +148,13 @@ func TestBuildRefusals(t *testing.T) {
 		}
 	}
 
-	after := RefusalReasons()
+	after := refusals.Load()
 	for _, reason := range []string{"no structure requested", "mixed-type keys", "label column", "boxed value", "range index over bool keys"} {
 		if after[reason] <= before[reason] {
 			t.Errorf("refusal reason %q not counted (%d -> %d)", reason, before[reason], after[reason])
 		}
 	}
-	if got := Global().Refused - refusedBefore; got != int64(len(cases)) {
+	if got := refused.Load() - refusedBefore; got != int64(len(cases)) {
 		t.Errorf("Refused counter advanced by %d, want %d", got, len(cases))
 	}
 }
@@ -399,15 +400,18 @@ func TestSetNilSafety(t *testing.T) {
 }
 
 func TestCountersRecord(t *testing.T) {
-	before := Global()
+	counters := []*metrics.Counter{rebuilt, plannedScans, scans, rowsMatched, fallbacks}
+	before := make([]int64, len(counters))
+	for i, c := range counters {
+		before[i] = c.Load()
+	}
 	RecordRebuild()
 	RecordPlanned()
 	RecordScan(7)
 	RecordFallback()
-	after := Global()
-	if after.Rebuilt-before.Rebuilt != 1 || after.PlannedScans-before.PlannedScans != 1 ||
-		after.Scans-before.Scans != 1 || after.RowsMatched-before.RowsMatched != 7 ||
-		after.Fallbacks-before.Fallbacks != 1 {
-		t.Fatalf("counter deltas wrong: before=%+v after=%+v", before, after)
+	for i, want := range []int64{1, 1, 1, 7, 1} {
+		if got := counters[i].Load() - before[i]; got != want {
+			t.Errorf("%s advanced by %d, want %d", counters[i].Path, got, want)
+		}
 	}
 }

@@ -2,8 +2,8 @@ package plan
 
 import (
 	"fmt"
-	"sync/atomic"
 
+	"github.com/trance-go/trance/internal/metrics"
 	"github.com/trance-go/trance/internal/nrc"
 	"github.com/trance-go/trance/internal/value"
 )
@@ -30,9 +30,9 @@ import (
 //     and the IDs feed label identity shared across plan fragments;
 //   - into the null-extended side of an outer join.
 
-// OptStats counts optimizer rule applications. Counters are per-compilation
-// when returned by Optimize; GlobalOptStats aggregates them process-wide for
-// serving metrics.
+// OptStats counts the optimizer rule applications of one Optimize call (a
+// Compiled sums them over its plans, for EXPLAIN); the process-wide totals
+// are the optimizer.* metrics declared below.
 type OptStats struct {
 	// PredicatesPushed counts conjunct × operator crossings: a single
 	// predicate sinking below three operators counts three.
@@ -80,24 +80,16 @@ func (s *OptStats) String() string {
 		s.TrueSelectsDropped, s.FalseSelectsCut, s.PushesRefused)
 }
 
-// globalOpt aggregates rule hits across every Optimize call in the process,
-// for serving-layer metrics (tranced /metrics).
-var globalOpt struct {
-	pushed, joinSide, fused, folded, trueDrop, falseCut, refused atomic.Int64
-}
-
-// GlobalOptStats returns the process-wide optimizer rule-hit counters.
-func GlobalOptStats() OptStats {
-	return OptStats{
-		PredicatesPushed:   globalOpt.pushed.Load(),
-		JoinSideDerived:    globalOpt.joinSide.Load(),
-		SelectsFused:       globalOpt.fused.Load(),
-		ConstantsFolded:    globalOpt.folded.Load(),
-		TrueSelectsDropped: globalOpt.trueDrop.Load(),
-		FalseSelectsCut:    globalOpt.falseCut.Load(),
-		PushesRefused:      globalOpt.refused.Load(),
-	}
-}
+// The process-wide rule-hit counters: every Optimize call adds its OptStats.
+var (
+	predicatesPushed   = metrics.NewCounter("optimizer.predicates_pushed", "trance_optimizer_predicates_pushed_total", "Optimizer predicate pushdowns.")
+	joinSideDerived    = metrics.NewCounter("optimizer.join_side_derived", "trance_optimizer_join_side_derived_total", "Join-side filters derived from key equalities.")
+	selectsFused       = metrics.NewCounter("optimizer.selects_fused", "trance_optimizer_selects_fused_total", "Adjacent selections fused.")
+	constantsFolded    = metrics.NewCounter("optimizer.constants_folded", "trance_optimizer_constants_folded_total", "Constant subexpressions folded.")
+	trueSelectsDropped = metrics.NewCounter("optimizer.true_selects_dropped", "trance_optimizer_true_selects_dropped_total", "Trivially-true selections dropped.")
+	falseSelectsCut    = metrics.NewCounter("optimizer.false_selects_cut", "trance_optimizer_false_selects_cut_total", "Trivially-false selections cut.")
+	pushesRefused      = metrics.NewCounter("optimizer.pushes_refused", "trance_optimizer_pushes_refused_total", "Pushdowns refused at soundness boundaries.")
+)
 
 // Optimize applies the rule-based rewrite pass to a plan and returns the
 // rewritten plan plus the rule-hit counts. The input plan is never mutated:
@@ -105,13 +97,13 @@ func GlobalOptStats() OptStats {
 func Optimize(op Op) (Op, OptStats) {
 	var st OptStats
 	out := pushdown(op, nil, &st)
-	globalOpt.pushed.Add(st.PredicatesPushed)
-	globalOpt.joinSide.Add(st.JoinSideDerived)
-	globalOpt.fused.Add(st.SelectsFused)
-	globalOpt.folded.Add(st.ConstantsFolded)
-	globalOpt.trueDrop.Add(st.TrueSelectsDropped)
-	globalOpt.falseCut.Add(st.FalseSelectsCut)
-	globalOpt.refused.Add(st.PushesRefused)
+	predicatesPushed.Add(st.PredicatesPushed)
+	joinSideDerived.Add(st.JoinSideDerived)
+	selectsFused.Add(st.SelectsFused)
+	constantsFolded.Add(st.ConstantsFolded)
+	trueSelectsDropped.Add(st.TrueSelectsDropped)
+	falseSelectsCut.Add(st.FalseSelectsCut)
+	pushesRefused.Add(st.PushesRefused)
 	return out, st
 }
 

@@ -2,9 +2,8 @@ package runner
 
 import (
 	"fmt"
-	"sync/atomic"
 
-	"github.com/trance-go/trance/internal/core"
+	"github.com/trance-go/trance/internal/metrics"
 	"github.com/trance-go/trance/internal/nrc"
 	"github.com/trance-go/trance/internal/plan"
 )
@@ -17,50 +16,26 @@ type Choice struct {
 	Reasons []string
 }
 
-// ChooseStrategy resolves the Auto meta-strategy for one query: it compiles
-// the standard plan, reads the dataset statistics in cfg.Stats, and picks
+// ChooseStrategy resolves the Auto meta-strategy for one query: it reads op,
+// the query's optimized standard plan, and the dataset statistics in
+// cfg.Stats, and picks
 //
 //   - a skew-aware variant when any scanned input has a column whose heavy-key
-//     row fraction reaches cfg.AutoSkewFraction (paper Section 5: skewed keys
+//     row fraction reaches AutoSkewFraction (paper Section 5: skewed keys
 //     saturate single partitions under key-based shuffling);
 //   - the shredded route (with unshredding, so the output shape matches
 //     Standard) when a pushed-down predicate with estimated selectivity at or
-//     below cfg.AutoSelectivity lands on a nested input — shredding avoids
+//     below AutoSelectivity lands on a nested input — shredding avoids
 //     materializing inner collections the predicate discards;
 //   - Standard otherwise, and always when statistics are absent or the cost
 //     model is ablated (cfg.NoCostModel).
 //
 // Both signals together select ShredUnshredSkew. The decision is deterministic
-// in (query, env, cfg).
-func ChooseStrategy(q nrc.Expr, env nrc.Env, cfg Config) (Choice, error) {
+// in (op, env, cfg).
+func ChooseStrategy(op plan.Op, env nrc.Env, cfg Config) Choice {
 	if cfg.NoCostModel || len(cfg.Stats) == 0 {
-		return Choice{Strategy: Standard, Reasons: []string{"no statistics available; defaulting to standard"}}, nil
+		return Choice{Strategy: Standard, Reasons: []string{"no statistics available; defaulting to standard"}}
 	}
-	skewAt := cfg.AutoSkewFraction
-	if skewAt <= 0 {
-		skewAt = DefaultAutoSkewFraction
-	}
-	selAt := cfg.AutoSelectivity
-	if selAt <= 0 {
-		selAt = DefaultAutoSelectivity
-	}
-
-	if _, err := nrc.Check(q, env); err != nil {
-		return Choice{}, err
-	}
-	c, err := core.NewCompiler(env)
-	if err != nil {
-		return Choice{}, err
-	}
-	c.NoPrune = cfg.NoColumnPruning
-	op, err := c.Compile(q)
-	if err != nil {
-		return Choice{}, fmt.Errorf("auto: compile standard plan: %w", err)
-	}
-	if !cfg.NoPredicatePushdown {
-		op, _ = plan.Optimize(op)
-	}
-
 	var reasons []string
 	skewed, shreddy := false, false
 	seenSkew := map[string]bool{}
@@ -75,11 +50,11 @@ func ChooseStrategy(q nrc.Expr, env nrc.Env, cfg Config) (Choice, error) {
 			seenSkew[x.Input] = true
 			for _, col := range x.Cols {
 				ce := te.Cols[col.Name]
-				if ce.HeavyFraction >= skewAt {
+				if ce.HeavyFraction >= AutoSkewFraction {
 					skewed = true
 					reasons = append(reasons, fmt.Sprintf(
 						"input %s: heavy-key fraction %.2f on column %s ≥ threshold %.2f → skew-aware route",
-						x.Input, ce.HeavyFraction, col.Name, skewAt))
+						x.Input, ce.HeavyFraction, col.Name, AutoSkewFraction))
 					break
 				}
 			}
@@ -94,11 +69,11 @@ func ChooseStrategy(q nrc.Expr, env nrc.Env, cfg Config) (Choice, error) {
 			}
 			seenShred[scan.Input] = true
 			sel := pushedSelectivity(x, scan, te)
-			if sel <= selAt {
+			if sel <= AutoSelectivity {
 				shreddy = true
 				reasons = append(reasons, fmt.Sprintf(
 					"input %s: pushed predicate selectivity %.2f ≤ threshold %.2f on a nested input → shredded route",
-					scan.Input, sel, selAt))
+					scan.Input, sel, AutoSelectivity))
 			}
 		}
 	})
@@ -114,10 +89,10 @@ func ChooseStrategy(q nrc.Expr, env nrc.Env, cfg Config) (Choice, error) {
 	default:
 		reasons = append(reasons, fmt.Sprintf(
 			"no input reaches the skew threshold (%.2f) and no selective pushed predicate on a nested input (≤ %.2f) → standard",
-			skewAt, selAt))
+			AutoSkewFraction, AutoSelectivity))
 	}
 	ch.Reasons = reasons
-	return ch, nil
+	return ch
 }
 
 // walkPlan visits every node of the plan, pre-order.
@@ -184,19 +159,6 @@ func nestedInput(env nrc.Env, name string) bool {
 	return false
 }
 
-// autoChoices counts compile-time Auto resolutions by chosen strategy
-// (process-wide; served by tranced /metrics).
-var autoChoices [Auto + 1]atomic.Int64
-
-// AutoCounters returns the process-wide count of Auto strategy resolutions,
-// keyed by the chosen route's CLI name. Decisions are counted once per
-// compilation (cached compilations do not re-count).
-func AutoCounters() map[string]int64 {
-	out := map[string]int64{}
-	for _, s := range AllStrategies() {
-		if n := autoChoices[s].Load(); n > 0 {
-			out[s.CLIName()] = n
-		}
-	}
-	return out
-}
+// autoStrategy counts compile-time Auto resolutions by the chosen route's CLI
+// name, once per compilation (cached compilations do not re-count).
+var autoStrategy = metrics.NewVec("auto_strategy", "trance_auto_strategy_total", "Auto strategy resolutions by chosen route.", "route")

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/trance-go/trance/internal/metrics"
 	"github.com/trance-go/trance/internal/nrc"
 	"github.com/trance-go/trance/internal/plan"
 	"github.com/trance-go/trance/internal/runner"
@@ -231,13 +232,62 @@ func TestAutoExplainShowsChoice(t *testing.T) {
 // TestAutoCountersAdvance: compile-time Auto resolutions are counted by
 // chosen route.
 func TestAutoCountersAdvance(t *testing.T) {
-	before := runner.AutoCounters()["standard"]
+	before := metrics.Values()["auto_strategy.standard"]
 	cfg := runner.DefaultConfig()
 	if _, err := runner.Compile(flatJoinQuery(), flatAutoEnv(), runner.Auto, cfg); err != nil {
 		t.Fatal(err)
 	}
-	if after := runner.AutoCounters()["standard"]; after != before+1 {
+	if after := metrics.Values()["auto_strategy.standard"]; after != before+1 {
 		t.Fatalf("standard counter %d → %d, want +1", before, after)
+	}
+}
+
+// TestAutoOptimizesStandardPlanOnce: Auto reads the optimized standard plan to
+// choose, and a standard route then runs that same plan — so compiling under
+// Auto moves the process-wide optimizer counters exactly as compiling under
+// Standard does, and by what the compilation itself reports.
+func TestAutoOptimizesStandardPlanOnce(t *testing.T) {
+	r, s := flatAutoData(4000, false)
+	cfg := runner.DefaultConfig()
+	cfg.Stats = collectStats(t, flatAutoEnv(), map[string]value.Bag{"R": r, "S": s}, 4)
+	// One pushable conjunct beside the join condition.
+	query := func() nrc.Expr {
+		return nrc.ForIn("r", nrc.V("R"),
+			nrc.ForIn("s", nrc.V("S"),
+				nrc.IfThen(nrc.AndOf(
+					nrc.EqOf(nrc.P(nrc.V("r"), "k"), nrc.P(nrc.V("s"), "k")),
+					nrc.GtOf(nrc.P(nrc.V("r"), "v"), nrc.C(10))),
+					nrc.SingOf(nrc.Record("k", nrc.P(nrc.V("r"), "k"), "name", nrc.P(nrc.V("s"), "name"))))))
+	}
+	deltas := func(strat runner.Strategy) (map[string]int64, *runner.Compiled) {
+		before := metrics.Values()
+		cq, err := runner.Compile(query(), flatAutoEnv(), strat, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := map[string]int64{}
+		for path, n := range metrics.Values() {
+			if strings.HasPrefix(path, "optimizer.") {
+				out[path] = n - before[path]
+			}
+		}
+		return out, cq
+	}
+	std, _ := deltas(runner.Standard)
+	auto, cq := deltas(runner.Auto)
+	if cq.Strategy != runner.Standard {
+		t.Fatalf("auto chose %s, want STANDARD", cq.Strategy)
+	}
+	if std["optimizer.predicates_pushed"] == 0 {
+		t.Fatal("vacuous: the standard compilation pushed nothing")
+	}
+	for path, want := range std {
+		if auto[path] != want {
+			t.Errorf("%s: auto moved it by %d, standard by %d", path, auto[path], want)
+		}
+	}
+	if got := auto["optimizer.predicates_pushed"]; got != cq.Opt.PredicatesPushed {
+		t.Errorf("optimizer.predicates_pushed moved by %d, the compilation reports %d", got, cq.Opt.PredicatesPushed)
 	}
 }
 

@@ -80,10 +80,19 @@ type Stmt struct {
 	unfused plan.Op
 }
 
-// addStmt optimizes, annotates and fuses raw and appends it to the step. Fuse
-// runs last, so pushdown and the cost model never see a fused operator.
+// addStmt optimizes raw, folding the rule hits into cq.Opt, and appends it to
+// the step.
 func (cq *Compiled) addStmt(label, bind string, raw plan.Op) {
-	st := Stmt{Label: label, Bind: bind, Raw: raw, unfused: cq.annotate(cq.optimize(raw))}
+	opt, st := cq.optimize(raw)
+	cq.Opt.Add(st)
+	cq.addOptimized(label, bind, raw, opt)
+}
+
+// addOptimized annotates and fuses opt, the optimized raw, and appends it to
+// the step. Fuse runs last, so pushdown and the cost model never see a fused
+// operator.
+func (cq *Compiled) addOptimized(label, bind string, raw, opt plan.Op) {
+	st := Stmt{Label: label, Bind: bind, Raw: raw, unfused: cq.annotate(opt)}
 	if st.Plan = st.unfused; !cq.Cfg.NoColumnPruning {
 		st.Plan = plan.Fuse(st.unfused)
 	}
@@ -137,11 +146,18 @@ func CompileStep(q nrc.Expr, env nrc.Env, strat Strategy, cfg Config, name strin
 		return nil, cerr
 	}
 	cq = &Compiled{Name: name, Strategy: strat, Cfg: cfg, Env: env, Out: out, Requested: strat}
-	if strat == Auto {
-		choice, cerr := ChooseStrategy(q, env, cfg)
-		if cerr != nil {
-			return nil, cerr
+	// The standard plan is built and optimized once: Auto chooses by reading
+	// it, and a standard route runs that same plan.
+	var raw, opt plan.Op
+	var st plan.OptStats
+	if !strat.IsShredded() {
+		if raw, err = cq.standardPlan(q); err != nil {
+			return nil, err
 		}
+		opt, st = cq.optimize(raw)
+	}
+	if strat == Auto {
+		choice := ChooseStrategy(opt, env, cfg)
 		cq.Strategy = choice.Strategy
 		cq.AutoReasons = choice.Reasons
 	}
@@ -165,9 +181,8 @@ func CompileStep(q nrc.Expr, env nrc.Env, strat Strategy, cfg Config, name strin
 		}
 		cq.Mat, cq.Stmts = nil, nil
 	}
-	if err := cq.compileStandard(q); err != nil {
-		return nil, err
-	}
+	cq.Opt.Add(st)
+	cq.addOptimized("plan", "", raw, opt)
 	return cq.finish(), nil
 }
 
@@ -177,7 +192,7 @@ func (cq *Compiled) finish() *Compiled {
 	cq.Columns = outputSchema(cq.OutputPlan(), cq.Out, cq.Strategy)
 	cq.rowEnc = ingest.NewRowEncoder(cq.Columns)
 	if cq.Requested == Auto {
-		autoChoices[cq.Strategy].Add(1)
+		autoStrategy.Add(cq.Strategy.CLIName(), 1)
 	}
 	return cq
 }
@@ -232,30 +247,27 @@ func (cq *Compiled) annotate(op plan.Op) plan.Op {
 	return out
 }
 
-func (cq *Compiled) compileStandard(q nrc.Expr) error {
+// standardPlan compiles q on the standard route, up to the optimizer.
+func (cq *Compiled) standardPlan(q nrc.Expr) (plan.Op, error) {
 	c, err := core.NewCompiler(cq.Env)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	c.NoPrune = cq.Cfg.NoColumnPruning
-	op, err := c.Compile(q)
+	raw, err := c.Compile(q)
 	if err != nil {
-		return fmt.Errorf("compile: %w", err)
+		return nil, fmt.Errorf("compile: %w", err)
 	}
-	cq.addStmt("plan", "", op)
-	return nil
+	return raw, nil
 }
 
 // optimize runs the rule-based plan optimizer (predicate pushdown, select
-// fusion, constant folding) unless the ablation flag disables it, folding the
-// rule-hit counters into cq.Opt.
-func (cq *Compiled) optimize(op plan.Op) plan.Op {
+// fusion, constant folding) unless the ablation flag disables it.
+func (cq *Compiled) optimize(op plan.Op) (plan.Op, plan.OptStats) {
 	if cq.Cfg.NoPredicatePushdown {
-		return op
+		return op, plan.OptStats{}
 	}
-	out, st := plan.Optimize(op)
-	cq.Opt.Add(st)
-	return out
+	return plan.Optimize(op)
 }
 
 func (cq *Compiled) compileShredded(q nrc.Expr) error {

@@ -43,7 +43,7 @@ const (
 	ShredUnshredSkew
 	// Auto picks a concrete route per query at compile time from dataset
 	// statistics (Config.Stats): a skew-aware variant when a scanned input's
-	// heavy-key fraction exceeds Config.AutoSkewFraction, the shredded route
+	// heavy-key fraction reaches AutoSkewFraction, the shredded route
 	// (with unshredding, so the output shape matches Standard) when a
 	// selective pushed-down predicate lands on a nested input, Standard
 	// otherwise. The Compiled artifact records the chosen route in Strategy
@@ -180,19 +180,17 @@ type Config struct {
 	// columns (see plan.AnnotateOpts, docs/INDEXES.md, and
 	// BenchmarkIndexScanAblation). Results are identical either way.
 	NoIndexScan bool
-	// AutoSkewFraction is the heavy-key row fraction at or above which Auto
-	// picks a skew-aware route; 0 means DefaultAutoSkewFraction.
-	AutoSkewFraction float64
-	// AutoSelectivity is the estimated pushed-predicate selectivity at or
-	// below which Auto routes a query over nested inputs through the shredded
-	// pipeline; 0 means DefaultAutoSelectivity.
-	AutoSelectivity float64
 }
 
 // Auto-selection thresholds (see docs/COSTMODEL.md for the rationale).
 const (
-	DefaultAutoSkewFraction = 0.15
-	DefaultAutoSelectivity  = 0.25
+	// AutoSkewFraction is the heavy-key row fraction at or above which Auto
+	// picks a skew-aware route.
+	AutoSkewFraction = 0.15
+	// AutoSelectivity is the estimated pushed-predicate selectivity at or
+	// below which Auto routes a query over nested inputs through the shredded
+	// pipeline.
+	AutoSelectivity = 0.25
 )
 
 // DefaultConfig returns a laptop-scale stand-in for the paper's cluster.

@@ -8,10 +8,10 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"github.com/trance-go/trance/internal/dataflow"
 	"github.com/trance-go/trance/internal/index"
+	"github.com/trance-go/trance/internal/metrics"
 	"github.com/trance-go/trance/internal/nrc"
 	"github.com/trance-go/trance/internal/plan"
 	"github.com/trance-go/trance/internal/runner"
@@ -364,7 +364,7 @@ func (pq *PreparedQuery) compiled(strat Strategy) (prog []*runner.Compiled, comp
 		entry.once.Do(func() {
 			pq.compileMu.Lock()
 			defer pq.compileMu.Unlock()
-			planCache.compiles.Add(1)
+			cacheCompiles.Add(1)
 			compiledNow = true
 			entry.cq, entry.err = runner.CompileStep(st.Query, pq.envs[i], eff, pq.cfg, st.Name)
 		})
@@ -413,13 +413,12 @@ func fingerprint(q Expr, env Env, cfg Config) string {
 	}
 	fmt.Fprintf(h, "de=%t prune=%t pushdown=%t noidx=%t\n",
 		cfg.DomainElimination, !cfg.NoColumnPruning, !cfg.NoPredicatePushdown, cfg.NoIndexScan)
-	// Cost-model inputs: the broadcast limit and auto thresholds change what
-	// Annotate/ChooseStrategy compile, and the statistics digest ties cached
-	// plans to the dataset generation they were costed against — a Drop +
-	// re-register under the same name yields new statistics (new generation)
-	// and therefore a new fingerprint, never a stale cached route.
-	fmt.Fprintf(h, "cost=%t bcast=%d skewat=%g selat=%g\n",
-		!cfg.NoCostModel, cfg.BroadcastLimit, cfg.AutoSkewFraction, cfg.AutoSelectivity)
+	// Cost-model inputs: the broadcast limit changes what Annotate compiles,
+	// and the statistics digest ties cached plans to the dataset generation
+	// they were costed against (and Auto chose by) — a Drop + re-register
+	// under the same name yields new statistics (new generation) and
+	// therefore a new fingerprint, never a stale cached route.
+	fmt.Fprintf(h, "cost=%t bcast=%d\n", !cfg.NoCostModel, cfg.BroadcastLimit)
 	statNames := make([]string, 0, len(cfg.Stats))
 	for n := range cfg.Stats {
 		statNames = append(statNames, n)
@@ -460,57 +459,44 @@ var maxPlanCacheEntries = 512
 
 // compilationCache is the process-wide compilation cache behind Prepare.
 type compilationCache struct {
-	mu       sync.Mutex
-	m        map[string]*cacheEntry
-	order    []string // insertion order, for bounded eviction
-	compiles atomic.Int64
-	hits     atomic.Int64
-	evicts   atomic.Int64
+	mu    sync.Mutex
+	m     map[string]*cacheEntry
+	order []string // insertion order, for bounded eviction
 }
 
 var planCache = &compilationCache{m: map[string]*cacheEntry{}}
+
+// The plan cache's process-wide metrics; ResetPlanCache zeroes the counters.
+var (
+	cacheCompiles = metrics.NewCounter("plan_cache.compiles", "trance_plan_cache_compiles_total", "Compilations performed.")
+	cacheHits     = metrics.NewCounter("plan_cache.hits", "trance_plan_cache_hits_total", "Plan cache lookups served without compiling.")
+	cacheEvicts   = metrics.NewCounter("plan_cache.evictions", "trance_plan_cache_evictions_total", "Plan cache entries evicted by the size bound.")
+)
+
+func init() {
+	metrics.NewGauge("plan_cache.entries", "trance_plan_cache_entries", "Compiled (query, strategy) plans cached.", func() int64 {
+		planCache.mu.Lock()
+		defer planCache.mu.Unlock()
+		return int64(len(planCache.m))
+	})
+}
 
 func (c *compilationCache) entry(key string) *cacheEntry {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if e, ok := c.m[key]; ok {
-		c.hits.Add(1)
+		cacheHits.Add(1)
 		return e
 	}
 	for len(c.m) >= maxPlanCacheEntries && len(c.order) > 0 {
 		delete(c.m, c.order[0])
 		c.order = c.order[1:]
-		c.evicts.Add(1)
+		cacheEvicts.Add(1)
 	}
 	e := &cacheEntry{}
 	c.m[key] = e
 	c.order = append(c.order, key)
 	return e
-}
-
-// CacheStats reports the compilation cache's counters.
-type CacheStats struct {
-	// Entries is the number of cached (query, strategy) compilations.
-	Entries int
-	// Compiles counts compilations actually performed.
-	Compiles int64
-	// Hits counts lookups served from the cache without compiling.
-	Hits int64
-	// Evictions counts entries dropped by the cache size bound.
-	Evictions int64
-}
-
-// PlanCacheStats returns a snapshot of the process-wide compilation cache.
-func PlanCacheStats() CacheStats {
-	planCache.mu.Lock()
-	n := len(planCache.m)
-	planCache.mu.Unlock()
-	return CacheStats{
-		Entries:   n,
-		Compiles:  planCache.compiles.Load(),
-		Hits:      planCache.hits.Load(),
-		Evictions: planCache.evicts.Load(),
-	}
 }
 
 // ResetPlanCache empties the compilation cache (counters included).
@@ -520,7 +506,7 @@ func ResetPlanCache() {
 	planCache.m = map[string]*cacheEntry{}
 	planCache.order = nil
 	planCache.mu.Unlock()
-	planCache.compiles.Store(0)
-	planCache.hits.Store(0)
-	planCache.evicts.Store(0)
+	cacheCompiles.Reset()
+	cacheHits.Reset()
+	cacheEvicts.Reset()
 }

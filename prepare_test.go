@@ -58,7 +58,7 @@ func TestPrepareCompilesEachStrategyOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := trance.PlanCacheStats()
+	before := trance.Counters()
 	strategies := []trance.Strategy{trance.Standard, trance.Shred, trance.ShredUnshred}
 	var wg sync.WaitGroup
 	errs := make(chan error, 64)
@@ -77,20 +77,20 @@ func TestPrepareCompilesEachStrategyOnce(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	after := trance.PlanCacheStats()
-	if got := after.Compiles - before.Compiles; got != int64(len(strategies)) {
+	after := trance.Counters()
+	if got := after["plan_cache.compiles"] - before["plan_cache.compiles"]; got != int64(len(strategies)) {
 		t.Fatalf("want exactly %d compilations (one per strategy), got %d", len(strategies), got)
 	}
 	// Re-running hits the cache without compiling.
 	if _, err := pq.Run(context.Background(), pq.BindData(prepInputs(0)), trance.Standard); err != nil {
 		t.Fatal(err)
 	}
-	final := trance.PlanCacheStats()
-	if final.Compiles != after.Compiles {
-		t.Fatalf("re-run recompiled: %d -> %d", after.Compiles, final.Compiles)
+	final := trance.Counters()
+	if final["plan_cache.compiles"] != after["plan_cache.compiles"] {
+		t.Fatalf("re-run recompiled: %d -> %d", after["plan_cache.compiles"], final["plan_cache.compiles"])
 	}
-	if final.Hits <= after.Hits-1 {
-		t.Fatalf("re-run should hit the cache: hits %d -> %d", after.Hits, final.Hits)
+	if final["plan_cache.hits"] <= after["plan_cache.hits"]-1 {
+		t.Fatalf("re-run should hit the cache: hits %d -> %d", after["plan_cache.hits"], final["plan_cache.hits"])
 	}
 }
 
@@ -309,12 +309,12 @@ func TestPlanCacheBounded(t *testing.T) {
 		}
 		queries = append(queries, pq)
 	}
-	stats := trance.PlanCacheStats()
-	if stats.Entries > 2 {
-		t.Fatalf("cache exceeded its bound: %d entries", stats.Entries)
+	stats := trance.Counters()
+	if stats["plan_cache.entries"] > 2 {
+		t.Fatalf("cache exceeded its bound: %d entries", stats["plan_cache.entries"])
 	}
-	if stats.Evictions < 2 {
-		t.Fatalf("want at least 2 evictions, got %d", stats.Evictions)
+	if stats["plan_cache.evictions"] < 2 {
+		t.Fatalf("want at least 2 evictions, got %d", stats["plan_cache.evictions"])
 	}
 	// The first (evicted) query still runs — it just recompiles.
 	res, err := queries[0].Run(context.Background(), queries[0].BindData(prepInputs(0)), trance.Standard)

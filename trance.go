@@ -57,7 +57,7 @@ import (
 
 	"github.com/trance-go/trance/internal/core"
 	"github.com/trance-go/trance/internal/dataflow"
-	"github.com/trance-go/trance/internal/index"
+	"github.com/trance-go/trance/internal/metrics"
 	"github.com/trance-go/trance/internal/nrc"
 	"github.com/trance-go/trance/internal/parse"
 	"github.com/trance-go/trance/internal/plan"
@@ -235,10 +235,6 @@ func AllStrategies() []Strategy { return runner.AllStrategies() }
 // shred-skew | shred+unshred-skew | auto.
 func ParseStrategy(name string) (Strategy, bool) { return runner.ParseStrategy(name) }
 
-// AutoCounters returns the process-wide count of Auto strategy resolutions by
-// chosen route (CLI names), one per compilation (served by tranced /metrics).
-func AutoCounters() map[string]int64 { return runner.AutoCounters() }
-
 // Dataset statistics (see docs/COSTMODEL.md).
 type (
 	// DatasetStats holds one dataset's collected statistics: row/byte counts
@@ -280,33 +276,13 @@ func DefaultConfig() Config { return runner.DefaultConfig() }
 // multi-step equivalent and reuses the plan cache.
 func Run(job Job, strat Strategy, cfg Config) *Result { return runner.Run(job, strat, cfg) }
 
-// OptimizerStats counts rule applications of the compile-time plan
-// optimizer: predicate pushdown (below projections, joins, unnests,
-// structural nests, dedup, union), join-side filters derived from key
-// equalities, select fusion, constant folding, trivially-true/false
-// predicate elimination, and refusals at soundness boundaries
-// (outer-preserving selections, explicit nests, AddIndex, outer-join right
-// sides). See docs/OPTIMIZER.md.
-type OptimizerStats = plan.OptStats
-
-// OptimizerCounters returns the process-wide optimizer rule-hit counters,
-// aggregated over every compilation since start (served by tranced
-// /metrics). Per-query counters appear in PreparedQuery.Explain output.
-func OptimizerCounters() OptimizerStats { return plan.GlobalOptStats() }
-
-// IndexStats are the process-wide secondary-index subsystem counters: builds,
-// refusals, incremental maintenance, rebuilds, planned and executed index
-// scans, fallbacks, and matched rows. See docs/INDEXES.md.
-type IndexStats = index.Counters
-
-// IndexCounters returns the process-wide index counters, aggregated since
-// start (served by tranced /metrics). Per-query Select→IndexScan conversions
-// appear in PreparedQuery.Explain output.
-func IndexCounters() IndexStats { return index.Global() }
-
-// IndexRefusalReasons breaks IndexCounters().Refused down by reason (e.g.
-// "label column", "mixed-type keys", "range index over bool keys").
-func IndexRefusalReasons() map[string]int64 { return index.RefusalReasons() }
+// Counters returns every process-wide metric — the plan cache, the optimizer's
+// rule hits, the index subsystem, Auto's resolutions — keyed by its dotted
+// JSON path in tranced's /metrics ("group.key"); a labelled family contributes
+// "path.<label value>" per value counted. docs/OBSERVABILITY.md has the table
+// of paths. Per-query optimizer and index counts appear in
+// PreparedQuery.Explain output.
+func Counters() map[string]int64 { return metrics.Values() }
 
 // Observability (see docs/OBSERVABILITY.md).
 type (
