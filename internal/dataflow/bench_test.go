@@ -254,7 +254,7 @@ func BenchmarkGroupReduce(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		c := NewContext(8)
-		_, err := c.FromRows(rows).GroupReduce("b", []int{0}, perGroup(func(rs []Row) []Row {
+		_, err := c.FromRows(rows).GroupReduce("b", []int{0}, false, perGroup(func(rs []Row) []Row {
 			var s int64
 			for _, r := range rs {
 				s += r[1].(int64)

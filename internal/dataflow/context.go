@@ -28,8 +28,6 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
-	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -280,17 +278,6 @@ func (s Snapshot) String() string {
 		s.ShuffleBytes, s.ShuffleRecords, s.BroadcastBytes, s.PeakPartition, s.PeakPartitionRows,
 		s.Stages, s.SkippedShuffles,
 		s.Exchange.ColumnarBuffers, s.Exchange.BoxedBuffers)
-}
-
-// StageReport renders the per-stage wall times, slowest first.
-func (s Snapshot) StageReport() string {
-	st := append([]StageTime(nil), s.StageWall...)
-	sort.SliceStable(st, func(i, j int) bool { return st[i].Wall > st[j].Wall })
-	var b strings.Builder
-	for _, t := range st {
-		fmt.Fprintf(&b, "%-24s %12s\n", t.Stage, t.Wall)
-	}
-	return b.String()
 }
 
 // runParts invokes fn for every partition index and returns the joined

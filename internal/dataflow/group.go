@@ -17,8 +17,20 @@ type Reducer func(out []Row, group []Row) []Row
 // sized up front) and is then called once per group in first-seen order. The
 // result carries no guarantee; callers that keep key columns in place can
 // reinstate it with WithPartitioner.
-func (d *Dataset) GroupReduce(stage string, cols []int, newReducer func(rows, groups int) Reducer) (*Dataset, error) {
-	sh, err := d.RepartitionBy(stage, cols)
+//
+// With local set the caller asserts that rows equal on cols already share a
+// partition (plan.Colocate): each partition reduces the groups it holds, with
+// no exchange, counted as a skipped shuffle, and the result keeps d's partition
+// count. The reduce is the same: an exchange would deliver every group from its
+// one source partition, in feed order, which is the order it is reduced in
+// here.
+func (d *Dataset) GroupReduce(stage string, cols []int, local bool, newReducer func(rows, groups int) Reducer) (*Dataset, error) {
+	sh, err := d, d.err
+	if !local {
+		sh, err = d.RepartitionBy(stage, cols)
+	} else if err == nil {
+		d.ctx.Metrics.SkippedShuffles.Add(1)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -55,9 +67,10 @@ func (d *Dataset) WithPartitioner(cols []int) *Dataset {
 }
 
 // Distinct removes duplicate rows (whole-row key). Implements the paper's
-// dedup over flat bags: one shuffle, then per-partition elimination. Pending
-// stages are materialized first because the key spans every output column.
-func (d *Dataset) Distinct(stage string) (*Dataset, error) {
+// dedup over flat bags: one shuffle (none when local, see GroupReduce), then
+// per-partition elimination. Pending stages are materialized first because the
+// key spans every output column.
+func (d *Dataset) Distinct(stage string, local bool) (*Dataset, error) {
 	if err := d.force(); err != nil {
 		return nil, err
 	}
@@ -72,7 +85,7 @@ func (d *Dataset) Distinct(stage string) (*Dataset, error) {
 	for i := range cols {
 		cols[i] = i
 	}
-	return d.GroupReduce(stage, cols, func(int, int) Reducer {
+	return d.GroupReduce(stage, cols, local, func(int, int) Reducer {
 		return func(out, group []Row) []Row { return append(out, group[0]) }
 	})
 }

@@ -135,7 +135,7 @@ func TestPlaceDropsUngroupedRows(t *testing.T) {
 // order (a one-partition shuffle keeps arrival order).
 func TestGroupReduceKeyEquality(t *testing.T) {
 	c := NewContext(1)
-	g, err := c.FromRows(keyedRows()).GroupReduce("g", []int{0}, perGroup(func(rs []Row) []Row {
+	g, err := c.FromRows(keyedRows()).GroupReduce("g", []int{0}, false, perGroup(func(rs []Row) []Row {
 		return []Row{{seqs(rs)}}
 	}))
 	if err != nil {
@@ -290,11 +290,11 @@ func TestShuffleCarriesRoutingHashes(t *testing.T) {
 
 	sum := perGroup(func(rs []Row) []Row { return []Row{{rs[0][0], seqs(rs)}} })
 	skips := c.Metrics.Snapshot().SkippedShuffles
-	carried, err := sh.GroupReduce("g1", cols, sum)
+	carried, err := sh.GroupReduce("g1", cols, false, sum)
 	if err != nil {
 		t.Fatal(err)
 	}
-	computed, err := lazy.GroupReduce("g2", cols, sum)
+	computed, err := lazy.GroupReduce("g2", cols, false, sum)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -80,6 +80,20 @@ func (ex *Executor) wideStage(ns *plan.NodeStats, kind string) string {
 	return stage
 }
 
+// reduceStage is wideStage for a Γ/dedup over t, reporting whether it reduces
+// where its rows lie: the plan marked it (plan.Colocate), guarantees are
+// honored, and t's components merge partition by partition. Otherwise it
+// exchanges, which is always correct. A local one runs only its reduce stage,
+// which its wall then resolves from.
+func (ex *Executor) reduceStage(ns *plan.NodeStats, kind string, t triple, marked []int) (stage string, local bool) {
+	local = marked != nil && !ex.Ctx.DisableGuarantees &&
+		(t.heavy == nil || t.heavy.NumPartitions() == t.light.NumPartitions())
+	if stage = ex.wideStage(ns, kind); local && ns != nil {
+		ns.Stage += "/reduce"
+	}
+	return stage, local
+}
+
 // Run evaluates a plan and returns the resulting dataset. Driver-side panics
 // (malformed plans, type confusion while building operators) are converted
 // into errors; panics inside partition tasks are already converted by the
@@ -210,10 +224,12 @@ func (ex *Executor) run(op plan.Op) (triple, error) {
 		// Γ, dedup and ⊎ merge light and heavy and follow the standard
 		// implementation (paper Figure 6: an empty heavy component and a null
 		// heavy-key set come back).
-		return ex.allLight(recordWide(ns)(ex.nest(in.merge(), x, ex.wideStage(ns, "nest"))))
+		stage, local := ex.reduceStage(ns, "nest", in, x.Local)
+		return ex.allLight(recordWide(ns)(ex.nest(in.merge(), x, stage, local)))
 
 	case *plan.DedupOp:
-		return ex.allLight(recordWide(ns)(in.merge().Distinct(ex.wideStage(ns, "dedup"))))
+		stage, local := ex.reduceStage(ns, "dedup", in, x.Local)
+		return ex.allLight(recordWide(ns)(in.merge().Distinct(stage, local)))
 
 	case *plan.UnionAll:
 		rt, err := ex.run(x.R)
@@ -437,7 +453,9 @@ func applyUnnest(in *dataflow.Dataset, x *plan.Unnest, ns *plan.NodeStats) *data
 // operators; they register their group without contributing. Structural nests
 // keep every group (empty bags); explicit nests below the root emit NULL
 // marker rows for phantom-only groups; at the root those groups are dropped.
-func (ex *Executor) nest(in *dataflow.Dataset, x *plan.Nest, stage string) (*dataflow.Dataset, error) {
+// An exchanged Γ leaves its output hash-placed on the key, a local one where
+// the groups were.
+func (ex *Executor) nest(in *dataflow.Dataset, x *plan.Nest, stage string, local bool) (*dataflow.Dataset, error) {
 	inCols := x.In.Columns()
 	bagValue := make([]bool, len(x.ValueCols))
 	for i, c := range x.ValueCols {
@@ -469,7 +487,7 @@ func (ex *Executor) nest(in *dataflow.Dataset, x *plan.Nest, stage string) (*dat
 		}
 		perRow = 1 + elemWidth
 	}
-	out, err := in.GroupReduce(stage, x.GroupCols, func(nrows, ngroups int) dataflow.Reducer {
+	out, err := in.GroupReduce(stage, x.GroupCols, local, func(nrows, ngroups int) dataflow.Reducer {
 		// The group sizes are known before the first group is reduced, so a
 		// partition's output rows — and for Γ⊎ its bags and their element
 		// tuples — are cut from one slab instead of allocated one by one.
@@ -552,8 +570,8 @@ func (ex *Executor) nest(in *dataflow.Dataset, x *plan.Nest, stage string) (*dat
 			return append(out, nr)
 		}
 	})
-	if err != nil {
-		return nil, err
+	if err != nil || local {
+		return out, err
 	}
 	keyPos := make([]int, len(x.GroupCols))
 	for i := range keyPos {

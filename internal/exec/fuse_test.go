@@ -50,14 +50,36 @@ var keyProjections = []struct {
 		named("tag", 3, nrc.StringT)}, 0, false},
 }
 
+// idProjections are three π over numbered L ++ R = (k, seq, _id, rk, tag), each
+// two columns wide, and the column a Γ above groups on: the ID where it is
+// kept, the column now at its position where it is not.
+var idProjections = []struct {
+	name  string
+	outs  []plan.NamedExpr
+	key   int
+	keeps bool
+}{
+	{"keeps the ID", []plan.NamedExpr{named("tag", 4, nrc.StringT), named("_id", 2, nrc.IntT)}, 1, true},
+	{"drops the ID", []plan.NamedExpr{named("tag", 4, nrc.StringT), named("seq", 1, nrc.IntT)}, 1, false},
+	{"computes over the ID", []plan.NamedExpr{
+		{Name: "id1", Expr: &plan.ArithE{Op: nrc.Add, L: named("_id", 2, nrc.IntT).Expr, R: &plan.ConstE{Val: int64(1), Typ: nrc.IntT}, Typ: nrc.IntT}},
+		named("tag", 4, nrc.StringT)}, 0, false},
+}
+
 // TestFusedJoinRemapsGuarantees is the trap of a join that writes a
-// projection: whatever names the key column across it — the shuffle join's
-// partitioner, the one a broadcast join inherits, the skew arm's — must follow
-// the key to its output position, or go. A Γ on the key right above the fused
-// join skips its shuffle exactly when the plain join lets it; where the
-// projection drops or computes over the key, the Γ — keyed on the column now
-// at the key's old position — shuffles, and returns what π over the plain join
-// returns.
+// projection: whatever names a left column across it must follow the column to
+// its output position, or go.
+//
+// The hash placement — the shuffle join's partitioner, the one a broadcast
+// join inherits, the skew arm's: a Γ on the key right above the fused join
+// skips its shuffle exactly when the plain join lets it; where the projection
+// drops or computes over the key, the Γ — keyed on the column now at the key's
+// old position — shuffles, as it does above π, which drops every partitioner.
+//
+// Co-location — with the left side numbered, the ID's set: plan.Colocate
+// marks a Γ on the ID above the fused join local exactly when it marks the one
+// above π over the plain join, that Γ skips one exchange more than the same
+// plan left unmarked, and all three return the same groups.
 func TestFusedJoinRemapsGuarantees(t *testing.T) {
 	kinds := []struct {
 		name      string
@@ -68,10 +90,16 @@ func TestFusedJoinRemapsGuarantees(t *testing.T) {
 		{"broadcast", false, plan.JoinBroadcast},
 		{"skew", true, plan.JoinShuffle},
 	}
+	type outcome struct {
+		rows  []dataflow.Row
+		skips int64
+		local bool // plan.Colocate marked the Γ
+	}
 	for _, kind := range kinds {
 		// run evaluates Γ⊎ key[key] val[val] over what over makes of the join,
-		// and reports the sorted groups and the shuffles the run skipped.
-		run := func(over func(*plan.Join) (in plan.Op, key, val int)) ([]dataflow.Row, int64) {
+		// its left side numbered or not and the Γ colocated or not, and reports
+		// the sorted groups and the shuffles the run skipped.
+		run := func(numbered, colocate bool, over func(*plan.Join) (in plan.Op, key, val int)) outcome {
 			t.Helper()
 			ctx := dataflow.NewContext(4)
 			ex := New(ctx)
@@ -82,38 +110,121 @@ func TestFusedJoinRemapsGuarantees(t *testing.T) {
 				// A broadcast join keeps the guarantee its left input came with.
 				left = &plan.BagToDict{In: l, LabelCol: 0}
 			}
+			if numbered {
+				left = &plan.AddIndex{In: left, Name: "_id"}
+			}
 			in, key, val := over(&plan.Join{L: left, R: r, LCols: []int{0}, RCols: []int{0}, Cost: &plan.Costs{Method: kind.method}})
-			out, err := ex.Run(&plan.Nest{In: in, GroupCols: []int{key}, ValueCols: []int{val}, Agg: plan.AggBag, ScalarElem: true, OutName: "g"})
+			var nest plan.Op = &plan.Nest{In: in, GroupCols: []int{key}, ValueCols: []int{val}, Agg: plan.AggBag, ScalarElem: true, OutName: "g"}
+			if colocate {
+				nest = plan.Colocate(nest, kind.skewAware)
+			}
+			out, err := ex.Run(nest)
 			if err != nil {
 				t.Fatalf("%s: %v", kind.name, err)
 			}
-			return out.CollectSorted(), ctx.Metrics.SkippedShuffles.Load()
+			return outcome{out.CollectSorted(), ctx.Metrics.SkippedShuffles.Load(), nest.(*plan.Nest).Local != nil}
 		}
-		_, plainSkips := run(func(j *plan.Join) (plan.Op, int, int) { return j, 0, 3 })
+		plain := run(false, false, func(j *plan.Join) (plan.Op, int, int) { return j, 0, 3 })
 		for _, p := range keyProjections {
 			name := kind.name + "/" + p.name
-			fused, fusedSkips := run(func(j *plan.Join) (plan.Op, int, int) {
+			fused := run(false, false, func(j *plan.Join) (plan.Op, int, int) {
 				f := *j
 				f.Outs = p.outs
 				return &f, p.key, 1 - p.key
 			})
-			unfused, unfusedSkips := run(func(j *plan.Join) (plan.Op, int, int) {
+			unfused := run(false, false, func(j *plan.Join) (plan.Op, int, int) {
 				return &plan.Project{In: j, Outs: p.outs}, p.key, 1 - p.key
 			})
-			if len(fused) == 0 || value.Compare(rowsBag(fused), rowsBag(unfused)) != 0 {
-				t.Errorf("%s: the fused join gives %d groups, π over the join %d, or they differ", name, len(fused), len(unfused))
+			if len(fused.rows) == 0 || value.Compare(rowsBag(fused.rows), rowsBag(unfused.rows)) != 0 {
+				t.Errorf("%s: the fused join gives %d groups, π over the join %d, or they differ", name, len(fused.rows), len(unfused.rows))
 			}
-			// π drops every guarantee, so the Γ above it always shuffles.
-			wantSkips := unfusedSkips
+			wantSkips := unfused.skips
 			if p.keeps {
-				wantSkips = plainSkips
-				if !kind.skewAware && plainSkips <= unfusedSkips {
-					t.Errorf("%s: Γ over the plain join skipped no shuffle (%d skips, %d under π): nothing to keep", name, plainSkips, unfusedSkips)
+				wantSkips = plain.skips
+				if !kind.skewAware && plain.skips <= unfused.skips {
+					t.Errorf("%s: Γ over the plain join skipped no shuffle (%d skips, %d under π): nothing to keep", name, plain.skips, unfused.skips)
 				}
 			}
-			if fusedSkips != wantSkips {
-				t.Errorf("%s: %d skipped shuffles, want %d", name, fusedSkips, wantSkips)
+			if fused.skips != wantSkips {
+				t.Errorf("%s: %d skipped shuffles, want %d", name, fused.skips, wantSkips)
 			}
+		}
+		for _, p := range idProjections {
+			name := kind.name + "/" + p.name
+			outs := func(j *plan.Join) (plan.Op, int, int) {
+				f := *j
+				f.Outs = p.outs
+				return &f, p.key, 1 - p.key
+			}
+			fused, exchanged := run(true, true, outs), run(true, false, outs)
+			unfused := run(true, true, func(j *plan.Join) (plan.Op, int, int) {
+				return &plan.Project{In: j, Outs: p.outs}, p.key, 1 - p.key
+			})
+			if fused.local != p.keeps || unfused.local != p.keeps {
+				t.Errorf("%s: Γ marked local %t over the fused join and %t over π, want %t", name, fused.local, unfused.local, p.keeps)
+			}
+			if len(fused.rows) == 0 || value.Compare(rowsBag(fused.rows), rowsBag(unfused.rows)) != 0 ||
+				value.Compare(rowsBag(fused.rows), rowsBag(exchanged.rows)) != 0 {
+				t.Errorf("%s: %d groups over the fused join, %d over π, %d exchanged, or they differ",
+					name, len(fused.rows), len(unfused.rows), len(exchanged.rows))
+			}
+			wantSkips := exchanged.skips
+			if p.keeps {
+				wantSkips++
+			}
+			if fused.skips != wantSkips || unfused.skips != wantSkips {
+				t.Errorf("%s: %d skipped shuffles over the fused join, %d over π, want %d", name, fused.skips, unfused.skips, wantSkips)
+			}
+		}
+	}
+}
+
+// TestJoinOverLocalNestShuffles is the trap of a Γ that reduced in place under
+// a join on its key: its output carries no hash placement, so the join
+// exchanges that side itself — where the exchanged Γ's placement let it skip —
+// and both plans return the same rows. (plan.Colocate never marks such a Γ; a
+// plan that does must still be right.)
+func TestJoinOverLocalNestShuffles(t *testing.T) {
+	run := func(local []int) ([]dataflow.Row, []string) {
+		ctx := dataflow.NewContext(4)
+		ex := New(ctx)
+		// C(k, v) co-located on k: each key's rows in one of 3 partitions; R
+		// holds every other key.
+		parts := make([][]dataflow.Row, 3)
+		var rrows []dataflow.Row
+		for i := 0; i < 60; i++ {
+			k := int64(i % 12)
+			parts[k%3] = append(parts[k%3], dataflow.Row{k, int64(i)})
+			if i < 12 && k%2 == 0 {
+				rrows = append(rrows, dataflow.Row{k, "r"})
+			}
+		}
+		ex.Bind("C", ctx.FromPartitions(parts))
+		ex.BindRows("R", rrows)
+		l := &plan.Scan{Input: "C", Cols: []plan.Column{{Name: "k", Type: nrc.IntT}, {Name: "v", Type: nrc.IntT}}}
+		r := &plan.Scan{Input: "R", Cols: []plan.Column{{Name: "rk", Type: nrc.IntT}, {Name: "tag", Type: nrc.StringT}}}
+		nest := &plan.Nest{In: l, GroupCols: []int{0}, ValueCols: []int{1}, Agg: plan.AggSum, Local: local}
+		out, err := ex.Run(&plan.Join{L: nest, R: r, LCols: []int{0}, RCols: []int{0}, Cost: &plan.Costs{Method: plan.JoinShuffle}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var stages []string
+		for _, sw := range ctx.Metrics.Snapshot().StageWall {
+			stages = append(stages, sw.Stage)
+		}
+		return out.CollectSorted(), stages
+	}
+	local, localStages := run([]int{0})
+	exchanged, exchangedStages := run(nil)
+	if len(local) != 6 || value.Compare(rowsBag(local), rowsBag(exchanged)) != 0 {
+		t.Fatalf("a join over the local Γ gives %d rows, over the exchanged one %d, or they differ", len(local), len(exchanged))
+	}
+	for _, c := range []struct {
+		stages      []string
+		nest, joinL bool
+	}{{localStages, false, true}, {exchangedStages, true, false}} {
+		if slices.Contains(c.stages, "nest#1") != c.nest || slices.Contains(c.stages, "join#2/L") != c.joinL {
+			t.Errorf("stages %v: want the Γ's exchange %t and the join's left exchange %t", c.stages, c.nest, c.joinL)
 		}
 	}
 }
@@ -213,5 +324,32 @@ func TestNarrowChainAllocatesPerChunk(t *testing.T) {
 	one := &plan.Project{In: scan, Outs: []plan.NamedExpr{named("b", 1, nrc.IntT)}}
 	if allocs := runAllocs(t, one, rows[:1]); allocs > perRowExecutor+2 {
 		t.Errorf("%v allocations for a one-row π, want at most %d", allocs, perRowExecutor+2)
+	}
+}
+
+// TestInPlaceFallsBack: a marked Γ/dedup exchanges, which is always correct,
+// when guarantees are off or the two components of its input would not merge
+// partition by partition.
+func TestInPlaceFallsBack(t *testing.T) {
+	ctx := dataflow.NewContext(4)
+	ex := New(ctx)
+	five := ctx.FromPartitions(make([][]dataflow.Row, 5))
+	for _, c := range []struct {
+		name   string
+		t      triple
+		marked []int
+		off    bool
+		want   bool
+	}{
+		{"marked", triple{light: five}, []int{0}, false, true},
+		{"unmarked", triple{light: five}, nil, false, false},
+		{"guarantees off", triple{light: five}, []int{0}, true, false},
+		{"components alike", triple{light: ctx.Empty(), heavy: ctx.Empty()}, []int{0}, false, true},
+		{"components apart", triple{light: five, heavy: ctx.Empty()}, []int{0}, false, false},
+	} {
+		ctx.DisableGuarantees = c.off
+		if _, got := ex.reduceStage(nil, "nest", c.t, c.marked); got != c.want {
+			t.Errorf("%s: in place %t, want %t", c.name, got, c.want)
+		}
 	}
 }

@@ -11,14 +11,16 @@ import "slices"
 // of that row. The dependency survives the operators that only repeat, drop or
 // regroup whole rows of their (left) input: σ, π's column copies, ext, μ/μ̄
 // pass-through columns (the tombstone included: it is NULL on every row), the
-// left side of ⋈/⟕, dedup, BagToDict, and the group and carry outputs of Γ. It
-// is cleared for a column σ̄ nullifies (rows sharing an ID then differ on it),
-// for the right side of a join, for computed columns, for aggregates, and by
-// ⊎, whose inputs number their rows independently. A dependency is on an
-// output position, so a π that drops the ID drops its dependents with it.
+// left side of ⋈/⟕ (through the copies of its Outs when Fuse set them), dedup,
+// BagToDict, and the group and carry outputs of Γ. It is cleared for a column
+// σ̄ nullifies (rows sharing an ID then differ on it), for the right side of a
+// join, for computed columns, for aggregates, and by ⊎, whose inputs number
+// their rows independently. A dependency is on an output position, so a π that
+// drops the ID drops its dependents with it.
 //
-// Prune leans on this to key a Γ by the IDs alone. That in turn leans on IDs
-// being unique across the light and heavy components of a skew-aware run
+// Prune leans on this to key a Γ by the IDs alone, and Colocate to tell which
+// co-located columns a Γ key or a join key determines. Both lean on IDs being
+// unique across the light and heavy components of a skew-aware run
 // (exec.heavyIDBit); TestNarrowedKeysUnderSkew in internal/runner is the
 // end-to-end check.
 type idDeps [][]int
@@ -33,14 +35,7 @@ func idDepsOf(op Op) idDeps {
 		return append(idDepsOf(x.In), make(idDeps, len(x.Exprs))...)
 
 	case *Project:
-		src := make([]int, len(x.Outs))
-		for i, ne := range x.Outs {
-			src[i] = -1
-			if c, ok := ne.Expr.(*Col); ok {
-				src[i] = c.Idx
-			}
-		}
-		return idDepsOf(x.In).gather(src)
+		return idDepsOf(x.In).gather(copySources(x.Outs))
 
 	case *AddIndex:
 		in := idDepsOf(x.In)
@@ -60,7 +55,12 @@ func idDepsOf(op Op) idDeps {
 		return full.gather(x.Outs)
 
 	case *Join:
-		return append(idDepsOf(x.L), make(idDeps, len(x.R.Columns()))...)
+		full := append(idDepsOf(x.L), make(idDeps, len(x.R.Columns()))...)
+		if x.Outs == nil {
+			return full
+		}
+		// A fused join writes its Outs over L ++ R, as the π it replaced did.
+		return full.gather(copySources(x.Outs))
 
 	case *Nest:
 		src := x.passed()
@@ -75,6 +75,19 @@ func idDepsOf(op Op) idDeps {
 	}
 	// Leaves and ⊎: nothing is known to be determined.
 	return make(idDeps, len(op.Columns()))
+}
+
+// copySources is, per output of a projection, the input column it copies, or
+// -1 for a computed one.
+func copySources(outs []NamedExpr) []int {
+	src := make([]int, len(outs))
+	for i, ne := range outs {
+		src[i] = -1
+		if c, ok := ne.Expr.(*Col); ok {
+			src[i] = c.Idx
+		}
+	}
+	return src
 }
 
 // gather is the dependencies of an output whose column i copies input column

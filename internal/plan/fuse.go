@@ -150,7 +150,7 @@ func withChildren(op Op, ch []Op) Op {
 	case *Nest:
 		return cloneWith(x, func(c *Nest) { c.In = ch[0] })
 	case *DedupOp:
-		return &DedupOp{In: ch[0]}
+		return cloneWith(x, func(c *DedupOp) { c.In = ch[0] })
 	case *UnionAll:
 		return &UnionAll{L: ch[0], R: ch[1]}
 	case *BagToDict:

@@ -272,6 +272,11 @@ type Nest struct {
 	Mode         NestMode
 	OutName      string // bag column name for AggBag
 	ScalarElem   bool   // AggBag collects raw scalars instead of tuples
+	// Local, when non-nil, lists input columns that are co-located (rows equal
+	// on them share a partition) and that the key determines, so every group
+	// already lies in one partition and Γ reduces in place, with no exchange.
+	// Only Colocate sets it.
+	Local []int
 }
 
 // ElemType returns the element type of the collected bag (AggBag only).
@@ -314,15 +319,31 @@ func (n *Nest) Describe() string {
 	if n.Agg == AggSum {
 		agg = "+"
 	}
-	return fmt.Sprintf("Γ%s key%v carry%v val%v (%s)", agg, n.GroupCols, n.CarryCols, n.ValueCols, n.Mode)
+	return fmt.Sprintf("Γ%s key%v carry%v val%v (%s)", agg, n.GroupCols, n.CarryCols, n.ValueCols, n.Mode) + localMark(n.In, n.Local)
 }
 
 // DedupOp removes duplicate rows of a flat bag.
-type DedupOp struct{ In Op }
+type DedupOp struct {
+	In Op
+	// Local is Nest.Local for the whole-row key.
+	Local []int
+}
 
 func (d *DedupOp) Columns() []Column { return d.In.Columns() }
 func (d *DedupOp) Children() []Op    { return []Op{d.In} }
-func (d *DedupOp) Describe() string  { return "dedup" }
+func (d *DedupOp) Describe() string  { return "dedup" + localMark(d.In, d.Local) }
+
+// localMark renders a Local column list by the names of in's columns.
+func localMark(in Op, local []int) string {
+	if local == nil {
+		return ""
+	}
+	cols, names := in.Columns(), make([]string, len(local))
+	for i, c := range local {
+		names[i] = cols[c].Name
+	}
+	return " [local on " + strings.Join(names, " ") + "]"
+}
 
 // UnionAll is additive bag union of two inputs with identical schemas.
 type UnionAll struct{ L, R Op }

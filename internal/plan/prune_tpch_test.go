@@ -2,6 +2,7 @@ package plan_test
 
 import (
 	"fmt"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -117,6 +118,47 @@ func TestPruneThroughNestAndUnnest(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestIDDepsThroughFusedJoins: over every statement the standard and the
+// unshredding route compile for each TPC-H class × level × width, a join that
+// writes its projection has one ID dependency per output column, the ones π
+// over the plain join has — so an addIndex above it records its ID where the
+// join writes it, which plan.Colocate, running after Fuse, relies on.
+func TestIDDepsThroughFusedJoins(t *testing.T) {
+	cfg := runner.DefaultConfig()
+	fused := 0
+	for _, strat := range []runner.Strategy{runner.Standard, runner.ShredUnshred} {
+		for _, class := range []tpch.QueryClass{tpch.FlatToNested, tpch.NestedToNested, tpch.NestedToFlat} {
+			for level := 0; level <= tpch.MaxLevel; level++ {
+				for _, wide := range []bool{false, true} {
+					cq, err := runner.Compile(tpch.Query(class, level, wide), tpch.Env(class, level, wide), strat, cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, st := range cq.Stmts {
+						walk(st.Plan, func(o plan.Op) {
+							j, ok := o.(*plan.Join)
+							if !ok || j.Outs == nil {
+								return
+							}
+							fused++
+							plain := *j
+							plain.Outs = nil
+							got, want := plan.IDDepsOf(j), plan.IDDepsOf(&plan.Project{In: &plain, Outs: j.Outs})
+							if len(got) != len(j.Columns()) || !reflect.DeepEqual(got, want) {
+								t.Errorf("%s L%d wide=%t %s, %s: %s depends on %v, π over the plain join on %v",
+									class, level, wide, strat, st.Label, j.Describe(), got, want)
+							}
+						})
+					}
+				}
+			}
+		}
+	}
+	if fused == 0 {
+		t.Fatal("no compiled plan holds a join that writes its projection")
 	}
 }
 

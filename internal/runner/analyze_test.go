@@ -208,10 +208,12 @@ func TestAnalyzeFusedJoins(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", strat, err)
 		}
+		// Co-location reads through π as through a join's Outs, so both plans
+		// reduce the same Γs in place and place their rows alike.
 		unfused := *cq
 		unfused.Stmts = slices.Clone(cq.Stmts)
 		for i := range unfused.Stmts {
-			unfused.Stmts[i].Plan = unfused.Stmts[i].unfused
+			unfused.Stmts[i].Plan = plan.Colocate(unfused.Stmts[i].unfused, strat.skewAware())
 		}
 		run := func(cq *Compiled, a *plan.Analysis) []dataflow.Row {
 			res := ExecuteInputs(context.Background(), []*Compiled{cq}, inputs, NewRunContext(cfg, strat), ExecOptions{Analysis: a})

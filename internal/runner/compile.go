@@ -73,10 +73,10 @@ type Stmt struct {
 	Bind string
 	// Raw is the plan before the optimizer and Plan the one that runs: the
 	// optimized, annotated plan after plan.Fuse (which Config.NoColumnPruning
-	// ablates with the rest of the column pruning).
+	// ablates with the rest of the column pruning) and plan.Colocate.
 	Raw, Plan plan.Op
-	// unfused is the optimized plan before plan.Fuse: what Explain compares
-	// with Raw to say whether the optimizer changed the plan.
+	// unfused is the optimized plan before plan.Fuse and plan.Colocate: what
+	// Explain compares with Raw to say whether the optimizer changed the plan.
 	unfused plan.Op
 }
 
@@ -89,12 +89,16 @@ func (cq *Compiled) addStmt(label, bind string, raw plan.Op) {
 }
 
 // addOptimized annotates and fuses opt, the optimized raw, and appends it to
-// the step. Fuse runs last, so pushdown and the cost model never see a fused
-// operator.
+// the step. Fuse runs after the optimizer and the cost model, so neither sees a
+// fused operator; plan.Colocate runs last, except on the SparkSQL-style
+// baseline, which reuses no placement.
 func (cq *Compiled) addOptimized(label, bind string, raw, opt plan.Op) {
 	st := Stmt{Label: label, Bind: bind, Raw: raw, unfused: cq.annotate(opt)}
 	if st.Plan = st.unfused; !cq.Cfg.NoColumnPruning {
 		st.Plan = plan.Fuse(st.unfused)
+	}
+	if cq.Strategy != SparkSQLStyle {
+		st.Plan = plan.Colocate(st.Plan, cq.Strategy.skewAware())
 	}
 	cq.Stmts = append(cq.Stmts, st)
 }

@@ -458,6 +458,7 @@ type diffCounts struct {
 	typed     int // runs that metered at least one typed-encoding shuffle buffer
 	fused     int // seeds with a join writing its projection on some strategy's full plans
 	composed  int // seeds where some strategy's full plans hold fewer π/ext than its ablated plans
+	local     int // seeds where some strategy's full plans reduce a Γ/dedup in place
 	// shreddedSteps counts program runs whose second step read the first
 	// step's output in shredded form.
 	shreddedSteps int
@@ -473,6 +474,7 @@ func (c *diffCounts) add(o diffCounts) {
 	c.typed += o.typed
 	c.fused += o.fused
 	c.composed += o.composed
+	c.local += o.local
 	c.shreddedSteps += o.shreddedSteps
 }
 
@@ -502,7 +504,7 @@ func runDifferential(data []byte, strict bool) (n diffCounts, err error) {
 	ests := collectDiffStats(env, inputs)
 	applyIndexes(ests, chosen)
 
-	nested, narrowed, fused, composed := false, false, false, false
+	nested, narrowed, fused, composed, local := false, false, false, false, false
 	for _, strat := range diffStrategies {
 		keyCols := map[bool]int{} // Γ key columns of the strategy's plans, by arm
 		narrowOps := map[bool]int{}
@@ -551,6 +553,14 @@ func runDifferential(data []byte, strict bool) (n diffCounts, err error) {
 				if res.Metrics.Exchange.ColumnarBuffers > 0 {
 					n.typed++
 				}
+				marked, lerr := localReduces([]*runner.Compiled{cq}, res)
+				if lerr == nil && marked > 0 && strat == runner.SparkSQLStyle {
+					lerr = fmt.Errorf("%d Γ/dedup reduce in place on the baseline that reuses no placement", marked)
+				}
+				if lerr != nil {
+					return n, fmt.Errorf("%s (full=%t, noidx=%t): %v\n%s", strat, full, noIdx, lerr, cq.Explain())
+				}
+				local = local || full && marked > 0
 				got, gerr := nestedOutput(cq, res)
 				if gerr != nil {
 					return n, fmt.Errorf("%s (full=%t, noidx=%t) unshred: %v\n%s",
@@ -584,6 +594,9 @@ func runDifferential(data []byte, strict bool) (n diffCounts, err error) {
 	if composed {
 		n.composed++
 	}
+	if local {
+		n.local++
+	}
 
 	// The program arm: the same query as the second step of a two-step
 	// program whose first step copies R, so the query reads a step output —
@@ -606,6 +619,9 @@ func runDifferential(data []byte, strict bool) (n diffCounts, err error) {
 		res := runner.ExecuteInputs(context.Background(), prog, inputs, runner.NewRunContext(cfg, last.Strategy), runner.ExecOptions{})
 		if res.Failed() {
 			return n, fmt.Errorf("%s program failed at step %d: %v\n%s", strat, res.FailedStep, res.Err, nrc.Print(q))
+		}
+		if _, lerr := localReduces(prog, res); lerr != nil {
+			return n, fmt.Errorf("%s program: %v\n%s", strat, lerr, runner.Explain(prog))
 		}
 		got, gerr := nestedOutput(last, res)
 		if gerr != nil {
@@ -669,6 +685,54 @@ func fusionOf(cq *runner.Compiled) (fusedJoins, narrowOps int) {
 	return fusedJoins, narrowOps
 }
 
+// localReduces checks a run against the marks plan.Colocate left on its plans:
+// every Γ/dedup marked local ran its reduce stage and no exchange stage, every
+// unmarked one ran both. It returns how many were marked.
+func localReduces(prog []*runner.Compiled, res *runner.Result) (marked int, err error) {
+	var all int
+	var walk func(plan.Op)
+	walk = func(op plan.Op) {
+		var local []int
+		switch x := op.(type) {
+		case *plan.Nest:
+			local = x.Local
+		case *plan.DedupOp:
+			local = x.Local
+		default:
+			for _, ch := range op.Children() {
+				walk(ch)
+			}
+			return
+		}
+		all++
+		if local != nil {
+			marked++
+		}
+		walk(op.Children()[0])
+	}
+	for _, cq := range prog {
+		for _, st := range cq.Stmts {
+			walk(st.Plan)
+		}
+	}
+	// Stage names are kind#seq, a reduce's with "/reduce" after (exec.wideStage).
+	var exchanges, reduces int
+	for _, sw := range res.Metrics.StageWall {
+		kind, rest, _ := strings.Cut(sw.Stage, "#")
+		switch {
+		case kind != "nest" && kind != "dedup":
+		case strings.HasSuffix(rest, "/reduce"):
+			reduces++
+		default:
+			exchanges++
+		}
+	}
+	if reduces != all || exchanges != all-marked {
+		return marked, fmt.Errorf("%d Γ/dedup, %d of them marked local, ran %d reduces and %d exchanges", all, marked, reduces, exchanges)
+	}
+	return marked, nil
+}
+
 // errSkip marks an uncompilable fuzz-generated query (tolerated only in the
 // fuzz target; the curated seeds of TestDifferentialOracle must all compile).
 var errSkip = fmt.Errorf("skip")
@@ -720,6 +784,11 @@ func TestDifferentialOracle(t *testing.T) {
 	if total.fused < n/4 || total.composed < n/4 {
 		t.Fatalf("%d of %d seeds run a join that writes its projection, %d hold fewer π/ext than their NoColumnPruning arm — plan.Fuse is no longer exercised", total.fused, n, total.composed)
 	}
+	// And co-location must actually let Γ/dedup reduce in place (each run checks
+	// the marks against the stages it ran, and that SPARK-SQL marks none).
+	if total.local < n/8 {
+		t.Fatalf("%d of %d seeds reduce a Γ/dedup in place on some strategy's full plans — plan.Colocate is no longer exercised", total.local, n)
+	}
 	// And the index arm must actually plan index scans, not vacuously agree
 	// because no generated predicate ever hit an indexed column.
 	if total.indexed < n/4 {
@@ -735,8 +804,8 @@ func TestDifferentialOracle(t *testing.T) {
 	if total.shreddedSteps < n/10 {
 		t.Fatalf("only %d programs over %d seeds read a step output on a shredded route — step-output binding is no longer exercised", total.shreddedSteps, n)
 	}
-	t.Logf("%d queries × %d runs each agreed with the oracle; optimizer changed plans in %d runs (%d crossings); %d seeds keyed a Γ by the IDs; %d seeds fused a join and %d composed a chain; %d runs planned index scans; %d runs metered typed-encoding shuffle buffers; %d programs read a shredded step output",
-		n, total.runs/n, total.optimized, total.pushed, total.narrowed, total.fused, total.composed, total.indexed, total.typed, total.shreddedSteps)
+	t.Logf("%d queries × %d runs each agreed with the oracle; optimizer changed plans in %d runs (%d crossings); %d seeds keyed a Γ by the IDs; %d seeds fused a join and %d composed a chain; %d seeds reduced in place; %d runs planned index scans; %d runs metered typed-encoding shuffle buffers; %d programs read a shredded step output",
+		n, total.runs/n, total.optimized, total.pushed, total.narrowed, total.fused, total.composed, total.local, total.indexed, total.typed, total.shreddedSteps)
 }
 
 // TestAnalyzeStableAcrossRoutes re-runs a sampled subset of the differential
