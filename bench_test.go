@@ -524,7 +524,7 @@ func BenchmarkPushdownAblation(b *testing.B) {
 					}
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
-						res := runner.Execute(context.Background(), []*runner.Compiled{cq}, rows, nil, runner.NewRunContext(cfg, strat), runner.ExecOptions{})
+						res := runner.Execute(context.Background(), []*runner.Compiled{cq}, rows, nil, runner.NewRunContext(cfg), runner.ExecOptions{})
 						if res.Failed() {
 							b.Fatal(res.Err)
 						}
@@ -591,7 +591,7 @@ func BenchmarkSelectiveNarrow(b *testing.B) {
 				}
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					res := runner.Execute(context.Background(), []*runner.Compiled{cq}, rows, nil, runner.NewRunContext(cfg, strat), runner.ExecOptions{})
+					res := runner.Execute(context.Background(), []*runner.Compiled{cq}, rows, nil, runner.NewRunContext(cfg), runner.ExecOptions{})
 					if res.Failed() {
 						b.Fatal(res.Err)
 					}
@@ -862,7 +862,7 @@ func BenchmarkIndexScanAblation(b *testing.B) {
 				idxs := cq.BuildIndexes(c.inputs)
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					res := runner.Execute(context.Background(), []*runner.Compiled{cq}, rows, idxs, runner.NewRunContext(cfg, runner.Standard), runner.ExecOptions{})
+					res := runner.Execute(context.Background(), []*runner.Compiled{cq}, rows, idxs, runner.NewRunContext(cfg), runner.ExecOptions{})
 					if res.Failed() {
 						b.Fatal(res.Err)
 					}
@@ -902,7 +902,7 @@ func BenchmarkAnalyzeOverhead(b *testing.B) {
 		run := func(b *testing.B, analysis func() *plan.Analysis) {
 			for i := 0; i < b.N; i++ {
 				res := runner.Execute(context.Background(), []*runner.Compiled{cq}, rows, nil,
-					runner.NewRunContext(cfg, strat), runner.ExecOptions{Analysis: analysis()})
+					runner.NewRunContext(cfg), runner.ExecOptions{Analysis: analysis()})
 				if res.Failed() {
 					b.Fatal(res.Err)
 				}

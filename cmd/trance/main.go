@@ -20,7 +20,10 @@ import (
 
 	"github.com/trance-go/trance"
 	"github.com/trance-go/trance/internal/biomed"
+	"github.com/trance-go/trance/internal/nrc"
+	"github.com/trance-go/trance/internal/plan"
 	"github.com/trance-go/trance/internal/runner"
+	"github.com/trance-go/trance/internal/stats"
 	"github.com/trance-go/trance/internal/tpch"
 	"github.com/trance-go/trance/internal/value"
 )
@@ -94,6 +97,33 @@ func parseStrategy(s string) runner.Strategy {
 	return strat
 }
 
+// defaultCustomers sizes the TPC-H data run generates by default, and the data
+// explain collects its statistics over.
+const defaultCustomers = 200
+
+// tpchJob is the built-in query of the class and level over generated TPC-H
+// data, and the default config with every input's statistics — what a catalog
+// collects on registration, and what the cost model and placement plan from.
+func tpchJob(class tpch.QueryClass, level int, wide bool, customers, skew int) (runner.Job, runner.Config) {
+	tables := tpch.Generate(tpch.Config{
+		Customers: customers, OrdersPerCustomer: 6, LinesPerOrder: 4,
+		Parts: 100, SkewFactor: skew, Seed: 1,
+	})
+	job := runner.Job{Query: tpch.Query(class, level, wide), Env: tpch.Env(class, level, wide), Inputs: map[string]value.Bag{}}
+	if class == tpch.FlatToNested {
+		job.Inputs = tables.Inputs()
+	} else {
+		job.Inputs["NDB"] = tpch.BuildNested(tables, level, true)
+		job.Inputs["Part"] = tables.Part
+	}
+	cfg := runner.DefaultConfig()
+	cfg.Stats = map[string]plan.TableEstimate{}
+	for name, t := range job.Env {
+		cfg.Stats[name] = stats.Collect(job.Inputs[name], t.(nrc.BagType), stats.Options{}).Estimate()
+	}
+	return job, cfg
+}
+
 func cmdExplain(args []string) {
 	fs := flag.NewFlagSet("explain", flag.ExitOnError)
 	class := fs.String("class", "nested-to-nested", "query class")
@@ -103,18 +133,17 @@ func cmdExplain(args []string) {
 
 	qc := parseClass(*class)
 	checkLevel(*level)
-	q := tpch.Query(qc, *level, *wide)
-	env := tpch.Env(qc, *level, *wide)
+	job, cfg := tpchJob(qc, *level, *wide, defaultCustomers, 0)
 
 	fmt.Println("=== NRC ===")
-	fmt.Println(trance.Print(q))
-	p, err := trance.ExplainStandard(q, env)
+	fmt.Println(trance.Print(job.Query))
+	cq, err := runner.Compile(job.Query, job.Env, runner.Standard, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("\n=== standard plan ===")
-	fmt.Println(p)
-	sp, err := trance.ExplainShredded(q, env)
+	fmt.Println(runner.Explain([]*runner.Compiled{cq}))
+	sp, err := trance.ExplainShredded(job.Query, job.Env)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -129,28 +158,14 @@ func cmdRun(args []string) {
 	wide := fs.Bool("wide", false, "wide variant")
 	strategy := fs.String("strategy", "shred", "evaluation strategy")
 	skew := fs.Int("skew", 0, "skew factor")
-	customers := fs.Int("customers", 200, "customers to generate")
+	customers := fs.Int("customers", defaultCustomers, "customers to generate")
 	show := fs.Int("show", 5, "result rows to print")
 	_ = fs.Parse(args)
 
 	qc := parseClass(*class)
 	checkLevel(*level)
-	tables := tpch.Generate(tpch.Config{
-		Customers: *customers, OrdersPerCustomer: 6, LinesPerOrder: 4,
-		Parts: 100, SkewFactor: *skew, Seed: 1,
-	})
-	q := tpch.Query(qc, *level, *wide)
-	env := tpch.Env(qc, *level, *wide)
-	inputs := map[string]value.Bag{}
-	if qc == tpch.FlatToNested {
-		inputs = tables.Inputs()
-	} else {
-		inputs["NDB"] = tpch.BuildNested(tables, *level, true)
-		inputs["Part"] = tables.Part
-	}
-
-	res := runner.Run(runner.Job{Query: q, Env: env, Inputs: inputs},
-		parseStrategy(*strategy), trance.DefaultConfig())
+	job, cfg := tpchJob(qc, *level, *wide, *customers, *skew)
+	res := runner.Run(job, parseStrategy(*strategy), cfg)
 	if res.Failed() {
 		log.Fatalf("run failed: %v", res.Err)
 	}

@@ -92,28 +92,28 @@ for cop in COP union
 	fmt.Println("=== Same query, parsed from text ===")
 	fmt.Printf("parse(text) == builder AST: %v\n", trance.Print(parsed) == trance.Print(q))
 
-	env := cat.Env()
-	plan, err := trance.ExplainStandard(q, env)
+	// Prepare once against the catalog (free variables COP and Part resolve
+	// to the ingested datasets, whose statistics the planner reads), then run
+	// under both routes: compiled plans land in the process-wide cache,
+	// results come back as JSON.
+	sq, err := cat.NewSession(trance.SessionOptions{}).PrepareNamed("example1", q)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println("\n=== Standard route: algebraic plan (paper Figure 3) ===")
+	plan, err := sq.Prepared().Explain(trance.Standard)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Println("\n=== Standard route: algebraic plan (paper Figure 3), before and after the optimizer ===")
 	fmt.Println(plan)
 
-	prog, err := trance.ExplainShredded(q, env)
+	prog, err := trance.ExplainShredded(q, cat.Env())
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("=== Shredded route: materialized flat program (paper Example 6) ===")
 	fmt.Println(prog)
 
-	// Prepare once against the catalog (free variables COP and Part resolve
-	// to the ingested datasets), then run under both routes: compiled plans
-	// land in the process-wide cache, results come back as JSON.
-	sq, err := cat.NewSession(trance.SessionOptions{}).PrepareNamed("example1", q)
-	if err != nil {
-		log.Fatal(err)
-	}
 	for _, strat := range []trance.Strategy{trance.Standard, trance.ShredUnshred} {
 		rows, err := sq.RunJSON(context.Background(), strat)
 		if err != nil {

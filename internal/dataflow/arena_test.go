@@ -109,28 +109,33 @@ func TestJoinWriterAllocatesPerChunk(t *testing.T) {
 	}
 }
 
-// TestJoinOutRemap: left positions go through Cols to where the output copies
-// them; a position that is dropped, or only computed over, takes the guarantee
-// with it.
+// TestJoinOutRemap: a shuffle join leaves its rows where its exchange on the
+// left key put them, and JoinOut.Cols only moves the key to another output
+// position — so a local GroupReduce on the key's output position groups as
+// an exchanged one does (what plan.Place's rule "a shuffle join is placed on
+// LCols, through Outs" rests on).
 func TestJoinOutRemap(t *testing.T) {
-	plain := JoinOut{RightWidth: 2}
-	if got := plain.Remap([]int{1, 0}); fmt.Sprint(got) != "[1 0]" {
-		t.Fatalf("l ++ r moved the left columns: %v", got)
+	c := NewContext(4)
+	var left, right []Row
+	for i := 0; i < 60; i++ {
+		left = append(left, Row{int64(i % 9), int64(i)})
+		right = append(right, Row{int64(i % 6), "r"})
 	}
-	jo := JoinOut{RightWidth: 2, Cols: []int{3, -1, 0}}
-	if got := jo.Remap([]int{0}); fmt.Sprint(got) != "[2]" {
-		t.Fatalf("column 0 is copied to 2, got %v", got)
+	jo := JoinOut{RightWidth: 2, Cols: []int{3, 1, 0}} // (tag, seq, k): the key moves to 2
+	j, err := c.FromRows(left).Join("j", c.FromRows(right), []int{0}, []int{0}, [2]bool{}, jo, false)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := jo.Remap([]int{0, 1}); got != nil {
-		t.Fatalf("column 1 is not copied, got %v", got)
+	count := perGroup(func(rs []Row) []Row { return []Row{{rs[0][2], int64(len(rs))}} })
+	local, err := j.GroupReduce("local", []int{2}, true, count)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if p := jo.guarantee(&Partitioner{Cols: []int{1}}); p != nil {
-		t.Fatalf("a guarantee on a dropped column survived: %v", p.Cols)
+	exchanged, err := j.GroupReduce("exchanged", []int{2}, false, count)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if p := jo.guarantee(&Partitioner{Cols: []int{0}}); p == nil || fmt.Sprint(p.Cols) != "[2]" {
-		t.Fatalf("guarantee on column 0 should follow it to 2: %v", p)
-	}
-	if jo.guarantee(nil) != nil {
-		t.Fatal("no guarantee in, a guarantee out")
+	if got, want := local.CollectSorted(), exchanged.CollectSorted(); len(got) != 6 || fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("local groups %v, exchanged %v", got, want)
 	}
 }

@@ -22,7 +22,7 @@ func BenchmarkShuffle(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		c := NewContext(8)
-		if _, err := c.FromRows(rows).RepartitionBy("b", []int{0}); err != nil {
+		if _, err := c.FromRows(rows).RepartitionBy("b", []int{0}, false); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -78,7 +78,7 @@ func BenchmarkColumnarShuffle(b *testing.B) {
 			var bytes int64
 			for i := 0; i < b.N; i++ {
 				c := NewContext(8)
-				d, err := c.FromRows(s.rows).RepartitionBy("b", []int{0})
+				d, err := c.FromRows(s.rows).RepartitionBy("b", []int{0}, false)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -101,7 +101,7 @@ func benchJoin(b *testing.B, col int) {
 		c := NewContext(8)
 		l := c.FromRows(left)
 		r := c.FromRows(right)
-		if _, err := l.Join("b", r, []int{col}, []int{col}, JoinOut{RightWidth: 3}, false); err != nil {
+		if _, err := l.Join("b", r, []int{col}, []int{col}, [2]bool{}, JoinOut{RightWidth: 3}, false); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -115,23 +115,6 @@ func BenchmarkHashJoin(b *testing.B) { benchJoin(b, 1) }
 // BenchmarkHashJoinFanout joins on i % 97: ~52 build rows per key and ~1 M
 // output rows, so it times allocating the output, not build or probe.
 func BenchmarkHashJoinFanout(b *testing.B) { benchJoin(b, 0) }
-
-// BenchmarkCoGroup measures the join+nest fusion primitive: both sides
-// grouped on i % 97, one output row per left key.
-func BenchmarkCoGroup(b *testing.B) {
-	left := benchRows(20_000)
-	right := benchRows(5_000)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		c := NewContext(8)
-		_, err := c.FromRows(left).CoGroup("b", c.FromRows(right), []int{0}, []int{0}, func(ls, rs []Row) []Row {
-			return []Row{{ls[0][0], int64(len(ls)), int64(len(rs))}}
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-}
 
 // BenchmarkBroadcastJoin measures the shuffle-free broadcast variant used
 // for small inputs and skewed heavy keys.
@@ -241,7 +224,7 @@ func BenchmarkFusedShuffle(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		c := NewContext(8)
-		if _, err := narrowChain(c.FromRows(rows)).RepartitionBy("b", []int{0}); err != nil {
+		if _, err := narrowChain(c.FromRows(rows)).RepartitionBy("b", []int{0}, false); err != nil {
 			b.Fatal(err)
 		}
 	}

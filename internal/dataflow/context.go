@@ -17,10 +17,11 @@
 // meters every row that crosses the shuffle boundary (bytes and records),
 // records per-stage wall time, tracks peak partition sizes, and enforces an
 // optional per-partition memory cap that emulates the executor out-of-memory
-// failures reported as "F = FAIL" in the paper's figures. Datasets carry
-// partitioning guarantees so that co-partitioned inputs skip shuffles,
-// exactly as Spark's partitioner-aware planning does (paper Section 3,
-// "Operators effect the partitioning guarantee").
+// failures reported as "F = FAIL" in the paper's figures. Which exchanges a
+// query may skip is decided when it is planned (plan.Place, paper Section 3,
+// "Operators effect the partitioning guarantee"): a Dataset records no
+// placement, and the operators that exchange take the plan's decision as an
+// argument.
 package dataflow
 
 import (
@@ -68,11 +69,6 @@ type Context struct {
 	// SampleSeed seeds the deterministic per-partition sampling used by the
 	// skew detector.
 	SampleSeed int64
-	// DisableGuarantees makes every RepartitionBy shuffle even when the
-	// partitioning guarantee already holds. The SparkSQL-style baseline uses
-	// it to model plans that keep operators with their source relations and
-	// re-exchange data at every key-based step.
-	DisableGuarantees bool
 
 	// SharedPool, when non-nil, replaces the context's private worker pool so
 	// several concurrent jobs (each with its own Context) draw helper
@@ -161,7 +157,7 @@ type Metrics struct {
 	PeakPartition     atomic.Int64 // largest materialized partition observed (bytes)
 	PeakPartitionRows atomic.Int64 // largest materialized partition observed (rows)
 	Stages            atomic.Int64 // shuffle stages executed
-	SkippedShuffles   atomic.Int64 // shuffles avoided thanks to partitioning guarantees
+	SkippedShuffles   atomic.Int64 // exchanges the plan decided the rows needed none of
 
 	mu        sync.Mutex
 	stageWall map[string]time.Duration

@@ -61,7 +61,7 @@ func TestRepartitionColocatesKeys(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		rows = append(rows, Row{int64(i % 7), int64(i)})
 	}
-	d, err := c.FromRows(rows).RepartitionBy("t", []int{0})
+	d, err := c.FromRows(rows).RepartitionBy("t", []int{0}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,14 +81,17 @@ func TestRepartitionColocatesKeys(t *testing.T) {
 	}
 }
 
+// TestPartitioningGuaranteeSkipsShuffle: a repartition the caller says is
+// placed moves nothing, is counted as skipped, and returns the dataset as it
+// is; a join whose sides are both placed runs no exchange either.
 func TestPartitioningGuaranteeSkipsShuffle(t *testing.T) {
 	c := NewContext(4)
-	d, err := c.FromRows(rowsOfInts(1, 1, 2, 2, 3, 3)).RepartitionBy("a", []int{0})
+	d, err := c.FromRows(rowsOfInts(1, 1, 2, 2, 3, 3)).RepartitionBy("a", []int{0}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	before := c.Metrics.Snapshot()
-	d2, err := d.RepartitionBy("b", []int{0})
+	d2, err := d.RepartitionBy("b", []int{0}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,12 +105,20 @@ func TestPartitioningGuaranteeSkipsShuffle(t *testing.T) {
 	if d2 != d {
 		t.Fatal("no-op repartition should return the same dataset")
 	}
+	j, err := d.Join("j", d, []int{0}, []int{0}, [2]bool{true, true}, JoinOut{RightWidth: 2}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m := c.Metrics.Snapshot(); m.ShuffleRecords != before.ShuffleRecords || m.SkippedShuffles != after.SkippedShuffles+2 || j.Count() != 3 {
+		t.Fatalf("a join of placed sides shuffled %d rows, skipped %d exchanges and gave %d rows",
+			m.ShuffleRecords-before.ShuffleRecords, m.SkippedShuffles-after.SkippedShuffles, j.Count())
+	}
 }
 
 func TestShuffleMetrics(t *testing.T) {
 	c := NewContext(4)
 	d := c.FromRows(rowsOfInts(1, 1, 2, 2, 3, 3, 4, 4))
-	_, err := d.RepartitionBy("t", []int{0})
+	_, err := d.RepartitionBy("t", []int{0}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +135,7 @@ func TestInnerJoin(t *testing.T) {
 	c := NewContext(4)
 	l := c.FromRows([]Row{{int64(1), "a"}, {int64(2), "b"}, {int64(2), "b2"}, {int64(3), "c"}})
 	r := c.FromRows([]Row{{int64(2), "X"}, {int64(2), "Y"}, {int64(3), "Z"}, {int64(9), "w"}})
-	j, err := l.Join("j", r, []int{0}, []int{0}, JoinOut{RightWidth: 2}, false)
+	j, err := l.Join("j", r, []int{0}, []int{0}, [2]bool{}, JoinOut{RightWidth: 2}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +155,7 @@ func TestLeftOuterJoinPadsNulls(t *testing.T) {
 	c := NewContext(3)
 	l := c.FromRows([]Row{{int64(1), "a"}, {int64(2), "b"}})
 	r := c.FromRows([]Row{{int64(2), "X"}})
-	j, err := l.Join("j", r, []int{0}, []int{0}, JoinOut{RightWidth: 2}, true)
+	j, err := l.Join("j", r, []int{0}, []int{0}, [2]bool{}, JoinOut{RightWidth: 2}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,14 +173,14 @@ func TestJoinNullKeysNeverMatch(t *testing.T) {
 	c := NewContext(2)
 	l := c.FromRows([]Row{{nil, "a"}, {int64(1), "b"}})
 	r := c.FromRows([]Row{{nil, "X"}, {int64(1), "Y"}})
-	inner, err := l.Join("j", r, []int{0}, []int{0}, JoinOut{RightWidth: 2}, false)
+	inner, err := l.Join("j", r, []int{0}, []int{0}, [2]bool{}, JoinOut{RightWidth: 2}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if inner.Count() != 1 {
 		t.Fatalf("null keys must not match, got %d rows", inner.Count())
 	}
-	outer, err := l.Join("j2", r, []int{0}, []int{0}, JoinOut{RightWidth: 2}, true)
+	outer, err := l.Join("j2", r, []int{0}, []int{0}, [2]bool{}, JoinOut{RightWidth: 2}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,29 +253,6 @@ func TestDistinct(t *testing.T) {
 	}
 }
 
-func TestCoGroup(t *testing.T) {
-	c := NewContext(3)
-	l := c.FromRows([]Row{{int64(1), "a"}, {int64(1), "b"}, {int64(2), "c"}})
-	r := c.FromRows([]Row{{int64(1), int64(10)}, {int64(3), int64(30)}})
-	cg, err := l.CoGroup("cg", r, []int{0}, []int{0}, func(ls, rs []Row) []Row {
-		return []Row{{ls[0][0], int64(len(ls)), int64(len(rs))}}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := cg.CollectSorted()
-	// Keys from the left drive the output: 1 (2 left, 1 right), 2 (1 left, 0).
-	if len(got) != 2 {
-		t.Fatalf("cogroup keys=%d: %v", len(got), got)
-	}
-	if got[0][1].(int64) != 2 || got[0][2].(int64) != 1 {
-		t.Fatalf("key1 wrong: %v", got[0])
-	}
-	if got[1][1].(int64) != 1 || got[1][2].(int64) != 0 {
-		t.Fatalf("key2 wrong: %v", got[1])
-	}
-}
-
 func TestUnionAndAddUniqueID(t *testing.T) {
 	c := NewContext(3)
 	a := c.FromRows(rowsOfInts(1, 1, 2, 2))
@@ -291,7 +279,7 @@ func TestMemoryCapFailsJob(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		rows = append(rows, Row{int64(7), int64(i)}) // all on one partition
 	}
-	_, err := c.FromRows(rows).RepartitionBy("skewed", []int{0})
+	_, err := c.FromRows(rows).RepartitionBy("skewed", []int{0}, false)
 	if !errors.Is(err, ErrMemoryExceeded) {
 		t.Fatalf("want ErrMemoryExceeded, got %v", err)
 	}
@@ -304,7 +292,7 @@ func TestMemoryCapPassesWhenBalanced(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		rows = append(rows, Row{int64(i), int64(i)})
 	}
-	d, err := c.FromRows(rows).RepartitionBy("ok", []int{0})
+	d, err := c.FromRows(rows).RepartitionBy("ok", []int{0}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,7 +347,7 @@ func TestQuickJoinMatchesNestedLoop(t *testing.T) {
 			rrows[i] = Row{int64(r.Intn(5)), int64(100 + i)}
 		}
 		c := NewContext(1 + r.Intn(6))
-		j, err := c.FromRows(lrows).Join("q", c.FromRows(rrows), []int{0}, []int{0}, JoinOut{RightWidth: 2}, false)
+		j, err := c.FromRows(lrows).Join("q", c.FromRows(rrows), []int{0}, []int{0}, [2]bool{}, JoinOut{RightWidth: 2}, false)
 		if err != nil {
 			return false
 		}
@@ -414,7 +402,7 @@ func ExampleDataset_Join() {
 	c := NewContext(2)
 	parts := c.FromRows([]Row{{int64(1), "bolt"}, {int64(2), "nut"}})
 	orders := c.FromRows([]Row{{int64(1), int64(10)}, {int64(1), int64(5)}})
-	j, _ := orders.Join("ex", parts, []int{0}, []int{0}, JoinOut{RightWidth: 2}, false)
+	j, _ := orders.Join("ex", parts, []int{0}, []int{0}, [2]bool{}, JoinOut{RightWidth: 2}, false)
 	for _, r := range j.CollectSorted() {
 		fmt.Println(r[1], r[3])
 	}

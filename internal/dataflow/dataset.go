@@ -7,28 +7,6 @@ import (
 	"github.com/trance-go/trance/internal/value"
 )
 
-// Partitioner records a key-based partitioning guarantee: all rows whose
-// composite key over Cols is equal live in the same partition.
-type Partitioner struct {
-	Cols []int
-}
-
-// equal reports whether two guarantees are the same column sequence.
-func (p *Partitioner) equal(o *Partitioner) bool {
-	if p == nil || o == nil {
-		return false
-	}
-	if len(p.Cols) != len(o.Cols) {
-		return false
-	}
-	for i := range p.Cols {
-		if p.Cols[i] != o.Cols[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // stageFn is one fused narrow operator: it transforms a single input row into
 // zero or more output rows via emit.
 type stageFn func(r Row, emit func(Row))
@@ -50,25 +28,23 @@ type stageFactory func(part int) stageFn
 // activity: force mutates parts/stages without synchronization. Publish a
 // dataset to concurrent readers only after Force.
 type Dataset struct {
-	ctx         *Context
-	parts       [][]Row
-	stages      []stageFactory
-	partitioner *Partitioner
+	ctx    *Context
+	parts  [][]Row
+	stages []stageFactory
 	// hashes, when non-nil, parallels parts: hashes[i][j] is value.HashCols of
-	// parts[i][j] over partitioner.Cols — the routing hashes the key-based
-	// shuffle that built the dataset computed, kept so the group table behind
-	// it does not hash the rows again. Only RepartitionBy sets it, on a
-	// dataset with no pending stages; derived datasets never inherit it.
-	hashes [][]uint64
+	// parts[i][j] over hashCols — the routing hashes the key-based shuffle
+	// that built the dataset computed, kept so the group table behind it does
+	// not hash the rows again. Only RepartitionBy sets them, on a dataset with
+	// no pending stages; derived datasets never inherit them.
+	hashes   [][]uint64
+	hashCols []int
 	// err poisons the dataset after a partition task failed (memory cap or a
 	// recovered panic): operators and actions keep returning it instead of
 	// computing over partial data.
 	err error
 }
 
-// FromRows distributes rows round-robin over Parallelism partitions. Inputs
-// that have not been altered by an operator carry no partitioning guarantee
-// (paper Section 3).
+// FromRows distributes rows round-robin over Parallelism partitions.
 func (c *Context) FromRows(rows []Row) *Dataset {
 	n := c.Parallelism
 	parts := make([][]Row, n)
@@ -103,9 +79,6 @@ func (d *Dataset) Context() *Context { return d.ctx }
 // NumPartitions returns the partition count (narrow operators never change
 // it).
 func (d *Dataset) NumPartitions() int { return len(d.parts) }
-
-// Partitioner returns the current partitioning guarantee, or nil.
-func (d *Dataset) Partitioner() *Partitioner { return d.partitioner }
 
 // withStage returns a new dataset with one more fused narrow operator. The
 // stage slice is copied, never shared, so sibling datasets derived from the
@@ -271,8 +244,8 @@ func (d *Dataset) CollectTop(k int) (rows []Row, total int) {
 
 // Map applies fn to every row. Narrow, fused, and lazy: nothing runs until a
 // wide operator or action consumes the dataset. fn takes the rows it writes
-// from the arena it is handed, one per partition task. Preserves partitioning
-// only if the caller says key columns survive — use MapPreserving for that.
+// from the arena it is handed, one per partition task. Like every narrow
+// operator it moves no row between partitions.
 func (d *Dataset) Map(fn func(*Arena, Row) Row) *Dataset {
 	return d.withStage(func(int) stageFn {
 		a := new(Arena)
@@ -280,36 +253,24 @@ func (d *Dataset) Map(fn func(*Arena, Row) Row) *Dataset {
 	})
 }
 
-// MapPreserving is Map for transformations that leave the key columns of the
-// current partitioning guarantee intact at the same positions, so the
-// guarantee survives (e.g. value-side projections of a dictionary).
-func (d *Dataset) MapPreserving(fn func(*Arena, Row) Row) *Dataset {
-	out := d.Map(fn)
-	out.partitioner = d.partitioner
-	return out
-}
-
-// Filter keeps rows satisfying pred. Narrow, fused, lazy; preserves the
-// partitioning guarantee.
+// Filter keeps rows satisfying pred. Narrow, fused, lazy.
 func (d *Dataset) Filter(pred func(Row) bool) *Dataset {
-	out := d.withStage(func(int) stageFn {
+	return d.withStage(func(int) stageFn {
 		return func(r Row, emit func(Row)) {
 			if pred(r) {
 				emit(r)
 			}
 		}
 	})
-	out.partitioner = d.partitioner
-	return out
 }
 
 // Split routes every row to one of two datasets in a single pass over the
 // fused chain: the rows pred accepts, and the rest. Both keep d's partition
-// layout and guarantee. It is the pair Filter(pred), Filter(not pred) without
-// running the chain, or pred, twice — and so, unlike Filter, it materializes.
+// layout. It is the pair Filter(pred), Filter(not pred) without running the
+// chain, or pred, twice — and so, unlike Filter, it materializes.
 func (d *Dataset) Split(pred func(Row) bool) (yes, no *Dataset) {
-	yes = &Dataset{ctx: d.ctx, parts: make([][]Row, len(d.parts)), partitioner: d.partitioner, err: d.err}
-	no = &Dataset{ctx: d.ctx, parts: make([][]Row, len(d.parts)), partitioner: d.partitioner, err: d.err}
+	yes = &Dataset{ctx: d.ctx, parts: make([][]Row, len(d.parts)), err: d.err}
+	no = &Dataset{ctx: d.ctx, parts: make([][]Row, len(d.parts)), err: d.err}
 	if d.err != nil {
 		return yes, no
 	}
@@ -327,8 +288,7 @@ func (d *Dataset) Split(pred func(Row) bool) (yes, no *Dataset) {
 	return yes, no
 }
 
-// FlatMap expands every row to zero or more rows. Narrow, fused, lazy; drops
-// the guarantee.
+// FlatMap expands every row to zero or more rows. Narrow, fused, lazy.
 func (d *Dataset) FlatMap(fn func(Row) []Row) *Dataset {
 	return d.withStage(func(int) stageFn {
 		return func(r Row, emit func(Row)) {
@@ -339,15 +299,6 @@ func (d *Dataset) FlatMap(fn func(Row) []Row) *Dataset {
 	})
 }
 
-// FlatMapPreserving is FlatMap keeping the partitioning guarantee; the caller
-// asserts key columns survive in place (e.g. unnesting a dictionary value bag
-// while keeping the label column).
-func (d *Dataset) FlatMapPreserving(fn func(Row) []Row) *Dataset {
-	out := d.FlatMap(fn)
-	out.partitioner = d.partitioner
-	return out
-}
-
 // AddUniqueID appends a new column holding an ID unique across the dataset,
 // without any shuffle: IDs combine the partition index and a per-partition
 // sequence number, assigned by a fused stage whose counter is instantiated
@@ -356,7 +307,7 @@ func (d *Dataset) FlatMapPreserving(fn func(Row) []Row) *Dataset {
 // partition field share no ID. This implements the unique-ID insertion
 // performed by the outer-unnest operator of the paper.
 func (d *Dataset) AddUniqueID(tag int64) *Dataset {
-	out := d.withStage(func(part int) stageFn {
+	return d.withStage(func(part int) stageFn {
 		base := tag | int64(part)<<40
 		var seq int64
 		var a Arena
@@ -368,13 +319,10 @@ func (d *Dataset) AddUniqueID(tag int64) *Dataset {
 			emit(nr)
 		}
 	})
-	out.partitioner = d.partitioner
-	return out
 }
 
-// Union concatenates two datasets partition-wise (no shuffle, guarantee
-// dropped — Spark's union likewise drops the partitioner). Both sides are
-// materialized first so their fused chains are not cross-multiplied.
+// Union concatenates two datasets partition-wise, with no shuffle. Both sides
+// are materialized first so their fused chains are not cross-multiplied.
 func (d *Dataset) Union(o *Dataset) *Dataset {
 	d.force()
 	o.force()

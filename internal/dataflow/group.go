@@ -8,29 +8,22 @@ import "time"
 // after the call but not to be modified.
 type Reducer func(out []Row, group []Row) []Row
 
-// GroupReduce hash-partitions by the key columns (skipping the shuffle when
-// the guarantee already holds) and reduces every key group, streaming rows
-// through any pending fused operator chain into the group table. Grouping is
-// two-pass — intern every row's key, then place the rows group by group in
-// one arena — so newReducer is instantiated once per partition knowing how
-// many rows and groups it will see (a reducer can cut its output from slabs
-// sized up front) and is then called once per group in first-seen order. The
-// result carries no guarantee; callers that keep key columns in place can
-// reinstate it with WithPartitioner.
+// GroupReduce hash-partitions by the key columns and reduces every key group,
+// streaming rows through any pending fused operator chain into the group
+// table. Grouping is two-pass — intern every row's key, then place the rows
+// group by group in one arena — so newReducer is instantiated once per
+// partition knowing how many rows and groups it will see (a reducer can cut
+// its output from slabs sized up front) and is then called once per group in
+// first-seen order.
 //
 // With local set the caller asserts that rows equal on cols already share a
-// partition (plan.Colocate): each partition reduces the groups it holds, with
-// no exchange, counted as a skipped shuffle, and the result keeps d's partition
+// partition (plan.Place): each partition reduces the groups it holds, with no
+// exchange, counted as a skipped shuffle, and the result keeps d's partition
 // count. The reduce is the same: an exchange would deliver every group from its
 // one source partition, in feed order, which is the order it is reduced in
 // here.
 func (d *Dataset) GroupReduce(stage string, cols []int, local bool, newReducer func(rows, groups int) Reducer) (*Dataset, error) {
-	sh, err := d, d.err
-	if !local {
-		sh, err = d.RepartitionBy(stage, cols)
-	} else if err == nil {
-		d.ctx.Metrics.SkippedShuffles.Add(1)
-	}
+	sh, err := d.RepartitionBy(stage, cols, local)
 	if err != nil {
 		return nil, err
 	}
@@ -54,16 +47,6 @@ func (d *Dataset) GroupReduce(stage string, cols []int, local bool, newReducer f
 		return nil, err
 	}
 	return &Dataset{ctx: d.ctx, parts: parts}, nil
-}
-
-// WithPartitioner asserts a partitioning guarantee on the dataset. It is the
-// caller's responsibility that the assertion holds (used by executor
-// operators whose output provably keeps key co-location). Hashes carried from
-// a shuffle on other columns do not survive the assertion.
-func (d *Dataset) WithPartitioner(cols []int) *Dataset {
-	d.partitioner = &Partitioner{Cols: cols}
-	d.hashes = nil
-	return d
 }
 
 // Distinct removes duplicate rows (whole-row key). Implements the paper's

@@ -75,7 +75,7 @@ func TestLocalReduceMatchesExchange(t *testing.T) {
 
 	c := NewContext(3)
 	in := func() *Dataset {
-		return c.FromPartitions(src).MapPreserving(func(_ *Arena, r Row) Row { return r })
+		return c.FromPartitions(src).Map(func(_ *Arena, r Row) Row { return r })
 	}
 	before := c.Metrics.Snapshot()
 	local, err := in().GroupReduce("local", []int{0}, true, sum)
@@ -83,9 +83,9 @@ func TestLocalReduceMatchesExchange(t *testing.T) {
 		t.Fatal(err)
 	}
 	mid := c.Metrics.Snapshot()
-	if mid.SkippedShuffles != before.SkippedShuffles+1 || mid.ShuffleBytes != 0 || local.NumPartitions() != parts || local.Partitioner() != nil {
-		t.Fatalf("local reduce: %d skipped, %d bytes shuffled, %d partitions, guarantee %v",
-			mid.SkippedShuffles-before.SkippedShuffles, mid.ShuffleBytes, local.NumPartitions(), local.Partitioner())
+	if mid.SkippedShuffles != before.SkippedShuffles+1 || mid.ShuffleBytes != 0 || local.NumPartitions() != parts {
+		t.Fatalf("local reduce: %d skipped, %d bytes shuffled, %d partitions",
+			mid.SkippedShuffles-before.SkippedShuffles, mid.ShuffleBytes, local.NumPartitions())
 	}
 	exchanged, err := in().GroupReduce("exchanged", []int{0}, false, sum)
 	if err != nil {

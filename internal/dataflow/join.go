@@ -8,24 +8,24 @@ import (
 )
 
 // Join performs an equi-join with d as the left input. Both sides are
-// hash-partitioned on their key columns (shuffles are skipped for sides whose
-// partitioning guarantee already matches), then joined per partition with a
-// build-probe hash join; probe rows stream through any pending fused operator
-// chain of the left side. Output rows are what jo writes over left ++ right.
-// With leftOuter set, unmatched left rows survive with NULL right columns —
-// the NULL machinery the Γ operators later cast away.
+// hash-partitioned on their key columns — except a side placed says already
+// lies so (RepartitionBy) — then joined per partition with a build-probe hash
+// join; probe rows stream through any pending fused operator chain of the left
+// side. Output rows are what jo writes over left ++ right. With leftOuter set,
+// unmatched left rows survive with NULL right columns — the NULL machinery the
+// Γ operators later cast away.
 //
 // Rows whose key contains a NULL never match (SQL semantics); under
 // leftOuter they are preserved with NULL padding.
-func (d *Dataset) Join(stage string, right *Dataset, lcols, rcols []int, jo JoinOut, leftOuter bool) (*Dataset, error) {
-	ls, err := d.RepartitionBy(stage+"/L", lcols)
+func (d *Dataset) Join(stage string, right *Dataset, lcols, rcols []int, placed [2]bool, jo JoinOut, leftOuter bool) (*Dataset, error) {
+	ls, err := d.RepartitionBy(stage+"/L", lcols, placed[0])
 	if err != nil {
 		return nil, err
 	}
 	// Right must land on the same partition for equal keys: hash the key
 	// values, not positions. RepartitionBy hashes column values, so equal
 	// keys on both sides collide iff their value encodings match.
-	rs, err := right.RepartitionBy(stage+"/R", rcols)
+	rs, err := right.RepartitionBy(stage+"/R", rcols, placed[1])
 	if err != nil {
 		return nil, err
 	}
@@ -51,18 +51,15 @@ func (d *Dataset) Join(stage string, right *Dataset, lcols, rcols []int, jo Join
 	if err := d.ctx.checkPartitions(stage+"/out", parts); err != nil {
 		return nil, err
 	}
-	out := &Dataset{ctx: d.ctx, parts: parts}
-	out.partitioner = jo.guarantee(&Partitioner{Cols: lcols})
-	return out, nil
+	return &Dataset{ctx: d.ctx, parts: parts}, nil
 }
 
 // BroadcastJoin replicates the right side to every partition of the left and
 // joins locally: no shuffle of the left at all — left rows stream through
-// their fused chain straight into the probe. The broadcast volume is metered
-// separately from shuffle (Spark likewise reports it apart). The left's
-// partitioning guarantee is preserved where jo keeps its columns — the
+// their fused chain straight into the probe, and stay in their partitions (the
 // property the skew-aware join of paper Figure 6 relies on to leave heavy keys
-// where they are.
+// where they are). The broadcast volume is metered separately from shuffle
+// (Spark likewise reports it apart).
 func (d *Dataset) BroadcastJoin(stage string, right *Dataset, lcols, rcols []int, jo JoinOut, leftOuter bool) (*Dataset, error) {
 	if d.err != nil {
 		return nil, d.err
@@ -95,9 +92,7 @@ func (d *Dataset) BroadcastJoin(stage string, right *Dataset, lcols, rcols []int
 	if err := d.ctx.checkPartitions(stage+"/out", parts); err != nil {
 		return nil, err
 	}
-	out := &Dataset{ctx: d.ctx, parts: parts}
-	out.partitioner = jo.guarantee(d.partitioner)
-	return out, nil
+	return &Dataset{ctx: d.ctx, parts: parts}, nil
 }
 
 // JoinOut describes the row a join writes for a left row l and a right row r
@@ -111,34 +106,6 @@ type JoinOut struct {
 	Cols []int
 	// Eval parallels Cols, set where Cols is -1.
 	Eval []func(Row) value.Value
-}
-
-// Remap returns where the output holds the columns cols of the left input, or
-// nil when one of them is not copied: whatever names left columns across the
-// join — a partitioning guarantee, the heavy-key columns of a skew-triple —
-// goes through it.
-func (o JoinOut) Remap(cols []int) []int {
-	if o.Cols == nil {
-		return cols
-	}
-	out := make([]int, len(cols))
-	for i, c := range cols {
-		if out[i] = slices.Index(o.Cols, c); out[i] < 0 {
-			return nil
-		}
-	}
-	return out
-}
-
-// guarantee is the guarantee p of the left input as the output holds it.
-func (o JoinOut) guarantee(p *Partitioner) *Partitioner {
-	if p == nil || o.Cols == nil {
-		return p
-	}
-	if cols := o.Remap(p.Cols); cols != nil {
-		return &Partitioner{Cols: cols}
-	}
-	return nil
 }
 
 // writer returns what writes the output rows of one partition task: write(l,
@@ -211,51 +178,4 @@ func anyNullCols(r Row, cols []int) bool {
 		}
 	}
 	return false
-}
-
-// CoGroup shuffles both sides on their keys and invokes fn once per distinct
-// left key, in first-seen order, with all left and right rows carrying it. It
-// is the engine primitive behind the paper's join+nest → cogroup fusion
-// (Section 3, Optimization): grouping happens during the join, avoiding a
-// separate regrouping shuffle.
-func (d *Dataset) CoGroup(stage string, right *Dataset, lcols, rcols []int, fn func(lrows, rrows []Row) []Row) (*Dataset, error) {
-	ls, err := d.RepartitionBy(stage+"/L", lcols)
-	if err != nil {
-		return nil, err
-	}
-	rs, err := right.RepartitionBy(stage+"/R", rcols)
-	if err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	parts := make([][]Row, len(ls.parts))
-	cgErr := d.ctx.runParts(len(ls.parts), func(i int) error {
-		keys, lrows := ls.groupPart(i, lcols, false)
-		// The right side looks itself up under the left's keys: a right row
-		// whose key no left row carries belongs to no group.
-		var rrows grouped
-		if i < len(rs.parts) {
-			rows, ids := rs.assignPart(i, rcols, func(r Row, h uint64) uint32 {
-				if anyNullCols(r, rcols) {
-					return noGroup
-				}
-				return keys.find(h, r, rcols)
-			})
-			rrows = place(rows, ids, keys.len())
-		}
-		var out []Row
-		for id := 0; id < keys.len(); id++ {
-			out = append(out, fn(lrows.group(uint32(id)), rrows.group(uint32(id)))...)
-		}
-		parts[i] = out
-		return nil
-	})
-	d.ctx.Metrics.AddStageWall(stage, time.Since(start))
-	if cgErr != nil {
-		return nil, cgErr
-	}
-	if err := d.ctx.checkPartitions(stage+"/out", parts); err != nil {
-		return nil, err
-	}
-	return &Dataset{ctx: d.ctx, parts: parts}, nil
 }

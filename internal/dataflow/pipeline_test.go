@@ -2,6 +2,7 @@ package dataflow
 
 import (
 	"errors"
+	"fmt"
 	"sync/atomic"
 	"testing"
 
@@ -51,7 +52,7 @@ func TestShuffleConsumesFusedChain(t *testing.T) {
 	d := c.FromRows(rowsOfInts(1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6))
 	lazy := d.Map(func(_ *Arena, r Row) Row { return Row{r[0].(int64) % 2, r[1]} }).
 		Filter(func(r Row) bool { return r[1].(int64) != 6 })
-	out, err := lazy.RepartitionBy("fused", []int{0})
+	out, err := lazy.RepartitionBy("fused", []int{0}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,11 +103,11 @@ func TestWorkerPoolBounded(t *testing.T) {
 func TestStageWallTimesRecorded(t *testing.T) {
 	c := NewContext(4)
 	d := c.FromRows(rowsOfInts(1, 1, 2, 2, 3, 3, 4, 4))
-	if _, err := d.RepartitionBy("exchange", []int{0}); err != nil {
+	if _, err := d.RepartitionBy("exchange", []int{0}, false); err != nil {
 		t.Fatal(err)
 	}
 	r := c.FromRows(rowsOfInts(1, 10, 2, 20))
-	if _, err := d.Join("probe", r, []int{0}, []int{0}, JoinOut{RightWidth: 2}, false); err != nil {
+	if _, err := d.Join("probe", r, []int{0}, []int{0}, [2]bool{}, JoinOut{RightWidth: 2}, false); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := d.GroupReduce("gamma", []int{0}, false, perGroup(func(rs []Row) []Row { return rs[:1] })); err != nil {
@@ -131,7 +132,7 @@ func TestPeakPartitionRowsTracked(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		rows = append(rows, Row{int64(7), int64(i)}) // one heavy key
 	}
-	if _, err := c.FromRows(rows).RepartitionBy("skewed", []int{0}); err != nil {
+	if _, err := c.FromRows(rows).RepartitionBy("skewed", []int{0}, false); err != nil {
 		t.Fatal(err)
 	}
 	if got := c.Metrics.Snapshot().PeakPartitionRows; got != 100 {
@@ -223,55 +224,55 @@ func TestBroadcastJoinStreamsLazyLeft(t *testing.T) {
 	}
 }
 
-// TestNarrowOperatorsAndThePartitioner pins which narrow operators carry the
-// partitioning guarantee across: after one, a GroupReduce on the guaranteed
-// columns either skips its shuffle (guarantee kept) or shuffles again
-// (guarantee dropped). Row counts show the operator itself ran.
+// TestNarrowOperatorsAndThePartitioner pins what plan.Place's rules for
+// narrow operators rest on: none moves a row out of its partition, so rows an
+// exchange placed on a key stay placed, and a local GroupReduce on the key
+// after one groups exactly as an exchanged one does. Row counts show the
+// operator itself ran.
 func TestNarrowOperatorsAndThePartitioner(t *testing.T) {
-	ident := func(_ *Arena, r Row) Row { return r }
-	twice := func(r Row) []Row { return []Row{r, r} }
 	cases := []struct {
 		name  string
 		apply func(*Dataset) *Dataset
-		keeps bool
 		rows  int64
 	}{
-		{"Map", func(d *Dataset) *Dataset { return d.Map(ident) }, false, 6},
-		{"MapPreserving", func(d *Dataset) *Dataset { return d.MapPreserving(ident) }, true, 6},
-		{"FlatMap", func(d *Dataset) *Dataset { return d.FlatMap(twice) }, false, 12},
-		{"FlatMapPreserving", func(d *Dataset) *Dataset { return d.FlatMapPreserving(twice) }, true, 12},
+		{"Map", func(d *Dataset) *Dataset {
+			return d.Map(func(_ *Arena, r Row) Row { return Row{r[0], r[1].(int64) * 10} })
+		}, 6},
+		{"FlatMap", func(d *Dataset) *Dataset { return d.FlatMap(func(r Row) []Row { return []Row{r, r} }) }, 12},
 		{"Filter", func(d *Dataset) *Dataset {
 			return d.Filter(func(r Row) bool { return r[1].(int64) > 1 })
-		}, true, 3},
+		}, 3},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			c := NewContext(3)
-			in, err := c.FromRows(rowsOfInts(1, 1, 1, 2, 2, 1, 2, 2, 3, 1, 3, 2)).RepartitionBy("by-key", []int{0})
+			in, err := c.FromRows(rowsOfInts(1, 1, 1, 2, 2, 1, 2, 2, 3, 1, 3, 2)).RepartitionBy("by-key", []int{0}, false)
 			if err != nil {
 				t.Fatal(err)
 			}
-			d := tc.apply(in)
-			if got := d.Partitioner() != nil; got != tc.keeps {
-				t.Fatalf("partitioner kept=%t, want %t", got, tc.keeps)
-			}
-			before := c.Metrics.Snapshot()
 			var rows int64
-			if _, err := d.GroupReduce("g", []int{0}, false, perGroup(func(rs []Row) []Row {
+			sum := perGroup(func(rs []Row) []Row {
 				atomic.AddInt64(&rows, int64(len(rs)))
-				return rs[:1]
-			})); err != nil {
+				var s int64
+				for _, r := range rs {
+					s += r[1].(int64)
+				}
+				return []Row{{rs[0][0], s}}
+			})
+			before := c.Metrics.Snapshot()
+			local, err := tc.apply(in).GroupReduce("local", []int{0}, true, sum)
+			if err != nil {
 				t.Fatal(err)
 			}
-			after := c.Metrics.Snapshot()
-			if rows != tc.rows {
-				t.Fatalf("GroupReduce saw %d rows, want %d", rows, tc.rows)
+			if m := c.Metrics.Snapshot(); rows != tc.rows || m.ShuffleRecords != before.ShuffleRecords || m.SkippedShuffles != before.SkippedShuffles+1 {
+				t.Fatalf("local GroupReduce saw %d rows (want %d), shuffled %d, skipped %d", rows, tc.rows, m.ShuffleRecords-before.ShuffleRecords, m.SkippedShuffles-before.SkippedShuffles)
 			}
-			if skipped := after.SkippedShuffles-before.SkippedShuffles == 1; skipped != tc.keeps {
-				t.Fatalf("shuffle skipped=%t, want %t", skipped, tc.keeps)
+			exchanged, err := tc.apply(in).GroupReduce("exchanged", []int{0}, false, sum)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if shuffled := after.ShuffleRecords > before.ShuffleRecords; shuffled == tc.keeps {
-				t.Fatalf("rows crossed a shuffle=%t with the guarantee kept=%t", shuffled, tc.keeps)
+			if got, want := local.CollectSorted(), exchanged.CollectSorted(); fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("local groups %v, exchanged %v", got, want)
 			}
 		})
 	}

@@ -6,28 +6,6 @@ import (
 	"github.com/trance-go/trance/internal/value"
 )
 
-// RepartitionBy hash-partitions the dataset on the given key columns. If the
-// dataset already carries an identical partitioning guarantee the shuffle is
-// skipped entirely — this is how partitioning guarantees cut data movement
-// (paper Section 3). Every row moved through the shuffle is metered at the
-// size of its buffer's typed wire encoding (see wireSize).
-func (d *Dataset) RepartitionBy(stage string, cols []int) (*Dataset, error) {
-	if d.err != nil {
-		return nil, d.err
-	}
-	want := &Partitioner{Cols: cols}
-	if !d.ctx.DisableGuarantees && d.partitioner.equal(want) && len(d.parts) == d.ctx.Parallelism {
-		d.ctx.Metrics.SkippedShuffles.Add(1)
-		return d, nil
-	}
-	out, err := d.shuffle(stage, cols)
-	if err != nil {
-		return nil, err
-	}
-	out.partitioner = want
-	return out, nil
-}
-
 // exchangeBuffers is what one map task hands the reduce side: per target, the
 // routed rows, their routing hashes (a side channel the byte meter does not
 // see, it is defined over cells) and their value.SizeRows, which falls out of
@@ -38,10 +16,15 @@ type exchangeBuffers struct {
 	mem    []int64
 }
 
-// shuffle redistributes rows into Parallelism partitions by value.HashCols
-// over cols. Buffers are metered at their typed wire encoding and the routing
-// hashes travel with the rows; a source whose rows disagree on width is
-// metered by value.SizeRows.
+// RepartitionBy redistributes rows into Parallelism partitions by
+// value.HashCols over cols. Buffers are metered at their typed wire encoding
+// and the routing hashes travel with the rows; a source whose rows disagree on
+// width is metered by value.SizeRows.
+//
+// With placed set the caller asserts that the rows already lie where the
+// exchange would put them (plan.Place decided so): the exchange is skipped,
+// counted in SkippedShuffles, and d comes back as it is — this is how
+// partitioning guarantees cut data movement (paper Section 3).
 //
 // The exchange is pipelined: each map-side task streams its partition through
 // the dataset's fused narrow-operator chain directly into P per-target row
@@ -52,11 +35,15 @@ type exchangeBuffers struct {
 // only representation that crosses; the meter reads them, it does not copy
 // them, and the one walk it makes also yields the in-memory size the
 // per-partition peak and the memory cap are checked against.
-func (d *Dataset) shuffle(stage string, cols []int) (*Dataset, error) {
+func (d *Dataset) RepartitionBy(stage string, cols []int, placed bool) (*Dataset, error) {
 	if d.err != nil {
 		return nil, d.err
 	}
 	c := d.ctx
+	if placed {
+		c.Metrics.SkippedShuffles.Add(1)
+		return d, nil
+	}
 	p := c.Parallelism
 	c.Metrics.Stages.Add(1)
 	start := time.Now()
@@ -117,7 +104,7 @@ func (d *Dataset) shuffle(stage string, cols []int) (*Dataset, error) {
 
 	// Reduce side: each target partition concatenates its buffers in source
 	// order and sums their sizes.
-	out := &Dataset{ctx: c, parts: make([][]Row, p), hashes: make([][]uint64, p)}
+	out := &Dataset{ctx: c, parts: make([][]Row, p), hashes: make([][]uint64, p), hashCols: cols}
 	mem := make([]int64, p)
 	reduceErr := c.runParts(p, func(t int) error {
 		var n int

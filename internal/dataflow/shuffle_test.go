@@ -193,7 +193,7 @@ func TestShuffleMetersWireSize(t *testing.T) {
 			if len(tc.rows[0]) > 0 {
 				keys = []int{0}
 			}
-			out, err := c.FromPartitions([][]Row{tc.rows}).RepartitionBy("m", keys)
+			out, err := c.FromPartitions([][]Row{tc.rows}).RepartitionBy("m", keys, false)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -231,7 +231,7 @@ func TestWireSizePinsBenchSchemas(t *testing.T) {
 	want := map[string]int64{"mixed": 1_881_506, "flags": 839_936}
 	for _, s := range shuffleSchemas() {
 		c := NewContext(8)
-		if _, err := c.FromRows(s.rows).RepartitionBy("b", []int{0}); err != nil {
+		if _, err := c.FromRows(s.rows).RepartitionBy("b", []int{0}, false); err != nil {
 			t.Fatal(err)
 		}
 		snap := c.Metrics.Snapshot()
@@ -250,7 +250,7 @@ func TestShufflePoisonedInputCountsNoStage(t *testing.T) {
 	if d.Err() == nil {
 		t.Fatal("panicking stage did not poison the dataset")
 	}
-	if _, err := d.RepartitionBy("k", []int{0}); err == nil {
+	if _, err := d.RepartitionBy("k", []int{0}, false); err == nil {
 		t.Fatal("RepartitionBy of a poisoned dataset succeeded")
 	}
 	if s := c.Metrics.Snapshot(); s.Stages != 0 || len(s.StageWall) != 0 {
@@ -343,7 +343,7 @@ func FuzzShuffleMeter(f *testing.F) {
 		keyCols := []int{0}
 		c := NewContext(p)
 		in := c.FromRows(rows)
-		out, err := in.RepartitionBy("f", keyCols)
+		out, err := in.RepartitionBy("f", keyCols, false)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,12 +2,13 @@ package dataflow
 
 import (
 	"math/bits"
+	"slices"
 
 	"github.com/trance-go/trance/internal/value"
 )
 
 // groupTable interns composite keys as dense group ids in first-seen order.
-// It is the one hash table behind Γ, join build and probe, cogroup and dedup:
+// It is the one hash table behind Γ, join build and probe, and dedup:
 // open-addressed over the 64-bit key hash (value.HashCols, the hash the keyed
 // shuffle routes on), with collisions verified by value.EqualCols against the
 // first row interned under the key — the AppendKey equality, so no key string
@@ -65,10 +66,9 @@ func (t *groupTable) home(h uint64) int {
 // len is the number of distinct keys interned.
 func (t *groupTable) len() int { return len(t.first) }
 
-// intern returns the group id of r's key over cols (whose hash is h), adding
-// a group on first sight. cols may differ from the table's own columns — the
-// right side of a cogroup looks itself up under the left side's keys.
-func (t *groupTable) intern(h uint64, r Row, cols []int) uint32 {
+// intern returns the group id of r's key over the table's columns (whose hash
+// is h), adding a group on first sight.
+func (t *groupTable) intern(h uint64, r Row) uint32 {
 	if 2*(len(t.first)+1) > len(t.slots) {
 		t.resize(2 * len(t.slots)) // before probing: the load stays under a half
 	}
@@ -79,14 +79,16 @@ func (t *groupTable) intern(h uint64, r Row, cols []int) uint32 {
 			s.hash, s.id = h, uint32(len(t.first))
 			return s.id - 1
 		}
-		if s.hash == h && value.EqualCols(t.first[s.id-1], t.cols, r, cols) {
+		if s.hash == h && value.EqualCols(t.first[s.id-1], t.cols, r, t.cols) {
 			return s.id - 1
 		}
 	}
 }
 
 // find returns the group id of r's key over cols (whose hash is h), or
-// noGroup. It only reads the table, so concurrent probes are safe.
+// noGroup. cols may differ from the table's own columns: a join probes the
+// right side's keys with the left side's rows. It only reads the table, so
+// concurrent probes are safe.
 func (t *groupTable) find(h uint64, r Row, cols []int) uint32 {
 	if len(t.slots) == 0 {
 		return noGroup
@@ -149,7 +151,7 @@ func (g grouped) group(id uint32) []Row {
 // carried if the rows came through one on these columns, computed on the spot
 // otherwise (a skipped shuffle with a pending chain, a broadcast probe).
 func (d *Dataset) feedKeyed(part int, cols []int, sink func(Row, uint64)) {
-	if d.hashes != nil && d.partitioner.equal(&Partitioner{Cols: cols}) {
+	if d.hashes != nil && slices.Equal(d.hashCols, cols) {
 		hashes := d.hashes[part]
 		for j, r := range d.parts[part] {
 			sink(r, hashes[j])
@@ -159,10 +161,13 @@ func (d *Dataset) feedKeyed(part int, cols []int, sink func(Row, uint64)) {
 	d.feed(part, func(r Row) { sink(r, value.HashCols(r, cols)) })
 }
 
-// assignPart runs assign over every row of partition part and returns the
-// rows (materialized here if a fused chain was pending) with one group id
-// each — the first pass of two-pass grouping; place is the second.
-func (d *Dataset) assignPart(part int, cols []int, assign func(Row, uint64) uint32) ([]Row, []uint32) {
+// groupPart groups partition part by its key over cols: the table of distinct
+// keys in first-seen order and the rows placed under them. The first pass
+// interns every row's key (materializing the rows here if a fused chain was
+// pending); place is the second. With joinSide set, NULL-keyed rows are left
+// out — they never match in a join.
+func (d *Dataset) groupPart(part int, cols []int, joinSide bool) (*groupTable, grouped) {
+	t := newGroupTable(cols, len(d.parts[part])/2)
 	rows := d.parts[part]
 	pending := len(d.stages) > 0
 	if pending {
@@ -173,21 +178,11 @@ func (d *Dataset) assignPart(part int, cols []int, assign func(Row, uint64) uint
 		if pending {
 			rows = append(rows, r)
 		}
-		ids = append(ids, assign(r, h))
-	})
-	return rows, ids
-}
-
-// groupPart groups partition part by its key over cols: the table of distinct
-// keys in first-seen order and the rows placed under them. With joinSide set,
-// NULL-keyed rows are left out — they never match in a join.
-func (d *Dataset) groupPart(part int, cols []int, joinSide bool) (*groupTable, grouped) {
-	t := newGroupTable(cols, len(d.parts[part])/2)
-	rows, ids := d.assignPart(part, cols, func(r Row, h uint64) uint32 {
 		if joinSide && anyNullCols(r, cols) {
-			return noGroup
+			ids = append(ids, noGroup)
+		} else {
+			ids = append(ids, t.intern(h, r))
 		}
-		return t.intern(h, r, cols)
 	})
 	return t, place(rows, ids, t.len())
 }

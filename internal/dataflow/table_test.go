@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"github.com/trance-go/trance/internal/value"
@@ -69,7 +70,7 @@ func TestGroupTableMatchesKeyStrings(t *testing.T) {
 			tab := newGroupTable(cols, 0)
 			ids := make([]uint32, len(rows))
 			for j, r := range rows {
-				ids[j] = tab.intern(hash(r), r, cols)
+				ids[j] = tab.intern(hash(r), r)
 			}
 			g := place(rows, ids, tab.len())
 			if tab.len() != len(order) {
@@ -170,7 +171,7 @@ func TestJoinNullKeysEitherSide(t *testing.T) {
 	type joinFn func(l, r *Dataset, cols []int, outer bool) (*Dataset, error)
 	joins := map[string]joinFn{
 		"shuffle": func(l, r *Dataset, cols []int, outer bool) (*Dataset, error) {
-			return l.Join("j", r, cols, cols, JoinOut{RightWidth: 3}, outer)
+			return l.Join("j", r, cols, cols, [2]bool{}, JoinOut{RightWidth: 3}, outer)
 		},
 		"broadcast": func(l, r *Dataset, cols []int, outer bool) (*Dataset, error) {
 			return l.BroadcastJoin("bj", r, cols, cols, JoinOut{RightWidth: 3}, outer)
@@ -227,34 +228,12 @@ func sameStrings(a, b []string) bool {
 	return true
 }
 
-// TestCoGroupNullKeys: the left side groups NULL keys together like Γ does,
-// NULL-keyed right rows join no group, and a right key no left row carries is
-// never visited.
-func TestCoGroupNullKeys(t *testing.T) {
-	c := NewContext(2)
-	l := c.FromRows([]Row{{nil, "a"}, {int64(1), "b"}, {nil, "c"}, {int64(2), "d"}})
-	r := c.FromRows([]Row{{nil, "X"}, {int64(1), "Y"}, {int64(1), "Z"}, {int64(9), "W"}})
-	cg, err := l.CoGroup("cg", r, []int{0}, []int{0}, func(ls, rs []Row) []Row {
-		return []Row{{ls[0][0], int64(len(ls)), int64(len(rs))}}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := map[string][2]int64{}
-	for _, row := range cg.Collect() {
-		got[value.Format(row[0])] = [2]int64{row[1].(int64), row[2].(int64)}
-	}
-	want := map[string][2]int64{"NULL": {2, 0}, "1": {1, 2}, "2": {1, 0}}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("cogroup = %v, want %v", got, want)
-	}
-}
-
 // TestShuffleCarriesRoutingHashes: a shuffle hands its routing hashes across
-// the exchange — one per row, equal to HashCols over the partitioner's
-// columns — derived datasets do not inherit them, and an operator fed the
-// carried hashes answers exactly like one that has to compute them (a pending
-// chain behind a skipped shuffle).
+// the exchange — one per row, equal to HashCols over the columns it routed on
+// — derived datasets do not inherit them, an operator keyed by other columns
+// does not read them, and an operator fed the carried hashes answers exactly
+// like one that has to compute them (a pending chain behind a skipped
+// shuffle).
 func TestShuffleCarriesRoutingHashes(t *testing.T) {
 	c := NewContext(3)
 	var rows []Row
@@ -262,7 +241,7 @@ func TestShuffleCarriesRoutingHashes(t *testing.T) {
 		rows = append(rows, Row{int64(i % 17), "v", int64(i)})
 	}
 	cols := []int{0}
-	sh, err := c.FromRows(rows).RepartitionBy("s", cols)
+	sh, err := c.FromRows(rows).RepartitionBy("s", cols, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,37 +258,38 @@ func TestShuffleCarriesRoutingHashes(t *testing.T) {
 			}
 		}
 	}
-	lazy := sh.MapPreserving(func(_ *Arena, r Row) Row { return r })
+	if !slices.Equal(sh.hashCols, cols) {
+		t.Fatalf("hashes carried over %v, routed on %v", sh.hashCols, cols)
+	}
+	lazy := sh.Map(func(_ *Arena, r Row) Row { return r })
 	if lazy.hashes != nil || sh.Filter(func(Row) bool { return true }).hashes != nil {
 		t.Fatal("a derived dataset inherited the carried hashes")
-	}
-	moved, _ := c.FromRows(rows).RepartitionBy("s2", cols)
-	if moved.WithPartitioner([]int{2}).hashes != nil {
-		t.Fatal("hashes survived an assertion of a different partitioning")
 	}
 
 	sum := perGroup(func(rs []Row) []Row { return []Row{{rs[0][0], seqs(rs)}} })
 	skips := c.Metrics.Snapshot().SkippedShuffles
-	carried, err := sh.GroupReduce("g1", cols, false, sum)
-	if err != nil {
-		t.Fatal(err)
+	for _, key := range [][]int{cols, {2}} {
+		carried, err := sh.GroupReduce("g1", key, true, sum)
+		if err != nil {
+			t.Fatal(err)
+		}
+		computed, err := lazy.GroupReduce("g2", key, true, sum)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(carried.Collect(), computed.Collect()) {
+			t.Fatalf("key %v: carried hashes grouped %v, computed hashes %v", key, carried.Collect(), computed.Collect())
+		}
 	}
-	computed, err := lazy.GroupReduce("g2", cols, false, sum)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := c.Metrics.Snapshot().SkippedShuffles - skips; got != 2 {
-		t.Fatalf("%d shuffles skipped, want both", got)
-	}
-	if !reflect.DeepEqual(carried.Collect(), computed.Collect()) {
-		t.Fatalf("carried hashes grouped %v, computed hashes %v", carried.Collect(), computed.Collect())
+	if got := c.Metrics.Snapshot().SkippedShuffles - skips; got != 4 {
+		t.Fatalf("%d shuffles skipped, want all 4", got)
 	}
 	right := c.FromRows([]Row{{int64(3), "r"}, {int64(16), "s"}, {int64(40), "t"}})
-	j1, err := sh.Join("j1", right, cols, cols, JoinOut{RightWidth: 2}, true)
+	j1, err := sh.Join("j1", right, cols, cols, [2]bool{true, false}, JoinOut{RightWidth: 2}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	j2, err := lazy.Join("j2", right, cols, cols, JoinOut{RightWidth: 2}, true)
+	j2, err := lazy.Join("j2", right, cols, cols, [2]bool{true, false}, JoinOut{RightWidth: 2}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,23 +299,20 @@ func TestShuffleCarriesRoutingHashes(t *testing.T) {
 }
 
 // TestSplitOnePass: Split runs the pending chain and the predicate once per
-// row, keeps row order and the partitioning guarantee on both sides, and
-// passes a poisoned input's error on.
+// row, keeps row order and partitions on both sides, and passes a poisoned
+// input's error on.
 func TestSplitOnePass(t *testing.T) {
 	c := NewContext(2)
 	c.Workers = 1
 	var mapped, asked int
-	d := c.FromRows(rowsOfInts(1, 1, 2, 2, 3, 3, 4, 4, 5, 5)).WithPartitioner([]int{0}).
-		MapPreserving(func(_ *Arena, r Row) Row { mapped++; return r })
+	d := c.FromRows(rowsOfInts(1, 1, 2, 2, 3, 3, 4, 4, 5, 5)).
+		Map(func(_ *Arena, r Row) Row { mapped++; return r })
 	even, odd := d.Split(func(r Row) bool { asked++; return r[0].(int64)%2 == 0 })
 	if mapped != 5 || asked != 5 {
 		t.Fatalf("chain ran %d times, predicate %d, want 5 each", mapped, asked)
 	}
-	if fmt.Sprint(even.Collect()) != "[[2 2] [4 4]]" || fmt.Sprint(odd.Collect()) != "[[1 1] [3 3] [5 5]]" {
-		t.Fatalf("split = %v / %v", even.Collect(), odd.Collect())
-	}
-	if !even.Partitioner().equal(d.Partitioner()) || !odd.Partitioner().equal(d.Partitioner()) {
-		t.Fatal("split dropped the partitioning guarantee")
+	if fmt.Sprint(even.parts) != "[[[2 2]] [[4 4]]]" || fmt.Sprint(odd.parts) != "[[[1 1] [3 3]] [[5 5]]]" {
+		t.Fatalf("split = %v / %v", even.parts, odd.parts)
 	}
 	bad := c.FromRows(rowsOfInts(1, 1)).Map(func(*Arena, Row) Row { panic("boom") })
 	yes, no := bad.Split(func(Row) bool { return true })

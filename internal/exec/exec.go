@@ -1,10 +1,11 @@
 // Package exec binds algebraic plans to the dataflow engine: every plan
 // operator becomes a bulk operation over distributed Datasets, implementing
 // the code-generation stage of the paper (Section 3) with the NULL-casting Γ
-// semantics and partitioning-guarantee handling. Narrow plan operators
-// (Select, Extend, Project) map to the engine's fused lazy operators, so
-// chains of them execute as one pipelined pass per partition, consumed by
-// wide operators (Join, Nest, Dedup, BagToDict) at shuffle boundaries.
+// semantics, and skipping exactly the exchanges plan.Place decided the rows
+// need none of. Narrow plan operators (Select, Extend, Project) map to the
+// engine's fused lazy operators, so chains of them execute as one pipelined
+// pass per partition, consumed by wide operators (Join, Nest, Dedup,
+// BagToDict) at shuffle boundaries.
 // Unnest also maps to a fused FlatMap but is materialized immediately by the
 // CheckMemory call that models in-place flattening pressure, so fusion
 // always terminates there. One interpreter (run) evaluates every operator
@@ -81,13 +82,11 @@ func (ex *Executor) wideStage(ns *plan.NodeStats, kind string) string {
 }
 
 // reduceStage is wideStage for a Γ/dedup over t, reporting whether it reduces
-// where its rows lie: the plan marked it (plan.Colocate), guarantees are
-// honored, and t's components merge partition by partition. Otherwise it
-// exchanges, which is always correct. A local one runs only its reduce stage,
-// which its wall then resolves from.
+// where its rows lie: the plan marked it (plan.Place) and t's components merge
+// partition by partition. Otherwise it exchanges, which is always correct. A
+// local one runs only its reduce stage, which its wall then resolves from.
 func (ex *Executor) reduceStage(ns *plan.NodeStats, kind string, t triple, marked []int) (stage string, local bool) {
-	local = marked != nil && !ex.Ctx.DisableGuarantees &&
-		(t.heavy == nil || t.heavy.NumPartitions() == t.light.NumPartitions())
+	local = marked != nil && (t.heavy == nil || t.heavy.NumPartitions() == t.light.NumPartitions())
 	if stage = ex.wideStage(ns, kind); local && ns != nil {
 		ns.Stage += "/reduce"
 	}
@@ -155,25 +154,23 @@ func (ex *Executor) run(op plan.Op) (triple, error) {
 		return in.mapBoth(func(d *dataflow.Dataset) *dataflow.Dataset { return ex.applyExtend(d, x) }), nil
 
 	case *plan.Project:
-		out := in.mapBoth(func(d *dataflow.Dataset) *dataflow.Dataset { return ex.applyProject(d, x) })
-		return out.withKeyCols(nil), nil // projection changes the layout
+		return in.mapBoth(func(d *dataflow.Dataset) *dataflow.Dataset { return ex.applyProject(d, x) }), nil
 
 	case *plan.AddIndex:
 		// IDs feed label identity across statements, so the two components
 		// number their rows apart: the heavy side sets a bit above the
 		// partition and sequence fields.
-		out := triple{light: in.light.AddUniqueID(0), keys: in.keys, keyCols: in.keyCols}
+		out := triple{light: in.light.AddUniqueID(0), keys: in.keys}
 		if in.heavy != nil {
 			out.heavy = in.heavy.AddUniqueID(heavyIDBit)
 		}
 		if ns != nil {
-			out = out.mapBoth(func(d *dataflow.Dataset) *dataflow.Dataset { return d.MapPreserving(countRows(ns)) })
+			out = out.mapBoth(func(d *dataflow.Dataset) *dataflow.Dataset { return d.Map(countRows(ns)) })
 		}
 		return out, nil
 
 	case *plan.Unnest:
 		out := in.mapBoth(func(d *dataflow.Dataset) *dataflow.Dataset { return applyUnnest(d, x, ns) })
-		out = out.withKeyCols(unnestedKeyCols(x, in.keyCols))
 		// Flattening materially expands partitions in place: a worker
 		// holding a large inner collection must hold its flattened form
 		// (paper Section 6: flattening skewed inner collections saturates
@@ -197,7 +194,7 @@ func (ex *Executor) run(op plan.Op) (triple, error) {
 		if !ex.SkewAware || len(x.LCols) == 0 {
 			// No key to be heavy on: the standard join, of each component (a
 			// cross join broadcasts the right side to both).
-			out := in.withKeyCols(jo.Remap(in.keyCols))
+			out := in
 			if out.light, err = record(ex.join(in.light, right, x, jo, ns)); err != nil {
 				return triple{}, err
 			}
@@ -209,7 +206,7 @@ func (ex *Executor) run(op plan.Op) (triple, error) {
 		// Skew-aware join (paper Figure 6): the light parts join with
 		// key-based shuffling; the heavy rows of the left stay in place and
 		// the matching right rows are broadcast to them.
-		in = ex.keysFor(in, x.LCols)
+		in = ex.keysFor(in, x.LCols, x.KeepSplit)
 		rightLight, rightHeavy := skew.Split(right, x.RCols, in.keys)
 		light, err := record(ex.join(in.light, rightLight, x, jo, ns))
 		if err != nil {
@@ -218,7 +215,7 @@ func (ex *Executor) run(op plan.Op) (triple, error) {
 		// The broadcast side's rows are part of the same join node's output:
 		// record them too, so skew-strategy plans carry a complete actual_rows.
 		heavy, err := record(in.heavy.BroadcastJoin(ex.nextStage("skewjoin"), rightHeavy, x.LCols, x.RCols, jo, x.Outer))
-		return triple{light: light, heavy: heavy, keys: in.keys}.withKeyCols(jo.Remap(x.LCols)), err
+		return triple{light: light, heavy: heavy, keys: in.keys}, err
 
 	case *plan.Nest:
 		// Γ, dedup and ⊎ merge light and heavy and follow the standard
@@ -244,9 +241,9 @@ func (ex *Executor) run(op plan.Op) (triple, error) {
 		if ex.SkewAware {
 			// Skew-aware BagToDict (paper Figure 6): repartition only the
 			// light labels; heavy labels stay where they are.
-			in = ex.keysFor(in, cols)
+			in = ex.keysFor(in, cols, x.KeepSplit)
 		}
-		light, err := recordWide(ns)(in.light.RepartitionBy(ex.wideStage(ns, "bagToDict"), cols))
+		light, err := recordWide(ns)(in.light.RepartitionBy(ex.wideStage(ns, "bagToDict"), cols, ex.placed(x.Placed, in.light)))
 		if err != nil {
 			return triple{}, err
 		}
@@ -255,7 +252,7 @@ func (ex *Executor) run(op plan.Op) (triple, error) {
 		if ns != nil && in.heavy != nil {
 			ns.RowsOut.Add(in.heavy.Count())
 		}
-		return triple{light: light, heavy: in.heavy, keys: in.keys, keyCols: cols}, nil
+		return triple{light: light, heavy: in.heavy, keys: in.keys}, nil
 	}
 	return triple{}, fmt.Errorf("exec: unknown operator %T", op)
 }
@@ -320,7 +317,16 @@ func (ex *Executor) join(l, r *dataflow.Dataset, x *plan.Join, jo dataflow.JoinO
 	if broadcast {
 		return l.BroadcastJoin(ex.wideStage(ns, "bjoin"), r, x.LCols, x.RCols, jo, x.Outer)
 	}
-	return l.Join(ex.wideStage(ns, "join"), r, x.LCols, x.RCols, jo, x.Outer)
+	placed := [2]bool{ex.placed(x.Placed[0], l), ex.placed(x.Placed[1], r)}
+	return l.Join(ex.wideStage(ns, "join"), r, x.LCols, x.RCols, placed, jo, x.Outer)
+}
+
+// placed is the plan's decision that d already lies hash-placed on the key an
+// exchange would route it by (plan.Place), honored only where d has the
+// partition count that exchange would give it. Otherwise the exchange runs,
+// which is always correct.
+func (ex *Executor) placed(decided bool, d *dataflow.Dataset) bool {
+	return decided && d.NumPartitions() == ex.Ctx.Parallelism
 }
 
 // joinOut is the row x's probe writes: L ++ R, or x.Outs over it with plain
@@ -350,7 +356,7 @@ func (ex *Executor) applySelect(in *dataflow.Dataset, x *plan.Select) *dataflow.
 			return b
 		}))
 	}
-	return in.MapPreserving(instrMap(ns, func(a *dataflow.Arena, r dataflow.Row) dataflow.Row {
+	return in.Map(instrMap(ns, func(a *dataflow.Arena, r dataflow.Row) dataflow.Row {
 		if b, _ := x.Pred.Eval(r).(bool); b {
 			return r
 		}
@@ -365,7 +371,7 @@ func (ex *Executor) applySelect(in *dataflow.Dataset, x *plan.Select) *dataflow.
 
 func (ex *Executor) applyExtend(in *dataflow.Dataset, x *plan.Extend) *dataflow.Dataset {
 	ns := ex.node(x)
-	return in.MapPreserving(instrMap(ns, func(a *dataflow.Arena, r dataflow.Row) dataflow.Row {
+	return in.Map(instrMap(ns, func(a *dataflow.Arena, r dataflow.Row) dataflow.Row {
 		nr := a.Row(len(r) + len(x.Exprs))
 		copy(nr, r)
 		for i, ne := range x.Exprs {
@@ -453,8 +459,6 @@ func applyUnnest(in *dataflow.Dataset, x *plan.Unnest, ns *plan.NodeStats) *data
 // operators; they register their group without contributing. Structural nests
 // keep every group (empty bags); explicit nests below the root emit NULL
 // marker rows for phantom-only groups; at the root those groups are dropped.
-// An exchanged Γ leaves its output hash-placed on the key, a local one where
-// the groups were.
 func (ex *Executor) nest(in *dataflow.Dataset, x *plan.Nest, stage string, local bool) (*dataflow.Dataset, error) {
 	inCols := x.In.Columns()
 	bagValue := make([]bool, len(x.ValueCols))
@@ -487,7 +491,7 @@ func (ex *Executor) nest(in *dataflow.Dataset, x *plan.Nest, stage string, local
 		}
 		perRow = 1 + elemWidth
 	}
-	out, err := in.GroupReduce(stage, x.GroupCols, local, func(nrows, ngroups int) dataflow.Reducer {
+	return in.GroupReduce(stage, x.GroupCols, local, func(nrows, ngroups int) dataflow.Reducer {
 		// The group sizes are known before the first group is reduced, so a
 		// partition's output rows — and for Γ⊎ its bags and their element
 		// tuples — are cut from one slab instead of allocated one by one.
@@ -570,12 +574,4 @@ func (ex *Executor) nest(in *dataflow.Dataset, x *plan.Nest, stage string, local
 			return append(out, nr)
 		}
 	})
-	if err != nil || local {
-		return out, err
-	}
-	keyPos := make([]int, len(x.GroupCols))
-	for i := range keyPos {
-		keyPos[i] = i
-	}
-	return out.WithPartitioner(keyPos), nil
 }

@@ -25,24 +25,23 @@ func dictRows() []dataflow.Row {
 	return []dataflow.Row{{l1, int64(10)}, {l1, int64(11)}, {l2, int64(20)}}
 }
 
+// TestBagToDictEstablishesLabelPartitioning: BagToDict leaves the dictionary
+// hash-placed on the label, so plan.Place marks a second one over it placed
+// and it moves nothing.
 func TestBagToDictEstablishesLabelPartitioning(t *testing.T) {
 	ctx := dataflow.NewContext(4)
 	ex := exec.New(ctx)
 	ex.BindRows("D", dictRows())
-	out, err := ex.Run(&plan.BagToDict{In: dictOp(), LabelCol: 0})
+	twice, _ := plan.Place(&plan.BagToDict{In: &plan.BagToDict{In: dictOp(), LabelCol: 0}, LabelCol: 0}, plan.PlaceOptions{})
+	if !twice.(*plan.BagToDict).Placed {
+		t.Fatalf("BagToDict over a dictionary on the same label is not placed:\n%s", plan.Explain(twice))
+	}
+	out, err := ex.Run(twice)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Partitioner() == nil || out.Partitioner().Cols[0] != 0 {
-		t.Fatal("BagToDict must establish the label partitioning guarantee")
-	}
-	// Re-running a repartition on the same key must be free.
-	before := ctx.Metrics.Snapshot().ShuffleRecords
-	if _, err := out.RepartitionBy("again", []int{0}); err != nil {
-		t.Fatal(err)
-	}
-	if ctx.Metrics.Snapshot().ShuffleRecords != before {
-		t.Fatal("guarantee not honoured")
+	if m := ctx.Metrics.Snapshot(); m.Stages != 1 || m.SkippedShuffles != 1 || m.ShuffleRecords != 3 || out.Count() != 3 {
+		t.Fatalf("%d exchanges (%d rows) and %d skipped for %d rows, want 1 (3), 1 and 3", m.Stages, m.ShuffleRecords, m.SkippedShuffles, out.Count())
 	}
 }
 
@@ -266,4 +265,54 @@ func TestSkewKeysFollowUnnestOutputs(t *testing.T) {
 	if len(got[0]) != 4400 || value.Compare(bagOf(got[0], false), bagOf(got[1], false)) != 0 {
 		t.Fatalf("skew-aware run returned %d rows, skew-unaware %d (want 4400), or they differ", len(got[1]), len(got[0]))
 	}
+}
+
+// TestAnalyzedPlacementDecisions: under EXPLAIN ANALYZE a Γ that plan.Place
+// marked local reports its reduce stage (there is no exchange to name), and
+// the narrow operators below it count the rows they passed, as the
+// uninstrumented run returns the same groups.
+func TestAnalyzedPlacementDecisions(t *testing.T) {
+	scan := &plan.Scan{Input: "R", Cols: []plan.Column{{Name: "k", Type: nrc.IntT}, {Name: "v", Type: nrc.IntT}}}
+	kept := &plan.Select{In: scan, Pred: &plan.CmpE{Op: nrc.Lt, L: &plan.Col{Idx: 1, Name: "v", Typ: nrc.IntT}, R: &plan.ConstE{Val: int64(30), Typ: nrc.IntT}}}
+	numbered := &plan.AddIndex{In: kept, Name: "_id"}
+	raw := &plan.Nest{In: numbered, GroupCols: []int{2}, ValueCols: []int{1}, Agg: plan.AggSum}
+	placed, _ := plan.Place(raw, plan.PlaceOptions{})
+	nest := placed.(*plan.Nest)
+	if nest.Local == nil {
+		t.Fatalf("Γ on the ID is not local:\n%s", plan.Explain(placed))
+	}
+	var rows []dataflow.Row
+	for i := int64(0); i < 40; i++ {
+		rows = append(rows, dataflow.Row{i % 4, i})
+	}
+	run := func(a *plan.Analysis) []dataflow.Row {
+		ex := exec.New(dataflow.NewContext(3))
+		ex.Analysis = a
+		ex.BindRows("R", rows)
+		out, err := ex.Run(placed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out.CollectSorted()
+	}
+	a := plan.NewAnalysis()
+	got, want := run(a), run(nil)
+	if len(got) != 30 || value.Compare(rowsBag(got), rowsBag(want)) != 0 {
+		t.Fatalf("analyzed run: %d groups, plain run %d, or they differ", len(got), len(want))
+	}
+	sel, id, gamma := a.Lookup(nest.In.(*plan.AddIndex).In), a.Lookup(nest.In), a.Lookup(nest)
+	if !strings.HasSuffix(gamma.Stage, "/reduce") || gamma.RowsOut.Load() != 30 {
+		t.Errorf("Γ ran under stage %q with %d rows out, want its reduce stage and 30", gamma.Stage, gamma.RowsOut.Load())
+	}
+	if sel.RowsIn.Load() != 40 || sel.RowsOut.Load() != 30 || id.RowsOut.Load() != 30 {
+		t.Errorf("σ passed %d of %d rows and addIndex %d, want 30 of 40 and 30", sel.RowsOut.Load(), sel.RowsIn.Load(), id.RowsOut.Load())
+	}
+}
+
+func rowsBag(rows []dataflow.Row) value.Bag {
+	out := make(value.Bag, len(rows))
+	for i, r := range rows {
+		out[i] = value.Tuple(r)
+	}
+	return out
 }

@@ -68,18 +68,12 @@ var idProjections = []struct {
 
 // TestFusedJoinRemapsGuarantees is the trap of a join that writes a
 // projection: whatever names a left column across it must follow the column to
-// its output position, or go.
-//
-// The hash placement — the shuffle join's partitioner, the one a broadcast
-// join inherits, the skew arm's: a Γ on the key right above the fused join
-// skips its shuffle exactly when the plain join lets it; where the projection
-// drops or computes over the key, the Γ — keyed on the column now at the key's
-// old position — shuffles, as it does above π, which drops every partitioner.
-//
-// Co-location — with the left side numbered, the ID's set: plan.Colocate
-// marks a Γ on the ID above the fused join local exactly when it marks the one
-// above π over the plain join, that Γ skips one exchange more than the same
-// plan left unmarked, and all three return the same groups.
+// its output position, or go. With the left side numbered, the ID's
+// co-located set does: plan.Place marks a Γ on the ID above the fused join
+// local exactly when it marks the one above π over the plain join, that Γ
+// skips one exchange more than the same plan left unmarked, and all three
+// return the same groups. (The hash placement a join's Outs carry is
+// TestPlaceRules' in internal/plan.)
 func TestFusedJoinRemapsGuarantees(t *testing.T) {
 	kinds := []struct {
 		name      string
@@ -93,61 +87,28 @@ func TestFusedJoinRemapsGuarantees(t *testing.T) {
 	type outcome struct {
 		rows  []dataflow.Row
 		skips int64
-		local bool // plan.Colocate marked the Γ
+		local bool // plan.Place marked the Γ
 	}
 	for _, kind := range kinds {
-		// run evaluates Γ⊎ key[key] val[val] over what over makes of the join,
-		// its left side numbered or not and the Γ colocated or not, and reports
-		// the sorted groups and the shuffles the run skipped.
-		run := func(numbered, colocate bool, over func(*plan.Join) (in plan.Op, key, val int)) outcome {
+		// run evaluates Γ⊎ key[key] val[val] over what over makes of the join
+		// of numbered L and R, placed or not, and reports the sorted groups and
+		// the shuffles the run skipped.
+		run := func(place bool, over func(*plan.Join) (in plan.Op, key, val int)) outcome {
 			t.Helper()
 			ctx := dataflow.NewContext(4)
 			ex := New(ctx)
 			ex.SkewAware = kind.skewAware
 			l, r := keyedInputs(ex)
-			var left plan.Op = l
-			if kind.method == plan.JoinBroadcast {
-				// A broadcast join keeps the guarantee its left input came with.
-				left = &plan.BagToDict{In: l, LabelCol: 0}
-			}
-			if numbered {
-				left = &plan.AddIndex{In: left, Name: "_id"}
-			}
-			in, key, val := over(&plan.Join{L: left, R: r, LCols: []int{0}, RCols: []int{0}, Cost: &plan.Costs{Method: kind.method}})
+			in, key, val := over(&plan.Join{L: &plan.AddIndex{In: l, Name: "_id"}, R: r, LCols: []int{0}, RCols: []int{0}, Cost: &plan.Costs{Method: kind.method}})
 			var nest plan.Op = &plan.Nest{In: in, GroupCols: []int{key}, ValueCols: []int{val}, Agg: plan.AggBag, ScalarElem: true, OutName: "g"}
-			if colocate {
-				nest = plan.Colocate(nest, kind.skewAware)
+			if place {
+				nest, _ = plan.Place(nest, plan.PlaceOptions{SkewAware: kind.skewAware})
 			}
 			out, err := ex.Run(nest)
 			if err != nil {
 				t.Fatalf("%s: %v", kind.name, err)
 			}
 			return outcome{out.CollectSorted(), ctx.Metrics.SkippedShuffles.Load(), nest.(*plan.Nest).Local != nil}
-		}
-		plain := run(false, false, func(j *plan.Join) (plan.Op, int, int) { return j, 0, 3 })
-		for _, p := range keyProjections {
-			name := kind.name + "/" + p.name
-			fused := run(false, false, func(j *plan.Join) (plan.Op, int, int) {
-				f := *j
-				f.Outs = p.outs
-				return &f, p.key, 1 - p.key
-			})
-			unfused := run(false, false, func(j *plan.Join) (plan.Op, int, int) {
-				return &plan.Project{In: j, Outs: p.outs}, p.key, 1 - p.key
-			})
-			if len(fused.rows) == 0 || value.Compare(rowsBag(fused.rows), rowsBag(unfused.rows)) != 0 {
-				t.Errorf("%s: the fused join gives %d groups, π over the join %d, or they differ", name, len(fused.rows), len(unfused.rows))
-			}
-			wantSkips := unfused.skips
-			if p.keeps {
-				wantSkips = plain.skips
-				if !kind.skewAware && plain.skips <= unfused.skips {
-					t.Errorf("%s: Γ over the plain join skipped no shuffle (%d skips, %d under π): nothing to keep", name, plain.skips, unfused.skips)
-				}
-			}
-			if fused.skips != wantSkips {
-				t.Errorf("%s: %d skipped shuffles, want %d", name, fused.skips, wantSkips)
-			}
 		}
 		for _, p := range idProjections {
 			name := kind.name + "/" + p.name
@@ -156,8 +117,8 @@ func TestFusedJoinRemapsGuarantees(t *testing.T) {
 				f.Outs = p.outs
 				return &f, p.key, 1 - p.key
 			}
-			fused, exchanged := run(true, true, outs), run(true, false, outs)
-			unfused := run(true, true, func(j *plan.Join) (plan.Op, int, int) {
+			fused, exchanged := run(true, outs), run(false, outs)
+			unfused := run(true, func(j *plan.Join) (plan.Op, int, int) {
 				return &plan.Project{In: j, Outs: p.outs}, p.key, 1 - p.key
 			})
 			if fused.local != p.keeps || unfused.local != p.keeps {
@@ -181,9 +142,9 @@ func TestFusedJoinRemapsGuarantees(t *testing.T) {
 
 // TestJoinOverLocalNestShuffles is the trap of a Γ that reduced in place under
 // a join on its key: its output carries no hash placement, so the join
-// exchanges that side itself — where the exchanged Γ's placement let it skip —
-// and both plans return the same rows. (plan.Colocate never marks such a Γ; a
-// plan that does must still be right.)
+// exchanges that side itself — where plan.Place keeps the Γ's exchange and
+// lets the join skip its own — and both plans return the same rows. (Place
+// never marks such a Γ; a plan that does must still be right.)
 func TestJoinOverLocalNestShuffles(t *testing.T) {
 	run := func(local []int) ([]dataflow.Row, []string) {
 		ctx := dataflow.NewContext(4)
@@ -203,8 +164,11 @@ func TestJoinOverLocalNestShuffles(t *testing.T) {
 		ex.BindRows("R", rrows)
 		l := &plan.Scan{Input: "C", Cols: []plan.Column{{Name: "k", Type: nrc.IntT}, {Name: "v", Type: nrc.IntT}}}
 		r := &plan.Scan{Input: "R", Cols: []plan.Column{{Name: "rk", Type: nrc.IntT}, {Name: "tag", Type: nrc.StringT}}}
-		nest := &plan.Nest{In: l, GroupCols: []int{0}, ValueCols: []int{1}, Agg: plan.AggSum, Local: local}
-		out, err := ex.Run(&plan.Join{L: nest, R: r, LCols: []int{0}, RCols: []int{0}, Cost: &plan.Costs{Method: plan.JoinShuffle}})
+		var join plan.Op = &plan.Join{L: &plan.Nest{In: l, GroupCols: []int{0}, ValueCols: []int{1}, Agg: plan.AggSum, Local: local}, R: r, LCols: []int{0}, RCols: []int{0}, Cost: &plan.Costs{Method: plan.JoinShuffle}}
+		if local == nil {
+			join, _ = plan.Place(join, plan.PlaceOptions{})
+		}
+		out, err := ex.Run(join)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -229,11 +193,13 @@ func TestJoinOverLocalNestShuffles(t *testing.T) {
 	}
 }
 
-// TestFusedJoinRemapsSkewKeys: with a heavy key, the triple a fused skew join
-// returns knows its heavy keys at the key's output position, or not at all —
-// and a cross join above, which passes its left triple through, moves them
-// again.
+// TestFusedJoinRemapsSkewKeys: with a heavy key, a skew join above a fused
+// skew join on the key's output position reuses the split the first one made
+// exactly where the projection keeps the key as a plain column (plan.Place
+// keeps it), and a cross join above, which passes its left triple through,
+// moves the key again. Keeping the split joins what sampling again does.
 func TestFusedJoinRemapsSkewKeys(t *testing.T) {
+	side := &plan.Values{Cols: []plan.Column{{Name: "c", Type: nrc.IntT}}, Rows: []plan.Row{{int64(1)}}}
 	for _, p := range keyProjections {
 		ex := New(dataflow.NewContext(4))
 		ex.SkewAware = true
@@ -246,31 +212,36 @@ func TestFusedJoinRemapsSkewKeys(t *testing.T) {
 		if tr.heavy.Count() != 2000 {
 			t.Fatalf("%s: %d heavy rows, want the 2000 of key 7", p.name, tr.heavy.Count())
 		}
-		switch {
-		case p.keeps && (len(tr.keys) != 1 || !slices.Equal(tr.keyCols, []int{p.key})):
-			t.Errorf("%s: %d heavy keys over %v, want 1 over [%d]", p.name, len(tr.keys), tr.keyCols, p.key)
-		case !p.keeps && (tr.keys != nil || tr.keyCols != nil):
-			t.Errorf("%s: heavy keys over %v survive a projection without the key", p.name, tr.keyCols)
+		type join struct {
+			name  string
+			in    plan.Op
+			key   int
+			keeps bool
 		}
-		if !p.keeps {
-			continue
+		cases := []join{{"", j, p.key, p.keeps}}
+		if p.keeps {
+			// (tag, k) × (c) written as (c, tag, k) moves k from 1 to 2; written
+			// as (c, tag) it forgets the keys.
+			cases = append(cases,
+				join{" under a cross join", &plan.Join{L: j, R: side, Outs: []plan.NamedExpr{named("c", 2, nrc.IntT), named("tag", 0, nrc.StringT), named("k", 1, nrc.IntT)}}, 2, true},
+				join{" under a cross join dropping the key", &plan.Join{L: j, R: side, Outs: []plan.NamedExpr{named("c", 2, nrc.IntT), named("tag", 0, nrc.StringT)}}, 1, false})
 		}
-		// (tag, k) × (c) written as (c, k, tag): k moves from 1 to 1, then a
-		// projection without it forgets the keys.
-		side := &plan.Values{Cols: []plan.Column{{Name: "c", Type: nrc.IntT}}, Rows: []plan.Row{{int64(1)}}}
-		for _, c := range []struct {
-			outs []plan.NamedExpr
-			want []int
-		}{
-			{[]plan.NamedExpr{named("c", 2, nrc.IntT), named("tag", 0, nrc.StringT), named("k", 1, nrc.IntT)}, []int{2}},
-			{[]plan.NamedExpr{named("c", 2, nrc.IntT), named("tag", 0, nrc.StringT)}, nil},
-		} {
-			tr, err := ex.run(&plan.Join{L: j, R: side, Outs: c.outs})
+		for _, c := range cases {
+			above := &plan.Join{L: c.in, R: r, LCols: []int{c.key}, RCols: []int{0}, Cost: &plan.Costs{Method: plan.JoinShuffle}}
+			placed, _ := plan.Place(above, plan.PlaceOptions{SkewAware: true})
+			if placed.(*plan.Join).KeepSplit != c.keeps {
+				t.Errorf("%s%s: split kept %t, want %t:\n%s", p.name, c.name, !c.keeps, c.keeps, plan.Explain(placed))
+			}
+			kept, err := ex.Run(placed)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !slices.Equal(tr.keyCols, c.want) || (tr.keys == nil) != (c.want == nil) {
-				t.Errorf("cross join over %s: heavy keys over %v (known: %t), want %v", p.name, tr.keyCols, tr.keys != nil, c.want)
+			sampled, err := ex.Run(above)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if value.Compare(rowsBag(kept.CollectSorted()), rowsBag(sampled.CollectSorted())) != 0 {
+				t.Errorf("%s%s: the kept split joins %d rows, sampling again %d", p.name, c.name, kept.Count(), sampled.Count())
 			}
 		}
 	}
@@ -328,8 +299,8 @@ func TestNarrowChainAllocatesPerChunk(t *testing.T) {
 }
 
 // TestInPlaceFallsBack: a marked Γ/dedup exchanges, which is always correct,
-// when guarantees are off or the two components of its input would not merge
-// partition by partition.
+// when the two components of its input would not merge partition by
+// partition.
 func TestInPlaceFallsBack(t *testing.T) {
 	ctx := dataflow.NewContext(4)
 	ex := New(ctx)
@@ -338,16 +309,13 @@ func TestInPlaceFallsBack(t *testing.T) {
 		name   string
 		t      triple
 		marked []int
-		off    bool
 		want   bool
 	}{
-		{"marked", triple{light: five}, []int{0}, false, true},
-		{"unmarked", triple{light: five}, nil, false, false},
-		{"guarantees off", triple{light: five}, []int{0}, true, false},
-		{"components alike", triple{light: ctx.Empty(), heavy: ctx.Empty()}, []int{0}, false, true},
-		{"components apart", triple{light: five, heavy: ctx.Empty()}, []int{0}, false, false},
+		{"marked", triple{light: five}, []int{0}, true},
+		{"unmarked", triple{light: five}, nil, false},
+		{"components alike", triple{light: ctx.Empty(), heavy: ctx.Empty()}, []int{0}, true},
+		{"components apart", triple{light: five, heavy: ctx.Empty()}, []int{0}, false},
 	} {
-		ctx.DisableGuarantees = c.off
 		if _, got := ex.reduceStage(nil, "nest", c.t, c.marked); got != c.want {
 			t.Errorf("%s: in place %t, want %t", c.name, got, c.want)
 		}

@@ -1,23 +1,18 @@
 package exec
 
 import (
-	"slices"
-
 	"github.com/trance-go/trance/internal/dataflow"
-	"github.com/trance-go/trance/internal/plan"
 	"github.com/trance-go/trance/internal/skew"
 )
 
 // triple is a skew-triple (paper Section 5): a light component whose keys may
 // be repartitioned normally, a heavy component whose keys must stay
-// distributed, and the set of heavy keys over keyCols. keys == nil means the
-// heavy-key set is unknown (the components are merged and re-sampled when an
-// operator needs it). heavy == nil is a skew-unaware run, which never looks
-// for heavy keys: the triple is its light dataset.
+// distributed, and the set of heavy keys the two were split on (nil: none
+// was made). heavy == nil is a skew-unaware run, which never looks for heavy
+// keys: the triple is its light dataset.
 type triple struct {
 	light, heavy *dataflow.Dataset
 	keys         skew.KeySet
-	keyCols      []int
 }
 
 // heavyIDBit marks the unique IDs AddIndex hands the heavy component; it sits
@@ -47,49 +42,25 @@ func (t triple) merge() *dataflow.Dataset {
 	return t.light.Union(t.heavy)
 }
 
-// withKeyCols is t with its heavy keys over cols, where an operator moved the
-// key columns to; nil — it dropped one — leaves the heavy keys unknown.
-func (t triple) withKeyCols(cols []int) triple {
-	if t.keyCols = cols; cols == nil {
-		t.keys = nil
-	}
-	return t
-}
-
 // mapBoth applies a narrow operator to both components; nothing runs until a
 // wide operator consumes them.
 func (t triple) mapBoth(fn func(*dataflow.Dataset) *dataflow.Dataset) triple {
-	out := triple{light: fn(t.light), keys: t.keys, keyCols: t.keyCols}
+	out := triple{light: fn(t.light), keys: t.keys}
 	if t.heavy != nil {
 		out.heavy = fn(t.heavy)
 	}
 	return out
 }
 
-// keysFor returns the triple split on its heavy keys over cols, found by
-// sampling when they are unknown or known for other columns.
-func (ex *Executor) keysFor(t triple, cols []int) triple {
-	if t.keys != nil && slices.Equal(t.keyCols, cols) {
+// keysFor returns the triple split on its heavy keys over cols: t itself where
+// the plan keeps its split (plan.Place knows the heavy keys lie over cols),
+// otherwise found by sampling the merged components.
+func (ex *Executor) keysFor(t triple, cols []int, keep bool) triple {
+	if keep && t.keys != nil {
 		return t
 	}
 	merged := t.merge()
 	hk := skew.NewDetector().HeavyKeys(merged, cols)
 	light, heavy := skew.Split(merged, cols, hk)
-	return triple{light: light, heavy: heavy, keys: hk, keyCols: cols}
-}
-
-// unnestedKeyCols is where μ's output holds the heavy-key columns of its
-// input, nil when it writes only some of them (the heavy keys are then
-// unknown, as after a projection).
-func unnestedKeyCols(x *plan.Unnest, keyCols []int) []int {
-	if x.Outs == nil {
-		return keyCols
-	}
-	out := make([]int, len(keyCols))
-	for i, k := range keyCols {
-		if out[i] = slices.Index(x.Outs, k); out[i] < 0 {
-			return nil
-		}
-	}
-	return out
+	return triple{light: light, heavy: heavy, keys: hk}
 }

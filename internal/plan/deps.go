@@ -18,7 +18,7 @@ import "slices"
 // their rows independently. A dependency is on an output position, so a π that
 // drops the ID drops its dependents with it.
 //
-// Prune leans on this to key a Γ by the IDs alone, and Colocate to tell which
+// Prune leans on this to key a Γ by the IDs alone, and Place to tell which
 // co-located columns a Γ key or a join key determines. Both lean on IDs being
 // unique across the light and heavy components of a skew-aware run
 // (exec.heavyIDBit); TestNarrowedKeysUnderSkew in internal/runner is the

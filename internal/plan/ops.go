@@ -218,6 +218,13 @@ type Join struct {
 	// executor honors Cost.Method instead of its runtime size heuristic, and
 	// Explain renders the estimate.
 	Cost *Costs
+	// Placed records, per side (L, R), that the side's rows already lie
+	// hash-placed on its key, so a shuffle join skips that side's exchange.
+	// KeepSplit records, under skew, that the left side was split on its heavy
+	// keys over LCols already, so the skew join reuses that split instead of
+	// sampling again. Only Place sets them.
+	Placed    [2]bool
+	KeepSplit bool
 }
 
 func (j *Join) Columns() []Column {
@@ -239,7 +246,21 @@ func (j *Join) Describe() string {
 	if j.Cost != nil {
 		s += j.Cost.describe()
 	}
-	return s
+	return s + j.placedMark() + mark(j.KeepSplit, "split kept")
+}
+
+// placedMark renders Placed: the sides that skip their exchange.
+func (j *Join) placedMark() string {
+	sides := map[[2]bool]string{{true, false}: "L", {false, true}: "R", {true, true}: "L R"}[j.Placed]
+	return mark(sides != "", sides+" placed")
+}
+
+// mark renders a decision Place took as " [text]".
+func mark(taken bool, text string) string {
+	if taken {
+		return " [" + text + "]"
+	}
+	return ""
 }
 
 // Nest is Γ^{agg value}_{key}: a key-based reduce (paper Section 2). Rows are
@@ -275,7 +296,7 @@ type Nest struct {
 	// Local, when non-nil, lists input columns that are co-located (rows equal
 	// on them share a partition) and that the key determines, so every group
 	// already lies in one partition and Γ reduces in place, with no exchange.
-	// Only Colocate sets it.
+	// Only Place sets it.
 	Local []int
 }
 
@@ -359,11 +380,15 @@ func (u *UnionAll) Describe() string  { return "⊎" }
 type BagToDict struct {
 	In       Op
 	LabelCol int
+	// Placed and KeepSplit are Join's, for the label.
+	Placed, KeepSplit bool
 }
 
 func (b *BagToDict) Columns() []Column { return b.In.Columns() }
 func (b *BagToDict) Children() []Op    { return []Op{b.In} }
-func (b *BagToDict) Describe() string  { return fmt.Sprintf("bagToDict $%d", b.LabelCol) }
+func (b *BagToDict) Describe() string {
+	return fmt.Sprintf("bagToDict $%d", b.LabelCol) + mark(b.Placed, "placed") + mark(b.KeepSplit, "split kept")
+}
 
 // Explain renders the plan as an indented tree with output column lists.
 func Explain(op Op) string {

@@ -125,7 +125,7 @@ func TestPruneThroughNestAndUnnest(t *testing.T) {
 // unshredding route compile for each TPC-H class × level × width, a join that
 // writes its projection has one ID dependency per output column, the ones π
 // over the plain join has — so an addIndex above it records its ID where the
-// join writes it, which plan.Colocate, running after Fuse, relies on.
+// join writes it, which plan.Place, running after Fuse, relies on.
 func TestIDDepsThroughFusedJoins(t *testing.T) {
 	cfg := runner.DefaultConfig()
 	fused := 0

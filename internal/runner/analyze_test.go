@@ -69,7 +69,7 @@ func TestAnalyzeRowConservation(t *testing.T) {
 			t.Fatalf("%s: %v", strat, err)
 		}
 		a := plan.NewAnalysis()
-		res := ExecuteInputs(context.Background(), []*Compiled{cq}, inputs, NewRunContext(cfg, strat), ExecOptions{Analysis: a})
+		res := ExecuteInputs(context.Background(), []*Compiled{cq}, inputs, NewRunContext(cfg), ExecOptions{Analysis: a})
 		if res.Failed() {
 			t.Fatalf("%s: %v", strat, res.Err)
 		}
@@ -133,7 +133,7 @@ func TestExplainAnalyzeRendering(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := plan.NewAnalysis()
-	res := ExecuteInputs(context.Background(), []*Compiled{cq}, inputs, NewRunContext(cfg, Standard), ExecOptions{Analysis: a})
+	res := ExecuteInputs(context.Background(), []*Compiled{cq}, inputs, NewRunContext(cfg), ExecOptions{Analysis: a})
 	if res.Failed() {
 		t.Fatal(res.Err)
 	}
@@ -144,7 +144,7 @@ func TestExplainAnalyzeRendering(t *testing.T) {
 		}
 	}
 
-	plain := ExecuteInputs(context.Background(), []*Compiled{cq}, inputs, NewRunContext(cfg, Standard), ExecOptions{})
+	plain := ExecuteInputs(context.Background(), []*Compiled{cq}, inputs, NewRunContext(cfg), ExecOptions{})
 	if plain.Failed() {
 		t.Fatal(plain.Err)
 	}
@@ -162,7 +162,7 @@ func TestAnalyzeOffLeavesNoTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := ExecuteInputs(context.Background(), []*Compiled{cq}, inputs, NewRunContext(cfg, Standard), ExecOptions{})
+	res := ExecuteInputs(context.Background(), []*Compiled{cq}, inputs, NewRunContext(cfg), ExecOptions{})
 	if res.Failed() {
 		t.Fatal(res.Err)
 	}
@@ -211,12 +211,13 @@ func TestAnalyzeFusedJoins(t *testing.T) {
 		// Co-location reads through π as through a join's Outs, so both plans
 		// reduce the same Γs in place and place their rows alike.
 		unfused := *cq
-		unfused.Stmts = slices.Clone(cq.Stmts)
-		for i := range unfused.Stmts {
-			unfused.Stmts[i].Plan = plan.Colocate(unfused.Stmts[i].unfused, strat.skewAware())
+		unfused.Stmts = nil
+		for _, st := range cq.Stmts {
+			st.Plan = st.unfused
+			unfused.Stmts = append(unfused.Stmts, unfused.place(st, unfused.bound(nil)))
 		}
 		run := func(cq *Compiled, a *plan.Analysis) []dataflow.Row {
-			res := ExecuteInputs(context.Background(), []*Compiled{cq}, inputs, NewRunContext(cfg, strat), ExecOptions{Analysis: a})
+			res := ExecuteInputs(context.Background(), []*Compiled{cq}, inputs, NewRunContext(cfg), ExecOptions{Analysis: a})
 			if res.Failed() {
 				t.Fatalf("%s: %v", strat, res.Err)
 			}

@@ -203,7 +203,7 @@ func TestAutoFallsBackWhenShredFails(t *testing.T) {
 		t.Fatalf("fallback not recorded in reasons: %v", cq.AutoReasons)
 	}
 	// The fallback artifact must actually run.
-	res := runner.ExecuteInputs(context.Background(), []*runner.Compiled{cq}, map[string]value.Bag{"RN": rn}, runner.NewRunContext(cfg, cq.Strategy), runner.ExecOptions{})
+	res := runner.ExecuteInputs(context.Background(), []*runner.Compiled{cq}, map[string]value.Bag{"RN": rn}, runner.NewRunContext(cfg), runner.ExecOptions{})
 	if res.Err != nil {
 		t.Fatalf("fallback execution failed: %v", res.Err)
 	}
@@ -333,7 +333,7 @@ func BenchmarkAutoStrategy(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res := runner.Execute(context.Background(), []*runner.Compiled{cq}, rows, nil, runner.NewRunContext(cfg, cq.Strategy), runner.ExecOptions{})
+				res := runner.Execute(context.Background(), []*runner.Compiled{cq}, rows, nil, runner.NewRunContext(cfg), runner.ExecOptions{})
 				if res.Err != nil {
 					b.Fatal(res.Err)
 				}

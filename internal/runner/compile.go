@@ -3,7 +3,9 @@ package runner
 import (
 	"context"
 	"fmt"
+	"maps"
 	"runtime/debug"
+	"slices"
 	"strings"
 	"time"
 
@@ -73,11 +75,14 @@ type Stmt struct {
 	Bind string
 	// Raw is the plan before the optimizer and Plan the one that runs: the
 	// optimized, annotated plan after plan.Fuse (which Config.NoColumnPruning
-	// ablates with the rest of the column pruning) and plan.Colocate.
+	// ablates with the rest of the column pruning) and plan.Place.
 	Raw, Plan plan.Op
-	// unfused is the optimized plan before plan.Fuse and plan.Colocate: what
+	// unfused is the optimized plan before plan.Fuse and plan.Place: what
 	// Explain compares with Raw to say whether the optimizer changed the plan.
 	unfused plan.Op
+	// placed is the hash placement of the statement's dataset (plan.Place),
+	// which a later statement or step scanning Bind finds it in.
+	placed []int
 }
 
 // addStmt optimizes raw, folding the rule hits into cq.Opt, and appends it to
@@ -90,17 +95,65 @@ func (cq *Compiled) addStmt(label, bind string, raw plan.Op) {
 
 // addOptimized annotates and fuses opt, the optimized raw, and appends it to
 // the step. Fuse runs after the optimizer and the cost model, so neither sees a
-// fused operator; plan.Colocate runs last, except on the SparkSQL-style
-// baseline, which reuses no placement.
+// fused operator; plan.Place runs last.
 func (cq *Compiled) addOptimized(label, bind string, raw, opt plan.Op) {
 	st := Stmt{Label: label, Bind: bind, Raw: raw, unfused: cq.annotate(opt)}
 	if st.Plan = st.unfused; !cq.Cfg.NoColumnPruning {
 		st.Plan = plan.Fuse(st.unfused)
 	}
+	cq.Stmts = append(cq.Stmts, cq.place(st, cq.bound(nil)))
+}
+
+// place runs plan.Place over st, whose scans of the names in bound find the
+// datasets there placed as bound says. The SparkSQL-style baseline reuses no
+// placement: every exchange of its plans runs.
+func (cq *Compiled) place(st Stmt, bound map[string][]int) Stmt {
 	if cq.Strategy != SparkSQLStyle {
-		st.Plan = plan.Colocate(st.Plan, cq.Strategy.skewAware())
+		st.Plan, st.placed = plan.Place(st.Plan, plan.PlaceOptions{
+			SkewAware:   cq.Strategy.skewAware(),
+			NoBroadcast: cq.Cfg.BroadcastLimit <= 0,
+			Bound:       bound,
+		})
 	}
-	cq.Stmts = append(cq.Stmts, st)
+	return st
+}
+
+// bound is outer (nil: none) plus where the datasets the step's statements
+// bound so far lie, under the names later statements scan them by.
+func (cq *Compiled) bound(outer map[string][]int) map[string][]int {
+	b := map[string][]int{}
+	maps.Copy(b, outer)
+	for _, st := range cq.Stmts {
+		if st.Bind != "" {
+			b[st.Bind] = st.placed
+		}
+	}
+	return b
+}
+
+// placeProgram returns prog with every step after the first placed again over
+// where the datasets earlier steps leave bound lie (Execute binds them): a
+// step compiles, and is cached, on its own, so only here does it learn where
+// an earlier step's output lies.
+func placeProgram(prog []*Compiled) []*Compiled {
+	if len(prog) == 1 {
+		return prog
+	}
+	out := slices.Clone(prog)
+	bound := map[string][]int{}
+	for i, cq := range prog {
+		if i > 0 {
+			c := *cq
+			c.Stmts = nil
+			for _, st := range cq.Stmts {
+				c.Stmts = append(c.Stmts, c.place(st, c.bound(bound)))
+			}
+			out[i] = &c
+		}
+		bound = out[i].bound(bound)
+		bound[cq.stepName()] = out[i].output().placed
+	}
+	return out
 }
 
 // spanName names the statement's execute span: "execute plan", "execute
@@ -323,16 +376,13 @@ func (cq *Compiled) compileShredded(q nrc.Expr) error {
 }
 
 // NewRunContext builds the dataflow context Run uses for one execution under
-// the config and strategy. Callers serving concurrent requests attach a
-// shared worker pool (ctx.SharedPool) before executing.
-func NewRunContext(cfg Config, strat Strategy) *dataflow.Context {
+// the config. Callers serving concurrent requests attach a shared worker pool
+// (ctx.SharedPool) before executing.
+func NewRunContext(cfg Config) *dataflow.Context {
 	ctx := dataflow.NewContext(cfg.Parallelism)
 	ctx.Workers = cfg.Workers
 	ctx.MaxPartitionBytes = cfg.MaxPartitionBytes
 	ctx.BroadcastLimit = cfg.BroadcastLimit
-	if strat == SparkSQLStyle {
-		ctx.DisableGuarantees = true
-	}
 	return ctx
 }
 
@@ -496,15 +546,18 @@ type ExecOptions struct {
 // executor, so each step's output — the nested dataset on standard routes, the
 // materialized shredded components on shredded routes — is visible to later
 // steps without re-conversion (paper Section 4), and only the final step of an
-// unshredding strategy restores nested output. Input preparation stays
-// outside the timed region — the paper reports runtime after caching all
-// inputs.
+// unshredding strategy restores nested output; each step runs placed over
+// where the steps before it left theirs (placeProgram; Result.Program). Input
+// preparation stays outside the timed region — the paper reports runtime after
+// caching all inputs. dctx comes from NewRunContext of the config the program
+// compiled under, whose broadcast limit plan.Place read too.
 //
 // Execute shares no mutable state between executions of the same program, so
 // any number may run concurrently; panics anywhere in execution degrade to
 // Result.Err. Cancellation of ctx is honored between statements (best effort
 // — an individual statement runs to completion).
 func Execute(ctx context.Context, prog []*Compiled, rows map[string][]dataflow.Row, idxs map[string]*index.Set, dctx *dataflow.Context, opts ExecOptions) *Result {
+	prog = placeProgram(prog)
 	last := prog[len(prog)-1]
 	res := &Result{Strategy: last.Strategy, Mat: last.Mat, Columns: last.Columns, Analyze: opts.Analysis, FailedStep: -1, prog: prog}
 	func() {
@@ -539,15 +592,7 @@ func Execute(ctx context.Context, prog []*Compiled, rows map[string][]dataflow.R
 			if i == len(prog)-1 {
 				break
 			}
-			// Bind the step's output as an input of later steps: the nested
-			// dataset under the step name, or the shredded top bag under the
-			// MatName convention (the step's dictionaries were already bound
-			// per materialized assignment by execute).
-			if cq.Strategy.IsShredded() {
-				ex.Bind(shred.MatName(cq.Name, nil), res.Shredded[cq.Mat.TopName])
-			} else {
-				ex.Bind(cq.Name, res.Output)
-			}
+			ex.Bind(cq.stepName(), res.Output)
 		}
 	}()
 	res.Metrics = dctx.Metrics.Snapshot()
@@ -612,11 +657,25 @@ func (cq *Compiled) execute(ctx context.Context, ex *exec.Executor, res *Result,
 // OutputPlan returns the plan whose column schema matches the Output dataset
 // Execute produces: the standard plan, the unshred plan, or the shredded
 // program's top assignment.
-func (cq *Compiled) OutputPlan() (out plan.Op) {
+func (cq *Compiled) OutputPlan() plan.Op { return cq.output().Plan }
+
+// output is the statement OutputPlan returns the plan of.
+func (cq *Compiled) output() (out Stmt) {
 	for _, st := range cq.Stmts {
 		if cq.yieldsOutput(st) {
-			out = st.Plan
+			out = st
 		}
 	}
 	return out
+}
+
+// stepName is the name later steps of a program scan the step's Output by: the
+// step name, or for the shredded top bag (an intermediate step never
+// unshreds, see StepStrategy) the MatName convention; execute binds the
+// dictionaries per assignment.
+func (cq *Compiled) stepName() string {
+	if cq.Strategy.IsShredded() {
+		return shred.MatName(cq.Name, nil)
+	}
+	return cq.Name
 }

@@ -459,6 +459,7 @@ type diffCounts struct {
 	fused     int // seeds with a join writing its projection on some strategy's full plans
 	composed  int // seeds where some strategy's full plans hold fewer π/ext than its ablated plans
 	local     int // seeds where some strategy's full plans reduce a Γ/dedup in place
+	placed    int // seeds where some strategy's full plans place a join side
 	// shreddedSteps counts program runs whose second step read the first
 	// step's output in shredded form.
 	shreddedSteps int
@@ -475,6 +476,7 @@ func (c *diffCounts) add(o diffCounts) {
 	c.fused += o.fused
 	c.composed += o.composed
 	c.local += o.local
+	c.placed += o.placed
 	c.shreddedSteps += o.shreddedSteps
 }
 
@@ -504,7 +506,7 @@ func runDifferential(data []byte, strict bool) (n diffCounts, err error) {
 	ests := collectDiffStats(env, inputs)
 	applyIndexes(ests, chosen)
 
-	nested, narrowed, fused, composed, local := false, false, false, false, false
+	nested, narrowed, fused, composed, local, placed := false, false, false, false, false, false
 	for _, strat := range diffStrategies {
 		keyCols := map[bool]int{} // Γ key columns of the strategy's plans, by arm
 		narrowOps := map[bool]int{}
@@ -545,7 +547,7 @@ func runDifferential(data []byte, strict bool) (n diffCounts, err error) {
 					}
 					n.indexed++
 				}
-				res := runner.ExecuteInputs(context.Background(), []*runner.Compiled{cq}, inputs, runner.NewRunContext(cfg, cq.Strategy), runner.ExecOptions{})
+				res := runner.ExecuteInputs(context.Background(), []*runner.Compiled{cq}, inputs, runner.NewRunContext(cfg), runner.ExecOptions{})
 				if res.Failed() {
 					return n, fmt.Errorf("%s (full=%t, noidx=%t) failed: %v\n%s",
 						strat, full, noIdx, res.Err, nrc.Print(q))
@@ -553,14 +555,15 @@ func runDifferential(data []byte, strict bool) (n diffCounts, err error) {
 				if res.Metrics.Exchange.ColumnarBuffers > 0 {
 					n.typed++
 				}
-				marked, lerr := localReduces([]*runner.Compiled{cq}, res)
-				if lerr == nil && marked > 0 && strat == runner.SparkSQLStyle {
-					lerr = fmt.Errorf("%d Γ/dedup reduce in place on the baseline that reuses no placement", marked)
+				marked, sides, lerr := exchangesAsPlanned(res.Program(), res)
+				if skipped := res.Metrics.SkippedShuffles; lerr == nil && skipped > 0 && strat == runner.SparkSQLStyle {
+					lerr = fmt.Errorf("%d Γ/dedup marked local, %d join sides placed and %d exchanges skipped on the baseline that reuses no placement", marked, sides, skipped)
 				}
 				if lerr != nil {
 					return n, fmt.Errorf("%s (full=%t, noidx=%t): %v\n%s", strat, full, noIdx, lerr, cq.Explain())
 				}
 				local = local || full && marked > 0
+				placed = placed || full && sides > 0
 				got, gerr := nestedOutput(cq, res)
 				if gerr != nil {
 					return n, fmt.Errorf("%s (full=%t, noidx=%t) unshred: %v\n%s",
@@ -597,6 +600,9 @@ func runDifferential(data []byte, strict bool) (n diffCounts, err error) {
 	if local {
 		n.local++
 	}
+	if placed {
+		n.placed++
+	}
 
 	// The program arm: the same query as the second step of a two-step
 	// program whose first step copies R, so the query reads a step output —
@@ -616,11 +622,11 @@ func runDifferential(data []byte, strict bool) (n diffCounts, err error) {
 			return n, errSkip
 		}
 		last := prog[1]
-		res := runner.ExecuteInputs(context.Background(), prog, inputs, runner.NewRunContext(cfg, last.Strategy), runner.ExecOptions{})
+		res := runner.ExecuteInputs(context.Background(), prog, inputs, runner.NewRunContext(cfg), runner.ExecOptions{})
 		if res.Failed() {
 			return n, fmt.Errorf("%s program failed at step %d: %v\n%s", strat, res.FailedStep, res.Err, nrc.Print(q))
 		}
-		if _, lerr := localReduces(prog, res); lerr != nil {
+		if _, _, lerr := exchangesAsPlanned(res.Program(), res); lerr != nil {
 			return n, fmt.Errorf("%s program: %v\n%s", strat, lerr, runner.Explain(prog))
 		}
 		got, gerr := nestedOutput(last, res)
@@ -685,52 +691,114 @@ func fusionOf(cq *runner.Compiled) (fusedJoins, narrowOps int) {
 	return fusedJoins, narrowOps
 }
 
-// localReduces checks a run against the marks plan.Colocate left on its plans:
-// every Γ/dedup marked local ran its reduce stage and no exchange stage, every
-// unmarked one ran both. It returns how many were marked.
-func localReduces(prog []*runner.Compiled, res *runner.Result) (marked int, err error) {
-	var all int
+// exchangesAsPlanned checks a run against the exchange decisions plan.Place
+// left on its plans. Every Γ/dedup marked local ran its reduce stage and no
+// exchange stage, every unmarked one ran both. Every BagToDict ran its
+// exchange iff it is not placed. Every keyed join ran as one shuffle join
+// (join#k, with join#k/L and join#k/R exchanges) or one broadcast join
+// (bjoin#k, no exchange): a shuffle join exchanged exactly the sides its plan
+// did not place; a join whose Cost says shuffle ran as one, one that says
+// broadcast did not, and one without a Cost (the executor decides) may run as
+// either. It returns how many Γ/dedup were marked local and how many join
+// sides placed.
+func exchangesAsPlanned(prog []*runner.Compiled, res *runner.Result) (local, placed int, err error) {
+	var reduces, dicts, dictsPlaced, joins int
+	var must, may [4]int // keyed joins that shuffle (or may), by the sides they exchange: 1 L, 2 R
 	var walk func(plan.Op)
 	walk = func(op plan.Op) {
-		var local []int
 		switch x := op.(type) {
 		case *plan.Nest:
-			local = x.Local
-		case *plan.DedupOp:
-			local = x.Local
-		default:
-			for _, ch := range op.Children() {
-				walk(ch)
+			reduces++
+			if x.Local != nil {
+				local++
 			}
-			return
+		case *plan.DedupOp:
+			reduces++
+			if x.Local != nil {
+				local++
+			}
+		case *plan.BagToDict:
+			dicts++
+			if x.Placed {
+				dictsPlaced++
+			}
+		case *plan.Join:
+			if len(x.LCols) == 0 {
+				break
+			}
+			joins++
+			sides := 0
+			for i, p := range x.Placed {
+				if p {
+					placed++
+				} else {
+					sides |= 1 << i
+				}
+			}
+			switch {
+			case x.Cost == nil:
+				may[sides]++
+			case x.Cost.Method == plan.JoinShuffle:
+				must[sides]++
+			}
 		}
-		all++
-		if local != nil {
-			marked++
+		for _, ch := range op.Children() {
+			walk(ch)
 		}
-		walk(op.Children()[0])
 	}
 	for _, cq := range prog {
 		for _, st := range cq.Stmts {
 			walk(st.Plan)
 		}
 	}
-	// Stage names are kind#seq, a reduce's with "/reduce" after (exec.wideStage).
-	var exchanges, reduces int
+	// Stage names are kind#seq, followed by "/reduce" for a reduce and by
+	// "/L" or "/R" for a join side's exchange (exec.wideStage).
+	var reduced, exchanged, dictExchanged, joinsRun int
+	ran := map[string]int{} // shuffle joins, by the sides they exchanged
 	for _, sw := range res.Metrics.StageWall {
 		kind, rest, _ := strings.Cut(sw.Stage, "#")
+		seq, side, _ := strings.Cut(rest, "/")
 		switch {
-		case kind != "nest" && kind != "dedup":
-		case strings.HasSuffix(rest, "/reduce"):
-			reduces++
-		default:
-			exchanges++
+		case kind == "nest" || kind == "dedup":
+			if side == "reduce" {
+				reduced++
+			} else {
+				exchanged++
+			}
+		case kind == "bagToDict":
+			dictExchanged++
+		case kind == "bjoin":
+			joinsRun++
+		case kind == "join" && side == "":
+			joinsRun++
+			ran[seq] |= 0
+		case kind == "join":
+			ran[seq] |= map[string]int{"L": 1, "R": 2}[side]
 		}
 	}
-	if reduces != all || exchanges != all-marked {
-		return marked, fmt.Errorf("%d Γ/dedup, %d of them marked local, ran %d reduces and %d exchanges", all, marked, reduces, exchanges)
+	if reduced != reduces || exchanged != reduces-local {
+		return local, placed, fmt.Errorf("%d Γ/dedup, %d of them marked local, ran %d reduces and %d exchanges", reduces, local, reduced, exchanged)
 	}
-	return marked, nil
+	if dictExchanged != dicts-dictsPlaced {
+		return local, placed, fmt.Errorf("%d BagToDict, %d of them placed, ran %d exchanges", dicts, dictsPlaced, dictExchanged)
+	}
+	if joinsRun != joins {
+		return local, placed, fmt.Errorf("%d keyed joins ran as %d joins", joins, joinsRun)
+	}
+	for _, sides := range ran {
+		switch {
+		case must[sides] > 0:
+			must[sides]--
+		case may[sides] > 0:
+			may[sides]--
+		default:
+			return local, placed, fmt.Errorf("a shuffle join exchanged sides %b, which no join planned to", sides)
+		}
+	}
+	if must != [4]int{} {
+		return local, placed, fmt.Errorf("joins planned to shuffle exchanging sides 0-3 %v ran as broadcasts", must)
+	}
+	return local, placed, nil
 }
 
 // errSkip marks an uncompilable fuzz-generated query (tolerated only in the
@@ -784,10 +852,15 @@ func TestDifferentialOracle(t *testing.T) {
 	if total.fused < n/4 || total.composed < n/4 {
 		t.Fatalf("%d of %d seeds run a join that writes its projection, %d hold fewer π/ext than their NoColumnPruning arm — plan.Fuse is no longer exercised", total.fused, n, total.composed)
 	}
-	// And co-location must actually let Γ/dedup reduce in place (each run checks
-	// the marks against the stages it ran, and that SPARK-SQL marks none).
+	// And placement must actually let Γ/dedup reduce in place and join sides
+	// skip their exchange (each run checks the decisions against the stages it
+	// ran, and that SPARK-SQL skips none). 48 seeds placed a join side when
+	// placement became a plan property.
 	if total.local < n/8 {
-		t.Fatalf("%d of %d seeds reduce a Γ/dedup in place on some strategy's full plans — plan.Colocate is no longer exercised", total.local, n)
+		t.Fatalf("%d of %d seeds reduce a Γ/dedup in place on some strategy's full plans — plan.Place is no longer exercised", total.local, n)
+	}
+	if n == 300 && total.placed < 20 {
+		t.Fatalf("%d of %d seeds place a join side on some strategy's full plans — plan.Place no longer skips join exchanges", total.placed, n)
 	}
 	// And the index arm must actually plan index scans, not vacuously agree
 	// because no generated predicate ever hit an indexed column.
@@ -804,8 +877,8 @@ func TestDifferentialOracle(t *testing.T) {
 	if total.shreddedSteps < n/10 {
 		t.Fatalf("only %d programs over %d seeds read a step output on a shredded route — step-output binding is no longer exercised", total.shreddedSteps, n)
 	}
-	t.Logf("%d queries × %d runs each agreed with the oracle; optimizer changed plans in %d runs (%d crossings); %d seeds keyed a Γ by the IDs; %d seeds fused a join and %d composed a chain; %d seeds reduced in place; %d runs planned index scans; %d runs metered typed-encoding shuffle buffers; %d programs read a shredded step output",
-		n, total.runs/n, total.optimized, total.pushed, total.narrowed, total.fused, total.composed, total.local, total.indexed, total.typed, total.shreddedSteps)
+	t.Logf("%d queries × %d runs each agreed with the oracle; optimizer changed plans in %d runs (%d crossings); %d seeds keyed a Γ by the IDs; %d seeds fused a join and %d composed a chain; %d seeds reduced in place and %d placed a join side; %d runs planned index scans; %d runs metered typed-encoding shuffle buffers; %d programs read a shredded step output",
+		n, total.runs/n, total.optimized, total.pushed, total.narrowed, total.fused, total.composed, total.local, total.placed, total.indexed, total.typed, total.shreddedSteps)
 }
 
 // TestAnalyzeStableAcrossRoutes re-runs a sampled subset of the differential
@@ -848,7 +921,7 @@ func TestAnalyzeStableAcrossRoutes(t *testing.T) {
 			}
 			a := plan.NewAnalysis()
 			res := runner.ExecuteInputs(context.Background(), []*runner.Compiled{cq}, inputs,
-				runner.NewRunContext(cfg, cq.Strategy), runner.ExecOptions{Analysis: a})
+				runner.NewRunContext(cfg), runner.ExecOptions{Analysis: a})
 			if res.Failed() {
 				t.Fatalf("seed %d (noidx=%t): %v", seed, noIdx, res.Err)
 			}

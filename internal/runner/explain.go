@@ -17,6 +17,7 @@ import (
 // fixtures under internal/runner/testdata.
 func Explain(prog []*Compiled) string {
 	var sb strings.Builder
+	prog = placeProgram(prog)
 	for i, cq := range prog {
 		stepHeader(&sb, prog, i)
 		sb.WriteString(cq.Explain())

@@ -59,7 +59,7 @@ func TestNarrowedKeysUnderSkew(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", c.name, err)
 			}
-			res := runner.ExecuteInputs(t.Context(), []*runner.Compiled{cq}, c.inputs, runner.NewRunContext(cfg, runner.StandardSkew), runner.ExecOptions{})
+			res := runner.ExecuteInputs(t.Context(), []*runner.Compiled{cq}, c.inputs, runner.NewRunContext(cfg), runner.ExecOptions{})
 			if res.Failed() {
 				t.Fatalf("%s: %v", c.name, res.Err)
 			}
@@ -108,7 +108,7 @@ func TestFusedJoinsUnderSkew(t *testing.T) {
 			if joins, _ := fusionOf(cq); (joins > 0) != (i == 0) {
 				t.Fatalf("%s (NoColumnPruning=%t): %d joins write their projection\n%s", strat, cfg.NoColumnPruning, joins, cq.Explain())
 			}
-			res := runner.ExecuteInputs(t.Context(), []*runner.Compiled{cq}, inputs, runner.NewRunContext(cfg, cq.Strategy), runner.ExecOptions{})
+			res := runner.ExecuteInputs(t.Context(), []*runner.Compiled{cq}, inputs, runner.NewRunContext(cfg), runner.ExecOptions{})
 			if res.Failed() {
 				t.Fatalf("%s: %v", strat, res.Err)
 			}
@@ -154,7 +154,7 @@ func TestFusedJoinReadByNobody(t *testing.T) {
 			if joins, _ := fusionOf(cq); joins == 0 {
 				t.Fatalf("%s: no join writes its projection\n%s", strat, cq.Explain())
 			}
-			res := runner.ExecuteInputs(t.Context(), []*runner.Compiled{cq}, tables.Inputs(), runner.NewRunContext(cfg, strat), runner.ExecOptions{})
+			res := runner.ExecuteInputs(t.Context(), []*runner.Compiled{cq}, tables.Inputs(), runner.NewRunContext(cfg), runner.ExecOptions{})
 			if res.Failed() {
 				t.Fatalf("%s: %v", strat, res.Err)
 			}

@@ -112,5 +112,5 @@ func RunPipeline(steps []PipelineStep, env nrc.Env, inputs map[string]value.Bag,
 	if err != nil {
 		return Failure(strat, err)
 	}
-	return ExecuteInputs(context.Background(), prog, inputs, NewRunContext(cfg, strat), ExecOptions{})
+	return ExecuteInputs(context.Background(), prog, inputs, NewRunContext(cfg), ExecOptions{})
 }

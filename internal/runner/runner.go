@@ -259,6 +259,10 @@ type Result struct {
 // Failed reports whether the run crashed.
 func (r *Result) Failed() bool { return r.Err != nil }
 
+// Program is the compiled program that produced the result, each step placed
+// over where the steps before it left their outputs: the plans that ran.
+func (r *Result) Program() []*Compiled { return r.prog }
+
 // Failure reports a run that never reached the executor: a typecheck, compile
 // or input-conversion error. FailedStep comes from the StepError when the
 // error carries one.
@@ -306,7 +310,7 @@ func Run(job Job, strat Strategy, cfg Config) *Result {
 	if err != nil {
 		return Failure(strat, err)
 	}
-	return ExecuteInputs(context.Background(), []*Compiled{cq}, job.Inputs, NewRunContext(cfg, strat), ExecOptions{})
+	return ExecuteInputs(context.Background(), []*Compiled{cq}, job.Inputs, NewRunContext(cfg), ExecOptions{})
 }
 
 func rowsOf(b value.Bag) []dataflow.Row {

@@ -178,7 +178,7 @@ func TestCompileOnceExecuteMany(t *testing.T) {
 			t.Fatalf("%s run: %v", strat, want.Err)
 		}
 		for i := 0; i < 2; i++ {
-			res := ExecuteInputs(context.Background(), []*Compiled{cq}, inputs, NewRunContext(cfg, strat), ExecOptions{})
+			res := ExecuteInputs(context.Background(), []*Compiled{cq}, inputs, NewRunContext(cfg), ExecOptions{})
 			if res.Failed() {
 				t.Fatalf("%s execute %d: %v", strat, i, res.Err)
 			}
@@ -224,7 +224,7 @@ func TestExecuteHonorsCancellation(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res := ExecuteInputs(ctx, []*Compiled{cq}, inputs, NewRunContext(DefaultConfig(), Shred), ExecOptions{})
+	res := ExecuteInputs(ctx, []*Compiled{cq}, inputs, NewRunContext(DefaultConfig()), ExecOptions{})
 	if !res.Failed() || !errors.Is(res.Err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", res.Err)
 	}

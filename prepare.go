@@ -270,7 +270,7 @@ func (pq *PreparedQuery) Run(ctx context.Context, data *PreparedData, strat Stra
 		eopts.Analysis = plan.NewAnalysis()
 	}
 	eopts.Span = tr.Span().Child("execute")
-	dctx := runner.NewRunContext(pq.cfg, strat)
+	dctx := runner.NewRunContext(pq.cfg)
 	dctx.SharedPool = pq.pool
 	res := runner.Execute(ctx, prog, rows, prog[0].MapIndexes(data.idxs), dctx, eopts)
 	eopts.Span.End()

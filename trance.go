@@ -55,7 +55,6 @@ package trance
 import (
 	"context"
 
-	"github.com/trance-go/trance/internal/core"
 	"github.com/trance-go/trance/internal/dataflow"
 	"github.com/trance-go/trance/internal/metrics"
 	"github.com/trance-go/trance/internal/nrc"
@@ -317,25 +316,6 @@ func ContextWithTrace(ctx context.Context, t *Trace) context.Context { return tr
 
 // TraceFromContext returns the trace attached to ctx, or nil.
 func TraceFromContext(ctx context.Context) *Trace { return trace.From(ctx) }
-
-// ExplainStandard compiles a query through the standard route and renders the
-// algebraic plan (paper Figure 3 style), before the rule-based optimizer
-// pass. For the before/after-optimizer view use PreparedQuery.Explain (or
-// `trance query -explain` / tranced GET /explain).
-func ExplainStandard(q Expr, env Env) (string, error) {
-	if _, err := nrc.Check(q, env); err != nil {
-		return "", err
-	}
-	c, err := core.NewCompiler(env)
-	if err != nil {
-		return "", err
-	}
-	op, err := c.Compile(q)
-	if err != nil {
-		return "", err
-	}
-	return plan.Explain(op), nil
-}
 
 // ExplainShredded shreds and materializes a query and renders the resulting
 // flat program (paper Example 5/6 style).
