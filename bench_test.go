@@ -518,13 +518,13 @@ func BenchmarkPushdownAblation(b *testing.B) {
 					if err != nil {
 						b.Fatal(err)
 					}
-					rows, err := cq.InputRows(c.inputs)
+					rows, idxs, err := runner.NewInputs(c.inputs, cq.Env).Bind([]*runner.Compiled{cq})
 					if err != nil {
 						b.Fatal(err)
 					}
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
-						res := runner.Execute(context.Background(), []*runner.Compiled{cq}, rows, nil, runner.NewRunContext(cfg), runner.ExecOptions{})
+						res := runner.Execute(context.Background(), []*runner.Compiled{cq}, rows, idxs, runner.NewRunContext(cfg), runner.ExecOptions{})
 						if res.Failed() {
 							b.Fatal(res.Err)
 						}
@@ -585,13 +585,13 @@ func BenchmarkSelectiveNarrow(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				rows, err := cq.InputRows(c.inputs)
+				rows, idxs, err := runner.NewInputs(c.inputs, cq.Env).Bind([]*runner.Compiled{cq})
 				if err != nil {
 					b.Fatal(err)
 				}
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					res := runner.Execute(context.Background(), []*runner.Compiled{cq}, rows, nil, runner.NewRunContext(cfg), runner.ExecOptions{})
+					res := runner.Execute(context.Background(), []*runner.Compiled{cq}, rows, idxs, runner.NewRunContext(cfg), runner.ExecOptions{})
 					if res.Failed() {
 						b.Fatal(res.Err)
 					}
@@ -855,11 +855,10 @@ func BenchmarkIndexScanAblation(b *testing.B) {
 				if !on && cq.Idx.Planned != 0 {
 					b.Fatal("ablated arm still planned index scans")
 				}
-				rows, err := cq.InputRows(c.inputs)
+				rows, idxs, err := runner.NewInputs(c.inputs, cq.Env).Bind([]*runner.Compiled{cq})
 				if err != nil {
 					b.Fatal(err)
 				}
-				idxs := cq.BuildIndexes(c.inputs)
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					res := runner.Execute(context.Background(), []*runner.Compiled{cq}, rows, idxs, runner.NewRunContext(cfg), runner.ExecOptions{})
@@ -895,13 +894,13 @@ func BenchmarkAnalyzeOverhead(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		rows, err := cq.InputRows(inputs)
+		rows, idxs, err := runner.NewInputs(inputs, cq.Env).Bind([]*runner.Compiled{cq})
 		if err != nil {
 			b.Fatal(err)
 		}
 		run := func(b *testing.B, analysis func() *plan.Analysis) {
 			for i := 0; i < b.N; i++ {
-				res := runner.Execute(context.Background(), []*runner.Compiled{cq}, rows, nil,
+				res := runner.Execute(context.Background(), []*runner.Compiled{cq}, rows, idxs,
 					runner.NewRunContext(cfg), runner.ExecOptions{Analysis: analysis()})
 				if res.Failed() {
 					b.Fatal(res.Err)

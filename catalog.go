@@ -6,10 +6,8 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strings"
 	"sync"
 
-	"github.com/trance-go/trance/internal/dataflow"
 	"github.com/trance-go/trance/internal/index"
 	"github.com/trance-go/trance/internal/ingest"
 	"github.com/trance-go/trance/internal/nrc"
@@ -63,6 +61,28 @@ type catalogEntry struct {
 	// auto marks the idx columns that were auto-built (statistics-driven)
 	// rather than requested via CreateIndex.
 	auto map[string]bool
+
+	// inputs are the generation's bound inputs by the variable name sessions
+	// resolved it under (value shredding mints labels from the name). Created
+	// on first use, outside the catalog lock, each converts and indexes once
+	// for every session and query over the generation, and goes with it.
+	mu     sync.Mutex
+	inputs map[string]*runner.Input
+}
+
+// input returns the generation's bound input under variable v.
+func (e *catalogEntry) input(v string) *runner.Input {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	in, ok := e.inputs[v]
+	if !ok {
+		if e.inputs == nil {
+			e.inputs = map[string]*runner.Input{}
+		}
+		in = runner.NewInput(v, e.bag, e.info.Type, e.idx)
+		e.inputs[v] = in
+	}
+	return in
 }
 
 // DatasetInfo describes one catalog entry.
@@ -148,11 +168,7 @@ func autoIndexes(b Bag, bt nrc.BagType, st *stats.Table) (*index.Set, map[string
 	set := index.NewSet()
 	var auto map[string]bool
 	for _, col := range st.SelectiveColumns() {
-		vals, ok := columnValues(b, bt, col)
-		if !ok {
-			continue
-		}
-		ci, err := index.Build(col, true, true, vals)
+		ci, err := runner.BuildIndex(b, bt, col, true, true)
 		if err != nil {
 			continue
 		}
@@ -163,44 +179,6 @@ func autoIndexes(b Bag, bt nrc.BagType, st *stats.Table) (*index.Set, map[string
 		auto[col] = true
 	}
 	return set, auto
-}
-
-// columnOffset finds a top-level scalar column's tuple offset ("_value" for
-// scalar-element bags); -1 when the column is absent or not scalar.
-func columnOffset(bt nrc.BagType, col string) int {
-	if tt, ok := bt.Elem.(nrc.TupleType); ok {
-		for i, f := range tt.Fields {
-			if f.Name == col {
-				if _, scalar := f.Type.(nrc.ScalarType); scalar {
-					return i
-				}
-				return -1
-			}
-		}
-		return -1
-	}
-	if _, scalar := bt.Elem.(nrc.ScalarType); scalar && col == "_value" {
-		return 0
-	}
-	return -1
-}
-
-// columnValues extracts one top-level scalar column of a bag; vals[i] is the
-// key of row i (nil for NULL).
-func columnValues(b Bag, bt nrc.BagType, col string) ([]value.Value, bool) {
-	off := columnOffset(bt, col)
-	if off < 0 {
-		return nil, false
-	}
-	vals := make([]value.Value, len(b))
-	for i, e := range b {
-		if t, ok := e.(value.Tuple); ok {
-			vals[i] = t[off]
-		} else {
-			vals[i] = e
-		}
-	}
-	return vals, true
 }
 
 // replace installs a successor entry under name, bumping the catalog
@@ -272,11 +250,7 @@ func (c *Catalog) CreateIndex(dataset, column, kind string) (IndexInfo, error) {
 			h = h || old.HasHash()
 			o = o || old.HasOrdered()
 		}
-		vals, ok := columnValues(e.bag, e.info.Type.(nrc.BagType), column)
-		if !ok {
-			return IndexInfo{}, fmt.Errorf("catalog: dataset %s has no top-level scalar column %q", dataset, column)
-		}
-		ci, err := index.Build(column, h, o, vals)
+		ci, err := runner.BuildIndex(e.bag, e.info.Type.(nrc.BagType), column, h, o)
 		if err != nil {
 			return IndexInfo{}, fmt.Errorf("catalog: dataset %s: %w", dataset, err)
 		}
@@ -350,7 +324,7 @@ func (c *Catalog) Append(name string, rows Bag) (DatasetInfo, error) {
 		st := stats.Collect(nb, bt, stats.Options{})
 		nidx := index.NewSet()
 		for _, col := range e.idx.Names() {
-			tail, ok := columnValues(rows, bt, col)
+			tail, ok := runner.ColumnValues(rows, bt, col)
 			if !ok {
 				continue
 			}
@@ -359,11 +333,7 @@ func (c *Catalog) Append(name string, rows Bag) (DatasetInfo, error) {
 				// The tail broke the index's key invariant (cannot happen for
 				// conforming rows, but Extend is defensive): rebuild outright.
 				old := e.idx.Column(col)
-				vals, vok := columnValues(nb, bt, col)
-				if !vok {
-					continue
-				}
-				if ci, err = index.Build(col, old.HasHash(), old.HasOrdered(), vals); err != nil {
+				if ci, err = runner.BuildIndex(nb, bt, col, old.HasHash(), old.HasOrdered()); err != nil {
 					continue
 				}
 				index.RecordRebuild()
@@ -408,33 +378,15 @@ func (c *Catalog) DeleteJSON(name, column, raw string) (int, error) {
 	if !ok {
 		return 0, fmt.Errorf("catalog: dataset %s is not registered", name)
 	}
-	st, ok := columnScalarType(e.info.Type.(nrc.BagType), column)
+	_, st, ok := runner.ScalarColumn(e.info.Type.(nrc.BagType), column)
 	if !ok {
-		return 0, fmt.Errorf("catalog: dataset %s has no top-level scalar column %q", name, column)
+		return 0, fmt.Errorf("catalog: dataset %s: delete: no top-level scalar column %q", name, column)
 	}
 	v, err := ingest.ScalarFromJSON(raw, st)
 	if err != nil {
 		return 0, fmt.Errorf("catalog: dataset %s: delete: %w", name, err)
 	}
 	return c.Delete(name, column, v)
-}
-
-// columnScalarType resolves a top-level scalar column's type (the "_value"
-// pseudo-column for scalar-element bags, mirroring columnOffset).
-func columnScalarType(bt nrc.BagType, col string) (nrc.ScalarType, bool) {
-	if tt, ok := bt.Elem.(nrc.TupleType); ok {
-		for _, f := range tt.Fields {
-			if f.Name == col {
-				st, scalar := f.Type.(nrc.ScalarType)
-				return st, scalar
-			}
-		}
-		return nrc.ScalarType{}, false
-	}
-	if st, scalar := bt.Elem.(nrc.ScalarType); scalar && col == "_value" {
-		return st, true
-	}
-	return nrc.ScalarType{}, false
 }
 
 // Delete removes every row whose column equals v (the engine's value.Compare
@@ -447,8 +399,8 @@ func (c *Catalog) Delete(name, column string, v Value) (int, error) {
 		return 0, fmt.Errorf("catalog: dataset %s: delete key must not be NULL", name)
 	}
 	return c.deleteWhere(name, func(bt nrc.BagType) (func(Value) bool, error) {
-		off := columnOffset(bt, column)
-		if off < 0 {
+		off, _, ok := runner.ScalarColumn(bt, column)
+		if !ok {
 			return nil, fmt.Errorf("no top-level scalar column %q", column)
 		}
 		return func(el Value) bool {
@@ -513,11 +465,7 @@ func rebuildIndexes(old *index.Set, b Bag, bt nrc.BagType) *index.Set {
 	out := index.NewSet()
 	for _, col := range old.Names() {
 		oc := old.Column(col)
-		vals, ok := columnValues(b, bt, col)
-		if !ok {
-			continue
-		}
-		ci, err := index.Build(col, oc.HasHash(), oc.HasOrdered(), vals)
+		ci, err := runner.BuildIndex(b, bt, col, oc.HasHash(), oc.HasOrdered())
 		if err != nil {
 			continue
 		}
@@ -654,21 +602,18 @@ func (e *UnknownDatasetError) Error() string {
 		e.Var, e.Dataset, e.Have)
 }
 
-// resolve snapshots the env, data, entry generations, table statistics, and
-// secondary indexes for the given variable names, applying the session's
-// bindings. Statistics of indexed columns carry the index flags the planner's
+// resolve snapshots the entries (dataset generations) the variable names
+// resolve to under the session's bindings, and their table statistics.
+// Statistics of indexed columns carry the index flags the planner's
 // Select→IndexScan conversion keys on, and indexed datasets additionally
 // publish their estimate under the shredded top-component name — value
 // shredding preserves top-level row order and scalar column positions, so the
-// same indexes (re-keyed by runner.Compiled.MapIndexes) serve both routes.
-func (c *Catalog) resolve(vars []string, bindings map[string]string) (Env, map[string]Bag, map[string]int64, map[string]plan.TableEstimate, map[string]*index.Set, error) {
+// same indexes serve both routes (runner.Inputs.Bind).
+func (c *Catalog) resolve(vars []string, bindings map[string]string) (map[string]*catalogEntry, map[string]plan.TableEstimate, error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	env := Env{}
-	inputs := map[string]Bag{}
-	gens := map[string]int64{}
+	entries := map[string]*catalogEntry{}
 	ests := map[string]plan.TableEstimate{}
-	var idxs map[string]*index.Set
 	for _, v := range vars {
 		ds := v
 		if b, ok := bindings[v]; ok {
@@ -676,11 +621,9 @@ func (c *Catalog) resolve(vars []string, bindings map[string]string) (Env, map[s
 		}
 		e, ok := c.entries[ds]
 		if !ok {
-			return nil, nil, nil, nil, nil, &UnknownDatasetError{Var: v, Dataset: ds, Have: append([]string(nil), c.order...)}
+			return nil, nil, &UnknownDatasetError{Var: v, Dataset: ds, Have: append([]string(nil), c.order...)}
 		}
-		env[v] = e.info.Type
-		inputs[v] = e.bag
-		gens[v] = e.gen
+		entries[v] = e
 		if e.stats == nil {
 			continue
 		}
@@ -694,14 +637,10 @@ func (c *Catalog) resolve(vars []string, bindings map[string]string) (Env, map[s
 				te.Cols[col] = ce
 			}
 			ests[shred.MatName(v, nil)] = te
-			if idxs == nil {
-				idxs = map[string]*index.Set{}
-			}
-			idxs[v] = e.idx
 		}
 		ests[v] = te
 	}
-	return env, inputs, gens, ests, idxs, nil
+	return entries, ests, nil
 }
 
 // generationsUnchanged reports whether every dataset the variables resolve to
@@ -804,28 +743,17 @@ type SessionOptions struct {
 // they started with; a dataset that is dropped and not re-registered keeps
 // serving its last snapshot. Sessions are safe for concurrent use.
 //
-// A session shares converted input rows across everything it prepares: the
+// Converted input rows belong to the dataset generation, not to a session: the
 // nested→engine-row conversion (value shredding on shredded routes) of each
-// (variable, dataset generation, route) happens once per session, no matter
-// how many queries reference the dataset — so a service preparing many
-// ad-hoc text queries over one dataset holds one converted copy, not one per
-// query.
+// (dataset generation, variable name, route) happens once, however many
+// sessions and queries reference it, and is released with the generation — so
+// a service preparing many ad-hoc text queries over one dataset holds one
+// converted copy, not one per query.
 type Session struct {
 	cat  *Catalog
 	cfg  Config
 	pool *Pool
 	bind map[string]string
-
-	rowMu    sync.Mutex
-	rowCache map[string]*sharedRows
-}
-
-// sharedRows is one (variable, dataset generation, route) conversion slot;
-// once guarantees a single conversion under concurrent first use.
-type sharedRows struct {
-	once sync.Once
-	rows map[string][]dataflow.Row
-	err  error
 }
 
 // NewSession creates a session over the catalog.
@@ -839,46 +767,7 @@ func (c *Catalog) NewSession(opts SessionOptions) *Session {
 	for k, v := range opts.Bindings {
 		bind[k] = v
 	}
-	return &Session{cat: c, cfg: cfg, pool: pool, bind: bind, rowCache: map[string]*sharedRows{}}
-}
-
-// converter builds the per-input conversion hook installed on the prepared
-// data of every query this session prepares: rows convert once per
-// (variable, dataset generation, route kind) and are shared session-wide.
-func (s *Session) converter(gens map[string]int64) func(cq *runner.Compiled, name string, b Bag) (map[string][]dataflow.Row, error) {
-	return func(cq *runner.Compiled, name string, b Bag) (map[string][]dataflow.Row, error) {
-		key := fmt.Sprintf("%s\x00%d\x00%t", name, gens[name], cq.Strategy.IsShredded())
-		s.rowMu.Lock()
-		e, ok := s.rowCache[key]
-		if !ok {
-			e = &sharedRows{}
-			s.rowCache[key] = e
-		}
-		s.rowMu.Unlock()
-		e.once.Do(func() {
-			e.rows, e.err = cq.InputRowsOne(name, b)
-		})
-		return e.rows, e.err
-	}
-}
-
-// pruneRows drops cached conversions of superseded generations: a mutating
-// dataset must not pin the converted rows of every generation it ever had.
-// Conversions another query is still serving re-enter the cache on their next
-// first use (their PreparedData keeps its own reference meanwhile).
-func (s *Session) pruneRows(gens map[string]int64) {
-	s.rowMu.Lock()
-	defer s.rowMu.Unlock()
-	for key := range s.rowCache {
-		name, rest, ok := strings.Cut(key, "\x00")
-		if !ok {
-			continue
-		}
-		genStr, _, _ := strings.Cut(rest, "\x00")
-		if keep, tracked := gens[name]; tracked && genStr != fmt.Sprint(keep) {
-			delete(s.rowCache, key)
-		}
-	}
+	return &Session{cat: c, cfg: cfg, pool: pool, bind: bind}
 }
 
 // Prepare resolves the query's free variables against the catalog,
@@ -975,9 +864,9 @@ func diagnose(src *parse.Source, err error) error {
 
 // SessionQuery is a query or multi-step program prepared against a catalog:
 // compiled plans come from the process-wide plan cache, input conversion is
-// cached per route, any number of goroutines may Run concurrently, and every
-// Run re-resolves against the catalog when a referenced dataset's generation
-// moved (see Session).
+// cached per route on the catalog generation, any number of goroutines may
+// Run concurrently, and every Run re-resolves against the catalog when a
+// referenced dataset's generation moved (see Session).
 type SessionQuery struct {
 	s       *Session
 	prepare func(PrepareOptions) (*PreparedQuery, error)
@@ -993,9 +882,13 @@ type SessionQuery struct {
 // generations and re-prepares it. Caller holds sq.mu.
 func (sq *SessionQuery) refreshLocked() error {
 	s := sq.s
-	env, inputs, gens, ests, idxs, err := s.cat.resolve(sq.vars, s.bind)
+	entries, ests, err := s.cat.resolve(sq.vars, s.bind)
 	if err != nil {
 		return err
+	}
+	env, gens, inputs := Env{}, map[string]int64{}, runner.Inputs{}
+	for v, e := range entries {
+		env[v], gens[v], inputs[v] = e.info.Type, e.gen, e.input(v)
 	}
 	cfg := s.cfg
 	if len(ests) > 0 {
@@ -1020,11 +913,7 @@ func (sq *SessionQuery) refreshLocked() error {
 	if err != nil {
 		return err
 	}
-	data := pq.BindData(inputs)
-	data.convert = s.converter(gens)
-	data.idxs = idxs
-	s.pruneRows(gens)
-	sq.pq, sq.data, sq.gens = pq, data, gens
+	sq.pq, sq.data, sq.gens = pq, &PreparedData{inputs: inputs}, gens
 	return nil
 }
 

@@ -57,9 +57,21 @@ func New(ctx *dataflow.Context) *Executor {
 // Bind registers a named input dataset. The dataset is forced first: a named
 // input may be scanned by several downstream plans, and materializing once
 // here keeps each of them from re-running the name's pending fused chain.
-func (ex *Executor) Bind(name string, d *dataflow.Dataset) { ex.Inputs[name] = d.Force() }
+//
+// Every dataset the executor binds or builds has Ctx.Parallelism partitions —
+// FromRows, Empty, Split, the joins, Γ, dedup and ⊎ keep or produce that
+// count — so a dataset plan.Place calls hash-placed lies where an exchange
+// would put it. Bind is where a dataset of another count could enter, and it
+// refuses one.
+func (ex *Executor) Bind(name string, d *dataflow.Dataset) {
+	if n := d.NumPartitions(); n != ex.Ctx.Parallelism {
+		panic(fmt.Sprintf("exec: input %q has %d partitions, the context %d", name, n, ex.Ctx.Parallelism))
+	}
+	ex.Inputs[name] = d.Force()
+}
 
-// BindRows registers a named input from raw rows.
+// BindRows registers a named input from raw rows (FromRows: Parallelism
+// partitions).
 func (ex *Executor) BindRows(name string, rows []dataflow.Row) {
 	ex.Inputs[name] = ex.Ctx.FromRows(rows)
 	ex.raw[name] = rows
@@ -81,12 +93,11 @@ func (ex *Executor) wideStage(ns *plan.NodeStats, kind string) string {
 	return stage
 }
 
-// reduceStage is wideStage for a Γ/dedup over t, reporting whether it reduces
-// where its rows lie: the plan marked it (plan.Place) and t's components merge
-// partition by partition. Otherwise it exchanges, which is always correct. A
-// local one runs only its reduce stage, which its wall then resolves from.
-func (ex *Executor) reduceStage(ns *plan.NodeStats, kind string, t triple, marked []int) (stage string, local bool) {
-	local = marked != nil && (t.heavy == nil || t.heavy.NumPartitions() == t.light.NumPartitions())
+// reduceStage is wideStage for a Γ/dedup, reporting whether it reduces where
+// its rows lie: plan.Place marked it. A local one runs only its reduce stage,
+// which its wall then resolves from.
+func (ex *Executor) reduceStage(ns *plan.NodeStats, kind string, marked []int) (stage string, local bool) {
+	local = marked != nil
 	if stage = ex.wideStage(ns, kind); local && ns != nil {
 		ns.Stage += "/reduce"
 	}
@@ -221,11 +232,11 @@ func (ex *Executor) run(op plan.Op) (triple, error) {
 		// Γ, dedup and ⊎ merge light and heavy and follow the standard
 		// implementation (paper Figure 6: an empty heavy component and a null
 		// heavy-key set come back).
-		stage, local := ex.reduceStage(ns, "nest", in, x.Local)
+		stage, local := ex.reduceStage(ns, "nest", x.Local)
 		return ex.allLight(recordWide(ns)(ex.nest(in.merge(), x, stage, local)))
 
 	case *plan.DedupOp:
-		stage, local := ex.reduceStage(ns, "dedup", in, x.Local)
+		stage, local := ex.reduceStage(ns, "dedup", x.Local)
 		return ex.allLight(recordWide(ns)(in.merge().Distinct(stage, local)))
 
 	case *plan.UnionAll:
@@ -243,7 +254,7 @@ func (ex *Executor) run(op plan.Op) (triple, error) {
 			// light labels; heavy labels stay where they are.
 			in = ex.keysFor(in, cols, x.KeepSplit)
 		}
-		light, err := recordWide(ns)(in.light.RepartitionBy(ex.wideStage(ns, "bagToDict"), cols, ex.placed(x.Placed, in.light)))
+		light, err := recordWide(ns)(in.light.RepartitionBy(ex.wideStage(ns, "bagToDict"), cols, x.Placed))
 		if err != nil {
 			return triple{}, err
 		}
@@ -317,16 +328,7 @@ func (ex *Executor) join(l, r *dataflow.Dataset, x *plan.Join, jo dataflow.JoinO
 	if broadcast {
 		return l.BroadcastJoin(ex.wideStage(ns, "bjoin"), r, x.LCols, x.RCols, jo, x.Outer)
 	}
-	placed := [2]bool{ex.placed(x.Placed[0], l), ex.placed(x.Placed[1], r)}
-	return l.Join(ex.wideStage(ns, "join"), r, x.LCols, x.RCols, placed, jo, x.Outer)
-}
-
-// placed is the plan's decision that d already lies hash-placed on the key an
-// exchange would route it by (plan.Place), honored only where d has the
-// partition count that exchange would give it. Otherwise the exchange runs,
-// which is always correct.
-func (ex *Executor) placed(decided bool, d *dataflow.Dataset) bool {
-	return decided && d.NumPartitions() == ex.Ctx.Parallelism
+	return l.Join(ex.wideStage(ns, "join"), r, x.LCols, x.RCols, x.Placed, jo, x.Outer)
 }
 
 // joinOut is the row x's probe writes: L ++ R, or x.Outs over it with plain

@@ -1,7 +1,9 @@
 package exec
 
 import (
+	"fmt"
 	"slices"
+	"strings"
 	"testing"
 
 	"github.com/trance-go/trance/internal/dataflow"
@@ -149,13 +151,13 @@ func TestJoinOverLocalNestShuffles(t *testing.T) {
 	run := func(local []int) ([]dataflow.Row, []string) {
 		ctx := dataflow.NewContext(4)
 		ex := New(ctx)
-		// C(k, v) co-located on k: each key's rows in one of 3 partitions; R
-		// holds every other key.
-		parts := make([][]dataflow.Row, 3)
+		// C(k, v) co-located on k, though not hash-placed: each key's rows in
+		// one of the 4 partitions; R holds every other key.
+		parts := make([][]dataflow.Row, 4)
 		var rrows []dataflow.Row
 		for i := 0; i < 60; i++ {
 			k := int64(i % 12)
-			parts[k%3] = append(parts[k%3], dataflow.Row{k, int64(i)})
+			parts[k%4] = append(parts[k%4], dataflow.Row{k, int64(i)})
 			if i < 12 && k%2 == 0 {
 				rrows = append(rrows, dataflow.Row{k, "r"})
 			}
@@ -298,26 +300,17 @@ func TestNarrowChainAllocatesPerChunk(t *testing.T) {
 	}
 }
 
-// TestInPlaceFallsBack: a marked Γ/dedup exchanges, which is always correct,
-// when the two components of its input would not merge partition by
-// partition.
-func TestInPlaceFallsBack(t *testing.T) {
+// TestBindRefusesAnotherPartitionCount: every dataset the executor binds has
+// the context's partition count, which is what lets a placed decision skip an
+// exchange without comparing counts at run time; Bind refuses any other.
+func TestBindRefusesAnotherPartitionCount(t *testing.T) {
 	ctx := dataflow.NewContext(4)
 	ex := New(ctx)
-	five := ctx.FromPartitions(make([][]dataflow.Row, 5))
-	for _, c := range []struct {
-		name   string
-		t      triple
-		marked []int
-		want   bool
-	}{
-		{"marked", triple{light: five}, []int{0}, true},
-		{"unmarked", triple{light: five}, nil, false},
-		{"components alike", triple{light: ctx.Empty(), heavy: ctx.Empty()}, []int{0}, true},
-		{"components apart", triple{light: five, heavy: ctx.Empty()}, []int{0}, false},
-	} {
-		if _, got := ex.reduceStage(nil, "nest", c.t, c.marked); got != c.want {
-			t.Errorf("%s: in place %t, want %t", c.name, got, c.want)
+	ex.Bind("four", ctx.Empty())
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), `"five" has 5 partitions`) {
+			t.Fatalf("Bind of a 5-partition dataset on a 4-partition context: recovered %v", r)
 		}
-	}
+	}()
+	ex.Bind("five", ctx.FromPartitions(make([][]dataflow.Row, 5)))
 }

@@ -158,9 +158,10 @@ type ExchangeStat struct {
 	ColumnarBytes, BoxedBytes     int64
 }
 
-// ExplainAnalyzed renders the plan like Explain, appending each node's
-// measured runtime annotation beside its static one: `[est_rows=N]` gains
-// `[actual_rows=M rows_in=… wall=…]`. stageWall resolves wide operators'
+// ExplainAnalyzed renders the plan as an indented tree, one operator per line
+// with its output columns (the one walk Explain renders through too), and
+// each node's measured runtime annotation beside its static one: `[est_rows=N]`
+// gains `[actual_rows=M rows_in=… wall=…]`. stageWall resolves wide operators'
 // wall time from the run's per-stage metrics (pass the Result.Metrics stage
 // walls); nil omits wide-op walls. exchange resolves wide operators' shuffle
 // exchange accounting (columnar vs boxed buffers and compact bytes), keyed
@@ -178,9 +179,7 @@ func explainAnalyzed(sb *strings.Builder, op Op, a *Analysis, stageWall map[stri
 		sb.WriteString("  ")
 	}
 	sb.WriteString(op.Describe())
-	if ann := analyzeAnnotation(op, a, stageWall, exchange); ann != "" {
-		sb.WriteString(ann)
-	}
+	sb.WriteString(analyzeAnnotation(op, a, stageWall, exchange))
 	sb.WriteString("  → (")
 	cols := op.Columns()
 	for i, c := range cols {

@@ -390,31 +390,6 @@ func (b *BagToDict) Describe() string {
 	return fmt.Sprintf("bagToDict $%d", b.LabelCol) + mark(b.Placed, "placed") + mark(b.KeepSplit, "split kept")
 }
 
-// Explain renders the plan as an indented tree with output column lists.
-func Explain(op Op) string {
-	var sb strings.Builder
-	explain(&sb, op, 0)
-	return sb.String()
-}
-
-func explain(sb *strings.Builder, op Op, depth int) {
-	for i := 0; i < depth; i++ {
-		sb.WriteString("  ")
-	}
-	sb.WriteString(op.Describe())
-	sb.WriteString("  → (")
-	cols := op.Columns()
-	for i, c := range cols {
-		if i > 0 {
-			sb.WriteString(", ")
-		}
-		sb.WriteString(c.Name)
-		if _, isBag := c.Type.(nrc.BagType); isBag {
-			sb.WriteString("ᴮ")
-		}
-	}
-	sb.WriteString(")\n")
-	for _, ch := range op.Children() {
-		explain(sb, ch, depth+1)
-	}
-}
+// Explain renders the plan as an indented tree with output column lists: the
+// ExplainAnalyzed rendering of a run that measured nothing.
+func Explain(op Op) string { return ExplainAnalyzed(op, nil, nil, nil) }

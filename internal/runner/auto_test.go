@@ -327,13 +327,13 @@ func BenchmarkAutoStrategy(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			rows, err := cq.InputRows(inputs)
+			rows, idxs, err := runner.NewInputs(inputs, cq.Env).Bind([]*runner.Compiled{cq})
 			if err != nil {
 				b.Fatal(err)
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res := runner.Execute(context.Background(), []*runner.Compiled{cq}, rows, nil, runner.NewRunContext(cfg), runner.ExecOptions{})
+				res := runner.Execute(context.Background(), []*runner.Compiled{cq}, rows, idxs, runner.NewRunContext(cfg), runner.ExecOptions{})
 				if res.Err != nil {
 					b.Fatal(res.Err)
 				}

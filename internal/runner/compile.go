@@ -386,147 +386,6 @@ func NewRunContext(cfg Config) *dataflow.Context {
 	return ctx
 }
 
-// InputRows converts nested inputs into the engine rows Execute binds:
-// top-level rows for standard routes, value-shredded component rows for
-// shredded routes. The conversion depends only on the route and the input
-// environment, so callers evaluating a fixed dataset repeatedly (a serving
-// process) compute it once and pass the result to Execute. The returned
-// rows are never mutated by the engine and may be shared by any number of
-// concurrent executions.
-func (cq *Compiled) InputRows(inputs map[string]value.Bag) (map[string][]dataflow.Row, error) {
-	rows := map[string][]dataflow.Row{}
-	for name, b := range inputs {
-		comps, err := cq.InputRowsOne(name, b)
-		if err != nil {
-			return nil, err
-		}
-		for comp, rs := range comps {
-			rows[comp] = rs
-		}
-	}
-	return rows, nil
-}
-
-// InputRowsOne converts a single named input into its engine datasets: one
-// entry under the input's own name for non-shredded strategies, the
-// value-shredded dictionary components for shredded ones. The result
-// depends only on (name, bag, declared type, route kind), so callers
-// evaluating many queries over the same dataset may convert once per route
-// and share the rows (see trance.Session).
-func (cq *Compiled) InputRowsOne(name string, b value.Bag) (rows map[string][]dataflow.Row, err error) {
-	defer recoverTo(&err, "input preparation")
-	if !cq.Strategy.IsShredded() {
-		return map[string][]dataflow.Row{name: rowsOf(b)}, nil
-	}
-	bt, ok := cq.Env[name].(nrc.BagType)
-	if !ok {
-		return nil, fmt.Errorf("input %s is not a bag", name)
-	}
-	si, err := shred.ShredInput(name, b, bt)
-	if err != nil {
-		return nil, err
-	}
-	rows = map[string][]dataflow.Row{}
-	for comp, ts := range si.Rows {
-		rows[comp] = tuplesToRows(ts)
-	}
-	return rows, nil
-}
-
-// BuildIndexes constructs secondary-index sets for every input column the
-// compile-time statistics flag as indexed, keyed for this compilation's route
-// (see MapIndexes). It returns nil when no plan of this compilation carries
-// an IndexScan, so callers without index scans pay nothing. Serving callers
-// reuse the catalog's persistent indexes instead (see trance.Session);
-// IndexScan degrades to a full scan plus its span predicate when executed
-// without them, so passing nil is always sound.
-func (cq *Compiled) BuildIndexes(inputs map[string]value.Bag) map[string]*index.Set {
-	if cq.Idx.Planned == 0 {
-		return nil
-	}
-	var byDataset map[string]*index.Set
-	for name, b := range inputs {
-		te, ok := cq.Cfg.Stats[name]
-		if !ok {
-			continue
-		}
-		bt, isBag := cq.Env[name].(nrc.BagType)
-		if !isBag {
-			continue
-		}
-		var set *index.Set
-		for colName, ce := range te.Cols {
-			if !ce.IndexHash && !ce.IndexOrdered {
-				continue
-			}
-			off := colOffset(bt, colName)
-			if off < 0 {
-				continue
-			}
-			vals := make([]value.Value, len(b))
-			for i, e := range b {
-				if t, isT := e.(value.Tuple); isT {
-					vals[i] = t[off]
-				} else {
-					vals[i] = e
-				}
-			}
-			ci, err := index.Build(colName, ce.IndexHash, ce.IndexOrdered, vals)
-			if err != nil {
-				continue
-			}
-			if set == nil {
-				set = index.NewSet()
-			}
-			set.Put(ci)
-		}
-		if set != nil {
-			if byDataset == nil {
-				byDataset = map[string]*index.Set{}
-			}
-			byDataset[name] = set
-		}
-	}
-	return cq.MapIndexes(byDataset)
-}
-
-// colOffset finds a top-level scalar column's tuple offset ("_value" for
-// scalar-element bags).
-func colOffset(bt nrc.BagType, col string) int {
-	if tt, ok := bt.Elem.(nrc.TupleType); ok {
-		for i, f := range tt.Fields {
-			if f.Name == col {
-				return i
-			}
-		}
-		return -1
-	}
-	if col == "_value" {
-		return 0
-	}
-	return -1
-}
-
-// MapIndexes re-keys per-dataset index sets for this compilation's route:
-// dataset names on standard routes, shredded top-component names on shredded
-// routes. The mapping is sound because value shredding preserves top-level
-// row order and keeps scalar columns in place (bags become labels), so the
-// positions and keys of a dataset index address the top dictionary's rows
-// verbatim.
-func (cq *Compiled) MapIndexes(byDataset map[string]*index.Set) map[string]*index.Set {
-	if len(byDataset) == 0 {
-		return nil
-	}
-	if !cq.Strategy.IsShredded() {
-		return byDataset
-	}
-	out := make(map[string]*index.Set, len(byDataset))
-	for name, s := range byDataset {
-		out[shred.MatName(name, nil)] = s
-	}
-	return out
-}
-
 // ExecOptions carries per-execution observability hooks; they apply to every
 // step of the program.
 type ExecOptions struct {
@@ -539,9 +398,9 @@ type ExecOptions struct {
 }
 
 // Execute is the one way a compiled program reaches the engine: it builds the
-// executor on dctx, binds the pre-converted input rows (InputRows) and the
-// secondary indexes keyed like them (MapIndexes; nil is always sound —
-// IndexScan then falls back to a full scan plus its span predicate), and runs
+// executor on dctx, binds the input rows and the secondary indexes keyed like
+// them (Inputs.Bind; nil indexes are always sound — IndexScan then falls back
+// to a full scan plus its span predicate), and runs
 // the steps in order. A query is the one-step program. All steps share the
 // executor, so each step's output — the nested dataset on standard routes, the
 // materialized shredded components on shredded routes — is visible to later
@@ -600,21 +459,15 @@ func Execute(ctx context.Context, prog []*Compiled, rows map[string][]dataflow.R
 }
 
 // ExecuteInputs is Execute for one-shot callers holding nested values: it
-// converts the inputs (InputRows) and builds the indexes the plans planned
-// (BuildIndexes) on every call. Callers evaluating a fixed dataset repeatedly
-// convert once and call Execute.
+// binds them under the types of prog's environment (NewInputs, Inputs.Bind),
+// converting them and building the indexes the plans planned on every call.
+// Callers evaluating a fixed dataset repeatedly keep its Inputs and bind those.
 func ExecuteInputs(ctx context.Context, prog []*Compiled, inputs map[string]value.Bag, dctx *dataflow.Context, opts ExecOptions) *Result {
-	rows, err := prog[0].InputRows(inputs)
+	rows, idxs, err := NewInputs(inputs, prog[0].Env).Bind(prog)
 	if err != nil {
 		res := Failure(prog[len(prog)-1].Strategy, err)
 		res.Metrics = dctx.Metrics.Snapshot()
 		return res
-	}
-	var idxs map[string]*index.Set
-	for _, cq := range prog {
-		if idxs = cq.BuildIndexes(inputs); idxs != nil {
-			break
-		}
 	}
 	return Execute(ctx, prog, rows, idxs, dctx, opts)
 }

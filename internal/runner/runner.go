@@ -312,23 +312,3 @@ func Run(job Job, strat Strategy, cfg Config) *Result {
 	}
 	return ExecuteInputs(context.Background(), []*Compiled{cq}, job.Inputs, NewRunContext(cfg), ExecOptions{})
 }
-
-func rowsOf(b value.Bag) []dataflow.Row {
-	out := make([]dataflow.Row, len(b))
-	for i, e := range b {
-		if t, ok := e.(value.Tuple); ok {
-			out[i] = dataflow.Row(t)
-		} else {
-			out[i] = dataflow.Row{e}
-		}
-	}
-	return out
-}
-
-func tuplesToRows(ts []value.Tuple) []dataflow.Row {
-	out := make([]dataflow.Row, len(ts))
-	for i, t := range ts {
-		out[i] = dataflow.Row(t)
-	}
-	return out
-}

@@ -10,7 +10,6 @@ import (
 	"sync"
 
 	"github.com/trance-go/trance/internal/dataflow"
-	"github.com/trance-go/trance/internal/index"
 	"github.com/trance-go/trance/internal/metrics"
 	"github.com/trance-go/trance/internal/nrc"
 	"github.com/trance-go/trance/internal/plan"
@@ -228,13 +227,14 @@ func Analyze() RunOption { return func(o *runOptions) { o.analyze = true } }
 // Run evaluates the prepared program under the strategy over data bound with
 // BindData (pq.Run(ctx, pq.BindData(inputs), strat) for a one-off). The
 // compiled plans are looked up in the compilation cache (and compiled on first
-// use); input conversion is cached per route on the data; execution runs on a
-// fresh dataflow context drawing workers from the shared pool. A nil Result
-// means the program did not compile (or ctx was already done); failures from
-// there on (including recovered panics) return the Result — its Metrics,
-// StepElapsed and FailedStep are valid — beside the error. Cancellation of ctx
-// is honored between plan statements. When ctx carries a trace the run records
-// compile, bind and execute spans and stamps Result.TraceID.
+// use); input conversion and the planned indexes are cached on the data;
+// execution runs on a fresh dataflow context drawing workers from the shared
+// pool. A nil Result means the program did not compile (or ctx was already
+// done); failures from there on (including recovered panics) return the
+// Result — its Metrics, StepElapsed and FailedStep are valid — beside the
+// error. Cancellation of ctx is honored between plan statements. When ctx
+// carries a trace the run records compile, bind and execute spans and stamps
+// Result.TraceID.
 func (pq *PreparedQuery) Run(ctx context.Context, data *PreparedData, strat Strategy, opts ...RunOption) (*Result, error) {
 	var o runOptions
 	for _, fn := range opts {
@@ -256,7 +256,7 @@ func (pq *PreparedQuery) Run(ctx context.Context, data *PreparedData, strat Stra
 		return nil, fmt.Errorf("%s (%s): %w", pq.label(), strat, err)
 	}
 	bsp := tr.Span().Child("bind")
-	rows, err := data.rowsFor(prog[0])
+	rows, idxs, err := data.inputs.Bind(prog)
 	bsp.End()
 	if err != nil {
 		err = fmt.Errorf("%s (%s): prepare inputs: %w", pq.label(), strat, err)
@@ -272,7 +272,7 @@ func (pq *PreparedQuery) Run(ctx context.Context, data *PreparedData, strat Stra
 	eopts.Span = tr.Span().Child("execute")
 	dctx := runner.NewRunContext(pq.cfg)
 	dctx.SharedPool = pq.pool
-	res := runner.Execute(ctx, prog, rows, prog[0].MapIndexes(data.idxs), dctx, eopts)
+	res := runner.Execute(ctx, prog, rows, idxs, dctx, eopts)
 	eopts.Span.End()
 	if tr != nil {
 		res.TraceID = tr.ID
@@ -283,70 +283,22 @@ func (pq *PreparedQuery) Run(ctx context.Context, data *PreparedData, strat Stra
 	return res, nil
 }
 
-// PreparedData is a dataset bound to a prepared query: the conversion of
-// nested values into engine rows — top-level rows for standard routes,
-// value-shredded dictionary components for shredded routes — is computed
-// once per route on first use and shared by every Run and any number of
-// goroutines. Bind the data once at load time and serve requests
-// from it (what cmd/tranced does with its preloaded datasets).
+// PreparedData is a dataset bound to a prepared query: each input's
+// conversion into engine rows — top-level rows for standard routes,
+// value-shredded dictionary components for shredded routes — and the
+// secondary indexes the plans planned are computed once per route on first
+// use and shared by every Run and any number of goroutines (runner.Input).
+// Bind the data once at load time and serve requests from it. A session binds
+// the inputs its catalog generations own, which every query over them shares.
 type PreparedData struct {
-	raw map[string]Bag
-
-	// convert, when set, converts one named input (all its components);
-	// sessions install a converter that shares converted rows per (variable,
-	// dataset, route) across every query they prepare, so many ad-hoc
-	// queries over one dataset hold one converted copy, not one each. Nil
-	// falls back to the compiled query's own whole-map conversion.
-	convert func(cq *runner.Compiled, name string, b Bag) (map[string][]dataflow.Row, error)
-
-	// idxs are the secondary indexes of the bound datasets, keyed by variable
-	// name (sessions fill them from the catalog). Run re-keys them for
-	// the route and binds them so IndexScan plans resolve spans against them;
-	// nil makes every IndexScan fall back to a full scan plus its predicate.
-	idxs map[string]*index.Set
-
-	mu      sync.Mutex
-	byRoute map[bool]*preparedRows // IsShredded → converted rows
-}
-
-type preparedRows struct {
-	rows map[string][]dataflow.Row
-	err  error
+	inputs runner.Inputs
 }
 
 // BindData associates a dataset with the prepared query for evaluation. The
 // input bags are captured by reference and must not be mutated afterwards;
 // the data must be run by a query with the same input environment.
 func (pq *PreparedQuery) BindData(inputs map[string]Bag) *PreparedData {
-	return &PreparedData{raw: inputs, byRoute: map[bool]*preparedRows{}}
-}
-
-func (pd *PreparedData) rowsFor(cq *runner.Compiled) (map[string][]dataflow.Row, error) {
-	key := cq.Strategy.IsShredded()
-	pd.mu.Lock()
-	defer pd.mu.Unlock()
-	if e, ok := pd.byRoute[key]; ok {
-		return e.rows, e.err
-	}
-	var rows map[string][]dataflow.Row
-	var err error
-	if pd.convert == nil {
-		rows, err = cq.InputRows(pd.raw)
-	} else {
-		rows = map[string][]dataflow.Row{}
-		for name, b := range pd.raw {
-			comps, cerr := pd.convert(cq, name, b)
-			if cerr != nil {
-				rows, err = nil, cerr
-				break
-			}
-			for comp, rs := range comps {
-				rows[comp] = rs
-			}
-		}
-	}
-	pd.byRoute[key] = &preparedRows{rows: rows, err: err}
-	return rows, err
+	return &PreparedData{inputs: runner.NewInputs(inputs, pq.envs[0])}
 }
 
 // compiled assembles the program for the strategy from the plan cache,

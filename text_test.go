@@ -7,6 +7,7 @@ import (
 
 	"github.com/trance-go/trance"
 	"github.com/trance-go/trance/internal/parse"
+	"github.com/trance-go/trance/internal/runner"
 )
 
 func textCatalog(t *testing.T) *trance.Catalog {
@@ -199,6 +200,7 @@ sumby[cname; qty](Flat)`)
 func TestSessionSharesConvertedRows(t *testing.T) {
 	cat := textCatalog(t)
 	sess := cat.NewSession(trance.SessionOptions{})
+	var bound []*runner.Input
 	texts := []string{
 		"for c in CO union { { n := c.cname } }",
 		"for c in CO union { { k := c.cname, m := c.cname } }",
@@ -214,10 +216,17 @@ func TestSessionSharesConvertedRows(t *testing.T) {
 				t.Fatalf("%s: %v", strat, err)
 			}
 		}
+		bound = append(bound, trance.BoundInputs(sq)["CO"])
 	}
-	// One standard + one shredded conversion of CO, shared by all 3 queries.
-	if got := trance.SessionSharedConversions(sess); got != 2 {
-		t.Fatalf("shared conversions: %d, want 2 (standard + shredded for CO)", got)
+	// One bound input of CO, converted once per route, shared by all 3 queries.
+	owned := trance.CatalogInputs(cat, "CO")
+	if len(owned) != 1 || owned["CO"] == nil {
+		t.Fatalf("catalog owns inputs %v of CO, want one under CO", owned)
+	}
+	for i, in := range bound {
+		if in != owned["CO"] {
+			t.Errorf("query %d binds its own input of CO, not the generation's", i)
+		}
 	}
 }
 
