@@ -14,6 +14,7 @@ package trance_test
 import (
 	"context"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -124,7 +125,7 @@ func fig7(b *testing.B, wide bool) {
 					if class == tpch.NestedToFlat && strat == runner.ShredUnshred {
 						eff = runner.Shred
 					}
-					res := runner.Run(runner.Job{Query: q, Env: env, Inputs: inputs}, eff, cfg)
+					res := trance.Run(trance.Job{Query: q, Env: env, Inputs: inputs}, eff, cfg)
 					c := cell{res: res}
 					fmt.Printf(" %7s|%-7s", c, c.shuffle())
 				}
@@ -167,7 +168,7 @@ func BenchmarkFig8Skew(b *testing.B) {
 			cfg := benchConfig(inputBytes(inputs))
 			fmt.Printf("%-6d", factor)
 			for _, strat := range strategies {
-				res := runner.Run(runner.Job{Query: q, Env: env, Inputs: inputs}, strat, cfg)
+				res := trance.Run(trance.Job{Query: q, Env: env, Inputs: inputs}, strat, cfg)
 				c := cell{res: res}
 				fmt.Printf(" %9s|%-8s", c, c.shuffle())
 			}
@@ -199,7 +200,7 @@ func BenchmarkFig9Biomed(b *testing.B) {
 			fmt.Printf("\n%s dataset (%d KiB input): per-step ms, F = FAIL at that step\n",
 				ds.name, inputBytes(inputs)/1024)
 			for _, strat := range strategies {
-				res := runner.RunPipeline(biomed.Steps(), biomed.Env(), inputs, strat, cfg)
+				res := trance.RunPipeline(biomed.Steps(), biomed.Env(), inputs, strat, cfg)
 				fmt.Printf("%-12s", strat)
 				for i, d := range res.StepElapsed {
 					if res.Failed() && i == res.FailedStep {
@@ -238,7 +239,7 @@ func BenchmarkAblationDomainElimination(b *testing.B) {
 			cfg := benchConfig(inputBytes(inputs))
 			cfg.MaxPartitionBytes = 0
 			cfg.DomainElimination = de
-			res := runner.Run(runner.Job{Query: q, Env: env, Inputs: inputs}, runner.Shred, cfg)
+			res := trance.Run(trance.Job{Query: q, Env: env, Inputs: inputs}, runner.Shred, cfg)
 			status := "ok"
 			if res.Failed() {
 				status = "FAIL: " + res.Err.Error()
@@ -264,7 +265,7 @@ func BenchmarkAblationGuarantees(b *testing.B) {
 		for _, strat := range []runner.Strategy{runner.Standard, runner.SparkSQLStyle} {
 			cfg := benchConfig(inputBytes(inputs))
 			cfg.MaxPartitionBytes = 0
-			res := runner.Run(runner.Job{Query: q, Env: env, Inputs: inputs}, strat, cfg)
+			res := trance.Run(trance.Job{Query: q, Env: env, Inputs: inputs}, strat, cfg)
 			fmt.Printf("%-12s %6.0f ms  stages=%d skipped=%d shuffleKiB=%.1f\n",
 				strat, float64(res.Elapsed.Microseconds())/1000,
 				res.Metrics.Stages, res.Metrics.SkippedShuffles,
@@ -298,8 +299,8 @@ func BenchmarkShuffleTable(b *testing.B) {
 			}
 			cfg := benchConfig(inputBytes(inputs))
 			cfg.MaxPartitionBytes = 0
-			std := runner.Run(runner.Job{Query: q, Env: env, Inputs: inputs}, runner.Standard, cfg)
-			shr := runner.Run(runner.Job{Query: q, Env: env, Inputs: inputs}, runner.Shred, cfg)
+			std := trance.Run(trance.Job{Query: q, Env: env, Inputs: inputs}, runner.Standard, cfg)
+			shr := trance.Run(trance.Job{Query: q, Env: env, Inputs: inputs}, runner.Shred, cfg)
 			ratio := float64(std.Metrics.ShuffleBytes) / float64(max64(shr.Metrics.ShuffleBytes, 1))
 			fmt.Printf("%-22s standard=%8.1fKiB shred=%8.1fKiB ratio=%.1fx\n",
 				row.name, float64(std.Metrics.ShuffleBytes)/1024,
@@ -364,7 +365,7 @@ func BenchmarkParallelScaling(b *testing.B) {
 		cfg := cfgFor(w.workers)
 		b.Run("tpch-n2n-L2/"+w.name, func(b *testing.B) {
 			for n := 0; n < b.N; n++ {
-				res := runner.Run(runner.Job{Query: q, Env: env, Inputs: inputs}, runner.Standard, cfg)
+				res := trance.Run(trance.Job{Query: q, Env: env, Inputs: inputs}, runner.Standard, cfg)
 				if res.Failed() {
 					b.Fatalf("tpch failed: %v", res.Err)
 				}
@@ -372,7 +373,7 @@ func BenchmarkParallelScaling(b *testing.B) {
 		})
 		b.Run("biomed-e2e/"+w.name, func(b *testing.B) {
 			for n := 0; n < b.N; n++ {
-				pres := runner.RunPipeline(biomed.Steps(), biomed.Env(), bioInputs, runner.Standard, cfg)
+				pres := trance.RunPipeline(biomed.Steps(), biomed.Env(), bioInputs, runner.Standard, cfg)
 				if pres.Failed() {
 					b.Fatalf("biomed failed: %v", pres.Err)
 				}
@@ -396,7 +397,7 @@ func BenchmarkRunningExample(b *testing.B) {
 	var expect value.Bag
 	for n := 0; n < b.N; n++ {
 		for _, strat := range []runner.Strategy{runner.Standard, runner.ShredUnshred} {
-			res := runner.Run(runner.Job{Query: q, Env: env, Inputs: inputs}, strat, cfg)
+			res := trance.Run(trance.Job{Query: q, Env: env, Inputs: inputs}, strat, cfg)
 			if res.Failed() {
 				b.Fatalf("%s failed: %v", strat, res.Err)
 			}
@@ -419,9 +420,10 @@ func BenchmarkRunningExample(b *testing.B) {
 
 // BenchmarkPreparedVsUnprepared measures what trance.Prepare amortizes: the
 // unprepared path rebuilds the query AST and re-runs typechecking,
-// (shredded) compilation and plan pruning on every evaluation, the prepared
-// path compiles once and only executes. Compare the sub-benchmarks with
-// benchstat.
+// (shredded) compilation and plan pruning on every evaluation — trance.Run
+// prepares through the plan cache, so each iteration empties it first — the
+// prepared path compiles once and only executes. Compare the sub-benchmarks
+// with benchstat.
 func BenchmarkPreparedVsUnprepared(b *testing.B) {
 	// Small enough that compilation is a visible share of end-to-end latency
 	// (the serving regime: many fast queries over cached data).
@@ -439,7 +441,8 @@ func BenchmarkPreparedVsUnprepared(b *testing.B) {
 	for _, strat := range []runner.Strategy{runner.Standard, runner.ShredUnshred} {
 		b.Run("unprepared/"+strat.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res := runner.Run(runner.Job{
+				trance.ResetPlanCache()
+				res := trance.Run(trance.Job{
 					Query:  tpch.Query(tpch.NestedToNested, level, false),
 					Env:    tpch.Env(tpch.NestedToNested, level, false),
 					Inputs: inputs,
@@ -514,7 +517,7 @@ func BenchmarkPushdownAblation(b *testing.B) {
 					cfg := benchConfig(inputBytes(c.inputs))
 					cfg.MaxPartitionBytes = 0
 					cfg.NoPredicatePushdown = !pushdown
-					cq, err := runner.Compile(c.mk(), c.env, strat, cfg)
+					cq, err := runner.CompileStep(c.mk(), c.env, strat, cfg, "Q")
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -581,7 +584,7 @@ func BenchmarkSelectiveNarrow(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/%s", c.name, strat), func(b *testing.B) {
 				cfg := benchConfig(inputBytes(c.inputs))
 				cfg.MaxPartitionBytes = 0
-				cq, err := runner.Compile(c.mk(), c.env, strat, cfg)
+				cq, err := runner.CompileStep(c.mk(), c.env, strat, cfg, "Q")
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -685,10 +688,10 @@ func BenchmarkTextQueryEndToEnd(b *testing.B) {
 
 // BenchmarkPreparedPipelineVsUnprepared measures what trance.PreparePipeline
 // amortizes over the five-step biomedical pipeline: the unprepared path
-// typechecks and compiles every step on every evaluation, the prepared path
-// compiles each step once into the plan cache (with env-aware fingerprints
-// covering prior steps' output types) and only executes. Compare the
-// sub-benchmarks with benchstat.
+// empties the plan cache, then typechecks and compiles every step on every
+// evaluation, the prepared path compiles each step once into the plan cache
+// (with env-aware fingerprints covering prior steps' output types) and only
+// executes. Compare the sub-benchmarks with benchstat.
 func BenchmarkPreparedPipelineVsUnprepared(b *testing.B) {
 	cfg := biomed.SmallConfig()
 	cfg.Samples = scaled(10)
@@ -699,9 +702,10 @@ func BenchmarkPreparedPipelineVsUnprepared(b *testing.B) {
 	for _, strat := range []runner.Strategy{runner.Standard, runner.Shred} {
 		b.Run("unprepared/"+strat.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				// runner.RunPipeline compiles per call (fresh step ASTs, no
-				// cache) — the pre-catalog behavior of this library.
-				res := runner.RunPipeline(biomed.Steps(), biomed.Env(), inputs, strat, rcfg)
+				// An empty plan cache makes RunPipeline compile every step
+				// (fresh step ASTs) — the pre-catalog behavior of this library.
+				trance.ResetPlanCache()
+				res := trance.RunPipeline(biomed.Steps(), biomed.Env(), inputs, strat, rcfg)
 				if res.Failed() {
 					b.Fatal(res.Err)
 				}
@@ -761,10 +765,10 @@ func BenchmarkJSONIngest(b *testing.B) {
 // buys on selective predicates: the same compiled query runs with the
 // relevant column indexes flagged in the statistics (the planner converts
 // the pushed-down σ into an IndexScan and the executor resolves it against
-// the built indexes) and with Config.NoIndexScan ablating the conversion
-// (the σ stays a full partition sweep). Stats collection, index builds,
-// compilation and row conversion all happen outside the timer, so the two
-// arms are benchstat-comparable pure-execution numbers. The point-lookup
+// the built indexes) and with the same statistics flagging no index, which
+// ablates the conversion (the σ stays a full partition sweep). Stats
+// collection, index builds, compilation and row conversion all happen outside
+// the timer, so the two arms are benchstat-comparable pure-execution numbers. The point-lookup
 // case is the acceptance gate: an equality predicate keeping ≤1% of the
 // relation must run ≥3× faster with the index.
 func BenchmarkIndexScanAblation(b *testing.B) {
@@ -819,18 +823,17 @@ func BenchmarkIndexScanAblation(b *testing.B) {
 		},
 	}
 	for _, c := range cases {
-		ests := map[string]plan.TableEstimate{}
+		plain, flagged := map[string]plan.TableEstimate{}, map[string]plan.TableEstimate{}
 		for name, bag := range c.inputs {
-			ests[name] = stats.Collect(bag, c.env[name].(nrc.BagType), stats.Options{Parallelism: 4}).Estimate()
-		}
-		for ds, cols := range c.indexed {
-			te := ests[ds]
-			for _, col := range cols {
+			plain[name] = stats.Collect(bag, c.env[name].(nrc.BagType), stats.Options{Parallelism: 4}).Estimate()
+			te := plain[name]
+			te.Cols = maps.Clone(te.Cols)
+			for _, col := range c.indexed[name] {
 				ce := te.Cols[col]
 				ce.IndexHash, ce.IndexOrdered = true, true
 				te.Cols[col] = ce
 			}
-			ests[ds] = te
+			flagged[name] = te
 		}
 		for _, on := range []bool{true, false} {
 			mode := "on"
@@ -840,9 +843,11 @@ func BenchmarkIndexScanAblation(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/idx=%s", c.name, mode), func(b *testing.B) {
 				cfg := benchConfig(inputBytes(c.inputs))
 				cfg.MaxPartitionBytes = 0
-				cfg.Stats = ests
-				cfg.NoIndexScan = !on
-				cq, err := runner.Compile(c.mk(), c.env, runner.Standard, cfg)
+				cfg.Stats = plain
+				if on {
+					cfg.Stats = flagged
+				}
+				cq, err := runner.CompileStep(c.mk(), c.env, runner.Standard, cfg, "Q")
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -889,8 +894,8 @@ func BenchmarkAnalyzeOverhead(b *testing.B) {
 	}
 	cfg := runner.DefaultConfig()
 	for _, strat := range []runner.Strategy{runner.Standard, runner.ShredUnshred} {
-		cq, err := runner.Compile(tpch.Query(tpch.NestedToNested, level, false),
-			tpch.Env(tpch.NestedToNested, level, false), strat, cfg)
+		cq, err := runner.CompileStep(tpch.Query(tpch.NestedToNested, level, false),
+			tpch.Env(tpch.NestedToNested, level, false), strat, cfg, "Q")
 		if err != nil {
 			b.Fatal(err)
 		}

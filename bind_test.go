@@ -66,7 +66,7 @@ func TestEveryEntryPointScansThePlannedIndex(t *testing.T) {
 				return pq.Run(context.Background(), pq.BindData(inputs), strat)
 			}},
 			{"RunPipeline", func() (*trance.Result, error) {
-				res := trance.RunPipeline([]trance.PipelineStep{{Name: "Q", Query: tpch.PointLookup(777)}}, env, inputs, strat, cfg)
+				res := trance.RunPipeline([]trance.PipelineStep{{Name: "Q", Expr: tpch.PointLookup(777)}}, env, inputs, strat, cfg)
 				return res, res.Err
 			}},
 			{"Session", func() (*trance.Result, error) {

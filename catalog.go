@@ -778,8 +778,7 @@ func (s *Session) Prepare(q Expr) (*SessionQuery, error) { return s.PrepareNamed
 
 // PrepareNamed is Prepare with a label used in errors and metrics.
 func (s *Session) PrepareNamed(name string, q Expr) (*SessionQuery, error) {
-	return s.newQuery(nrc.FreeVars(q), func(opts PrepareOptions) (*PreparedQuery, error) {
-		opts.Name = name
+	return s.newQuery(name, nrc.FreeVars(q), func(opts PrepareOptions) (*PreparedQuery, error) {
 		return Prepare(q, opts)
 	})
 }
@@ -789,17 +788,17 @@ func (s *Session) PrepareNamed(name string, q Expr) (*SessionQuery, error) {
 // against the catalog, repeated runs hit the plan cache for every step and
 // re-resolve when a referenced dataset mutates.
 func (s *Session) PreparePipeline(steps []PipelineStep) (*SessionQuery, error) {
-	asg := make([]nrc.Assignment, len(steps))
-	for i, st := range steps {
-		asg[i] = nrc.Assignment{Name: st.Name, Expr: st.Query}
-	}
-	return s.newQuery(nrc.FreeVarsProgram(asg), func(opts PrepareOptions) (*PreparedQuery, error) {
+	return s.preparePipeline("", steps)
+}
+
+func (s *Session) preparePipeline(name string, steps []PipelineStep) (*SessionQuery, error) {
+	return s.newQuery(name, nrc.FreeVarsProgram(steps), func(opts PrepareOptions) (*PreparedQuery, error) {
 		return PreparePipeline(steps, opts)
 	})
 }
 
-func (s *Session) newQuery(vars map[string]bool, prepare func(PrepareOptions) (*PreparedQuery, error)) (*SessionQuery, error) {
-	sq := &SessionQuery{s: s, prepare: prepare, vars: make([]string, 0, len(vars))}
+func (s *Session) newQuery(name string, vars map[string]bool, prepare func(PrepareOptions) (*PreparedQuery, error)) (*SessionQuery, error) {
+	sq := &SessionQuery{s: s, name: name, prepare: prepare, vars: make([]string, 0, len(vars))}
 	for v := range vars {
 		sq.vars = append(sq.vars, v)
 	}
@@ -812,36 +811,27 @@ func (s *Session) newQuery(vars map[string]bool, prepare func(PrepareOptions) (*
 	return sq, nil
 }
 
-// PrepareText parses a query written in the textual surface syntax (see
-// docs/QUERYLANG.md and trance.Parse) and prepares it against the catalog
-// exactly like Prepare: free variables resolve to datasets (respecting the
-// session's bindings), the compilation goes through the process-wide bounded
-// plan cache under the query's fingerprint, and the resolved data is bound
-// once for repeated runs. Lex, parse, resolution, and type errors all come
-// back as position-tracked caret diagnostics pointing into src — never a
-// panic.
+// PrepareText parses a query or a multi-statement program written in the
+// textual surface syntax (see docs/QUERYLANG.md, trance.Parse and
+// trance.ParseProgram) and prepares it against the catalog: a bare expression
+// exactly like Prepare, a program (`name := expr;` assignments ending in a
+// result expression) like PreparePipeline. Free variables resolve to datasets
+// (respecting the session's bindings), every step compiles through the
+// process-wide bounded plan cache under its fingerprint, and the resolved data
+// is bound once for repeated runs. Lex, parse, resolution, and type errors —
+// in any statement — all come back as position-tracked caret diagnostics
+// pointing into src, never a panic.
 func (s *Session) PrepareText(name, src string) (*SessionQuery, error) {
-	r, err := parse.Query(src)
-	if err != nil {
-		return nil, err
-	}
-	sq, err := s.PrepareNamed(name, r.Expr)
-	if err != nil {
-		return nil, diagnose(&r.Source, err)
-	}
-	return sq, nil
-}
-
-// PrepareTextPipeline parses a multi-statement program (trance.ParseProgram:
-// `name := expr;` assignments ending in a result expression) and prepares it
-// against the catalog like PreparePipeline. Errors carry caret diagnostics
-// like PrepareText.
-func (s *Session) PrepareTextPipeline(src string) (*SessionQuery, error) {
 	r, err := parse.Program(src)
 	if err != nil {
 		return nil, err
 	}
-	sq, err := s.PreparePipeline(ProgramSteps(r.Program))
+	var sq *SessionQuery
+	if r.Query {
+		sq, err = s.PrepareNamed(name, r.Program.Stmts[0].Expr)
+	} else {
+		sq, err = s.preparePipeline(name, r.Program.Stmts)
+	}
 	if err != nil {
 		return nil, diagnose(&r.Source, err)
 	}
@@ -869,6 +859,7 @@ func diagnose(src *parse.Source, err error) error {
 // referenced dataset's generation moved (see Session).
 type SessionQuery struct {
 	s       *Session
+	name    string
 	prepare func(PrepareOptions) (*PreparedQuery, error)
 	vars    []string
 
@@ -894,7 +885,7 @@ func (sq *SessionQuery) refreshLocked() error {
 	if len(ests) > 0 {
 		cfg.Stats = ests
 	}
-	opts := PrepareOptions{Env: env, Config: &cfg, Pool: s.pool}
+	opts := PrepareOptions{Name: sq.name, Env: env, Config: &cfg, Pool: s.pool}
 	// Re-preparing shares the ASTs with the prior generation's prepared query,
 	// and both Prepare's typecheck and lazy compilation annotate them in place
 	// — so every generation serializes on one compile mutex.

@@ -172,23 +172,30 @@ func TestCatalogCreateIndexAndListing(t *testing.T) {
 }
 
 // TestSessionMutationOracle is the catalog half of the differential oracle:
-// one session with index scans enabled and one with the NoIndexScan ablation
-// run the same point query across a sequence of appends and deletes, and
-// after every mutation both must agree with the reference evaluator over a
-// mirrored copy of the data — generation invalidation must never serve stale
-// rows, a stale plan, or index results that differ from the full scan.
+// a session over an auto-indexed dataset and one over the same rows with no
+// index — registered below the auto-index threshold and appended up to it, so
+// its statistics flag no index and its plans scan — run the same point query
+// across a sequence of appends and deletes, and after every mutation both must
+// agree with the reference evaluator over a mirrored copy of the data —
+// generation invalidation must never serve stale rows, a stale plan, or index
+// results that differ from the full scan.
 func TestSessionMutationOracle(t *testing.T) {
-	cat := trance.NewCatalog()
-	if err := cat.Register("D", mutType(), mutBag(200)); err != nil {
+	indexed, ablated := trance.NewCatalog(), trance.NewCatalog()
+	if err := indexed.Register("D", mutType(), mutBag(200)); err != nil {
 		t.Fatal(err)
 	}
+	if err := ablated.Register("D", mutType(), mutBag(100)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ablated.Append("D", mutBag(200)[100:]); err != nil {
+		t.Fatal(err)
+	}
+	catalogs := []*trance.Catalog{indexed, ablated}
 	mirror := append(trance.Bag{}, mutBag(200)...)
 
-	ablated := trance.DefaultConfig()
-	ablated.NoIndexScan = true
 	sessions := map[string]*trance.SessionQuery{}
-	for name, cfg := range map[string]*trance.Config{"indexed": nil, "ablated": &ablated} {
-		sq, err := cat.NewSession(trance.SessionOptions{Config: cfg}).Prepare(mutQuery(7))
+	for name, cat := range map[string]*trance.Catalog{"indexed": indexed, "ablated": ablated} {
+		sq, err := cat.NewSession(trance.SessionOptions{}).Prepare(mutQuery(7))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -223,15 +230,19 @@ func TestSessionMutationOracle(t *testing.T) {
 
 	// Append a tail including a duplicate of the probed key.
 	tail := trance.Bag{mutRow(7), mutRow(300), mutRow(301)}
-	if _, err := cat.Append("D", tail); err != nil {
-		t.Fatal(err)
+	for _, cat := range catalogs {
+		if _, err := cat.Append("D", tail); err != nil {
+			t.Fatal(err)
+		}
 	}
 	mirror = append(mirror, tail...)
 	check("after append")
 
 	// Delete the probed key entirely.
-	if _, err := cat.Delete("D", "id", int64(7)); err != nil {
-		t.Fatal(err)
+	for _, cat := range catalogs {
+		if _, err := cat.Delete("D", "id", int64(7)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	kept := mirror[:0:0]
 	for _, r := range mirror {
@@ -243,8 +254,10 @@ func TestSessionMutationOracle(t *testing.T) {
 	check("after delete")
 
 	// Append the key back: the query must see it again.
-	if _, err := cat.Append("D", trance.Bag{mutRow(7)}); err != nil {
-		t.Fatal(err)
+	for _, cat := range catalogs {
+		if _, err := cat.Append("D", trance.Bag{mutRow(7)}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	mirror = append(mirror, mutRow(7))
 	check("after re-append")
@@ -314,7 +327,7 @@ func TestCatalogAppendRetargetsAuto(t *testing.T) {
 		t.Fatal(err)
 	}
 	st2, _ := cat.Stats("D")
-	if st2.Rows != 5000 || st2.Generation <= st1.Generation || st2.MaxHeavyFraction() < 0.15 {
+	if st2.Rows != 5000 || st2.Generation <= st1.Generation || heaviest(st2) < 0.15 {
 		t.Fatalf("append did not recollect statistics: %+v -> %+v", st1, st2)
 	}
 	if got := route(); got != trance.StandardSkew {

@@ -109,7 +109,7 @@ func TestCatalogDropInvalidatesStatistics(t *testing.T) {
 		t.Fatalf("uniform data routed to %s, want STANDARD", got)
 	}
 	st1, ok := cat.Stats("D")
-	if !ok || st1.Rows != 2000 || st1.MaxHeavyFraction() != 0 {
+	if !ok || st1.Rows != 2000 || heaviest(st1) != 0 {
 		t.Fatalf("uniform stats: %+v", st1)
 	}
 
@@ -125,7 +125,7 @@ func TestCatalogDropInvalidatesStatistics(t *testing.T) {
 		t.Fatalf("re-registered skewed data routed to %s, want STANDARD-SKEW (stale cached statistics?)", got)
 	}
 	st2, ok := cat.Stats("D")
-	if !ok || st2.MaxHeavyFraction() < 0.15 {
+	if !ok || heaviest(st2) < 0.15 {
 		t.Fatalf("skewed stats not refreshed: %+v", st2)
 	}
 	if st2.Generation <= st1.Generation {
@@ -268,8 +268,8 @@ func TestSessionFollowsCatalogGenerations(t *testing.T) {
 func pipelineSteps(lo int64) []trance.PipelineStep {
 	// Step 1 filters the nested items; step 2 consumes step 1's output.
 	return []trance.PipelineStep{
-		{Name: "Big", Query: prepQuery(lo)},
-		{Name: "Out", Query: trance.ForIn("b", trance.V("Big"),
+		{Name: "Big", Expr: prepQuery(lo)},
+		{Name: "Out", Expr: trance.ForIn("b", trance.V("Big"),
 			trance.SingOf(trance.Record(
 				"k2", trance.P(trance.V("b"), "k"),
 				"big2", trance.P(trance.V("b"), "big"))))},
@@ -336,12 +336,12 @@ func TestPipelineFingerprintsAreEnvAware(t *testing.T) {
 			trance.SingOf(trance.Record("x", trance.P(trance.V("b"), "k"))))
 	}
 	intSteps := []trance.PipelineStep{
-		{Name: "Big", Query: trance.ForIn("r", trance.V("RI"), trance.SingOf(trance.V("r")))},
-		{Name: "Out", Query: mkSecond()},
+		{Name: "Big", Expr: trance.ForIn("r", trance.V("RI"), trance.SingOf(trance.V("r")))},
+		{Name: "Out", Expr: mkSecond()},
 	}
 	strSteps := []trance.PipelineStep{
-		{Name: "Big", Query: trance.ForIn("r", trance.V("RS"), trance.SingOf(trance.V("r")))},
-		{Name: "Out", Query: mkSecond()},
+		{Name: "Big", Expr: trance.ForIn("r", trance.V("RS"), trance.SingOf(trance.V("r")))},
+		{Name: "Out", Expr: mkSecond()},
 	}
 	envI := trance.Env{"RI": trance.BagOf(trance.Tup("k", trance.IntT))}
 	envS := trance.Env{"RS": trance.BagOf(trance.Tup("k", trance.StringT))}
@@ -418,4 +418,14 @@ func TestSessionPreparePipeline(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
+}
+
+// heaviest is the largest heavy-key fraction over a dataset's columns: the
+// table-level skew signal.
+func heaviest(st *trance.DatasetStats) float64 {
+	f := 0.0
+	for _, c := range st.Columns {
+		f = max(f, c.HeavyFraction)
+	}
+	return f
 }

@@ -21,8 +21,6 @@ import (
 	"github.com/trance-go/trance"
 	"github.com/trance-go/trance/internal/biomed"
 	"github.com/trance-go/trance/internal/nrc"
-	"github.com/trance-go/trance/internal/plan"
-	"github.com/trance-go/trance/internal/runner"
 	"github.com/trance-go/trance/internal/stats"
 	"github.com/trance-go/trance/internal/tpch"
 	"github.com/trance-go/trance/internal/value"
@@ -89,8 +87,8 @@ func checkLevel(level int) {
 	}
 }
 
-func parseStrategy(s string) runner.Strategy {
-	strat, ok := runner.ParseStrategy(s)
+func parseStrategy(s string) trance.Strategy {
+	strat, ok := trance.ParseStrategy(s)
 	if !ok {
 		log.Fatalf("unknown strategy %q", s)
 	}
@@ -104,20 +102,20 @@ const defaultCustomers = 200
 // tpchJob is the built-in query of the class and level over generated TPC-H
 // data, and the default config with every input's statistics — what a catalog
 // collects on registration, and what the cost model and placement plan from.
-func tpchJob(class tpch.QueryClass, level int, wide bool, customers, skew int) (runner.Job, runner.Config) {
+func tpchJob(class tpch.QueryClass, level int, wide bool, customers, skew int) (trance.Job, trance.Config) {
 	tables := tpch.Generate(tpch.Config{
 		Customers: customers, OrdersPerCustomer: 6, LinesPerOrder: 4,
 		Parts: 100, SkewFactor: skew, Seed: 1,
 	})
-	job := runner.Job{Query: tpch.Query(class, level, wide), Env: tpch.Env(class, level, wide), Inputs: map[string]value.Bag{}}
+	job := trance.Job{Query: tpch.Query(class, level, wide), Env: tpch.Env(class, level, wide), Inputs: map[string]value.Bag{}}
 	if class == tpch.FlatToNested {
 		job.Inputs = tables.Inputs()
 	} else {
 		job.Inputs["NDB"] = tpch.BuildNested(tables, level, true)
 		job.Inputs["Part"] = tables.Part
 	}
-	cfg := runner.DefaultConfig()
-	cfg.Stats = map[string]plan.TableEstimate{}
+	cfg := trance.DefaultConfig()
+	cfg.Stats = map[string]trance.TableEstimate{}
 	for name, t := range job.Env {
 		cfg.Stats[name] = stats.Collect(job.Inputs[name], t.(nrc.BagType), stats.Options{}).Estimate()
 	}
@@ -137,12 +135,16 @@ func cmdExplain(args []string) {
 
 	fmt.Println("=== NRC ===")
 	fmt.Println(trance.Print(job.Query))
-	cq, err := runner.Compile(job.Query, job.Env, runner.Standard, cfg)
+	pq, err := trance.Prepare(job.Query, trance.PrepareOptions{Env: job.Env, Config: &cfg})
+	if err != nil {
+		log.Fatal(err)
+	}
+	plans, err := pq.Explain(trance.Standard)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("\n=== standard plan ===")
-	fmt.Println(runner.Explain([]*runner.Compiled{cq}))
+	fmt.Println(plans)
 	sp, err := trance.ExplainShredded(job.Query, job.Env)
 	if err != nil {
 		log.Fatal(err)
@@ -165,7 +167,7 @@ func cmdRun(args []string) {
 	qc := parseClass(*class)
 	checkLevel(*level)
 	job, cfg := tpchJob(qc, *level, *wide, *customers, *skew)
-	res := runner.Run(job, parseStrategy(*strategy), cfg)
+	res := trance.Run(job, parseStrategy(*strategy), cfg)
 	if res.Failed() {
 		log.Fatalf("run failed: %v", res.Err)
 	}
@@ -221,17 +223,12 @@ func cmdQuery(args []string) {
 	strat := parseStrategy(*strategy)
 	t := trance.NewTrace("trance query")
 	ctx := trance.ContextWithTrace(context.Background(), t)
-	// A bare expression is a query; any other text parses as a program (a
-	// single assignment like `y := expr` lands there too, and a genuine syntax
-	// error reports from the program parse, which accepts a superset).
 	var sq *trance.SessionQuery
 	var err error
 	if *text == "" {
 		sq, err = sess.PrepareNamed(*name, trance.ForIn("x", trance.V(*name), trance.SingOf(trance.V("x"))))
-	} else if _, perr := trance.Parse(*text); perr == nil {
-		sq, err = sess.PrepareText("adhoc", *text)
 	} else {
-		sq, err = sess.PrepareTextPipeline(*text)
+		sq, err = sess.PrepareText("adhoc", *text)
 	}
 	var res *trance.Result
 	if err == nil {
@@ -296,7 +293,7 @@ func cmdBiomed(args []string) {
 		cfg = biomed.FullConfig()
 	}
 	inputs := biomed.Generate(cfg)
-	res := runner.RunPipeline(biomed.Steps(), biomed.Env(), inputs,
+	res := trance.RunPipeline(biomed.Steps(), biomed.Env(), inputs,
 		parseStrategy(*strategy), trance.DefaultConfig())
 	for i, d := range res.StepElapsed {
 		fmt.Printf("step%d: %v\n", i+1, d)

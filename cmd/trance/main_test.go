@@ -1,9 +1,9 @@
 package main
 
 import (
+	"github.com/trance-go/trance"
 	"testing"
 
-	"github.com/trance-go/trance/internal/runner"
 	"github.com/trance-go/trance/internal/tpch"
 )
 
@@ -16,7 +16,7 @@ func TestTPCHJobPlansWithStatistics(t *testing.T) {
 	if len(cfg.Stats) != len(job.Env) {
 		t.Fatalf("statistics for %d of %d inputs", len(cfg.Stats), len(job.Env))
 	}
-	res := runner.Run(job, runner.Standard, cfg)
+	res := trance.Run(job, trance.Standard, cfg)
 	if res.Failed() {
 		t.Fatal(res.Err)
 	}

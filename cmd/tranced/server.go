@@ -252,7 +252,7 @@ func newServer(cfg serverConfig) (*server, error) {
 	bioSess := s.catalog.NewSession(trance.SessionOptions{
 		Config: &s.runCfg, Pool: s.pool, Bindings: bioBindings,
 	})
-	bsq, err := bioSess.PrepareNamed("biomed/step1", biomed.Steps()[0].Query)
+	bsq, err := bioSess.PrepareNamed("biomed/step1", biomed.Steps()[0].Expr)
 	if err != nil {
 		return nil, fmt.Errorf("prepare biomed/step1: %w", err)
 	}

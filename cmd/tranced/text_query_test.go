@@ -1,12 +1,18 @@
 package main
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
+	"reflect"
 	"strings"
 	"testing"
+
+	"github.com/trance-go/trance"
 )
 
 func postText(t *testing.T, ts *httptest.Server, path, body string, wantStatus int) map[string]any {
@@ -139,4 +145,75 @@ func TestTextQueryErrors(t *testing.T) {
 	oversized := strings.Repeat("x", maxTextQueryBytes+1)
 	postText(t, ts, "/query", oversized, http.StatusRequestEntityTooLarge)
 	postText(t, ts, "/explain", oversized, http.StatusRequestEntityTooLarge)
+}
+
+// TestTextProgramEndpoint: a multi-statement program POSTed to /query and
+// /explain answers exactly as `trance query -q` does with the same text over
+// the same catalog — one text entry point, Session.PrepareText — and a type
+// error in its second statement is a 400 with a caret diagnostic.
+func TestTextProgramEndpoint(t *testing.T) {
+	srv := smallServer(t)
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	ndjson := `{"cust": "alice", "orders": [{"pid": 1, "qty": 12.5}, {"pid": 2, "qty": 3.0}]}
+{"cust": "bob", "orders": [{"pid": 3, "qty": 1.0}]}
+{"cust": "carol", "orders": []}`
+	resp, err := http.Post(ts.URL+"/datasets?name=progq", "application/x-ndjson", strings.NewReader(ndjson))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusCreated && resp.StatusCode != http.StatusConflict {
+		t.Fatalf("upload: %d", resp.StatusCode)
+	}
+
+	const prog = "Flat := for r in `datasets/progq` union for o in r.orders union { { cust := r.cust, qty := o.qty } };\n" +
+		"sumby[cust; qty](Flat)"
+	// What `trance query -q` does: a session over the catalog, PrepareText,
+	// Run, and one NDJSON row per line from Result.WriteJSON.
+	cli, err := srv.catalog.NewSession(trance.SessionOptions{}).PrepareText("adhoc", prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, strat := range []trance.Strategy{trance.Standard, trance.ShredUnshred} {
+		param := "?strategy=" + url.QueryEscape(strat.CLIName())
+		res, err := cli.Run(context.Background(), strat)
+		if err != nil {
+			t.Fatalf("%s: %v", strat, err)
+		}
+		var ndj bytes.Buffer
+		if _, _, err := res.WriteJSON(context.Background(), &ndj, 0, "", "\n"); err != nil {
+			t.Fatal(err)
+		}
+		var want []any
+		for _, line := range strings.Split(ndj.String(), "\n") {
+			var row any
+			if err := json.Unmarshal([]byte(line), &row); err != nil {
+				t.Fatalf("%s: CLI row %q: %v", strat, line, err)
+			}
+			want = append(want, row)
+		}
+		out := postText(t, ts, "/query"+param, prog, http.StatusOK)
+		if got := out["results"].([]any); len(want) != 2 || !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: served rows %v, CLI rows %v", strat, got, want)
+		}
+
+		wantPlans, err := cli.Prepared().Explain(strat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = postText(t, ts, "/explain"+param, prog, http.StatusOK)
+		if got := out["explain"].(string); got != wantPlans || !strings.Contains(got, "--- step 2: result ---") {
+			t.Fatalf("%s: served explain differs from the CLI's:\n%s\nvs\n%s", strat, got, wantPlans)
+		}
+	}
+
+	bad := "Flat := for r in `datasets/progq` union { { cust := r.cust } };\n" +
+		"for f in Flat union { { n := f.nope } }"
+	for _, path := range []string{"/query", "/explain"} {
+		out := postText(t, ts, path, bad, http.StatusBadRequest)
+		if msg, _ := out["error"].(string); !strings.Contains(msg, "nope") || !strings.Contains(msg, "^") || !strings.Contains(msg, "2:") {
+			t.Errorf("%s: error %q lacks a caret diagnostic at line 2", path, msg)
+		}
+	}
 }

@@ -12,7 +12,6 @@ import (
 
 	"github.com/trance-go/trance"
 	"github.com/trance-go/trance/internal/biomed"
-	"github.com/trance-go/trance/internal/runner"
 )
 
 func main() {
@@ -30,8 +29,8 @@ func main() {
 		name, cfg.Samples, cfg.Genes)
 
 	rcfg := trance.DefaultConfig()
-	for _, strat := range []runner.Strategy{runner.SparkSQLStyle, runner.Standard, runner.Shred} {
-		res := runner.RunPipeline(biomed.Steps(), biomed.Env(), inputs, strat, rcfg)
+	for _, strat := range []trance.Strategy{trance.SparkSQLStyle, trance.Standard, trance.Shred} {
+		res := trance.RunPipeline(biomed.Steps(), biomed.Env(), inputs, strat, rcfg)
 		fmt.Printf("%-12s", strat)
 		for i, d := range res.StepElapsed {
 			fmt.Printf("  step%d=%v", i+1, d)

@@ -10,7 +10,7 @@ package main
 import (
 	"fmt"
 
-	"github.com/trance-go/trance/internal/runner"
+	"github.com/trance-go/trance"
 	"github.com/trance-go/trance/internal/tpch"
 	"github.com/trance-go/trance/internal/value"
 )
@@ -18,9 +18,9 @@ import (
 func main() {
 	q := tpch.Query(tpch.NestedToNested, 2, false)
 	env := tpch.Env(tpch.NestedToNested, 2, false)
-	strategies := []runner.Strategy{
-		runner.Standard, runner.StandardSkew,
-		runner.Shred, runner.ShredSkew, runner.ShredUnshredSkew,
+	strategies := []trance.Strategy{
+		trance.Standard, trance.StandardSkew,
+		trance.Shred, trance.ShredSkew, trance.ShredUnshredSkew,
 	}
 
 	fmt.Println("nested-to-nested (narrow, 2 levels) under a per-worker memory cap")
@@ -37,12 +37,12 @@ func main() {
 		for _, b := range inputs {
 			total += value.Size(b)
 		}
-		cfg := runner.DefaultConfig()
+		cfg := trance.DefaultConfig()
 		cfg.MaxPartitionBytes = total / 3
 
 		fmt.Printf("\nskew factor %d:\n", factor)
 		for _, strat := range strategies {
-			res := runner.Run(runner.Job{Query: q, Env: env, Inputs: inputs}, strat, cfg)
+			res := trance.Run(trance.Job{Query: q, Env: env, Inputs: inputs}, strat, cfg)
 			if res.Failed() {
 				fmt.Printf("  %-20s FAIL (%v)\n", strat, res.Err)
 				continue

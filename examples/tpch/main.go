@@ -11,7 +11,6 @@ import (
 	"log"
 
 	"github.com/trance-go/trance"
-	"github.com/trance-go/trance/internal/runner"
 	"github.com/trance-go/trance/internal/tpch"
 	"github.com/trance-go/trance/internal/value"
 )
@@ -55,10 +54,10 @@ func main() {
 
 	cfg := trance.DefaultConfig()
 	fmt.Printf("%s, level %d, wide=%t, skew factor %d\n\n", qc, *level, *wide, *skew)
-	for _, strat := range []runner.Strategy{
-		runner.Standard, runner.SparkSQLStyle, runner.Shred, runner.ShredUnshred,
+	for _, strat := range []trance.Strategy{
+		trance.Standard, trance.SparkSQLStyle, trance.Shred, trance.ShredUnshred,
 	} {
-		res := runner.Run(runner.Job{Query: q, Env: env, Inputs: inputs}, strat, cfg)
+		res := trance.Run(trance.Job{Query: q, Env: env, Inputs: inputs}, strat, cfg)
 		if res.Failed() {
 			fmt.Printf("%-14s FAILED: %v\n", strat, res.Err)
 			continue

@@ -15,7 +15,6 @@ import (
 	"math/rand"
 
 	"github.com/trance-go/trance/internal/nrc"
-	"github.com/trance-go/trance/internal/runner"
 	"github.com/trance-go/trance/internal/value"
 )
 
@@ -173,7 +172,7 @@ func SelectiveBurden() nrc.Expr {
 //
 // Steps 3–5 connect samples to tumour sites, aggregate per gene, and emit
 // the final flat driver scores.
-func Steps() []runner.PipelineStep {
+func Steps() []nrc.Assignment {
 	step1 := nrc.ForIn("o", nrc.V("Occurrences"),
 		nrc.SingOf(nrc.Record(
 			"sample", nrc.P(nrc.V("o"), "o_sample"),
@@ -244,11 +243,11 @@ func Steps() []runner.PipelineStep {
 					nrc.SingOf(nrc.Record("gene", nrc.P(nrc.V("x"), "gene"), "final", nrc.P(nrc.V("x"), "score")))))),
 		[]string{"gene"}, []string{"final"})
 
-	return []runner.PipelineStep{
-		{Name: "Step1", Query: step1},
-		{Name: "Step2", Query: step2},
-		{Name: "Step3", Query: step3},
-		{Name: "Step4", Query: step4},
-		{Name: "Step5", Query: step5},
+	return []nrc.Assignment{
+		{Name: "Step1", Expr: step1},
+		{Name: "Step2", Expr: step2},
+		{Name: "Step3", Expr: step3},
+		{Name: "Step4", Expr: step4},
+		{Name: "Step5", Expr: step5},
 	}
 }

@@ -1,6 +1,7 @@
 package biomed
 
 import (
+	"github.com/trance-go/trance"
 	"testing"
 
 	"github.com/trance-go/trance/internal/nrc"
@@ -30,7 +31,7 @@ func TestGenerateShapes(t *testing.T) {
 func TestStepsTypeCheck(t *testing.T) {
 	scope := Env()
 	for _, st := range Steps() {
-		ty, err := nrc.Check(st.Query, scope)
+		ty, err := nrc.Check(st.Expr, scope)
 		if err != nil {
 			t.Fatalf("%s: %v", st.Name, err)
 		}
@@ -52,11 +53,11 @@ func oraclePipeline(t *testing.T, inputs map[string]value.Bag) value.Bag {
 	}
 	var last value.Value
 	for _, st := range Steps() {
-		ty, err := nrc.Check(st.Query, scope)
+		ty, err := nrc.Check(st.Expr, scope)
 		if err != nil {
 			t.Fatalf("%s: %v", st.Name, err)
 		}
-		last = nrc.Eval(st.Query, s)
+		last = nrc.Eval(st.Expr, s)
 		s = s.Bind(st.Name, last)
 		scope[st.Name] = ty
 	}
@@ -73,7 +74,7 @@ func TestPipelineStrategiesMatchOracle(t *testing.T) {
 	rcfg := runner.DefaultConfig()
 	rcfg.Parallelism = 4
 	for _, strat := range []runner.Strategy{runner.Standard, runner.SparkSQLStyle, runner.Shred} {
-		res := runner.RunPipeline(Steps(), Env(), inputs, strat, rcfg)
+		res := trance.RunPipeline(Steps(), Env(), inputs, strat, rcfg)
 		if res.Failed() {
 			t.Fatalf("%s failed at step %d: %v", strat, res.FailedStep, res.Err)
 		}
@@ -141,8 +142,8 @@ func TestPipelineShredShufflesLess(t *testing.T) {
 	inputs := Generate(SmallConfig())
 	rcfg := runner.DefaultConfig()
 	rcfg.BroadcastLimit = 0
-	std := runner.RunPipeline(Steps(), Env(), inputs, runner.Standard, rcfg)
-	shr := runner.RunPipeline(Steps(), Env(), inputs, runner.Shred, rcfg)
+	std := trance.RunPipeline(Steps(), Env(), inputs, runner.Standard, rcfg)
+	shr := trance.RunPipeline(Steps(), Env(), inputs, runner.Shred, rcfg)
 	if std.Failed() || shr.Failed() {
 		t.Fatalf("pipeline failed: %v / %v", std.Err, shr.Err)
 	}

@@ -3,6 +3,7 @@ package ingest_test
 import (
 	"bytes"
 	"encoding/json"
+	"github.com/trance-go/trance"
 	"io"
 	"testing"
 
@@ -22,7 +23,7 @@ func replyRows(tb testing.TB, class tpch.QueryClass, level, skew, limit int) ([]
 	if class != tpch.FlatToNested {
 		inputs = map[string]value.Bag{"NDB": tpch.BuildNested(tables, level, true), "Part": tables.Part}
 	}
-	res := runner.Run(runner.Job{Query: tpch.Query(class, level, false), Env: tpch.Env(class, level, false), Inputs: inputs},
+	res := trance.Run(trance.Job{Query: tpch.Query(class, level, false), Env: tpch.Env(class, level, false), Inputs: inputs},
 		runner.Standard, runner.DefaultConfig())
 	if res.Failed() {
 		tb.Fatal(res.Err)

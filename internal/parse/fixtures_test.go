@@ -3,6 +3,7 @@ package parse_test
 import (
 	"flag"
 	"fmt"
+	"github.com/trance-go/trance"
 	"os"
 	"path/filepath"
 	"testing"
@@ -96,11 +97,12 @@ func TestFixturesTPCH(t *testing.T) {
 			}
 			cfg := runner.DefaultConfig()
 			for _, strat := range fixtureStrategies {
-				parsedRes := runner.Run(runner.Job{Query: r.Expr, Env: env, Inputs: inputs}, strat, cfg)
+				parsedRes := trance.Run(trance.Job{Query: r.Expr, Env: env, Inputs: inputs}, strat, cfg)
 				if parsedRes.Failed() {
 					t.Fatalf("%s parsed run: %v", strat, parsedRes.Err)
 				}
-				builtRes := runner.Run(runner.Job{Query: built, Env: env, Inputs: inputs}, strat, cfg)
+				trance.ResetPlanCache() // compile the builder query, not serve the parsed one's plans
+				builtRes := trance.Run(trance.Job{Query: built, Env: env, Inputs: inputs}, strat, cfg)
 				if builtRes.Failed() {
 					t.Fatalf("%s builder run: %v", strat, builtRes.Err)
 				}
@@ -123,7 +125,7 @@ func TestFixtureBiomed(t *testing.T) {
 	steps := biomed.Steps()
 	prog := &nrc.Program{}
 	for _, st := range steps {
-		prog.Stmts = append(prog.Stmts, nrc.Assignment{Name: st.Name, Expr: st.Query})
+		prog.Stmts = append(prog.Stmts, st)
 	}
 	if *update {
 		if err := os.WriteFile(fixturePath("biomed-e2e.nrc"), []byte(nrc.PrintProgram(prog)), 0o644); err != nil {
@@ -139,19 +141,18 @@ func TestFixtureBiomed(t *testing.T) {
 		t.Fatalf("fixture parses to a different program:\n--- parsed\n%s\n--- builder\n%s", got, want)
 	}
 
-	parsedSteps := make([]runner.PipelineStep, len(pr.Program.Stmts))
-	for i, st := range pr.Program.Stmts {
-		parsedSteps[i] = runner.PipelineStep{Name: st.Name, Query: st.Expr}
-	}
 	inputs := biomed.Generate(biomed.SmallConfig())
 	cfg := runner.DefaultConfig()
 	for _, strat := range fixtureStrategies {
-		a := runner.RunPipeline(parsedSteps, biomed.Env(), inputs, strat, cfg)
+		a := trance.RunPipeline(pr.Program.Stmts, biomed.Env(), inputs, strat, cfg)
 		if a.Failed() {
 			t.Fatalf("%s parsed pipeline: step %d: %v", strat, a.FailedStep, a.Err)
 		}
-		// Rebuild the builder steps each run: compilation annotates ASTs.
-		b := runner.RunPipeline(biomed.Steps(), biomed.Env(), inputs, strat, cfg)
+		// Rebuild the builder steps each run: compilation annotates ASTs. The
+		// builder steps print like the parsed ones, so only an empty plan cache
+		// compiles them rather than serving the parsed program's plans.
+		trance.ResetPlanCache()
+		b := trance.RunPipeline(biomed.Steps(), biomed.Env(), inputs, strat, cfg)
 		if b.Failed() {
 			t.Fatalf("%s builder pipeline: step %d: %v", strat, b.FailedStep, b.Err)
 		}

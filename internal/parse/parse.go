@@ -25,6 +25,9 @@ type ProgramResult struct {
 	// the synthesized "result" when the program ended in a bare expression,
 	// otherwise the last assignment's name.
 	ResultName string
+	// Query reports that the text was one bare expression, no assignment: a
+	// query, the one-step program, parsed exactly as Query parses it.
+	Query bool
 }
 
 // Query parses a single query expression. Errors are *Error caret
@@ -49,13 +52,14 @@ func Query(src string) (*Result, error) {
 // result expression — either a final bare expression (assigned the name
 // "result") or, when every statement is an assignment, the last assignment.
 // The statement form `let name := expr;` is also accepted; it is
-// disambiguated from a trailing let-expression by the absence of `in`.
+// disambiguated from a trailing let-expression by the absence of `in`. A
+// text Query accepts is a program too, with the same errors.
 func Program(src string) (*ProgramResult, error) {
 	p, err := newParser(src)
 	if err != nil {
 		return nil, err
 	}
-	prog, perr := p.parseProgram()
+	prog, query, perr := p.parseProgram()
 	if perr != nil {
 		return nil, perr
 	}
@@ -63,6 +67,7 @@ func Program(src string) (*ProgramResult, error) {
 		Source:     p.source(),
 		Program:    prog,
 		ResultName: prog.Stmts[len(prog.Stmts)-1].Name,
+		Query:      query,
 	}, nil
 }
 
@@ -171,7 +176,8 @@ func (p *parser) record(e nrc.Expr, pos Pos) nrc.Expr {
 
 // --- program ---
 
-func (p *parser) parseProgram() (*nrc.Program, *Error) {
+// parseProgram also reports whether the program is one bare expression.
+func (p *parser) parseProgram() (*nrc.Program, bool, *Error) {
 	var stmts []nrc.Assignment
 	names := map[string]bool{}
 	for {
@@ -180,7 +186,7 @@ func (p *parser) parseProgram() (*nrc.Program, *Error) {
 			p.next() // :=
 			e, err := p.parseExpr()
 			if err != nil {
-				return nil, err
+				return nil, false, err
 			}
 			stmts = append(stmts, nrc.Assignment{Name: name, Expr: e})
 			names[name] = true
@@ -196,7 +202,7 @@ func (p *parser) parseProgram() (*nrc.Program, *Error) {
 			p.next() // :=
 			e, err := p.parseExpr()
 			if err != nil {
-				return nil, err
+				return nil, false, err
 			}
 			if p.at(tIn) {
 				p.i = mark // a let-expression: re-parse as the result expression
@@ -209,25 +215,26 @@ func (p *parser) parseProgram() (*nrc.Program, *Error) {
 		}
 		break
 	}
-	if p.at(tEOF) {
-		if len(stmts) == 0 {
-			return nil, p.errHere("empty program")
-		}
-		return &nrc.Program{Stmts: stmts}, nil
+	if len(stmts) > 0 && p.at(tEOF) {
+		return &nrc.Program{Stmts: stmts}, false, nil
 	}
 	final, err := p.parseExpr()
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
-	if err := p.expect(tEOF, "after the result expression"); err != nil {
-		return nil, err
+	where := "after the result expression"
+	if len(stmts) == 0 {
+		where = "after the query"
+	}
+	if err := p.expect(tEOF, where); err != nil {
+		return nil, false, err
 	}
 	name := "result"
 	for names[name] {
 		name += "_"
 	}
 	stmts = append(stmts, nrc.Assignment{Name: name, Expr: final})
-	return &nrc.Program{Stmts: stmts}, nil
+	return &nrc.Program{Stmts: stmts}, len(stmts) == 1, nil
 }
 
 // --- expressions, lowest precedence first ---

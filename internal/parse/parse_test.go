@@ -1,6 +1,7 @@
 package parse_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -262,6 +263,22 @@ for z in Step2 union { z }`
 
 	if _, err := parse.Program("  "); err == nil {
 		t.Fatal("empty program should fail")
+	}
+	if pr.Query || pr3.Query {
+		t.Fatal("a program with assignments is not a query")
+	}
+
+	// A bare expression is a query: Program parses it as Query does, errors
+	// included.
+	for _, src := range []string{"for x in R union { x }", "for x in R union { x } )", "  ", "let y := 1 in { y }"} {
+		q, qerr := parse.Query(src)
+		pq, perr := parse.Program(src)
+		if fmt.Sprint(qerr) != fmt.Sprint(perr) {
+			t.Fatalf("%q: Query error %v, Program error %v", src, qerr, perr)
+		}
+		if qerr == nil && (!pq.Query || len(pq.Program.Stmts) != 1 || nrc.Print(pq.Program.Stmts[0].Expr) != nrc.Print(q.Expr)) {
+			t.Fatalf("%q: Program parsed %+v, not the query", src, pq)
+		}
 	}
 }
 

@@ -131,38 +131,25 @@ const defaultFanout = 4
 
 // Annotate rewrites the plan with cost annotations: every Join whose both
 // sides have known estimates gets a Costs annotation choosing broadcast vs
-// shuffle under broadcastLimit (and possibly swapped inputs). The input plan
-// is not mutated; shared subtrees are rebuilt. tables maps Scan input names to
-// their statistics — inputs without statistics propagate "unknown" upward.
-func Annotate(op Op, tables map[string]TableEstimate, broadcastLimit int64) Op {
-	out, _ := AnnotateOpts(op, tables, AnnotateOptions{BroadcastLimit: broadcastLimit})
-	return out
-}
-
-// AnnotateOptions configures AnnotateOpts.
-type AnnotateOptions struct {
-	// BroadcastLimit is the byte budget under which a join side is broadcast.
-	BroadcastLimit int64
-	// NoIndexScan disables Select→IndexScan conversion (the index ablation).
-	NoIndexScan bool
-}
-
-// AnnotateOpts is Annotate with options, additionally returning the planner's
-// index decisions for this plan.
-func AnnotateOpts(op Op, tables map[string]TableEstimate, opts AnnotateOptions) (Op, IndexStats) {
+// shuffle under broadcastLimit (and possibly swapped inputs), and a pushed-down
+// selection over a column the statistics flag as indexed becomes an IndexScan.
+// It also returns those index decisions. The input plan is not mutated; shared
+// subtrees are rebuilt. tables maps Scan input names to their statistics —
+// inputs without statistics propagate "unknown" upward, and with none at all
+// the plan comes back as it is.
+func Annotate(op Op, tables map[string]TableEstimate, broadcastLimit int64) (Op, IndexStats) {
 	if len(tables) == 0 {
 		return op, IndexStats{}
 	}
-	a := &annotator{tables: tables, limit: opts.BroadcastLimit, noIndex: opts.NoIndexScan}
+	a := &annotator{tables: tables, limit: broadcastLimit}
 	out, _ := a.walk(op)
 	return out, a.idx
 }
 
 type annotator struct {
-	tables  map[string]TableEstimate
-	limit   int64
-	noIndex bool
-	idx     IndexStats
+	tables map[string]TableEstimate
+	limit  int64
+	idx    IndexStats
 }
 
 func (a *annotator) walk(op Op) (Op, nodeEst) {
@@ -183,7 +170,7 @@ func (a *annotator) walk(op Op) (Op, nodeEst) {
 
 	case *Select:
 		in, e := a.walk(x.In)
-		if scan, isScan := in.(*Scan); isScan && x.NullifyCols == nil && e.known() && !a.noIndex {
+		if scan, isScan := in.(*Scan); isScan && x.NullifyCols == nil && e.known() {
 			if op, est, ok := a.tryIndexScan(scan, x.Pred, e); ok {
 				return op, est
 			}

@@ -53,7 +53,7 @@ func findJoin(t *testing.T, op Op) *Join {
 
 func TestAnnotateBroadcastSmallRight(t *testing.T) {
 	op := &Join{L: scanOf("R", "a", "b"), R: scanOf("S", "k"), LCols: []int{0}, RCols: []int{0}}
-	out := Annotate(op, testTables(), 64<<10)
+	out, _ := Annotate(op, testTables(), 64<<10)
 	j := findJoin(t, out)
 	if j.Cost == nil {
 		t.Fatalf("join not annotated:\n%s", Explain(out))
@@ -76,7 +76,7 @@ func TestAnnotateBroadcastSmallRight(t *testing.T) {
 
 func TestAnnotateShuffleLargeBothSides(t *testing.T) {
 	op := &Join{L: scanOf("R", "a", "b"), R: scanOf("R", "a", "b"), LCols: []int{0}, RCols: []int{0}}
-	out := Annotate(op, testTables(), 64<<10)
+	out, _ := Annotate(op, testTables(), 64<<10)
 	j := findJoin(t, out)
 	if j.Cost == nil || j.Cost.Method != JoinShuffle {
 		t.Fatalf("cost = %+v, want shuffle", j.Cost)
@@ -88,7 +88,7 @@ func TestAnnotateShuffleLargeBothSides(t *testing.T) {
 // projection above restores the original column order.
 func TestAnnotateSwapsSmallLeft(t *testing.T) {
 	op := &Join{L: scanOf("S", "k"), R: scanOf("R", "a", "b"), LCols: []int{0}, RCols: []int{0}}
-	out := Annotate(op, testTables(), 64<<10)
+	out, _ := Annotate(op, testTables(), 64<<10)
 	p, ok := out.(*Project)
 	if !ok {
 		t.Fatalf("want column-restoring projection at root, got %T:\n%s", out, Explain(out))
@@ -116,7 +116,7 @@ func TestAnnotateSwapsSmallLeft(t *testing.T) {
 
 func TestAnnotateNeverSwapsOuterJoin(t *testing.T) {
 	op := &Join{L: scanOf("S", "k"), R: scanOf("R", "a", "b"), LCols: []int{0}, RCols: []int{0}, Outer: true}
-	out := Annotate(op, testTables(), 64<<10)
+	out, _ := Annotate(op, testTables(), 64<<10)
 	j := findJoin(t, out)
 	if _, isProject := out.(*Project); isProject {
 		t.Fatal("outer join was swapped")
@@ -132,7 +132,7 @@ func TestAnnotateNeverSwapsOuterJoin(t *testing.T) {
 
 func TestAnnotateCrossJoinUnannotated(t *testing.T) {
 	op := &Join{L: scanOf("R", "a", "b"), R: scanOf("S", "k")}
-	out := Annotate(op, testTables(), 64<<10)
+	out, _ := Annotate(op, testTables(), 64<<10)
 	if j := findJoin(t, out); j.Cost != nil {
 		t.Fatalf("cross join annotated: %+v (executor always broadcasts it)", j.Cost)
 	}
@@ -140,7 +140,7 @@ func TestAnnotateCrossJoinUnannotated(t *testing.T) {
 
 func TestAnnotateUnknownInputPropagates(t *testing.T) {
 	op := &Join{L: scanOf("Mystery", "x"), R: scanOf("S", "k"), LCols: []int{0}, RCols: []int{0}}
-	out := Annotate(op, testTables(), 64<<10)
+	out, _ := Annotate(op, testTables(), 64<<10)
 	if j := findJoin(t, out); j.Cost != nil {
 		t.Fatalf("join over unknown input annotated: %+v", j.Cost)
 	}
@@ -154,7 +154,7 @@ func TestAnnotateSelectivityShrinksJoinSide(t *testing.T) {
 		Pred: &CmpE{Op: nrc.Eq, L: intCol(0, "a"), R: &ConstE{Val: int64(7), Typ: nrc.IntT}},
 	}
 	op := &Join{L: scanOf("R", "a", "b"), R: sel, LCols: []int{0}, RCols: []int{0}}
-	out := Annotate(op, testTables(), 64<<10)
+	out, _ := Annotate(op, testTables(), 64<<10)
 	j := findJoin(t, out)
 	if j.Cost == nil || j.Cost.Method != JoinBroadcast {
 		t.Fatalf("cost = %+v, want broadcast of the filtered side", j.Cost)
@@ -163,7 +163,7 @@ func TestAnnotateSelectivityShrinksJoinSide(t *testing.T) {
 
 func TestAnnotateEmptyTablesNoop(t *testing.T) {
 	op := &Join{L: scanOf("R", "a", "b"), R: scanOf("S", "k"), LCols: []int{0}, RCols: []int{0}}
-	if out := Annotate(op, nil, 64<<10); out != op {
+	if out, _ := Annotate(op, nil, 64<<10); out != op {
 		t.Fatal("Annotate without statistics should return the plan unchanged")
 	}
 }
@@ -254,7 +254,7 @@ func TestIndexScanRangeGate(t *testing.T) {
 	// a < 1000 over [0,9999] ≈ 10% selectivity: the regression case. This is
 	// exactly where the ablation measured the index arm losing, so it must NOT
 	// plan an IndexScan anymore.
-	wide, stats := AnnotateOpts(mkSel(nrc.Lt, intCol(0, "a"), 1000), indexedTables(), AnnotateOptions{BroadcastLimit: 64 << 10})
+	wide, stats := Annotate(mkSel(nrc.Lt, intCol(0, "a"), 1000), indexedTables(), 64<<10)
 	if is := findIndexScan(wide); is != nil {
 		t.Fatalf("~10%% range predicate converted to IndexScan (gate regressed):\n%s", Explain(wide))
 	}
@@ -264,7 +264,7 @@ func TestIndexScanRangeGate(t *testing.T) {
 
 	// a < 400 ≈ 4% selectivity sits under the measured crossover and still
 	// converts.
-	tight, stats := AnnotateOpts(mkSel(nrc.Lt, intCol(0, "a"), 400), indexedTables(), AnnotateOptions{BroadcastLimit: 64 << 10})
+	tight, stats := Annotate(mkSel(nrc.Lt, intCol(0, "a"), 400), indexedTables(), 64<<10)
 	is := findIndexScan(tight)
 	if is == nil {
 		t.Fatalf("4%% range predicate no longer converts:\n%s", Explain(tight))
@@ -279,7 +279,7 @@ func TestIndexScanRangeGate(t *testing.T) {
 	// b = k has selectivity 1/NDV(b) = 10%: far above the range gate but a
 	// hash point probe, which keeps the looser equality gate and still plans
 	// (this is the tpch.PointLookup shape).
-	point, _ := AnnotateOpts(mkSel(nrc.Eq, intCol(1, "b"), 3), indexedTables(), AnnotateOptions{BroadcastLimit: 64 << 10})
+	point, _ := Annotate(mkSel(nrc.Eq, intCol(1, "b"), 3), indexedTables(), 64<<10)
 	is = findIndexScan(point)
 	if is == nil {
 		t.Fatalf("10%% equality probe no longer converts:\n%s", Explain(point))
@@ -292,7 +292,7 @@ func TestIndexScanRangeGate(t *testing.T) {
 	// the equality gate: a = 42 over NDV 5000 is far under 0.5 either way, but
 	// the span is a point, so it must use the ordered index without tripping
 	// the range gate.
-	eqa, _ := AnnotateOpts(mkSel(nrc.Eq, intCol(0, "a"), 42), indexedTables(), AnnotateOptions{BroadcastLimit: 64 << 10})
+	eqa, _ := Annotate(mkSel(nrc.Eq, intCol(0, "a"), 42), indexedTables(), 64<<10)
 	if findIndexScan(eqa) == nil {
 		t.Fatalf("point predicate on ordered column no longer converts:\n%s", Explain(eqa))
 	}
@@ -317,7 +317,8 @@ func TestAnnotateCarriedColumnKeepsEstimate(t *testing.T) {
 	}
 
 	// |Γ| = 10000/4; joined to S on a: 2500·100 / max(NDV a, NDV k) = 50.
-	j := findJoin(t, Annotate(&Join{L: nest, R: scanOf("S", "k"), LCols: []int{1}, RCols: []int{0}}, testTables(), 64<<10))
+	annotated, _ := Annotate(&Join{L: nest, R: scanOf("S", "k"), LCols: []int{1}, RCols: []int{0}}, testTables(), 64<<10)
+	j := findJoin(t, annotated)
 	if j.Cost == nil || j.Cost.EstRows != 50 {
 		t.Fatalf("join on a carried column: cost %+v, want est_rows=50", j.Cost)
 	}

@@ -69,7 +69,7 @@ func TestPruneThroughNestAndUnnest(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, st := range steps {
-		plans = append(plans, namedPlan{"biomed/" + st.Name, unpruned(t, st.Query, envs[i])})
+		plans = append(plans, namedPlan{"biomed/" + st.Name, unpruned(t, st.Expr, envs[i])})
 	}
 
 	narrowed := 0
@@ -133,7 +133,7 @@ func TestIDDepsThroughFusedJoins(t *testing.T) {
 		for _, class := range []tpch.QueryClass{tpch.FlatToNested, tpch.NestedToNested, tpch.NestedToFlat} {
 			for level := 0; level <= tpch.MaxLevel; level++ {
 				for _, wide := range []bool{false, true} {
-					cq, err := runner.Compile(tpch.Query(class, level, wide), tpch.Env(class, level, wide), strat, cfg)
+					cq, err := runner.CompileStep(tpch.Query(class, level, wide), tpch.Env(class, level, wide), strat, cfg, "Q")
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -64,12 +64,12 @@ func TestAnalyzeRowConservation(t *testing.T) {
 	inputs := map[string]value.Bag{"COP": testdata.SmallCOP(), "Part": testdata.SmallPart()}
 	cfg := DefaultConfig()
 	for _, strat := range []Strategy{Standard, Shred, ShredUnshred, StandardSkew, ShredSkew, ShredUnshredSkew} {
-		cq, err := Compile(testdata.RunningExample(), testdata.Env(), strat, cfg)
+		cq, err := CompileStep(testdata.RunningExample(), testdata.Env(), strat, cfg, "Q")
 		if err != nil {
 			t.Fatalf("%s: %v", strat, err)
 		}
 		a := plan.NewAnalysis()
-		res := ExecuteInputs(context.Background(), []*Compiled{cq}, inputs, NewRunContext(cfg), ExecOptions{Analysis: a})
+		res := ExecuteBags(context.Background(), []*Compiled{cq}, inputs, NewRunContext(cfg), ExecOptions{Analysis: a})
 		if res.Failed() {
 			t.Fatalf("%s: %v", strat, res.Err)
 		}
@@ -128,12 +128,12 @@ func TestAnalyzeRowConservation(t *testing.T) {
 func TestExplainAnalyzeRendering(t *testing.T) {
 	inputs := map[string]value.Bag{"COP": testdata.SmallCOP(), "Part": testdata.SmallPart()}
 	cfg := DefaultConfig()
-	cq, err := Compile(testdata.RunningExample(), testdata.Env(), Standard, cfg)
+	cq, err := CompileStep(testdata.RunningExample(), testdata.Env(), Standard, cfg, "Q")
 	if err != nil {
 		t.Fatal(err)
 	}
 	a := plan.NewAnalysis()
-	res := ExecuteInputs(context.Background(), []*Compiled{cq}, inputs, NewRunContext(cfg), ExecOptions{Analysis: a})
+	res := ExecuteBags(context.Background(), []*Compiled{cq}, inputs, NewRunContext(cfg), ExecOptions{Analysis: a})
 	if res.Failed() {
 		t.Fatal(res.Err)
 	}
@@ -144,7 +144,7 @@ func TestExplainAnalyzeRendering(t *testing.T) {
 		}
 	}
 
-	plain := ExecuteInputs(context.Background(), []*Compiled{cq}, inputs, NewRunContext(cfg), ExecOptions{})
+	plain := ExecuteBags(context.Background(), []*Compiled{cq}, inputs, NewRunContext(cfg), ExecOptions{})
 	if plain.Failed() {
 		t.Fatal(plain.Err)
 	}
@@ -158,11 +158,11 @@ func TestExplainAnalyzeRendering(t *testing.T) {
 func TestAnalyzeOffLeavesNoTrace(t *testing.T) {
 	inputs := map[string]value.Bag{"COP": testdata.SmallCOP(), "Part": testdata.SmallPart()}
 	cfg := DefaultConfig()
-	cq, err := Compile(testdata.RunningExample(), testdata.Env(), Standard, cfg)
+	cq, err := CompileStep(testdata.RunningExample(), testdata.Env(), Standard, cfg, "Q")
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := ExecuteInputs(context.Background(), []*Compiled{cq}, inputs, NewRunContext(cfg), ExecOptions{})
+	res := ExecuteBags(context.Background(), []*Compiled{cq}, inputs, NewRunContext(cfg), ExecOptions{})
 	if res.Failed() {
 		t.Fatal(res.Err)
 	}
@@ -204,7 +204,7 @@ func TestAnalyzeFusedJoins(t *testing.T) {
 		return out
 	}
 	for _, strat := range []Strategy{Standard, ShredUnshred, StandardSkew} {
-		cq, err := Compile(tpch.Query(tpch.NestedToNested, 2, false), env, strat, cfg)
+		cq, err := CompileStep(tpch.Query(tpch.NestedToNested, 2, false), env, strat, cfg, "Q")
 		if err != nil {
 			t.Fatalf("%s: %v", strat, err)
 		}
@@ -217,7 +217,7 @@ func TestAnalyzeFusedJoins(t *testing.T) {
 			unfused.Stmts = append(unfused.Stmts, unfused.place(st, unfused.bound(nil)))
 		}
 		run := func(cq *Compiled, a *plan.Analysis) []dataflow.Row {
-			res := ExecuteInputs(context.Background(), []*Compiled{cq}, inputs, NewRunContext(cfg), ExecOptions{Analysis: a})
+			res := ExecuteBags(context.Background(), []*Compiled{cq}, inputs, NewRunContext(cfg), ExecOptions{Analysis: a})
 			if res.Failed() {
 				t.Fatalf("%s: %v", strat, res.Err)
 			}
@@ -272,7 +272,7 @@ func TestAnalyzeFusedJoins(t *testing.T) {
 // the raw plan before and the fused plan after.
 func TestExplainFusionIsNotAnOptimizerChange(t *testing.T) {
 	cfg := DefaultConfig()
-	cq, err := Compile(tpch.Query(tpch.NestedToNested, 2, false), tpch.Env(tpch.NestedToNested, 2, false), Standard, cfg)
+	cq, err := CompileStep(tpch.Query(tpch.NestedToNested, 2, false), tpch.Env(tpch.NestedToNested, 2, false), Standard, cfg, "Q")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +280,7 @@ func TestExplainFusionIsNotAnOptimizerChange(t *testing.T) {
 	if !strings.Contains(text, "=== plan (unchanged by optimizer) ===") || strings.Count(text, " out[c_custkey") != 1 || strings.Contains(text, "\n  ext ") {
 		t.Fatalf("want one fused plan under \"unchanged by optimizer\":\n%s", text)
 	}
-	cq, err = Compile(tpch.NestedToFlatSelective(2), tpch.Env(tpch.NestedToFlat, 2, false), Standard, cfg)
+	cq, err = CompileStep(tpch.NestedToFlatSelective(2), tpch.Env(tpch.NestedToFlat, 2, false), Standard, cfg, "Q")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,13 +27,12 @@ type Choice struct {
 //     Standard) when a pushed-down predicate with estimated selectivity at or
 //     below AutoSelectivity lands on a nested input — shredding avoids
 //     materializing inner collections the predicate discards;
-//   - Standard otherwise, and always when statistics are absent or the cost
-//     model is ablated (cfg.NoCostModel).
+//   - Standard otherwise, and always when statistics are absent.
 //
 // Both signals together select ShredUnshredSkew. The decision is deterministic
 // in (op, env, cfg).
 func ChooseStrategy(op plan.Op, env nrc.Env, cfg Config) Choice {
-	if cfg.NoCostModel || len(cfg.Stats) == 0 {
+	if len(cfg.Stats) == 0 {
 		return Choice{Strategy: Standard, Reasons: []string{"no statistics available; defaulting to standard"}}
 	}
 	var reasons []string

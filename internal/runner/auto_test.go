@@ -92,7 +92,7 @@ func TestAutoPicksRoute(t *testing.T) {
 		r, s := flatAutoData(4000, false)
 		cfg := cfg
 		cfg.Stats = collectStats(t, flatAutoEnv(), map[string]value.Bag{"R": r, "S": s}, cfg.Parallelism)
-		cq, err := runner.Compile(flatJoinQuery(), flatAutoEnv(), runner.Auto, cfg)
+		cq, err := runner.CompileStep(flatJoinQuery(), flatAutoEnv(), runner.Auto, cfg, "Q")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -105,7 +105,7 @@ func TestAutoPicksRoute(t *testing.T) {
 		r, s := flatAutoData(4000, true)
 		cfg := cfg
 		cfg.Stats = collectStats(t, flatAutoEnv(), map[string]value.Bag{"R": r, "S": s}, cfg.Parallelism)
-		cq, err := runner.Compile(flatJoinQuery(), flatAutoEnv(), runner.Auto, cfg)
+		cq, err := runner.CompileStep(flatJoinQuery(), flatAutoEnv(), runner.Auto, cfg, "Q")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -121,7 +121,7 @@ func TestAutoPicksRoute(t *testing.T) {
 		rn := nestedAutoData(400, false)
 		cfg := cfg
 		cfg.Stats = collectStats(t, nestedAutoEnv(), map[string]value.Bag{"RN": rn}, cfg.Parallelism)
-		cq, err := runner.Compile(selectiveNestedQuery(), nestedAutoEnv(), runner.Auto, cfg)
+		cq, err := runner.CompileStep(selectiveNestedQuery(), nestedAutoEnv(), runner.Auto, cfg, "Q")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -136,7 +136,7 @@ func TestAutoPicksRoute(t *testing.T) {
 		cfg.Stats = collectStats(t, nestedAutoEnv(), map[string]value.Bag{"RN": rn}, cfg.Parallelism)
 		// The hot key collapses k's NDV; filter on it still estimates
 		// selectively enough (1/NDV of the residual keys ≪ threshold).
-		cq, err := runner.Compile(selectiveNestedQuery(), nestedAutoEnv(), runner.Auto, cfg)
+		cq, err := runner.CompileStep(selectiveNestedQuery(), nestedAutoEnv(), runner.Auto, cfg, "Q")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -146,7 +146,7 @@ func TestAutoPicksRoute(t *testing.T) {
 	})
 
 	t.Run("no statistics → standard", func(t *testing.T) {
-		cq, err := runner.Compile(flatJoinQuery(), flatAutoEnv(), runner.Auto, cfg)
+		cq, err := runner.CompileStep(flatJoinQuery(), flatAutoEnv(), runner.Auto, cfg, "Q")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -158,17 +158,24 @@ func TestAutoPicksRoute(t *testing.T) {
 		}
 	})
 
+	// The cost model's ablation is compiling without statistics: the data
+	// that picks standard-skew with them resolves to Standard.
 	t.Run("ablated cost model → standard", func(t *testing.T) {
 		r, s := flatAutoData(4000, true)
 		cfg := cfg
 		cfg.Stats = collectStats(t, flatAutoEnv(), map[string]value.Bag{"R": r, "S": s}, cfg.Parallelism)
-		cfg.NoCostModel = true
-		cq, err := runner.Compile(flatJoinQuery(), flatAutoEnv(), runner.Auto, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if cq.Strategy != runner.Standard {
-			t.Fatalf("chose %s under NoCostModel, want STANDARD", cq.Strategy)
+		for _, c := range []struct {
+			stats map[string]plan.TableEstimate
+			want  runner.Strategy
+		}{{cfg.Stats, runner.StandardSkew}, {nil, runner.Standard}} {
+			cfg.Stats = c.stats
+			cq, err := runner.CompileStep(flatJoinQuery(), flatAutoEnv(), runner.Auto, cfg, "Q")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cq.Strategy != c.want {
+				t.Fatalf("chose %s with %d inputs' statistics, want %s", cq.Strategy, len(c.stats), c.want)
+			}
 		}
 	})
 }
@@ -186,7 +193,7 @@ func TestAutoFallsBackWhenShredFails(t *testing.T) {
 			nrc.IfThen(nrc.EqOf(nrc.P(nrc.V("r"), "k"), nrc.C(5)),
 				nrc.SingOf(nrc.Record("k", nrc.P(nrc.V("r"), "k"), "n", nrc.C(1))))),
 		"k")
-	cq, err := runner.Compile(q, nestedAutoEnv(), runner.Auto, cfg)
+	cq, err := runner.CompileStep(q, nestedAutoEnv(), runner.Auto, cfg, "Q")
 	if err != nil {
 		t.Fatalf("auto compile failed instead of falling back: %v", err)
 	}
@@ -203,7 +210,7 @@ func TestAutoFallsBackWhenShredFails(t *testing.T) {
 		t.Fatalf("fallback not recorded in reasons: %v", cq.AutoReasons)
 	}
 	// The fallback artifact must actually run.
-	res := runner.ExecuteInputs(context.Background(), []*runner.Compiled{cq}, map[string]value.Bag{"RN": rn}, runner.NewRunContext(cfg), runner.ExecOptions{})
+	res := runner.ExecuteBags(context.Background(), []*runner.Compiled{cq}, map[string]value.Bag{"RN": rn}, runner.NewRunContext(cfg), runner.ExecOptions{})
 	if res.Err != nil {
 		t.Fatalf("fallback execution failed: %v", res.Err)
 	}
@@ -216,7 +223,7 @@ func TestAutoExplainShowsChoice(t *testing.T) {
 	cfg := runner.DefaultConfig()
 	cfg.Parallelism = 4
 	cfg.Stats = collectStats(t, flatAutoEnv(), map[string]value.Bag{"R": r, "S": s}, cfg.Parallelism)
-	cq, err := runner.Compile(flatJoinQuery(), flatAutoEnv(), runner.Auto, cfg)
+	cq, err := runner.CompileStep(flatJoinQuery(), flatAutoEnv(), runner.Auto, cfg, "Q")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +241,7 @@ func TestAutoExplainShowsChoice(t *testing.T) {
 func TestAutoCountersAdvance(t *testing.T) {
 	before := metrics.Values()["auto_strategy.standard"]
 	cfg := runner.DefaultConfig()
-	if _, err := runner.Compile(flatJoinQuery(), flatAutoEnv(), runner.Auto, cfg); err != nil {
+	if _, err := runner.CompileStep(flatJoinQuery(), flatAutoEnv(), runner.Auto, cfg, "Q"); err != nil {
 		t.Fatal(err)
 	}
 	if after := metrics.Values()["auto_strategy.standard"]; after != before+1 {
@@ -261,7 +268,7 @@ func TestAutoOptimizesStandardPlanOnce(t *testing.T) {
 	}
 	deltas := func(strat runner.Strategy) (map[string]int64, *runner.Compiled) {
 		before := metrics.Values()
-		cq, err := runner.Compile(query(), flatAutoEnv(), strat, cfg)
+		cq, err := runner.CompileStep(query(), flatAutoEnv(), strat, cfg, "Q")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -323,7 +330,7 @@ func BenchmarkAutoStrategy(b *testing.B) {
 
 	for _, strat := range []runner.Strategy{runner.Standard, runner.StandardSkew, runner.ShredUnshred, runner.Auto} {
 		b.Run(strat.CLIName(), func(b *testing.B) {
-			cq, err := runner.Compile(flatJoinQuery(), env, strat, cfg)
+			cq, err := runner.CompileStep(flatJoinQuery(), env, strat, cfg, "Q")
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -351,10 +358,10 @@ func TestAutoProgramKeepsOneRoute(t *testing.T) {
 	env := nrc.Env{"R": flatAutoEnv()["R"], "RN": nestedAutoEnv()["RN"]}
 	r, _ := flatAutoData(400, false)
 	inputs := map[string]value.Bag{"R": r, "RN": nestedAutoData(400, false)}
-	steps := func() []runner.PipelineStep {
-		return []runner.PipelineStep{
-			{Name: "P", Query: nrc.ForIn("r", nrc.V("R"), nrc.SingOf(nrc.V("r")))},
-			{Name: "Out", Query: nrc.ForIn("n", nrc.V("RN"),
+	steps := func() []nrc.Assignment {
+		return []nrc.Assignment{
+			{Name: "P", Expr: nrc.ForIn("r", nrc.V("R"), nrc.SingOf(nrc.V("r")))},
+			{Name: "Out", Expr: nrc.ForIn("n", nrc.V("RN"),
 				nrc.IfThen(nrc.EqOf(nrc.P(nrc.V("n"), "k"), nrc.C(5)),
 					nrc.ForIn("p", nrc.V("P"),
 						nrc.IfThen(nrc.EqOf(nrc.P(nrc.V("p"), "k"), nrc.P(nrc.V("n"), "k")),
@@ -365,15 +372,15 @@ func TestAutoProgramKeepsOneRoute(t *testing.T) {
 	cfg.Parallelism = 4
 	cfg.Stats = collectStats(t, env, inputs, cfg.Parallelism)
 
-	alone, err := runner.CompileStep(steps()[1].Query, nrc.Env{"P": env["R"], "RN": env["RN"]}, runner.Auto, cfg, "Out")
+	alone, err := runner.CompileStep(steps()[1].Expr, nrc.Env{"P": env["R"], "RN": env["RN"]}, runner.Auto, cfg, "Out")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !alone.Strategy.IsShredded() {
 		t.Fatalf("vacuous: the second step on its own resolves to %s, not a shredded route", alone.Strategy)
 	}
-	want := runner.RunPipeline(steps(), env, inputs, runner.Standard, cfg)
-	got := runner.RunPipeline(steps(), env, inputs, runner.Auto, cfg)
+	want := runner.RunProgram(steps(), env, inputs, runner.Standard, cfg)
+	got := runner.RunProgram(steps(), env, inputs, runner.Auto, cfg)
 	if want.Failed() || got.Failed() {
 		t.Fatalf("standard: %v; auto: %v", want.Err, got.Err)
 	}

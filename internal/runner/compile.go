@@ -18,20 +18,20 @@ import (
 	"github.com/trance-go/trance/internal/plan"
 	"github.com/trance-go/trance/internal/shred"
 	"github.com/trance-go/trance/internal/trace"
-	"github.com/trance-go/trance/internal/value"
 )
 
 // Compiled holds every compile-time artifact of one (query, environment,
 // strategy, config) combination: the statements Execute runs in order and, on
 // shredded routes, the materialized program they came from. A Compiled is
-// immutable after Compile returns and safe to Execute from many goroutines at
-// once over different inputs — plan operators and their scalar expressions
-// are pure, and every run gets its own executor and dataflow context. It is
-// one step of a program; a program is a []*Compiled in step order.
+// immutable after CompileStep returns and safe to Execute from many
+// goroutines at once over different inputs — plan operators and their scalar
+// expressions are pure, and every run gets its own executor and dataflow
+// context. It is one step of a program; a program is a []*Compiled in step
+// order.
 type Compiled struct {
 	// Name is the step name: what later steps of a program reference the
 	// output by, and the materialization name of the shredded route ("Q" for
-	// a query compiled on its own).
+	// a query, the one-step program).
 	Name     string
 	Strategy Strategy
 	Cfg      Config
@@ -45,7 +45,7 @@ type Compiled struct {
 	// cached route pays for it once (Result.WriteJSON).
 	rowEnc *ingest.RowEncoder
 
-	// Requested is the strategy Compile was asked for. It differs from
+	// Requested is the strategy CompileStep was asked for. It differs from
 	// Strategy only when it was Auto: Strategy then holds the concrete route
 	// ChooseStrategy resolved, and AutoReasons records why.
 	Requested   Strategy
@@ -61,7 +61,7 @@ type Compiled struct {
 	// this compilation.
 	Opt plan.OptStats
 	// Idx accumulates the planner's Select→IndexScan conversions over every
-	// plan of this compilation (zero when Config.NoIndexScan ablated them).
+	// plan of this compilation (zero when no statistics flag an index).
 	Idx plan.IndexStats
 }
 
@@ -181,21 +181,17 @@ func recoverTo(err *error, what string) {
 	}
 }
 
-// Compile runs typechecking, (shredded) compilation and plan pruning for the
-// strategy exactly once, producing an artifact that can be executed many
-// times. Compile-time panics are converted into errors.
+// CompileStep runs typechecking, (shredded) compilation and plan pruning of
+// one program step for the strategy, producing an artifact that can be
+// executed many times. The step name matters to programs: a step's
+// materialized components are bound under it, so later steps — compiled
+// against shred.InputEnv(name, …) — resolve them. Compile-time panics are
+// converted into errors.
 //
-// Compile type-annotates the query's AST in place (nrc.Check); do not
-// Compile the same expression tree from several goroutines concurrently —
-// the prepared-query layer serializes its per-strategy compilations for
-// this reason.
-func Compile(q nrc.Expr, env nrc.Env, strat Strategy, cfg Config) (*Compiled, error) {
-	return CompileStep(q, env, strat, cfg, "Q")
-}
-
-// CompileStep is Compile with an explicit step name. Program steps need it: a
-// step's materialized components are bound under the name, so later steps —
-// compiled against shred.InputEnv(name, …) — resolve them.
+// CompileStep type-annotates the query's AST in place (nrc.Check); do not
+// compile the same expression tree from several goroutines concurrently —
+// the prepared-query layer, its one caller, serializes its per-strategy
+// compilations for this reason.
 func CompileStep(q nrc.Expr, env nrc.Env, strat Strategy, cfg Config, name string) (cq *Compiled, err error) {
 	defer recoverTo(&err, "compile")
 	out, cerr := nrc.Check(q, env)
@@ -288,18 +284,12 @@ func outputSchema(op plan.Op, out nrc.Type, strat Strategy) []OutputColumn {
 	return cols
 }
 
-// annotate applies the cost model (plan.Annotate) when table statistics are
-// available and the ablation knob is off. Shredded component scans carry no
-// statistics, so annotation is a no-op for most shredded-plan internals — a
-// documented limitation (docs/COSTMODEL.md).
+// annotate applies the cost model (plan.Annotate) over the config's table
+// statistics; without any it leaves the plan as it is. Shredded component
+// scans carry no statistics, so annotation is a no-op for most shredded-plan
+// internals — a documented limitation (docs/COSTMODEL.md).
 func (cq *Compiled) annotate(op plan.Op) plan.Op {
-	if cq.Cfg.NoCostModel || len(cq.Cfg.Stats) == 0 {
-		return op
-	}
-	out, ist := plan.AnnotateOpts(op, cq.Cfg.Stats, plan.AnnotateOptions{
-		BroadcastLimit: cq.Cfg.BroadcastLimit,
-		NoIndexScan:    cq.Cfg.NoIndexScan,
-	})
+	out, ist := plan.Annotate(op, cq.Cfg.Stats, cq.Cfg.BroadcastLimit)
 	cq.Idx.Add(ist)
 	return out
 }
@@ -375,8 +365,8 @@ func (cq *Compiled) compileShredded(q nrc.Expr) error {
 	return nil
 }
 
-// NewRunContext builds the dataflow context Run uses for one execution under
-// the config. Callers serving concurrent requests attach a shared worker pool
+// NewRunContext builds the dataflow context of one execution under the
+// config. Callers serving concurrent requests attach a shared worker pool
 // (ctx.SharedPool) before executing.
 func NewRunContext(cfg Config) *dataflow.Context {
 	ctx := dataflow.NewContext(cfg.Parallelism)
@@ -456,20 +446,6 @@ func Execute(ctx context.Context, prog []*Compiled, rows map[string][]dataflow.R
 	}()
 	res.Metrics = dctx.Metrics.Snapshot()
 	return res
-}
-
-// ExecuteInputs is Execute for one-shot callers holding nested values: it
-// binds them under the types of prog's environment (NewInputs, Inputs.Bind),
-// converting them and building the indexes the plans planned on every call.
-// Callers evaluating a fixed dataset repeatedly keep its Inputs and bind those.
-func ExecuteInputs(ctx context.Context, prog []*Compiled, inputs map[string]value.Bag, dctx *dataflow.Context, opts ExecOptions) *Result {
-	rows, idxs, err := NewInputs(inputs, prog[0].Env).Bind(prog)
-	if err != nil {
-		res := Failure(prog[len(prog)-1].Strategy, err)
-		res.Metrics = dctx.Metrics.Snapshot()
-		return res
-	}
-	return Execute(ctx, prog, rows, idxs, dctx, opts)
 }
 
 // execute runs the step's statements in order on the program's executor. An

@@ -68,7 +68,7 @@ func TestConsumedBagReuseIsRefused(t *testing.T) {
 		for _, pushdown := range []bool{true, false} {
 			cfg := runner.DefaultConfig()
 			cfg.NoPredicatePushdown = !pushdown
-			_, err := runner.Compile(mk(), env, runner.Standard, cfg)
+			_, err := runner.CompileStep(mk(), env, runner.Standard, cfg, "Q")
 			if err == nil {
 				t.Fatalf("%s (pushdown=%t): must be refused at compile time — executing it would silently return empty inner bags", name, pushdown)
 			}
@@ -101,7 +101,7 @@ func TestConsumedBagGuardSurvivesDeepNesting(t *testing.T) {
 		))),
 		"s2", nrc.ForIn("j", nrc.P(nrc.V("x"), "items"), nrc.SingOf(nrc.Record("w", nrc.P(nrc.V("j"), "v")))),
 	)))
-	_, err := runner.Compile(q, env, runner.Standard, runner.DefaultConfig())
+	_, err := runner.CompileStep(q, env, runner.Standard, runner.DefaultConfig(), "Q")
 	if err == nil {
 		t.Fatal("deep-nested sibling reuse of x.items must be refused at compile time")
 	}
@@ -121,7 +121,7 @@ func TestDistinctBagsStillCompile(t *testing.T) {
 		"s1", nrc.ForIn("i", nrc.P(nrc.V("r"), "xs"), nrc.SingOf(nrc.Record("v", nrc.P(nrc.V("i"), "v")))),
 		"s2", nrc.ForIn("j", nrc.P(nrc.V("r"), "ys"), nrc.SingOf(nrc.Record("w", nrc.P(nrc.V("j"), "v")))),
 	)))
-	if _, err := runner.Compile(q, env, runner.Standard, runner.DefaultConfig()); err != nil {
+	if _, err := runner.CompileStep(q, env, runner.Standard, runner.DefaultConfig(), "Q"); err != nil {
 		t.Fatalf("distinct sibling bags must compile: %v", err)
 	}
 }

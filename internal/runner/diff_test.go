@@ -324,21 +324,40 @@ func (g *dgen) query() nrc.Expr {
 
 // diffConfig is the cluster sizing for differential runs: small enough to be
 // fast, parallel enough to exercise shuffles. The full configuration carries
-// collected statistics and a generator-chosen broadcast limit; the ablated
-// configuration disables column pruning, the rule-based optimizer and the cost
-// model (so every seed also runs the plans as the unnesting stage wrote them,
-// Γ keyed by every flat column, and the un-annotated plans Auto degrades to
-// Standard on).
+// collected statistics — with the seed's index flags, or none for the noIdx
+// arm, which then plans no index scan — and a generator-chosen broadcast
+// limit; the ablated configuration disables column pruning and the rule-based
+// optimizer and carries no statistics, which ablates the cost model (so every
+// seed also runs the plans as the unnesting stage wrote them, Γ keyed by every
+// flat column, and the un-annotated plans Auto degrades to Standard on).
 func diffConfig(full, noIdx bool, ests map[string]plan.TableEstimate, limit int64) runner.Config {
 	cfg := runner.DefaultConfig()
 	cfg.Parallelism = 3
 	cfg.NoColumnPruning = !full
 	cfg.NoPredicatePushdown = !full
-	cfg.NoCostModel = !full
-	cfg.NoIndexScan = noIdx
-	cfg.Stats = ests
+	if full {
+		cfg.Stats = ests
+		if noIdx {
+			cfg.Stats = withoutIndexes(ests)
+		}
+	}
 	cfg.BroadcastLimit = limit
 	return cfg
+}
+
+// withoutIndexes copies the statistics with every index flag cleared.
+func withoutIndexes(ests map[string]plan.TableEstimate) map[string]plan.TableEstimate {
+	out := map[string]plan.TableEstimate{}
+	for name, te := range ests {
+		cols := map[string]plan.ColEstimate{}
+		for col, ce := range te.Cols {
+			ce.IndexHash, ce.IndexOrdered = false, false
+			cols[col] = ce
+		}
+		te.Cols = cols
+		out[name] = te
+	}
+	return out
 }
 
 // diffIndexCols are the scalar columns the generator may index: every
@@ -481,9 +500,9 @@ func (c *diffCounts) add(o diffCounts) {
 }
 
 // runDifferential executes one generated query under the full
-// strategy × {full, full+NoIndexScan, ablated} matrix and compares each run
-// against the oracle (the index arm only splits full runs: ablated runs skip
-// annotation and so never plan index scans). The query is regenerated from
+// strategy × {full, full without index flags, ablated} matrix and compares
+// each run against the oracle (the index arm only splits full runs: ablated
+// runs carry no statistics and so never plan index scans). The query is regenerated from
 // the same bytes for every compilation (compilation annotates ASTs in place).
 // Returns the tallies, or an error describing the first divergence.
 func runDifferential(data []byte, strict bool) (n diffCounts, err error) {
@@ -517,7 +536,7 @@ func runDifferential(data []byte, strict bool) (n diffCounts, err error) {
 			}
 			for _, noIdx := range noIdxArms {
 				cfg := diffConfig(full, noIdx, ests, limit)
-				cq, cerr := runner.Compile(mkQuery("R"), env, strat, cfg)
+				cq, cerr := runner.CompileStep(mkQuery("R"), env, strat, cfg, "Q")
 				if cerr != nil {
 					if strict {
 						return n, fmt.Errorf("%s (full=%t, noidx=%t) does not compile: %v\n%s",
@@ -543,11 +562,11 @@ func runDifferential(data []byte, strict bool) (n diffCounts, err error) {
 				if cq.Idx.Planned > 0 {
 					if noIdx {
 						return n, fmt.Errorf(
-							"%s planned %d index scans with NoIndexScan set\n%s", strat, cq.Idx.Planned, nrc.Print(q))
+							"%s planned %d index scans with no index flagged\n%s", strat, cq.Idx.Planned, nrc.Print(q))
 					}
 					n.indexed++
 				}
-				res := runner.ExecuteInputs(context.Background(), []*runner.Compiled{cq}, inputs, runner.NewRunContext(cfg), runner.ExecOptions{})
+				res := runner.ExecuteBags(context.Background(), []*runner.Compiled{cq}, inputs, runner.NewRunContext(cfg), runner.ExecOptions{})
 				if res.Failed() {
 					return n, fmt.Errorf("%s (full=%t, noidx=%t) failed: %v\n%s",
 						strat, full, noIdx, res.Err, nrc.Print(q))
@@ -611,9 +630,9 @@ func runDifferential(data []byte, strict bool) (n diffCounts, err error) {
 	// The copy is the identity on bags, so the oracle value is unchanged.
 	for _, strat := range diffStrategies {
 		cfg := diffConfig(true, false, ests, limit)
-		prog, cerr := runner.CompilePipeline([]runner.PipelineStep{
-			{Name: "P", Query: nrc.ForIn("x", nrc.V("R"), nrc.SingOf(nrc.V("x")))},
-			{Name: "Out", Query: mkQuery("P")},
+		prog, cerr := runner.CompileProgram([]nrc.Assignment{
+			{Name: "P", Expr: nrc.ForIn("x", nrc.V("R"), nrc.SingOf(nrc.V("x")))},
+			{Name: "Out", Expr: mkQuery("P")},
 		}, env, strat, cfg)
 		if cerr != nil {
 			if strict {
@@ -622,7 +641,7 @@ func runDifferential(data []byte, strict bool) (n diffCounts, err error) {
 			return n, errSkip
 		}
 		last := prog[1]
-		res := runner.ExecuteInputs(context.Background(), prog, inputs, runner.NewRunContext(cfg), runner.ExecOptions{})
+		res := runner.ExecuteBags(context.Background(), prog, inputs, runner.NewRunContext(cfg), runner.ExecOptions{})
 		if res.Failed() {
 			return n, fmt.Errorf("%s program failed at step %d: %v\n%s", strat, res.FailedStep, res.Err, nrc.Print(q))
 		}
@@ -816,7 +835,7 @@ func seedBytes(seed int) []byte {
 }
 
 // TestDifferentialOracle is the headline soundness gate: 300 generated
-// queries × (7 strategies + AUTO) × {full, full+NoIndexScan, ablated}, every
+// queries × (7 strategies + AUTO) × {full, full without index flags, ablated}, every
 // run compared against the reference evaluator. Runs under -race in CI.
 func TestDifferentialOracle(t *testing.T) {
 	n := 300
@@ -915,12 +934,12 @@ func TestAnalyzeStableAcrossRoutes(t *testing.T) {
 
 		for _, noIdx := range []bool{false, true} {
 			cfg := diffConfig(true, noIdx, ests, limit)
-			cq, cerr := runner.Compile(mkQuery(), env, runner.Standard, cfg)
+			cq, cerr := runner.CompileStep(mkQuery(), env, runner.Standard, cfg, "Q")
 			if cerr != nil {
 				t.Fatalf("seed %d (noidx=%t): compile: %v", seed, noIdx, cerr)
 			}
 			a := plan.NewAnalysis()
-			res := runner.ExecuteInputs(context.Background(), []*runner.Compiled{cq}, inputs,
+			res := runner.ExecuteBags(context.Background(), []*runner.Compiled{cq}, inputs,
 				runner.NewRunContext(cfg), runner.ExecOptions{Analysis: a})
 			if res.Failed() {
 				t.Fatalf("seed %d (noidx=%t): %v", seed, noIdx, res.Err)

@@ -57,9 +57,7 @@ func (cq *Compiled) explainHeader(sb *strings.Builder) {
 	} else {
 		fmt.Fprintf(sb, "optimizer: %s\n", cq.Opt.String())
 	}
-	if cq.Cfg.NoIndexScan {
-		sb.WriteString("index: disabled (NoIndexScan)\n")
-	} else if cq.Idx.Planned > 0 {
+	if cq.Idx.Planned > 0 {
 		fmt.Fprintf(sb, "index: %s\n", cq.Idx.String())
 	}
 }

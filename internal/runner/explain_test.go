@@ -52,7 +52,7 @@ func TestGoldenExplains(t *testing.T) {
 			q := tpch.Query(class, level, false)
 			env := tpch.Env(class, level, false)
 			for _, strat := range []runner.Strategy{runner.Standard, runner.ShredUnshred} {
-				cq, err := runner.Compile(q, env, strat, cfg)
+				cq, err := runner.CompileStep(q, env, strat, cfg, "Q")
 				if err != nil {
 					t.Fatalf("%s L%d %s: %v", class, level, strat, err)
 				}
@@ -69,7 +69,7 @@ func TestGoldenExplains(t *testing.T) {
 		q := tpch.NestedToFlatSelective(2)
 		env := tpch.Env(tpch.NestedToFlat, 2, false)
 		for _, strat := range []runner.Strategy{runner.Standard, runner.ShredUnshred} {
-			cq, err := runner.Compile(q, env, strat, cfg)
+			cq, err := runner.CompileStep(q, env, strat, cfg, "Q")
 			if err != nil {
 				t.Fatalf("selective L2 %s: %v", strat, err)
 			}
@@ -80,7 +80,7 @@ func TestGoldenExplains(t *testing.T) {
 	}
 	{
 		var sb strings.Builder
-		cq, err := runner.Compile(biomed.SelectiveBurden(), biomed.Env(), runner.Standard, cfg)
+		cq, err := runner.CompileStep(biomed.SelectiveBurden(), biomed.Env(), runner.Standard, cfg, "Q")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -93,7 +93,7 @@ func TestGoldenExplains(t *testing.T) {
 	{
 		var sb strings.Builder
 		for _, strat := range []runner.Strategy{runner.Standard, runner.ShredUnshred} {
-			cq, err := runner.Compile(tpch.FlatSelective(), tpch.FlatEnv(), strat, cfg)
+			cq, err := runner.CompileStep(tpch.FlatSelective(), tpch.FlatEnv(), strat, cfg, "Q")
 			if err != nil {
 				t.Fatalf("flat selective %s: %v", strat, err)
 			}
@@ -105,7 +105,7 @@ func TestGoldenExplains(t *testing.T) {
 
 	// The five-step biomedical pipeline under the standard route.
 	{
-		prog, err := runner.CompilePipeline(biomed.Steps(), biomed.Env(), runner.Standard, cfg)
+		prog, err := runner.CompileProgram(biomed.Steps(), biomed.Env(), runner.Standard, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -132,7 +132,7 @@ func TestGoldenExplains(t *testing.T) {
 		var sb strings.Builder
 		q := tpch.Query(tpch.FlatToNested, 1, false)
 		for _, strat := range []runner.Strategy{runner.Standard, runner.ShredUnshred} {
-			cq, err := runner.Compile(q, env, strat, scfg)
+			cq, err := runner.CompileStep(q, env, strat, scfg, "Q")
 			if err != nil {
 				t.Fatalf("%s %s: %v", sc.name, strat, err)
 			}
@@ -178,11 +178,11 @@ func firstDiff(want, got string) string {
 func TestExplainsAreDeterministic(t *testing.T) {
 	cfg := runner.DefaultConfig()
 	for _, strat := range []runner.Strategy{runner.Standard, runner.ShredUnshred} {
-		a, err := runner.Compile(tpch.Query(tpch.NestedToNested, 2, false), tpch.Env(tpch.NestedToNested, 2, false), strat, cfg)
+		a, err := runner.CompileStep(tpch.Query(tpch.NestedToNested, 2, false), tpch.Env(tpch.NestedToNested, 2, false), strat, cfg, "Q")
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := runner.Compile(tpch.Query(tpch.NestedToNested, 2, false), tpch.Env(tpch.NestedToNested, 2, false), strat, cfg)
+		b, err := runner.CompileStep(tpch.Query(tpch.NestedToNested, 2, false), tpch.Env(tpch.NestedToNested, 2, false), strat, cfg, "Q")
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -55,11 +55,11 @@ func TestNarrowedKeysUnderSkew(t *testing.T) {
 		var outs [2]value.Bag
 		var keys [2]int
 		for i, cfg := range []runner.Config{narrow, wide} {
-			cq, err := runner.Compile(c.q(), c.env, runner.StandardSkew, cfg)
+			cq, err := runner.CompileStep(c.q(), c.env, runner.StandardSkew, cfg, "Q")
 			if err != nil {
 				t.Fatalf("%s: %v", c.name, err)
 			}
-			res := runner.ExecuteInputs(t.Context(), []*runner.Compiled{cq}, c.inputs, runner.NewRunContext(cfg), runner.ExecOptions{})
+			res := runner.ExecuteBags(t.Context(), []*runner.Compiled{cq}, c.inputs, runner.NewRunContext(cfg), runner.ExecOptions{})
 			if res.Failed() {
 				t.Fatalf("%s: %v", c.name, res.Err)
 			}
@@ -98,7 +98,7 @@ func TestFusedJoinsUnderSkew(t *testing.T) {
 	for _, strat := range []runner.Strategy{runner.StandardSkew, runner.ShredSkew, runner.ShredUnshredSkew, runner.Auto} {
 		var outs [2]value.Bag
 		for i, cfg := range []runner.Config{fused, unfused} {
-			cq, err := runner.Compile(tpch.Query(tpch.NestedToNested, 2, false), env, strat, cfg)
+			cq, err := runner.CompileStep(tpch.Query(tpch.NestedToNested, 2, false), env, strat, cfg, "Q")
 			if err != nil {
 				t.Fatalf("%s: %v", strat, err)
 			}
@@ -108,7 +108,7 @@ func TestFusedJoinsUnderSkew(t *testing.T) {
 			if joins, _ := fusionOf(cq); (joins > 0) != (i == 0) {
 				t.Fatalf("%s (NoColumnPruning=%t): %d joins write their projection\n%s", strat, cfg.NoColumnPruning, joins, cq.Explain())
 			}
-			res := runner.ExecuteInputs(t.Context(), []*runner.Compiled{cq}, inputs, runner.NewRunContext(cfg), runner.ExecOptions{})
+			res := runner.ExecuteBags(t.Context(), []*runner.Compiled{cq}, inputs, runner.NewRunContext(cfg), runner.ExecOptions{})
 			if res.Failed() {
 				t.Fatalf("%s: %v", strat, res.Err)
 			}
@@ -147,14 +147,14 @@ func TestFusedJoinReadByNobody(t *testing.T) {
 		for _, noPushdown := range []bool{true, false} {
 			cfg := runner.DefaultConfig()
 			cfg.NoPredicatePushdown = noPushdown
-			cq, err := runner.Compile(q, tpch.FlatEnv(), strat, cfg)
+			cq, err := runner.CompileStep(q, tpch.FlatEnv(), strat, cfg, "Q")
 			if err != nil {
 				t.Fatalf("%s: %v", strat, err)
 			}
 			if joins, _ := fusionOf(cq); joins == 0 {
 				t.Fatalf("%s: no join writes its projection\n%s", strat, cq.Explain())
 			}
-			res := runner.ExecuteInputs(t.Context(), []*runner.Compiled{cq}, tables.Inputs(), runner.NewRunContext(cfg), runner.ExecOptions{})
+			res := runner.ExecuteBags(t.Context(), []*runner.Compiled{cq}, tables.Inputs(), runner.NewRunContext(cfg), runner.ExecOptions{})
 			if res.Failed() {
 				t.Fatalf("%s: %v", strat, res.Err)
 			}

@@ -35,7 +35,7 @@ func TestColocatedRoutesSkipExchanges(t *testing.T) {
 			cfg.Stats[name] = stats.Collect(c.inputs[name], typ.(nrc.BagType), stats.Options{}).Estimate()
 		}
 		for _, strat := range []Strategy{Standard, StandardSkew} {
-			cq, err := Compile(tpch.Query(c.class, 2, false), env, strat, cfg)
+			cq, err := CompileStep(tpch.Query(c.class, 2, false), env, strat, cfg, "Q")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -46,7 +46,7 @@ func TestColocatedRoutesSkipExchanges(t *testing.T) {
 				exchanged.Stmts[i].Plan = plan.Fuse(exchanged.Stmts[i].unfused)
 			}
 			run := func(cq *Compiled) (value.Bag, int64, int64) {
-				res := ExecuteInputs(context.Background(), []*Compiled{cq}, c.inputs, NewRunContext(cfg), ExecOptions{})
+				res := ExecuteBags(context.Background(), []*Compiled{cq}, c.inputs, NewRunContext(cfg), ExecOptions{})
 				if res.Failed() {
 					t.Fatalf("%s %s: %v", c.class, strat, res.Err)
 				}
@@ -110,7 +110,7 @@ func TestJoinChainOnOneKeySkipsAnExchange(t *testing.T) {
 		{Standard, "join#1/L join#1/R join#1 join#2/R join#2"},
 		{StandardSkew, "join#1/L join#1/R join#1 skewjoin#2 join#3/R join#3 skewjoin#4"},
 	} {
-		res := Run(Job{Query: query(), Env: env, Inputs: inputs}, c.strat, cfg)
+		res := RunProgram([]nrc.Assignment{{Name: "Q", Expr: query()}}, env, inputs, c.strat, cfg)
 		if res.Failed() {
 			t.Fatalf("%s: %v", c.strat, res.Err)
 		}

@@ -12,11 +12,9 @@ import (
 
 	"github.com/trance-go/trance/internal/dataflow"
 	"github.com/trance-go/trance/internal/ingest"
-	"github.com/trance-go/trance/internal/nrc"
 	"github.com/trance-go/trance/internal/plan"
 	"github.com/trance-go/trance/internal/shred"
 	"github.com/trance-go/trance/internal/trace"
-	"github.com/trance-go/trance/internal/value"
 )
 
 // Strategy selects an evaluation route.
@@ -167,19 +165,12 @@ type Config struct {
 	NoPredicatePushdown bool
 
 	// Stats provides per-input table statistics (keyed by the input variable
-	// name) to the cost-based planning layer: join method choice and input
-	// ordering (plan.Annotate) and the Auto strategy's route selection.
-	// Sessions fill it from catalog statistics; nil disables both.
+	// name) to the cost-based planning layer: join method choice, input
+	// ordering and index scans (plan.Annotate) and the Auto strategy's route
+	// selection. Sessions fill it from catalog statistics; nil disables all of
+	// them, and statistics flagging no IndexHash/IndexOrdered plan no index
+	// scan.
 	Stats map[string]plan.TableEstimate
-	// NoCostModel is the cost layer's ablation knob: plans get no cost
-	// annotations (joins fall back to the runtime size heuristic) and Auto
-	// resolves to Standard.
-	NoCostModel bool
-	// NoIndexScan is the index subsystem's ablation knob: the planner keeps
-	// pushed-down predicates as full-scan selections even over indexed
-	// columns (see plan.AnnotateOpts, docs/INDEXES.md, and
-	// BenchmarkIndexScanAblation). Results are identical either way.
-	NoIndexScan bool
 }
 
 // Auto-selection thresholds (see docs/COSTMODEL.md for the rationale).
@@ -201,17 +192,6 @@ func DefaultConfig() Config {
 		BroadcastLimit:    64 << 10,
 		DomainElimination: true,
 	}
-}
-
-// Job is a query over named nested inputs.
-type Job struct {
-	Name  string
-	Query nrc.Expr
-	Env   nrc.Env
-	// Inputs provides nested input values. Standard routes bind them as
-	// top-level rows; shredded routes value-shred them before the timer
-	// starts (the paper reports runtime after caching all inputs).
-	Inputs map[string]value.Bag
 }
 
 // Result reports one execution of a program (a query is the one-step
@@ -300,15 +280,4 @@ func (r *Result) WriteJSON(ctx context.Context, w io.Writer, limit int, lead, se
 	esp := sp.Child("encode")
 	defer esp.End()
 	return len(rows), total, r.prog[len(r.prog)-1].rowEnc.WriteRows(w, rows, lead, sep)
-}
-
-// Run executes the job under the given strategy: one-shot compile + execute.
-// Serving paths that evaluate the same query repeatedly should Compile once
-// and Execute per request instead (the root package's Prepare API does).
-func Run(job Job, strat Strategy, cfg Config) *Result {
-	cq, err := Compile(job.Query, job.Env, strat, cfg)
-	if err != nil {
-		return Failure(strat, err)
-	}
-	return ExecuteInputs(context.Background(), []*Compiled{cq}, job.Inputs, NewRunContext(cfg), ExecOptions{})
 }

@@ -38,7 +38,7 @@ func TestStrategyNames(t *testing.T) {
 
 func TestRunReportsCompileErrors(t *testing.T) {
 	q := nrc.ForIn("x", nrc.V("Missing"), nrc.SingOf(nrc.Record("a", nrc.C(1))))
-	res := Run(Job{Query: q, Env: nrc.Env{}, Inputs: nil}, Standard, DefaultConfig())
+	res := RunProgram([]nrc.Assignment{{Name: "Q", Expr: q}}, nrc.Env{}, nil, Standard, DefaultConfig())
 	if !res.Failed() {
 		t.Fatal("unbound input must fail")
 	}
@@ -46,8 +46,7 @@ func TestRunReportsCompileErrors(t *testing.T) {
 
 func TestRunShredExposesMaterializedProgram(t *testing.T) {
 	inputs := map[string]value.Bag{"COP": testdata.SmallCOP(), "Part": testdata.SmallPart()}
-	res := Run(Job{Query: testdata.RunningExample(), Env: testdata.Env(), Inputs: inputs},
-		Shred, DefaultConfig())
+	res := RunProgram([]nrc.Assignment{{Name: "Q", Expr: testdata.RunningExample()}}, testdata.Env(), inputs, Shred, DefaultConfig())
 	if res.Failed() {
 		t.Fatal(res.Err)
 	}
@@ -65,13 +64,13 @@ func TestRunShredExposesMaterializedProgram(t *testing.T) {
 }
 
 func TestPipelineFailurePropagates(t *testing.T) {
-	steps := []PipelineStep{
-		{Name: "S1", Query: nrc.ForIn("x", nrc.V("R"), nrc.SingOf(nrc.Record("a", nrc.P(nrc.V("x"), "a"))))},
-		{Name: "S2", Query: nrc.ForIn("x", nrc.V("Nope"), nrc.SingOf(nrc.Record("a", nrc.P(nrc.V("x"), "a"))))},
+	steps := []nrc.Assignment{
+		{Name: "S1", Expr: nrc.ForIn("x", nrc.V("R"), nrc.SingOf(nrc.Record("a", nrc.P(nrc.V("x"), "a"))))},
+		{Name: "S2", Expr: nrc.ForIn("x", nrc.V("Nope"), nrc.SingOf(nrc.Record("a", nrc.P(nrc.V("x"), "a"))))},
 	}
 	env := nrc.Env{"R": nrc.BagOf(nrc.Tup("a", nrc.IntT))}
 	inputs := map[string]value.Bag{"R": {value.Tuple{int64(1)}}}
-	res := RunPipeline(steps, env, inputs, Standard, DefaultConfig())
+	res := RunProgram(steps, env, inputs, Standard, DefaultConfig())
 	if !res.Failed() || res.FailedStep != 1 {
 		t.Fatalf("expected failure at step 1, got %d / %v", res.FailedStep, res.Err)
 	}
@@ -86,9 +85,9 @@ func TestPipelineDuplicateStepName(t *testing.T) {
 	mk := func() nrc.Expr {
 		return nrc.ForIn("x", nrc.V("R"), nrc.SingOf(nrc.Record("a", nrc.P(nrc.V("x"), "a"))))
 	}
-	steps := []PipelineStep{{Name: "S1", Query: mk()}, {Name: "S1", Query: mk()}}
+	steps := []nrc.Assignment{{Name: "S1", Expr: mk()}, {Name: "S1", Expr: mk()}}
 	env := nrc.Env{"R": nrc.BagOf(nrc.Tup("a", nrc.IntT))}
-	res := RunPipeline(steps, env, map[string]value.Bag{"R": {}}, Standard, DefaultConfig())
+	res := RunProgram(steps, env, map[string]value.Bag{"R": {}}, Standard, DefaultConfig())
 	if !res.Failed() || res.FailedStep != 1 {
 		t.Fatalf("duplicate step name must fail at step 1: %d / %v", res.FailedStep, res.Err)
 	}
@@ -106,22 +105,22 @@ func TestPipelineShredUnshredFinalStep(t *testing.T) {
 		value.Tuple{int64(1), value.Bag{value.Tuple{int64(10)}, value.Tuple{int64(3)}}},
 		value.Tuple{int64(2), value.Bag{}},
 	}}
-	mkSteps := func() []PipelineStep {
-		return []PipelineStep{
-			{Name: "Big", Query: nrc.ForIn("r", nrc.V("R"),
+	mkSteps := func() []nrc.Assignment {
+		return []nrc.Assignment{
+			{Name: "Big", Expr: nrc.ForIn("r", nrc.V("R"),
 				nrc.SingOf(nrc.Record(
 					"k", nrc.P(nrc.V("r"), "k"),
 					"big", nrc.ForIn("it", nrc.P(nrc.V("r"), "items"),
 						nrc.IfThen(nrc.GtOf(nrc.P(nrc.V("it"), "v"), nrc.C(int64(5))),
 							nrc.SingOf(nrc.V("it")))))))},
-			{Name: "Out", Query: nrc.ForIn("b", nrc.V("Big"),
+			{Name: "Out", Expr: nrc.ForIn("b", nrc.V("Big"),
 				nrc.SingOf(nrc.Record(
 					"k2", nrc.P(nrc.V("b"), "k"),
 					"big2", nrc.P(nrc.V("b"), "big"))))},
 		}
 	}
-	std := RunPipeline(mkSteps(), env, inputs, Standard, DefaultConfig())
-	shr := RunPipeline(mkSteps(), env, inputs, ShredUnshred, DefaultConfig())
+	std := RunProgram(mkSteps(), env, inputs, Standard, DefaultConfig())
+	shr := RunProgram(mkSteps(), env, inputs, ShredUnshred, DefaultConfig())
 	if std.Failed() || shr.Failed() {
 		t.Fatalf("std=%v shr=%v", std.Err, shr.Err)
 	}
@@ -141,8 +140,8 @@ func TestNoColumnPruningStillCorrect(t *testing.T) {
 	inputs := map[string]value.Bag{"COP": testdata.SmallCOP(), "Part": testdata.SmallPart()}
 	cfg := DefaultConfig()
 	cfg.NoColumnPruning = true
-	a := Run(Job{Query: testdata.RunningExample(), Env: testdata.Env(), Inputs: inputs}, Standard, cfg)
-	b := Run(Job{Query: testdata.RunningExample(), Env: testdata.Env(), Inputs: inputs}, Standard, DefaultConfig())
+	a := RunProgram([]nrc.Assignment{{Name: "Q", Expr: testdata.RunningExample()}}, testdata.Env(), inputs, Standard, cfg)
+	b := RunProgram([]nrc.Assignment{{Name: "Q", Expr: testdata.RunningExample()}}, testdata.Env(), inputs, Standard, DefaultConfig())
 	if a.Failed() || b.Failed() {
 		t.Fatalf("%v / %v", a.Err, b.Err)
 	}
@@ -169,16 +168,16 @@ func TestCompileOnceExecuteMany(t *testing.T) {
 	inputs := map[string]value.Bag{"COP": testdata.SmallCOP(), "Part": testdata.SmallPart()}
 	cfg := DefaultConfig()
 	for _, strat := range []Strategy{Standard, ShredUnshred} {
-		cq, err := Compile(testdata.RunningExample(), testdata.Env(), strat, cfg)
+		cq, err := CompileStep(testdata.RunningExample(), testdata.Env(), strat, cfg, "Q")
 		if err != nil {
 			t.Fatalf("%s: %v", strat, err)
 		}
-		want := Run(Job{Query: testdata.RunningExample(), Env: testdata.Env(), Inputs: inputs}, strat, cfg)
+		want := RunProgram([]nrc.Assignment{{Name: "Q", Expr: testdata.RunningExample()}}, testdata.Env(), inputs, strat, cfg)
 		if want.Failed() {
 			t.Fatalf("%s run: %v", strat, want.Err)
 		}
 		for i := 0; i < 2; i++ {
-			res := ExecuteInputs(context.Background(), []*Compiled{cq}, inputs, NewRunContext(cfg), ExecOptions{})
+			res := ExecuteBags(context.Background(), []*Compiled{cq}, inputs, NewRunContext(cfg), ExecOptions{})
 			if res.Failed() {
 				t.Fatalf("%s execute %d: %v", strat, i, res.Err)
 			}
@@ -206,7 +205,7 @@ func TestExecutePanicBecomesError(t *testing.T) {
 	q := nrc.ForIn("x", nrc.V("R"),
 		nrc.SingOf(nrc.Record("b", nrc.AddOf(nrc.P(nrc.V("x"), "a"), nrc.C(int64(1))))))
 	bad := map[string]value.Bag{"R": {value.Tuple{int(7)}}}
-	res := Run(Job{Query: q, Env: env, Inputs: bad}, Standard, DefaultConfig())
+	res := RunProgram([]nrc.Assignment{{Name: "Q", Expr: q}}, env, bad, Standard, DefaultConfig())
 	if !res.Failed() {
 		t.Fatal("malformed input data must fail the run, not crash or succeed")
 	}
@@ -218,13 +217,13 @@ func TestExecutePanicBecomesError(t *testing.T) {
 // Cancelling the context aborts a shredded execution between statements.
 func TestExecuteHonorsCancellation(t *testing.T) {
 	inputs := map[string]value.Bag{"COP": testdata.SmallCOP(), "Part": testdata.SmallPart()}
-	cq, err := Compile(testdata.RunningExample(), testdata.Env(), Shred, DefaultConfig())
+	cq, err := CompileStep(testdata.RunningExample(), testdata.Env(), Shred, DefaultConfig(), "Q")
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res := ExecuteInputs(ctx, []*Compiled{cq}, inputs, NewRunContext(DefaultConfig()), ExecOptions{})
+	res := ExecuteBags(ctx, []*Compiled{cq}, inputs, NewRunContext(DefaultConfig()), ExecOptions{})
 	if !res.Failed() || !errors.Is(res.Err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", res.Err)
 	}

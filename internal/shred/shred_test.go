@@ -1,6 +1,7 @@
 package shred_test
 
 import (
+	"github.com/trance-go/trance"
 	"math/rand"
 	"strings"
 	"testing"
@@ -131,7 +132,7 @@ func assertShredMatchesOracle(t *testing.T, q nrc.Expr, env nrc.Env, inputs map[
 	}
 	want := nrc.Eval(q, s).(value.Bag)
 
-	res := runner.Run(runner.Job{Query: q, Env: env, Inputs: inputs}, strat, cfg)
+	res := trance.Run(trance.Job{Query: q, Env: env, Inputs: inputs}, strat, cfg)
 	if res.Failed() {
 		t.Fatalf("%s failed: %v", strat, res.Err)
 	}
@@ -271,9 +272,9 @@ func TestShredThreeStrategiesAgree(t *testing.T) {
 	env := testdata.Env()
 	inputs := inputsCOP()
 	cfg := runner.DefaultConfig()
-	a := runner.Run(runner.Job{Query: q, Env: env, Inputs: inputs}, runner.Standard, cfg)
-	b := runner.Run(runner.Job{Query: q, Env: env, Inputs: inputs}, runner.ShredUnshred, cfg)
-	c := runner.Run(runner.Job{Query: q, Env: env, Inputs: inputs}, runner.SparkSQLStyle, cfg)
+	a := trance.Run(trance.Job{Query: q, Env: env, Inputs: inputs}, runner.Standard, cfg)
+	b := trance.Run(trance.Job{Query: q, Env: env, Inputs: inputs}, runner.ShredUnshred, cfg)
+	c := trance.Run(trance.Job{Query: q, Env: env, Inputs: inputs}, runner.SparkSQLStyle, cfg)
 	for _, r := range []*runner.Result{a, b, c} {
 		if r.Failed() {
 			t.Fatalf("%s failed: %v", r.Strategy, r.Err)
@@ -314,7 +315,7 @@ func TestQuickShredUnshredMatchesOracle(t *testing.T) {
 			return false
 		}
 		want := nrc.Eval(q, s).(value.Bag)
-		res := runner.Run(runner.Job{Query: q, Env: testdata.Env(), Inputs: inputs}, runner.ShredUnshred, cfg)
+		res := trance.Run(trance.Job{Query: q, Env: testdata.Env(), Inputs: inputs}, runner.ShredUnshred, cfg)
 		if res.Failed() {
 			return false
 		}
@@ -339,8 +340,8 @@ func TestShredShufflesLessThanStandard(t *testing.T) {
 	cfg := runner.DefaultConfig()
 	cfg.BroadcastLimit = 0 // force shuffle joins so the comparison is visible
 	q := testdata.RunningExample()
-	std := runner.Run(runner.Job{Query: q, Env: testdata.Env(), Inputs: inputs}, runner.Standard, cfg)
-	shr := runner.Run(runner.Job{Query: q, Env: testdata.Env(), Inputs: inputs}, runner.Shred, cfg)
+	std := trance.Run(trance.Job{Query: q, Env: testdata.Env(), Inputs: inputs}, runner.Standard, cfg)
+	shr := trance.Run(trance.Job{Query: q, Env: testdata.Env(), Inputs: inputs}, runner.Shred, cfg)
 	if std.Failed() || shr.Failed() {
 		t.Fatalf("runs failed: %v / %v", std.Err, shr.Err)
 	}
@@ -392,7 +393,7 @@ func TestShredUnshredTupleVarHeadNonEqualityFilter(t *testing.T) {
 }
 
 func TestShredTupleVarHeadDictionarySchema(t *testing.T) {
-	res := runner.Run(runner.Job{Query: tupleVarHeadQuery(), Env: tupleVarHeadEnv(), Inputs: tupleVarHeadInputs()},
+	res := trance.Run(trance.Job{Query: tupleVarHeadQuery(), Env: tupleVarHeadEnv(), Inputs: tupleVarHeadInputs()},
 		runner.Shred, runner.DefaultConfig())
 	if res.Failed() {
 		t.Fatalf("shred route failed: %v", res.Err)

@@ -140,18 +140,6 @@ func (t *Table) SelectiveColumns() []string {
 	return out
 }
 
-// MaxHeavyFraction returns the largest per-column heavy-key fraction — the
-// table-level skew signal.
-func (t *Table) MaxHeavyFraction() float64 {
-	f := 0.0
-	for _, c := range t.Columns {
-		if c.HeavyFraction > f {
-			f = c.HeavyFraction
-		}
-	}
-	return f
-}
-
 // Estimate converts the collected statistics into the cost model's form.
 func (t *Table) Estimate() plan.TableEstimate {
 	te := plan.TableEstimate{Generation: t.Generation, Rows: t.Rows, Bytes: t.Bytes, Cols: map[string]plan.ColEstimate{}}

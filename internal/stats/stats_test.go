@@ -260,3 +260,48 @@ func TestCollectDeterministic(t *testing.T) {
 		t.Fatalf("collection not deterministic: %+v vs %+v", ca, cb)
 	}
 }
+
+// TestSelectiveColumnsBoundaries: the auto-index policy flags a column exactly
+// when the dataset holds at least MinIndexRows rows and the column at least
+// MinIndexNDV distinct values — both bounds inclusive.
+func TestSelectiveColumnsBoundaries(t *testing.T) {
+	cols := []Column{
+		{Name: "below", NDV: MinIndexNDV - 1},
+		{Name: "at", NDV: MinIndexNDV},
+		{Name: "above", NDV: MinIndexNDV + 1},
+	}
+	for _, c := range []struct {
+		rows int64
+		want string
+	}{
+		{MinIndexRows - 1, "[]"},
+		{MinIndexRows, "[at above]"},
+		{MinIndexRows + 1, "[at above]"},
+	} {
+		tab := &Table{Rows: c.rows, Columns: cols}
+		if got := fmt.Sprint(tab.SelectiveColumns()); got != c.want {
+			t.Errorf("%d rows: flagged %s, want %s", c.rows, got, c.want)
+		}
+	}
+
+	// The same bounds reached through Collect: MinIndexRows rows cycling over
+	// ndv distinct keys (counted exactly, below the sketch size).
+	for _, c := range []struct {
+		rows, ndv int
+		want      string
+	}{
+		{MinIndexRows, MinIndexNDV, "[k]"},
+		{MinIndexRows, MinIndexNDV - 1, "[]"},
+		{MinIndexRows - 1, MinIndexNDV, "[]"},
+	} {
+		vals := make([]int64, c.rows)
+		for i := range vals {
+			vals[i] = int64(i % c.ndv)
+		}
+		b, bt := mkBag(vals)
+		tab := Collect(b, bt, Options{})
+		if got := fmt.Sprint(tab.SelectiveColumns()); got != c.want {
+			t.Errorf("%d rows over %d keys (ndv %d): flagged %s, want %s", c.rows, c.ndv, tab.Columns[0].NDV, got, c.want)
+		}
+	}
+}

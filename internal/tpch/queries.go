@@ -225,7 +225,7 @@ func FlatSelective() nrc.Expr {
 // orderkey, so the predicate keeps LinesPerOrder/|Lineitem| of the relation
 // (≤1% at any benchmarked scale) — the selectivity regime where a hash index
 // scan replaces the full partition sweep. BenchmarkIndexScanAblation runs it
-// with the l_orderkey index on and ablated (Config.NoIndexScan).
+// with the l_orderkey index flagged in the statistics and without the flag.
 func PointLookup(orderkey int64) nrc.Expr {
 	l := nrc.V("l")
 	return nrc.ForIn("l", nrc.V("Lineitem"),

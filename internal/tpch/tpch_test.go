@@ -1,6 +1,7 @@
 package tpch
 
 import (
+	"github.com/trance-go/trance"
 	"testing"
 
 	"github.com/trance-go/trance/internal/nrc"
@@ -181,7 +182,7 @@ func TestStrategiesAgreeOnSuite(t *testing.T) {
 			want := nrc.Eval(q, s).(value.Bag)
 
 			for _, strat := range []runner.Strategy{runner.Standard, runner.SparkSQLStyle, runner.ShredUnshred} {
-				res := runner.Run(runner.Job{Query: q, Env: env, Inputs: inputs}, strat, cfg)
+				res := trance.Run(trance.Job{Query: q, Env: env, Inputs: inputs}, strat, cfg)
 				if res.Failed() {
 					t.Fatalf("%s %s L%d failed: %v", strat, class, level, res.Err)
 				}
@@ -213,7 +214,7 @@ func TestSkewStrategiesAgree(t *testing.T) {
 	}
 	want := nrc.Eval(q, s).(value.Bag)
 	for _, strat := range []runner.Strategy{runner.StandardSkew, runner.ShredUnshredSkew} {
-		res := runner.Run(runner.Job{Query: q, Env: env, Inputs: inputs}, strat, rcfg)
+		res := trance.Run(trance.Job{Query: q, Env: env, Inputs: inputs}, strat, rcfg)
 		if res.Failed() {
 			t.Fatalf("%s failed: %v", strat, res.Err)
 		}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -92,7 +93,9 @@ type PreparedQuery struct {
 	compileMu *sync.Mutex
 }
 
-// Prepare typechecks the query and sets up compile-once evaluation: each
+// Prepare typechecks the query and sets up compile-once evaluation: it is
+// PreparePipeline over the query's one step, named "Q" (or, when an input
+// already has that name, the first of "Q_", "Q__", … that none has). Each
 // (query, strategy) pair is compiled — NRC typecheck, standard or shredded
 // compilation, plan pruning — exactly once and cached in a process-wide,
 // thread-safe, fingerprint-keyed compilation cache, no matter how many
@@ -102,43 +105,48 @@ type PreparedQuery struct {
 // Prepare takes ownership of the query's AST (compilation annotates it in
 // place); do not share one expression tree between concurrent Prepare calls.
 func Prepare(query Expr, opts PrepareOptions) (*PreparedQuery, error) {
-	if opts.Env == nil {
-		return nil, fmt.Errorf("trance: Prepare requires PrepareOptions.Env")
-	}
-	t, err := nrc.Check(query, opts.Env)
-	if err != nil {
-		if opts.Name != "" {
-			return nil, fmt.Errorf("prepare %s: %w", opts.Name, err)
-		}
-		return nil, err
-	}
-	pq := newPrepared(opts, []PipelineStep{{Name: "Q", Query: query}}, []Env{opts.Env}, []Type{t})
-	pq.fps = []string{fingerprint(query, opts.Env, pq.cfg)}
-	return pq, pq.compileEager(opts.Strategies)
+	return PreparePipeline([]PipelineStep{{Name: queryStep(opts.Env), Expr: query}}, opts)
 }
 
-// PreparePipeline is Prepare for a multi-step program: every step typechecks
-// against the base environment extended with the outputs of prior steps, and
-// each (step, strategy) compiles exactly once process-wide. Shredded
-// strategies keep intermediate results shredded between steps and unshred
-// only the final output (paper Section 4).
+// queryStep names a query's one step: "Q", extended by "_" until no input of
+// env has the name.
+func queryStep(env Env) string {
+	name := "Q"
+	for _, bound := env[name]; bound; _, bound = env[name] {
+		name += "_"
+	}
+	return name
+}
+
+// PreparePipeline prepares a program — the one way anything is compiled:
+// every step typechecks against the base environment extended with the
+// outputs of prior steps (runner.ResolveSteps), and each (step, strategy)
+// compiles exactly once process-wide, under a fingerprint of the step. A
+// query is the one-step program (Prepare). Shredded strategies keep
+// intermediate results shredded between steps and unshred only the final
+// output (paper Section 4).
 //
 // PreparePipeline takes ownership of the step ASTs; do not share them
 // between concurrent Prepare calls.
 func PreparePipeline(steps []PipelineStep, opts PrepareOptions) (*PreparedQuery, error) {
 	if opts.Env == nil {
-		return nil, fmt.Errorf("trance: PreparePipeline requires PrepareOptions.Env")
+		return nil, fmt.Errorf("trance: prepare requires PrepareOptions.Env")
 	}
 	envs, outs, err := runner.ResolveSteps(steps, opts.Env)
 	if err != nil {
+		// A query's errors name no step, as its compile errors do not.
+		var se *runner.StepError
+		if len(steps) == 1 && errors.As(err, &se) {
+			err = se.Err
+		}
 		if opts.Name != "" {
-			return nil, fmt.Errorf("prepare pipeline %s: %w", opts.Name, err)
+			return nil, fmt.Errorf("prepare %s: %w", opts.Name, err)
 		}
 		return nil, err
 	}
 	pq := newPrepared(opts, append([]PipelineStep(nil), steps...), envs, outs)
 	for i, st := range steps {
-		pq.fps = append(pq.fps, fingerprint(st.Query, envs[i], pq.cfg)+"|step="+st.Name)
+		pq.fps = append(pq.fps, fingerprint(st, envs[i], pq.cfg))
 	}
 	return pq, pq.compileEager(opts.Strategies)
 }
@@ -174,9 +182,8 @@ func (pq *PreparedQuery) label() string {
 func (pq *PreparedQuery) Name() string { return pq.name }
 
 // Fingerprint returns what identifies (program, environment, compile-relevant
-// config) in the compilation cache: the hex digest of a query, the ";"-joined
-// per-step fingerprints of a multi-step program. Strategy keys are derived
-// from it.
+// config) in the compilation cache: the ";"-joined hex digests of the steps,
+// one for a query. Strategy keys are derived from it.
 func (pq *PreparedQuery) Fingerprint() string { return strings.Join(pq.fps, ";") }
 
 // OutType returns the checked output type (of the final step).
@@ -318,7 +325,7 @@ func (pq *PreparedQuery) compiled(strat Strategy) (prog []*runner.Compiled, comp
 			defer pq.compileMu.Unlock()
 			cacheCompiles.Add(1)
 			compiledNow = true
-			entry.cq, entry.err = runner.CompileStep(st.Query, pq.envs[i], eff, pq.cfg, st.Name)
+			entry.cq, entry.err = runner.CompileStep(st.Expr, pq.envs[i], eff, pq.cfg, st.Name)
 		})
 		if entry.err != nil {
 			if len(pq.steps) > 1 {
@@ -331,10 +338,11 @@ func (pq *PreparedQuery) compiled(strat Strategy) (prog []*runner.Compiled, comp
 	return prog, compiledNow, nil
 }
 
-// RunPipeline executes a multi-step program under one strategy, binding each
-// step's output as an input of later steps. Compilation goes through the
-// process-wide plan cache — a repeated program compiles each step exactly
-// once (PreparePipeline is the compile-once serving API this wraps).
+// RunPipeline executes a program under one strategy over explicit inputs,
+// binding each step's output as an input of later steps: PreparePipeline, then
+// one Run. Compilation goes through the process-wide plan cache, so a repeated
+// program compiles each step exactly once; the inputs are converted on every
+// call.
 func RunPipeline(steps []PipelineStep, env Env, inputs map[string]Bag, strat Strategy, cfg Config) *Result {
 	pq, err := PreparePipeline(steps, PrepareOptions{Env: env, Config: &cfg})
 	var res *Result
@@ -347,14 +355,14 @@ func RunPipeline(steps []PipelineStep, env Env, inputs map[string]Bag, strat Str
 	return res
 }
 
-// fingerprint digests everything that affects compilation: the query's
-// canonical surface syntax, the sorted environment, and the
-// compile-relevant config knobs. Execution-only knobs (parallelism, worker
+// fingerprint digests everything that affects a step's compilation: its
+// name and query (in canonical surface syntax), the sorted environment, and
+// the compile-relevant config knobs. Execution-only knobs (parallelism, worker
 // and memory bounds) are deliberately excluded so configs differing only in
 // cluster sizing share compiled plans.
-func fingerprint(q Expr, env Env, cfg Config) string {
+func fingerprint(st PipelineStep, env Env, cfg Config) string {
 	h := sha256.New()
-	fmt.Fprintln(h, nrc.Print(q))
+	fmt.Fprintf(h, "step %s\n%s\n", st.Name, nrc.Print(st.Expr))
 	names := make([]string, 0, len(env))
 	for n := range env {
 		names = append(names, n)
@@ -363,14 +371,15 @@ func fingerprint(q Expr, env Env, cfg Config) string {
 	for _, n := range names {
 		fmt.Fprintf(h, "%s:%s\n", n, env[n])
 	}
-	fmt.Fprintf(h, "de=%t prune=%t pushdown=%t noidx=%t\n",
-		cfg.DomainElimination, !cfg.NoColumnPruning, !cfg.NoPredicatePushdown, cfg.NoIndexScan)
+	fmt.Fprintf(h, "de=%t prune=%t pushdown=%t\n",
+		cfg.DomainElimination, !cfg.NoColumnPruning, !cfg.NoPredicatePushdown)
 	// Cost-model inputs: the broadcast limit changes what Annotate compiles,
 	// and the statistics digest ties cached plans to the dataset generation
 	// they were costed against (and Auto chose by) — a Drop + re-register
 	// under the same name yields new statistics (new generation) and
-	// therefore a new fingerprint, never a stale cached route.
-	fmt.Fprintf(h, "cost=%t bcast=%d\n", !cfg.NoCostModel, cfg.BroadcastLimit)
+	// therefore a new fingerprint, never a stale cached route. The index flags
+	// decide which selections plan as index scans.
+	fmt.Fprintf(h, "bcast=%d\n", cfg.BroadcastLimit)
 	statNames := make([]string, 0, len(cfg.Stats))
 	for n := range cfg.Stats {
 		statNames = append(statNames, n)

@@ -325,3 +325,106 @@ func TestPlanCacheBounded(t *testing.T) {
 		t.Fatalf("want 3 rows, got %d", res.Output.Count())
 	}
 }
+
+// TestQueryIsTheOneStepProgram: Prepare, PreparePipeline over the one step
+// "Q" and Run all compile a query one way, under one fingerprint, so the plan
+// cache compiles it once per strategy between them.
+func TestQueryIsTheOneStepProgram(t *testing.T) {
+	trance.ResetPlanCache()
+	strat := trance.ShredUnshred
+	opts := trance.PrepareOptions{Env: prepEnv(), Strategies: []trance.Strategy{strat}}
+	pq, err := trance.Prepare(prepQuery(5), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pp, err := trance.PreparePipeline([]trance.PipelineStep{{Name: "Q", Expr: prepQuery(5)}}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pq.Fingerprint() != pp.Fingerprint() {
+		t.Fatalf("a query and its one-step program fingerprint differently: %s vs %s", pq.Fingerprint(), pp.Fingerprint())
+	}
+	res := trance.Run(trance.Job{Query: prepQuery(5), Env: prepEnv(), Inputs: prepInputs(0)}, strat, trance.DefaultConfig())
+	if res.Failed() {
+		t.Fatal(res.Err)
+	}
+	if c := trance.Counters(); c["plan_cache.compiles"] != 1 || c["plan_cache.hits"] != 2 {
+		t.Fatalf("compiles=%d hits=%d, want one compilation served twice from the cache", c["plan_cache.compiles"], c["plan_cache.hits"])
+	}
+}
+
+// TestQueryOverInputNamedQ: a query's one step is named "Q" unless an input
+// already is, so a query over an input named Q prepares and runs through Run,
+// Prepare, a session and a session's text alike; a program step that reuses a
+// bound name is rejected.
+func TestQueryOverInputNamedQ(t *testing.T) {
+	env := trance.Env{"Q": prepEnv()["R"]}
+	inputs := map[string]trance.Bag{"Q": prepInputs(0)["R"]}
+	const text = "for r in Q union { { k := r.k, big := for it in r.items union if it.v > 5 then { it } } }"
+	mk := func() trance.Expr {
+		q, err := trance.Parse(text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return q
+	}
+	want := trance.LocalEval(mustCheck(t, mk(), env), inputs)
+
+	cat := trance.NewCatalog()
+	if err := cat.Register("Q", env["Q"], inputs["Q"]); err != nil {
+		t.Fatal(err)
+	}
+	sess := cat.NewSession(trance.SessionOptions{})
+	for _, strat := range []trance.Strategy{trance.Standard, trance.ShredUnshred, trance.ShredUnshredSkew} {
+		ctx := context.Background()
+		runs := map[string]func() (*trance.Result, error){
+			"Run": func() (*trance.Result, error) {
+				res := trance.Run(trance.Job{Query: mk(), Env: env, Inputs: inputs}, strat, trance.DefaultConfig())
+				return res, res.Err
+			},
+			"Prepare": func() (*trance.Result, error) {
+				pq, err := trance.Prepare(mk(), trance.PrepareOptions{Env: env})
+				if err != nil {
+					return nil, err
+				}
+				return pq.Run(ctx, pq.BindData(inputs), strat)
+			},
+			"session": func() (*trance.Result, error) {
+				sq, err := sess.Prepare(mk())
+				if err != nil {
+					return nil, err
+				}
+				return sq.Run(ctx, strat)
+			},
+			"text": func() (*trance.Result, error) {
+				sq, err := sess.PrepareText("", text)
+				if err != nil {
+					return nil, err
+				}
+				return sq.Run(ctx, strat)
+			},
+		}
+		for name, run := range runs {
+			res, err := run()
+			if err != nil {
+				t.Fatalf("%s %s: %v", name, strat, err)
+			}
+			if got := collectBag(res); !trance.ValuesEqual(got, want) {
+				t.Fatalf("%s %s: got %s, want %s", name, strat, trance.FormatValue(got), trance.FormatValue(want))
+			}
+		}
+	}
+
+	_, err := trance.PreparePipeline([]trance.PipelineStep{{Name: "Q", Expr: mk()}}, trance.PrepareOptions{Env: env})
+	if err == nil || !strings.Contains(err.Error(), "already bound") {
+		t.Fatalf("a step named like an input must be rejected, got %v", err)
+	}
+}
+
+func mustCheck(t *testing.T, q trance.Expr, env trance.Env) trance.Expr {
+	t.Helper()
+	if _, err := trance.Check(q, env); err != nil {
+		t.Fatal(err)
+	}
+	return q
+}

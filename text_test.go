@@ -96,10 +96,15 @@ func TestPrepareTextDiagnostics(t *testing.T) {
 		t.Fatalf("resolve error: %v", err)
 	}
 
-	// Same for pipelines: the failing statement's node is located.
-	_, err = sess.PrepareTextPipeline("A := for c in CO union { { q := c.nope } };\nsumby[q; q](A)")
+	// Same for programs: the failing statement's node is located, in the
+	// first statement or a later one.
+	_, err = sess.PrepareText("", "A := for c in CO union { { q := c.nope } };\nsumby[q; q](A)")
 	if !asParseError(err, &pe) || !strings.Contains(err.Error(), "nope") {
-		t.Fatalf("pipeline type error: %v", err)
+		t.Fatalf("program type error: %v", err)
+	}
+	_, err = sess.PrepareText("", "A := for c in CO union { { q := c.cname } };\nfor a in A union { { r := a.nope } }")
+	if !asParseError(err, &pe) || pe.Pos.Line != 2 || !strings.Contains(err.Error(), "nope") {
+		t.Fatalf("second-statement type error: %v", err)
 	}
 }
 
@@ -114,9 +119,9 @@ func asParseError(err error, pe **parse.Error) bool {
 	return ok
 }
 
-// TestPrepareTextPipeline runs a textual multi-statement program and checks
-// it against the builder pipeline.
-func TestPrepareTextPipeline(t *testing.T) {
+// TestPrepareTextProgram runs a textual multi-statement program through the
+// one text entry point and checks its totals.
+func TestPrepareTextProgram(t *testing.T) {
 	cat := textCatalog(t)
 	sess := cat.NewSession(trance.SessionOptions{})
 
@@ -125,7 +130,7 @@ Flat := for c in CO union
           for o in c.orders union
             { { cname := c.cname, qty := o.qty } };
 sumby[cname; qty](Flat)`
-	sp, err := sess.PrepareTextPipeline(prog)
+	sp, err := sess.PrepareText("", prog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +160,7 @@ sumby[cname; qty](Flat)`
 func TestProgramRunsLikeAQuery(t *testing.T) {
 	cat := textCatalog(t)
 	sess := cat.NewSession(trance.SessionOptions{})
-	sq, err := sess.PrepareTextPipeline(`
+	sq, err := sess.PrepareText("", `
 Flat := for c in CO union
           for o in c.orders union
             { { cname := c.cname, qty := o.qty } };
@@ -246,7 +251,7 @@ func TestParseRoot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	steps := trance.ProgramSteps(p)
+	steps := p.Stmts
 	if len(steps) != 2 || steps[0].Name != "A" || steps[1].Name != "result" {
 		t.Fatalf("steps: %+v", steps)
 	}

@@ -26,26 +26,27 @@
 //
 // Queries can equally be written as text in the paper's comprehension
 // syntax (docs/QUERYLANG.md) — Parse/ParseProgram produce the same ASTs,
-// Session.PrepareText/PrepareTextPipeline serve them with caret
+// Session.PrepareText serves a query or a multi-statement program with caret
 // diagnostics for every lex/parse/type error, and Print renders any query
 // back in that syntax:
 //
 //	sq, _ := cat.NewSession(trance.SessionOptions{}).PrepareText("inc",
 //	        `for x in R union { { b := x.a + 1 } }`)
 //
-// A query is a one-step program, and there is one way to run either: every
-// executable — a SessionQuery, or the lower-level PreparedQuery that Prepare
-// and PreparePipeline return — has one Run(ctx, …, strategy, ...RunOption),
-// with Analyze() (EXPLAIN ANALYZE) the only option, returning one Result:
-// rows, their schema (Result.Columns, Result.JSON), per-step timings, engine
-// metrics, and with Analyze() the measured plans (Result.ExplainAnalyze).
+// A query is a one-step program, and there is one way to compile and run
+// either: every executable — a SessionQuery, or the lower-level PreparedQuery
+// that Prepare and PreparePipeline return — has one
+// Run(ctx, …, strategy, ...RunOption), with Analyze() (EXPLAIN ANALYZE) the
+// only option, returning one Result: rows, their schema (Result.Columns,
+// Result.JSON), per-step timings, engine metrics, and with Analyze() the
+// measured plans (Result.ExplainAnalyze).
 // Each (step, strategy) — under env-aware fingerprints — compiles exactly
 // once into a thread-safe process-wide cache, and the cached plans evaluate
 // from any number of goroutines over different datasets on one shared bounded
 // worker pool, with panics converted to errors at the compile and exec
 // boundaries (see ExampleCatalog, ExamplePrepare, docs/SERVING.md, and the
 // cmd/tranced HTTP service). One-shot evaluation over explicit inputs is
-// Run/RunPipeline (see ExampleRun).
+// Run/RunPipeline (see ExampleRun), which prepare through the same cache.
 //
 // See examples/ for complete programs, README.md for a quickstart,
 // docs/ARCHITECTURE.md for the architecture and paper-to-package map, and
@@ -98,8 +99,12 @@ type (
 	Env = nrc.Env
 	// Expr is an NRC expression.
 	Expr = nrc.Expr
-	// Program is a sequence of assignments.
+	// Program is a sequence of assignments, its Stmts the steps of the
+	// program (ParseProgram, PreparePipeline).
 	Program = nrc.Program
+	// PipelineStep is one named step of a program, Name := Expr; later steps
+	// may reference earlier ones by name.
+	PipelineStep = nrc.Assignment
 )
 
 // Scalar type singletons.
@@ -177,25 +182,15 @@ func Parse(src string) (Expr, error) {
 
 // ParseProgram parses a multi-statement program: `name := expr;`
 // assignments (later statements may reference earlier names) ending in a
-// result expression — each assignment becomes a PipelineStep, and a final
-// bare expression becomes the step "result". See Session.PrepareTextPipeline
-// for the catalog-resolved, compile-once serving path.
+// result expression — each assignment is a PipelineStep of Program.Stmts, and
+// a final bare expression becomes the step "result". Session.PrepareText is
+// the catalog-resolved, compile-once serving path for program text.
 func ParseProgram(src string) (*Program, error) {
 	r, err := parse.Program(src)
 	if err != nil {
 		return nil, err
 	}
 	return r.Program, nil
-}
-
-// ProgramSteps converts a parsed program into pipeline steps, one per
-// assignment in order.
-func ProgramSteps(p *Program) []PipelineStep {
-	steps := make([]PipelineStep, len(p.Stmts))
-	for i, st := range p.Stmts {
-		steps[i] = PipelineStep{Name: st.Name, Query: st.Expr}
-	}
-	return steps
 }
 
 // LocalEval evaluates a checked query with the tuple-at-a-time reference
@@ -253,13 +248,9 @@ type (
 type (
 	// Config sizes the simulated cluster.
 	Config = runner.Config
-	// Job is a query over named nested inputs.
-	Job = runner.Job
 	// Result reports one run of a query or multi-step program. Result.JSON
 	// renders its rows and Result.ExplainAnalyze its measured plans.
 	Result = runner.Result
-	// PipelineStep is one named step of a multi-step program.
-	PipelineStep = runner.PipelineStep
 	// Metrics is a snapshot of engine counters, including per-stage wall
 	// times (Metrics.StageWall).
 	Metrics = dataflow.Snapshot
@@ -270,10 +261,22 @@ type (
 // DefaultConfig is a laptop-scale stand-in for the paper's cluster.
 func DefaultConfig() Config { return runner.DefaultConfig() }
 
-// Run executes a job under a strategy: one-shot compile + execute. Serving
-// paths should Prepare (or use a Catalog/Session) instead; RunPipeline is the
-// multi-step equivalent and reuses the plan cache.
-func Run(job Job, strat Strategy, cfg Config) *Result { return runner.Run(job, strat, cfg) }
+// Job is a query over named nested inputs.
+type Job struct {
+	Query Expr
+	Env   Env
+	// Inputs provides nested input values. Standard routes bind them as
+	// top-level rows; shredded routes value-shred them before the timer
+	// starts (the paper reports runtime after caching all inputs).
+	Inputs map[string]Bag
+}
+
+// Run executes a job under a strategy: RunPipeline over the query's one step,
+// compiled through the plan cache like everything else. Serving paths should
+// Prepare (or use a Catalog/Session) and bind their data once instead.
+func Run(job Job, strat Strategy, cfg Config) *Result {
+	return RunPipeline([]PipelineStep{{Name: queryStep(job.Env), Expr: job.Query}}, job.Env, job.Inputs, strat, cfg)
+}
 
 // Counters returns every process-wide metric — the plan cache, the optimizer's
 // rule hits, the index subsystem, Auto's resolutions — keyed by its dotted
@@ -320,7 +323,7 @@ func TraceFromContext(ctx context.Context) *Trace { return trace.From(ctx) }
 // ExplainShredded shreds and materializes a query and renders the resulting
 // flat program (paper Example 5/6 style).
 func ExplainShredded(q Expr, env Env) (string, error) {
-	mat, err := shred.ShredQuery(q, env, "Q", shred.DefaultOptions())
+	mat, err := shred.ShredQuery(q, env, queryStep(env), shred.DefaultOptions())
 	if err != nil {
 		return "", err
 	}
