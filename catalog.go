@@ -1,22 +1,18 @@
 package trance
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"io"
-	"sort"
 	"sync"
 
 	"github.com/trance-go/trance/internal/index"
 	"github.com/trance-go/trance/internal/ingest"
 	"github.com/trance-go/trance/internal/nrc"
-	"github.com/trance-go/trance/internal/parse"
 	"github.com/trance-go/trance/internal/plan"
 	"github.com/trance-go/trance/internal/runner"
 	"github.com/trance-go/trance/internal/shred"
 	"github.com/trance-go/trance/internal/stats"
-	"github.com/trance-go/trance/internal/trace"
 	"github.com/trance-go/trance/internal/value"
 )
 
@@ -25,7 +21,7 @@ import (
 // Go values or straight from JSON, with the schema inferred), and sessions
 // resolve queries' free variables against it. All methods are safe for
 // concurrent use. Datasets mutate only through the catalog (Append, Delete,
-// DeleteWhere — never mutate a registered bag directly): every mutation
+// CreateIndex — never mutate a registered bag directly): every mutation
 // installs a fresh immutable entry under a new generation, maintaining the
 // dataset's statistics and secondary indexes, so queries already running keep
 // a consistent snapshot while a session's next Run re-resolves against the
@@ -37,11 +33,11 @@ type Catalog struct {
 	nextGen int64
 }
 
-// catalogEntry is one immutable registration generation of a dataset. Every
-// mutation (Append, Delete, CreateIndex, Drop + Register) replaces the entry
-// pointer wholesale rather than editing it, which is what makes concurrent
-// readers (resolve, Analyze's install check, running queries holding the bag)
-// race-free without copying data per read.
+// catalogEntry is one immutable registration generation of a dataset, built
+// by newGeneration and installed by Catalog.mutate. Every mutation (Append,
+// Delete, CreateIndex, Drop + Register) replaces the entry pointer wholesale
+// rather than editing it, which is what makes concurrent readers (resolve,
+// running queries holding the bag) race-free without copying data per read.
 type catalogEntry struct {
 	info DatasetInfo
 	bag  Bag
@@ -50,13 +46,10 @@ type catalogEntry struct {
 	// plans key on it, so a changed dataset never serves stale converted rows
 	// or stale plan decisions.
 	gen int64
-	// stats are the dataset's collected statistics (stats.Collect at
-	// registration; recollected by mutations and Analyze). Generation-stamped
-	// with gen.
+	// stats are the dataset's collected statistics, generation-stamped with
+	// gen; collected whenever the bag changes.
 	stats *stats.Table
-	// idx holds the dataset's secondary indexes: auto-built at registration
-	// for columns the statistics flag as selective, extended by CreateIndex,
-	// maintained incrementally by Append and rebuilt by Delete.
+	// idx holds the dataset's secondary indexes (see keepIndexes).
 	idx *index.Set
 	// auto marks the idx columns that were auto-built (statistics-driven)
 	// rather than requested via CreateIndex.
@@ -83,6 +76,124 @@ func (e *catalogEntry) input(v string) *runner.Input {
 		e.inputs[v] = in
 	}
 	return in
+}
+
+// newGeneration builds the generation of a dataset that follows prev (nil at
+// registration) over rows b — the one constructor of a catalogEntry. b either
+// is prev's bag (add is the index CreateIndex built), extends it (an append),
+// or keeps some of its rows (a delete). Statistics are collected only when the
+// rows changed, and info's Rows and Bytes come from them. The generation is
+// stamped when Catalog.mutate installs the entry.
+func newGeneration(info DatasetInfo, prev *catalogEntry, b Bag, add *index.ColumnIndex) *catalogEntry {
+	bt := info.Type.(nrc.BagType)
+	var st *stats.Table
+	if add != nil {
+		cp := *prev.stats
+		st = &cp
+	} else {
+		st = stats.Collect(b, bt, stats.Options{})
+	}
+	info.Rows, info.Bytes = int(st.Rows), st.Bytes
+	idx, auto := keepIndexes(prev, b, bt, st, add)
+	return &catalogEntry{info: info, bag: b, stats: st, idx: idx, auto: auto}
+}
+
+// keepIndexes derives a generation's secondary indexes over rows b from
+// prev's. At registration it builds one hash+range index per column the
+// statistics flag as selective (stats.Table.SelectiveColumns), skipping build
+// refusals (counted under Counters' index.refusal_reasons). An append extends
+// each of prev's indexes over the appended rows (index.maintained); a delete
+// rebuilds them (index.rebuilt), dropping a column that is no longer
+// indexable; CreateIndex puts add beside the rest, no longer auto-built.
+// Appends only maintain the indexes a dataset has: the auto-index policy runs
+// at registration alone.
+func keepIndexes(prev *catalogEntry, b Bag, bt nrc.BagType, st *stats.Table, add *index.ColumnIndex) (*index.Set, map[string]bool) {
+	set := index.NewSet()
+	if prev == nil {
+		var auto map[string]bool
+		for _, col := range st.SelectiveColumns() {
+			if ci, err := runner.BuildIndex(b, bt, col, true, true); err == nil {
+				set.Put(ci)
+				if auto == nil {
+					auto = map[string]bool{}
+				}
+				auto[col] = true
+			}
+		}
+		return set, auto
+	}
+	if add != nil {
+		set = prev.idx.Clone()
+		set.Put(add)
+		if !prev.auto[add.Col] {
+			return set, prev.auto
+		}
+		auto := make(map[string]bool, len(prev.auto))
+		for k, v := range prev.auto {
+			auto[k] = v
+		}
+		delete(auto, add.Col)
+		return set, auto
+	}
+	appended := len(b) > len(prev.bag)
+	for _, col := range prev.idx.Names() {
+		old := prev.idx.Column(col)
+		if appended {
+			tail, _ := runner.ColumnValues(b[len(prev.bag):], bt, col)
+			if ci, err := old.Extend(tail); err == nil {
+				set.Put(ci)
+				continue
+			}
+			// The tail broke the index's key invariant (cannot happen for
+			// conforming rows, but Extend is defensive): rebuild outright.
+		}
+		if ci, err := runner.BuildIndex(b, bt, col, old.HasHash(), old.HasOrdered()); err == nil {
+			index.RecordRebuild()
+			set.Put(ci)
+		}
+	}
+	return set, prev.auto
+}
+
+// mutate installs the generation next derives from the current entry of name
+// (nil when none is registered) and returns the entry that is current after
+// it — the one way a catalog changes. next runs outside the lock and may run
+// more than once: its entry is installed only if the one it saw is still
+// current, and a lost race reruns it over the winner's. Under the write lock
+// run only that pointer compare, the generation stamp and the store. A nil
+// entry from next changes nothing and installs nothing.
+func (c *Catalog) mutate(name string, next func(cur *catalogEntry) (*catalogEntry, error)) (*catalogEntry, error) {
+	for {
+		cur, _ := c.entry(name)
+		e, err := next(cur)
+		if err != nil || e == nil {
+			return cur, err
+		}
+		c.mu.Lock()
+		if c.entries[name] == cur {
+			c.nextGen++
+			e.gen, e.stats.Generation = c.nextGen, c.nextGen
+			if cur == nil {
+				c.order = append(c.order, name)
+			}
+			c.entries[name] = e
+			c.mu.Unlock()
+			return e, nil
+		}
+		c.mu.Unlock()
+	}
+}
+
+// entry returns the current immutable entry of a dataset.
+func (c *Catalog) entry(name string) (*catalogEntry, bool) {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	e, ok := c.entries[name]
+	return e, ok
+}
+
+func notRegistered(name string) error {
+	return fmt.Errorf("catalog: dataset %s is not registered", name)
 }
 
 // DatasetInfo describes one catalog entry.
@@ -142,67 +253,16 @@ func (c *Catalog) add(name string, t nrc.BagType, b Bag, source string) (Dataset
 	if name == "" {
 		return DatasetInfo{}, fmt.Errorf("catalog: dataset name must not be empty")
 	}
-	// Collect statistics and build the auto indexes outside the lock — both
-	// are full passes over the data.
-	st := stats.Collect(b, t, stats.Options{})
-	idx, auto := autoIndexes(b, t, st)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, dup := c.entries[name]; dup {
-		return DatasetInfo{}, fmt.Errorf("catalog: dataset %s: %w", name, ErrDatasetExists)
-	}
-	info := DatasetInfo{Name: name, Type: t, Rows: len(b), Bytes: value.Size(b), Source: source}
-	c.nextGen++
-	st.Generation = c.nextGen
-	c.entries[name] = &catalogEntry{info: info, bag: b, gen: c.nextGen, stats: st, idx: idx, auto: auto}
-	c.order = append(c.order, name)
-	return info, nil
-}
-
-// autoIndexes builds the registration-time secondary indexes of a dataset:
-// one hash+range index per column the statistics flag as selective (see
-// stats.Table.SelectiveColumns). Build refusals (label columns, mixed-type
-// keys) are counted under their reason (Counters' index.refusal_reasons) and
-// skipped.
-func autoIndexes(b Bag, bt nrc.BagType, st *stats.Table) (*index.Set, map[string]bool) {
-	set := index.NewSet()
-	var auto map[string]bool
-	for _, col := range st.SelectiveColumns() {
-		ci, err := runner.BuildIndex(b, bt, col, true, true)
-		if err != nil {
-			continue
+	e, err := c.mutate(name, func(cur *catalogEntry) (*catalogEntry, error) {
+		if cur != nil {
+			return nil, fmt.Errorf("catalog: dataset %s: %w", name, ErrDatasetExists)
 		}
-		set.Put(ci)
-		if auto == nil {
-			auto = map[string]bool{}
-		}
-		auto[col] = true
+		return newGeneration(DatasetInfo{Name: name, Type: t, Source: source}, nil, b, nil), nil
+	})
+	if err != nil {
+		return DatasetInfo{}, err
 	}
-	return set, auto
-}
-
-// replace installs a successor entry under name, bumping the catalog
-// generation, provided old is still the current entry. Mutations are
-// optimistic: the expensive work (copying, statistics, index maintenance)
-// happens outside the lock, and a caller that lost the race retries over the
-// winner's data. mk receives the fresh generation.
-func (c *Catalog) replace(name string, old *catalogEntry, mk func(gen int64) *catalogEntry) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if cur, ok := c.entries[name]; !ok || cur != old {
-		return false
-	}
-	c.nextGen++
-	c.entries[name] = mk(c.nextGen)
-	return true
-}
-
-// entry returns the current immutable entry of a dataset.
-func (c *Catalog) entry(name string) (*catalogEntry, bool) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	e, ok := c.entries[name]
-	return e, ok
+	return e.info, nil
 }
 
 // IndexInfo describes one secondary index of a catalog dataset.
@@ -240,38 +300,24 @@ func (c *Catalog) CreateIndex(dataset, column, kind string) (IndexInfo, error) {
 	if err != nil {
 		return IndexInfo{}, fmt.Errorf("catalog: dataset %s: %w", dataset, err)
 	}
-	for {
-		e, ok := c.entry(dataset)
-		if !ok {
-			return IndexInfo{}, fmt.Errorf("catalog: dataset %s is not registered", dataset)
+	e, err := c.mutate(dataset, func(cur *catalogEntry) (*catalogEntry, error) {
+		if cur == nil {
+			return nil, notRegistered(dataset)
 		}
 		h, o := wantHash, wantOrdered
-		if old := e.idx.Column(column); old != nil {
-			h = h || old.HasHash()
-			o = o || old.HasOrdered()
+		if old := cur.idx.Column(column); old != nil {
+			h, o = h || old.HasHash(), o || old.HasOrdered()
 		}
-		ci, err := runner.BuildIndex(e.bag, e.info.Type.(nrc.BagType), column, h, o)
+		ci, err := runner.BuildIndex(cur.bag, cur.info.Type.(nrc.BagType), column, h, o)
 		if err != nil {
-			return IndexInfo{}, fmt.Errorf("catalog: dataset %s: %w", dataset, err)
+			return nil, fmt.Errorf("catalog: dataset %s: %w", dataset, err)
 		}
-		var out IndexInfo
-		if c.replace(dataset, e, func(gen int64) *catalogEntry {
-			ne := e.successor(gen)
-			ne.idx = e.idx.Clone()
-			ne.idx.Put(ci)
-			if e.auto[column] {
-				ne.auto = make(map[string]bool, len(e.auto))
-				for k, v := range e.auto {
-					ne.auto[k] = v
-				}
-				delete(ne.auto, column)
-			}
-			out = indexInfoOf(dataset, ci, gen, false)
-			return ne
-		}) {
-			return out, nil
-		}
+		return newGeneration(cur.info, cur, cur.bag, ci), nil
+	})
+	if err != nil {
+		return IndexInfo{}, err
 	}
+	return indexInfoOf(dataset, e.idx.Column(column), e.gen, false), nil
 }
 
 // Indexes lists a dataset's secondary indexes in column-name order.
@@ -287,14 +333,6 @@ func (c *Catalog) Indexes(name string) ([]IndexInfo, bool) {
 	return out, true
 }
 
-// successor copies the entry under a fresh generation, re-stamping the
-// statistics; callers overwrite the fields the mutation changed.
-func (e *catalogEntry) successor(gen int64) *catalogEntry {
-	st := *e.stats
-	st.Generation = gen
-	return &catalogEntry{info: e.info, bag: e.bag, gen: gen, stats: &st, idx: e.idx, auto: e.auto}
-}
-
 // Append adds rows to a registered dataset. The rows are validated against
 // the dataset's element type up front, statistics are recollected over the
 // combined data, and every secondary index is maintained incrementally
@@ -303,55 +341,23 @@ func (e *catalogEntry) successor(gen int64) *catalogEntry {
 // statistics, and plans — an append is never served from stale rows or a
 // stale plan — while queries already executing keep their snapshot.
 func (c *Catalog) Append(name string, rows Bag) (DatasetInfo, error) {
-	if len(rows) == 0 {
-		info, ok := c.Info(name)
-		if !ok {
-			return DatasetInfo{}, fmt.Errorf("catalog: dataset %s is not registered", name)
+	e, err := c.mutate(name, func(cur *catalogEntry) (*catalogEntry, error) {
+		if cur == nil {
+			return nil, notRegistered(name)
 		}
-		return info, nil
+		if len(rows) == 0 {
+			return nil, nil
+		}
+		if err := conforms(rows, cur.info.Type); err != nil {
+			return nil, fmt.Errorf("catalog: dataset %s: append: %w", name, err)
+		}
+		nb := make(Bag, 0, len(cur.bag)+len(rows))
+		return newGeneration(cur.info, cur, append(append(nb, cur.bag...), rows...), nil), nil
+	})
+	if err != nil {
+		return DatasetInfo{}, err
 	}
-	for {
-		e, ok := c.entry(name)
-		if !ok {
-			return DatasetInfo{}, fmt.Errorf("catalog: dataset %s is not registered", name)
-		}
-		bt := e.info.Type.(nrc.BagType)
-		if err := conforms(rows, bt); err != nil {
-			return DatasetInfo{}, fmt.Errorf("catalog: dataset %s: append: %w", name, err)
-		}
-		nb := make(Bag, 0, len(e.bag)+len(rows))
-		nb = append(append(nb, e.bag...), rows...)
-		st := stats.Collect(nb, bt, stats.Options{})
-		nidx := index.NewSet()
-		for _, col := range e.idx.Names() {
-			tail, ok := runner.ColumnValues(rows, bt, col)
-			if !ok {
-				continue
-			}
-			ci, err := e.idx.Column(col).Extend(tail)
-			if err != nil {
-				// The tail broke the index's key invariant (cannot happen for
-				// conforming rows, but Extend is defensive): rebuild outright.
-				old := e.idx.Column(col)
-				if ci, err = runner.BuildIndex(nb, bt, col, old.HasHash(), old.HasOrdered()); err != nil {
-					continue
-				}
-				index.RecordRebuild()
-			}
-			nidx.Put(ci)
-		}
-		var out DatasetInfo
-		if c.replace(name, e, func(gen int64) *catalogEntry {
-			st.Generation = gen
-			info := e.info
-			info.Rows = len(nb)
-			info.Bytes = value.Size(nb)
-			out = info
-			return &catalogEntry{info: info, bag: nb, gen: gen, stats: st, idx: nidx, auto: e.auto}
-		}) {
-			return out, nil
-		}
-	}
+	return e.info, nil
 }
 
 // AppendJSON is Append over a JSON body — NDJSON or a single JSON array, as
@@ -360,7 +366,7 @@ func (c *Catalog) Append(name string, rows Bag) (DatasetInfo, error) {
 func (c *Catalog) AppendJSON(name string, r io.Reader) (DatasetInfo, int, error) {
 	e, ok := c.entry(name)
 	if !ok {
-		return DatasetInfo{}, 0, fmt.Errorf("catalog: dataset %s is not registered", name)
+		return DatasetInfo{}, 0, notRegistered(name)
 	}
 	rows, err := ingest.ReadJSONAs(r, e.info.Type.(nrc.BagType).Elem)
 	if err != nil {
@@ -370,25 +376,6 @@ func (c *Catalog) AppendJSON(name string, r io.Reader) (DatasetInfo, int, error)
 	return info, len(rows), err
 }
 
-// DeleteJSON is Delete with the key given as a JSON scalar literal (the form
-// an HTTP parameter arrives in), parsed against the column's registered type;
-// unquoted text is accepted for string and date columns.
-func (c *Catalog) DeleteJSON(name, column, raw string) (int, error) {
-	e, ok := c.entry(name)
-	if !ok {
-		return 0, fmt.Errorf("catalog: dataset %s is not registered", name)
-	}
-	_, st, ok := runner.ScalarColumn(e.info.Type.(nrc.BagType), column)
-	if !ok {
-		return 0, fmt.Errorf("catalog: dataset %s: delete: no top-level scalar column %q", name, column)
-	}
-	v, err := ingest.ScalarFromJSON(raw, st)
-	if err != nil {
-		return 0, fmt.Errorf("catalog: dataset %s: delete: %w", name, err)
-	}
-	return c.Delete(name, column, v)
-}
-
 // Delete removes every row whose column equals v (the engine's value.Compare
 // equality, so 5 matches 5.0; a NULL column value matches nothing) and
 // returns the number removed. Statistics are recollected and the dataset's
@@ -396,120 +383,71 @@ func (c *Catalog) DeleteJSON(name, column, raw string) (int, error) {
 // generation bump invalidates prepared routes exactly like Append.
 func (c *Catalog) Delete(name, column string, v Value) (int, error) {
 	if v == nil {
-		return 0, fmt.Errorf("catalog: dataset %s: delete key must not be NULL", name)
+		return 0, errNullKey(name)
 	}
-	return c.deleteWhere(name, func(bt nrc.BagType) (func(Value) bool, error) {
-		off, _, ok := runner.ScalarColumn(bt, column)
-		if !ok {
-			return nil, fmt.Errorf("no top-level scalar column %q", column)
+	return c.delete(name, column, func(nrc.ScalarType) (Value, error) { return v, nil })
+}
+
+// DeleteJSON is Delete with the key given as a JSON scalar literal (the form
+// an HTTP parameter arrives in), parsed against the column's registered type;
+// unquoted text is accepted for string and date columns.
+func (c *Catalog) DeleteJSON(name, column, raw string) (int, error) {
+	return c.delete(name, column, func(st nrc.ScalarType) (Value, error) { return ingest.ScalarFromJSON(raw, st) })
+}
+
+func errNullKey(name string) error {
+	return fmt.Errorf("catalog: dataset %s: delete key must not be NULL", name)
+}
+
+// delete removes the rows whose column equals the key that key derives from
+// the column's type in the generation it deletes from.
+func (c *Catalog) delete(name, column string, key func(nrc.ScalarType) (Value, error)) (int, error) {
+	removed := 0
+	_, err := c.mutate(name, func(cur *catalogEntry) (*catalogEntry, error) {
+		if cur == nil {
+			return nil, notRegistered(name)
 		}
-		return func(el Value) bool {
-			var cv Value
+		off, st, ok := runner.ScalarColumn(cur.info.Type.(nrc.BagType), column)
+		if !ok {
+			return nil, fmt.Errorf("catalog: dataset %s: delete: no top-level scalar column %q", name, column)
+		}
+		v, err := key(st)
+		if err != nil {
+			return nil, fmt.Errorf("catalog: dataset %s: delete: %w", name, err)
+		}
+		if v == nil {
+			return nil, errNullKey(name)
+		}
+		nb := make(Bag, 0, len(cur.bag))
+		for _, el := range cur.bag {
+			cv := el
 			if t, ok := el.(value.Tuple); ok {
 				cv = t[off]
-			} else {
-				cv = el
 			}
-			return cv != nil && value.Compare(cv, v) == 0
-		}, nil
-	})
-}
-
-// DeleteWhere removes every top-level row matching pred and returns the
-// number removed; index and statistics maintenance and generation semantics
-// are those of Delete. pred must be pure — it may run more than once per row
-// when a concurrent mutation forces a retry.
-func (c *Catalog) DeleteWhere(name string, pred func(Value) bool) (int, error) {
-	return c.deleteWhere(name, func(nrc.BagType) (func(Value) bool, error) { return pred, nil })
-}
-
-func (c *Catalog) deleteWhere(name string, mk func(nrc.BagType) (func(Value) bool, error)) (int, error) {
-	for {
-		e, ok := c.entry(name)
-		if !ok {
-			return 0, fmt.Errorf("catalog: dataset %s is not registered", name)
-		}
-		bt := e.info.Type.(nrc.BagType)
-		pred, err := mk(bt)
-		if err != nil {
-			return 0, fmt.Errorf("catalog: dataset %s: delete: %w", name, err)
-		}
-		nb := make(Bag, 0, len(e.bag))
-		for _, el := range e.bag {
-			if !pred(el) {
+			if cv == nil || value.Compare(cv, v) != 0 {
 				nb = append(nb, el)
 			}
 		}
-		removed := len(e.bag) - len(nb)
-		if removed == 0 {
-			return 0, nil
+		if removed = len(cur.bag) - len(nb); removed == 0 {
+			return nil, nil
 		}
-		st := stats.Collect(nb, bt, stats.Options{})
-		nidx := rebuildIndexes(e.idx, nb, bt)
-		if c.replace(name, e, func(gen int64) *catalogEntry {
-			st.Generation = gen
-			info := e.info
-			info.Rows = len(nb)
-			info.Bytes = value.Size(nb)
-			return &catalogEntry{info: info, bag: nb, gen: gen, stats: st, idx: nidx, auto: e.auto}
-		}) {
-			return removed, nil
-		}
+		return newGeneration(cur.info, cur, nb, nil), nil
+	})
+	if err != nil {
+		return 0, err
 	}
-}
-
-// rebuildIndexes rebuilds every index of a set over new data — deletions
-// invalidate row positions wholesale. Each rebuild is counted
-// (Counters' index.rebuilt); a column that is no longer indexable is dropped.
-func rebuildIndexes(old *index.Set, b Bag, bt nrc.BagType) *index.Set {
-	out := index.NewSet()
-	for _, col := range old.Names() {
-		oc := old.Column(col)
-		ci, err := runner.BuildIndex(b, bt, col, oc.HasHash(), oc.HasOrdered())
-		if err != nil {
-			continue
-		}
-		index.RecordRebuild()
-		out.Put(ci)
-	}
-	return out
+	return removed, nil
 }
 
 // Stats returns a dataset's collected statistics (row/byte counts, per-column
 // NDV, min/max, heavy-key histograms), stamped with the registration
 // generation they describe. The table is shared — treat it as read-only.
 func (c *Catalog) Stats(name string) (*DatasetStats, bool) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	e, ok := c.entries[name]
+	e, ok := c.entry(name)
 	if !ok {
 		return nil, false
 	}
 	return e.stats, true
-}
-
-// Analyze recollects a dataset's statistics with the given options and stores
-// them, returning the fresh table. Registration already collects statistics
-// with default options; Analyze is for tuning collection (sketch size, skew
-// threshold) after the fact.
-func (c *Catalog) Analyze(name string, opts StatsOptions) (*DatasetStats, error) {
-	c.mu.RLock()
-	e, ok := c.entries[name]
-	c.mu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("catalog: dataset %s is not registered", name)
-	}
-	bt := e.info.Type.(nrc.BagType)
-	st := stats.Collect(e.bag, bt, opts)
-	st.Generation = e.gen
-	c.mu.Lock()
-	// Re-registration between the reads and here moves the name to a new
-	// entry; only stamp the entry the statistics describe.
-	if cur, ok := c.entries[name]; ok && cur == e {
-		cur.stats = st
-	}
-	c.mu.Unlock()
-	return st, nil
 }
 
 // Drop removes a dataset. Session queries prepared before the Drop keep
@@ -551,9 +489,7 @@ func (c *Catalog) List() []DatasetInfo {
 
 // Info returns one dataset's info.
 func (c *Catalog) Info(name string) (DatasetInfo, bool) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	e, ok := c.entries[name]
+	e, ok := c.entry(name)
 	if !ok {
 		return DatasetInfo{}, false
 	}
@@ -563,9 +499,7 @@ func (c *Catalog) Info(name string) (DatasetInfo, bool) {
 // Data returns a dataset's values and type. The bag is shared, not copied —
 // treat it as read-only.
 func (c *Catalog) Data(name string) (Bag, Type, bool) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	e, ok := c.entries[name]
+	e, ok := c.entry(name)
 	if !ok {
 		return nil, nil, false
 	}
@@ -602,6 +536,17 @@ func (e *UnknownDatasetError) Error() string {
 		e.Var, e.Dataset, e.Have)
 }
 
+// boundLocked returns the dataset name variable v resolves to under the
+// session's bindings and its current entry (nil when none is registered).
+// Caller holds c.mu.
+func (c *Catalog) boundLocked(v string, bindings map[string]string) (string, *catalogEntry) {
+	ds := v
+	if b, ok := bindings[v]; ok {
+		ds = b
+	}
+	return ds, c.entries[ds]
+}
+
 // resolve snapshots the entries (dataset generations) the variable names
 // resolve to under the session's bindings, and their table statistics.
 // Statistics of indexed columns carry the index flags the planner's
@@ -615,18 +560,11 @@ func (c *Catalog) resolve(vars []string, bindings map[string]string) (map[string
 	entries := map[string]*catalogEntry{}
 	ests := map[string]plan.TableEstimate{}
 	for _, v := range vars {
-		ds := v
-		if b, ok := bindings[v]; ok {
-			ds = b
-		}
-		e, ok := c.entries[ds]
-		if !ok {
+		ds, e := c.boundLocked(v, bindings)
+		if e == nil {
 			return nil, nil, &UnknownDatasetError{Var: v, Dataset: ds, Have: append([]string(nil), c.order...)}
 		}
 		entries[v] = e
-		if e.stats == nil {
-			continue
-		}
 		te := e.stats.Estimate()
 		if e.idx.Len() > 0 {
 			for _, col := range e.idx.Names() {
@@ -650,12 +588,7 @@ func (c *Catalog) generationsUnchanged(vars []string, bindings map[string]string
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	for _, v := range vars {
-		ds := v
-		if b, ok := bindings[v]; ok {
-			ds = b
-		}
-		e, ok := c.entries[ds]
-		if !ok || e.gen != gens[v] {
+		if _, e := c.boundLocked(v, bindings); e == nil || e.gen != gens[v] {
 			return false
 		}
 	}
@@ -719,257 +652,4 @@ func conforms(v Value, t Type) error {
 		return nil
 	}
 	return fmt.Errorf("unsupported type %s", t)
-}
-
-// SessionOptions configures a catalog session.
-type SessionOptions struct {
-	// Config sizes the simulated cluster; nil means DefaultConfig().
-	Config *Config
-	// Pool overrides the worker pool the session's queries run on. Nil uses
-	// a pool sized by Config.Workers when set, else the process default.
-	Pool *Pool
-	// Bindings maps query variable names to catalog dataset names when they
-	// differ (e.g. a query over "NDB" served from the dataset "tpch/ndb-l2").
-	// Unlisted variables resolve to the dataset of the same name.
-	Bindings map[string]string
-}
-
-// Session prepares and runs queries whose free variables resolve against a
-// catalog. A session query is generation-aware: each Run probes the catalog
-// and, when any referenced dataset mutated since the last resolution (Append,
-// Delete, CreateIndex, Drop + re-Register), re-resolves data, statistics, and
-// indexes and re-prepares through the plan cache — a mutation is never served
-// from stale rows or a stale plan. Runs already executing keep the snapshot
-// they started with; a dataset that is dropped and not re-registered keeps
-// serving its last snapshot. Sessions are safe for concurrent use.
-//
-// Converted input rows belong to the dataset generation, not to a session: the
-// nested→engine-row conversion (value shredding on shredded routes) of each
-// (dataset generation, variable name, route) happens once, however many
-// sessions and queries reference it, and is released with the generation — so
-// a service preparing many ad-hoc text queries over one dataset holds one
-// converted copy, not one per query.
-type Session struct {
-	cat  *Catalog
-	cfg  Config
-	pool *Pool
-	bind map[string]string
-}
-
-// NewSession creates a session over the catalog.
-func (c *Catalog) NewSession(opts SessionOptions) *Session {
-	cfg := DefaultConfig()
-	if opts.Config != nil {
-		cfg = *opts.Config
-	}
-	pool := poolFor(cfg, opts.Pool)
-	bind := map[string]string{}
-	for k, v := range opts.Bindings {
-		bind[k] = v
-	}
-	return &Session{cat: c, cfg: cfg, pool: pool, bind: bind}
-}
-
-// Prepare resolves the query's free variables against the catalog,
-// typechecks and sets up compile-once evaluation (see Prepare), and binds
-// the resolved datasets for repeated runs (see PreparedQuery.BindData). The
-// session takes ownership of the query's AST.
-func (s *Session) Prepare(q Expr) (*SessionQuery, error) { return s.PrepareNamed("", q) }
-
-// PrepareNamed is Prepare with a label used in errors and metrics.
-func (s *Session) PrepareNamed(name string, q Expr) (*SessionQuery, error) {
-	return s.newQuery(name, nrc.FreeVars(q), func(opts PrepareOptions) (*PreparedQuery, error) {
-		return Prepare(q, opts)
-	})
-}
-
-// PreparePipeline is Prepare for a multi-step program (see PreparePipeline):
-// the steps' free variables (outputs of earlier steps are not free) resolve
-// against the catalog, repeated runs hit the plan cache for every step and
-// re-resolve when a referenced dataset mutates.
-func (s *Session) PreparePipeline(steps []PipelineStep) (*SessionQuery, error) {
-	return s.preparePipeline("", steps)
-}
-
-func (s *Session) preparePipeline(name string, steps []PipelineStep) (*SessionQuery, error) {
-	return s.newQuery(name, nrc.FreeVarsProgram(steps), func(opts PrepareOptions) (*PreparedQuery, error) {
-		return PreparePipeline(steps, opts)
-	})
-}
-
-func (s *Session) newQuery(name string, vars map[string]bool, prepare func(PrepareOptions) (*PreparedQuery, error)) (*SessionQuery, error) {
-	sq := &SessionQuery{s: s, name: name, prepare: prepare, vars: make([]string, 0, len(vars))}
-	for v := range vars {
-		sq.vars = append(sq.vars, v)
-	}
-	sort.Strings(sq.vars)
-	sq.mu.Lock()
-	defer sq.mu.Unlock()
-	if err := sq.refreshLocked(); err != nil {
-		return nil, err
-	}
-	return sq, nil
-}
-
-// PrepareText parses a query or a multi-statement program written in the
-// textual surface syntax (see docs/QUERYLANG.md, trance.Parse and
-// trance.ParseProgram) and prepares it against the catalog: a bare expression
-// exactly like Prepare, a program (`name := expr;` assignments ending in a
-// result expression) like PreparePipeline. Free variables resolve to datasets
-// (respecting the session's bindings), every step compiles through the
-// process-wide bounded plan cache under its fingerprint, and the resolved data
-// is bound once for repeated runs. Lex, parse, resolution, and type errors —
-// in any statement — all come back as position-tracked caret diagnostics
-// pointing into src, never a panic.
-func (s *Session) PrepareText(name, src string) (*SessionQuery, error) {
-	r, err := parse.Program(src)
-	if err != nil {
-		return nil, err
-	}
-	var sq *SessionQuery
-	if r.Query {
-		sq, err = s.PrepareNamed(name, r.Program.Stmts[0].Expr)
-	} else {
-		sq, err = s.preparePipeline(name, r.Program.Stmts)
-	}
-	if err != nil {
-		return nil, diagnose(&r.Source, err)
-	}
-	return sq, nil
-}
-
-// diagnose points a prepare-time error back into parsed query text: type
-// errors via the node position map, unresolved datasets via the first
-// occurrence of the offending variable. Errors with no known position pass
-// through unchanged.
-func diagnose(src *parse.Source, err error) error {
-	var ue *UnknownDatasetError
-	if errors.As(err, &ue) {
-		if node, ok := src.FirstVar(ue.Var); ok {
-			return src.ErrorAt(node, err.Error())
-		}
-	}
-	return src.Diagnose(err)
-}
-
-// SessionQuery is a query or multi-step program prepared against a catalog:
-// compiled plans come from the process-wide plan cache, input conversion is
-// cached per route on the catalog generation, any number of goroutines may
-// Run concurrently, and every Run re-resolves against the catalog when a
-// referenced dataset's generation moved (see Session).
-type SessionQuery struct {
-	s       *Session
-	name    string
-	prepare func(PrepareOptions) (*PreparedQuery, error)
-	vars    []string
-
-	mu   sync.Mutex // guards the cached resolution below
-	pq   *PreparedQuery
-	data *PreparedData
-	gens map[string]int64
-}
-
-// refreshLocked re-resolves the query against the catalog's current
-// generations and re-prepares it. Caller holds sq.mu.
-func (sq *SessionQuery) refreshLocked() error {
-	s := sq.s
-	entries, ests, err := s.cat.resolve(sq.vars, s.bind)
-	if err != nil {
-		return err
-	}
-	env, gens, inputs := Env{}, map[string]int64{}, runner.Inputs{}
-	for v, e := range entries {
-		env[v], gens[v], inputs[v] = e.info.Type, e.gen, e.input(v)
-	}
-	cfg := s.cfg
-	if len(ests) > 0 {
-		cfg.Stats = ests
-	}
-	opts := PrepareOptions{Name: sq.name, Env: env, Config: &cfg, Pool: s.pool}
-	// Re-preparing shares the ASTs with the prior generation's prepared query,
-	// and both Prepare's typecheck and lazy compilation annotate them in place
-	// — so every generation serializes on one compile mutex.
-	var pq *PreparedQuery
-	if sq.pq != nil {
-		mu := sq.pq.compileMu
-		mu.Lock()
-		pq, err = sq.prepare(opts)
-		if pq != nil {
-			pq.compileMu = mu
-		}
-		mu.Unlock()
-	} else {
-		pq, err = sq.prepare(opts)
-	}
-	if err != nil {
-		return err
-	}
-	sq.pq, sq.data, sq.gens = pq, &PreparedData{inputs: inputs}, gens
-	return nil
-}
-
-// current returns the prepared artifacts for a run, re-resolving when any
-// referenced dataset's generation moved. The staleness probe is one
-// read-locked walk; a refresh re-prepares through the plan cache (a
-// generation-stamped fingerprint, so unchanged plans are cache hits).
-func (sq *SessionQuery) current() (*PreparedQuery, *PreparedData, error) {
-	sq.mu.Lock()
-	defer sq.mu.Unlock()
-	if sq.s.cat.generationsUnchanged(sq.vars, sq.s.bind, sq.gens) {
-		return sq.pq, sq.data, nil
-	}
-	if err := sq.refreshLocked(); err != nil {
-		// A referenced dataset was dropped without a replacement: keep
-		// serving the last snapshot rather than failing the serving path.
-		var ue *UnknownDatasetError
-		if !errors.As(err, &ue) {
-			return nil, nil, err
-		}
-	}
-	return sq.pq, sq.data, nil
-}
-
-// Prepared exposes the underlying prepared query (output type, schema,
-// fingerprint, explain), refreshed against the catalog like Run; when the
-// refresh fails it is the last one that resolved.
-func (sq *SessionQuery) Prepared() *PreparedQuery {
-	if pq, _, err := sq.current(); err == nil {
-		return pq
-	}
-	sq.mu.Lock()
-	defer sq.mu.Unlock()
-	return sq.pq
-}
-
-// Run evaluates the query under the strategy over the current catalog
-// generations of the referenced datasets (re-resolving after mutations; see
-// Session), exactly like PreparedQuery.Run over the data the session bound —
-// plus a resolve span when ctx carries a trace. The Result's rows, Columns
-// and plans all come from the one generation the run resolved to.
-func (sq *SessionQuery) Run(ctx context.Context, strat Strategy, opts ...RunOption) (*Result, error) {
-	rsp := trace.From(ctx).Span().Child("resolve")
-	pq, data, err := sq.current()
-	if err == nil {
-		rsp.Set("query", pq.label())
-	}
-	rsp.End()
-	if err != nil {
-		return nil, err
-	}
-	return pq.Run(ctx, data, strat, opts...)
-}
-
-// RunJSON is Run plus Result.JSON: the result rows rendered as objects typed
-// by the run's own output schema — the query half of the catalog's JSON-in →
-// query → JSON-out round trip. Rows come back in the engine's canonical
-// sorted order, so output is deterministic.
-func (sq *SessionQuery) RunJSON(ctx context.Context, strat Strategy) ([]map[string]any, error) {
-	res, err := sq.Run(ctx, strat)
-	if err != nil {
-		return nil, err
-	}
-	esp := trace.From(ctx).Span().Child("encode")
-	defer esp.End()
-	rows, _ := res.JSON(0)
-	return rows, nil
 }

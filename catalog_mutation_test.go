@@ -87,12 +87,9 @@ func TestCatalogAppendDelete(t *testing.T) {
 		t.Fatal("unknown delete column must be rejected")
 	}
 
-	// DeleteWhere with an arbitrary predicate.
-	n, err = cat.DeleteWhere("D", func(v trance.Value) bool {
-		return v.(trance.Tuple)[1].(int64) == 3 // grp == 3
-	})
-	if err != nil || n == 0 {
-		t.Fatalf("DeleteWhere: %d, %v", n, err)
+	// Delete by a non-unique column: ids 3 and 8 share grp 3.
+	if n, err = cat.Delete("D", "grp", int64(3)); err != nil || n != 2 {
+		t.Fatalf("delete grp=3: %d, %v", n, err)
 	}
 
 	if _, err := cat.Append("ghost", trance.Bag{mutRow(1)}); err == nil {
@@ -335,43 +332,83 @@ func TestCatalogAppendRetargetsAuto(t *testing.T) {
 	}
 }
 
-// TestCatalogAnalyzeAppendRace: Analyze recollections racing with mutations
-// must never install statistics for a superseded generation — the mutation's
-// own recollection is authoritative. Run with -race.
-func TestCatalogAnalyzeAppendRace(t *testing.T) {
+// TestCatalogMutationsRace: Append, Delete and CreateIndex interleave on one
+// dataset from several goroutines. Each installs through the one step, so no
+// mutation is lost or half-applied: afterwards the info, the statistics and
+// every index cover the same rows, and every goroutine sees its successful
+// mutations take ever larger generations. Run with -race.
+func TestCatalogMutationsRace(t *testing.T) {
 	cat := trance.NewCatalog()
-	if err := cat.Register("D", mutType(), mutBag(50)); err != nil {
+	if err := cat.Register("D", mutType(), mutBag(200)); err != nil {
 		t.Fatal(err)
 	}
+	const workers, rounds = 4, 12
 	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
+	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for i := 0; i < 25; i++ {
-				if w%2 == 0 {
-					if _, err := cat.Append("D", trance.Bag{mutRow(int64(1000*w + i))}); err != nil {
-						t.Errorf("append: %v", err)
+			var last int64
+			advanced := func(what string, gen int64) bool {
+				if gen <= last {
+					t.Errorf("worker %d: %s reported generation %d after %d", w, what, gen, last)
+					return false
+				}
+				last = gen
+				return true
+			}
+			statsGen := func() int64 {
+				st, _ := cat.Stats("D")
+				return st.Generation
+			}
+			for i := 0; i < rounds; i++ {
+				id := int64(1000*(w+1) + i)
+				if _, err := cat.Append("D", trance.Bag{mutRow(id)}); err != nil {
+					t.Errorf("append: %v", err)
+					return
+				}
+				if !advanced("append", statsGen()) {
+					return
+				}
+				switch i % 3 {
+				case 0:
+					ii, err := cat.CreateIndex("D", "grp", []string{"hash", "range"}[w%2])
+					if err != nil {
+						t.Errorf("create index: %v", err)
 						return
 					}
-				} else if _, err := cat.Analyze("D", trance.StatsOptions{}); err != nil {
-					t.Errorf("analyze: %v", err)
-					return
+					if !advanced("create index", ii.Generation) {
+						return
+					}
+				case 1:
+					if n, err := cat.Delete("D", "id", id); err != nil || n != 1 {
+						t.Errorf("delete id=%d: %d, %v", id, n, err)
+						return
+					}
+					if !advanced("delete", statsGen()) {
+						return
+					}
 				}
 			}
 		}(w)
 	}
 	wg.Wait()
+	want := 200 + workers*rounds - workers*(rounds/3)
 	info, _ := cat.Info("D")
 	st, _ := cat.Stats("D")
-	if info.Rows != 100 || st.Rows != 100 {
-		t.Fatalf("final statistics stale: info %d rows, stats %d rows (want 100)", info.Rows, st.Rows)
+	if info.Rows != want || st.Rows != int64(want) {
+		t.Fatalf("info %d rows, stats %d rows, want %d", info.Rows, st.Rows, want)
 	}
 	idx, _ := cat.Indexes("D")
+	kinds := map[string]string{}
 	for _, ii := range idx {
-		if ii.Rows != 100 {
-			t.Fatalf("index %s rows %d, want 100", ii.Column, ii.Rows)
+		if ii.Rows != int64(want) || ii.Generation != st.Generation {
+			t.Fatalf("index %s: %+v, want %d rows at generation %d", ii.Column, ii, want, st.Generation)
 		}
+		kinds[ii.Column] = ii.Kind
+	}
+	if kinds["grp"] != "hash+range" || kinds["id"] != "hash+range" {
+		t.Fatalf("index kinds %v: kinds requested concurrently must accumulate", kinds)
 	}
 }
 

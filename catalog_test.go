@@ -131,16 +131,6 @@ func TestCatalogDropInvalidatesStatistics(t *testing.T) {
 	if st2.Generation <= st1.Generation {
 		t.Fatalf("generation did not advance: %d -> %d", st1.Generation, st2.Generation)
 	}
-
-	// Analyze recollects in place (e.g. with a different sketch size) and
-	// keeps the same generation.
-	st3, err := cat.Analyze("D", trance.StatsOptions{SketchSize: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st3.Generation != st2.Generation || st3.Rows != 2000 {
-		t.Fatalf("analyze: %+v", st3)
-	}
 }
 
 func TestSessionPrepareUnknownDataset(t *testing.T) {

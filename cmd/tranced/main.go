@@ -50,7 +50,7 @@ func main() {
 	flag.BoolVar(&cfg.BiomedFull, "biomed-full", cfg.BiomedFull, "use the full-size biomedical dataset")
 	flag.Int64Var(&cfg.MaxUploadBytes, "max-upload", cfg.MaxUploadBytes, "POST /datasets body size limit in bytes")
 	flag.IntVar(&cfg.MaxDatasets, "max-datasets", cfg.MaxDatasets, "uploaded datasets held at once")
-	flag.Int64Var(&cfg.MaxDatasetBytes, "max-dataset-bytes", cfg.MaxDatasetBytes, "total resident bytes of uploaded datasets")
+	flag.Int64Var(&cfg.MaxDatasetBytes, "max-dataset-bytes", cfg.MaxDatasetBytes, "decoded bytes held beyond the startup preloads (uploads and appends)")
 	flag.DurationVar(&cfg.SlowQuery, "slow-query", cfg.SlowQuery, "log the full span tree of requests at least this slow (e.g. 250ms; 0 disables)")
 	flag.Parse()
 

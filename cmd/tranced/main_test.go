@@ -414,3 +414,43 @@ func TestDatasetUploadBounded(t *testing.T) {
 		t.Fatalf("over-cap upload should be 507, got %d", code)
 	}
 }
+
+// Appends count against -max-dataset-bytes like uploads do, whether the
+// dataset was uploaded or preloaded: once the bytes held beyond the startup
+// preloads reach the bound, an append answers 507.
+func TestDatasetAppendBounded(t *testing.T) {
+	cfg := defaultServerConfig()
+	cfg.Customers = 5
+	cfg.MaxLevel = 0
+	cfg.MaxDatasetBytes = 4 << 10
+	srv, err := newServer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	post := func(path, body string) int {
+		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	if code := post("/datasets?name=up", `{"a":"x"}`); code != http.StatusCreated {
+		t.Fatalf("upload: %d", code)
+	}
+	row := fmt.Sprintf(`{"c_custkey": 9999, "c_name": "n", "c_address": %q, "c_nationkey": 1,
+		"c_phone": "p", "c_acctbal": 1.5, "c_mktsegment": "m", "c_comment": "c"}`, strings.Repeat("x", 1000))
+	code := http.StatusOK
+	for i := 0; i < 50 && code == http.StatusOK; i++ {
+		code = post("/datasets/tpch/customer/append", row)
+	}
+	if code != http.StatusInsufficientStorage {
+		t.Fatalf("appends to a preloaded dataset past the bound: %d, want 507", code)
+	}
+	if code := post("/datasets/up/append", `{"a":"y"}`); code != http.StatusInsufficientStorage {
+		t.Fatalf("append to an uploaded dataset past the bound: %d, want 507", code)
+	}
+}

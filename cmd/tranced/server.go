@@ -30,9 +30,10 @@ type serverConfig struct {
 	MaxLevel    int
 	// MaxUploadBytes bounds POST /datasets request bodies.
 	MaxUploadBytes int64
-	// MaxDatasets and MaxDatasetBytes bound how many uploaded datasets (and
-	// how much decoded data) the server holds at once, so an upload loop
-	// cannot grow server memory without limit.
+	// MaxDatasets bounds how many uploaded datasets the server holds at once,
+	// and MaxDatasetBytes the decoded bytes it holds beyond the startup
+	// preloads (uploads, and appends to any dataset), so neither an upload
+	// loop nor an append loop can grow server memory without limit.
 	MaxDatasets     int
 	MaxDatasetBytes int64
 	// SlowQuery, when positive, logs the full span tree of any request whose
@@ -117,13 +118,16 @@ func (st *routeStats) observe(d time.Duration) {
 // at runtime) and session-prepared queries over them, served concurrently on
 // one shared worker pool.
 type server struct {
-	mux      *http.ServeMux
-	catalog  *trance.Catalog
-	cfg      serverConfig
-	runCfg   trance.Config
-	pool     *trance.Pool
-	started  time.Time
-	requests atomic.Int64
+	mux     *http.ServeMux
+	catalog *trance.Catalog
+	cfg     serverConfig
+	runCfg  trance.Config
+	pool    *trance.Pool
+	// preloaded is the decoded bytes the startup preloads hold; the
+	// MaxDatasetBytes budget covers what the catalog holds beyond it.
+	preloaded int64
+	started   time.Time
+	requests  atomic.Int64
 
 	// qmu guards queries/order: uploads add servable entries at runtime.
 	qmu     sync.RWMutex
@@ -217,6 +221,7 @@ func newServer(cfg serverConfig) (*server, error) {
 			return nil, err
 		}
 	}
+	_, s.preloaded = s.footprint()
 
 	// Prepare the query families over the catalog.
 	classes := []tpch.QueryClass{tpch.FlatToNested, tpch.NestedToNested, tpch.NestedToFlat}
@@ -390,16 +395,17 @@ func (s *server) handleDatasetsList(w http.ResponseWriter, r *http.Request) {
 
 var datasetNameRe = regexp.MustCompile(`^[a-zA-Z0-9._-]{1,64}$`)
 
-// uploadedFootprint counts the uploaded (source "json") datasets and their
-// resident decoded bytes.
-func (s *server) uploadedFootprint() (count int, bytes int64) {
+// footprint counts the uploaded (source "json") datasets and the decoded
+// bytes the catalog holds beyond what startup preloaded: uploads, and appends
+// to any dataset, uploaded or preloaded.
+func (s *server) footprint() (count int, bytes int64) {
 	for _, info := range s.catalog.List() {
 		if info.Source == "json" {
 			count++
-			bytes += info.Bytes
 		}
+		bytes += info.Bytes
 	}
-	return count, bytes
+	return count, bytes - s.preloaded
 }
 
 // handleDatasetUpload ingests an ad-hoc JSON dataset: the body is NDJSON or
@@ -427,7 +433,7 @@ func (s *server) handleDatasetUpload(w http.ResponseWriter, r *http.Request) {
 	}
 	s.upMu.Lock()
 	defer s.upMu.Unlock()
-	if count, bytes := s.uploadedFootprint(); count >= s.cfg.MaxDatasets || bytes >= s.cfg.MaxDatasetBytes {
+	if count, bytes := s.footprint(); count >= s.cfg.MaxDatasets || bytes >= s.cfg.MaxDatasetBytes {
 		httpError(w, http.StatusInsufficientStorage,
 			"upload limit reached (%d datasets, %d bytes resident; bounds %d / %d)",
 			count, bytes, s.cfg.MaxDatasets, s.cfg.MaxDatasetBytes)
@@ -573,7 +579,7 @@ func (s *server) handleDatasetMutate(w http.ResponseWriter, r *http.Request) {
 		// bound as uploads so an append loop cannot outgrow the server.
 		s.upMu.Lock()
 		defer s.upMu.Unlock()
-		if count, bytes := s.uploadedFootprint(); bytes >= s.cfg.MaxDatasetBytes {
+		if count, bytes := s.footprint(); bytes >= s.cfg.MaxDatasetBytes {
 			httpError(w, http.StatusInsufficientStorage,
 				"upload limit reached (%d datasets, %d bytes resident; bound %d)",
 				count, bytes, s.cfg.MaxDatasetBytes)

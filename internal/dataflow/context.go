@@ -7,8 +7,8 @@
 // consecutive narrow operators are fused into a single per-row pass that runs
 // when a wide operator (shuffle, join, group) or an action (Collect, Count)
 // consumes the dataset. Partitions are processed goroutine-per-partition on a
-// bounded worker pool shared by the whole Context, so no matter how many
-// partitions a stage has, at most Workers tasks (counting the submitting
+// bounded worker pool (the Context's Pool), so no matter how many partitions a
+// stage has, at most the pool's Workers() tasks (counting the submitting
 // goroutine, which runs overflow tasks inline) compute at once.
 //
 // Key-based repartitioning is an explicit shuffle: map-side tasks stream rows
@@ -51,13 +51,6 @@ type Context struct {
 	// Parallelism is the number of partitions used by shuffles. It plays the
 	// role of the paper's "1000 partitions used for shuffling data".
 	Parallelism int
-	// Workers bounds the number of partition tasks executing at any moment
-	// (the cluster's core count); the submitting goroutine counts as one
-	// worker and runs overflow tasks inline, so Workers=1 executes every
-	// task sequentially on the caller. 0 means runtime.NumCPU(). The pool
-	// size is latched on the context's first operation; set Workers before
-	// running anything — later changes are ignored.
-	Workers int
 	// MaxPartitionBytes caps the estimated size of any single materialized
 	// partition; 0 disables the cap. Exceeding it fails the job with
 	// ErrMemoryExceeded.
@@ -66,22 +59,21 @@ type Context struct {
 	// will broadcast instead of shuffling (the paper defers to Spark's 10MB
 	// auto-broadcast threshold).
 	BroadcastLimit int64
-	// SampleSeed seeds the deterministic per-partition sampling used by the
-	// skew detector.
-	SampleSeed int64
-
-	// SharedPool, when non-nil, replaces the context's private worker pool so
-	// several concurrent jobs (each with its own Context) draw helper
-	// goroutines from one bounded budget — the serving layer's "many requests,
-	// one cluster" model. Workers is ignored when SharedPool is set. Set it
-	// before running anything on the context.
-	SharedPool *Pool
+	// Pool bounds the partition tasks executing at any moment (the cluster's
+	// core count). Several concurrent jobs, each with its own Context, may
+	// draw from one pool — the serving layer's "many requests, one cluster"
+	// model. Nil draws from a process-wide pool sized to runtime.NumCPU().
+	Pool *Pool
 
 	Metrics Metrics
-
-	poolOnce sync.Once
-	pool     chan struct{}
 }
+
+// sampleSeed seeds the deterministic per-partition sampling used by the skew
+// detector.
+const sampleSeed = 42
+
+// defaultPool serves every Context that names no Pool.
+var defaultPool = NewPool(0)
 
 // Pool is a bounded worker pool that can be shared by any number of Contexts.
 // Each job's submitting goroutine counts as one worker and runs overflow
@@ -113,31 +105,24 @@ func (p *Pool) semaphore() chan struct{} {
 	return p.slots
 }
 
-// NewContext returns a context with the given parallelism, a NumCPU-sized
+// NewContext returns a context with the given parallelism, the default
 // worker pool, and no memory cap.
 func NewContext(parallelism int) *Context {
 	if parallelism <= 0 {
 		parallelism = 1
 	}
-	return &Context{Parallelism: parallelism, BroadcastLimit: 10 << 20, SampleSeed: 42}
+	return &Context{Parallelism: parallelism, BroadcastLimit: 10 << 20}
 }
 
-// slots returns the shared bounded worker pool, initializing it on first use.
-// The caller of runParts counts as one worker (it runs overflow tasks
-// inline), so the pool holds Workers-1 goroutine slots; with Workers=1 the
-// pool is empty and every task runs sequentially on the caller.
+// slots returns the semaphore of the context's worker pool. The caller of
+// runParts counts as one worker (it runs overflow tasks inline), so the pool
+// holds Workers()-1 goroutine slots; with one worker the pool is empty and
+// every task runs sequentially on the caller.
 func (c *Context) slots() chan struct{} {
-	if c.SharedPool != nil {
-		return c.SharedPool.semaphore()
+	if c.Pool != nil {
+		return c.Pool.semaphore()
 	}
-	c.poolOnce.Do(func() {
-		w := c.Workers
-		if w <= 0 {
-			w = runtime.NumCPU()
-		}
-		c.pool = make(chan struct{}, w-1)
-	})
-	return c.pool
+	return defaultPool.semaphore()
 }
 
 // StageTime is the measured wall time of one named engine stage.
@@ -278,12 +263,12 @@ func (s Snapshot) String() string {
 
 // runParts invokes fn for every partition index and returns the joined
 // errors. Execution is work-stealing over the context's bounded worker pool:
-// helper goroutines (as many as free pool slots allow, at most Workers-1)
-// and the caller itself all pull the next unclaimed index from a shared
-// counter, so a long-running partition never stalls dispatch of the ones
-// behind it. At most Workers tasks compute at once — the caller counts as
-// one worker, so Workers=1 runs every task sequentially on the caller — and
-// scheduling can never deadlock.
+// helper goroutines (as many as free pool slots allow, at most the pool's
+// Workers()-1) and the caller itself all pull the next unclaimed index from a
+// shared counter, so a long-running partition never stalls dispatch of the
+// ones behind it. At most Workers() tasks compute at once — the caller counts
+// as one worker, so a one-worker pool runs every task sequentially on the
+// caller — and scheduling can never deadlock.
 func (c *Context) runParts(n int, fn func(i int) error) error {
 	if n == 0 {
 		return nil

@@ -74,7 +74,7 @@ func TestShuffleConsumesFusedChain(t *testing.T) {
 func TestWorkerPoolBounded(t *testing.T) {
 	for _, workers := range []int{1, 2} {
 		c := NewContext(64)
-		c.Workers = workers
+		c.Pool = NewPool(workers)
 		var cur, peak atomic.Int64
 		rows := make([]Row, 256)
 		for i := range rows {
@@ -170,7 +170,7 @@ func TestAddUniqueIDDeterministicAcrossReplays(t *testing.T) {
 func TestParallelismEquivalence(t *testing.T) {
 	run := func(parallelism, workers int) []Row {
 		c := NewContext(parallelism)
-		c.Workers = workers
+		c.Pool = NewPool(workers)
 		var rows []Row
 		for i := 0; i < 200; i++ {
 			rows = append(rows, Row{int64(i % 13), int64(i)})

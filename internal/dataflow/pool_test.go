@@ -45,7 +45,7 @@ func TestSharedPoolConcurrentJobs(t *testing.T) {
 			go func(j int) {
 				defer wg.Done()
 				ctx := NewContext(8)
-				ctx.SharedPool = pool
+				ctx.Pool = pool
 				rows := make([]Row, 100)
 				for i := range rows {
 					rows[i] = Row{int64(i + j)}

@@ -20,7 +20,7 @@ func (d *Dataset) SamplePartitions(n int, visit func(part int, sample []Row)) {
 			samples[i] = rows
 			return nil
 		}
-		rng := rand.New(rand.NewSource(d.ctx.SampleSeed + int64(i)))
+		rng := rand.New(rand.NewSource(sampleSeed + int64(i)))
 		sample := make([]Row, n)
 		// Reservoir sampling keeps the draw uniform and single-pass.
 		copy(sample, rows[:n])

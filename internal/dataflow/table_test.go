@@ -303,7 +303,7 @@ func TestShuffleCarriesRoutingHashes(t *testing.T) {
 // input's error on.
 func TestSplitOnePass(t *testing.T) {
 	c := NewContext(2)
-	c.Workers = 1
+	c.Pool = NewPool(1)
 	var mapped, asked int
 	d := c.FromRows(rowsOfInts(1, 1, 2, 2, 3, 3, 4, 4, 5, 5)).
 		Map(func(_ *Arena, r Row) Row { mapped++; return r })

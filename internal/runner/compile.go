@@ -366,11 +366,10 @@ func (cq *Compiled) compileShredded(q nrc.Expr) error {
 }
 
 // NewRunContext builds the dataflow context of one execution under the
-// config. Callers serving concurrent requests attach a shared worker pool
-// (ctx.SharedPool) before executing.
+// config. Callers attach the worker pool the run draws from (ctx.Pool; nil is
+// the process-wide default) before executing.
 func NewRunContext(cfg Config) *dataflow.Context {
 	ctx := dataflow.NewContext(cfg.Parallelism)
-	ctx.Workers = cfg.Workers
 	ctx.MaxPartitionBytes = cfg.MaxPartitionBytes
 	ctx.BroadcastLimit = cfg.BroadcastLimit
 	return ctx

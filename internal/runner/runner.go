@@ -146,9 +146,10 @@ func ParseStrategy(name string) (Strategy, bool) {
 type Config struct {
 	// Parallelism is the partition count used by shuffles.
 	Parallelism int
-	// Workers bounds the engine's shared goroutine pool (0 = NumCPU). Set it
-	// to 1 to execute the same partitioned plan sequentially — the
-	// parallel-scaling benchmarks compare exactly these two settings.
+	// Workers sizes the worker pool a prepared query or session runs on when
+	// it is given none (0 = the process-wide NumCPU pool). Set it to 1 to
+	// execute the same partitioned plan sequentially — the parallel-scaling
+	// benchmarks compare exactly these two settings.
 	Workers           int
 	MaxPartitionBytes int64
 	BroadcastLimit    int64

@@ -95,7 +95,7 @@ type Table struct {
 	// (bag- or tuple-typed) fields carry no statistics.
 	Columns []Column
 	// Generation stamps the catalog registration the statistics describe;
-	// 0 outside a catalog (see Catalog.Analyze).
+	// 0 outside a catalog.
 	Generation int64
 }
 

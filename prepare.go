@@ -29,13 +29,10 @@ type Pool = dataflow.Pool
 // NewPool creates a shared worker pool (0 = NumCPU).
 func NewPool(workers int) *Pool { return dataflow.NewPool(workers) }
 
-// defaultPool serves every PreparedQuery that was not given an explicit pool
-// or a Config.Workers bound: all prepared queries of a process share the
-// machine by default.
-var defaultPool = dataflow.NewPool(0)
-
-// poolFor resolves the worker pool for a prepared query or session: the explicit override, else a private pool sized by
-// Config.Workers when set, else the process-wide default.
+// poolFor resolves the worker pool for a prepared query or session: the
+// explicit override, else a private pool sized by Config.Workers when set,
+// else nil — the process-wide default pool, so all prepared queries of a
+// process share the machine by default.
 func poolFor(cfg Config, override *Pool) *Pool {
 	if override != nil {
 		return override
@@ -43,7 +40,7 @@ func poolFor(cfg Config, override *Pool) *Pool {
 	if cfg.Workers > 0 {
 		return NewPool(cfg.Workers)
 	}
-	return defaultPool
+	return nil
 }
 
 // PrepareOptions configures Prepare.
@@ -278,7 +275,7 @@ func (pq *PreparedQuery) Run(ctx context.Context, data *PreparedData, strat Stra
 	}
 	eopts.Span = tr.Span().Child("execute")
 	dctx := runner.NewRunContext(pq.cfg)
-	dctx.SharedPool = pq.pool
+	dctx.Pool = pq.pool
 	res := runner.Execute(ctx, prog, rows, idxs, dctx, eopts)
 	eopts.Span.End()
 	if tr != nil {

@@ -233,12 +233,10 @@ func ParseStrategy(name string) (Strategy, bool) { return runner.ParseStrategy(n
 type (
 	// DatasetStats holds one dataset's collected statistics: row/byte counts
 	// and per-scalar-column NDV, min/max, NULL counts, and heavy-key
-	// histograms (Catalog.Stats / Catalog.Analyze).
+	// histograms (Catalog.Stats).
 	DatasetStats = stats.Table
 	// ColumnStats is one column's statistics within a DatasetStats.
 	ColumnStats = stats.Column
-	// StatsOptions tunes statistics collection (Catalog.Analyze).
-	StatsOptions = stats.Options
 	// TableEstimate is the cost model's view of one input's statistics
 	// (Config.Stats; filled automatically by sessions).
 	TableEstimate = plan.TableEstimate
