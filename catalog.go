@@ -4,7 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
+	"sync/atomic"
 
 	"github.com/trance-go/trance/internal/index"
 	"github.com/trance-go/trance/internal/ingest"
@@ -40,14 +42,16 @@ type Catalog struct {
 // running queries holding the bag) race-free without copying data per read.
 type catalogEntry struct {
 	info DatasetInfo
-	bag  Bag
+	// chunks are the generation's rows as an ordered list of immutable
+	// chunks; a mutation reuses by pointer every chunk it did not change.
+	chunks []*chunk
 	// gen distinguishes generations of the same name (mutations and Drop +
 	// Register alike): session row caches, cached statistics, and prepared
 	// plans key on it, so a changed dataset never serves stale converted rows
 	// or stale plan decisions.
 	gen int64
-	// stats are the dataset's collected statistics, generation-stamped with
-	// gen; collected whenever the bag changes.
+	// stats are the dataset's statistics, merged from the chunks' and
+	// generation-stamped with gen.
 	stats *stats.Table
 	// idx holds the dataset's secondary indexes (see keepIndexes).
 	idx *index.Set
@@ -55,12 +59,84 @@ type catalogEntry struct {
 	// rather than requested via CreateIndex.
 	auto map[string]bool
 
+	flatOnce sync.Once
+	flat     Bag // the chunks' rows end to end, built on first use
+
 	// inputs are the generation's bound inputs by the variable name sessions
 	// resolved it under (value shredding mints labels from the name). Created
-	// on first use, outside the catalog lock, each converts and indexes once
-	// for every session and query over the generation, and goes with it.
+	// on first use, outside the catalog lock, each binds the generation's
+	// chunks, whose converted rows and index parts outlive the generation.
 	mu     sync.Mutex
 	inputs map[string]*runner.Input
+}
+
+// chunk is one immutable run of a dataset's rows: its statistics and,
+// through runner.Chunk, its converted rows per (variable name, route) and its
+// index parts, each derived once and shared by every generation holding the
+// chunk.
+type chunk struct {
+	*runner.Chunk
+	stats *stats.Table
+}
+
+// chunkSeq numbers the chunks built anywhere in the process. A chunk built at
+// position i > 0 of its generation numbers its shredding labels from
+// chunkSeq<<32, so no two chunks of a dataset share a label; the chunk at
+// position 0 numbers them from 1, so a one-chunk generation shreds exactly as
+// an unchunked input does.
+var chunkSeq atomic.Int64
+
+// newChunk is the one constructor of a chunk: rows b of type bt, placed at
+// position pos of the generation being built.
+func newChunk(b Bag, bt nrc.BagType, pos int) *chunk {
+	var base int64
+	if pos > 0 {
+		base = chunkSeq.Add(1) << 32
+	}
+	return &chunk{Chunk: runner.NewChunk(b, bt, base), stats: stats.Collect(b, bt, stats.Options{})}
+}
+
+// compact merges adjacent chunks until each holds at least twice the rows of
+// the chunk after it — the one compaction rule. A dataset of N rows then has
+// at most log₂N+1 chunks, and a row is re-derived O(log N) times over its
+// life. cs must not be shared with an installed generation.
+func compact(cs []*chunk, bt nrc.BagType) []*chunk {
+	for i := 0; i+1 < len(cs); {
+		a, b := cs[i].Bag, cs[i+1].Bag
+		if len(a) >= 2*len(b) {
+			i++
+			continue
+		}
+		merged := make(Bag, 0, len(a)+len(b))
+		cs = slices.Replace(cs, i, i+2, newChunk(append(append(merged, a...), b...), bt, i))
+		i = max(i-1, 0)
+	}
+	return cs
+}
+
+// runnerChunks are the generation's chunks as the runner binds them.
+func (e *catalogEntry) runnerChunks() []*runner.Chunk {
+	out := make([]*runner.Chunk, len(e.chunks))
+	for i, c := range e.chunks {
+		out[i] = c.Chunk
+	}
+	return out
+}
+
+// bag returns the generation's rows as one bag: the only chunk's, or the
+// chunks' concatenated once on first use.
+func (e *catalogEntry) bag() Bag {
+	e.flatOnce.Do(func() {
+		if len(e.chunks) == 1 {
+			e.flat = e.chunks[0].Bag
+			return
+		}
+		e.flat = make(Bag, 0, e.info.Rows)
+		for _, c := range e.chunks {
+			e.flat = append(e.flat, c.Bag...)
+		}
+	})
+	return e.flat
 }
 
 // input returns the generation's bound input under variable v.
@@ -72,47 +148,47 @@ func (e *catalogEntry) input(v string) *runner.Input {
 		if e.inputs == nil {
 			e.inputs = map[string]*runner.Input{}
 		}
-		in = runner.NewInput(v, e.bag, e.info.Type, e.idx)
+		in = runner.NewInput(v, e.info.Type, e.runnerChunks(), e.idx)
 		e.inputs[v] = in
 	}
 	return in
 }
 
 // newGeneration builds the generation of a dataset that follows prev (nil at
-// registration) over rows b — the one constructor of a catalogEntry. b either
-// is prev's bag (add is the index CreateIndex built), extends it (an append),
-// or keeps some of its rows (a delete). Statistics are collected only when the
-// rows changed, and info's Rows and Bytes come from them. The generation is
-// stamped when Catalog.mutate installs the entry.
-func newGeneration(info DatasetInfo, prev *catalogEntry, b Bag, add *index.ColumnIndex) *catalogEntry {
-	bt := info.Type.(nrc.BagType)
-	var st *stats.Table
-	if add != nil {
-		cp := *prev.stats
-		st = &cp
-	} else {
-		st = stats.Collect(b, bt, stats.Options{})
+// registration) over chunks cs — the one constructor of a catalogEntry. cs
+// either is prev's list (add is the index CreateIndex built), extends it (an
+// append), or replaces the chunks a delete removed rows from; compaction has
+// already run. Statistics are merged from the chunks', and info's Rows, Bytes
+// and Chunks come from them. The generation is stamped when Catalog.mutate
+// installs the entry.
+func newGeneration(info DatasetInfo, prev *catalogEntry, cs []*chunk, add *index.ColumnIndex) *catalogEntry {
+	tabs := make([]*stats.Table, len(cs))
+	for i, c := range cs {
+		tabs[i] = c.stats
 	}
-	info.Rows, info.Bytes = int(st.Rows), st.Bytes
-	idx, auto := keepIndexes(prev, b, bt, st, add)
-	return &catalogEntry{info: info, bag: b, stats: st, idx: idx, auto: auto}
+	st := stats.Merge(tabs...)
+	info.Rows, info.Bytes, info.Chunks = int(st.Rows), st.Bytes, len(cs)
+	e := &catalogEntry{info: info, chunks: cs, stats: st}
+	e.idx, e.auto = keepIndexes(prev, e, add)
+	return e
 }
 
-// keepIndexes derives a generation's secondary indexes over rows b from
-// prev's. At registration it builds one hash+range index per column the
-// statistics flag as selective (stats.Table.SelectiveColumns), skipping build
-// refusals (counted under Counters' index.refusal_reasons). An append extends
-// each of prev's indexes over the appended rows (index.maintained); a delete
-// rebuilds them (index.rebuilt), dropping a column that is no longer
-// indexable; CreateIndex puts add beside the rest, no longer auto-built.
-// Appends only maintain the indexes a dataset has: the auto-index policy runs
-// at registration alone.
-func keepIndexes(prev *catalogEntry, b Bag, bt nrc.BagType, st *stats.Table, add *index.ColumnIndex) (*index.Set, map[string]bool) {
-	set := index.NewSet()
+// keepIndexes derives generation e's secondary indexes from prev's, each the
+// concatenation of its chunks' parts: a chunk reused from prev brings its
+// parts along, a new chunk builds its own. At registration it builds one
+// hash+range index per column the statistics flag as selective
+// (stats.Table.SelectiveColumns), skipping build refusals (counted under
+// Counters' index.refusal_reasons). An append maintains each of prev's indexes
+// (index.maintained) and a delete rebuilds the parts of the chunks it changed
+// (index.rebuilt), dropping a column that is no longer indexable; CreateIndex
+// puts add beside the rest, no longer auto-built. Appends only maintain the
+// indexes a dataset has: the auto-index policy runs at registration alone.
+func keepIndexes(prev, e *catalogEntry, add *index.ColumnIndex) (*index.Set, map[string]bool) {
+	set, chunks := index.NewSet(), e.runnerChunks()
 	if prev == nil {
 		var auto map[string]bool
-		for _, col := range st.SelectiveColumns() {
-			if ci, err := runner.BuildIndex(b, bt, col, true, true); err == nil {
+		for _, col := range e.stats.SelectiveColumns() {
+			if ci, err := runner.IndexChunks(chunks, col, true, true); err == nil {
 				set.Put(ci)
 				if auto == nil {
 					auto = map[string]bool{}
@@ -135,22 +211,19 @@ func keepIndexes(prev *catalogEntry, b Bag, bt nrc.BagType, st *stats.Table, add
 		delete(auto, add.Col)
 		return set, auto
 	}
-	appended := len(b) > len(prev.bag)
+	appended := e.info.Rows > prev.info.Rows
 	for _, col := range prev.idx.Names() {
 		old := prev.idx.Column(col)
+		ci, err := runner.IndexChunks(chunks, col, old.HasHash(), old.HasOrdered())
+		if err != nil {
+			continue
+		}
 		if appended {
-			tail, _ := runner.ColumnValues(b[len(prev.bag):], bt, col)
-			if ci, err := old.Extend(tail); err == nil {
-				set.Put(ci)
-				continue
-			}
-			// The tail broke the index's key invariant (cannot happen for
-			// conforming rows, but Extend is defensive): rebuild outright.
-		}
-		if ci, err := runner.BuildIndex(b, bt, col, old.HasHash(), old.HasOrdered()); err == nil {
+			index.RecordMaintained()
+		} else {
 			index.RecordRebuild()
-			set.Put(ci)
 		}
+		set.Put(ci)
 	}
 	return set, prev.auto
 }
@@ -208,6 +281,10 @@ type DatasetInfo struct {
 	Rows int
 	// Bytes is the approximate in-memory footprint (value.Size).
 	Bytes int64
+	// Chunks is the number of immutable chunks the rows are held in: one at
+	// registration, one more per append, and fewer as adjacent chunks merge
+	// (each holds at least twice the rows of the chunk after it).
+	Chunks int
 	// Source records how the dataset was registered: "go" or "json".
 	Source string
 }
@@ -257,7 +334,7 @@ func (c *Catalog) add(name string, t nrc.BagType, b Bag, source string) (Dataset
 		if cur != nil {
 			return nil, fmt.Errorf("catalog: dataset %s: %w", name, ErrDatasetExists)
 		}
-		return newGeneration(DatasetInfo{Name: name, Type: t, Source: source}, nil, b, nil), nil
+		return newGeneration(DatasetInfo{Name: name, Type: t, Source: source}, nil, []*chunk{newChunk(b, t, 0)}, nil), nil
 	})
 	if err != nil {
 		return DatasetInfo{}, err
@@ -308,11 +385,11 @@ func (c *Catalog) CreateIndex(dataset, column, kind string) (IndexInfo, error) {
 		if old := cur.idx.Column(column); old != nil {
 			h, o = h || old.HasHash(), o || old.HasOrdered()
 		}
-		ci, err := runner.BuildIndex(cur.bag, cur.info.Type.(nrc.BagType), column, h, o)
+		ci, err := runner.IndexChunks(cur.runnerChunks(), column, h, o)
 		if err != nil {
 			return nil, fmt.Errorf("catalog: dataset %s: %w", dataset, err)
 		}
-		return newGeneration(cur.info, cur, cur.bag, ci), nil
+		return newGeneration(cur.info, cur, cur.chunks, ci), nil
 	})
 	if err != nil {
 		return IndexInfo{}, err
@@ -333,10 +410,12 @@ func (c *Catalog) Indexes(name string) ([]IndexInfo, bool) {
 	return out, true
 }
 
-// Append adds rows to a registered dataset. The rows are validated against
-// the dataset's element type up front, statistics are recollected over the
-// combined data, and every secondary index is maintained incrementally
-// (index extension over the tail — Counters' index.maintained). The new entry
+// Append adds rows to a registered dataset as one new chunk. The rows are
+// validated against the dataset's element type up front; statistics are
+// collected over the appended rows and merged with the unchanged chunks', and
+// every secondary index gains a part over them (Counters' index.maintained),
+// so an append costs what it adds, plus any chunk merge the compaction rule
+// asks for. The new entry
 // carries a fresh generation, so a session's next Run re-resolves data,
 // statistics, and plans — an append is never served from stale rows or a
 // stale plan — while queries already executing keep their snapshot.
@@ -351,8 +430,9 @@ func (c *Catalog) Append(name string, rows Bag) (DatasetInfo, error) {
 		if err := conforms(rows, cur.info.Type); err != nil {
 			return nil, fmt.Errorf("catalog: dataset %s: append: %w", name, err)
 		}
-		nb := make(Bag, 0, len(cur.bag)+len(rows))
-		return newGeneration(cur.info, cur, append(append(nb, cur.bag...), rows...), nil), nil
+		bt := cur.info.Type.(nrc.BagType)
+		cs := append(slices.Clone(cur.chunks), newChunk(slices.Clone(rows), bt, len(cur.chunks)))
+		return newGeneration(cur.info, cur, compact(cs, bt), nil), nil
 	})
 	if err != nil {
 		return DatasetInfo{}, err
@@ -378,9 +458,11 @@ func (c *Catalog) AppendJSON(name string, r io.Reader) (DatasetInfo, int, error)
 
 // Delete removes every row whose column equals v (the engine's value.Compare
 // equality, so 5 matches 5.0; a NULL column value matches nothing) and
-// returns the number removed. Statistics are recollected and the dataset's
-// indexes rebuilt over the surviving rows (Counters' index.rebuilt); the
-// generation bump invalidates prepared routes exactly like Append.
+// returns the number removed. A chunk that lost rows is replaced by a chunk
+// of its survivors (or dropped when none survive), whose statistics and index
+// parts are derived afresh (Counters' index.rebuilt); every other chunk is
+// reused as it is. The generation bump invalidates prepared routes exactly
+// like Append.
 func (c *Catalog) Delete(name, column string, v Value) (int, error) {
 	if v == nil {
 		return 0, errNullKey(name)
@@ -418,20 +500,39 @@ func (c *Catalog) delete(name, column string, key func(nrc.ScalarType) (Value, e
 		if v == nil {
 			return nil, errNullKey(name)
 		}
-		nb := make(Bag, 0, len(cur.bag))
-		for _, el := range cur.bag {
-			cv := el
+		bt := cur.info.Type.(nrc.BagType)
+		gone := func(el Value) bool {
 			if t, ok := el.(value.Tuple); ok {
-				cv = t[off]
+				el = t[off]
 			}
-			if cv == nil || value.Compare(cv, v) != 0 {
-				nb = append(nb, el)
+			return el != nil && value.Compare(el, v) == 0
+		}
+		removed = 0
+		cs := make([]*chunk, 0, len(cur.chunks))
+		for _, c := range cur.chunks {
+			first := slices.IndexFunc(c.Bag, gone)
+			if first < 0 {
+				cs = append(cs, c)
+				continue
+			}
+			kept := append(make(Bag, 0, len(c.Bag)-1), c.Bag[:first]...)
+			for _, el := range c.Bag[first+1:] {
+				if !gone(el) {
+					kept = append(kept, el)
+				}
+			}
+			removed += len(c.Bag) - len(kept)
+			if len(kept) > 0 {
+				cs = append(cs, newChunk(kept, bt, len(cs)))
 			}
 		}
-		if removed = len(cur.bag) - len(nb); removed == 0 {
+		if removed == 0 {
 			return nil, nil
 		}
-		return newGeneration(cur.info, cur, nb, nil), nil
+		if len(cs) == 0 {
+			cs = append(cs, newChunk(Bag{}, bt, 0))
+		}
+		return newGeneration(cur.info, cur, compact(cs, bt), nil), nil
 	})
 	if err != nil {
 		return 0, err
@@ -503,7 +604,7 @@ func (c *Catalog) Data(name string) (Bag, Type, bool) {
 	if !ok {
 		return nil, nil, false
 	}
-	return e.bag, e.info.Type, true
+	return e.bag(), e.info.Type, true
 }
 
 // Env returns the environment of every registered dataset — what

@@ -132,3 +132,50 @@ func TestIndexServingSmoke(t *testing.T) {
 		t.Fatalf("delete did not rebuild indexes: %v", m)
 	}
 }
+
+// TestDatasetChunksObservable: /datasets reports how many chunks hold a
+// dataset's rows, and /stats says when the heavy-key counts are merged lower
+// bounds: an append adds a chunk, and deleting the appended rows drops it.
+func TestDatasetChunksObservable(t *testing.T) {
+	cfg := defaultServerConfig()
+	cfg.Customers = 5
+	cfg.MaxLevel = 0
+	srv, err := newServer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	rows := func(lo, hi, tag int) string {
+		var sb strings.Builder
+		for i := lo; i < hi; i++ {
+			fmt.Fprintf(&sb, "{\"id\": %d, \"tag\": %d}\n", i, tag)
+		}
+		return sb.String()
+	}
+	check := func(step string, chunks float64, heavy string) {
+		t.Helper()
+		var got map[string]any
+		for _, d := range getJSON(t, ts, "/datasets", http.StatusOK)["datasets"].([]any) {
+			if m := d.(map[string]any); m["name"] == "datasets/chunky" {
+				got = m
+			}
+		}
+		if got == nil || got["chunks"] != chunks {
+			t.Fatalf("%s: /datasets entry %v, want %v chunks", step, got, chunks)
+		}
+		st := getJSON(t, ts, "/stats?name=datasets/chunky", http.StatusOK)
+		if st["chunks"] != chunks || st["heavy_counts"] != heavy {
+			t.Fatalf("%s: /stats chunks=%v heavy_counts=%v, want %v and %s", step, st["chunks"], st["heavy_counts"], chunks, heavy)
+		}
+	}
+	postJSON(t, ts, "/datasets?name=chunky", rows(0, 100, 0), http.StatusCreated)
+	check("upload", 1, "exact")
+	postJSON(t, ts, "/datasets/chunky/append", rows(100, 110, 1), http.StatusOK)
+	check("append", 2, "lower_bound")
+	if del := postJSON(t, ts, "/datasets/chunky/delete?column=tag&value=1", "", http.StatusOK); del["removed"].(float64) != 10 {
+		t.Fatalf("delete: %v", del)
+	}
+	check("delete", 1, "exact")
+}

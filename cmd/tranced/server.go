@@ -374,6 +374,7 @@ func (s *server) handleDatasetsList(w http.ResponseWriter, r *http.Request) {
 		Type   string `json:"type"`
 		Rows   int    `json:"rows"`
 		Bytes  int64  `json:"bytes"`
+		Chunks int    `json:"chunks"`
 		Source string `json:"source"`
 		// Query names the /query entry that scans the dataset, when one
 		// exists (every uploaded dataset gets one).
@@ -383,7 +384,7 @@ func (s *server) handleDatasetsList(w http.ResponseWriter, r *http.Request) {
 	for _, info := range s.catalog.List() {
 		d := dinfo{
 			Name: info.Name, Type: info.Type.String(),
-			Rows: info.Rows, Bytes: info.Bytes, Source: info.Source,
+			Rows: info.Rows, Bytes: info.Bytes, Chunks: info.Chunks, Source: info.Source,
 		}
 		if _, ok := s.lookupQuery(info.Name); ok {
 			d.Query = info.Name
@@ -621,7 +622,9 @@ func (s *server) handleDatasetMutate(w http.ResponseWriter, r *http.Request) {
 
 // handleDatasetStats reports one dataset's collected statistics — the
 // row/byte counts, per-column NDV estimates, min/max bounds, and heavy-key
-// histograms the cost model plans with (docs/COSTMODEL.md).
+// histograms the cost model plans with (docs/COSTMODEL.md). "heavy_counts"
+// says whether the heavy-key counts are exact ("exact": one chunk) or merged
+// lower bounds ("lower_bound": several chunks).
 func (s *server) handleDatasetStats(w http.ResponseWriter, r *http.Request) {
 	name := r.URL.Query().Get("name")
 	st, ok := s.catalog.Stats(name)
@@ -662,12 +665,18 @@ func (s *server) handleDatasetStats(w http.ResponseWriter, r *http.Request) {
 		}
 		cols = append(cols, co)
 	}
+	heavyCounts := "exact"
+	if st.Chunks > 1 {
+		heavyCounts = "lower_bound"
+	}
 	writeJSON(w, http.StatusOK, map[string]any{
-		"name":       name,
-		"rows":       st.Rows,
-		"bytes":      st.Bytes,
-		"generation": st.Generation,
-		"columns":    cols,
+		"name":         name,
+		"rows":         st.Rows,
+		"bytes":        st.Bytes,
+		"chunks":       st.Chunks,
+		"heavy_counts": heavyCounts,
+		"generation":   st.Generation,
+		"columns":      cols,
 	})
 }
 

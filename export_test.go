@@ -3,6 +3,7 @@ package trance
 import (
 	"maps"
 
+	"github.com/trance-go/trance/internal/index"
 	"github.com/trance-go/trance/internal/runner"
 )
 
@@ -36,4 +37,36 @@ func BoundInputs(sq *SessionQuery) runner.Inputs {
 		return nil
 	}
 	return data.inputs
+}
+
+// CatalogIndexes returns the index set of a dataset's current generation.
+func CatalogIndexes(c *Catalog, dataset string) *index.Set {
+	e, ok := c.entry(dataset)
+	if !ok {
+		return nil
+	}
+	return e.idx
+}
+
+// CatalogInput returns the bound input a dataset's current generation owns
+// under variable v, creating it as a session's resolve would.
+func CatalogInput(c *Catalog, dataset, v string) *runner.Input {
+	e, ok := c.entry(dataset)
+	if !ok {
+		return nil
+	}
+	return e.input(v)
+}
+
+// CatalogChunkRows returns the row counts of a dataset's chunks, in order.
+func CatalogChunkRows(c *Catalog, dataset string) []int {
+	e, ok := c.entry(dataset)
+	if !ok {
+		return nil
+	}
+	out := make([]int, len(e.chunks))
+	for i, ch := range e.chunks {
+		out[i] = len(ch.Bag)
+	}
+	return out
 }

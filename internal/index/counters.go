@@ -29,8 +29,12 @@ func refuse(col, reason string) error {
 	return fmt.Errorf("index: cannot index column %s: %s", col, reason)
 }
 
-// RecordRebuild counts a delete-triggered full rebuild.
+// RecordRebuild counts an index a delete re-derived: the parts of the chunks
+// it removed rows from are rebuilt, the rest reused.
 func RecordRebuild() { rebuilt.Add(1) }
+
+// RecordMaintained counts an index an append maintained by adding a part.
+func RecordMaintained() { maintained.Add(1) }
 
 // RecordPlanned counts a Select→IndexScan conversion at plan time.
 func RecordPlanned() { plannedScans.Add(1) }

@@ -10,14 +10,17 @@
 // false under the engine's σ semantics, so excluding NULL rows from every
 // span keeps index scans bit-identical to the filter they replace.
 //
-// Indexes are immutable after Build/Extend, so snapshots shared with
-// in-flight queries stay valid across catalog mutations: an Append derives a
-// new index with Extend (incremental merge of the tail), a Delete rebuilds
-// over the surviving rows.
+// Indexes are immutable after Build/Concat/Extend, so snapshots shared with
+// in-flight queries stay valid across catalog mutations. An index is a list
+// of parts, one per catalog chunk: an Append adds a part over the appended
+// rows, a Delete rebuilds the parts of the chunks it removed rows from and
+// reuses the rest.
 package index
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -153,8 +156,12 @@ func familyOf(v value.Value) (keyFamily, string) {
 	return famNone, fmt.Sprintf("unsupported key type %T", v)
 }
 
-// ColumnIndex is an immutable secondary index over one scalar column. It may
-// carry a hash structure, an ordered structure, or both.
+// ColumnIndex is an immutable secondary index over one scalar column: an
+// ordered list of parts, one per run of rows (a catalog chunk), each holding a
+// hash structure, an ordered structure, or both over positions local to its
+// run and offset by the run's first row. Build makes a one-part index;
+// Concat lays indexes end to end by reference, so an index over a list of
+// chunks is derived without touching the parts of unchanged chunks.
 type ColumnIndex struct {
 	// Col is the indexed column's name.
 	Col string
@@ -162,6 +169,20 @@ type ColumnIndex struct {
 	rows  int   // rows covered, including NULL-key rows
 	nulls int64 // NULL-key rows excluded from the index
 
+	hasHash, hasOrdered bool // every part carries the structure
+	family              keyFamily
+	parts               []part
+}
+
+// part is one run's structures placed at its first row.
+type part struct {
+	off int32
+	*structures
+}
+
+// structures are the access structures over one run of rows, keyed by
+// positions local to the run.
+type structures struct {
 	hasHash, hasOrdered bool
 	hash                map[value.Value][]int32
 	floatKeys           bool // hash keys normalized to float64 (mixed int/real column)
@@ -170,49 +191,57 @@ type ColumnIndex struct {
 	family              keyFamily
 }
 
-// Build indexes vals, where vals[i] is the key of row i. It refuses (with a
-// counted reason) non-scalar keys, mixed-type columns, and range structures
-// over bool keys.
+// Build indexes vals, where vals[i] is the key of row i, as one part. It
+// refuses (with a counted reason) non-scalar keys, mixed-type columns, and
+// range structures over bool keys.
 func Build(col string, hash, ordered bool, vals []value.Value) (*ColumnIndex, error) {
+	ci, err := buildPart(col, hash, ordered, vals)
+	if err == nil {
+		built.Add(1)
+	}
+	return ci, err
+}
+
+func buildPart(col string, hash, ordered bool, vals []value.Value) (*ColumnIndex, error) {
 	if !hash && !ordered {
 		return nil, refuse(col, "no structure requested")
 	}
-	ci := &ColumnIndex{Col: col, rows: len(vals), hasHash: hash, hasOrdered: ordered}
-	if err := ci.classify(vals); err != nil {
+	s := &structures{hasHash: hash, hasOrdered: ordered}
+	if err := s.classify(col, vals); err != nil {
 		return nil, err
 	}
-	if ordered && ci.family == famBool {
+	if ordered && s.family == famBool {
 		if !hash {
 			return nil, refuse(col, "range index over bool keys")
 		}
-		ci.hasOrdered = false
+		s.hasOrdered = false
 	}
-	ci.insert(vals, 0)
-	if ci.hasOrdered {
-		ci.sortKeys()
-	}
-	built.Add(1)
-	return ci, nil
+	nulls := s.insert(vals)
+	return &ColumnIndex{
+		Col: col, rows: len(vals), nulls: nulls,
+		hasHash: s.hasHash, hasOrdered: s.hasOrdered, family: s.family,
+		parts: []part{{0, s}},
+	}, nil
 }
 
 // classify validates the key family of every non-NULL value and sets
 // float-key normalization for columns containing reals.
-func (ci *ColumnIndex) classify(vals []value.Value) error {
+func (s *structures) classify(col string, vals []value.Value) error {
 	for _, v := range vals {
 		if v == nil {
 			continue
 		}
 		fam, reason := familyOf(v)
 		if fam == famNone {
-			return refuse(ci.Col, reason)
+			return refuse(col, reason)
 		}
-		if ci.family == famNone {
-			ci.family = fam
-		} else if ci.family != fam {
-			return refuse(ci.Col, "mixed-type keys")
+		if s.family == famNone {
+			s.family = fam
+		} else if s.family != fam {
+			return refuse(col, "mixed-type keys")
 		}
 		if _, isReal := v.(float64); isReal {
-			ci.floatKeys = true
+			s.floatKeys = true
 		}
 	}
 	return nil
@@ -221,8 +250,8 @@ func (ci *ColumnIndex) classify(vals []value.Value) error {
 // normKey maps a key to its hash-map representative: float64 for numeric
 // columns containing reals (value.Compare equates 5 and 5.0; the map must
 // too), raw otherwise. ok=false means the key cannot occur in this column.
-func (ci *ColumnIndex) normKey(v value.Value) (value.Value, bool) {
-	if ci.floatKeys {
+func (s *structures) normKey(v value.Value) (value.Value, bool) {
+	if s.floatKeys {
 		switch n := v.(type) {
 		case int64:
 			return float64(n), true
@@ -231,7 +260,7 @@ func (ci *ColumnIndex) normKey(v value.Value) (value.Value, bool) {
 		}
 		return v, true
 	}
-	if n, isReal := v.(float64); isReal && ci.family == famNumeric {
+	if n, isReal := v.(float64); isReal && s.family == famNumeric {
 		// Pure-int column probed with a real constant: integral reals map to
 		// their int key, fractional reals match nothing.
 		if n == float64(int64(n)) {
@@ -242,99 +271,110 @@ func (ci *ColumnIndex) normKey(v value.Value) (value.Value, bool) {
 	return v, true
 }
 
-func (ci *ColumnIndex) insert(vals []value.Value, base int32) {
-	if ci.hasHash && ci.hash == nil {
-		ci.hash = make(map[value.Value][]int32, len(vals))
+// keyPos is one non-NULL row of an ordered build: its key and position.
+type keyPos struct {
+	k value.Value
+	p int32
+}
+
+// insert fills the structures from vals and returns the NULL-key count.
+func (s *structures) insert(vals []value.Value) (nulls int64) {
+	if s.hasHash {
+		s.hash = make(map[value.Value][]int32, len(vals))
+	}
+	var pairs []keyPos
+	if s.hasOrdered {
+		pairs = make([]keyPos, 0, len(vals))
 	}
 	for i, v := range vals {
 		if v == nil {
-			ci.nulls++
+			nulls++
 			continue
 		}
-		p := base + int32(i)
-		if ci.hasHash {
-			k, _ := ci.normKey(v)
-			ci.hash[k] = append(ci.hash[k], p)
+		p := int32(i)
+		if s.hasHash {
+			k, _ := s.normKey(v)
+			s.hash[k] = append(s.hash[k], p)
 		}
-		if ci.hasOrdered {
-			ci.keys = append(ci.keys, v)
-			ci.pos = append(ci.pos, []int32{p})
+		if s.hasOrdered {
+			pairs = append(pairs, keyPos{v, p})
 		}
+	}
+	if s.hasOrdered {
+		s.sortKeys(pairs)
+	}
+	return nulls
+}
+
+// sortKeys orders the (key, position) pairs by key, then position, and groups
+// equal keys, so the ordered structure holds distinct sorted keys — each the
+// key of its group's first row — with ascending position lists.
+func (s *structures) sortKeys(pairs []keyPos) {
+	slices.SortFunc(pairs, func(a, b keyPos) int {
+		if c := value.Compare(a.k, b.k); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.p, b.p)
+	})
+	all := make([]int32, len(pairs))
+	var starts []int
+	for i, e := range pairs {
+		all[i] = e.p
+		if n := len(s.keys); n > 0 && value.Compare(s.keys[n-1], e.k) == 0 {
+			continue
+		}
+		s.keys = append(s.keys, e.k)
+		starts = append(starts, i)
+	}
+	s.pos = make([][]int32, len(starts))
+	for j, lo := range starts {
+		hi := len(all)
+		if j+1 < len(starts) {
+			hi = starts[j+1]
+		}
+		s.pos[j] = all[lo:hi:hi]
+		slices.Sort(s.pos[j])
 	}
 }
 
-// sortKeys sorts the (key, positions) pairs and merges duplicate keys so the
-// ordered structure holds distinct sorted keys with ascending position lists.
-func (ci *ColumnIndex) sortKeys() {
-	type kp struct {
-		k value.Value
-		p []int32
+// Concat returns the index over the rows of idxs laid end to end: their
+// parts, each offset by the rows before it. The parts are shared, not
+// copied. The result carries a structure only if every input does (a bool
+// part has no ordered one), and the inputs' key families must agree
+// (NULL-only inputs agree with any). idxs must not be empty.
+func Concat(idxs ...*ColumnIndex) (*ColumnIndex, error) {
+	if len(idxs) == 1 {
+		return idxs[0], nil
 	}
-	pairs := make([]kp, len(ci.keys))
-	for i := range ci.keys {
-		pairs[i] = kp{ci.keys[i], ci.pos[i]}
-	}
-	sort.SliceStable(pairs, func(i, j int) bool { return value.Compare(pairs[i].k, pairs[j].k) < 0 })
-	ci.keys = ci.keys[:0]
-	ci.pos = ci.pos[:0]
-	for _, e := range pairs {
-		n := len(ci.keys)
-		if n > 0 && value.Compare(ci.keys[n-1], e.k) == 0 {
-			ci.pos[n-1] = append(ci.pos[n-1], e.p...)
-			continue
+	out := &ColumnIndex{Col: idxs[0].Col, hasHash: true, hasOrdered: true}
+	for _, ci := range idxs {
+		if out.family == famNone {
+			out.family = ci.family
+		} else if ci.family != famNone && ci.family != out.family {
+			return nil, refuse(out.Col, "mixed-type keys")
 		}
-		ci.keys = append(ci.keys, e.k)
-		ci.pos = append(ci.pos, e.p)
+		out.hasHash = out.hasHash && ci.hasHash
+		out.hasOrdered = out.hasOrdered && ci.hasOrdered
+		for _, p := range ci.parts {
+			out.parts = append(out.parts, part{p.off + int32(out.rows), p.structures})
+		}
+		out.rows += ci.rows
+		out.nulls += ci.nulls
 	}
-	for _, p := range ci.pos {
-		sort.Slice(p, func(i, j int) bool { return p[i] < p[j] })
-	}
+	return out, nil
 }
 
 // Extend derives a new index covering the old rows plus tail (the incremental
-// maintenance path of Catalog.Append). The receiver is not modified.
+// maintenance path: it adds one part over the tail, so it costs O(len(tail))).
+// The receiver is not modified.
 func (ci *ColumnIndex) Extend(tail []value.Value) (*ColumnIndex, error) {
-	out := &ColumnIndex{
-		Col: ci.Col, rows: ci.rows, nulls: ci.nulls,
-		hasHash: ci.hasHash, hasOrdered: ci.hasOrdered,
-		floatKeys: ci.floatKeys, family: ci.family,
-	}
-	if err := out.classify(tail); err != nil {
+	p, err := buildPart(ci.Col, ci.hasHash, ci.hasOrdered, tail)
+	if err != nil {
 		return nil, err
 	}
-	if out.hasOrdered && out.family == famBool {
-		return nil, refuse(ci.Col, "range index over bool keys")
-	}
-	if out.floatKeys && !ci.floatKeys && ci.hasHash {
-		// The tail introduced reals into an int-keyed column: re-normalize the
-		// inherited hash keys.
-		out.hash = make(map[value.Value][]int32, len(ci.hash))
-		for k, p := range ci.hash {
-			nk, _ := out.normKey(k)
-			out.hash[nk] = append(out.hash[nk], p...)
-		}
-		for _, p := range out.hash {
-			sort.Slice(p, func(i, j int) bool { return p[i] < p[j] })
-		}
-	} else if ci.hasHash {
-		out.hash = make(map[value.Value][]int32, len(ci.hash))
-		for k, p := range ci.hash {
-			out.hash[k] = append([]int32{}, p...)
-		}
-	}
-	if ci.hasOrdered {
-		out.keys = append([]value.Value{}, ci.keys...)
-		out.pos = make([][]int32, len(ci.pos))
-		for i, p := range ci.pos {
-			out.pos[i] = append([]int32{}, p...)
-		}
-	}
-	out.rows = ci.rows
-	out.nulls = ci.nulls
-	out.insert(tail, int32(ci.rows))
-	out.rows = ci.rows + len(tail)
-	if out.hasOrdered {
-		out.sortKeys()
+	out, err := Concat(ci, p)
+	if err != nil {
+		return nil, err
 	}
 	maintained.Add(1)
 	return out, nil
@@ -346,12 +386,42 @@ func (ci *ColumnIndex) Len() int { return ci.rows }
 // Nulls returns the number of NULL-key rows excluded from every span.
 func (ci *ColumnIndex) Nulls() int64 { return ci.nulls }
 
-// Keys returns the number of distinct non-NULL keys.
+// Keys returns the number of distinct non-NULL keys, counted across parts
+// when the index has more than one.
 func (ci *ColumnIndex) Keys() int64 {
-	if ci.hasHash {
-		return int64(len(ci.hash))
+	if len(ci.parts) == 1 {
+		return ci.parts[0].distinct()
 	}
-	return int64(len(ci.keys))
+	floatKeys := false
+	for _, p := range ci.parts {
+		floatKeys = floatKeys || p.floatKeys
+	}
+	seen := map[value.Value]struct{}{}
+	for _, p := range ci.parts {
+		add := func(k value.Value) {
+			if n, isInt := k.(int64); isInt && floatKeys {
+				k = float64(n)
+			}
+			seen[k] = struct{}{}
+		}
+		if p.hasHash {
+			for k := range p.hash {
+				add(k)
+			}
+		} else {
+			for _, k := range p.keys {
+				add(k)
+			}
+		}
+	}
+	return int64(len(seen))
+}
+
+func (s *structures) distinct() int64 {
+	if s.hasHash {
+		return int64(len(s.hash))
+	}
+	return int64(len(s.keys))
 }
 
 // HasHash reports whether the hash structure was built.
@@ -395,21 +465,34 @@ func (ci *ColumnIndex) CanServe(spans []Span) bool {
 // Lookup resolves spans to the ascending, deduplicated row positions whose
 // keys fall in any span. NULL-key rows never match.
 func (ci *ColumnIndex) Lookup(spans []Span) []int32 {
+	if len(ci.parts) == 1 {
+		return ci.parts[0].lookup(spans)
+	}
 	var out []int32
-	for _, s := range spans {
-		if s.Empty() {
+	for _, p := range ci.parts {
+		for _, pos := range p.lookup(spans) {
+			out = append(out, p.off+pos)
+		}
+	}
+	return out
+}
+
+func (s *structures) lookup(spans []Span) []int32 {
+	var out []int32
+	for _, sp := range spans {
+		if sp.Empty() {
 			continue
 		}
-		if s.IsPoint() && ci.hasHash {
-			if k, ok := ci.normKey(s.Lo); ok {
-				out = append(out, ci.hash[k]...)
+		if sp.IsPoint() && s.hasHash {
+			if k, ok := s.normKey(sp.Lo); ok {
+				out = append(out, s.hash[k]...)
 			}
 			continue
 		}
-		out = append(out, ci.rangeLookup(s)...)
+		out = append(out, s.rangeLookup(sp)...)
 	}
-	if !sort.SliceIsSorted(out, func(i, j int) bool { return out[i] < out[j] }) {
-		sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	if !slices.IsSorted(out) {
+		slices.Sort(out)
 	}
 	if len(spans) > 1 {
 		out = dedupPos(out)
@@ -417,22 +500,22 @@ func (ci *ColumnIndex) Lookup(spans []Span) []int32 {
 	return out
 }
 
-func (ci *ColumnIndex) rangeLookup(s Span) []int32 {
+func (s *structures) rangeLookup(sp Span) []int32 {
 	lo := 0
-	if s.Lo != nil {
-		lo = sort.Search(len(ci.keys), func(i int) bool {
-			c := value.Compare(ci.keys[i], s.Lo)
-			if s.LoInc {
+	if sp.Lo != nil {
+		lo = sort.Search(len(s.keys), func(i int) bool {
+			c := value.Compare(s.keys[i], sp.Lo)
+			if sp.LoInc {
 				return c >= 0
 			}
 			return c > 0
 		})
 	}
-	hi := len(ci.keys)
-	if s.Hi != nil {
-		hi = sort.Search(len(ci.keys), func(i int) bool {
-			c := value.Compare(ci.keys[i], s.Hi)
-			if s.HiInc {
+	hi := len(s.keys)
+	if sp.Hi != nil {
+		hi = sort.Search(len(s.keys), func(i int) bool {
+			c := value.Compare(s.keys[i], sp.Hi)
+			if sp.HiInc {
 				return c > 0
 			}
 			return c >= 0
@@ -440,7 +523,7 @@ func (ci *ColumnIndex) rangeLookup(s Span) []int32 {
 	}
 	var out []int32
 	for i := lo; i < hi; i++ {
-		out = append(out, ci.pos[i]...)
+		out = append(out, s.pos[i]...)
 	}
 	return out
 }

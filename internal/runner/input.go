@@ -13,26 +13,28 @@ import (
 	"github.com/trance-go/trance/internal/value"
 )
 
-// Input is one named nested input bound for evaluation: the bag, its declared
-// type, and what evaluation derives from them — the engine rows of each route
-// (the top-level rows on standard routes, the value-shredded components on
-// shredded ones) and the secondary indexes of its top-level scalar columns.
-// Each is computed on first use, once, and shared by every run and goroutine
-// binding the Input, so the bag must not be mutated once bound. Value
-// shredding mints labels from the input's name, so an Input serves one
-// variable name: a catalog generation owns one per name it is queried under.
-type Input struct {
-	Name string
+// Chunk is an immutable run of an input's rows and what evaluation derives
+// from it, each computed on first use, once: the engine rows of each route
+// under every variable name the chunk is bound as, and the index part of each
+// (column, kinds). An Input is a list of chunks; a catalog dataset generation
+// reuses the chunks a mutation left unchanged, and with them everything
+// derived from their rows, so a write re-derives only the rows it changed.
+type Chunk struct {
 	Bag  value.Bag
 	Type nrc.Type
+	// labelBase is where value shredding numbers the chunk's labels from:
+	// chunks of one input must draw from disjoint ranges (see
+	// shred.ShredInputFrom).
+	labelBase int64
 
-	routes [2]conversion // standard, shredded
+	mu    sync.Mutex // guards the maps; each entry computes under its own once
+	conv  map[convKey]*conversion
+	parts map[partKey]*partBuild
+}
 
-	mu sync.Mutex
-	// idx is replaced, never edited, when a planned index is built: a run
-	// keeps the set it bound.
-	idx   *index.Set
-	tried map[string]bool // columns a planned index was built (or refused) for
+type convKey struct {
+	name     string
+	shredded bool
 }
 
 type conversion struct {
@@ -41,20 +43,134 @@ type conversion struct {
 	err  error
 }
 
-// NewInput binds a bag under name with its declared type; idx (nil: none)
-// holds indexes already built over the bag, which the Input never modifies.
-func NewInput(name string, b value.Bag, t nrc.Type, idx *index.Set) *Input {
-	return &Input{Name: name, Bag: b, Type: t, idx: idx}
+type partKey struct {
+	col           string
+	hash, ordered bool
+}
+
+type partBuild struct {
+	once sync.Once
+	ci   *index.ColumnIndex
+	err  error
+}
+
+// NewChunk wraps rows b of type t whose shredding labels start above
+// labelBase. The bag must not be mutated once wrapped.
+func NewChunk(b value.Bag, t nrc.Type, labelBase int64) *Chunk {
+	return &Chunk{Bag: b, Type: t, labelBase: labelBase}
+}
+
+// Rows returns the chunk's engine datasets on a route when bound as variable
+// name: one under name on standard routes, the value-shredded dictionary
+// components on shredded ones.
+func (c *Chunk) Rows(name string, shredded bool) (map[string][]dataflow.Row, error) {
+	r := entry(&c.mu, &c.conv, convKey{name, shredded})
+	r.once.Do(func() { r.rows, r.err = c.convert(name, shredded) })
+	return r.rows, r.err
+}
+
+// entry returns the entry of *m under k, creating it; mu guards *m.
+func entry[K comparable, V any](mu *sync.Mutex, m *map[K]*V, k K) *V {
+	mu.Lock()
+	defer mu.Unlock()
+	v, ok := (*m)[k]
+	if !ok {
+		if *m == nil {
+			*m = map[K]*V{}
+		}
+		v = new(V)
+		(*m)[k] = v
+	}
+	return v
+}
+
+func (c *Chunk) convert(name string, shredded bool) (rows map[string][]dataflow.Row, err error) {
+	defer recoverTo(&err, "input preparation")
+	if !shredded {
+		return map[string][]dataflow.Row{name: rowsOf(c.Bag)}, nil
+	}
+	bt, ok := c.Type.(nrc.BagType)
+	if !ok {
+		return nil, fmt.Errorf("input %s is not a bag", name)
+	}
+	si, err := shred.ShredInputFrom(name, c.Bag, bt, c.labelBase)
+	if err != nil {
+		return nil, err
+	}
+	rows = map[string][]dataflow.Row{}
+	for comp, ts := range si.Rows {
+		rows[comp] = tuplesToRows(ts)
+	}
+	return rows, nil
+}
+
+// Index returns the chunk's index part over column col with exactly the
+// requested structures, positions local to the chunk.
+func (c *Chunk) Index(col string, hash, ordered bool) (*index.ColumnIndex, error) {
+	pb := entry(&c.mu, &c.parts, partKey{col, hash, ordered})
+	pb.once.Do(func() {
+		bt, ok := c.Type.(nrc.BagType)
+		if !ok {
+			pb.err = fmt.Errorf("index over a non-bag input")
+			return
+		}
+		pb.ci, pb.err = buildIndex(c.Bag, bt, col, hash, ordered)
+	})
+	return pb.ci, pb.err
+}
+
+// IndexChunks returns the index of column col over chunks laid end to end:
+// each chunk's part, concatenated.
+func IndexChunks(chunks []*Chunk, col string, hash, ordered bool) (*index.ColumnIndex, error) {
+	parts := make([]*index.ColumnIndex, len(chunks))
+	for i, c := range chunks {
+		p, err := c.Index(col, hash, ordered)
+		if err != nil {
+			return nil, err
+		}
+		parts[i] = p
+	}
+	return index.Concat(parts...)
+}
+
+// Input is one named nested input bound for evaluation: its declared type, the
+// chunks of its rows, and what evaluation derives from them — the engine rows
+// of each route (the top-level rows on standard routes, the value-shredded
+// components on shredded ones) and the secondary indexes of its top-level
+// scalar columns. Each is computed on first use, once, and shared by every
+// run and goroutine binding the Input. Value shredding mints labels from the
+// input's name, so an Input serves one variable name: a catalog generation
+// owns one per name it is queried under.
+type Input struct {
+	Name   string
+	Type   nrc.Type
+	Chunks []*Chunk
+
+	routes [2]conversion // standard, shredded: the chunks' rows concatenated
+
+	mu sync.Mutex
+	// idx is replaced, never edited, when a planned index is built: a run
+	// keeps the set it bound.
+	idx   *index.Set
+	tried map[string]bool // columns a planned index was built (or refused) for
+}
+
+// NewInput binds the rows of chunks, in order, under name with declared type
+// t; idx (nil: none) holds indexes already built over them, which the Input
+// never modifies.
+func NewInput(name string, t nrc.Type, chunks []*Chunk, idx *index.Set) *Input {
+	return &Input{Name: name, Type: t, Chunks: chunks, idx: idx}
 }
 
 // Inputs are the inputs of a run by variable name.
 type Inputs map[string]*Input
 
-// NewInputs binds nested values under the types env declares for them.
+// NewInputs binds nested values, one chunk each, under the types env declares
+// for them.
 func NewInputs(bags map[string]value.Bag, env nrc.Env) Inputs {
 	ins := make(Inputs, len(bags))
 	for name, b := range bags {
-		ins[name] = NewInput(name, b, env[name], nil)
+		ins[name] = NewInput(name, env[name], []*Chunk{NewChunk(b, env[name], 0)}, nil)
 	}
 	return ins
 }
@@ -98,32 +214,41 @@ func (ins Inputs) Bind(prog []*Compiled) (map[string][]dataflow.Row, map[string]
 
 // Rows returns the input's engine datasets on a route: one under the input's
 // own name on standard routes, the value-shredded dictionary components on
-// shredded ones. The rows are never mutated by the engine.
+// shredded ones — each chunk's, concatenated in chunk order, so top rows keep
+// the positions the indexes hold (a one-chunk input binds its chunk's rows
+// as they are). The rows are never mutated by the engine.
 func (in *Input) Rows(shredded bool) (map[string][]dataflow.Row, error) {
 	c := &in.routes[0]
 	if shredded {
 		c = &in.routes[1]
 	}
-	c.once.Do(func() { c.rows, c.err = in.convert(shredded) })
+	c.once.Do(func() { c.rows, c.err = in.concat(shredded) })
 	return c.rows, c.err
 }
 
-func (in *Input) convert(shredded bool) (rows map[string][]dataflow.Row, err error) {
-	defer recoverTo(&err, "input preparation")
-	if !shredded {
-		return map[string][]dataflow.Row{in.Name: rowsOf(in.Bag)}, nil
+func (in *Input) concat(shredded bool) (map[string][]dataflow.Row, error) {
+	if len(in.Chunks) == 1 {
+		return in.Chunks[0].Rows(in.Name, shredded)
 	}
-	bt, ok := in.Type.(nrc.BagType)
-	if !ok {
-		return nil, fmt.Errorf("input %s is not a bag", in.Name)
+	parts := make([]map[string][]dataflow.Row, len(in.Chunks))
+	sizes := map[string]int{}
+	for i, ch := range in.Chunks {
+		comps, err := ch.Rows(in.Name, shredded)
+		if err != nil {
+			return nil, err
+		}
+		parts[i] = comps
+		for comp, rs := range comps {
+			sizes[comp] += len(rs)
+		}
 	}
-	si, err := shred.ShredInput(in.Name, in.Bag, bt)
-	if err != nil {
-		return nil, err
-	}
-	rows = map[string][]dataflow.Row{}
-	for comp, ts := range si.Rows {
-		rows[comp] = tuplesToRows(ts)
+	rows := make(map[string][]dataflow.Row, len(sizes))
+	for comp, n := range sizes {
+		all := make([]dataflow.Row, 0, n)
+		for _, comps := range parts {
+			all = append(all, comps[comp]...)
+		}
+		rows[comp] = all
 	}
 	return rows, nil
 }
@@ -133,7 +258,7 @@ func (in *Input) convert(shredded bool) (rows map[string][]dataflow.Row, err err
 func (in *Input) indexes(te plan.TableEstimate) *index.Set {
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	bt, isBag := in.Type.(nrc.BagType)
+	_, isBag := in.Type.(nrc.BagType)
 	for col, ce := range te.Cols {
 		if !isBag || !ce.IndexHash && !ce.IndexOrdered || in.tried[col] {
 			continue
@@ -146,7 +271,7 @@ func (in *Input) indexes(te plan.TableEstimate) *index.Set {
 			in.tried = map[string]bool{}
 		}
 		in.tried[col] = true
-		ci, err := BuildIndex(in.Bag, bt, col, ce.IndexHash, ce.IndexOrdered)
+		ci, err := IndexChunks(in.Chunks, col, ce.IndexHash, ce.IndexOrdered)
 		if err != nil {
 			continue
 		}
@@ -173,30 +298,20 @@ func ScalarColumn(bt nrc.BagType, col string) (off int, st nrc.ScalarType, ok bo
 	return 0, st, ok && col == "_value"
 }
 
-// ColumnValues extracts one top-level scalar column of b: vals[i] is the key
-// of row i (nil for NULL).
-func ColumnValues(b value.Bag, bt nrc.BagType, col string) (vals []value.Value, ok bool) {
+// buildIndex builds the index of one top-level scalar column of b — the one
+// way an index part is built (Chunk.Index).
+func buildIndex(b value.Bag, bt nrc.BagType, col string, hash, ordered bool) (*index.ColumnIndex, error) {
 	off, _, ok := ScalarColumn(bt, col)
 	if !ok {
-		return nil, false
+		return nil, fmt.Errorf("no top-level scalar column %q", col)
 	}
-	vals = make([]value.Value, len(b))
+	vals := make([]value.Value, len(b))
 	for i, e := range b {
 		if t, isTup := e.(value.Tuple); isTup {
 			vals[i] = t[off]
 		} else {
 			vals[i] = e
 		}
-	}
-	return vals, true
-}
-
-// BuildIndex builds the index of one top-level scalar column of b — the one
-// way inputs, and the catalog's datasets, get an index built.
-func BuildIndex(b value.Bag, bt nrc.BagType, col string, hash, ordered bool) (*index.ColumnIndex, error) {
-	vals, ok := ColumnValues(b, bt, col)
-	if !ok {
-		return nil, fmt.Errorf("no top-level scalar column %q", col)
 	}
 	return index.Build(col, hash, ordered, vals)
 }

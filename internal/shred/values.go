@@ -20,8 +20,17 @@ type ShreddedInput struct {
 // by a fresh label and its elements land in the dictionary of its path. This
 // is the value shredding function of paper Section 4.
 func ShredInput(name string, b value.Bag, t nrc.BagType) (*ShreddedInput, error) {
+	return ShredInputFrom(name, b, t, 0)
+}
+
+// ShredInputFrom is ShredInput numbering its labels from labelBase+1 rather
+// than 1. Labels are opaque keys that only have to be distinct within an
+// input, so runs of one input's rows shredded from disjoint label ranges
+// concatenate, component by component, into a shredding of the whole input.
+func ShredInputFrom(name string, b value.Bag, t nrc.BagType, labelBase int64) (*ShreddedInput, error) {
 	s := &ShreddedInput{Name: name, Rows: map[string][]value.Tuple{}}
 	var counters atomicCounters
+	counters.n.Store(labelBase)
 	top, err := s.shredBag(b, t.Elem, nil, &counters)
 	if err != nil {
 		return nil, err

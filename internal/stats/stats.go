@@ -10,9 +10,10 @@
 package stats
 
 import (
+	"cmp"
 	"container/heap"
 	"math"
-	"sort"
+	"slices"
 
 	"github.com/trance-go/trance/internal/dataflow"
 	"github.com/trance-go/trance/internal/nrc"
@@ -60,7 +61,8 @@ func (o Options) withDefaults() Options {
 type HeavyKey struct {
 	// Value is the key rendered with value.Format.
 	Value string
-	// Count is the exact number of rows carrying the key.
+	// Count is the exact number of rows carrying the key (a lower bound in a
+	// merged table; see Table.Chunks).
 	Count int64
 	// Fraction is Count over the table's row count.
 	Fraction float64
@@ -85,6 +87,10 @@ type Column struct {
 	// carry — the signal the Auto strategy thresholds on.
 	Heavy         []HeavyKey
 	HeavyFraction float64
+
+	// sketch is the KMV sketch behind NDV: the at most k smallest distinct
+	// mixed value hashes, ascending. Merge unions it across tables.
+	sketch []uint64
 }
 
 // Table is the collected statistics of one dataset.
@@ -97,6 +103,13 @@ type Table struct {
 	// Generation stamps the catalog registration the statistics describe;
 	// 0 outside a catalog.
 	Generation int64
+	// Chunks is the number of collected tables Merge combined into this one
+	// (1 for a table Collect returned). Above 1, heavy-key Counts are lower
+	// bounds: a chunk that holds a key without flagging it adds nothing.
+	Chunks int
+
+	sketchSize int
+	threshold  float64
 }
 
 // Column returns the named column's statistics.
@@ -156,7 +169,7 @@ func (t *Table) Estimate() plan.TableEstimate {
 func Collect(b value.Bag, t nrc.BagType, opts Options) *Table {
 	opts = opts.withDefaults()
 	fields := scalarFields(t)
-	tab := &Table{Rows: int64(len(b)), Bytes: value.Size(b)}
+	tab := &Table{Rows: int64(len(b)), Bytes: value.Size(b), Chunks: 1, sketchSize: opts.SketchSize, threshold: opts.Threshold}
 	if len(fields) == 0 || len(b) == 0 {
 		for _, f := range fields {
 			tab.Columns = append(tab.Columns, Column{Name: f.name, Type: f.typ})
@@ -215,7 +228,7 @@ func Collect(b value.Bag, t nrc.BagType, opts Options) *Table {
 	for i, f := range fields {
 		ca := cols[i]
 		ndv, exact := ca.sketch.estimate()
-		col := Column{Name: f.name, Type: f.typ, NDV: ndv, Exact: exact, Min: ca.min, Max: ca.max, Nulls: ca.nulls}
+		col := Column{Name: f.name, Type: f.typ, NDV: ndv, Exact: exact, Min: ca.min, Max: ca.max, Nulls: ca.nulls, sketch: ca.sketch.sorted()}
 		var heavyRows int64
 		for _, hc := range ca.heavyCounts {
 			if hc.count == 0 {
@@ -224,16 +237,97 @@ func Collect(b value.Bag, t nrc.BagType, opts Options) *Table {
 			col.Heavy = append(col.Heavy, HeavyKey{Value: hc.rendered, Count: hc.count, Fraction: float64(hc.count) / float64(tab.Rows)})
 			heavyRows += hc.count
 		}
-		sort.Slice(col.Heavy, func(a, b int) bool {
-			if col.Heavy[a].Count != col.Heavy[b].Count {
-				return col.Heavy[a].Count > col.Heavy[b].Count
-			}
-			return col.Heavy[a].Value < col.Heavy[b].Value
-		})
+		sortHeavy(col.Heavy)
 		col.HeavyFraction = float64(heavyRows) / float64(tab.Rows)
 		tab.Columns = append(tab.Columns, col)
 	}
 	return tab
+}
+
+// sortHeavy orders a heavy-key histogram by descending count, then value.
+func sortHeavy(h []HeavyKey) {
+	slices.SortFunc(h, func(a, b HeavyKey) int {
+		if a.Count != b.Count {
+			return cmp.Compare(b.Count, a.Count)
+		}
+		return cmp.Compare(a.Value, b.Value)
+	})
+}
+
+// Merge combines the statistics Collect took over consecutive runs of one
+// dataset (catalog chunks, in order) into the statistics of the whole.
+// Rows, Bytes, Nulls, Min, Max, NDV and Exact equal Collect over the
+// concatenated bag: Bytes drops the 4-byte bag header each run after the first
+// counted, and NDV is the estimate of the union of the runs' KMV sketches,
+// which is the sketch of the union. Heavy keys cannot be merged exactly: the
+// merged histogram lists every key some run flagged, Count sums the runs that
+// flagged it (a lower bound), Fraction is taken over the merged Rows, and a key
+// whose merged Fraction falls below the detector threshold is dropped. One
+// table merges to a copy of itself. The inputs are not modified.
+func Merge(tabs ...*Table) *Table {
+	if len(tabs) == 1 {
+		cp := *tabs[0]
+		return &cp
+	}
+	opts := Options{SketchSize: tabs[0].sketchSize, Threshold: tabs[0].threshold}.withDefaults()
+	out := &Table{sketchSize: opts.SketchSize, threshold: opts.Threshold}
+	for _, t := range tabs {
+		out.Rows += t.Rows
+		out.Bytes += t.Bytes
+		out.Chunks += t.Chunks
+	}
+	out.Bytes -= 4 * int64(len(tabs)-1)
+	for i, c := range tabs[0].Columns {
+		col := Column{Name: c.Name, Type: c.Type}
+		counts := map[string]int64{}
+		for _, t := range tabs {
+			tc := t.Columns[i]
+			col.Nulls += tc.Nulls
+			if tc.Min != nil && (col.Min == nil || value.Compare(tc.Min, col.Min) < 0) {
+				col.Min = tc.Min
+			}
+			if tc.Max != nil && (col.Max == nil || value.Compare(tc.Max, col.Max) > 0) {
+				col.Max = tc.Max
+			}
+			col.sketch = unionSketch(col.sketch, tc.sketch, out.sketchSize)
+			for _, hk := range tc.Heavy {
+				counts[hk.Value] += hk.Count
+			}
+		}
+		if out.Rows > 0 { // Collect leaves an empty bag's columns zero
+			col.NDV, col.Exact = estimate(col.sketch, out.sketchSize)
+		}
+		var heavyRows int64
+		for v, n := range counts {
+			if f := float64(n) / float64(out.Rows); f >= out.threshold {
+				col.Heavy = append(col.Heavy, HeavyKey{Value: v, Count: n, Fraction: f})
+				heavyRows += n
+			}
+		}
+		sortHeavy(col.Heavy)
+		if out.Rows > 0 {
+			col.HeavyFraction = float64(heavyRows) / float64(out.Rows)
+		}
+		out.Columns = append(out.Columns, col)
+	}
+	return out
+}
+
+// unionSketch returns the at most k smallest distinct hashes of two
+// ascending sketches, ascending.
+func unionSketch(a, b []uint64, k int) []uint64 {
+	out := make([]uint64, 0, min(k, len(a)+len(b)))
+	for len(out) < k && (len(a) > 0 || len(b) > 0) {
+		switch {
+		case len(b) == 0 || len(a) > 0 && a[0] < b[0]:
+			out, a = append(out, a[0]), a[1:]
+		case len(a) == 0 || b[0] < a[0]:
+			out, b = append(out, b[0]), b[1:]
+		default:
+			out, a, b = append(out, a[0]), a[1:], b[1:]
+		}
+	}
+	return out
 }
 
 type heavyCount struct {
@@ -314,18 +408,38 @@ func (s *kmv) add(raw uint64) {
 }
 
 func (s *kmv) estimate() (ndv int64, exact bool) {
-	n := len(s.h)
-	if n == 0 {
+	if len(s.h) == 0 {
 		return 0, true
 	}
-	if n < s.k {
+	return estimateKth(len(s.h), s.k, s.h[0]) // h[0]: largest retained = kth smallest overall
+}
+
+// sorted returns the retained hashes in ascending order.
+func (s *kmv) sorted() []uint64 {
+	out := slices.Clone([]uint64(s.h))
+	slices.Sort(out)
+	return out
+}
+
+// estimate is the NDV estimate of an ascending sketch of bound k.
+func estimate(sketch []uint64, k int) (ndv int64, exact bool) {
+	if len(sketch) == 0 {
+		return 0, true
+	}
+	return estimateKth(len(sketch), k, sketch[len(sketch)-1])
+}
+
+// estimateKth estimates NDV from a sketch of n retained hashes under bound k
+// whose largest retained hash is kth: the count itself below k, else
+// (k−1) · 2⁶⁴ / kth.
+func estimateKth(n, k int, kth uint64) (ndv int64, exact bool) {
+	if n < k {
 		return int64(n), true
 	}
-	kth := float64(s.h[0]) // largest retained = kth smallest overall
 	if kth == 0 {
 		return int64(n), false
 	}
-	est := float64(s.k-1) * math.Ldexp(1, 64) / kth
+	est := float64(k-1) * math.Ldexp(1, 64) / float64(kth)
 	return int64(est + 0.5), false
 }
 

@@ -305,3 +305,79 @@ func TestSelectiveColumnsBoundaries(t *testing.T) {
 		}
 	}
 }
+
+// exactFields projects the fields Merge must reproduce exactly.
+func exactFields(t *Table) string {
+	s := fmt.Sprintf("rows=%d bytes=%d", t.Rows, t.Bytes)
+	for _, c := range t.Columns {
+		s += fmt.Sprintf(" | %s ndv=%d exact=%t nulls=%d min=%v max=%v", c.Name, c.NDV, c.Exact, c.Nulls, c.Min, c.Max)
+	}
+	return s
+}
+
+// TestMergeEqualsCollect: statistics collected over consecutive runs of a
+// bag and merged equal Collect over the whole bag on every exact field, on
+// both sides of the sketch bound (exact counts and KMV estimates).
+func TestMergeEqualsCollect(t *testing.T) {
+	bt := nrc.BagOf(nrc.Tup("k", nrc.IntT, "s", nrc.StringT, "r", nrc.RealT))
+	for _, n := range []int{0, 7, 900, 5000} {
+		ks := seq(n, int64(1+n/2), 11)
+		b := make(value.Bag, n)
+		for i := range b {
+			var r value.Value = float64(ks[i]) / 3
+			if i%17 == 0 {
+				r = nil
+			}
+			b[i] = value.Tuple{ks[i], fmt.Sprint("s", ks[i]%50), r}
+		}
+		whole := Collect(b, bt, Options{})
+		for _, cuts := range [][]int{{n / 2}, {n / 3, n / 3, n / 3}, {1, n - 1}} {
+			var tabs []*Table
+			lo := 0
+			for i, c := range cuts {
+				hi := lo + c
+				if i == len(cuts)-1 {
+					hi = n
+				}
+				hi = min(max(hi, lo), n)
+				tabs = append(tabs, Collect(b[lo:hi], bt, Options{}))
+				lo = hi
+			}
+			m := Merge(tabs...)
+			if got, want := exactFields(m), exactFields(whole); got != want {
+				t.Errorf("n=%d cuts=%v:\n got %s\nwant %s", n, cuts, got, want)
+			}
+			if m.Chunks != len(tabs) {
+				t.Errorf("n=%d: merged %d tables, Chunks=%d", n, len(tabs), m.Chunks)
+			}
+		}
+	}
+}
+
+// TestMergeHeavyKeys: a key flagged in one run keeps the sum of the flagged
+// counts over the merged rows, and a key whose merged fraction falls under
+// the detector threshold is dropped.
+func TestMergeHeavyKeys(t *testing.T) {
+	a, bt := mkBag(seq(4000, 4000, 5))
+	hot := make([]int64, 1000)
+	for i := range hot {
+		hot[i] = 7
+		if i%2 == 0 {
+			hot[i] = int64(100000 + i)
+		}
+	}
+	b, _ := mkBag(hot)
+	tiny, _ := mkBag([]int64{424242, 424242})
+	m := Merge(Collect(a, bt, Options{}), Collect(b, bt, Options{}), Collect(tiny, bt, Options{}))
+	col := m.Columns[0]
+	if len(col.Heavy) != 1 || col.Heavy[0].Value != "7" || col.Heavy[0].Count < 500 {
+		t.Fatalf("merged heavy keys %+v, want only 7 with at least 500 rows", col.Heavy)
+	}
+	if f := col.Heavy[0].Fraction; f != float64(col.Heavy[0].Count)/5002 || col.HeavyFraction != f {
+		t.Fatalf("fraction %v, heavy fraction %v over %d rows", f, col.HeavyFraction, m.Rows)
+	}
+	one := Collect(b, bt, Options{})
+	if got := Merge(one); got == one || fmt.Sprint(*got) != fmt.Sprint(*one) {
+		t.Fatal("a one-table merge must be a copy of the table")
+	}
+}
