@@ -167,17 +167,32 @@ func cmdRun(args []string) {
 	qc := parseClass(*class)
 	checkLevel(*level)
 	job, cfg := tpchJob(qc, *level, *wide, *customers, *skew)
-	res := trance.Run(job, parseStrategy(*strategy), cfg)
-	if res.Failed() {
-		log.Fatalf("run failed: %v", res.Err)
+	if err := runJob(os.Stdout, job, parseStrategy(*strategy), cfg, *show); err != nil {
+		log.Fatalf("run failed: %v", err)
 	}
-	fmt.Printf("%s: %v, rows=%d, %s\n", res.Strategy, res.Elapsed, res.Output.Count(), res.Metrics)
-	if *show > 0 { // CollectTop(0) would be every row
-		rows, _ := res.Output.CollectTop(*show)
-		for _, row := range rows {
-			fmt.Println("  ", value.Format(value.Tuple(row)))
+}
+
+// runJob runs job and writes run's report to w: the header line — runtime,
+// rows and engine metrics — then the first show rows.
+func runJob(w io.Writer, job trance.Job, strat trance.Strategy, cfg trance.Config, show int) error {
+	res := trance.Run(job, strat, cfg)
+	// Counting first runs an unshredding route's deferred unshred statement,
+	// which Elapsed, Metrics and Err then include.
+	var rows int64
+	if !res.Failed() {
+		rows = res.Output.Count()
+	}
+	if res.Failed() {
+		return res.Err
+	}
+	fmt.Fprintf(w, "%s: %v, rows=%d, %s\n", res.Strategy, res.Elapsed, rows, res.Metrics)
+	if show > 0 { // CollectTop(0) would be every row
+		top, _ := res.Output.CollectTop(show)
+		for _, row := range top {
+			fmt.Fprintln(w, "  ", value.Format(value.Tuple(row)))
 		}
 	}
+	return nil
 }
 
 // cmdQuery is the JSON-in → query → JSON-out path: ingest a JSON dataset
@@ -295,11 +310,15 @@ func cmdBiomed(args []string) {
 	inputs := biomed.Generate(cfg)
 	res := trance.RunPipeline(biomed.Steps(), biomed.Env(), inputs,
 		parseStrategy(*strategy), trance.DefaultConfig())
+	var rows int64
+	if !res.Failed() {
+		rows = res.Output.Count() // unshreds first, as in cmdRun
+	}
 	for i, d := range res.StepElapsed {
 		fmt.Printf("step%d: %v\n", i+1, d)
 	}
 	if res.Failed() {
 		log.Fatalf("pipeline failed at step %d: %v", res.FailedStep+1, res.Err)
 	}
-	fmt.Printf("final rows=%d, %s\n", res.Output.Count(), res.Metrics)
+	fmt.Printf("final rows=%d, %s\n", rows, res.Metrics)
 }

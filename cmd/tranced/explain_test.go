@@ -60,3 +60,38 @@ func TestExplainEndpoint(t *testing.T) {
 		t.Fatalf("the filtered ad-hoc query should have pushed a predicate: %v", opt)
 	}
 }
+
+// TestExplainAnalyzeMeasuresUnshredding: a reply on an unshredding route never
+// runs the unshred plan, but EXPLAIN ANALYZE of the route does — the analyzed
+// level-2 flat-to-nested shred+unshred plans list both unshred ⟕ with the rows
+// they produced and where they ran.
+func TestExplainAnalyzeMeasuresUnshredding(t *testing.T) {
+	cfg := defaultServerConfig()
+	cfg.Customers = 20
+	cfg.MaxLevel = 2
+	srv, err := newServer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	out := getJSON(t, ts, "/explain?name=tpch/flat-to-nested&level=2&strategy=shred%2Bunshred&analyze=1", http.StatusOK)
+	text := out["explain"].(string)
+	_, unshred, ok := strings.Cut(text, "=== unshred plan (analyzed) ===\n")
+	if !ok {
+		t.Fatalf("no analyzed unshred plan:\n%s", text)
+	}
+	unshred, _, _ = strings.Cut(unshred, "===")
+	joins := 0
+	for _, line := range strings.Split(unshred, "\n") {
+		if strings.Contains(line, "⟕") {
+			joins++
+			if !strings.Contains(line, "actual_rows=") || strings.Contains(line, "actual_rows=0 ") {
+				t.Errorf("unshred join not measured: %s", line)
+			}
+		}
+	}
+	if joins != 2 {
+		t.Fatalf("analyzed unshred plan lists %d ⟕, want 2:\n%s", joins, unshred)
+	}
+}

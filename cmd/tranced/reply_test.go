@@ -77,6 +77,10 @@ func TestNonFiniteRealsReply(t *testing.T) {
 // takes the bounded heap (k < rows) or the full sort. The last route answers
 // every row twice, so duplicates straddle each boundary; rows that tie yet
 // differ are TestCollectTopIsPrefixOfCollectSorted's, in internal/dataflow.
+// The text route after it leads with a market segment that five of the twenty
+// customers share, so on an unshredding route — which stitches the reply from
+// labels — rows are ordered by comparing bags: orders (empty for some
+// customers) and then order dates, a bag of scalars.
 func TestLimitIsPrefixOfCanonicalOrder(t *testing.T) {
 	s := smallServer(t)
 	ts := httptest.NewServer(s)
@@ -95,6 +99,10 @@ func TestLimitIsPrefixOfCanonicalOrder(t *testing.T) {
 	}
 	s.qmu.RUnlock()
 	targets = append(targets, target{path: "/query?", text: "for x in `tpch/ndb-l1` union for twice in `tpch/nation` union if twice.n_nationkey < 2 then { { k := x.o_orderkey, d := x.o_orderdate } }"})
+	stitched := target{path: "/query?", text: "for c in `tpch/customer` union { { seg := c.c_mktsegment, " +
+		"orders := for o in `tpch/orders` union if o.o_custkey == c.c_custkey && o.o_orderkey < 40 then { { k := o.o_orderkey, d := o.o_orderdate } }, " +
+		"dates := for o in `tpch/orders` union if o.o_custkey == c.c_custkey then { o.o_orderdate } } }"}
+	targets = append(targets, stitched)
 
 	for _, tg := range targets {
 		for _, strat := range append(trance.AllStrategies(), trance.Auto) {
@@ -102,6 +110,23 @@ func TestLimitIsPrefixOfCanonicalOrder(t *testing.T) {
 			all := decodeReply(t, fetch(t, ts, base+"&limit=0", tg.text))
 			if all.Rows == 0 || all.Returned != all.Rows || len(all.Results) != all.Rows || all.Truncated {
 				t.Fatalf("%s limit=0: rows %d returned %d results %d truncated %v", base, all.Rows, all.Returned, len(all.Results), all.Truncated)
+			}
+			if tg == stitched {
+				segs, empty := map[string]int{}, 0
+				for _, row := range all.Results {
+					var r struct {
+						Seg    string
+						Orders []any
+					}
+					json.Unmarshal(row, &r)
+					segs[r.Seg]++
+					if len(r.Orders) == 0 {
+						empty++
+					}
+				}
+				if len(segs) >= all.Rows || empty == 0 {
+					t.Fatalf("%s: %d segments over %d rows, %d empty order bags — no order is decided through a bag", base, len(segs), all.Rows, empty)
+				}
 			}
 			for _, k := range []int{1, 20, all.Rows, all.Rows + 1} {
 				got := decodeReply(t, fetch(t, ts, fmt.Sprintf("%s&limit=%d", base, k), tg.text))

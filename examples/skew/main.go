@@ -43,6 +43,11 @@ func main() {
 		fmt.Printf("\nskew factor %d:\n", factor)
 		for _, strat := range strategies {
 			res := trance.Run(trance.Job{Query: q, Env: env, Inputs: inputs}, strat, cfg)
+			if !res.Failed() {
+				// Unshredding runs on first use of the output; its time, bytes
+				// and memory-cap failures count.
+				res.Output.Count()
+			}
 			if res.Failed() {
 				fmt.Printf("  %-20s FAIL (%v)\n", strat, res.Err)
 				continue

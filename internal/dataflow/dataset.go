@@ -185,13 +185,6 @@ type ranked struct {
 	seq int
 }
 
-func compareRanked(a, b ranked) int {
-	if c := value.CompareSeq(a.row, b.row); c != 0 {
-		return c
-	}
-	return a.seq - b.seq
-}
-
 // CollectTop gathers the first k rows of the deterministic value order (all
 // of them when k <= 0) beside the exact row count. With 0 < k < Count() it
 // is one pass over the materialized partitions through a k-element heap
@@ -199,6 +192,18 @@ func compareRanked(a, b ranked) int {
 // in two element orders) rank by their Collect order either way, so the k
 // rows are exactly the first k of CollectSorted.
 func (d *Dataset) CollectTop(k int) (rows []Row, total int) {
+	return d.CollectTopFunc(k, func(a, b Row) int { return value.CompareSeq(a, b) })
+}
+
+// CollectTopFunc is CollectTop in the order of cmp, rows that cmp finds equal
+// ranking by their Collect order.
+func (d *Dataset) CollectTopFunc(k int, cmp func(a, b Row) int) (rows []Row, total int) {
+	compareRanked := func(a, b ranked) int {
+		if c := cmp(a.row, b.row); c != 0 {
+			return c
+		}
+		return a.seq - b.seq
+	}
 	total = int(d.Count())
 	if k <= 0 || k > total {
 		k = total
@@ -215,7 +220,7 @@ func (d *Dataset) CollectTop(k int) (rows []Row, total int) {
 				if h = append(h, ranked{r, seq}); len(h) == k && k < total {
 					slices.SortFunc(h, func(a, b ranked) int { return compareRanked(b, a) })
 				}
-			case value.CompareSeq(r, h[0].row) < 0: // a tie loses to the earlier row
+			case cmp(r, h[0].row) < 0: // a tie loses to the earlier row
 				h[0] = ranked{r, seq}
 				for i := 0; ; {
 					big := i

@@ -186,3 +186,49 @@ func (d *Dataset) groupPart(part int, cols []int, joinSide bool) (*groupTable, g
 	})
 	return t, place(rows, ids, t.len())
 }
+
+// Lookup indexes a dataset's rows by key at the driver, on the group table
+// behind Γ, the joins and dedup: Find returns the rows under a key in Collect
+// order. As on a join side, a row with a NULL key column is left out, so no
+// probe finds it.
+type Lookup struct {
+	t *groupTable
+	g grouped
+}
+
+// Lookup builds the Lookup of d's rows keyed by cols.
+func (d *Dataset) Lookup(cols []int) *Lookup {
+	d.force()
+	n := 0
+	for _, p := range d.parts {
+		n += len(p)
+	}
+	t := newGroupTable(cols, n/2)
+	rows := make([]Row, 0, n)
+	ids := make([]uint32, 0, n)
+	for part := range d.parts {
+		d.feedKeyed(part, cols, func(r Row, h uint64) {
+			rows = append(rows, r)
+			if anyNullCols(r, cols) {
+				ids = append(ids, noGroup)
+			} else {
+				ids = append(ids, t.intern(h, r))
+			}
+		})
+	}
+	return &Lookup{t: t, g: place(rows, ids, t.len())}
+}
+
+// Find returns the number of the group whose key equals r's over cols (the
+// probe's own columns, in the order of the Lookup's) and its rows, or -1 and
+// no rows. Groups are numbered 0 to Len()-1.
+func (l *Lookup) Find(r Row, cols []int) (int, []Row) {
+	id := l.t.find(value.HashCols(r, cols), r, cols)
+	if id == noGroup {
+		return -1, nil
+	}
+	return int(id), l.g.group(id)
+}
+
+// Len is the number of distinct keys.
+func (l *Lookup) Len() int { return l.t.len() }

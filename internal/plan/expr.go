@@ -161,6 +161,13 @@ type MkLabel struct {
 }
 
 func (e *MkLabel) Eval(r Row) value.Value {
+	if len(e.Args) == 1 {
+		v := e.Args[0].Eval(r)
+		if _, ok := v.(value.Label); ok {
+			return v // value.NewLabel's identity relabeling, with no payload or box to build
+		}
+		return value.NewLabel(e.Site, v)
+	}
 	payload := make([]value.Value, len(e.Args))
 	for i, a := range e.Args {
 		payload[i] = a.Eval(r)

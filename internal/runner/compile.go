@@ -156,6 +156,10 @@ func placeProgram(prog []*Compiled) []*Compiled {
 	return out
 }
 
+// unshredLabel is the label of the statement restoring nested output on an
+// unshredding route.
+const unshredLabel = "unshred plan"
+
 // spanName names the statement's execute span: "execute plan", "execute
 // <name>" for an assignment, "execute unshred".
 func (st Stmt) spanName() string {
@@ -360,7 +364,7 @@ func (cq *Compiled) compileShredded(q nrc.Expr) error {
 		if !cq.Cfg.NoColumnPruning {
 			uplan = plan.Prune(uplan)
 		}
-		cq.addStmt("unshred plan", "", uplan)
+		cq.addStmt(unshredLabel, "", uplan)
 	}
 	return nil
 }
@@ -394,11 +398,13 @@ type ExecOptions struct {
 // executor, so each step's output — the nested dataset on standard routes, the
 // materialized shredded components on shredded routes — is visible to later
 // steps without re-conversion (paper Section 4), and only the final step of an
-// unshredding strategy restores nested output; each step runs placed over
-// where the steps before it left theirs (placeProgram; Result.Program). Input
-// preparation stays outside the timed region — the paper reports runtime after
-// caching all inputs. dctx comes from NewRunContext of the config the program
-// compiled under, whose broadcast limit plan.Place read too.
+// unshredding strategy restores nested output, when Result.Output is first
+// used (a reply stitches its rows from the shredded output instead); each step
+// runs placed over where the steps before it left theirs (placeProgram;
+// Result.Program). Input preparation stays outside the timed region — the
+// paper reports runtime after caching all inputs. dctx comes from
+// NewRunContext of the config the program compiled under, whose broadcast
+// limit plan.Place read too.
 //
 // Execute shares no mutable state between executions of the same program, so
 // any number may run concurrently; panics anywhere in execution degrade to
@@ -408,78 +414,125 @@ func Execute(ctx context.Context, prog []*Compiled, rows map[string][]dataflow.R
 	prog = placeProgram(prog)
 	last := prog[len(prog)-1]
 	res := &Result{Strategy: last.Strategy, Mat: last.Mat, Columns: last.Columns, Analyze: opts.Analysis, FailedStep: -1, prog: prog}
-	func() {
-		var err error
-		step := 0
-		defer func() {
-			if err != nil {
-				res.FailedStep, res.Err = step, err
-			}
-		}()
-		defer recoverTo(&err, "execute")
-		ex := exec.New(dctx)
-		ex.SkewAware = last.Strategy.skewAware()
-		ex.Indexes = idxs
-		ex.Analysis = opts.Analysis
-		for name, r := range rows {
-			ex.BindRows(name, r)
+	ex := exec.New(dctx)
+	ex.SkewAware = last.Strategy.skewAware()
+	ex.Indexes = idxs
+	ex.Analysis = opts.Analysis
+	for name, r := range rows {
+		ex.BindRows(name, r)
+	}
+	for i, cq := range prog {
+		var out *dataflow.Dataset
+		err := res.runStep(i, func() (err error) {
+			out, err = cq.execute(ctx, ex, res, opts.Span)
+			return err
+		})
+		if err != nil {
+			break
 		}
-		for i, cq := range prog {
-			step = i
-			start := time.Now()
-			err = cq.execute(ctx, ex, res, opts.Span)
-			d := time.Since(start)
-			res.StepElapsed = append(res.StepElapsed, d)
-			res.Elapsed += d
-			if err != nil {
-				if len(prog) > 1 {
-					err = fmt.Errorf("step %s: %w", cq.Name, err)
+		if i < len(prog)-1 {
+			ex.Bind(cq.stepName(), out)
+			continue
+		}
+		res.Output = &Output{d: out}
+		if st, ok := cq.unshredStmt(); ok {
+			res.Output.deferred = func() *dataflow.Dataset {
+				var nested *dataflow.Dataset
+				err := res.runStep(i, func() (err error) {
+					nested, err = runStmt(ctx, ex, st, opts.Span)
+					return err
+				})
+				res.Metrics = dctx.Metrics.Snapshot()
+				if err != nil {
+					return out
 				}
-				return
+				return nested
 			}
-			if i == len(prog)-1 {
-				break
-			}
-			ex.Bind(cq.stepName(), res.Output)
 		}
-	}()
+	}
 	res.Metrics = dctx.Metrics.Snapshot()
 	return res
 }
 
-// execute runs the step's statements in order on the program's executor. An
-// assignment is bound for the statements after it and kept in res.Shredded; the
-// last statement yielding output leaves it in res.Output. sp, when non-nil,
+// runStep runs f as (part of) step i, converting a panic into an error: it
+// adds the wall time to Elapsed and to StepElapsed[i], which it appends on
+// the step's first run, and a failure becomes the Result's Err, in step i.
+func (r *Result) runStep(i int, f func() error) (err error) {
+	start := time.Now()
+	func() {
+		defer recoverTo(&err, "execute")
+		err = f()
+	}()
+	d := time.Since(start)
+	if i == len(r.StepElapsed) {
+		r.StepElapsed = append(r.StepElapsed, 0)
+	}
+	r.StepElapsed[i] += d
+	r.Elapsed += d
+	if err != nil {
+		if len(r.prog) > 1 {
+			err = fmt.Errorf("step %s: %w", r.prog[i].Name, err)
+		}
+		r.FailedStep, r.Err = i, err
+	}
+	return err
+}
+
+// execute runs the step's statements in order on the program's executor,
+// except the unshred statement, which Result.Output runs when first used. An
+// assignment is bound for the statements after it and kept in res.Shredded;
+// the last statement yielding output returns its dataset. sp, when non-nil,
 // receives one child span per executed statement.
-func (cq *Compiled) execute(ctx context.Context, ex *exec.Executor, res *Result, sp *trace.Span) error {
+func (cq *Compiled) execute(ctx context.Context, ex *exec.Executor, res *Result, sp *trace.Span) (out *dataflow.Dataset, err error) {
 	if cq.Mat != nil {
 		res.Shredded = map[string]*dataflow.Dataset{}
 	}
 	for _, st := range cq.Stmts {
-		if err := ctx.Err(); err != nil {
-			return err
+		if st.Label == unshredLabel {
+			continue
 		}
-		ssp := sp.Child(st.spanName())
-		d, err := ex.Run(st.Plan)
-		if err == nil {
-			err = d.Force().Err() // charge trailing fused narrow work to the timed region
-		}
-		ssp.End()
+		d, err := runStmt(ctx, ex, st, sp)
 		if err != nil {
-			if st.Bind != "" {
-				err = fmt.Errorf("%s: %w", st.Label, err)
-			}
-			return err
+			return out, err
 		}
 		if st.Bind != "" {
 			ex.Bind(st.Bind, d)
 			res.Shredded[st.Bind] = d
 		}
 		if cq.yieldsOutput(st) {
-			res.Output = d
+			out = d
 		}
 	}
-	return nil
+	return out, nil
+}
+
+// runStmt runs one statement on the executor and materializes its dataset. sp,
+// when non-nil, receives its span.
+func runStmt(ctx context.Context, ex *exec.Executor, st Stmt, sp *trace.Span) (*dataflow.Dataset, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	ssp := sp.Child(st.spanName())
+	d, err := ex.Run(st.Plan)
+	if err == nil {
+		err = d.Force().Err() // charge trailing fused narrow work to the timed region
+	}
+	ssp.End()
+	if err != nil && st.Bind != "" {
+		err = fmt.Errorf("%s: %w", st.Label, err)
+	}
+	return d, err
+}
+
+// unshredStmt returns the step's unshred statement, the one an unshredding
+// route's final step leaves to Result.Output.
+func (cq *Compiled) unshredStmt() (Stmt, bool) {
+	for _, st := range cq.Stmts {
+		if st.Label == unshredLabel {
+			return st, true
+		}
+	}
+	return Stmt{}, false
 }
 
 // OutputPlan returns the plan whose column schema matches the Output dataset

@@ -482,6 +482,10 @@ type diffCounts struct {
 	// shreddedSteps counts program runs whose second step read the first
 	// step's output in shredded form.
 	shreddedSteps int
+	// stitchResolved counts seeds whose stitched replies resolved a label
+	// inside the comparator, stitchDeep those that stitched a bag two levels
+	// down.
+	stitchResolved, stitchDeep int
 }
 
 func (c *diffCounts) add(o diffCounts) {
@@ -497,6 +501,8 @@ func (c *diffCounts) add(o diffCounts) {
 	c.local += o.local
 	c.placed += o.placed
 	c.shreddedSteps += o.shreddedSteps
+	c.stitchResolved += o.stitchResolved
+	c.stitchDeep += o.stitchDeep
 }
 
 // runDifferential executes one generated query under the full
@@ -526,6 +532,8 @@ func runDifferential(data []byte, strict bool) (n diffCounts, err error) {
 	applyIndexes(ests, chosen)
 
 	nested, narrowed, fused, composed, local, placed := false, false, false, false, false, false
+	stitchK := 1 + g.n(4) // the stitching checks' limit besides 0
+	var st stitchSeen
 	for _, strat := range diffStrategies {
 		keyCols := map[bool]int{} // Γ key columns of the strategy's plans, by arm
 		narrowOps := map[bool]int{}
@@ -567,6 +575,13 @@ func runDifferential(data []byte, strict bool) (n diffCounts, err error) {
 					n.indexed++
 				}
 				res := runner.ExecuteBags(context.Background(), []*runner.Compiled{cq}, inputs, runner.NewRunContext(cfg), runner.ExecOptions{})
+				var got value.Bag
+				var gerr error
+				if !res.Failed() {
+					// On an unshredding route this runs the deferred unshred
+					// statement, which the metrics read below then include.
+					got, gerr = nestedOutput(cq, res)
+				}
 				if res.Failed() {
 					return n, fmt.Errorf("%s (full=%t, noidx=%t) failed: %v\n%s",
 						strat, full, noIdx, res.Err, nrc.Print(q))
@@ -583,7 +598,6 @@ func runDifferential(data []byte, strict bool) (n diffCounts, err error) {
 				}
 				local = local || full && marked > 0
 				placed = placed || full && sides > 0
-				got, gerr := nestedOutput(cq, res)
 				if gerr != nil {
 					return n, fmt.Errorf("%s (full=%t, noidx=%t) unshred: %v\n%s",
 						strat, full, noIdx, gerr, nrc.Print(q))
@@ -593,6 +607,11 @@ func runDifferential(data []byte, strict bool) (n diffCounts, err error) {
 						"%s (full=%t, noidx=%t, resolved %s, bcast=%d, idx-planned=%d) diverges from the nrc.Eval oracle\nquery:\n%s\ninputs: %s\n got: %s\nwant: %s\nexplain:\n%s",
 						strat, full, noIdx, cq.Strategy, limit, cq.Idx.Planned, nrc.Print(q), value.Format(value.Tuple{inputs["R"], inputs["S"]}),
 						value.Format(got), value.Format(want), cq.Explain())
+				}
+				if cq.Strategy.Unshreds() {
+					if err := checkStitch(res, stitchK, &st); err != nil {
+						return n, fmt.Errorf("%s (full=%t, noidx=%t): %v\n%s", strat, full, noIdx, err, nrc.Print(q))
+					}
 				}
 				n.runs++
 			}
@@ -642,13 +661,17 @@ func runDifferential(data []byte, strict bool) (n diffCounts, err error) {
 		}
 		last := prog[1]
 		res := runner.ExecuteBags(context.Background(), prog, inputs, runner.NewRunContext(cfg), runner.ExecOptions{})
+		var got value.Bag
+		var gerr error
+		if !res.Failed() {
+			got, gerr = nestedOutput(last, res) // unshreds first, as above
+		}
 		if res.Failed() {
 			return n, fmt.Errorf("%s program failed at step %d: %v\n%s", strat, res.FailedStep, res.Err, nrc.Print(q))
 		}
 		if _, _, lerr := exchangesAsPlanned(res.Program(), res); lerr != nil {
 			return n, fmt.Errorf("%s program: %v\n%s", strat, lerr, runner.Explain(prog))
 		}
-		got, gerr := nestedOutput(last, res)
 		if gerr != nil {
 			return n, fmt.Errorf("%s program unshred: %v\n%s", strat, gerr, nrc.Print(q))
 		}
@@ -661,9 +684,112 @@ func runDifferential(data []byte, strict bool) (n diffCounts, err error) {
 		if last.Strategy.IsShredded() {
 			n.shreddedSteps++
 		}
+		if last.Strategy.Unshreds() {
+			if err := checkStitch(res, stitchK, &st); err != nil {
+				return n, fmt.Errorf("%s program: %v\n%s", strat, err, nrc.Print(q))
+			}
+		}
 		n.runs++
 	}
+
+	// The stitching arm: a query with two nesting levels whose leading scalar
+	// repeats, on the unshredding routes (and Auto when it picks one), its
+	// reply rows checked against the unshred plan's.
+	sq := func() nrc.Expr { return (&dgen{data: data, i: len(data) / 2}).stitchQuery() }
+	swant, err := oracleEval(sq(), env, inputs)
+	if err != nil {
+		return n, fmt.Errorf("stitching query fails Check (generator bug): %v\n%s", err, nrc.Print(sq()))
+	}
+	for _, strat := range []runner.Strategy{runner.ShredUnshred, runner.ShredUnshredSkew, runner.Auto} {
+		cfg := diffConfig(true, false, ests, limit)
+		cq, cerr := runner.CompileStep(sq(), env, strat, cfg, "Q")
+		if cerr != nil {
+			if strict {
+				return n, fmt.Errorf("%s stitching query does not compile: %v\n%s", strat, cerr, nrc.Print(sq()))
+			}
+			return n, errSkip
+		}
+		if !cq.Strategy.Unshreds() {
+			continue
+		}
+		res := runner.ExecuteBags(context.Background(), []*runner.Compiled{cq}, inputs, runner.NewRunContext(cfg), runner.ExecOptions{})
+		var got value.Bag
+		if !res.Failed() {
+			got, err = nestedOutput(cq, res)
+		}
+		if res.Failed() || err != nil {
+			return n, fmt.Errorf("%s stitching query failed: %v %v\n%s", strat, res.Err, err, nrc.Print(sq()))
+		}
+		if !value.Equal(got, swant) {
+			return n, fmt.Errorf("%s stitching query diverges from the nrc.Eval oracle\nquery:\n%s\n got: %s\nwant: %s",
+				strat, nrc.Print(sq()), value.Format(got), value.Format(swant))
+		}
+		if err := checkStitch(res, stitchK, &st); err != nil {
+			return n, fmt.Errorf("%s stitching query: %v\n%s", strat, err, nrc.Print(sq()))
+		}
+		n.runs++
+	}
+	if st.resolved > 0 {
+		n.stitchResolved++
+	}
+	if st.depth >= 2 {
+		n.stitchDeep++
+	}
 	return n, nil
+}
+
+// stitchQuery builds the stitching arm's query over R: each row's items with
+// their tags (two nesting levels; the tags a bag of scalars in half the
+// seeds), under a leading scalar that is a constant or x.a, so rows tie on it
+// and their order is decided inside the bags; guards leave some bags empty.
+func (g *dgen) stitchQuery() nrc.Expr {
+	x, it, tg := nrc.V("x"), nrc.V("it"), nrc.V("tg")
+	lead := nrc.Expr(nrc.C(g.intv()))
+	if g.coin() {
+		lead = nrc.P(x, "a")
+	}
+	var tag nrc.Expr = nrc.P(tg, "t")
+	if g.coin() {
+		tag = nrc.Record("t", nrc.P(tg, "t"))
+	}
+	var inner nrc.Expr = nrc.SingOf(nrc.Record(
+		"v", nrc.P(it, "v"),
+		"tags", nrc.ForIn("tg", nrc.P(it, "tags"), nrc.SingOf(tag))))
+	if g.coin() {
+		inner = nrc.IfThen(g.pred(&scope{paths: []path{projPath("it", nrc.IntT, "v"), projPath("it", nrc.StringT, "w")}}), inner)
+	}
+	var body nrc.Expr = nrc.SingOf(nrc.Record("k", lead, "items", nrc.ForIn("it", nrc.P(x, "items"), inner)))
+	if g.coin() {
+		body = nrc.IfThen(g.pred(&scope{paths: []path{projPath("x", nrc.IntT, "a"), projPath("x", nrc.StringT, "b")}}), body)
+	}
+	return nrc.ForIn("x", nrc.V("R"), body)
+}
+
+// stitchSeen tallies one seed's stitching checks for the vacuity floors.
+type stitchSeen struct{ resolved, depth int }
+
+// checkStitch holds the reply path's rows on an unshredding route — stitched
+// from the shredded output — to the unshred plan's: top(0) and top(k) equal
+// Output.CollectTop of the same limit row by row (bags as multisets, since a
+// stitched bag lists its elements in the dictionary's order), with the same
+// total.
+func checkStitch(res *runner.Result, k int, seen *stitchSeen) error {
+	for _, limit := range []int{0, k} {
+		got, total, resolved, depth := runner.StitchTop(res, limit)
+		want, wantTotal := res.Output.CollectTop(limit)
+		if total != wantTotal || len(got) != len(want) {
+			return fmt.Errorf("stitched top(%d): %d of %d rows, unshredded %d of %d", limit, len(got), total, len(want), wantTotal)
+		}
+		for i := range got {
+			if !value.Equal(value.Tuple(got[i]), value.Tuple(want[i])) {
+				return fmt.Errorf("stitched top(%d) row %d is %s, unshredded %s",
+					limit, i, value.Format(value.Tuple(got[i])), value.Format(value.Tuple(want[i])))
+			}
+		}
+		seen.resolved += resolved
+		seen.depth = max(seen.depth, depth)
+	}
+	return nil
 }
 
 // nestKeyCols counts the grouping columns of every Γ the compilation runs, and
@@ -896,6 +1022,12 @@ func TestDifferentialOracle(t *testing.T) {
 	if total.shreddedSteps < n/10 {
 		t.Fatalf("only %d programs over %d seeds read a step output on a shredded route — step-output binding is no longer exercised", total.shreddedSteps, n)
 	}
+	// And the reply path must actually stitch: order rows through a bag, and
+	// build bags two levels down.
+	if total.stitchResolved < n/8 || total.stitchDeep < n/8 {
+		t.Fatalf("%d of %d seeds resolved a label inside the stitching comparator and %d stitched two nesting levels — stitching is no longer exercised", total.stitchResolved, n, total.stitchDeep)
+	}
+	t.Logf("%d seeds stitched through a label comparison, %d two levels deep", total.stitchResolved, total.stitchDeep)
 	t.Logf("%d queries × %d runs each agreed with the oracle; optimizer changed plans in %d runs (%d crossings); %d seeds keyed a Γ by the IDs; %d seeds fused a join and %d composed a chain; %d seeds reduced in place and %d placed a join side; %d runs planned index scans; %d runs metered typed-encoding shuffle buffers; %d programs read a shredded step output",
 		n, total.runs/n, total.optimized, total.pushed, total.narrowed, total.fused, total.composed, total.local, total.placed, total.indexed, total.typed, total.shreddedSteps)
 }

@@ -69,8 +69,12 @@ func (cq *Compiled) explainHeader(sb *strings.Builder) {
 // additionally get a q-error summary block per step comparing the optimizer's
 // cardinality estimate against the observed row count. Rendering from the
 // result — not from a fresh lookup — means the plans shown are the ones that
-// ran, whatever the catalog did since.
+// ran, whatever the catalog did since. On an unshredding route it runs the
+// deferred unshred statement first (Output), so that plan is measured too.
 func (r *Result) ExplainAnalyze() string {
+	if r.Output != nil {
+		r.Output.dataset()
+	}
 	var sb strings.Builder
 	a := r.Analyze
 	wall := map[string]time.Duration{}

@@ -8,6 +8,7 @@ import (
 	"context"
 	"errors"
 	"io"
+	"sync"
 	"time"
 
 	"github.com/trance-go/trance/internal/dataflow"
@@ -203,8 +204,9 @@ type Result struct {
 	Strategy Strategy
 	// Output is the final step's result dataset: nested rows for
 	// Standard/SparkSQL and unshredding strategies, the materialized top bag
-	// for Shred.
-	Output *dataflow.Dataset
+	// for Shred. An unshredding route builds its nested rows on first use
+	// (see Output); WriteJSON and JSON never do.
+	Output *Output
 	// Columns is the flat schema of Output, from the same compilation the rows
 	// came from (see OutputColumn).
 	Columns []OutputColumn
@@ -256,13 +258,59 @@ func Failure(strat Strategy, err error) *Result {
 	return res
 }
 
+// Output is a run's result dataset. On an unshredding route Execute leaves the
+// final step's unshred statement to the first call that needs the nested rows:
+// it runs once, on the run's executor, and its wall time, metrics and any
+// failure are the Result's as if Execute had run it. So a caller that reports
+// a run's Elapsed, Metrics or Err for an unshredding route uses Output first.
+// Every other route's Output is the dataset Execute left.
+type Output struct {
+	once     sync.Once
+	d        *dataflow.Dataset
+	deferred func() *dataflow.Dataset // the unshred statement; nil when d is final
+}
+
+func (o *Output) dataset() *dataflow.Dataset {
+	o.once.Do(func() {
+		if o.deferred != nil {
+			o.d, o.deferred = o.deferred(), nil
+		}
+	})
+	return o.d
+}
+
+// Count returns the number of output rows.
+func (o *Output) Count() int64 { return o.dataset().Count() }
+
+// Collect gathers the output rows (Dataset.Collect).
+func (o *Output) Collect() []dataflow.Row { return o.dataset().Collect() }
+
+// CollectSorted gathers the output rows in the deterministic value order.
+func (o *Output) CollectSorted() []dataflow.Row { return o.dataset().CollectSorted() }
+
+// CollectTop gathers the first k output rows of the value order beside the
+// row count (Dataset.CollectTop).
+func (o *Output) CollectTop(k int) ([]dataflow.Row, int) { return o.dataset().CollectTop(k) }
+
+// top returns the first limit output rows of the engine's canonical order (all
+// of them when limit <= 0) beside the row count: Output.CollectTop, except
+// that an unshredding route finds and builds the rows from its shredded output
+// (stitch.go) and never runs the unshred statement.
+func (r *Result) top(limit int) ([]dataflow.Row, int) {
+	if !r.Strategy.unshreds() {
+		return r.Output.CollectTop(limit)
+	}
+	rows, total, _ := stitchTop(r, limit)
+	return rows, total
+}
+
 // JSON renders the output rows as objects typed by Columns, in the engine's
 // canonical sorted order — the query half of the catalog's JSON-in → query →
 // JSON-out round trip, for callers that want Go values; WriteJSON writes the
 // same rows as bytes. A positive limit keeps only the first limit rows; total
 // counts them all.
 func (r *Result) JSON(limit int) (out []map[string]any, total int) {
-	rows, total := r.Output.CollectTop(limit)
+	rows, total := r.top(limit)
 	return ingest.EncodeRows(rows, r.Columns), total
 }
 
@@ -276,7 +324,7 @@ func (r *Result) JSON(limit int) (out []map[string]any, total int) {
 func (r *Result) WriteJSON(ctx context.Context, w io.Writer, limit int, lead, sep string) (returned, total int, err error) {
 	sp := trace.From(ctx).Span()
 	csp := sp.Child("collect")
-	rows, total := r.Output.CollectTop(limit)
+	rows, total := r.top(limit)
 	csp.End()
 	esp := sp.Child("encode")
 	defer esp.End()
