@@ -74,6 +74,51 @@ func inputBytes(inputs map[string]value.Bag) int64 {
 	return total
 }
 
+// runProgram compiles a program through runner, as a session's plan-cache
+// loop does but without the cache or statistics, and runs it over nested
+// inputs: the paper benchmarks plan without statistics (the cost-model
+// ablation), and their timed runs include compilation and input conversion.
+func runProgram(steps []nrc.Assignment, env nrc.Env, inputs map[string]value.Bag, strat runner.Strategy, cfg runner.Config) *runner.Result {
+	envs, _, err := runner.ResolveSteps(steps, env)
+	if err != nil {
+		return runner.Failure(strat, err)
+	}
+	prog := make([]*runner.Compiled, len(steps))
+	for i, st := range steps {
+		eff := runner.StepStrategy(strat, prog[0], i == len(steps)-1)
+		if prog[i], err = runner.CompileStep(st.Expr, envs[i], eff, cfg, st.Name); err != nil {
+			return runner.Failure(strat, err)
+		}
+	}
+	rows, idxs, err := runner.NewInputs(inputs, env).Bind(prog)
+	if err != nil {
+		return runner.Failure(strat, err)
+	}
+	dctx := runner.NewRunContext(cfg)
+	if cfg.Workers > 0 {
+		dctx.Pool = trance.NewPool(cfg.Workers)
+	}
+	return runner.Execute(context.Background(), prog, rows, idxs, dctx, runner.ExecOptions{})
+}
+
+// runQuery is runProgram over the query's one step.
+func runQuery(q nrc.Expr, env nrc.Env, inputs map[string]value.Bag, strat runner.Strategy, cfg runner.Config) *runner.Result {
+	return runProgram([]nrc.Assignment{{Name: "Q", Expr: q}}, env, inputs, strat, cfg)
+}
+
+// benchCatalog registers inputs, each under its type in env, in a fresh
+// catalog.
+func benchCatalog(b *testing.B, env nrc.Env, inputs map[string]value.Bag) *trance.Catalog {
+	b.Helper()
+	cat := trance.NewCatalog()
+	for name, bag := range inputs {
+		if err := cat.Register(name, env[name], bag); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return cat
+}
+
 type cell struct {
 	res *runner.Result
 }
@@ -125,7 +170,7 @@ func fig7(b *testing.B, wide bool) {
 					if class == tpch.NestedToFlat && strat == runner.ShredUnshred {
 						eff = runner.Shred
 					}
-					res := trance.Run(trance.Job{Query: q, Env: env, Inputs: inputs}, eff, cfg)
+					res := runQuery(q, env, inputs, eff, cfg)
 					c := cell{res: res}
 					fmt.Printf(" %7s|%-7s", c, c.shuffle())
 				}
@@ -168,7 +213,7 @@ func BenchmarkFig8Skew(b *testing.B) {
 			cfg := benchConfig(inputBytes(inputs))
 			fmt.Printf("%-6d", factor)
 			for _, strat := range strategies {
-				res := trance.Run(trance.Job{Query: q, Env: env, Inputs: inputs}, strat, cfg)
+				res := runQuery(q, env, inputs, strat, cfg)
 				c := cell{res: res}
 				fmt.Printf(" %9s|%-8s", c, c.shuffle())
 			}
@@ -200,7 +245,7 @@ func BenchmarkFig9Biomed(b *testing.B) {
 			fmt.Printf("\n%s dataset (%d KiB input): per-step ms, F = FAIL at that step\n",
 				ds.name, inputBytes(inputs)/1024)
 			for _, strat := range strategies {
-				res := trance.RunPipeline(biomed.Steps(), biomed.Env(), inputs, strat, cfg)
+				res := runProgram(biomed.Steps(), biomed.Env(), inputs, strat, cfg)
 				fmt.Printf("%-12s", strat)
 				for i, d := range res.StepElapsed {
 					if res.Failed() && i == res.FailedStep {
@@ -239,7 +284,7 @@ func BenchmarkAblationDomainElimination(b *testing.B) {
 			cfg := benchConfig(inputBytes(inputs))
 			cfg.MaxPartitionBytes = 0
 			cfg.DomainElimination = de
-			res := trance.Run(trance.Job{Query: q, Env: env, Inputs: inputs}, runner.Shred, cfg)
+			res := runQuery(q, env, inputs, runner.Shred, cfg)
 			status := "ok"
 			if res.Failed() {
 				status = "FAIL: " + res.Err.Error()
@@ -265,7 +310,7 @@ func BenchmarkAblationGuarantees(b *testing.B) {
 		for _, strat := range []runner.Strategy{runner.Standard, runner.SparkSQLStyle} {
 			cfg := benchConfig(inputBytes(inputs))
 			cfg.MaxPartitionBytes = 0
-			res := trance.Run(trance.Job{Query: q, Env: env, Inputs: inputs}, strat, cfg)
+			res := runQuery(q, env, inputs, strat, cfg)
 			fmt.Printf("%-12s %6.0f ms  stages=%d skipped=%d shuffleKiB=%.1f\n",
 				strat, float64(res.Elapsed.Microseconds())/1000,
 				res.Metrics.Stages, res.Metrics.SkippedShuffles,
@@ -299,8 +344,8 @@ func BenchmarkShuffleTable(b *testing.B) {
 			}
 			cfg := benchConfig(inputBytes(inputs))
 			cfg.MaxPartitionBytes = 0
-			std := trance.Run(trance.Job{Query: q, Env: env, Inputs: inputs}, runner.Standard, cfg)
-			shr := trance.Run(trance.Job{Query: q, Env: env, Inputs: inputs}, runner.Shred, cfg)
+			std := runQuery(q, env, inputs, runner.Standard, cfg)
+			shr := runQuery(q, env, inputs, runner.Shred, cfg)
 			ratio := float64(std.Metrics.ShuffleBytes) / float64(max64(shr.Metrics.ShuffleBytes, 1))
 			fmt.Printf("%-22s standard=%8.1fKiB shred=%8.1fKiB ratio=%.1fx\n",
 				row.name, float64(std.Metrics.ShuffleBytes)/1024,
@@ -365,7 +410,7 @@ func BenchmarkParallelScaling(b *testing.B) {
 		cfg := cfgFor(w.workers)
 		b.Run("tpch-n2n-L2/"+w.name, func(b *testing.B) {
 			for n := 0; n < b.N; n++ {
-				res := trance.Run(trance.Job{Query: q, Env: env, Inputs: inputs}, runner.Standard, cfg)
+				res := runQuery(q, env, inputs, runner.Standard, cfg)
 				if res.Failed() {
 					b.Fatalf("tpch failed: %v", res.Err)
 				}
@@ -373,7 +418,7 @@ func BenchmarkParallelScaling(b *testing.B) {
 		})
 		b.Run("biomed-e2e/"+w.name, func(b *testing.B) {
 			for n := 0; n < b.N; n++ {
-				pres := trance.RunPipeline(biomed.Steps(), biomed.Env(), bioInputs, runner.Standard, cfg)
+				pres := runProgram(biomed.Steps(), biomed.Env(), bioInputs, runner.Standard, cfg)
 				if pres.Failed() {
 					b.Fatalf("biomed failed: %v", pres.Err)
 				}
@@ -397,7 +442,7 @@ func BenchmarkRunningExample(b *testing.B) {
 	var expect value.Bag
 	for n := 0; n < b.N; n++ {
 		for _, strat := range []runner.Strategy{runner.Standard, runner.ShredUnshred} {
-			res := trance.Run(trance.Job{Query: q, Env: env, Inputs: inputs}, strat, cfg)
+			res := runQuery(q, env, inputs, strat, cfg)
 			if res.Failed() {
 				b.Fatalf("%s failed: %v", strat, res.Err)
 			}
@@ -418,12 +463,12 @@ func BenchmarkRunningExample(b *testing.B) {
 	}
 }
 
-// BenchmarkPreparedVsUnprepared measures what trance.Prepare amortizes: the
-// unprepared path rebuilds the query AST and re-runs typechecking,
-// (shredded) compilation and plan pruning on every evaluation — trance.Run
-// prepares through the plan cache, so each iteration empties it first — the
-// prepared path compiles once and only executes. Compare the sub-benchmarks
-// with benchstat.
+// BenchmarkPreparedVsUnprepared measures what a reused SessionQuery
+// amortizes: the unprepared path empties the plan cache and prepares the query
+// AST afresh in a new session on every evaluation — re-running typechecking,
+// (shredded) compilation and plan pruning — the prepared path prepares once
+// and only executes. Both read the same catalog generation, whose converted
+// inputs the catalog caches. Compare the sub-benchmarks with benchstat.
 func BenchmarkPreparedVsUnprepared(b *testing.B) {
 	// Small enough that compilation is a visible share of end-to-end latency
 	// (the serving regime: many fast queries over cached data).
@@ -432,39 +477,36 @@ func BenchmarkPreparedVsUnprepared(b *testing.B) {
 		Parts: scaled(50), Seed: 1,
 	})
 	const level = 1
-	inputs := map[string]value.Bag{
+	cat := benchCatalog(b, tpch.Env(tpch.NestedToNested, level, false), map[string]value.Bag{
 		"NDB":  tpch.BuildNested(tables, level, true),
 		"Part": tables.Part,
-	}
+	})
 	cfg := runner.DefaultConfig()
 
 	for _, strat := range []runner.Strategy{runner.Standard, runner.ShredUnshred} {
 		b.Run("unprepared/"+strat.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				trance.ResetPlanCache()
-				res := trance.Run(trance.Job{
-					Query:  tpch.Query(tpch.NestedToNested, level, false),
-					Env:    tpch.Env(tpch.NestedToNested, level, false),
-					Inputs: inputs,
-				}, strat, cfg)
-				if res.Failed() {
-					b.Fatal(res.Err)
+				sq, err := cat.NewSession(trance.SessionOptions{Config: &cfg}).Prepare(tpch.Query(tpch.NestedToNested, level, false))
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := sq.Run(context.Background(), strat); err != nil {
+					b.Fatal(err)
 				}
 			}
 		})
 		b.Run("prepared/"+strat.String(), func(b *testing.B) {
-			pq, err := trance.Prepare(tpch.Query(tpch.NestedToNested, level, false), trance.PrepareOptions{
-				Name:       "bench/nested-to-nested",
-				Env:        tpch.Env(tpch.NestedToNested, level, false),
-				Config:     &cfg,
-				Strategies: []trance.Strategy{strat},
-			})
+			sq, err := cat.NewSession(trance.SessionOptions{Config: &cfg}).PrepareNamed("bench/nested-to-nested", tpch.Query(tpch.NestedToNested, level, false))
 			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := sq.Run(context.Background(), strat); err != nil {
 				b.Fatal(err)
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := pq.Run(context.Background(), pq.BindData(inputs), strat); err != nil {
+				if _, err := sq.Run(context.Background(), strat); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -686,42 +728,46 @@ func BenchmarkTextQueryEndToEnd(b *testing.B) {
 	}
 }
 
-// BenchmarkPreparedPipelineVsUnprepared measures what trance.PreparePipeline
+// BenchmarkPreparedPipelineVsUnprepared measures what a reused SessionQuery
 // amortizes over the five-step biomedical pipeline: the unprepared path
-// empties the plan cache, then typechecks and compiles every step on every
-// evaluation, the prepared path compiles each step once into the plan cache
-// (with env-aware fingerprints covering prior steps' output types) and only
-// executes. Compare the sub-benchmarks with benchstat.
+// empties the plan cache, then prepares the steps afresh in a new session —
+// typechecking and compiling every step — on every evaluation, the prepared
+// path compiles each step once into the plan cache (with env-aware
+// fingerprints covering prior steps' output types) and only executes. Compare
+// the sub-benchmarks with benchstat.
 func BenchmarkPreparedPipelineVsUnprepared(b *testing.B) {
 	cfg := biomed.SmallConfig()
 	cfg.Samples = scaled(10)
 	cfg.Genes = scaled(30)
-	inputs := biomed.Generate(cfg)
+	cat := benchCatalog(b, biomed.Env(), biomed.Generate(cfg))
 	rcfg := runner.DefaultConfig()
 
 	for _, strat := range []runner.Strategy{runner.Standard, runner.Shred} {
 		b.Run("unprepared/"+strat.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				// An empty plan cache makes RunPipeline compile every step
-				// (fresh step ASTs) — the pre-catalog behavior of this library.
+				// An empty plan cache makes the fresh session compile every
+				// step (fresh step ASTs).
 				trance.ResetPlanCache()
-				res := trance.RunPipeline(biomed.Steps(), biomed.Env(), inputs, strat, rcfg)
-				if res.Failed() {
-					b.Fatal(res.Err)
+				sp, err := cat.NewSession(trance.SessionOptions{Config: &rcfg}).PreparePipeline(biomed.Steps())
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := sp.Run(context.Background(), strat); err != nil {
+					b.Fatal(err)
 				}
 			}
 		})
 		b.Run("prepared/"+strat.String(), func(b *testing.B) {
-			pp, err := trance.PreparePipeline(biomed.Steps(), trance.PrepareOptions{
-				Name: "bench/biomed-e2e", Env: biomed.Env(), Config: &rcfg,
-				Strategies: []trance.Strategy{strat},
-			})
+			sp, err := cat.NewSession(trance.SessionOptions{Config: &rcfg}).PreparePipeline(biomed.Steps())
 			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := sp.Run(context.Background(), strat); err != nil {
 				b.Fatal(err)
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := pp.Run(context.Background(), pp.BindData(inputs), strat); err != nil {
+				if _, err := sp.Run(context.Background(), strat); err != nil {
 					b.Fatal(err)
 				}
 			}

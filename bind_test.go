@@ -10,17 +10,14 @@ import (
 	"weak"
 
 	"github.com/trance-go/trance"
-	"github.com/trance-go/trance/internal/nrc"
-	"github.com/trance-go/trance/internal/plan"
 	"github.com/trance-go/trance/internal/shred"
-	"github.com/trance-go/trance/internal/stats"
 	"github.com/trance-go/trance/internal/tpch"
 	"github.com/trance-go/trance/internal/value"
 )
 
-// TestEveryEntryPointScansThePlannedIndex: a point lookup whose statistics
-// flag l_orderkey as indexed plans an IndexScan, and every way of running it —
-// Run, Prepare + BindData, RunPipeline and a catalog Session — binds the index
+// TestEveryEntryPointScansThePlannedIndex: a point lookup over a catalog
+// dataset indexed on l_orderkey plans an IndexScan, and every way of
+// preparing it — Prepare, PreparePipeline and PrepareText — binds the index
 // the plan scans, so each run moves index.scans by one and index.fallbacks by
 // none, on the standard route and on the shredded one (whose top component
 // the same index addresses).
@@ -28,13 +25,6 @@ func TestEveryEntryPointScansThePlannedIndex(t *testing.T) {
 	tables := tpch.Generate(tpch.DefaultConfig())
 	env := trance.Env{"Lineitem": tpch.FlatEnv()["Lineitem"]}
 	inputs := map[string]trance.Bag{"Lineitem": tables.Lineitem}
-	te := stats.Collect(tables.Lineitem, env["Lineitem"].(nrc.BagType), stats.Options{}).Estimate()
-	ce := te.Cols["l_orderkey"]
-	ce.IndexHash, ce.IndexOrdered = true, true
-	te.Cols["l_orderkey"] = ce
-	cfg := trance.DefaultConfig()
-	cfg.Stats = map[string]plan.TableEstimate{"Lineitem": te, shred.MatName("Lineitem", nil): te}
-
 	cat := trance.NewCatalog()
 	if err := cat.Register("Lineitem", env["Lineitem"], tables.Lineitem); err != nil {
 		t.Fatal(err)
@@ -42,44 +32,32 @@ func TestEveryEntryPointScansThePlannedIndex(t *testing.T) {
 	if _, err := cat.CreateIndex("Lineitem", "l_orderkey", ""); err != nil {
 		t.Fatal(err)
 	}
-	sessCfg := trance.DefaultConfig()
-	sess := cat.NewSession(trance.SessionOptions{Config: &sessCfg})
+	sess := cat.NewSession(trance.SessionOptions{})
 
 	want := oracle(t, tpch.PointLookup(777), env, inputs)
 	if len(want) == 0 {
 		t.Fatal("orderkey 777 matches no lineitem: the lookup checks nothing")
 	}
+	entries := []struct {
+		name    string
+		prepare func() (*trance.SessionQuery, error)
+	}{
+		{"Prepare", func() (*trance.SessionQuery, error) { return sess.Prepare(tpch.PointLookup(777)) }},
+		{"PreparePipeline", func() (*trance.SessionQuery, error) {
+			return sess.PreparePipeline([]trance.PipelineStep{{Name: "Q", Expr: tpch.PointLookup(777)}})
+		}},
+		{"PrepareText", func() (*trance.SessionQuery, error) {
+			return sess.PrepareText("", trance.Print(tpch.PointLookup(777)))
+		}},
+	}
 	for _, strat := range []trance.Strategy{trance.Standard, trance.ShredUnshred} {
-		entries := []struct {
-			name string
-			run  func() (*trance.Result, error)
-		}{
-			{"Run", func() (*trance.Result, error) {
-				res := trance.Run(trance.Job{Query: tpch.PointLookup(777), Env: env, Inputs: inputs}, strat, cfg)
-				return res, res.Err
-			}},
-			{"Prepare+BindData", func() (*trance.Result, error) {
-				pq, err := trance.Prepare(tpch.PointLookup(777), trance.PrepareOptions{Env: env, Config: &cfg})
-				if err != nil {
-					return nil, err
-				}
-				return pq.Run(context.Background(), pq.BindData(inputs), strat)
-			}},
-			{"RunPipeline", func() (*trance.Result, error) {
-				res := trance.RunPipeline([]trance.PipelineStep{{Name: "Q", Expr: tpch.PointLookup(777)}}, env, inputs, strat, cfg)
-				return res, res.Err
-			}},
-			{"Session", func() (*trance.Result, error) {
-				sq, err := sess.Prepare(tpch.PointLookup(777))
-				if err != nil {
-					return nil, err
-				}
-				return sq.Run(context.Background(), strat)
-			}},
-		}
 		for _, e := range entries {
+			sq, err := e.prepare()
+			if err != nil {
+				t.Fatalf("%s: %v", e.name, err)
+			}
 			before := trance.Counters()
-			res, err := e.run()
+			res, err := sq.Run(context.Background(), strat)
 			if err != nil {
 				t.Fatalf("%s %s: %v", e.name, strat, err)
 			}
@@ -96,28 +74,22 @@ func TestEveryEntryPointScansThePlannedIndex(t *testing.T) {
 	}
 }
 
-// TestBoundInputsConcurrentFirstUse: goroutines racing on the first run over
-// one BindData, and sessions racing on a fresh catalog generation, convert
-// and index each input once and scan the index on every run.
+// TestBoundInputsConcurrentFirstUse: goroutines racing on the first run of one
+// session query, and sessions racing on the same fresh catalog generation,
+// convert the input once, scan the generation's index on every run and build
+// none of their own.
 func TestBoundInputsConcurrentFirstUse(t *testing.T) {
 	tables := tpch.Generate(tpch.DefaultConfig())
 	env := trance.Env{"Lineitem": tpch.FlatEnv()["Lineitem"]}
-	te := stats.Collect(tables.Lineitem, env["Lineitem"].(nrc.BagType), stats.Options{}).Estimate()
-	ce := te.Cols["l_orderkey"]
-	ce.IndexHash = true
-	te.Cols["l_orderkey"] = ce
-	cfg := trance.DefaultConfig()
-	cfg.Stats = map[string]plan.TableEstimate{"Lineitem": te}
-	pq, err := trance.Prepare(tpch.PointLookup(777), trance.PrepareOptions{Env: env, Config: &cfg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	data := pq.BindData(map[string]trance.Bag{"Lineitem": tables.Lineitem})
 	cat := trance.NewCatalog()
 	if err := cat.Register("Lineitem", env["Lineitem"], tables.Lineitem); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := cat.CreateIndex("Lineitem", "l_orderkey", "hash"); err != nil {
+		t.Fatal(err)
+	}
+	shared, err := cat.NewSession(trance.SessionOptions{}).Prepare(tpch.PointLookup(777))
+	if err != nil {
 		t.Fatal(err)
 	}
 	want := oracle(t, tpch.PointLookup(777), env, map[string]trance.Bag{"Lineitem": tables.Lineitem})
@@ -130,15 +102,14 @@ func TestBoundInputsConcurrentFirstUse(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var res *trance.Result
+			sq := shared
 			var err error
-			if g%2 == 0 {
-				res, err = pq.Run(context.Background(), data, trance.Standard)
-			} else {
-				var sq *trance.SessionQuery
-				if sq, err = cat.NewSession(trance.SessionOptions{}).Prepare(tpch.PointLookup(777)); err == nil {
-					res, err = sq.Run(context.Background(), trance.Standard)
-				}
+			if g%2 == 1 {
+				sq, err = cat.NewSession(trance.SessionOptions{}).Prepare(tpch.PointLookup(777))
+			}
+			var res *trance.Result
+			if err == nil {
+				res, err = sq.Run(context.Background(), trance.Standard)
 			}
 			if err != nil {
 				errs <- err
@@ -156,8 +127,8 @@ func TestBoundInputsConcurrentFirstUse(t *testing.T) {
 	if scans, fallbacks := after["index.scans"]-before["index.scans"], after["index.fallbacks"]-before["index.fallbacks"]; scans != 2*goroutines || fallbacks != 0 {
 		t.Errorf("index scans +%d, fallbacks +%d; want +%d, +0", scans, fallbacks, 2*goroutines)
 	}
-	if built := after["index.built"] - before["index.built"]; built != 1 {
-		t.Errorf("%d indexes built, want the one the BindData plan planned", built)
+	if built := after["index.built"] - before["index.built"]; built != 0 {
+		t.Errorf("runs built %d indexes, want none: the generation's index is bound", built)
 	}
 	if owned := trance.CatalogInputs(cat, "Lineitem"); len(owned) != 1 {
 		t.Errorf("catalog owns inputs %v of Lineitem, want one", owned)

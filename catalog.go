@@ -245,7 +245,7 @@ func (c *Catalog) mutate(name string, next func(cur *catalogEntry) (*catalogEntr
 		c.mu.Lock()
 		if c.entries[name] == cur {
 			c.nextGen++
-			e.gen, e.stats.Generation = c.nextGen, c.nextGen
+			e.gen, e.stats.Generation, e.info.Generation = c.nextGen, c.nextGen, c.nextGen
 			if cur == nil {
 				c.order = append(c.order, name)
 			}
@@ -287,6 +287,9 @@ type DatasetInfo struct {
 	Chunks int
 	// Source records how the dataset was registered: "go" or "json".
 	Source string
+	// Generation is the dataset generation this info describes — the one its
+	// statistics (Catalog.Stats) and indexes are stamped with.
+	Generation int64
 }
 
 // NewCatalog creates an empty catalog.

@@ -412,9 +412,59 @@ func TestCatalogMutationsRace(t *testing.T) {
 	}
 }
 
+// TestInfoCarriesTheGeneration: a dataset's info names the generation it
+// describes — the one its statistics and indexes are stamped with — after
+// registration and every kind of mutation, and the info or index a mutation
+// returns is the generation it installed.
+func TestInfoCarriesTheGeneration(t *testing.T) {
+	cat := trance.NewCatalog()
+	if err := cat.Register("D", mutType(), mutBag(10)); err != nil {
+		t.Fatal(err)
+	}
+	var last int64
+	check := func(step string, returned int64) {
+		t.Helper()
+		info, _ := cat.Info("D")
+		st, _ := cat.Stats("D")
+		if info.Generation != st.Generation || info.Generation <= last || returned != info.Generation {
+			t.Fatalf("%s: info generation %d, statistics %d, returned %d, previous %d",
+				step, info.Generation, st.Generation, returned, last)
+		}
+		last = info.Generation
+	}
+	info, _ := cat.Info("D")
+	check("register", info.Generation)
+	info, err := cat.Append("D", trance.Bag{mutRow(100)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("append", info.Generation)
+	if _, err := cat.Delete("D", "id", int64(3)); err != nil {
+		t.Fatal(err)
+	}
+	info, _ = cat.Info("D")
+	check("delete", info.Generation)
+	ii, err := cat.CreateIndex("D", "grp", "hash")
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("create index", ii.Generation)
+}
+
+// runJSON runs sq and renders every row of the Result as a JSON object, by
+// the run's own output schema.
+func runJSON(ctx context.Context, sq *trance.SessionQuery, strat trance.Strategy) ([]map[string]any, error) {
+	res, err := sq.Run(ctx, strat)
+	if err != nil {
+		return nil, err
+	}
+	rows, _ := res.JSON(0)
+	return rows, nil
+}
+
 // TestRunJSONFollowsReregisteredType: the JSON field names come from the same
 // catalog resolution as the rows. Dropping a dataset and re-registering it
-// under a different tuple type must make the next RunJSON answer with the new
+// under a different tuple type must make the next Run answer with the new
 // fields — not encode the new rows under the dropped generation's schema.
 func TestRunJSONFollowsReregisteredType(t *testing.T) {
 	cat := trance.NewCatalog()
@@ -427,7 +477,7 @@ func TestRunJSONFollowsReregisteredType(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	if rows, err := sq.RunJSON(ctx, trance.Standard); err != nil || len(rows) != 1 || rows[0]["a"] != "s" {
+	if rows, err := runJSON(ctx, sq, trance.Standard); err != nil || len(rows) != 1 || rows[0]["a"] != "s" {
 		t.Fatalf("first generation: %v, %v", rows, err)
 	}
 	cat.Drop("D")
@@ -436,7 +486,7 @@ func TestRunJSONFollowsReregisteredType(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, strat := range []trance.Strategy{trance.Standard, trance.ShredUnshred} {
-		rows, err := sq.RunJSON(ctx, strat)
+		rows, err := runJSON(ctx, sq, strat)
 		if err != nil {
 			t.Fatalf("%s: %v", strat, err)
 		}
@@ -446,10 +496,11 @@ func TestRunJSONFollowsReregisteredType(t *testing.T) {
 	}
 }
 
-// TestRunJSONRacesAppend: RunJSON and Run on one session query while the
-// dataset keeps appending — every reader resolves schema and rows under the
-// query's lock, so the race detector stays quiet and every answer is a whole
-// generation (the key row is always there, with the query's two fields).
+// TestRunJSONRacesAppend: runs rendered as JSON and plain runs of one session
+// query while the dataset keeps appending — every reader resolves schema and
+// rows under the query's lock, so the race detector stays quiet and every
+// answer is a whole generation (the key row is always there, with the query's
+// two fields).
 func TestRunJSONRacesAppend(t *testing.T) {
 	cat := trance.NewCatalog()
 	if err := cat.Register("D", mutType(), mutBag(20)); err != nil {
@@ -472,9 +523,9 @@ func TestRunJSONRacesAppend(t *testing.T) {
 					return
 				default:
 				}
-				rows, err := sq.RunJSON(ctx, trance.Standard)
+				rows, err := runJSON(ctx, sq, trance.Standard)
 				if err != nil || len(rows) != 1 || len(rows[0]) != 2 || rows[0]["id"] != int64(7) {
-					t.Errorf("RunJSON under append: %v, %v", rows, err)
+					t.Errorf("JSON run under append: %v, %v", rows, err)
 					return
 				}
 			}

@@ -194,7 +194,7 @@ func TestCatalogJSONEndToEnd(t *testing.T) {
 	}
 	var blobs []string
 	for _, strat := range []trance.Strategy{trance.Standard, trance.SparkSQLStyle, trance.ShredUnshred, trance.StandardSkew, trance.ShredUnshredSkew} {
-		rows, err := sq.RunJSON(context.Background(), strat)
+		rows, err := runJSON(context.Background(), sq, strat)
 		if err != nil {
 			t.Fatalf("%v: %v", strat, err)
 		}
@@ -266,20 +266,24 @@ func pipelineSteps(lo int64) []trance.PipelineStep {
 	}
 }
 
-// The PR-2 rough edge, fixed: a repeated pipeline compiles each step exactly
-// once — later runs hit the plan cache for every step under every strategy.
+// A repeated pipeline compiles each step exactly once — later runs, each
+// prepared afresh in a new session over the same catalog generation, hit the
+// plan cache for every step under every strategy.
 func TestRunPipelineReusesPlanCache(t *testing.T) {
-	env := prepEnv()
-	inputs := prepInputs(8100)
+	cat := prepCatalog(t, 8100)
 	strategies := []trance.Strategy{trance.Standard, trance.Shred, trance.ShredUnshred}
 
 	var want trance.Bag
 	before := trance.Counters()
 	for round := 0; round < 4; round++ {
+		sp, err := cat.NewSession(trance.SessionOptions{}).PreparePipeline(pipelineSteps(8101))
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, strat := range strategies {
-			res := trance.RunPipeline(pipelineSteps(8101), env, inputs, strat, trance.DefaultConfig())
-			if res.Failed() {
-				t.Fatalf("round %d %v: %v", round, strat, res.Err)
+			res, err := sp.Run(context.Background(), strat)
+			if err != nil {
+				t.Fatalf("round %d %v: %v", round, strat, err)
 			}
 			if len(res.StepElapsed) != 2 {
 				t.Fatalf("want 2 timed steps, got %v", res.StepElapsed)
@@ -287,7 +291,7 @@ func TestRunPipelineReusesPlanCache(t *testing.T) {
 			if strat == trance.Shred {
 				continue // shredded top output is not comparable to nested
 			}
-			got := collectPipelineBag(res)
+			got := collectBag(res)
 			if want == nil {
 				want = got
 			} else if !trance.ValuesEqual(got, want) {
@@ -308,14 +312,6 @@ func TestRunPipelineReusesPlanCache(t *testing.T) {
 	}
 }
 
-func collectPipelineBag(res *trance.Result) trance.Bag {
-	out := make(trance.Bag, 0)
-	for _, r := range res.Output.CollectSorted() {
-		out = append(out, trance.Tuple(r))
-	}
-	return out
-}
-
 // Env-aware fingerprints: pipelines whose step queries print identically but
 // consume differently typed prior outputs must not share compiled plans.
 func TestPipelineFingerprintsAreEnvAware(t *testing.T) {
@@ -333,36 +329,40 @@ func TestPipelineFingerprintsAreEnvAware(t *testing.T) {
 		{Name: "Big", Expr: trance.ForIn("r", trance.V("RS"), trance.SingOf(trance.V("r")))},
 		{Name: "Out", Expr: mkSecond()},
 	}
-	envI := trance.Env{"RI": trance.BagOf(trance.Tup("k", trance.IntT))}
-	envS := trance.Env{"RS": trance.BagOf(trance.Tup("k", trance.StringT))}
-
-	ppI, err := trance.PreparePipeline(intSteps, trance.PrepareOptions{Env: envI})
-	if err != nil {
+	cat := trance.NewCatalog()
+	if err := cat.Register("RI", trance.BagOf(trance.Tup("k", trance.IntT)), trance.Bag{trance.Tuple{int64(7)}}); err != nil {
 		t.Fatal(err)
 	}
-	ppS, err := trance.PreparePipeline(strSteps, trance.PrepareOptions{Env: envS})
-	if err != nil {
+	if err := cat.Register("RS", trance.BagOf(trance.Tup("k", trance.StringT)), trance.Bag{trance.Tuple{"seven"}}); err != nil {
 		t.Fatal(err)
 	}
-	ri, err := ppI.Run(context.Background(), ppI.BindData(map[string]trance.Bag{"RI": {trance.Tuple{int64(7)}}}), trance.Standard)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rs, err := ppS.Run(context.Background(), ppS.BindData(map[string]trance.Bag{"RS": {trance.Tuple{"seven"}}}), trance.Standard)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := collectPipelineBag(ri); !trance.ValuesEqual(got, trance.Bag{trance.Tuple{int64(7)}}) {
-		t.Fatalf("int pipeline: %s", trance.FormatValue(got))
-	}
-	if got := collectPipelineBag(rs); !trance.ValuesEqual(got, trance.Bag{trance.Tuple{"seven"}}) {
-		t.Fatalf("string pipeline: %s", trance.FormatValue(got))
-	}
-	if ot, want := ppI.OutType().String(), "Bag(⟨x: int⟩)"; ot != want {
-		t.Fatalf("int pipeline out type %s, want %s", ot, want)
-	}
-	if ot, want := ppS.OutType().String(), "Bag(⟨x: string⟩)"; ot != want {
-		t.Fatalf("string pipeline out type %s, want %s", ot, want)
+	sess := cat.NewSession(trance.SessionOptions{})
+	for _, c := range []struct {
+		steps []trance.PipelineStep
+		want  trance.Value
+		typ   string
+	}{
+		{intSteps, int64(7), "int"},
+		{strSteps, "seven", "string"},
+	} {
+		sp, err := sess.PreparePipeline(c.steps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := sp.Run(context.Background(), trance.Standard)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := collectBag(res); !trance.ValuesEqual(got, trance.Bag{trance.Tuple{c.want}}) {
+			t.Fatalf("%s pipeline: %s", c.typ, trance.FormatValue(got))
+		}
+		cols, err := sp.Prepared().OutputSchema(trance.Standard)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(cols) != 1 || cols[0].Name != "x" || cols[0].Type.String() != c.typ {
+			t.Fatalf("%s pipeline output columns %+v, want x: %s", c.typ, cols, c.typ)
+		}
 	}
 }
 
@@ -382,7 +382,7 @@ func TestSessionPreparePipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := collectPipelineBag(seq)
+	want := collectBag(seq)
 
 	const goroutines = 8
 	var wg sync.WaitGroup
@@ -397,7 +397,7 @@ func TestSessionPreparePipeline(t *testing.T) {
 				errs <- fmt.Errorf("goroutine %d (%v): %w", g, strat, err)
 				return
 			}
-			if got := collectPipelineBag(res); !trance.ValuesEqual(got, want) {
+			if got := collectBag(res); !trance.ValuesEqual(got, want) {
 				errs <- fmt.Errorf("goroutine %d (%v): got %s want %s",
 					g, strat, trance.FormatValue(got), trance.FormatValue(want))
 			}

@@ -20,8 +20,6 @@ import (
 
 	"github.com/trance-go/trance"
 	"github.com/trance-go/trance/internal/biomed"
-	"github.com/trance-go/trance/internal/nrc"
-	"github.com/trance-go/trance/internal/stats"
 	"github.com/trance-go/trance/internal/tpch"
 	"github.com/trance-go/trance/internal/value"
 )
@@ -96,30 +94,45 @@ func parseStrategy(s string) trance.Strategy {
 }
 
 // defaultCustomers sizes the TPC-H data run generates by default, and the data
-// explain collects its statistics over.
+// explain plans over.
 const defaultCustomers = 200
 
+// job is a built-in query and the catalog holding its inputs.
+type job struct {
+	query trance.Expr
+	cat   *trance.Catalog
+}
+
+// registered registers inputs, each under its type in env, in a fresh
+// catalog, which collects their statistics — what the cost model and
+// placement plan from.
+func registered(env trance.Env, inputs map[string]value.Bag) *trance.Catalog {
+	cat := trance.NewCatalog()
+	for name, t := range env {
+		if err := cat.Register(name, t, inputs[name]); err != nil {
+			log.Fatal(err)
+		}
+	}
+	return cat
+}
+
 // tpchJob is the built-in query of the class and level over generated TPC-H
-// data, and the default config with every input's statistics — what a catalog
-// collects on registration, and what the cost model and placement plan from.
-func tpchJob(class tpch.QueryClass, level int, wide bool, customers, skew int) (trance.Job, trance.Config) {
+// data registered in a catalog, and the default config to run it under.
+func tpchJob(class tpch.QueryClass, level int, wide bool, customers, skew int) (job, trance.Config) {
 	tables := tpch.Generate(tpch.Config{
 		Customers: customers, OrdersPerCustomer: 6, LinesPerOrder: 4,
 		Parts: 100, SkewFactor: skew, Seed: 1,
 	})
-	job := trance.Job{Query: tpch.Query(class, level, wide), Env: tpch.Env(class, level, wide), Inputs: map[string]value.Bag{}}
-	if class == tpch.FlatToNested {
-		job.Inputs = tables.Inputs()
-	} else {
-		job.Inputs["NDB"] = tpch.BuildNested(tables, level, true)
-		job.Inputs["Part"] = tables.Part
+	inputs := tables.Inputs()
+	if class != tpch.FlatToNested {
+		inputs = map[string]value.Bag{"NDB": tpch.BuildNested(tables, level, true), "Part": tables.Part}
 	}
-	cfg := trance.DefaultConfig()
-	cfg.Stats = map[string]trance.TableEstimate{}
-	for name, t := range job.Env {
-		cfg.Stats[name] = stats.Collect(job.Inputs[name], t.(nrc.BagType), stats.Options{}).Estimate()
-	}
-	return job, cfg
+	return job{query: tpch.Query(class, level, wide), cat: registered(tpch.Env(class, level, wide), inputs)}, trance.DefaultConfig()
+}
+
+// prepare prepares the job's query in a session under cfg over its catalog.
+func (j job) prepare(cfg trance.Config) (*trance.SessionQuery, error) {
+	return j.cat.NewSession(trance.SessionOptions{Config: &cfg}).Prepare(j.query)
 }
 
 func cmdExplain(args []string) {
@@ -131,21 +144,21 @@ func cmdExplain(args []string) {
 
 	qc := parseClass(*class)
 	checkLevel(*level)
-	job, cfg := tpchJob(qc, *level, *wide, defaultCustomers, 0)
+	j, cfg := tpchJob(qc, *level, *wide, defaultCustomers, 0)
 
 	fmt.Println("=== NRC ===")
-	fmt.Println(trance.Print(job.Query))
-	pq, err := trance.Prepare(job.Query, trance.PrepareOptions{Env: job.Env, Config: &cfg})
+	fmt.Println(trance.Print(j.query))
+	sq, err := j.prepare(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
-	plans, err := pq.Explain(trance.Standard)
+	plans, err := sq.Prepared().Explain(trance.Standard)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("\n=== standard plan ===")
 	fmt.Println(plans)
-	sp, err := trance.ExplainShredded(job.Query, job.Env)
+	sp, err := trance.ExplainShredded(j.query, j.cat.Env())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -166,16 +179,23 @@ func cmdRun(args []string) {
 
 	qc := parseClass(*class)
 	checkLevel(*level)
-	job, cfg := tpchJob(qc, *level, *wide, *customers, *skew)
-	if err := runJob(os.Stdout, job, parseStrategy(*strategy), cfg, *show); err != nil {
+	j, cfg := tpchJob(qc, *level, *wide, *customers, *skew)
+	if err := runJob(os.Stdout, j, parseStrategy(*strategy), cfg, *show); err != nil {
 		log.Fatalf("run failed: %v", err)
 	}
 }
 
-// runJob runs job and writes run's report to w: the header line — runtime,
+// runJob runs j and writes run's report to w: the header line — runtime,
 // rows and engine metrics — then the first show rows.
-func runJob(w io.Writer, job trance.Job, strat trance.Strategy, cfg trance.Config, show int) error {
-	res := trance.Run(job, strat, cfg)
+func runJob(w io.Writer, j job, strat trance.Strategy, cfg trance.Config, show int) error {
+	sq, err := j.prepare(cfg)
+	if err != nil {
+		return err
+	}
+	res, err := sq.Run(context.Background(), strat)
+	if res == nil {
+		return err
+	}
 	// Counting first runs an unshredding route's deferred unshred statement,
 	// which Elapsed, Metrics and Err then include.
 	var rows int64
@@ -307,9 +327,14 @@ func cmdBiomed(args []string) {
 	if *full {
 		cfg = biomed.FullConfig()
 	}
-	inputs := biomed.Generate(cfg)
-	res := trance.RunPipeline(biomed.Steps(), biomed.Env(), inputs,
-		parseStrategy(*strategy), trance.DefaultConfig())
+	sq, err := registered(biomed.Env(), biomed.Generate(cfg)).NewSession(trance.SessionOptions{}).PreparePipeline(biomed.Steps())
+	if err != nil {
+		log.Fatal(err)
+	}
+	res, err := sq.Run(context.Background(), parseStrategy(*strategy))
+	if res == nil {
+		log.Fatal(err)
+	}
 	var rows int64
 	if !res.Failed() {
 		rows = res.Output.Count() // unshreds first, as in cmdRun

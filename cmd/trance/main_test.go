@@ -9,21 +9,28 @@ import (
 	"github.com/trance-go/trance/internal/tpch"
 )
 
-// TestTPCHJobPlansWithStatistics: the data run and explain generate comes with
-// its statistics, so the level-2 nested-to-nested standard route plans the
-// join to Part as a broadcast and places every Γ where its rows lie — a run
-// shuffles nothing, as the route served from a catalog does.
+// TestTPCHJobPlansWithStatistics: the data run and explain generate is
+// registered in a catalog, which collects its statistics, so the level-2
+// nested-to-nested standard route plans the join to Part as a broadcast and
+// places every Γ where its rows lie — a run shuffles nothing, as the route
+// tranced serves does.
 func TestTPCHJobPlansWithStatistics(t *testing.T) {
 	job, cfg := tpchJob(tpch.NestedToNested, 2, false, 30, 0)
-	if len(cfg.Stats) != len(job.Env) {
-		t.Fatalf("statistics for %d of %d inputs", len(cfg.Stats), len(job.Env))
+	names := job.cat.Names()
+	if len(names) != 2 {
+		t.Fatalf("catalog holds %v, want NDB and Part", names)
 	}
-	res := trance.Run(job, trance.Standard, cfg)
-	if res.Failed() {
-		t.Fatal(res.Err)
+	for _, name := range names {
+		if st, ok := job.cat.Stats(name); !ok || st.Rows == 0 {
+			t.Fatalf("no statistics for input %s", name)
+		}
 	}
-	if res.Output.Count() == 0 || res.Metrics.ShuffleBytes != 0 {
-		t.Fatalf("%d rows, %d bytes shuffled, want rows and none shuffled", res.Output.Count(), res.Metrics.ShuffleBytes)
+	var out strings.Builder
+	if err := runJob(&out, job, trance.Standard, cfg, 0); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out.String(), ", shuffle=0B/0rec ") || strings.Contains(out.String(), "rows=0,") {
+		t.Fatalf("run printed\n%s\nwant rows and none shuffled", out.String())
 	}
 }
 
@@ -40,6 +47,35 @@ func TestRunReportsUnshredding(t *testing.T) {
 	for _, want := range []string{"SHRED+UNSHRED: ", "rows=200, shuffle=708055B/12122rec ", " stages=5 skipped=2 "} {
 		if !strings.Contains(out.String(), want) {
 			t.Fatalf("run printed\n%s\nwant it to contain %q", out.String(), want)
+		}
+	}
+}
+
+// TestRunHeaderLines pins run's header line, times aside, on one route of
+// each shape: a standard route that broadcasts and places every Γ, a skew
+// join, an unshredding route over flat inputs and a shredded route to a flat
+// output.
+func TestRunHeaderLines(t *testing.T) {
+	for _, c := range []struct {
+		class tpch.QueryClass
+		strat trance.Strategy
+		skew  int
+		want  []string
+	}{
+		{tpch.NestedToNested, trance.Standard, 0, []string{"STANDARD: ", "rows=200, shuffle=0B/0rec broadcast=32096B ", " stages=0 skipped=3 "}},
+		{tpch.NestedToNested, trance.ShredSkew, 3, []string{"SHRED-SKEW: ", "rows=200, shuffle=221573B/4800rec ", " stages=1 skipped=0 "}},
+		{tpch.FlatToNested, trance.ShredUnshred, 0, []string{"SHRED+UNSHRED: ", "rows=200, shuffle=376800B/7400rec ", " stages=4 skipped=2 "}},
+		{tpch.NestedToFlat, trance.Shred, 0, []string{"SHRED: ", "rows=200, shuffle=355200B/10800rec broadcast=400000B ", " stages=3 "}},
+	} {
+		job, cfg := tpchJob(c.class, 2, false, defaultCustomers, c.skew)
+		var out strings.Builder
+		if err := runJob(&out, job, c.strat, cfg, 0); err != nil {
+			t.Fatalf("%s %s: %v", c.class, c.strat, err)
+		}
+		for _, want := range c.want {
+			if !strings.Contains(out.String(), want) {
+				t.Errorf("%s %s skew %d printed\n%s\nwant it to contain %q", c.class, c.strat, c.skew, out.String(), want)
+			}
 		}
 	}
 }

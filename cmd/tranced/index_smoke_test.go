@@ -179,3 +179,31 @@ func TestDatasetChunksObservable(t *testing.T) {
 	}
 	check("delete", 1, "exact")
 }
+
+// TestMutationRepliesCarryTheirGeneration: the append, delete and
+// index-build replies name the generation of one catalog snapshot, the one
+// the dataset's info and statistics are stamped with.
+func TestMutationRepliesCarryTheirGeneration(t *testing.T) {
+	cfg := defaultServerConfig()
+	cfg.Customers = 5
+	cfg.MaxLevel = 0
+	srv, err := newServer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	check := func(step string, reply map[string]any) {
+		t.Helper()
+		info, _ := srv.catalog.Info("datasets/gen")
+		st, _ := srv.catalog.Stats("datasets/gen")
+		if gen := reply["generation"]; gen != float64(info.Generation) || info.Generation != st.Generation {
+			t.Fatalf("%s: reply generation %v, info %d, statistics %d", step, gen, info.Generation, st.Generation)
+		}
+	}
+	postJSON(t, ts, "/datasets?name=gen", "{\"id\": 1, \"tag\": 0}\n{\"id\": 2, \"tag\": 0}\n", http.StatusCreated)
+	check("append", postJSON(t, ts, "/datasets/gen/append", "{\"id\": 3, \"tag\": 1}\n", http.StatusOK))
+	check("delete", postJSON(t, ts, "/datasets/gen/delete?column=tag&value=1", "", http.StatusOK))
+	check("index", postJSON(t, ts, "/datasets/gen/indexes?column=id&kind=hash", "", http.StatusCreated))
+}

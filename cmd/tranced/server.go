@@ -591,10 +591,9 @@ func (s *server) handleDatasetMutate(w http.ResponseWriter, r *http.Request) {
 			httpError(w, http.StatusBadRequest, "append %s: %v", name, err)
 			return
 		}
-		st, _ := s.catalog.Stats(name)
 		writeJSON(w, http.StatusOK, map[string]any{
 			"name": name, "appended": n, "rows": info.Rows, "bytes": info.Bytes,
-			"generation": st.Generation,
+			"generation": info.Generation,
 		})
 	case "delete":
 		q := r.URL.Query()
@@ -608,11 +607,14 @@ func (s *server) handleDatasetMutate(w http.ResponseWriter, r *http.Request) {
 			httpError(w, http.StatusBadRequest, "delete %s: %v", name, err)
 			return
 		}
-		info, _ := s.catalog.Info(name)
-		st, _ := s.catalog.Stats(name)
+		info, ok := s.catalog.Info(name)
+		if !ok {
+			httpError(w, http.StatusNotFound, "delete %s: the dataset was dropped", name)
+			return
+		}
 		writeJSON(w, http.StatusOK, map[string]any{
 			"name": name, "removed": removed, "rows": info.Rows,
-			"generation": st.Generation,
+			"generation": info.Generation,
 		})
 	default:
 		httpError(w, http.StatusNotFound,

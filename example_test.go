@@ -9,19 +9,28 @@ import (
 	"github.com/trance-go/trance"
 )
 
-// ExampleRun compiles and runs a small NRC query through the standard route:
-// for each row of R, emit a record with the incremented a attribute.
-func ExampleRun() {
-	env := trance.Env{"R": trance.BagOf(trance.Tup("a", trance.IntT))}
-	inputs := map[string]trance.Bag{
-		"R": {trance.Tuple{int64(1)}, trance.Tuple{int64(2)}, trance.Tuple{int64(3)}},
+// ExampleSessionQuery_Run registers a small dataset in a catalog, prepares
+// an NRC query against it in a session and runs it through the standard
+// route: for each row of R, emit a record with the incremented a attribute.
+func ExampleSessionQuery_Run() {
+	cat := trance.NewCatalog()
+	err := cat.Register("R", trance.BagOf(trance.Tup("a", trance.IntT)),
+		trance.Bag{trance.Tuple{int64(1)}, trance.Tuple{int64(2)}, trance.Tuple{int64(3)}})
+	if err != nil {
+		fmt.Println("register failed:", err)
+		return
 	}
 	q := trance.ForIn("x", trance.V("R"),
 		trance.SingOf(trance.Record("b", trance.AddOf(trance.P(trance.V("x"), "a"), trance.C(int64(1))))))
 
-	res := trance.Run(trance.Job{Query: q, Env: env, Inputs: inputs}, trance.Standard, trance.DefaultConfig())
-	if res.Failed() {
-		fmt.Println("failed:", res.Err)
+	sq, err := cat.NewSession(trance.SessionOptions{}).Prepare(q)
+	if err != nil {
+		fmt.Println("prepare failed:", err)
+		return
+	}
+	res, err := sq.Run(context.Background(), trance.Standard)
+	if err != nil {
+		fmt.Println("run failed:", err)
 		return
 	}
 	for _, row := range res.Output.CollectSorted() {
@@ -33,22 +42,25 @@ func ExampleRun() {
 	// ⟨4⟩
 }
 
-// ExampleRun_strategies runs one nested query under the standard route and
-// the shredded route with unshredding (paper Section 6's STANDARD vs
-// SHRED+UNSHRED) and checks they agree — the repository-wide invariant every
-// strategy is tested against.
-func ExampleRun_strategies() {
+// ExampleSessionQuery_Run_strategies runs one nested query under the standard
+// route and the shredded route with unshredding (paper Section 6's STANDARD
+// vs SHRED+UNSHRED) and checks they agree — the repository-wide invariant
+// every strategy is tested against.
+func ExampleSessionQuery_Run_strategies() {
 	order := trance.Tup("pid", trance.IntT, "qty", trance.IntT)
-	env := trance.Env{
-		"CO":   trance.BagOf(trance.Tup("cname", trance.StringT, "orders", trance.BagOf(order))),
-		"Part": trance.BagOf(trance.Tup("pid", trance.IntT, "pname", trance.StringT)),
+	cat := trance.NewCatalog()
+	if err := cat.Register("CO", trance.BagOf(trance.Tup("cname", trance.StringT, "orders", trance.BagOf(order))), trance.Bag{
+		trance.Tuple{"alice", trance.Bag{trance.Tuple{int64(1), int64(5)}, trance.Tuple{int64(2), int64(7)}}},
+		trance.Tuple{"bob", trance.Bag{}},
+	}); err != nil {
+		fmt.Println("register failed:", err)
+		return
 	}
-	inputs := map[string]trance.Bag{
-		"CO": {
-			trance.Tuple{"alice", trance.Bag{trance.Tuple{int64(1), int64(5)}, trance.Tuple{int64(2), int64(7)}}},
-			trance.Tuple{"bob", trance.Bag{}},
-		},
-		"Part": {trance.Tuple{int64(1), "bolt"}, trance.Tuple{int64(2), "nut"}},
+	if err := cat.Register("Part", trance.BagOf(trance.Tup("pid", trance.IntT, "pname", trance.StringT)), trance.Bag{
+		trance.Tuple{int64(1), "bolt"}, trance.Tuple{int64(2), "nut"},
+	}); err != nil {
+		fmt.Println("register failed:", err)
+		return
 	}
 	// For each customer, resolve each ordered part to its name (a
 	// nested-to-nested query joining an inner collection with a flat input).
@@ -62,22 +74,24 @@ func ExampleRun_strategies() {
 							"pname", trance.P(trance.V("p"), "pname"),
 							"qty", trance.P(trance.V("o"), "qty")))))))))
 
-	cfg := trance.DefaultConfig()
-	std := trance.Run(trance.Job{Query: q, Env: env, Inputs: inputs}, trance.Standard, cfg)
-	shr := trance.Run(trance.Job{Query: q, Env: env, Inputs: inputs}, trance.ShredUnshred, cfg)
-	if std.Failed() || shr.Failed() {
-		fmt.Println("failed:", std.Err, shr.Err)
+	sq, err := cat.NewSession(trance.SessionOptions{}).Prepare(q)
+	if err != nil {
+		fmt.Println("prepare failed:", err)
 		return
 	}
-	var a, b trance.Bag
-	for _, r := range std.Output.CollectSorted() {
-		a = append(a, trance.Tuple(r))
+	var results [2]trance.Bag
+	for i, strat := range []trance.Strategy{trance.Standard, trance.ShredUnshred} {
+		res, err := sq.Run(context.Background(), strat)
+		if err != nil {
+			fmt.Println("run failed:", err)
+			return
+		}
+		for _, r := range res.Output.CollectSorted() {
+			results[i] = append(results[i], trance.Tuple(r))
+		}
 	}
-	for _, r := range shr.Output.CollectSorted() {
-		b = append(b, trance.Tuple(r))
-	}
-	fmt.Println("strategies agree:", trance.ValuesEqual(a, b))
-	for _, v := range a {
+	fmt.Println("strategies agree:", trance.ValuesEqual(results[0], results[1]))
+	for _, v := range results[0] {
 		fmt.Println(trance.FormatValue(v))
 	}
 	// Output:
@@ -127,11 +141,12 @@ func ExampleParse() {
 		fmt.Println("prepare failed:", err)
 		return
 	}
-	rows, err := sq.RunJSON(context.Background(), trance.ShredUnshred)
+	res, err := sq.Run(context.Background(), trance.ShredUnshred)
 	if err != nil {
 		fmt.Println("run failed:", err)
 		return
 	}
+	rows, _ := res.JSON(0) // 0: no row limit
 	for _, row := range rows {
 		b, _ := json.Marshal(row)
 		fmt.Println(string(b))
@@ -181,8 +196,7 @@ func ExampleCatalog() {
 		return
 	}
 	// The one Run: the Result carries the rows, their schema, timings and
-	// engine metrics; JSON renders the rows by that schema (sq.RunJSON is
-	// this pair in one call).
+	// engine metrics; JSON renders the rows by that schema.
 	res, err := sq.Run(context.Background(), trance.ShredUnshred)
 	if err != nil {
 		fmt.Println("run failed:", err)
@@ -200,15 +214,21 @@ func ExampleCatalog() {
 	// {"big":[],"cname":"carol"}
 }
 
-// ExamplePrepare compiles a query once and evaluates it many times — across
-// datasets and strategies — the pattern a serving process uses. Each
-// (query, strategy) pair compiles exactly once into a process-wide cache;
-// every Run gets fresh metrics on a shared bounded worker pool.
-func ExamplePrepare() {
-	env := trance.Env{"R": trance.BagOf(trance.Tup(
+// ExampleCatalog_Append prepares a query once and evaluates it many times —
+// across strategies and dataset generations — the pattern a serving process
+// uses. Each (query, strategy) pair compiles exactly once per generation into
+// a process-wide cache; an Append installs a new generation, which the next
+// Run resolves to, so the same session query serves the appended rows.
+func ExampleCatalog_Append() {
+	cat := trance.NewCatalog()
+	err := cat.Register("R", trance.BagOf(trance.Tup(
 		"name", trance.StringT,
 		"items", trance.BagOf(trance.Tup("qty", trance.IntT)),
-	))}
+	)), trance.Bag{trance.Tuple{"alice", trance.Bag{trance.Tuple{int64(3)}, trance.Tuple{int64(12)}}}})
+	if err != nil {
+		fmt.Println("register failed:", err)
+		return
+	}
 	q := trance.ForIn("r", trance.V("R"),
 		trance.SingOf(trance.Record(
 			"name", trance.P(trance.V("r"), "name"),
@@ -216,24 +236,21 @@ func ExamplePrepare() {
 				trance.IfThen(trance.GtOf(trance.P(trance.V("it"), "qty"), trance.C(int64(10))),
 					trance.SingOf(trance.V("it")))),
 		)))
-
-	pq, err := trance.Prepare(q, trance.PrepareOptions{
-		Name:       "big-items",
-		Env:        env,
-		Strategies: []trance.Strategy{trance.Standard, trance.ShredUnshred},
-	})
+	sq, err := cat.NewSession(trance.SessionOptions{}).PrepareNamed("big-items", q)
 	if err != nil {
 		fmt.Println("prepare failed:", err)
 		return
 	}
 
-	// Run the same compiled plans over two different datasets.
-	for day, data := range []map[string]trance.Bag{
-		{"R": {trance.Tuple{"alice", trance.Bag{trance.Tuple{int64(3)}, trance.Tuple{int64(12)}}}}},
-		{"R": {trance.Tuple{"bob", trance.Bag{trance.Tuple{int64(40)}}}}},
-	} {
+	for day := range 2 {
+		if day == 1 {
+			if _, err := cat.Append("R", trance.Bag{trance.Tuple{"bob", trance.Bag{trance.Tuple{int64(40)}}}}); err != nil {
+				fmt.Println("append failed:", err)
+				return
+			}
+		}
 		for _, strat := range []trance.Strategy{trance.Standard, trance.ShredUnshred} {
-			res, err := pq.Run(context.Background(), pq.BindData(data), strat)
+			res, err := sq.Run(context.Background(), strat)
 			if err != nil {
 				fmt.Println("run failed:", err)
 				return
@@ -246,6 +263,8 @@ func ExamplePrepare() {
 	// Output:
 	// day 0 STANDARD: ⟨"alice", {⟨12⟩}⟩
 	// day 0 SHRED+UNSHRED: ⟨"alice", {⟨12⟩}⟩
+	// day 1 STANDARD: ⟨"alice", {⟨12⟩}⟩
 	// day 1 STANDARD: ⟨"bob", {⟨40⟩}⟩
+	// day 1 SHRED+UNSHRED: ⟨"alice", {⟨12⟩}⟩
 	// day 1 SHRED+UNSHRED: ⟨"bob", {⟨40⟩}⟩
 }

@@ -7,8 +7,10 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
+	"log"
 
 	"github.com/trance-go/trance"
 	"github.com/trance-go/trance/internal/biomed"
@@ -24,13 +26,25 @@ func main() {
 		cfg = biomed.FullConfig()
 		name = "full"
 	}
-	inputs := biomed.Generate(cfg)
 	fmt.Printf("E2E biomedical pipeline, %s dataset (%d samples, %d genes)\n\n",
 		name, cfg.Samples, cfg.Genes)
 
-	rcfg := trance.DefaultConfig()
+	env := biomed.Env()
+	cat := trance.NewCatalog()
+	for input, b := range biomed.Generate(cfg) {
+		if err := cat.Register(input, env[input], b); err != nil {
+			log.Fatal(err)
+		}
+	}
+	sq, err := cat.NewSession(trance.SessionOptions{}).PreparePipeline(biomed.Steps())
+	if err != nil {
+		log.Fatal(err)
+	}
 	for _, strat := range []trance.Strategy{trance.SparkSQLStyle, trance.Standard, trance.Shred} {
-		res := trance.RunPipeline(biomed.Steps(), biomed.Env(), inputs, strat, rcfg)
+		res, err := sq.Run(context.Background(), strat)
+		if res == nil {
+			log.Fatalf("%s: %v", strat, err)
+		}
 		// Counting first runs an unshredding route's deferred unshred
 		// statement, which the step times, Metrics and Err then include.
 		var rows int64

@@ -115,10 +115,11 @@ for cop in COP union
 	fmt.Println(prog)
 
 	for _, strat := range []trance.Strategy{trance.Standard, trance.ShredUnshred} {
-		rows, err := sq.RunJSON(context.Background(), strat)
+		res, err := sq.Run(context.Background(), strat)
 		if err != nil {
 			log.Fatalf("%s failed: %v", strat, err)
 		}
+		rows, _ := res.JSON(0) // 0: no row limit
 		fmt.Printf("=== %s result (JSON) ===\n", strat)
 		for _, row := range rows {
 			b, _ := json.Marshal(row)

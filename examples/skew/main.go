@@ -8,7 +8,9 @@
 package main
 
 import (
+	"context"
 	"fmt"
+	"log"
 
 	"github.com/trance-go/trance"
 	"github.com/trance-go/trance/internal/tpch"
@@ -16,7 +18,6 @@ import (
 )
 
 func main() {
-	q := tpch.Query(tpch.NestedToNested, 2, false)
 	env := tpch.Env(tpch.NestedToNested, 2, false)
 	strategies := []trance.Strategy{
 		trance.Standard, trance.StandardSkew,
@@ -34,22 +35,33 @@ func main() {
 			"Part": tables.Part,
 		}
 		var total int64
-		for _, b := range inputs {
+		cat := trance.NewCatalog()
+		for name, b := range inputs {
 			total += value.Size(b)
+			if err := cat.Register(name, env[name], b); err != nil {
+				log.Fatal(err)
+			}
 		}
 		cfg := trance.DefaultConfig()
 		cfg.MaxPartitionBytes = total / 3
+		sq, err := cat.NewSession(trance.SessionOptions{Config: &cfg}).Prepare(tpch.Query(tpch.NestedToNested, 2, false))
+		if err != nil {
+			log.Fatal(err)
+		}
 
 		fmt.Printf("\nskew factor %d:\n", factor)
 		for _, strat := range strategies {
-			res := trance.Run(trance.Job{Query: q, Env: env, Inputs: inputs}, strat, cfg)
-			if !res.Failed() {
-				// Unshredding runs on first use of the output; its time, bytes
-				// and memory-cap failures count.
-				res.Output.Count()
+			res, err := sq.Run(context.Background(), strat)
+			if res != nil {
+				if !res.Failed() {
+					// Unshredding runs on first use of the output; its time,
+					// bytes and memory-cap failures count.
+					res.Output.Count()
+				}
+				err = res.Err
 			}
-			if res.Failed() {
-				fmt.Printf("  %-20s FAIL (%v)\n", strat, res.Err)
+			if err != nil {
+				fmt.Printf("  %-20s FAIL (%v)\n", strat, err)
 				continue
 			}
 			fmt.Printf("  %-20s %8v shuffled=%dKiB\n", strat, res.Elapsed, res.Metrics.ShuffleBytes/1024)

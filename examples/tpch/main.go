@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -42,30 +43,39 @@ func main() {
 		Customers: *customers, OrdersPerCustomer: 6, LinesPerOrder: 4,
 		Parts: 100, SkewFactor: *skew, Seed: 1,
 	})
-	q := tpch.Query(qc, *level, *wide)
-	env := tpch.Env(qc, *level, *wide)
-	inputs := map[string]value.Bag{}
-	if qc == tpch.FlatToNested {
-		inputs = tables.Inputs()
-	} else {
-		inputs["NDB"] = tpch.BuildNested(tables, *level, true)
-		inputs["Part"] = tables.Part
+	inputs := tables.Inputs()
+	if qc != tpch.FlatToNested {
+		inputs = map[string]value.Bag{"NDB": tpch.BuildNested(tables, *level, true), "Part": tables.Part}
+	}
+	// The catalog collects every input's statistics, which the cost model and
+	// placement plan from.
+	cat := trance.NewCatalog()
+	for name, t := range tpch.Env(qc, *level, *wide) {
+		if err := cat.Register(name, t, inputs[name]); err != nil {
+			log.Fatal(err)
+		}
+	}
+	sq, err := cat.NewSession(trance.SessionOptions{}).Prepare(tpch.Query(qc, *level, *wide))
+	if err != nil {
+		log.Fatal(err)
 	}
 
-	cfg := trance.DefaultConfig()
 	fmt.Printf("%s, level %d, wide=%t, skew factor %d\n\n", qc, *level, *wide, *skew)
 	for _, strat := range []trance.Strategy{
 		trance.Standard, trance.SparkSQLStyle, trance.Shred, trance.ShredUnshred,
 	} {
-		res := trance.Run(trance.Job{Query: q, Env: env, Inputs: inputs}, strat, cfg)
+		res, err := sq.Run(context.Background(), strat)
 		// Counting first runs an unshredding route's deferred unshred
 		// statement, which Elapsed, Metrics and Err then include.
 		var rows int64
-		if !res.Failed() {
-			rows = res.Output.Count()
+		if res != nil {
+			if !res.Failed() {
+				rows = res.Output.Count()
+			}
+			err = res.Err
 		}
-		if res.Failed() {
-			fmt.Printf("%-14s FAILED: %v\n", strat, res.Err)
+		if err != nil {
+			fmt.Printf("%-14s FAILED: %v\n", strat, err)
 			continue
 		}
 		fmt.Printf("%-14s %8v  rows=%-8d %s\n", strat, res.Elapsed, rows, res.Metrics)

@@ -32,11 +32,11 @@ func CatalogInputs(c *Catalog, dataset string) map[string]*runner.Input {
 // BoundInputs returns the inputs a session query's runs bind, after
 // re-resolving it against the catalog like Run.
 func BoundInputs(sq *SessionQuery) runner.Inputs {
-	_, data, err := sq.current()
+	_, inputs, err := sq.current()
 	if err != nil {
 		return nil
 	}
-	return data.inputs
+	return inputs
 }
 
 // CatalogIndexes returns the index set of a dataset's current generation.

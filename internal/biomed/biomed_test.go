@@ -1,7 +1,7 @@
 package biomed
 
 import (
-	"github.com/trance-go/trance"
+	"context"
 	"testing"
 
 	"github.com/trance-go/trance/internal/nrc"
@@ -74,7 +74,7 @@ func TestPipelineStrategiesMatchOracle(t *testing.T) {
 	rcfg := runner.DefaultConfig()
 	rcfg.Parallelism = 4
 	for _, strat := range []runner.Strategy{runner.Standard, runner.SparkSQLStyle, runner.Shred} {
-		res := trance.RunPipeline(Steps(), Env(), inputs, strat, rcfg)
+		res := runProgram(Steps(), Env(), inputs, strat, rcfg)
 		if res.Failed() {
 			t.Fatalf("%s failed at step %d: %v", strat, res.FailedStep, res.Err)
 		}
@@ -142,8 +142,8 @@ func TestPipelineShredShufflesLess(t *testing.T) {
 	inputs := Generate(SmallConfig())
 	rcfg := runner.DefaultConfig()
 	rcfg.BroadcastLimit = 0
-	std := trance.RunPipeline(Steps(), Env(), inputs, runner.Standard, rcfg)
-	shr := trance.RunPipeline(Steps(), Env(), inputs, runner.Shred, rcfg)
+	std := runProgram(Steps(), Env(), inputs, runner.Standard, rcfg)
+	shr := runProgram(Steps(), Env(), inputs, runner.Shred, rcfg)
 	if std.Failed() || shr.Failed() {
 		t.Fatalf("pipeline failed: %v / %v", std.Err, shr.Err)
 	}
@@ -151,4 +151,25 @@ func TestPipelineShredShufflesLess(t *testing.T) {
 		t.Fatalf("shred should shuffle less on E2E: shred=%d standard=%d",
 			shr.Metrics.ShuffleBytes, std.Metrics.ShuffleBytes)
 	}
+}
+
+// runProgram compiles a program through runner, planning without
+// statistics, and runs it over nested inputs.
+func runProgram(steps []nrc.Assignment, env nrc.Env, inputs map[string]value.Bag, strat runner.Strategy, cfg runner.Config) *runner.Result {
+	envs, _, err := runner.ResolveSteps(steps, env)
+	if err != nil {
+		return runner.Failure(strat, err)
+	}
+	prog := make([]*runner.Compiled, len(steps))
+	for i, st := range steps {
+		eff := runner.StepStrategy(strat, prog[0], i == len(steps)-1)
+		if prog[i], err = runner.CompileStep(st.Expr, envs[i], eff, cfg, st.Name); err != nil {
+			return runner.Failure(strat, err)
+		}
+	}
+	rows, idxs, err := runner.NewInputs(inputs, env).Bind(prog)
+	if err != nil {
+		return runner.Failure(strat, err)
+	}
+	return runner.Execute(context.Background(), prog, rows, idxs, runner.NewRunContext(cfg), runner.ExecOptions{})
 }

@@ -2,8 +2,8 @@ package ingest_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
-	"github.com/trance-go/trance"
 	"io"
 	"testing"
 
@@ -23,8 +23,7 @@ func replyRows(tb testing.TB, class tpch.QueryClass, level, skew, limit int) ([]
 	if class != tpch.FlatToNested {
 		inputs = map[string]value.Bag{"NDB": tpch.BuildNested(tables, level, true), "Part": tables.Part}
 	}
-	res := trance.Run(trance.Job{Query: tpch.Query(class, level, false), Env: tpch.Env(class, level, false), Inputs: inputs},
-		runner.Standard, runner.DefaultConfig())
+	res := runQuery(tpch.Query(class, level, false), tpch.Env(class, level, false), inputs, runner.Standard, runner.DefaultConfig())
 	if res.Failed() {
 		tb.Fatal(res.Err)
 	}
@@ -97,4 +96,19 @@ func BenchmarkReplyEncode(b *testing.B) {
 			b.SetBytes(int64(buf.Len()))
 		})
 	}
+}
+
+// runQuery compiles q through runner, planning without statistics, and runs
+// it over nested inputs.
+func runQuery(q nrc.Expr, env nrc.Env, inputs map[string]value.Bag, strat runner.Strategy, cfg runner.Config) *runner.Result {
+	cq, err := runner.CompileStep(q, env, strat, cfg, "Q")
+	if err != nil {
+		return runner.Failure(strat, err)
+	}
+	prog := []*runner.Compiled{cq}
+	rows, idxs, err := runner.NewInputs(inputs, env).Bind(prog)
+	if err != nil {
+		return runner.Failure(strat, err)
+	}
+	return runner.Execute(context.Background(), prog, rows, idxs, runner.NewRunContext(cfg), runner.ExecOptions{})
 }

@@ -109,7 +109,7 @@ func (s *Source) ErrorAt(node nrc.Expr, msg string) error {
 // Diagnose upgrades an error that carries an nrc.ExprError for a node of
 // this parse into a positioned caret diagnostic; anything else (including
 // nil and errors that already are *Error) passes through unchanged. Wrap the
-// errors of nrc.Check — or of any API built on it, such as trance.Prepare —
+// errors of nrc.Check — or of any API built on it, such as Session.Prepare —
 // with it to point type errors at the query text.
 func (s *Source) Diagnose(err error) error {
 	if err == nil {

@@ -1,9 +1,9 @@
 package parse_test
 
 import (
+	"context"
 	"flag"
 	"fmt"
-	"github.com/trance-go/trance"
 	"os"
 	"path/filepath"
 	"testing"
@@ -97,12 +97,11 @@ func TestFixturesTPCH(t *testing.T) {
 			}
 			cfg := runner.DefaultConfig()
 			for _, strat := range fixtureStrategies {
-				parsedRes := trance.Run(trance.Job{Query: r.Expr, Env: env, Inputs: inputs}, strat, cfg)
+				parsedRes := runProgram([]nrc.Assignment{{Name: "Q", Expr: r.Expr}}, env, inputs, strat, cfg)
 				if parsedRes.Failed() {
 					t.Fatalf("%s parsed run: %v", strat, parsedRes.Err)
 				}
-				trance.ResetPlanCache() // compile the builder query, not serve the parsed one's plans
-				builtRes := trance.Run(trance.Job{Query: built, Env: env, Inputs: inputs}, strat, cfg)
+				builtRes := runProgram([]nrc.Assignment{{Name: "Q", Expr: built}}, env, inputs, strat, cfg)
 				if builtRes.Failed() {
 					t.Fatalf("%s builder run: %v", strat, builtRes.Err)
 				}
@@ -144,15 +143,12 @@ func TestFixtureBiomed(t *testing.T) {
 	inputs := biomed.Generate(biomed.SmallConfig())
 	cfg := runner.DefaultConfig()
 	for _, strat := range fixtureStrategies {
-		a := trance.RunPipeline(pr.Program.Stmts, biomed.Env(), inputs, strat, cfg)
+		a := runProgram(pr.Program.Stmts, biomed.Env(), inputs, strat, cfg)
 		if a.Failed() {
 			t.Fatalf("%s parsed pipeline: step %d: %v", strat, a.FailedStep, a.Err)
 		}
-		// Rebuild the builder steps each run: compilation annotates ASTs. The
-		// builder steps print like the parsed ones, so only an empty plan cache
-		// compiles them rather than serving the parsed program's plans.
-		trance.ResetPlanCache()
-		b := trance.RunPipeline(biomed.Steps(), biomed.Env(), inputs, strat, cfg)
+		// Rebuild the builder steps each run: compilation annotates ASTs.
+		b := runProgram(biomed.Steps(), biomed.Env(), inputs, strat, cfg)
 		if b.Failed() {
 			t.Fatalf("%s builder pipeline: step %d: %v", strat, b.FailedStep, b.Err)
 		}
@@ -173,4 +169,25 @@ func collectBag(rows []dataflow.Row) value.Bag {
 		out[i] = value.Tuple(r)
 	}
 	return out
+}
+
+// runProgram compiles a program through runner, planning without
+// statistics, and runs it over nested inputs.
+func runProgram(steps []nrc.Assignment, env nrc.Env, inputs map[string]value.Bag, strat runner.Strategy, cfg runner.Config) *runner.Result {
+	envs, _, err := runner.ResolveSteps(steps, env)
+	if err != nil {
+		return runner.Failure(strat, err)
+	}
+	prog := make([]*runner.Compiled, len(steps))
+	for i, st := range steps {
+		eff := runner.StepStrategy(strat, prog[0], i == len(steps)-1)
+		if prog[i], err = runner.CompileStep(st.Expr, envs[i], eff, cfg, st.Name); err != nil {
+			return runner.Failure(strat, err)
+		}
+	}
+	rows, idxs, err := runner.NewInputs(inputs, env).Bind(prog)
+	if err != nil {
+		return runner.Failure(strat, err)
+	}
+	return runner.Execute(context.Background(), prog, rows, idxs, runner.NewRunContext(cfg), runner.ExecOptions{})
 }

@@ -147,10 +147,10 @@ func ParseStrategy(name string) (Strategy, bool) {
 type Config struct {
 	// Parallelism is the partition count used by shuffles.
 	Parallelism int
-	// Workers sizes the worker pool a prepared query or session runs on when
-	// it is given none (0 = the process-wide NumCPU pool). Set it to 1 to
-	// execute the same partitioned plan sequentially — the parallel-scaling
-	// benchmarks compare exactly these two settings.
+	// Workers sizes the worker pool a session runs on when it is given none
+	// (0 = the process-wide NumCPU pool). Set it to 1 to execute the same
+	// partitioned plan sequentially — the parallel-scaling benchmarks compare
+	// exactly these two settings.
 	Workers           int
 	MaxPartitionBytes int64
 	BroadcastLimit    int64
@@ -169,9 +169,10 @@ type Config struct {
 	// Stats provides per-input table statistics (keyed by the input variable
 	// name) to the cost-based planning layer: join method choice, input
 	// ordering and index scans (plan.Annotate) and the Auto strategy's route
-	// selection. Sessions fill it from catalog statistics; nil disables all of
-	// them, and statistics flagging no IndexHash/IndexOrdered plan no index
-	// scan.
+	// selection. A session fills it from the catalog statistics of the
+	// generations it resolved to, replacing any value set here; nil (outside
+	// a session) disables all of them, and statistics flagging no
+	// IndexHash/IndexOrdered plan no index scan.
 	Stats map[string]plan.TableEstimate
 }
 

@@ -1,7 +1,7 @@
 package shred_test
 
 import (
-	"github.com/trance-go/trance"
+	"context"
 	"math/rand"
 	"strings"
 	"testing"
@@ -132,7 +132,7 @@ func assertShredMatchesOracle(t *testing.T, q nrc.Expr, env nrc.Env, inputs map[
 	}
 	want := nrc.Eval(q, s).(value.Bag)
 
-	res := trance.Run(trance.Job{Query: q, Env: env, Inputs: inputs}, strat, cfg)
+	res := runQuery(q, env, inputs, strat, cfg)
 	if res.Failed() {
 		t.Fatalf("%s failed: %v", strat, res.Err)
 	}
@@ -272,9 +272,9 @@ func TestShredThreeStrategiesAgree(t *testing.T) {
 	env := testdata.Env()
 	inputs := inputsCOP()
 	cfg := runner.DefaultConfig()
-	a := trance.Run(trance.Job{Query: q, Env: env, Inputs: inputs}, runner.Standard, cfg)
-	b := trance.Run(trance.Job{Query: q, Env: env, Inputs: inputs}, runner.ShredUnshred, cfg)
-	c := trance.Run(trance.Job{Query: q, Env: env, Inputs: inputs}, runner.SparkSQLStyle, cfg)
+	a := runQuery(q, env, inputs, runner.Standard, cfg)
+	b := runQuery(q, env, inputs, runner.ShredUnshred, cfg)
+	c := runQuery(q, env, inputs, runner.SparkSQLStyle, cfg)
 	for _, r := range []*runner.Result{a, b, c} {
 		if r.Failed() {
 			t.Fatalf("%s failed: %v", r.Strategy, r.Err)
@@ -315,7 +315,7 @@ func TestQuickShredUnshredMatchesOracle(t *testing.T) {
 			return false
 		}
 		want := nrc.Eval(q, s).(value.Bag)
-		res := trance.Run(trance.Job{Query: q, Env: testdata.Env(), Inputs: inputs}, runner.ShredUnshred, cfg)
+		res := runQuery(q, testdata.Env(), inputs, runner.ShredUnshred, cfg)
 		if res.Failed() {
 			return false
 		}
@@ -340,8 +340,8 @@ func TestShredShufflesLessThanStandard(t *testing.T) {
 	cfg := runner.DefaultConfig()
 	cfg.BroadcastLimit = 0 // force shuffle joins so the comparison is visible
 	q := testdata.RunningExample()
-	std := trance.Run(trance.Job{Query: q, Env: testdata.Env(), Inputs: inputs}, runner.Standard, cfg)
-	shr := trance.Run(trance.Job{Query: q, Env: testdata.Env(), Inputs: inputs}, runner.Shred, cfg)
+	std := runQuery(q, testdata.Env(), inputs, runner.Standard, cfg)
+	shr := runQuery(q, testdata.Env(), inputs, runner.Shred, cfg)
 	if std.Failed() || shr.Failed() {
 		t.Fatalf("runs failed: %v / %v", std.Err, shr.Err)
 	}
@@ -393,7 +393,7 @@ func TestShredUnshredTupleVarHeadNonEqualityFilter(t *testing.T) {
 }
 
 func TestShredTupleVarHeadDictionarySchema(t *testing.T) {
-	res := trance.Run(trance.Job{Query: tupleVarHeadQuery(), Env: tupleVarHeadEnv(), Inputs: tupleVarHeadInputs()},
+	res := runQuery(tupleVarHeadQuery(), tupleVarHeadEnv(), tupleVarHeadInputs(),
 		runner.Shred, runner.DefaultConfig())
 	if res.Failed() {
 		t.Fatalf("shred route failed: %v", res.Err)
@@ -417,4 +417,19 @@ func TestShredTupleVarHeadDictionarySchema(t *testing.T) {
 				len(r), value.Format(value.Tuple(r)))
 		}
 	}
+}
+
+// runQuery compiles q through runner, planning without statistics, and runs
+// it over nested inputs.
+func runQuery(q nrc.Expr, env nrc.Env, inputs map[string]value.Bag, strat runner.Strategy, cfg runner.Config) *runner.Result {
+	cq, err := runner.CompileStep(q, env, strat, cfg, "Q")
+	if err != nil {
+		return runner.Failure(strat, err)
+	}
+	prog := []*runner.Compiled{cq}
+	rows, idxs, err := runner.NewInputs(inputs, env).Bind(prog)
+	if err != nil {
+		return runner.Failure(strat, err)
+	}
+	return runner.Execute(context.Background(), prog, rows, idxs, runner.NewRunContext(cfg), runner.ExecOptions{})
 }

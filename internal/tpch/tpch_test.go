@@ -1,7 +1,7 @@
 package tpch
 
 import (
-	"github.com/trance-go/trance"
+	"context"
 	"testing"
 
 	"github.com/trance-go/trance/internal/nrc"
@@ -182,7 +182,7 @@ func TestStrategiesAgreeOnSuite(t *testing.T) {
 			want := nrc.Eval(q, s).(value.Bag)
 
 			for _, strat := range []runner.Strategy{runner.Standard, runner.SparkSQLStyle, runner.ShredUnshred} {
-				res := trance.Run(trance.Job{Query: q, Env: env, Inputs: inputs}, strat, cfg)
+				res := runQuery(q, env, inputs, strat, cfg)
 				if res.Failed() {
 					t.Fatalf("%s %s L%d failed: %v", strat, class, level, res.Err)
 				}
@@ -214,7 +214,7 @@ func TestSkewStrategiesAgree(t *testing.T) {
 	}
 	want := nrc.Eval(q, s).(value.Bag)
 	for _, strat := range []runner.Strategy{runner.StandardSkew, runner.ShredUnshredSkew} {
-		res := trance.Run(trance.Job{Query: q, Env: env, Inputs: inputs}, strat, rcfg)
+		res := runQuery(q, env, inputs, strat, rcfg)
 		if res.Failed() {
 			t.Fatalf("%s failed: %v", strat, res.Err)
 		}
@@ -226,4 +226,19 @@ func TestSkewStrategiesAgree(t *testing.T) {
 			t.Fatalf("%s differs from oracle on skewed data", strat)
 		}
 	}
+}
+
+// runQuery compiles q through runner, planning without statistics, and runs
+// it over nested inputs.
+func runQuery(q nrc.Expr, env nrc.Env, inputs map[string]value.Bag, strat runner.Strategy, cfg runner.Config) *runner.Result {
+	cq, err := runner.CompileStep(q, env, strat, cfg, "Q")
+	if err != nil {
+		return runner.Failure(strat, err)
+	}
+	prog := []*runner.Compiled{cq}
+	rows, idxs, err := runner.NewInputs(inputs, env).Bind(prog)
+	if err != nil {
+		return runner.Failure(strat, err)
+	}
+	return runner.Execute(context.Background(), prog, rows, idxs, runner.NewRunContext(cfg), runner.ExecOptions{})
 }

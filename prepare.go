@@ -19,7 +19,7 @@ import (
 	"github.com/trance-go/trance/internal/value"
 )
 
-// Pool is a bounded worker pool shareable across prepared queries, so a
+// Pool is a bounded worker pool shareable across sessions, so a
 // process serving many concurrent requests draws all partition tasks from
 // one goroutine budget. Each in-flight request's own goroutine counts as a
 // worker and runs overflow tasks inline; a pool of size w adds at most w-1
@@ -29,143 +29,66 @@ type Pool = dataflow.Pool
 // NewPool creates a shared worker pool (0 = NumCPU).
 func NewPool(workers int) *Pool { return dataflow.NewPool(workers) }
 
-// poolFor resolves the worker pool for a prepared query or session: the
-// explicit override, else a private pool sized by Config.Workers when set,
-// else nil — the process-wide default pool, so all prepared queries of a
-// process share the machine by default.
-func poolFor(cfg Config, override *Pool) *Pool {
-	if override != nil {
-		return override
-	}
-	if cfg.Workers > 0 {
-		return NewPool(cfg.Workers)
-	}
-	return nil
-}
-
-// PrepareOptions configures Prepare.
-type PrepareOptions struct {
-	// Name labels the prepared query in errors and service metrics.
-	Name string
-	// Env is the input environment the query is checked against (required).
-	Env Env
-	// Config sizes the simulated cluster; nil means DefaultConfig().
-	Config *Config
-	// Strategies to compile eagerly during Prepare. Strategies not listed
-	// compile on first Run (still exactly once, through the same cache). Nil
-	// compiles nothing eagerly.
-	Strategies []Strategy
-	// Pool overrides the worker pool the prepared query's runs draw from.
-	// Nil uses a pool sized by Config.Workers when that is set, and the
-	// process-wide default pool otherwise.
-	Pool *Pool
-}
-
 // PreparedQuery is a program — one or more named steps, a query being the
-// one-step case — compiled once and evaluated many times. Every step's
-// compilation goes through the process-wide plan cache, keyed by an env-aware
-// fingerprint: a step's key digests the step query, the base environment plus
-// the resolved output types of every prior step, and its effective strategy.
-// Two programs sharing a prefix therefore share the prefix's compiled plans,
-// and re-preparing the same program compiles nothing.
+// one-step case — prepared against one resolution of a session query: the
+// compiled artifact of the catalog generations it resolved to
+// (SessionQuery.Prepared). Every step's compilation goes through the
+// process-wide plan cache, keyed by an env-aware fingerprint: a step's key
+// digests the step query, the base environment plus the resolved output types
+// of every prior step, the statistics it is costed against, and its effective
+// strategy. Two programs sharing a prefix therefore share the prefix's
+// compiled plans, and re-preparing the same program compiles nothing.
 //
-// All methods are safe for concurrent use: any number of goroutines may Run
-// the same PreparedQuery over different datasets at once; they share the
-// per-strategy compiled plans and one bounded worker pool, while every run
-// gets its own dataflow context and metrics.
+// All methods are safe for concurrent use.
 type PreparedQuery struct {
 	name  string
 	steps []PipelineStep
 	envs  []Env    // per-step compile environment (base + prior outputs)
-	outs  []Type   // per-step checked output type
 	fps   []string // per-step fingerprint of (query, env, compile-relevant config)
 	cfg   Config
 	pool  *Pool
 
-	// compileMu serializes strategy compilations of this program: compilation
-	// type-annotates the shared step ASTs in place, so concurrent first-Runs
-	// under different strategies must not compile simultaneously. Cache hits do
-	// not take the lock. It is a pointer so a session's generation refresh can
-	// share one mutex across re-preparations of the same ASTs.
+	// compileMu serializes typechecking and strategy compilations of the
+	// steps, which annotate the shared step ASTs in place. Cache hits do not
+	// take the lock. It belongs to the session query, so every generation's
+	// preparation of the same ASTs shares it.
 	compileMu *sync.Mutex
 }
 
-// Prepare typechecks the query and sets up compile-once evaluation: it is
-// PreparePipeline over the query's one step, named "Q" (or, when an input
-// already has that name, the first of "Q_", "Q__", … that none has). Each
-// (query, strategy) pair is compiled — NRC typecheck, standard or shredded
-// compilation, plan pruning — exactly once and cached in a process-wide,
-// thread-safe, fingerprint-keyed compilation cache, no matter how many
-// goroutines Run concurrently. Compile- and run-time panics surface as
-// errors, so a malformed query cannot crash a serving process.
-//
-// Prepare takes ownership of the query's AST (compilation annotates it in
-// place); do not share one expression tree between concurrent Prepare calls.
-func Prepare(query Expr, opts PrepareOptions) (*PreparedQuery, error) {
-	return PreparePipeline([]PipelineStep{{Name: queryStep(opts.Env), Expr: query}}, opts)
-}
-
-// queryStep names a query's one step: "Q", extended by "_" until no input of
-// env has the name.
-func queryStep(env Env) string {
-	name := "Q"
-	for _, bound := env[name]; bound; _, bound = env[name] {
-		name += "_"
-	}
-	return name
-}
-
-// PreparePipeline prepares a program — the one way anything is compiled:
-// every step typechecks against the base environment extended with the
-// outputs of prior steps (runner.ResolveSteps), and each (step, strategy)
-// compiles exactly once process-wide, under a fingerprint of the step. A
-// query is the one-step program (Prepare). Shredded strategies keep
-// intermediate results shredded between steps and unshred only the final
-// output (paper Section 4).
-//
-// PreparePipeline takes ownership of the step ASTs; do not share them
-// between concurrent Prepare calls.
-func PreparePipeline(steps []PipelineStep, opts PrepareOptions) (*PreparedQuery, error) {
-	if opts.Env == nil {
-		return nil, fmt.Errorf("trance: prepare requires PrepareOptions.Env")
-	}
-	envs, outs, err := runner.ResolveSteps(steps, opts.Env)
+// prepare typechecks a program — every step against the base environment env
+// extended with the outputs of prior steps (runner.ResolveSteps) — and
+// fingerprints each step under cfg, the one way anything is prepared: each
+// (step, strategy) then compiles exactly once process-wide on first use.
+// Shredded strategies keep intermediate results shredded between steps and
+// unshred only the final output (paper Section 4). The caller holds compileMu.
+func prepare(name string, steps []PipelineStep, env Env, cfg Config, pool *Pool, compileMu *sync.Mutex) (*PreparedQuery, error) {
+	envs, _, err := runner.ResolveSteps(steps, env)
 	if err != nil {
 		// A query's errors name no step, as its compile errors do not.
 		var se *runner.StepError
 		if len(steps) == 1 && errors.As(err, &se) {
 			err = se.Err
 		}
-		if opts.Name != "" {
-			return nil, fmt.Errorf("prepare %s: %w", opts.Name, err)
+		if name != "" {
+			return nil, fmt.Errorf("prepare %s: %w", name, err)
 		}
 		return nil, err
 	}
-	pq := newPrepared(opts, append([]PipelineStep(nil), steps...), envs, outs)
+	pq := &PreparedQuery{name: name, steps: steps, envs: envs, cfg: cfg, pool: pool, compileMu: compileMu}
 	for i, st := range steps {
-		pq.fps = append(pq.fps, fingerprint(st, envs[i], pq.cfg))
+		pq.fps = append(pq.fps, fingerprint(st, envs[i], cfg))
 	}
-	return pq, pq.compileEager(opts.Strategies)
+	return pq, nil
 }
 
-func newPrepared(opts PrepareOptions, steps []PipelineStep, envs []Env, outs []Type) *PreparedQuery {
-	cfg := DefaultConfig()
-	if opts.Config != nil {
-		cfg = *opts.Config
+// queryStep names a query's one step: "Q", extended by "_" until no name
+// bound has it.
+func queryStep[V any](bound map[string]V) string {
+	name := "Q"
+	for _, ok := bound[name]; ok; _, ok = bound[name] {
+		name += "_"
 	}
-	return &PreparedQuery{
-		name: opts.Name, steps: steps, envs: envs, outs: outs,
-		cfg: cfg, pool: poolFor(cfg, opts.Pool), compileMu: &sync.Mutex{},
-	}
-}
-
-func (pq *PreparedQuery) compileEager(strats []Strategy) error {
-	for _, s := range strats {
-		if _, _, err := pq.compiled(s); err != nil {
-			return fmt.Errorf("prepare %s (%s): %w", pq.label(), s, err)
-		}
-	}
-	return nil
+	return name
 }
 
 func (pq *PreparedQuery) label() string {
@@ -175,16 +98,10 @@ func (pq *PreparedQuery) label() string {
 	return "query " + pq.fps[0][:12]
 }
 
-// Name returns the label given at Prepare time.
-func (pq *PreparedQuery) Name() string { return pq.name }
-
 // Fingerprint returns what identifies (program, environment, compile-relevant
 // config) in the compilation cache: the ";"-joined hex digests of the steps,
 // one for a query. Strategy keys are derived from it.
 func (pq *PreparedQuery) Fingerprint() string { return strings.Join(pq.fps, ";") }
-
-// OutType returns the checked output type (of the final step).
-func (pq *PreparedQuery) OutType() Type { return pq.outs[len(pq.outs)-1] }
 
 // OutputColumn describes one column of a strategy's output dataset.
 type OutputColumn = runner.OutputColumn
@@ -228,18 +145,12 @@ type runOptions struct{ analyze bool }
 // The instrumented run is slightly slower; leave it off on hot paths.
 func Analyze() RunOption { return func(o *runOptions) { o.analyze = true } }
 
-// Run evaluates the prepared program under the strategy over data bound with
-// BindData (pq.Run(ctx, pq.BindData(inputs), strat) for a one-off). The
-// compiled plans are looked up in the compilation cache (and compiled on first
-// use); input conversion and the planned indexes are cached on the data;
+// run evaluates the program under the strategy over inputs. The compiled
+// plans are looked up in the compilation cache (and compiled on first use);
+// the inputs convert their rows and build the planned indexes once per route;
 // execution runs on a fresh dataflow context drawing workers from the shared
-// pool. A nil Result means the program did not compile (or ctx was already
-// done); failures from there on (including recovered panics) return the
-// Result — its Metrics, StepElapsed and FailedStep are valid — beside the
-// error. Cancellation of ctx is honored between plan statements. When ctx
-// carries a trace the run records compile, bind and execute spans and stamps
-// Result.TraceID.
-func (pq *PreparedQuery) Run(ctx context.Context, data *PreparedData, strat Strategy, opts ...RunOption) (*Result, error) {
+// pool (see SessionQuery.Run).
+func (pq *PreparedQuery) run(ctx context.Context, inputs runner.Inputs, strat Strategy, opts ...RunOption) (*Result, error) {
 	var o runOptions
 	for _, fn := range opts {
 		fn(&o)
@@ -260,7 +171,7 @@ func (pq *PreparedQuery) Run(ctx context.Context, data *PreparedData, strat Stra
 		return nil, fmt.Errorf("%s (%s): %w", pq.label(), strat, err)
 	}
 	bsp := tr.Span().Child("bind")
-	rows, idxs, err := data.inputs.Bind(prog)
+	rows, idxs, err := inputs.Bind(prog)
 	bsp.End()
 	if err != nil {
 		err = fmt.Errorf("%s (%s): prepare inputs: %w", pq.label(), strat, err)
@@ -285,24 +196,6 @@ func (pq *PreparedQuery) Run(ctx context.Context, data *PreparedData, strat Stra
 		return res, fmt.Errorf("%s (%s): %w", pq.label(), strat, res.Err)
 	}
 	return res, nil
-}
-
-// PreparedData is a dataset bound to a prepared query: each input's
-// conversion into engine rows — top-level rows for standard routes,
-// value-shredded dictionary components for shredded routes — and the
-// secondary indexes the plans planned are computed once per route on first
-// use and shared by every Run and any number of goroutines (runner.Input).
-// Bind the data once at load time and serve requests from it. A session binds
-// the inputs its catalog generations own, which every query over them shares.
-type PreparedData struct {
-	inputs runner.Inputs
-}
-
-// BindData associates a dataset with the prepared query for evaluation. The
-// input bags are captured by reference and must not be mutated afterwards;
-// the data must be run by a query with the same input environment.
-func (pq *PreparedQuery) BindData(inputs map[string]Bag) *PreparedData {
-	return &PreparedData{inputs: runner.NewInputs(inputs, pq.envs[0])}
 }
 
 // compiled assembles the program for the strategy from the plan cache,
@@ -333,23 +226,6 @@ func (pq *PreparedQuery) compiled(strat Strategy) (prog []*runner.Compiled, comp
 		prog[i] = entry.cq
 	}
 	return prog, compiledNow, nil
-}
-
-// RunPipeline executes a program under one strategy over explicit inputs,
-// binding each step's output as an input of later steps: PreparePipeline, then
-// one Run. Compilation goes through the process-wide plan cache, so a repeated
-// program compiles each step exactly once; the inputs are converted on every
-// call.
-func RunPipeline(steps []PipelineStep, env Env, inputs map[string]Bag, strat Strategy, cfg Config) *Result {
-	pq, err := PreparePipeline(steps, PrepareOptions{Env: env, Config: &cfg})
-	var res *Result
-	if err == nil {
-		res, err = pq.Run(context.Background(), pq.BindData(inputs), strat)
-	}
-	if res == nil {
-		res = runner.Failure(strat, err)
-	}
-	return res
 }
 
 // fingerprint digests everything that affects a step's compilation: its
@@ -415,7 +291,8 @@ type cacheEntry struct {
 // slots — they re-enter the cache on the next Run.
 var maxPlanCacheEntries = 512
 
-// compilationCache is the process-wide compilation cache behind Prepare.
+// compilationCache is the process-wide compilation cache behind every
+// PreparedQuery.
 type compilationCache struct {
 	mu    sync.Mutex
 	m     map[string]*cacheEntry

@@ -51,13 +51,32 @@ func collectBag(res *trance.Result) trance.Bag {
 	return out
 }
 
-// Prepare must compile each (query, strategy) exactly once, no matter how
-// many goroutines race on first use, and later Runs must hit the cache.
-func TestPrepareCompilesEachStrategyOnce(t *testing.T) {
-	pq, err := trance.Prepare(prepQuery(7001), trance.PrepareOptions{Name: "compile-once", Env: prepEnv()})
+// prepCatalog is a catalog holding prepInputs(shift)'s R.
+func prepCatalog(t testing.TB, shift int64) *trance.Catalog {
+	t.Helper()
+	cat := trance.NewCatalog()
+	if err := cat.Register("R", prepEnv()["R"], prepInputs(shift)["R"]); err != nil {
+		t.Fatal(err)
+	}
+	return cat
+}
+
+// prepSessionQuery prepares q in a fresh default session over
+// prepCatalog(shift).
+func prepSessionQuery(t testing.TB, shift int64, name string, q trance.Expr) *trance.SessionQuery {
+	t.Helper()
+	sq, err := prepCatalog(t, shift).NewSession(trance.SessionOptions{}).PrepareNamed(name, q)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return sq
+}
+
+// A session query must compile each (query, strategy) exactly once, no
+// matter how many goroutines race on first use, and later Runs must hit the
+// cache.
+func TestPrepareCompilesEachStrategyOnce(t *testing.T) {
+	sq := prepSessionQuery(t, 0, "compile-once", prepQuery(7001))
 	before := trance.Counters()
 	strategies := []trance.Strategy{trance.Standard, trance.Shred, trance.ShredUnshred}
 	var wg sync.WaitGroup
@@ -67,7 +86,7 @@ func TestPrepareCompilesEachStrategyOnce(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			strat := strategies[g%len(strategies)]
-			if _, err := pq.Run(context.Background(), pq.BindData(prepInputs(0)), strat); err != nil {
+			if _, err := sq.Run(context.Background(), strat); err != nil {
 				errs <- fmt.Errorf("goroutine %d (%v): %w", g, strat, err)
 			}
 		}(g)
@@ -82,7 +101,7 @@ func TestPrepareCompilesEachStrategyOnce(t *testing.T) {
 		t.Fatalf("want exactly %d compilations (one per strategy), got %d", len(strategies), got)
 	}
 	// Re-running hits the cache without compiling.
-	if _, err := pq.Run(context.Background(), pq.BindData(prepInputs(0)), trance.Standard); err != nil {
+	if _, err := sq.Run(context.Background(), trance.Standard); err != nil {
 		t.Fatal(err)
 	}
 	final := trance.Counters()
@@ -94,28 +113,30 @@ func TestPrepareCompilesEachStrategyOnce(t *testing.T) {
 	}
 }
 
-// ≥8 goroutines pushing different datasets through one PreparedQuery under
+// ≥8 goroutines pushing different datasets — one catalog dataset per shift,
+// bound to R by each session — through session queries of one query under
 // several strategies must each get exactly the sequential result.
 func TestPreparedQueryConcurrentRuns(t *testing.T) {
-	pq, err := trance.Prepare(prepQuery(7002), trance.PrepareOptions{
-		Name:       "concurrent-one",
-		Env:        prepEnv(),
-		Strategies: []trance.Strategy{trance.Standard, trance.Shred, trance.ShredUnshred},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	strategies := []trance.Strategy{trance.Standard, trance.ShredUnshred}
-
-	// Sequential oracle per dataset shift.
+	cat := trance.NewCatalog()
+	queries := map[int64]*trance.SessionQuery{}
 	want := map[int64]trance.Bag{}
 	for shift := int64(0); shift < 4; shift++ {
-		res, err := pq.Run(context.Background(), pq.BindData(prepInputs(shift)), trance.Standard)
+		ds := fmt.Sprintf("R%d", shift)
+		if err := cat.Register(ds, prepEnv()["R"], prepInputs(shift)["R"]); err != nil {
+			t.Fatal(err)
+		}
+		sq, err := cat.NewSession(trance.SessionOptions{Bindings: map[string]string{"R": ds}}).PrepareNamed("concurrent-one", prepQuery(7002))
 		if err != nil {
 			t.Fatal(err)
 		}
-		want[shift] = collectBag(res)
+		// Sequential oracle per dataset shift.
+		res, err := sq.Run(context.Background(), trance.Standard)
+		if err != nil {
+			t.Fatal(err)
+		}
+		queries[shift], want[shift] = sq, collectBag(res)
 	}
+	strategies := []trance.Strategy{trance.Standard, trance.ShredUnshred}
 
 	const goroutines = 12
 	var wg sync.WaitGroup
@@ -126,7 +147,7 @@ func TestPreparedQueryConcurrentRuns(t *testing.T) {
 			defer wg.Done()
 			shift := int64(g % 4)
 			strat := strategies[g%len(strategies)]
-			res, err := pq.Run(context.Background(), pq.BindData(prepInputs(shift)), strat)
+			res, err := queries[shift].Run(context.Background(), strat)
 			if err != nil {
 				errs <- fmt.Errorf("goroutine %d (%v): %w", g, strat, err)
 				return
@@ -144,25 +165,21 @@ func TestPreparedQueryConcurrentRuns(t *testing.T) {
 	}
 }
 
-// Distinct prepared queries sharing one explicit Pool run concurrently and
+// Distinct session queries sharing one explicit Pool run concurrently and
 // still agree with their sequential results.
 func TestDistinctPreparedQueriesSharePool(t *testing.T) {
-	pool := trance.NewPool(4)
-	var pqs []*trance.PreparedQuery
+	sess := prepCatalog(t, 7100).NewSession(trance.SessionOptions{Pool: trance.NewPool(4)})
+	var sqs []*trance.SessionQuery
 	for i, lo := range []int64{7103, 7110, 7125} {
-		pq, err := trance.Prepare(prepQuery(lo), trance.PrepareOptions{
-			Name: fmt.Sprintf("shared-pool-%d", i),
-			Env:  prepEnv(),
-			Pool: pool,
-		})
+		sq, err := sess.PrepareNamed(fmt.Sprintf("shared-pool-%d", i), prepQuery(lo))
 		if err != nil {
 			t.Fatal(err)
 		}
-		pqs = append(pqs, pq)
+		sqs = append(sqs, sq)
 	}
-	want := make([]trance.Bag, len(pqs))
-	for i, pq := range pqs {
-		res, err := pq.Run(context.Background(), pq.BindData(prepInputs(7100)), trance.ShredUnshred)
+	want := make([]trance.Bag, len(sqs))
+	for i, sq := range sqs {
+		res, err := sq.Run(context.Background(), trance.ShredUnshred)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -171,13 +188,13 @@ func TestDistinctPreparedQueriesSharePool(t *testing.T) {
 
 	const rounds = 3
 	var wg sync.WaitGroup
-	errs := make(chan error, len(pqs)*rounds)
+	errs := make(chan error, len(sqs)*rounds)
 	for round := 0; round < rounds; round++ {
-		for i, pq := range pqs {
+		for i, sq := range sqs {
 			wg.Add(1)
-			go func(i int, pq *trance.PreparedQuery) {
+			go func(i int, sq *trance.SessionQuery) {
 				defer wg.Done()
-				res, err := pq.Run(context.Background(), pq.BindData(prepInputs(7100)), trance.ShredUnshred)
+				res, err := sq.Run(context.Background(), trance.ShredUnshred)
 				if err != nil {
 					errs <- fmt.Errorf("query %d: %w", i, err)
 					return
@@ -186,7 +203,7 @@ func TestDistinctPreparedQueriesSharePool(t *testing.T) {
 					errs <- fmt.Errorf("query %d: got %s want %s",
 						i, trance.FormatValue(got), trance.FormatValue(want[i]))
 				}
-			}(i, pq)
+			}(i, sq)
 		}
 	}
 	wg.Wait()
@@ -199,30 +216,53 @@ func TestDistinctPreparedQueriesSharePool(t *testing.T) {
 // A malformed query fails Prepare with an error; malformed data fails Run
 // with an error (recovered panic) — neither crashes the process.
 func TestPrepareAndRunDegradeToErrors(t *testing.T) {
-	// Unknown input: typecheck error at Prepare.
+	env := trance.Env{"R": trance.BagOf(trance.Tup("a", trance.IntT))}
+	good := trance.Bag{trance.Tuple{int64(7)}}
+	cat := trance.NewCatalog()
+	if err := cat.Register("R", env["R"], good); err != nil {
+		t.Fatal(err)
+	}
+	sess := cat.NewSession(trance.SessionOptions{})
+
+	// Unknown input and unknown field: errors at Prepare.
 	bad := trance.ForIn("x", trance.V("Missing"), trance.SingOf(trance.Record("a", trance.C(int64(1)))))
-	if _, err := trance.Prepare(bad, trance.PrepareOptions{Name: "bad", Env: trance.Env{}}); err == nil {
+	if _, err := sess.PrepareNamed("bad", bad); err == nil {
 		t.Fatal("Prepare must reject a query over unknown inputs")
 	}
+	noField := trance.ForIn("x", trance.V("R"), trance.SingOf(trance.Record("a", trance.P(trance.V("x"), "nope"))))
+	if _, err := sess.PrepareNamed("bad", noField); err == nil {
+		t.Fatal("Prepare must reject a query reading an unknown field")
+	}
 
-	// Well-typed query, corrupt data: the engine panic must come back as an
-	// error from Run.
-	env := trance.Env{"R": trance.BagOf(trance.Tup("a", trance.IntT))}
+	// Well-typed query, corrupt data: the catalog validates what it
+	// registers, so the data is corrupted behind its back — a raw Go int is
+	// not a value-model scalar. The engine panic must come back as an error
+	// from Run.
 	q := trance.ForIn("x", trance.V("R"),
 		trance.SingOf(trance.Record("b", trance.AddOf(trance.P(trance.V("x"), "a"), trance.C(int64(1))))))
-	pq, err := trance.Prepare(q, trance.PrepareOptions{Name: "corrupt-data", Env: env})
+	corrupt := trance.Bag{trance.Tuple{int64(7)}}
+	cat.Drop("R")
+	if err := cat.Register("R", env["R"], corrupt); err != nil {
+		t.Fatal(err)
+	}
+	corrupt[0].(trance.Tuple)[0] = int(7)
+	sq, err := sess.PrepareNamed("corrupt-data", q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = pq.Run(context.Background(), pq.BindData(map[string]trance.Bag{"R": {trance.Tuple{int(7)}}}), trance.Standard)
+	_, err = sq.Run(context.Background(), trance.Standard)
 	if err == nil {
 		t.Fatal("corrupt input data must fail the run")
 	}
 	if !strings.Contains(err.Error(), "panic") {
 		t.Fatalf("error should mention the recovered panic: %v", err)
 	}
-	// The prepared query stays healthy for good data afterwards.
-	res, err := pq.Run(context.Background(), pq.BindData(map[string]trance.Bag{"R": {trance.Tuple{int64(7)}}}), trance.Standard)
+	// The session query stays healthy for good data afterwards.
+	cat.Drop("R")
+	if err := cat.Register("R", env["R"], good); err != nil {
+		t.Fatal(err)
+	}
+	res, err := sq.Run(context.Background(), trance.Standard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,10 +274,7 @@ func TestPrepareAndRunDegradeToErrors(t *testing.T) {
 // OutputSchema reflects the route: nested schema for unshredding routes,
 // label-bearing top schema for Shred.
 func TestPreparedOutputSchema(t *testing.T) {
-	pq, err := trance.Prepare(prepQuery(7003), trance.PrepareOptions{Name: "cols", Env: prepEnv()})
-	if err != nil {
-		t.Fatal(err)
-	}
+	pq := prepSessionQuery(t, 0, "cols", prepQuery(7003)).Prepared()
 	std, err := pq.OutputSchema(trance.Standard)
 	if err != nil {
 		t.Fatal(err)
@@ -254,17 +291,17 @@ func TestPreparedOutputSchema(t *testing.T) {
 	}
 }
 
-// Runs sharing one BindData must agree with a run over a fresh BindData while
-// converting/shredding the inputs only once per route.
+// Concurrent runs sharing one catalog generation's converted inputs must
+// agree with a run over a fresh catalog's, while the shared generation
+// converts its input once (one bound input, under R).
 func TestSharedBindMatchesFreshBind(t *testing.T) {
-	pq, err := trance.Prepare(prepQuery(7004), trance.PrepareOptions{Name: "bound", Env: prepEnv()})
+	cat := prepCatalog(t, 0)
+	sq, err := cat.NewSession(trance.SessionOptions{}).PrepareNamed("bound", prepQuery(7004))
 	if err != nil {
 		t.Fatal(err)
 	}
-	inputs := prepInputs(0)
-	data := pq.BindData(inputs)
 	for _, strat := range []trance.Strategy{trance.Standard, trance.Shred, trance.ShredUnshred} {
-		want, err := pq.Run(context.Background(), pq.BindData(inputs), strat)
+		want, err := prepSessionQuery(t, 0, "fresh", prepQuery(7004)).Run(context.Background(), strat)
 		if err != nil {
 			t.Fatalf("%v run: %v", strat, err)
 		}
@@ -274,7 +311,7 @@ func TestSharedBindMatchesFreshBind(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				got, err := pq.Run(context.Background(), data, strat)
+				got, err := sq.Run(context.Background(), strat)
 				if err != nil {
 					errs <- err
 					return
@@ -290,6 +327,9 @@ func TestSharedBindMatchesFreshBind(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	if owned := trance.CatalogInputs(cat, "R"); len(owned) != 1 {
+		t.Fatalf("catalog owns inputs %v of R, want one", owned)
+	}
 }
 
 // The compilation cache is bounded: over-filling it evicts the oldest
@@ -297,17 +337,17 @@ func TestSharedBindMatchesFreshBind(t *testing.T) {
 // (they recompile on next use).
 func TestPlanCacheBounded(t *testing.T) {
 	defer trance.SetMaxPlanCacheEntriesForTest(2)()
-	queries := []*trance.PreparedQuery{}
+	sess := prepCatalog(t, 0).NewSession(trance.SessionOptions{})
+	queries := []*trance.SessionQuery{}
 	for i, lo := range []int64{7201, 7202, 7203, 7204} {
-		pq, err := trance.Prepare(prepQuery(lo), trance.PrepareOptions{
-			Name:       fmt.Sprintf("bounded-%d", i),
-			Env:        prepEnv(),
-			Strategies: []trance.Strategy{trance.Standard},
-		})
+		sq, err := sess.PrepareNamed(fmt.Sprintf("bounded-%d", i), prepQuery(lo))
 		if err != nil {
 			t.Fatal(err)
 		}
-		queries = append(queries, pq)
+		if _, err := sq.Run(context.Background(), trance.Standard); err != nil {
+			t.Fatal(err)
+		}
+		queries = append(queries, sq)
 	}
 	stats := trance.Counters()
 	if stats["plan_cache.entries"] > 2 {
@@ -317,7 +357,7 @@ func TestPlanCacheBounded(t *testing.T) {
 		t.Fatalf("want at least 2 evictions, got %d", stats["plan_cache.evictions"])
 	}
 	// The first (evicted) query still runs — it just recompiles.
-	res, err := queries[0].Run(context.Background(), queries[0].BindData(prepInputs(0)), trance.Standard)
+	res, err := queries[0].Run(context.Background(), trance.Standard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,26 +367,31 @@ func TestPlanCacheBounded(t *testing.T) {
 }
 
 // TestQueryIsTheOneStepProgram: Prepare, PreparePipeline over the one step
-// "Q" and Run all compile a query one way, under one fingerprint, so the plan
-// cache compiles it once per strategy between them.
+// "Q" and PrepareText all compile a query one way, under one fingerprint, so
+// the plan cache compiles it once per strategy between them.
 func TestQueryIsTheOneStepProgram(t *testing.T) {
 	trance.ResetPlanCache()
 	strat := trance.ShredUnshred
-	opts := trance.PrepareOptions{Env: prepEnv(), Strategies: []trance.Strategy{strat}}
-	pq, err := trance.Prepare(prepQuery(5), opts)
+	sess := prepCatalog(t, 0).NewSession(trance.SessionOptions{})
+	sq, err := sess.Prepare(prepQuery(5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	pp, err := trance.PreparePipeline([]trance.PipelineStep{{Name: "Q", Expr: prepQuery(5)}}, opts)
+	sp, err := sess.PreparePipeline([]trance.PipelineStep{{Name: "Q", Expr: prepQuery(5)}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pq.Fingerprint() != pp.Fingerprint() {
-		t.Fatalf("a query and its one-step program fingerprint differently: %s vs %s", pq.Fingerprint(), pp.Fingerprint())
+	st, err := sess.PrepareText("", trance.Print(prepQuery(5)))
+	if err != nil {
+		t.Fatal(err)
 	}
-	res := trance.Run(trance.Job{Query: prepQuery(5), Env: prepEnv(), Inputs: prepInputs(0)}, strat, trance.DefaultConfig())
-	if res.Failed() {
-		t.Fatal(res.Err)
+	for _, q := range []*trance.SessionQuery{sq, sp, st} {
+		if fp, want := q.Prepared().Fingerprint(), sq.Prepared().Fingerprint(); fp != want {
+			t.Fatalf("a query and its one-step program fingerprint differently: %s vs %s", fp, want)
+		}
+		if _, err := q.Run(context.Background(), strat); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if c := trance.Counters(); c["plan_cache.compiles"] != 1 || c["plan_cache.hits"] != 2 {
 		t.Fatalf("compiles=%d hits=%d, want one compilation served twice from the cache", c["plan_cache.compiles"], c["plan_cache.hits"])
@@ -354,9 +399,9 @@ func TestQueryIsTheOneStepProgram(t *testing.T) {
 }
 
 // TestQueryOverInputNamedQ: a query's one step is named "Q" unless an input
-// already is, so a query over an input named Q prepares and runs through Run,
-// Prepare, a session and a session's text alike; a program step that reuses a
-// bound name is rejected.
+// already is, so a query over an input named Q prepares and runs through a
+// session and a session's text alike; a program step that reuses a bound
+// name is rejected.
 func TestQueryOverInputNamedQ(t *testing.T) {
 	env := trance.Env{"Q": prepEnv()["R"]}
 	inputs := map[string]trance.Bag{"Q": prepInputs(0)["R"]}
@@ -377,35 +422,16 @@ func TestQueryOverInputNamedQ(t *testing.T) {
 	sess := cat.NewSession(trance.SessionOptions{})
 	for _, strat := range []trance.Strategy{trance.Standard, trance.ShredUnshred, trance.ShredUnshredSkew} {
 		ctx := context.Background()
-		runs := map[string]func() (*trance.Result, error){
-			"Run": func() (*trance.Result, error) {
-				res := trance.Run(trance.Job{Query: mk(), Env: env, Inputs: inputs}, strat, trance.DefaultConfig())
-				return res, res.Err
-			},
-			"Prepare": func() (*trance.Result, error) {
-				pq, err := trance.Prepare(mk(), trance.PrepareOptions{Env: env})
-				if err != nil {
-					return nil, err
-				}
-				return pq.Run(ctx, pq.BindData(inputs), strat)
-			},
-			"session": func() (*trance.Result, error) {
-				sq, err := sess.Prepare(mk())
-				if err != nil {
-					return nil, err
-				}
-				return sq.Run(ctx, strat)
-			},
-			"text": func() (*trance.Result, error) {
-				sq, err := sess.PrepareText("", text)
-				if err != nil {
-					return nil, err
-				}
-				return sq.Run(ctx, strat)
-			},
+		runs := map[string]func() (*trance.SessionQuery, error){
+			"session": func() (*trance.SessionQuery, error) { return sess.Prepare(mk()) },
+			"text":    func() (*trance.SessionQuery, error) { return sess.PrepareText("", text) },
 		}
-		for name, run := range runs {
-			res, err := run()
+		for name, prep := range runs {
+			sq, err := prep()
+			if err != nil {
+				t.Fatalf("%s %s: %v", name, strat, err)
+			}
+			res, err := sq.Run(ctx, strat)
 			if err != nil {
 				t.Fatalf("%s %s: %v", name, strat, err)
 			}
@@ -415,7 +441,7 @@ func TestQueryOverInputNamedQ(t *testing.T) {
 		}
 	}
 
-	_, err := trance.PreparePipeline([]trance.PipelineStep{{Name: "Q", Expr: mk()}}, trance.PrepareOptions{Env: env})
+	_, err := sess.PreparePipeline([]trance.PipelineStep{{Name: "Q", Expr: mk()}})
 	if err == nil || !strings.Contains(err.Error(), "already bound") {
 		t.Fatalf("a step named like an input must be rejected, got %v", err)
 	}

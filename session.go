@@ -3,7 +3,8 @@ package trance
 import (
 	"context"
 	"errors"
-	"sort"
+	"maps"
+	"slices"
 	"sync"
 
 	"github.com/trance-go/trance/internal/nrc"
@@ -53,7 +54,10 @@ func (c *Catalog) NewSession(opts SessionOptions) *Session {
 	if opts.Config != nil {
 		cfg = *opts.Config
 	}
-	pool := poolFor(cfg, opts.Pool)
+	pool := opts.Pool
+	if pool == nil && cfg.Workers > 0 {
+		pool = NewPool(cfg.Workers)
+	}
 	bind := map[string]string{}
 	for k, v := range opts.Bindings {
 		bind[k] = v
@@ -62,38 +66,36 @@ func (c *Catalog) NewSession(opts SessionOptions) *Session {
 }
 
 // Prepare resolves the query's free variables against the catalog,
-// typechecks and sets up compile-once evaluation (see Prepare), and binds
-// the resolved datasets for repeated runs (see PreparedQuery.BindData). The
-// session takes ownership of the query's AST.
+// typechecks it and sets up compile-once evaluation: the query is the one-step
+// program, its step named "Q" (or, when a free variable already has that
+// name, the first of "Q_", "Q__", … that none has). Each (query, strategy)
+// pair is compiled — NRC typecheck, standard or shredded compilation, plan
+// pruning — exactly once and cached in a process-wide, thread-safe,
+// fingerprint-keyed compilation cache, no matter how many goroutines Run
+// concurrently. Compile- and run-time panics surface as errors, so a
+// malformed query cannot crash a serving process. The session takes
+// ownership of the query's AST (compilation annotates it in place); do not
+// share one expression tree between concurrent Prepare calls.
 func (s *Session) Prepare(q Expr) (*SessionQuery, error) { return s.PrepareNamed("", q) }
 
 // PrepareNamed is Prepare with a label used in errors and metrics.
 func (s *Session) PrepareNamed(name string, q Expr) (*SessionQuery, error) {
-	return s.newQuery(name, nrc.FreeVars(q), func(opts PrepareOptions) (*PreparedQuery, error) {
-		return Prepare(q, opts)
-	})
+	vars := nrc.FreeVars(q)
+	return s.newQuery(name, []PipelineStep{{Name: queryStep(vars), Expr: q}}, vars)
 }
 
-// PreparePipeline is Prepare for a multi-step program (see PreparePipeline):
+// PreparePipeline is Prepare for a multi-step program: every step typechecks
+// against the catalog's datasets extended with the outputs of prior steps,
 // the steps' free variables (outputs of earlier steps are not free) resolve
-// against the catalog, repeated runs hit the plan cache for every step and
-// re-resolve when a referenced dataset mutates.
+// against the catalog, and repeated runs hit the plan cache for every step and
+// re-resolve when a referenced dataset mutates. The session takes ownership of
+// the step ASTs.
 func (s *Session) PreparePipeline(steps []PipelineStep) (*SessionQuery, error) {
-	return s.preparePipeline("", steps)
+	return s.newQuery("", slices.Clone(steps), nrc.FreeVarsProgram(steps))
 }
 
-func (s *Session) preparePipeline(name string, steps []PipelineStep) (*SessionQuery, error) {
-	return s.newQuery(name, nrc.FreeVarsProgram(steps), func(opts PrepareOptions) (*PreparedQuery, error) {
-		return PreparePipeline(steps, opts)
-	})
-}
-
-func (s *Session) newQuery(name string, vars map[string]bool, prepare func(PrepareOptions) (*PreparedQuery, error)) (*SessionQuery, error) {
-	sq := &SessionQuery{s: s, name: name, prepare: prepare, vars: make([]string, 0, len(vars))}
-	for v := range vars {
-		sq.vars = append(sq.vars, v)
-	}
-	sort.Strings(sq.vars)
+func (s *Session) newQuery(name string, steps []PipelineStep, vars map[string]bool) (*SessionQuery, error) {
+	sq := &SessionQuery{s: s, name: name, steps: steps, vars: slices.Sorted(maps.Keys(vars))}
 	sq.mu.Lock()
 	defer sq.mu.Unlock()
 	if err := sq.refreshLocked(); err != nil {
@@ -121,7 +123,7 @@ func (s *Session) PrepareText(name, src string) (*SessionQuery, error) {
 	if r.Query {
 		sq, err = s.PrepareNamed(name, r.Program.Stmts[0].Expr)
 	} else {
-		sq, err = s.preparePipeline(name, r.Program.Stmts)
+		sq, err = s.newQuery(name, r.Program.Stmts, nrc.FreeVarsProgram(r.Program.Stmts))
 	}
 	if err != nil {
 		return nil, diagnose(&r.Source, err)
@@ -143,25 +145,29 @@ func diagnose(src *parse.Source, err error) error {
 	return src.Diagnose(err)
 }
 
-// SessionQuery is a query or multi-step program prepared against a catalog:
-// compiled plans come from the process-wide plan cache, input conversion is
-// cached per route on the catalog generation, any number of goroutines may
-// Run concurrently, and every Run re-resolves against the catalog when a
-// referenced dataset's generation moved (see Session).
+// SessionQuery is a query or multi-step program prepared against a catalog —
+// the one way to run either: compiled plans come from the process-wide plan
+// cache, input conversion is cached per route on the catalog generation, any
+// number of goroutines may Run concurrently, and every Run re-resolves against
+// the catalog when a referenced dataset's generation moved (see Session).
 type SessionQuery struct {
-	s       *Session
-	name    string
-	prepare func(PrepareOptions) (*PreparedQuery, error)
-	vars    []string
+	s     *Session
+	name  string
+	steps []PipelineStep
+	vars  []string
 
-	mu   sync.Mutex // guards the cached resolution below
-	pq   *PreparedQuery
-	data *PreparedData
-	gens map[string]int64
+	// compileMu serializes typechecking and compilation of the steps, which
+	// annotate their ASTs in place; every generation's PreparedQuery shares it.
+	compileMu sync.Mutex
+
+	mu     sync.Mutex // guards the cached resolution below
+	pq     *PreparedQuery
+	inputs runner.Inputs
+	gens   map[string]int64
 }
 
 // refreshLocked re-resolves the query against the catalog's current
-// generations and re-prepares it. Caller holds sq.mu.
+// generations and re-prepares it under their statistics. Caller holds sq.mu.
 func (sq *SessionQuery) refreshLocked() error {
 	s := sq.s
 	entries, ests, err := s.cat.resolve(sq.vars, s.bind)
@@ -173,41 +179,26 @@ func (sq *SessionQuery) refreshLocked() error {
 		env[v], gens[v], inputs[v] = e.info.Type, e.gen, e.input(v)
 	}
 	cfg := s.cfg
-	if len(ests) > 0 {
-		cfg.Stats = ests
-	}
-	opts := PrepareOptions{Name: sq.name, Env: env, Config: &cfg, Pool: s.pool}
-	// Re-preparing shares the ASTs with the prior generation's prepared query,
-	// and both Prepare's typecheck and lazy compilation annotate them in place
-	// — so every generation serializes on one compile mutex.
-	var pq *PreparedQuery
-	if sq.pq != nil {
-		mu := sq.pq.compileMu
-		mu.Lock()
-		pq, err = sq.prepare(opts)
-		if pq != nil {
-			pq.compileMu = mu
-		}
-		mu.Unlock()
-	} else {
-		pq, err = sq.prepare(opts)
-	}
+	cfg.Stats = ests
+	sq.compileMu.Lock()
+	pq, err := prepare(sq.name, sq.steps, env, cfg, s.pool, &sq.compileMu)
+	sq.compileMu.Unlock()
 	if err != nil {
 		return err
 	}
-	sq.pq, sq.data, sq.gens = pq, &PreparedData{inputs: inputs}, gens
+	sq.pq, sq.inputs, sq.gens = pq, inputs, gens
 	return nil
 }
 
-// current returns the prepared artifacts for a run, re-resolving when any
-// referenced dataset's generation moved. The staleness probe is one
-// read-locked walk; a refresh re-prepares through the plan cache (a
-// generation-stamped fingerprint, so unchanged plans are cache hits).
-func (sq *SessionQuery) current() (*PreparedQuery, *PreparedData, error) {
+// current returns the prepared program and bound inputs for a run,
+// re-resolving when any referenced dataset's generation moved. The staleness
+// probe is one read-locked walk; a refresh re-prepares through the plan cache
+// (a generation-stamped fingerprint, so unchanged plans are cache hits).
+func (sq *SessionQuery) current() (*PreparedQuery, runner.Inputs, error) {
 	sq.mu.Lock()
 	defer sq.mu.Unlock()
 	if sq.s.cat.generationsUnchanged(sq.vars, sq.s.bind, sq.gens) {
-		return sq.pq, sq.data, nil
+		return sq.pq, sq.inputs, nil
 	}
 	if err := sq.refreshLocked(); err != nil {
 		// A referenced dataset was dropped without a replacement: keep
@@ -217,12 +208,12 @@ func (sq *SessionQuery) current() (*PreparedQuery, *PreparedData, error) {
 			return nil, nil, err
 		}
 	}
-	return sq.pq, sq.data, nil
+	return sq.pq, sq.inputs, nil
 }
 
-// Prepared exposes the underlying prepared query (output type, schema,
-// fingerprint, explain), refreshed against the catalog like Run; when the
-// refresh fails it is the last one that resolved.
+// Prepared exposes the underlying prepared query (schema, fingerprint,
+// explain), refreshed against the catalog like Run; when the refresh fails it
+// is the last one that resolved.
 func (sq *SessionQuery) Prepared() *PreparedQuery {
 	if pq, _, err := sq.current(); err == nil {
 		return pq
@@ -234,12 +225,17 @@ func (sq *SessionQuery) Prepared() *PreparedQuery {
 
 // Run evaluates the query under the strategy over the current catalog
 // generations of the referenced datasets (re-resolving after mutations; see
-// Session), exactly like PreparedQuery.Run over the data the session bound —
-// plus a resolve span when ctx carries a trace. The Result's rows, Columns
-// and plans all come from the one generation the run resolved to.
+// Session). The Result's rows, Columns and plans all come from the one
+// generation the run resolved to; Result.JSON and Result.WriteJSON render its
+// rows. A nil Result means the query did not resolve or compile (or ctx was
+// already done); failures from there on (including recovered panics) return
+// the Result — its Metrics, StepElapsed and FailedStep are valid — beside
+// the error. Cancellation of ctx is honored between plan statements. When
+// ctx carries a trace the run records resolve, compile, bind and execute
+// spans and stamps Result.TraceID.
 func (sq *SessionQuery) Run(ctx context.Context, strat Strategy, opts ...RunOption) (*Result, error) {
 	rsp := trace.From(ctx).Span().Child("resolve")
-	pq, data, err := sq.current()
+	pq, inputs, err := sq.current()
 	if err == nil {
 		rsp.Set("query", pq.label())
 	}
@@ -247,20 +243,5 @@ func (sq *SessionQuery) Run(ctx context.Context, strat Strategy, opts ...RunOpti
 	if err != nil {
 		return nil, err
 	}
-	return pq.Run(ctx, data, strat, opts...)
-}
-
-// RunJSON is Run plus Result.JSON: the result rows rendered as objects typed
-// by the run's own output schema — the query half of the catalog's JSON-in →
-// query → JSON-out round trip. Rows come back in the engine's canonical
-// sorted order, so output is deterministic.
-func (sq *SessionQuery) RunJSON(ctx context.Context, strat Strategy) ([]map[string]any, error) {
-	res, err := sq.Run(ctx, strat)
-	if err != nil {
-		return nil, err
-	}
-	esp := trace.From(ctx).Span().Child("encode")
-	defer esp.End()
-	rows, _ := res.JSON(0)
-	return rows, nil
+	return pq.run(ctx, inputs, strat, opts...)
 }

@@ -57,11 +57,11 @@ for c in CO union
 		t.Fatalf("text and builder fingerprints differ:\n%s\nvs\n%s", text, trance.Print(built))
 	}
 	for _, strat := range []trance.Strategy{trance.Standard, trance.Shred, trance.ShredUnshred} {
-		a, err := sqText.RunJSON(context.Background(), strat)
+		a, err := runJSON(context.Background(), sqText, strat)
 		if err != nil {
 			t.Fatalf("%s text: %v", strat, err)
 		}
-		b, err := sqBuilt.RunJSON(context.Background(), strat)
+		b, err := runJSON(context.Background(), sqBuilt, strat)
 		if err != nil {
 			t.Fatalf("%s built: %v", strat, err)
 		}
@@ -135,7 +135,7 @@ sumby[cname; qty](Flat)`
 		t.Fatal(err)
 	}
 	for _, strat := range []trance.Strategy{trance.Standard, trance.Shred, trance.ShredUnshred} {
-		rows, err := sp.RunJSON(context.Background(), strat)
+		rows, err := runJSON(context.Background(), sp, strat)
 		if err != nil {
 			t.Fatalf("%s: %v", strat, err)
 		}

@@ -14,15 +14,16 @@
 // memory limits.
 //
 // Quick start — data goes into a Catalog (from Go values or straight from
-// JSON with the nested schema inferred), and a Session resolves a query's
-// free variables against it:
+// JSON with the nested schema inferred), a Session resolves a query's free
+// variables against it, and the prepared SessionQuery runs:
 //
 //	cat := trance.NewCatalog()
 //	info, _ := cat.RegisterJSON("R", jsonReader)   // objects→tuples, arrays→bags
 //	q := trance.ForIn("x", trance.V("R"),
 //	        trance.SingOf(trance.Record("b", trance.AddOf(trance.P(trance.V("x"), "a"), trance.C(1)))))
 //	sq, _ := cat.NewSession(trance.SessionOptions{}).Prepare(q)
-//	rows, _ := sq.RunJSON(ctx, trance.ShredUnshred) // JSON in, JSON out
+//	res, _ := sq.Run(ctx, trance.ShredUnshred)
+//	rows, _ := res.JSON(0) // JSON in, JSON out
 //
 // Queries can equally be written as text in the paper's comprehension
 // syntax (docs/QUERYLANG.md) — Parse/ParseProgram produce the same ASTs,
@@ -34,19 +35,17 @@
 //	        `for x in R union { { b := x.a + 1 } }`)
 //
 // A query is a one-step program, and there is one way to compile and run
-// either: every executable — a SessionQuery, or the lower-level PreparedQuery
-// that Prepare and PreparePipeline return — has one
-// Run(ctx, …, strategy, ...RunOption), with Analyze() (EXPLAIN ANALYZE) the
-// only option, returning one Result: rows, their schema (Result.Columns,
-// Result.JSON), per-step timings, engine metrics, and with Analyze() the
-// measured plans (Result.ExplainAnalyze).
+// either: Catalog → Session → SessionQuery.Run(ctx, strategy, ...RunOption),
+// with Analyze() (EXPLAIN ANALYZE) the only option, returning one Result:
+// rows, their schema (Result.Columns, Result.JSON, Result.WriteJSON), per-step
+// timings, engine metrics, and with Analyze() the measured plans
+// (Result.ExplainAnalyze). The catalog converts each dataset generation's rows
+// and collects its statistics once, so every plan is costed with statistics.
 // Each (step, strategy) — under env-aware fingerprints — compiles exactly
 // once into a thread-safe process-wide cache, and the cached plans evaluate
-// from any number of goroutines over different datasets on one shared bounded
-// worker pool, with panics converted to errors at the compile and exec
-// boundaries (see ExampleCatalog, ExamplePrepare, docs/SERVING.md, and the
-// cmd/tranced HTTP service). One-shot evaluation over explicit inputs is
-// Run/RunPipeline (see ExampleRun), which prepare through the same cache.
+// from any number of goroutines on one shared bounded worker pool, with
+// panics converted to errors at the compile and exec boundaries (see
+// ExampleCatalog, docs/SERVING.md, and the cmd/tranced HTTP service).
 //
 // See examples/ for complete programs, README.md for a quickstart,
 // docs/ARCHITECTURE.md for the architecture and paper-to-package map, and
@@ -100,7 +99,7 @@ type (
 	// Expr is an NRC expression.
 	Expr = nrc.Expr
 	// Program is a sequence of assignments, its Stmts the steps of the
-	// program (ParseProgram, PreparePipeline).
+	// program (ParseProgram, Session.PreparePipeline).
 	Program = nrc.Program
 	// PipelineStep is one named step of a program, Name := Expr; later steps
 	// may reference earlier ones by name.
@@ -170,7 +169,7 @@ func Print(q Expr) string { return nrc.Print(q) }
 // comprehension language of the paper: `for x in R union ...` — see
 // docs/QUERYLANG.md for the full grammar). Lex and parse errors are
 // position-tracked caret diagnostics and never panic. The returned
-// expression is ready for Check, Prepare, or a Session (Session.PrepareText
+// expression is ready for Check or Session.Prepare (Session.PrepareText
 // parses and prepares in one step and points type errors back at the text).
 func Parse(src string) (Expr, error) {
 	r, err := parse.Query(src)
@@ -237,9 +236,6 @@ type (
 	DatasetStats = stats.Table
 	// ColumnStats is one column's statistics within a DatasetStats.
 	ColumnStats = stats.Column
-	// TableEstimate is the cost model's view of one input's statistics
-	// (Config.Stats; filled automatically by sessions).
-	TableEstimate = plan.TableEstimate
 )
 
 // Execution configuration and results.
@@ -258,23 +254,6 @@ type (
 
 // DefaultConfig is a laptop-scale stand-in for the paper's cluster.
 func DefaultConfig() Config { return runner.DefaultConfig() }
-
-// Job is a query over named nested inputs.
-type Job struct {
-	Query Expr
-	Env   Env
-	// Inputs provides nested input values. Standard routes bind them as
-	// top-level rows; shredded routes value-shred them before the timer
-	// starts (the paper reports runtime after caching all inputs).
-	Inputs map[string]Bag
-}
-
-// Run executes a job under a strategy: RunPipeline over the query's one step,
-// compiled through the plan cache like everything else. Serving paths should
-// Prepare (or use a Catalog/Session) and bind their data once instead.
-func Run(job Job, strat Strategy, cfg Config) *Result {
-	return RunPipeline([]PipelineStep{{Name: queryStep(job.Env), Expr: job.Query}}, job.Env, job.Inputs, strat, cfg)
-}
 
 // Counters returns every process-wide metric — the plan cache, the optimizer's
 // rule hits, the index subsystem, Auto's resolutions — keyed by its dotted
