@@ -86,32 +86,47 @@ type chunk struct {
 // an unchunked input does.
 var chunkSeq atomic.Int64
 
+// maxChunkSeq is the last chunk number whose label range fits in an int64.
+// Past it the base would turn negative and, 2³¹ builds later, come back to 0,
+// the range of every dataset's first chunk.
+const maxChunkSeq = 1<<31 - 1
+
+var errLabelsExhausted = errors.New("catalog: the process has used up its chunk label ranges")
+
 // newChunk is the one constructor of a chunk: rows b of type bt, placed at
-// position pos of the generation being built.
-func newChunk(b Bag, bt nrc.BagType, pos int) *chunk {
+// position pos of the generation being built. It fails, rather than reuse a
+// label range, once chunkSeq is past maxChunkSeq.
+func newChunk(b Bag, bt nrc.BagType, pos int) (*chunk, error) {
 	var base int64
 	if pos > 0 {
-		base = chunkSeq.Add(1) << 32
+		seq := chunkSeq.Add(1)
+		if seq > maxChunkSeq {
+			return nil, errLabelsExhausted
+		}
+		base = seq << 32
 	}
-	return &chunk{Chunk: runner.NewChunk(b, bt, base), stats: stats.Collect(b, bt, stats.Options{})}
+	return &chunk{Chunk: runner.NewChunk(b, bt, base), stats: stats.Collect(b, bt, stats.Options{})}, nil
 }
 
 // compact merges adjacent chunks until each holds at least twice the rows of
 // the chunk after it — the one compaction rule. A dataset of N rows then has
 // at most log₂N+1 chunks, and a row is re-derived O(log N) times over its
 // life. cs must not be shared with an installed generation.
-func compact(cs []*chunk, bt nrc.BagType) []*chunk {
+func compact(cs []*chunk, bt nrc.BagType) ([]*chunk, error) {
 	for i := 0; i+1 < len(cs); {
 		a, b := cs[i].Bag, cs[i+1].Bag
 		if len(a) >= 2*len(b) {
 			i++
 			continue
 		}
-		merged := make(Bag, 0, len(a)+len(b))
-		cs = slices.Replace(cs, i, i+2, newChunk(append(append(merged, a...), b...), bt, i))
+		merged, err := newChunk(append(append(make(Bag, 0, len(a)+len(b)), a...), b...), bt, i)
+		if err != nil {
+			return nil, err
+		}
+		cs = slices.Replace(cs, i, i+2, merged)
 		i = max(i-1, 0)
 	}
-	return cs
+	return cs, nil
 }
 
 // runnerChunks are the generation's chunks as the runner binds them.
@@ -337,7 +352,11 @@ func (c *Catalog) add(name string, t nrc.BagType, b Bag, source string) (Dataset
 		if cur != nil {
 			return nil, fmt.Errorf("catalog: dataset %s: %w", name, ErrDatasetExists)
 		}
-		return newGeneration(DatasetInfo{Name: name, Type: t, Source: source}, nil, []*chunk{newChunk(b, t, 0)}, nil), nil
+		ch, err := newChunk(b, t, 0)
+		if err != nil {
+			return nil, fmt.Errorf("catalog: dataset %s: %w", name, err)
+		}
+		return newGeneration(DatasetInfo{Name: name, Type: t, Source: source}, nil, []*chunk{ch}, nil), nil
 	})
 	if err != nil {
 		return DatasetInfo{}, err
@@ -434,8 +453,15 @@ func (c *Catalog) Append(name string, rows Bag) (DatasetInfo, error) {
 			return nil, fmt.Errorf("catalog: dataset %s: append: %w", name, err)
 		}
 		bt := cur.info.Type.(nrc.BagType)
-		cs := append(slices.Clone(cur.chunks), newChunk(slices.Clone(rows), bt, len(cur.chunks)))
-		return newGeneration(cur.info, cur, compact(cs, bt), nil), nil
+		ch, err := newChunk(slices.Clone(rows), bt, len(cur.chunks))
+		if err != nil {
+			return nil, fmt.Errorf("catalog: dataset %s: append: %w", name, err)
+		}
+		cs, err := compact(append(slices.Clone(cur.chunks), ch), bt)
+		if err != nil {
+			return nil, fmt.Errorf("catalog: dataset %s: append: %w", name, err)
+		}
+		return newGeneration(cur.info, cur, cs, nil), nil
 	})
 	if err != nil {
 		return DatasetInfo{}, err
@@ -526,16 +552,25 @@ func (c *Catalog) delete(name, column string, key func(nrc.ScalarType) (Value, e
 			}
 			removed += len(c.Bag) - len(kept)
 			if len(kept) > 0 {
-				cs = append(cs, newChunk(kept, bt, len(cs)))
+				ch, err := newChunk(kept, bt, len(cs))
+				if err != nil {
+					return nil, fmt.Errorf("catalog: dataset %s: delete: %w", name, err)
+				}
+				cs = append(cs, ch)
 			}
 		}
 		if removed == 0 {
 			return nil, nil
 		}
 		if len(cs) == 0 {
-			cs = append(cs, newChunk(Bag{}, bt, 0))
+			ch, _ := newChunk(Bag{}, bt, 0) // position 0 draws no label range
+			cs = append(cs, ch)
 		}
-		return newGeneration(cur.info, cur, compact(cs, bt), nil), nil
+		cs, err = compact(cs, bt)
+		if err != nil {
+			return nil, fmt.Errorf("catalog: dataset %s: delete: %w", name, err)
+		}
+		return newGeneration(cur.info, cur, cs, nil), nil
 	})
 	if err != nil {
 		return 0, err

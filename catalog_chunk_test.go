@@ -2,6 +2,7 @@ package trance_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/bits"
@@ -298,5 +299,34 @@ func TestAppendAllocsFlatInRows(t *testing.T) {
 	t.Logf("50-row append: %.0f objects at 1 000 rows, %.0f at 100 000", small, large)
 	if large > 1.5*small || math.IsNaN(large) {
 		t.Fatalf("a 50-row append allocates %.0f objects at 100 000 rows, %.0f at 1 000", large, small)
+	}
+}
+
+// TestChunkLabelBasesDoNotWrap: the last chunk label range a process has is
+// used like any other, and the build after it fails instead of wrapping onto
+// the ranges of chunks already numbered; the installed generation stays.
+func TestChunkLabelBasesDoNotWrap(t *testing.T) {
+	defer trance.SetChunksLeftForTest(1)()
+	rng := rand.New(rand.NewSource(3))
+	var next int64
+	cat := trance.NewCatalog()
+	if err := cat.Register("D", chunkType(), chunkRows(rng, &next, 40)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cat.Append("D", chunkRows(rng, &next, 5)); err != nil {
+		t.Fatalf("the last label range: %v", err)
+	}
+	bases := trance.CatalogChunkBases(cat, "D")
+	if len(bases) != 2 || bases[0] != 0 || bases[1] != (1<<31-1)<<32 {
+		t.Fatalf("chunk label bases %v, want [0 %d]", bases, int64(1<<31-1)<<32)
+	}
+	before, _ := cat.Info("D")
+	_, err := cat.Append("D", chunkRows(rng, &next, 5))
+	if !errors.Is(err, trance.ErrLabelsExhausted) {
+		t.Fatalf("append past the last label range: %v, want %v", err, trance.ErrLabelsExhausted)
+	}
+	after, _ := cat.Info("D")
+	if after.Generation != before.Generation || after.Rows != before.Rows {
+		t.Fatalf("failed append installed generation %d (%d rows), was %d (%d rows)", after.Generation, after.Rows, before.Generation, before.Rows)
 	}
 }

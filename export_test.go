@@ -70,3 +70,27 @@ func CatalogChunkRows(c *Catalog, dataset string) []int {
 	}
 	return out
 }
+
+// ErrLabelsExhausted is the error a chunk build returns once the process has
+// no label range left for it.
+var ErrLabelsExhausted = errLabelsExhausted
+
+// SetChunksLeftForTest moves the process's chunk counter so that n more
+// chunk label ranges remain, and returns a restore func.
+func SetChunksLeftForTest(n int64) (restore func()) {
+	old := chunkSeq.Swap(maxChunkSeq - n)
+	return func() { chunkSeq.Store(old) }
+}
+
+// CatalogChunkBases returns the label bases of a dataset's chunks, in order.
+func CatalogChunkBases(c *Catalog, dataset string) []int64 {
+	e, ok := c.entry(dataset)
+	if !ok {
+		return nil
+	}
+	out := make([]int64, len(e.chunks))
+	for i, ch := range e.chunks {
+		out[i] = ch.LabelBase()
+	}
+	return out
+}

@@ -139,7 +139,7 @@ type Metrics struct {
 	ShuffleBytes      atomic.Int64 // bytes of rows written across a shuffle boundary
 	ShuffleRecords    atomic.Int64 // rows written across a shuffle boundary
 	BroadcastBytes    atomic.Int64 // bytes replicated to every partition by broadcasts
-	PeakPartition     atomic.Int64 // largest materialized partition observed (bytes)
+	PeakPartition     atomic.Int64 // largest exchanged partition (bytes); under a memory cap, largest materialized one
 	PeakPartitionRows atomic.Int64 // largest materialized partition observed (rows)
 	Stages            atomic.Int64 // shuffle stages executed
 	SkippedShuffles   atomic.Int64 // exchanges the plan decided the rows needed none of
@@ -329,9 +329,16 @@ func (c *Context) timeStage(stage string, fn func() error) error {
 	return err
 }
 
-// checkPartitions sizes every partition with a row walk, then records the
-// peaks and enforces the memory cap.
+// checkPartitions records the peak partition rows and, under a memory cap,
+// sizes every partition with a row walk, records the peak bytes and enforces
+// the cap. Without a cap nothing reads the sizes, so no row is walked.
 func (c *Context) checkPartitions(stage string, parts [][]Row) error {
+	if c.MaxPartitionBytes <= 0 {
+		for _, p := range parts {
+			maxInt64(&c.Metrics.PeakPartitionRows, int64(len(p)))
+		}
+		return nil
+	}
 	mem := make([]int64, len(parts))
 	_ = c.runParts(len(parts), func(i int) error {
 		mem[i] = value.SizeRows(parts[i])

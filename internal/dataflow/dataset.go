@@ -115,7 +115,7 @@ func (d *Dataset) force() error {
 	}
 	parts := make([][]Row, len(d.parts))
 	err := d.ctx.runParts(len(d.parts), func(i int) error {
-		var out []Row
+		out := make([]Row, 0, len(d.parts[i]))
 		d.feed(i, func(r Row) { out = append(out, r) })
 		parts[i] = out
 		return nil
@@ -337,14 +337,14 @@ func (d *Dataset) Union(o *Dataset) *Dataset {
 	}
 	parts := make([][]Row, n)
 	for i := 0; i < n; i++ {
-		var p []Row
+		var dp, op []Row
 		if i < len(d.parts) {
-			p = append(p, d.parts[i]...)
+			dp = d.parts[i]
 		}
 		if i < len(o.parts) {
-			p = append(p, o.parts[i]...)
+			op = o.parts[i]
 		}
-		parts[i] = p
+		parts[i] = append(append(make([]Row, 0, len(dp)+len(op)), dp...), op...)
 	}
 	return &Dataset{ctx: d.ctx, parts: parts, err: errors.Join(d.err, o.err)}
 }

@@ -4,8 +4,9 @@ import "time"
 
 // Reducer folds one key group into output rows appended to out. The group
 // holds all rows sharing the composite key, in arrival order and in their
-// original layout; it is a view into the partition's arena, valid for reading
-// after the call but not to be modified.
+// original layout; it is a view into the partition's arena, valid only during
+// the call and not to be modified: the arena is recycled once the partition is
+// reduced. The rows themselves outlive it.
 type Reducer func(out []Row, group []Row) []Row
 
 // GroupReduce hash-partitions by the key columns and reduces every key group,
@@ -37,6 +38,11 @@ func (d *Dataset) GroupReduce(stage string, cols []int, local bool, newReducer f
 			out = reduce(out, g.group(uint32(id)))
 		}
 		parts[i] = out
+		t.release()
+		g.release()
+		if sh != d {
+			sh.releasePart(i)
+		}
 		return nil
 	})
 	d.ctx.Metrics.AddStageWall(stage+"/reduce", time.Since(start))

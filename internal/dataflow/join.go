@@ -36,12 +36,19 @@ func (d *Dataset) Join(stage string, right *Dataset, lcols, rcols []int, placed 
 		if i < len(rs.parts) {
 			build.keys, build.rows = rs.groupPart(i, rcols, true)
 		}
-		var out []Row
+		out := make([]Row, 0, len(ls.parts[i]))
 		write := jo.writer()
 		ls.feedKeyed(i, lcols, func(l Row, h uint64) {
 			out = build.probe(out, l, h, lcols, write, leftOuter)
 		})
 		parts[i] = out
+		build.release()
+		if ls != d {
+			ls.releasePart(i)
+		}
+		if rs != right && i < len(rs.parts) {
+			rs.releasePart(i)
+		}
 		return nil
 	})
 	d.ctx.Metrics.AddStageWall(stage, time.Since(start))
@@ -77,7 +84,7 @@ func (d *Dataset) BroadcastJoin(stage string, right *Dataset, lcols, rcols []int
 	build.keys, build.rows = d.ctx.FromPartitions([][]Row{rrows}).groupPart(0, rcols, true)
 	parts := make([][]Row, len(d.parts))
 	joinErr := d.ctx.runParts(len(d.parts), func(i int) error {
-		var out []Row
+		out := make([]Row, 0, len(d.parts[i]))
 		write := jo.writer()
 		d.feedKeyed(i, lcols, func(l Row, h uint64) {
 			out = build.probe(out, l, h, lcols, write, leftOuter)
@@ -85,6 +92,7 @@ func (d *Dataset) BroadcastJoin(stage string, right *Dataset, lcols, rcols []int
 		parts[i] = out
 		return nil
 	})
+	build.release()
 	d.ctx.Metrics.AddStageWall(stage, time.Since(start))
 	if joinErr != nil {
 		return nil, joinErr

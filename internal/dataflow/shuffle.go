@@ -57,8 +57,8 @@ func (d *Dataset) RepartitionBy(stage string, cols []int, placed bool) (*Dataset
 		// source's rows — a capacity hint only, skew just grows past it.
 		hint := len(d.parts[i])/p + 1
 		for t := range local.rows {
-			local.rows[t] = make([]Row, 0, hint)
-			local.hashes[t] = make([]uint64, 0, hint)
+			local.rows[t] = rowScratch.get(hint)[:0]
+			local.hashes[t] = hashScratch.get(hint)[:0]
 		}
 		width, ragged := -1, false
 		d.feed(i, func(r Row) {
@@ -103,7 +103,7 @@ func (d *Dataset) RepartitionBy(stage string, cols []int, placed bool) (*Dataset
 	}
 
 	// Reduce side: each target partition concatenates its buffers in source
-	// order and sums their sizes.
+	// order, sums their sizes and releases them.
 	out := &Dataset{ctx: c, parts: make([][]Row, p), hashes: make([][]uint64, p), hashCols: cols}
 	mem := make([]int64, p)
 	reduceErr := c.runParts(p, func(t int) error {
@@ -112,10 +112,12 @@ func (d *Dataset) RepartitionBy(stage string, cols []int, placed bool) (*Dataset
 			n += len(buckets[i].rows[t])
 			mem[t] += buckets[i].mem[t]
 		}
-		rows, hashes := make([]Row, 0, n), make([]uint64, 0, n)
+		rows, hashes := rowScratch.get(n)[:0], hashScratch.get(n)[:0]
 		for i := range buckets {
 			rows = append(rows, buckets[i].rows[t]...)
 			hashes = append(hashes, buckets[i].hashes[t]...)
+			rowScratch.put(buckets[i].rows[t])
+			hashScratch.put(buckets[i].hashes[t])
 		}
 		out.parts[t], out.hashes[t] = rows, hashes
 		return nil

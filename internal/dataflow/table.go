@@ -34,17 +34,18 @@ const noGroup = ^uint32(0)
 // newGroupTable returns a table over key columns cols with room for groups
 // keys before it first grows.
 func newGroupTable(cols []int, groups int) *groupTable {
-	t := &groupTable{cols: cols, first: make([]Row, 0, groups)}
+	t := &groupTable{cols: cols, first: rowScratch.get(groups)[:0]}
 	t.resize(2*groups + 8)
 	return t
 }
 
 // resize rebuilds the slot array with at least n slots (a power of two) from
-// the stored hashes: no key is re-hashed or re-compared.
+// the stored hashes: no key is re-hashed or re-compared. The old slots go back
+// to the pool.
 func (t *groupTable) resize(n int) {
 	old := t.slots
 	t.shift = uint(64 - bits.Len(uint(n-1)))
-	t.slots = make([]slot, 1<<(64-t.shift))
+	t.slots = slotScratch.get(1 << (64 - t.shift))
 	for _, s := range old {
 		if s.id != 0 {
 			i := t.home(s.hash)
@@ -54,6 +55,7 @@ func (t *groupTable) resize(n int) {
 			t.slots[i] = s
 		}
 	}
+	slotScratch.put(old)
 }
 
 // home is the first slot probed for hash h. Every hash of one partition agrees
@@ -118,7 +120,7 @@ func place(rows []Row, ids []uint32, groups int) grouped {
 	// Counts go in at id+2 so that, after the prefix sum, off[id+1] is group
 	// id's write cursor; once every row is placed it has advanced to the
 	// group's end, which is the next group's start.
-	off := make([]uint32, groups+2)
+	off := idScratch.get(groups + 2)
 	for _, id := range ids {
 		if id != noGroup {
 			off[id+2]++
@@ -127,7 +129,7 @@ func place(rows []Row, ids []uint32, groups int) grouped {
 	for g := 2; g < len(off); g++ {
 		off[g] += off[g-1]
 	}
-	arena := make([]Row, off[groups+1])
+	arena := rowScratch.get(int(off[groups+1]))
 	for j, id := range ids {
 		if id != noGroup {
 			arena[off[id+1]] = rows[j]
@@ -165,15 +167,15 @@ func (d *Dataset) feedKeyed(part int, cols []int, sink func(Row, uint64)) {
 // keys in first-seen order and the rows placed under them. The first pass
 // interns every row's key (materializing the rows here if a fused chain was
 // pending); place is the second. With joinSide set, NULL-keyed rows are left
-// out — they never match in a join.
+// out — they never match in a join. The caller releases both results.
 func (d *Dataset) groupPart(part int, cols []int, joinSide bool) (*groupTable, grouped) {
 	t := newGroupTable(cols, len(d.parts[part])/2)
 	rows := d.parts[part]
 	pending := len(d.stages) > 0
 	if pending {
-		rows = make([]Row, 0, len(rows))
+		rows = rowScratch.get(len(rows))[:0]
 	}
-	ids := make([]uint32, 0, len(d.parts[part]))
+	ids := idScratch.get(len(d.parts[part]))[:0]
 	d.feedKeyed(part, cols, func(r Row, h uint64) {
 		if pending {
 			rows = append(rows, r)
@@ -184,13 +186,19 @@ func (d *Dataset) groupPart(part int, cols []int, joinSide bool) (*groupTable, g
 			ids = append(ids, t.intern(h, r))
 		}
 	})
-	return t, place(rows, ids, t.len())
+	g := place(rows, ids, t.len())
+	idScratch.put(ids)
+	if pending {
+		rowScratch.put(rows)
+	}
+	return t, g
 }
 
 // Lookup indexes a dataset's rows by key at the driver, on the group table
 // behind Γ, the joins and dedup: Find returns the rows under a key in Collect
 // order. As on a join side, a row with a NULL key column is left out, so no
-// probe finds it.
+// probe finds it. Its table and placement are held as long as it is: they
+// never go back to the pools.
 type Lookup struct {
 	t *groupTable
 	g grouped
@@ -204,8 +212,8 @@ func (d *Dataset) Lookup(cols []int) *Lookup {
 		n += len(p)
 	}
 	t := newGroupTable(cols, n/2)
-	rows := make([]Row, 0, n)
-	ids := make([]uint32, 0, n)
+	rows := rowScratch.get(n)[:0]
+	ids := idScratch.get(n)[:0]
 	for part := range d.parts {
 		d.feedKeyed(part, cols, func(r Row, h uint64) {
 			rows = append(rows, r)
@@ -216,7 +224,10 @@ func (d *Dataset) Lookup(cols []int) *Lookup {
 			}
 		})
 	}
-	return &Lookup{t: t, g: place(rows, ids, t.len())}
+	l := &Lookup{t: t, g: place(rows, ids, t.len())}
+	rowScratch.put(rows)
+	idScratch.put(ids)
+	return l
 }
 
 // Find returns the number of the group whose key equals r's over cols (the

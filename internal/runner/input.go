@@ -60,6 +60,9 @@ func NewChunk(b value.Bag, t nrc.Type, labelBase int64) *Chunk {
 	return &Chunk{Bag: b, Type: t, labelBase: labelBase}
 }
 
+// LabelBase is where value shredding numbers the chunk's labels from.
+func (c *Chunk) LabelBase() int64 { return c.labelBase }
+
 // Rows returns the chunk's engine datasets on a route when bound as variable
 // name: one under name on standard routes, the value-shredded dictionary
 // components on shredded ones.

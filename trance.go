@@ -10,7 +10,8 @@
 // in-process, parallel pipelined dataflow engine: partitions are processed
 // goroutine-per-partition on a bounded worker pool, consecutive narrow
 // operators are fused into one pass, and the engine meters shuffles,
-// per-stage wall time, and peak partition sizes while emulating per-worker
+// per-stage wall time, and the largest exchanged partition (every
+// materialized partition under a memory cap) while emulating per-worker
 // memory limits.
 //
 // Quick start — data goes into a Catalog (from Go values or straight from
