@@ -193,19 +193,13 @@ func runJob(w io.Writer, j job, strat trance.Strategy, cfg trance.Config, show i
 		return err
 	}
 	res, err := sq.Run(context.Background(), strat)
-	if res == nil {
+	if res != nil {
+		err = res.Err // the run's own error, without the query label
+	}
+	if err != nil {
 		return err
 	}
-	// Counting first runs an unshredding route's deferred unshred statement,
-	// which Elapsed, Metrics and Err then include.
-	var rows int64
-	if !res.Failed() {
-		rows = res.Output.Count()
-	}
-	if res.Failed() {
-		return res.Err
-	}
-	fmt.Fprintf(w, "%s: %v, rows=%d, %s\n", res.Strategy, res.Elapsed, rows, res.Metrics)
+	fmt.Fprintf(w, "%s: %v, rows=%d, %s\n", res.Strategy, res.Elapsed, res.Output.Count(), res.Metrics)
 	if show > 0 { // CollectTop(0) would be every row
 		top, _ := res.Output.CollectTop(show)
 		for _, row := range top {
@@ -335,15 +329,11 @@ func cmdBiomed(args []string) {
 	if res == nil {
 		log.Fatal(err)
 	}
-	var rows int64
-	if !res.Failed() {
-		rows = res.Output.Count() // unshreds first, as in cmdRun
-	}
 	for i, d := range res.StepElapsed {
 		fmt.Printf("step%d: %v\n", i+1, d)
 	}
 	if res.Failed() {
 		log.Fatalf("pipeline failed at step %d: %v", res.FailedStep+1, res.Err)
 	}
-	fmt.Printf("final rows=%d, %s\n", rows, res.Metrics)
+	fmt.Printf("final rows=%d, %s\n", res.Output.Count(), res.Metrics)
 }

@@ -25,12 +25,12 @@ func TestExplainEndpoint(t *testing.T) {
 		t.Fatalf("explain lacks a plan tree:\n%s", text)
 	}
 
-	// The shredded route shows the program's assignments (and, for
-	// shred+unshred, the unshred plan).
+	// The shredded route shows the program's assignments and, for
+	// shred+unshred, the line naming what its nested rows are stitched from.
 	out = getJSON(t, ts, "/explain?name=tpch/nested-to-nested&level=1&strategy=shred%2Bunshred", http.StatusOK)
 	text = out["explain"].(string)
-	if !strings.Contains(text, "assignment") || !strings.Contains(text, "unshred plan") {
-		t.Fatalf("shredded explain lacks assignments/unshred sections:\n%s", text)
+	if !strings.Contains(text, "=== assignment ") || !strings.Contains(text, "\nstitch: top=Q lineitems=Q__lineitems\n") {
+		t.Fatalf("shredded explain lacks assignments or the stitch line:\n%s", text)
 	}
 
 	// Bad requests are 4xx.
@@ -61,10 +61,10 @@ func TestExplainEndpoint(t *testing.T) {
 	}
 }
 
-// TestExplainAnalyzeMeasuresUnshredding: a reply on an unshredding route never
-// runs the unshred plan, but EXPLAIN ANALYZE of the route does — the analyzed
-// level-2 flat-to-nested shred+unshred plans list both unshred ⟕ with the rows
-// they produced and where they ran.
+// TestExplainAnalyzeMeasuresUnshredding: EXPLAIN ANALYZE of an unshredding
+// route measures the shredded assignments it ran — each of the level-2
+// flat-to-nested shred+unshred program's three lists the rows it produced —
+// and names the top bag and dictionaries its nested rows are stitched from.
 func TestExplainAnalyzeMeasuresUnshredding(t *testing.T) {
 	cfg := defaultServerConfig()
 	cfg.Customers = 20
@@ -77,21 +77,18 @@ func TestExplainAnalyzeMeasuresUnshredding(t *testing.T) {
 	defer ts.Close()
 	out := getJSON(t, ts, "/explain?name=tpch/flat-to-nested&level=2&strategy=shred%2Bunshred&analyze=1", http.StatusOK)
 	text := out["explain"].(string)
-	_, unshred, ok := strings.Cut(text, "=== unshred plan (analyzed) ===\n")
-	if !ok {
-		t.Fatalf("no analyzed unshred plan:\n%s", text)
-	}
-	unshred, _, _ = strings.Cut(unshred, "===")
-	joins := 0
-	for _, line := range strings.Split(unshred, "\n") {
-		if strings.Contains(line, "⟕") {
-			joins++
-			if !strings.Contains(line, "actual_rows=") || strings.Contains(line, "actual_rows=0 ") {
-				t.Errorf("unshred join not measured: %s", line)
-			}
+	sections := strings.Split(text, "=== assignment ")[1:]
+	for _, sec := range sections {
+		name, rest, _ := strings.Cut(sec, " (analyzed) ===\n")
+		root, _, _ := strings.Cut(rest, "\n")
+		if !strings.Contains(root, "actual_rows=") || strings.Contains(root, "actual_rows=0 ") {
+			t.Errorf("assignment %s not measured: %s", name, root)
 		}
 	}
-	if joins != 2 {
-		t.Fatalf("analyzed unshred plan lists %d ⟕, want 2:\n%s", joins, unshred)
+	if len(sections) != 3 {
+		t.Fatalf("analyzed explain lists %d assignments, want 3:\n%s", len(sections), text)
+	}
+	if !strings.Contains(text, "\nstitch: top=Q orders=Q__orders orders.lineitems=Q__orders_lineitems\n") {
+		t.Fatalf("analyzed explain lacks the stitch line:\n%s", text)
 	}
 }

@@ -45,12 +45,6 @@ func main() {
 		if res == nil {
 			log.Fatalf("%s: %v", strat, err)
 		}
-		// Counting first runs an unshredding route's deferred unshred
-		// statement, which the step times, Metrics and Err then include.
-		var rows int64
-		if !res.Failed() {
-			rows = res.Output.Count()
-		}
 		fmt.Printf("%-12s", strat)
 		for i, d := range res.StepElapsed {
 			fmt.Printf("  step%d=%v", i+1, d)
@@ -58,7 +52,7 @@ func main() {
 		if res.Failed() {
 			fmt.Printf("  FAILED at step %d: %v", res.FailedStep+1, res.Err)
 		} else {
-			fmt.Printf("  rows=%d  %s", rows, res.Metrics)
+			fmt.Printf("  rows=%d  %s", res.Output.Count(), res.Metrics)
 		}
 		fmt.Println()
 	}

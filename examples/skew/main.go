@@ -53,12 +53,7 @@ func main() {
 		for _, strat := range strategies {
 			res, err := sq.Run(context.Background(), strat)
 			if res != nil {
-				if !res.Failed() {
-					// Unshredding runs on first use of the output; its time,
-					// bytes and memory-cap failures count.
-					res.Output.Count()
-				}
-				err = res.Err
+				err = res.Err // the run's own error, without the query label
 			}
 			if err != nil {
 				fmt.Printf("  %-20s FAIL (%v)\n", strat, err)

@@ -65,19 +65,13 @@ func main() {
 		trance.Standard, trance.SparkSQLStyle, trance.Shred, trance.ShredUnshred,
 	} {
 		res, err := sq.Run(context.Background(), strat)
-		// Counting first runs an unshredding route's deferred unshred
-		// statement, which Elapsed, Metrics and Err then include.
-		var rows int64
 		if res != nil {
-			if !res.Failed() {
-				rows = res.Output.Count()
-			}
-			err = res.Err
+			err = res.Err // the run's own error, without the query label
 		}
 		if err != nil {
 			fmt.Printf("%-14s FAILED: %v\n", strat, err)
 			continue
 		}
-		fmt.Printf("%-14s %8v  rows=%-8d %s\n", strat, res.Elapsed, rows, res.Metrics)
+		fmt.Printf("%-14s %8v  rows=%-8d %s\n", strat, res.Elapsed, res.Output.Count(), res.Metrics)
 	}
 }

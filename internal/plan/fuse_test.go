@@ -168,8 +168,9 @@ func TestFuseRules(t *testing.T) {
 	}
 }
 
-// TestFuseCastBagsIntoOuterJoin: the unshred plan's CastBags π over ⟕ folds,
-// and the join still turns the NULL bag of an unmatched outer row into {}.
+// TestFuseCastBagsIntoOuterJoin: a CastBags π (the NULL-bag cast a root head
+// projects with) over ⟕ folds, and the join still turns the NULL bag of an
+// unmatched outer row into {}.
 func TestFuseCastBagsIntoOuterJoin(t *testing.T) {
 	bagT := nrc.BagType{Elem: nrc.IntT}
 	top := &plan.Scan{Input: "Top", Cols: []plan.Column{{Name: "k", Type: nrc.IntT}}}

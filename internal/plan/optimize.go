@@ -10,9 +10,9 @@ import (
 
 // This file implements the rule-based plan optimizer: predicate pushdown,
 // select fusion, constant folding, and trivial-predicate elimination, applied
-// at compile time to every plan of every strategy (standard plans, shredded
-// program statements, and unshred plans — see runner.CompileStep and
-// docs/OPTIMIZER.md for the rule catalogue and soundness notes).
+// at compile time to every plan of every strategy (standard plans and shredded
+// program statements — see runner.CompileStep and docs/OPTIMIZER.md for the
+// rule catalogue and soundness notes).
 //
 // The pass is a single top-down traversal carrying a set of predicate
 // conjuncts. Each Select encountered is dissolved into conjuncts; each

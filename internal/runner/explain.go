@@ -38,6 +38,7 @@ func (cq *Compiled) Explain() string {
 	for _, st := range cq.Stmts {
 		explainPair(&sb, st)
 	}
+	cq.explainStitch(&sb)
 	return sb.String()
 }
 
@@ -69,12 +70,8 @@ func (cq *Compiled) explainHeader(sb *strings.Builder) {
 // additionally get a q-error summary block per step comparing the optimizer's
 // cardinality estimate against the observed row count. Rendering from the
 // result — not from a fresh lookup — means the plans shown are the ones that
-// ran, whatever the catalog did since. On an unshredding route it runs the
-// deferred unshred statement first (Output), so that plan is measured too.
+// ran, whatever the catalog did since.
 func (r *Result) ExplainAnalyze() string {
-	if r.Output != nil {
-		r.Output.dataset()
-	}
 	var sb strings.Builder
 	a := r.Analyze
 	wall := map[string]time.Duration{}
@@ -108,6 +105,7 @@ func (r *Result) ExplainAnalyze() string {
 			fmt.Fprintf(&sb, "=== %s (analyzed) ===\n%s", st.Label, plan.ExplainAnalyzed(st.Plan, a, wall, exch))
 			qerrs = append(qerrs, plan.QErrors(st.Plan, a)...)
 		}
+		cq.explainStitch(&sb)
 		if len(qerrs) > 0 {
 			sb.WriteString("=== q-error (estimate vs actual) ===\n")
 			for _, q := range qerrs {
@@ -126,6 +124,20 @@ func (r *Result) ExplainAnalyze() string {
 			e.ColumnarBuffers, e.BoxedBuffers, e.ColumnarBytes, e.BoxedBytes)
 	}
 	return sb.String()
+}
+
+// explainStitch writes, on an unshredding route, the line naming what its
+// nested output is stitched from: the top bag, then each dictionary under the
+// path of the bag it holds.
+func (cq *Compiled) explainStitch(sb *strings.Builder) {
+	if !cq.Strategy.unshreds() {
+		return
+	}
+	fmt.Fprintf(sb, "stitch: top=%s", cq.Mat.TopName)
+	for _, d := range cq.Mat.Dicts {
+		fmt.Fprintf(sb, " %s=%s", strings.Join(d.Path, "."), d.Name)
+	}
+	sb.WriteString("\n")
 }
 
 // explainPair prints one plan section; when the optimizer changed the plan,

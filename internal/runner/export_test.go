@@ -46,10 +46,10 @@ func RunProgram(steps []nrc.Assignment, env nrc.Env, inputs map[string]value.Bag
 	return ExecuteBags(context.Background(), prog, inputs, NewRunContext(cfg), ExecOptions{})
 }
 
-// StitchTop is the reply path's top(limit) on an unshredding route, beside
-// the label pairs its comparator stitched and the deepest dictionary level it
+// StitchTop is Output.CollectTop(limit) on an unshredding route, beside the
+// label pairs its comparator stitched and the deepest dictionary level it
 // stitched a bag from.
 func StitchTop(r *Result, limit int) (rows []dataflow.Row, total, resolved, depth int) {
-	rows, total, s := stitchTop(r, limit)
+	rows, total, s := stitchTop(r.Output, limit)
 	return rows, total, s.resolved, s.depth
 }

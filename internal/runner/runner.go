@@ -8,7 +8,6 @@ import (
 	"context"
 	"errors"
 	"io"
-	"sync"
 	"time"
 
 	"github.com/trance-go/trance/internal/dataflow"
@@ -32,7 +31,9 @@ const (
 	// Shred is shredded compilation with domain elimination, leaving the
 	// output in shredded (materialized dictionary) form.
 	Shred
-	// ShredUnshred additionally restores the nested output.
+	// ShredUnshred runs Shred's statements and restores the nested output by
+	// stitching it from the shredded output when it is read (Output), where
+	// the paper runs a distributed unshred plan.
 	ShredUnshred
 	// StandardSkew is Standard with skew-aware operators.
 	StandardSkew
@@ -100,7 +101,7 @@ func (s Strategy) SkewAware() bool { return s.skewAware() }
 
 // Unshreds reports whether the strategy restores nested output from the
 // shredded representation (its Result.Output rows are the nested value, like
-// Standard's).
+// Standard's, stitched from the shredded output).
 func (s Strategy) Unshreds() bool { return s.unshreds() }
 
 // AllStrategies lists every explicit strategy in presentation order (Auto is
@@ -203,10 +204,10 @@ type Result struct {
 	// Strategy is the route the final step ran on — the resolved route when
 	// Auto was requested.
 	Strategy Strategy
-	// Output is the final step's result dataset: nested rows for
-	// Standard/SparkSQL and unshredding strategies, the materialized top bag
-	// for Shred. An unshredding route builds its nested rows on first use
-	// (see Output); WriteJSON and JSON never do.
+	// Output is the final step's result: nested rows for Standard/SparkSQL
+	// and unshredding strategies, the materialized top bag for Shred. An
+	// unshredding route stitches its nested rows from the shredded output
+	// when they are read (see Output).
 	Output *Output
 	// Columns is the flat schema of Output, from the same compilation the rows
 	// came from (see OutputColumn).
@@ -259,50 +260,47 @@ func Failure(strat Strategy, err error) *Result {
 	return res
 }
 
-// Output is a run's result dataset. On an unshredding route Execute leaves the
-// final step's unshred statement to the first call that needs the nested rows:
-// it runs once, on the run's executor, and its wall time, metrics and any
-// failure are the Result's as if Execute had run it. So a caller that reports
-// a run's Elapsed, Metrics or Err for an unshredding route uses Output first.
-// Every other route's Output is the dataset Execute left.
+// Output is a run's result. On an unshredding route it is the final step's
+// shredded output — the top bag plus the dictionaries its labels stand for —
+// and every read but Count stitches nested rows from it (stitch.go), as a
+// reply does; on every other route it is the dataset Execute left.
 type Output struct {
-	once     sync.Once
-	d        *dataflow.Dataset
-	deferred func() *dataflow.Dataset // the unshred statement; nil when d is final
+	d *dataflow.Dataset // the output dataset, or the top bag when stitched
+	// mat and shredded lay out the shredded output on an unshredding route;
+	// mat is nil on every other route.
+	mat      *shred.Materialized
+	shredded map[string]*dataflow.Dataset
 }
 
-func (o *Output) dataset() *dataflow.Dataset {
-	o.once.Do(func() {
-		if o.deferred != nil {
-			o.d, o.deferred = o.deferred(), nil
-		}
-	})
-	return o.d
+// Count returns the number of output rows; on an unshredding route the top
+// bag's, so it stitches nothing.
+func (o *Output) Count() int64 { return o.d.Count() }
+
+// Collect gathers the output rows: Dataset.Collect, or on an unshredding route
+// every row stitched, in CollectSorted's order.
+func (o *Output) Collect() []dataflow.Row {
+	if o.mat != nil {
+		return o.CollectSorted()
+	}
+	return o.d.Collect()
 }
-
-// Count returns the number of output rows.
-func (o *Output) Count() int64 { return o.dataset().Count() }
-
-// Collect gathers the output rows (Dataset.Collect).
-func (o *Output) Collect() []dataflow.Row { return o.dataset().Collect() }
 
 // CollectSorted gathers the output rows in the deterministic value order.
-func (o *Output) CollectSorted() []dataflow.Row { return o.dataset().CollectSorted() }
+func (o *Output) CollectSorted() []dataflow.Row {
+	rows, _ := o.CollectTop(0)
+	return rows
+}
 
-// CollectTop gathers the first k output rows of the value order beside the
-// row count (Dataset.CollectTop).
-func (o *Output) CollectTop(k int) ([]dataflow.Row, int) { return o.dataset().CollectTop(k) }
-
-// top returns the first limit output rows of the engine's canonical order (all
-// of them when limit <= 0) beside the row count: Output.CollectTop, except
-// that an unshredding route finds and builds the rows from its shredded output
-// (stitch.go) and never runs the unshred statement.
-func (r *Result) top(limit int) ([]dataflow.Row, int) {
-	if !r.Strategy.unshreds() {
-		return r.Output.CollectTop(limit)
+// CollectTop gathers the first k output rows of the value order (all of them
+// when k <= 0) beside the row count (Dataset.CollectTop). On an unshredding
+// route it finds the k rows in the top bag first and stitches only those
+// (stitchTop).
+func (o *Output) CollectTop(k int) ([]dataflow.Row, int) {
+	if o.mat != nil {
+		rows, total, _ := stitchTop(o, k)
+		return rows, total
 	}
-	rows, total, _ := stitchTop(r, limit)
-	return rows, total
+	return o.d.CollectTop(k)
 }
 
 // JSON renders the output rows as objects typed by Columns, in the engine's
@@ -311,7 +309,7 @@ func (r *Result) top(limit int) ([]dataflow.Row, int) {
 // same rows as bytes. A positive limit keeps only the first limit rows; total
 // counts them all.
 func (r *Result) JSON(limit int) (out []map[string]any, total int) {
-	rows, total := r.top(limit)
+	rows, total := r.Output.CollectTop(limit)
 	return ingest.EncodeRows(rows, r.Columns), total
 }
 
@@ -325,7 +323,7 @@ func (r *Result) JSON(limit int) (out []map[string]any, total int) {
 func (r *Result) WriteJSON(ctx context.Context, w io.Writer, limit int, lead, sep string) (returned, total int, err error) {
 	sp := trace.From(ctx).Span()
 	csp := sp.Child("collect")
-	rows, total := r.top(limit)
+	rows, total := r.Output.CollectTop(limit)
 	csp.End()
 	esp := sp.Child("encode")
 	defer esp.End()

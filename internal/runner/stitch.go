@@ -9,12 +9,13 @@ import (
 	"github.com/trance-go/trance/internal/value"
 )
 
-// Stitching answers a reply on an unshredding route from the final step's
-// shredded output — the top bag plus one dictionary per bag path, keyed by
-// labels (paper Section 4) — instead of running the unshred plan over the
-// whole result: the top-k of the top bag is found first, and nested bags are
-// built by looking labels up only for the rows returned, as Cheney, Lindley
-// and Wadler's query shredding rebuilds nested results at the host.
+// Stitching is how an unshredding route restores its nested output: from the
+// final step's shredded output — the top bag plus one dictionary per bag path,
+// keyed by labels (paper Section 4) — the top-k of the top bag is found first,
+// and nested bags are built by looking labels up only for the rows returned,
+// as Cheney, Lindley and Wadler's query shredding rebuilds nested results at
+// the host. The paper's distributed unshred plan (a cascade of Γ⊎ and ⟕) is
+// not run: here the output lives in one heap.
 
 // stitcher rebuilds nested values from one run's shredded output. Each
 // dictionary gets its label lookup, and each bag it stitches is kept, on first
@@ -55,10 +56,10 @@ type dict struct {
 // labelCol keys a dictionary's rows by their label.
 var labelCol = []int{0}
 
-// newStitcher lays out res's shredded output after its nested output type.
-func newStitcher(res *Result) *stitcher {
+// newStitcher lays out o's shredded output after its nested output type.
+func newStitcher(o *Output) *stitcher {
 	names := map[string]string{}
-	for _, d := range res.Mat.Dicts {
+	for _, d := range o.mat.Dicts {
 		names[strings.Join(d.Path, "_")] = d.Name
 	}
 	var layout func(elem nrc.Type, path string, off, depth int) level
@@ -77,23 +78,24 @@ func newStitcher(res *Result) *stitcher {
 			if path != "" {
 				p = path + "_" + f.Name
 			}
-			d := &dict{rows: res.Shredded[names[p]], depth: depth + 1}
+			d := &dict{rows: o.shredded[names[p]], depth: depth + 1}
 			d.lvl = layout(bt.Elem, p, 1, depth+1)
 			lv.bags = append(lv.bags, bagCol{field: i, cols: []int{off + i}, dict: d})
 		}
 		return lv
 	}
-	return &stitcher{top: layout(res.Mat.OutType.Elem, "", 0, 0)}
+	return &stitcher{top: layout(o.mat.OutType.Elem, "", 0, 0)}
 }
 
-// stitchTop is Result.top on an unshredding route: the first limit rows (all
-// when limit <= 0) of the top bag in the order of compare, ties ranked by the
-// top bag's Collect order, each with its bags stitched. The rows and their
-// order are those of Output.CollectTop(limit), up to the element order inside
-// bags, which is the dictionaries' Collect order.
-func stitchTop(res *Result, limit int) ([]dataflow.Row, int, *stitcher) {
-	s := newStitcher(res)
-	rows, total := res.Shredded[res.Mat.TopName].CollectTopFunc(limit, s.compare)
+// stitchTop is Output.CollectTop on an unshredding route: the first limit rows
+// (all when limit <= 0) of the top bag in the order of compare, ties ranked by
+// the top bag's Collect order, each with its bags stitched. The rows and their
+// order are the first limit of the nested value's canonical order (value.
+// CompareSeq), up to the element order inside bags, which is the
+// dictionaries' Collect order.
+func stitchTop(o *Output, limit int) ([]dataflow.Row, int, *stitcher) {
+	s := newStitcher(o)
+	rows, total := o.d.CollectTopFunc(limit, s.compare)
 	if len(s.top.bags) > 0 {
 		for i, r := range rows {
 			rows[i] = dataflow.Row(s.elem(&s.top, r).(value.Tuple))

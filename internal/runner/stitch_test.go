@@ -12,8 +12,9 @@ import (
 
 // TestStitchOrdersInsideBags: two top rows that tie on every scalar and whose
 // item bags differ only in the tags two levels down are ordered by those tags,
-// as the unshredded output orders them; a row with no items and an item with
-// no tags stitch to empty bags. The reply never runs the unshred statement.
+// as the nested value's canonical order ranks them; a row with no items and an
+// item with no tags stitch to empty bags. Output reads the rows the reply
+// writes, and the run shuffles exactly what the Shred route's does.
 func TestStitchOrdersInsideBags(t *testing.T) {
 	env := nrc.Env{"R": nrc.BagOf(nrc.Tup(
 		"a", nrc.IntT,
@@ -52,7 +53,7 @@ func TestStitchOrdersInsideBags(t *testing.T) {
 		items(item(1, 3, 4)),
 		items(item(1, 5), item(2)),
 	}
-	for _, strat := range []Strategy{ShredUnshred, ShredUnshredSkew} {
+	run := func(strat Strategy) *Result {
 		cfg := DefaultConfig()
 		cq, err := CompileStep(q(), env, strat, cfg, "Q")
 		if err != nil {
@@ -62,6 +63,10 @@ func TestStitchOrdersInsideBags(t *testing.T) {
 		if res.Failed() {
 			t.Fatal(res.Err)
 		}
+		return res
+	}
+	for strat, shredded := range map[Strategy]Strategy{ShredUnshred: Shred, ShredUnshredSkew: ShredSkew} {
+		res := run(strat)
 		var all, first bytes.Buffer
 		if _, total, err := res.WriteJSON(context.Background(), &all, 0, "", "\n"); err != nil || total != len(want) {
 			t.Fatalf("%s: %d rows, %v", strat, total, err)
@@ -69,19 +74,19 @@ func TestStitchOrdersInsideBags(t *testing.T) {
 		if _, _, err := res.WriteJSON(context.Background(), &first, 2, "", "\n"); err != nil || !bytes.HasPrefix(all.Bytes(), first.Bytes()) {
 			t.Fatalf("%s: limit 2 is not a prefix of limit 0:\n%s\n%s", strat, first.Bytes(), all.Bytes())
 		}
-		rows, _, s := stitchTop(res, 0)
+		rows, _, s := stitchTop(res.Output, 0)
 		if s.resolved == 0 || s.depth != 2 {
 			t.Fatalf("%s: %d labels resolved comparing, %d levels stitched; want some and 2", strat, s.resolved, s.depth)
 		}
-		if res.Output.deferred == nil {
-			t.Fatalf("%s: replying ran the unshred statement", strat)
-		}
-		unshredded, _ := res.Output.CollectTop(0)
+		collected := res.Output.Collect()
 		for i, w := range want {
-			if !value.Equal(value.Tuple(rows[i]), w) || !value.Equal(value.Tuple(unshredded[i]), w) {
-				t.Fatalf("%s: row %d stitched %s, unshredded %s, want %s", strat, i,
-					value.Format(value.Tuple(rows[i])), value.Format(value.Tuple(unshredded[i])), value.Format(w))
+			if !value.Equal(value.Tuple(rows[i]), w) || !value.Equal(value.Tuple(collected[i]), w) {
+				t.Fatalf("%s: row %d stitched %s, Output.Collect %s, want %s", strat, i,
+					value.Format(value.Tuple(rows[i])), value.Format(value.Tuple(collected[i])), value.Format(w))
 			}
+		}
+		if got, base := res.Metrics, run(shredded).Metrics; got.ShuffleBytes != base.ShuffleBytes || got.ShuffleRecords != base.ShuffleRecords {
+			t.Fatalf("%s shuffled %dB/%drec, %s %dB/%drec", strat, got.ShuffleBytes, got.ShuffleRecords, shredded, base.ShuffleBytes, base.ShuffleRecords)
 		}
 	}
 }
@@ -95,11 +100,12 @@ func flatTags(b value.Bag) value.Bag {
 	return out
 }
 
-// TestStitchedReplyAllocs pins the allocation gain of answering a reply from
-// the shredded output: over 10 000 rows shaped like the benchmark's nested read
+// TestStitchedReplyAllocs pins the allocation gain of stitching only the rows
+// a reply returns: over 10 000 rows shaped like the benchmark's nested read
 // (an id and a filtered bag of its three items), a run plus a 20-row reply
-// allocates at least five times fewer objects than a run plus the unshredded
-// output, on the same compiled query and bound inputs.
+// allocates at least five times fewer objects than a run plus the whole
+// stitched output (Output.Collect), on the same compiled query and bound
+// inputs. Counting the output stitches nothing, so it allocates nothing.
 func TestStitchedReplyAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("10 000-row runs")
@@ -143,13 +149,21 @@ func TestStitchedReplyAllocs(t *testing.T) {
 			t.Fatalf("reply wrote %d rows: %v", n, err)
 		}
 	})
-	unshred := testing.AllocsPerRun(5, func() {
-		if n := run().Output.Count(); n != int64(len(d)) {
+	whole := testing.AllocsPerRun(5, func() {
+		if n := len(run().Output.Collect()); n != len(d) {
 			t.Fatalf("output holds %d rows", n)
 		}
 	})
-	t.Logf("run + 20-row reply: %.0f objects; run + unshredded output: %.0f", reply, unshred)
-	if 5*reply > unshred {
-		t.Fatalf("run + 20-row reply allocates %.0f objects, run + unshredded output %.0f: not 5x fewer", reply, unshred)
+	t.Logf("run + 20-row reply: %.0f objects; run + whole stitched output: %.0f", reply, whole)
+	if 5*reply > whole {
+		t.Fatalf("run + 20-row reply allocates %.0f objects, run + whole stitched output %.0f: not 5x fewer", reply, whole)
+	}
+	res := run()
+	if count := testing.AllocsPerRun(5, func() {
+		if n := res.Output.Count(); n != int64(len(d)) {
+			t.Fatalf("output holds %d rows", n)
+		}
+	}); count != 0 {
+		t.Fatalf("Output.Count allocates %.0f objects on an unshredding route; it should stitch nothing", count)
 	}
 }

@@ -1,13 +1,14 @@
 // Package shred implements the shredded compilation route of the paper
 // (Section 4): the shredded representation of nested data, symbolic query
 // shredding (paper Figure 4), the materialization phase (paper Figure 5),
-// the domain-elimination optimizations, and unshredding.
+// the domain-elimination optimizations, and value-level unshredding
+// (UnshredValue; the engine stitches nested output, see runner's stitch.go).
 //
 // A nested bag is represented by a flat top bag whose bag-valued attributes
 // are replaced by labels, plus one dictionary per nesting path. Materialized
 // dictionaries use the relational (label, element…) encoding: one row per
-// inner-bag element, empty bags encoded by absence and restored by outer
-// joins during unshredding.
+// inner-bag element, empty bags encoded by absence and restored as {} when
+// the output is unshredded.
 package shred
 
 import (
