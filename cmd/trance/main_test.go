@@ -37,14 +37,15 @@ func TestTPCHJobPlansWithStatistics(t *testing.T) {
 // TestRunReportsUnshredding: run's header line on an unshredding route reports
 // the shredded statements it ran, and stitching its nested rows moves nothing
 // through the engine — the level-2 nested-to-nested shred+unshred run at the
-// default scale shuffles exactly what the shred run does.
+// default scale shuffles exactly what the shred run does — while its runtime
+// counts the stitch, which it shows beside it.
 func TestRunReportsUnshredding(t *testing.T) {
 	job, cfg := tpchJob(tpch.NestedToNested, 2, false, defaultCustomers, 0)
 	var out strings.Builder
 	if err := runJob(&out, job, trance.ShredUnshred, cfg, 1); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"SHRED+UNSHRED: ", "rows=200, shuffle=221261B/4800rec ", " stages=1 skipped=0 ", "\n   ⟨1, \"Customer#000000001\", {⟨"} {
+	for _, want := range []string{"SHRED+UNSHRED: ", " (stitch ", "rows=200, shuffle=221261B/4800rec ", " stages=1 skipped=0 ", "\n   ⟨1, \"Customer#000000001\", {⟨"} {
 		if !strings.Contains(out.String(), want) {
 			t.Fatalf("run printed\n%s\nwant it to contain %q", out.String(), want)
 		}
