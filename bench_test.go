@@ -876,7 +876,7 @@ func BenchmarkIndexScanAblation(b *testing.B) {
 			te.Cols = maps.Clone(te.Cols)
 			for _, col := range c.indexed[name] {
 				ce := te.Cols[col]
-				ce.IndexHash, ce.IndexOrdered = true, true
+				ce.Indexed = true
 				te.Cols[col] = ce
 			}
 			flagged[name] = te

@@ -190,20 +190,21 @@ func newGeneration(info DatasetInfo, prev *catalogEntry, cs []*chunk, add *index
 
 // keepIndexes derives generation e's secondary indexes from prev's, each the
 // concatenation of its chunks' parts: a chunk reused from prev brings its
-// parts along, a new chunk builds its own. At registration it builds one
-// hash+range index per column the statistics flag as selective
+// parts along, a new chunk builds its own. At registration it builds an
+// index on every column the statistics flag as selective
 // (stats.Table.SelectiveColumns), skipping build refusals (counted under
 // Counters' index.refusal_reasons). An append maintains each of prev's indexes
 // (index.maintained) and a delete rebuilds the parts of the chunks it changed
-// (index.rebuilt), dropping a column that is no longer indexable; CreateIndex
-// puts add beside the rest, no longer auto-built. Appends only maintain the
-// indexes a dataset has: the auto-index policy runs at registration alone.
+// (index.rebuilt), dropping a column that is no longer indexable (an
+// appended NaN key, say); CreateIndex puts add beside the rest, no longer
+// auto-built. Appends only maintain the indexes a dataset has: the auto-index
+// policy runs at registration alone.
 func keepIndexes(prev, e *catalogEntry, add *index.ColumnIndex) (*index.Set, map[string]bool) {
 	set, chunks := index.NewSet(), e.runnerChunks()
 	if prev == nil {
 		var auto map[string]bool
 		for _, col := range e.stats.SelectiveColumns() {
-			if ci, err := runner.IndexChunks(chunks, col, true, true); err == nil {
+			if ci, err := runner.IndexChunks(chunks, col); err == nil {
 				set.Put(ci)
 				if auto == nil {
 					auto = map[string]bool{}
@@ -228,8 +229,7 @@ func keepIndexes(prev, e *catalogEntry, add *index.ColumnIndex) (*index.Set, map
 	}
 	appended := e.info.Rows > prev.info.Rows
 	for _, col := range prev.idx.Names() {
-		old := prev.idx.Column(col)
-		ci, err := runner.IndexChunks(chunks, col, old.HasHash(), old.HasOrdered())
+		ci, err := runner.IndexChunks(chunks, col)
 		if err != nil {
 			continue
 		}
@@ -369,8 +369,6 @@ type IndexInfo struct {
 	// Dataset and Column name the indexed data.
 	Dataset string
 	Column  string
-	// Kind is "hash", "range", or "hash+range".
-	Kind string
 	// Keys is the number of distinct non-NULL keys; Nulls counts the NULL
 	// rows every span excludes; Rows is the covered row count.
 	Keys, Nulls, Rows int64
@@ -383,31 +381,26 @@ type IndexInfo struct {
 
 func indexInfoOf(dataset string, ci *index.ColumnIndex, gen int64, auto bool) IndexInfo {
 	return IndexInfo{
-		Dataset: dataset, Column: ci.Col, Kind: ci.KindString(),
+		Dataset: dataset, Column: ci.Col,
 		Keys: ci.Keys(), Nulls: ci.Nulls(), Rows: int64(ci.Len()),
 		Generation: gen, Auto: auto,
 	}
 }
 
-// CreateIndex builds a secondary index on a dataset column on demand: kind is
-// "hash" (equality spans), "range"/"ordered" (range spans), or ""/"both".
-// An existing index on the column keeps its structures — kinds accumulate.
-// The build runs outside the catalog lock; installing it bumps the dataset's
-// generation so sessions re-plan with the index available.
+// CreateIndex builds a secondary index on a dataset column on demand. kind is
+// accepted for compatibility only: every name index.ParseKind accepts builds
+// the one sorted structure. The build runs outside the catalog lock;
+// installing it bumps the dataset's generation so sessions re-plan with the
+// index available.
 func (c *Catalog) CreateIndex(dataset, column, kind string) (IndexInfo, error) {
-	wantHash, wantOrdered, err := index.ParseKind(kind)
-	if err != nil {
+	if err := index.ParseKind(kind); err != nil {
 		return IndexInfo{}, fmt.Errorf("catalog: dataset %s: %w", dataset, err)
 	}
 	e, err := c.mutate(dataset, func(cur *catalogEntry) (*catalogEntry, error) {
 		if cur == nil {
 			return nil, notRegistered(dataset)
 		}
-		h, o := wantHash, wantOrdered
-		if old := cur.idx.Column(column); old != nil {
-			h, o = h || old.HasHash(), o || old.HasOrdered()
-		}
-		ci, err := runner.IndexChunks(cur.runnerChunks(), column, h, o)
+		ci, err := runner.IndexChunks(cur.runnerChunks(), column)
 		if err != nil {
 			return nil, fmt.Errorf("catalog: dataset %s: %w", dataset, err)
 		}
@@ -707,10 +700,8 @@ func (c *Catalog) resolve(vars []string, bindings map[string]string) (map[string
 		te := e.stats.Estimate()
 		if e.idx.Len() > 0 {
 			for _, col := range e.idx.Names() {
-				ci := e.idx.Column(col)
 				ce := te.Cols[col]
-				ce.IndexHash = ci.HasHash()
-				ce.IndexOrdered = ci.HasOrdered()
+				ce.Indexed = true
 				te.Cols[col] = ce
 			}
 			ests[shred.MatName(v, nil)] = te

@@ -2,6 +2,7 @@ package trance_test
 
 import (
 	"context"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -118,21 +119,22 @@ func TestCatalogCreateIndexAndListing(t *testing.T) {
 		return out
 	}
 	idx := byCol()
-	if ii := idx["id"]; !ii.Auto || ii.Kind != "hash+range" || ii.Keys != 200 || ii.Nulls != 0 {
+	if ii := idx["id"]; !ii.Auto || ii.Keys != 200 || ii.Nulls != 0 {
 		t.Fatalf("auto index on id: %+v", idx)
 	}
 	if _, auto := idx["grp"]; auto {
 		t.Fatalf("grp (NDV 5) must not be auto-indexed: %+v", idx)
 	}
 
-	// Explicit build on the low-NDV column; kinds accumulate across calls.
+	// Explicit build on the low-NDV column; every accepted kind name builds
+	// the one index, and building it again installs a new generation.
 	ii, err := cat.CreateIndex("D", "grp", "hash")
-	if err != nil || ii.Kind != "hash" || ii.Auto || ii.Keys != 5 {
-		t.Fatalf("create hash index: %+v, %v", ii, err)
+	if err != nil || ii.Auto || ii.Keys != 5 {
+		t.Fatalf("create index: %+v, %v", ii, err)
 	}
-	ii, err = cat.CreateIndex("D", "grp", "range")
-	if err != nil || ii.Kind != "hash+range" {
-		t.Fatalf("kinds must accumulate: %+v, %v", ii, err)
+	again, err := cat.CreateIndex("D", "grp", "range")
+	if err != nil || again.Keys != 5 || again.Generation <= ii.Generation {
+		t.Fatalf("rebuild under another kind name: %+v after %+v, %v", again, ii, err)
 	}
 
 	if _, err := cat.CreateIndex("D", "nope", ""); err == nil {
@@ -265,10 +267,10 @@ func TestSessionMutationOracle(t *testing.T) {
 	if after["index.planned_scans"] <= before["index.planned_scans"] || after["index.scans"] <= before["index.scans"] {
 		t.Fatalf("no index scans planned/executed across the oracle steps: %v -> %v", before, after)
 	}
-	if text, err := sessions["indexed"].Prepared().Explain(trance.Standard); err != nil || !strings.Contains(text, "[index=") {
-		t.Fatalf("indexed session explain lacks [index=…]: %v\n%s", err, text)
+	if text, err := sessions["indexed"].Prepared().Explain(trance.Standard); err != nil || !strings.Contains(text, "[index col=") {
+		t.Fatalf("indexed session explain lacks [index col=…]: %v\n%s", err, text)
 	}
-	if text, err := sessions["ablated"].Prepared().Explain(trance.Standard); err != nil || strings.Contains(text, "[index=") {
+	if text, err := sessions["ablated"].Prepared().Explain(trance.Standard); err != nil || strings.Contains(text, "[index col=") {
 		t.Fatalf("ablated session must not plan index scans: %v\n%s", err, text)
 	}
 }
@@ -400,15 +402,15 @@ func TestCatalogMutationsRace(t *testing.T) {
 		t.Fatalf("info %d rows, stats %d rows, want %d", info.Rows, st.Rows, want)
 	}
 	idx, _ := cat.Indexes("D")
-	kinds := map[string]string{}
+	indexed := map[string]bool{}
 	for _, ii := range idx {
 		if ii.Rows != int64(want) || ii.Generation != st.Generation {
 			t.Fatalf("index %s: %+v, want %d rows at generation %d", ii.Column, ii, want, st.Generation)
 		}
-		kinds[ii.Column] = ii.Kind
+		indexed[ii.Column] = true
 	}
-	if kinds["grp"] != "hash+range" || kinds["id"] != "hash+range" {
-		t.Fatalf("index kinds %v: kinds requested concurrently must accumulate", kinds)
+	if !indexed["grp"] || !indexed["id"] {
+		t.Fatalf("indexed columns %v: want grp (built concurrently) and id (auto)", indexed)
 	}
 }
 
@@ -553,4 +555,95 @@ func TestRunJSONRacesAppend(t *testing.T) {
 	}
 	close(done)
 	wg.Wait()
+}
+
+// TestNaNKeysRefuseTheIndex: value.Compare makes NaN equal to every number,
+// so σ keeps a NaN row under `val == 10.0`, and an index scan that left the
+// NaN rows out answered differently from the filter it replaces. A column
+// holding a NaN is not indexed at registration, and an append that brings
+// one in drops the column's index; both answer as LocalEval does.
+func TestNaNKeysRefuseTheIndex(t *testing.T) {
+	typ := trance.BagOf(trance.Tup("id", trance.IntT, "val", trance.RealT))
+	rows := func(lo, hi int, nan bool) trance.Bag {
+		b := trance.Bag{}
+		for i := lo; i < hi; i++ {
+			v := float64(i) / 2
+			if nan && i%50 == 7 {
+				v = math.NaN()
+			}
+			b = append(b, trance.Tuple{int64(i), v})
+		}
+		return b
+	}
+	query := func() trance.Expr {
+		return trance.ForIn("x", trance.V("D"),
+			trance.IfThen(trance.EqOf(trance.P(trance.V("x"), "val"), trance.C(10.0)),
+				trance.SingOf(trance.Record("id", trance.P(trance.V("x"), "id")))))
+	}
+	indexed := func(cat *trance.Catalog, col string) bool {
+		infos, _ := cat.Indexes("D")
+		for _, ii := range infos {
+			if ii.Column == col {
+				return true
+			}
+		}
+		return false
+	}
+	check := func(step string, cat *trance.Catalog, mirror trance.Bag, wantRows int) {
+		t.Helper()
+		q := query()
+		if _, err := trance.Check(q, trance.Env{"D": typ}); err != nil {
+			t.Fatal(err)
+		}
+		want := trance.LocalEval(q, map[string]trance.Bag{"D": mirror})
+		if n := len(want.(trance.Bag)); n != wantRows {
+			t.Fatalf("%s: LocalEval returned %d rows, want %d", step, n, wantRows)
+		}
+		sq, err := cat.NewSession(trance.SessionOptions{}).Prepare(query())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, strat := range []trance.Strategy{trance.Standard, trance.Shred, trance.ShredUnshred} {
+			res, err := sq.Run(context.Background(), strat)
+			if err != nil {
+				t.Fatalf("%s: %s: %v", step, strat, err)
+			}
+			if got := collectBag(res); !trance.ValuesEqual(got, want) {
+				t.Fatalf("%s: %s diverges from LocalEval\n got: %s\nwant: %s",
+					step, strat, trance.FormatValue(got), trance.FormatValue(want))
+			}
+		}
+	}
+
+	// 300 rows, 6 of them NaN: id is auto-indexed, val is refused.
+	withNaN := trance.NewCatalog()
+	mirror := rows(0, 300, true)
+	if err := withNaN.Register("D", typ, mirror); err != nil {
+		t.Fatal(err)
+	}
+	check("registered with NaN", withNaN, mirror, 7)
+	if !indexed(withNaN, "id") || indexed(withNaN, "val") {
+		t.Fatal("registration must index id and refuse val")
+	}
+
+	// No NaN at registration: val is auto-indexed and serves the probe; an
+	// appended NaN drops it.
+	cat := trance.NewCatalog()
+	mirror = rows(0, 300, false)
+	if err := cat.Register("D", typ, mirror); err != nil {
+		t.Fatal(err)
+	}
+	if !indexed(cat, "val") {
+		t.Fatal("val is not auto-indexed")
+	}
+	check("registered without NaN", cat, mirror, 1)
+	tail := trance.Bag{trance.Tuple{int64(300), math.NaN()}}
+	if _, err := cat.Append("D", tail); err != nil {
+		t.Fatal(err)
+	}
+	mirror = append(mirror, tail...)
+	check("after appending NaN", cat, mirror, 2)
+	if !indexed(cat, "id") || indexed(cat, "val") {
+		t.Fatal("an appended NaN must drop val's index and keep id's")
+	}
 }

@@ -34,7 +34,7 @@ func postJSON(t *testing.T, ts *httptest.Server, path, body string, wantStatus i
 
 // TestIndexServingSmoke drives the index + mutation surface end to end over
 // HTTP: upload a selective dataset (auto-indexed at registration), build an
-// explicit index, verify a point query plans as an index scan ([index=…] in
+// explicit index, verify a point query plans as an index scan ([index col=…] in
 // the explain, counters in /metrics), then append and delete rows and verify
 // the served results follow the new generations immediately.
 func TestIndexServingSmoke(t *testing.T) {
@@ -71,11 +71,13 @@ func TestIndexServingSmoke(t *testing.T) {
 		t.Fatalf("auto index on id missing or wrong: %v", list)
 	}
 
-	// An explicit build on a low-NDV column the auto policy skipped.
+	// An explicit build on a low-NDV column the auto policy skipped. ?kind=
+	// is accepted for compatibility only; an unknown name is still refused.
 	created := postJSON(t, ts, "/datasets/smoke-idx/indexes?column=grp&kind=hash", "", http.StatusCreated)
-	if created["kind"] != "hash" || created["auto"] != false || created["keys"].(float64) != 5 {
+	if _, hasKind := created["kind"]; hasKind || created["auto"] != false || created["keys"].(float64) != 5 {
 		t.Fatalf("create index: %v", created)
 	}
+	postJSON(t, ts, "/datasets/smoke-idx/indexes?column=grp&kind=btree", "", http.StatusBadRequest)
 	// Unknown dataset and unknown column are client errors, not crashes.
 	postJSON(t, ts, "/datasets/nope/indexes?column=id", "", http.StatusNotFound)
 	postJSON(t, ts, "/datasets/smoke-idx/indexes?column=zzz", "", http.StatusBadRequest)
@@ -83,7 +85,7 @@ func TestIndexServingSmoke(t *testing.T) {
 	// A point query on the indexed column plans as an index scan.
 	query := "for r in `datasets/smoke-idx` union if r.id == 7 then { { id := r.id, grp := r.grp } }"
 	exp := postJSON(t, ts, "/explain", query, http.StatusOK)
-	if text := exp["explain"].(string); !strings.Contains(text, "[index=") || !strings.Contains(text, "col=id") {
+	if text := exp["explain"].(string); !strings.Contains(text, "[index col=id ") {
 		t.Fatalf("explain lacks index scan:\n%s", text)
 	}
 	out := postJSON(t, ts, "/query", query, http.StatusOK)

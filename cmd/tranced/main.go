@@ -34,11 +34,24 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
+	"runtime/debug"
 	"syscall"
 	"time"
 )
 
+// gcPercent is the collector's GOGC when the environment sets none. The
+// collector runs each time the heap grows by gcPercent % of what survived the
+// last cycle. What survives here is mostly the preloaded catalog, far less
+// than the requests allocate, so a small resident catalog means many cycles,
+// each marking all of it. On bench/'s nested_analytic workload (2 vCPU) 150
+// runs 79 cycles where 100 runs 110, for 6.27 instead of 7.49 CPU ms per
+// request at a peak RSS of 86 instead of 72 MiB.
+const gcPercent = 150
+
 func main() {
+	if os.Getenv("GOGC") == "" {
+		debug.SetGCPercent(gcPercent)
+	}
 	cfg := defaultServerConfig()
 	addr := flag.String("addr", ":8080", "listen address")
 	debugAddr := flag.String("debug-addr", "", "optional separate listen address for net/http/pprof profiling endpoints (e.g. 127.0.0.1:6060); empty disables them")

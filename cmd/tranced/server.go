@@ -332,7 +332,7 @@ func (s *server) handleIndex(w http.ResponseWriter, r *http.Request) {
 			"/query (POST textual NRC query body, ?strategy=&limit= — see docs/QUERYLANG.md)",
 			"/explain?name=&level=&strategy=&analyze= (plans before/after the rule-based optimizer; analyze=1 runs with per-operator stats; POST a textual query body)",
 			"/datasets (GET list, POST ?name= upload NDJSON/JSON)",
-			"/datasets/{name}/indexes (GET list, POST ?column=&kind= build — docs/INDEXES.md)",
+			"/datasets/{name}/indexes (GET list, POST ?column= build — docs/INDEXES.md)",
 			"/datasets/{name}/append (POST NDJSON/JSON rows)",
 			"/datasets/{name}/delete (POST ?column=&value=)",
 			"/stats?name= (dataset statistics: NDV, min/max, heavy keys)",
@@ -510,7 +510,6 @@ func indexInfoJSON(ii trance.IndexInfo) map[string]any {
 	return map[string]any{
 		"dataset":    ii.Dataset,
 		"column":     ii.Column,
-		"kind":       ii.Kind,
 		"keys":       ii.Keys,
 		"nulls":      ii.Nulls,
 		"rows":       ii.Rows,
@@ -538,7 +537,7 @@ func (s *server) handleDatasetGet(w http.ResponseWriter, r *http.Request) {
 
 // handleDatasetMutate serves the catalog mutation endpoints:
 //
-//	POST /datasets/{name}/indexes?column=&kind=   build a secondary index
+//	POST /datasets/{name}/indexes?column=         build a secondary index
 //	POST /datasets/{name}/append                  append NDJSON/JSON rows
 //	POST /datasets/{name}/delete?column=&value=   delete rows by key
 //
@@ -882,7 +881,7 @@ func (s *server) handleExplain(w http.ResponseWriter, r *http.Request) {
 // handleTextExplain renders the compiled plans of an ad-hoc textual query
 // (the POST /query body format, same ?strategy= parameter) without running
 // it — the serving-side way to check whether a pushed-down predicate planned
-// as an index scan (the `[index=…]` operator annotation, docs/INDEXES.md).
+// as an index scan (the `[index col=…]` operator annotation, docs/INDEXES.md).
 func (s *server) handleTextExplain(w http.ResponseWriter, r *http.Request) {
 	src, rt, ok := textRoute(w, r)
 	if !ok {

@@ -25,8 +25,11 @@ func TestFromRowsRoundTrip(t *testing.T) {
 	if d.Count() != 5 {
 		t.Fatalf("count=%d", d.Count())
 	}
-	if d.NumPartitions() != 4 {
-		t.Fatalf("parts=%d", d.NumPartitions())
+	if d.NumPartitions() != 4 || d.Context() != c {
+		t.Fatalf("parts=%d, context %p of %p", d.NumPartitions(), d.Context(), c)
+	}
+	if got, want := d.Filter(func(r Row) bool { return r[0].(int64) > 1 }).SizeBytes(), value.SizeRows(rows[1:]); got != want {
+		t.Fatalf("SizeBytes=%d, want %d", got, want)
 	}
 	got := d.CollectSorted()
 	if len(got) != 5 || got[0][0].(int64) != 1 || got[4][1].(int64) != 50 {
@@ -128,6 +131,11 @@ func TestShuffleMetrics(t *testing.T) {
 	}
 	if m.ShuffleBytes <= 0 || m.Stages != 1 {
 		t.Fatalf("metrics wrong: %+v", m)
+	}
+	want := fmt.Sprintf("shuffle=%dB/4rec broadcast=0B peakPart=%dB/%drows stages=1 skipped=0 exchange=%dcol/%dboxed",
+		m.ShuffleBytes, m.PeakPartition, m.PeakPartitionRows, m.Exchange.ColumnarBuffers, m.Exchange.BoxedBuffers)
+	if m.String() != want {
+		t.Fatalf("Snapshot.String() = %q, want %q", m.String(), want)
 	}
 }
 

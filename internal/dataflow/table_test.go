@@ -320,3 +320,41 @@ func TestSplitOnePass(t *testing.T) {
 		t.Fatal("split of a panicking chain did not poison both sides")
 	}
 }
+
+// TestLookupFindsRowsInCollectOrder: a Lookup over a partitioned dataset with
+// a pending narrow chain numbers its distinct non-NULL keys 0 to Len()-1 and
+// finds, for a probe keyed in its own columns, the rows of the key in Collect
+// order; NULL keys and absent keys find nothing.
+func TestLookupFindsRowsInCollectOrder(t *testing.T) {
+	rows := keyedRows()
+	d := NewContext(3).FromPartitions([][]Row{rows[:7], rows[7:16], rows[16:]}).
+		Filter(func(r Row) bool { return r[1].(int64) != 3 })
+	l := d.Lookup([]int{0})
+
+	want := map[string][]Row{}
+	for _, r := range d.Collect() {
+		if r[0] != nil {
+			k := value.KeyCols(r, []int{0})
+			want[k] = append(want[k], r)
+		}
+	}
+	if l.Len() != len(want) {
+		t.Fatalf("Len() = %d, want %d distinct non-NULL keys", l.Len(), len(want))
+	}
+	seen := map[int]string{}
+	for k, rs := range want {
+		id, got := l.Find(Row{"probe", rs[0][0]}, []int{1})
+		if id < 0 || id >= l.Len() || seqs(got) != seqs(rs) {
+			t.Fatalf("key %s: group %d rows %s, want rows %s", k, id, seqs(got), seqs(rs))
+		}
+		if other, dup := seen[id]; dup {
+			t.Fatalf("keys %s and %s share group %d", other, k, id)
+		}
+		seen[id] = k
+	}
+	for _, probe := range []value.Value{nil, int64(99), "abd"} {
+		if id, got := l.Find(Row{probe}, []int{0}); id != -1 || got != nil {
+			t.Fatalf("probe %v: group %d rows %v, want -1 and none", probe, id, got)
+		}
+	}
+}

@@ -270,10 +270,10 @@ func (ex *Executor) run(op plan.Op) (triple, error) {
 
 // runIndexScan resolves an IndexScan's spans against the input's bound
 // secondary index and gathers the matching rows by position. Without a usable
-// index (none bound, wrong structure, or a row count mismatching the bound
-// slice) it degrades to the full scan plus the node's Fallback predicate —
-// the exact filter the spans were derived from — so plans carrying IndexScan
-// nodes are runnable against any binding.
+// index (none bound, or a row count mismatching the bound slice) it degrades
+// to the full scan plus the node's Fallback predicate — the exact filter the
+// spans were derived from — so plans carrying IndexScan nodes are runnable
+// against any binding.
 func (ex *Executor) runIndexScan(x *plan.IndexScan) (*dataflow.Dataset, error) {
 	d, ok := ex.Inputs[x.Input]
 	if !ok {
@@ -281,8 +281,7 @@ func (ex *Executor) runIndexScan(x *plan.IndexScan) (*dataflow.Dataset, error) {
 	}
 	ns := ex.node(x)
 	rows, haveRaw := ex.raw[x.Input]
-	if ci := ex.Indexes[x.Input].Column(x.Col); ci != nil && haveRaw &&
-		ci.Len() == len(rows) && ci.CanServe(x.Spans) {
+	if ci := ex.Indexes[x.Input].Column(x.Col); ci != nil && haveRaw && ci.Len() == len(rows) {
 		start := time.Now()
 		matched := ci.Lookup(x.Spans)
 		out := make([]dataflow.Row, len(matched))

@@ -21,8 +21,8 @@ var (
 	rowsMatched  = metrics.NewCounter("index.rows_matched", "trance_index_rows_matched_total", "Rows matched by index scans.")
 )
 
-// refuse counts a build refusal (non-scalar keys, mixed-type columns,
-// range-over-bool) under its reason and returns the error.
+// refuse counts a build refusal (non-scalar keys, mixed-type columns, NaN
+// keys) under its reason and returns the error.
 func refuse(col, reason string) error {
 	refused.Add(1)
 	refusals.Add(reason, 1)

@@ -1,14 +1,18 @@
 // Package index implements per-dataset secondary indexes over scalar
-// columns: a hash index for equality lookups and an ordered index for range
-// lookups (int/real/string/date, ordered by value.Compare). Indexes map
-// column keys to row positions in the dataset's bound row store; the planner
-// (plan.Annotate) converts pushed-down `col op const` conjuncts on indexed
-// columns into IndexScan nodes carrying Spans, and the executor resolves the
-// spans against the ColumnIndex to gather matching rows without a full scan.
+// columns (bool/int/real/string/date). An index holds a column's distinct
+// keys sorted by value.Compare, each with the positions of its rows in the
+// dataset's bound row store, so one binary search serves every span: a point
+// span is the one-key range [k, k]. The planner (plan.Annotate) converts
+// pushed-down `col op const` conjuncts on indexed columns into IndexScan nodes
+// carrying Spans, and the executor resolves the spans against the
+// ColumnIndex to gather matching rows without a full scan.
 //
 // NULL keys are never indexed: a comparison with a NULL operand evaluates to
 // false under the engine's σ semantics, so excluding NULL rows from every
-// span keeps index scans bit-identical to the filter they replace.
+// span keeps index scans bit-identical to the filter they replace. A column
+// holding a NaN key is refused: value.Compare makes NaN equal to every
+// number, so σ keeps a NaN row under any comparison and the column has no
+// sorted order to search.
 //
 // Indexes are immutable after Build/Concat/Extend, so snapshots shared with
 // in-flight queries stay valid across catalog mutations. An index is a list
@@ -20,6 +24,7 @@ package index
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"strings"
@@ -27,36 +32,15 @@ import (
 	"github.com/trance-go/trance/internal/value"
 )
 
-// Kind selects the access structure of an index.
-type Kind int
-
-// Index kinds.
-const (
-	// Hash serves equality (point) spans in O(1).
-	Hash Kind = iota
-	// Ordered serves range spans by binary search over sorted keys.
-	Ordered
-)
-
-func (k Kind) String() string {
-	if k == Hash {
-		return "hash"
-	}
-	return "range"
-}
-
-// ParseKind maps the serving-layer kind names to build flags. "" and "both"
-// request every structure the column supports.
-func ParseKind(s string) (hash, ordered bool, err error) {
+// ParseKind checks an index kind name of the serving layer. The names are
+// kept for compatibility only: "", "both", "hash+range", "hash", "range" and
+// "ordered" all name the one sorted structure.
+func ParseKind(s string) error {
 	switch s {
-	case "", "both", "hash+range":
-		return true, true, nil
-	case "hash":
-		return true, false, nil
-	case "range", "ordered":
-		return false, true, nil
+	case "", "both", "hash+range", "hash", "range", "ordered":
+		return nil
 	}
-	return false, false, fmt.Errorf("index: unknown kind %q (want hash, range, or both)", s)
+	return fmt.Errorf("index: unknown kind %q (want hash, range, or both)", s)
 }
 
 // Span is a contiguous key interval. A nil bound is unbounded; a span whose
@@ -125,9 +109,9 @@ func FormatSpans(spans []Span) string {
 	return strings.Join(parts, "∪")
 }
 
-// keyFamily classifies scalar keys for build validation and hash
-// normalization. Numeric int and real share a family because value.Compare
-// (and therefore σ equality) treats them as one numeric domain.
+// keyFamily classifies scalar keys for build validation. Numeric int and
+// real share a family because value.Compare (and therefore σ equality)
+// treats them as one numeric domain.
 type keyFamily int
 
 const (
@@ -139,10 +123,15 @@ const (
 )
 
 func familyOf(v value.Value) (keyFamily, string) {
-	switch v.(type) {
+	switch x := v.(type) {
 	case bool:
 		return famBool, ""
-	case int64, float64:
+	case int64:
+		return famNumeric, ""
+	case float64:
+		if math.IsNaN(x) {
+			return famNone, "NaN key"
+		}
 		return famNumeric, ""
 	case value.Date:
 		return famDate, ""
@@ -157,206 +146,114 @@ func familyOf(v value.Value) (keyFamily, string) {
 }
 
 // ColumnIndex is an immutable secondary index over one scalar column: an
-// ordered list of parts, one per run of rows (a catalog chunk), each holding a
-// hash structure, an ordered structure, or both over positions local to its
-// run and offset by the run's first row. Build makes a one-part index;
-// Concat lays indexes end to end by reference, so an index over a list of
-// chunks is derived without touching the parts of unchanged chunks.
+// ordered list of parts, one per run of rows (a catalog chunk), each sorted
+// over positions local to its run and offset by the run's first row. Build
+// makes a one-part index; Concat lays indexes end to end by reference, so an
+// index over a list of chunks is derived without touching the parts of
+// unchanged chunks.
 type ColumnIndex struct {
 	// Col is the indexed column's name.
 	Col string
 
-	rows  int   // rows covered, including NULL-key rows
-	nulls int64 // NULL-key rows excluded from the index
-
-	hasHash, hasOrdered bool // every part carries the structure
-	family              keyFamily
-	parts               []part
+	rows   int   // rows covered, including NULL-key rows
+	nulls  int64 // NULL-key rows excluded from the index
+	family keyFamily
+	parts  []part
 }
 
-// part is one run's structures placed at its first row.
+// part is one run's sorted keys placed at its first row.
 type part struct {
 	off int32
-	*structures
+	*sorted
 }
 
-// structures are the access structures over one run of rows, keyed by
-// positions local to the run.
-type structures struct {
-	hasHash, hasOrdered bool
-	hash                map[value.Value][]int32
-	floatKeys           bool // hash keys normalized to float64 (mixed int/real column)
-	keys                []value.Value
-	pos                 [][]int32
-	family              keyFamily
+// sorted is the access structure over one run of rows: its distinct non-NULL
+// keys in value.Compare order, each the key of its first row, and the
+// positions of their rows, local to the run, in one flat slice grouped by
+// key. The rows of keys[i] are pos[start[i]:start[i+1]], ascending.
+type sorted struct {
+	keys  []value.Value
+	pos   []int32
+	start []int32
 }
 
 // Build indexes vals, where vals[i] is the key of row i, as one part. It
-// refuses (with a counted reason) non-scalar keys, mixed-type columns, and
-// range structures over bool keys.
-func Build(col string, hash, ordered bool, vals []value.Value) (*ColumnIndex, error) {
-	ci, err := buildPart(col, hash, ordered, vals)
+// refuses (with a counted reason) non-scalar keys, mixed-type columns and NaN
+// keys. The two flag parameters are ignored: every index is the one sorted
+// structure.
+func Build(col string, _, _ bool, vals []value.Value) (*ColumnIndex, error) {
+	ci, err := buildPart(col, vals)
 	if err == nil {
 		built.Add(1)
 	}
 	return ci, err
 }
 
-func buildPart(col string, hash, ordered bool, vals []value.Value) (*ColumnIndex, error) {
-	if !hash && !ordered {
-		return nil, refuse(col, "no structure requested")
-	}
-	s := &structures{hasHash: hash, hasOrdered: ordered}
-	if err := s.classify(col, vals); err != nil {
-		return nil, err
-	}
-	if ordered && s.family == famBool {
-		if !hash {
-			return nil, refuse(col, "range index over bool keys")
-		}
-		s.hasOrdered = false
-	}
-	nulls := s.insert(vals)
-	return &ColumnIndex{
-		Col: col, rows: len(vals), nulls: nulls,
-		hasHash: s.hasHash, hasOrdered: s.hasOrdered, family: s.family,
-		parts: []part{{0, s}},
-	}, nil
-}
-
-// classify validates the key family of every non-NULL value and sets
-// float-key normalization for columns containing reals.
-func (s *structures) classify(col string, vals []value.Value) error {
+func buildPart(col string, vals []value.Value) (*ColumnIndex, error) {
+	fam := famNone
 	for _, v := range vals {
 		if v == nil {
 			continue
 		}
-		fam, reason := familyOf(v)
+		f, reason := familyOf(v)
+		if f == famNone {
+			return nil, refuse(col, reason)
+		}
 		if fam == famNone {
-			return refuse(col, reason)
-		}
-		if s.family == famNone {
-			s.family = fam
-		} else if s.family != fam {
-			return refuse(col, "mixed-type keys")
-		}
-		if _, isReal := v.(float64); isReal {
-			s.floatKeys = true
+			fam = f
+		} else if fam != f {
+			return nil, refuse(col, "mixed-type keys")
 		}
 	}
-	return nil
+	s, nulls := sortKeys(vals)
+	return &ColumnIndex{Col: col, rows: len(vals), nulls: nulls, family: fam, parts: []part{{0, s}}}, nil
 }
 
-// normKey maps a key to its hash-map representative: float64 for numeric
-// columns containing reals (value.Compare equates 5 and 5.0; the map must
-// too), raw otherwise. ok=false means the key cannot occur in this column.
-func (s *structures) normKey(v value.Value) (value.Value, bool) {
-	if s.floatKeys {
-		switch n := v.(type) {
-		case int64:
-			return float64(n), true
-		case float64:
-			return n, true
-		}
-		return v, true
-	}
-	if n, isReal := v.(float64); isReal && s.family == famNumeric {
-		// Pure-int column probed with a real constant: integral reals map to
-		// their int key, fractional reals match nothing.
-		if n == float64(int64(n)) {
-			return int64(n), true
-		}
-		return nil, false
-	}
-	return v, true
-}
-
-// keyPos is one non-NULL row of an ordered build: its key and position.
-type keyPos struct {
-	k value.Value
-	p int32
-}
-
-// insert fills the structures from vals and returns the NULL-key count.
-func (s *structures) insert(vals []value.Value) (nulls int64) {
-	if s.hasHash {
-		s.hash = make(map[value.Value][]int32, len(vals))
-	}
-	var pairs []keyPos
-	if s.hasOrdered {
-		pairs = make([]keyPos, 0, len(vals))
-	}
+// sortKeys builds the sorted structure over vals and returns it with the
+// NULL-key count. Positions sort by key, then position, so each key's rows
+// come out ascending.
+func sortKeys(vals []value.Value) (*sorted, int64) {
+	pos := make([]int32, 0, len(vals))
 	for i, v := range vals {
-		if v == nil {
-			nulls++
-			continue
-		}
-		p := int32(i)
-		if s.hasHash {
-			k, _ := s.normKey(v)
-			s.hash[k] = append(s.hash[k], p)
-		}
-		if s.hasOrdered {
-			pairs = append(pairs, keyPos{v, p})
+		if v != nil {
+			pos = append(pos, int32(i))
 		}
 	}
-	if s.hasOrdered {
-		s.sortKeys(pairs)
-	}
-	return nulls
-}
-
-// sortKeys orders the (key, position) pairs by key, then position, and groups
-// equal keys, so the ordered structure holds distinct sorted keys — each the
-// key of its group's first row — with ascending position lists.
-func (s *structures) sortKeys(pairs []keyPos) {
-	slices.SortFunc(pairs, func(a, b keyPos) int {
-		if c := value.Compare(a.k, b.k); c != 0 {
+	slices.SortFunc(pos, func(a, b int32) int {
+		if c := value.Compare(vals[a], vals[b]); c != 0 {
 			return c
 		}
-		return cmp.Compare(a.p, b.p)
+		return cmp.Compare(a, b)
 	})
-	all := make([]int32, len(pairs))
-	var starts []int
-	for i, e := range pairs {
-		all[i] = e.p
-		if n := len(s.keys); n > 0 && value.Compare(s.keys[n-1], e.k) == 0 {
+	s := &sorted{pos: pos}
+	for i, p := range pos {
+		if n := len(s.keys); n > 0 && value.Compare(s.keys[n-1], vals[p]) == 0 {
 			continue
 		}
-		s.keys = append(s.keys, e.k)
-		starts = append(starts, i)
+		s.keys = append(s.keys, vals[p])
+		s.start = append(s.start, int32(i))
 	}
-	s.pos = make([][]int32, len(starts))
-	for j, lo := range starts {
-		hi := len(all)
-		if j+1 < len(starts) {
-			hi = starts[j+1]
-		}
-		s.pos[j] = all[lo:hi:hi]
-		slices.Sort(s.pos[j])
-	}
+	s.start = append(s.start, int32(len(pos)))
+	return s, int64(len(vals) - len(pos))
 }
 
 // Concat returns the index over the rows of idxs laid end to end: their
 // parts, each offset by the rows before it. The parts are shared, not
-// copied. The result carries a structure only if every input does (a bool
-// part has no ordered one), and the inputs' key families must agree
-// (NULL-only inputs agree with any). idxs must not be empty.
+// copied. The inputs' key families must agree (NULL-only inputs agree with
+// any). idxs must not be empty.
 func Concat(idxs ...*ColumnIndex) (*ColumnIndex, error) {
 	if len(idxs) == 1 {
 		return idxs[0], nil
 	}
-	out := &ColumnIndex{Col: idxs[0].Col, hasHash: true, hasOrdered: true}
+	out := &ColumnIndex{Col: idxs[0].Col}
 	for _, ci := range idxs {
 		if out.family == famNone {
 			out.family = ci.family
 		} else if ci.family != famNone && ci.family != out.family {
 			return nil, refuse(out.Col, "mixed-type keys")
 		}
-		out.hasHash = out.hasHash && ci.hasHash
-		out.hasOrdered = out.hasOrdered && ci.hasOrdered
 		for _, p := range ci.parts {
-			out.parts = append(out.parts, part{p.off + int32(out.rows), p.structures})
+			out.parts = append(out.parts, part{p.off + int32(out.rows), p.sorted})
 		}
 		out.rows += ci.rows
 		out.nulls += ci.nulls
@@ -368,7 +265,7 @@ func Concat(idxs ...*ColumnIndex) (*ColumnIndex, error) {
 // maintenance path: it adds one part over the tail, so it costs O(len(tail))).
 // The receiver is not modified.
 func (ci *ColumnIndex) Extend(tail []value.Value) (*ColumnIndex, error) {
-	p, err := buildPart(ci.Col, ci.hasHash, ci.hasOrdered, tail)
+	p, err := buildPart(ci.Col, tail)
 	if err != nil {
 		return nil, err
 	}
@@ -390,76 +287,14 @@ func (ci *ColumnIndex) Nulls() int64 { return ci.nulls }
 // when the index has more than one.
 func (ci *ColumnIndex) Keys() int64 {
 	if len(ci.parts) == 1 {
-		return ci.parts[0].distinct()
+		return int64(len(ci.parts[0].keys))
 	}
-	floatKeys := false
+	var all []value.Value
 	for _, p := range ci.parts {
-		floatKeys = floatKeys || p.floatKeys
+		all = append(all, p.keys...)
 	}
-	seen := map[value.Value]struct{}{}
-	for _, p := range ci.parts {
-		add := func(k value.Value) {
-			if n, isInt := k.(int64); isInt && floatKeys {
-				k = float64(n)
-			}
-			seen[k] = struct{}{}
-		}
-		if p.hasHash {
-			for k := range p.hash {
-				add(k)
-			}
-		} else {
-			for _, k := range p.keys {
-				add(k)
-			}
-		}
-	}
-	return int64(len(seen))
-}
-
-func (s *structures) distinct() int64 {
-	if s.hasHash {
-		return int64(len(s.hash))
-	}
-	return int64(len(s.keys))
-}
-
-// HasHash reports whether the hash structure was built.
-func (ci *ColumnIndex) HasHash() bool { return ci.hasHash }
-
-// HasOrdered reports whether the ordered structure was built.
-func (ci *ColumnIndex) HasOrdered() bool { return ci.hasOrdered }
-
-// KindString renders the built structures for the serving layer.
-func (ci *ColumnIndex) KindString() string {
-	switch {
-	case ci.hasHash && ci.hasOrdered:
-		return "hash+range"
-	case ci.hasHash:
-		return "hash"
-	default:
-		return "range"
-	}
-}
-
-// CanServe reports whether the index can resolve every span: point spans need
-// either structure, true ranges need the ordered one.
-func (ci *ColumnIndex) CanServe(spans []Span) bool {
-	for _, s := range spans {
-		if s.Empty() {
-			continue
-		}
-		if s.IsPoint() {
-			if !ci.hasHash && !ci.hasOrdered {
-				return false
-			}
-			continue
-		}
-		if !ci.hasOrdered {
-			return false
-		}
-	}
-	return true
+	slices.SortFunc(all, value.Compare)
+	return int64(len(slices.CompactFunc(all, func(a, b value.Value) bool { return value.Compare(a, b) == 0 })))
 }
 
 // Lookup resolves spans to the ascending, deduplicated row positions whose
@@ -477,19 +312,12 @@ func (ci *ColumnIndex) Lookup(spans []Span) []int32 {
 	return out
 }
 
-func (s *structures) lookup(spans []Span) []int32 {
+func (s *sorted) lookup(spans []Span) []int32 {
 	var out []int32
 	for _, sp := range spans {
-		if sp.Empty() {
-			continue
+		if lo, hi := s.search(sp); lo < hi {
+			out = append(out, s.pos[s.start[lo]:s.start[hi]]...)
 		}
-		if sp.IsPoint() && s.hasHash {
-			if k, ok := s.normKey(sp.Lo); ok {
-				out = append(out, s.hash[k]...)
-			}
-			continue
-		}
-		out = append(out, s.rangeLookup(sp)...)
 	}
 	if !slices.IsSorted(out) {
 		slices.Sort(out)
@@ -500,32 +328,23 @@ func (s *structures) lookup(spans []Span) []int32 {
 	return out
 }
 
-func (s *structures) rangeLookup(sp Span) []int32 {
-	lo := 0
+// search returns the run [lo, hi) of keys that fall in sp by binary search;
+// lo >= hi when none does.
+func (s *sorted) search(sp Span) (lo, hi int) {
+	hi = len(s.keys)
 	if sp.Lo != nil {
 		lo = sort.Search(len(s.keys), func(i int) bool {
 			c := value.Compare(s.keys[i], sp.Lo)
-			if sp.LoInc {
-				return c >= 0
-			}
-			return c > 0
+			return c > 0 || c == 0 && sp.LoInc
 		})
 	}
-	hi := len(s.keys)
 	if sp.Hi != nil {
 		hi = sort.Search(len(s.keys), func(i int) bool {
 			c := value.Compare(s.keys[i], sp.Hi)
-			if sp.HiInc {
-				return c > 0
-			}
-			return c >= 0
+			return c > 0 || c == 0 && !sp.HiInc
 		})
 	}
-	var out []int32
-	for i := lo; i < hi; i++ {
-		out = append(out, s.pos[i]...)
-	}
-	return out
+	return lo, hi
 }
 
 func dedupPos(p []int32) []int32 {

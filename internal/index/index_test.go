@@ -1,6 +1,7 @@
 package index
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -17,9 +18,9 @@ func intVals(ns ...int64) []value.Value {
 	return out
 }
 
-func mustBuild(t *testing.T, col string, hash, ordered bool, vals []value.Value) *ColumnIndex {
+func mustBuild(t *testing.T, col string, vals []value.Value) *ColumnIndex {
 	t.Helper()
-	ci, err := Build(col, hash, ordered, vals)
+	ci, err := Build(col, true, true, vals)
 	if err != nil {
 		t.Fatalf("Build(%s): %v", col, err)
 	}
@@ -37,39 +38,13 @@ func wantPos(t *testing.T, got []int32, want ...int32) {
 }
 
 func TestParseKind(t *testing.T) {
-	cases := []struct {
-		in            string
-		hash, ordered bool
-		ok            bool
-	}{
-		{"", true, true, true},
-		{"both", true, true, true},
-		{"hash+range", true, true, true},
-		{"hash", true, false, true},
-		{"range", false, true, true},
-		{"ordered", false, true, true},
-		{"btree", false, false, false},
-	}
-	for _, c := range cases {
-		h, o, err := ParseKind(c.in)
-		if c.ok != (err == nil) || h != c.hash || o != c.ordered {
-			t.Errorf("ParseKind(%q) = %v,%v,%v", c.in, h, o, err)
+	for _, name := range []string{"", "both", "hash+range", "hash", "range", "ordered"} {
+		if err := ParseKind(name); err != nil {
+			t.Errorf("ParseKind(%q): %v", name, err)
 		}
 	}
-}
-
-func TestKindString(t *testing.T) {
-	if Hash.String() != "hash" || Ordered.String() != "range" {
-		t.Fatalf("Kind.String: %s/%s", Hash, Ordered)
-	}
-	both := mustBuild(t, "c", true, true, intVals(1))
-	hOnly := mustBuild(t, "c", true, false, intVals(1))
-	oOnly := mustBuild(t, "c", false, true, intVals(1))
-	if both.KindString() != "hash+range" || hOnly.KindString() != "hash" || oOnly.KindString() != "range" {
-		t.Fatalf("KindString: %s/%s/%s", both.KindString(), hOnly.KindString(), oOnly.KindString())
-	}
-	if !both.HasHash() || !both.HasOrdered() || hOnly.HasOrdered() || oOnly.HasHash() {
-		t.Fatal("structure flags wrong")
+	if err := ParseKind("btree"); err == nil {
+		t.Error("ParseKind(btree) accepted an unknown kind")
 	}
 }
 
@@ -126,20 +101,18 @@ func TestBuildRefusals(t *testing.T) {
 	refusedBefore := refused.Load()
 
 	cases := []struct {
-		name          string
-		hash, ordered bool
-		vals          []value.Value
-		reason        string
+		name   string
+		vals   []value.Value
+		reason string
 	}{
-		{"no structure", false, false, intVals(1), "no structure requested"},
-		{"mixed types", true, true, []value.Value{int64(1), "x"}, "mixed-type keys"},
-		{"label column", true, true, []value.Value{value.NewLabel(1, int64(2))}, "label column"},
-		{"boxed tuple", true, true, []value.Value{value.Tuple{int64(1)}}, "boxed value"},
-		{"boxed bag", true, true, []value.Value{value.Bag{int64(1)}}, "boxed value"},
-		{"range over bool", false, true, []value.Value{true, false}, "range index over bool keys"},
+		{"mixed types", []value.Value{int64(1), "x"}, "mixed-type keys"},
+		{"label column", []value.Value{value.NewLabel(1, int64(2))}, "label column"},
+		{"boxed tuple", []value.Value{value.Tuple{int64(1)}}, "boxed value"},
+		{"boxed bag", []value.Value{value.Bag{int64(1)}}, "boxed value"},
+		{"NaN key", []value.Value{float64(1), math.NaN(), nil}, "NaN key"},
 	}
 	for _, c := range cases {
-		ci, err := Build("c", c.hash, c.ordered, c.vals)
+		ci, err := Build("c", true, true, c.vals)
 		if err == nil || ci != nil {
 			t.Fatalf("%s: build should refuse", c.name)
 		}
@@ -149,7 +122,7 @@ func TestBuildRefusals(t *testing.T) {
 	}
 
 	after := refusals.Load()
-	for _, reason := range []string{"no structure requested", "mixed-type keys", "label column", "boxed value", "range index over bool keys"} {
+	for _, reason := range []string{"mixed-type keys", "label column", "boxed value", "NaN key"} {
 		if after[reason] <= before[reason] {
 			t.Errorf("refusal reason %q not counted (%d -> %d)", reason, before[reason], after[reason])
 		}
@@ -159,26 +132,22 @@ func TestBuildRefusals(t *testing.T) {
 	}
 }
 
-func TestBoolHashDowngradesOrdered(t *testing.T) {
-	// Requesting both structures over bool keeps the hash and silently drops
-	// the ordered structure rather than refusing the whole build.
-	ci := mustBuild(t, "flag", true, true, []value.Value{true, false, true})
-	if !ci.HasHash() || ci.HasOrdered() {
-		t.Fatalf("bool column: hash=%v ordered=%v", ci.HasHash(), ci.HasOrdered())
-	}
-	wantPos(t, ci.Lookup([]Span{Point(true)}), 0, 2)
+func TestBoolKeysServeRanges(t *testing.T) {
+	// Bool keys sort false < true under value.Compare, so a bool column
+	// serves ranges as well as points.
+	ci := mustBuild(t, "flag", []value.Value{true, false, nil, true})
+	wantPos(t, ci.Lookup([]Span{Point(true)}), 0, 3)
 	wantPos(t, ci.Lookup([]Span{Point(false)}), 1)
+	wantPos(t, ci.Lookup([]Span{{Lo: false, LoInc: false}}), 0, 3)
+	wantPos(t, ci.Lookup([]Span{{Hi: true, HiInc: true}}), 0, 1, 3)
 }
 
 func TestEmptyDataset(t *testing.T) {
-	ci := mustBuild(t, "c", true, true, nil)
+	ci := mustBuild(t, "c", nil)
 	if ci.Len() != 0 || ci.Keys() != 0 || ci.Nulls() != 0 {
 		t.Fatalf("empty index: len=%d keys=%d nulls=%d", ci.Len(), ci.Keys(), ci.Nulls())
 	}
 	wantPos(t, ci.Lookup([]Span{Point(int64(1)), {}}))
-	if !ci.CanServe([]Span{Point(int64(1))}) {
-		t.Fatal("empty index should still serve spans")
-	}
 	ext, err := ci.Extend(intVals(10, 20))
 	if err != nil {
 		t.Fatal(err)
@@ -187,7 +156,7 @@ func TestEmptyDataset(t *testing.T) {
 }
 
 func TestAllNullColumn(t *testing.T) {
-	ci := mustBuild(t, "c", true, true, []value.Value{nil, nil, nil})
+	ci := mustBuild(t, "c", []value.Value{nil, nil, nil})
 	if ci.Len() != 3 || ci.Nulls() != 3 || ci.Keys() != 0 {
 		t.Fatalf("all-NULL: len=%d nulls=%d keys=%d", ci.Len(), ci.Nulls(), ci.Keys())
 	}
@@ -207,7 +176,7 @@ func TestAllNullColumn(t *testing.T) {
 
 func TestNullKeysExcludedFromSpans(t *testing.T) {
 	vals := []value.Value{int64(1), nil, int64(3), nil, int64(5)}
-	ci := mustBuild(t, "c", true, true, vals)
+	ci := mustBuild(t, "c", vals)
 	if ci.Nulls() != 2 || ci.Keys() != 3 {
 		t.Fatalf("nulls=%d keys=%d", ci.Nulls(), ci.Keys())
 	}
@@ -218,19 +187,16 @@ func TestNullKeysExcludedFromSpans(t *testing.T) {
 
 func TestDuplicateKeys(t *testing.T) {
 	vals := intVals(7, 3, 7, 3, 7)
-	ci := mustBuild(t, "c", true, true, vals)
+	ci := mustBuild(t, "c", vals)
 	if ci.Keys() != 2 {
 		t.Fatalf("keys=%d, want 2", ci.Keys())
 	}
 	wantPos(t, ci.Lookup([]Span{Point(int64(7))}), 0, 2, 4)
-	// The ordered structure agrees with the hash structure.
-	oOnly := mustBuild(t, "c", false, true, vals)
-	wantPos(t, oOnly.Lookup([]Span{Point(int64(7))}), 0, 2, 4)
-	wantPos(t, oOnly.Lookup([]Span{{Lo: int64(3), Hi: int64(7), LoInc: true, HiInc: false}}), 1, 3)
+	wantPos(t, ci.Lookup([]Span{{Lo: int64(3), Hi: int64(7), LoInc: true, HiInc: false}}), 1, 3)
 }
 
 func TestRangeBounds(t *testing.T) {
-	ci := mustBuild(t, "c", false, true, intVals(10, 20, 30, 40))
+	ci := mustBuild(t, "c", intVals(10, 20, 30, 40))
 	cases := []struct {
 		span Span
 		want []int32
@@ -248,7 +214,7 @@ func TestRangeBounds(t *testing.T) {
 }
 
 func TestMultiSpanLookupDedupsAndSorts(t *testing.T) {
-	ci := mustBuild(t, "c", true, true, intVals(5, 1, 3, 5, 2))
+	ci := mustBuild(t, "c", intVals(5, 1, 3, 5, 2))
 	// Overlapping spans: the point span and the range both match rows 0 and 3.
 	spans := []Span{
 		Point(int64(5)),
@@ -260,40 +226,22 @@ func TestMultiSpanLookupDedupsAndSorts(t *testing.T) {
 	wantPos(t, ci.Lookup([]Span{Point(int64(2)), Point(int64(1))}), 1, 4)
 }
 
-func TestCanServe(t *testing.T) {
-	hOnly := mustBuild(t, "c", true, false, intVals(1, 2))
-	oOnly := mustBuild(t, "c", false, true, intVals(1, 2))
-	point := []Span{Point(int64(1))}
-	rng := []Span{{Lo: int64(1), Hi: int64(2), LoInc: true, HiInc: true}}
-	emptySpan := []Span{{Lo: int64(9), Hi: int64(1), LoInc: true, HiInc: true}}
-	if !hOnly.CanServe(point) || hOnly.CanServe(rng) {
-		t.Fatal("hash-only: point yes, range no")
-	}
-	if !oOnly.CanServe(point) || !oOnly.CanServe(rng) {
-		t.Fatal("ordered-only serves both span shapes")
-	}
-	if !hOnly.CanServe(emptySpan) {
-		t.Fatal("empty spans need no structure")
-	}
-	// A point span on a hash-less ordered index resolves by binary search.
-	wantPos(t, oOnly.Lookup(point), 0)
-}
-
-func TestNormKeyCrossType(t *testing.T) {
+func TestCrossTypeNumericKeys(t *testing.T) {
 	// Pure-int column probed with real constants.
-	ints := mustBuild(t, "c", true, true, intVals(4, 5, 6))
+	ints := mustBuild(t, "c", intVals(4, 5, 6))
 	wantPos(t, ints.Lookup([]Span{Point(float64(5))}), 1)
 	wantPos(t, ints.Lookup([]Span{Point(float64(5.5))}))
-	// Mixed int/real column: hash keys normalize to float64 so 5 == 5.0.
-	mixed := mustBuild(t, "c", true, true, []value.Value{int64(5), float64(5), float64(2.5)})
+	// Mixed int/real column: value.Compare equates 5 and 5.0, so they are
+	// one key.
+	mixed := mustBuild(t, "c", []value.Value{int64(5), float64(5), float64(2.5)})
 	wantPos(t, mixed.Lookup([]Span{Point(int64(5))}), 0, 1)
 	wantPos(t, mixed.Lookup([]Span{Point(float64(2.5))}), 2)
-	// Non-numeric probe of a float-keyed column passes through untouched.
+	// A non-numeric probe of a numeric column matches nothing.
 	wantPos(t, mixed.Lookup([]Span{Point("x")}))
 }
 
 func TestExtendIncremental(t *testing.T) {
-	base := mustBuild(t, "c", true, true, intVals(1, 2, 3))
+	base := mustBuild(t, "c", intVals(1, 2, 3))
 	ext, err := base.Extend([]value.Value{int64(2), nil, int64(9)})
 	if err != nil {
 		t.Fatal(err)
@@ -310,10 +258,10 @@ func TestExtendIncremental(t *testing.T) {
 	wantPos(t, ext.Lookup([]Span{{Lo: int64(3), LoInc: true}}), 2, 5)
 }
 
-func TestExtendRenormalizesIntHashKeys(t *testing.T) {
-	// The base is pure-int; the tail introduces a real, so inherited hash keys
-	// must be re-normalized to float64 or point lookups would miss old rows.
-	base := mustBuild(t, "c", true, true, intVals(5, 7))
+func TestExtendMixesIntAndRealKeys(t *testing.T) {
+	// The base is pure-int and the tail introduces reals: a point lookup
+	// finds the int rows and the real rows the key compares equal to.
+	base := mustBuild(t, "c", intVals(5, 7))
 	ext, err := base.Extend([]value.Value{float64(5), float64(1.5)})
 	if err != nil {
 		t.Fatal(err)
@@ -325,16 +273,15 @@ func TestExtendRenormalizesIntHashKeys(t *testing.T) {
 }
 
 func TestExtendRefusals(t *testing.T) {
-	base := mustBuild(t, "c", true, true, intVals(1))
+	base := mustBuild(t, "c", intVals(1))
 	if _, err := base.Extend([]value.Value{"x"}); err == nil || !strings.Contains(err.Error(), "mixed-type keys") {
 		t.Fatalf("mixed-type tail: %v", err)
 	}
-	ordBool := mustBuild(t, "c", false, true, intVals(1))
-	// Force the bool-family check: an ordered index whose tail is bool-typed
-	// is a mixed-type refusal; a fresh bool ordered extend path needs a
-	// hash+bool base, which Build already downgraded, so grow one manually.
-	if _, err := ordBool.Extend([]value.Value{true}); err == nil {
-		t.Fatal("bool tail over int ordered index should refuse")
+	if _, err := base.Extend([]value.Value{true}); err == nil || !strings.Contains(err.Error(), "mixed-type keys") {
+		t.Fatalf("bool tail over an int index: %v", err)
+	}
+	if _, err := base.Extend([]value.Value{math.NaN()}); err == nil || !strings.Contains(err.Error(), "NaN key") {
+		t.Fatalf("NaN tail: %v", err)
 	}
 }
 
@@ -344,7 +291,7 @@ func TestWordBoundarySizes(t *testing.T) {
 		for i := range vals {
 			vals[i] = int64(i)
 		}
-		ci := mustBuild(t, "c", true, true, vals)
+		ci := mustBuild(t, "c", vals)
 		if ci.Len() != n || int(ci.Keys()) != n {
 			t.Fatalf("n=%d: len=%d keys=%d", n, ci.Len(), ci.Keys())
 		}
@@ -363,10 +310,10 @@ func TestWordBoundarySizes(t *testing.T) {
 
 func TestDateAndStringKeys(t *testing.T) {
 	d1, d2, d3 := value.MakeDate(2020, 1, 15), value.MakeDate(2020, 6, 1), value.MakeDate(2021, 3, 9)
-	dates := mustBuild(t, "d", true, true, []value.Value{d2, d1, d3})
+	dates := mustBuild(t, "d", []value.Value{d2, d1, d3})
 	wantPos(t, dates.Lookup([]Span{Point(d1)}), 1)
 	wantPos(t, dates.Lookup([]Span{{Lo: d1, Hi: d2, LoInc: false, HiInc: true}}), 0)
-	strs := mustBuild(t, "s", true, true, []value.Value{"beta", "alpha", "gamma"})
+	strs := mustBuild(t, "s", []value.Value{"beta", "alpha", "gamma"})
 	wantPos(t, strs.Lookup([]Span{{Lo: "alpha", Hi: "beta", LoInc: true, HiInc: true}}), 0, 1)
 }
 
@@ -381,8 +328,8 @@ func TestSetNilSafety(t *testing.T) {
 	}
 
 	s := NewSet()
-	a := mustBuild(t, "a", true, false, intVals(1))
-	b := mustBuild(t, "b", false, true, intVals(2))
+	a := mustBuild(t, "a", intVals(1))
+	b := mustBuild(t, "b", intVals(2))
 	s.Put(a)
 	s.Put(b)
 	if s.Len() != 2 || s.Column("a") != a || s.Column("zzz") != nil {
@@ -392,7 +339,7 @@ func TestSetNilSafety(t *testing.T) {
 		t.Fatalf("Names: %v", names)
 	}
 	c2 := s.Clone()
-	replacement := mustBuild(t, "a", true, true, intVals(9))
+	replacement := mustBuild(t, "a", intVals(9))
 	c2.Put(replacement)
 	if s.Column("a") != a || c2.Column("a") != replacement || c2.Column("b") != b {
 		t.Fatal("Clone should share columns but isolate later Puts")

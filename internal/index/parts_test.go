@@ -53,15 +53,18 @@ func TestSortKeysMatchesStableSort(t *testing.T) {
 		}
 	}
 	rng.Shuffle(len(vals), func(i, j int) { vals[i], vals[j] = vals[j], vals[i] })
-	ci := mustBuild(t, "c", true, true, vals)
+	ci := mustBuild(t, "c", vals)
 	keys, pos := stableSorted(vals)
-	s := ci.parts[0].structures
+	s := ci.parts[0].sorted
 	if !reflect.DeepEqual(s.keys, keys) {
 		t.Fatalf("keys differ from the stable sort:\n got %v\nwant %v", s.keys, keys)
 	}
+	if len(s.start) != len(keys)+1 {
+		t.Fatalf("%d offsets for %d keys", len(s.start), len(keys))
+	}
 	for i := range pos {
-		if !reflect.DeepEqual(s.pos[i], pos[i]) {
-			t.Fatalf("key %v: positions %v, want %v", keys[i], s.pos[i], pos[i])
+		if got := s.pos[s.start[i]:s.start[i+1]]; !reflect.DeepEqual(got, pos[i]) {
+			t.Fatalf("key %v: positions %v, want %v", keys[i], got, pos[i])
 		}
 	}
 }
@@ -81,11 +84,11 @@ func TestConcatMatchesBuild(t *testing.T) {
 			vals[i] = float64(rng.Intn(60)) / 2
 		}
 	}
-	whole := mustBuild(t, "c", true, true, vals)
+	whole := mustBuild(t, "c", vals)
 	var parts []*ColumnIndex
 	for lo := 0; lo < len(vals); {
 		hi := min(len(vals), lo+1+rng.Intn(80))
-		parts = append(parts, mustBuild(t, "c", true, true, vals[lo:hi]))
+		parts = append(parts, mustBuild(t, "c", vals[lo:hi]))
 		lo = hi
 	}
 	cat, err := Concat(parts...)
@@ -110,21 +113,21 @@ func TestConcatMatchesBuild(t *testing.T) {
 }
 
 // TestConcatRefusals: parts of different key families do not concatenate,
-// NULL-only parts join any family, and a structure survives only if every
-// part carries it.
+// and NULL-only parts join any family, bool included.
 func TestConcatRefusals(t *testing.T) {
-	ints := mustBuild(t, "c", true, true, intVals(1, 2))
-	strs := mustBuild(t, "c", true, true, []value.Value{"a"})
+	ints := mustBuild(t, "c", intVals(1, 2))
+	strs := mustBuild(t, "c", []value.Value{"a"})
 	if _, err := Concat(ints, strs); err == nil {
 		t.Fatal("int and string parts concatenated")
 	}
-	nulls := mustBuild(t, "c", true, true, []value.Value{nil})
+	nulls := mustBuild(t, "c", []value.Value{nil})
 	if _, err := Concat(nulls, strs); err != nil {
 		t.Fatalf("NULL-only part: %v", err)
 	}
-	bools := mustBuild(t, "c", true, true, []value.Value{true})
+	bools := mustBuild(t, "c", []value.Value{true})
 	both, err := Concat(nulls, bools)
-	if err != nil || both.HasOrdered() || !both.HasHash() {
-		t.Fatalf("NULL+bool parts: %v, ordered=%t", err, both != nil && both.HasOrdered())
+	if err != nil {
+		t.Fatalf("NULL+bool parts: %v", err)
 	}
+	wantPos(t, both.Lookup([]Span{{Lo: false, LoInc: true}}), 1)
 }

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/trance-go/trance/internal/index"
 	"github.com/trance-go/trance/internal/nrc"
 )
 
@@ -65,7 +64,7 @@ func TestQErr(t *testing.T) {
 func analyzedTree() (Op, *Analysis) {
 	scan := scanR()
 	idx := &IndexScan{
-		Input: "S", Col: "k", Kind: index.Hash,
+		Input: "S", Col: "k",
 		Cols:    []Column{{Name: "k", Type: nrc.IntT}},
 		EstRows: 4,
 	}

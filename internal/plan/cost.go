@@ -29,10 +29,9 @@ type ColEstimate struct {
 	// HeavyFraction is the fraction of rows carried by heavy keys (keys whose
 	// per-partition sample frequency exceeds the skew detector's threshold).
 	HeavyFraction float64
-	// IndexHash and IndexOrdered report which secondary-index structures exist
-	// for the column on the bound input, enabling Select→IndexScan conversion.
-	IndexHash    bool
-	IndexOrdered bool
+	// Indexed reports a secondary index on the column of the bound input,
+	// enabling Select→IndexScan conversion.
+	Indexed bool
 }
 
 // TableEstimate summarizes one input for the cost model.
@@ -346,9 +345,10 @@ func (a *annotator) join(x *Join) (Op, nodeEst) {
 // is not expected to beat the fused full scan. The two shapes cross over at
 // very different points, so they gate separately:
 //
-//   - Equality probes answer from the hash map in O(matches); even a
-//     half-selective point predicate beats rescanning everything.
-//   - Range spans walk the ordered index and gather row-by-row; the ablation
+//   - Equality probes binary-search one key and gather its rows, already in
+//     row order; even a half-selective point predicate beats rescanning
+//     everything.
+//   - Range spans gather the rows of many keys and sort them; the ablation
 //     benchmark (BenchmarkIndexScanAblation) measured the gathered range scan
 //     ~1.8× SLOWER than the fused full scan at ~10% selectivity, putting the
 //     break-even near 1/18 of the input. Gate with a little headroom below
@@ -393,17 +393,12 @@ func (a *annotator) tryIndexScan(scan *Scan, pred Expr, e nodeEst) (Op, nodeEst,
 		// The predicate's Col carries a display name scoped to the query
 		// (e.g. "r.id"); the scan's own column at the same position carries
 		// the statistics key.
-		ce := te.Cols[scan.Cols[col.Idx].Name]
 		switch op {
-		case nrc.Eq:
-			if !ce.IndexHash && !ce.IndexOrdered {
-				continue
-			}
-		case nrc.Lt, nrc.Le, nrc.Gt, nrc.Ge:
-			if !ce.IndexOrdered {
-				continue
-			}
+		case nrc.Eq, nrc.Lt, nrc.Le, nrc.Gt, nrc.Ge:
 		default:
+			continue
+		}
+		if !te.Cols[scan.Cols[col.Idx].Name].Indexed {
 			continue
 		}
 		byCol[col.Idx] = append(byCol[col.Idx], cand{c, op, konst})
@@ -473,7 +468,7 @@ func (a *annotator) tryIndexScan(scan *Scan, pred Expr, e nodeEst) (Op, nodeEst,
 		}
 	}
 	empty := span.Empty()
-	// A span assembled from any range conjunct walks the ordered index, so it
+	// A span assembled from any range conjunct walks many keys, so it
 	// gates at the measured range crossover even if equality conjuncts also
 	// tightened it; pure point probes keep the looser equality gate.
 	gate := indexScanMaxEqSelectivity
@@ -487,19 +482,14 @@ func (a *annotator) tryIndexScan(scan *Scan, pred Expr, e nodeEst) (Op, nodeEst,
 		bestSel = 0
 	}
 
-	ce := te.Cols[colName[best]]
 	var spans []index.Span
 	if !empty {
 		spans = []index.Span{span}
 	}
-	kind := index.Ordered
-	if (empty || span.IsPoint()) && ce.IndexHash {
-		kind = index.Hash
-	}
 	node := &IndexScan{
 		Input: scan.Input, Cols: scan.Cols,
 		Col: colName[best], ColIdx: best,
-		Kind: kind, Spans: spans,
+		Spans:    spans,
 		Fallback: conjoin(consumed),
 		EstRows:  int64(e.rows * bestSel),
 	}

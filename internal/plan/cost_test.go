@@ -208,17 +208,16 @@ func TestSelectivityFormulas(t *testing.T) {
 	}
 }
 
-// indexedTables is testTables with secondary-index structures declared on R:
-// an ordered index on a (range-capable) and a hash index on b (point-only).
+// indexedTables is testTables with secondary indexes declared on R's columns
+// a and b.
 func indexedTables() map[string]TableEstimate {
 	tabs := testTables()
 	r := tabs["R"]
-	a := r.Cols["a"]
-	a.IndexOrdered = true
-	r.Cols["a"] = a
-	b := r.Cols["b"]
-	b.IndexHash = true
-	r.Cols["b"] = b
+	for _, col := range []string{"a", "b"} {
+		ce := r.Cols[col]
+		ce.Indexed = true
+		r.Cols[col] = ce
+	}
 	tabs["R"] = r
 	return tabs
 }
@@ -269,29 +268,28 @@ func TestIndexScanRangeGate(t *testing.T) {
 	if is == nil {
 		t.Fatalf("4%% range predicate no longer converts:\n%s", Explain(tight))
 	}
-	if is.Kind != index.Ordered {
-		t.Fatalf("range span planned kind %v, want ordered", is.Kind)
+	if got := index.FormatSpans(is.Spans); got != "(-∞,400)" {
+		t.Fatalf("range predicate planned spans %s, want (-∞,400)", got)
 	}
 	if stats.Planned != 1 {
 		t.Fatalf("planner counted %d index scans, want 1", stats.Planned)
 	}
 
 	// b = k has selectivity 1/NDV(b) = 10%: far above the range gate but a
-	// hash point probe, which keeps the looser equality gate and still plans
-	// (this is the tpch.PointLookup shape).
+	// point probe, which keeps the looser equality gate and still plans (this
+	// is the tpch.PointLookup shape).
 	point, _ := Annotate(mkSel(nrc.Eq, intCol(1, "b"), 3), indexedTables(), 64<<10)
 	is = findIndexScan(point)
 	if is == nil {
 		t.Fatalf("10%% equality probe no longer converts:\n%s", Explain(point))
 	}
-	if is.Kind != index.Hash {
-		t.Fatalf("point probe planned kind %v, want hash", is.Kind)
+	if len(is.Spans) != 1 || !is.Spans[0].IsPoint() {
+		t.Fatalf("point probe planned spans %s, want one point", index.FormatSpans(is.Spans))
 	}
 
 	// An equality conjunct that also tightens a range span to a point keeps
 	// the equality gate: a = 42 over NDV 5000 is far under 0.5 either way, but
-	// the span is a point, so it must use the ordered index without tripping
-	// the range gate.
+	// the span is a point, so it must not trip the range gate.
 	eqa, _ := Annotate(mkSel(nrc.Eq, intCol(0, "a"), 42), indexedTables(), 64<<10)
 	if findIndexScan(eqa) == nil {
 		t.Fatalf("point predicate on ordered column no longer converts:\n%s", Explain(eqa))

@@ -17,9 +17,6 @@ type IndexScan struct {
 	// Col and ColIdx name the indexed key column.
 	Col    string
 	ColIdx int
-	// Kind is the access structure the planner chose (hash for pure point
-	// spans, range otherwise).
-	Kind index.Kind
 	// Spans is the union of key intervals to gather; an empty list matches no
 	// row (contradictory conjuncts). NULL keys never match, mirroring the σ
 	// NULL→false semantics of the conjuncts the spans replace.
@@ -35,8 +32,8 @@ type IndexScan struct {
 func (s *IndexScan) Columns() []Column { return s.Cols }
 func (s *IndexScan) Children() []Op    { return nil }
 func (s *IndexScan) Describe() string {
-	return fmt.Sprintf("IndexScan %s [index=%s col=%s spans=%s est_rows=%s]",
-		s.Input, s.Kind, s.Col, index.FormatSpans(s.Spans), itoa(s.EstRows))
+	return fmt.Sprintf("IndexScan %s [index col=%s spans=%s est_rows=%s]",
+		s.Input, s.Col, index.FormatSpans(s.Spans), itoa(s.EstRows))
 }
 
 // IndexStats counts the planner's index decisions for one compilation;

@@ -248,7 +248,7 @@ func (g *dgen) comp(withSub bool) nrc.Expr {
 	if g.coin() {
 		guards = append(guards, g.pred(sc))
 	}
-	// A selective point guard on R.a (indexed in ~3/4 of the seeds): the
+	// A selective point guard on R.a (indexed in half of the seeds): the
 	// generator's free-form predicates reach a Scan almost exclusively as
 	// range conjuncts with default-estimated selectivity, which the measured
 	// range gate (indexScanMaxRangeSelectivity) rightly refuses — without an
@@ -301,8 +301,9 @@ func (g *dgen) comp(withSub bool) nrc.Expr {
 	return nrc.ForIn("x", nrc.V(g.root), body)
 }
 
-// query builds one top-level query: a plain flat or nested comprehension, or
-// a root aggregate / dedup / union over flat comprehensions.
+// query builds one top-level query: a plain flat or nested comprehension, a
+// root aggregate / dedup / union over flat comprehensions, or a join on the
+// key of an aggregate below it.
 func (g *dgen) query() nrc.Expr {
 	switch g.n(8) {
 	case 0:
@@ -320,6 +321,11 @@ func (g *dgen) query() nrc.Expr {
 	case 5, 6:
 		return g.comp(true)
 	default:
+		if g.n(3) != 0 {
+			// The Γ leaves its sums hash-placed on f1, the key the join
+			// reads them by, so the join can skip that side's exchange.
+			return groupedJoin(nrc.SumByOf(g.comp(false), []string{"f1"}, []string{"f2"}))
+		}
 		return g.comp(false)
 	}
 }
@@ -353,7 +359,7 @@ func withoutIndexes(ests map[string]plan.TableEstimate) map[string]plan.TableEst
 	for name, te := range ests {
 		cols := map[string]plan.ColEstimate{}
 		for col, ce := range te.Cols {
-			ce.IndexHash, ce.IndexOrdered = false, false
+			ce.Indexed = false
 			cols[col] = ce
 		}
 		te.Cols = cols
@@ -369,19 +375,14 @@ var diffIndexCols = []struct{ ds, col string }{
 }
 
 // chooseIndexes draws the seed's index configuration: each top-level scalar
-// column independently gains a hash index, an ordered index, both, or none.
-// Returns the flag map to stamp into the collected statistics.
-func (g *dgen) chooseIndexes() map[string]map[string][2]bool {
-	out := map[string]map[string][2]bool{}
+// column is independently indexed or not. Returns the indexed columns of
+// each dataset, to flag in the collected statistics.
+func (g *dgen) chooseIndexes() map[string][]string {
+	out := map[string][]string{}
 	for _, ic := range diffIndexCols {
-		h, o := g.coin(), g.coin()
-		if !h && !o {
-			continue
+		if g.coin() {
+			out[ic.ds] = append(out[ic.ds], ic.col)
 		}
-		if out[ic.ds] == nil {
-			out[ic.ds] = map[string][2]bool{}
-		}
-		out[ic.ds][ic.col] = [2]bool{h, o}
 	}
 	return out
 }
@@ -390,15 +391,15 @@ func (g *dgen) chooseIndexes() map[string]map[string][2]bool {
 // the same shape a catalog session's resolve produces — and publishes the
 // shredded-route estimate aliases so IndexScan conversion happens on the
 // shredded top components too.
-func applyIndexes(ests map[string]plan.TableEstimate, chosen map[string]map[string][2]bool) {
+func applyIndexes(ests map[string]plan.TableEstimate, chosen map[string][]string) {
 	for ds, cols := range chosen {
 		te, ok := ests[ds]
 		if !ok {
 			continue
 		}
-		for col, kinds := range cols {
+		for _, col := range cols {
 			ce := te.Cols[col]
-			ce.IndexHash, ce.IndexOrdered = kinds[0], kinds[1]
+			ce.Indexed = true
 			te.Cols[col] = ce
 		}
 		ests[shred.MatName(ds, nil)] = te
@@ -480,7 +481,10 @@ type diffCounts struct {
 	fused     int // seeds with a join writing its projection on some strategy's full plans
 	composed  int // seeds where some strategy's full plans hold fewer π/ext than its ablated plans
 	local     int // seeds where some strategy's full plans reduce a Γ/dedup in place
-	placed    int // seeds where some strategy's full plans place a join side
+	placed    int // seed × strategy pairs whose full plans place a join side
+	// groupedPlaced counts seeds whose grouped-join program places a join
+	// side on some strategy.
+	groupedPlaced int
 	// shreddedSteps counts program runs whose second step read the first
 	// step's output in shredded form.
 	shreddedSteps int
@@ -502,6 +506,7 @@ func (c *diffCounts) add(o diffCounts) {
 	c.composed += o.composed
 	c.local += o.local
 	c.placed += o.placed
+	c.groupedPlaced += o.groupedPlaced
 	c.shreddedSteps += o.shreddedSteps
 	c.stitchResolved += o.stitchResolved
 	c.stitchDeep += o.stitchDeep
@@ -533,13 +538,14 @@ func runDifferential(data []byte, strict bool) (n diffCounts, err error) {
 	ests := collectDiffStats(env, inputs)
 	applyIndexes(ests, chosen)
 
-	nested, narrowed, fused, composed, local, placed := false, false, false, false, false, false
+	nested, narrowed, fused, composed, local := false, false, false, false, false
 	stitchK := 1 + g.n(4) // the stitching checks' limit besides 0
 	var st stitchSeen
 	moved := movedBy{}
 	for _, strat := range diffStrategies {
 		keyCols := map[bool]int{} // Γ key columns of the strategy's plans, by arm
 		narrowOps := map[bool]int{}
+		placed := false
 		for _, full := range []bool{true, false} {
 			noIdxArms := []bool{false}
 			if full {
@@ -626,6 +632,9 @@ func runDifferential(data []byte, strict bool) (n diffCounts, err error) {
 		if narrowOps[true] < narrowOps[false] {
 			composed = true
 		}
+		if placed {
+			n.placed++
+		}
 	}
 	if nested {
 		n.nested++
@@ -703,9 +712,10 @@ func runDifferential(data []byte, strict bool) (n diffCounts, err error) {
 	gsteps := func() []nrc.Assignment {
 		return []nrc.Assignment{
 			{Name: "G", Expr: nrc.SumByOf((&dgen{data: data, i: queryAt, root: "R"}).comp(false), []string{"f1"}, []string{"f2"})},
-			{Name: "Out", Expr: groupedJoin()},
+			{Name: "Out", Expr: groupedJoin(nrc.V("G"))},
 		}
 	}
+	groupedPlaced := false
 	gwant, err := oracleProgram(gsteps(), env, inputs)
 	if err != nil {
 		return n, fmt.Errorf("grouped-join program fails Check (generator bug): %v", err)
@@ -738,7 +748,7 @@ func runDifferential(data []byte, strict bool) (n diffCounts, err error) {
 		if lerr != nil {
 			return n, fmt.Errorf("%s grouped-join program: %v\n%s", strat, lerr, runner.Explain(res.Program()))
 		}
-		placed = placed || sides > 0
+		groupedPlaced = groupedPlaced || sides > 0
 		if fusedJoins, _ := fusionOf(prog[1]); fusedJoins == 0 {
 			return n, fmt.Errorf("%s grouped-join program's join does not write its projection\n%s", strat, runner.Explain(prog))
 		}
@@ -752,8 +762,8 @@ func runDifferential(data []byte, strict bool) (n diffCounts, err error) {
 		}
 		n.runs++
 	}
-	if placed {
-		n.placed++
+	if groupedPlaced {
+		n.groupedPlaced++
 	}
 
 	// The stitching arm: a query with two nesting levels whose leading scalar
@@ -808,11 +818,12 @@ func runDifferential(data []byte, strict bool) (n diffCounts, err error) {
 	return n, nil
 }
 
-// groupedJoin is the grouped-join arm's second step: the first step's sums G
-// joined with S on the key G is grouped by.
-func groupedJoin() nrc.Expr {
+// groupedJoin joins sums, a bag of ⟨f1, f2⟩ grouped by f1, with S on the key
+// they are grouped by: the grouped-join arm's second step over its first
+// step's output G, and a generated query over a sumBy.
+func groupedJoin(sums nrc.Expr) nrc.Expr {
 	g, s := nrc.V("g"), nrc.V("s")
-	return nrc.ForIn("g", nrc.V("G"), nrc.ForIn("s", nrc.V("S"),
+	return nrc.ForIn("g", sums, nrc.ForIn("s", nrc.V("S"),
 		nrc.IfThen(nrc.EqOf(nrc.P(g, "f1"), nrc.P(s, "k")),
 			nrc.SingOf(nrc.Record("f1", nrc.P(g, "f1"), "f2", nrc.P(g, "f2"), "name", nrc.P(s, "name"))))))
 }
@@ -1135,12 +1146,18 @@ func TestDifferentialOracle(t *testing.T) {
 	// skip their exchange (each run checks the decisions against the stages it
 	// ran, and that SPARK-SQL skips none). 48 seeds placed a join side when
 	// placement became a plan property, all in the since-deleted unshred
-	// plan; the grouped-join arm places one on every route that places.
+	// plan. The matrix's own joins on a Γ's key place one on 147 of its
+	// 300 × 8 seed × strategy pairs (in 29 seeds), counted apart from the
+	// grouped-join arm, which places one in every seed; the pairs, not the
+	// seeds, notice placement lost on some routes only.
 	if total.local < n/8 {
 		t.Fatalf("%d of %d seeds reduce a Γ/dedup in place on some strategy's full plans — plan.Place is no longer exercised", total.local, n)
 	}
-	if n == 300 && total.placed < 20 {
-		t.Fatalf("%d of %d seeds place a join side on some strategy's full plans — plan.Place no longer skips join exchanges", total.placed, n)
+	if total.placed < n/3 {
+		t.Fatalf("%d seed × strategy pairs over %d generated queries place a join side on their full plans — plan.Place no longer skips join exchanges", total.placed, n)
+	}
+	if total.groupedPlaced < n/15 {
+		t.Fatalf("%d of %d grouped-join programs place a join side on some strategy — plan.Place no longer skips join exchanges", total.groupedPlaced, n)
 	}
 	// And the index arm must actually plan index scans, not vacuously agree
 	// because no generated predicate ever hit an indexed column.
@@ -1163,8 +1180,8 @@ func TestDifferentialOracle(t *testing.T) {
 		t.Fatalf("%d of %d seeds resolved a label inside the stitching comparator and %d stitched two nesting levels — stitching is no longer exercised", total.stitchResolved, n, total.stitchDeep)
 	}
 	t.Logf("%d seeds stitched through a label comparison, %d two levels deep", total.stitchResolved, total.stitchDeep)
-	t.Logf("%d queries × %d runs each agreed with the oracle; optimizer changed plans in %d runs (%d crossings); %d seeds keyed a Γ by the IDs; %d seeds fused a join and %d composed a chain; %d seeds reduced in place and %d placed a join side; %d runs planned index scans; %d runs metered typed-encoding shuffle buffers; %d programs read a shredded step output",
-		n, total.runs/n, total.optimized, total.pushed, total.narrowed, total.fused, total.composed, total.local, total.placed, total.indexed, total.typed, total.shreddedSteps)
+	t.Logf("%d queries × %d runs each agreed with the oracle; optimizer changed plans in %d runs (%d crossings); %d seeds keyed a Γ by the IDs; %d seeds fused a join and %d composed a chain; %d seeds reduced in place; %d seed × strategy pairs placed a join side (%d grouped-join programs); %d runs planned index scans; %d runs metered typed-encoding shuffle buffers; %d programs read a shredded step output",
+		n, total.runs/n, total.optimized, total.pushed, total.narrowed, total.fused, total.composed, total.local, total.placed, total.groupedPlaced, total.indexed, total.typed, total.shreddedSteps)
 }
 
 // TestAnalyzeStableAcrossRoutes re-runs a sampled subset of the differential

@@ -16,7 +16,7 @@ import (
 // Chunk is an immutable run of an input's rows and what evaluation derives
 // from it, each computed on first use, once: the engine rows of each route
 // under every variable name the chunk is bound as, and the index part of each
-// (column, kinds). An Input is a list of chunks; a catalog dataset generation
+// column. An Input is a list of chunks; a catalog dataset generation
 // reuses the chunks a mutation left unchanged, and with them everything
 // derived from their rows, so a write re-derives only the rows it changed.
 type Chunk struct {
@@ -29,7 +29,7 @@ type Chunk struct {
 
 	mu    sync.Mutex // guards the maps; each entry computes under its own once
 	conv  map[convKey]*conversion
-	parts map[partKey]*partBuild
+	parts map[string]*partBuild
 }
 
 type convKey struct {
@@ -41,11 +41,6 @@ type conversion struct {
 	once sync.Once
 	rows map[string][]dataflow.Row
 	err  error
-}
-
-type partKey struct {
-	col           string
-	hash, ordered bool
 }
 
 type partBuild struct {
@@ -107,27 +102,27 @@ func (c *Chunk) convert(name string, shredded bool) (rows map[string][]dataflow.
 	return rows, nil
 }
 
-// Index returns the chunk's index part over column col with exactly the
-// requested structures, positions local to the chunk.
-func (c *Chunk) Index(col string, hash, ordered bool) (*index.ColumnIndex, error) {
-	pb := entry(&c.mu, &c.parts, partKey{col, hash, ordered})
+// Index returns the chunk's index part over column col, positions local to
+// the chunk.
+func (c *Chunk) Index(col string) (*index.ColumnIndex, error) {
+	pb := entry(&c.mu, &c.parts, col)
 	pb.once.Do(func() {
 		bt, ok := c.Type.(nrc.BagType)
 		if !ok {
 			pb.err = fmt.Errorf("index over a non-bag input")
 			return
 		}
-		pb.ci, pb.err = buildIndex(c.Bag, bt, col, hash, ordered)
+		pb.ci, pb.err = buildIndex(c.Bag, bt, col)
 	})
 	return pb.ci, pb.err
 }
 
 // IndexChunks returns the index of column col over chunks laid end to end:
 // each chunk's part, concatenated.
-func IndexChunks(chunks []*Chunk, col string, hash, ordered bool) (*index.ColumnIndex, error) {
+func IndexChunks(chunks []*Chunk, col string) (*index.ColumnIndex, error) {
 	parts := make([]*index.ColumnIndex, len(chunks))
 	for i, c := range chunks {
-		p, err := c.Index(col, hash, ordered)
+		p, err := c.Index(col)
 		if err != nil {
 			return nil, err
 		}
@@ -257,24 +252,20 @@ func (in *Input) concat(shredded bool) (map[string][]dataflow.Row, error) {
 }
 
 // indexes returns the input's index set after building, once each, the
-// indexes te flags (IndexHash/IndexOrdered) that the set lacks.
+// indexes te flags (Indexed) that the set lacks.
 func (in *Input) indexes(te plan.TableEstimate) *index.Set {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	_, isBag := in.Type.(nrc.BagType)
 	for col, ce := range te.Cols {
-		if !isBag || !ce.IndexHash && !ce.IndexOrdered || in.tried[col] {
-			continue
-		}
-		have := in.idx.Column(col)
-		if have != nil && (!ce.IndexHash || have.HasHash()) && (!ce.IndexOrdered || have.HasOrdered()) {
+		if !isBag || !ce.Indexed || in.tried[col] || in.idx.Column(col) != nil {
 			continue
 		}
 		if in.tried == nil {
 			in.tried = map[string]bool{}
 		}
 		in.tried[col] = true
-		ci, err := IndexChunks(in.Chunks, col, ce.IndexHash, ce.IndexOrdered)
+		ci, err := IndexChunks(in.Chunks, col)
 		if err != nil {
 			continue
 		}
@@ -303,7 +294,7 @@ func ScalarColumn(bt nrc.BagType, col string) (off int, st nrc.ScalarType, ok bo
 
 // buildIndex builds the index of one top-level scalar column of b — the one
 // way an index part is built (Chunk.Index).
-func buildIndex(b value.Bag, bt nrc.BagType, col string, hash, ordered bool) (*index.ColumnIndex, error) {
+func buildIndex(b value.Bag, bt nrc.BagType, col string) (*index.ColumnIndex, error) {
 	off, _, ok := ScalarColumn(bt, col)
 	if !ok {
 		return nil, fmt.Errorf("no top-level scalar column %q", col)
@@ -316,7 +307,7 @@ func buildIndex(b value.Bag, bt nrc.BagType, col string, hash, ordered bool) (*i
 			vals[i] = e
 		}
 	}
-	return index.Build(col, hash, ordered, vals)
+	return index.Build(col, true, true, vals)
 }
 
 func rowsOf(b value.Bag) []dataflow.Row {

@@ -172,8 +172,8 @@ type Config struct {
 	// ordering and index scans (plan.Annotate) and the Auto strategy's route
 	// selection. A session fills it from the catalog statistics of the
 	// generations it resolved to, replacing any value set here; nil (outside
-	// a session) disables all of them, and statistics flagging no
-	// IndexHash/IndexOrdered plan no index scan.
+	// a session) disables all of them, and statistics flagging no Indexed
+	// column plan no index scan.
 	Stats map[string]plan.TableEstimate
 }
 

@@ -223,7 +223,7 @@ func FlatSelective() nrc.Expr {
 // PointLookup is a serving-shaped point query: fetch one order's lineitems
 // by equality on l_orderkey. The generator emits LinesPerOrder rows per
 // orderkey, so the predicate keeps LinesPerOrder/|Lineitem| of the relation
-// (≤1% at any benchmarked scale) — the selectivity regime where a hash index
+// (≤1% at any benchmarked scale) — the selectivity regime where an index
 // scan replaces the full partition sweep. BenchmarkIndexScanAblation runs it
 // with the l_orderkey index flagged in the statistics and without the flag.
 func PointLookup(orderkey int64) nrc.Expr {

@@ -268,9 +268,8 @@ func fingerprint(st PipelineStep, env Env, cfg Config) string {
 		sort.Strings(colNames)
 		for _, cn := range colNames {
 			ce := te.Cols[cn]
-			fmt.Fprintf(h, "  col %s: ndv=%d heavy=%g min=%s max=%s idxh=%t idxo=%t\n",
-				cn, ce.NDV, ce.HeavyFraction, value.Format(ce.Min), value.Format(ce.Max),
-				ce.IndexHash, ce.IndexOrdered)
+			fmt.Fprintf(h, "  col %s: ndv=%d heavy=%g min=%s max=%s idx=%t\n",
+				cn, ce.NDV, ce.HeavyFraction, value.Format(ce.Min), value.Format(ce.Max), ce.Indexed)
 		}
 	}
 	return hex.EncodeToString(h.Sum(nil))
