@@ -23,6 +23,7 @@ import (
 
 	"github.com/trance-go/trance"
 	"github.com/trance-go/trance/internal/biomed"
+	"github.com/trance-go/trance/internal/index"
 	"github.com/trance-go/trance/internal/nrc"
 	"github.com/trance-go/trance/internal/plan"
 	"github.com/trance-go/trance/internal/runner"
@@ -86,7 +87,7 @@ func runProgram(steps []nrc.Assignment, env nrc.Env, inputs map[string]value.Bag
 	prog := make([]*runner.Compiled, len(steps))
 	for i, st := range steps {
 		eff := runner.StepStrategy(strat, prog[0], i == len(steps)-1)
-		if prog[i], err = runner.CompileStep(st.Expr, envs[i], eff, cfg, st.Name); err != nil {
+		if prog[i], err = runner.CompileStep(st.Expr, envs[i], eff, cfg, nil, st.Name); err != nil {
 			return runner.Failure(strat, err)
 		}
 	}
@@ -559,7 +560,7 @@ func BenchmarkPushdownAblation(b *testing.B) {
 					cfg := benchConfig(inputBytes(c.inputs))
 					cfg.MaxPartitionBytes = 0
 					cfg.NoPredicatePushdown = !pushdown
-					cq, err := runner.CompileStep(c.mk(), c.env, strat, cfg, "Q")
+					cq, err := runner.CompileStep(c.mk(), c.env, strat, cfg, nil, "Q")
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -626,7 +627,7 @@ func BenchmarkSelectiveNarrow(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/%s", c.name, strat), func(b *testing.B) {
 				cfg := benchConfig(inputBytes(c.inputs))
 				cfg.MaxPartitionBytes = 0
-				cq, err := runner.CompileStep(c.mk(), c.env, strat, cfg, "Q")
+				cq, err := runner.CompileStep(c.mk(), c.env, strat, cfg, nil, "Q")
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -889,11 +890,11 @@ func BenchmarkIndexScanAblation(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/idx=%s", c.name, mode), func(b *testing.B) {
 				cfg := benchConfig(inputBytes(c.inputs))
 				cfg.MaxPartitionBytes = 0
-				cfg.Stats = plain
+				ests := plain
 				if on {
-					cfg.Stats = flagged
+					ests = flagged
 				}
-				cq, err := runner.CompileStep(c.mk(), c.env, runner.Standard, cfg, "Q")
+				cq, err := runner.CompileStep(c.mk(), c.env, runner.Standard, cfg, ests, "Q")
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -906,7 +907,24 @@ func BenchmarkIndexScanAblation(b *testing.B) {
 				if !on && cq.Idx.Planned != 0 {
 					b.Fatal("ablated arm still planned index scans")
 				}
-				rows, idxs, err := runner.NewInputs(c.inputs, cq.Env).Bind([]*runner.Compiled{cq})
+				// The indexed arm binds the index set its statistics flag.
+				ins := runner.Inputs{}
+				for name, bag := range c.inputs {
+					chunks := []*runner.Chunk{runner.NewChunk(bag, c.env[name], 0)}
+					var set *index.Set
+					if on {
+						set = index.NewSet()
+						for _, col := range c.indexed[name] {
+							ci, err := runner.IndexChunks(chunks, col)
+							if err != nil {
+								b.Fatal(err)
+							}
+							set.Put(ci)
+						}
+					}
+					ins[name] = runner.NewInput(name, c.env[name], chunks, set)
+				}
+				rows, idxs, err := ins.Bind([]*runner.Compiled{cq})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -941,7 +959,7 @@ func BenchmarkAnalyzeOverhead(b *testing.B) {
 	cfg := runner.DefaultConfig()
 	for _, strat := range []runner.Strategy{runner.Standard, runner.ShredUnshred} {
 		cq, err := runner.CompileStep(tpch.Query(tpch.NestedToNested, level, false),
-			tpch.Env(tpch.NestedToNested, level, false), strat, cfg, "Q")
+			tpch.Env(tpch.NestedToNested, level, false), strat, cfg, nil, "Q")
 		if err != nil {
 			b.Fatal(err)
 		}

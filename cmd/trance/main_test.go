@@ -45,7 +45,7 @@ func TestRunReportsUnshredding(t *testing.T) {
 	if err := runJob(&out, job, trance.ShredUnshred, cfg, 1); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"SHRED+UNSHRED: ", " (stitch ", "rows=200, shuffle=221261B/4800rec ", " stages=1 skipped=0 ", "\n   ⟨1, \"Customer#000000001\", {⟨"} {
+	for _, want := range []string{"SHRED+UNSHRED: ", " (stitch ", "rows=200, shuffle=221261B/4800rec ", " stages=1 skipped=0\n", "\n   ⟨1, \"Customer#000000001\", {⟨"} {
 		if !strings.Contains(out.String(), want) {
 			t.Fatalf("run printed\n%s\nwant it to contain %q", out.String(), want)
 		}
@@ -63,9 +63,9 @@ func TestRunHeaderLines(t *testing.T) {
 		skew  int
 		want  []string
 	}{
-		{tpch.NestedToNested, trance.Standard, 0, []string{"STANDARD: ", "rows=200, shuffle=0B/0rec broadcast=32096B ", " stages=0 skipped=3 "}},
-		{tpch.NestedToNested, trance.ShredSkew, 3, []string{"SHRED-SKEW: ", "rows=200, shuffle=221573B/4800rec ", " stages=1 skipped=0 "}},
-		{tpch.FlatToNested, trance.ShredUnshred, 0, []string{"SHRED+UNSHRED: ", "rows=200, shuffle=0B/0rec ", " stages=0 skipped=0 "}},
+		{tpch.NestedToNested, trance.Standard, 0, []string{"STANDARD: ", "rows=200, shuffle=0B/0rec broadcast=32096B ", " stages=0 skipped=3\n"}},
+		{tpch.NestedToNested, trance.ShredSkew, 3, []string{"SHRED-SKEW: ", "rows=200, shuffle=221573B/4800rec ", " stages=1 skipped=0\n"}},
+		{tpch.FlatToNested, trance.ShredUnshred, 0, []string{"SHRED+UNSHRED: ", "rows=200, shuffle=0B/0rec ", " stages=0 skipped=0\n"}},
 		{tpch.NestedToFlat, trance.Shred, 0, []string{"SHRED: ", "rows=200, shuffle=355200B/10800rec broadcast=400000B ", " stages=3 "}},
 	} {
 		job, cfg := tpchJob(c.class, 2, false, defaultCustomers, c.skew)

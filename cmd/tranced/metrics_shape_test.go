@@ -44,10 +44,6 @@ routes.*.errors number
 routes.*.last_elapsed_ms number
 routes.*.total_elapsed_ms number
 routes.*.shuffle_bytes number
-routes.*.shuffle_exchange.columnar_buffers number
-routes.*.shuffle_exchange.boxed_buffers number
-routes.*.shuffle_exchange.columnar_bytes number
-routes.*.shuffle_exchange.boxed_bytes number
 routes.*.stage_wall_ms array
 routes.*.reply_bytes number
 routes.*.reply_ms number
@@ -85,8 +81,6 @@ trance_route_reply_bytes_total|counter|route|Reply body bytes written by route.
 trance_route_reply_seconds_total|counter|route|Seconds spent collecting, encoding and writing reply bodies by route (not part of the latency histogram).
 trance_route_requests_total|counter|route|Query requests by route (query/level/strategy).
 trance_route_shuffle_bytes_total|counter|route|Engine bytes shuffled by route.
-trance_route_shuffle_exchange_buffers_total|counter|representation,route|Shuffle buffers moved across the wide-operator boundary by route and metered representation (columnar = typed wire encoding, boxed = value.Size row walk).
-trance_route_shuffle_exchange_bytes_total|counter|representation,route|Metered shuffle bytes by route and metered representation (columnar = size of the compact typed wire encoding).
 trance_uptime_seconds|gauge||Seconds since the server started.
 trance_workers|gauge||Shared worker pool size.`
 

@@ -91,31 +91,21 @@ func (s *server) writeMetricsProm(w http.ResponseWriter) {
 	reqs := promtext.Family{Name: "trance_route_requests_total", Help: "Query requests by route (query/level/strategy).", Type: "counter"}
 	errs := promtext.Family{Name: "trance_route_errors_total", Help: "Failed query requests by route.", Type: "counter"}
 	shuf := promtext.Family{Name: "trance_route_shuffle_bytes_total", Help: "Engine bytes shuffled by route.", Type: "counter"}
-	exBufs := promtext.Family{Name: "trance_route_shuffle_exchange_buffers_total", Help: "Shuffle buffers moved across the wide-operator boundary by route and metered representation (columnar = typed wire encoding, boxed = value.Size row walk).", Type: "counter"}
-	exBytes := promtext.Family{Name: "trance_route_shuffle_exchange_bytes_total", Help: "Metered shuffle bytes by route and metered representation (columnar = size of the compact typed wire encoding).", Type: "counter"}
 	lat := promtext.Family{Name: "trance_route_latency_seconds", Help: "Query execution latency by route.", Type: "histogram"}
 	replyBytes := promtext.Family{Name: "trance_route_reply_bytes_total", Help: "Reply body bytes written by route.", Type: "counter"}
 	replySecs := promtext.Family{Name: "trance_route_reply_seconds_total", Help: "Seconds spent collecting, encoding and writing reply bodies by route (not part of the latency histogram).", Type: "counter"}
 	for _, route := range slices.Sorted(maps.Keys(stats)) {
 		st := stats[route]
 		ls := []promtext.Label{{Name: "route", Value: route}}
-		columnar := []promtext.Label{{Name: "route", Value: route}, {Name: "representation", Value: "columnar"}}
-		boxed := []promtext.Label{{Name: "route", Value: route}, {Name: "representation", Value: "boxed"}}
 		reqs.Samples = append(reqs.Samples, promtext.Sample{Labels: ls, Value: float64(st.Count)})
 		errs.Samples = append(errs.Samples, promtext.Sample{Labels: ls, Value: float64(st.Errors)})
 		shuf.Samples = append(shuf.Samples, promtext.Sample{Labels: ls, Value: float64(st.ShuffleBytes)})
-		exBufs.Samples = append(exBufs.Samples,
-			promtext.Sample{Labels: columnar, Value: float64(st.ColumnarBuffers)},
-			promtext.Sample{Labels: boxed, Value: float64(st.BoxedBuffers)})
-		exBytes.Samples = append(exBytes.Samples,
-			promtext.Sample{Labels: columnar, Value: float64(st.ColumnarBytes)},
-			promtext.Sample{Labels: boxed, Value: float64(st.BoxedBytes)})
 		lat.Samples = append(lat.Samples, promtext.HistogramSamples(ls, latencyBuckets, st.Hist[:], st.HistInf, st.HistSum)...)
 		replyBytes.Samples = append(replyBytes.Samples, promtext.Sample{Labels: ls, Value: float64(st.ReplyBytes)})
 		replySecs.Samples = append(replySecs.Samples, promtext.Sample{Labels: ls, Value: st.ReplyTime.Seconds()})
 	}
 	if len(reqs.Samples) > 0 {
-		fams = append(fams, reqs, errs, shuf, exBufs, exBytes, lat, replyBytes, replySecs)
+		fams = append(fams, reqs, errs, shuf, lat, replyBytes, replySecs)
 	}
 
 	var buf bytes.Buffer

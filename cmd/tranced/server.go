@@ -68,15 +68,8 @@ type routeStats struct {
 	LastElapsed  time.Duration
 	TotalElapsed time.Duration
 	ShuffleBytes int64
-	// Exchange accounting: how this route's shuffle buffers were metered —
-	// "columnar" at the size of their compact typed wire encoding, "boxed"
-	// by value.Size row walks (see dataflow.ExchangeStat).
-	ColumnarBuffers int64
-	BoxedBuffers    int64
-	ColumnarBytes   int64
-	BoxedBytes      int64
-	StageWall       map[string]time.Duration
-	stageOrder      []string
+	StageWall    map[string]time.Duration
+	stageOrder   []string
 	// ReplyBytes and ReplyTime total what runAndReply spent after the engine
 	// returned: collecting, encoding and writing the body. The latency
 	// histogram observes only the engine's own Elapsed.
@@ -961,11 +954,6 @@ func (s *server) record(rt route, res *trance.Result, failed bool) {
 	st.LastElapsed = res.Elapsed
 	st.TotalElapsed += res.Elapsed
 	st.ShuffleBytes += res.Metrics.ShuffleBytes
-	ex := res.Metrics.Exchange
-	st.ColumnarBuffers += ex.ColumnarBuffers
-	st.BoxedBuffers += ex.BoxedBuffers
-	st.ColumnarBytes += ex.ColumnarBytes
-	st.BoxedBytes += ex.BoxedBytes
 	st.observe(res.Elapsed)
 	for _, sw := range res.Metrics.StageWall {
 		if _, seen := st.StageWall[sw.Stage]; !seen {
@@ -1017,22 +1005,15 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		Stage string  `json:"stage"`
 		Ms    float64 `json:"ms"`
 	}
-	type exchangeOut struct {
-		ColumnarBuffers int64 `json:"columnar_buffers"`
-		BoxedBuffers    int64 `json:"boxed_buffers"`
-		ColumnarBytes   int64 `json:"columnar_bytes"`
-		BoxedBytes      int64 `json:"boxed_bytes"`
-	}
 	type routeOut struct {
-		Count        int64       `json:"count"`
-		Errors       int64       `json:"errors"`
-		LastMs       float64     `json:"last_elapsed_ms"`
-		TotalMs      float64     `json:"total_elapsed_ms"`
-		ShuffleBytes int64       `json:"shuffle_bytes"`
-		Exchange     exchangeOut `json:"shuffle_exchange"`
-		StageWallMs  []stageMs   `json:"stage_wall_ms"`
-		ReplyBytes   int64       `json:"reply_bytes"`
-		ReplyMs      float64     `json:"reply_ms"`
+		Count        int64     `json:"count"`
+		Errors       int64     `json:"errors"`
+		LastMs       float64   `json:"last_elapsed_ms"`
+		TotalMs      float64   `json:"total_elapsed_ms"`
+		ShuffleBytes int64     `json:"shuffle_bytes"`
+		StageWallMs  []stageMs `json:"stage_wall_ms"`
+		ReplyBytes   int64     `json:"reply_bytes"`
+		ReplyMs      float64   `json:"reply_ms"`
 	}
 	ms := func(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
 
@@ -1042,15 +1023,9 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			Count: st.Count, Errors: st.Errors,
 			LastMs: ms(st.LastElapsed), TotalMs: ms(st.TotalElapsed),
 			ShuffleBytes: st.ShuffleBytes,
-			Exchange: exchangeOut{
-				ColumnarBuffers: st.ColumnarBuffers,
-				BoxedBuffers:    st.BoxedBuffers,
-				ColumnarBytes:   st.ColumnarBytes,
-				BoxedBytes:      st.BoxedBytes,
-			},
-			StageWallMs: []stageMs{},
-			ReplyBytes:  st.ReplyBytes,
-			ReplyMs:     ms(st.ReplyTime),
+			StageWallMs:  []stageMs{},
+			ReplyBytes:   st.ReplyBytes,
+			ReplyMs:      ms(st.ReplyTime),
 		}
 		for _, stage := range st.stageOrder {
 			ro.StageWallMs = append(ro.StageWallMs, stageMs{Stage: stage, Ms: ms(st.StageWall[stage])})

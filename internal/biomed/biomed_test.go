@@ -163,7 +163,7 @@ func runProgram(steps []nrc.Assignment, env nrc.Env, inputs map[string]value.Bag
 	prog := make([]*runner.Compiled, len(steps))
 	for i, st := range steps {
 		eff := runner.StepStrategy(strat, prog[0], i == len(steps)-1)
-		if prog[i], err = runner.CompileStep(st.Expr, envs[i], eff, cfg, st.Name); err != nil {
+		if prog[i], err = runner.CompileStep(st.Expr, envs[i], eff, cfg, nil, st.Name); err != nil {
 			return runner.Failure(strat, err)
 		}
 	}

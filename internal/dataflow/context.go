@@ -15,13 +15,13 @@
 // through the fused operator chain directly into per-(source,target) buffers,
 // and reduce-side tasks concatenate their buffers in parallel. The engine
 // meters every row that crosses the shuffle boundary (bytes and records),
-// records per-stage wall time, tracks peak partition sizes, and enforces an
-// optional per-partition memory cap that emulates the executor out-of-memory
-// failures reported as "F = FAIL" in the paper's figures. Which exchanges a
-// query may skip is decided when it is planned (plan.Place, paper Section 3,
-// "Operators effect the partitioning guarantee"): a Dataset records no
-// placement, and the operators that exchange take the plan's decision as an
-// argument.
+// records each stage's wall time and shuffled bytes, tracks peak partition
+// sizes, and enforces an optional per-partition memory cap that emulates the
+// executor out-of-memory failures reported as "F = FAIL" in the paper's
+// figures. Which exchanges a query may skip is decided when it is planned
+// (plan.Place, paper Section 3, "Operators effect the partitioning
+// guarantee"): a Dataset records no placement, and the operators that
+// exchange take the plan's decision as an argument.
 package dataflow
 
 import (
@@ -29,6 +29,7 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -125,16 +126,19 @@ func (c *Context) slots() chan struct{} {
 	return defaultPool.semaphore()
 }
 
-// StageTime is the measured wall time of one named engine stage.
+// StageTime is what one named engine stage recorded: its wall time and, for
+// a shuffle stage, the bytes its exchange moved (their sum over the stages of
+// a run is Snapshot.ShuffleBytes).
 type StageTime struct {
-	Stage string
-	Wall  time.Duration
+	Stage        string
+	Wall         time.Duration
+	ShuffleBytes int64
 }
 
 // Metrics accumulates engine counters for one run. The atomic fields are
-// updated lock-free from partition tasks; stage wall times are recorded under
-// a mutex by the driver-side operator code. Read everything after the job
-// completes (or via Snapshot at any point).
+// updated lock-free from partition tasks; each stage is recorded under a
+// mutex by the driver-side operator code when it ends. Read everything after
+// the job completes (or via Snapshot at any point).
 type Metrics struct {
 	ShuffleBytes      atomic.Int64 // bytes of rows written across a shuffle boundary
 	ShuffleRecords    atomic.Int64 // rows written across a shuffle boundary
@@ -144,71 +148,26 @@ type Metrics struct {
 	Stages            atomic.Int64 // shuffle stages executed
 	SkippedShuffles   atomic.Int64 // exchanges the plan decided the rows needed none of
 
-	mu        sync.Mutex
-	stageWall map[string]time.Duration
-	stageSeen []string // first-seen order, for stable reporting
-	exchange  ExchangeStat
-	stageExch map[string]ExchangeStat
-	exchSeen  []string // first-seen order, for stable reporting
+	mu      sync.Mutex
+	stages  []StageTime    // first-seen order, for stable reporting
+	stageAt map[string]int // stage name → index in stages
 }
 
-// ExchangeStat describes how the (source,target) buffers of shuffles were
-// metered: "columnar" buffers at the size of their compact typed wire
-// encoding (wireSize — every source of uniform-width rows), "boxed" buffers
-// by value.SizeRows (ragged-width sources). The rows themselves cross the
-// in-process exchange as handles either way.
-type ExchangeStat struct {
-	ColumnarBuffers int64
-	BoxedBuffers    int64
-	ColumnarBytes   int64
-	BoxedBytes      int64
-}
-
-// add accumulates o into e.
-func (e *ExchangeStat) add(o ExchangeStat) {
-	e.ColumnarBuffers += o.ColumnarBuffers
-	e.BoxedBuffers += o.BoxedBuffers
-	e.ColumnarBytes += o.ColumnarBytes
-	e.BoxedBytes += o.BoxedBytes
-}
-
-// StageExchange is the exchange accounting of one named shuffle stage.
-type StageExchange struct {
-	Stage string
-	ExchangeStat
-}
-
-// addExchange accumulates one map task's exchange accounting under a stage
-// name and into the run totals.
-func (m *Metrics) addExchange(stage string, e ExchangeStat) {
-	if e == (ExchangeStat{}) {
-		return
-	}
+// addStage accumulates wall time and shuffled bytes under a stage name.
+func (m *Metrics) addStage(stage string, wall time.Duration, shuffled int64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.exchange.add(e)
-	if m.stageExch == nil {
-		m.stageExch = map[string]ExchangeStat{}
+	i, ok := m.stageAt[stage]
+	if !ok {
+		if m.stageAt == nil {
+			m.stageAt = map[string]int{}
+		}
+		i = len(m.stages)
+		m.stageAt[stage] = i
+		m.stages = append(m.stages, StageTime{Stage: stage})
 	}
-	if _, ok := m.stageExch[stage]; !ok {
-		m.exchSeen = append(m.exchSeen, stage)
-	}
-	cur := m.stageExch[stage]
-	cur.add(e)
-	m.stageExch[stage] = cur
-}
-
-// AddStageWall accumulates wall time under a stage name.
-func (m *Metrics) AddStageWall(stage string, d time.Duration) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.stageWall == nil {
-		m.stageWall = map[string]time.Duration{}
-	}
-	if _, ok := m.stageWall[stage]; !ok {
-		m.stageSeen = append(m.stageSeen, stage)
-	}
-	m.stageWall[stage] += d
+	m.stages[i].Wall += wall
+	m.stages[i].ShuffleBytes += shuffled
 }
 
 // Snapshot is a plain-struct copy of Metrics, convenient for reporting.
@@ -222,13 +181,8 @@ type Snapshot struct {
 	SkippedShuffles   int64
 	// VectorizedRows is always zero; bench/inproc.go is its last reader.
 	VectorizedRows int64
-	// Exchange totals how shuffle buffers crossed the boundary.
-	Exchange ExchangeStat
-	// StageWall lists per-stage wall times in first-execution order.
+	// StageWall lists per-stage records in first-execution order.
 	StageWall []StageTime
-	// StageExchange lists per-stage exchange accounting in first-execution
-	// order (shuffle stages only).
-	StageExchange []StageExchange
 }
 
 // Snapshot copies the current counter values.
@@ -243,22 +197,15 @@ func (m *Metrics) Snapshot() Snapshot {
 		SkippedShuffles:   m.SkippedShuffles.Load(),
 	}
 	m.mu.Lock()
-	for _, name := range m.stageSeen {
-		s.StageWall = append(s.StageWall, StageTime{Stage: name, Wall: m.stageWall[name]})
-	}
-	s.Exchange = m.exchange
-	for _, name := range m.exchSeen {
-		s.StageExchange = append(s.StageExchange, StageExchange{Stage: name, ExchangeStat: m.stageExch[name]})
-	}
+	s.StageWall = slices.Clone(m.stages)
 	m.mu.Unlock()
 	return s
 }
 
 func (s Snapshot) String() string {
-	return fmt.Sprintf("shuffle=%dB/%drec broadcast=%dB peakPart=%dB/%drows stages=%d skipped=%d exchange=%dcol/%dboxed",
+	return fmt.Sprintf("shuffle=%dB/%drec broadcast=%dB peakPart=%dB/%drows stages=%d skipped=%d",
 		s.ShuffleBytes, s.ShuffleRecords, s.BroadcastBytes, s.PeakPartition, s.PeakPartitionRows,
-		s.Stages, s.SkippedShuffles,
-		s.Exchange.ColumnarBuffers, s.Exchange.BoxedBuffers)
+		s.Stages, s.SkippedShuffles)
 }
 
 // runParts invokes fn for every partition index and returns the joined
@@ -325,7 +272,7 @@ func runTask(fn func(i int) error, i int) (err error) {
 func (c *Context) timeStage(stage string, fn func() error) error {
 	start := time.Now()
 	err := fn()
-	c.Metrics.AddStageWall(stage, time.Since(start))
+	c.Metrics.addStage(stage, time.Since(start), 0)
 	return err
 }
 

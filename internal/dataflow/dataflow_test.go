@@ -132,8 +132,8 @@ func TestShuffleMetrics(t *testing.T) {
 	if m.ShuffleBytes <= 0 || m.Stages != 1 {
 		t.Fatalf("metrics wrong: %+v", m)
 	}
-	want := fmt.Sprintf("shuffle=%dB/4rec broadcast=0B peakPart=%dB/%drows stages=1 skipped=0 exchange=%dcol/%dboxed",
-		m.ShuffleBytes, m.PeakPartition, m.PeakPartitionRows, m.Exchange.ColumnarBuffers, m.Exchange.BoxedBuffers)
+	want := fmt.Sprintf("shuffle=%dB/4rec broadcast=0B peakPart=%dB/%drows stages=1 skipped=0",
+		m.ShuffleBytes, m.PeakPartition, m.PeakPartitionRows)
 	if m.String() != want {
 		t.Fatalf("Snapshot.String() = %q, want %q", m.String(), want)
 	}

@@ -45,7 +45,7 @@ func (d *Dataset) GroupReduce(stage string, cols []int, local bool, newReducer f
 		}
 		return nil
 	})
-	d.ctx.Metrics.AddStageWall(stage+"/reduce", time.Since(start))
+	d.ctx.Metrics.addStage(stage+"/reduce", time.Since(start), 0)
 	if reduceErr != nil {
 		return nil, reduceErr
 	}

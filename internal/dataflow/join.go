@@ -51,7 +51,7 @@ func (d *Dataset) Join(stage string, right *Dataset, lcols, rcols []int, placed 
 		}
 		return nil
 	})
-	d.ctx.Metrics.AddStageWall(stage, time.Since(start))
+	d.ctx.Metrics.addStage(stage, time.Since(start), 0)
 	if joinErr != nil {
 		return nil, joinErr
 	}
@@ -93,7 +93,7 @@ func (d *Dataset) BroadcastJoin(stage string, right *Dataset, lcols, rcols []int
 		return nil
 	})
 	build.release()
-	d.ctx.Metrics.AddStageWall(stage, time.Since(start))
+	d.ctx.Metrics.addStage(stage, time.Since(start), 0)
 	if joinErr != nil {
 		return nil, joinErr
 	}

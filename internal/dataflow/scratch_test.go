@@ -188,13 +188,25 @@ func TestReleasedRowBufferIsZeroed(t *testing.T) {
 
 // TestWarmOperatorsReuseScratch pins the recycling: with the collector off so
 // the pools keep what they are given, a second identical GroupReduce or
-// shuffle join allocates a fraction of the bytes the first did.
+// shuffle join allocates a fraction of the bytes the first did. Both calls run
+// every task on the test goroutine (a one-worker pool) under GOMAXPROCS(1): a
+// buffer a sync.Pool keeps in one P's private slot is handed out on that P
+// only, so tasks moving between Ps under load would miss buffers the cold call
+// left.
 func TestWarmOperatorsReuseScratch(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector drops pooled buffers at random")
 	}
 	old := debug.SetGCPercent(-1)
 	t.Cleanup(func() { debug.SetGCPercent(old) })
+	procs := runtime.GOMAXPROCS(1)
+	t.Cleanup(func() { runtime.GOMAXPROCS(procs) })
+	pool := NewPool(1)
+	newContext := func() *Context {
+		c := NewContext(8)
+		c.Pool = pool
+		return c
+	}
 	allocated := func(fn func() error) uint64 {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -206,11 +218,11 @@ func TestWarmOperatorsReuseScratch(t *testing.T) {
 	}
 	rows, right := benchRows(20_000), benchRows(5_000)
 	reduce := func() error {
-		_, err := NewContext(8).FromRows(rows).GroupReduce("g", []int{0}, false, sumReducer)
+		_, err := newContext().FromRows(rows).GroupReduce("g", []int{0}, false, sumReducer)
 		return err
 	}
 	join := func() error {
-		c := NewContext(8)
+		c := newContext()
 		_, err := c.FromRows(rows).Join("j", c.FromRows(right), []int{1}, []int{1}, [2]bool{}, JoinOut{RightWidth: 3}, false)
 		return err
 	}

@@ -1,6 +1,7 @@
 package dataflow
 
 import (
+	"sync/atomic"
 	"time"
 
 	"github.com/trance-go/trance/internal/value"
@@ -18,8 +19,8 @@ type exchangeBuffers struct {
 
 // RepartitionBy redistributes rows into Parallelism partitions by
 // value.HashCols over cols. Buffers are metered at their typed wire encoding
-// and the routing hashes travel with the rows; a source whose rows disagree on
-// width is metered by value.SizeRows.
+// (wireSize) and the routing hashes travel with the rows. The stage's bytes
+// are recorded once, with its wall time, when the exchange ends.
 //
 // With placed set the caller asserts that the rows already lie where the
 // exchange would put them (plan.Place decided so): the exchange is skipped,
@@ -51,6 +52,7 @@ func (d *Dataset) RepartitionBy(stage string, cols []int, placed bool) (*Dataset
 	// Map side: source partition i streams into buckets[i].rows[t] for
 	// target t.
 	buckets := make([]exchangeBuffers, len(d.parts))
+	var shuffled atomic.Int64
 	mapErr := c.runParts(len(d.parts), func(i int) error {
 		local := exchangeBuffers{rows: make([][]Row, p), hashes: make([][]uint64, p), mem: make([]int64, p)}
 		// Pre-size every per-target slice for a uniform spread of this
@@ -60,45 +62,32 @@ func (d *Dataset) RepartitionBy(stage string, cols []int, placed bool) (*Dataset
 			local.rows[t] = rowScratch.get(hint)[:0]
 			local.hashes[t] = hashScratch.get(hint)[:0]
 		}
-		width, ragged := -1, false
 		d.feed(i, func(r Row) {
-			if width < 0 {
-				width = len(r)
-			} else if len(r) != width {
-				ragged = true
-			}
 			h := value.HashCols(r, cols)
 			t := int(h % uint64(p))
 			local.rows[t] = append(local.rows[t], r)
 			local.hashes[t] = append(local.hashes[t], h)
 		})
-		var ex ExchangeStat
-		var recs int64
 		var meter wireMeter
+		var wire, recs int64
 		for t, buf := range local.rows {
 			if len(buf) == 0 {
 				continue
 			}
+			var w int64
+			w, local.mem[t] = meter.wireSize(buf)
+			wire += w
 			recs += int64(len(buf))
-			if !ragged {
-				var wire int64
-				wire, local.mem[t] = meter.wireSize(buf)
-				ex.ColumnarBuffers++
-				ex.ColumnarBytes += wire
-			} else {
-				local.mem[t] = value.SizeRows(buf)
-				ex.BoxedBuffers++
-				ex.BoxedBytes += local.mem[t]
-			}
 		}
 		buckets[i] = local
-		c.Metrics.ShuffleBytes.Add(ex.ColumnarBytes + ex.BoxedBytes)
+		shuffled.Add(wire)
 		c.Metrics.ShuffleRecords.Add(recs)
-		c.Metrics.addExchange(stage, ex)
 		return nil
 	})
+	bytes := shuffled.Load()
+	c.Metrics.ShuffleBytes.Add(bytes)
 	if mapErr != nil {
-		c.Metrics.AddStageWall(stage, time.Since(start))
+		c.Metrics.addStage(stage, time.Since(start), bytes)
 		return nil, mapErr
 	}
 
@@ -122,7 +111,7 @@ func (d *Dataset) RepartitionBy(stage string, cols []int, placed bool) (*Dataset
 		out.parts[t], out.hashes[t] = rows, hashes
 		return nil
 	})
-	c.Metrics.AddStageWall(stage, time.Since(start))
+	c.Metrics.addStage(stage, time.Since(start), bytes)
 	if reduceErr != nil {
 		return nil, reduceErr
 	}
@@ -132,19 +121,18 @@ func (d *Dataset) RepartitionBy(stage string, cols []int, placed bool) (*Dataset
 	return out, nil
 }
 
-// Kind is the physical type wireMeter latches for a column of an exchange
-// buffer.
-type Kind uint8
+// kind is the physical type wireMeter latches for a column of an exchange
+// buffer. kindBoxed covers labels, nested bags/tuples, and columns holding
+// scalars of more than one kind.
+type kind uint8
 
-// Column kinds. KindBoxed covers labels, nested bags/tuples, and columns
-// holding scalars of more than one kind.
 const (
-	KindInt64 Kind = iota
-	KindFloat64
-	KindString
-	KindBool
-	KindDate
-	KindBoxed
+	kindInt64 kind = iota
+	kindFloat64
+	kindString
+	kindBool
+	kindDate
+	kindBoxed
 )
 
 // wireMeter sizes exchange buffers; its only state is per-column scratch
@@ -153,84 +141,86 @@ type wireMeter struct{ cols []wireCol }
 
 // wireCol is the meter's state for one column of the buffer being sized.
 type wireCol struct {
-	// kind is latched by the first non-NULL cell and turns KindBoxed on a
+	// kind is latched by the first non-NULL cell and turns kindBoxed on a
 	// non-scalar cell or a cell of another kind.
-	kind    Kind
+	kind    kind
 	nonNull int
-	// bytes is the string payload of a KindString column, or Σ value.Size of
-	// the non-NULL cells of a KindBoxed one.
+	// bytes is the string payload of a kindString column, or Σ value.Size of
+	// the non-NULL cells of a kindBoxed one.
 	bytes int64
 }
 
-// wireSize returns two sizes of one (source,target) buffer of uniform-width
-// rows from a single walk. wire is the size of the compact typed encoding a
-// network shuffle would move — what ShuffleBytes meters.
-// Per column: 8 bytes per row for int64/float64/date, string bytes plus a
-// 4-byte length per row, one bit per row for bool (in 64-bit words), Σ
-// value.Size of the non-NULL cells for a boxed column (non-scalar cells, or
-// scalars of more than one kind), plus a one-bit-per-row null bitmap (in
-// 64-bit words) if the column has a NULL. An all-NULL column costs its bitmap
-// and nothing else. Compared with value.SizeRows this drops the per-row tuple
-// framing and bit-packs bools and NULLs. mem is value.SizeRows(rows) itself —
-// the in-memory estimate the partition peak and the memory cap use —
-// recovered from the same per-column counts: 4 per row, 1 per NULL, and per
+// wireSize returns two sizes of one (source,target) buffer from a single walk.
+// wire is the size of the compact typed encoding a network shuffle would move
+// — what ShuffleBytes meters. The buffer is as wide as its widest row; a row
+// narrower than that has NULLs in its missing trailing cells. Per column: 8
+// bytes per row for int64/float64/date, string bytes plus a 4-byte length per
+// row, one bit per row for bool (in 64-bit words), Σ value.Size of the
+// non-NULL cells for a boxed column (non-scalar cells, or scalars of more
+// than one kind), plus a one-bit-per-row null bitmap (in 64-bit words) if the
+// column has a NULL. An all-NULL column costs its bitmap and nothing else.
+// Compared with value.SizeRows this drops the per-row tuple framing and
+// bit-packs bools and NULLs. mem is value.SizeRows(rows) itself — the
+// in-memory estimate the partition peak and the memory cap use — recovered
+// from the same counts: 4 per row, 1 per NULL cell a row holds, and per
 // non-NULL cell 8, 1 (bool), 4 plus the payload (string) or its value.Size
 // (boxed).
 func (m *wireMeter) wireSize(rows []Row) (wire, mem int64) {
-	width := len(rows[0])
-	if cap(m.cols) < width {
-		m.cols = make([]wireCol, width)
-	}
-	cols := m.cols[:width]
-	clear(cols)
+	cols := m.cols[:0]
+	var cells int
 	for _, r := range rows {
+		for len(cols) < len(r) {
+			cols = append(cols, wireCol{})
+		}
+		cells += len(r)
 		for ci, v := range r {
 			if v == nil {
 				continue
 			}
-			k, payload := KindBoxed, int64(0)
+			k, payload := kindBoxed, int64(0)
 			switch x := v.(type) {
 			case int64:
-				k = KindInt64
+				k = kindInt64
 			case float64:
-				k = KindFloat64
+				k = kindFloat64
 			case string:
-				k, payload = KindString, int64(len(x))
+				k, payload = kindString, int64(len(x))
 			case bool:
-				k = KindBool
+				k = kindBool
 			case value.Date:
-				k = KindDate
+				k = kindDate
 			}
 			c := &cols[ci]
 			if c.nonNull == 0 {
 				c.kind = k
-			} else if c.kind != k && c.kind != KindBoxed {
+			} else if c.kind != k && c.kind != kindBoxed {
 				// Kind conflict: the column goes boxed. Σ value.Size of the
 				// cells seen so far follows from the counts.
 				per := int64(8)
 				switch c.kind {
-				case KindString:
+				case kindString:
 					per = 4
-				case KindBool:
+				case kindBool:
 					per = 1
 				}
 				c.bytes += per * int64(c.nonNull)
-				c.kind = KindBoxed
+				c.kind = kindBoxed
 			}
 			c.nonNull++
-			if c.kind == KindBoxed {
+			if c.kind == kindBoxed {
 				c.bytes += value.Size(v)
 			} else {
 				c.bytes += payload
 			}
 		}
 	}
+	m.cols = cols
 	n := len(rows)
 	bitmap := int64(8 * ((n + 63) / 64))
-	mem = int64(4 * n)
+	mem = int64(4*n + cells)
 	for i := range cols {
 		c := &cols[i]
-		mem += int64(n - c.nonNull)
+		mem -= int64(c.nonNull)
 		if c.nonNull < n {
 			wire += bitmap
 		}
@@ -238,13 +228,13 @@ func (m *wireMeter) wireSize(rows []Row) (wire, mem int64) {
 			continue
 		}
 		switch c.kind {
-		case KindInt64, KindFloat64, KindDate:
+		case kindInt64, kindFloat64, kindDate:
 			wire += int64(8 * n)
 			mem += int64(8 * c.nonNull)
-		case KindString:
+		case kindString:
 			wire += int64(4*n) + c.bytes
 			mem += int64(4*c.nonNull) + c.bytes
-		case KindBool:
+		case kindBool:
 			wire += bitmap
 			mem += int64(c.nonNull)
 		default:

@@ -9,38 +9,49 @@ import (
 )
 
 // refWireSize is the meter's independent reference: a direct scan per column.
-// Pass one decides the column's kind from all its non-NULL cells (boxed on a
-// non-scalar cell or two scalar kinds, all-NULL has none); pass two applies
-// the documented wire-size formula.
+// The buffer is as wide as its widest row, and a cell past the end of a
+// narrower row is NULL. Pass one decides the column's kind from all its
+// non-NULL cells (boxed on a non-scalar cell or two scalar kinds, all-NULL
+// has none); pass two applies the documented wire-size formula.
 func refWireSize(rows []Row) int64 {
-	scalarKind := func(v value.Value) Kind {
+	scalarKind := func(v value.Value) kind {
 		switch v.(type) {
 		case int64:
-			return KindInt64
+			return kindInt64
 		case float64:
-			return KindFloat64
+			return kindFloat64
 		case string:
-			return KindString
+			return kindString
 		case bool:
-			return KindBool
+			return kindBool
 		case value.Date:
-			return KindDate
+			return kindDate
 		}
-		return KindBoxed
+		return kindBoxed
 	}
-	n := len(rows)
+	cell := func(r Row, c int) value.Value {
+		if c < len(r) {
+			return r[c]
+		}
+		return nil
+	}
+	n, width := len(rows), 0
+	for _, r := range rows {
+		width = max(width, len(r))
+	}
 	words := int64(8 * ((n + 63) / 64))
 	var total int64
-	for c := range rows[0] {
-		kind, nonNull := KindBoxed, 0
+	for c := range width {
+		k, nonNull := kindBoxed, 0
 		for _, r := range rows {
-			if r[c] == nil {
+			v := cell(r, c)
+			if v == nil {
 				continue
 			}
-			if k := scalarKind(r[c]); nonNull == 0 {
-				kind = k
-			} else if k != kind {
-				kind = KindBoxed
+			if vk := scalarKind(v); nonNull == 0 {
+				k = vk
+			} else if vk != k {
+				k = kindBoxed
 			}
 			nonNull++
 		}
@@ -50,22 +61,22 @@ func refWireSize(rows []Row) int64 {
 		if nonNull == 0 {
 			continue
 		}
-		switch kind {
-		case KindInt64, KindFloat64, KindDate:
+		switch k {
+		case kindInt64, kindFloat64, kindDate:
 			total += int64(8 * n)
-		case KindBool:
+		case kindBool:
 			total += words
-		case KindString:
+		case kindString:
 			total += int64(4 * n)
 			for _, r := range rows {
-				if s, ok := r[c].(string); ok {
+				if s, ok := cell(r, c).(string); ok {
 					total += int64(len(s))
 				}
 			}
 		default:
 			for _, r := range rows {
-				if r[c] != nil {
-					total += value.Size(r[c])
+				if v := cell(r, c); v != nil {
+					total += value.Size(v)
 				}
 			}
 		}
@@ -89,8 +100,9 @@ func wordBoundaryRows(n int) []Row {
 }
 
 // TestShuffleMetersWireSize drives single-buffer shuffles (one source, one
-// target) and checks the exchange accounting against hand-computed sizes of
-// the typed wire encoding, and against the direct-scan reference.
+// target) and checks the metered bytes, run-wide and on the stage's record,
+// against hand-computed sizes of the typed wire encoding and against the
+// direct-scan reference.
 func TestShuffleMetersWireSize(t *testing.T) {
 	nulls70 := make([]Row, 70) // spans a bitmap word boundary
 	for i := range nulls70 {
@@ -103,8 +115,7 @@ func TestShuffleMetersWireSize(t *testing.T) {
 	cases := []struct {
 		name  string
 		rows  []Row
-		typed int64 // expected ColumnarBytes; 0 buffers expected boxed
-		boxed int64 // expected BoxedBytes (value.SizeRows fallback)
+		typed int64 // expected ShuffleBytes
 	}{
 		{
 			// ints: 3×8 + 1 null word; floats: 3×8 + 1 null word; strings:
@@ -172,10 +183,18 @@ func TestShuffleMetersWireSize(t *testing.T) {
 			typed: 0,
 		},
 		{
-			// Ragged widths: the whole source falls back to the row walk.
+			// Ragged widths: the short row's missing cell is a NULL of the
+			// string column, 4×8 ints then 4×4 + 3 payload bytes and a null
+			// word.
 			name:  "width conflict",
 			rows:  []Row{{int64(1), "a"}, {int64(2), "b"}, {int64(3)}, {int64(4), "d"}},
-			boxed: 3*(4+8+5) + (4 + 8),
+			typed: 4*8 + (4*4 + 3 + 8),
+		},
+		{
+			// A first row narrower than the rest: the meter's columns grow.
+			name:  "first row narrowest",
+			rows:  []Row{{int64(1)}, {int64(2), true, "xy"}},
+			typed: 2*8 + (8 + 8) + (2*4 + 2 + 8),
 		},
 		// Word boundaries: 8n (+ null words from n=64 on) + bool words + 6n.
 		{name: "n=1", rows: wordBoundaryRows(1), typed: 22},
@@ -200,22 +219,20 @@ func TestShuffleMetersWireSize(t *testing.T) {
 			if out.Count() != int64(len(tc.rows)) {
 				t.Fatalf("%d rows out, %d in", out.Count(), len(tc.rows))
 			}
-			want := ExchangeStat{ColumnarBuffers: 1, ColumnarBytes: tc.typed}
-			if tc.boxed > 0 {
-				want = ExchangeStat{BoxedBuffers: 1, BoxedBytes: tc.boxed}
-				if sz := value.SizeRows(tc.rows); sz != tc.boxed {
-					t.Fatalf("value.SizeRows=%d, case expects %d", sz, tc.boxed)
-				}
-			} else if ref := refWireSize(tc.rows); ref != tc.typed {
+			if ref := refWireSize(tc.rows); ref != tc.typed {
 				t.Fatalf("reference wire size %d, case expects %d", ref, tc.typed)
 			}
-			s := c.Metrics.Snapshot()
-			if s.Exchange != want {
-				t.Fatalf("exchange %+v, want %+v", s.Exchange, want)
+			var m wireMeter
+			if _, mem := m.wireSize(tc.rows); mem != value.SizeRows(tc.rows) {
+				t.Fatalf("meter derived %dB in memory, value.SizeRows=%d", mem, value.SizeRows(tc.rows))
 			}
-			if s.ShuffleBytes != tc.typed+tc.boxed || s.ShuffleRecords != int64(len(tc.rows)) {
+			s := c.Metrics.Snapshot()
+			if s.ShuffleBytes != tc.typed || s.ShuffleRecords != int64(len(tc.rows)) {
 				t.Fatalf("ShuffleBytes=%d ShuffleRecords=%d, want %d/%d",
-					s.ShuffleBytes, s.ShuffleRecords, tc.typed+tc.boxed, len(tc.rows))
+					s.ShuffleBytes, s.ShuffleRecords, tc.typed, len(tc.rows))
+			}
+			if len(s.StageWall) != 1 || s.StageWall[0].Stage != "m" || s.StageWall[0].ShuffleBytes != tc.typed {
+				t.Fatalf("stage records %+v, want one for m with %dB", s.StageWall, tc.typed)
 			}
 		})
 	}
@@ -235,9 +252,8 @@ func TestWireSizePinsBenchSchemas(t *testing.T) {
 			t.Fatal(err)
 		}
 		snap := c.Metrics.Snapshot()
-		if snap.ShuffleBytes != want[s.name] || snap.Exchange.BoxedBuffers != 0 {
-			t.Fatalf("schema %s: ShuffleBytes=%d (exchange %+v), want %d all typed",
-				s.name, snap.ShuffleBytes, snap.Exchange, want[s.name])
+		if snap.ShuffleBytes != want[s.name] {
+			t.Fatalf("schema %s: ShuffleBytes=%d, want %d", s.name, snap.ShuffleBytes, want[s.name])
 		}
 	}
 }
@@ -317,8 +333,9 @@ func decodeFuzzRows(data []byte) []Row {
 // FuzzShuffleMeter fuzzes a key-based shuffle over generator-shaped rows
 // (mixed kinds, NULLs, boxed cells, optionally ragged widths) and asserts row
 // conservation (multiset equality), placement = HashCols % P with HashCols
-// equal to hash/fnv over the canonical key bytes, and exchange accounting
-// equal to the independent reference applied to every (source,target) buffer.
+// equal to hash/fnv over the canonical key bytes, and metered bytes — run-wide
+// and on the stage's record — equal to the independent reference applied to
+// every (source,target) buffer.
 // The meter's second result — the in-memory size it derives from the same
 // walk — must equal value.SizeRows of the buffer, the recorded partition peak
 // the largest value.SizeRows of an output partition, and every carried
@@ -376,41 +393,34 @@ func FuzzShuffleMeter(f *testing.F) {
 			}
 		}
 
-		var want ExchangeStat
+		var want int64
 		for _, src := range in.parts {
 			bufs := make([][]Row, p)
-			ragged := false
 			for _, r := range src {
-				ragged = ragged || len(r) != len(src[0])
 				tt := value.HashCols(r, keyCols) % p
 				bufs[tt] = append(bufs[tt], r)
 			}
 			for _, buf := range bufs {
-				switch {
-				case len(buf) == 0:
-				case ragged:
-					want.BoxedBuffers++
-					want.BoxedBytes += value.SizeRows(buf)
-				default:
-					want.ColumnarBuffers++
-					want.ColumnarBytes += refWireSize(buf)
-					var m wireMeter
-					if _, mem := m.wireSize(buf); mem != value.SizeRows(buf) {
-						t.Fatalf("meter derived %dB in memory for %v, value.SizeRows=%d", mem, buf, value.SizeRows(buf))
-					}
+				if len(buf) == 0 {
+					continue
+				}
+				want += refWireSize(buf)
+				var m wireMeter
+				if _, mem := m.wireSize(buf); mem != value.SizeRows(buf) {
+					t.Fatalf("meter derived %dB in memory for %v, value.SizeRows=%d", mem, buf, value.SizeRows(buf))
 				}
 			}
 		}
 		s := c.Metrics.Snapshot()
-		if s.Exchange != want {
-			t.Fatalf("exchange %+v, reference %+v", s.Exchange, want)
-		}
 		if s.PeakPartition != peak {
 			t.Fatalf("PeakPartition=%d, largest output partition walks to %d", s.PeakPartition, peak)
 		}
-		if s.ShuffleBytes != want.ColumnarBytes+want.BoxedBytes || s.ShuffleRecords != int64(len(rows)) {
+		if s.ShuffleBytes != want || s.ShuffleRecords != int64(len(rows)) {
 			t.Fatalf("ShuffleBytes=%d ShuffleRecords=%d, reference %d/%d",
-				s.ShuffleBytes, s.ShuffleRecords, want.ColumnarBytes+want.BoxedBytes, len(rows))
+				s.ShuffleBytes, s.ShuffleRecords, want, len(rows))
+		}
+		if len(s.StageWall) != 1 || s.StageWall[0].ShuffleBytes != want {
+			t.Fatalf("stage records %+v, want one with the reference %dB", s.StageWall, want)
 		}
 	})
 }

@@ -101,7 +101,7 @@ func BenchmarkReplyEncode(b *testing.B) {
 // runQuery compiles q through runner, planning without statistics, and runs
 // it over nested inputs.
 func runQuery(q nrc.Expr, env nrc.Env, inputs map[string]value.Bag, strat runner.Strategy, cfg runner.Config) *runner.Result {
-	cq, err := runner.CompileStep(q, env, strat, cfg, "Q")
+	cq, err := runner.CompileStep(q, env, strat, cfg, nil, "Q")
 	if err != nil {
 		return runner.Failure(strat, err)
 	}

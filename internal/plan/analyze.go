@@ -148,38 +148,28 @@ func collectQErrors(op Op, a *Analysis, out *[]QError) {
 	}
 }
 
-// ExchangeStat summarizes how a wide operator's shuffle stage metered the
-// buffers it moved across the exchange: at their typed wire encoding
-// (columnar) versus by value.Size row walks (boxed), and the bytes of each.
-// Runners aggregate the engine's per-stage exchange accounting under the
-// operator's base stage name before rendering.
-type ExchangeStat struct {
-	ColumnarBuffers, BoxedBuffers int64
-	ColumnarBytes, BoxedBytes     int64
-}
-
 // ExplainAnalyzed renders the plan as an indented tree, one operator per line
 // with its output columns (the one walk Explain renders through too), and
 // each node's measured runtime annotation beside its static one: `[est_rows=N]`
 // gains `[actual_rows=M rows_in=… wall=…]`. stageWall resolves wide operators'
 // wall time from the run's per-stage metrics (pass the Result.Metrics stage
-// walls); nil omits wide-op walls. exchange resolves wide operators' shuffle
-// exchange accounting (columnar vs boxed buffers and compact bytes), keyed
-// like stageWall by the operator's stage name; nil omits the annotation.
+// walls); nil omits wide-op walls. shuffled resolves the bytes a wide
+// operator's exchanges moved, keyed like stageWall by the operator's stage
+// name; nil omits the annotation.
 // Nodes the execution never touched (or an execution without analysis)
 // render without a runtime annotation.
-func ExplainAnalyzed(op Op, a *Analysis, stageWall map[string]time.Duration, exchange map[string]ExchangeStat) string {
+func ExplainAnalyzed(op Op, a *Analysis, stageWall map[string]time.Duration, shuffled map[string]int64) string {
 	var sb strings.Builder
-	explainAnalyzed(&sb, op, a, stageWall, exchange, 0)
+	explainAnalyzed(&sb, op, a, stageWall, shuffled, 0)
 	return sb.String()
 }
 
-func explainAnalyzed(sb *strings.Builder, op Op, a *Analysis, stageWall map[string]time.Duration, exchange map[string]ExchangeStat, depth int) {
+func explainAnalyzed(sb *strings.Builder, op Op, a *Analysis, stageWall map[string]time.Duration, shuffled map[string]int64, depth int) {
 	for i := 0; i < depth; i++ {
 		sb.WriteString("  ")
 	}
 	sb.WriteString(op.Describe())
-	sb.WriteString(analyzeAnnotation(op, a, stageWall, exchange))
+	sb.WriteString(analyzeAnnotation(op, a, stageWall, shuffled))
 	sb.WriteString("  → (")
 	cols := op.Columns()
 	for i, c := range cols {
@@ -193,13 +183,13 @@ func explainAnalyzed(sb *strings.Builder, op Op, a *Analysis, stageWall map[stri
 	}
 	sb.WriteString(")\n")
 	for _, ch := range op.Children() {
-		explainAnalyzed(sb, ch, a, stageWall, exchange, depth+1)
+		explainAnalyzed(sb, ch, a, stageWall, shuffled, depth+1)
 	}
 }
 
 // analyzeAnnotation formats one node's runtime annotation, "" when the node
 // has no measured stats.
-func analyzeAnnotation(op Op, a *Analysis, stageWall map[string]time.Duration, exchange map[string]ExchangeStat) string {
+func analyzeAnnotation(op Op, a *Analysis, stageWall map[string]time.Duration, shuffled map[string]int64) string {
 	ns := a.Lookup(op)
 	if ns == nil {
 		return ""
@@ -225,17 +215,8 @@ func analyzeAnnotation(op Op, a *Analysis, stageWall map[string]time.Duration, e
 			fmt.Fprintf(&sb, " index_matched=%d", m)
 		}
 	}
-	if ns.Stage != "" && exchange != nil {
-		if es, ok := exchange[ns.Stage]; ok && es.ColumnarBuffers+es.BoxedBuffers > 0 {
-			mode := "columnar"
-			switch {
-			case es.ColumnarBuffers == 0:
-				mode = "boxed"
-			case es.BoxedBuffers > 0:
-				mode = "mixed"
-			}
-			fmt.Fprintf(&sb, " exchange=%s exchange_bytes=%d", mode, es.ColumnarBytes+es.BoxedBytes)
-		}
+	if b := shuffled[ns.Stage]; ns.Stage != "" && b > 0 {
+		fmt.Fprintf(&sb, " shuffled=%dB", b)
 	}
 	switch x := op.(type) {
 	case *Join:

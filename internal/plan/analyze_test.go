@@ -103,12 +103,13 @@ func TestQErrorsCollection(t *testing.T) {
 
 func TestExplainAnalyzedRendering(t *testing.T) {
 	root, a := analyzedTree()
-	text := ExplainAnalyzed(root, a, map[string]time.Duration{"join#1": 2 * time.Millisecond}, nil)
+	text := ExplainAnalyzed(root, a, map[string]time.Duration{"join#1": 2 * time.Millisecond}, map[string]int64{"join#1": 1234})
 	for _, want := range []string{
 		"[actual_rows=97 rows_in=580 wall=180µs]",
-		"wall=2ms",    // the join resolves its stage wall from the map
-		"q_err=1.03",  // join: 600 est vs 580 actual
-		"q_err=12.50", // index scan: 4 est vs 50 actual
+		"wall=2ms",       // the join resolves its stage wall from the map
+		"shuffled=1234B", // and its exchanges' bytes
+		"q_err=1.03",     // join: 600 est vs 580 actual
+		"q_err=12.50",    // index scan: 4 est vs 50 actual
 		"index_matched=50",
 		"[actual_rows=100]", // plain scan: no wall
 	} {
@@ -119,8 +120,8 @@ func TestExplainAnalyzedRendering(t *testing.T) {
 
 	// Without the stage-wall map the wide operator renders without a wall.
 	noWall := ExplainAnalyzed(root, a, nil, nil)
-	if strings.Contains(noWall, "wall=2ms") {
-		t.Fatalf("stage wall rendered without a map:\n%s", noWall)
+	if strings.Contains(noWall, "wall=2ms") || strings.Contains(noWall, "shuffled=") {
+		t.Fatalf("stage wall or shuffled bytes rendered without a map:\n%s", noWall)
 	}
 
 	// An index scan that fell back reports the fallback, not matches.

@@ -1,7 +1,7 @@
 // Cost-based plan annotation: the statistics-driven layer on top of the
 // rule-based optimizer. Annotate walks an optimized plan bottom-up, propagating
 // cardinality and byte estimates from per-input table statistics
-// (internal/stats collects them; the runner threads them in via Config.Stats),
+// (internal/stats collects them; runner.CompileStep is given them),
 // estimating predicate selectivity from NDV and min/max, and stamping every
 // equi-join with a Costs annotation that fixes the join method at compile time:
 // broadcast when the build side's estimated bytes fit under the broadcast

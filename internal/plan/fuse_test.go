@@ -28,7 +28,7 @@ func TestFuseIsIdempotent(t *testing.T) {
 		for _, class := range []tpch.QueryClass{tpch.FlatToNested, tpch.NestedToNested, tpch.NestedToFlat} {
 			for level := 0; level <= tpch.MaxLevel; level++ {
 				for _, wide := range []bool{false, true} {
-					cq, err := runner.CompileStep(tpch.Query(class, level, wide), tpch.Env(class, level, wide), strat, cfg, "Q")
+					cq, err := runner.CompileStep(tpch.Query(class, level, wide), tpch.Env(class, level, wide), strat, cfg, nil, "Q")
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -44,7 +44,7 @@ func TestFuseIsIdempotent(t *testing.T) {
 		steps := make([]*runner.Compiled, len(bio))
 		for i, st := range bio {
 			eff := runner.StepStrategy(strat, steps[0], i == len(bio)-1)
-			if steps[i], err = runner.CompileStep(st.Expr, envs[i], eff, cfg, st.Name); err != nil {
+			if steps[i], err = runner.CompileStep(st.Expr, envs[i], eff, cfg, nil, st.Name); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -133,7 +133,7 @@ func TestIDDepsThroughFusedJoins(t *testing.T) {
 		for _, class := range []tpch.QueryClass{tpch.FlatToNested, tpch.NestedToNested, tpch.NestedToFlat} {
 			for level := 0; level <= tpch.MaxLevel; level++ {
 				for _, wide := range []bool{false, true} {
-					cq, err := runner.CompileStep(tpch.Query(class, level, wide), tpch.Env(class, level, wide), strat, cfg, "Q")
+					cq, err := runner.CompileStep(tpch.Query(class, level, wide), tpch.Env(class, level, wide), strat, cfg, nil, "Q")
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -2,9 +2,13 @@ package runner
 
 import (
 	"context"
+	"fmt"
+	"regexp"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/trance-go/trance/internal/dataflow"
 	"github.com/trance-go/trance/internal/nrc"
@@ -64,7 +68,7 @@ func TestAnalyzeRowConservation(t *testing.T) {
 	inputs := map[string]value.Bag{"COP": testdata.SmallCOP(), "Part": testdata.SmallPart()}
 	cfg := DefaultConfig()
 	for _, strat := range []Strategy{Standard, Shred, ShredUnshred, StandardSkew, ShredSkew, ShredUnshredSkew} {
-		cq, err := CompileStep(testdata.RunningExample(), testdata.Env(), strat, cfg, "Q")
+		cq, err := CompileStep(testdata.RunningExample(), testdata.Env(), strat, cfg, nil, "Q")
 		if err != nil {
 			t.Fatalf("%s: %v", strat, err)
 		}
@@ -124,12 +128,14 @@ func TestAnalyzeRowConservation(t *testing.T) {
 }
 
 // TestExplainAnalyzeRendering checks the analyzed explain text carries the
-// runtime annotations and the execution footer, and that a result from an
+// runtime annotations and the execution footer — the bytes the wide operators
+// annotate as shuffled add up to the run's — and that a result from an
 // uninstrumented run degrades to an explicit notice instead of bare output.
 func TestExplainAnalyzeRendering(t *testing.T) {
 	inputs := map[string]value.Bag{"COP": testdata.SmallCOP(), "Part": testdata.SmallPart()}
 	cfg := DefaultConfig()
-	cq, err := CompileStep(testdata.RunningExample(), testdata.Env(), Standard, cfg, "Q")
+	cfg.BroadcastLimit = 0 // every join exchanges both sides
+	cq, err := CompileStep(testdata.RunningExample(), testdata.Env(), Standard, cfg, nil, "Q")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,6 +149,15 @@ func TestExplainAnalyzeRendering(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Fatalf("analyzed explain missing %q:\n%s", want, text)
 		}
+	}
+	var annotated int64
+	ops, _, _ := strings.Cut(text, "execution:")
+	for _, m := range regexp.MustCompile(` shuffled=(\d+)B[ \]]`).FindAllStringSubmatch(ops, -1) {
+		b, _ := strconv.ParseInt(m[1], 10, 64)
+		annotated += b
+	}
+	if want := fmt.Sprintf("execution: wall=%s shuffled=%dB", res.Elapsed.Round(time.Microsecond), res.Metrics.ShuffleBytes); res.Metrics.ShuffleBytes == 0 || annotated != res.Metrics.ShuffleBytes || !strings.Contains(text, want) {
+		t.Fatalf("operators annotate %dB shuffled, the run %dB (want %q):\n%s", annotated, res.Metrics.ShuffleBytes, want, text)
 	}
 
 	plain := ExecuteBags(context.Background(), []*Compiled{cq}, inputs, NewRunContext(cfg), ExecOptions{})
@@ -159,7 +174,7 @@ func TestExplainAnalyzeRendering(t *testing.T) {
 func TestAnalyzeOffLeavesNoTrace(t *testing.T) {
 	inputs := map[string]value.Bag{"COP": testdata.SmallCOP(), "Part": testdata.SmallPart()}
 	cfg := DefaultConfig()
-	cq, err := CompileStep(testdata.RunningExample(), testdata.Env(), Standard, cfg, "Q")
+	cq, err := CompileStep(testdata.RunningExample(), testdata.Env(), Standard, cfg, nil, "Q")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,9 +198,9 @@ func TestAnalyzeFusedJoins(t *testing.T) {
 	env := tpch.Env(tpch.NestedToNested, 2, false)
 	inputs := map[string]value.Bag{"NDB": tpch.BuildNested(tables, 2, true), "Part": tables.Part}
 	cfg := DefaultConfig()
-	cfg.Stats = map[string]plan.TableEstimate{}
+	ests := map[string]plan.TableEstimate{}
 	for name, typ := range env {
-		cfg.Stats[name] = stats.Collect(inputs[name], typ.(nrc.BagType), stats.Options{}).Estimate()
+		ests[name] = stats.Collect(inputs[name], typ.(nrc.BagType), stats.Options{}).Estimate()
 	}
 	type joinAt struct {
 		join   *plan.Join
@@ -205,7 +220,7 @@ func TestAnalyzeFusedJoins(t *testing.T) {
 		return out
 	}
 	for _, strat := range []Strategy{Standard, ShredUnshred, StandardSkew} {
-		cq, err := CompileStep(tpch.Query(tpch.NestedToNested, 2, false), env, strat, cfg, "Q")
+		cq, err := CompileStep(tpch.Query(tpch.NestedToNested, 2, false), env, strat, cfg, ests, "Q")
 		if err != nil {
 			t.Fatalf("%s: %v", strat, err)
 		}
@@ -273,7 +288,7 @@ func TestAnalyzeFusedJoins(t *testing.T) {
 // the raw plan before and the fused plan after.
 func TestExplainFusionIsNotAnOptimizerChange(t *testing.T) {
 	cfg := DefaultConfig()
-	cq, err := CompileStep(tpch.Query(tpch.NestedToNested, 2, false), tpch.Env(tpch.NestedToNested, 2, false), Standard, cfg, "Q")
+	cq, err := CompileStep(tpch.Query(tpch.NestedToNested, 2, false), tpch.Env(tpch.NestedToNested, 2, false), Standard, cfg, nil, "Q")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +296,7 @@ func TestExplainFusionIsNotAnOptimizerChange(t *testing.T) {
 	if !strings.Contains(text, "=== plan (unchanged by optimizer) ===") || strings.Count(text, " out[c_custkey") != 1 || strings.Contains(text, "\n  ext ") {
 		t.Fatalf("want one fused plan under \"unchanged by optimizer\":\n%s", text)
 	}
-	cq, err = CompileStep(tpch.NestedToFlatSelective(2), tpch.Env(tpch.NestedToFlat, 2, false), Standard, cfg, "Q")
+	cq, err = CompileStep(tpch.NestedToFlatSelective(2), tpch.Env(tpch.NestedToFlat, 2, false), Standard, cfg, nil, "Q")
 	if err != nil {
 		t.Fatal(err)
 	}

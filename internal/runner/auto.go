@@ -17,8 +17,8 @@ type Choice struct {
 }
 
 // ChooseStrategy resolves the Auto meta-strategy for one query: it reads op,
-// the query's optimized standard plan, and the dataset statistics in
-// cfg.Stats, and picks
+// the query's optimized standard plan, and the per-input statistics stats,
+// and picks
 //
 //   - a skew-aware variant when any scanned input has a column whose heavy-key
 //     row fraction reaches AutoSkewFraction (paper Section 5: skewed keys
@@ -30,9 +30,9 @@ type Choice struct {
 //   - Standard otherwise, and always when statistics are absent.
 //
 // Both signals together select ShredUnshredSkew. The decision is deterministic
-// in (op, env, cfg).
-func ChooseStrategy(op plan.Op, env nrc.Env, cfg Config) Choice {
-	if len(cfg.Stats) == 0 {
+// in (op, env, stats).
+func ChooseStrategy(op plan.Op, env nrc.Env, stats map[string]plan.TableEstimate) Choice {
+	if len(stats) == 0 {
 		return Choice{Strategy: Standard, Reasons: []string{"no statistics available; defaulting to standard"}}
 	}
 	var reasons []string
@@ -42,7 +42,7 @@ func ChooseStrategy(op plan.Op, env nrc.Env, cfg Config) Choice {
 	walkPlan(op, func(node plan.Op) {
 		switch x := node.(type) {
 		case *plan.Scan:
-			te, ok := cfg.Stats[x.Input]
+			te, ok := stats[x.Input]
 			if !ok || seenSkew[x.Input] {
 				return
 			}
@@ -62,7 +62,7 @@ func ChooseStrategy(op plan.Op, env nrc.Env, cfg Config) Choice {
 			if !ok || seenShred[scan.Input] {
 				return
 			}
-			te, ok := cfg.Stats[scan.Input]
+			te, ok := stats[scan.Input]
 			if !ok || !nestedInput(env, scan.Input) {
 				return
 			}

@@ -90,9 +90,8 @@ func TestAutoPicksRoute(t *testing.T) {
 
 	t.Run("uniform flat → standard", func(t *testing.T) {
 		r, s := flatAutoData(4000, false)
-		cfg := cfg
-		cfg.Stats = collectStats(t, flatAutoEnv(), map[string]value.Bag{"R": r, "S": s}, cfg.Parallelism)
-		cq, err := runner.CompileStep(flatJoinQuery(), flatAutoEnv(), runner.Auto, cfg, "Q")
+		ests := collectStats(t, flatAutoEnv(), map[string]value.Bag{"R": r, "S": s}, cfg.Parallelism)
+		cq, err := runner.CompileStep(flatJoinQuery(), flatAutoEnv(), runner.Auto, cfg, ests, "Q")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -103,9 +102,8 @@ func TestAutoPicksRoute(t *testing.T) {
 
 	t.Run("skewed flat → standard-skew", func(t *testing.T) {
 		r, s := flatAutoData(4000, true)
-		cfg := cfg
-		cfg.Stats = collectStats(t, flatAutoEnv(), map[string]value.Bag{"R": r, "S": s}, cfg.Parallelism)
-		cq, err := runner.CompileStep(flatJoinQuery(), flatAutoEnv(), runner.Auto, cfg, "Q")
+		ests := collectStats(t, flatAutoEnv(), map[string]value.Bag{"R": r, "S": s}, cfg.Parallelism)
+		cq, err := runner.CompileStep(flatJoinQuery(), flatAutoEnv(), runner.Auto, cfg, ests, "Q")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -119,9 +117,8 @@ func TestAutoPicksRoute(t *testing.T) {
 
 	t.Run("selective nested → shred+unshred", func(t *testing.T) {
 		rn := nestedAutoData(400, false)
-		cfg := cfg
-		cfg.Stats = collectStats(t, nestedAutoEnv(), map[string]value.Bag{"RN": rn}, cfg.Parallelism)
-		cq, err := runner.CompileStep(selectiveNestedQuery(), nestedAutoEnv(), runner.Auto, cfg, "Q")
+		ests := collectStats(t, nestedAutoEnv(), map[string]value.Bag{"RN": rn}, cfg.Parallelism)
+		cq, err := runner.CompileStep(selectiveNestedQuery(), nestedAutoEnv(), runner.Auto, cfg, ests, "Q")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -132,11 +129,10 @@ func TestAutoPicksRoute(t *testing.T) {
 
 	t.Run("skewed selective nested → shred+unshred-skew", func(t *testing.T) {
 		rn := nestedAutoData(4000, true)
-		cfg := cfg
-		cfg.Stats = collectStats(t, nestedAutoEnv(), map[string]value.Bag{"RN": rn}, cfg.Parallelism)
+		ests := collectStats(t, nestedAutoEnv(), map[string]value.Bag{"RN": rn}, cfg.Parallelism)
 		// The hot key collapses k's NDV; filter on it still estimates
 		// selectively enough (1/NDV of the residual keys ≪ threshold).
-		cq, err := runner.CompileStep(selectiveNestedQuery(), nestedAutoEnv(), runner.Auto, cfg, "Q")
+		cq, err := runner.CompileStep(selectiveNestedQuery(), nestedAutoEnv(), runner.Auto, cfg, ests, "Q")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -146,7 +142,7 @@ func TestAutoPicksRoute(t *testing.T) {
 	})
 
 	t.Run("no statistics → standard", func(t *testing.T) {
-		cq, err := runner.CompileStep(flatJoinQuery(), flatAutoEnv(), runner.Auto, cfg, "Q")
+		cq, err := runner.CompileStep(flatJoinQuery(), flatAutoEnv(), runner.Auto, cfg, nil, "Q")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -162,14 +158,12 @@ func TestAutoPicksRoute(t *testing.T) {
 	// that picks standard-skew with them resolves to Standard.
 	t.Run("ablated cost model → standard", func(t *testing.T) {
 		r, s := flatAutoData(4000, true)
-		cfg := cfg
-		cfg.Stats = collectStats(t, flatAutoEnv(), map[string]value.Bag{"R": r, "S": s}, cfg.Parallelism)
+		ests := collectStats(t, flatAutoEnv(), map[string]value.Bag{"R": r, "S": s}, cfg.Parallelism)
 		for _, c := range []struct {
 			stats map[string]plan.TableEstimate
 			want  runner.Strategy
-		}{{cfg.Stats, runner.StandardSkew}, {nil, runner.Standard}} {
-			cfg.Stats = c.stats
-			cq, err := runner.CompileStep(flatJoinQuery(), flatAutoEnv(), runner.Auto, cfg, "Q")
+		}{{ests, runner.StandardSkew}, {nil, runner.Standard}} {
+			cq, err := runner.CompileStep(flatJoinQuery(), flatAutoEnv(), runner.Auto, cfg, c.stats, "Q")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -187,13 +181,13 @@ func TestAutoFallsBackWhenShredFails(t *testing.T) {
 	rn := nestedAutoData(400, false)
 	cfg := runner.DefaultConfig()
 	cfg.Parallelism = 4
-	cfg.Stats = collectStats(t, nestedAutoEnv(), map[string]value.Bag{"RN": rn}, cfg.Parallelism)
+	ests := collectStats(t, nestedAutoEnv(), map[string]value.Bag{"RN": rn}, cfg.Parallelism)
 	q := nrc.GroupByOf(
 		nrc.ForIn("r", nrc.V("RN"),
 			nrc.IfThen(nrc.EqOf(nrc.P(nrc.V("r"), "k"), nrc.C(5)),
 				nrc.SingOf(nrc.Record("k", nrc.P(nrc.V("r"), "k"), "n", nrc.C(1))))),
 		"k")
-	cq, err := runner.CompileStep(q, nestedAutoEnv(), runner.Auto, cfg, "Q")
+	cq, err := runner.CompileStep(q, nestedAutoEnv(), runner.Auto, cfg, ests, "Q")
 	if err != nil {
 		t.Fatalf("auto compile failed instead of falling back: %v", err)
 	}
@@ -222,8 +216,8 @@ func TestAutoExplainShowsChoice(t *testing.T) {
 	r, s := flatAutoData(4000, true)
 	cfg := runner.DefaultConfig()
 	cfg.Parallelism = 4
-	cfg.Stats = collectStats(t, flatAutoEnv(), map[string]value.Bag{"R": r, "S": s}, cfg.Parallelism)
-	cq, err := runner.CompileStep(flatJoinQuery(), flatAutoEnv(), runner.Auto, cfg, "Q")
+	ests := collectStats(t, flatAutoEnv(), map[string]value.Bag{"R": r, "S": s}, cfg.Parallelism)
+	cq, err := runner.CompileStep(flatJoinQuery(), flatAutoEnv(), runner.Auto, cfg, ests, "Q")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +235,7 @@ func TestAutoExplainShowsChoice(t *testing.T) {
 func TestAutoCountersAdvance(t *testing.T) {
 	before := metrics.Values()["auto_strategy.standard"]
 	cfg := runner.DefaultConfig()
-	if _, err := runner.CompileStep(flatJoinQuery(), flatAutoEnv(), runner.Auto, cfg, "Q"); err != nil {
+	if _, err := runner.CompileStep(flatJoinQuery(), flatAutoEnv(), runner.Auto, cfg, nil, "Q"); err != nil {
 		t.Fatal(err)
 	}
 	if after := metrics.Values()["auto_strategy.standard"]; after != before+1 {
@@ -256,7 +250,7 @@ func TestAutoCountersAdvance(t *testing.T) {
 func TestAutoOptimizesStandardPlanOnce(t *testing.T) {
 	r, s := flatAutoData(4000, false)
 	cfg := runner.DefaultConfig()
-	cfg.Stats = collectStats(t, flatAutoEnv(), map[string]value.Bag{"R": r, "S": s}, 4)
+	ests := collectStats(t, flatAutoEnv(), map[string]value.Bag{"R": r, "S": s}, 4)
 	// One pushable conjunct beside the join condition.
 	query := func() nrc.Expr {
 		return nrc.ForIn("r", nrc.V("R"),
@@ -268,7 +262,7 @@ func TestAutoOptimizesStandardPlanOnce(t *testing.T) {
 	}
 	deltas := func(strat runner.Strategy) (map[string]int64, *runner.Compiled) {
 		before := metrics.Values()
-		cq, err := runner.CompileStep(query(), flatAutoEnv(), strat, cfg, "Q")
+		cq, err := runner.CompileStep(query(), flatAutoEnv(), strat, cfg, ests, "Q")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -326,11 +320,11 @@ func BenchmarkAutoStrategy(b *testing.B) {
 	inputs := map[string]value.Bag{"R": r, "S": s}
 	cfg := runner.DefaultConfig()
 	cfg.Parallelism = 8
-	cfg.Stats = collectStats(b, env, inputs, cfg.Parallelism)
+	ests := collectStats(b, env, inputs, cfg.Parallelism)
 
 	for _, strat := range []runner.Strategy{runner.Standard, runner.StandardSkew, runner.ShredUnshred, runner.Auto} {
 		b.Run(strat.CLIName(), func(b *testing.B) {
-			cq, err := runner.CompileStep(flatJoinQuery(), env, strat, cfg, "Q")
+			cq, err := runner.CompileStep(flatJoinQuery(), env, strat, cfg, ests, "Q")
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -370,17 +364,17 @@ func TestAutoProgramKeepsOneRoute(t *testing.T) {
 	}
 	cfg := runner.DefaultConfig()
 	cfg.Parallelism = 4
-	cfg.Stats = collectStats(t, env, inputs, cfg.Parallelism)
+	ests := collectStats(t, env, inputs, cfg.Parallelism)
 
-	alone, err := runner.CompileStep(steps()[1].Expr, nrc.Env{"P": env["R"], "RN": env["RN"]}, runner.Auto, cfg, "Out")
+	alone, err := runner.CompileStep(steps()[1].Expr, nrc.Env{"P": env["R"], "RN": env["RN"]}, runner.Auto, cfg, ests, "Out")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !alone.Strategy.IsShredded() {
 		t.Fatalf("vacuous: the second step on its own resolves to %s, not a shredded route", alone.Strategy)
 	}
-	want := runner.RunProgram(steps(), env, inputs, runner.Standard, cfg)
-	got := runner.RunProgram(steps(), env, inputs, runner.Auto, cfg)
+	want := runner.RunProgram(steps(), env, inputs, runner.Standard, cfg, ests)
+	got := runner.RunProgram(steps(), env, inputs, runner.Auto, cfg, ests)
 	if want.Failed() || got.Failed() {
 		t.Fatalf("standard: %v; auto: %v", want.Err, got.Err)
 	}

@@ -20,7 +20,7 @@ import (
 )
 
 // Compiled holds every compile-time artifact of one (query, environment,
-// strategy, config) combination: the statements Execute runs in order and, on
+// strategy, config, statistics) combination: the statements Execute runs in order and, on
 // shredded routes, the materialized program they came from. A Compiled is
 // immutable after CompileStep returns and safe to Execute from many
 // goroutines at once over different inputs — plan operators and their scalar
@@ -63,6 +63,10 @@ type Compiled struct {
 	// Idx accumulates the planner's Select→IndexScan conversions over every
 	// plan of this compilation (zero when no statistics flag an index).
 	Idx plan.IndexStats
+
+	// stats are the per-input statistics the plans are costed against
+	// (annotate).
+	stats map[string]plan.TableEstimate
 }
 
 // Stmt is one plan of a compiled step.
@@ -188,17 +192,24 @@ func recoverTo(err *error, what string) {
 // against shred.InputEnv(name, …) — resolve them. Compile-time panics are
 // converted into errors.
 //
+// stats holds per-input table statistics, keyed by the input variable name,
+// for the cost-based planning layer: join method choice, input ordering and
+// index scans (plan.Annotate) and the Auto strategy's route selection. A
+// session passes the catalog statistics of the generations it resolved to;
+// nil disables all of them, and statistics flagging no Indexed column plan
+// no index scan.
+//
 // CompileStep type-annotates the query's AST in place (nrc.Check); do not
 // compile the same expression tree from several goroutines concurrently —
 // the prepared-query layer, its one caller, serializes its per-strategy
 // compilations for this reason.
-func CompileStep(q nrc.Expr, env nrc.Env, strat Strategy, cfg Config, name string) (cq *Compiled, err error) {
+func CompileStep(q nrc.Expr, env nrc.Env, strat Strategy, cfg Config, stats map[string]plan.TableEstimate, name string) (cq *Compiled, err error) {
 	defer recoverTo(&err, "compile")
 	out, cerr := nrc.Check(q, env)
 	if cerr != nil {
 		return nil, cerr
 	}
-	cq = &Compiled{Name: name, Strategy: strat, Cfg: cfg, Env: env, Out: out, Requested: strat}
+	cq = &Compiled{Name: name, Strategy: strat, Cfg: cfg, Env: env, Out: out, Requested: strat, stats: stats}
 	// The standard plan is built and optimized once: Auto chooses by reading
 	// it, and a standard route runs that same plan.
 	var raw, opt plan.Op
@@ -210,7 +221,7 @@ func CompileStep(q nrc.Expr, env nrc.Env, strat Strategy, cfg Config, name strin
 		opt, st = cq.optimize(raw)
 	}
 	if strat == Auto {
-		choice := ChooseStrategy(opt, env, cfg)
+		choice := ChooseStrategy(opt, env, stats)
 		cq.Strategy = choice.Strategy
 		cq.AutoReasons = choice.Reasons
 	}
@@ -284,12 +295,12 @@ func outputSchema(op plan.Op, out nrc.Type, strat Strategy) []OutputColumn {
 	return cols
 }
 
-// annotate applies the cost model (plan.Annotate) over the config's table
+// annotate applies the cost model (plan.Annotate) over the step's table
 // statistics; without any it leaves the plan as it is. Shredded component
 // scans carry no statistics, so annotation is a no-op for most shredded-plan
 // internals — a documented limitation (docs/COSTMODEL.md).
 func (cq *Compiled) annotate(op plan.Op) plan.Op {
-	out, ist := plan.Annotate(op, cq.Cfg.Stats, cq.Cfg.BroadcastLimit)
+	out, ist := plan.Annotate(op, cq.stats, cq.Cfg.BroadcastLimit)
 	cq.Idx.Add(ist)
 	return out
 }

@@ -20,6 +20,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/trance-go/trance/internal/metrics"
 	"github.com/trance-go/trance/internal/nrc"
 	"github.com/trance-go/trance/internal/plan"
 	"github.com/trance-go/trance/internal/runner"
@@ -330,27 +331,28 @@ func (g *dgen) query() nrc.Expr {
 	}
 }
 
-// diffConfig is the cluster sizing for differential runs: small enough to be
-// fast, parallel enough to exercise shuffles. The full configuration carries
-// collected statistics — with the seed's index flags, or none for the noIdx
-// arm, which then plans no index scan — and a generator-chosen broadcast
-// limit; the ablated configuration disables column pruning and the rule-based
-// optimizer and carries no statistics, which ablates the cost model (so every
-// seed also runs the plans as the unnesting stage wrote them, Γ keyed by every
-// flat column, and the un-annotated plans Auto degrades to Standard on).
-func diffConfig(full, noIdx bool, ests map[string]plan.TableEstimate, limit int64) runner.Config {
+// diffConfig is the cluster sizing for differential runs — small enough to be
+// fast, parallel enough to exercise shuffles — and the statistics they
+// compile against. The full configuration carries collected statistics —
+// with the seed's index flags, or none for the noIdx arm, which then plans no
+// index scan — and a generator-chosen broadcast limit; the ablated
+// configuration disables column pruning and the rule-based optimizer and
+// carries no statistics, which ablates the cost model (so every seed also
+// runs the plans as the unnesting stage wrote them, Γ keyed by every flat
+// column, and the un-annotated plans Auto degrades to Standard on).
+func diffConfig(full, noIdx bool, ests map[string]plan.TableEstimate, limit int64) (runner.Config, map[string]plan.TableEstimate) {
 	cfg := runner.DefaultConfig()
 	cfg.Parallelism = 3
 	cfg.NoColumnPruning = !full
 	cfg.NoPredicatePushdown = !full
-	if full {
-		cfg.Stats = ests
-		if noIdx {
-			cfg.Stats = withoutIndexes(ests)
-		}
-	}
 	cfg.BroadcastLimit = limit
-	return cfg
+	switch {
+	case !full:
+		return cfg, nil
+	case noIdx:
+		return cfg, withoutIndexes(ests)
+	}
+	return cfg, ests
 }
 
 // withoutIndexes copies the statistics with every index flag cleared.
@@ -477,7 +479,7 @@ type diffCounts struct {
 	nested    int // seeds with a Γ above an addIndex on some strategy's ablated plans
 	narrowed  int // those of them where the strategy's full plans key their Γs by fewer columns
 	indexed   int // runs that planned at least one index scan
-	typed     int // runs that metered at least one typed-encoding shuffle buffer
+	shuffled  int // runs that moved a row across an exchange
 	fused     int // seeds with a join writing its projection on some strategy's full plans
 	composed  int // seeds where some strategy's full plans hold fewer π/ext than its ablated plans
 	local     int // seeds where some strategy's full plans reduce a Γ/dedup in place
@@ -501,7 +503,7 @@ func (c *diffCounts) add(o diffCounts) {
 	c.nested += o.nested
 	c.narrowed += o.narrowed
 	c.indexed += o.indexed
-	c.typed += o.typed
+	c.shuffled += o.shuffled
 	c.fused += o.fused
 	c.composed += o.composed
 	c.local += o.local
@@ -552,8 +554,8 @@ func runDifferential(data []byte, strict bool) (n diffCounts, err error) {
 				noIdxArms = []bool{false, true}
 			}
 			for _, noIdx := range noIdxArms {
-				cfg := diffConfig(full, noIdx, ests, limit)
-				cq, cerr := runner.CompileStep(mkQuery("R"), env, strat, cfg, "Q")
+				cfg, cst := diffConfig(full, noIdx, ests, limit)
+				cq, cerr := runner.CompileStep(mkQuery("R"), env, strat, cfg, cst, "Q")
 				if cerr != nil {
 					if strict {
 						return n, fmt.Errorf("%s (full=%t, noidx=%t) does not compile: %v\n%s",
@@ -593,8 +595,8 @@ func runDifferential(data []byte, strict bool) (n diffCounts, err error) {
 					return n, fmt.Errorf("%s (full=%t, noidx=%t) failed: %v\n%s",
 						strat, full, noIdx, res.Err, nrc.Print(q))
 				}
-				if res.Metrics.Exchange.ColumnarBuffers > 0 {
-					n.typed++
+				if res.Metrics.ShuffleRecords > 0 {
+					n.shuffled++
 				}
 				marked, sides, lerr := exchangesAsPlanned(res.Program(), res)
 				if skipped := res.Metrics.SkippedShuffles; lerr == nil && skipped > 0 && strat == runner.SparkSQLStyle {
@@ -658,11 +660,11 @@ func runDifferential(data []byte, strict bool) (n diffCounts, err error) {
 	// first step left bound on shredded ones — instead of a converted input.
 	// The copy is the identity on bags, so the oracle value is unchanged.
 	for _, strat := range diffStrategies {
-		cfg := diffConfig(true, false, ests, limit)
+		cfg, cst := diffConfig(true, false, ests, limit)
 		prog, cerr := runner.CompileProgram([]nrc.Assignment{
 			{Name: "P", Expr: nrc.ForIn("x", nrc.V("R"), nrc.SingOf(nrc.V("x")))},
 			{Name: "Out", Expr: mkQuery("P")},
-		}, env, strat, cfg)
+		}, env, strat, cfg, cst)
 		if cerr != nil {
 			if strict {
 				return n, fmt.Errorf("%s program does not compile: %v\n%s", strat, cerr, nrc.Print(q))
@@ -721,8 +723,8 @@ func runDifferential(data []byte, strict bool) (n diffCounts, err error) {
 		return n, fmt.Errorf("grouped-join program fails Check (generator bug): %v", err)
 	}
 	for _, strat := range diffStrategies {
-		cfg := diffConfig(true, false, ests, limit)
-		prog, cerr := runner.CompileProgram(gsteps(), env, strat, cfg)
+		cfg, cst := diffConfig(true, false, ests, limit)
+		prog, cerr := runner.CompileProgram(gsteps(), env, strat, cfg, cst)
 		if cerr != nil {
 			if strict {
 				return n, fmt.Errorf("%s grouped-join program does not compile: %v", strat, cerr)
@@ -776,8 +778,8 @@ func runDifferential(data []byte, strict bool) (n diffCounts, err error) {
 		return n, fmt.Errorf("stitching query fails Check (generator bug): %v\n%s", err, nrc.Print(sq()))
 	}
 	for _, strat := range []runner.Strategy{runner.Shred, runner.ShredSkew, runner.ShredUnshred, runner.ShredUnshredSkew, runner.Auto} {
-		cfg := diffConfig(true, false, ests, limit)
-		cq, cerr := runner.CompileStep(sq(), env, strat, cfg, "Q")
+		cfg, cst := diffConfig(true, false, ests, limit)
+		cq, cerr := runner.CompileStep(sq(), env, strat, cfg, cst, "Q")
 		if cerr != nil {
 			if strict {
 				return n, fmt.Errorf("%s stitching query does not compile: %v\n%s", strat, cerr, nrc.Print(sq()))
@@ -911,14 +913,20 @@ func checkStitch(res *runner.Result, want value.Bag, k int, seen *stitchSeen) er
 // to it.
 type movedBy map[string]string
 
-// check records res's shuffled bytes, records and stage names when strat is
-// Shred or ShredSkew, and holds a run that resolved to an unshredding route to
-// those of its shredded twin (ShredUnshred to Shred, ShredUnshredSkew to
-// ShredSkew) in the same arm, which runs before it.
+// check holds every run's per-stage shuffled bytes to their run-wide total,
+// records res's shuffled bytes, records and stage names when strat is Shred
+// or ShredSkew, and holds a run that resolved to an unshredding route to those
+// of its shredded twin (ShredUnshred to Shred, ShredUnshredSkew to ShredSkew)
+// in the same arm, which runs before it.
 func (m movedBy) check(strat runner.Strategy, res *runner.Result, arm string) error {
 	stages := make([]string, len(res.Metrics.StageWall))
+	var staged int64
 	for i, sw := range res.Metrics.StageWall {
 		stages[i] = sw.Stage
+		staged += sw.ShuffleBytes
+	}
+	if staged != res.Metrics.ShuffleBytes {
+		return fmt.Errorf("stages record %dB shuffled, the run %dB: %+v", staged, res.Metrics.ShuffleBytes, res.Metrics.StageWall)
 	}
 	slices.Sort(stages)
 	got := fmt.Sprintf("shuffled %dB/%drec, stages %v", res.Metrics.ShuffleBytes, res.Metrics.ShuffleRecords, stages)
@@ -1095,14 +1103,43 @@ func exchangesAsPlanned(prog []*runner.Compiled, res *runner.Result) (local, pla
 // fuzz target; the curated seeds of TestDifferentialOracle must all compile).
 var errSkip = fmt.Errorf("skip")
 
-// seedBytes derives a deterministic byte stream per seed (same scheme as the
-// parser fuzz seeds, longer so deep queries draw enough entropy).
+// seedBytes derives a deterministic byte stream per seed: byte i is the low
+// byte of splitmix64 over (seed, i), so the bytes of one seed vary
+// independently (TestSeedBytesMixCoins).
 func seedBytes(seed int) []byte {
 	data := make([]byte, 96)
 	for i := range data {
-		data[i] = byte((seed*131 + i*17 + i*i*3) % 256)
+		x := (uint64(seed)<<32 | uint64(i)) + 0x9e3779b97f4a7c15
+		x = (x ^ x>>30) * 0xbf58476d1ce4e5b9
+		x = (x ^ x>>27) * 0x94d049bb133111eb
+		data[i] = byte(x ^ x>>31)
 	}
 	return data
+}
+
+// TestSeedBytesMixCoins: a draw of the generator does not decide the draws
+// after it. Across the oracle's seeds, the coin at every draw position but the
+// first takes both values beside both values of the first draw's coin.
+func TestSeedBytesMixCoins(t *testing.T) {
+	for i := 1; i < len(seedBytes(0)); i++ {
+		var seen [2][2]bool
+		for seed := range 300 {
+			g := &dgen{data: seedBytes(seed)}
+			first := g.coin()
+			g.i = i
+			seen[b2i(first)][b2i(g.coin())] = true
+		}
+		if seen != [2][2]bool{{true, true}, {true, true}} {
+			t.Fatalf("draw %d: (first coin, its coin) combinations seen %v, want all four", i, seen)
+		}
+	}
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // TestDifferentialOracle is the headline soundness gate: 300 generated
@@ -1114,6 +1151,7 @@ func TestDifferentialOracle(t *testing.T) {
 		n = 60
 	}
 	var total diffCounts
+	before := metrics.Values()
 	for seed := 0; seed < n; seed++ {
 		c, err := runDifferential(seedBytes(seed), true)
 		total.add(c)
@@ -1121,19 +1159,21 @@ func TestDifferentialOracle(t *testing.T) {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 	}
+	after := metrics.Values()
 	// The harness must actually exercise the optimizer, not vacuously pass
 	// on plans it never changes.
 	if total.optimized < n/4 {
 		t.Fatalf("only %d of %d runs over %d seeds changed a plan — generator no longer exercises the optimizer", total.optimized, total.runs, n)
 	}
 	// Nor may a predicate stop higher than it did before Γ's outer attributes
-	// became carried columns (8407 crossings at PR 21 over these seeds).
+	// became carried columns (8407 crossings then, over the seeds of the
+	// time; these seeds cross 8535 times).
 	if n == 300 && total.pushed < 8407 {
 		t.Fatalf("%d predicate × operator crossings over %d seeds, 8407 before Γ was keyed by the IDs", total.pushed, n)
 	}
 	// And pruning must actually reach through Γ: wherever the ablated plans
 	// group above an addIndex — by every flat column — the full plans group by
-	// fewer. (The generator draws a nested head in 48 of the 300 seeds.)
+	// fewer. (The generator draws a nested head in 52 of the 300 seeds.)
 	if total.narrowed < total.nested || total.nested < n/8 {
 		t.Fatalf("%d of %d seeds group above an addIndex and %d of those key the Γ by fewer columns than their NoColumnPruning arm — the narrowing is no longer exercised", total.nested, n, total.narrowed)
 	}
@@ -1146,10 +1186,10 @@ func TestDifferentialOracle(t *testing.T) {
 	// skip their exchange (each run checks the decisions against the stages it
 	// ran, and that SPARK-SQL skips none). 48 seeds placed a join side when
 	// placement became a plan property, all in the since-deleted unshred
-	// plan. The matrix's own joins on a Γ's key place one on 147 of its
-	// 300 × 8 seed × strategy pairs (in 29 seeds), counted apart from the
-	// grouped-join arm, which places one in every seed; the pairs, not the
-	// seeds, notice placement lost on some routes only.
+	// plan. The matrix's own joins on a Γ's key place one on 124 of its
+	// 300 × 8 seed × strategy pairs, counted apart from the grouped-join arm,
+	// which places one in every seed; the pairs, not the seeds, notice
+	// placement lost on some routes only.
 	if total.local < n/8 {
 		t.Fatalf("%d of %d seeds reduce a Γ/dedup in place on some strategy's full plans — plan.Place is no longer exercised", total.local, n)
 	}
@@ -1164,10 +1204,14 @@ func TestDifferentialOracle(t *testing.T) {
 	if total.indexed < n/4 {
 		t.Fatalf("only %d runs planned an index scan across %d seeds — generator no longer exercises index planning", total.indexed, n)
 	}
-	// And key-based shuffles must actually meter typed-encoding buffers, not
-	// fall back to the boxed row walk on every generated query.
-	if total.typed < n/4 {
-		t.Fatalf("only %d runs metered a typed-encoding shuffle buffer over %d seeds — the wire-size meter is no longer exercised", total.typed, n)
+	// Every one of those scans is served by the index its statistics flag.
+	if scans, fallbacks := after["index.scans"]-before["index.scans"], after["index.fallbacks"]-before["index.fallbacks"]; scans == 0 || fallbacks != 0 {
+		t.Fatalf("%d index scans, %d fell back to full scans — a planned index was not bound", scans, fallbacks)
+	}
+	// And key-based shuffles must actually move rows, so the stage records
+	// every run holds to the run's shuffled bytes (movedBy.check) are metered.
+	if total.shuffled < n/4 {
+		t.Fatalf("only %d runs moved a row across an exchange over %d seeds — the wire-size meter is no longer exercised", total.shuffled, n)
 	}
 	// And the program arm must actually bind step outputs in shredded form,
 	// not only as nested datasets.
@@ -1179,9 +1223,9 @@ func TestDifferentialOracle(t *testing.T) {
 	if total.stitchResolved < n/8 || total.stitchDeep < n/8 {
 		t.Fatalf("%d of %d seeds resolved a label inside the stitching comparator and %d stitched two nesting levels — stitching is no longer exercised", total.stitchResolved, n, total.stitchDeep)
 	}
-	t.Logf("%d seeds stitched through a label comparison, %d two levels deep", total.stitchResolved, total.stitchDeep)
-	t.Logf("%d queries × %d runs each agreed with the oracle; optimizer changed plans in %d runs (%d crossings); %d seeds keyed a Γ by the IDs; %d seeds fused a join and %d composed a chain; %d seeds reduced in place; %d seed × strategy pairs placed a join side (%d grouped-join programs); %d runs planned index scans; %d runs metered typed-encoding shuffle buffers; %d programs read a shredded step output",
-		n, total.runs/n, total.optimized, total.pushed, total.narrowed, total.fused, total.composed, total.local, total.placed, total.groupedPlaced, total.indexed, total.typed, total.shreddedSteps)
+	t.Logf("%d seeds stitched through a label comparison, %d two levels deep; %d index scans served", total.stitchResolved, total.stitchDeep, after["index.scans"]-before["index.scans"])
+	t.Logf("%d queries × %d runs each agreed with the oracle; optimizer changed plans in %d runs (%d crossings); %d seeds grouped above an addIndex, %d keyed a Γ by the IDs; %d seeds fused a join and %d composed a chain; %d seeds reduced in place; %d seed × strategy pairs placed a join side (%d grouped-join programs); %d runs planned index scans; %d runs moved rows across an exchange; %d programs read a shredded step output",
+		n, total.runs/n, total.optimized, total.pushed, total.nested, total.narrowed, total.fused, total.composed, total.local, total.placed, total.groupedPlaced, total.indexed, total.shuffled, total.shreddedSteps)
 }
 
 // TestAnalyzeStableAcrossRoutes re-runs a sampled subset of the differential
@@ -1217,8 +1261,8 @@ func TestAnalyzeStableAcrossRoutes(t *testing.T) {
 		applyIndexes(ests, chosen)
 
 		for _, noIdx := range []bool{false, true} {
-			cfg := diffConfig(true, noIdx, ests, limit)
-			cq, cerr := runner.CompileStep(mkQuery(), env, runner.Standard, cfg, "Q")
+			cfg, cst := diffConfig(true, noIdx, ests, limit)
+			cq, cerr := runner.CompileStep(mkQuery(), env, runner.Standard, cfg, cst, "Q")
 			if cerr != nil {
 				t.Fatalf("seed %d (noidx=%t): compile: %v", seed, noIdx, cerr)
 			}

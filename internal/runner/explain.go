@@ -74,25 +74,14 @@ func (cq *Compiled) explainHeader(sb *strings.Builder) {
 func (r *Result) ExplainAnalyze() string {
 	var sb strings.Builder
 	a := r.Analyze
-	wall := map[string]time.Duration{}
+	// Shuffle stages are named under the operator's base stage plus a side
+	// suffix ("join#1/L"); node stats carry the base name, so shuffled bytes
+	// aggregate under the text before the first '/'.
+	wall, shuffled := map[string]time.Duration{}, map[string]int64{}
 	for _, st := range r.Metrics.StageWall {
 		wall[st.Stage] += st.Wall
-	}
-	// Shuffle stages are named under the operator's base stage plus a side
-	// suffix ("join#1/L"); node stats carry the base name, so the exchange
-	// accounting aggregates under the text before the first '/'.
-	exch := map[string]plan.ExchangeStat{}
-	for _, se := range r.Metrics.StageExchange {
-		base := se.Stage
-		if i := strings.IndexByte(base, '/'); i >= 0 {
-			base = base[:i]
-		}
-		cur := exch[base]
-		cur.ColumnarBuffers += se.ColumnarBuffers
-		cur.BoxedBuffers += se.BoxedBuffers
-		cur.ColumnarBytes += se.ColumnarBytes
-		cur.BoxedBytes += se.BoxedBytes
-		exch[base] = cur
+		base, _, _ := strings.Cut(st.Stage, "/")
+		shuffled[base] += st.ShuffleBytes
 	}
 	for i, cq := range r.prog {
 		stepHeader(&sb, r.prog, i)
@@ -102,7 +91,7 @@ func (r *Result) ExplainAnalyze() string {
 		}
 		var qerrs []plan.QError
 		for _, st := range cq.Stmts {
-			fmt.Fprintf(&sb, "=== %s (analyzed) ===\n%s", st.Label, plan.ExplainAnalyzed(st.Plan, a, wall, exch))
+			fmt.Fprintf(&sb, "=== %s (analyzed) ===\n%s", st.Label, plan.ExplainAnalyzed(st.Plan, a, wall, shuffled))
 			qerrs = append(qerrs, plan.QErrors(st.Plan, a)...)
 		}
 		cq.explainStitch(&sb)
@@ -119,10 +108,6 @@ func (r *Result) ExplainAnalyze() string {
 	}
 	fmt.Fprintf(&sb, "execution: wall=%s shuffled=%dB rows_shuffled=%d\n",
 		r.Elapsed.Round(time.Microsecond), r.Metrics.ShuffleBytes, r.Metrics.ShuffleRecords)
-	if e := r.Metrics.Exchange; e.ColumnarBuffers+e.BoxedBuffers > 0 {
-		fmt.Fprintf(&sb, "exchange: columnar_buffers=%d boxed_buffers=%d columnar_bytes=%dB boxed_bytes=%dB\n",
-			e.ColumnarBuffers, e.BoxedBuffers, e.ColumnarBytes, e.BoxedBytes)
-	}
 	return sb.String()
 }
 

@@ -8,7 +8,6 @@ import (
 	"github.com/trance-go/trance/internal/dataflow"
 	"github.com/trance-go/trance/internal/index"
 	"github.com/trance-go/trance/internal/nrc"
-	"github.com/trance-go/trance/internal/plan"
 	"github.com/trance-go/trance/internal/shred"
 	"github.com/trance-go/trance/internal/value"
 )
@@ -132,30 +131,24 @@ func IndexChunks(chunks []*Chunk, col string) (*index.ColumnIndex, error) {
 }
 
 // Input is one named nested input bound for evaluation: its declared type, the
-// chunks of its rows, and what evaluation derives from them — the engine rows
-// of each route (the top-level rows on standard routes, the value-shredded
-// components on shredded ones) and the secondary indexes of its top-level
-// scalar columns. Each is computed on first use, once, and shared by every
-// run and goroutine binding the Input. Value shredding mints labels from the
-// input's name, so an Input serves one variable name: a catalog generation
-// owns one per name it is queried under.
+// chunks of its rows, the secondary indexes built over its top-level scalar
+// columns, and the engine rows of each route (the top-level rows on standard
+// routes, the value-shredded components on shredded ones), converted on first
+// use, once, and shared by every run and goroutine binding the Input. Value
+// shredding mints labels from the input's name, so an Input serves one
+// variable name: a catalog generation owns one per name it is queried under.
 type Input struct {
 	Name   string
 	Type   nrc.Type
 	Chunks []*Chunk
 
 	routes [2]conversion // standard, shredded: the chunks' rows concatenated
-
-	mu sync.Mutex
-	// idx is replaced, never edited, when a planned index is built: a run
-	// keeps the set it bound.
-	idx   *index.Set
-	tried map[string]bool // columns a planned index was built (or refused) for
+	idx    *index.Set
 }
 
 // NewInput binds the rows of chunks, in order, under name with declared type
-// t; idx (nil: none) holds indexes already built over them, which the Input
-// never modifies.
+// t; idx (nil: none) holds the indexes built over them (IndexChunks), which
+// the Input never modifies and a run scans where its plans flag them.
 func NewInput(name string, t nrc.Type, chunks []*Chunk, idx *index.Set) *Input {
 	return &Input{Name: name, Type: t, Chunks: chunks, idx: idx}
 }
@@ -163,8 +156,8 @@ func NewInput(name string, t nrc.Type, chunks []*Chunk, idx *index.Set) *Input {
 // Inputs are the inputs of a run by variable name.
 type Inputs map[string]*Input
 
-// NewInputs binds nested values, one chunk each, under the types env declares
-// for them.
+// NewInputs binds nested values, one chunk each and without indexes, under
+// the types env declares for them.
 func NewInputs(bags map[string]value.Bag, env nrc.Env) Inputs {
 	ins := make(Inputs, len(bags))
 	for name, b := range bags {
@@ -176,9 +169,8 @@ func NewInputs(bags map[string]value.Bag, env nrc.Env) Inputs {
 // Bind returns what Execute binds for prog: every input's rows on prog's
 // route, and, when a plan of prog scans an index, the inputs' index sets keyed
 // like the rows (shredded routes scan the top component, whose rows value
-// shredding keeps in order with their scalar columns in place). An index the
-// statistics of prog's config flag is built here once per Input if the Input
-// lacks it; IndexScan falls back to a full scan when one is missing anyway.
+// shredding keeps in order with their scalar columns in place). IndexScan
+// falls back to a full scan when a flagged index is missing.
 func (ins Inputs) Bind(prog []*Compiled) (map[string][]dataflow.Row, map[string]*index.Set, error) {
 	cq := prog[0]
 	shredded := cq.Strategy.IsShredded()
@@ -197,14 +189,14 @@ func (ins Inputs) Bind(prog []*Compiled) (map[string][]dataflow.Row, map[string]
 		if !planned {
 			continue
 		}
-		if set := in.indexes(cq.Cfg.Stats[name]); set.Len() > 0 {
+		if in.idx.Len() > 0 {
 			if idxs == nil {
 				idxs = map[string]*index.Set{}
 			}
 			if shredded {
 				name = shred.MatName(name, nil)
 			}
-			idxs[name] = set
+			idxs[name] = in.idx
 		}
 	}
 	return rows, idxs, nil
@@ -249,30 +241,6 @@ func (in *Input) concat(shredded bool) (map[string][]dataflow.Row, error) {
 		rows[comp] = all
 	}
 	return rows, nil
-}
-
-// indexes returns the input's index set after building, once each, the
-// indexes te flags (Indexed) that the set lacks.
-func (in *Input) indexes(te plan.TableEstimate) *index.Set {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	_, isBag := in.Type.(nrc.BagType)
-	for col, ce := range te.Cols {
-		if !isBag || !ce.Indexed || in.tried[col] || in.idx.Column(col) != nil {
-			continue
-		}
-		if in.tried == nil {
-			in.tried = map[string]bool{}
-		}
-		in.tried[col] = true
-		ci, err := IndexChunks(in.Chunks, col)
-		if err != nil {
-			continue
-		}
-		in.idx = in.idx.Clone()
-		in.idx.Put(ci)
-	}
-	return in.idx
 }
 
 // ScalarColumn finds a top-level scalar column of a bag type: its tuple offset

@@ -55,7 +55,7 @@ func TestNarrowedKeysUnderSkew(t *testing.T) {
 		var outs [2]value.Bag
 		var keys [2]int
 		for i, cfg := range []runner.Config{narrow, wide} {
-			cq, err := runner.CompileStep(c.q(), c.env, runner.StandardSkew, cfg, "Q")
+			cq, err := runner.CompileStep(c.q(), c.env, runner.StandardSkew, cfg, nil, "Q")
 			if err != nil {
 				t.Fatalf("%s: %v", c.name, err)
 			}
@@ -92,13 +92,13 @@ func TestFusedJoinsUnderSkew(t *testing.T) {
 	inputs := map[string]value.Bag{"NDB": tpch.BuildNested(tables, 2, true), "Part": tables.Part}
 	fused := runner.DefaultConfig()
 	fused.BroadcastLimit = 0 // bytes are broadcast only to the heavy rows of a skew join
-	fused.Stats = collectDiffStats(env, inputs)
+	ests := collectDiffStats(env, inputs)
 	unfused := fused
 	unfused.NoColumnPruning = true
 	for _, strat := range []runner.Strategy{runner.StandardSkew, runner.ShredSkew, runner.ShredUnshredSkew, runner.Auto} {
 		var outs [2]value.Bag
 		for i, cfg := range []runner.Config{fused, unfused} {
-			cq, err := runner.CompileStep(tpch.Query(tpch.NestedToNested, 2, false), env, strat, cfg, "Q")
+			cq, err := runner.CompileStep(tpch.Query(tpch.NestedToNested, 2, false), env, strat, cfg, ests, "Q")
 			if err != nil {
 				t.Fatalf("%s: %v", strat, err)
 			}
@@ -147,7 +147,7 @@ func TestFusedJoinReadByNobody(t *testing.T) {
 		for _, noPushdown := range []bool{true, false} {
 			cfg := runner.DefaultConfig()
 			cfg.NoPredicatePushdown = noPushdown
-			cq, err := runner.CompileStep(q, tpch.FlatEnv(), strat, cfg, "Q")
+			cq, err := runner.CompileStep(q, tpch.FlatEnv(), strat, cfg, nil, "Q")
 			if err != nil {
 				t.Fatalf("%s: %v", strat, err)
 			}

@@ -30,12 +30,12 @@ func TestColocatedRoutesSkipExchanges(t *testing.T) {
 	} {
 		env := tpch.Env(c.class, 2, false)
 		cfg := DefaultConfig()
-		cfg.Stats = map[string]plan.TableEstimate{}
+		ests := map[string]plan.TableEstimate{}
 		for name, typ := range env {
-			cfg.Stats[name] = stats.Collect(c.inputs[name], typ.(nrc.BagType), stats.Options{}).Estimate()
+			ests[name] = stats.Collect(c.inputs[name], typ.(nrc.BagType), stats.Options{}).Estimate()
 		}
 		for _, strat := range []Strategy{Standard, StandardSkew} {
-			cq, err := CompileStep(tpch.Query(c.class, 2, false), env, strat, cfg, "Q")
+			cq, err := CompileStep(tpch.Query(c.class, 2, false), env, strat, cfg, ests, "Q")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -110,7 +110,7 @@ func TestJoinChainOnOneKeySkipsAnExchange(t *testing.T) {
 		{Standard, "join#1/L join#1/R join#1 join#2/R join#2"},
 		{StandardSkew, "join#1/L join#1/R join#1 skewjoin#2 join#3/R join#3 skewjoin#4"},
 	} {
-		res := RunProgram([]nrc.Assignment{{Name: "Q", Expr: query()}}, env, inputs, c.strat, cfg)
+		res := RunProgram([]nrc.Assignment{{Name: "Q", Expr: query()}}, env, inputs, c.strat, cfg, nil)
 		if res.Failed() {
 			t.Fatalf("%s: %v", c.strat, res.Err)
 		}

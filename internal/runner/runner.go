@@ -42,8 +42,8 @@ const (
 	// ShredUnshredSkew is ShredUnshred with skew-aware operators.
 	ShredUnshredSkew
 	// Auto picks a concrete route per query at compile time from dataset
-	// statistics (Config.Stats): a skew-aware variant when a scanned input's
-	// heavy-key fraction reaches AutoSkewFraction, the shredded route
+	// statistics (CompileStep's stats): a skew-aware variant when a scanned
+	// input's heavy-key fraction reaches AutoSkewFraction, the shredded route
 	// (with unshredding, so the output shape matches Standard) when a
 	// selective pushed-down predicate lands on a nested input, Standard
 	// otherwise. The Compiled artifact records the chosen route in Strategy
@@ -166,15 +166,6 @@ type Config struct {
 	// docs/OPTIMIZER.md); used by the ablation bench and the differential
 	// oracle harness.
 	NoPredicatePushdown bool
-
-	// Stats provides per-input table statistics (keyed by the input variable
-	// name) to the cost-based planning layer: join method choice, input
-	// ordering and index scans (plan.Annotate) and the Auto strategy's route
-	// selection. A session fills it from the catalog statistics of the
-	// generations it resolved to, replacing any value set here; nil (outside
-	// a session) disables all of them, and statistics flagging no Indexed
-	// column plan no index scan.
-	Stats map[string]plan.TableEstimate
 }
 
 // Auto-selection thresholds (see docs/COSTMODEL.md for the rationale).

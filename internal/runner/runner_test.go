@@ -38,7 +38,7 @@ func TestStrategyNames(t *testing.T) {
 
 func TestRunReportsCompileErrors(t *testing.T) {
 	q := nrc.ForIn("x", nrc.V("Missing"), nrc.SingOf(nrc.Record("a", nrc.C(1))))
-	res := RunProgram([]nrc.Assignment{{Name: "Q", Expr: q}}, nrc.Env{}, nil, Standard, DefaultConfig())
+	res := RunProgram([]nrc.Assignment{{Name: "Q", Expr: q}}, nrc.Env{}, nil, Standard, DefaultConfig(), nil)
 	if !res.Failed() {
 		t.Fatal("unbound input must fail")
 	}
@@ -46,7 +46,7 @@ func TestRunReportsCompileErrors(t *testing.T) {
 
 func TestRunShredExposesMaterializedProgram(t *testing.T) {
 	inputs := map[string]value.Bag{"COP": testdata.SmallCOP(), "Part": testdata.SmallPart()}
-	res := RunProgram([]nrc.Assignment{{Name: "Q", Expr: testdata.RunningExample()}}, testdata.Env(), inputs, Shred, DefaultConfig())
+	res := RunProgram([]nrc.Assignment{{Name: "Q", Expr: testdata.RunningExample()}}, testdata.Env(), inputs, Shred, DefaultConfig(), nil)
 	if res.Failed() {
 		t.Fatal(res.Err)
 	}
@@ -70,7 +70,7 @@ func TestPipelineFailurePropagates(t *testing.T) {
 	}
 	env := nrc.Env{"R": nrc.BagOf(nrc.Tup("a", nrc.IntT))}
 	inputs := map[string]value.Bag{"R": {value.Tuple{int64(1)}}}
-	res := RunProgram(steps, env, inputs, Standard, DefaultConfig())
+	res := RunProgram(steps, env, inputs, Standard, DefaultConfig(), nil)
 	if !res.Failed() || res.FailedStep != 1 {
 		t.Fatalf("expected failure at step 1, got %d / %v", res.FailedStep, res.Err)
 	}
@@ -87,7 +87,7 @@ func TestPipelineDuplicateStepName(t *testing.T) {
 	}
 	steps := []nrc.Assignment{{Name: "S1", Expr: mk()}, {Name: "S1", Expr: mk()}}
 	env := nrc.Env{"R": nrc.BagOf(nrc.Tup("a", nrc.IntT))}
-	res := RunProgram(steps, env, map[string]value.Bag{"R": {}}, Standard, DefaultConfig())
+	res := RunProgram(steps, env, map[string]value.Bag{"R": {}}, Standard, DefaultConfig(), nil)
 	if !res.Failed() || res.FailedStep != 1 {
 		t.Fatalf("duplicate step name must fail at step 1: %d / %v", res.FailedStep, res.Err)
 	}
@@ -119,8 +119,8 @@ func TestPipelineShredUnshredFinalStep(t *testing.T) {
 					"big2", nrc.P(nrc.V("b"), "big"))))},
 		}
 	}
-	std := RunProgram(mkSteps(), env, inputs, Standard, DefaultConfig())
-	shr := RunProgram(mkSteps(), env, inputs, ShredUnshred, DefaultConfig())
+	std := RunProgram(mkSteps(), env, inputs, Standard, DefaultConfig(), nil)
+	shr := RunProgram(mkSteps(), env, inputs, ShredUnshred, DefaultConfig(), nil)
 	if std.Failed() || shr.Failed() {
 		t.Fatalf("std=%v shr=%v", std.Err, shr.Err)
 	}
@@ -140,8 +140,8 @@ func TestNoColumnPruningStillCorrect(t *testing.T) {
 	inputs := map[string]value.Bag{"COP": testdata.SmallCOP(), "Part": testdata.SmallPart()}
 	cfg := DefaultConfig()
 	cfg.NoColumnPruning = true
-	a := RunProgram([]nrc.Assignment{{Name: "Q", Expr: testdata.RunningExample()}}, testdata.Env(), inputs, Standard, cfg)
-	b := RunProgram([]nrc.Assignment{{Name: "Q", Expr: testdata.RunningExample()}}, testdata.Env(), inputs, Standard, DefaultConfig())
+	a := RunProgram([]nrc.Assignment{{Name: "Q", Expr: testdata.RunningExample()}}, testdata.Env(), inputs, Standard, cfg, nil)
+	b := RunProgram([]nrc.Assignment{{Name: "Q", Expr: testdata.RunningExample()}}, testdata.Env(), inputs, Standard, DefaultConfig(), nil)
 	if a.Failed() || b.Failed() {
 		t.Fatalf("%v / %v", a.Err, b.Err)
 	}
@@ -168,11 +168,11 @@ func TestCompileOnceExecuteMany(t *testing.T) {
 	inputs := map[string]value.Bag{"COP": testdata.SmallCOP(), "Part": testdata.SmallPart()}
 	cfg := DefaultConfig()
 	for _, strat := range []Strategy{Standard, ShredUnshred} {
-		cq, err := CompileStep(testdata.RunningExample(), testdata.Env(), strat, cfg, "Q")
+		cq, err := CompileStep(testdata.RunningExample(), testdata.Env(), strat, cfg, nil, "Q")
 		if err != nil {
 			t.Fatalf("%s: %v", strat, err)
 		}
-		want := RunProgram([]nrc.Assignment{{Name: "Q", Expr: testdata.RunningExample()}}, testdata.Env(), inputs, strat, cfg)
+		want := RunProgram([]nrc.Assignment{{Name: "Q", Expr: testdata.RunningExample()}}, testdata.Env(), inputs, strat, cfg, nil)
 		if want.Failed() {
 			t.Fatalf("%s run: %v", strat, want.Err)
 		}
@@ -205,7 +205,7 @@ func TestExecutePanicBecomesError(t *testing.T) {
 	q := nrc.ForIn("x", nrc.V("R"),
 		nrc.SingOf(nrc.Record("b", nrc.AddOf(nrc.P(nrc.V("x"), "a"), nrc.C(int64(1))))))
 	bad := map[string]value.Bag{"R": {value.Tuple{int(7)}}}
-	res := RunProgram([]nrc.Assignment{{Name: "Q", Expr: q}}, env, bad, Standard, DefaultConfig())
+	res := RunProgram([]nrc.Assignment{{Name: "Q", Expr: q}}, env, bad, Standard, DefaultConfig(), nil)
 	if !res.Failed() {
 		t.Fatal("malformed input data must fail the run, not crash or succeed")
 	}
@@ -217,7 +217,7 @@ func TestExecutePanicBecomesError(t *testing.T) {
 // Cancelling the context aborts a shredded execution between statements.
 func TestExecuteHonorsCancellation(t *testing.T) {
 	inputs := map[string]value.Bag{"COP": testdata.SmallCOP(), "Part": testdata.SmallPart()}
-	cq, err := CompileStep(testdata.RunningExample(), testdata.Env(), Shred, DefaultConfig(), "Q")
+	cq, err := CompileStep(testdata.RunningExample(), testdata.Env(), Shred, DefaultConfig(), nil, "Q")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -55,7 +55,7 @@ func TestStitchOrdersInsideBags(t *testing.T) {
 	}
 	run := func(strat Strategy) *Result {
 		cfg := DefaultConfig()
-		cq, err := CompileStep(q(), env, strat, cfg, "Q")
+		cq, err := CompileStep(q(), env, strat, cfg, nil, "Q")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -128,7 +128,7 @@ func TestStitchedReplyAllocs(t *testing.T) {
 			nrc.IfThen(nrc.GeOf(nrc.P(it, "k"), nrc.C(int64(550))),
 				nrc.SingOf(nrc.Record("k", nrc.P(it, "k"), "w", nrc.P(it, "w"))))))))
 	cfg := DefaultConfig()
-	cq, err := CompileStep(q, env, ShredUnshred, cfg, "Q")
+	cq, err := CompileStep(q, env, ShredUnshred, cfg, nil, "Q")
 	if err != nil {
 		t.Fatal(err)
 	}

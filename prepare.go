@@ -44,8 +44,9 @@ type PreparedQuery struct {
 	name  string
 	steps []PipelineStep
 	envs  []Env    // per-step compile environment (base + prior outputs)
-	fps   []string // per-step fingerprint of (query, env, compile-relevant config)
+	fps   []string // per-step fingerprint of (query, env, compile-relevant config, stats)
 	cfg   Config
+	stats map[string]plan.TableEstimate // per-input statistics the steps are costed against
 	pool  *Pool
 
 	// compileMu serializes typechecking and strategy compilations of the
@@ -57,11 +58,12 @@ type PreparedQuery struct {
 
 // prepare typechecks a program — every step against the base environment env
 // extended with the outputs of prior steps (runner.ResolveSteps) — and
-// fingerprints each step under cfg, the one way anything is prepared: each
-// (step, strategy) then compiles exactly once process-wide on first use.
-// Shredded strategies keep intermediate results shredded between steps and
-// unshred only the final output (paper Section 4). The caller holds compileMu.
-func prepare(name string, steps []PipelineStep, env Env, cfg Config, pool *Pool, compileMu *sync.Mutex) (*PreparedQuery, error) {
+// fingerprints each step under cfg and stats, the one way anything is
+// prepared: each (step, strategy) then compiles exactly once process-wide on
+// first use. Shredded strategies keep intermediate results shredded between
+// steps and unshred only the final output (paper Section 4). The caller holds
+// compileMu.
+func prepare(name string, steps []PipelineStep, env Env, cfg Config, stats map[string]plan.TableEstimate, pool *Pool, compileMu *sync.Mutex) (*PreparedQuery, error) {
 	envs, _, err := runner.ResolveSteps(steps, env)
 	if err != nil {
 		// A query's errors name no step, as its compile errors do not.
@@ -74,9 +76,9 @@ func prepare(name string, steps []PipelineStep, env Env, cfg Config, pool *Pool,
 		}
 		return nil, err
 	}
-	pq := &PreparedQuery{name: name, steps: steps, envs: envs, cfg: cfg, pool: pool, compileMu: compileMu}
+	pq := &PreparedQuery{name: name, steps: steps, envs: envs, cfg: cfg, stats: stats, pool: pool, compileMu: compileMu}
 	for i, st := range steps {
-		pq.fps = append(pq.fps, fingerprint(st, envs[i], cfg))
+		pq.fps = append(pq.fps, fingerprint(st, envs[i], cfg, stats))
 	}
 	return pq, nil
 }
@@ -215,7 +217,7 @@ func (pq *PreparedQuery) compiled(strat Strategy) (prog []*runner.Compiled, comp
 			defer pq.compileMu.Unlock()
 			cacheCompiles.Add(1)
 			compiledNow = true
-			entry.cq, entry.err = runner.CompileStep(st.Expr, pq.envs[i], eff, pq.cfg, st.Name)
+			entry.cq, entry.err = runner.CompileStep(st.Expr, pq.envs[i], eff, pq.cfg, pq.stats, st.Name)
 		})
 		if entry.err != nil {
 			if len(pq.steps) > 1 {
@@ -229,11 +231,11 @@ func (pq *PreparedQuery) compiled(strat Strategy) (prog []*runner.Compiled, comp
 }
 
 // fingerprint digests everything that affects a step's compilation: its
-// name and query (in canonical surface syntax), the sorted environment, and
-// the compile-relevant config knobs. Execution-only knobs (parallelism, worker
+// name and query (in canonical surface syntax), the sorted environment, the
+// compile-relevant config knobs and the statistics. Execution-only knobs (parallelism, worker
 // and memory bounds) are deliberately excluded so configs differing only in
 // cluster sizing share compiled plans.
-func fingerprint(st PipelineStep, env Env, cfg Config) string {
+func fingerprint(st PipelineStep, env Env, cfg Config, stats map[string]plan.TableEstimate) string {
 	h := sha256.New()
 	fmt.Fprintf(h, "step %s\n%s\n", st.Name, nrc.Print(st.Expr))
 	names := make([]string, 0, len(env))
@@ -253,13 +255,13 @@ func fingerprint(st PipelineStep, env Env, cfg Config) string {
 	// therefore a new fingerprint, never a stale cached route. The index flags
 	// decide which selections plan as index scans.
 	fmt.Fprintf(h, "bcast=%d\n", cfg.BroadcastLimit)
-	statNames := make([]string, 0, len(cfg.Stats))
-	for n := range cfg.Stats {
+	statNames := make([]string, 0, len(stats))
+	for n := range stats {
 		statNames = append(statNames, n)
 	}
 	sort.Strings(statNames)
 	for _, n := range statNames {
-		te := cfg.Stats[n]
+		te := stats[n]
 		fmt.Fprintf(h, "stats %s: gen=%d rows=%d bytes=%d\n", n, te.Generation, te.Rows, te.Bytes)
 		colNames := make([]string, 0, len(te.Cols))
 		for cn := range te.Cols {

@@ -178,10 +178,8 @@ func (sq *SessionQuery) refreshLocked() error {
 	for v, e := range entries {
 		env[v], gens[v], inputs[v] = e.info.Type, e.gen, e.input(v)
 	}
-	cfg := s.cfg
-	cfg.Stats = ests
 	sq.compileMu.Lock()
-	pq, err := prepare(sq.name, sq.steps, env, cfg, s.pool, &sq.compileMu)
+	pq, err := prepare(sq.name, sq.steps, env, s.cfg, ests, s.pool, &sq.compileMu)
 	sq.compileMu.Unlock()
 	if err != nil {
 		return err
