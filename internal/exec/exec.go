@@ -93,17 +93,6 @@ func (ex *Executor) wideStage(ns *plan.NodeStats, kind string) string {
 	return stage
 }
 
-// reduceStage is wideStage for a Γ/dedup, reporting whether it reduces where
-// its rows lie: plan.Place marked it. A local one runs only its reduce stage,
-// which its wall then resolves from.
-func (ex *Executor) reduceStage(ns *plan.NodeStats, kind string, marked []int) (stage string, local bool) {
-	local = marked != nil
-	if stage = ex.wideStage(ns, kind); local && ns != nil {
-		ns.Stage += "/reduce"
-	}
-	return stage, local
-}
-
 // Run evaluates a plan and returns the resulting dataset. Driver-side panics
 // (malformed plans, type confusion while building operators) are converted
 // into errors; panics inside partition tasks are already converted by the
@@ -232,12 +221,10 @@ func (ex *Executor) run(op plan.Op) (triple, error) {
 		// Γ, dedup and ⊎ merge light and heavy and follow the standard
 		// implementation (paper Figure 6: an empty heavy component and a null
 		// heavy-key set come back).
-		stage, local := ex.reduceStage(ns, "nest", x.Local)
-		return ex.allLight(recordWide(ns)(ex.nest(in.merge(), x, stage, local)))
+		return ex.allLight(recordWide(ns)(ex.nest(in.merge(), x, ex.wideStage(ns, "nest"), x.Local != nil)))
 
 	case *plan.DedupOp:
-		stage, local := ex.reduceStage(ns, "dedup", x.Local)
-		return ex.allLight(recordWide(ns)(in.merge().Distinct(stage, local)))
+		return ex.allLight(recordWide(ns)(in.merge().Distinct(ex.wideStage(ns, "dedup"), x.Local != nil)))
 
 	case *plan.UnionAll:
 		rt, err := ex.run(x.R)

@@ -1,97 +1,36 @@
 package nrc
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // FreeVars returns the free variables of e.
 func FreeVars(e Expr) map[string]bool {
 	out := map[string]bool{}
-	freeVars(e, map[string]bool{}, out)
+	freeVars(e, map[string]int{}, out)
 	return out
 }
 
-func freeVars(e Expr, bound map[string]bool, out map[string]bool) {
-	switch x := e.(type) {
-	case nil:
-	case *Const, *Empty:
-	case *Var:
-		if !bound[x.Name] {
-			out[x.Name] = true
+// freeVars adds to out every variable of e that no enclosing binder holds;
+// bound counts the enclosing binders of each name.
+func freeVars(e Expr, bound map[string]int, out map[string]bool) {
+	if v, ok := e.(*Var); ok {
+		if bound[v.Name] == 0 {
+			out[v.Name] = true
 		}
-	case *Proj:
-		freeVars(x.Tuple, bound, out)
-	case *TupleCtor:
-		for _, f := range x.Fields {
-			freeVars(f.Expr, bound, out)
-		}
-	case *Sing:
-		freeVars(x.Elem, bound, out)
-	case *Get:
-		freeVars(x.Bag, bound, out)
-	case *For:
-		freeVars(x.Source, bound, out)
-		withBound(bound, x.Var, func() { freeVars(x.Body, bound, out) })
-	case *Union:
-		freeVars(x.L, bound, out)
-		freeVars(x.R, bound, out)
-	case *Let:
-		freeVars(x.Val, bound, out)
-		withBound(bound, x.Var, func() { freeVars(x.Body, bound, out) })
-	case *If:
-		freeVars(x.Cond, bound, out)
-		freeVars(x.Then, bound, out)
-		if x.Else != nil {
-			freeVars(x.Else, bound, out)
-		}
-	case *Cmp:
-		freeVars(x.L, bound, out)
-		freeVars(x.R, bound, out)
-	case *Arith:
-		freeVars(x.L, bound, out)
-		freeVars(x.R, bound, out)
-	case *Not:
-		freeVars(x.E, bound, out)
-	case *BoolBin:
-		freeVars(x.L, bound, out)
-		freeVars(x.R, bound, out)
-	case *Dedup:
-		freeVars(x.E, bound, out)
-	case *GroupBy:
-		freeVars(x.E, bound, out)
-	case *SumBy:
-		freeVars(x.E, bound, out)
-	case *NewLabel:
-		for _, f := range x.Capture {
-			freeVars(f.Expr, bound, out)
-		}
-	case *MatchLabel:
-		freeVars(x.Label, bound, out)
-		old := map[string]bool{}
-		for _, p := range x.Params {
-			old[p] = bound[p]
-			bound[p] = true
-		}
-		freeVars(x.Body, bound, out)
-		for _, p := range x.Params {
-			bound[p] = old[p]
-		}
-	case *Lambda:
-		withBound(bound, x.Param, func() { freeVars(x.Body, bound, out) })
-	case *Lookup:
-		freeVars(x.Dict, bound, out)
-		freeVars(x.Label, bound, out)
-	case *MatLookup:
-		freeVars(x.Dict, bound, out)
-		freeVars(x.Label, bound, out)
-	default:
-		panic(fmt.Sprintf("nrc freeVars: unknown expression %T", e))
+		return
 	}
-}
-
-func withBound(bound map[string]bool, name string, fn func()) {
-	old := bound[name]
-	bound[name] = true
-	fn()
-	bound[name] = old
+	MapScoped(e, func(c Expr, binds []string) Expr {
+		for _, b := range binds {
+			bound[b]++
+		}
+		freeVars(c, bound, out)
+		for _, b := range binds {
+			bound[b]--
+		}
+		return c
+	})
 }
 
 // Copy deep-copies an expression tree. Types stored on the source nodes are
@@ -117,112 +56,45 @@ func Substitute(e Expr, subst map[string]Expr) Expr {
 }
 
 func substitute(e Expr, subst map[string]Expr) Expr {
-	if e == nil {
-		return nil
-	}
 	switch x := e.(type) {
-	case *Const:
-		return &Const{Val: x.Val}
 	case *Var:
 		if r, ok := subst[x.Name]; ok {
 			return Substitute(r, nil) // copy of the replacement
 		}
 		return &Var{Name: x.Name}
-	case *Proj:
-		return &Proj{Tuple: Substitute(x.Tuple, subst), Field: x.Field}
-	case *TupleCtor:
-		fs := make([]NamedExpr, len(x.Fields))
-		for i, f := range x.Fields {
-			fs[i] = NamedExpr{Name: f.Name, Expr: Substitute(f.Expr, subst)}
-		}
-		return &TupleCtor{Fields: fs}
-	case *Sing:
-		return &Sing{Elem: Substitute(x.Elem, subst)}
+	// The childless terms, which MapScoped hands back as they are.
+	case *Const:
+		return &Const{Val: x.Val}
 	case *Empty:
 		return &Empty{ElemType: x.ElemType}
-	case *Get:
-		return &Get{Bag: Substitute(x.Bag, subst)}
-	case *For:
-		return &For{
-			Var:    x.Var,
-			Source: Substitute(x.Source, subst),
-			Body:   Substitute(x.Body, without(subst, x.Var)),
-		}
-	case *Union:
-		return &Union{L: Substitute(x.L, subst), R: Substitute(x.R, subst)}
-	case *Let:
-		return &Let{
-			Var:  x.Var,
-			Val:  Substitute(x.Val, subst),
-			Body: Substitute(x.Body, without(subst, x.Var)),
-		}
-	case *If:
-		return &If{
-			Cond: Substitute(x.Cond, subst),
-			Then: Substitute(x.Then, subst),
-			Else: Substitute(x.Else, subst),
-		}
-	case *Cmp:
-		return &Cmp{Op: x.Op, L: Substitute(x.L, subst), R: Substitute(x.R, subst)}
-	case *Arith:
-		return &Arith{Op: x.Op, L: Substitute(x.L, subst), R: Substitute(x.R, subst)}
-	case *Not:
-		return &Not{E: Substitute(x.E, subst)}
-	case *BoolBin:
-		return &BoolBin{And: x.And, L: Substitute(x.L, subst), R: Substitute(x.R, subst)}
-	case *Dedup:
-		return &Dedup{E: Substitute(x.E, subst)}
-	case *GroupBy:
-		return &GroupBy{E: Substitute(x.E, subst), Keys: append([]string{}, x.Keys...), GroupAs: x.GroupAs}
-	case *SumBy:
-		return &SumBy{
-			E:      Substitute(x.E, subst),
-			Keys:   append([]string{}, x.Keys...),
-			Values: append([]string{}, x.Values...),
+	case *TupleCtor:
+		if len(x.Fields) == 0 {
+			return &TupleCtor{Fields: x.Fields}
 		}
 	case *NewLabel:
-		fs := make([]NamedExpr, len(x.Capture))
-		for i, f := range x.Capture {
-			fs[i] = NamedExpr{Name: f.Name, Expr: Substitute(f.Expr, subst)}
+		if len(x.Capture) == 0 {
+			return &NewLabel{Site: x.Site, Capture: x.Capture}
 		}
-		return &NewLabel{Site: x.Site, Capture: fs}
-	case *MatchLabel:
-		s := subst
-		for _, p := range x.Params {
-			s = without(s, p)
-		}
-		return &MatchLabel{
-			Label:      Substitute(x.Label, subst),
-			Site:       x.Site,
-			Params:     append([]string{}, x.Params...),
-			ParamTypes: append([]Type{}, x.ParamTypes...),
-			Body:       Substitute(x.Body, s),
-		}
-	case *Lambda:
-		return &Lambda{Param: x.Param, Body: Substitute(x.Body, without(subst, x.Param))}
-	case *Lookup:
-		return &Lookup{Dict: Substitute(x.Dict, subst), Label: Substitute(x.Label, subst)}
-	case *MatLookup:
-		return &MatLookup{Dict: Substitute(x.Dict, subst), Label: Substitute(x.Label, subst)}
-	default:
-		panic(fmt.Sprintf("nrc substitute: unknown expression %T", e))
 	}
+	return MapScoped(e, func(c Expr, binds []string) Expr {
+		return Substitute(c, without(subst, binds))
+	})
 }
 
-func without(subst map[string]Expr, name string) map[string]Expr {
-	if subst == nil {
-		return nil
-	}
-	if _, ok := subst[name]; !ok {
-		return subst
-	}
-	out := make(map[string]Expr, len(subst))
-	for k, v := range subst {
-		if k != name {
-			out[k] = v
+// without is subst less the bindings of names, which a binder shadows.
+func without(subst map[string]Expr, names []string) map[string]Expr {
+	for i, n := range names {
+		if _, ok := subst[n]; ok {
+			out := make(map[string]Expr, len(subst))
+			for k, v := range subst {
+				if !slices.Contains(names[i:], k) {
+					out[k] = v
+				}
+			}
+			return out
 		}
 	}
-	return out
+	return subst
 }
 
 // InlineLets replaces every let binding by substitution — the Normalize step
@@ -240,82 +112,137 @@ func inlineLets(e Expr) Expr {
 		body := inlineLets(l.Body)
 		return inlineLets(Substitute(body, map[string]Expr{l.Var: val}))
 	}
-	return mapChildren(e, inlineLets)
+	return MapChildren(e, inlineLets)
 }
 
-// MapChildren rebuilds e with fn applied to every direct child expression.
-// Binders are not tracked; callers needing capture-avoidance must handle
-// shadowing themselves.
-func MapChildren(e Expr, fn func(Expr) Expr) Expr { return mapChildren(e, fn) }
+// MapChildren is MapScoped for a walk that tracks no binders; one that
+// substitutes or captures variables must use MapScoped.
+func MapChildren(e Expr, fn func(Expr) Expr) Expr {
+	return MapScoped(e, func(c Expr, _ []string) Expr { return fn(c) })
+}
 
 // Children returns the direct child expressions of e.
 func Children(e Expr) []Expr {
 	var out []Expr
-	mapChildren(e, func(c Expr) Expr {
+	MapScoped(e, func(c Expr, _ []string) Expr {
 		out = append(out, c)
 		return c
 	})
 	return out
 }
 
-// mapChildren rebuilds e with fn applied to every direct child expression.
-func mapChildren(e Expr, fn func(Expr) Expr) Expr {
+// MapScoped rebuilds e with fn applied to every direct child, in order, and
+// is the one place that knows a term's children and its binders: binds names
+// the variables e binds over that child — a for or let body binds its
+// variable, a match-label body its params and a λ body its param. A term whose
+// children fn all returned unchanged comes back as it is, so a walk that only
+// reads allocates no nodes; a childless term always does. A missing else
+// branch is not a child.
+func MapScoped(e Expr, fn func(child Expr, binds []string) Expr) Expr {
 	switch x := e.(type) {
 	case *Const, *Var, *Empty, nil:
-		return e
 	case *Proj:
-		return &Proj{Tuple: fn(x.Tuple), Field: x.Field}
+		if t := fn(x.Tuple, nil); t != x.Tuple {
+			return &Proj{Tuple: t, Field: x.Field}
+		}
 	case *TupleCtor:
-		fs := make([]NamedExpr, len(x.Fields))
-		for i, f := range x.Fields {
-			fs[i] = NamedExpr{Name: f.Name, Expr: fn(f.Expr)}
+		if fs, changed := mapNamed(x.Fields, fn); changed {
+			return &TupleCtor{Fields: fs}
 		}
-		return &TupleCtor{Fields: fs}
 	case *Sing:
-		return &Sing{Elem: fn(x.Elem)}
+		if c := fn(x.Elem, nil); c != x.Elem {
+			return &Sing{Elem: c}
+		}
 	case *Get:
-		return &Get{Bag: fn(x.Bag)}
+		if b := fn(x.Bag, nil); b != x.Bag {
+			return &Get{Bag: b}
+		}
 	case *For:
-		return &For{Var: x.Var, Source: fn(x.Source), Body: fn(x.Body)}
+		if s, b := fn(x.Source, nil), fn(x.Body, []string{x.Var}); s != x.Source || b != x.Body {
+			return &For{Var: x.Var, Source: s, Body: b}
+		}
 	case *Union:
-		return &Union{L: fn(x.L), R: fn(x.R)}
+		if l, r := fn(x.L, nil), fn(x.R, nil); l != x.L || r != x.R {
+			return &Union{L: l, R: r}
+		}
 	case *Let:
-		return &Let{Var: x.Var, Val: fn(x.Val), Body: fn(x.Body)}
+		if v, b := fn(x.Val, nil), fn(x.Body, []string{x.Var}); v != x.Val || b != x.Body {
+			return &Let{Var: x.Var, Val: v, Body: b}
+		}
 	case *If:
-		var els Expr
-		if x.Else != nil {
-			els = fn(x.Else)
+		c, t, els := fn(x.Cond, nil), fn(x.Then, nil), x.Else
+		if els != nil {
+			els = fn(els, nil)
 		}
-		return &If{Cond: fn(x.Cond), Then: fn(x.Then), Else: els}
+		if c != x.Cond || t != x.Then || els != x.Else {
+			return &If{Cond: c, Then: t, Else: els}
+		}
 	case *Cmp:
-		return &Cmp{Op: x.Op, L: fn(x.L), R: fn(x.R)}
-	case *Arith:
-		return &Arith{Op: x.Op, L: fn(x.L), R: fn(x.R)}
-	case *Not:
-		return &Not{E: fn(x.E)}
-	case *BoolBin:
-		return &BoolBin{And: x.And, L: fn(x.L), R: fn(x.R)}
-	case *Dedup:
-		return &Dedup{E: fn(x.E)}
-	case *GroupBy:
-		return &GroupBy{E: fn(x.E), Keys: x.Keys, GroupAs: x.GroupAs}
-	case *SumBy:
-		return &SumBy{E: fn(x.E), Keys: x.Keys, Values: x.Values}
-	case *NewLabel:
-		fs := make([]NamedExpr, len(x.Capture))
-		for i, f := range x.Capture {
-			fs[i] = NamedExpr{Name: f.Name, Expr: fn(f.Expr)}
+		if l, r := fn(x.L, nil), fn(x.R, nil); l != x.L || r != x.R {
+			return &Cmp{Op: x.Op, L: l, R: r}
 		}
-		return &NewLabel{Site: x.Site, Capture: fs}
+	case *Arith:
+		if l, r := fn(x.L, nil), fn(x.R, nil); l != x.L || r != x.R {
+			return &Arith{Op: x.Op, L: l, R: r}
+		}
+	case *Not:
+		if c := fn(x.E, nil); c != x.E {
+			return &Not{E: c}
+		}
+	case *BoolBin:
+		if l, r := fn(x.L, nil), fn(x.R, nil); l != x.L || r != x.R {
+			return &BoolBin{And: x.And, L: l, R: r}
+		}
+	case *Dedup:
+		if c := fn(x.E, nil); c != x.E {
+			return &Dedup{E: c}
+		}
+	case *GroupBy:
+		if c := fn(x.E, nil); c != x.E {
+			return &GroupBy{E: c, Keys: x.Keys, GroupAs: x.GroupAs}
+		}
+	case *SumBy:
+		if c := fn(x.E, nil); c != x.E {
+			return &SumBy{E: c, Keys: x.Keys, Values: x.Values}
+		}
+	case *NewLabel:
+		if fs, changed := mapNamed(x.Capture, fn); changed {
+			return &NewLabel{Site: x.Site, Capture: fs}
+		}
 	case *MatchLabel:
-		return &MatchLabel{Label: fn(x.Label), Site: x.Site, Params: x.Params, ParamTypes: x.ParamTypes, Body: fn(x.Body)}
+		if l, b := fn(x.Label, nil), fn(x.Body, x.Params); l != x.Label || b != x.Body {
+			return &MatchLabel{Label: l, Site: x.Site, Params: x.Params, ParamTypes: x.ParamTypes, Body: b}
+		}
 	case *Lambda:
-		return &Lambda{Param: x.Param, Body: fn(x.Body)}
+		if b := fn(x.Body, []string{x.Param}); b != x.Body {
+			return &Lambda{Param: x.Param, Body: b}
+		}
 	case *Lookup:
-		return &Lookup{Dict: fn(x.Dict), Label: fn(x.Label)}
+		if d, l := fn(x.Dict, nil), fn(x.Label, nil); d != x.Dict || l != x.Label {
+			return &Lookup{Dict: d, Label: l}
+		}
 	case *MatLookup:
-		return &MatLookup{Dict: fn(x.Dict), Label: fn(x.Label)}
+		if d, l := fn(x.Dict, nil), fn(x.Label, nil); d != x.Dict || l != x.Label {
+			return &MatLookup{Dict: d, Label: l}
+		}
 	default:
-		panic(fmt.Sprintf("nrc mapChildren: unknown expression %T", e))
+		panic(fmt.Sprintf("nrc MapScoped: unknown expression %T", e))
 	}
+	return e
+}
+
+// mapNamed applies fn to the expression of every field, reporting whether any
+// changed; the fields come back fresh only then.
+func mapNamed(fs []NamedExpr, fn func(Expr, []string) Expr) ([]NamedExpr, bool) {
+	var out []NamedExpr
+	for i, f := range fs {
+		c := fn(f.Expr, nil)
+		if c != f.Expr && out == nil {
+			out = slices.Clone(fs)
+		}
+		if out != nil {
+			out[i].Expr = c
+		}
+	}
+	return out, out != nil
 }

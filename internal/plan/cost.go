@@ -163,37 +163,54 @@ func (a *annotator) walk(op Op) (Op, nodeEst) {
 			est.cols[i] = te.Cols[c.Name]
 		}
 		return x, est
-
 	case *Values:
 		return x, nodeEst{rows: float64(len(x.Rows)), bytes: float64(value.SizeRows(x.Rows)), cols: make([]ColEstimate, len(x.Cols))}
-
-	case *Select:
-		in, e := a.walk(x.In)
-		if scan, isScan := in.(*Scan); isScan && x.NullifyCols == nil && e.known() {
-			if op, est, ok := a.tryIndexScan(scan, x.Pred, e); ok {
+	case *Join:
+		return a.join(x)
+	}
+	ch := op.Children()
+	if len(ch) == 0 {
+		// Unknown operator: leave untouched, estimate unknown.
+		return op, unknownEst(len(op.Columns()))
+	}
+	kids, ests := make([]Op, len(ch)), make([]nodeEst, len(ch))
+	for i, c := range ch {
+		kids[i], ests[i] = a.walk(c)
+	}
+	if x, ok := op.(*Select); ok && x.NullifyCols == nil && ests[0].known() {
+		if scan, isScan := kids[0].(*Scan); isScan {
+			if op, est, ok := a.tryIndexScan(scan, x.Pred, ests[0]); ok {
 				return op, est
 			}
 		}
-		out := &Select{In: in, Pred: x.Pred, NullifyCols: x.NullifyCols}
-		if !e.known() {
-			return out, unknownEst(len(out.Columns()))
+	}
+	out := withChildren(op, kids...)
+	return out, estimate(out, ests)
+}
+
+// estimate derives an operator's estimate from those of its inputs.
+func estimate(op Op, ins []nodeEst) nodeEst {
+	e := ins[0]
+	switch op.(type) {
+	case *Select, *Unnest, *Nest, *UnionAll:
+		for _, in := range ins {
+			if !in.known() {
+				return unknownEst(len(op.Columns()))
+			}
 		}
+	}
+	switch x := op.(type) {
+	case *Select:
 		if x.NullifyCols != nil {
 			// Outer-preserving selection keeps every row.
-			return out, e
+			return e
 		}
 		sel := Selectivity(x.Pred, e.cols)
-		return out, nodeEst{rows: e.rows * sel, bytes: e.bytes * sel, cols: e.cols}
-
+		return nodeEst{rows: e.rows * sel, bytes: e.bytes * sel, cols: e.cols}
 	case *Extend:
-		in, e := a.walk(x.In)
-		out := &Extend{In: in, Exprs: x.Exprs}
 		cols := append(append([]ColEstimate{}, e.cols...), make([]ColEstimate, len(x.Exprs))...)
-		return out, nodeEst{rows: e.rows, bytes: e.bytes, cols: cols}
-
+		return nodeEst{rows: e.rows, bytes: e.bytes, cols: cols}
 	case *Project:
-		in, e := a.walk(x.In)
-		out := &Project{In: in, Outs: x.Outs, CastBags: x.CastBags}
 		cols := make([]ColEstimate, len(x.Outs))
 		if e.known() {
 			for i, ne := range x.Outs {
@@ -202,72 +219,30 @@ func (a *annotator) walk(op Op) (Op, nodeEst) {
 				}
 			}
 		}
-		return out, nodeEst{rows: e.rows, bytes: e.bytes, cols: cols}
-
+		return nodeEst{rows: e.rows, bytes: e.bytes, cols: cols}
 	case *AddIndex:
-		in, e := a.walk(x.In)
-		out := &AddIndex{In: in, Name: x.Name}
-		return out, nodeEst{rows: e.rows, bytes: e.bytes, cols: append(append([]ColEstimate{}, e.cols...), ColEstimate{})}
-
+		return nodeEst{rows: e.rows, bytes: e.bytes, cols: append(append([]ColEstimate{}, e.cols...), ColEstimate{})}
 	case *Unnest:
-		in, e := a.walk(x.In)
-		out := &Unnest{In: in, BagCol: x.BagCol, Prefix: x.Prefix, Outer: x.Outer, Outs: x.Outs}
-		n := len(out.Columns())
-		if !e.known() {
-			return out, unknownEst(n)
-		}
-		cols := make([]ColEstimate, n)
+		cols := make([]ColEstimate, len(x.Columns()))
 		for i := range cols {
 			// Element fields are unknown, and so is the tombstoned bag column.
 			if c := x.Full(i); c < len(e.cols) && c != x.BagCol {
 				cols[i] = e.cols[c]
 			}
 		}
-		return out, nodeEst{rows: e.rows * defaultFanout, bytes: e.bytes * defaultFanout, cols: cols}
-
-	case *Join:
-		return a.join(x)
-
+		return nodeEst{rows: e.rows * defaultFanout, bytes: e.bytes * defaultFanout, cols: cols}
 	case *Nest:
-		in, e := a.walk(x.In)
-		out := &Nest{In: in, GroupCols: x.GroupCols, GDepth: x.GDepth, CarryCols: x.CarryCols,
-			ValueCols: x.ValueCols, PresenceCols: x.PresenceCols, Agg: x.Agg, Mode: x.Mode,
-			OutName: x.OutName, ScalarElem: x.ScalarElem}
-		n := len(out.Columns())
-		if !e.known() {
-			return out, unknownEst(n)
-		}
-		cols := make([]ColEstimate, n)
+		cols := make([]ColEstimate, len(x.Columns()))
 		for i, c := range x.passed() {
 			if c < len(e.cols) {
 				cols[i] = e.cols[c]
 			}
 		}
-		rows := math.Max(1, e.rows/defaultFanout)
-		return out, nodeEst{rows: rows, bytes: e.bytes, cols: cols}
-
-	case *DedupOp:
-		in, e := a.walk(x.In)
-		out := &DedupOp{In: in}
-		return out, e
-
+		return nodeEst{rows: math.Max(1, e.rows/defaultFanout), bytes: e.bytes, cols: cols}
 	case *UnionAll:
-		l, le := a.walk(x.L)
-		r, re := a.walk(x.R)
-		out := &UnionAll{L: l, R: r}
-		if !le.known() || !re.known() {
-			return out, unknownEst(len(out.Columns()))
-		}
-		return out, nodeEst{rows: le.rows + re.rows, bytes: le.bytes + re.bytes, cols: le.cols}
-
-	case *BagToDict:
-		in, e := a.walk(x.In)
-		return &BagToDict{In: in, LabelCol: x.LabelCol}, e
-
-	default:
-		// Unknown operator: leave untouched, estimate unknown.
-		return op, unknownEst(len(op.Columns()))
+		return nodeEst{rows: e.rows + ins[1].rows, bytes: e.bytes + ins[1].bytes, cols: e.cols}
 	}
+	return e // dedup and bagToDict
 }
 
 // join estimates an equi-join's output and fixes the physical method. With
@@ -277,7 +252,7 @@ func (a *annotator) walk(op Op) (Op, nodeEst) {
 func (a *annotator) join(x *Join) (Op, nodeEst) {
 	l, le := a.walk(x.L)
 	r, re := a.walk(x.R)
-	out := &Join{L: l, R: r, LCols: x.LCols, RCols: x.RCols, Outer: x.Outer}
+	out := cloneWith(x, func(j *Join) { j.L, j.R, j.Cost = l, r, nil })
 	outCols := append(append([]ColEstimate{}, le.cols...), re.cols...)
 	if !le.known() || !re.known() {
 		return out, nodeEst{rows: -1, bytes: -1, cols: outCols}
@@ -316,10 +291,11 @@ func (a *annotator) join(x *Join) (Op, nodeEst) {
 	cost := &Costs{EstRows: int64(rows), BuildBytes: int64(re.bytes), Method: JoinShuffle}
 	if a.limit > 0 && re.bytes <= float64(a.limit) {
 		cost.Method = JoinBroadcast
-	} else if a.limit > 0 && !x.Outer && le.bytes <= float64(a.limit) {
+	} else if a.limit > 0 && !x.Outer && le.bytes <= float64(a.limit) && x.Outs == nil && x.Placed == [2]bool{} && !x.KeepSplit {
 		// Only the left side fits: swap so it becomes the broadcast build
 		// side. Inner equi-joins are symmetric up to column order, which the
-		// projection restores; outer joins are not swappable.
+		// projection restores; outer joins are not swappable, and neither is
+		// a join whose sides Fuse (Outs) or Place already decided for.
 		cost.Method = JoinBroadcast
 		cost.Swapped = true
 		cost.BuildBytes = int64(le.bytes)

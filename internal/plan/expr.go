@@ -227,36 +227,83 @@ func (e *CastNullBag) String() string { return fmt.Sprintf("castBag(%s)", e.E) }
 
 // ExprCols appends the column indexes referenced by e to out.
 func ExprCols(e Expr, out []int) []int {
+	if c, ok := e.(*Col); ok {
+		return append(out, c.Idx)
+	}
+	mapExpr(e, func(s Expr) Expr {
+		out = ExprCols(s, out)
+		return s
+	})
+	return out
+}
+
+// substCols rewrites column references through fn, rebuilding the tree above
+// every column fn replaced.
+func substCols(e Expr, fn func(*Col) Expr) Expr {
+	if c, ok := e.(*Col); ok {
+		return fn(c)
+	}
+	return mapExpr(e, func(s Expr) Expr { return substCols(s, fn) })
+}
+
+// mapExpr rebuilds e with fn applied to every direct sub-expression, in
+// order: the one place that knows the children of a scalar expression. An
+// expression whose children fn all returned unchanged comes back as it is, so
+// a walk that only reads allocates nothing.
+func mapExpr(e Expr, fn func(Expr) Expr) Expr {
 	switch x := e.(type) {
-	case *Col:
-		return append(out, x.Idx)
-	case *ConstE:
-		return out
+	case *Col, *ConstE:
 	case *CmpE:
-		return ExprCols(x.R, ExprCols(x.L, out))
+		if l, r := fn(x.L), fn(x.R); l != x.L || r != x.R {
+			return &CmpE{Op: x.Op, L: l, R: r}
+		}
 	case *ArithE:
-		return ExprCols(x.R, ExprCols(x.L, out))
+		if l, r := fn(x.L), fn(x.R); l != x.L || r != x.R {
+			return &ArithE{Op: x.Op, L: l, R: r, Typ: x.Typ}
+		}
 	case *NotE:
-		return ExprCols(x.E, out)
+		if s := fn(x.E); s != x.E {
+			return &NotE{E: s}
+		}
 	case *BoolE:
-		return ExprCols(x.R, ExprCols(x.L, out))
+		if l, r := fn(x.L), fn(x.R); l != x.L || r != x.R {
+			return &BoolE{And: x.And, L: l, R: r}
+		}
 	case *MkTuple:
-		for _, s := range x.Exprs {
-			out = ExprCols(s, out)
+		if es, changed := mapExprs(x.Exprs, fn); changed {
+			return &MkTuple{Names: x.Names, Exprs: es}
 		}
-		return out
 	case *MkLabel:
-		for _, s := range x.Args {
-			out = ExprCols(s, out)
+		if es, changed := mapExprs(x.Args, fn); changed {
+			return &MkLabel{Site: x.Site, Args: es}
 		}
-		return out
 	case *LabelField:
-		return ExprCols(x.E, out)
+		if s := fn(x.E); s != x.E {
+			return &LabelField{E: s, Site: x.Site, Idx: x.Idx, NParams: x.NParams, Typ: x.Typ}
+		}
 	case *CastNullBag:
-		return ExprCols(x.E, out)
+		if s := fn(x.E); s != x.E {
+			return &CastNullBag{E: s}
+		}
 	default:
 		panic(fmt.Sprintf("plan: unknown expr %T", e))
 	}
+	return e
+}
+
+// mapExprs applies fn to every expression of es, returning a fresh slice only
+// when some expression changed.
+func mapExprs(es []Expr, fn func(Expr) Expr) ([]Expr, bool) {
+	var out []Expr
+	for i, s := range es {
+		if c := fn(s); c != s || out != nil {
+			if out == nil {
+				out = append(make([]Expr, 0, len(es)), es[:i]...)
+			}
+			out = append(out, c)
+		}
+	}
+	return out, out != nil
 }
 
 // RemapExpr rewrites column references through a position map; the map must

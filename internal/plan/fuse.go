@@ -1,7 +1,6 @@
 package plan
 
 import (
-	"fmt"
 	"slices"
 
 	"github.com/trance-go/trance/internal/nrc"
@@ -30,7 +29,7 @@ func Fuse(op Op) Op {
 	for i, c := range ch {
 		kids[i] = Fuse(c)
 	}
-	return fuseNode(withChildren(op, kids))
+	return fuseNode(withChildren(op, kids...))
 }
 
 // fuseNode merges a π into its (already fused) input where a rule applies, and
@@ -130,37 +129,4 @@ func inline(users []NamedExpr, defs []Expr) ([]NamedExpr, bool) {
 		})}
 	}
 	return out, true
-}
-
-// withChildren returns op over the given inputs (in Children order).
-func withChildren(op Op, ch []Op) Op {
-	switch x := op.(type) {
-	case *Select:
-		return cloneWith(x, func(c *Select) { c.In = ch[0] })
-	case *Extend:
-		return cloneWith(x, func(c *Extend) { c.In = ch[0] })
-	case *Project:
-		return cloneWith(x, func(c *Project) { c.In = ch[0] })
-	case *AddIndex:
-		return cloneWith(x, func(c *AddIndex) { c.In = ch[0] })
-	case *Unnest:
-		return cloneWith(x, func(c *Unnest) { c.In = ch[0] })
-	case *Join:
-		return cloneWith(x, func(c *Join) { c.L, c.R = ch[0], ch[1] })
-	case *Nest:
-		return cloneWith(x, func(c *Nest) { c.In = ch[0] })
-	case *DedupOp:
-		return cloneWith(x, func(c *DedupOp) { c.In = ch[0] })
-	case *UnionAll:
-		return &UnionAll{L: ch[0], R: ch[1]}
-	case *BagToDict:
-		return cloneWith(x, func(c *BagToDict) { c.In = ch[0] })
-	}
-	panic(fmt.Sprintf("plan: fuse of unknown operator %T", op))
-}
-
-func cloneWith[T any](x *T, set func(*T)) *T {
-	c := *x
-	set(&c)
-	return &c
 }

@@ -390,6 +390,43 @@ func (b *BagToDict) Describe() string {
 	return fmt.Sprintf("bagToDict $%d", b.LabelCol) + mark(b.Placed, "placed") + mark(b.KeepSplit, "split kept")
 }
 
+// withChildren returns a copy of op over the given inputs (in Children
+// order), every other field kept. It and cloneWith are the one place that
+// rebuilds an operator, so a pass that rewrites some fields of a node keeps
+// those that other passes own, whatever order the passes run in.
+func withChildren(op Op, ch ...Op) Op {
+	switch x := op.(type) {
+	case *Select:
+		return cloneWith(x, func(c *Select) { c.In = ch[0] })
+	case *Extend:
+		return cloneWith(x, func(c *Extend) { c.In = ch[0] })
+	case *Project:
+		return cloneWith(x, func(c *Project) { c.In = ch[0] })
+	case *AddIndex:
+		return cloneWith(x, func(c *AddIndex) { c.In = ch[0] })
+	case *Unnest:
+		return cloneWith(x, func(c *Unnest) { c.In = ch[0] })
+	case *Join:
+		return cloneWith(x, func(c *Join) { c.L, c.R = ch[0], ch[1] })
+	case *Nest:
+		return cloneWith(x, func(c *Nest) { c.In = ch[0] })
+	case *DedupOp:
+		return cloneWith(x, func(c *DedupOp) { c.In = ch[0] })
+	case *UnionAll:
+		return &UnionAll{L: ch[0], R: ch[1]}
+	case *BagToDict:
+		return cloneWith(x, func(c *BagToDict) { c.In = ch[0] })
+	}
+	panic(fmt.Sprintf("plan: rebuild of operator %T", op))
+}
+
+// cloneWith returns a copy of *x with set applied to it.
+func cloneWith[T any](x *T, set func(*T)) *T {
+	c := *x
+	set(&c)
+	return &c
+}
+
 // Explain renders the plan as an indented tree with output column lists: the
 // ExplainAnalyzed rendering of a run that measured nothing.
 func Explain(op Op) string { return ExplainAnalyzed(op, nil, nil, nil) }

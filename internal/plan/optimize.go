@@ -162,7 +162,7 @@ func pushdown(op Op, preds []Expr, st *OptStats) Op {
 				below = append(below, p)
 			}
 		}
-		out := &Select{In: pushdown(x.In, below, st), Pred: pred, NullifyCols: x.NullifyCols}
+		out := cloneWith(x, func(s *Select) { s.In, s.Pred = pushdown(x.In, below, st), pred })
 		return wrapSelect(out, above)
 
 	case *Extend:
@@ -183,7 +183,7 @@ func pushdown(op Op, preds []Expr, st *OptStats) Op {
 			})
 			st.PredicatesPushed++
 		}
-		return &Extend{In: pushdown(x.In, pushed, st), Exprs: exprs}
+		return cloneWith(x, func(e *Extend) { e.In, e.Exprs = pushdown(x.In, pushed, st), exprs })
 
 	case *Project:
 		outs := make([]NamedExpr, len(x.Outs))
@@ -203,7 +203,7 @@ func pushdown(op Op, preds []Expr, st *OptStats) Op {
 			})
 			st.PredicatesPushed++
 		}
-		return &Project{In: pushdown(x.In, pushed, st), Outs: outs, CastBags: x.CastBags}
+		return cloneWith(x, func(p *Project) { p.In, p.Outs = pushdown(x.In, pushed, st), outs })
 
 	case *AddIndex:
 		// Never push below: unique-ID assignment depends on the rows present,
@@ -211,7 +211,7 @@ func pushdown(op Op, preds []Expr, st *OptStats) Op {
 		// (dictionaries joined by label in other statements). Filtering first
 		// would renumber them.
 		st.PushesRefused += int64(len(preds))
-		return wrapSelect(&AddIndex{In: pushdown(x.In, nil, st), Name: x.Name}, preds)
+		return wrapSelect(withChildren(x, pushdown(x.In, nil, st)), preds)
 
 	case *Unnest:
 		base := len(x.In.Columns())
@@ -246,8 +246,7 @@ func pushdown(op Op, preds []Expr, st *OptStats) Op {
 				above = append(above, p)
 			}
 		}
-		out := &Unnest{In: pushdown(x.In, below, st), BagCol: x.BagCol, Prefix: x.Prefix, Outer: x.Outer, Outs: x.Outs}
-		return wrapSelect(out, above)
+		return wrapSelect(withChildren(x, pushdown(x.In, below, st)), above)
 
 	case *Join:
 		return pushJoin(x, preds, st)
@@ -285,34 +284,22 @@ func pushdown(op Op, preds []Expr, st *OptStats) Op {
 				above = append(above, p)
 			}
 		}
-		out := &Nest{
-			In:           pushdown(x.In, below, st),
-			GroupCols:    x.GroupCols,
-			GDepth:       x.GDepth,
-			CarryCols:    x.CarryCols,
-			ValueCols:    x.ValueCols,
-			PresenceCols: x.PresenceCols,
-			Agg:          x.Agg,
-			Mode:         x.Mode,
-			OutName:      x.OutName,
-			ScalarElem:   x.ScalarElem,
-		}
-		return wrapSelect(out, above)
+		return wrapSelect(withChildren(x, pushdown(x.In, below, st)), above)
 
 	case *DedupOp:
 		// Filtering commutes with duplicate elimination.
 		st.PredicatesPushed += int64(len(preds))
-		return &DedupOp{In: pushdown(x.In, preds, st)}
+		return withChildren(x, pushdown(x.In, preds, st))
 
 	case *UnionAll:
 		// Both branches share the schema; the same conjuncts filter each.
 		st.PredicatesPushed += int64(len(preds))
-		return &UnionAll{L: pushdown(x.L, preds, st), R: pushdown(x.R, preds, st)}
+		return withChildren(x, pushdown(x.L, preds, st), pushdown(x.R, preds, st))
 
 	case *BagToDict:
 		// Pure repartitioning: filtering before moves strictly less data.
 		st.PredicatesPushed += int64(len(preds))
-		return &BagToDict{In: pushdown(x.In, preds, st), LabelCol: x.LabelCol}
+		return withChildren(x, pushdown(x.In, preds, st))
 	}
 	panic(fmt.Sprintf("plan: optimize of unknown operator %T", op))
 }
@@ -324,6 +311,10 @@ func pushdown(op Op, preds []Expr, st *OptStats) Op {
 // conjuncts on a join key additionally derive the mirrored filter for the
 // other side, so equality conjuncts cut both inputs before the shuffle.
 func pushJoin(x *Join, preds []Expr, st *OptStats) Op {
+	if x.Outs != nil {
+		// The conjuncts read what the probe writes, not L ++ R: they stay above.
+		return wrapSelect(withChildren(x, pushdown(x.L, nil, st), pushdown(x.R, nil, st)), preds)
+	}
 	lw := len(x.L.Columns())
 	lcols := x.L.Columns()
 	rcols := x.R.Columns()
@@ -383,11 +374,7 @@ func pushJoin(x *Join, preds []Expr, st *OptStats) Op {
 			above = append(above, p)
 		}
 	}
-	out := &Join{
-		L: pushdown(x.L, lp, st), R: pushdown(x.R, rp, st),
-		LCols: x.LCols, RCols: x.RCols, Outer: x.Outer,
-	}
-	return wrapSelect(out, above)
+	return wrapSelect(withChildren(x, pushdown(x.L, lp, st), pushdown(x.R, rp, st)), above)
 }
 
 // constEqCol recognizes Col == Const (either order) on scalar operands.
@@ -441,42 +428,6 @@ func refsAnyCol(e Expr, cols []int) bool {
 	return false
 }
 
-// substCols rewrites column references through fn, rebuilding the tree.
-func substCols(e Expr, fn func(*Col) Expr) Expr {
-	switch x := e.(type) {
-	case *Col:
-		return fn(x)
-	case *ConstE:
-		return x
-	case *CmpE:
-		return &CmpE{Op: x.Op, L: substCols(x.L, fn), R: substCols(x.R, fn)}
-	case *ArithE:
-		return &ArithE{Op: x.Op, L: substCols(x.L, fn), R: substCols(x.R, fn), Typ: x.Typ}
-	case *NotE:
-		return &NotE{E: substCols(x.E, fn)}
-	case *BoolE:
-		return &BoolE{And: x.And, L: substCols(x.L, fn), R: substCols(x.R, fn)}
-	case *MkTuple:
-		es := make([]Expr, len(x.Exprs))
-		for i, s := range x.Exprs {
-			es[i] = substCols(s, fn)
-		}
-		return &MkTuple{Names: x.Names, Exprs: es}
-	case *MkLabel:
-		es := make([]Expr, len(x.Args))
-		for i, s := range x.Args {
-			es[i] = substCols(s, fn)
-		}
-		return &MkLabel{Site: x.Site, Args: es}
-	case *LabelField:
-		return &LabelField{E: substCols(x.E, fn), Site: x.Site, Idx: x.Idx, NParams: x.NParams, Typ: x.Typ}
-	case *CastNullBag:
-		return &CastNullBag{E: substCols(x.E, fn)}
-	default:
-		panic(fmt.Sprintf("plan: unknown expr %T", e))
-	}
-}
-
 // isConstBool reports whether e is the boolean literal b.
 func isConstBool(e Expr, b bool) bool {
 	c, ok := e.(*ConstE)
@@ -507,87 +458,47 @@ func neverNull(e Expr) bool {
 // compile time, and boolean connectives with a literal side short-circuit
 // when doing so cannot change NULL coercion.
 func foldExpr(e Expr, st *OptStats) Expr {
-	switch x := e.(type) {
-	case *Col, *ConstE:
-		return e
-	case *CmpE:
-		l, r := foldExpr(x.L, st), foldExpr(x.R, st)
-		if isConst(l) && isConst(r) {
-			st.ConstantsFolded++
-			return &ConstE{Val: (&CmpE{Op: x.Op, L: l, R: r}).Eval(nil), Typ: nrc.BoolT}
-		}
-		return &CmpE{Op: x.Op, L: l, R: r}
-	case *ArithE:
-		l, r := foldExpr(x.L, st), foldExpr(x.R, st)
-		if isConst(l) && isConst(r) {
-			st.ConstantsFolded++
-			return &ConstE{Val: (&ArithE{Op: x.Op, L: l, R: r, Typ: x.Typ}).Eval(nil), Typ: x.Typ}
-		}
-		return &ArithE{Op: x.Op, L: l, R: r, Typ: x.Typ}
-	case *NotE:
-		sub := foldExpr(x.E, st)
-		if isConst(sub) {
-			st.ConstantsFolded++
-			return &ConstE{Val: (&NotE{E: sub}).Eval(nil), Typ: nrc.BoolT}
-		}
-		return &NotE{E: sub}
-	case *BoolE:
-		l, r := foldExpr(x.L, st), foldExpr(x.R, st)
-		if isConst(l) && isConst(r) {
-			st.ConstantsFolded++
-			return &ConstE{Val: (&BoolE{And: x.And, L: l, R: r}).Eval(nil), Typ: nrc.BoolT}
-		}
-		if x.And {
-			if isConstBool(l, false) || isConstBool(r, false) {
-				st.ConstantsFolded++
-				return &ConstE{Val: false, Typ: nrc.BoolT}
-			}
-			if isConstBool(l, true) && neverNull(r) {
-				st.ConstantsFolded++
-				return r
-			}
-			if isConstBool(r, true) && neverNull(l) {
-				st.ConstantsFolded++
-				return l
-			}
-		} else {
-			if isConstBool(l, true) || isConstBool(r, true) {
-				st.ConstantsFolded++
-				return &ConstE{Val: true, Typ: nrc.BoolT}
-			}
-			if isConstBool(l, false) && neverNull(r) {
-				st.ConstantsFolded++
-				return r
-			}
-			if isConstBool(r, false) && neverNull(l) {
-				st.ConstantsFolded++
-				return l
-			}
-		}
-		return &BoolE{And: x.And, L: l, R: r}
-	case *MkTuple:
-		es := make([]Expr, len(x.Exprs))
-		for i, s := range x.Exprs {
-			es[i] = foldExpr(s, st)
-		}
-		return &MkTuple{Names: x.Names, Exprs: es}
-	case *MkLabel:
-		es := make([]Expr, len(x.Args))
-		for i, s := range x.Args {
-			es[i] = foldExpr(s, st)
-		}
-		return &MkLabel{Site: x.Site, Args: es}
-	case *LabelField:
-		return &LabelField{E: foldExpr(x.E, st), Site: x.Site, Idx: x.Idx, NParams: x.NParams, Typ: x.Typ}
-	case *CastNullBag:
-		sub := foldExpr(x.E, st)
-		if c, ok := sub.(*ConstE); ok && c.Val == nil {
-			st.ConstantsFolded++
-			return &ConstE{Val: value.Bag{}, Typ: c.Typ}
-		}
-		return &CastNullBag{E: sub}
+	e = mapExpr(e, func(s Expr) Expr { return foldExpr(s, st) })
+	folded := func(v value.Value, t nrc.Type) Expr {
+		st.ConstantsFolded++
+		return &ConstE{Val: v, Typ: t}
 	}
-	panic(fmt.Sprintf("plan: unknown expr %T", e))
+	switch x := e.(type) {
+	case *CmpE, *ArithE, *NotE:
+		if allConst(x) {
+			return folded(x.Eval(nil), x.Type())
+		}
+	case *BoolE:
+		l, r := x.L, x.R
+		switch {
+		case allConst(x):
+			return folded(x.Eval(nil), nrc.BoolT)
+		case isConstBool(l, !x.And) || isConstBool(r, !x.And):
+			// false && … and true || … decide the connective.
+			return folded(!x.And, nrc.BoolT)
+		case isConstBool(l, x.And) && neverNull(r):
+			st.ConstantsFolded++
+			return r
+		case isConstBool(r, x.And) && neverNull(l):
+			st.ConstantsFolded++
+			return l
+		}
+	case *CastNullBag:
+		if c, ok := x.E.(*ConstE); ok && c.Val == nil {
+			return folded(value.Bag{}, c.Typ)
+		}
+	}
+	return e
+}
+
+// allConst reports whether every operand of e is a literal.
+func allConst(e Expr) bool {
+	all := true
+	mapExpr(e, func(s Expr) Expr {
+		all = all && isConst(s)
+		return s
+	})
+	return all
 }
 
 // isConst reports whether e is a literal.

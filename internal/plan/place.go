@@ -78,7 +78,7 @@ func (pl placer) place(op Op, hashed []int) (Op, placement) {
 		kids[i], ins[i] = pl.place(c, h)
 	}
 	in := ins[0]
-	switch x := withChildren(op, kids).(type) {
+	switch x := withChildren(op, kids...).(type) {
 	case *Select:
 		// σ̄ makes rows equal on what it nullifies, and sets a NULL where the
 		// hash read a value: a set or placement with such a column is lost.

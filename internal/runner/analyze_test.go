@@ -159,6 +159,46 @@ func TestExplainAnalyzeRendering(t *testing.T) {
 	if want := fmt.Sprintf("execution: wall=%s shuffled=%dB", res.Elapsed.Round(time.Microsecond), res.Metrics.ShuffleBytes); res.Metrics.ShuffleBytes == 0 || annotated != res.Metrics.ShuffleBytes || !strings.Contains(text, want) {
 		t.Fatalf("operators annotate %dB shuffled, the run %dB (want %q):\n%s", annotated, res.Metrics.ShuffleBytes, want, text)
 	}
+	// A wide operator's wall is the sum of every stage under its base name: a
+	// shuffle join's exchanges (join#k/L, join#k/R) and an exchanged Γ's
+	// reduce (nest#k/reduce) included; an unnest adds its closures' wall.
+	lines := strings.Split(ops, "\n")
+	var wide, split int
+	var walk func(op plan.Op)
+	walk = func(op plan.Op) {
+		for _, ch := range op.Children() {
+			walk(ch)
+		}
+		ns := a.Lookup(op)
+		if ns == nil || ns.Stage == "" {
+			return
+		}
+		sum, stages := ns.Wall(), 0
+		for _, st := range res.Metrics.StageWall {
+			if base, _, _ := strings.Cut(st.Stage, "/"); base == ns.Stage {
+				sum += st.Wall
+				stages++
+			}
+		}
+		head := fmt.Sprintf("%s [actual_rows=%d ", op.Describe(), ns.RowsOut.Load())
+		want := fmt.Sprintf(" wall=%s", sum.Round(time.Microsecond))
+		reads := func(l string) bool {
+			return strings.Contains(l, head) && (strings.Contains(l, want+" ") || strings.Contains(l, want+"]"))
+		}
+		if !slices.ContainsFunc(lines, reads) {
+			t.Errorf("%s (stage %s) does not read%s, the sum of its %d stages:\n%s", op.Describe(), ns.Stage, want, stages, text)
+		}
+		wide++
+		if stages > 1 {
+			split++
+		}
+	}
+	for _, st := range cq.Stmts {
+		walk(st.Plan)
+	}
+	if wide == 0 || split == 0 {
+		t.Fatalf("%d wide operators, %d of them over several stages; want some of each:\n%s", wide, split, text)
+	}
 
 	plain := ExecuteBags(context.Background(), []*Compiled{cq}, inputs, NewRunContext(cfg), ExecOptions{})
 	if plain.Failed() {

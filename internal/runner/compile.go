@@ -114,7 +114,7 @@ func (cq *Compiled) addOptimized(label, bind string, raw, opt plan.Op) {
 func (cq *Compiled) place(st Stmt, bound map[string][]int) Stmt {
 	if cq.Strategy != SparkSQLStyle {
 		st.Plan, st.placed = plan.Place(st.Plan, plan.PlaceOptions{
-			SkewAware:   cq.Strategy.skewAware(),
+			SkewAware:   cq.Strategy.SkewAware(),
 			NoBroadcast: cq.Cfg.BroadcastLimit <= 0,
 			Bound:       bound,
 		})
@@ -238,7 +238,7 @@ func CompileStep(q nrc.Expr, env nrc.Env, strat Strategy, cfg Config, stats map[
 		// with the same skew-awareness rather than failing the query.
 		cq.AutoReasons = append(cq.AutoReasons,
 			fmt.Sprintf("shredded route unavailable (%v); falling back to the standard variant", err))
-		if cq.Strategy.skewAware() {
+		if cq.Strategy.SkewAware() {
 			cq.Strategy = StandardSkew
 		} else {
 			cq.Strategy = Standard
@@ -276,7 +276,7 @@ func outputSchema(op plan.Op, out nrc.Type, strat Strategy) []OutputColumn {
 	for i, c := range pcols {
 		cols[i] = OutputColumn{Name: c.Name, Type: c.Type}
 	}
-	if strat.IsShredded() && !strat.unshreds() {
+	if strat.IsShredded() && !strat.Unshreds() {
 		return cols
 	}
 	bt, ok := out.(nrc.BagType)
@@ -411,7 +411,7 @@ func Execute(ctx context.Context, prog []*Compiled, rows map[string][]dataflow.R
 	last := prog[len(prog)-1]
 	res := &Result{Strategy: last.Strategy, Mat: last.Mat, Columns: last.Columns, Analyze: opts.Analysis, FailedStep: -1, prog: prog}
 	ex := exec.New(dctx)
-	ex.SkewAware = last.Strategy.skewAware()
+	ex.SkewAware = last.Strategy.SkewAware()
 	ex.Indexes = idxs
 	ex.Analysis = opts.Analysis
 	for name, r := range rows {
@@ -431,7 +431,7 @@ func Execute(ctx context.Context, prog []*Compiled, rows map[string][]dataflow.R
 			continue
 		}
 		res.Output = &Output{d: out}
-		if cq.Strategy.unshreds() {
+		if cq.Strategy.Unshreds() {
 			res.Output.mat, res.Output.shredded = cq.Mat, res.Shredded
 		}
 	}

@@ -74,13 +74,13 @@ func (cq *Compiled) explainHeader(sb *strings.Builder) {
 func (r *Result) ExplainAnalyze() string {
 	var sb strings.Builder
 	a := r.Analyze
-	// Shuffle stages are named under the operator's base stage plus a side
-	// suffix ("join#1/L"); node stats carry the base name, so shuffled bytes
-	// aggregate under the text before the first '/'.
+	// A wide operator's stages are named under its base stage, some with a
+	// suffix ("join#1/L", "nest#2/reduce"); node stats carry the base name, so
+	// walls and shuffled bytes aggregate under the text before the first '/'.
 	wall, shuffled := map[string]time.Duration{}, map[string]int64{}
 	for _, st := range r.Metrics.StageWall {
-		wall[st.Stage] += st.Wall
 		base, _, _ := strings.Cut(st.Stage, "/")
+		wall[base] += st.Wall
 		shuffled[base] += st.ShuffleBytes
 	}
 	for i, cq := range r.prog {
@@ -115,7 +115,7 @@ func (r *Result) ExplainAnalyze() string {
 // nested output is stitched from: the top bag, then each dictionary under the
 // path of the bag it holds.
 func (cq *Compiled) explainStitch(sb *strings.Builder) {
-	if !cq.Strategy.unshreds() {
+	if !cq.Strategy.Unshreds() {
 		return
 	}
 	fmt.Fprintf(sb, "stitch: top=%s", cq.Mat.TopName)

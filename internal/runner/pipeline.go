@@ -67,7 +67,7 @@ func StepStrategy(strat Strategy, first *Compiled, last bool) Strategy {
 	if strat == Auto && first != nil {
 		strat = first.Strategy
 	}
-	if last || !strat.unshreds() {
+	if last || !strat.Unshreds() {
 		return strat
 	}
 	if strat == ShredUnshredSkew {

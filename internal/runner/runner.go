@@ -83,7 +83,9 @@ func (s Strategy) IsShredded() bool {
 	return false
 }
 
-func (s Strategy) skewAware() bool {
+// SkewAware reports whether the strategy uses the skew-resilient operators
+// of paper Section 5.
+func (s Strategy) SkewAware() bool {
 	switch s {
 	case StandardSkew, ShredSkew, ShredUnshredSkew:
 		return true
@@ -91,18 +93,12 @@ func (s Strategy) skewAware() bool {
 	return false
 }
 
-func (s Strategy) unshreds() bool {
-	return s == ShredUnshred || s == ShredUnshredSkew
-}
-
-// SkewAware reports whether the strategy uses the skew-resilient operators
-// of paper Section 5.
-func (s Strategy) SkewAware() bool { return s.skewAware() }
-
 // Unshreds reports whether the strategy restores nested output from the
 // shredded representation (its Result.Output rows are the nested value, like
 // Standard's, stitched from the shredded output).
-func (s Strategy) Unshreds() bool { return s.unshreds() }
+func (s Strategy) Unshreds() bool {
+	return s == ShredUnshred || s == ShredUnshredSkew
+}
 
 // AllStrategies lists every explicit strategy in presentation order (Auto is
 // a meta-strategy resolving to one of these and is deliberately excluded).

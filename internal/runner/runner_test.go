@@ -28,10 +28,10 @@ func TestStrategyNames(t *testing.T) {
 	if !Shred.IsShredded() || Standard.IsShredded() {
 		t.Fatal("IsShredded wrong")
 	}
-	if !ShredSkew.skewAware() || Shred.skewAware() {
+	if !ShredSkew.SkewAware() || Shred.SkewAware() {
 		t.Fatal("skewAware wrong")
 	}
-	if !ShredUnshred.unshreds() || Shred.unshreds() {
+	if !ShredUnshred.Unshreds() || Shred.Unshreds() {
 		t.Fatal("unshreds wrong")
 	}
 }

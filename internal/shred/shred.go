@@ -337,20 +337,16 @@ func (s *Shredder) shredTupleCtor(x *nrc.TupleCtor, en env) (shval, error) {
 		// F side: the label capturing the relevant attributes.
 		capExprs := make([]nrc.NamedExpr, len(caps))
 		params := make([]nrc.Field, len(caps))
-		substMap := map[string]nrc.Expr{}
-		body := sub.flat
 		for j, c := range caps {
 			capExprs[j] = nrc.NamedExpr{Name: c.param, Expr: c.source}
 			params[j] = nrc.Field{Name: c.param, Type: c.typ}
 		}
-		body = replaceCaptures(body, caps)
-		_ = substMap
 		fields[i] = nrc.NamedExpr{Name: f.Name, Expr: &nrc.NewLabel{Site: site, Capture: capExprs}}
 
 		tree.Entries[f.Name] = &DictEntry{
 			Site:   site,
 			Params: params,
-			Body:   body,
+			Body:   replaceCaptures(sub.flat, caps),
 			Child:  sub.dict,
 		}
 	}
@@ -369,68 +365,71 @@ type capture struct {
 
 // captures computes the relevant-attribute capture set of a flat body: every
 // field of a bound variable the body uses (and every scalar-bound variable
-// used whole). Free input relations and symbolic dictionaries stay free.
+// used whole). Free input relations and symbolic dictionaries stay free, and
+// so does a variable the body binds itself.
 func captures(body nrc.Expr, en env) []capture {
 	seen := map[string]bool{}
 	var out []capture
+	add := func(key string, c capture) {
+		if !seen[key] {
+			seen[key] = true
+			out = append(out, c)
+		}
+	}
 	var walk func(e nrc.Expr, shadow map[string]bool)
 	walk = func(e nrc.Expr, shadow map[string]bool) {
 		switch x := e.(type) {
-		case nil:
 		case *nrc.Proj:
-			if v, ok := x.Tuple.(*nrc.Var); ok {
-				if _, bound := en[v.Name]; bound && !shadow[v.Name] {
-					key := v.Name + "." + x.Field
-					if !seen[key] {
-						seen[key] = true
-						out = append(out, capture{
-							param:  v.Name + "_" + x.Field,
-							source: &nrc.Proj{Tuple: &nrc.Var{Name: v.Name}, Field: x.Field},
-							typ:    shredScalarType(x.Type()),
-							base:   v.Name,
-							field:  x.Field,
-						})
-					}
-					return
-				}
+			if v, ok := x.Tuple.(*nrc.Var); ok && captured(v, en, shadow) {
+				add(v.Name+"."+x.Field, capture{
+					param:  v.Name + "_" + x.Field,
+					source: &nrc.Proj{Tuple: &nrc.Var{Name: v.Name}, Field: x.Field},
+					typ:    shredScalarType(x.Type()),
+					base:   v.Name,
+					field:  x.Field,
+				})
+				return
 			}
-			walk(x.Tuple, shadow)
 		case *nrc.Var:
-			if _, bound := en[x.Name]; bound && !shadow[x.Name] {
-				key := x.Name
-				if !seen[key] {
-					seen[key] = true
-					out = append(out, capture{
-						param:  x.Name + "_v",
-						source: &nrc.Var{Name: x.Name},
-						typ:    shredScalarType(x.Type()),
-						base:   x.Name,
-					})
-				}
+			if captured(x, en, shadow) {
+				add(x.Name, capture{
+					param:  x.Name + "_v",
+					source: &nrc.Var{Name: x.Name},
+					typ:    shredScalarType(x.Type()),
+					base:   x.Name,
+				})
 			}
-		case *nrc.For:
-			walk(x.Source, shadow)
-			s2 := withShadow(shadow, x.Var)
-			walk(x.Body, s2)
-		case *nrc.Let:
-			walk(x.Val, shadow)
-			walk(x.Body, withShadow(shadow, x.Var))
-		default:
-			for _, ch := range nrc.Children(e) {
-				walk(ch, shadow)
-			}
+			return
 		}
+		nrc.MapScoped(e, func(c nrc.Expr, binds []string) nrc.Expr {
+			walk(c, withShadow(shadow, binds))
+			return c
+		})
 	}
-	walk(body, map[string]bool{})
+	walk(body, nil)
 	return out
 }
 
-func withShadow(shadow map[string]bool, name string) map[string]bool {
-	out := make(map[string]bool, len(shadow)+1)
+// captured reports whether v refers to a variable of the enclosing scope en
+// that no binder inside the body shadows.
+func captured(v *nrc.Var, en env, shadow map[string]bool) bool {
+	_, bound := en[v.Name]
+	return bound && !shadow[v.Name]
+}
+
+// withShadow is shadow plus the variables a term binds over a child
+// (nrc.MapScoped's binds).
+func withShadow(shadow map[string]bool, binds []string) map[string]bool {
+	if len(binds) == 0 {
+		return shadow
+	}
+	out := make(map[string]bool, len(shadow)+len(binds))
 	for k, v := range shadow {
 		out[k] = v
 	}
-	out[name] = true
+	for _, b := range binds {
+		out[b] = true
+	}
 	return out
 }
 
@@ -441,9 +440,30 @@ func withShadow(shadow map[string]bool, name string) map[string]bool {
 // materializer's head flattening — can still read element types off the
 // body.
 func replaceCaptures(body nrc.Expr, caps []capture) nrc.Expr {
-	var rewriteNode func(e nrc.Expr, shadow map[string]bool) nrc.Expr
-	rewrite := func(e nrc.Expr, shadow map[string]bool) nrc.Expr {
-		out := rewriteNode(e, shadow)
+	param := func(v *nrc.Var, field string, shadow map[string]bool) nrc.Expr {
+		for _, c := range caps {
+			if c.base == v.Name && c.field == field && !shadow[v.Name] {
+				return &nrc.Var{Name: c.param}
+			}
+		}
+		return nil
+	}
+	var rewrite func(e nrc.Expr, shadow map[string]bool) nrc.Expr
+	rewrite = func(e nrc.Expr, shadow map[string]bool) nrc.Expr {
+		var out nrc.Expr
+		switch x := e.(type) {
+		case *nrc.Proj:
+			if v, ok := x.Tuple.(*nrc.Var); ok {
+				out = param(v, x.Field, shadow)
+			}
+		case *nrc.Var:
+			out = param(x, "", shadow)
+		}
+		if out == nil {
+			out = nrc.MapScoped(e, func(c nrc.Expr, binds []string) nrc.Expr {
+				return rewrite(c, withShadow(shadow, binds))
+			})
+		}
 		if out != nil && out.Type() == nil {
 			if t := e.Type(); t != nil {
 				nrc.SetType(out, t)
@@ -451,39 +471,7 @@ func replaceCaptures(body nrc.Expr, caps []capture) nrc.Expr {
 		}
 		return out
 	}
-	rewriteNode = func(e nrc.Expr, shadow map[string]bool) nrc.Expr {
-		switch x := e.(type) {
-		case nil:
-			return nil
-		case *nrc.Proj:
-			if v, ok := x.Tuple.(*nrc.Var); ok && !shadow[v.Name] {
-				for _, c := range caps {
-					if c.base == v.Name && c.field == x.Field {
-						return &nrc.Var{Name: c.param}
-					}
-				}
-			}
-			return &nrc.Proj{Tuple: rewrite(x.Tuple, shadow), Field: x.Field}
-		case *nrc.Var:
-			if !shadow[x.Name] {
-				for _, c := range caps {
-					if c.base == x.Name && c.field == "" {
-						return &nrc.Var{Name: c.param}
-					}
-				}
-			}
-			return &nrc.Var{Name: x.Name}
-		case *nrc.For:
-			return &nrc.For{
-				Var:    x.Var,
-				Source: rewrite(x.Source, shadow),
-				Body:   rewrite(x.Body, withShadow(shadow, x.Var)),
-			}
-		default:
-			return nrc.MapChildren(e, func(ch nrc.Expr) nrc.Expr { return rewrite(ch, shadow) })
-		}
-	}
-	return rewrite(body, map[string]bool{})
+	return rewrite(body, nil)
 }
 
 // unionTrees merges two dictionary trees (the DictTreeUnion construct).
