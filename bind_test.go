@@ -254,11 +254,16 @@ func TestCatalogGenerationOwnsItsInputs(t *testing.T) {
 				}
 			}
 			for _, shredded := range []bool{false, true} {
-				first, _ := old.Rows(shredded)
-				again, _ := old.Rows(shredded)
-				for comp, rows := range first {
-					if len(rows) > 0 && &again[comp][0] != &rows[0] {
+				first, _ := old.Components(shredded, trance.DefaultConfig().Parallelism)
+				again, _ := old.Components(shredded, trance.DefaultConfig().Parallelism)
+				for comp, rows := range first.Rows {
+					if len(rows) > 0 && &again.Rows[comp][0] != &rows[0] {
 						t.Errorf("shredded=%t: component %s converted twice", shredded, comp)
+					}
+				}
+				for comp, pl := range first.Placed {
+					if again.Placed[comp] != pl {
+						t.Errorf("shredded=%t: dictionary %s placed twice", shredded, comp)
 					}
 				}
 			}

@@ -682,10 +682,11 @@ func (c *Catalog) boundLocked(v string, bindings map[string]string) (string, *ca
 // resolve snapshots the entries (dataset generations) the variable names
 // resolve to under the session's bindings, and their table statistics.
 // Statistics of indexed columns carry the index flags the planner's
-// Select→IndexScan conversion keys on, and indexed datasets additionally
-// publish their estimate under the shredded top-component name — value
-// shredding preserves top-level row order and scalar column positions, so the
-// same indexes serve both routes (runner.Inputs.Bind).
+// Select→IndexScan conversion keys on, and every estimate is published under
+// the shredded top-component name too — value shredding preserves top-level
+// row order and scalar column positions, so the same indexes serve both
+// routes (runner.Inputs.Bind), and a shredded plan's join to a small input
+// is costed as the standard plan's is.
 func (c *Catalog) resolve(vars []string, bindings map[string]string) (map[string]*catalogEntry, map[string]plan.TableEstimate, error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
@@ -698,14 +699,12 @@ func (c *Catalog) resolve(vars []string, bindings map[string]string) (map[string
 		}
 		entries[v] = e
 		te := e.stats.Estimate()
-		if e.idx.Len() > 0 {
-			for _, col := range e.idx.Names() {
-				ce := te.Cols[col]
-				ce.Indexed = true
-				te.Cols[col] = ce
-			}
-			ests[shred.MatName(v, nil)] = te
+		for _, col := range e.idx.Names() {
+			ce := te.Cols[col]
+			ce.Indexed = true
+			te.Cols[col] = ce
 		}
+		ests[shred.MatName(v, nil)] = te
 		ests[v] = te
 	}
 	return entries, ests, nil

@@ -237,19 +237,29 @@ func checkChunkIndexes(t *testing.T, step string, cat *trance.Catalog, data tran
 
 func checkChunkShredding(t *testing.T, step string, cat *trance.Catalog, data trance.Bag, bt nrc.BagType) {
 	t.Helper()
-	rows, err := trance.CatalogInput(cat, "D", "D").Rows(true)
+	const parts = 4
+	comp, err := trance.CatalogInput(cat, "D", "D").Components(true, parts)
 	if err != nil {
 		t.Fatalf("%s: shredded rows: %v", step, err)
 	}
-	tuples := func(name string) []value.Tuple {
-		var out []value.Tuple
-		for _, r := range rows[name] {
-			out = append(out, value.Tuple(r))
-		}
-		return out
+	var top, items []value.Tuple
+	for _, r := range comp.Rows[shred.MatName("D", nil)] {
+		top = append(top, value.Tuple(r))
 	}
-	top := tuples(shred.MatName("D", nil))
-	got, err := shred.UnshredValue(top, map[string][]value.Tuple{"items": tuples(shred.MatName("D", []string{"items"}))}, bt)
+	// Every dictionary row lies where an exchange on its label would put it.
+	pl := comp.Placed[shred.MatName("D", []string{"items"})]
+	if len(pl.Parts) != parts {
+		t.Fatalf("%s: items placed over %d partitions, want %d", step, len(pl.Parts), parts)
+	}
+	for i, p := range pl.Parts {
+		for j, r := range p {
+			if h := value.HashCols(r, []int{0}); h%parts != uint64(i) || pl.Hashes[i][j] != h {
+				t.Fatalf("%s: items row %s in partition %d with hash %d, its label hashes to %d", step, value.Format(value.Tuple(r)), i, pl.Hashes[i][j], h)
+			}
+			items = append(items, value.Tuple(r))
+		}
+	}
+	got, err := shred.UnshredValue(top, map[string][]value.Tuple{"items": items}, bt)
 	if err != nil {
 		t.Fatalf("%s: unshred: %v", step, err)
 	}

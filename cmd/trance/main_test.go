@@ -1,6 +1,7 @@
 package main
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 
@@ -37,7 +38,8 @@ func TestTPCHJobPlansWithStatistics(t *testing.T) {
 // TestRunReportsUnshredding: run's header line on an unshredding route reports
 // the shredded statements it ran, and stitching its nested rows moves nothing
 // through the engine — the level-2 nested-to-nested shred+unshred run at the
-// default scale shuffles exactly what the shred run does — while its runtime
+// default scale shuffles exactly what the shred run does, nothing: its one Γ
+// reduces where the placed dictionary lies (skipped=1) — while its runtime
 // counts the stitch, which it shows beside it.
 func TestRunReportsUnshredding(t *testing.T) {
 	job, cfg := tpchJob(tpch.NestedToNested, 2, false, defaultCustomers, 0)
@@ -45,7 +47,7 @@ func TestRunReportsUnshredding(t *testing.T) {
 	if err := runJob(&out, job, trance.ShredUnshred, cfg, 1); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"SHRED+UNSHRED: ", " (stitch ", "rows=200, shuffle=221261B/4800rec ", " stages=1 skipped=0\n", "\n   ⟨1, \"Customer#000000001\", {⟨"} {
+	for _, want := range []string{"SHRED+UNSHRED: ", " (stitch ", "rows=200, shuffle=0B/0rec ", " stages=0 skipped=1\n", "\n   ⟨1, \"Customer#000000001\", {⟨"} {
 		if !strings.Contains(out.String(), want) {
 			t.Fatalf("run printed\n%s\nwant it to contain %q", out.String(), want)
 		}
@@ -64,9 +66,9 @@ func TestRunHeaderLines(t *testing.T) {
 		want  []string
 	}{
 		{tpch.NestedToNested, trance.Standard, 0, []string{"STANDARD: ", "rows=200, shuffle=0B/0rec broadcast=32096B ", " stages=0 skipped=3\n"}},
-		{tpch.NestedToNested, trance.ShredSkew, 3, []string{"SHRED-SKEW: ", "rows=200, shuffle=221573B/4800rec ", " stages=1 skipped=0\n"}},
+		{tpch.NestedToNested, trance.ShredSkew, 3, []string{"SHRED-SKEW: ", "rows=200, shuffle=0B/0rec ", " stages=0 skipped=1\n"}},
 		{tpch.FlatToNested, trance.ShredUnshred, 0, []string{"SHRED+UNSHRED: ", "rows=200, shuffle=0B/0rec ", " stages=0 skipped=0\n"}},
-		{tpch.NestedToFlat, trance.Shred, 0, []string{"SHRED: ", "rows=200, shuffle=355200B/10800rec broadcast=400000B ", " stages=3 "}},
+		{tpch.NestedToFlat, trance.Shred, 0, []string{"SHRED: ", "rows=200, shuffle=192000B/6000rec broadcast=400000B ", " stages=2 skipped=1\n"}},
 	} {
 		job, cfg := tpchJob(c.class, 2, false, defaultCustomers, c.skew)
 		var out strings.Builder
@@ -77,6 +79,39 @@ func TestRunHeaderLines(t *testing.T) {
 			if !strings.Contains(out.String(), want) {
 				t.Errorf("%s %s skew %d printed\n%s\nwant it to contain %q", c.class, c.strat, c.skew, out.String(), want)
 			}
+		}
+	}
+}
+
+// TestShreddedInputsArrivePlaced: each value-shredded dictionary is bound
+// hash-placed on its label, so at every level the shredded nested-to-nested
+// route's label Γ reduces where its rows lie and the run shuffles nothing,
+// and the shredded nested-to-flat route's label joins exchange only their
+// top-side inputs: below the bytes it shuffled when every dictionary was
+// exchanged (the ceilings, measured at the default scale).
+func TestShreddedInputsArrivePlaced(t *testing.T) {
+	exchanged := map[int]int64{1: 271200, 2: 355200, 3: 289005, 4: 287510}
+	shuffled := func(class tpch.QueryClass, level int) (int64, string) {
+		t.Helper()
+		job, cfg := tpchJob(class, level, false, defaultCustomers, 0)
+		var out strings.Builder
+		if err := runJob(&out, job, trance.Shred, cfg, 0); err != nil {
+			t.Fatalf("%s L%d: %v", class, level, err)
+		}
+		_, after, ok := strings.Cut(out.String(), ", shuffle=")
+		b, _, ok2 := strings.Cut(after, "B/")
+		n, err := strconv.ParseInt(b, 10, 64)
+		if !ok || !ok2 || err != nil {
+			t.Fatalf("%s L%d printed %q, want a shuffle=NB field", class, level, out.String())
+		}
+		return n, out.String()
+	}
+	for level := 1; level <= 4; level++ {
+		if n, out := shuffled(tpch.NestedToNested, level); n != 0 {
+			t.Errorf("nested-to-nested L%d shred shuffled %d bytes, want 0:\n%s", level, n, out)
+		}
+		if n, out := shuffled(tpch.NestedToFlat, level); n >= exchanged[level] {
+			t.Errorf("nested-to-flat L%d shred shuffled %d bytes, want fewer than the %d of exchanged dictionaries:\n%s", level, n, exchanged[level], out)
 		}
 	}
 }

@@ -33,9 +33,10 @@ type Dataset struct {
 	stages []stageFactory
 	// hashes, when non-nil, parallels parts: hashes[i][j] is value.HashCols of
 	// parts[i][j] over hashCols — the routing hashes the key-based shuffle
-	// that built the dataset computed, kept so the group table behind it does
-	// not hash the rows again. Only RepartitionBy sets them, on a dataset with
-	// no pending stages; derived datasets never inherit them.
+	// that built the dataset computed, or a placed input carried, kept so the
+	// group table behind it does not hash the rows again. Only RepartitionBy
+	// and FromPlaced set them, on a dataset with no pending stages; derived
+	// datasets never inherit them.
 	hashes   [][]uint64
 	hashCols []int
 	// err poisons the dataset after a partition task failed (memory cap or a
@@ -44,7 +45,10 @@ type Dataset struct {
 	err error
 }
 
-// FromRows distributes rows round-robin over Parallelism partitions.
+// FromRows cuts rows into Parallelism contiguous ranges, in order: partition
+// i holds the i-th run of ⌈len/Parallelism⌉ rows. An exchange over the result
+// hands each target its rows in input order, the order a stable placement
+// (Placed) keeps.
 func (c *Context) FromRows(rows []Row) *Dataset {
 	n := c.Parallelism
 	parts := make([][]Row, n)
@@ -61,6 +65,25 @@ func (c *Context) FromRows(rows []Row) *Dataset {
 		parts[i] = rows[lo:hi]
 	}
 	return &Dataset{ctx: c, parts: parts}
+}
+
+// Placed is rows hash-placed on columns Cols over len(Parts) partitions:
+// Parts[i] holds, in input order, the rows whose value.HashCols over Cols is i
+// modulo len(Parts) — where an exchange on Cols would route them — and
+// Hashes[i] their hashes. A stable placement keeps each partition's rows in
+// input order, so it holds what an exchange over FromRows of the rows would
+// deliver, in the same order. It is immutable once built.
+type Placed struct {
+	Cols   []int
+	Parts  [][]Row
+	Hashes [][]uint64
+}
+
+// FromPlaced wraps placed rows, which must span Parallelism partitions, with
+// their hashes: a Γ or join on pl.Cols reads them instead of hashing again.
+// The dataset shares pl's slices and, like every input, never modifies them.
+func (c *Context) FromPlaced(pl *Placed) *Dataset {
+	return &Dataset{ctx: c, parts: pl.Parts, hashes: pl.Hashes, hashCols: pl.Cols}
 }
 
 // FromPartitions wraps pre-partitioned rows; used by tests and by operators.

@@ -3,6 +3,7 @@ package dataflow
 import (
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"testing"
 
 	"github.com/trance-go/trance/internal/value"
@@ -423,4 +424,37 @@ func FuzzShuffleMeter(f *testing.F) {
 			t.Fatalf("stage records %+v, want one with the reference %dB", s.StageWall, want)
 		}
 	})
+}
+
+// TestExchangeOverFromRowsKeepsInputOrder pins what a stable placement relies
+// on: FromRows cuts contiguous ranges, and an exchange concatenates its
+// buffers in source order, so each target receives its rows in input order,
+// with their hashes. A dataset FromPlaced over that stable placement is the
+// exchange's output, hashes included.
+func TestExchangeOverFromRowsKeepsInputOrder(t *testing.T) {
+	const p = 4
+	var rows []Row
+	for i := range 103 {
+		rows = append(rows, Row{int64(i % 13), int64(i)})
+	}
+	ctx := NewContext(p)
+	ex, err := ctx.FromRows(rows).RepartitionBy("x", []int{0}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := &Placed{Cols: []int{0}, Parts: make([][]Row, p), Hashes: make([][]uint64, p)}
+	for _, r := range rows {
+		h := value.HashCols(r, []int{0})
+		want.Parts[h%p] = append(want.Parts[h%p], r)
+		want.Hashes[h%p] = append(want.Hashes[h%p], h)
+	}
+	placed := ctx.FromPlaced(want)
+	for i := range p {
+		if fmt.Sprint(ex.parts[i]) != fmt.Sprint(want.Parts[i]) || fmt.Sprint(ex.hashes[i]) != fmt.Sprint(want.Hashes[i]) {
+			t.Fatalf("target %d received %v, want its rows in input order %v", i, ex.parts[i], want.Parts[i])
+		}
+		if fmt.Sprint(placed.parts[i]) != fmt.Sprint(ex.parts[i]) || fmt.Sprint(placed.hashes[i]) != fmt.Sprint(ex.hashes[i]) || !slices.Equal(placed.hashCols, ex.hashCols) {
+			t.Fatalf("placed partition %d differs from the exchange's", i)
+		}
+	}
 }

@@ -121,7 +121,7 @@ func max64(a, b int64) int64 {
 }
 
 // QErrors walks the plan and reports the q-error of every cost-annotated
-// operator (joins with a Costs annotation, IndexScans) that has measured
+// operator (joins with a Costs row estimate, IndexScans) that has measured
 // stats. Order is the Explain walk order.
 func QErrors(op Op, a *Analysis) []QError {
 	var out []QError
@@ -134,7 +134,7 @@ func collectQErrors(op Op, a *Analysis, out *[]QError) {
 	if ns != nil {
 		switch x := op.(type) {
 		case *Join:
-			if x.Cost != nil {
+			if x.Cost != nil && x.Cost.EstRows >= 0 {
 				actual := ns.RowsOut.Load()
 				*out = append(*out, QError{Node: x.Describe(), Est: x.Cost.EstRows, Actual: actual, Q: qerr(x.Cost.EstRows, actual)})
 			}
@@ -220,7 +220,7 @@ func analyzeAnnotation(op Op, a *Analysis, stageWall map[string]time.Duration, s
 	}
 	switch x := op.(type) {
 	case *Join:
-		if x.Cost != nil {
+		if x.Cost != nil && x.Cost.EstRows >= 0 {
 			fmt.Fprintf(&sb, " q_err=%.2f", qerr(x.Cost.EstRows, ns.RowsOut.Load()))
 		}
 	case *IndexScan:

@@ -255,6 +255,13 @@ func (a *annotator) join(x *Join) (Op, nodeEst) {
 	out := cloneWith(x, func(j *Join) { j.L, j.R, j.Cost = l, r, nil })
 	outCols := append(append([]ColEstimate{}, le.cols...), re.cols...)
 	if !le.known() || !re.known() {
+		// The executor decides a join by the size of its right side alone
+		// (Context.BroadcastLimit), so a right side the statistics put under
+		// the limit broadcasts whatever the left holds — decided here, where
+		// Place can rely on the left rows staying in place.
+		if len(x.LCols) > 0 && re.known() && a.limit > 0 && re.bytes <= float64(a.limit) {
+			out.Cost = &Costs{EstRows: -1, BuildBytes: int64(re.bytes), Method: JoinBroadcast}
+		}
 		return out, nodeEst{rows: -1, bytes: -1, cols: outCols}
 	}
 

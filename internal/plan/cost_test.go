@@ -138,11 +138,23 @@ func TestAnnotateCrossJoinUnannotated(t *testing.T) {
 	}
 }
 
+// TestAnnotateUnknownInputPropagates: a join over an input without statistics
+// has no estimate. Over an unknown right side the executor decides its method
+// by size at run time; a known right side under the broadcast limit
+// broadcasts, as the executor would, whatever the left holds.
 func TestAnnotateUnknownInputPropagates(t *testing.T) {
-	op := &Join{L: scanOf("Mystery", "x"), R: scanOf("S", "k"), LCols: []int{0}, RCols: []int{0}}
+	op := &Join{L: scanOf("S", "k"), R: scanOf("Mystery", "x"), LCols: []int{0}, RCols: []int{0}}
 	out, _ := Annotate(op, testTables(), 64<<10)
 	if j := findJoin(t, out); j.Cost != nil {
-		t.Fatalf("join over unknown input annotated: %+v", j.Cost)
+		t.Fatalf("join over an unknown right side annotated: %+v", j.Cost)
+	}
+	op = &Join{L: scanOf("Mystery", "x"), R: scanOf("S", "k"), LCols: []int{0}, RCols: []int{0}}
+	out, _ = Annotate(op, testTables(), 64<<10)
+	if j := findJoin(t, out); j.Cost == nil || j.Cost.Method != JoinBroadcast || j.Cost.EstRows != -1 {
+		t.Fatalf("join of an unknown left side and a small right side annotated %+v, want broadcast with no row estimate", j.Cost)
+	}
+	if got := Explain(out); !strings.Contains(got, "[est_rows=? join=broadcast]") {
+		t.Fatalf("explain:\n%s\nwant the unknown estimate shown as ?", got)
 	}
 }
 

@@ -25,20 +25,21 @@ import "slices"
 // end-to-end check.
 type idDeps [][]int
 
-// idDepsOf computes the dependencies of op's output columns.
-func idDepsOf(op Op) idDeps {
+// idDepsOf computes the dependencies of op's output columns; cols is the
+// pass's memo of the schemas.
+func idDepsOf(op Op, cols schemas) idDeps {
 	switch x := op.(type) {
 	case *Select:
-		return idDepsOf(x.In).without(x.NullifyCols)
+		return idDepsOf(x.In, cols).without(x.NullifyCols)
 
 	case *Extend:
-		return append(idDepsOf(x.In), make(idDeps, len(x.Exprs))...)
+		return append(idDepsOf(x.In, cols), make(idDeps, len(x.Exprs))...)
 
 	case *Project:
-		return idDepsOf(x.In).gather(copySources(x.Outs))
+		return idDepsOf(x.In, cols).gather(copySources(x.Outs))
 
 	case *AddIndex:
-		in := idDepsOf(x.In)
+		in := idDepsOf(x.In, cols)
 		id := len(in)
 		out := make(idDeps, id+1)
 		for i, d := range in {
@@ -48,14 +49,14 @@ func idDepsOf(op Op) idDeps {
 		return out
 
 	case *Unnest:
-		full := append(idDepsOf(x.In), make(idDeps, len(x.ElemFields()))...)
+		full := append(idDepsOf(x.In, cols), make(idDeps, len(x.elemFields(cols.of(x.In))))...)
 		if x.Outs == nil {
 			return full
 		}
 		return full.gather(x.Outs)
 
 	case *Join:
-		full := append(idDepsOf(x.L), make(idDeps, len(x.R.Columns()))...)
+		full := append(idDepsOf(x.L, cols), make(idDeps, len(cols.of(x.R)))...)
 		if x.Outs == nil {
 			return full
 		}
@@ -64,17 +65,17 @@ func idDepsOf(op Op) idDeps {
 
 	case *Nest:
 		src := x.passed()
-		out := idDepsOf(x.In).gather(src)
-		return append(out, make(idDeps, len(x.Columns())-len(src))...)
+		out := idDepsOf(x.In, cols).gather(src)
+		return append(out, make(idDeps, len(cols.of(x))-len(src))...)
 
 	case *DedupOp:
-		return idDepsOf(x.In)
+		return idDepsOf(x.In, cols)
 
 	case *BagToDict:
-		return idDepsOf(x.In)
+		return idDepsOf(x.In, cols)
 	}
 	// Leaves and ⊎: nothing is known to be determined.
-	return make(idDeps, len(op.Columns()))
+	return make(idDeps, len(cols.of(op)))
 }
 
 // copySources is, per output of a projection, the input column it copies, or

@@ -53,11 +53,16 @@ func (m NestMode) String() string {
 type Scan struct {
 	Input string
 	Cols  []Column
+	// Placed, when non-nil, lists the columns the input's rows lie
+	// hash-placed on (PlaceOptions.Bound). Only Place sets it.
+	Placed []int
 }
 
 func (s *Scan) Columns() []Column { return s.Cols }
 func (s *Scan) Children() []Op    { return nil }
-func (s *Scan) Describe() string  { return "Scan " + s.Input }
+func (s *Scan) Describe() string {
+	return "Scan " + s.Input + colsMark(s.Cols, s.Placed, "placed on")
+}
 
 // Values is an inline literal relation (used for constant queries).
 type Values struct {
@@ -79,7 +84,7 @@ type Select struct {
 	NullifyCols []int
 }
 
-func (s *Select) Columns() []Column { return s.In.Columns() }
+func (s *Select) Columns() []Column { return columnsOf(s, Op.Columns) }
 func (s *Select) Children() []Op    { return []Op{s.In} }
 func (s *Select) Describe() string {
 	if s.NullifyCols != nil {
@@ -94,17 +99,9 @@ type Extend struct {
 	Exprs []NamedExpr
 }
 
-func (e *Extend) Columns() []Column {
-	in := e.In.Columns()
-	out := make([]Column, 0, len(in)+len(e.Exprs))
-	out = append(out, in...)
-	for _, ne := range e.Exprs {
-		out = append(out, Column{Name: ne.Name, Type: ne.Expr.Type()})
-	}
-	return out
-}
-func (e *Extend) Children() []Op   { return []Op{e.In} }
-func (e *Extend) Describe() string { return "ext " + namedExprString(e.Exprs) }
+func (e *Extend) Columns() []Column { return columnsOf(e, Op.Columns) }
+func (e *Extend) Children() []Op    { return []Op{e.In} }
+func (e *Extend) Describe() string  { return "ext " + namedExprString(e.Exprs) }
 
 // Project replaces the schema with the given output expressions. CastBags
 // additionally converts NULL bag-typed outputs to empty bags — applied at the
@@ -115,15 +112,9 @@ type Project struct {
 	CastBags bool
 }
 
-func (p *Project) Columns() []Column {
-	out := make([]Column, len(p.Outs))
-	for i, ne := range p.Outs {
-		out[i] = Column{Name: ne.Name, Type: ne.Expr.Type()}
-	}
-	return out
-}
-func (p *Project) Children() []Op   { return []Op{p.In} }
-func (p *Project) Describe() string { return "π " + namedExprString(p.Outs) }
+func (p *Project) Columns() []Column { return columnsOf(p, Op.Columns) }
+func (p *Project) Children() []Op    { return []Op{p.In} }
+func (p *Project) Describe() string  { return "π " + namedExprString(p.Outs) }
 
 // AddIndex appends a column holding an ID unique across the dataset — the
 // unique-ID insertion the outer operators of the paper perform before
@@ -133,11 +124,9 @@ type AddIndex struct {
 	Name string
 }
 
-func (a *AddIndex) Columns() []Column {
-	return append(append([]Column{}, a.In.Columns()...), Column{Name: a.Name, Type: nrc.IntT})
-}
-func (a *AddIndex) Children() []Op   { return []Op{a.In} }
-func (a *AddIndex) Describe() string { return "addIndex " + a.Name }
+func (a *AddIndex) Columns() []Column { return columnsOf(a, Op.Columns) }
+func (a *AddIndex) Children() []Op    { return []Op{a.In} }
+func (a *AddIndex) Describe() string  { return "addIndex " + a.Name }
 
 // Unnest is μ^a / outer-unnest μ̄^a: it pairs each input row with each
 // element of its bag column, appending the element's fields (prefixed with
@@ -157,9 +146,10 @@ type Unnest struct {
 	Outs []int
 }
 
-// ElemFields returns the element fields of the unnested bag column.
-func (u *Unnest) ElemFields() []nrc.Field {
-	bt := u.In.Columns()[u.BagCol].Type.(nrc.BagType)
+// elemFields returns the element fields of the unnested bag column, given
+// the input's columns.
+func (u *Unnest) elemFields(in []Column) []nrc.Field {
+	bt := in[u.BagCol].Type.(nrc.BagType)
 	if tt, ok := bt.Elem.(nrc.TupleType); ok {
 		return tt.Fields
 	}
@@ -174,23 +164,8 @@ func (u *Unnest) Full(i int) int {
 	return u.Outs[i]
 }
 
-func (u *Unnest) Columns() []Column {
-	in := u.In.Columns()
-	full := make([]Column, 0, len(in)+2)
-	full = append(full, in...)
-	for _, f := range u.ElemFields() {
-		full = append(full, Column{Name: u.Prefix + "." + f.Name, Type: f.Type})
-	}
-	if u.Outs == nil {
-		return full
-	}
-	out := make([]Column, len(u.Outs))
-	for i, c := range u.Outs {
-		out[i] = full[c]
-	}
-	return out
-}
-func (u *Unnest) Children() []Op { return []Op{u.In} }
+func (u *Unnest) Columns() []Column { return columnsOf(u, Op.Columns) }
+func (u *Unnest) Children() []Op    { return []Op{u.In} }
 func (u *Unnest) Describe() string {
 	sym := "μ"
 	if u.Outer {
@@ -227,13 +202,8 @@ type Join struct {
 	KeepSplit bool
 }
 
-func (j *Join) Columns() []Column {
-	if j.Outs != nil {
-		return (&Project{Outs: j.Outs}).Columns()
-	}
-	return append(append([]Column{}, j.L.Columns()...), j.R.Columns()...)
-}
-func (j *Join) Children() []Op { return []Op{j.L, j.R} }
+func (j *Join) Columns() []Column { return columnsOf(j, Op.Columns) }
+func (j *Join) Children() []Op    { return []Op{j.L, j.R} }
 func (j *Join) Describe() string {
 	sym := "⋈"
 	if j.Outer {
@@ -300,9 +270,9 @@ type Nest struct {
 	Local []int
 }
 
-// ElemType returns the element type of the collected bag (AggBag only).
-func (n *Nest) ElemType() nrc.Type {
-	in := n.In.Columns()
+// elemType returns the element type of the collected bag (AggBag only),
+// given the input's columns.
+func (n *Nest) elemType(in []Column) nrc.Type {
 	if n.ScalarElem {
 		return in[n.ValueCols[0]].Type
 	}
@@ -319,22 +289,8 @@ func (n *Nest) passed() []int {
 	return append(append([]int{}, n.GroupCols...), n.CarryCols...)
 }
 
-func (n *Nest) Columns() []Column {
-	in := n.In.Columns()
-	out := make([]Column, 0, len(n.GroupCols)+len(n.CarryCols)+len(n.ValueCols))
-	for _, c := range n.passed() {
-		out = append(out, in[c])
-	}
-	if n.Agg == AggBag {
-		out = append(out, Column{Name: n.OutName, Type: nrc.BagType{Elem: n.ElemType()}})
-	} else {
-		for _, c := range n.ValueCols {
-			out = append(out, in[c])
-		}
-	}
-	return out
-}
-func (n *Nest) Children() []Op { return []Op{n.In} }
+func (n *Nest) Columns() []Column { return columnsOf(n, Op.Columns) }
+func (n *Nest) Children() []Op    { return []Op{n.In} }
 func (n *Nest) Describe() string {
 	agg := "⊎"
 	if n.Agg == AggSum {
@@ -350,7 +306,7 @@ type DedupOp struct {
 	Local []int
 }
 
-func (d *DedupOp) Columns() []Column { return d.In.Columns() }
+func (d *DedupOp) Columns() []Column { return columnsOf(d, Op.Columns) }
 func (d *DedupOp) Children() []Op    { return []Op{d.In} }
 func (d *DedupOp) Describe() string  { return "dedup" + localMark(d.In, d.Local) }
 
@@ -359,17 +315,26 @@ func localMark(in Op, local []int) string {
 	if local == nil {
 		return ""
 	}
-	cols, names := in.Columns(), make([]string, len(local))
-	for i, c := range local {
+	return colsMark(in.Columns(), local, "local on")
+}
+
+// colsMark renders " [what <names>]" for the columns at positions of cols,
+// "" for none.
+func colsMark(cols []Column, positions []int, what string) string {
+	if positions == nil {
+		return ""
+	}
+	names := make([]string, len(positions))
+	for i, c := range positions {
 		names[i] = cols[c].Name
 	}
-	return " [local on " + strings.Join(names, " ") + "]"
+	return " [" + what + " " + strings.Join(names, " ") + "]"
 }
 
 // UnionAll is additive bag union of two inputs with identical schemas.
 type UnionAll struct{ L, R Op }
 
-func (u *UnionAll) Columns() []Column { return u.L.Columns() }
+func (u *UnionAll) Columns() []Column { return columnsOf(u, Op.Columns) }
 func (u *UnionAll) Children() []Op    { return []Op{u.L, u.R} }
 func (u *UnionAll) Describe() string  { return "⊎" }
 
@@ -384,10 +349,110 @@ type BagToDict struct {
 	Placed, KeepSplit bool
 }
 
-func (b *BagToDict) Columns() []Column { return b.In.Columns() }
+func (b *BagToDict) Columns() []Column { return columnsOf(b, Op.Columns) }
 func (b *BagToDict) Children() []Op    { return []Op{b.In} }
 func (b *BagToDict) Describe() string {
 	return fmt.Sprintf("bagToDict $%d", b.LabelCol) + mark(b.Placed, "placed") + mark(b.KeepSplit, "split kept")
+}
+
+// columnsOf is op's output schema given its inputs' schemas, which in
+// returns: the one definition behind every operator's Columns, which asks
+// each input anew, and behind a pass's memo of them (schemas), which asks
+// each node once.
+func columnsOf(op Op, in func(Op) []Column) []Column {
+	switch x := op.(type) {
+	case *Scan:
+		return x.Cols
+	case *IndexScan:
+		return x.Cols
+	case *Values:
+		return x.Cols
+	case *Select:
+		return in(x.In)
+	case *DedupOp:
+		return in(x.In)
+	case *BagToDict:
+		return in(x.In)
+	case *UnionAll:
+		return in(x.L)
+	case *Extend:
+		cols := in(x.In)
+		out := make([]Column, 0, len(cols)+len(x.Exprs))
+		out = append(out, cols...)
+		for _, ne := range x.Exprs {
+			out = append(out, Column{Name: ne.Name, Type: ne.Expr.Type()})
+		}
+		return out
+	case *Project:
+		return namedColumns(x.Outs)
+	case *AddIndex:
+		cols := in(x.In)
+		return append(append(make([]Column, 0, len(cols)+1), cols...), Column{Name: x.Name, Type: nrc.IntT})
+	case *Unnest:
+		cols := in(x.In)
+		fields := x.elemFields(cols)
+		full := make([]Column, 0, len(cols)+len(fields))
+		full = append(full, cols...)
+		for _, f := range fields {
+			full = append(full, Column{Name: x.Prefix + "." + f.Name, Type: f.Type})
+		}
+		if x.Outs == nil {
+			return full
+		}
+		out := make([]Column, len(x.Outs))
+		for i, c := range x.Outs {
+			out[i] = full[c]
+		}
+		return out
+	case *Join:
+		if x.Outs != nil {
+			return namedColumns(x.Outs)
+		}
+		l, r := in(x.L), in(x.R)
+		return append(append(make([]Column, 0, len(l)+len(r)), l...), r...)
+	case *Nest:
+		cols := in(x.In)
+		out := make([]Column, 0, len(x.GroupCols)+len(x.CarryCols)+len(x.ValueCols))
+		for _, c := range x.GroupCols {
+			out = append(out, cols[c])
+		}
+		for _, c := range x.CarryCols {
+			out = append(out, cols[c])
+		}
+		if x.Agg == AggBag {
+			return append(out, Column{Name: x.OutName, Type: nrc.BagType{Elem: x.elemType(cols)}})
+		}
+		for _, c := range x.ValueCols {
+			out = append(out, cols[c])
+		}
+		return out
+	}
+	panic(fmt.Sprintf("plan: columns of operator %T", op))
+}
+
+// namedColumns is the schema a projection to outs writes.
+func namedColumns(outs []NamedExpr) []Column {
+	out := make([]Column, len(outs))
+	for i, ne := range outs {
+		out[i] = Column{Name: ne.Name, Type: ne.Expr.Type()}
+	}
+	return out
+}
+
+// schemas is one pass's memo of the operators' columns: each node's is
+// computed once, from its inputs' memoized ones. Plan nodes are immutable, so
+// a node's schema never changes; a pass that builds nodes adds them as it
+// asks for them.
+type schemas map[Op][]Column
+
+// of returns op's columns.
+func (s schemas) of(op Op) []Column {
+	if cols, ok := s[op]; ok {
+		return cols
+	}
+	cols := columnsOf(op, s.of)
+	s[op] = cols
+	return cols
 }
 
 // withChildren returns a copy of op over the given inputs (in Children

@@ -10,12 +10,13 @@ import "slices"
 // equal on one share a partition, all a Γ or dedup needs) — and from that
 // decides every exchange the plan holds: a join side or BagToDict already
 // placed on its key is Placed, and a Γ/dedup is Local when its input is placed
-// on its key or its key determines a co-located set (idDeps). A Γ feeding a
+// on its key or its key determines a co-located set (idDeps). A Scan of a
+// Bound name is marked with, and lies, where Bound says. A Γ feeding a
 // join side on exactly its key keeps its exchange, whose placement lets the
 // join skip its own. Place returns the placed plan, which the executor
 // follows, and where the dataset it yields lies. The input plan is not mutated.
 func Place(op Op, opts PlaceOptions) (Op, []int) {
-	out, p := placer(opts).place(op, nil)
+	out, p := placer{opts, schemas{}}.place(op, nil)
 	return out, p.merged()
 }
 
@@ -26,12 +27,19 @@ type PlaceOptions struct {
 	// NoBroadcast: a join without a Cost shuffles — with a broadcast limit of
 	// 0 the executor's size heuristic never broadcasts.
 	NoBroadcast bool
-	// Bound holds the hash placement of the datasets earlier statements left
-	// under a name; a Scan of any other name is placed nowhere.
+	// Bound holds the hash placement of the datasets a Scan may read — the
+	// inputs bound placed, and those earlier statements left under a name; a
+	// Scan of any other name is placed nowhere. Rows hash-placed on K share a
+	// partition when they are equal on K, so a placed Scan is co-located on K
+	// too.
 	Bound map[string][]int
 }
 
-type placer PlaceOptions
+// placer is one Place pass: its options and its memo of the schemas.
+type placer struct {
+	PlaceOptions
+	cols schemas
+}
 
 // placement is where the rows of an operator's output lie.
 type placement struct {
@@ -60,10 +68,18 @@ func (p placement) merged() []int {
 func (pl placer) place(op Op, hashed []int) (Op, placement) {
 	ch := op.Children()
 	if len(ch) == 0 {
-		if s, ok := op.(*Scan); ok {
-			return op, placement{hash: pl.Bound[s.Input]}
+		s, ok := op.(*Scan)
+		if !ok {
+			return op, placement{}
 		}
-		return op, placement{}
+		h := pl.Bound[s.Input]
+		if !slices.Equal(s.Placed, h) {
+			s = cloneWith(s, func(c *Scan) { c.Placed = h })
+		}
+		if h == nil {
+			return s, placement{}
+		}
+		return s, placement{sets: [][]int{h}, hash: h}
 	}
 	kids := make([]Op, len(ch))
 	ins := make([]placement, len(ch))
@@ -93,7 +109,7 @@ func (pl placer) place(op Op, hashed []int) (Op, placement) {
 	case *Extend:
 		return x, in
 	case *AddIndex:
-		in.sets = append(in.sets, []int{len(x.In.Columns())})
+		in.sets = append(in.sets, []int{len(pl.cols.of(x.In))})
 		return x, in
 	case *Project:
 		out := in.through(copySources(x.Outs))
@@ -101,8 +117,8 @@ func (pl placer) place(op Op, hashed []int) (Op, placement) {
 		return x, out
 	case *Unnest:
 		// The tombstoned bag is NULL on every row, so it is no copy.
-		width := len(x.In.Columns())
-		src := make([]int, len(x.Columns()))
+		width := len(pl.cols.of(x.In))
+		src := make([]int, len(pl.cols.of(x)))
 		for i := range src {
 			if src[i] = x.Full(i); src[i] >= width || src[i] == x.BagCol {
 				src[i] = -1
@@ -122,7 +138,7 @@ func (pl placer) place(op Op, hashed []int) (Op, placement) {
 		} else if len(hashed) == 0 || !slices.Equal(hashed, key) {
 			// The mark names the latest set within the key, else the latest
 			// set the key determines.
-			deps, within := idDepsOf(x.In), func(s []int) bool { return determines(x.GroupCols, s, nil) }
+			deps, within := idDepsOf(x.In, pl.cols), func(s []int) bool { return determines(x.GroupCols, s, nil) }
 			for i := len(in.sets) - 1; i >= 0; i-- {
 				if determines(x.GroupCols, in.sets[i], deps) && (x.Local == nil || !within(x.Local) && within(in.sets[i])) {
 					x.Local = in.sets[i]
@@ -138,7 +154,7 @@ func (pl placer) place(op Op, hashed []int) (Op, placement) {
 		return x, out
 	case *DedupOp:
 		// Every set is determined by the whole-row key.
-		all := positions(len(x.Columns()))
+		all := positions(len(pl.cols.of(x)))
 		out := placement{sets: append(in.sets, all), hash: all}
 		x.Local = nil
 		if m := in.merged(); m != nil && slices.Equal(m, all) {
@@ -205,7 +221,7 @@ func (pl placer) join(x *Join, l, r placement) placement {
 	// determine.
 	out.sets = l.sets
 	if x.Cost == nil || x.Cost.Method != JoinBroadcast {
-		deps := idDepsOf(x.L)
+		deps := idDepsOf(x.L, pl.cols)
 		out.sets = slices.DeleteFunc(out.sets, func(s []int) bool { return !determines(s, x.LCols, deps) })
 	}
 	// Under skew a heavy key's rows stay spread.

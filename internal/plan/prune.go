@@ -18,15 +18,18 @@ import (
 //
 // Every output column is needed and the layout is kept: the root of a plan,
 // like an input of ⊎, is read by position.
-func Prune(op Op) Op {
-	n := len(op.Columns())
+func Prune(op Op) Op { return pruneRoot(op, schemas{}) }
+
+// pruneRoot is Prune over the pass's memo of the schemas.
+func pruneRoot(op Op, cols schemas) Op {
+	n := len(cols.of(op))
 	need := make([]bool, n)
 	for i := range need {
 		need[i] = true
 	}
-	in, rm := prune(op, need)
-	cols := in.Columns()
-	inPlace := len(cols) == n
+	in, rm := prune(op, need, cols)
+	inCols := cols.of(in)
+	inPlace := len(inCols) == n
 	for i := 0; inPlace && i < n; i++ {
 		inPlace = rm[i] == i
 	}
@@ -35,7 +38,7 @@ func Prune(op Op) Op {
 	}
 	outs := make([]NamedExpr, n)
 	for i := range outs {
-		c := cols[rm[i]]
+		c := inCols[rm[i]]
 		outs[i] = NamedExpr{Name: c.Name, Expr: &Col{Idx: rm[i], Name: c.Name, Typ: c.Type}}
 	}
 	return &Project{In: in, Outs: outs}
@@ -43,18 +46,18 @@ func Prune(op Op) Op {
 
 // prune rewrites op to compute (at least) the needed columns, returning the
 // rewritten operator and the old→new position map, which covers every column
-// marked needed.
-func prune(op Op, need []bool) (Op, map[int]int) {
+// marked needed. cols is the pass's memo of the schemas.
+func prune(op Op, need []bool, cols schemas) (Op, map[int]int) {
 	switch x := op.(type) {
 	case *Scan, *Values:
-		return op, identity(len(op.Columns()))
+		return op, identity(len(cols.of(op)))
 
 	case *Select:
-		w := len(x.In.Columns())
+		w := len(cols.of(x.In))
 		childNeed := cloneNeed(need, w)
 		markCols(childNeed, ExprCols(x.Pred, nil))
 		markCols(childNeed, x.NullifyCols)
-		in, rm := prune(x.In, childNeed)
+		in, rm := prune(x.In, childNeed, cols)
 		return &Select{
 			In:          in,
 			Pred:        RemapExpr(x.Pred, rm),
@@ -62,7 +65,7 @@ func prune(op Op, need []bool) (Op, map[int]int) {
 		}, rm
 
 	case *Extend:
-		base := len(x.In.Columns())
+		base := len(cols.of(x.In))
 		childNeed := make([]bool, base)
 		for i := 0; i < base && i < len(need); i++ {
 			childNeed[i] = need[i]
@@ -74,8 +77,8 @@ func prune(op Op, need []bool) (Op, map[int]int) {
 				markCols(childNeed, ExprCols(x.Exprs[i].Expr, nil))
 			}
 		}
-		in, rm := prune(x.In, childNeed)
-		newBase := len(in.Columns())
+		in, rm := prune(x.In, childNeed, cols)
+		newBase := len(cols.of(in))
 		exprs := make([]NamedExpr, len(kept))
 		out := copyMap(rm)
 		for j, i := range kept {
@@ -88,7 +91,7 @@ func prune(op Op, need []bool) (Op, map[int]int) {
 		return &Extend{In: in, Exprs: exprs}, out
 
 	case *Project:
-		childNeed := make([]bool, len(x.In.Columns()))
+		childNeed := make([]bool, len(cols.of(x.In)))
 		var outs []NamedExpr
 		out := map[int]int{}
 		for i, ne := range x.Outs {
@@ -99,38 +102,38 @@ func prune(op Op, need []bool) (Op, map[int]int) {
 			outs = append(outs, ne)
 			markCols(childNeed, ExprCols(ne.Expr, nil))
 		}
-		in, rm := prune(x.In, childNeed)
+		in, rm := prune(x.In, childNeed, cols)
 		for i := range outs {
 			outs[i] = NamedExpr{Name: outs[i].Name, Expr: RemapExpr(outs[i].Expr, rm)}
 		}
 		return &Project{In: in, Outs: outs, CastBags: x.CastBags}, out
 
 	case *AddIndex:
-		base := len(x.In.Columns())
+		base := len(cols.of(x.In))
 		childNeed := make([]bool, base)
 		for i := 0; i < base && i < len(need); i++ {
 			childNeed[i] = need[i]
 		}
-		in, rm := prune(x.In, childNeed)
+		in, rm := prune(x.In, childNeed, cols)
 		out := copyMap(rm)
-		out[base] = len(in.Columns())
+		out[base] = len(cols.of(in))
 		return &AddIndex{In: in, Name: x.Name}, out
 
 	case *Unnest:
-		base := len(x.In.Columns())
+		base := len(cols.of(x.In))
 		childNeed := make([]bool, base)
 		childNeed[x.BagCol] = true
-		for i := range x.Columns() {
+		for i := range cols.of(x) {
 			if c := x.Full(i); need[i] && c < base {
 				childNeed[c] = true
 			}
 		}
-		in, rm := prune(x.In, childNeed)
-		newBase := len(in.Columns())
+		in, rm := prune(x.In, childNeed, cols)
+		newBase := len(cols.of(in))
 		// μ writes what is read above it, and nothing else.
 		outs := []int{}
 		out := map[int]int{}
-		for i := range x.Columns() {
+		for i := range cols.of(x) {
 			if !need[i] {
 				continue
 			}
@@ -144,8 +147,8 @@ func prune(op Op, need []bool) (Op, map[int]int) {
 		return &Unnest{In: in, BagCol: rm[x.BagCol], Prefix: x.Prefix, Outer: x.Outer, Outs: outs}, out
 
 	case *Join:
-		lw := len(x.L.Columns())
-		rw := len(x.R.Columns())
+		lw := len(cols.of(x.L))
+		rw := len(cols.of(x.R))
 		lNeed := make([]bool, lw)
 		rNeed := make([]bool, rw)
 		for i := 0; i < lw && i < len(need); i++ {
@@ -156,10 +159,10 @@ func prune(op Op, need []bool) (Op, map[int]int) {
 		}
 		markCols(lNeed, x.LCols)
 		markCols(rNeed, x.RCols)
-		l, lrm := pruneNarrow(x.L, lNeed)
-		r, rrm := pruneNarrow(x.R, rNeed)
+		l, lrm := pruneNarrow(x.L, lNeed, cols)
+		r, rrm := pruneNarrow(x.R, rNeed, cols)
 		out := copyMap(lrm)
-		nlw := len(l.Columns())
+		nlw := len(cols.of(l))
 		for old, nw := range rrm {
 			out[lw+old] = nlw + nw
 		}
@@ -175,7 +178,7 @@ func prune(op Op, need []bool) (Op, map[int]int) {
 		// groups are the same without them, and any row of a group holds their
 		// value. Each is dropped against a column still in the key, so of two
 		// copies of an ID one stays.
-		deps := idDepsOf(x.In)
+		deps := idDepsOf(x.In, cols)
 		passed := x.passed()
 		inKey := make([]bool, len(passed))
 		for i := range x.GroupCols {
@@ -209,15 +212,15 @@ func prune(op Op, need []bool) (Op, map[int]int) {
 				carry = append(carry, c)
 			}
 		}
-		for i := len(passed); i < len(x.Columns()); i++ {
+		for i := len(passed); i < len(cols.of(x)); i++ {
 			out[i] = len(key) + len(carry) + i - len(passed)
 		}
-		childNeed := make([]bool, len(x.In.Columns()))
+		childNeed := make([]bool, len(cols.of(x.In)))
 		markCols(childNeed, key)
 		markCols(childNeed, carry)
 		markCols(childNeed, x.ValueCols)
 		markCols(childNeed, x.PresenceCols)
-		in, rm := pruneNarrow(x.In, childNeed)
+		in, rm := pruneNarrow(x.In, childNeed, cols)
 		return &Nest{
 			In:           in,
 			GroupCols:    remapInts(key, rm),
@@ -233,22 +236,22 @@ func prune(op Op, need []bool) (Op, map[int]int) {
 
 	case *DedupOp:
 		// Dedup compares whole rows: every column is semantically needed.
-		all := make([]bool, len(x.In.Columns()))
+		all := make([]bool, len(cols.of(x.In)))
 		for i := range all {
 			all[i] = true
 		}
-		in, rm := prune(x.In, all)
+		in, rm := prune(x.In, all, cols)
 		return &DedupOp{In: in}, rm
 
 	case *UnionAll:
 		// Both branches must keep identical layouts: require everything.
-		return &UnionAll{L: Prune(x.L), R: Prune(x.R)}, identity(len(x.Columns()))
+		return &UnionAll{L: pruneRoot(x.L, cols), R: pruneRoot(x.R, cols)}, identity(len(cols.of(x)))
 
 	case *BagToDict:
-		w := len(x.In.Columns())
+		w := len(cols.of(x.In))
 		childNeed := cloneNeed(need, w)
 		childNeed[x.LabelCol] = true
-		in, rm := prune(x.In, childNeed)
+		in, rm := prune(x.In, childNeed, cols)
 		return &BagToDict{In: in, LabelCol: rm[x.LabelCol]}, rm
 	}
 	panic(fmt.Sprintf("plan: prune of unknown operator %T", op))
@@ -257,9 +260,9 @@ func prune(op Op, need []bool) (Op, map[int]int) {
 // pruneNarrow prunes the child and then inserts an explicit narrowing
 // projection when unused pass-through columns remain, so joins and nests
 // never shuffle dead columns.
-func pruneNarrow(op Op, need []bool) (Op, map[int]int) {
-	in, rm := prune(op, need)
-	cols := in.Columns()
+func pruneNarrow(op Op, need []bool, schema schemas) (Op, map[int]int) {
+	in, rm := prune(op, need, schema)
+	cols := schema.of(in)
 	// Columns actually required at the new positions.
 	req := make([]bool, len(cols))
 	for old, ok := range iterNeed(need) {

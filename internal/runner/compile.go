@@ -67,6 +67,9 @@ type Compiled struct {
 	// stats are the per-input statistics the plans are costed against
 	// (annotate).
 	stats map[string]plan.TableEstimate
+	// dicts are the dictionary components of the step's inputs on a shredded
+	// route, which Execute binds hash-placed on their label (Inputs.Bind).
+	dicts []string
 }
 
 // Stmt is one plan of a compiled step.
@@ -122,10 +125,16 @@ func (cq *Compiled) place(st Stmt, bound map[string][]int) Stmt {
 	return st
 }
 
-// bound is outer (nil: none) plus where the datasets the step's statements
-// bound so far lie, under the names later statements scan them by.
+// bound is where the datasets the step's statements scan lie: its input
+// dictionaries on their label, then outer (nil: none), then the datasets the
+// step's statements bound so far, under the names later statements scan them
+// by. Within a program outer holds the earlier steps' outputs, which a later
+// step's environment lists as inputs.
 func (cq *Compiled) bound(outer map[string][]int) map[string][]int {
 	b := map[string][]int{}
+	for _, d := range cq.dicts {
+		b[d] = labelKey
+	}
 	maps.Copy(b, outer)
 	for _, st := range cq.Stmts {
 		if st.Bind != "" {
@@ -296,9 +305,10 @@ func outputSchema(op plan.Op, out nrc.Type, strat Strategy) []OutputColumn {
 }
 
 // annotate applies the cost model (plan.Annotate) over the step's table
-// statistics; without any it leaves the plan as it is. Shredded component
-// scans carry no statistics, so annotation is a no-op for most shredded-plan
-// internals — a documented limitation (docs/COSTMODEL.md).
+// statistics; without any it leaves the plan as it is. Dictionary scans
+// carry no statistics (a top component carries its input's), so a shredded
+// plan's joins are costed only where a known side decides them — a
+// documented limitation (docs/COSTMODEL.md).
 func (cq *Compiled) annotate(op plan.Op) plan.Op {
 	out, ist := plan.Annotate(op, cq.stats, cq.Cfg.BroadcastLimit)
 	cq.Idx.Add(ist)
@@ -348,6 +358,9 @@ func (cq *Compiled) compileShredded(q nrc.Expr) error {
 		}
 		for k, v := range ienv {
 			cenv[k] = v
+			if k != shred.MatName(name, nil) {
+				cq.dicts = append(cq.dicts, k)
+			}
 		}
 	}
 	c, err := core.NewCompiler(cenv)
@@ -387,9 +400,11 @@ type ExecOptions struct {
 }
 
 // Execute is the one way a compiled program reaches the engine: it builds the
-// executor on dctx, binds the input rows and the secondary indexes keyed like
-// them (Inputs.Bind; nil indexes are always sound — IndexScan then falls back
-// to a full scan plus its span predicate), and runs
+// executor on dctx, binds the input components — rows as they are, placed
+// dictionaries as placed datasets, which must span dctx's partitions — and the
+// secondary indexes keyed like them (Inputs.Bind; nil indexes are always
+// sound — IndexScan then falls back to a full scan plus its span predicate),
+// and runs
 // the steps in order. A query is the one-step program. All steps share the
 // executor, so each step's output — the nested dataset on standard routes, the
 // materialized shredded components on shredded routes — is visible to later
@@ -406,7 +421,7 @@ type ExecOptions struct {
 // any number may run concurrently; panics anywhere in execution degrade to
 // Result.Err. Cancellation of ctx is honored between statements (best effort
 // — an individual statement runs to completion).
-func Execute(ctx context.Context, prog []*Compiled, rows map[string][]dataflow.Row, idxs map[string]*index.Set, dctx *dataflow.Context, opts ExecOptions) *Result {
+func Execute(ctx context.Context, prog []*Compiled, in Components, idxs map[string]*index.Set, dctx *dataflow.Context, opts ExecOptions) *Result {
 	prog = placeProgram(prog)
 	last := prog[len(prog)-1]
 	res := &Result{Strategy: last.Strategy, Mat: last.Mat, Columns: last.Columns, Analyze: opts.Analysis, FailedStep: -1, prog: prog}
@@ -414,8 +429,15 @@ func Execute(ctx context.Context, prog []*Compiled, rows map[string][]dataflow.R
 	ex.SkewAware = last.Strategy.SkewAware()
 	ex.Indexes = idxs
 	ex.Analysis = opts.Analysis
-	for name, r := range rows {
+	for name, r := range in.Rows {
 		ex.BindRows(name, r)
+	}
+	for name, pl := range in.Placed {
+		if len(pl.Parts) != dctx.Parallelism {
+			res.Err = fmt.Errorf("input %s is placed over %d partitions, the run over %d", name, len(pl.Parts), dctx.Parallelism)
+			return res
+		}
+		ex.Bind(name, dctx.FromPlaced(pl))
 	}
 	for i, cq := range prog {
 		var out *dataflow.Dataset

@@ -409,12 +409,14 @@ func applyIndexes(ests map[string]plan.TableEstimate, chosen map[string][]string
 }
 
 // collectDiffStats gathers per-input statistics the way a catalog session
-// would, sized to the differential cluster.
+// would, sized to the differential cluster: under the input's name and its
+// shredded top component's.
 func collectDiffStats(env nrc.Env, inputs map[string]value.Bag) map[string]plan.TableEstimate {
 	ests := map[string]plan.TableEstimate{}
 	for name, b := range inputs {
 		bt := env[name].(nrc.BagType)
 		ests[name] = stats.Collect(b, bt, stats.Options{Parallelism: 3}).Estimate()
+		ests[shred.MatName(name, nil)] = ests[name]
 	}
 	return ests
 }
@@ -484,6 +486,10 @@ type diffCounts struct {
 	composed  int // seeds where some strategy's full plans hold fewer π/ext than its ablated plans
 	local     int // seeds where some strategy's full plans reduce a Γ/dedup in place
 	placed    int // seed × strategy pairs whose full plans place a join side
+	// boundSkip counts seeds where a shredded route skips an exchange over an
+	// input dictionary bound placed on its label; scanLocal those where a Γ
+	// or dedup reduces in place over a placed Scan.
+	boundSkip, scanLocal int
 	// groupedPlaced counts seeds whose grouped-join program places a join
 	// side on some strategy.
 	groupedPlaced int
@@ -508,6 +514,8 @@ func (c *diffCounts) add(o diffCounts) {
 	c.composed += o.composed
 	c.local += o.local
 	c.placed += o.placed
+	c.boundSkip += o.boundSkip
+	c.scanLocal += o.scanLocal
 	c.groupedPlaced += o.groupedPlaced
 	c.shreddedSteps += o.shreddedSteps
 	c.stitchResolved += o.stitchResolved
@@ -541,6 +549,7 @@ func runDifferential(data []byte, strict bool) (n diffCounts, err error) {
 	applyIndexes(ests, chosen)
 
 	nested, narrowed, fused, composed, local := false, false, false, false, false
+	boundSkip, scanLocal := false, false
 	stitchK := 1 + g.n(4) // the stitching checks' limit besides 0
 	var st stitchSeen
 	moved := movedBy{}
@@ -607,6 +616,12 @@ func runDifferential(data []byte, strict bool) (n diffCounts, err error) {
 				}
 				local = local || full && marked > 0
 				placed = placed || full && sides > 0
+				overDict, overScan := boundReuse(res.Program(), env)
+				if strat == runner.SparkSQLStyle && (overDict || overScan) {
+					return n, fmt.Errorf("the baseline that reuses no placement skipped an exchange over a placed input\n%s", cq.Explain())
+				}
+				boundSkip = boundSkip || overDict
+				scanLocal = scanLocal || overScan
 				if gerr != nil {
 					return n, fmt.Errorf("%s (full=%t, noidx=%t) unshred: %v\n%s",
 						strat, full, noIdx, gerr, nrc.Print(q))
@@ -804,12 +819,21 @@ func runDifferential(data []byte, strict bool) (n diffCounts, err error) {
 		if err := moved.check(strat, res, "stitching"); err != nil {
 			return n, fmt.Errorf("%s stitching query: %v\n%s", strat, err, nrc.Print(sq()))
 		}
+		overDict, overScan := boundReuse(res.Program(), env)
+		boundSkip = boundSkip || overDict
+		scanLocal = scanLocal || overScan
 		if cq.Strategy.Unshreds() {
 			if err := checkStitch(res, swant, stitchK, &st); err != nil {
 				return n, fmt.Errorf("%s stitching query: %v\n%s", strat, err, nrc.Print(sq()))
 			}
 		}
 		n.runs++
+	}
+	if boundSkip {
+		n.boundSkip++
+	}
+	if scanLocal {
+		n.scanLocal++
 	}
 	if st.resolved > 0 {
 		n.stitchResolved++
@@ -849,28 +873,41 @@ func oracleProgram(steps []nrc.Assignment, env nrc.Env, inputs map[string]value.
 }
 
 // stitchQuery builds the stitching arm's query over R: each row's items with
-// their tags (two nesting levels; the tags a bag of scalars in half the
-// seeds), under a leading scalar that is a constant or x.a, so rows tie on it
-// and their order is decided inside the bags; guards leave some bags empty.
+// their tags (two nesting levels; the tags a bag of scalars in a quarter of
+// the seeds, of tuples in another, and counted per tag — sumby over the inner
+// bag alone, a Γ keyed by the label on shredded routes — in the rest), under a
+// leading scalar that is a constant or x.a, so rows tie on it and their order
+// is decided inside the bags; guards leave some bags empty.
 func (g *dgen) stitchQuery() nrc.Expr {
 	x, it, tg := nrc.V("x"), nrc.V("it"), nrc.V("tg")
 	lead := nrc.Expr(nrc.C(g.intv()))
 	if g.coin() {
 		lead = nrc.P(x, "a")
 	}
-	var tag nrc.Expr = nrc.P(tg, "t")
+	scalarTags := !g.coin()
+	var itemGuard, rowGuard nrc.Expr
 	if g.coin() {
-		tag = nrc.Record("t", nrc.P(tg, "t"))
+		itemGuard = g.pred(&scope{paths: []path{projPath("it", nrc.IntT, "v"), projPath("it", nrc.StringT, "w")}})
 	}
-	var inner nrc.Expr = nrc.SingOf(nrc.Record(
-		"v", nrc.P(it, "v"),
-		"tags", nrc.ForIn("tg", nrc.P(it, "tags"), nrc.SingOf(tag))))
 	if g.coin() {
-		inner = nrc.IfThen(g.pred(&scope{paths: []path{projPath("it", nrc.IntT, "v"), projPath("it", nrc.StringT, "w")}}), inner)
+		rowGuard = g.pred(&scope{paths: []path{projPath("x", nrc.IntT, "a"), projPath("x", nrc.StringT, "b")}})
+	}
+	var tags nrc.Expr
+	switch {
+	case g.coin():
+		tags = nrc.SumByOf(nrc.ForIn("tg", nrc.P(it, "tags"), nrc.SingOf(nrc.Record("t", nrc.P(tg, "t"), "n", nrc.C(int64(1))))), []string{"t"}, []string{"n"})
+	case scalarTags:
+		tags = nrc.ForIn("tg", nrc.P(it, "tags"), nrc.SingOf(nrc.P(tg, "t")))
+	default:
+		tags = nrc.ForIn("tg", nrc.P(it, "tags"), nrc.SingOf(nrc.Record("t", nrc.P(tg, "t"))))
+	}
+	var inner nrc.Expr = nrc.SingOf(nrc.Record("v", nrc.P(it, "v"), "tags", tags))
+	if itemGuard != nil {
+		inner = nrc.IfThen(itemGuard, inner)
 	}
 	var body nrc.Expr = nrc.SingOf(nrc.Record("k", lead, "items", nrc.ForIn("it", nrc.P(x, "items"), inner)))
-	if g.coin() {
-		body = nrc.IfThen(g.pred(&scope{paths: []path{projPath("x", nrc.IntT, "a"), projPath("x", nrc.StringT, "b")}}), body)
+	if rowGuard != nil {
+		body = nrc.IfThen(rowGuard, body)
 	}
 	return nrc.ForIn("x", nrc.V("R"), body)
 }
@@ -999,6 +1036,74 @@ func fusionOf(cq *runner.Compiled) (fusedJoins, narrowOps int) {
 // broadcast did not, and one without a Cost (the executor decides) may run as
 // either. It returns how many Γ/dedup were marked local and how many join
 // sides placed.
+// boundReuse reports whether the plans a run ran skip an exchange over an
+// input dictionary of env bound placed on its label — a placed join side or
+// BagToDict, or a local Γ/dedup, above a Scan of one marked placed — and
+// whether a Γ or dedup reduces in place above any placed Scan.
+func boundReuse(prog []*runner.Compiled, env nrc.Env) (overDict, overScan bool) {
+	isDict := func(name string) bool {
+		for in := range env {
+			if strings.HasPrefix(name, in+"__") && name != shred.MatName(in, nil) {
+				return true
+			}
+		}
+		return false
+	}
+	// below reports whether op's subtree scans a placed input dictionary, and
+	// whether it scans anything placed.
+	var below func(plan.Op) (dict, any bool)
+	below = func(op plan.Op) (dict, any bool) {
+		if s, ok := op.(*plan.Scan); ok && s.Placed != nil {
+			return isDict(s.Input), true
+		}
+		for _, c := range op.Children() {
+			d, a := below(c)
+			dict, any = dict || d, any || a
+		}
+		return dict, any
+	}
+	var walk func(plan.Op)
+	walk = func(op plan.Op) {
+		switch x := op.(type) {
+		case *plan.Join:
+			for i, c := range x.Children() {
+				if d, _ := below(c); x.Placed[i] && d {
+					overDict = true
+				}
+			}
+		case *plan.BagToDict:
+			if d, _ := below(x.In); x.Placed && d {
+				overDict = true
+			}
+		case *plan.Nest, *plan.DedupOp:
+			if nestLocal(x) != nil {
+				d, a := below(op.Children()[0])
+				overDict, overScan = overDict || d, overScan || a
+			}
+		}
+		for _, c := range op.Children() {
+			walk(c)
+		}
+	}
+	for _, cq := range prog {
+		for _, st := range cq.Stmts {
+			walk(st.Plan)
+		}
+	}
+	return overDict, overScan
+}
+
+// nestLocal is the Local mark of a Γ or dedup.
+func nestLocal(op plan.Op) []int {
+	switch x := op.(type) {
+	case *plan.Nest:
+		return x.Local
+	case *plan.DedupOp:
+		return x.Local
+	}
+	return nil
+}
+
 func exchangesAsPlanned(prog []*runner.Compiled, res *runner.Result) (local, placed int, err error) {
 	var reduces, dicts, dictsPlaced, joins int
 	var must, may [4]int // keyed joins that shuffle (or may), by the sides they exchange: 1 L, 2 R
@@ -1196,6 +1301,12 @@ func TestDifferentialOracle(t *testing.T) {
 	if total.placed < n/3 {
 		t.Fatalf("%d seed × strategy pairs over %d generated queries place a join side on their full plans — plan.Place no longer skips join exchanges", total.placed, n)
 	}
+	// And a shredded input must arrive placed: some shredded route skips an
+	// exchange over an input dictionary, and some Γ or dedup reduces in place
+	// over a placed Scan (SPARK-SQL doing either fails its run).
+	if total.boundSkip < n/8 || total.scanLocal < n/8 {
+		t.Fatalf("%d of %d seeds skip an exchange over a placed input dictionary and %d reduce a Γ/dedup in place over a placed Scan — bound placement is no longer exercised", total.boundSkip, n, total.scanLocal)
+	}
 	if total.groupedPlaced < n/15 {
 		t.Fatalf("%d of %d grouped-join programs place a join side on some strategy — plan.Place no longer skips join exchanges", total.groupedPlaced, n)
 	}
@@ -1224,8 +1335,8 @@ func TestDifferentialOracle(t *testing.T) {
 		t.Fatalf("%d of %d seeds resolved a label inside the stitching comparator and %d stitched two nesting levels — stitching is no longer exercised", total.stitchResolved, n, total.stitchDeep)
 	}
 	t.Logf("%d seeds stitched through a label comparison, %d two levels deep; %d index scans served", total.stitchResolved, total.stitchDeep, after["index.scans"]-before["index.scans"])
-	t.Logf("%d queries × %d runs each agreed with the oracle; optimizer changed plans in %d runs (%d crossings); %d seeds grouped above an addIndex, %d keyed a Γ by the IDs; %d seeds fused a join and %d composed a chain; %d seeds reduced in place; %d seed × strategy pairs placed a join side (%d grouped-join programs); %d runs planned index scans; %d runs moved rows across an exchange; %d programs read a shredded step output",
-		n, total.runs/n, total.optimized, total.pushed, total.nested, total.narrowed, total.fused, total.composed, total.local, total.placed, total.groupedPlaced, total.indexed, total.shuffled, total.shreddedSteps)
+	t.Logf("%d queries × %d runs each agreed with the oracle; optimizer changed plans in %d runs (%d crossings); %d seeds grouped above an addIndex, %d keyed a Γ by the IDs; %d seeds fused a join and %d composed a chain; %d seeds reduced in place; %d seed × strategy pairs placed a join side (%d grouped-join programs); %d seeds skipped an exchange over a placed input dictionary, %d reduced in place over a placed Scan; %d runs planned index scans; %d runs moved rows across an exchange; %d programs read a shredded step output",
+		n, total.runs/n, total.optimized, total.pushed, total.nested, total.narrowed, total.fused, total.composed, total.local, total.placed, total.groupedPlaced, total.boundSkip, total.scanLocal, total.indexed, total.shuffled, total.shreddedSteps)
 }
 
 // TestAnalyzeStableAcrossRoutes re-runs a sampled subset of the differential

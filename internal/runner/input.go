@@ -3,6 +3,7 @@ package runner
 import (
 	"fmt"
 	"maps"
+	"slices"
 	"sync"
 
 	"github.com/trance-go/trance/internal/dataflow"
@@ -14,8 +15,9 @@ import (
 
 // Chunk is an immutable run of an input's rows and what evaluation derives
 // from it, each computed on first use, once: the engine rows of each route
-// under every variable name the chunk is bound as, and the index part of each
-// column. An Input is a list of chunks; a catalog dataset generation
+// under every variable name the chunk is bound as (on shredded routes, per
+// partition count the dictionaries are placed over), and the index part of
+// each column. An Input is a list of chunks; a catalog dataset generation
 // reuses the chunks a mutation left unchanged, and with them everything
 // derived from their rows, so a write re-derives only the rows it changed.
 type Chunk struct {
@@ -34,13 +36,29 @@ type Chunk struct {
 type convKey struct {
 	name     string
 	shredded bool
+	parts    int // the partition count dictionaries are placed over; 0 on standard routes
 }
 
 type conversion struct {
 	once sync.Once
-	rows map[string][]dataflow.Row
+	comp Components
 	err  error
 }
+
+// Components are the engine datasets of an input, or of a run's inputs, on
+// one route. Rows are bound as they are (over contiguous ranges, FromRows):
+// the top-level rows on standard routes and the top component on shredded
+// ones, whose positions the indexes hold. Placed are the dictionary
+// components of shredded routes, each hash-placed on its label (column 0) —
+// where plan.Place finds them (Compiled.bound) — and bound as placed
+// datasets.
+type Components struct {
+	Rows   map[string][]dataflow.Row
+	Placed map[string]*dataflow.Placed
+}
+
+// labelKey is the column every dictionary component is placed on: its label.
+var labelKey = []int{0}
 
 type partBuild struct {
 	once sync.Once
@@ -57,13 +75,14 @@ func NewChunk(b value.Bag, t nrc.Type, labelBase int64) *Chunk {
 // LabelBase is where value shredding numbers the chunk's labels from.
 func (c *Chunk) LabelBase() int64 { return c.labelBase }
 
-// Rows returns the chunk's engine datasets on a route when bound as variable
-// name: one under name on standard routes, the value-shredded dictionary
-// components on shredded ones.
-func (c *Chunk) Rows(name string, shredded bool) (map[string][]dataflow.Row, error) {
-	r := entry(&c.mu, &c.conv, convKey{name, shredded})
-	r.once.Do(func() { r.rows, r.err = c.convert(name, shredded) })
-	return r.rows, r.err
+// Components returns the chunk's engine datasets on a route when bound as
+// variable name: its rows under name on standard routes (parts 0); on
+// shredded ones the value-shredded components, each dictionary placed stably
+// over parts partitions.
+func (c *Chunk) Components(name string, shredded bool, parts int) (Components, error) {
+	r := entry(&c.mu, &c.conv, convKey{name, shredded, parts})
+	r.once.Do(func() { r.comp, r.err = c.convert(name, shredded, parts) })
+	return r.comp, r.err
 }
 
 // entry returns the entry of *m under k, creating it; mu guards *m.
@@ -81,24 +100,27 @@ func entry[K comparable, V any](mu *sync.Mutex, m *map[K]*V, k K) *V {
 	return v
 }
 
-func (c *Chunk) convert(name string, shredded bool) (rows map[string][]dataflow.Row, err error) {
+func (c *Chunk) convert(name string, shredded bool, parts int) (comp Components, err error) {
 	defer recoverTo(&err, "input preparation")
 	if !shredded {
-		return map[string][]dataflow.Row{name: rowsOf(c.Bag)}, nil
+		return Components{Rows: map[string][]dataflow.Row{name: rowsOf(c.Bag)}}, nil
 	}
 	bt, ok := c.Type.(nrc.BagType)
 	if !ok {
-		return nil, fmt.Errorf("input %s is not a bag", name)
+		return comp, fmt.Errorf("input %s is not a bag", name)
 	}
 	si, err := shred.ShredInputFrom(name, c.Bag, bt, c.labelBase)
 	if err != nil {
-		return nil, err
+		return comp, err
 	}
-	rows = map[string][]dataflow.Row{}
-	for comp, ts := range si.Rows {
-		rows[comp] = tuplesToRows(ts)
+	top := shred.MatName(name, nil)
+	comp = Components{Rows: map[string][]dataflow.Row{top: tuplesToRows(si.Rows[top])}, Placed: map[string]*dataflow.Placed{}}
+	for dict, ts := range si.Rows {
+		if dict != top {
+			comp.Placed[dict] = placeRows(ts, parts)
+		}
 	}
-	return rows, nil
+	return comp, nil
 }
 
 // Index returns the chunk's index part over column col, positions local to
@@ -132,8 +154,7 @@ func IndexChunks(chunks []*Chunk, col string) (*index.ColumnIndex, error) {
 
 // Input is one named nested input bound for evaluation: its declared type, the
 // chunks of its rows, the secondary indexes built over its top-level scalar
-// columns, and the engine rows of each route (the top-level rows on standard
-// routes, the value-shredded components on shredded ones), converted on first
+// columns, and its components on each route (Components), derived on first
 // use, once, and shared by every run and goroutine binding the Input. Value
 // shredding mints labels from the input's name, so an Input serves one
 // variable name: a catalog generation owns one per name it is queried under.
@@ -142,7 +163,8 @@ type Input struct {
 	Type   nrc.Type
 	Chunks []*Chunk
 
-	routes [2]conversion // standard, shredded: the chunks' rows concatenated
+	mu     sync.Mutex // guards routes; each entry computes under its own once
+	routes map[convKey]*conversion
 	idx    *index.Set
 }
 
@@ -166,26 +188,28 @@ func NewInputs(bags map[string]value.Bag, env nrc.Env) Inputs {
 	return ins
 }
 
-// Bind returns what Execute binds for prog: every input's rows on prog's
-// route, and, when a plan of prog scans an index, the inputs' index sets keyed
-// like the rows (shredded routes scan the top component, whose rows value
-// shredding keeps in order with their scalar columns in place). IndexScan
-// falls back to a full scan when a flagged index is missing.
-func (ins Inputs) Bind(prog []*Compiled) (map[string][]dataflow.Row, map[string]*index.Set, error) {
+// Bind returns what Execute binds for prog: every input's components on
+// prog's route, dictionaries placed over the partitions of prog's config, and,
+// when a plan of prog scans an index, the inputs' index sets keyed like the
+// rows (shredded routes scan the top component, whose rows value shredding
+// keeps in order with their scalar columns in place). IndexScan falls back to
+// a full scan when a flagged index is missing.
+func (ins Inputs) Bind(prog []*Compiled) (Components, map[string]*index.Set, error) {
 	cq := prog[0]
 	shredded := cq.Strategy.IsShredded()
 	planned := false
 	for _, c := range prog {
 		planned = planned || c.Idx.Planned > 0
 	}
-	rows := map[string][]dataflow.Row{}
+	all := Components{Rows: map[string][]dataflow.Row{}, Placed: map[string]*dataflow.Placed{}}
 	var idxs map[string]*index.Set
 	for name, in := range ins {
-		comps, err := in.Rows(shredded)
+		comp, err := in.Components(shredded, max(cq.Cfg.Parallelism, 1)) // NewRunContext's partition count
 		if err != nil {
-			return nil, nil, err
+			return Components{}, nil, err
 		}
-		maps.Copy(rows, comps)
+		maps.Copy(all.Rows, comp.Rows)
+		maps.Copy(all.Placed, comp.Placed)
 		if !planned {
 			continue
 		}
@@ -199,48 +223,58 @@ func (ins Inputs) Bind(prog []*Compiled) (map[string][]dataflow.Row, map[string]
 			idxs[name] = in.idx
 		}
 	}
-	return rows, idxs, nil
+	return all, idxs, nil
 }
 
-// Rows returns the input's engine datasets on a route: one under the input's
-// own name on standard routes, the value-shredded dictionary components on
-// shredded ones — each chunk's, concatenated in chunk order, so top rows keep
-// the positions the indexes hold (a one-chunk input binds its chunk's rows
-// as they are). The rows are never mutated by the engine.
-func (in *Input) Rows(shredded bool) (map[string][]dataflow.Row, error) {
-	c := &in.routes[0]
-	if shredded {
-		c = &in.routes[1]
+// Components returns the input's components on a route (dictionaries placed
+// over parts partitions): each chunk's, concatenated in chunk order — rows
+// end to end, so top rows keep the positions the indexes hold, and placed
+// dictionaries partition by partition (a one-chunk input binds its chunk's
+// as they are). The engine never mutates them.
+func (in *Input) Components(shredded bool, parts int) (Components, error) {
+	if !shredded {
+		parts = 0
 	}
-	c.once.Do(func() { c.rows, c.err = in.concat(shredded) })
-	return c.rows, c.err
+	c := entry(&in.mu, &in.routes, convKey{in.Name, shredded, parts})
+	c.once.Do(func() { c.comp, c.err = in.concat(shredded, parts) })
+	return c.comp, c.err
 }
 
-func (in *Input) concat(shredded bool) (map[string][]dataflow.Row, error) {
+func (in *Input) concat(shredded bool, parts int) (Components, error) {
 	if len(in.Chunks) == 1 {
-		return in.Chunks[0].Rows(in.Name, shredded)
+		return in.Chunks[0].Components(in.Name, shredded, parts)
 	}
-	parts := make([]map[string][]dataflow.Row, len(in.Chunks))
-	sizes := map[string]int{}
+	each := make([]Components, len(in.Chunks))
 	for i, ch := range in.Chunks {
-		comps, err := ch.Rows(in.Name, shredded)
+		comp, err := ch.Components(in.Name, shredded, parts)
 		if err != nil {
-			return nil, err
+			return Components{}, err
 		}
-		parts[i] = comps
-		for comp, rs := range comps {
-			sizes[comp] += len(rs)
+		each[i] = comp
+	}
+	all := Components{Rows: map[string][]dataflow.Row{}}
+	for name := range each[0].Rows {
+		n := 0
+		for _, comp := range each {
+			n += len(comp.Rows[name])
+		}
+		rows := make([]dataflow.Row, 0, n)
+		for _, comp := range each {
+			rows = append(rows, comp.Rows[name]...)
+		}
+		all.Rows[name] = rows
+	}
+	if each[0].Placed != nil {
+		all.Placed = map[string]*dataflow.Placed{}
+		for name := range each[0].Placed {
+			pls := make([]*dataflow.Placed, len(each))
+			for i, comp := range each {
+				pls[i] = comp.Placed[name]
+			}
+			all.Placed[name] = concatPlaced(pls)
 		}
 	}
-	rows := make(map[string][]dataflow.Row, len(sizes))
-	for comp, n := range sizes {
-		all := make([]dataflow.Row, 0, n)
-		for _, comps := range parts {
-			all = append(all, comps[comp]...)
-		}
-		rows[comp] = all
-	}
-	return rows, nil
+	return all, nil
 }
 
 // ScalarColumn finds a top-level scalar column of a bag type: its tuple offset
@@ -276,6 +310,105 @@ func buildIndex(b value.Bag, bt nrc.BagType, col string) (*index.ColumnIndex, er
 		}
 	}
 	return index.Build(col, true, true, vals)
+}
+
+// placeRows places rows on their label over p partitions, stably: each
+// partition keeps its rows in input order. It lays each partition out anew,
+// partition after partition — its rows' cells in one block, every boxed
+// scalar and label allocated again in that order (rows of one label share
+// one copy of it) — so a scan of a placed partition reads memory in order, as
+// one of a contiguous input range does: placed rows interleave in the input,
+// and reading them where value shredding left them costs a cache miss a row.
+func placeRows(rows []value.Tuple, p int) *dataflow.Placed {
+	hashes := make([]uint64, len(rows))
+	start, widths := make([]int, p+1), make([]int, p)
+	// sameLabel[j]: row j has row j-1's label — value shredding lays a bag's
+	// elements out together — so it follows row j-1 in its partition too.
+	sameLabel := make([]bool, len(rows))
+	for j, r := range rows {
+		hashes[j] = value.HashCols(r, labelKey)
+		sameLabel[j] = j > 0 && hashes[j] == hashes[j-1] && value.Equal(r[0], rows[j-1][0])
+		t := hashes[j] % uint64(p)
+		start[t+1]++
+		widths[t] += len(r)
+	}
+	for t := range p {
+		start[t+1] += start[t]
+	}
+	// order lists the rows partition by partition, each in input order.
+	order, next := make([]int, len(rows)), slices.Clone(start[:p])
+	for j := range rows {
+		t := hashes[j] % uint64(p)
+		order[next[t]] = j
+		next[t]++
+	}
+	pl := &dataflow.Placed{Cols: labelKey, Parts: make([][]dataflow.Row, p), Hashes: make([][]uint64, p)}
+	for t := range pl.Parts {
+		cells := make([]value.Value, 0, widths[t])
+		pl.Parts[t] = make([]dataflow.Row, 0, start[t+1]-start[t])
+		pl.Hashes[t] = make([]uint64, 0, start[t+1]-start[t])
+		var label value.Value // the copy of the latest row's label
+		for _, j := range order[start[t]:start[t+1]] {
+			r, at := rows[j], len(cells)
+			for c, v := range r {
+				switch {
+				case c > 0:
+					v = fresh(v)
+				case !sameLabel[j]:
+					label = fresh(v)
+					fallthrough
+				default:
+					v = label
+				}
+				cells = append(cells, v)
+			}
+			pl.Parts[t] = append(pl.Parts[t], cells[at:len(cells):len(cells)])
+			pl.Hashes[t] = append(pl.Hashes[t], hashes[j])
+		}
+	}
+	return pl
+}
+
+// fresh is v in a newly allocated box.
+func fresh(v value.Value) value.Value {
+	switch x := v.(type) {
+	case int64:
+		return x
+	case float64:
+		return x
+	case string:
+		return x
+	case value.Date:
+		return x
+	case value.Label:
+		payload := make(value.Tuple, len(x.Payload))
+		for i, e := range x.Payload {
+			payload[i] = fresh(e)
+		}
+		return value.Label{Site: x.Site, Payload: payload}
+	}
+	return v
+}
+
+// concatPlaced lays placements over the same partitions end to end,
+// partition by partition in order: placing rows chunk by chunk and
+// concatenating is placing them whole.
+func concatPlaced(pls []*dataflow.Placed) *dataflow.Placed {
+	p := len(pls[0].Parts)
+	out := &dataflow.Placed{Cols: labelKey, Parts: make([][]dataflow.Row, p), Hashes: make([][]uint64, p)}
+	for t := range out.Parts {
+		n := 0
+		for _, pl := range pls {
+			n += len(pl.Parts[t])
+		}
+		out.Parts[t] = make([]dataflow.Row, 0, n)
+		out.Hashes[t] = make([]uint64, 0, n)
+		for _, pl := range pls {
+			out.Parts[t] = append(out.Parts[t], pl.Parts[t]...)
+			out.Hashes[t] = append(out.Hashes[t], pl.Hashes[t]...)
+		}
+	}
+	return out
 }
 
 func rowsOf(b value.Bag) []dataflow.Row {

@@ -31,10 +31,8 @@ func ShredInputFrom(name string, b value.Bag, t nrc.BagType, labelBase int64) (*
 	s := &ShreddedInput{Name: name, Rows: map[string][]value.Tuple{}}
 	var counters atomicCounters
 	counters.n.Store(labelBase)
-	top, err := s.shredBag(b, t.Elem, nil, &counters)
-	if err != nil {
-		return nil, err
-	}
+	var top []value.Tuple
+	s.shredBag(b, s.shapeOf(t.Elem, nil), nil, &top, &counters)
 	s.Rows[MatName(name, nil)] = top
 	// Ensure every dictionary exists, even when empty.
 	_, dicts, err := ShredType(t)
@@ -54,37 +52,72 @@ type atomicCounters struct{ n atomic.Int64 }
 
 func (c *atomicCounters) next() int64 { return c.n.Add(1) }
 
-func (s *ShreddedInput) shredBag(b value.Bag, elem nrc.Type, path []string, ctr *atomicCounters) ([]value.Tuple, error) {
-	tt, isTuple := elem.(nrc.TupleType)
-	rows := make([]value.Tuple, 0, len(b))
+// shape is what value shredding needs of a bag's element type, worked out
+// once per input rather than once per element: whether the elements are
+// tuples and how wide, and for each bag-valued field the site its labels
+// carry, the dictionary its elements go to and their own shape.
+type shape struct {
+	tuple bool
+	width int
+	bags  []*dictField // by field position; nil for a field that is not a bag
+}
+
+type dictField struct {
+	site int32
+	dict string
+	elem *shape
+}
+
+func (s *ShreddedInput) shapeOf(elem nrc.Type, path []string) *shape {
+	tt, ok := elem.(nrc.TupleType)
+	if !ok {
+		return &shape{width: 1}
+	}
+	sh := &shape{tuple: true, width: len(tt.Fields), bags: make([]*dictField, len(tt.Fields))}
+	for i, f := range tt.Fields {
+		if bt, isBag := f.Type.(nrc.BagType); isBag {
+			sub := append(append([]string{}, path...), f.Name)
+			sh.bags[i] = &dictField{site: inputSite(s.Name, sub), dict: MatName(s.Name, sub), elem: s.shapeOf(bt.Elem, sub)}
+		}
+	}
+	return sh
+}
+
+// shredBag appends a row per element of b to *out — led by lead, the label of
+// the bag the elements came from, on a dictionary (lead nil: the top rows) —
+// with a fresh label in place of each inner bag, whose elements it appends to
+// that bag's dictionary in turn. Every row of one inner bag shares one label
+// value.
+func (s *ShreddedInput) shredBag(b value.Bag, sh *shape, lead value.Value, out *[]value.Tuple, ctr *atomicCounters) {
+	off := 0
+	if lead != nil {
+		off = 1
+	}
 	for _, e := range b {
-		if !isTuple {
-			rows = append(rows, value.Tuple{e})
+		row := make(value.Tuple, off+sh.width)
+		if lead != nil {
+			row[0] = lead
+		}
+		if !sh.tuple {
+			row[off] = e
+			*out = append(*out, row)
 			continue
 		}
 		src := e.(value.Tuple)
-		row := make(value.Tuple, len(tt.Fields))
-		for i, f := range tt.Fields {
-			bagT, isBag := f.Type.(nrc.BagType)
-			if !isBag {
-				row[i] = src[i]
+		for i := range sh.width {
+			d := sh.bags[i]
+			if d == nil {
+				row[off+i] = src[i]
 				continue
 			}
-			sub := append(append([]string{}, path...), f.Name)
-			lbl := value.Label{Site: inputSite(s.Name, sub), Payload: value.Tuple{ctr.next()}}
-			row[i] = lbl
-			inner, err := s.shredBag(src[i].(value.Bag), bagT.Elem, sub, ctr)
-			if err != nil {
-				return nil, err
-			}
-			key := MatName(s.Name, sub)
-			for _, ir := range inner {
-				s.Rows[key] = append(s.Rows[key], append(value.Tuple{lbl}, ir...))
-			}
+			lbl := value.Value(value.Label{Site: d.site, Payload: value.Tuple{ctr.next()}})
+			row[off+i] = lbl
+			inner := s.Rows[d.dict]
+			s.shredBag(src[i].(value.Bag), d.elem, lbl, &inner, ctr)
+			s.Rows[d.dict] = inner
 		}
-		rows = append(rows, row)
+		*out = append(*out, row)
 	}
-	return rows, nil
 }
 
 // UnshredValue rebuilds a nested bag from shredded components — the value
