@@ -91,11 +91,11 @@ func runProgram(steps []nrc.Assignment, env nrc.Env, inputs map[string]value.Bag
 			return runner.Failure(strat, err)
 		}
 	}
-	rows, idxs, err := runner.NewInputs(inputs, env).Bind(prog)
+	dctx := runner.NewRunContext(cfg)
+	rows, idxs, err := runner.NewInputs(inputs, env).Bind(prog, dctx.Parallelism)
 	if err != nil {
 		return runner.Failure(strat, err)
 	}
-	dctx := runner.NewRunContext(cfg)
 	if cfg.Workers > 0 {
 		dctx.Pool = trance.NewPool(cfg.Workers)
 	}
@@ -564,7 +564,7 @@ func BenchmarkPushdownAblation(b *testing.B) {
 					if err != nil {
 						b.Fatal(err)
 					}
-					rows, idxs, err := runner.NewInputs(c.inputs, cq.Env).Bind([]*runner.Compiled{cq})
+					rows, idxs, err := runner.NewInputs(c.inputs, cq.Env).Bind([]*runner.Compiled{cq}, runner.NewRunContext(cfg).Parallelism)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -631,7 +631,7 @@ func BenchmarkSelectiveNarrow(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				rows, idxs, err := runner.NewInputs(c.inputs, cq.Env).Bind([]*runner.Compiled{cq})
+				rows, idxs, err := runner.NewInputs(c.inputs, cq.Env).Bind([]*runner.Compiled{cq}, runner.NewRunContext(cfg).Parallelism)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -924,7 +924,7 @@ func BenchmarkIndexScanAblation(b *testing.B) {
 					}
 					ins[name] = runner.NewInput(name, c.env[name], chunks, set)
 				}
-				rows, idxs, err := ins.Bind([]*runner.Compiled{cq})
+				rows, idxs, err := ins.Bind([]*runner.Compiled{cq}, runner.NewRunContext(cfg).Parallelism)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -963,7 +963,7 @@ func BenchmarkAnalyzeOverhead(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		rows, idxs, err := runner.NewInputs(inputs, cq.Env).Bind([]*runner.Compiled{cq})
+		rows, idxs, err := runner.NewInputs(inputs, cq.Env).Bind([]*runner.Compiled{cq}, runner.NewRunContext(cfg).Parallelism)
 		if err != nil {
 			b.Fatal(err)
 		}

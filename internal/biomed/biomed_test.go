@@ -167,9 +167,10 @@ func runProgram(steps []nrc.Assignment, env nrc.Env, inputs map[string]value.Bag
 			return runner.Failure(strat, err)
 		}
 	}
-	rows, idxs, err := runner.NewInputs(inputs, env).Bind(prog)
+	dctx := runner.NewRunContext(cfg)
+	rows, idxs, err := runner.NewInputs(inputs, env).Bind(prog, dctx.Parallelism)
 	if err != nil {
 		return runner.Failure(strat, err)
 	}
-	return runner.Execute(context.Background(), prog, rows, idxs, runner.NewRunContext(cfg), runner.ExecOptions{})
+	return runner.Execute(context.Background(), prog, rows, idxs, dctx, runner.ExecOptions{})
 }

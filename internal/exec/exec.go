@@ -304,12 +304,13 @@ func (ex *Executor) join(l, r *dataflow.Dataset, x *plan.Join, jo dataflow.JoinO
 	}
 	var broadcast bool
 	if x.Cost != nil {
-		// The cost model decided at plan time; honor it over the runtime
-		// size heuristic (the two can disagree when estimates are off — the
-		// differential oracle checks both paths stay sound).
+		// The cost model decided at plan time, by the same rule over
+		// estimates; honor it over the measured size (the two can disagree
+		// when estimates are off — the differential oracle checks both paths
+		// stay sound).
 		broadcast = x.Cost.Method == plan.JoinBroadcast
 	} else {
-		broadcast = ex.Ctx.BroadcastLimit > 0 && r.SizeBytes() <= ex.Ctx.BroadcastLimit
+		broadcast = plan.Broadcasts(float64(r.SizeBytes()), ex.Ctx.BroadcastLimit)
 	}
 	if broadcast {
 		return l.BroadcastJoin(ex.wideStage(ns, "bjoin"), r, x.LCols, x.RCols, jo, x.Outer)

@@ -245,21 +245,28 @@ func estimate(op Op, ins []nodeEst) nodeEst {
 	return e // dedup and bagToDict
 }
 
-// join estimates an equi-join's output and fixes the physical method. With
-// both sides known: broadcast when the right side fits under the limit; for
-// inner joins where only the LEFT side fits, the inputs are swapped (and a
-// projection restores column order) so the small side is built and broadcast.
+// Broadcasts is the one rule that picks a keyed join's method: the join
+// broadcasts a build side of at most limit bytes (limit 0: nothing
+// broadcasts) and exchanges both sides otherwise. The annotator applies it to
+// estimates (Annotate), the executor to the measured right side of a join the
+// plan left undecided.
+func Broadcasts(buildBytes float64, limit int64) bool {
+	return limit > 0 && buildBytes <= float64(limit)
+}
+
+// join estimates an equi-join's output and fixes the physical method by
+// Broadcasts, as soon as the right side is known: broadcast when it fits,
+// whatever the left side (with an unknown left, `est_rows=?`). With both
+// sides known, for inner joins where only the LEFT side fits, the inputs are
+// swapped (and a projection restores column order) so the small side is built
+// and broadcast. An unknown right side leaves the join to the executor.
 func (a *annotator) join(x *Join) (Op, nodeEst) {
 	l, le := a.walk(x.L)
 	r, re := a.walk(x.R)
 	out := cloneWith(x, func(j *Join) { j.L, j.R, j.Cost = l, r, nil })
 	outCols := append(append([]ColEstimate{}, le.cols...), re.cols...)
 	if !le.known() || !re.known() {
-		// The executor decides a join by the size of its right side alone
-		// (Context.BroadcastLimit), so a right side the statistics put under
-		// the limit broadcasts whatever the left holds — decided here, where
-		// Place can rely on the left rows staying in place.
-		if len(x.LCols) > 0 && re.known() && a.limit > 0 && re.bytes <= float64(a.limit) {
+		if len(x.LCols) > 0 && re.known() && Broadcasts(re.bytes, a.limit) {
 			out.Cost = &Costs{EstRows: -1, BuildBytes: int64(re.bytes), Method: JoinBroadcast}
 		}
 		return out, nodeEst{rows: -1, bytes: -1, cols: outCols}
@@ -296,9 +303,9 @@ func (a *annotator) join(x *Join) (Op, nodeEst) {
 		return out, est
 	}
 	cost := &Costs{EstRows: int64(rows), BuildBytes: int64(re.bytes), Method: JoinShuffle}
-	if a.limit > 0 && re.bytes <= float64(a.limit) {
+	if Broadcasts(re.bytes, a.limit) {
 		cost.Method = JoinBroadcast
-	} else if a.limit > 0 && !x.Outer && le.bytes <= float64(a.limit) && x.Outs == nil && x.Placed == [2]bool{} && !x.KeepSplit {
+	} else if !x.Outer && Broadcasts(le.bytes, a.limit) && x.Outs == nil && x.Placed == [2]bool{} && !x.KeepSplit {
 		// Only the left side fits: swap so it becomes the broadcast build
 		// side. Inner equi-joins are symmetric up to column order, which the
 		// projection restores; outer joins are not swappable, and neither is

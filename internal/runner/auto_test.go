@@ -328,7 +328,7 @@ func BenchmarkAutoStrategy(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			rows, idxs, err := runner.NewInputs(inputs, cq.Env).Bind([]*runner.Compiled{cq})
+			rows, idxs, err := runner.NewInputs(inputs, cq.Env).Bind([]*runner.Compiled{cq}, runner.NewRunContext(cfg).Parallelism)
 			if err != nil {
 				b.Fatal(err)
 			}

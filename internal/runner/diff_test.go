@@ -786,48 +786,57 @@ func runDifferential(data []byte, strict bool) (n diffCounts, err error) {
 	// The stitching arm: a query with two nesting levels whose leading scalar
 	// repeats, on the unshredding routes (and Auto when it picks one), its
 	// stitched rows checked against the oracle's and its shuffle against the
-	// shredded routes'.
-	sq := func() nrc.Expr { return (&dgen{data: data, i: len(data) / 2}).stitchQuery() }
-	swant, err := oracleEval(sq(), env, inputs)
-	if err != nil {
-		return n, fmt.Errorf("stitching query fails Check (generator bug): %v\n%s", err, nrc.Print(sq()))
+	// shredded routes'. In half the seeds the same query with its inner tags
+	// counted per tag runs too, decided by a draw after all of the query's.
+	sg := &dgen{data: data, i: len(data) / 2}
+	sg.stitchQuery(false)
+	arms := []bool{false}
+	if sg.coin() {
+		arms = append(arms, true)
 	}
-	for _, strat := range []runner.Strategy{runner.Shred, runner.ShredSkew, runner.ShredUnshred, runner.ShredUnshredSkew, runner.Auto} {
-		cfg, cst := diffConfig(true, false, ests, limit)
-		cq, cerr := runner.CompileStep(sq(), env, strat, cfg, cst, "Q")
-		if cerr != nil {
-			if strict {
-				return n, fmt.Errorf("%s stitching query does not compile: %v\n%s", strat, cerr, nrc.Print(sq()))
+	for _, counted := range arms {
+		sq := func() nrc.Expr { return (&dgen{data: data, i: len(data) / 2}).stitchQuery(counted) }
+		swant, err := oracleEval(sq(), env, inputs)
+		if err != nil {
+			return n, fmt.Errorf("stitching query fails Check (generator bug): %v\n%s", err, nrc.Print(sq()))
+		}
+		for _, strat := range []runner.Strategy{runner.Shred, runner.ShredSkew, runner.ShredUnshred, runner.ShredUnshredSkew, runner.Auto} {
+			cfg, cst := diffConfig(true, false, ests, limit)
+			cq, cerr := runner.CompileStep(sq(), env, strat, cfg, cst, "Q")
+			if cerr != nil {
+				if strict {
+					return n, fmt.Errorf("%s stitching query does not compile: %v\n%s", strat, cerr, nrc.Print(sq()))
+				}
+				return n, errSkip
 			}
-			return n, errSkip
-		}
-		if !cq.Strategy.IsShredded() {
-			continue
-		}
-		res := runner.ExecuteBags(context.Background(), []*runner.Compiled{cq}, inputs, runner.NewRunContext(cfg), runner.ExecOptions{})
-		var got value.Bag
-		if !res.Failed() {
-			got, err = nestedOutput(cq, res)
-		}
-		if res.Failed() || err != nil {
-			return n, fmt.Errorf("%s stitching query failed: %v %v\n%s", strat, res.Err, err, nrc.Print(sq()))
-		}
-		if !value.Equal(got, swant) {
-			return n, fmt.Errorf("%s stitching query diverges from the nrc.Eval oracle\nquery:\n%s\n got: %s\nwant: %s",
-				strat, nrc.Print(sq()), value.Format(got), value.Format(swant))
-		}
-		if err := moved.check(strat, res, "stitching"); err != nil {
-			return n, fmt.Errorf("%s stitching query: %v\n%s", strat, err, nrc.Print(sq()))
-		}
-		overDict, overScan := boundReuse(res.Program(), env)
-		boundSkip = boundSkip || overDict
-		scanLocal = scanLocal || overScan
-		if cq.Strategy.Unshreds() {
-			if err := checkStitch(res, swant, stitchK, &st); err != nil {
+			if !cq.Strategy.IsShredded() {
+				continue
+			}
+			res := runner.ExecuteBags(context.Background(), []*runner.Compiled{cq}, inputs, runner.NewRunContext(cfg), runner.ExecOptions{})
+			var got value.Bag
+			if !res.Failed() {
+				got, err = nestedOutput(cq, res)
+			}
+			if res.Failed() || err != nil {
+				return n, fmt.Errorf("%s stitching query failed: %v %v\n%s", strat, res.Err, err, nrc.Print(sq()))
+			}
+			if !value.Equal(got, swant) {
+				return n, fmt.Errorf("%s stitching query diverges from the nrc.Eval oracle\nquery:\n%s\n got: %s\nwant: %s",
+					strat, nrc.Print(sq()), value.Format(got), value.Format(swant))
+			}
+			if err := moved.check(strat, res, "stitching"); err != nil {
 				return n, fmt.Errorf("%s stitching query: %v\n%s", strat, err, nrc.Print(sq()))
 			}
+			overDict, overScan := boundReuse(res.Program(), env)
+			boundSkip = boundSkip || overDict
+			scanLocal = scanLocal || overScan
+			if cq.Strategy.Unshreds() {
+				if err := checkStitch(res, swant, stitchK, &st); err != nil {
+					return n, fmt.Errorf("%s stitching query: %v\n%s", strat, err, nrc.Print(sq()))
+				}
+			}
+			n.runs++
 		}
-		n.runs++
 	}
 	if boundSkip {
 		n.boundSkip++
@@ -873,41 +882,34 @@ func oracleProgram(steps []nrc.Assignment, env nrc.Env, inputs map[string]value.
 }
 
 // stitchQuery builds the stitching arm's query over R: each row's items with
-// their tags (two nesting levels; the tags a bag of scalars in a quarter of
-// the seeds, of tuples in another, and counted per tag — sumby over the inner
-// bag alone, a Γ keyed by the label on shredded routes — in the rest), under a
-// leading scalar that is a constant or x.a, so rows tie on it and their order
-// is decided inside the bags; guards leave some bags empty.
-func (g *dgen) stitchQuery() nrc.Expr {
+// their tags (two nesting levels; the tags a bag of scalars in half the seeds,
+// of tuples in the other, and when counted a count per tag instead — sumby
+// over the inner bag alone, a Γ keyed by the label on shredded routes), under
+// a leading scalar that is a constant or x.a, so rows tie on it and their
+// order is decided inside the bags; guards leave some bags empty. counted
+// moves no draw.
+func (g *dgen) stitchQuery(counted bool) nrc.Expr {
 	x, it, tg := nrc.V("x"), nrc.V("it"), nrc.V("tg")
 	lead := nrc.Expr(nrc.C(g.intv()))
 	if g.coin() {
 		lead = nrc.P(x, "a")
 	}
-	scalarTags := !g.coin()
-	var itemGuard, rowGuard nrc.Expr
+	var tag nrc.Expr = nrc.P(tg, "t")
 	if g.coin() {
-		itemGuard = g.pred(&scope{paths: []path{projPath("it", nrc.IntT, "v"), projPath("it", nrc.StringT, "w")}})
+		tag = nrc.Record("t", nrc.P(tg, "t"))
 	}
-	if g.coin() {
-		rowGuard = g.pred(&scope{paths: []path{projPath("x", nrc.IntT, "a"), projPath("x", nrc.StringT, "b")}})
-	}
-	var tags nrc.Expr
-	switch {
-	case g.coin():
-		tags = nrc.SumByOf(nrc.ForIn("tg", nrc.P(it, "tags"), nrc.SingOf(nrc.Record("t", nrc.P(tg, "t"), "n", nrc.C(int64(1))))), []string{"t"}, []string{"n"})
-	case scalarTags:
-		tags = nrc.ForIn("tg", nrc.P(it, "tags"), nrc.SingOf(nrc.P(tg, "t")))
-	default:
-		tags = nrc.ForIn("tg", nrc.P(it, "tags"), nrc.SingOf(nrc.Record("t", nrc.P(tg, "t"))))
+	tags := nrc.Expr(nrc.ForIn("tg", nrc.P(it, "tags"), nrc.SingOf(tag)))
+	if counted {
+		tags = nrc.SumByOf(nrc.ForIn("tg", nrc.P(it, "tags"),
+			nrc.SingOf(nrc.Record("t", nrc.P(tg, "t"), "n", nrc.C(int64(1))))), []string{"t"}, []string{"n"})
 	}
 	var inner nrc.Expr = nrc.SingOf(nrc.Record("v", nrc.P(it, "v"), "tags", tags))
-	if itemGuard != nil {
-		inner = nrc.IfThen(itemGuard, inner)
+	if g.coin() {
+		inner = nrc.IfThen(g.pred(&scope{paths: []path{projPath("it", nrc.IntT, "v"), projPath("it", nrc.StringT, "w")}}), inner)
 	}
 	var body nrc.Expr = nrc.SingOf(nrc.Record("k", lead, "items", nrc.ForIn("it", nrc.P(x, "items"), inner)))
-	if rowGuard != nil {
-		body = nrc.IfThen(rowGuard, body)
+	if g.coin() {
+		body = nrc.IfThen(g.pred(&scope{paths: []path{projPath("x", nrc.IntT, "a"), projPath("x", nrc.StringT, "b")}}), body)
 	}
 	return nrc.ForIn("x", nrc.V("R"), body)
 }

@@ -51,7 +51,7 @@ func ExecuteBags(ctx context.Context, prog []*Compiled, inputs map[string]value.
 		}
 		ins[name] = NewInput(name, t, chunks, set)
 	}
-	rows, idxs, err := ins.Bind(prog)
+	rows, idxs, err := ins.Bind(prog, dctx.Parallelism)
 	if err != nil {
 		return fail(err)
 	}

@@ -3,7 +3,6 @@ package runner
 import (
 	"fmt"
 	"maps"
-	"slices"
 	"sync"
 
 	"github.com/trance-go/trance/internal/dataflow"
@@ -109,18 +108,12 @@ func (c *Chunk) convert(name string, shredded bool, parts int) (comp Components,
 	if !ok {
 		return comp, fmt.Errorf("input %s is not a bag", name)
 	}
-	si, err := shred.ShredInputFrom(name, c.Bag, bt, c.labelBase)
+	si, err := shred.ShredInputFrom(name, c.Bag, bt, c.labelBase, max(parts, 1))
 	if err != nil {
 		return comp, err
 	}
 	top := shred.MatName(name, nil)
-	comp = Components{Rows: map[string][]dataflow.Row{top: tuplesToRows(si.Rows[top])}, Placed: map[string]*dataflow.Placed{}}
-	for dict, ts := range si.Rows {
-		if dict != top {
-			comp.Placed[dict] = placeRows(ts, parts)
-		}
-	}
-	return comp, nil
+	return Components{Rows: map[string][]dataflow.Row{top: tuplesToRows(si.Rows[top])}, Placed: si.Placed}, nil
 }
 
 // Index returns the chunk's index part over column col, positions local to
@@ -189,12 +182,13 @@ func NewInputs(bags map[string]value.Bag, env nrc.Env) Inputs {
 }
 
 // Bind returns what Execute binds for prog: every input's components on
-// prog's route, dictionaries placed over the partitions of prog's config, and,
-// when a plan of prog scans an index, the inputs' index sets keyed like the
-// rows (shredded routes scan the top component, whose rows value shredding
-// keeps in order with their scalar columns in place). IndexScan falls back to
-// a full scan when a flagged index is missing.
-func (ins Inputs) Bind(prog []*Compiled) (Components, map[string]*index.Set, error) {
+// prog's route, dictionaries placed over parts partitions (the run context's
+// Parallelism: sessions sized apart share a cached program), and, when a plan
+// of prog scans an index, the inputs' index sets keyed like the rows
+// (shredded routes scan the top component, whose rows value shredding keeps
+// in order with their scalar columns in place). IndexScan falls back to a
+// full scan when a flagged index is missing.
+func (ins Inputs) Bind(prog []*Compiled, parts int) (Components, map[string]*index.Set, error) {
 	cq := prog[0]
 	shredded := cq.Strategy.IsShredded()
 	planned := false
@@ -204,7 +198,7 @@ func (ins Inputs) Bind(prog []*Compiled) (Components, map[string]*index.Set, err
 	all := Components{Rows: map[string][]dataflow.Row{}, Placed: map[string]*dataflow.Placed{}}
 	var idxs map[string]*index.Set
 	for name, in := range ins {
-		comp, err := in.Components(shredded, max(cq.Cfg.Parallelism, 1)) // NewRunContext's partition count
+		comp, err := in.Components(shredded, parts)
 		if err != nil {
 			return Components{}, nil, err
 		}
@@ -312,90 +306,12 @@ func buildIndex(b value.Bag, bt nrc.BagType, col string) (*index.ColumnIndex, er
 	return index.Build(col, true, true, vals)
 }
 
-// placeRows places rows on their label over p partitions, stably: each
-// partition keeps its rows in input order. It lays each partition out anew,
-// partition after partition — its rows' cells in one block, every boxed
-// scalar and label allocated again in that order (rows of one label share
-// one copy of it) — so a scan of a placed partition reads memory in order, as
-// one of a contiguous input range does: placed rows interleave in the input,
-// and reading them where value shredding left them costs a cache miss a row.
-func placeRows(rows []value.Tuple, p int) *dataflow.Placed {
-	hashes := make([]uint64, len(rows))
-	start, widths := make([]int, p+1), make([]int, p)
-	// sameLabel[j]: row j has row j-1's label — value shredding lays a bag's
-	// elements out together — so it follows row j-1 in its partition too.
-	sameLabel := make([]bool, len(rows))
-	for j, r := range rows {
-		hashes[j] = value.HashCols(r, labelKey)
-		sameLabel[j] = j > 0 && hashes[j] == hashes[j-1] && value.Equal(r[0], rows[j-1][0])
-		t := hashes[j] % uint64(p)
-		start[t+1]++
-		widths[t] += len(r)
-	}
-	for t := range p {
-		start[t+1] += start[t]
-	}
-	// order lists the rows partition by partition, each in input order.
-	order, next := make([]int, len(rows)), slices.Clone(start[:p])
-	for j := range rows {
-		t := hashes[j] % uint64(p)
-		order[next[t]] = j
-		next[t]++
-	}
-	pl := &dataflow.Placed{Cols: labelKey, Parts: make([][]dataflow.Row, p), Hashes: make([][]uint64, p)}
-	for t := range pl.Parts {
-		cells := make([]value.Value, 0, widths[t])
-		pl.Parts[t] = make([]dataflow.Row, 0, start[t+1]-start[t])
-		pl.Hashes[t] = make([]uint64, 0, start[t+1]-start[t])
-		var label value.Value // the copy of the latest row's label
-		for _, j := range order[start[t]:start[t+1]] {
-			r, at := rows[j], len(cells)
-			for c, v := range r {
-				switch {
-				case c > 0:
-					v = fresh(v)
-				case !sameLabel[j]:
-					label = fresh(v)
-					fallthrough
-				default:
-					v = label
-				}
-				cells = append(cells, v)
-			}
-			pl.Parts[t] = append(pl.Parts[t], cells[at:len(cells):len(cells)])
-			pl.Hashes[t] = append(pl.Hashes[t], hashes[j])
-		}
-	}
-	return pl
-}
-
-// fresh is v in a newly allocated box.
-func fresh(v value.Value) value.Value {
-	switch x := v.(type) {
-	case int64:
-		return x
-	case float64:
-		return x
-	case string:
-		return x
-	case value.Date:
-		return x
-	case value.Label:
-		payload := make(value.Tuple, len(x.Payload))
-		for i, e := range x.Payload {
-			payload[i] = fresh(e)
-		}
-		return value.Label{Site: x.Site, Payload: payload}
-	}
-	return v
-}
-
 // concatPlaced lays placements over the same partitions end to end,
 // partition by partition in order: placing rows chunk by chunk and
 // concatenating is placing them whole.
 func concatPlaced(pls []*dataflow.Placed) *dataflow.Placed {
 	p := len(pls[0].Parts)
-	out := &dataflow.Placed{Cols: labelKey, Parts: make([][]dataflow.Row, p), Hashes: make([][]uint64, p)}
+	out := &dataflow.Placed{Cols: pls[0].Cols, Parts: make([][]dataflow.Row, p), Hashes: make([][]uint64, p)}
 	for t := range out.Parts {
 		n := 0
 		for _, pl := range pls {

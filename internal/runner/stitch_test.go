@@ -133,7 +133,7 @@ func TestStitchedReplyAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	prog := []*Compiled{cq}
-	rows, idxs, err := NewInputs(map[string]value.Bag{"D": d}, env).Bind(prog)
+	rows, idxs, err := NewInputs(map[string]value.Bag{"D": d}, env).Bind(prog, NewRunContext(cfg).Parallelism)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,8 +2,8 @@ package shred
 
 import (
 	"fmt"
-	"sync/atomic"
 
+	"github.com/trance-go/trance/internal/dataflow"
 	"github.com/trance-go/trance/internal/nrc"
 	"github.com/trance-go/trance/internal/value"
 )
@@ -13,44 +13,61 @@ import (
 // materialized name (MatName).
 type ShreddedInput struct {
 	Name string
+	// Rows holds the top rows and, unless the input was shredded placed, every
+	// dictionary's rows.
 	Rows map[string][]value.Tuple
+	// Placed holds every dictionary of an input shredded placed: its rows
+	// hash-placed on their label (column 0), each partition in input order.
+	Placed map[string]*dataflow.Placed
 }
 
 // ShredInput value-shreds a nested bag: every inner bag instance is replaced
 // by a fresh label and its elements land in the dictionary of its path. This
 // is the value shredding function of paper Section 4.
 func ShredInput(name string, b value.Bag, t nrc.BagType) (*ShreddedInput, error) {
-	return ShredInputFrom(name, b, t, 0)
+	return ShredInputFrom(name, b, t, 0, 0)
 }
 
 // ShredInputFrom is ShredInput numbering its labels from labelBase+1 rather
-// than 1. Labels are opaque keys that only have to be distinct within an
-// input, so runs of one input's rows shredded from disjoint label ranges
-// concatenate, component by component, into a shredding of the whole input.
-func ShredInputFrom(name string, b value.Bag, t nrc.BagType, labelBase int64) (*ShreddedInput, error) {
-	s := &ShreddedInput{Name: name, Rows: map[string][]value.Tuple{}}
-	var counters atomicCounters
-	counters.n.Store(labelBase)
-	var top []value.Tuple
-	s.shredBag(b, s.shapeOf(t.Elem, nil), nil, &top, &counters)
-	s.Rows[MatName(name, nil)] = top
-	// Ensure every dictionary exists, even when empty.
+// than 1 and, with parts > 0, placing every dictionary over parts partitions
+// on its label as it goes: a row lands in the partition its label hashes to,
+// after the rows that landed there before it — where an exchange on the label
+// over the flat dictionary would put it. Labels are opaque keys that only have
+// to be distinct within an input, so runs of one input's rows shredded from
+// disjoint label ranges concatenate, component by component (and partition by
+// partition), into a shredding of the whole input.
+func ShredInputFrom(name string, b value.Bag, t nrc.BagType, labelBase int64, parts int) (*ShreddedInput, error) {
 	_, dicts, err := ShredType(t)
 	if err != nil {
 		return nil, err
 	}
+	s := &shredder{input: name, parts: parts, label: labelBase, sinks: map[string]*rowSink{}}
+	top := newRowSink(0)
+	s.shredBag(b, s.shapeOf(t.Elem, nil), nil, top)
+	si := &ShreddedInput{Name: name, Rows: map[string][]value.Tuple{MatName(name, nil): top.parts[0]}}
+	if parts > 0 {
+		si.Placed = map[string]*dataflow.Placed{}
+	}
 	for _, d := range dicts {
 		key := MatName(name, d.Path)
-		if _, ok := s.Rows[key]; !ok {
-			s.Rows[key] = nil
+		k := s.sinks[key]
+		if parts > 0 {
+			si.Placed[key] = &dataflow.Placed{Cols: []int{0}, Parts: k.parts, Hashes: k.hashes}
+		} else {
+			si.Rows[key] = k.parts[0]
 		}
 	}
-	return s, nil
+	return si, nil
 }
 
-type atomicCounters struct{ n atomic.Int64 }
-
-func (c *atomicCounters) next() int64 { return c.n.Add(1) }
+// shredder is one value shredding of an input: the label last minted and the
+// rows of each dictionary, placed over parts partitions (0: not placed).
+type shredder struct {
+	input string
+	parts int
+	label int64
+	sinks map[string]*rowSink
+}
 
 // shape is what value shredding needs of a bag's element type, worked out
 // once per input rather than once per element: whether the elements are
@@ -64,11 +81,11 @@ type shape struct {
 
 type dictField struct {
 	site int32
-	dict string
+	dict *rowSink
 	elem *shape
 }
 
-func (s *ShreddedInput) shapeOf(elem nrc.Type, path []string) *shape {
+func (s *shredder) shapeOf(elem nrc.Type, path []string) *shape {
 	tt, ok := elem.(nrc.TupleType)
 	if !ok {
 		return &shape{width: 1}
@@ -77,30 +94,35 @@ func (s *ShreddedInput) shapeOf(elem nrc.Type, path []string) *shape {
 	for i, f := range tt.Fields {
 		if bt, isBag := f.Type.(nrc.BagType); isBag {
 			sub := append(append([]string{}, path...), f.Name)
-			sh.bags[i] = &dictField{site: inputSite(s.Name, sub), dict: MatName(s.Name, sub), elem: s.shapeOf(bt.Elem, sub)}
+			k := newRowSink(s.parts)
+			s.sinks[MatName(s.input, sub)] = k
+			sh.bags[i] = &dictField{site: inputSite(s.input, sub), dict: k, elem: s.shapeOf(bt.Elem, sub)}
 		}
 	}
 	return sh
 }
 
-// shredBag appends a row per element of b to *out — led by lead, the label of
-// the bag the elements came from, on a dictionary (lead nil: the top rows) —
-// with a fresh label in place of each inner bag, whose elements it appends to
-// that bag's dictionary in turn. Every row of one inner bag shares one label
-// value.
-func (s *ShreddedInput) shredBag(b value.Bag, sh *shape, lead value.Value, out *[]value.Tuple, ctr *atomicCounters) {
-	off := 0
+// shredBag adds a row per element of b to out — led by lead, the label of the
+// bag the elements came from, on a dictionary (lead nil: the top rows) — with
+// a fresh label in place of each inner bag, whose elements it adds to that
+// bag's dictionary in turn. Every row of one inner bag shares one label value,
+// and so one partition.
+func (s *shredder) shredBag(b value.Bag, sh *shape, lead value.Value, out *rowSink) {
+	off, t, h := 0, 0, uint64(0)
 	if lead != nil {
 		off = 1
+		if out.hashes != nil {
+			h = value.Hash64(lead)
+			t = int(h % uint64(len(out.parts)))
+		}
 	}
 	for _, e := range b {
-		row := make(value.Tuple, off+sh.width)
+		row := out.add(t, h, off+sh.width)
 		if lead != nil {
 			row[0] = lead
 		}
 		if !sh.tuple {
 			row[off] = e
-			*out = append(*out, row)
 			continue
 		}
 		src := e.(value.Tuple)
@@ -110,14 +132,54 @@ func (s *ShreddedInput) shredBag(b value.Bag, sh *shape, lead value.Value, out *
 				row[off+i] = src[i]
 				continue
 			}
-			lbl := value.Value(value.Label{Site: d.site, Payload: value.Tuple{ctr.next()}})
+			s.label++
+			lbl := value.Value(value.Label{Site: d.site, Payload: value.Tuple{s.label}})
 			row[off+i] = lbl
-			inner := s.Rows[d.dict]
-			s.shredBag(src[i].(value.Bag), d.elem, lbl, &inner, ctr)
-			s.Rows[d.dict] = inner
+			s.shredBag(src[i].(value.Bag), d.elem, lbl, d.dict)
 		}
-		*out = append(*out, row)
 	}
+}
+
+// rowSink collects one component's rows: over one partition (the top rows, or
+// a dictionary not placed), or over the partitions its rows' labels hash to
+// (hashes). Each partition cuts its rows from blocks of its own, so a scan of
+// a partition reads its rows in memory order, as a scan of a contiguous range
+// of the flat rows does.
+type rowSink struct {
+	parts  [][]value.Tuple
+	hashes [][]uint64 // nil: not placed
+	free   [][]value.Value
+}
+
+// newRowSink is a sink placing its rows over parts partitions (0: not placed).
+func newRowSink(parts int) *rowSink {
+	k := &rowSink{parts: make([][]value.Tuple, max(parts, 1)), free: make([][]value.Value, max(parts, 1))}
+	if parts > 0 {
+		k.hashes = make([][]uint64, parts)
+	}
+	return k
+}
+
+// sinkBlockRows bounds how many rows a block holds: a partition's next block
+// holds twice the rows it has so far, at least 8, so what a partition leaves
+// unused is less than one block and at most sinkBlockRows rows.
+const sinkBlockRows = 256
+
+// add appends a zeroed row of width cells to partition t, whose label hashes
+// to h when the sink is placed, and returns it.
+func (k *rowSink) add(t int, h uint64, width int) value.Tuple {
+	f := k.free[t]
+	if len(f) < width {
+		n := min(max(8, 2*len(k.parts[t])), sinkBlockRows)
+		f = make([]value.Value, n*width)
+	}
+	row := value.Tuple(f[:width:width])
+	k.free[t] = f[width:]
+	k.parts[t] = append(k.parts[t], row)
+	if k.hashes != nil {
+		k.hashes[t] = append(k.hashes[t], h)
+	}
+	return row
 }
 
 // UnshredValue rebuilds a nested bag from shredded components — the value

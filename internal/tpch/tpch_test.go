@@ -236,9 +236,10 @@ func runQuery(q nrc.Expr, env nrc.Env, inputs map[string]value.Bag, strat runner
 		return runner.Failure(strat, err)
 	}
 	prog := []*runner.Compiled{cq}
-	rows, idxs, err := runner.NewInputs(inputs, env).Bind(prog)
+	dctx := runner.NewRunContext(cfg)
+	rows, idxs, err := runner.NewInputs(inputs, env).Bind(prog, dctx.Parallelism)
 	if err != nil {
 		return runner.Failure(strat, err)
 	}
-	return runner.Execute(context.Background(), prog, rows, idxs, runner.NewRunContext(cfg), runner.ExecOptions{})
+	return runner.Execute(context.Background(), prog, rows, idxs, dctx, runner.ExecOptions{})
 }

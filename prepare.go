@@ -172,8 +172,10 @@ func (pq *PreparedQuery) run(ctx context.Context, inputs runner.Inputs, strat St
 	if err != nil {
 		return nil, fmt.Errorf("%s (%s): %w", pq.label(), strat, err)
 	}
+	dctx := runner.NewRunContext(pq.cfg)
+	dctx.Pool = pq.pool
 	bsp := tr.Span().Child("bind")
-	rows, idxs, err := inputs.Bind(prog)
+	rows, idxs, err := inputs.Bind(prog, dctx.Parallelism)
 	bsp.End()
 	if err != nil {
 		err = fmt.Errorf("%s (%s): prepare inputs: %w", pq.label(), strat, err)
@@ -187,8 +189,6 @@ func (pq *PreparedQuery) run(ctx context.Context, inputs runner.Inputs, strat St
 		eopts.Analysis = plan.NewAnalysis()
 	}
 	eopts.Span = tr.Span().Child("execute")
-	dctx := runner.NewRunContext(pq.cfg)
-	dctx.Pool = pq.pool
 	res := runner.Execute(ctx, prog, rows, idxs, dctx, eopts)
 	eopts.Span.End()
 	if tr != nil {

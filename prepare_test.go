@@ -113,6 +113,41 @@ func TestPrepareCompilesEachStrategyOnce(t *testing.T) {
 	}
 }
 
+// TestSessionsSizedApartShareThePlan: the plan cache leaves parallelism out of
+// its key, so sessions over one catalog sized to different partition counts
+// run the same compiled shredded program; each run places the input's
+// dictionaries over its own partitions, and every size gets the one answer.
+func TestSessionsSizedApartShareThePlan(t *testing.T) {
+	cat := prepCatalog(t, 0)
+	before := trance.Counters()
+	var want trance.Bag
+	for i, par := range []int{4, 8, 4, 1} {
+		cfg := trance.DefaultConfig()
+		cfg.Parallelism = par
+		sq, err := cat.NewSession(trance.SessionOptions{Config: &cfg}).PrepareNamed("sized-apart", prepQuery(7003))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, strat := range []trance.Strategy{trance.Shred, trance.ShredUnshred} {
+			res, err := sq.Run(context.Background(), strat)
+			if err != nil {
+				t.Fatalf("parallelism %d, %s: %v", par, strat, err)
+			}
+			if strat != trance.ShredUnshred {
+				continue
+			}
+			if got := collectBag(res); i == 0 {
+				want = got
+			} else if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("parallelism %d answers %v, parallelism 4 %v", par, got, want)
+			}
+		}
+	}
+	if got := trance.Counters()["plan_cache.compiles"] - before["plan_cache.compiles"]; got != 2 {
+		t.Fatalf("%d compilations, want 2 (one per strategy) shared by every session", got)
+	}
+}
+
 // ≥8 goroutines pushing different datasets — one catalog dataset per shift,
 // bound to R by each session — through session queries of one query under
 // several strategies must each get exactly the sequential result.
