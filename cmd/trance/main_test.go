@@ -68,7 +68,7 @@ func TestRunHeaderLines(t *testing.T) {
 		{tpch.NestedToNested, trance.Standard, 0, []string{"STANDARD: ", "rows=200, shuffle=0B/0rec broadcast=32096B ", " stages=0 skipped=3\n"}},
 		{tpch.NestedToNested, trance.ShredSkew, 3, []string{"SHRED-SKEW: ", "rows=200, shuffle=0B/0rec ", " stages=0 skipped=1\n"}},
 		{tpch.FlatToNested, trance.ShredUnshred, 0, []string{"SHRED+UNSHRED: ", "rows=200, shuffle=0B/0rec ", " stages=0 skipped=0\n"}},
-		{tpch.NestedToFlat, trance.Shred, 0, []string{"SHRED: ", "rows=200, shuffle=192000B/6000rec broadcast=400000B ", " stages=2 skipped=1\n"}},
+		{tpch.NestedToFlat, trance.Shred, 0, []string{"SHRED: ", "rows=200, shuffle=94982B/2331rec broadcast=400000B ", " stages=2 skipped=1\n"}},
 	} {
 		job, cfg := tpchJob(c.class, 2, false, defaultCustomers, c.skew)
 		var out strings.Builder
@@ -78,6 +78,56 @@ func TestRunHeaderLines(t *testing.T) {
 		for _, want := range c.want {
 			if !strings.Contains(out.String(), want) {
 				t.Errorf("%s %s skew %d printed\n%s\nwant it to contain %q", c.class, c.strat, c.skew, out.String(), want)
+			}
+		}
+	}
+}
+
+// runShuffled runs one TPC-H route and returns the bytes its header line says
+// it shuffled, and the line.
+func runShuffled(t *testing.T, class tpch.QueryClass, level, customers int, strat trance.Strategy) (int64, string) {
+	t.Helper()
+	job, cfg := tpchJob(class, level, false, customers, 0)
+	var out strings.Builder
+	if err := runJob(&out, job, strat, cfg, 0); err != nil {
+		t.Fatalf("%s L%d %s: %v", class, level, strat, err)
+	}
+	_, after, ok := strings.Cut(out.String(), ", shuffle=")
+	b, _, ok2 := strings.Cut(after, "B/")
+	n, err := strconv.ParseInt(b, 10, 64)
+	if !ok || !ok2 || err != nil {
+		t.Fatalf("%s L%d %s printed %q, want a shuffle=NB field", class, level, strat, out.String())
+	}
+	return n, out.String()
+}
+
+// TestCombinedGammaShipsPartials: at 300 customers, level 2, the
+// nested-to-flat routes' exchanged Γ+ combines on its source partitions and
+// ships one partial row per (partition, name) — 300 on standard, about 1 700
+// on shred — instead of 7 200 rows (216 000 B before, and 300 000 B in all
+// on shred), while the other classes, whose exchanges carry only Γ⊎ rows or
+// none, move exactly what they moved before at every level.
+func TestCombinedGammaShipsPartials(t *testing.T) {
+	if n, out := runShuffled(t, tpch.NestedToFlat, 2, 300, trance.Standard); n > 15000 {
+		t.Errorf("nested-to-flat L2 standard shuffled %d bytes, want at most 15000:\n%s", n, out)
+	}
+	if n, out := runShuffled(t, tpch.NestedToFlat, 2, 300, trance.Shred); n > 160000 {
+		t.Errorf("nested-to-flat L2 shred shuffled %d bytes, want at most 160000:\n%s", n, out)
+	}
+	flatToNested := map[int]int64{1: 216000, 2: 587400, 3: 898740, 4: 1211081}
+	for level := 1; level <= 4; level++ {
+		for _, c := range []struct {
+			class tpch.QueryClass
+			strat trance.Strategy
+			want  int64
+		}{
+			{tpch.FlatToNested, trance.Standard, flatToNested[level]},
+			{tpch.FlatToNested, trance.Shred, 0},
+			{tpch.NestedToNested, trance.Standard, 0},
+			{tpch.NestedToNested, trance.Shred, 0},
+		} {
+			if n, out := runShuffled(t, c.class, level, 300, c.strat); n != c.want {
+				t.Errorf("%s L%d %s shuffled %d bytes, want %d:\n%s", c.class, level, c.strat, n, c.want, out)
 			}
 		}
 	}
@@ -93,18 +143,7 @@ func TestShreddedInputsArrivePlaced(t *testing.T) {
 	exchanged := map[int]int64{1: 271200, 2: 355200, 3: 289005, 4: 287510}
 	shuffled := func(class tpch.QueryClass, level int) (int64, string) {
 		t.Helper()
-		job, cfg := tpchJob(class, level, false, defaultCustomers, 0)
-		var out strings.Builder
-		if err := runJob(&out, job, trance.Shred, cfg, 0); err != nil {
-			t.Fatalf("%s L%d: %v", class, level, err)
-		}
-		_, after, ok := strings.Cut(out.String(), ", shuffle=")
-		b, _, ok2 := strings.Cut(after, "B/")
-		n, err := strconv.ParseInt(b, 10, 64)
-		if !ok || !ok2 || err != nil {
-			t.Fatalf("%s L%d printed %q, want a shuffle=NB field", class, level, out.String())
-		}
-		return n, out.String()
+		return runShuffled(t, class, level, defaultCustomers, trance.Shred)
 	}
 	for level := 1; level <= 4; level++ {
 		if n, out := shuffled(tpch.NestedToNested, level); n != 0 {

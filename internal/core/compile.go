@@ -21,6 +21,9 @@ import (
 type Compiler struct {
 	inputs map[string][]plan.Column
 	fresh  int
+	// schemas memoizes the columns of every plan node the compiler asks for
+	// them, so a schema is built once per node, not once per question.
+	schemas plan.Schemas
 	// NoPrune disables the column-pruning optimization (for ablation).
 	NoPrune bool
 }
@@ -28,7 +31,7 @@ type Compiler struct {
 // NewCompiler builds a compiler for the given input environment. Each input
 // must be a bag; its element fields become the scan columns.
 func NewCompiler(env nrc.Env) (*Compiler, error) {
-	c := &Compiler{inputs: map[string][]plan.Column{}}
+	c := &Compiler{inputs: map[string][]plan.Column{}, schemas: plan.Schemas{}}
 	for name, t := range env {
 		cols, err := ScanColumns(t)
 		if err != nil {
@@ -165,7 +168,7 @@ func (q *qc) markConsumed(col int) {
 	q.consumed[col] = true
 }
 
-func (q *qc) cols() []plan.Column { return q.cur.Columns() }
+func (q *qc) cols() []plan.Column { return q.c.schemas.Of(q.cur) }
 
 func (q *qc) width() int {
 	if q.cur == nil {
@@ -270,7 +273,7 @@ func (q *qc) compileRootAgg(input nrc.Expr, keys, values []string, agg plan.AggK
 	if err != nil {
 		return nil, err
 	}
-	cols := in.Columns()
+	cols := q.c.schemas.Of(in)
 	keyIdx, err := colsByName(cols, keys)
 	if err != nil {
 		return nil, err
@@ -425,7 +428,7 @@ func (q *qc) subPlan(src nrc.Expr) (plan.Op, error) {
 // joinWith joins the current pipeline with a new dataset generator, pulling
 // equality conditions that link prior bindings with the new variable.
 func (q *qc) joinWith(v string, right plan.Op, elemT nrc.Type, pending []nrc.Expr, outer bool) ([]nrc.Expr, error) {
-	rightWidth := len(right.Columns())
+	rightWidth := len(q.c.schemas.Of(right))
 
 	// Temporary right-side context to compile right-key expressions.
 	rq := &qc{c: q.c, cur: right, env: map[string]binding{}}
@@ -460,7 +463,7 @@ func (q *qc) joinWith(v string, right plan.Op, elemT nrc.Type, pending []nrc.Exp
 		return nil, err
 	}
 	right = rq.cur
-	rightWidth = len(right.Columns())
+	rightWidth = len(q.c.schemas.Of(right))
 
 	leftWidth := q.width()
 	q.cur = &plan.Join{L: q.cur, R: right, LCols: lcols, RCols: rcols, Outer: outer}

@@ -127,11 +127,11 @@ func TestJoinOutRemap(t *testing.T) {
 		t.Fatal(err)
 	}
 	count := perGroup(func(rs []Row) []Row { return []Row{{rs[0][2], int64(len(rs))}} })
-	local, err := j.GroupReduce("local", []int{2}, true, count)
+	local, err := j.GroupReduce("local", []int{2}, true, nil, count)
 	if err != nil {
 		t.Fatal(err)
 	}
-	exchanged, err := j.GroupReduce("exchanged", []int{2}, false, count)
+	exchanged, err := j.GroupReduce("exchanged", []int{2}, false, nil, count)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -237,7 +237,7 @@ func BenchmarkGroupReduce(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		c := NewContext(8)
-		_, err := c.FromRows(rows).GroupReduce("b", []int{0}, false, perGroup(func(rs []Row) []Row {
+		_, err := c.FromRows(rows).GroupReduce("b", []int{0}, false, nil, perGroup(func(rs []Row) []Row {
 			var s int64
 			for _, r := range rs {
 				s += r[1].(int64)
@@ -246,6 +246,46 @@ func BenchmarkGroupReduce(b *testing.B) {
 		}))
 		if err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkCombinedGroupReduce measures the map-side combiner against the
+// plain exchange on an int sum: with all-distinct keys, where combining
+// groups every row once more and ships as many, and with each key on 8
+// neighbouring rows (one source partition), where it ships an eighth.
+func BenchmarkCombinedGroupReduce(b *testing.B) {
+	sum := func(int, int) Reducer {
+		return func(out, group []Row) []Row {
+			var s int64
+			for _, r := range group {
+				s += r[1].(int64)
+			}
+			return append(out, Row{group[0][0], s})
+		}
+	}
+	for _, repeat := range []int{1, 8} {
+		rows := make([]Row, 48_000)
+		for i := range rows {
+			rows[i] = Row{int64(i / repeat), int64(i)}
+		}
+		for _, combined := range []bool{false, true} {
+			var combine func(int, int) Reducer
+			if combined {
+				combine = sum
+			}
+			b.Run(fmt.Sprintf("keys=1in%d/combined=%t", repeat, combined), func(b *testing.B) {
+				b.ReportAllocs()
+				var shipped int64
+				for i := 0; i < b.N; i++ {
+					c := NewContext(8)
+					if _, err := c.FromRows(rows).GroupReduce("b", []int{0}, false, combine, sum); err != nil {
+						b.Fatal(err)
+					}
+					shipped = c.Metrics.ShuffleRecords.Load()
+				}
+				b.ReportMetric(float64(shipped), "shipped/op")
+			})
 		}
 	}
 }

@@ -228,7 +228,7 @@ func TestGroupReduceSum(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		rows = append(rows, Row{int64(i % 4), int64(1)})
 	}
-	g, err := c.FromRows(rows).GroupReduce("g", []int{0}, false, perGroup(func(rs []Row) []Row {
+	g, err := c.FromRows(rows).GroupReduce("g", []int{0}, false, nil, perGroup(func(rs []Row) []Row {
 		var s int64
 		for _, r := range rs {
 			s += r[1].(int64)
@@ -252,7 +252,7 @@ func TestGroupReduceSum(t *testing.T) {
 func TestDistinct(t *testing.T) {
 	c := NewContext(4)
 	d := c.FromRows([]Row{{int64(1), "a"}, {int64(1), "a"}, {int64(1), "b"}, {int64(2), "a"}})
-	u, err := d.Distinct("d", false)
+	u, err := d.Distinct("d", false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,7 +385,7 @@ func TestQuickGroupPreservesRowMultiset(t *testing.T) {
 		}
 		c := NewContext(1 + r.Intn(8))
 		d := c.FromRows(rows)
-		g, err := d.GroupReduce("q", []int{0}, false, perGroup(func(rs []Row) []Row { return rs }))
+		g, err := d.GroupReduce("q", []int{0}, false, nil, perGroup(func(rs []Row) []Row { return rs }))
 		if err != nil {
 			return false
 		}

@@ -1,6 +1,7 @@
 package dataflow
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -78,7 +79,7 @@ func TestLocalReduceMatchesExchange(t *testing.T) {
 		return c.FromPartitions(src).Map(func(_ *Arena, r Row) Row { return r })
 	}
 	before := c.Metrics.Snapshot()
-	local, err := in().GroupReduce("local", []int{0}, true, sum)
+	local, err := in().GroupReduce("local", []int{0}, true, nil, sum)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +88,7 @@ func TestLocalReduceMatchesExchange(t *testing.T) {
 		t.Fatalf("local reduce: %d skipped, %d bytes shuffled, %d partitions",
 			mid.SkippedShuffles-before.SkippedShuffles, mid.ShuffleBytes, local.NumPartitions())
 	}
-	exchanged, err := in().GroupReduce("exchanged", []int{0}, false, sum)
+	exchanged, err := in().GroupReduce("exchanged", []int{0}, false, nil, sum)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,5 +128,74 @@ func TestLocalReduceMatchesExchange(t *testing.T) {
 	}
 	if !reordered || markers == 0 {
 		t.Fatalf("no order-sensitive sum (%t) or no phantom-only group (%d markers): the comparison is vacuous", reordered, markers)
+	}
+}
+
+// TestCombineShipsPartials: GroupReduce with a combiner folds each source
+// partition's groups into one partial row, ships those on the group table's
+// hashes under a "/combine" stage, and reduces them to the uncombined output
+// in the same order — a count and the first row's carry per key, over rows
+// that pass a pending narrow stage; Distinct with KeepFirst keeps the same
+// rows as without. A combiner that does not fold a group into exactly one
+// row fails the run.
+func TestCombineShipsPartials(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	src := make([][]Row, 4)
+	for n := range 300 {
+		p := rng.Intn(len(src))
+		src[p] = append(src[p], Row{int64(rng.Intn(20)), int64(n)})
+	}
+	// A partial is ⟨key, carry, count⟩; a row counts 1.
+	fold := func(partials bool) func(int, int) Reducer {
+		return func(int, int) Reducer {
+			return func(out, group []Row) []Row {
+				var n int64
+				for _, r := range group {
+					if partials {
+						n += r[2].(int64)
+					} else {
+						n++
+					}
+				}
+				return append(out, Row{group[0][0], group[0][1], n})
+			}
+		}
+	}
+	c := NewContext(3)
+	in := func() *Dataset { return c.FromPartitions(src).Map(func(_ *Arena, r Row) Row { return r }) }
+	plain, err := in().GroupReduce("plain", []int{0}, false, nil, fold(false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := c.Metrics.Snapshot()
+	combined, err := in().GroupReduce("combined", []int{0}, false, fold(false), fold(true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := c.Metrics.Snapshot()
+	if got, want := fmt.Sprint(combined.Collect()), fmt.Sprint(plain.Collect()); got != want {
+		t.Fatalf("combined reduce\n%s\nuncombined\n%s", got, want)
+	}
+	shipped := after.ShuffleRecords - before.ShuffleRecords
+	if shipped == 0 || shipped > 4*20 || !slices.ContainsFunc(after.StageWall, func(s StageTime) bool { return s.Stage == "combined/combine" }) {
+		t.Fatalf("combined reduce shipped %d rows, stages %+v", shipped, after.StageWall)
+	}
+
+	dups := c.FromPartitions(src).Map(func(_ *Arena, r Row) Row { return Row{r[0]} })
+	want, err := dups.Distinct("d1", false, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := dups.Distinct("d2", false, KeepFirst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(got.Collect()) != fmt.Sprint(want.Collect()) {
+		t.Fatalf("combined dedup %v, uncombined %v", got.Collect(), want.Collect())
+	}
+
+	none := func(int, int) Reducer { return func(out, _ []Row) []Row { return out } }
+	if _, err := in().GroupReduce("bad", []int{0}, false, none, fold(true)); err == nil {
+		t.Fatal("a combiner that drops groups ran without an error")
 	}
 }

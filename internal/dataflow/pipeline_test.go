@@ -110,7 +110,7 @@ func TestStageWallTimesRecorded(t *testing.T) {
 	if _, err := d.Join("probe", r, []int{0}, []int{0}, [2]bool{}, JoinOut{RightWidth: 2}, false); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.GroupReduce("gamma", []int{0}, false, perGroup(func(rs []Row) []Row { return rs[:1] })); err != nil {
+	if _, err := d.GroupReduce("gamma", []int{0}, false, nil, perGroup(func(rs []Row) []Row { return rs[:1] })); err != nil {
 		t.Fatal(err)
 	}
 	seen := map[string]bool{}
@@ -178,7 +178,7 @@ func TestParallelismEquivalence(t *testing.T) {
 		d := c.FromRows(rows).
 			Map(func(_ *Arena, r Row) Row { return Row{r[0], r[1].(int64) * 3} }).
 			Filter(func(r Row) bool { return r[1].(int64)%2 == 0 })
-		g, err := d.GroupReduce("g", []int{0}, false, perGroup(func(rs []Row) []Row {
+		g, err := d.GroupReduce("g", []int{0}, false, nil, perGroup(func(rs []Row) []Row {
 			var s int64
 			for _, r := range rs {
 				s += r[1].(int64)
@@ -260,14 +260,14 @@ func TestNarrowOperatorsAndThePartitioner(t *testing.T) {
 				return []Row{{rs[0][0], s}}
 			})
 			before := c.Metrics.Snapshot()
-			local, err := tc.apply(in).GroupReduce("local", []int{0}, true, sum)
+			local, err := tc.apply(in).GroupReduce("local", []int{0}, true, nil, sum)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if m := c.Metrics.Snapshot(); rows != tc.rows || m.ShuffleRecords != before.ShuffleRecords || m.SkippedShuffles != before.SkippedShuffles+1 {
 				t.Fatalf("local GroupReduce saw %d rows (want %d), shuffled %d, skipped %d", rows, tc.rows, m.ShuffleRecords-before.ShuffleRecords, m.SkippedShuffles-before.SkippedShuffles)
 			}
-			exchanged, err := tc.apply(in).GroupReduce("exchanged", []int{0}, false, sum)
+			exchanged, err := tc.apply(in).GroupReduce("exchanged", []int{0}, false, nil, sum)
 			if err != nil {
 				t.Fatal(err)
 			}

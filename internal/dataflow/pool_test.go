@@ -21,7 +21,7 @@ func TestPartitionPanicBecomesError(t *testing.T) {
 		}
 		return r
 	})
-	_, err := d.Distinct("boom", false)
+	_, err := d.Distinct("boom", false, nil)
 	if err == nil {
 		t.Fatal("want an error from the poisoned partition")
 	}
@@ -53,7 +53,7 @@ func TestSharedPoolConcurrentJobs(t *testing.T) {
 				d := ctx.FromRows(rows).Map(func(_ *Arena, r Row) Row {
 					return Row{r[0].(int64) * 2}
 				})
-				out, err := d.Distinct("dedup", false)
+				out, err := d.Distinct("dedup", false, nil)
 				if err != nil {
 					errs[j] = err
 					return

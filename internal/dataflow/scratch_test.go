@@ -53,9 +53,9 @@ func scratchJob(k int) ([][]Row, error) {
 	shuffled, err := c.FromRows(right).RepartitionBy("r", []int{0}, false)
 	for _, step := range []func() (*Dataset, error){
 		func() (*Dataset, error) { return shuffled, err },
-		func() (*Dataset, error) { return c.FromRows(left).GroupReduce("g", []int{0}, false, sumReducer) },
+		func() (*Dataset, error) { return c.FromRows(left).GroupReduce("g", []int{0}, false, nil, sumReducer) },
 		func() (*Dataset, error) {
-			return c.FromRows(left).Filter(odd).GroupReduce("gl", []int{0}, true, sumReducer)
+			return c.FromRows(left).Filter(odd).GroupReduce("gl", []int{0}, true, nil, sumReducer)
 		},
 		func() (*Dataset, error) {
 			return c.FromRows(left).Filter(odd).Join("j", c.FromRows(right), []int{0}, []int{0}, [2]bool{}, JoinOut{RightWidth: 2}, true)
@@ -151,7 +151,7 @@ func TestWideOperatorsLeaveTheirInput(t *testing.T) {
 		return true
 	}
 	l0, r0 := take(left), take(right)
-	if _, err := left.GroupReduce("local", []int{0}, true, sumReducer); err != nil {
+	if _, err := left.GroupReduce("local", []int{0}, true, nil, sumReducer); err != nil {
 		t.Fatal(err)
 	}
 	if !same(left, l0) {
@@ -218,7 +218,7 @@ func TestWarmOperatorsReuseScratch(t *testing.T) {
 	}
 	rows, right := benchRows(20_000), benchRows(5_000)
 	reduce := func() error {
-		_, err := newContext().FromRows(rows).GroupReduce("g", []int{0}, false, sumReducer)
+		_, err := newContext().FromRows(rows).GroupReduce("g", []int{0}, false, nil, sumReducer)
 		return err
 	}
 	join := func() error {

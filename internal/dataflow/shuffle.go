@@ -18,7 +18,8 @@ type exchangeBuffers struct {
 }
 
 // RepartitionBy redistributes rows into Parallelism partitions by
-// value.HashCols over cols. Buffers are metered at their typed wire encoding
+// value.HashCols over cols — the hashes d carries over cols, if it does (a
+// combined Γ's partials). Buffers are metered at their typed wire encoding
 // (wireSize) and the routing hashes travel with the rows. The stage's bytes
 // are recorded once, with its wall time, when the exchange ends.
 //
@@ -62,8 +63,7 @@ func (d *Dataset) RepartitionBy(stage string, cols []int, placed bool) (*Dataset
 			local.rows[t] = rowScratch.get(hint)[:0]
 			local.hashes[t] = hashScratch.get(hint)[:0]
 		}
-		d.feed(i, func(r Row) {
-			h := value.HashCols(r, cols)
+		d.feedKeyed(i, cols, func(r Row, h uint64) {
 			t := int(h % uint64(p))
 			local.rows[t] = append(local.rows[t], r)
 			local.hashes[t] = append(local.hashes[t], h)

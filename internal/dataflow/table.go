@@ -65,6 +65,17 @@ func (t *groupTable) home(h uint64) int {
 	return int((h * 0x9E3779B97F4A7C15) >> t.shift)
 }
 
+// groupHashes returns, from the pool, the key hash of every group in id order.
+func (t *groupTable) groupHashes() []uint64 {
+	hs := hashScratch.get(t.len())
+	for _, s := range t.slots {
+		if s.id != 0 {
+			hs[s.id-1] = s.hash
+		}
+	}
+	return hs
+}
+
 // len is the number of distinct keys interned.
 func (t *groupTable) len() int { return len(t.first) }
 

@@ -136,7 +136,7 @@ func TestPlaceDropsUngroupedRows(t *testing.T) {
 // order (a one-partition shuffle keeps arrival order).
 func TestGroupReduceKeyEquality(t *testing.T) {
 	c := NewContext(1)
-	g, err := c.FromRows(keyedRows()).GroupReduce("g", []int{0}, false, perGroup(func(rs []Row) []Row {
+	g, err := c.FromRows(keyedRows()).GroupReduce("g", []int{0}, false, nil, perGroup(func(rs []Row) []Row {
 		return []Row{{seqs(rs)}}
 	}))
 	if err != nil {
@@ -269,11 +269,11 @@ func TestShuffleCarriesRoutingHashes(t *testing.T) {
 	sum := perGroup(func(rs []Row) []Row { return []Row{{rs[0][0], seqs(rs)}} })
 	skips := c.Metrics.Snapshot().SkippedShuffles
 	for _, key := range [][]int{cols, {2}} {
-		carried, err := sh.GroupReduce("g1", key, true, sum)
+		carried, err := sh.GroupReduce("g1", key, true, nil, sum)
 		if err != nil {
 			t.Fatal(err)
 		}
-		computed, err := lazy.GroupReduce("g2", key, true, sum)
+		computed, err := lazy.GroupReduce("g2", key, true, nil, sum)
 		if err != nil {
 			t.Fatal(err)
 		}

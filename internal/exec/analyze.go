@@ -32,6 +32,20 @@ func recordWide(ns *plan.NodeStats) func(*dataflow.Dataset, error) (*dataflow.Da
 	}
 }
 
+// countCombined wraps a map-side combiner so each source partition adds the
+// rows it folds and the partial rows it ships to ns (EXPLAIN ANALYZE
+// combined=IN→OUT).
+func countCombined(ns *plan.NodeStats, combine func(rows, groups int) dataflow.Reducer) func(rows, groups int) dataflow.Reducer {
+	if ns == nil {
+		return combine
+	}
+	return func(rows, groups int) dataflow.Reducer {
+		ns.CombinedIn.Add(int64(rows))
+		ns.CombinedOut.Add(int64(groups))
+		return combine(rows, groups)
+	}
+}
+
 // countRows is an identity row function counting 1:1 throughput — used to
 // meter operators with no closure of their own (AddIndex).
 func countRows(ns *plan.NodeStats) func(*dataflow.Arena, dataflow.Row) dataflow.Row {

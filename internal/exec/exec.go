@@ -221,10 +221,14 @@ func (ex *Executor) run(op plan.Op) (triple, error) {
 		// Γ, dedup and ⊎ merge light and heavy and follow the standard
 		// implementation (paper Figure 6: an empty heavy component and a null
 		// heavy-key set come back).
-		return ex.allLight(recordWide(ns)(ex.nest(in.merge(), x, ex.wideStage(ns, "nest"), x.Local != nil)))
+		return ex.allLight(recordWide(ns)(ex.nest(in.merge(), x, ex.wideStage(ns, "nest"), ns)))
 
 	case *plan.DedupOp:
-		return ex.allLight(recordWide(ns)(in.merge().Distinct(ex.wideStage(ns, "dedup"), x.Local != nil)))
+		var combine func(rows, groups int) dataflow.Reducer
+		if x.Combine {
+			combine = countCombined(ns, dataflow.KeepFirst)
+		}
+		return ex.allLight(recordWide(ns)(in.merge().Distinct(ex.wideStage(ns, "dedup"), x.Local != nil, combine)))
 
 	case *plan.UnionAll:
 		rt, err := ex.run(x.R)
@@ -448,45 +452,33 @@ func applyUnnest(in *dataflow.Dataset, x *plan.Unnest, ns *plan.NodeStats) *data
 // operators; they register their group without contributing. Structural nests
 // keep every group (empty bags); explicit nests below the root emit NULL
 // marker rows for phantom-only groups; at the root those groups are dropped.
-func (ex *Executor) nest(in *dataflow.Dataset, x *plan.Nest, stage string, local bool) (*dataflow.Dataset, error) {
+func (ex *Executor) nest(in *dataflow.Dataset, x *plan.Nest, stage string, ns *plan.NodeStats) (*dataflow.Dataset, error) {
+	if x.Agg == plan.AggSum {
+		return sumNest(in, x, stage, ns)
+	}
 	inCols := x.In.Columns()
 	bagValue := make([]bool, len(x.ValueCols))
 	for i, c := range x.ValueCols {
 		_, bagValue[i] = inCols[c].Type.(nrc.BagType)
 	}
 	width := len(x.GroupCols) + len(x.CarryCols)
-	var aggWidth int
-	if x.Agg == plan.AggBag {
-		aggWidth = 1
-	} else {
-		aggWidth = len(x.ValueCols)
-	}
 
-	present := func(r dataflow.Row) bool {
-		for _, c := range x.PresenceCols {
-			if r[c] == nil {
-				return false
-			}
-		}
-		return true
-	}
+	present := presence(x.PresenceCols)
 
-	// Slab cells per input row: under Γ⊎ its slot in the group's bag and,
-	// unless elements are bare scalars, its element tuple.
-	elemWidth, perRow := 0, 0
-	if x.Agg == plan.AggBag {
-		if !x.ScalarElem {
-			elemWidth = len(x.ValueCols)
-		}
-		perRow = 1 + elemWidth
+	// Slab cells per input row: its slot in the group's bag and, unless
+	// elements are bare scalars, its element tuple.
+	elemWidth := 0
+	if !x.ScalarElem {
+		elemWidth = len(x.ValueCols)
 	}
-	return in.GroupReduce(stage, x.GroupCols, local, func(nrows, ngroups int) dataflow.Reducer {
+	perRow := 1 + elemWidth
+	return in.GroupReduce(stage, x.GroupCols, x.Local != nil, nil, func(nrows, ngroups int) dataflow.Reducer {
 		// The group sizes are known before the first group is reduced, so a
-		// partition's output rows — and for Γ⊎ its bags and their element
-		// tuples — are cut from one slab instead of allocated one by one.
-		slab := make(dataflow.Slab, ngroups*(width+aggWidth)+nrows*perRow)
+		// partition's output rows, their bags and the bags' element tuples
+		// are cut from one slab instead of allocated one by one.
+		slab := make(dataflow.Slab, ngroups*(width+1)+nrows*perRow)
 		return func(out, rows []dataflow.Row) []dataflow.Row {
-			nr := dataflow.Row(slab.Cut(width + aggWidth))
+			nr := dataflow.Row(slab.Cut(width + 1))
 			for i, c := range x.GroupCols {
 				nr[i] = rows[0][c]
 			}
@@ -495,70 +487,35 @@ func (ex *Executor) nest(in *dataflow.Dataset, x *plan.Nest, stage string, local
 			}
 
 			hadReal := false
-			if x.Agg == plan.AggBag {
-				bag := value.Bag(slab.Cut(len(rows)))[:0]
-				for _, r := range rows {
-					if !present(r) {
-						continue
-					}
-					hadReal = true
-					if x.ScalarElem {
-						bag = append(bag, r[x.ValueCols[0]])
-						continue
-					}
-					elem := value.Tuple(slab.Cut(elemWidth))
-					for i, c := range x.ValueCols {
-						v := r[c]
-						if v == nil && bagValue[i] {
-							v = value.Bag{}
-						}
-						elem[i] = v
-					}
-					bag = append(bag, elem)
-				}
-				switch {
-				case hadReal:
-					nr[width] = bag
-				case x.Mode == plan.Structural:
-					nr[width] = value.Bag{}
-				case x.Mode == plan.ExplicitNested:
-					nr[width] = nil // marker row
-				default: // ExplicitRoot: drop phantom-only group
-					return out
-				}
-				return append(out, nr)
-			}
-
-			// AggSum.
-			sums := nr[width:]
+			bag := value.Bag(slab.Cut(len(rows)))[:0]
 			for _, r := range rows {
 				if !present(r) {
 					continue
 				}
 				hadReal = true
+				if x.ScalarElem {
+					bag = append(bag, r[x.ValueCols[0]])
+					continue
+				}
+				elem := value.Tuple(slab.Cut(elemWidth))
 				for i, c := range x.ValueCols {
 					v := r[c]
-					if v == nil {
-						continue // NULL contribution counts as zero
+					if v == nil && bagValue[i] {
+						v = value.Bag{}
 					}
-					if sums[i] == nil {
-						sums[i] = v
-					} else {
-						sums[i] = nrc.EvalArith(nrc.Add, sums[i], v)
-					}
+					elem[i] = v
 				}
+				bag = append(bag, elem)
 			}
-			if !hadReal {
-				if x.Mode == plan.ExplicitRoot {
-					return out
-				}
-				// marker row: sums stay NULL
-			} else {
-				for i, c := range x.ValueCols {
-					if sums[i] == nil {
-						sums[i] = nrc.ZeroValue(inCols[c].Type)
-					}
-				}
+			switch {
+			case hadReal:
+				nr[width] = bag
+			case x.Mode == plan.Structural:
+				nr[width] = value.Bag{}
+			case x.Mode == plan.ExplicitNested:
+				nr[width] = nil // marker row
+			default: // ExplicitRoot: drop phantom-only group
+				return out
 			}
 			return append(out, nr)
 		}

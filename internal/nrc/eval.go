@@ -190,37 +190,56 @@ func Eval(e Expr, env *Scope) value.Value {
 		return out
 
 	case *SumBy:
+		// A NULL value contributes nothing; a real column sums exactly and
+		// rounds once per group (value.RealSum), as the engine's Γ+ does.
 		b := Eval(x.E, env).(value.Bag)
 		tup := x.E.Type().(BagType).Elem.(TupleType)
 		keyIdx, _ := splitIdx(tup, x.Keys)
 		valIdx := make([]int, len(x.Values))
+		isReal := make([]bool, len(x.Values))
 		for i, v := range x.Values {
 			valIdx[i] = tup.Index(v)
+			_, isReal[i] = numeric(tup.Fields[valIdx[i]].Type)
 		}
-		groups := map[string]value.Tuple{}
-		var order []string
+		type group struct {
+			row   value.Tuple
+			reals []value.RealSum
+		}
+		groups := map[string]*group{}
+		var order []*group
 		for _, elem := range b {
 			t := elem.(value.Tuple)
 			k := keyOf(t, keyIdx)
 			g, ok := groups[k]
 			if !ok {
-				g = make(value.Tuple, len(keyIdx)+len(valIdx))
+				g = &group{row: make(value.Tuple, len(keyIdx)+len(valIdx)), reals: make([]value.RealSum, len(valIdx))}
 				for i, ki := range keyIdx {
-					g[i] = t[ki]
+					g.row[i] = t[ki]
 				}
 				for i, vi := range valIdx {
-					g[len(keyIdx)+i] = ZeroValue(tup.Fields[vi].Type)
+					g.row[len(keyIdx)+i] = ZeroValue(tup.Fields[vi].Type)
 				}
-				order = append(order, k)
+				groups[k] = g
+				order = append(order, g)
 			}
 			for i, vi := range valIdx {
-				g[len(keyIdx)+i] = EvalArith(Add, g[len(keyIdx)+i], t[vi])
+				switch v := t[vi]; {
+				case v == nil:
+				case isReal[i]:
+					g.reals[i].Add(toFloat(v))
+				default:
+					g.row[len(keyIdx)+i] = EvalArith(Add, g.row[len(keyIdx)+i], v)
+				}
 			}
-			groups[k] = g
 		}
-		out := make(value.Bag, 0, len(order))
-		for _, k := range order {
-			out = append(out, groups[k])
+		out := make(value.Bag, len(order))
+		for j, g := range order {
+			for i := range valIdx {
+				if isReal[i] {
+					g.row[len(keyIdx)+i] = g.reals[i].Float64()
+				}
+			}
+			out[j] = g.row
 		}
 		return out
 

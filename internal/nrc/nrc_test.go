@@ -181,6 +181,44 @@ func TestEvalSumByIntAndReal(t *testing.T) {
 	}
 }
 
+// TestEvalSumByNullContributesNothing: a NULL value adds nothing to its
+// group, and a group of NULLs sums to zero — the rule of the engine's Γ+, not
+// EvalArith's NULL propagation.
+func TestEvalSumByNullContributesNothing(t *testing.T) {
+	env := nrc.Env{"R": nrc.BagOf(nrc.Tup("k", nrc.StringT, "v", nrc.RealT))}
+	var s *nrc.Scope
+	s = s.Bind("R", value.Bag{
+		value.Tuple{"a", 1.5},
+		value.Tuple{"a", nil},
+		value.Tuple{"a", 2.0},
+		value.Tuple{"b", nil},
+	})
+	got := evalChecked(t, nrc.SumByOf(nrc.V("R"), []string{"k"}, []string{"v"}), env, s)
+	want := value.Bag{value.Tuple{"a", 3.5}, value.Tuple{"b", 0.0}}
+	if value.Format(got) != value.Format(want) {
+		t.Fatalf("sumBy over NULLs:\n got %s\nwant %s", value.Format(got), value.Format(want))
+	}
+}
+
+// TestEvalSumByRoundsOnce: a real sum is exact and rounded once, so it does
+// not depend on the order of its terms.
+func TestEvalSumByRoundsOnce(t *testing.T) {
+	env := nrc.Env{"R": nrc.BagOf(nrc.Tup("k", nrc.IntT, "v", nrc.RealT))}
+	terms := []float64{1e16, 0.5, -1e16, 0.1, 0.1, 0.1}
+	for _, order := range [][]int{{0, 1, 2, 3, 4, 5}, {1, 3, 0, 4, 2, 5}, {5, 4, 3, 2, 1, 0}} {
+		rows := value.Bag{}
+		for _, i := range order {
+			rows = append(rows, value.Tuple{int64(1), terms[i]})
+		}
+		var s *nrc.Scope
+		s = s.Bind("R", rows)
+		got := evalChecked(t, nrc.SumByOf(nrc.V("R"), []string{"k"}, []string{"v"}), env, s)
+		if sum := got.(value.Bag)[0].(value.Tuple)[1].(float64); sum != 0.8 {
+			t.Fatalf("order %v: sum %v, want 0.8 (0.5 + 0.1 + 0.1 + 0.1 rounded once)", order, sum)
+		}
+	}
+}
+
 func TestEvalArithNullPropagation(t *testing.T) {
 	if nrc.EvalArith(nrc.Add, nil, int64(1)) != nil {
 		t.Fatal("NULL + 1 must be NULL")

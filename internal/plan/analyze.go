@@ -33,6 +33,9 @@ type NodeStats struct {
 	// IndexFallbacks counts executions that degraded to the full scan plus
 	// the span predicate.
 	IndexMatched, IndexFallbacks atomic.Int64
+	// CombinedIn and CombinedOut count the rows a combined Γ+ or dedup fed
+	// its map-side combiner and the partial rows it shipped instead.
+	CombinedIn, CombinedOut atomic.Int64
 	// Stage names the dataflow stage a wide operator ran under ("join#3");
 	// empty for narrow operators.
 	Stage string
@@ -214,6 +217,9 @@ func analyzeAnnotation(op Op, a *Analysis, stageWall map[string]time.Duration, s
 		} else {
 			fmt.Fprintf(&sb, " index_matched=%d", m)
 		}
+	}
+	if in := ns.CombinedIn.Load(); in > 0 {
+		fmt.Fprintf(&sb, " combined=%d→%d", in, ns.CombinedOut.Load())
 	}
 	if b := shuffled[ns.Stage]; ns.Stage != "" && b > 0 {
 		fmt.Fprintf(&sb, " shuffled=%dB", b)

@@ -27,7 +27,7 @@ type idDeps [][]int
 
 // idDepsOf computes the dependencies of op's output columns; cols is the
 // pass's memo of the schemas.
-func idDepsOf(op Op, cols schemas) idDeps {
+func idDepsOf(op Op, cols Schemas) idDeps {
 	switch x := op.(type) {
 	case *Select:
 		return idDepsOf(x.In, cols).without(x.NullifyCols)
@@ -49,14 +49,14 @@ func idDepsOf(op Op, cols schemas) idDeps {
 		return out
 
 	case *Unnest:
-		full := append(idDepsOf(x.In, cols), make(idDeps, len(x.elemFields(cols.of(x.In))))...)
+		full := append(idDepsOf(x.In, cols), make(idDeps, len(x.elemFields(cols.Of(x.In))))...)
 		if x.Outs == nil {
 			return full
 		}
 		return full.gather(x.Outs)
 
 	case *Join:
-		full := append(idDepsOf(x.L, cols), make(idDeps, len(cols.of(x.R)))...)
+		full := append(idDepsOf(x.L, cols), make(idDeps, len(cols.Of(x.R)))...)
 		if x.Outs == nil {
 			return full
 		}
@@ -66,7 +66,7 @@ func idDepsOf(op Op, cols schemas) idDeps {
 	case *Nest:
 		src := x.passed()
 		out := idDepsOf(x.In, cols).gather(src)
-		return append(out, make(idDeps, len(cols.of(x))-len(src))...)
+		return append(out, make(idDeps, len(cols.Of(x))-len(src))...)
 
 	case *DedupOp:
 		return idDepsOf(x.In, cols)
@@ -75,7 +75,7 @@ func idDepsOf(op Op, cols schemas) idDeps {
 		return idDepsOf(x.In, cols)
 	}
 	// Leaves and ⊎: nothing is known to be determined.
-	return make(idDeps, len(cols.of(op)))
+	return make(idDeps, len(cols.Of(op)))
 }
 
 // copySources is, per output of a projection, the input column it copies, or

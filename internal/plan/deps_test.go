@@ -75,7 +75,7 @@ func TestIDDeps(t *testing.T) {
 			idDeps{id, id, id, id}},
 	}
 	for _, c := range cases {
-		got := idDepsOf(c.op, schemas{})
+		got := idDepsOf(c.op, Schemas{})
 		if len(got) != len(c.op.Columns()) {
 			t.Errorf("%s: %d entries for %d columns", c.name, len(got), len(c.op.Columns()))
 			continue

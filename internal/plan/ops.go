@@ -268,6 +268,10 @@ type Nest struct {
 	// already lies in one partition and Γ reduces in place, with no exchange.
 	// Only Place sets it.
 	Local []int
+	// Combine: each source partition folds its own rows of a group into one
+	// partial row before the exchange, which ships the partials (a
+	// map-side combiner). Place sets it on an exchanged Γ+, never on Γ⊎.
+	Combine bool
 }
 
 // elemType returns the element type of the collected bag (AggBag only),
@@ -296,7 +300,7 @@ func (n *Nest) Describe() string {
 	if n.Agg == AggSum {
 		agg = "+"
 	}
-	return fmt.Sprintf("Γ%s key%v carry%v val%v (%s)", agg, n.GroupCols, n.CarryCols, n.ValueCols, n.Mode) + localMark(n.In, n.Local)
+	return fmt.Sprintf("Γ%s key%v carry%v val%v (%s)", agg, n.GroupCols, n.CarryCols, n.ValueCols, n.Mode) + localMark(n.In, n.Local) + combinedMark(n.Combine)
 }
 
 // DedupOp removes duplicate rows of a flat bag.
@@ -304,11 +308,24 @@ type DedupOp struct {
 	In Op
 	// Local is Nest.Local for the whole-row key.
 	Local []int
+	// Combine is Nest.Combine: each source partition drops its own
+	// duplicates before the exchange.
+	Combine bool
 }
 
 func (d *DedupOp) Columns() []Column { return columnsOf(d, Op.Columns) }
 func (d *DedupOp) Children() []Op    { return []Op{d.In} }
-func (d *DedupOp) Describe() string  { return "dedup" + localMark(d.In, d.Local) }
+func (d *DedupOp) Describe() string {
+	return "dedup" + localMark(d.In, d.Local) + combinedMark(d.Combine)
+}
+
+// combinedMark renders a Combine mark.
+func combinedMark(combine bool) string {
+	if combine {
+		return " [combined]"
+	}
+	return ""
+}
 
 // localMark renders a Local column list by the names of in's columns.
 func localMark(in Op, local []int) string {
@@ -357,7 +374,7 @@ func (b *BagToDict) Describe() string {
 
 // columnsOf is op's output schema given its inputs' schemas, which in
 // returns: the one definition behind every operator's Columns, which asks
-// each input anew, and behind a pass's memo of them (schemas), which asks
+// each input anew, and behind a pass's memo of them (Schemas), which asks
 // each node once.
 func columnsOf(op Op, in func(Op) []Column) []Column {
 	switch x := op.(type) {
@@ -439,18 +456,18 @@ func namedColumns(outs []NamedExpr) []Column {
 	return out
 }
 
-// schemas is one pass's memo of the operators' columns: each node's is
+// Schemas is one pass's memo of the operators' columns: each node's is
 // computed once, from its inputs' memoized ones. Plan nodes are immutable, so
 // a node's schema never changes; a pass that builds nodes adds them as it
-// asks for them.
-type schemas map[Op][]Column
+// asks for them — this package's passes, and the unnesting compiler's.
+type Schemas map[Op][]Column
 
-// of returns op's columns.
-func (s schemas) of(op Op) []Column {
+// Of returns op's columns.
+func (s Schemas) Of(op Op) []Column {
 	if cols, ok := s[op]; ok {
 		return cols
 	}
-	cols := columnsOf(op, s.of)
+	cols := columnsOf(op, s.Of)
 	s[op] = cols
 	return cols
 }

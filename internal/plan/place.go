@@ -10,13 +10,14 @@ import "slices"
 // equal on one share a partition, all a Γ or dedup needs) — and from that
 // decides every exchange the plan holds: a join side or BagToDict already
 // placed on its key is Placed, and a Γ/dedup is Local when its input is placed
-// on its key or its key determines a co-located set (idDeps). A Scan of a
+// on its key or its key determines a co-located set (idDeps); a Γ+ or dedup
+// that still exchanges is Combined on its source partitions first. A Scan of a
 // Bound name is marked with, and lies, where Bound says. A Γ feeding a
 // join side on exactly its key keeps its exchange, whose placement lets the
 // join skip its own. Place returns the placed plan, which the executor
 // follows, and where the dataset it yields lies. The input plan is not mutated.
 func Place(op Op, opts PlaceOptions) (Op, []int) {
-	out, p := placer{opts, schemas{}}.place(op, nil)
+	out, p := placer{opts, Schemas{}}.place(op, nil)
 	return out, p.merged()
 }
 
@@ -38,7 +39,7 @@ type PlaceOptions struct {
 // placer is one Place pass: its options and its memo of the schemas.
 type placer struct {
 	PlaceOptions
-	cols schemas
+	cols Schemas
 }
 
 // placement is where the rows of an operator's output lie.
@@ -109,7 +110,7 @@ func (pl placer) place(op Op, hashed []int) (Op, placement) {
 	case *Extend:
 		return x, in
 	case *AddIndex:
-		in.sets = append(in.sets, []int{len(pl.cols.of(x.In))})
+		in.sets = append(in.sets, []int{len(pl.cols.Of(x.In))})
 		return x, in
 	case *Project:
 		out := in.through(copySources(x.Outs))
@@ -117,8 +118,8 @@ func (pl placer) place(op Op, hashed []int) (Op, placement) {
 		return x, out
 	case *Unnest:
 		// The tombstoned bag is NULL on every row, so it is no copy.
-		width := len(pl.cols.of(x.In))
-		src := make([]int, len(pl.cols.of(x)))
+		width := len(pl.cols.Of(x.In))
+		src := make([]int, len(pl.cols.Of(x)))
 		for i := range src {
 			if src[i] = x.Full(i); src[i] >= width || src[i] == x.BagCol {
 				src[i] = -1
@@ -151,10 +152,11 @@ func (pl placer) place(op Op, hashed []int) (Op, placement) {
 		if x.Local != nil {
 			out.sets = append(through(in.sets, x.passed()), key)
 		}
+		x.Combine = x.Local == nil && x.Agg == AggSum
 		return x, out
 	case *DedupOp:
 		// Every set is determined by the whole-row key.
-		all := positions(len(pl.cols.of(x)))
+		all := positions(len(pl.cols.Of(x)))
 		out := placement{sets: append(in.sets, all), hash: all}
 		x.Local = nil
 		if m := in.merged(); m != nil && slices.Equal(m, all) {
@@ -162,6 +164,7 @@ func (pl placer) place(op Op, hashed []int) (Op, placement) {
 		} else if len(in.sets) > 0 {
 			x.Local, out.hash = in.sets[len(in.sets)-1], nil
 		}
+		x.Combine = x.Local == nil
 		return x, out
 	case *BagToDict:
 		// Under skew the light labels are split off anew from both components,

@@ -209,3 +209,37 @@ func TestPlaceRules(t *testing.T) {
 		}
 	}
 }
+
+// TestPlaceCombines: Place combines an exchanged Γ+ or dedup, and nothing
+// else — not a Γ⊎, whose partial would be its whole bag, nor a Γ/dedup that
+// reduces in place.
+func TestPlaceCombines(t *testing.T) {
+	bag := func(in Op, key ...int) *Nest {
+		return &Nest{In: in, GroupCols: key, ValueCols: []int{0}, Agg: AggBag, OutName: "g"}
+	}
+	cases := []struct {
+		name string
+		op   Op
+		want bool
+	}{
+		{"exchanged Γ+", sumBy(numbered(), 0, 1), true},
+		{"local Γ+", sumBy(numbered(), 3), false},
+		{"exchanged Γ⊎", bag(numbered(), 0, 1), false},
+		{"local Γ⊎", bag(numbered(), 3), false},
+		{"exchanged dedup", &DedupOp{In: intScan("S", "k", "v")}, true},
+		{"local dedup", &DedupOp{In: numbered()}, false},
+	}
+	for _, c := range cases {
+		placed, _ := Place(c.op, PlaceOptions{})
+		var got bool
+		switch x := placed.(type) {
+		case *Nest:
+			got = x.Combine
+		case *DedupOp:
+			got = x.Combine
+		}
+		if got != c.want || strings.Contains(Explain(placed), "[combined]") != c.want {
+			t.Errorf("%s: combined %t, want %t:\n%s", c.name, got, c.want, Explain(placed))
+		}
+	}
+}

@@ -18,17 +18,17 @@ import (
 //
 // Every output column is needed and the layout is kept: the root of a plan,
 // like an input of ⊎, is read by position.
-func Prune(op Op) Op { return pruneRoot(op, schemas{}) }
+func Prune(op Op) Op { return pruneRoot(op, Schemas{}) }
 
 // pruneRoot is Prune over the pass's memo of the schemas.
-func pruneRoot(op Op, cols schemas) Op {
-	n := len(cols.of(op))
+func pruneRoot(op Op, cols Schemas) Op {
+	n := len(cols.Of(op))
 	need := make([]bool, n)
 	for i := range need {
 		need[i] = true
 	}
 	in, rm := prune(op, need, cols)
-	inCols := cols.of(in)
+	inCols := cols.Of(in)
 	inPlace := len(inCols) == n
 	for i := 0; inPlace && i < n; i++ {
 		inPlace = rm[i] == i
@@ -47,13 +47,13 @@ func pruneRoot(op Op, cols schemas) Op {
 // prune rewrites op to compute (at least) the needed columns, returning the
 // rewritten operator and the old→new position map, which covers every column
 // marked needed. cols is the pass's memo of the schemas.
-func prune(op Op, need []bool, cols schemas) (Op, map[int]int) {
+func prune(op Op, need []bool, cols Schemas) (Op, map[int]int) {
 	switch x := op.(type) {
 	case *Scan, *Values:
-		return op, identity(len(cols.of(op)))
+		return op, identity(len(cols.Of(op)))
 
 	case *Select:
-		w := len(cols.of(x.In))
+		w := len(cols.Of(x.In))
 		childNeed := cloneNeed(need, w)
 		markCols(childNeed, ExprCols(x.Pred, nil))
 		markCols(childNeed, x.NullifyCols)
@@ -65,7 +65,7 @@ func prune(op Op, need []bool, cols schemas) (Op, map[int]int) {
 		}, rm
 
 	case *Extend:
-		base := len(cols.of(x.In))
+		base := len(cols.Of(x.In))
 		childNeed := make([]bool, base)
 		for i := 0; i < base && i < len(need); i++ {
 			childNeed[i] = need[i]
@@ -78,7 +78,7 @@ func prune(op Op, need []bool, cols schemas) (Op, map[int]int) {
 			}
 		}
 		in, rm := prune(x.In, childNeed, cols)
-		newBase := len(cols.of(in))
+		newBase := len(cols.Of(in))
 		exprs := make([]NamedExpr, len(kept))
 		out := copyMap(rm)
 		for j, i := range kept {
@@ -91,7 +91,7 @@ func prune(op Op, need []bool, cols schemas) (Op, map[int]int) {
 		return &Extend{In: in, Exprs: exprs}, out
 
 	case *Project:
-		childNeed := make([]bool, len(cols.of(x.In)))
+		childNeed := make([]bool, len(cols.Of(x.In)))
 		var outs []NamedExpr
 		out := map[int]int{}
 		for i, ne := range x.Outs {
@@ -109,31 +109,31 @@ func prune(op Op, need []bool, cols schemas) (Op, map[int]int) {
 		return &Project{In: in, Outs: outs, CastBags: x.CastBags}, out
 
 	case *AddIndex:
-		base := len(cols.of(x.In))
+		base := len(cols.Of(x.In))
 		childNeed := make([]bool, base)
 		for i := 0; i < base && i < len(need); i++ {
 			childNeed[i] = need[i]
 		}
 		in, rm := prune(x.In, childNeed, cols)
 		out := copyMap(rm)
-		out[base] = len(cols.of(in))
+		out[base] = len(cols.Of(in))
 		return &AddIndex{In: in, Name: x.Name}, out
 
 	case *Unnest:
-		base := len(cols.of(x.In))
+		base := len(cols.Of(x.In))
 		childNeed := make([]bool, base)
 		childNeed[x.BagCol] = true
-		for i := range cols.of(x) {
+		for i := range cols.Of(x) {
 			if c := x.Full(i); need[i] && c < base {
 				childNeed[c] = true
 			}
 		}
 		in, rm := prune(x.In, childNeed, cols)
-		newBase := len(cols.of(in))
+		newBase := len(cols.Of(in))
 		// μ writes what is read above it, and nothing else.
 		outs := []int{}
 		out := map[int]int{}
-		for i := range cols.of(x) {
+		for i := range cols.Of(x) {
 			if !need[i] {
 				continue
 			}
@@ -147,8 +147,8 @@ func prune(op Op, need []bool, cols schemas) (Op, map[int]int) {
 		return &Unnest{In: in, BagCol: rm[x.BagCol], Prefix: x.Prefix, Outer: x.Outer, Outs: outs}, out
 
 	case *Join:
-		lw := len(cols.of(x.L))
-		rw := len(cols.of(x.R))
+		lw := len(cols.Of(x.L))
+		rw := len(cols.Of(x.R))
 		lNeed := make([]bool, lw)
 		rNeed := make([]bool, rw)
 		for i := 0; i < lw && i < len(need); i++ {
@@ -162,7 +162,7 @@ func prune(op Op, need []bool, cols schemas) (Op, map[int]int) {
 		l, lrm := pruneNarrow(x.L, lNeed, cols)
 		r, rrm := pruneNarrow(x.R, rNeed, cols)
 		out := copyMap(lrm)
-		nlw := len(cols.of(l))
+		nlw := len(cols.Of(l))
 		for old, nw := range rrm {
 			out[lw+old] = nlw + nw
 		}
@@ -212,10 +212,10 @@ func prune(op Op, need []bool, cols schemas) (Op, map[int]int) {
 				carry = append(carry, c)
 			}
 		}
-		for i := len(passed); i < len(cols.of(x)); i++ {
+		for i := len(passed); i < len(cols.Of(x)); i++ {
 			out[i] = len(key) + len(carry) + i - len(passed)
 		}
-		childNeed := make([]bool, len(cols.of(x.In)))
+		childNeed := make([]bool, len(cols.Of(x.In)))
 		markCols(childNeed, key)
 		markCols(childNeed, carry)
 		markCols(childNeed, x.ValueCols)
@@ -236,7 +236,7 @@ func prune(op Op, need []bool, cols schemas) (Op, map[int]int) {
 
 	case *DedupOp:
 		// Dedup compares whole rows: every column is semantically needed.
-		all := make([]bool, len(cols.of(x.In)))
+		all := make([]bool, len(cols.Of(x.In)))
 		for i := range all {
 			all[i] = true
 		}
@@ -245,10 +245,10 @@ func prune(op Op, need []bool, cols schemas) (Op, map[int]int) {
 
 	case *UnionAll:
 		// Both branches must keep identical layouts: require everything.
-		return &UnionAll{L: pruneRoot(x.L, cols), R: pruneRoot(x.R, cols)}, identity(len(cols.of(x)))
+		return &UnionAll{L: pruneRoot(x.L, cols), R: pruneRoot(x.R, cols)}, identity(len(cols.Of(x)))
 
 	case *BagToDict:
-		w := len(cols.of(x.In))
+		w := len(cols.Of(x.In))
 		childNeed := cloneNeed(need, w)
 		childNeed[x.LabelCol] = true
 		in, rm := prune(x.In, childNeed, cols)
@@ -260,9 +260,9 @@ func prune(op Op, need []bool, cols schemas) (Op, map[int]int) {
 // pruneNarrow prunes the child and then inserts an explicit narrowing
 // projection when unused pass-through columns remain, so joins and nests
 // never shuffle dead columns.
-func pruneNarrow(op Op, need []bool, schema schemas) (Op, map[int]int) {
+func pruneNarrow(op Op, need []bool, schema Schemas) (Op, map[int]int) {
 	in, rm := prune(op, need, schema)
-	cols := schema.of(in)
+	cols := schema.Of(in)
 	// Columns actually required at the new positions.
 	req := make([]bool, len(cols))
 	for old, ok := range iterNeed(need) {

@@ -209,6 +209,48 @@ func TestExplainAnalyzeRendering(t *testing.T) {
 	}
 }
 
+// TestExplainAnalyzeCombined: the nested-to-flat Γ+, which exchanges, reads
+// [combined] and, analyzed, combined=IN→OUT — the rows its source partitions
+// folded and the partial rows they shipped, which are the rows its exchange
+// moved — and its wall sums its /combine stage with its exchange and reduce.
+func TestExplainAnalyzeCombined(t *testing.T) {
+	tables := tpch.Generate(tpch.Config{Customers: 30, OrdersPerCustomer: 3, LinesPerOrder: 4, Parts: 10, Seed: 1})
+	inputs := map[string]value.Bag{"NDB": tpch.BuildNested(tables, 2, true), "Part": tables.Part}
+	cfg := DefaultConfig()
+	cq, err := CompileStep(tpch.Query(tpch.NestedToFlat, 2, false), tpch.Env(tpch.NestedToFlat, 2, false), Standard, cfg, nil, "Q")
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := plan.NewAnalysis()
+	res := ExecuteBags(context.Background(), []*Compiled{cq}, inputs, NewRunContext(cfg), ExecOptions{Analysis: a})
+	if res.Failed() {
+		t.Fatal(res.Err)
+	}
+	root, ok := cq.Stmts[0].Plan.(*plan.Nest)
+	if !ok || !root.Combine {
+		t.Fatalf("the root is not a combined Γ+:\n%s", cq.Explain())
+	}
+	ns := a.Lookup(root)
+	in, out := ns.CombinedIn.Load(), ns.CombinedOut.Load()
+	if out == 0 || in <= out || out != res.Metrics.ShuffleRecords {
+		t.Fatalf("combined %d→%d rows, the run shipped %d", in, out, res.Metrics.ShuffleRecords)
+	}
+	var wall time.Duration
+	var combined bool
+	for _, st := range res.Metrics.StageWall {
+		base, side, _ := strings.Cut(st.Stage, "/")
+		if base == ns.Stage {
+			wall += st.Wall
+			combined = combined || side == "combine"
+		}
+	}
+	text := res.ExplainAnalyze()
+	line := fmt.Sprintf("%s [actual_rows=%d wall=%s combined=%d→%d shuffled=", root.Describe(), ns.RowsOut.Load(), wall.Round(time.Microsecond), in, out)
+	if !combined || !strings.Contains(root.Describe(), " [combined]") || !strings.Contains(text, line) {
+		t.Fatalf("want a %s/combine stage and the line\n%s\nin\n%s", ns.Stage, line, text)
+	}
+}
+
 // TestAnalyzeOffLeavesNoTrace: the default Execute path must not allocate or
 // attach any analysis state.
 func TestAnalyzeOffLeavesNoTrace(t *testing.T) {

@@ -15,7 +15,9 @@ package runner_test
 import (
 	"context"
 	"fmt"
+	"hash/fnv"
 	"maps"
+	"math"
 	"slices"
 	"strings"
 	"testing"
@@ -30,8 +32,8 @@ import (
 )
 
 // diffEnv is the fixed input environment of the generated queries: a
-// two-level nested relation R (with an inner bag per item) and a flat
-// relation S to join with.
+// two-level nested relation R (with an inner bag per item and a summand d)
+// and a flat relation S to join with.
 func diffEnv() nrc.Env {
 	return nrc.Env{
 		"R": nrc.BagOf(nrc.Tup(
@@ -43,6 +45,9 @@ func diffEnv() nrc.Env {
 				"w", nrc.StringT,
 				"tags", nrc.BagOf(nrc.Tup("t", nrc.IntT)),
 			)),
+			// d is only ever summed (laterDraws): NULL-heavy, and holding
+			// reals whose float sum depends on the order of its terms.
+			"d", nrc.RealT,
 		)),
 		"S": nrc.BagOf(nrc.Tup("k", nrc.IntT, "name", nrc.StringT)),
 	}
@@ -57,6 +62,8 @@ type dgen struct {
 	data []byte
 	i    int
 	root string
+	// summand: every sumBy also sums f4 := x.d (laterDraws).
+	summand bool
 }
 
 func (g *dgen) b() byte {
@@ -101,7 +108,7 @@ func (g *dgen) dataset() map[string]value.Bag {
 		if skewed && i%10 < 7 {
 			a = hot
 		}
-		R = append(R, value.Tuple{a, g.str(), g.realv(), items})
+		R = append(R, value.Tuple{a, g.str(), g.realv(), items, nil})
 	}
 	S := value.Bag{}
 	for i := 0; i < nS; i++ {
@@ -112,6 +119,124 @@ func (g *dgen) dataset() map[string]value.Bag {
 		S = append(S, value.Tuple{k, g.str()})
 	}
 	return map[string]value.Bag{"R": R, "S": S}
+}
+
+// laterDraws makes the draws added after a seed's existing ones, from a byte
+// stream of their own derived from the seed's bytes, so no earlier draw moves:
+// each R row's summand d — NULL in a quarter of the rows, 0.1 in another,
+// else one of ±1e16, 1e-16 or an n+0.5 value: reals whose float sum depends
+// on the order of its terms — and whether the seed's sumBys sum f4 := x.d
+// beside f2 (in 7 seeds of 8).
+func laterDraws(data []byte, inputs map[string]value.Bag) (summand bool) {
+	h := fnv.New32a()
+	h.Write(data)
+	g := &dgen{data: seedBytes(int(h.Sum32()) | 1<<31)}
+	summand = g.n(8) != 0
+	for _, r := range inputs["R"] {
+		var d value.Value
+		switch g.n(8) {
+		case 0, 1:
+		case 2, 3:
+			d = 0.1
+		case 4:
+			d = 1e16
+		case 5:
+			d = -1e16
+		case 6:
+			d = 1e-16
+		default:
+			d = g.realv()
+		}
+		r.(value.Tuple)[4] = d
+	}
+	return summand
+}
+
+// sumBy sums f2, and f4 := x.d too when the seed draws a summand, over the
+// generated comprehension e.
+func (g *dgen) sumBy(e nrc.Expr, keys ...string) nrc.Expr {
+	if !g.summand {
+		return nrc.SumByOf(e, keys, []string{"f2"})
+	}
+	return nrc.SumByOf(withSummand(e), keys, []string{"f2", "f4"})
+}
+
+// withSummand adds f4 := x.d to the head of a generated flat comprehension.
+func withSummand(e nrc.Expr) nrc.Expr {
+	head := e
+	for {
+		switch x := head.(type) {
+		case *nrc.For:
+			head = x.Body
+			continue
+		case *nrc.If:
+			head = x.Then
+			continue
+		}
+		break
+	}
+	t := head.(*nrc.Sing).Elem.(*nrc.TupleCtor)
+	t.Fields = append(t.Fields, nrc.NamedExpr{Name: "f4", Expr: nrc.P(nrc.V("x"), "d")})
+	return e
+}
+
+// bitIdentical is value.Equal with every real compared by its bits, so a
+// route whose sum reads -0 where the oracle's reads +0 diverges too.
+func bitIdentical(a, b value.Value) bool {
+	switch x := a.(type) {
+	case float64:
+		y, ok := b.(float64)
+		return ok && math.Float64bits(x) == math.Float64bits(y)
+	case value.Tuple:
+		y, ok := b.(value.Tuple)
+		return ok && seqBitIdentical(x, y)
+	case value.Bag:
+		y, ok := b.(value.Bag)
+		if !ok || len(x) != len(y) {
+			return false
+		}
+		xs, ys := slices.Clone(x), slices.Clone(y)
+		slices.SortStableFunc(xs, value.Compare)
+		slices.SortStableFunc(ys, value.Compare)
+		return seqBitIdentical(xs, ys)
+	}
+	return value.Equal(a, b)
+}
+
+func seqBitIdentical(xs, ys []value.Value) bool {
+	if len(xs) != len(ys) {
+		return false
+	}
+	for i := range xs {
+		if !bitIdentical(xs[i], ys[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// summedTerms reports, for R's rows summed by b, whether some d is NULL and
+// whether some group's d terms, added left to right in floats, miss their
+// correctly rounded sum.
+func summedTerms(rows value.Bag) (null, orderDependent bool) {
+	naive, exact := map[value.Value]float64{}, map[value.Value]*value.RealSum{}
+	for _, r := range rows {
+		t := r.(value.Tuple)
+		v, ok := t[4].(float64)
+		if !ok {
+			null = true
+			continue
+		}
+		if exact[t[1]] == nil {
+			exact[t[1]] = &value.RealSum{}
+		}
+		naive[t[1]] += v
+		exact[t[1]].Add(v)
+	}
+	for k, s := range exact {
+		orderDependent = orderDependent || s.Float64() != naive[k]
+	}
+	return null, orderDependent
 }
 
 // path lazily constructs a scalar access path, so every use gets fresh AST
@@ -308,9 +433,9 @@ func (g *dgen) comp(withSub bool) nrc.Expr {
 func (g *dgen) query() nrc.Expr {
 	switch g.n(8) {
 	case 0:
-		return nrc.SumByOf(g.comp(false), []string{"f1", "f3"}, []string{"f2"})
+		return g.sumBy(g.comp(false), "f1", "f3")
 	case 1:
-		return nrc.SumByOf(g.comp(false), []string{"f3"}, []string{"f2"})
+		return g.sumBy(g.comp(false), "f3")
 	case 2:
 		// groupBy does not shred (its nested output attribute would need a
 		// dictionary), so the shred-compatible deep flat shape is dedup∘union.
@@ -325,7 +450,7 @@ func (g *dgen) query() nrc.Expr {
 		if g.n(3) != 0 {
 			// The Γ leaves its sums hash-placed on f1, the key the join
 			// reads them by, so the join can skip that side's exchange.
-			return groupedJoin(nrc.SumByOf(g.comp(false), []string{"f1"}, []string{"f2"}))
+			return groupedJoin(g.sumBy(g.comp(false), "f1"))
 		}
 		return g.comp(false)
 	}
@@ -485,7 +610,12 @@ type diffCounts struct {
 	fused     int // seeds with a join writing its projection on some strategy's full plans
 	composed  int // seeds where some strategy's full plans hold fewer π/ext than its ablated plans
 	local     int // seeds where some strategy's full plans reduce a Γ/dedup in place
+	combined  int // seeds where some strategy's run combines a Γ+/dedup before its exchange
 	placed    int // seed × strategy pairs whose full plans place a join side
+	// nullSummed counts seeds whose summing arm adds a NULL d, orderSummed
+	// those where one of its groups' d sum depends on the order of its terms
+	// in floats.
+	nullSummed, orderSummed int
 	// boundSkip counts seeds where a shredded route skips an exchange over an
 	// input dictionary bound placed on its label; scanLocal those where a Γ
 	// or dedup reduces in place over a placed Scan.
@@ -513,6 +643,9 @@ func (c *diffCounts) add(o diffCounts) {
 	c.fused += o.fused
 	c.composed += o.composed
 	c.local += o.local
+	c.combined += o.combined
+	c.nullSummed += o.nullSummed
+	c.orderSummed += o.orderSummed
 	c.placed += o.placed
 	c.boundSkip += o.boundSkip
 	c.scanLocal += o.scanLocal
@@ -535,8 +668,9 @@ func runDifferential(data []byte, strict bool) (n diffCounts, err error) {
 	limit := diffBroadcastLimits[g.n(len(diffBroadcastLimits))]
 	chosen := g.chooseIndexes()
 	queryAt := g.i
+	summand := laterDraws(data, inputs)
 	mkQuery := func(root string) nrc.Expr {
-		qg := &dgen{data: data, i: queryAt, root: root}
+		qg := &dgen{data: data, i: queryAt, root: root, summand: summand}
 		return qg.query()
 	}
 	q := mkQuery("R")
@@ -548,7 +682,7 @@ func runDifferential(data []byte, strict bool) (n diffCounts, err error) {
 	ests := collectDiffStats(env, inputs)
 	applyIndexes(ests, chosen)
 
-	nested, narrowed, fused, composed, local := false, false, false, false, false
+	nested, narrowed, fused, composed, local, combined := false, false, false, false, false, false
 	boundSkip, scanLocal := false, false
 	stitchK := 1 + g.n(4) // the stitching checks' limit besides 0
 	var st stitchSeen
@@ -607,14 +741,18 @@ func runDifferential(data []byte, strict bool) (n diffCounts, err error) {
 				if res.Metrics.ShuffleRecords > 0 {
 					n.shuffled++
 				}
-				marked, sides, lerr := exchangesAsPlanned(res.Program(), res)
+				marked, sides, merged, lerr := exchangesAsPlanned(res.Program(), res)
 				if skipped := res.Metrics.SkippedShuffles; lerr == nil && skipped > 0 && strat == runner.SparkSQLStyle {
 					lerr = fmt.Errorf("%d Γ/dedup marked local, %d join sides placed and %d exchanges skipped on the baseline that reuses no placement", marked, sides, skipped)
+				}
+				if lerr == nil && merged > 0 && strat == runner.SparkSQLStyle {
+					lerr = fmt.Errorf("%d Γ/dedup combined on the baseline that places nothing", merged)
 				}
 				if lerr != nil {
 					return n, fmt.Errorf("%s (full=%t, noidx=%t): %v\n%s", strat, full, noIdx, lerr, cq.Explain())
 				}
 				local = local || full && marked > 0
+				combined = combined || merged > 0
 				placed = placed || full && sides > 0
 				overDict, overScan := boundReuse(res.Program(), env)
 				if strat == runner.SparkSQLStyle && (overDict || overScan) {
@@ -626,7 +764,7 @@ func runDifferential(data []byte, strict bool) (n diffCounts, err error) {
 					return n, fmt.Errorf("%s (full=%t, noidx=%t) unshred: %v\n%s",
 						strat, full, noIdx, gerr, nrc.Print(q))
 				}
-				if !value.Equal(got, want) {
+				if !bitIdentical(got, want) {
 					return n, fmt.Errorf(
 						"%s (full=%t, noidx=%t, resolved %s, bcast=%d, idx-planned=%d) diverges from the nrc.Eval oracle\nquery:\n%s\ninputs: %s\n got: %s\nwant: %s\nexplain:\n%s",
 						strat, full, noIdx, cq.Strategy, limit, cq.Idx.Planned, nrc.Print(q), value.Format(value.Tuple{inputs["R"], inputs["S"]}),
@@ -668,6 +806,9 @@ func runDifferential(data []byte, strict bool) (n diffCounts, err error) {
 	if local {
 		n.local++
 	}
+	if combined {
+		n.combined++
+	}
 
 	// The program arm: the same query as the second step of a two-step
 	// program whose first step copies R, so the query reads a step output —
@@ -696,13 +837,13 @@ func runDifferential(data []byte, strict bool) (n diffCounts, err error) {
 		if res.Failed() {
 			return n, fmt.Errorf("%s program failed at step %d: %v\n%s", strat, res.FailedStep, res.Err, nrc.Print(q))
 		}
-		if _, _, lerr := exchangesAsPlanned(res.Program(), res); lerr != nil {
+		if _, _, _, lerr := exchangesAsPlanned(res.Program(), res); lerr != nil {
 			return n, fmt.Errorf("%s program: %v\n%s", strat, lerr, runner.Explain(prog))
 		}
 		if gerr != nil {
 			return n, fmt.Errorf("%s program unshred: %v\n%s", strat, gerr, nrc.Print(q))
 		}
-		if !value.Equal(got, want) {
+		if !bitIdentical(got, want) {
 			return n, fmt.Errorf(
 				"%s program (resolved %s, bcast=%d) diverges from the nrc.Eval oracle\nquery over P := R:\n%s\ninputs: %s\n got: %s\nwant: %s\nexplain:\n%s",
 				strat, last.Strategy, limit, nrc.Print(q), value.Format(value.Tuple{inputs["R"], inputs["S"]}),
@@ -726,9 +867,10 @@ func runDifferential(data []byte, strict bool) (n diffCounts, err error) {
 	// comprehension by f1 and whose second joins those sums with S on f1, the
 	// key the first step's Γ left its output hash-placed on, so the join can
 	// skip that side's exchange; it writes its projection on every route.
+	gg := func() *dgen { return &dgen{data: data, i: queryAt, root: "R", summand: summand} }
 	gsteps := func() []nrc.Assignment {
 		return []nrc.Assignment{
-			{Name: "G", Expr: nrc.SumByOf((&dgen{data: data, i: queryAt, root: "R"}).comp(false), []string{"f1"}, []string{"f2"})},
+			{Name: "G", Expr: gg().sumBy(gg().comp(false), "f1")},
 			{Name: "Out", Expr: groupedJoin(nrc.V("G"))},
 		}
 	}
@@ -754,13 +896,13 @@ func runDifferential(data []byte, strict bool) (n diffCounts, err error) {
 		if gerr != nil {
 			return n, fmt.Errorf("%s grouped-join program unshred: %v", strat, gerr)
 		}
-		if !value.Equal(got, gwant) {
+		if !bitIdentical(got, gwant) {
 			return n, fmt.Errorf("%s grouped-join program diverges from the nrc.Eval oracle\n got: %s\nwant: %s\nexplain:\n%s",
 				strat, value.Format(got), value.Format(gwant), runner.Explain(prog))
 		}
-		_, sides, lerr := exchangesAsPlanned(res.Program(), res)
-		if skipped := res.Metrics.SkippedShuffles; lerr == nil && skipped > 0 && strat == runner.SparkSQLStyle {
-			lerr = fmt.Errorf("%d exchanges skipped on the baseline that reuses no placement", skipped)
+		_, sides, merged, lerr := exchangesAsPlanned(res.Program(), res)
+		if skipped := res.Metrics.SkippedShuffles; lerr == nil && (skipped > 0 || merged > 0) && strat == runner.SparkSQLStyle {
+			lerr = fmt.Errorf("%d exchanges skipped and %d Γ/dedup combined on the baseline that places nothing", skipped, merged)
 		}
 		if lerr != nil {
 			return n, fmt.Errorf("%s grouped-join program: %v\n%s", strat, lerr, runner.Explain(res.Program()))
@@ -782,6 +924,42 @@ func runDifferential(data []byte, strict bool) (n diffCounts, err error) {
 	if groupedPlaced {
 		n.groupedPlaced++
 	}
+
+	// The summing arm: R's int a and real d summed by b on every route, each
+	// route's sums the oracle's bits although the routes split and order the
+	// terms differently (local, exchanged and combined reduces).
+	null, ordered := summedTerms(inputs["R"])
+	sumQuery := func() nrc.Expr {
+		x := nrc.V("x")
+		return nrc.SumByOf(nrc.ForIn("x", nrc.V("R"), nrc.SingOf(nrc.Record("b", nrc.P(x, "b"), "a", nrc.P(x, "a"), "d", nrc.P(x, "d")))),
+			[]string{"b"}, []string{"a", "d"})
+	}
+	sumWant, err := oracleEval(sumQuery(), env, inputs)
+	if err != nil {
+		return n, fmt.Errorf("summing query fails Check: %v", err)
+	}
+	for _, strat := range diffStrategies {
+		cfg, cst := diffConfig(true, false, ests, limit)
+		cq, cerr := runner.CompileStep(sumQuery(), env, strat, cfg, cst, "Q")
+		if cerr != nil {
+			return n, fmt.Errorf("%s summing query does not compile: %v", strat, cerr)
+		}
+		res := runner.ExecuteBags(context.Background(), []*runner.Compiled{cq}, inputs, runner.NewRunContext(cfg), runner.ExecOptions{})
+		if res.Failed() {
+			return n, fmt.Errorf("%s summing query failed: %v", strat, res.Err)
+		}
+		got, gerr := nestedOutput(cq, res)
+		if gerr != nil || !bitIdentical(got, sumWant) {
+			return n, fmt.Errorf("%s summing query diverges from the nrc.Eval oracle (%v)\n got: %s\nwant: %s\nexplain:\n%s",
+				strat, gerr, value.Format(got), value.Format(sumWant), cq.Explain())
+		}
+		if _, _, _, lerr := exchangesAsPlanned(res.Program(), res); lerr != nil {
+			return n, fmt.Errorf("%s summing query: %v\n%s", strat, lerr, cq.Explain())
+		}
+		n.runs++
+	}
+	n.nullSummed += b2i(null)
+	n.orderSummed += b2i(ordered)
 
 	// The stitching arm: a query with two nesting levels whose leading scalar
 	// repeats, on the unshredding routes (and Auto when it picks one), its
@@ -820,7 +998,7 @@ func runDifferential(data []byte, strict bool) (n diffCounts, err error) {
 			if res.Failed() || err != nil {
 				return n, fmt.Errorf("%s stitching query failed: %v %v\n%s", strat, res.Err, err, nrc.Print(sq()))
 			}
-			if !value.Equal(got, swant) {
+			if !bitIdentical(got, swant) {
 				return n, fmt.Errorf("%s stitching query diverges from the nrc.Eval oracle\nquery:\n%s\n got: %s\nwant: %s",
 					strat, nrc.Print(sq()), value.Format(got), value.Format(swant))
 			}
@@ -1106,7 +1284,7 @@ func nestLocal(op plan.Op) []int {
 	return nil
 }
 
-func exchangesAsPlanned(prog []*runner.Compiled, res *runner.Result) (local, placed int, err error) {
+func exchangesAsPlanned(prog []*runner.Compiled, res *runner.Result) (local, placed, combined int, err error) {
 	var reduces, dicts, dictsPlaced, joins int
 	var must, may [4]int // keyed joins that shuffle (or may), by the sides they exchange: 1 L, 2 R
 	var walk func(plan.Op)
@@ -1117,10 +1295,16 @@ func exchangesAsPlanned(prog []*runner.Compiled, res *runner.Result) (local, pla
 			if x.Local != nil {
 				local++
 			}
+			if x.Combine {
+				combined++
+			}
 		case *plan.DedupOp:
 			reduces++
 			if x.Local != nil {
 				local++
+			}
+			if x.Combine {
+				combined++
 			}
 		case *plan.BagToDict:
 			dicts++
@@ -1158,16 +1342,19 @@ func exchangesAsPlanned(prog []*runner.Compiled, res *runner.Result) (local, pla
 	}
 	// Stage names are kind#seq, followed by "/reduce" for a reduce and by
 	// "/L" or "/R" for a join side's exchange (exec.wideStage).
-	var reduced, exchanged, dictExchanged, joinsRun int
+	var reduced, exchanged, combinedRun, dictExchanged, joinsRun int
 	ran := map[string]int{} // shuffle joins, by the sides they exchanged
 	for _, sw := range res.Metrics.StageWall {
 		kind, rest, _ := strings.Cut(sw.Stage, "#")
 		seq, side, _ := strings.Cut(rest, "/")
 		switch {
 		case kind == "nest" || kind == "dedup":
-			if side == "reduce" {
+			switch side {
+			case "reduce":
 				reduced++
-			} else {
+			case "combine":
+				combinedRun++
+			default:
 				exchanged++
 			}
 		case kind == "bagToDict":
@@ -1181,14 +1368,14 @@ func exchangesAsPlanned(prog []*runner.Compiled, res *runner.Result) (local, pla
 			ran[seq] |= map[string]int{"L": 1, "R": 2}[side]
 		}
 	}
-	if reduced != reduces || exchanged != reduces-local {
-		return local, placed, fmt.Errorf("%d Γ/dedup, %d of them marked local, ran %d reduces and %d exchanges", reduces, local, reduced, exchanged)
+	if reduced != reduces || exchanged != reduces-local || combinedRun != combined {
+		return local, placed, combined, fmt.Errorf("%d Γ/dedup, %d of them marked local and %d combined, ran %d reduces, %d exchanges and %d combines", reduces, local, combined, reduced, exchanged, combinedRun)
 	}
 	if dictExchanged != dicts-dictsPlaced {
-		return local, placed, fmt.Errorf("%d BagToDict, %d of them placed, ran %d exchanges", dicts, dictsPlaced, dictExchanged)
+		return local, placed, combined, fmt.Errorf("%d BagToDict, %d of them placed, ran %d exchanges", dicts, dictsPlaced, dictExchanged)
 	}
 	if joinsRun != joins {
-		return local, placed, fmt.Errorf("%d keyed joins ran as %d joins", joins, joinsRun)
+		return local, placed, combined, fmt.Errorf("%d keyed joins ran as %d joins", joins, joinsRun)
 	}
 	for _, sides := range ran {
 		switch {
@@ -1197,13 +1384,13 @@ func exchangesAsPlanned(prog []*runner.Compiled, res *runner.Result) (local, pla
 		case may[sides] > 0:
 			may[sides]--
 		default:
-			return local, placed, fmt.Errorf("a shuffle join exchanged sides %b, which no join planned to", sides)
+			return local, placed, combined, fmt.Errorf("a shuffle join exchanged sides %b, which no join planned to", sides)
 		}
 	}
 	if must != [4]int{} {
-		return local, placed, fmt.Errorf("joins planned to shuffle exchanging sides 0-3 %v ran as broadcasts", must)
+		return local, placed, combined, fmt.Errorf("joins planned to shuffle exchanging sides 0-3 %v ran as broadcasts", must)
 	}
-	return local, placed, nil
+	return local, placed, combined, nil
 }
 
 // errSkip marks an uncompilable fuzz-generated query (tolerated only in the
@@ -1300,6 +1487,17 @@ func TestDifferentialOracle(t *testing.T) {
 	if total.local < n/8 {
 		t.Fatalf("%d of %d seeds reduce a Γ/dedup in place on some strategy's full plans — plan.Place is no longer exercised", total.local, n)
 	}
+	// And an exchanged Γ+ or dedup must actually combine on its source
+	// partitions before it ships (SPARK-SQL combining fails its run).
+	if total.combined < n/8 {
+		t.Fatalf("%d of %d seeds combine a Γ+/dedup before its exchange on some strategy — the map-side combiner is no longer exercised", total.combined, n)
+	}
+	// And the sums must actually meet NULLs and reals whose float sum
+	// depends on the order of its terms, which every route has to sum to
+	// the oracle's bits.
+	if total.nullSummed < n/8 || total.orderSummed < n/8 {
+		t.Fatalf("%d of %d seeds sum a NULL and %d sum reals whose float sum depends on their order — the exact sums are no longer exercised", total.nullSummed, n, total.orderSummed)
+	}
 	if total.placed < n/3 {
 		t.Fatalf("%d seed × strategy pairs over %d generated queries place a join side on their full plans — plan.Place no longer skips join exchanges", total.placed, n)
 	}
@@ -1337,8 +1535,8 @@ func TestDifferentialOracle(t *testing.T) {
 		t.Fatalf("%d of %d seeds resolved a label inside the stitching comparator and %d stitched two nesting levels — stitching is no longer exercised", total.stitchResolved, n, total.stitchDeep)
 	}
 	t.Logf("%d seeds stitched through a label comparison, %d two levels deep; %d index scans served", total.stitchResolved, total.stitchDeep, after["index.scans"]-before["index.scans"])
-	t.Logf("%d queries × %d runs each agreed with the oracle; optimizer changed plans in %d runs (%d crossings); %d seeds grouped above an addIndex, %d keyed a Γ by the IDs; %d seeds fused a join and %d composed a chain; %d seeds reduced in place; %d seed × strategy pairs placed a join side (%d grouped-join programs); %d seeds skipped an exchange over a placed input dictionary, %d reduced in place over a placed Scan; %d runs planned index scans; %d runs moved rows across an exchange; %d programs read a shredded step output",
-		n, total.runs/n, total.optimized, total.pushed, total.nested, total.narrowed, total.fused, total.composed, total.local, total.placed, total.groupedPlaced, total.boundSkip, total.scanLocal, total.indexed, total.shuffled, total.shreddedSteps)
+	t.Logf("%d queries × %d runs each agreed with the oracle; optimizer changed plans in %d runs (%d crossings); %d seeds grouped above an addIndex, %d keyed a Γ by the IDs; %d seeds fused a join and %d composed a chain; %d seeds reduced in place, %d combined; %d seeds summed a NULL, %d reals whose float sum depends on their order; %d seed × strategy pairs placed a join side (%d grouped-join programs); %d seeds skipped an exchange over a placed input dictionary, %d reduced in place over a placed Scan; %d runs planned index scans; %d runs moved rows across an exchange; %d programs read a shredded step output",
+		n, total.runs/n, total.optimized, total.pushed, total.nested, total.narrowed, total.fused, total.composed, total.local, total.combined, total.nullSummed, total.orderSummed, total.placed, total.groupedPlaced, total.boundSkip, total.scanLocal, total.indexed, total.shuffled, total.shreddedSteps)
 }
 
 // TestAnalyzeStableAcrossRoutes re-runs a sampled subset of the differential
@@ -1361,8 +1559,9 @@ func TestAnalyzeStableAcrossRoutes(t *testing.T) {
 		limit := diffBroadcastLimits[g.n(len(diffBroadcastLimits))]
 		chosen := g.chooseIndexes()
 		queryAt := g.i
+		summand := laterDraws(data, inputs)
 		mkQuery := func() nrc.Expr {
-			qg := &dgen{data: data, i: queryAt, root: "R"}
+			qg := &dgen{data: data, i: queryAt, root: "R", summand: summand}
 			return qg.query()
 		}
 
@@ -1389,7 +1588,7 @@ func TestAnalyzeStableAcrossRoutes(t *testing.T) {
 			if gerr != nil {
 				t.Fatalf("seed %d (noidx=%t): %v", seed, noIdx, gerr)
 			}
-			if !value.Equal(got, want) {
+			if !bitIdentical(got, want) {
 				t.Fatalf("seed %d (noidx=%t): instrumented run diverges from the oracle\n got: %s\nwant: %s",
 					seed, noIdx, value.Format(got), value.Format(want))
 			}

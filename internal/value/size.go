@@ -29,6 +29,8 @@ func Size(v Value) int64 {
 			s += Size(e)
 		}
 		return s
+	case *RealSum:
+		return x.Size()
 	default:
 		panic("value: unsupported type in Size")
 	}
