@@ -20,6 +20,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/trance-go/trance"
 	"github.com/trance-go/trance/internal/biomed"
@@ -86,7 +87,7 @@ func runProgram(steps []nrc.Assignment, env nrc.Env, inputs map[string]value.Bag
 	}
 	prog := make([]*runner.Compiled, len(steps))
 	for i, st := range steps {
-		eff := runner.StepStrategy(strat, prog[0], i == len(steps)-1)
+		eff := runner.StepStrategy(strat, prog[0])
 		if prog[i], err = runner.CompileStep(st.Expr, envs[i], eff, cfg, nil, st.Name); err != nil {
 			return runner.Failure(strat, err)
 		}
@@ -121,14 +122,46 @@ func benchCatalog(b *testing.B, env nrc.Env, inputs map[string]value.Bag) *tranc
 }
 
 type cell struct {
-	res *runner.Result
+	res    *runner.Result
+	stitch time.Duration // what reading the run nested added to its runtime
 }
 
 func (c cell) String() string {
 	if c.res.Failed() {
 		return "      F"
 	}
-	return fmt.Sprintf("%7.0f", float64(c.res.Elapsed.Microseconds())/1000)
+	return fmt.Sprintf("%7.0f", float64((c.res.Elapsed+c.stitch).Microseconds())/1000)
+}
+
+// series names a figure's columns: one per strategy, two for a shredded one —
+// read nested (the paper's Shred+Unshred), then as it ran (Shred).
+func series(strategies []runner.Strategy) []string {
+	var out []string
+	for _, s := range strategies {
+		if s.IsShredded() {
+			out = append(out, strings.Replace(s.String(), "SHRED", "SHRED+UNSHRED", 1))
+		}
+		out = append(out, s.String())
+	}
+	return out
+}
+
+// cells is a run's cells in a figure, in series order: a shredded run is read
+// nested first — its runtime counting the stitch, which runs as the rows are
+// read and is free for a flat output (paper: "the unshredding cost for flat
+// outputs is zero"), which has no dictionary — then as it ran.
+func cells(strat runner.Strategy, res *runner.Result) []cell {
+	c := cell{res: res}
+	if !strat.IsShredded() {
+		return []cell{c}
+	}
+	nested := c
+	if !res.Failed() && len(res.Mat.Dicts) > 0 {
+		start := time.Now()
+		res.Output.CollectSorted()
+		nested.stitch = time.Since(start)
+	}
+	return []cell{nested, c}
 }
 
 func (c cell) shuffle() string {
@@ -139,14 +172,15 @@ func (c cell) shuffle() string {
 }
 
 // fig7 runs one width variant of the Figure 7 grid: three query classes ×
-// nesting levels 0–4 × four strategies.
+// nesting levels 0–4 × four series (three strategies, the shredded one read
+// both ways).
 func fig7(b *testing.B, wide bool) {
 	tables := tpch.Generate(tpchConfig(0))
-	strategies := []runner.Strategy{runner.ShredUnshred, runner.Shred, runner.Standard, runner.SparkSQLStyle}
+	strategies := []runner.Strategy{runner.Shred, runner.Standard, runner.SparkSQLStyle}
 
 	for n := 0; n < b.N; n++ {
 		fmt.Printf("\n%-18s %-7s", "variant", "level")
-		for _, s := range strategies {
+		for _, s := range series(strategies) {
 			fmt.Printf(" %14s", s)
 		}
 		fmt.Println("   (ms runtime | KiB shuffled; F = FAIL)")
@@ -164,16 +198,9 @@ func fig7(b *testing.B, wide bool) {
 				cfg := benchConfig(inputBytes(inputs))
 				fmt.Printf("%-18s %-7d", class, level)
 				for _, strat := range strategies {
-					// Unshredding a flat output is free: Shred ==
-					// Shred+Unshred for nested-to-flat (paper: "the
-					// unshredding cost for flat outputs is zero").
-					eff := strat
-					if class == tpch.NestedToFlat && strat == runner.ShredUnshred {
-						eff = runner.Shred
+					for _, c := range cells(strat, runQuery(q, env, inputs, strat, cfg)) {
+						fmt.Printf(" %7s|%-7s", c, c.shuffle())
 					}
-					res := runQuery(q, env, inputs, eff, cfg)
-					c := cell{res: res}
-					fmt.Printf(" %7s|%-7s", c, c.shuffle())
 				}
 				fmt.Println()
 			}
@@ -191,17 +218,13 @@ func BenchmarkFig7bWide(b *testing.B) { fig7(b, true) }
 // with two levels of nesting on increasingly skewed datasets (factors 0–4),
 // for the skew-unaware and skew-aware variants of each strategy.
 func BenchmarkFig8Skew(b *testing.B) {
-	strategies := []runner.Strategy{
-		runner.ShredUnshred, runner.Shred, runner.Standard,
-		runner.ShredUnshredSkew, runner.ShredSkew, runner.StandardSkew,
-		runner.SparkSQLStyle,
-	}
+	strategies := []runner.Strategy{runner.Shred, runner.Standard, runner.ShredSkew, runner.StandardSkew, runner.SparkSQLStyle}
 	q := tpch.Query(tpch.NestedToNested, 2, false)
 	env := tpch.Env(tpch.NestedToNested, 2, false)
 
 	for n := 0; n < b.N; n++ {
 		fmt.Printf("\n%-6s", "skew")
-		for _, s := range strategies {
+		for _, s := range series(strategies) {
 			fmt.Printf(" %18s", s)
 		}
 		fmt.Println("   (ms runtime | KiB shuffled; F = FAIL)")
@@ -214,9 +237,9 @@ func BenchmarkFig8Skew(b *testing.B) {
 			cfg := benchConfig(inputBytes(inputs))
 			fmt.Printf("%-6d", factor)
 			for _, strat := range strategies {
-				res := runQuery(q, env, inputs, strat, cfg)
-				c := cell{res: res}
-				fmt.Printf(" %9s|%-8s", c, c.shuffle())
+				for _, c := range cells(strat, runQuery(q, env, inputs, strat, cfg)) {
+					fmt.Printf(" %9s|%-8s", c, c.shuffle())
+				}
 			}
 			fmt.Println()
 		}
@@ -442,13 +465,13 @@ func BenchmarkRunningExample(b *testing.B) {
 	cfg.MaxPartitionBytes = 0
 	var expect value.Bag
 	for n := 0; n < b.N; n++ {
-		for _, strat := range []runner.Strategy{runner.Standard, runner.ShredUnshred} {
+		for _, strat := range []runner.Strategy{runner.Standard, runner.Shred} {
 			res := runQuery(q, env, inputs, strat, cfg)
 			if res.Failed() {
 				b.Fatalf("%s failed: %v", strat, res.Err)
 			}
 			got := make(value.Bag, 0)
-			for _, r := range res.Output.Collect() {
+			for _, r := range res.Output.CollectSorted() {
 				got = append(got, value.Tuple(r))
 			}
 			if expect == nil {
@@ -484,11 +507,11 @@ func BenchmarkPreparedVsUnprepared(b *testing.B) {
 	})
 	cfg := runner.DefaultConfig()
 
-	for _, strat := range []runner.Strategy{runner.Standard, runner.ShredUnshred} {
+	for _, strat := range []runner.Strategy{runner.Standard, runner.Shred} {
 		b.Run("unprepared/"+strat.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				trance.ResetPlanCache()
-				sq, err := cat.NewSession(trance.SessionOptions{Config: &cfg}).Prepare(tpch.Query(tpch.NestedToNested, level, false))
+				sq, err := cat.NewSession(trance.SessionOptions{Config: &cfg}).PrepareNamed("", tpch.Query(tpch.NestedToNested, level, false))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -702,7 +725,7 @@ func BenchmarkTextQueryEndToEnd(b *testing.B) {
 	sess := cat.NewSession(trance.SessionOptions{Config: &cfg})
 	text := trance.Print(tpch.Query(tpch.NestedToNested, level, false))
 
-	for _, strat := range []runner.Strategy{runner.Standard, runner.ShredUnshred} {
+	for _, strat := range []runner.Strategy{runner.Standard, runner.Shred} {
 		b.Run("text/"+strat.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				sq, err := sess.PrepareText("bench/text", text)
@@ -957,7 +980,7 @@ func BenchmarkAnalyzeOverhead(b *testing.B) {
 		"Part": tables.Part,
 	}
 	cfg := runner.DefaultConfig()
-	for _, strat := range []runner.Strategy{runner.Standard, runner.ShredUnshred} {
+	for _, strat := range []runner.Strategy{runner.Standard, runner.Shred} {
 		cq, err := runner.CompileStep(tpch.Query(tpch.NestedToNested, level, false),
 			tpch.Env(tpch.NestedToNested, level, false), strat, cfg, nil, "Q")
 		if err != nil {

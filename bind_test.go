@@ -42,7 +42,7 @@ func TestEveryEntryPointScansThePlannedIndex(t *testing.T) {
 		name    string
 		prepare func() (*trance.SessionQuery, error)
 	}{
-		{"Prepare", func() (*trance.SessionQuery, error) { return sess.Prepare(tpch.PointLookup(777)) }},
+		{"PrepareNamed", func() (*trance.SessionQuery, error) { return sess.PrepareNamed("", tpch.PointLookup(777)) }},
 		{"PreparePipeline", func() (*trance.SessionQuery, error) {
 			return sess.PreparePipeline([]trance.PipelineStep{{Name: "Q", Expr: tpch.PointLookup(777)}})
 		}},
@@ -50,7 +50,7 @@ func TestEveryEntryPointScansThePlannedIndex(t *testing.T) {
 			return sess.PrepareText("", trance.Print(tpch.PointLookup(777)))
 		}},
 	}
-	for _, strat := range []trance.Strategy{trance.Standard, trance.ShredUnshred} {
+	for _, strat := range []trance.Strategy{trance.Standard, trance.Shred} {
 		for _, e := range entries {
 			sq, err := e.prepare()
 			if err != nil {
@@ -88,7 +88,7 @@ func TestBoundInputsConcurrentFirstUse(t *testing.T) {
 	if _, err := cat.CreateIndex("Lineitem", "l_orderkey", "hash"); err != nil {
 		t.Fatal(err)
 	}
-	shared, err := cat.NewSession(trance.SessionOptions{}).Prepare(tpch.PointLookup(777))
+	shared, err := cat.NewSession(trance.SessionOptions{}).PrepareNamed("", tpch.PointLookup(777))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestBoundInputsConcurrentFirstUse(t *testing.T) {
 			sq := shared
 			var err error
 			if g%2 == 1 {
-				sq, err = cat.NewSession(trance.SessionOptions{}).Prepare(tpch.PointLookup(777))
+				sq, err = cat.NewSession(trance.SessionOptions{}).PrepareNamed("", tpch.PointLookup(777))
 			}
 			var res *trance.Result
 			if err == nil {
@@ -160,11 +160,11 @@ func TestSessionSelfJoinThroughBindings(t *testing.T) {
 					"theirs", trance.P(b, "items"))))))
 	}
 	want := oracle(t, query(), trance.Env{"A": prepEnv()["R"], "B": prepEnv()["R"]}, map[string]trance.Bag{"A": data, "B": data})
-	sq, err := sess.Prepare(query())
+	sq, err := sess.PrepareNamed("", query())
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, strat := range []trance.Strategy{trance.Shred, trance.ShredUnshred, trance.ShredSkew, trance.ShredUnshredSkew} {
+	for _, strat := range []trance.Strategy{trance.Shred, trance.ShredSkew} {
 		res, err := sq.Run(context.Background(), strat)
 		if err != nil {
 			t.Fatalf("%s: %v", strat, err)
@@ -191,15 +191,16 @@ func oracle(t *testing.T, q trance.Expr, env trance.Env, inputs map[string]tranc
 	return trance.LocalEval(q, inputs).(trance.Bag)
 }
 
-// nestedResult is the nested value a run produced: its output rows, or on a
-// route that stops at the shredded representation the value-unshredding of
-// its materialized components.
+// nestedResult is the nested value a run produced, its output rows; a
+// shredded run's are checked against the value-unshredding of its top bag
+// (Result.Top) and dictionaries.
 func nestedResult(res *trance.Result) (trance.Bag, error) {
-	if !res.Strategy.IsShredded() || res.Strategy.Unshreds() {
-		return collectBag(res), nil
+	out := collectBag(res)
+	if !res.Strategy.IsShredded() {
+		return out, nil
 	}
 	top := []value.Tuple{}
-	for _, r := range res.Shredded[res.Mat.TopName].Collect() {
+	for _, r := range res.Top().Output.CollectSorted() {
 		top = append(top, value.Tuple(r))
 	}
 	dicts := map[string][]value.Tuple{}
@@ -210,7 +211,11 @@ func nestedResult(res *trance.Result) (trance.Bag, error) {
 		}
 		dicts[strings.Join(d.Path, "_")] = rows
 	}
-	return shred.UnshredValue(top, dicts, res.Mat.OutType)
+	unshredded, err := shred.UnshredValue(top, dicts, res.Mat.OutType)
+	if err == nil && !value.Equal(out, unshredded) {
+		err = fmt.Errorf("output %s, its top bag unshredded %s", value.Format(out), value.Format(unshredded))
+	}
+	return out, err
 }
 
 // TestCatalogGenerationOwnsItsInputs: sessions resolving one dataset under one
@@ -232,7 +237,7 @@ func TestCatalogGenerationOwnsItsInputs(t *testing.T) {
 			}
 			var queries []*trance.SessionQuery
 			for range 2 {
-				sq, err := cat.NewSession(trance.SessionOptions{}).Prepare(mutQuery(3))
+				sq, err := cat.NewSession(trance.SessionOptions{}).PrepareNamed("", mutQuery(3))
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -71,7 +71,7 @@ var chunkQueries = []func() trance.Expr{
 // evaluator, and the chunks obey the compaction rule.
 func TestChunkedGenerationsExact(t *testing.T) {
 	bt := chunkType().(nrc.BagType)
-	strategies := []trance.Strategy{trance.Standard, trance.StandardSkew, trance.ShredUnshred, trance.Auto}
+	strategies := []trance.Strategy{trance.Standard, trance.StandardSkew, trance.Shred, trance.Auto}
 	for seed := int64(1); seed <= 3; seed++ {
 		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
@@ -84,7 +84,7 @@ func TestChunkedGenerationsExact(t *testing.T) {
 			sess := cat.NewSession(trance.SessionOptions{})
 			var sqs []*trance.SessionQuery
 			for _, q := range chunkQueries {
-				sq, err := sess.Prepare(q())
+				sq, err := sess.PrepareNamed("", q())
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -194,14 +194,14 @@ func TestSessionMutationOracle(t *testing.T) {
 
 	sessions := map[string]*trance.SessionQuery{}
 	for name, cat := range map[string]*trance.Catalog{"indexed": indexed, "ablated": ablated} {
-		sq, err := cat.NewSession(trance.SessionOptions{}).Prepare(mutQuery(7))
+		sq, err := cat.NewSession(trance.SessionOptions{}).PrepareNamed("", mutQuery(7))
 		if err != nil {
 			t.Fatal(err)
 		}
 		sessions[name] = sq
 	}
 
-	strategies := []trance.Strategy{trance.Standard, trance.StandardSkew, trance.ShredUnshred, trance.Auto}
+	strategies := []trance.Strategy{trance.Standard, trance.StandardSkew, trance.Shred, trance.Auto}
 	env := trance.Env{"D": mutType()}
 	check := func(step string) {
 		t.Helper()
@@ -295,7 +295,7 @@ func TestCatalogAppendRetargetsAuto(t *testing.T) {
 	if err := cat.Register("D", dt, uniform); err != nil {
 		t.Fatal(err)
 	}
-	sq, err := cat.NewSession(trance.SessionOptions{}).Prepare(mkQuery())
+	sq, err := cat.NewSession(trance.SessionOptions{}).PrepareNamed("", mkQuery())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -473,7 +473,7 @@ func TestRunJSONFollowsReregisteredType(t *testing.T) {
 	if err := cat.Register("D", trance.BagOf(trance.Tup("a", trance.StringT)), trance.Bag{trance.Tuple{"s"}}); err != nil {
 		t.Fatal(err)
 	}
-	sq, err := cat.NewSession(trance.SessionOptions{}).Prepare(
+	sq, err := cat.NewSession(trance.SessionOptions{}).PrepareNamed("",
 		trance.ForIn("x", trance.V("D"), trance.SingOf(trance.V("x"))))
 	if err != nil {
 		t.Fatal(err)
@@ -487,7 +487,7 @@ func TestRunJSONFollowsReregisteredType(t *testing.T) {
 		trance.Bag{trance.Tuple{"s", int64(7)}}); err != nil {
 		t.Fatal(err)
 	}
-	for _, strat := range []trance.Strategy{trance.Standard, trance.ShredUnshred} {
+	for _, strat := range []trance.Strategy{trance.Standard, trance.Shred} {
 		rows, err := runJSON(ctx, sq, strat)
 		if err != nil {
 			t.Fatalf("%s: %v", strat, err)
@@ -508,7 +508,7 @@ func TestRunJSONRacesAppend(t *testing.T) {
 	if err := cat.Register("D", mutType(), mutBag(20)); err != nil {
 		t.Fatal(err)
 	}
-	sq, err := cat.NewSession(trance.SessionOptions{}).Prepare(mutQuery(7))
+	sq, err := cat.NewSession(trance.SessionOptions{}).PrepareNamed("", mutQuery(7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -540,7 +540,7 @@ func TestRunJSONRacesAppend(t *testing.T) {
 					return
 				default:
 				}
-				if res, err := sq.Run(ctx, trance.ShredUnshred); err != nil || res.Output.Count() != 1 {
+				if res, err := sq.Run(ctx, trance.Shred); err != nil || res.Output.Count() != 1 {
 					t.Errorf("Run under append: %v", err)
 					return
 				}
@@ -599,11 +599,11 @@ func TestNaNKeysRefuseTheIndex(t *testing.T) {
 		if n := len(want.(trance.Bag)); n != wantRows {
 			t.Fatalf("%s: LocalEval returned %d rows, want %d", step, n, wantRows)
 		}
-		sq, err := cat.NewSession(trance.SessionOptions{}).Prepare(query())
+		sq, err := cat.NewSession(trance.SessionOptions{}).PrepareNamed("", query())
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, strat := range []trance.Strategy{trance.Standard, trance.Shred, trance.ShredUnshred} {
+		for _, strat := range []trance.Strategy{trance.Standard, trance.Shred} {
 			res, err := sq.Run(context.Background(), strat)
 			if err != nil {
 				t.Fatalf("%s: %s: %v", step, strat, err)

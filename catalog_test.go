@@ -20,7 +20,7 @@ func TestCatalogRegisterAndResolve(t *testing.T) {
 	if !ok || info.Rows != 3 || info.Source != "go" || info.Bytes <= 0 {
 		t.Fatalf("info: %+v", info)
 	}
-	sq, err := cat.NewSession(trance.SessionOptions{}).Prepare(prepQuery(8001))
+	sq, err := cat.NewSession(trance.SessionOptions{}).PrepareNamed("", prepQuery(8001))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestCatalogDropInvalidatesStatistics(t *testing.T) {
 	s := cat.NewSession(trance.SessionOptions{})
 	autoRoute := func() trance.Strategy {
 		t.Helper()
-		sq, err := s.Prepare(mkQuery())
+		sq, err := s.PrepareNamed("", mkQuery())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -135,7 +135,7 @@ func TestCatalogDropInvalidatesStatistics(t *testing.T) {
 
 func TestSessionPrepareUnknownDataset(t *testing.T) {
 	cat := trance.NewCatalog()
-	_, err := cat.NewSession(trance.SessionOptions{}).Prepare(prepQuery(8002))
+	_, err := cat.NewSession(trance.SessionOptions{}).PrepareNamed("", prepQuery(8002))
 	if err == nil || !strings.Contains(err.Error(), "no dataset") {
 		t.Fatalf("missing dataset must be a descriptive error: %v", err)
 	}
@@ -148,11 +148,11 @@ func TestSessionBindings(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := cat.NewSession(trance.SessionOptions{Bindings: map[string]string{"R": "warehouse/r-v2"}})
-	sq, err := s.Prepare(prepQuery(8003))
+	sq, err := s.PrepareNamed("", prepQuery(8003))
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sq.Run(context.Background(), trance.ShredUnshred)
+	res, err := sq.Run(context.Background(), trance.Shred)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,7 @@ func TestCatalogJSONEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	var blobs []string
-	for _, strat := range []trance.Strategy{trance.Standard, trance.SparkSQLStyle, trance.ShredUnshred, trance.StandardSkew, trance.ShredUnshredSkew} {
+	for _, strat := range []trance.Strategy{trance.Standard, trance.SparkSQLStyle, trance.Shred, trance.StandardSkew, trance.ShredSkew} {
 		rows, err := runJSON(context.Background(), sq, strat)
 		if err != nil {
 			t.Fatalf("%v: %v", strat, err)
@@ -223,7 +223,7 @@ func TestSessionFollowsCatalogGenerations(t *testing.T) {
 	if err := cat.Register("R", prepEnv()["R"], prepInputs(0)["R"]); err != nil {
 		t.Fatal(err)
 	}
-	sq, err := cat.NewSession(trance.SessionOptions{}).Prepare(prepQuery(8004))
+	sq, err := cat.NewSession(trance.SessionOptions{}).PrepareNamed("", prepQuery(8004))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +271,7 @@ func pipelineSteps(lo int64) []trance.PipelineStep {
 // plan cache for every step under every strategy.
 func TestRunPipelineReusesPlanCache(t *testing.T) {
 	cat := prepCatalog(t, 8100)
-	strategies := []trance.Strategy{trance.Standard, trance.Shred, trance.ShredUnshred}
+	strategies := []trance.Strategy{trance.Standard, trance.Shred}
 
 	var want trance.Bag
 	before := trance.Counters()
@@ -288,9 +288,6 @@ func TestRunPipelineReusesPlanCache(t *testing.T) {
 			if len(res.StepElapsed) != 2 {
 				t.Fatalf("want 2 timed steps, got %v", res.StepElapsed)
 			}
-			if strat == trance.Shred {
-				continue // shredded top output is not comparable to nested
-			}
 			got := collectBag(res)
 			if want == nil {
 				want = got
@@ -301,11 +298,10 @@ func TestRunPipelineReusesPlanCache(t *testing.T) {
 		}
 	}
 	after := trance.Counters()
-	// Standard: 2 steps. Shred: 2 steps. ShredUnshred: final step only (its
-	// intermediate step shares the Shred slot). 4 rounds never recompile.
-	wantCompiles := int64(5)
+	// Standard: 2 steps. Shred: 2 steps. 4 rounds never recompile.
+	wantCompiles := int64(4)
 	if got := after["plan_cache.compiles"] - before["plan_cache.compiles"]; got != wantCompiles {
-		t.Fatalf("want exactly %d step compilations across 12 pipeline runs, got %d", wantCompiles, got)
+		t.Fatalf("want exactly %d step compilations across 8 pipeline runs, got %d", wantCompiles, got)
 	}
 	if after["plan_cache.hits"] <= before["plan_cache.hits"] {
 		t.Fatal("repeated pipelines should hit the plan cache")
@@ -391,7 +387,7 @@ func TestSessionPreparePipeline(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			strat := []trance.Strategy{trance.Standard, trance.ShredUnshred}[g%2]
+			strat := []trance.Strategy{trance.Standard, trance.Shred}[g%2]
 			res, err := sp.Run(context.Background(), strat)
 			if err != nil {
 				errs <- fmt.Errorf("goroutine %d (%v): %w", g, strat, err)

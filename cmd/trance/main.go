@@ -17,6 +17,7 @@ import (
 	"io"
 	"log"
 	"os"
+	"strings"
 	"time"
 
 	"github.com/trance-go/trance"
@@ -53,6 +54,8 @@ func usage() {
 classes:    flat-to-nested | nested-to-nested | nested-to-flat
 strategies: standard | sparksql | shred | shred+unshred | standard-skew | shred-skew
             shred+unshred-skew | auto (statistics-driven route selection)
+            shred and shred-skew print the shredded top bag; shred+unshred and
+            shred+unshred-skew run the same route and print its nested answer
 
 query ingests NDJSON or a JSON array (objects become tuples, arrays become
 bags, schema inferred with null/numeric widening), registers it in a catalog,
@@ -94,6 +97,17 @@ func parseStrategy(s string) trance.Strategy {
 	return strat
 }
 
+// read is a run of the strategy named name in the form the name asks for — a
+// shredded run's top bag (res.Top()) for shred and shred-skew, the nested
+// answer for every other name — beside the paper's name for that read and
+// whether it stitches: a shredded run read nested is its Shred+Unshred.
+func read(name string, res *trance.Result) (*trance.Result, string, bool) {
+	if !res.Strategy.IsShredded() || name == "shred" || name == "shred-skew" {
+		return res.Top(), res.Strategy.String(), false
+	}
+	return res, strings.Replace(res.Strategy.String(), "SHRED", "SHRED+UNSHRED", 1), true
+}
+
 // defaultCustomers sizes the TPC-H data run generates by default, and the data
 // explain plans over.
 const defaultCustomers = 200
@@ -133,7 +147,7 @@ func tpchJob(class tpch.QueryClass, level int, wide bool, customers, skew int) (
 
 // prepare prepares the job's query in a session under cfg over its catalog.
 func (j job) prepare(cfg trance.Config) (*trance.SessionQuery, error) {
-	return j.cat.NewSession(trance.SessionOptions{Config: &cfg}).Prepare(j.query)
+	return j.cat.NewSession(trance.SessionOptions{Config: &cfg}).PrepareNamed("", j.query)
 }
 
 func cmdExplain(args []string) {
@@ -181,31 +195,33 @@ func cmdRun(args []string) {
 	qc := parseClass(*class)
 	checkLevel(*level)
 	j, cfg := tpchJob(qc, *level, *wide, *customers, *skew)
-	if err := runJob(os.Stdout, j, parseStrategy(*strategy), cfg, *show); err != nil {
+	if err := runJob(os.Stdout, j, *strategy, cfg, *show); err != nil {
 		log.Fatalf("run failed: %v", err)
 	}
 }
 
 // runJob runs j and writes run's report to w: the header line — runtime,
-// rows and engine metrics — then the first show rows. On an unshredding route
-// the runtime includes stitching every nested row, shown beside it.
-func runJob(w io.Writer, j job, strat trance.Strategy, cfg trance.Config, show int) error {
+// rows and engine metrics — then the first show rows. A shredded route read
+// nested counts stitching every nested row in its runtime, shown beside it.
+func runJob(w io.Writer, j job, name string, cfg trance.Config, show int) error {
 	sq, err := j.prepare(cfg)
 	if err != nil {
 		return err
 	}
-	res, err := sq.Run(context.Background(), strat)
+	res, err := sq.Run(context.Background(), parseStrategy(name))
 	if res != nil {
 		err = res.Err // the run's own error, without the query label
 	}
 	if err != nil {
 		return err
 	}
+	res, label, stitched := read(name, res)
 	elapsed := res.Elapsed.String()
-	if st := stitchTime(res); st > 0 {
+	if stitched {
+		st := stitchTime(res)
 		elapsed = fmt.Sprintf("%v (stitch %v)", res.Elapsed+st, st)
 	}
-	fmt.Fprintf(w, "%s: %s, rows=%d, %s\n", res.Strategy, elapsed, res.Output.Count(), res.Metrics)
+	fmt.Fprintf(w, "%s: %s, rows=%d, %s\n", label, elapsed, res.Output.Count(), res.Metrics)
 	if show > 0 { // CollectTop(0) would be every row
 		top, _ := res.Output.CollectTop(show)
 		for _, row := range top {
@@ -217,13 +233,10 @@ func runJob(w io.Writer, j job, strat trance.Strategy, cfg trance.Config, show i
 
 // stitchTime stitches every nested row of res from its shredded output — the
 // paper's unshredding step, which runs as the rows are read, outside
-// res.Elapsed — and returns how long that took; 0 on a route that does not.
+// res.Elapsed — and returns how long that took.
 func stitchTime(res *trance.Result) time.Duration {
-	if !res.Strategy.Unshreds() {
-		return 0
-	}
 	start := time.Now()
-	res.Output.Collect()
+	res.Output.CollectSorted()
 	return time.Since(start)
 }
 
@@ -284,6 +297,7 @@ func cmdQuery(args []string) {
 	if err != nil {
 		log.Fatalf("query failed:\n%v", err)
 	}
+	res, label, _ := read(*strategy, res)
 	returned, total, err := res.WriteJSON(ctx, os.Stdout, *show, "", "\n")
 	if err != nil {
 		log.Fatal(err)
@@ -298,7 +312,7 @@ func cmdQuery(args []string) {
 	if *timing {
 		fmt.Fprint(os.Stderr, t.Tree())
 	}
-	fmt.Fprintf(os.Stderr, "%s: %d rows\n", strat, total)
+	fmt.Fprintf(os.Stderr, "%s: %d rows\n", label, total)
 }
 
 // runSessionQuery evaluates a prepared query or program. With explain set,
@@ -353,8 +367,8 @@ func cmdBiomed(args []string) {
 	if res.Failed() {
 		log.Fatalf("pipeline failed at step %d: %v", res.FailedStep+1, res.Err)
 	}
-	if st := stitchTime(res); st > 0 {
-		fmt.Printf("stitch: %v\n", st)
+	if _, _, stitched := read(*strategy, res); stitched {
+		fmt.Printf("stitch: %v\n", stitchTime(res))
 	}
 	fmt.Printf("final rows=%d, %s\n", res.Output.Count(), res.Metrics)
 }

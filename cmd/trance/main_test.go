@@ -5,8 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"github.com/trance-go/trance"
-
 	"github.com/trance-go/trance/internal/tpch"
 )
 
@@ -27,7 +25,7 @@ func TestTPCHJobPlansWithStatistics(t *testing.T) {
 		}
 	}
 	var out strings.Builder
-	if err := runJob(&out, job, trance.Standard, cfg, 0); err != nil {
+	if err := runJob(&out, job, "standard", cfg, 0); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out.String(), ", shuffle=0B/0rec ") || strings.Contains(out.String(), "rows=0,") {
@@ -35,7 +33,7 @@ func TestTPCHJobPlansWithStatistics(t *testing.T) {
 	}
 }
 
-// TestRunReportsUnshredding: run's header line on an unshredding route reports
+// TestRunReportsUnshredding: run's header line under shred+unshred reports
 // the shredded statements it ran, and stitching its nested rows moves nothing
 // through the engine — the level-2 nested-to-nested shred+unshred run at the
 // default scale shuffles exactly what the shred run does, nothing: its one Γ
@@ -44,7 +42,7 @@ func TestTPCHJobPlansWithStatistics(t *testing.T) {
 func TestRunReportsUnshredding(t *testing.T) {
 	job, cfg := tpchJob(tpch.NestedToNested, 2, false, defaultCustomers, 0)
 	var out strings.Builder
-	if err := runJob(&out, job, trance.ShredUnshred, cfg, 1); err != nil {
+	if err := runJob(&out, job, "shred+unshred", cfg, 1); err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{"SHRED+UNSHRED: ", " (stitch ", "rows=200, shuffle=0B/0rec ", " stages=0 skipped=1\n", "\n   ⟨1, \"Customer#000000001\", {⟨"} {
@@ -56,19 +54,19 @@ func TestRunReportsUnshredding(t *testing.T) {
 
 // TestRunHeaderLines pins run's header line, times aside, on one route of
 // each shape: a standard route that broadcasts and places every Γ, a skew
-// join, an unshredding route over flat inputs and a shredded route to a flat
-// output.
+// join, a shredded route over flat inputs read nested and a shredded route to
+// a flat output.
 func TestRunHeaderLines(t *testing.T) {
 	for _, c := range []struct {
 		class tpch.QueryClass
-		strat trance.Strategy
+		strat string
 		skew  int
 		want  []string
 	}{
-		{tpch.NestedToNested, trance.Standard, 0, []string{"STANDARD: ", "rows=200, shuffle=0B/0rec broadcast=32096B ", " stages=0 skipped=3\n"}},
-		{tpch.NestedToNested, trance.ShredSkew, 3, []string{"SHRED-SKEW: ", "rows=200, shuffle=0B/0rec ", " stages=0 skipped=1\n"}},
-		{tpch.FlatToNested, trance.ShredUnshred, 0, []string{"SHRED+UNSHRED: ", "rows=200, shuffle=0B/0rec ", " stages=0 skipped=0\n"}},
-		{tpch.NestedToFlat, trance.Shred, 0, []string{"SHRED: ", "rows=200, shuffle=94982B/2331rec broadcast=400000B ", " stages=2 skipped=1\n"}},
+		{tpch.NestedToNested, "standard", 0, []string{"STANDARD: ", "rows=200, shuffle=0B/0rec broadcast=32096B ", " stages=0 skipped=3\n"}},
+		{tpch.NestedToNested, "shred-skew", 3, []string{"SHRED-SKEW: ", "rows=200, shuffle=0B/0rec ", " stages=0 skipped=1\n"}},
+		{tpch.FlatToNested, "shred+unshred", 0, []string{"SHRED+UNSHRED: ", "rows=200, shuffle=0B/0rec ", " stages=0 skipped=0\n"}},
+		{tpch.NestedToFlat, "shred", 0, []string{"SHRED: ", "rows=200, shuffle=94982B/2331rec broadcast=400000B ", " stages=2 skipped=1\n"}},
 	} {
 		job, cfg := tpchJob(c.class, 2, false, defaultCustomers, c.skew)
 		var out strings.Builder
@@ -85,7 +83,7 @@ func TestRunHeaderLines(t *testing.T) {
 
 // runShuffled runs one TPC-H route and returns the bytes its header line says
 // it shuffled, and the line.
-func runShuffled(t *testing.T, class tpch.QueryClass, level, customers int, strat trance.Strategy) (int64, string) {
+func runShuffled(t *testing.T, class tpch.QueryClass, level, customers int, strat string) (int64, string) {
 	t.Helper()
 	job, cfg := tpchJob(class, level, false, customers, 0)
 	var out strings.Builder
@@ -108,23 +106,23 @@ func runShuffled(t *testing.T, class tpch.QueryClass, level, customers int, stra
 // on shred), while the other classes, whose exchanges carry only Γ⊎ rows or
 // none, move exactly what they moved before at every level.
 func TestCombinedGammaShipsPartials(t *testing.T) {
-	if n, out := runShuffled(t, tpch.NestedToFlat, 2, 300, trance.Standard); n > 15000 {
+	if n, out := runShuffled(t, tpch.NestedToFlat, 2, 300, "standard"); n > 15000 {
 		t.Errorf("nested-to-flat L2 standard shuffled %d bytes, want at most 15000:\n%s", n, out)
 	}
-	if n, out := runShuffled(t, tpch.NestedToFlat, 2, 300, trance.Shred); n > 160000 {
+	if n, out := runShuffled(t, tpch.NestedToFlat, 2, 300, "shred"); n > 160000 {
 		t.Errorf("nested-to-flat L2 shred shuffled %d bytes, want at most 160000:\n%s", n, out)
 	}
 	flatToNested := map[int]int64{1: 216000, 2: 587400, 3: 898740, 4: 1211081}
 	for level := 1; level <= 4; level++ {
 		for _, c := range []struct {
 			class tpch.QueryClass
-			strat trance.Strategy
+			strat string
 			want  int64
 		}{
-			{tpch.FlatToNested, trance.Standard, flatToNested[level]},
-			{tpch.FlatToNested, trance.Shred, 0},
-			{tpch.NestedToNested, trance.Standard, 0},
-			{tpch.NestedToNested, trance.Shred, 0},
+			{tpch.FlatToNested, "standard", flatToNested[level]},
+			{tpch.FlatToNested, "shred", 0},
+			{tpch.NestedToNested, "standard", 0},
+			{tpch.NestedToNested, "shred", 0},
 		} {
 			if n, out := runShuffled(t, c.class, level, 300, c.strat); n != c.want {
 				t.Errorf("%s L%d %s shuffled %d bytes, want %d:\n%s", c.class, level, c.strat, n, c.want, out)
@@ -143,7 +141,7 @@ func TestShreddedInputsArrivePlaced(t *testing.T) {
 	exchanged := map[int]int64{1: 271200, 2: 355200, 3: 289005, 4: 287510}
 	shuffled := func(class tpch.QueryClass, level int) (int64, string) {
 		t.Helper()
-		return runShuffled(t, class, level, defaultCustomers, trance.Shred)
+		return runShuffled(t, class, level, defaultCustomers, "shred")
 	}
 	for level := 1; level <= 4; level++ {
 		if n, out := shuffled(tpch.NestedToNested, level); n != 0 {
@@ -151,6 +149,34 @@ func TestShreddedInputsArrivePlaced(t *testing.T) {
 		}
 		if n, out := shuffled(tpch.NestedToFlat, level); n >= exchanged[level] {
 			t.Errorf("nested-to-flat L%d shred shuffled %d bytes, want fewer than the %d of exchanged dictionaries:\n%s", level, n, exchanged[level], out)
+		}
+	}
+}
+
+// TestUnshredNameRunsShred: shred+unshred is the shred route read nested, so
+// for every class at levels 1–4 the two names print one run's engine metrics
+// — shuffled bytes and records, peak partition, stages — and row count; only
+// the rows and the runtime, which counts the stitch, differ.
+func TestUnshredNameRunsShred(t *testing.T) {
+	metrics := func(out string) string {
+		_, after, _ := strings.Cut(out, ", rows=")
+		line, _, _ := strings.Cut(after, "\n")
+		return line
+	}
+	for _, class := range []tpch.QueryClass{tpch.FlatToNested, tpch.NestedToNested, tpch.NestedToFlat} {
+		for level := 1; level <= 4; level++ {
+			job, cfg := tpchJob(class, level, false, 60, 0)
+			var lines [2]string
+			for i, name := range []string{"shred", "shred+unshred"} {
+				var out strings.Builder
+				if err := runJob(&out, job, name, cfg, 0); err != nil {
+					t.Fatalf("%s L%d %s: %v", class, level, name, err)
+				}
+				lines[i] = metrics(out.String())
+			}
+			if lines[0] == "" || lines[0] != lines[1] {
+				t.Errorf("%s L%d: shred printed rows=%s, shred+unshred rows=%s", class, level, lines[0], lines[1])
+			}
 		}
 	}
 }

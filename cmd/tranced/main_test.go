@@ -6,9 +6,12 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"sync"
 	"testing"
+
+	"github.com/trance-go/trance"
 )
 
 // testServer builds a small server once for the whole test file.
@@ -102,12 +105,40 @@ func TestStrategiesEndpoint(t *testing.T) {
 
 	out := getJSON(t, ts, "/strategies", http.StatusOK)
 	list := out["strategies"].([]any)
-	if len(list) != 8 { // seven explicit routes plus auto
+	if len(list) != 8 { // five routes, the two shredded ones also read nested (shred+unshred), and auto
 		t.Fatalf("want 8 strategies, got %d", len(list))
 	}
 	last := list[len(list)-1].(map[string]any)
 	if last["name"] != "auto" {
 		t.Fatalf("want auto listed last, got %v", last)
+	}
+}
+
+// TestUnshredNameSharesTheCompile: shred+unshred names the shred route read
+// nested, so requests for both names on one route compile one program — the
+// plan cache's compiles rise by one — and reply in their own forms: labels in
+// the top bag, bags in the nested rows.
+func TestUnshredNameSharesTheCompile(t *testing.T) {
+	ts := httptest.NewServer(smallServer(t))
+	defer ts.Close()
+
+	text := "for c in `tpch/customer` union if c.c_custkey < 6 then { { cust := c.c_custkey, " +
+		"keys := for o in `tpch/orders` union if o.o_custkey == c.c_custkey then { o.o_orderkey } } }"
+	before := trance.Counters()["plan_cache.compiles"]
+	shred := postText(t, ts, "/query?strategy=shred&limit=0", text, http.StatusOK)
+	nested := postText(t, ts, "/query?strategy="+url.QueryEscape("shred+unshred")+"&limit=0", text, http.StatusOK)
+	if got := trance.Counters()["plan_cache.compiles"] - before; got != 1 {
+		t.Fatalf("shred and shred+unshred on one route compiled %d times, want once", got)
+	}
+	if shred["rows"] != nested["rows"] || shred["strategy"] != "SHRED" || nested["strategy"] != "SHRED+UNSHRED" {
+		t.Fatalf("shred: %v rows as %v; shred+unshred: %v rows as %v", shred["rows"], shred["strategy"], nested["rows"], nested["strategy"])
+	}
+	top, rows := shred["results"].([]any)[0].(map[string]any), nested["results"].([]any)[0].(map[string]any)
+	if _, isBag := rows["keys"].([]any); !isBag {
+		t.Fatalf("shred+unshred row %v holds no bag of keys", rows)
+	}
+	if _, isBag := top["keys"].([]any); isBag {
+		t.Fatalf("shred row %v holds a bag where its top bag holds a label", top)
 	}
 }
 

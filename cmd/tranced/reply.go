@@ -61,11 +61,17 @@ func (s *server) runAndReply(w http.ResponseWriter, r *http.Request, t *trance.T
 		httpError(w, http.StatusInternalServerError, "execute %s: %v", rt.what, err)
 		return
 	}
+	// The route requested, or the one auto chose, read nested like every auto reply.
+	name := rt.stratName
 	if rt.strat == trance.Auto {
+		name = nested(res.Strategy.CLIName())
 		extra["requested"] = "auto"
-		extra["chosen_strategy"] = res.Strategy.CLIName()
+		extra["chosen_strategy"] = name
 	}
-	extra["strategy"] = res.Strategy.String()
+	extra["strategy"] = rt.paper(res.Strategy)
+	if rt.readsTop() {
+		res = res.Top()
+	}
 	extra["elapsed_ms"] = float64(res.Elapsed.Microseconds()) / 1000
 	// columns and results render themselves below; the other three are known
 	// once the rows are written, and sort after results.
@@ -78,9 +84,9 @@ func (s *server) runAndReply(w http.ResponseWriter, r *http.Request, t *trance.T
 	}
 	sort.Strings(keys)
 
-	// The strategy that actually ran — under strategy=auto this is the route
-	// the cost model chose, visible without parsing the body.
-	w.Header().Set("X-Trance-Strategy", res.Strategy.CLIName())
+	// Under strategy=auto the route the cost model chose, visible without
+	// parsing the body.
+	w.Header().Set("X-Trance-Strategy", name)
 	w.Header().Set("Content-Type", "application/json")
 	start := time.Now()
 	body := &bodyWriter{w: w}

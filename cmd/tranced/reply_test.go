@@ -3,11 +3,14 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"flag"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"os"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -16,6 +19,13 @@ import (
 
 // fetch returns the raw body of a 200 reply; a non-empty text is POSTed.
 func fetch(t *testing.T, ts *httptest.Server, path, text string) []byte {
+	t.Helper()
+	_, body := fetchRoute(t, ts, path, text)
+	return body
+}
+
+// fetchRoute is fetch beside the reply's X-Trance-Strategy header.
+func fetchRoute(t *testing.T, ts *httptest.Server, path, text string) (string, []byte) {
 	t.Helper()
 	var resp *http.Response
 	var err error
@@ -32,8 +42,14 @@ func fetch(t *testing.T, ts *httptest.Server, path, text string) []byte {
 	if err != nil || resp.StatusCode != http.StatusOK {
 		t.Fatalf("%s: status %d, read error %v: %s", path, resp.StatusCode, err, body)
 	}
-	return body
+	return resp.Header.Get("X-Trance-Strategy"), body
 }
+
+var updateReplies = flag.Bool("update", false, "rewrite testdata/replies.golden")
+
+// volatileFields are the reply fields that differ from run to run (a
+// fingerprint digests the generations the preloads were registered under).
+var volatileFields = regexp.MustCompile(`"(elapsed_ms|fingerprint|trace_id)": [^,\n]*`)
 
 // reply is the envelope with each row kept as the bytes it arrived in.
 type reply struct {
@@ -190,6 +206,55 @@ func TestReplyEnvelopeShape(t *testing.T) {
 			t.Fatalf("%s: reply is not one indented object:\n%s", tc.path, body)
 		}
 	}
+
+	// Every route name the server accepts replies as testdata/replies.golden
+	// records — header and body, the volatile fields aside — on a nested and a
+	// flat preloaded route and two posted nested texts, the second selective
+	// over a nested input, where auto picks a shredded route: shred and
+	// shred-skew reply with the shredded top bag; shred+unshred and
+	// shred+unshred-skew, which name the same routes, reply nested, as auto
+	// does, naming the nested form. Regenerate with `go test ./cmd/tranced
+	// -run TestReplyEnvelopeShape -update`.
+	nested := "for c in `tpch/customer` union if c.c_custkey < 4 then { { name := c.c_name, " +
+		"orders := for o in `tpch/orders` union if o.o_custkey == c.c_custkey then { { k := o.o_orderkey, d := o.o_orderdate } } } }"
+	selective := "for x in `tpch/ndb-l1` union if x.o_orderkey < 10 then { { k := x.o_orderkey, n := for l in x.lineitems union { { q := l.l_quantity } } } }"
+	var replies bytes.Buffer
+	for _, name := range []string{"standard", "sparksql", "shred", "shred+unshred", "standard-skew", "shred-skew", "shred+unshred-skew", "auto"} {
+		for _, tc := range []struct{ path, text string }{
+			{"/query?name=tpch/nested-to-nested&level=1&limit=2", ""},
+			{"/query?name=tpch/nested-to-flat&level=1&limit=2", ""},
+			{"/query?limit=0", nested},
+			{"/query?limit=2", selective},
+		} {
+			path := tc.path + "&strategy=" + url.QueryEscape(name)
+			route, body := fetchRoute(t, ts, path, tc.text)
+			fmt.Fprintf(&replies, "=== %s\nX-Trance-Strategy: %s\n%s", path, route, volatileFields.ReplaceAll(body, []byte(`"$1": -`)))
+		}
+	}
+	const golden = "testdata/replies.golden"
+	if *updateReplies {
+		if err := os.WriteFile(golden, replies.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("missing %s (regenerate with -update): %v", golden, err)
+	}
+	got, wantLines := strings.Split(replies.String(), "\n"), strings.Split(string(want), "\n")
+	for i := range max(len(got), len(wantLines)) {
+		if i >= len(got) || i >= len(wantLines) || got[i] != wantLines[i] {
+			t.Fatalf("replies differ from %s at line %d:\n got %q\nwant %q", golden, i+1, at(got, i), at(wantLines, i))
+		}
+	}
+}
+
+// at is lines[i], or "" past the end.
+func at(lines []string, i int) string {
+	if i < len(lines) {
+		return lines[i]
+	}
+	return ""
 }
 
 func sortedStrings(s []string) bool {

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -349,12 +350,9 @@ func (s *server) handleStrategies(w http.ResponseWriter, r *http.Request) {
 	}
 	var out []sinfo
 	for _, s := range append(trance.AllStrategies(), trance.Auto) {
-		out = append(out, sinfo{
-			Name:      s.CLIName(),
-			Paper:     s.String(),
-			Shredded:  s.IsShredded(),
-			SkewAware: s.SkewAware(),
-		})
+		for _, n := range slices.Compact([][2]string{{s.CLIName(), s.String()}, {nested(s.CLIName()), nested(s.String())}}) {
+			out = append(out, sinfo{Name: n[0], Paper: n[1], Shredded: s.IsShredded(), SkewAware: s.SkewAware()})
+		}
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"strategies": out})
 }
@@ -688,6 +686,24 @@ type route struct {
 // key is the route's /metrics key.
 func (rt route) key() string { return fmt.Sprintf("%s/L%d/%s", rt.name, rt.level, rt.stratName) }
 
+// readsTop reports whether the route's name asks for a shredded run's top bag:
+// shred and shred-skew, not shred+unshred(-skew), which reply nested.
+func (rt route) readsTop() bool { return rt.stratName == "shred" || rt.stratName == "shred-skew" }
+
+// paper is the paper's name for s as the route's name reads it.
+func (rt route) paper(s trance.Strategy) string {
+	if rt.readsTop() {
+		return s.String()
+	}
+	return nested(s.String())
+}
+
+// nested is a strategy's CLI or paper name read nested: a shredded route's is
+// its Shred+Unshred (shred → shred+unshred), any other's its own.
+func nested(name string) string {
+	return strings.NewReplacer("shred", "shred+unshred", "SHRED", "SHRED+UNSHRED").Replace(name)
+}
+
 // strategyParam parses ?strategy= (default standard), writing a 400 and
 // returning ok=false for an unknown name.
 func strategyParam(w http.ResponseWriter, r *http.Request) (strat trance.Strategy, name string, ok bool) {
@@ -913,7 +929,7 @@ func (s *server) explainAndReply(w http.ResponseWriter, r *http.Request, rt rout
 		httpError(w, http.StatusBadRequest, "explain %s: %v", rt.what, err)
 		return
 	}
-	out["strategy"] = rt.strat.String()
+	out["strategy"] = rt.paper(rt.strat)
 	out["analyze"] = analyze
 	out["explain"] = text
 	writeJSON(w, http.StatusOK, out)

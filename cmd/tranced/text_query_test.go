@@ -175,8 +175,9 @@ func TestTextProgramEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, strat := range []trance.Strategy{trance.Standard, trance.ShredUnshred} {
-		param := "?strategy=" + url.QueryEscape(strat.CLIName())
+	for _, name := range []string{"standard", "shred+unshred"} {
+		strat, _ := trance.ParseStrategy(name)
+		param := "?strategy=" + url.QueryEscape(name)
 		res, err := cli.Run(context.Background(), strat)
 		if err != nil {
 			t.Fatalf("%s: %v", strat, err)

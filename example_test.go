@@ -23,7 +23,7 @@ func ExampleSessionQuery_Run() {
 	q := trance.ForIn("x", trance.V("R"),
 		trance.SingOf(trance.Record("b", trance.AddOf(trance.P(trance.V("x"), "a"), trance.C(int64(1))))))
 
-	sq, err := cat.NewSession(trance.SessionOptions{}).Prepare(q)
+	sq, err := cat.NewSession(trance.SessionOptions{}).PrepareNamed("", q)
 	if err != nil {
 		fmt.Println("prepare failed:", err)
 		return
@@ -43,9 +43,9 @@ func ExampleSessionQuery_Run() {
 }
 
 // ExampleSessionQuery_Run_strategies runs one nested query under the standard
-// route and the shredded route with unshredding (paper Section 6's STANDARD
-// vs SHRED+UNSHRED) and checks they agree — the repository-wide invariant
-// every strategy is tested against.
+// route and the shredded route, whose Output is read nested (paper Section
+// 6's STANDARD vs SHRED+UNSHRED), and checks they agree — the
+// repository-wide invariant every strategy is tested against.
 func ExampleSessionQuery_Run_strategies() {
 	order := trance.Tup("pid", trance.IntT, "qty", trance.IntT)
 	cat := trance.NewCatalog()
@@ -74,13 +74,13 @@ func ExampleSessionQuery_Run_strategies() {
 							"pname", trance.P(trance.V("p"), "pname"),
 							"qty", trance.P(trance.V("o"), "qty")))))))))
 
-	sq, err := cat.NewSession(trance.SessionOptions{}).Prepare(q)
+	sq, err := cat.NewSession(trance.SessionOptions{}).PrepareNamed("", q)
 	if err != nil {
 		fmt.Println("prepare failed:", err)
 		return
 	}
 	var results [2]trance.Bag
-	for i, strat := range []trance.Strategy{trance.Standard, trance.ShredUnshred} {
+	for i, strat := range []trance.Strategy{trance.Standard, trance.Shred} {
 		res, err := sq.Run(context.Background(), strat)
 		if err != nil {
 			fmt.Println("run failed:", err)
@@ -141,7 +141,7 @@ func ExampleParse() {
 		fmt.Println("prepare failed:", err)
 		return
 	}
-	res, err := sq.Run(context.Background(), trance.ShredUnshred)
+	res, err := sq.Run(context.Background(), trance.Shred)
 	if err != nil {
 		fmt.Println("run failed:", err)
 		return
@@ -165,8 +165,8 @@ func ExampleParse() {
 // dataset arrives as NDJSON, the catalog infers its schema (objects become
 // tuples, arrays become bags, ints widen to reals where rows mix them), a
 // session resolves the query's free variable R against the catalog, and the
-// result comes back as JSON — here through the shredded route with
-// unshredding, exercising value shredding of data no query was compiled for.
+// result comes back as JSON — here through the shredded route, read nested,
+// exercising value shredding of data no query was compiled for.
 func ExampleCatalog() {
 	const ndjson = `
 {"cname": "alice", "orders": [{"item": "bolt", "qty": 5}, {"item": "nut", "qty": 12.5}]}
@@ -197,7 +197,7 @@ func ExampleCatalog() {
 	}
 	// The one Run: the Result carries the rows, their schema, timings and
 	// engine metrics; JSON renders the rows by that schema.
-	res, err := sq.Run(context.Background(), trance.ShredUnshred)
+	res, err := sq.Run(context.Background(), trance.Shred)
 	if err != nil {
 		fmt.Println("run failed:", err)
 		return
@@ -249,7 +249,7 @@ func ExampleCatalog_Append() {
 				return
 			}
 		}
-		for _, strat := range []trance.Strategy{trance.Standard, trance.ShredUnshred} {
+		for _, strat := range []trance.Strategy{trance.Standard, trance.Shred} {
 			res, err := sq.Run(context.Background(), strat)
 			if err != nil {
 				fmt.Println("run failed:", err)
@@ -262,9 +262,9 @@ func ExampleCatalog_Append() {
 	}
 	// Output:
 	// day 0 STANDARD: ⟨"alice", {⟨12⟩}⟩
-	// day 0 SHRED+UNSHRED: ⟨"alice", {⟨12⟩}⟩
+	// day 0 SHRED: ⟨"alice", {⟨12⟩}⟩
 	// day 1 STANDARD: ⟨"alice", {⟨12⟩}⟩
 	// day 1 STANDARD: ⟨"bob", {⟨40⟩}⟩
-	// day 1 SHRED+UNSHRED: ⟨"alice", {⟨12⟩}⟩
-	// day 1 SHRED+UNSHRED: ⟨"bob", {⟨40⟩}⟩
+	// day 1 SHRED: ⟨"alice", {⟨12⟩}⟩
+	// day 1 SHRED: ⟨"bob", {⟨40⟩}⟩
 }

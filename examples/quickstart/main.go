@@ -2,7 +2,7 @@
 // end on the Catalog/Session API: the nested input arrives as JSON (NDJSON,
 // schema inferred — objects become tuples, arrays become bags, yyyy-mm-dd
 // strings become dates), the query is prepared once against the catalog, and
-// both the standard and the shredded+unshredded routes evaluate it on the
+// both the standard and the shredded route (read nested) evaluate it on the
 // parallel pipelined dataflow engine, returning JSON. Along the way it
 // prints the NRC query, the standard algebraic plan, and the shredded flat
 // program (see docs/ARCHITECTURE.md).
@@ -114,12 +114,12 @@ for cop in COP union
 	fmt.Println("=== Shredded route: materialized flat program (paper Example 6) ===")
 	fmt.Println(prog)
 
-	for _, strat := range []trance.Strategy{trance.Standard, trance.ShredUnshred} {
+	for _, strat := range []trance.Strategy{trance.Standard, trance.Shred} {
 		res, err := sq.Run(context.Background(), strat)
 		if err != nil {
 			log.Fatalf("%s failed: %v", strat, err)
 		}
-		rows, _ := res.JSON(0) // 0: no row limit
+		rows, _ := res.JSON(0) // 0: no row limit; nested rows (res.Top(): the shredded top bag)
 		fmt.Printf("=== %s result (JSON) ===\n", strat)
 		for _, row := range rows {
 			b, _ := json.Marshal(row)

@@ -82,7 +82,7 @@ func TestPipelineStrategiesMatchOracle(t *testing.T) {
 			t.Fatalf("%s: want 5 step timings, got %d", strat, len(res.StepElapsed))
 		}
 		got := make(value.Bag, 0)
-		for _, r := range res.Output.Collect() {
+		for _, r := range res.Output.CollectSorted() {
 			got = append(got, value.Tuple(r))
 		}
 		if !approxEqualBags(got, want, 1e-9) {
@@ -162,7 +162,7 @@ func runProgram(steps []nrc.Assignment, env nrc.Env, inputs map[string]value.Bag
 	}
 	prog := make([]*runner.Compiled, len(steps))
 	for i, st := range steps {
-		eff := runner.StepStrategy(strat, prog[0], i == len(steps)-1)
+		eff := runner.StepStrategy(strat, prog[0])
 		if prog[i], err = runner.CompileStep(st.Expr, envs[i], eff, cfg, nil, st.Name); err != nil {
 			return runner.Failure(strat, err)
 		}

@@ -98,7 +98,7 @@ func TestPassesKeepFieldsTheyDoNotOwn(t *testing.T) {
 		}
 		steps := make([]*runner.Compiled, len(bio))
 		for i, st := range bio {
-			eff := runner.StepStrategy(strat, steps[0], i == len(bio)-1)
+			eff := runner.StepStrategy(strat, steps[0])
 			if steps[i], err = runner.CompileStep(st.Expr, envs[i], eff, cfg, nil, st.Name); err != nil {
 				t.Fatal(err)
 			}

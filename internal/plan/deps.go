@@ -25,15 +25,26 @@ import "slices"
 // end-to-end check.
 type idDeps [][]int
 
-// idDepsOf computes the dependencies of op's output columns; cols is the
-// pass's memo of the schemas.
+// idDepsOf returns the dependencies of op's output columns, derived once per
+// node in cols, the pass's memo.
 func idDepsOf(op Op, cols Schemas) idDeps {
+	d := cols.node(op)
+	if d.deps == nil {
+		d.deps = deriveIDDeps(op, cols)
+		cols[op] = d
+	}
+	return d.deps
+}
+
+// deriveIDDeps computes the dependencies of op's output columns from its
+// inputs'. Those are memoized, so a case appending to one clips it first.
+func deriveIDDeps(op Op, cols Schemas) idDeps {
 	switch x := op.(type) {
 	case *Select:
 		return idDepsOf(x.In, cols).without(x.NullifyCols)
 
 	case *Extend:
-		return append(idDepsOf(x.In, cols), make(idDeps, len(x.Exprs))...)
+		return append(slices.Clip(idDepsOf(x.In, cols)), make(idDeps, len(x.Exprs))...)
 
 	case *Project:
 		return idDepsOf(x.In, cols).gather(copySources(x.Outs))
@@ -49,14 +60,14 @@ func idDepsOf(op Op, cols Schemas) idDeps {
 		return out
 
 	case *Unnest:
-		full := append(idDepsOf(x.In, cols), make(idDeps, len(x.elemFields(cols.Of(x.In))))...)
+		full := append(slices.Clip(idDepsOf(x.In, cols)), make(idDeps, len(x.elemFields(cols.Of(x.In))))...)
 		if x.Outs == nil {
 			return full
 		}
 		return full.gather(x.Outs)
 
 	case *Join:
-		full := append(idDepsOf(x.L, cols), make(idDeps, len(cols.Of(x.R)))...)
+		full := append(slices.Clip(idDepsOf(x.L, cols)), make(idDeps, len(cols.Of(x.R)))...)
 		if x.Outs == nil {
 			return full
 		}
@@ -65,8 +76,7 @@ func idDepsOf(op Op, cols Schemas) idDeps {
 
 	case *Nest:
 		src := x.passed()
-		out := idDepsOf(x.In, cols).gather(src)
-		return append(out, make(idDeps, len(cols.Of(x))-len(src))...)
+		return append(idDepsOf(x.In, cols).gather(src), make(idDeps, len(cols.Of(x))-len(src))...)
 
 	case *DedupOp:
 		return idDepsOf(x.In, cols)
@@ -114,6 +124,7 @@ func (d idDeps) gather(src []int) idDeps {
 }
 
 // without clears cols: they depend on nothing, and nothing depends on them.
+// With no cols it is d itself.
 func (d idDeps) without(cols []int) idDeps {
 	if len(cols) == 0 {
 		return d

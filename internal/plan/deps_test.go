@@ -89,6 +89,18 @@ func TestIDDeps(t *testing.T) {
 			}
 		}
 	}
+	// One pass's memo serves every case — many share the node un — and hands
+	// each what a fresh memo derives: no derivation wrote into the memoized
+	// dependencies of an input it shares.
+	shared := Schemas{}
+	for _, c := range cases {
+		idDepsOf(c.op, shared)
+	}
+	for _, c := range cases {
+		if got, want := idDepsOf(c.op, shared), idDepsOf(c.op, Schemas{}); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: the shared memo holds %v, a fresh one derives %v", c.name, got, want)
+		}
+	}
 }
 
 // TestPruneKeysNestByID: grouping columns an ID in the key determines leave

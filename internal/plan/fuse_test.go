@@ -24,7 +24,7 @@ func TestFuseIsIdempotent(t *testing.T) {
 		steps []*runner.Compiled
 	}
 	var progs []prog
-	for _, strat := range []runner.Strategy{runner.Standard, runner.ShredUnshred} {
+	for _, strat := range []runner.Strategy{runner.Standard, runner.Shred} {
 		for _, class := range []tpch.QueryClass{tpch.FlatToNested, tpch.NestedToNested, tpch.NestedToFlat} {
 			for level := 0; level <= tpch.MaxLevel; level++ {
 				for _, wide := range []bool{false, true} {
@@ -43,7 +43,7 @@ func TestFuseIsIdempotent(t *testing.T) {
 		}
 		steps := make([]*runner.Compiled, len(bio))
 		for i, st := range bio {
-			eff := runner.StepStrategy(strat, steps[0], i == len(bio)-1)
+			eff := runner.StepStrategy(strat, steps[0])
 			if steps[i], err = runner.CompileStep(st.Expr, envs[i], eff, cfg, nil, st.Name); err != nil {
 				t.Fatal(err)
 			}

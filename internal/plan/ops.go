@@ -456,20 +456,30 @@ func namedColumns(outs []NamedExpr) []Column {
 	return out
 }
 
-// Schemas is one pass's memo of the operators' columns: each node's is
-// computed once, from its inputs' memoized ones. Plan nodes are immutable, so
-// a node's schema never changes; a pass that builds nodes adds them as it
-// asks for them — this package's passes, and the unnesting compiler's.
-type Schemas map[Op][]Column
+// Schemas is one pass's memo of the operators' columns and ID dependencies
+// (idDepsOf): each node's are computed once, from its inputs' memoized ones.
+// Plan nodes are immutable, so neither ever changes; a pass that builds nodes
+// adds them as it asks for them — this package's passes, and the unnesting
+// compiler's. A memoized slice is shared: no caller writes or appends to it.
+type Schemas map[Op]derived
+
+// derived is a node's columns and, once asked for, its ID dependencies.
+type derived struct {
+	cols []Column
+	deps idDeps
+}
 
 // Of returns op's columns.
-func (s Schemas) Of(op Op) []Column {
-	if cols, ok := s[op]; ok {
-		return cols
+func (s Schemas) Of(op Op) []Column { return s.node(op).cols }
+
+// node returns op's memo entry, deriving its columns on first use.
+func (s Schemas) node(op Op) derived {
+	if d, ok := s[op]; ok {
+		return d
 	}
-	cols := columnsOf(op, s.Of)
-	s[op] = cols
-	return cols
+	d := derived{cols: columnsOf(op, s.Of)}
+	s[op] = d
+	return d
 }
 
 // withChildren returns a copy of op over the given inputs (in Children

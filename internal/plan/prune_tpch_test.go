@@ -122,14 +122,14 @@ func TestPruneThroughNestAndUnnest(t *testing.T) {
 }
 
 // TestIDDepsThroughFusedJoins: over every statement the standard and the
-// unshredding route compile for each TPC-H class × level × width, a join that
+// shredded route compile for each TPC-H class × level × width, a join that
 // writes its projection has one ID dependency per output column, the ones π
 // over the plain join has — so an addIndex above it records its ID where the
 // join writes it, which plan.Place, running after Fuse, relies on.
 func TestIDDepsThroughFusedJoins(t *testing.T) {
 	cfg := runner.DefaultConfig()
 	fused := 0
-	for _, strat := range []runner.Strategy{runner.Standard, runner.ShredUnshred} {
+	for _, strat := range []runner.Strategy{runner.Standard, runner.Shred} {
 		for _, class := range []tpch.QueryClass{tpch.FlatToNested, tpch.NestedToNested, tpch.NestedToFlat} {
 			for level := 0; level <= tpch.MaxLevel; level++ {
 				for _, wide := range []bool{false, true} {

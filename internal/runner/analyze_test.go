@@ -67,7 +67,7 @@ func stagedOp(op plan.Op) bool {
 func TestAnalyzeRowConservation(t *testing.T) {
 	inputs := map[string]value.Bag{"COP": testdata.SmallCOP(), "Part": testdata.SmallPart()}
 	cfg := DefaultConfig()
-	for _, strat := range []Strategy{Standard, Shred, ShredUnshred, StandardSkew, ShredSkew, ShredUnshredSkew} {
+	for _, strat := range []Strategy{Standard, Shred, StandardSkew, ShredSkew} {
 		cq, err := CompileStep(testdata.RunningExample(), testdata.Env(), strat, cfg, nil, "Q")
 		if err != nil {
 			t.Fatalf("%s: %v", strat, err)
@@ -301,7 +301,7 @@ func TestAnalyzeFusedJoins(t *testing.T) {
 		walk(root, nil)
 		return out
 	}
-	for _, strat := range []Strategy{Standard, ShredUnshred, StandardSkew} {
+	for _, strat := range []Strategy{Standard, Shred, StandardSkew} {
 		cq, err := CompileStep(tpch.Query(tpch.NestedToNested, 2, false), env, strat, cfg, ests, "Q")
 		if err != nil {
 			t.Fatalf("%s: %v", strat, err)
@@ -319,7 +319,7 @@ func TestAnalyzeFusedJoins(t *testing.T) {
 			if res.Failed() {
 				t.Fatalf("%s: %v", strat, res.Err)
 			}
-			return res.Output.Collect()
+			return res.Output.CollectSorted()
 		}
 		fusedStats, unfusedStats := plan.NewAnalysis(), plan.NewAnalysis()
 		rows := run(cq, fusedStats)

@@ -23,14 +23,14 @@ type Choice struct {
 //   - a skew-aware variant when any scanned input has a column whose heavy-key
 //     row fraction reaches AutoSkewFraction (paper Section 5: skewed keys
 //     saturate single partitions under key-based shuffling);
-//   - the shredded route (with unshredding, so the output shape matches
-//     Standard) when a pushed-down predicate with estimated selectivity at or
-//     below AutoSelectivity lands on a nested input — shredding avoids
-//     materializing inner collections the predicate discards;
+//   - the shredded route when a pushed-down predicate with estimated
+//     selectivity at or below AutoSelectivity lands on a nested input —
+//     shredding avoids materializing inner collections the predicate
+//     discards;
 //   - Standard otherwise, and always when statistics are absent.
 //
-// Both signals together select ShredUnshredSkew. The decision is deterministic
-// in (op, env, stats).
+// Both signals together select ShredSkew. An Auto run is read nested, as
+// Standard's is; the decision is deterministic in (op, env, stats).
 func ChooseStrategy(op plan.Op, env nrc.Env, stats map[string]plan.TableEstimate) Choice {
 	if len(stats) == 0 {
 		return Choice{Strategy: Standard, Reasons: []string{"no statistics available; defaulting to standard"}}
@@ -80,11 +80,11 @@ func ChooseStrategy(op plan.Op, env nrc.Env, stats map[string]plan.TableEstimate
 	ch := Choice{Strategy: Standard}
 	switch {
 	case skewed && shreddy:
-		ch.Strategy = ShredUnshredSkew
+		ch.Strategy = ShredSkew
 	case skewed:
 		ch.Strategy = StandardSkew
 	case shreddy:
-		ch.Strategy = ShredUnshred
+		ch.Strategy = Shred
 	default:
 		reasons = append(reasons, fmt.Sprintf(
 			"no input reaches the skew threshold (%.2f) and no selective pushed predicate on a nested input (≤ %.2f) → standard",
@@ -158,6 +158,6 @@ func nestedInput(env nrc.Env, name string) bool {
 	return false
 }
 
-// autoStrategy counts compile-time Auto resolutions by the chosen route's CLI
-// name, once per compilation (cached compilations do not re-count).
+// autoStrategy counts compile-time Auto resolutions by the chosen route read
+// nested (shred+unshred for Shred), once per compilation, not per cache hit.
 var autoStrategy = metrics.NewVec("auto_strategy", "trance_auto_strategy_total", "Auto strategy resolutions by chosen route.", "route")

@@ -122,8 +122,8 @@ func TestAutoPicksRoute(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if cq.Strategy != runner.ShredUnshred {
-			t.Fatalf("chose %s, want SHRED+UNSHRED; reasons: %v", cq.Strategy, cq.AutoReasons)
+		if cq.Strategy != runner.Shred {
+			t.Fatalf("chose %s, want SHRED (replying nested, shred+unshred); reasons: %v", cq.Strategy, cq.AutoReasons)
 		}
 	})
 
@@ -136,8 +136,8 @@ func TestAutoPicksRoute(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if cq.Strategy != runner.ShredUnshredSkew {
-			t.Fatalf("chose %s, want SHRED+UNSHRED-SKEW; reasons: %v", cq.Strategy, cq.AutoReasons)
+		if cq.Strategy != runner.ShredSkew {
+			t.Fatalf("chose %s, want SHRED-SKEW (replying nested, shred+unshred-skew); reasons: %v", cq.Strategy, cq.AutoReasons)
 		}
 	})
 
@@ -322,7 +322,7 @@ func BenchmarkAutoStrategy(b *testing.B) {
 	cfg.Parallelism = 8
 	ests := collectStats(b, env, inputs, cfg.Parallelism)
 
-	for _, strat := range []runner.Strategy{runner.Standard, runner.StandardSkew, runner.ShredUnshred, runner.Auto} {
+	for _, strat := range []runner.Strategy{runner.Standard, runner.StandardSkew, runner.Shred, runner.Auto} {
 		b.Run(strat.CLIName(), func(b *testing.B) {
 			cq, err := runner.CompileStep(flatJoinQuery(), env, strat, cfg, ests, "Q")
 			if err != nil {
@@ -388,7 +388,7 @@ func TestAutoProgramKeepsOneRoute(t *testing.T) {
 
 func collectRows(res *runner.Result) value.Bag {
 	out := value.Bag{}
-	for _, r := range res.Output.Collect() {
+	for _, r := range res.Output.CollectSorted() {
 		out = append(out, value.Tuple(r))
 	}
 	return out

@@ -37,12 +37,15 @@ type Compiled struct {
 	Env      nrc.Env
 	// Out is the step's checked (nested) output type.
 	Out nrc.Type
-	// Columns is the flat schema of the dataset the step produces (see
+	// Columns is the flat schema of the step's nested output (see
 	// OutputColumn); Execute hands the final step's to Result.Columns.
 	Columns []OutputColumn
-	// rowEnc renders rows of Columns as JSON; compiled with the plans, so a
-	// cached route pays for it once (Result.WriteJSON).
-	rowEnc *ingest.RowEncoder
+	// rowEnc renders rows of Columns as JSON, and topCols and topEnc are the
+	// shredded top bag's schema and encoder (Result.Top; shredded routes
+	// only); compiled with the plans, so a cached route pays for them once.
+	rowEnc  *ingest.RowEncoder
+	topCols []OutputColumn
+	topEnc  *ingest.RowEncoder
 
 	// Requested is the strategy CompileStep was asked for. It differs from
 	// Strategy only when it was Auto: Strategy then holds the concrete route
@@ -53,9 +56,8 @@ type Compiled struct {
 	// Mat is the materialized shredded program (shredded routes only).
 	Mat *shred.Materialized
 	// Stmts are the plans of the step in execution order: the one plan of a
-	// standard route, or the assignments of the shredded program (an
-	// unshredding route runs the same ones and stitches its nested output
-	// from theirs, see Output).
+	// standard route, or the assignments of the shredded program, whose
+	// nested output is stitched from theirs (see Output).
 	Stmts []Stmt
 	// Opt accumulates the optimizer's rule-hit counters over every plan of
 	// this compilation.
@@ -259,13 +261,21 @@ func CompileStep(q nrc.Expr, env nrc.Env, strat Strategy, cfg Config, stats map[
 	return cq.finish(), nil
 }
 
-// finish derives the output schema from the compiled plans and counts an Auto
-// resolution.
+// finish derives the output schemas from the compiled plans and counts an
+// Auto resolution under the name of the nested form an Auto run is read in.
 func (cq *Compiled) finish() *Compiled {
-	cq.Columns = outputSchema(cq.OutputPlan(), cq.Out, cq.Strategy)
+	var cols []OutputColumn
+	for _, c := range cq.OutputPlan().Columns() {
+		cols = append(cols, OutputColumn(c))
+	}
+	if cq.Mat != nil {
+		cq.topCols = slices.Clone(cols)
+		cq.topEnc = ingest.NewRowEncoder(cq.topCols)
+	}
+	cq.Columns = outputSchema(cols, cq.Out)
 	cq.rowEnc = ingest.NewRowEncoder(cq.Columns)
 	if cq.Requested == Auto {
-		autoStrategy.Add(cq.Strategy.CLIName(), 1)
+		autoStrategy.Add(cq.Strategy.name(2), 1)
 	}
 	return cq
 }
@@ -273,21 +283,12 @@ func (cq *Compiled) finish() *Compiled {
 // OutputColumn describes one column of a strategy's output dataset.
 type OutputColumn = nrc.Field
 
-// outputSchema is the flat schema of the dataset a step produces. When the
-// output is the nested value (standard and unshredding routes) the columns
-// carry the checked output type's field names and types instead of the plan's
-// internal column labels (which prefix nested fields with compiler variables,
-// e.g. "co.odate"); for Shred the materialized top-bag columns (labels in
-// place of inner bags) are returned unchanged.
-func outputSchema(op plan.Op, out nrc.Type, strat Strategy) []OutputColumn {
-	pcols := op.Columns()
-	cols := make([]OutputColumn, len(pcols))
-	for i, c := range pcols {
-		cols[i] = OutputColumn{Name: c.Name, Type: c.Type}
-	}
-	if strat.IsShredded() && !strat.Unshreds() {
-		return cols
-	}
+// outputSchema is the flat schema of the nested value a step produces: cols,
+// the columns of the plan yielding it (on a shredded route the top bag, a
+// label in place of each inner bag), carrying the checked output type's field
+// names and types instead of the plan's internal column labels (which prefix
+// nested fields with compiler variables, e.g. "co.odate").
+func outputSchema(cols []OutputColumn, out nrc.Type) []OutputColumn {
 	bt, ok := out.(nrc.BagType)
 	if !ok {
 		return cols
@@ -408,10 +409,10 @@ type ExecOptions struct {
 // the steps in order. A query is the one-step program. All steps share the
 // executor, so each step's output — the nested dataset on standard routes, the
 // materialized shredded components on shredded routes — is visible to later
-// steps without re-conversion (paper Section 4), and only the final step of an
-// unshredding strategy restores nested output, by stitching it from its
-// shredded output when Result.Output is read, outside the timed region and
-// the dataflow metrics; each step runs placed over where the steps before it
+// steps without re-conversion (paper Section 4), and only the final step of a
+// shredded route restores nested output, by stitching it from its shredded
+// output when Result.Output is read, outside the timed region and the
+// dataflow metrics; each step runs placed over where the steps before it
 // left theirs (placeProgram; Result.Program). Input preparation stays outside
 // the timed region — the paper reports runtime after caching all inputs.
 // dctx comes from NewRunContext of the config the program compiled under,
@@ -424,7 +425,7 @@ type ExecOptions struct {
 func Execute(ctx context.Context, prog []*Compiled, in Components, idxs map[string]*index.Set, dctx *dataflow.Context, opts ExecOptions) *Result {
 	prog = placeProgram(prog)
 	last := prog[len(prog)-1]
-	res := &Result{Strategy: last.Strategy, Mat: last.Mat, Columns: last.Columns, Analyze: opts.Analysis, FailedStep: -1, prog: prog}
+	res := &Result{Strategy: last.Strategy, Mat: last.Mat, Columns: last.Columns, Analyze: opts.Analysis, FailedStep: -1, prog: prog, enc: last.rowEnc}
 	ex := exec.New(dctx)
 	ex.SkewAware = last.Strategy.SkewAware()
 	ex.Indexes = idxs
@@ -452,10 +453,7 @@ func Execute(ctx context.Context, prog []*Compiled, in Components, idxs map[stri
 			ex.Bind(cq.stepName(), out)
 			continue
 		}
-		res.Output = &Output{d: out}
-		if cq.Strategy.Unshreds() {
-			res.Output.mat, res.Output.shredded = cq.Mat, res.Shredded
-		}
+		res.Output = &Output{d: out, mat: cq.Mat, shredded: res.Shredded}
 	}
 	res.Metrics = dctx.Metrics.Snapshot()
 	return res
@@ -525,8 +523,8 @@ func runStmt(ctx context.Context, ex *exec.Executor, st Stmt, sp *trace.Span) (*
 }
 
 // OutputPlan returns the plan of the dataset Execute leaves as Output: the
-// standard plan, or the shredded program's top assignment (on an unshredding
-// route the top bag its nested rows are stitched from).
+// standard plan, or the shredded program's top assignment (the top bag its
+// nested rows are stitched from).
 func (cq *Compiled) OutputPlan() plan.Op { return cq.output().Plan }
 
 // output is the statement OutputPlan returns the plan of.
@@ -540,9 +538,9 @@ func (cq *Compiled) output() (out Stmt) {
 }
 
 // stepName is the name later steps of a program scan the step's Output by: the
-// step name, or for the shredded top bag (an intermediate step never
-// unshreds, see StepStrategy) the MatName convention; execute binds the
-// dictionaries per assignment.
+// step name, or for the shredded top bag (an intermediate step's output is
+// read shredded) the MatName convention; execute binds the dictionaries per
+// assignment.
 func (cq *Compiled) stepName() string {
 	if cq.Strategy.IsShredded() {
 		return shred.MatName(cq.Name, nil)

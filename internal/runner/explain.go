@@ -20,8 +20,12 @@ func Explain(prog []*Compiled) string {
 	prog = placeProgram(prog)
 	for i, cq := range prog {
 		stepHeader(&sb, prog, i)
-		sb.WriteString(cq.Explain())
+		cq.explainHeader(&sb)
+		for _, st := range cq.Stmts {
+			explainPair(&sb, st)
+		}
 	}
+	prog[len(prog)-1].explainStitch(&sb)
 	return sb.String()
 }
 
@@ -29,17 +33,6 @@ func stepHeader(sb *strings.Builder, prog []*Compiled, i int) {
 	if len(prog) > 1 {
 		fmt.Fprintf(sb, "--- step %d: %s ---\n", i+1, prog[i].Name)
 	}
-}
-
-// Explain is the one-step Explain.
-func (cq *Compiled) Explain() string {
-	var sb strings.Builder
-	cq.explainHeader(&sb)
-	for _, st := range cq.Stmts {
-		explainPair(&sb, st)
-	}
-	cq.explainStitch(&sb)
-	return sb.String()
 }
 
 // explainHeader writes the strategy/optimizer/index preamble shared
@@ -94,7 +87,9 @@ func (r *Result) ExplainAnalyze() string {
 			fmt.Fprintf(&sb, "=== %s (analyzed) ===\n%s", st.Label, plan.ExplainAnalyzed(st.Plan, a, wall, shuffled))
 			qerrs = append(qerrs, plan.QErrors(st.Plan, a)...)
 		}
-		cq.explainStitch(&sb)
+		if i == len(r.prog)-1 {
+			cq.explainStitch(&sb)
+		}
 		if len(qerrs) > 0 {
 			sb.WriteString("=== q-error (estimate vs actual) ===\n")
 			for _, q := range qerrs {
@@ -111,11 +106,11 @@ func (r *Result) ExplainAnalyze() string {
 	return sb.String()
 }
 
-// explainStitch writes, on an unshredding route, the line naming what its
-// nested output is stitched from: the top bag, then each dictionary under the
-// path of the bag it holds.
+// explainStitch writes, on a shredded route, the line naming what a program's
+// nested output is stitched from, the final step's: the top bag, then each
+// dictionary under the path of the bag it holds.
 func (cq *Compiled) explainStitch(sb *strings.Builder) {
-	if !cq.Strategy.Unshreds() {
+	if cq.Mat == nil {
 		return
 	}
 	fmt.Fprintf(sb, "stitch: top=%s", cq.Mat.TopName)

@@ -51,7 +51,7 @@ func TestGoldenExplains(t *testing.T) {
 			var sb strings.Builder
 			q := tpch.Query(class, level, false)
 			env := tpch.Env(class, level, false)
-			for _, strat := range []runner.Strategy{runner.Standard, runner.ShredUnshred} {
+			for _, strat := range []runner.Strategy{runner.Standard, runner.Shred} {
 				cq, err := runner.CompileStep(q, env, strat, cfg, nil, "Q")
 				if err != nil {
 					t.Fatalf("%s L%d %s: %v", class, level, strat, err)
@@ -68,7 +68,7 @@ func TestGoldenExplains(t *testing.T) {
 		var sb strings.Builder
 		q := tpch.NestedToFlatSelective(2)
 		env := tpch.Env(tpch.NestedToFlat, 2, false)
-		for _, strat := range []runner.Strategy{runner.Standard, runner.ShredUnshred} {
+		for _, strat := range []runner.Strategy{runner.Standard, runner.Shred} {
 			cq, err := runner.CompileStep(q, env, strat, cfg, nil, "Q")
 			if err != nil {
 				t.Fatalf("selective L2 %s: %v", strat, err)
@@ -92,7 +92,7 @@ func TestGoldenExplains(t *testing.T) {
 	// requests run: scan → σ → π on both routes, no wide operator.
 	{
 		var sb strings.Builder
-		for _, strat := range []runner.Strategy{runner.Standard, runner.ShredUnshred} {
+		for _, strat := range []runner.Strategy{runner.Standard, runner.Shred} {
 			cq, err := runner.CompileStep(tpch.FlatSelective(), tpch.FlatEnv(), strat, cfg, nil, "Q")
 			if err != nil {
 				t.Fatalf("flat selective %s: %v", strat, err)
@@ -130,7 +130,7 @@ func TestGoldenExplains(t *testing.T) {
 		ests := collectTpchStats(env, tpch.Generate(sc.gen).Inputs())
 		var sb strings.Builder
 		q := tpch.Query(tpch.FlatToNested, 1, false)
-		for _, strat := range []runner.Strategy{runner.Standard, runner.ShredUnshred} {
+		for _, strat := range []runner.Strategy{runner.Standard, runner.Shred} {
 			cq, err := runner.CompileStep(q, env, strat, cfg, ests, "Q")
 			if err != nil {
 				t.Fatalf("%s %s: %v", sc.name, strat, err)
@@ -176,7 +176,7 @@ func firstDiff(want, got string) string {
 // byte-identical Explain output — the property the golden fixtures rely on.
 func TestExplainsAreDeterministic(t *testing.T) {
 	cfg := runner.DefaultConfig()
-	for _, strat := range []runner.Strategy{runner.Standard, runner.ShredUnshred} {
+	for _, strat := range []runner.Strategy{runner.Standard, runner.Shred} {
 		a, err := runner.CompileStep(tpch.Query(tpch.NestedToNested, 2, false), tpch.Env(tpch.NestedToNested, 2, false), strat, cfg, nil, "Q")
 		if err != nil {
 			t.Fatal(err)

@@ -20,13 +20,16 @@ func CompileProgram(steps []nrc.Assignment, env nrc.Env, strat Strategy, cfg Con
 	}
 	prog := make([]*Compiled, len(steps))
 	for i, st := range steps {
-		eff := StepStrategy(strat, prog[0], i == len(steps)-1)
+		eff := StepStrategy(strat, prog[0])
 		if prog[i], err = CompileStep(st.Expr, envs[i], eff, cfg, stats, st.Name); err != nil {
 			return nil, &StepError{Step: i, Name: st.Name, Err: err}
 		}
 	}
 	return prog, nil
 }
+
+// Explain is the one-step Explain.
+func (cq *Compiled) Explain() string { return Explain([]*Compiled{cq}) }
 
 // ExecuteBags binds nested inputs, one chunk each, under the types of prog's
 // environment with an index on every column the statistics prog was costed
@@ -68,7 +71,7 @@ func RunProgram(steps []nrc.Assignment, env nrc.Env, inputs map[string]value.Bag
 	return ExecuteBags(context.Background(), prog, inputs, NewRunContext(cfg), ExecOptions{})
 }
 
-// StitchTop is Output.CollectTop(limit) on an unshredding route, beside the
+// StitchTop is Output.CollectTop(limit) on a shredded route, beside the
 // label pairs its comparator stitched and the deepest dictionary level it
 // stitched a bag from.
 func StitchTop(r *Result, limit int) (rows []dataflow.Row, total, resolved, depth int) {

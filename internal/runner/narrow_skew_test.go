@@ -95,7 +95,7 @@ func TestFusedJoinsUnderSkew(t *testing.T) {
 	ests := collectDiffStats(env, inputs)
 	unfused := fused
 	unfused.NoColumnPruning = true
-	for _, strat := range []runner.Strategy{runner.StandardSkew, runner.ShredSkew, runner.ShredUnshredSkew, runner.Auto} {
+	for _, strat := range []runner.Strategy{runner.StandardSkew, runner.ShredSkew, runner.Auto} {
 		var outs [2]value.Bag
 		for i, cfg := range []runner.Config{fused, unfused} {
 			cq, err := runner.CompileStep(tpch.Query(tpch.NestedToNested, 2, false), env, strat, cfg, ests, "Q")
@@ -141,7 +141,7 @@ func TestFusedJoinReadByNobody(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, strat := range []runner.Strategy{runner.Standard, runner.StandardSkew, runner.ShredUnshred} {
+	for _, strat := range []runner.Strategy{runner.Standard, runner.StandardSkew, runner.Shred} {
 		// Without the optimizer the π reaches Fuse as Prune built it, Outs nil;
 		// pushdown rebuilds every π it crosses with an empty, non-nil Outs.
 		for _, noPushdown := range []bool{true, false} {

@@ -57,21 +57,14 @@ func ResolveSteps(steps []nrc.Assignment, env nrc.Env) (envs []nrc.Env, outs []n
 	return envs, outs, nil
 }
 
-// StepStrategy is the effective strategy for one step of a program. Auto
+// StepStrategy is the strategy one step of a program compiles under. Auto
 // resolves once, at the first step (first is its compilation, nil while
 // compiling it): later steps read its output in the representation its route
-// left bound — nested or shredded — so they follow that route. Intermediate
-// steps of an unshredding program stay shredded (their consumers read the
-// shredded components directly); only the last step pays for unshredding.
-func StepStrategy(strat Strategy, first *Compiled, last bool) Strategy {
+// left bound — nested or shredded — so they follow that route. Every other
+// strategy compiles every step as itself.
+func StepStrategy(strat Strategy, first *Compiled) Strategy {
 	if strat == Auto && first != nil {
-		strat = first.Strategy
+		return first.Strategy
 	}
-	if last || !strat.Unshreds() {
-		return strat
-	}
-	if strat == ShredUnshredSkew {
-		return ShredSkew
-	}
-	return Shred
+	return strat
 }

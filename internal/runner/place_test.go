@@ -51,7 +51,7 @@ func TestColocatedRoutesSkipExchanges(t *testing.T) {
 					t.Fatalf("%s %s: %v", c.class, strat, res.Err)
 				}
 				var out value.Bag
-				for _, r := range res.Output.Collect() {
+				for _, r := range res.Output.CollectSorted() {
 					out = append(out, value.Tuple(r))
 				}
 				return out, res.Metrics.ShuffleBytes, res.Metrics.SkippedShuffles
@@ -115,7 +115,7 @@ func TestJoinChainOnOneKeySkipsAnExchange(t *testing.T) {
 			t.Fatalf("%s: %v", c.strat, res.Err)
 		}
 		var got value.Bag
-		for _, r := range res.Output.Collect() {
+		for _, r := range res.Output.CollectSorted() {
 			got = append(got, value.Tuple(r))
 		}
 		var stages []string

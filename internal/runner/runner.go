@@ -1,7 +1,7 @@
 // Package runner orchestrates the evaluation strategies compared in the
 // paper's experiments (Section 6): the standard compilation route, the
-// shredded route with and without unshredding, their skew-aware variants, and
-// a SparkSQL-style flattening baseline.
+// shredded route (read shredded or nested), their skew-aware variants, and a
+// SparkSQL-style flattening baseline.
 package runner
 
 import (
@@ -28,112 +28,68 @@ const (
 	// operators kept at their source relations (no partitioning-guarantee
 	// reuse, no cogroup fusion, no shredding).
 	SparkSQLStyle
-	// Shred is shredded compilation with domain elimination, leaving the
-	// output in shredded (materialized dictionary) form.
+	// Shred is shredded compilation with domain elimination. A Result reads
+	// its shredded output two ways: Output stitches the nested answer (the
+	// paper's Shred+Unshred), Top is the top bag (the paper's Shred).
 	Shred
-	// ShredUnshred runs Shred's statements and restores the nested output by
-	// stitching it from the shredded output when it is read (Output), where
-	// the paper runs a distributed unshred plan.
-	ShredUnshred
 	// StandardSkew is Standard with skew-aware operators.
 	StandardSkew
 	// ShredSkew is Shred with skew-aware operators.
 	ShredSkew
-	// ShredUnshredSkew is ShredUnshred with skew-aware operators.
-	ShredUnshredSkew
 	// Auto picks a concrete route per query at compile time from dataset
 	// statistics (CompileStep's stats): a skew-aware variant when a scanned
 	// input's heavy-key fraction reaches AutoSkewFraction, the shredded route
-	// (with unshredding, so the output shape matches Standard) when a
-	// selective pushed-down predicate lands on a nested input, Standard
+	// when a selective pushed-down predicate lands on a nested input, Standard
 	// otherwise. The Compiled artifact records the chosen route in Strategy
 	// and the inputs to the decision in AutoReasons. See docs/COSTMODEL.md.
 	Auto
 )
 
+// names holds each strategy's paper name (String), CLI/HTTP name (CLIName),
+// and the name of its nested read — a shredded route's Shred+Unshred, which
+// ParseStrategy accepts too and an Auto resolution is counted under.
+var names = [...][3]string{
+	Standard:      {"STANDARD", "standard", "standard"},
+	SparkSQLStyle: {"SPARK-SQL", "sparksql", "sparksql"},
+	Shred:         {"SHRED", "shred", "shred+unshred"},
+	StandardSkew:  {"STANDARD-SKEW", "standard-skew", "standard-skew"},
+	ShredSkew:     {"SHRED-SKEW", "shred-skew", "shred+unshred-skew"},
+	Auto:          {"AUTO", "auto", "auto"},
+}
+
 // String returns the paper's name for the strategy.
-func (s Strategy) String() string {
-	switch s {
-	case Standard:
-		return "STANDARD"
-	case SparkSQLStyle:
-		return "SPARK-SQL"
-	case Shred:
-		return "SHRED"
-	case ShredUnshred:
-		return "SHRED+UNSHRED"
-	case StandardSkew:
-		return "STANDARD-SKEW"
-	case ShredSkew:
-		return "SHRED-SKEW"
-	case ShredUnshredSkew:
-		return "SHRED+UNSHRED-SKEW"
-	case Auto:
-		return "AUTO"
+func (s Strategy) String() string { return s.name(0) }
+
+// CLIName returns the name CLIs and HTTP APIs use for the strategy
+// (ParseStrategy's inverse).
+func (s Strategy) CLIName() string { return s.name(1) }
+
+func (s Strategy) name(i int) string {
+	if s < 0 || int(s) >= len(names) {
+		return "?"
 	}
-	return "?"
+	return names[s][i]
 }
 
 // IsShredded reports whether the strategy runs the shredded pipeline.
-func (s Strategy) IsShredded() bool {
-	switch s {
-	case Shred, ShredUnshred, ShredSkew, ShredUnshredSkew:
-		return true
-	}
-	return false
-}
+func (s Strategy) IsShredded() bool { return s == Shred || s == ShredSkew }
 
 // SkewAware reports whether the strategy uses the skew-resilient operators
 // of paper Section 5.
-func (s Strategy) SkewAware() bool {
-	switch s {
-	case StandardSkew, ShredSkew, ShredUnshredSkew:
-		return true
-	}
-	return false
-}
-
-// Unshreds reports whether the strategy restores nested output from the
-// shredded representation (its Result.Output rows are the nested value, like
-// Standard's, stitched from the shredded output).
-func (s Strategy) Unshreds() bool {
-	return s == ShredUnshred || s == ShredUnshredSkew
-}
+func (s Strategy) SkewAware() bool { return s == StandardSkew || s == ShredSkew }
 
 // AllStrategies lists every explicit strategy in presentation order (Auto is
 // a meta-strategy resolving to one of these and is deliberately excluded).
 func AllStrategies() []Strategy {
-	return []Strategy{Standard, SparkSQLStyle, Shred, ShredUnshred, StandardSkew, ShredSkew, ShredUnshredSkew}
+	return []Strategy{Standard, SparkSQLStyle, Shred, StandardSkew, ShredSkew}
 }
 
-// CLIName returns the lowercase name CLIs and HTTP APIs use for the
-// strategy (ParseStrategy's inverse).
-func (s Strategy) CLIName() string {
-	switch s {
-	case Standard:
-		return "standard"
-	case SparkSQLStyle:
-		return "sparksql"
-	case Shred:
-		return "shred"
-	case ShredUnshred:
-		return "shred+unshred"
-	case StandardSkew:
-		return "standard-skew"
-	case ShredSkew:
-		return "shred-skew"
-	case ShredUnshredSkew:
-		return "shred+unshred-skew"
-	case Auto:
-		return "auto"
-	}
-	return "?"
-}
-
-// ParseStrategy resolves a CLI/HTTP strategy name (including "auto").
+// ParseStrategy resolves a CLI/HTTP strategy name (including "auto"), where
+// "shred+unshred" and "shred+unshred-skew" name Shred and ShredSkew, read
+// nested as Result.Output reads every route.
 func ParseStrategy(name string) (Strategy, bool) {
-	for _, s := range append(AllStrategies(), Auto) {
-		if s.CLIName() == name {
+	for s := range Strategy(len(names)) {
+		if s.name(1) == name || s.name(2) == name {
 			return s, true
 		}
 	}
@@ -191,13 +147,13 @@ type Result struct {
 	// Strategy is the route the final step ran on — the resolved route when
 	// Auto was requested.
 	Strategy Strategy
-	// Output is the final step's result: nested rows for Standard/SparkSQL
-	// and unshredding strategies, the materialized top bag for Shred. An
-	// unshredding route stitches its nested rows from the shredded output
-	// when they are read (see Output).
+	// Output is the final step's result, the query's nested answer on every
+	// route: on a shredded route stitched from the shredded output as it is
+	// read (see Output). Top reads the shredded top bag instead.
 	Output *Output
-	// Columns is the flat schema of Output, from the same compilation the rows
-	// came from (see OutputColumn).
+	// Columns is the flat schema of Output — the query's own field names and
+	// types — from the same compilation the rows came from (see
+	// OutputColumn).
 	Columns []OutputColumn
 	// Shredded holds every materialized assignment of the final step for
 	// shredded strategies.
@@ -226,6 +182,21 @@ type Result struct {
 
 	// prog is the compiled program that produced the result (ExplainAnalyze).
 	prog []*Compiled
+	// enc renders rows of Columns (WriteJSON).
+	enc *ingest.RowEncoder
+}
+
+// Top is the result read in its shredded form: on a shredded route a view of
+// r whose Output, Columns and WriteJSON are the materialized top bag's, labels
+// in place of inner bags (the paper's Shred); r itself on every other route.
+func (r *Result) Top() *Result {
+	if r.Output == nil || r.Output.mat == nil {
+		return r
+	}
+	last := r.prog[len(r.prog)-1]
+	top := *r
+	top.Output, top.Columns, top.enc = &Output{d: r.Output.d}, last.topCols, last.topEnc
+	return &top
 }
 
 // Failed reports whether the run crashed.
@@ -247,30 +218,22 @@ func Failure(strat Strategy, err error) *Result {
 	return res
 }
 
-// Output is a run's result. On an unshredding route it is the final step's
+// Output is a run's result. On a shredded route it is the final step's
 // shredded output — the top bag plus the dictionaries its labels stand for —
 // and every read but Count stitches nested rows from it (stitch.go), as a
-// reply does; on every other route it is the dataset Execute left.
+// reply does; on every other route, and in a Top view, it is the dataset
+// Execute left.
 type Output struct {
 	d *dataflow.Dataset // the output dataset, or the top bag when stitched
-	// mat and shredded lay out the shredded output on an unshredding route;
-	// mat is nil on every other route.
+	// mat and shredded lay out the shredded output it is stitched from; mat
+	// is nil when nothing is stitched.
 	mat      *shred.Materialized
 	shredded map[string]*dataflow.Dataset
 }
 
-// Count returns the number of output rows; on an unshredding route the top
-// bag's, so it stitches nothing.
+// Count returns the number of output rows; when stitched the top bag's, so it
+// stitches nothing.
 func (o *Output) Count() int64 { return o.d.Count() }
-
-// Collect gathers the output rows: Dataset.Collect, or on an unshredding route
-// every row stitched, in CollectSorted's order.
-func (o *Output) Collect() []dataflow.Row {
-	if o.mat != nil {
-		return o.CollectSorted()
-	}
-	return o.d.Collect()
-}
 
 // CollectSorted gathers the output rows in the deterministic value order.
 func (o *Output) CollectSorted() []dataflow.Row {
@@ -279,9 +242,8 @@ func (o *Output) CollectSorted() []dataflow.Row {
 }
 
 // CollectTop gathers the first k output rows of the value order (all of them
-// when k <= 0) beside the row count (Dataset.CollectTop). On an unshredding
-// route it finds the k rows in the top bag first and stitches only those
-// (stitchTop).
+// when k <= 0) beside the row count (Dataset.CollectTop). When stitched it
+// finds the k rows in the top bag first and stitches only those (stitchTop).
 func (o *Output) CollectTop(k int) ([]dataflow.Row, int) {
 	if o.mat != nil {
 		rows, total, _ := stitchTop(o, k)
@@ -314,5 +276,5 @@ func (r *Result) WriteJSON(ctx context.Context, w io.Writer, limit int, lead, se
 	csp.End()
 	esp := sp.Child("encode")
 	defer esp.End()
-	return len(rows), total, r.prog[len(r.prog)-1].rowEnc.WriteRows(w, rows, lead, sep)
+	return len(rows), total, r.enc.WriteRows(w, rows, lead, sep)
 }

@@ -3,6 +3,7 @@ package runner
 import (
 	"context"
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 
@@ -17,13 +18,17 @@ func TestStrategyNames(t *testing.T) {
 		Standard:      "STANDARD",
 		SparkSQLStyle: "SPARK-SQL",
 		Shred:         "SHRED",
-		ShredUnshred:  "SHRED+UNSHRED",
+		StandardSkew:  "STANDARD-SKEW",
 		ShredSkew:     "SHRED-SKEW",
+		Auto:          "AUTO",
 	}
 	for s, want := range names {
 		if s.String() != want {
 			t.Fatalf("%d: got %s want %s", s, s, want)
 		}
+	}
+	if all := AllStrategies(); len(all) != len(names)-1 || slices.Contains(all, Auto) {
+		t.Fatalf("AllStrategies %v: want the %d routes but Auto", all, len(names)-1)
 	}
 	if !Shred.IsShredded() || Standard.IsShredded() {
 		t.Fatal("IsShredded wrong")
@@ -31,8 +36,21 @@ func TestStrategyNames(t *testing.T) {
 	if !ShredSkew.SkewAware() || Shred.SkewAware() {
 		t.Fatal("skewAware wrong")
 	}
-	if !ShredUnshred.Unshreds() || Shred.Unshreds() {
-		t.Fatal("unshreds wrong")
+	// Every name the CLI and HTTP APIs accept parses; the paper's
+	// Shred+Unshred series names the shredded routes read nested.
+	parses := map[string]Strategy{
+		"standard": Standard, "sparksql": SparkSQLStyle, "shred": Shred, "shred+unshred": Shred,
+		"standard-skew": StandardSkew, "shred-skew": ShredSkew, "shred+unshred-skew": ShredSkew, "auto": Auto,
+	}
+	for name, want := range parses {
+		if got, ok := ParseStrategy(name); !ok || got != want {
+			t.Fatalf("ParseStrategy(%q) = %s, %t; want %s", name, got, ok, want)
+		}
+	}
+	for _, name := range []string{"", "shred+unshred+unshred", "unshred", "SHRED"} {
+		if s, ok := ParseStrategy(name); ok {
+			t.Fatalf("ParseStrategy(%q) = %s, want no strategy", name, s)
+		}
 	}
 }
 
@@ -60,6 +78,21 @@ func TestRunShredExposesMaterializedProgram(t *testing.T) {
 		if res.Shredded[d.Name] == nil {
 			t.Fatalf("dictionary %s dataset missing", d.Name)
 		}
+	}
+	// Top reads the same run shredded: the top bag's rows under its own
+	// columns, a label in place of each inner bag, beside Output's nested rows.
+	top := res.Top()
+	if top == res || top.Output.Count() != res.Output.Count() || len(top.Columns) != len(res.Columns) {
+		t.Fatalf("Top: %d rows under %v, Output %d rows under %v", top.Output.Count(), top.Columns, res.Output.Count(), res.Columns)
+	}
+	for i, c := range top.Columns {
+		_, nested := res.Columns[i].Type.(nrc.BagType)
+		if _, label := c.Type.(nrc.LabelType); nested != label {
+			t.Fatalf("column %d: top %s %s, nested %s %s", i, c.Name, c.Type, res.Columns[i].Name, res.Columns[i].Type)
+		}
+	}
+	if again := top.Top(); again != top {
+		t.Fatal("Top of a Top view is another view")
 	}
 }
 
@@ -93,9 +126,8 @@ func TestPipelineDuplicateStepName(t *testing.T) {
 	}
 }
 
-// A pipeline under an unshredding strategy keeps intermediate results
-// shredded and unshreds only the final output, which must agree with the
-// standard route.
+// A pipeline on a shredded route keeps intermediate results shredded and
+// stitches only the final output, which must agree with the standard route.
 func TestPipelineShredUnshredFinalStep(t *testing.T) {
 	env := nrc.Env{"R": nrc.BagOf(nrc.Tup(
 		"k", nrc.IntT,
@@ -120,7 +152,7 @@ func TestPipelineShredUnshredFinalStep(t *testing.T) {
 		}
 	}
 	std := RunProgram(mkSteps(), env, inputs, Standard, DefaultConfig(), nil)
-	shr := RunProgram(mkSteps(), env, inputs, ShredUnshred, DefaultConfig(), nil)
+	shr := RunProgram(mkSteps(), env, inputs, Shred, DefaultConfig(), nil)
 	if std.Failed() || shr.Failed() {
 		t.Fatalf("std=%v shr=%v", std.Err, shr.Err)
 	}
@@ -146,11 +178,11 @@ func TestNoColumnPruningStillCorrect(t *testing.T) {
 		t.Fatalf("%v / %v", a.Err, b.Err)
 	}
 	ab := make(value.Bag, 0)
-	for _, r := range a.Output.Collect() {
+	for _, r := range a.Output.CollectSorted() {
 		ab = append(ab, value.Tuple(r))
 	}
 	bb := make(value.Bag, 0)
-	for _, r := range b.Output.Collect() {
+	for _, r := range b.Output.CollectSorted() {
 		bb = append(bb, value.Tuple(r))
 	}
 	if !value.Equal(ab, bb) {
@@ -167,7 +199,7 @@ func TestNoColumnPruningStillCorrect(t *testing.T) {
 func TestCompileOnceExecuteMany(t *testing.T) {
 	inputs := map[string]value.Bag{"COP": testdata.SmallCOP(), "Part": testdata.SmallPart()}
 	cfg := DefaultConfig()
-	for _, strat := range []Strategy{Standard, ShredUnshred} {
+	for _, strat := range []Strategy{Standard, Shred} {
 		cq, err := CompileStep(testdata.RunningExample(), testdata.Env(), strat, cfg, nil, "Q")
 		if err != nil {
 			t.Fatalf("%s: %v", strat, err)
@@ -181,7 +213,7 @@ func TestCompileOnceExecuteMany(t *testing.T) {
 			if res.Failed() {
 				t.Fatalf("%s execute %d: %v", strat, i, res.Err)
 			}
-			if got, exp := bagOfRows(res.Output.Collect()), bagOfRows(want.Output.Collect()); !value.Equal(got, exp) {
+			if got, exp := bagOfRows(res.Output.CollectSorted()), bagOfRows(want.Output.CollectSorted()); !value.Equal(got, exp) {
 				t.Fatalf("%s execute %d differs from Run:\n got %s\nwant %s",
 					strat, i, value.Format(got), value.Format(exp))
 			}

@@ -9,7 +9,7 @@ import (
 	"github.com/trance-go/trance/internal/value"
 )
 
-// Stitching is how an unshredding route restores its nested output: from the
+// Stitching is how a shredded route restores its nested output: from the
 // final step's shredded output — the top bag plus one dictionary per bag path,
 // keyed by labels (paper Section 4) — the top-k of the top bag is found first,
 // and nested bags are built by looking labels up only for the rows returned,
@@ -87,7 +87,7 @@ func newStitcher(o *Output) *stitcher {
 	return &stitcher{top: layout(o.mat.OutType.Elem, "", 0, 0)}
 }
 
-// stitchTop is Output.CollectTop on an unshredding route: the first limit rows
+// stitchTop is Output.CollectTop on a shredded route: the first limit rows
 // (all when limit <= 0) of the top bag in the order of compare, ties ranked by
 // the top bag's Collect order, each with its bags stitched. The rows and their
 // order are the first limit of the nested value's canonical order (value.

@@ -14,7 +14,7 @@ import (
 // item bags differ only in the tags two levels down are ordered by those tags,
 // as the nested value's canonical order ranks them; a row with no items and an
 // item with no tags stitch to empty bags. Output reads the rows the reply
-// writes, and the run shuffles exactly what the Shred route's does.
+// writes, and Top reads the same run's top bag.
 func TestStitchOrdersInsideBags(t *testing.T) {
 	env := nrc.Env{"R": nrc.BagOf(nrc.Tup(
 		"a", nrc.IntT,
@@ -65,7 +65,7 @@ func TestStitchOrdersInsideBags(t *testing.T) {
 		}
 		return res
 	}
-	for strat, shredded := range map[Strategy]Strategy{ShredUnshred: Shred, ShredUnshredSkew: ShredSkew} {
+	for _, strat := range []Strategy{Shred, ShredSkew} {
 		res := run(strat)
 		var all, first bytes.Buffer
 		if _, total, err := res.WriteJSON(context.Background(), &all, 0, "", "\n"); err != nil || total != len(want) {
@@ -78,15 +78,18 @@ func TestStitchOrdersInsideBags(t *testing.T) {
 		if s.resolved == 0 || s.depth != 2 {
 			t.Fatalf("%s: %d labels resolved comparing, %d levels stitched; want some and 2", strat, s.resolved, s.depth)
 		}
-		collected := res.Output.Collect()
+		collected := res.Output.CollectSorted()
 		for i, w := range want {
 			if !value.Equal(value.Tuple(rows[i]), w) || !value.Equal(value.Tuple(collected[i]), w) {
 				t.Fatalf("%s: row %d stitched %s, Output.Collect %s, want %s", strat, i,
 					value.Format(value.Tuple(rows[i])), value.Format(value.Tuple(collected[i])), value.Format(w))
 			}
 		}
-		if got, base := res.Metrics, run(shredded).Metrics; got.ShuffleBytes != base.ShuffleBytes || got.ShuffleRecords != base.ShuffleRecords {
-			t.Fatalf("%s shuffled %dB/%drec, %s %dB/%drec", strat, got.ShuffleBytes, got.ShuffleRecords, shredded, base.ShuffleBytes, base.ShuffleRecords)
+		// The same run read shredded: its top bag, the rows stitched above
+		// before their bags were.
+		var top bytes.Buffer
+		if _, total, err := res.Top().WriteJSON(context.Background(), &top, 0, "", "\n"); err != nil || total != len(want) || bytes.Equal(top.Bytes(), all.Bytes()) {
+			t.Fatalf("%s: Top wrote %d rows (%v), the same bytes as the nested read: %t", strat, total, err, bytes.Equal(top.Bytes(), all.Bytes()))
 		}
 	}
 }
@@ -128,7 +131,7 @@ func TestStitchedReplyAllocs(t *testing.T) {
 			nrc.IfThen(nrc.GeOf(nrc.P(it, "k"), nrc.C(int64(550))),
 				nrc.SingOf(nrc.Record("k", nrc.P(it, "k"), "w", nrc.P(it, "w"))))))))
 	cfg := DefaultConfig()
-	cq, err := CompileStep(q, env, ShredUnshred, cfg, nil, "Q")
+	cq, err := CompileStep(q, env, Shred, cfg, nil, "Q")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +153,7 @@ func TestStitchedReplyAllocs(t *testing.T) {
 		}
 	})
 	whole := testing.AllocsPerRun(5, func() {
-		if n := len(run().Output.Collect()); n != len(d) {
+		if n := len(run().Output.CollectSorted()); n != len(d) {
 			t.Fatalf("output holds %d rows", n)
 		}
 	})
@@ -164,6 +167,6 @@ func TestStitchedReplyAllocs(t *testing.T) {
 			t.Fatalf("output holds %d rows", n)
 		}
 	}); count != 0 {
-		t.Fatalf("Output.Count allocates %.0f objects on an unshredding route; it should stitch nothing", count)
+		t.Fatalf("Output.Count allocates %.0f objects on a shredded route; it should stitch nothing", count)
 	}
 }

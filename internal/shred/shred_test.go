@@ -137,7 +137,7 @@ func assertShredMatchesOracle(t *testing.T, q nrc.Expr, env nrc.Env, inputs map[
 		t.Fatalf("%s failed: %v", strat, res.Err)
 	}
 	got := make(value.Bag, 0)
-	for _, r := range res.Output.Collect() {
+	for _, r := range res.Output.CollectSorted() {
 		if len(r) == 1 && isScalarBag(q) {
 			got = append(got, r[0])
 		} else {
@@ -165,19 +165,19 @@ func inputsCOP() map[string]value.Bag {
 
 func TestShredUnshredRunningExample(t *testing.T) {
 	assertShredMatchesOracle(t, testdata.RunningExample(), testdata.Env(), inputsCOP(),
-		runner.ShredUnshred, runner.DefaultConfig())
+		runner.Shred, runner.DefaultConfig())
 }
 
 func TestShredUnshredRunningExampleBaselineMaterialization(t *testing.T) {
 	cfg := runner.DefaultConfig()
 	cfg.DomainElimination = false
 	assertShredMatchesOracle(t, testdata.RunningExample(), testdata.Env(), inputsCOP(),
-		runner.ShredUnshred, cfg)
+		runner.Shred, cfg)
 }
 
 func TestShredUnshredSkewAware(t *testing.T) {
 	assertShredMatchesOracle(t, testdata.RunningExample(), testdata.Env(), inputsCOP(),
-		runner.ShredUnshredSkew, runner.DefaultConfig())
+		runner.ShredSkew, runner.DefaultConfig())
 }
 
 // Nested-to-flat: top-level aggregation over navigation, no unshredding
@@ -253,7 +253,7 @@ func TestShredFlatToNestedRule2(t *testing.T) {
 		t.Fatalf("rule 2 should compute the dictionary directly from Orders:\n%s", prog)
 	}
 	assertShredMatchesOracle(t, flatToNested(), flatEnv(), flatInputs(),
-		runner.ShredUnshred, runner.DefaultConfig())
+		runner.Shred, runner.DefaultConfig())
 }
 
 func TestShredIdentityCarry(t *testing.T) {
@@ -264,7 +264,7 @@ func TestShredIdentityCarry(t *testing.T) {
 			"corders", nrc.P(nrc.V("cop"), "corders"),
 		)))
 	assertShredMatchesOracle(t, q, testdata.Env(), inputsCOP(),
-		runner.ShredUnshred, runner.DefaultConfig())
+		runner.Shred, runner.DefaultConfig())
 }
 
 func TestShredThreeStrategiesAgree(t *testing.T) {
@@ -273,7 +273,7 @@ func TestShredThreeStrategiesAgree(t *testing.T) {
 	inputs := inputsCOP()
 	cfg := runner.DefaultConfig()
 	a := runQuery(q, env, inputs, runner.Standard, cfg)
-	b := runQuery(q, env, inputs, runner.ShredUnshred, cfg)
+	b := runQuery(q, env, inputs, runner.Shred, cfg)
 	c := runQuery(q, env, inputs, runner.SparkSQLStyle, cfg)
 	for _, r := range []*runner.Result{a, b, c} {
 		if r.Failed() {
@@ -290,7 +290,7 @@ func TestShredThreeStrategiesAgree(t *testing.T) {
 }
 
 func bagRows(r *runner.Result) value.Bag {
-	rows := r.Output.Collect()
+	rows := r.Output.CollectSorted()
 	out := make(value.Bag, len(rows))
 	for i, row := range rows {
 		out[i] = value.Tuple(row)
@@ -315,7 +315,7 @@ func TestQuickShredUnshredMatchesOracle(t *testing.T) {
 			return false
 		}
 		want := nrc.Eval(q, s).(value.Bag)
-		res := runQuery(q, testdata.Env(), inputs, runner.ShredUnshred, cfg)
+		res := runQuery(q, testdata.Env(), inputs, runner.Shred, cfg)
 		if res.Failed() {
 			return false
 		}
@@ -383,13 +383,13 @@ func tupleVarHeadInputs() map[string]value.Bag {
 
 func TestShredUnshredTupleVarHeadNonEqualityFilter(t *testing.T) {
 	assertShredMatchesOracle(t, tupleVarHeadQuery(), tupleVarHeadEnv(), tupleVarHeadInputs(),
-		runner.ShredUnshred, runner.DefaultConfig())
+		runner.Shred, runner.DefaultConfig())
 	// Baseline materialization exercises the label-domain route through the
 	// same head-flattening code.
 	cfg := runner.DefaultConfig()
 	cfg.DomainElimination = false
 	assertShredMatchesOracle(t, tupleVarHeadQuery(), tupleVarHeadEnv(), tupleVarHeadInputs(),
-		runner.ShredUnshred, cfg)
+		runner.Shred, cfg)
 }
 
 func TestShredTupleVarHeadDictionarySchema(t *testing.T) {

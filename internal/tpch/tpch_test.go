@@ -181,13 +181,13 @@ func TestStrategiesAgreeOnSuite(t *testing.T) {
 			}
 			want := nrc.Eval(q, s).(value.Bag)
 
-			for _, strat := range []runner.Strategy{runner.Standard, runner.SparkSQLStyle, runner.ShredUnshred} {
+			for _, strat := range []runner.Strategy{runner.Standard, runner.SparkSQLStyle, runner.Shred} {
 				res := runQuery(q, env, inputs, strat, cfg)
 				if res.Failed() {
 					t.Fatalf("%s %s L%d failed: %v", strat, class, level, res.Err)
 				}
 				got := make(value.Bag, 0)
-				for _, r := range res.Output.Collect() {
+				for _, r := range res.Output.CollectSorted() {
 					got = append(got, value.Tuple(r))
 				}
 				if !value.Equal(got, want) {
@@ -213,13 +213,13 @@ func TestSkewStrategiesAgree(t *testing.T) {
 		s = s.Bind(name, b)
 	}
 	want := nrc.Eval(q, s).(value.Bag)
-	for _, strat := range []runner.Strategy{runner.StandardSkew, runner.ShredUnshredSkew} {
+	for _, strat := range []runner.Strategy{runner.StandardSkew, runner.ShredSkew} {
 		res := runQuery(q, env, inputs, strat, rcfg)
 		if res.Failed() {
 			t.Fatalf("%s failed: %v", strat, res.Err)
 		}
 		got := make(value.Bag, 0)
-		for _, r := range res.Output.Collect() {
+		for _, r := range res.Output.CollectSorted() {
 			got = append(got, value.Tuple(r))
 		}
 		if !value.Equal(got, want) {

@@ -61,8 +61,8 @@ type PreparedQuery struct {
 // fingerprints each step under cfg and stats, the one way anything is
 // prepared: each (step, strategy) then compiles exactly once process-wide on
 // first use. Shredded strategies keep intermediate results shredded between
-// steps and unshred only the final output (paper Section 4). The caller holds
-// compileMu.
+// steps (paper Section 4); only the final output is read nested. The caller
+// holds compileMu.
 func prepare(name string, steps []PipelineStep, env Env, cfg Config, stats map[string]plan.TableEstimate, pool *Pool, compileMu *sync.Mutex) (*PreparedQuery, error) {
 	envs, _, err := runner.ResolveSteps(steps, env)
 	if err != nil {
@@ -108,11 +108,10 @@ func (pq *PreparedQuery) Fingerprint() string { return strings.Join(pq.fps, ";")
 // OutputColumn describes one column of a strategy's output dataset.
 type OutputColumn = runner.OutputColumn
 
-// OutputSchema reports the flat schema of the dataset Run returns under the
-// strategy, compiling it if needed: the query's own field names and types
-// when the output is the nested value (standard and unshredding routes), the
-// materialized top-bag columns (labels in place of inner bags) for Shred. A
-// Result carries the same schema as Result.Columns.
+// OutputSchema reports the flat schema of the rows Run returns under the
+// strategy, compiling it if needed: the query's own field names and types,
+// the nested answer's on every route. A Result carries the same schema as
+// Result.Columns (Result.Top's are the shredded top bag's).
 func (pq *PreparedQuery) OutputSchema(strat Strategy) ([]OutputColumn, error) {
 	prog, _, err := pq.compiled(strat)
 	if err != nil {
@@ -203,14 +202,13 @@ func (pq *PreparedQuery) run(ctx context.Context, inputs runner.Inputs, strat St
 // compiled assembles the program for the strategy from the plan cache,
 // compiling each missing (step, strategy) slot exactly once process-wide;
 // compiledNow reports whether this call performed a compilation (false =
-// served from the cache — the trace layer's cache-hit attribution).
-// Intermediate steps of unshredding strategies compile as their shredded-only
-// variant (see runner.StepStrategy), sharing cache slots with plain Shred
-// programs.
+// served from the cache — the trace layer's cache-hit attribution). Every
+// step compiles under the strategy asked for, Auto resolved at the first
+// (runner.StepStrategy).
 func (pq *PreparedQuery) compiled(strat Strategy) (prog []*runner.Compiled, compiledNow bool, err error) {
 	prog = make([]*runner.Compiled, len(pq.steps))
 	for i, st := range pq.steps {
-		eff := runner.StepStrategy(strat, prog[0], i == len(pq.steps)-1)
+		eff := runner.StepStrategy(strat, prog[0])
 		entry := planCache.entry(pq.fps[i] + "|" + eff.String())
 		entry.once.Do(func() {
 			pq.compileMu.Lock()

@@ -78,7 +78,7 @@ func prepSessionQuery(t testing.TB, shift int64, name string, q trance.Expr) *tr
 func TestPrepareCompilesEachStrategyOnce(t *testing.T) {
 	sq := prepSessionQuery(t, 0, "compile-once", prepQuery(7001))
 	before := trance.Counters()
-	strategies := []trance.Strategy{trance.Standard, trance.Shred, trance.ShredUnshred}
+	strategies := []trance.Strategy{trance.Standard, trance.Shred, trance.StandardSkew}
 	var wg sync.WaitGroup
 	errs := make(chan error, 64)
 	for g := 0; g < 16; g++ {
@@ -113,6 +113,45 @@ func TestPrepareCompilesEachStrategyOnce(t *testing.T) {
 	}
 }
 
+// TestOneCompileReadsBothForms: the paper's Shred and Shred+Unshred are two
+// reads of one shredded run — Output nested, Top the top bag — so running a
+// session query under both names and reading both forms compiles once, and
+// the schema OutputSchema reports is the nested one the run carries.
+func TestOneCompileReadsBothForms(t *testing.T) {
+	sq := prepSessionQuery(t, 0, "both-forms", prepQuery(7006))
+	want := trance.LocalEval(mustCheck(t, prepQuery(7006), prepEnv()), prepInputs(0))
+	before := trance.Counters()["plan_cache.compiles"]
+	for _, name := range []string{"shred", "shred+unshred"} {
+		strat, ok := trance.ParseStrategy(name)
+		if !ok || strat != trance.Shred {
+			t.Fatalf("%s parses to %s, %t; want SHRED", name, strat, ok)
+		}
+		res, err := sq.Run(context.Background(), strat)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got := collectBag(res); !trance.ValuesEqual(got, want) {
+			t.Fatalf("%s: Output %s, want %s", name, trance.FormatValue(got), trance.FormatValue(want))
+		}
+		top := res.Top()
+		if top.Output.Count() != res.Output.Count() || fmt.Sprint(top.Columns) == fmt.Sprint(res.Columns) {
+			t.Fatalf("%s: Top holds %d rows under %v, Output %d under %v", name, top.Output.Count(), top.Columns, res.Output.Count(), res.Columns)
+		}
+		for _, r := range top.Output.CollectSorted() {
+			if _, ok := r[1].(trance.Label); !ok {
+				t.Fatalf("%s: top bag row %v holds no label in place of its inner bag", name, r)
+			}
+		}
+		cols, err := sq.Prepared().OutputSchema(strat)
+		if err != nil || fmt.Sprint(cols) != fmt.Sprint(res.Columns) {
+			t.Fatalf("%s: OutputSchema %v (%v), the run's columns %v", name, cols, err, res.Columns)
+		}
+	}
+	if got := trance.Counters()["plan_cache.compiles"] - before; got != 1 {
+		t.Fatalf("%d compilations for shred and shred+unshred read both ways, want 1", got)
+	}
+}
+
 // TestSessionsSizedApartShareThePlan: the plan cache leaves parallelism out of
 // its key, so sessions over one catalog sized to different partition counts
 // run the same compiled shredded program; each run places the input's
@@ -121,22 +160,19 @@ func TestSessionsSizedApartShareThePlan(t *testing.T) {
 	cat := prepCatalog(t, 0)
 	before := trance.Counters()
 	var want trance.Bag
-	for i, par := range []int{4, 8, 4, 1} {
+	for _, par := range []int{4, 8, 4, 1} {
 		cfg := trance.DefaultConfig()
 		cfg.Parallelism = par
 		sq, err := cat.NewSession(trance.SessionOptions{Config: &cfg}).PrepareNamed("sized-apart", prepQuery(7003))
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, strat := range []trance.Strategy{trance.Shred, trance.ShredUnshred} {
+		for _, strat := range []trance.Strategy{trance.Shred, trance.ShredSkew} {
 			res, err := sq.Run(context.Background(), strat)
 			if err != nil {
 				t.Fatalf("parallelism %d, %s: %v", par, strat, err)
 			}
-			if strat != trance.ShredUnshred {
-				continue
-			}
-			if got := collectBag(res); i == 0 {
+			if got := collectBag(res); want == nil {
 				want = got
 			} else if fmt.Sprint(got) != fmt.Sprint(want) {
 				t.Fatalf("parallelism %d answers %v, parallelism 4 %v", par, got, want)
@@ -171,7 +207,7 @@ func TestPreparedQueryConcurrentRuns(t *testing.T) {
 		}
 		queries[shift], want[shift] = sq, collectBag(res)
 	}
-	strategies := []trance.Strategy{trance.Standard, trance.ShredUnshred}
+	strategies := []trance.Strategy{trance.Standard, trance.Shred}
 
 	const goroutines = 12
 	var wg sync.WaitGroup
@@ -214,7 +250,7 @@ func TestDistinctPreparedQueriesSharePool(t *testing.T) {
 	}
 	want := make([]trance.Bag, len(sqs))
 	for i, sq := range sqs {
-		res, err := sq.Run(context.Background(), trance.ShredUnshred)
+		res, err := sq.Run(context.Background(), trance.Shred)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -229,7 +265,7 @@ func TestDistinctPreparedQueriesSharePool(t *testing.T) {
 			wg.Add(1)
 			go func(i int, sq *trance.SessionQuery) {
 				defer wg.Done()
-				res, err := sq.Run(context.Background(), trance.ShredUnshred)
+				res, err := sq.Run(context.Background(), trance.Shred)
 				if err != nil {
 					errs <- fmt.Errorf("query %d: %w", i, err)
 					return
@@ -306,23 +342,26 @@ func TestPrepareAndRunDegradeToErrors(t *testing.T) {
 	}
 }
 
-// OutputSchema reflects the route: nested schema for unshredding routes,
-// label-bearing top schema for Shred.
+// OutputSchema is the nested answer's schema on every route; a shredded run's
+// Top view carries the label-bearing top-bag schema.
 func TestPreparedOutputSchema(t *testing.T) {
-	pq := prepSessionQuery(t, 0, "cols", prepQuery(7003)).Prepared()
-	std, err := pq.OutputSchema(trance.Standard)
+	sq := prepSessionQuery(t, 0, "cols", prepQuery(7003))
+	pq := sq.Prepared()
+	for _, strat := range []trance.Strategy{trance.Standard, trance.Shred} {
+		cols, err := pq.OutputSchema(strat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(cols) != 2 || cols[0].Name != "k" || cols[1].Name != "big" || cols[1].Type.String() != "Bag(⟨v: int⟩)" {
+			t.Fatalf("%s columns: %+v", strat, cols)
+		}
+	}
+	res, err := sq.Run(context.Background(), trance.Shred)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(std) != 2 || std[0].Name != "k" || std[1].Name != "big" {
-		t.Fatalf("standard columns: %+v", std)
-	}
-	sh, err := pq.OutputSchema(trance.Shred)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sh) != 2 || sh[1].Name != "big" || sh[1].Type.String() != "Label" {
-		t.Fatalf("shred top columns should carry a label: %+v", sh)
+	if top := res.Top().Columns; len(top) != 2 || top[1].Name != "big" || top[1].Type.String() != "Label" {
+		t.Fatalf("shred top columns should carry a label: %+v", top)
 	}
 }
 
@@ -335,7 +374,7 @@ func TestSharedBindMatchesFreshBind(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, strat := range []trance.Strategy{trance.Standard, trance.Shred, trance.ShredUnshred} {
+	for _, strat := range []trance.Strategy{trance.Standard, trance.Shred} {
 		want, err := prepSessionQuery(t, 0, "fresh", prepQuery(7004)).Run(context.Background(), strat)
 		if err != nil {
 			t.Fatalf("%v run: %v", strat, err)
@@ -401,14 +440,14 @@ func TestPlanCacheBounded(t *testing.T) {
 	}
 }
 
-// TestQueryIsTheOneStepProgram: Prepare, PreparePipeline over the one step
+// TestQueryIsTheOneStepProgram: PrepareNamed, PreparePipeline over the one step
 // "Q" and PrepareText all compile a query one way, under one fingerprint, so
 // the plan cache compiles it once per strategy between them.
 func TestQueryIsTheOneStepProgram(t *testing.T) {
 	trance.ResetPlanCache()
-	strat := trance.ShredUnshred
+	strat := trance.Shred
 	sess := prepCatalog(t, 0).NewSession(trance.SessionOptions{})
-	sq, err := sess.Prepare(prepQuery(5))
+	sq, err := sess.PrepareNamed("", prepQuery(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -455,10 +494,10 @@ func TestQueryOverInputNamedQ(t *testing.T) {
 		t.Fatal(err)
 	}
 	sess := cat.NewSession(trance.SessionOptions{})
-	for _, strat := range []trance.Strategy{trance.Standard, trance.ShredUnshred, trance.ShredUnshredSkew} {
+	for _, strat := range []trance.Strategy{trance.Standard, trance.Shred, trance.ShredSkew} {
 		ctx := context.Background()
 		runs := map[string]func() (*trance.SessionQuery, error){
-			"session": func() (*trance.SessionQuery, error) { return sess.Prepare(mk()) },
+			"session": func() (*trance.SessionQuery, error) { return sess.PrepareNamed("", mk()) },
 			"text":    func() (*trance.SessionQuery, error) { return sess.PrepareText("", text) },
 		}
 		for name, prep := range runs {

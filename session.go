@@ -65,31 +65,29 @@ func (c *Catalog) NewSession(opts SessionOptions) *Session {
 	return &Session{cat: c, cfg: cfg, pool: pool, bind: bind}
 }
 
-// Prepare resolves the query's free variables against the catalog,
+// PrepareNamed resolves the query's free variables against the catalog,
 // typechecks it and sets up compile-once evaluation: the query is the one-step
 // program, its step named "Q" (or, when a free variable already has that
-// name, the first of "Q_", "Q__", … that none has). Each (query, strategy)
-// pair is compiled — NRC typecheck, standard or shredded compilation, plan
-// pruning — exactly once and cached in a process-wide, thread-safe,
-// fingerprint-keyed compilation cache, no matter how many goroutines Run
-// concurrently. Compile- and run-time panics surface as errors, so a
-// malformed query cannot crash a serving process. The session takes
-// ownership of the query's AST (compilation annotates it in place); do not
-// share one expression tree between concurrent Prepare calls.
-func (s *Session) Prepare(q Expr) (*SessionQuery, error) { return s.PrepareNamed("", q) }
-
-// PrepareNamed is Prepare with a label used in errors and metrics.
+// name, the first of "Q_", "Q__", … that none has), and name labels it in
+// errors and metrics ("" for none). Each (query, strategy) pair is compiled —
+// NRC typecheck, standard or shredded compilation, plan pruning — exactly
+// once and cached in a process-wide, thread-safe, fingerprint-keyed
+// compilation cache, no matter how many goroutines Run concurrently.
+// Compile- and run-time panics surface as errors, so a malformed query cannot
+// crash a serving process. The session takes ownership of the query's AST
+// (compilation annotates it in place); do not share one expression tree
+// between concurrent PrepareNamed calls.
 func (s *Session) PrepareNamed(name string, q Expr) (*SessionQuery, error) {
 	vars := nrc.FreeVars(q)
 	return s.newQuery(name, []PipelineStep{{Name: queryStep(vars), Expr: q}}, vars)
 }
 
-// PreparePipeline is Prepare for a multi-step program: every step typechecks
-// against the catalog's datasets extended with the outputs of prior steps,
-// the steps' free variables (outputs of earlier steps are not free) resolve
-// against the catalog, and repeated runs hit the plan cache for every step and
-// re-resolve when a referenced dataset mutates. The session takes ownership of
-// the step ASTs.
+// PreparePipeline is PrepareNamed for a multi-step program: every step
+// typechecks against the catalog's datasets extended with the outputs of
+// prior steps, the steps' free variables (outputs of earlier steps are not
+// free) resolve against the catalog, and repeated runs hit the plan cache for
+// every step and re-resolve when a referenced dataset mutates. The session
+// takes ownership of the step ASTs.
 func (s *Session) PreparePipeline(steps []PipelineStep) (*SessionQuery, error) {
 	return s.newQuery("", slices.Clone(steps), nrc.FreeVarsProgram(steps))
 }
@@ -107,7 +105,7 @@ func (s *Session) newQuery(name string, steps []PipelineStep, vars map[string]bo
 // PrepareText parses a query or a multi-statement program written in the
 // textual surface syntax (see docs/QUERYLANG.md, trance.Parse and
 // trance.ParseProgram) and prepares it against the catalog: a bare expression
-// exactly like Prepare, a program (`name := expr;` assignments ending in a
+// exactly like PrepareNamed, a program (`name := expr;` assignments ending in a
 // result expression) like PreparePipeline. Free variables resolve to datasets
 // (respecting the session's bindings), every step compiles through the
 // process-wide bounded plan cache under its fingerprint, and the resolved data

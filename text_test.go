@@ -56,7 +56,7 @@ for c in CO union
 	if sqText.Prepared().Fingerprint() != sqBuilt.Prepared().Fingerprint() {
 		t.Fatalf("text and builder fingerprints differ:\n%s\nvs\n%s", text, trance.Print(built))
 	}
-	for _, strat := range []trance.Strategy{trance.Standard, trance.Shred, trance.ShredUnshred} {
+	for _, strat := range []trance.Strategy{trance.Standard, trance.Shred} {
 		a, err := runJSON(context.Background(), sqText, strat)
 		if err != nil {
 			t.Fatalf("%s text: %v", strat, err)
@@ -134,7 +134,7 @@ sumby[cname; qty](Flat)`
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, strat := range []trance.Strategy{trance.Standard, trance.Shred, trance.ShredUnshred} {
+	for _, strat := range []trance.Strategy{trance.Standard, trance.Shred} {
 		rows, err := runJSON(context.Background(), sp, strat)
 		if err != nil {
 			t.Fatalf("%s: %v", strat, err)
@@ -168,7 +168,7 @@ sumby[cname; qty](Flat)`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, strat := range []trance.Strategy{trance.Standard, trance.ShredUnshred} {
+	for _, strat := range []trance.Strategy{trance.Standard, trance.Shred} {
 		tr := trance.NewTrace("test")
 		res, err := sq.Run(trance.ContextWithTrace(context.Background(), tr), strat, trance.Analyze())
 		tr.Finish()

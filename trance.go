@@ -22,9 +22,10 @@
 //	info, _ := cat.RegisterJSON("R", jsonReader)   // objects→tuples, arrays→bags
 //	q := trance.ForIn("x", trance.V("R"),
 //	        trance.SingOf(trance.Record("b", trance.AddOf(trance.P(trance.V("x"), "a"), trance.C(1)))))
-//	sq, _ := cat.NewSession(trance.SessionOptions{}).Prepare(q)
-//	res, _ := sq.Run(ctx, trance.ShredUnshred)
-//	rows, _ := res.JSON(0) // JSON in, JSON out
+//	sq, _ := cat.NewSession(trance.SessionOptions{}).PrepareNamed("inc", q)
+//	res, _ := sq.Run(ctx, trance.Shred)
+//	rows, _ := res.JSON(0)       // JSON in, JSON out: the nested answer
+//	top, _ := res.Top().JSON(0)  // the same run's shredded top bag
 //
 // Queries can equally be written as text in the paper's comprehension
 // syntax (docs/QUERYLANG.md) — Parse/ParseProgram produce the same ASTs,
@@ -170,7 +171,7 @@ func Print(q Expr) string { return nrc.Print(q) }
 // comprehension language of the paper: `for x in R union ...` — see
 // docs/QUERYLANG.md for the full grammar). Lex and parse errors are
 // position-tracked caret diagnostics and never panic. The returned
-// expression is ready for Check or Session.Prepare (Session.PrepareText
+// expression is ready for Check or Session.PrepareNamed (Session.PrepareText
 // parses and prepares in one step and points type errors back at the text).
 func Parse(src string) (Expr, error) {
 	r, err := parse.Query(src)
@@ -208,13 +209,11 @@ type Strategy = runner.Strategy
 
 // Strategy values.
 const (
-	Standard         = runner.Standard
-	SparkSQLStyle    = runner.SparkSQLStyle
-	Shred            = runner.Shred
-	ShredUnshred     = runner.ShredUnshred
-	StandardSkew     = runner.StandardSkew
-	ShredSkew        = runner.ShredSkew
-	ShredUnshredSkew = runner.ShredUnshredSkew
+	Standard      = runner.Standard
+	SparkSQLStyle = runner.SparkSQLStyle
+	Shred         = runner.Shred
+	StandardSkew  = runner.StandardSkew
+	ShredSkew     = runner.ShredSkew
 	// Auto resolves to a concrete route per query at compile time from
 	// catalog statistics (see docs/COSTMODEL.md).
 	Auto = runner.Auto
@@ -226,7 +225,8 @@ func AllStrategies() []Strategy { return runner.AllStrategies() }
 
 // ParseStrategy resolves a CLI/HTTP strategy name (Strategy.CLIName's
 // inverse): standard | sparksql | shred | shred+unshred | standard-skew |
-// shred-skew | shred+unshred-skew | auto.
+// shred-skew | shred+unshred-skew | auto; shred+unshred(-skew) names
+// Shred(Skew) read nested, as Result.Output is.
 func ParseStrategy(name string) (Strategy, bool) { return runner.ParseStrategy(name) }
 
 // Dataset statistics (see docs/COSTMODEL.md).
