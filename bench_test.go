@@ -100,7 +100,7 @@ func runProgram(steps []nrc.Assignment, env nrc.Env, inputs map[string]value.Bag
 	if cfg.Workers > 0 {
 		dctx.Pool = trance.NewPool(cfg.Workers)
 	}
-	return runner.Execute(context.Background(), prog, rows, idxs, dctx, runner.ExecOptions{})
+	return runner.Execute(context.Background(), prog, rows, idxs, dctx, runner.ExecOptions{}).Materialized()
 }
 
 // runQuery is runProgram over the query's one step.
@@ -593,7 +593,7 @@ func BenchmarkPushdownAblation(b *testing.B) {
 					}
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
-						res := runner.Execute(context.Background(), []*runner.Compiled{cq}, rows, idxs, runner.NewRunContext(cfg), runner.ExecOptions{})
+						res := runner.Execute(context.Background(), []*runner.Compiled{cq}, rows, idxs, runner.NewRunContext(cfg), runner.ExecOptions{}).Materialized()
 						if res.Failed() {
 							b.Fatal(res.Err)
 						}
@@ -660,7 +660,7 @@ func BenchmarkSelectiveNarrow(b *testing.B) {
 				}
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					res := runner.Execute(context.Background(), []*runner.Compiled{cq}, rows, idxs, runner.NewRunContext(cfg), runner.ExecOptions{})
+					res := runner.Execute(context.Background(), []*runner.Compiled{cq}, rows, idxs, runner.NewRunContext(cfg), runner.ExecOptions{}).Materialized()
 					if res.Failed() {
 						b.Fatal(res.Err)
 					}
@@ -953,7 +953,7 @@ func BenchmarkIndexScanAblation(b *testing.B) {
 				}
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					res := runner.Execute(context.Background(), []*runner.Compiled{cq}, rows, idxs, runner.NewRunContext(cfg), runner.ExecOptions{})
+					res := runner.Execute(context.Background(), []*runner.Compiled{cq}, rows, idxs, runner.NewRunContext(cfg), runner.ExecOptions{}).Materialized()
 					if res.Failed() {
 						b.Fatal(res.Err)
 					}
@@ -993,7 +993,7 @@ func BenchmarkAnalyzeOverhead(b *testing.B) {
 		run := func(b *testing.B, analysis func() *plan.Analysis) {
 			for i := 0; i < b.N; i++ {
 				res := runner.Execute(context.Background(), []*runner.Compiled{cq}, rows, idxs,
-					runner.NewRunContext(cfg), runner.ExecOptions{Analysis: analysis()})
+					runner.NewRunContext(cfg), runner.ExecOptions{Analysis: analysis()}).Materialized()
 				if res.Failed() {
 					b.Fatal(res.Err)
 				}

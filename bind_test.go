@@ -10,7 +10,7 @@ import (
 	"weak"
 
 	"github.com/trance-go/trance"
-	"github.com/trance-go/trance/internal/shred"
+	"github.com/trance-go/trance/internal/nrc"
 	"github.com/trance-go/trance/internal/tpch"
 	"github.com/trance-go/trance/internal/value"
 )
@@ -206,16 +206,70 @@ func nestedResult(res *trance.Result) (trance.Bag, error) {
 	dicts := map[string][]value.Tuple{}
 	for _, d := range res.Mat.Dicts {
 		rows := []value.Tuple{}
-		for _, r := range res.Shredded[d.Name].Collect() {
+		for _, r := range res.Shredded()[d.Name].Collect() {
 			rows = append(rows, value.Tuple(r))
 		}
 		dicts[strings.Join(d.Path, "_")] = rows
 	}
-	unshredded, err := shred.UnshredValue(top, dicts, res.Mat.OutType)
+	unshredded, err := unshredValue(top, dicts, res.Mat.OutType)
 	if err == nil && !value.Equal(out, unshredded) {
 		err = fmt.Errorf("output %s, its top bag unshredded %s", value.Format(out), value.Format(unshredded))
 	}
 	return out, err
+}
+
+// unshredValue rebuilds a nested bag from shredded components — the value
+// unshredding function, value shredding's inverse. dicts maps
+// attribute paths (joined by "_") to flat dictionary rows.
+func unshredValue(top []value.Tuple, dicts map[string][]value.Tuple, t nrc.BagType) (value.Bag, error) {
+	idx := map[string]map[string][]value.Tuple{}
+	for path, rows := range dicts {
+		m := map[string][]value.Tuple{}
+		for _, r := range rows {
+			k := value.Key(r[0])
+			m[k] = append(m[k], r[1:])
+		}
+		idx[path] = m
+	}
+	return unshredBag(top, t.Elem, "", idx)
+}
+
+func unshredBag(rows []value.Tuple, elem nrc.Type, path string, idx map[string]map[string][]value.Tuple) (value.Bag, error) {
+	tt, isTuple := elem.(nrc.TupleType)
+	out := make(value.Bag, 0, len(rows))
+	for _, r := range rows {
+		if !isTuple {
+			out = append(out, r[0])
+			continue
+		}
+		nr := make(value.Tuple, len(tt.Fields))
+		for i, f := range tt.Fields {
+			bagT, isBag := f.Type.(nrc.BagType)
+			if !isBag {
+				nr[i] = r[i]
+				continue
+			}
+			sub := f.Name
+			if path != "" {
+				sub = path + "_" + f.Name
+			}
+			m, ok := idx[sub]
+			if !ok {
+				return nil, fmt.Errorf("shred: missing dictionary for path %s", sub)
+			}
+			lbl, ok := r[i].(value.Label)
+			if !ok {
+				return nil, fmt.Errorf("shred: attribute %s is not a label: %v", f.Name, r[i])
+			}
+			inner, err := unshredBag(m[value.Key(lbl)], bagT.Elem, sub, idx)
+			if err != nil {
+				return nil, err
+			}
+			nr[i] = inner
+		}
+		out = append(out, nr)
+	}
+	return out, nil
 }
 
 // TestCatalogGenerationOwnsItsInputs: sessions resolving one dataset under one

@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"github.com/trance-go/trance"
@@ -247,7 +248,7 @@ func checkChunkShredding(t *testing.T, step string, cat *trance.Catalog, data tr
 		top = append(top, value.Tuple(r))
 	}
 	// Every dictionary row lies where an exchange on its label would put it.
-	pl := comp.Placed[shred.MatName("D", []string{"items"})]
+	pl := comp.Placed[shred.MatName("D", []string{"items"})].Whole()
 	if len(pl.Parts) != parts {
 		t.Fatalf("%s: items placed over %d partitions, want %d", step, len(pl.Parts), parts)
 	}
@@ -259,7 +260,7 @@ func checkChunkShredding(t *testing.T, step string, cat *trance.Catalog, data tr
 			items = append(items, value.Tuple(r))
 		}
 	}
-	got, err := shred.UnshredValue(top, map[string][]value.Tuple{"items": items}, bt)
+	got, err := unshredValue(top, map[string][]value.Tuple{"items": items}, bt)
 	if err != nil {
 		t.Fatalf("%s: unshred: %v", step, err)
 	}
@@ -333,5 +334,62 @@ func TestChunkLabelBasesDoNotWrap(t *testing.T) {
 	after, _ := cat.Info("D")
 	if after.Generation != before.Generation || after.Rows != before.Rows {
 		t.Fatalf("failed append installed generation %d (%d rows), was %d (%d rows)", after.Generation, after.Rows, before.Generation, before.Rows)
+	}
+}
+
+// TestHeldResultStitchesItsGeneration: a shredded Result whose nested
+// dictionary a run deferred, held while Append and Delete replace the
+// dataset's chunks, still writes its own generation's rows — limited, which
+// demands them label by label, then whole — not the rows of the generation
+// installed since.
+func TestHeldResultStitchesItsGeneration(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	var next int64
+	cat := trance.NewCatalog()
+	if err := cat.Register("D", chunkType(), chunkRows(rng, &next, 200)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cat.Append("D", chunkRows(rng, &next, 60)); err != nil {
+		t.Fatal(err)
+	}
+	sq, err := cat.NewSession(trance.SessionOptions{}).PrepareNamed("", chunkQueries[1]())
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func() *trance.Result {
+		res, err := sq.Run(context.Background(), trance.Shred)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	write := func(res *trance.Result, limit int) string {
+		var b strings.Builder
+		if _, _, err := res.WriteJSON(context.Background(), &b, limit, "", "\n"); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
+	}
+	held, ref := run(), run()
+	want7, wantAll := write(ref, 7), write(ref, 0)
+	if _, err := cat.Append("D", chunkRows(rng, &next, 40)); err != nil {
+		t.Fatal(err)
+	}
+	for _, del := range []struct {
+		col string
+		key int64
+	}{{"grp", 3}, {"id", 0}, {"id", 230}} {
+		if _, err := cat.Delete("D", del.col, del.key); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if write(run(), 0) == wantAll {
+		t.Fatal("the mutations left the answer as it was")
+	}
+	if got := write(held, 7); got != want7 {
+		t.Fatalf("held result, limit 7:\n%s\nits generation's:\n%s", got, want7)
+	}
+	if got := write(held, 0); got != wantAll {
+		t.Fatalf("held result, whole:\n%s\nits generation's:\n%s", got, wantAll)
 	}
 }

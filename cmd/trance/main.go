@@ -210,6 +210,9 @@ func runJob(w io.Writer, j job, name string, cfg trance.Config, show int) error 
 	}
 	res, err := sq.Run(context.Background(), parseStrategy(name))
 	if res != nil {
+		// Time the whole shredded output, as the paper does: a reply would
+		// defer what it need not read.
+		res = res.Materialized()
 		err = res.Err // the run's own error, without the query label
 	}
 	if err != nil {
@@ -361,6 +364,7 @@ func cmdBiomed(args []string) {
 	if res == nil {
 		log.Fatal(err)
 	}
+	res = res.Materialized() // time the whole shredded output
 	for i, d := range res.StepElapsed {
 		fmt.Printf("step%d: %v\n", i+1, d)
 	}

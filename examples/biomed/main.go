@@ -45,6 +45,7 @@ func main() {
 		if res == nil {
 			log.Fatalf("%s: %v", strat, err)
 		}
+		res = res.Materialized() // time the whole shredded output
 		fmt.Printf("%-12s", strat)
 		for i, d := range res.StepElapsed {
 			fmt.Printf("  step%d=%v", i+1, d)

@@ -57,6 +57,7 @@ func main() {
 				fmt.Printf("  %-20s FAIL (%v)\n", strat, err)
 				continue
 			}
+			res = res.Materialized() // time the whole shredded output
 			fmt.Printf("  %-20s %8v shuffled=%dKiB\n", strat, res.Elapsed, res.Metrics.ShuffleBytes/1024)
 			if strat == trance.ShredSkew {
 				// SHRED+UNSHRED-SKEW is the same run read nested: it shuffles

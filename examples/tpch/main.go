@@ -71,6 +71,7 @@ func main() {
 			fmt.Printf("%-14s FAILED: %v\n", strat, err)
 			continue
 		}
+		res = res.Materialized() // time the whole shredded output
 		fmt.Printf("%-14s %8v  rows=%-8d %s\n", strat, res.Elapsed, res.Output.Count(), res.Metrics)
 		if strat.IsShredded() {
 			// The paper's Shred+Unshred is the same run read nested: its

@@ -92,6 +92,10 @@ type Stmt struct {
 	// placed is the hash placement of the statement's dataset (plan.Place),
 	// which a later statement or step scanning Bind finds it in.
 	placed []int
+	// src, on a dictionary statement a final step leaves unforced (see
+	// markDeferrable), is the input dictionary its chain reads; empty
+	// otherwise.
+	src string
 }
 
 // addStmt optimizes raw, folding the rule hits into cq.Opt, and appends it to
@@ -376,7 +380,71 @@ func (cq *Compiled) compileShredded(q nrc.Expr) error {
 	for _, st := range stmts {
 		cq.addStmt("assignment "+st.Name, st.Name, st.Plan)
 	}
+	cq.markDeferrable()
 	return nil
+}
+
+// markDeferrable sets src on every statement Execute may leave unforced when
+// the step is a program's last: a dictionary of the output that no later
+// statement scans, computed by a row-local chain — σ, π or ext, no addIndex,
+// whose sequence numbers depend on the partition — over an input dictionary
+// placed on its label, its label column that Scan's column 0 passed through.
+// Its rows of one label are then computed from the input's rows of that
+// label alone, which a limited reply demands (PlacedDict.find) instead of
+// forcing the whole dictionary. A run under a memory cap defers nothing:
+// every statement is sized where it runs.
+func (cq *Compiled) markDeferrable() {
+	if cq.Cfg.MaxPartitionBytes > 0 {
+		return
+	}
+	scanned := map[string]bool{}
+	for i := len(cq.Stmts) - 1; i >= 0; i-- {
+		st := &cq.Stmts[i]
+		if !scanned[st.Bind] && slices.ContainsFunc(cq.Mat.Dicts, func(d shred.DictInfo) bool { return d.Name == st.Bind }) {
+			st.src = labelChain(st.Plan, cq.dicts)
+		}
+		addScans(st.Plan, scanned)
+	}
+}
+
+// addScans adds the inputs op scans to set.
+func addScans(op plan.Op, set map[string]bool) {
+	walkPlan(op, func(op plan.Op) {
+		if sc, ok := op.(*plan.Scan); ok {
+			set[sc.Input] = true
+		}
+	})
+}
+
+// labelChain is the input dictionary op reads through a row-local chain that
+// passes that dictionary's label through as its own column 0 (see
+// markDeferrable), or "".
+func labelChain(op plan.Op, dicts []string) string {
+	col := 0
+	for {
+		switch x := op.(type) {
+		case *plan.Select:
+			if slices.Contains(x.NullifyCols, col) {
+				return ""
+			}
+			op = x.In
+		case *plan.Extend:
+			op = x.In // input columns keep their positions
+		case *plan.Project:
+			ref, ok := x.Outs[col].Expr.(*plan.Col)
+			if !ok {
+				return ""
+			}
+			col, op = ref.Idx, x.In
+		case *plan.Scan:
+			if col != 0 || !slices.Equal(x.Placed, labelKey) || !slices.Contains(dicts, x.Input) {
+				return ""
+			}
+			return x.Input
+		default:
+			return ""
+		}
+	}
 }
 
 // NewRunContext builds the dataflow context of one execution under the
@@ -433,17 +501,42 @@ func Execute(ctx context.Context, prog []*Compiled, in Components, idxs map[stri
 	for name, r := range in.Rows {
 		ex.BindRows(name, r)
 	}
-	for name, pl := range in.Placed {
-		if len(pl.Parts) != dctx.Parallelism {
-			res.Err = fmt.Errorf("input %s is placed over %d partitions, the run over %d", name, len(pl.Parts), dctx.Parallelism)
+	// The final step's statements a run without a memory cap defers, each
+	// over the chunks of the input dictionary it reads; an input dictionary
+	// that only they read is never concatenated or bound whole.
+	defers := map[string]*PlacedDict{}
+	if dctx.MaxPartitionBytes <= 0 {
+		for bind, src := range deferredStmts(prog) {
+			if pd := in.Placed[src]; pd != nil {
+				defers[bind] = pd
+			}
+		}
+	}
+	scanned := map[string]bool{}
+	for i, cq := range prog {
+		for _, st := range cq.Stmts {
+			if i < len(prog)-1 || defers[st.Bind] == nil {
+				addScans(st.Plan, scanned)
+			}
+		}
+	}
+	for name, pd := range in.Placed {
+		if n := len(pd.Chunks[0].Parts); n != dctx.Parallelism {
+			res.Err = fmt.Errorf("input %s is placed over %d partitions, the run over %d", name, n, dctx.Parallelism)
 			return res
 		}
-		ex.Bind(name, dctx.FromPlaced(pl))
+		if scanned[name] {
+			ex.Bind(name, dctx.FromPlaced(pd.Whole()))
+		}
 	}
 	for i, cq := range prog {
 		var out *dataflow.Dataset
+		var final map[string]*PlacedDict
+		if i == len(prog)-1 {
+			final = defers
+		}
 		err := res.runStep(i, func() (err error) {
-			out, err = cq.execute(ctx, ex, res, opts.Span)
+			out, err = cq.execute(ctx, ex, res, opts.Span, final)
 			return err
 		})
 		if err != nil {
@@ -453,7 +546,7 @@ func Execute(ctx context.Context, prog []*Compiled, in Components, idxs map[stri
 			ex.Bind(cq.stepName(), out)
 			continue
 		}
-		res.Output = &Output{d: out, mat: cq.Mat, shredded: res.Shredded}
+		res.Output = &Output{d: out, mat: cq.Mat, shredded: res.shredded, deferred: res.deferred}
 	}
 	res.Metrics = dctx.Metrics.Snapshot()
 	return res
@@ -481,21 +574,29 @@ func (r *Result) runStep(i int, f func() error) (err error) {
 }
 
 // execute runs the step's statements in order on the program's executor. An
-// assignment is bound for the statements after it and kept in res.Shredded;
-// the last statement yielding output returns its dataset. sp, when non-nil,
-// receives one child span per executed statement.
-func (cq *Compiled) execute(ctx context.Context, ex *exec.Executor, res *Result, sp *trace.Span) (out *dataflow.Dataset, err error) {
+// assignment is bound for the statements after it and kept in res.shredded;
+// the last statement yielding output returns its dataset. A statement defers
+// names is left unforced over the chunks of the input dictionary it reads
+// and kept in res.deferred instead: no later statement scans it. sp, when
+// non-nil, receives one child span per executed statement.
+func (cq *Compiled) execute(ctx context.Context, ex *exec.Executor, res *Result, sp *trace.Span, defers map[string]*PlacedDict) (out *dataflow.Dataset, err error) {
 	if cq.Mat != nil {
-		res.Shredded = map[string]*dataflow.Dataset{}
+		res.shredded, res.deferred = map[string]*dataflow.Dataset{}, map[string]*deferred{}
 	}
 	for _, st := range cq.Stmts {
+		if pd := defers[st.Bind]; pd != nil {
+			if res.deferred[st.Bind], err = deferStmt(ctx, ex, st, pd, sp); err != nil {
+				return out, err
+			}
+			continue
+		}
 		d, err := runStmt(ctx, ex, st, sp)
 		if err != nil {
 			return out, err
 		}
 		if st.Bind != "" {
 			ex.Bind(st.Bind, d)
-			res.Shredded[st.Bind] = d
+			res.shredded[st.Bind] = d
 		}
 		if cq.yieldsOutput(st) {
 			out = d
@@ -520,6 +621,50 @@ func runStmt(ctx context.Context, ex *exec.Executor, st Stmt, sp *trace.Span) (*
 		err = fmt.Errorf("%s: %w", st.Label, err)
 	}
 	return d, err
+}
+
+// deferStmt builds st's chain over each chunk of pd, the input dictionary it
+// reads, without running it: once as it runs for a reader of the whole
+// dictionary, which forces the chunks' chains and concatenates them, and once
+// uninstrumented, for the stitcher to demand rows of, which nothing forces.
+// An analyzed run forces the first at once, as it does every statement, so
+// every operator reports the rows it produced. sp, when non-nil, receives its
+// span.
+func deferStmt(ctx context.Context, ex *exec.Executor, st Stmt, pd *PlacedDict, sp *trace.Span) (*deferred, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	ssp := sp.Child(st.spanName())
+	defer ssp.End()
+	if prev, ok := ex.Inputs[st.src]; ok {
+		defer func() { ex.Inputs[st.src] = prev }()
+	} else {
+		defer delete(ex.Inputs, st.src)
+	}
+	d := &deferred{pd: pd}
+	a := ex.Analysis
+	defer func() { ex.Analysis = a }()
+	for _, c := range pd.Chunks {
+		ex.Bind(st.src, ex.Ctx.FromPlaced(c.Placed))
+		ex.Analysis = a
+		full, err := ex.Run(st.Plan)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", st.Label, err)
+		}
+		ex.Analysis = nil
+		chain, err := ex.Run(st.Plan)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", st.Label, err)
+		}
+		d.fulls, d.chains = append(d.fulls, full), append(d.chains, chain)
+	}
+	if a != nil {
+		if err := d.force(); err != nil {
+			return nil, fmt.Errorf("%s: %w", st.Label, err)
+		}
+		d.took = 0 // inside the step's time
+	}
+	return d, nil
 }
 
 // OutputPlan returns the plan of the dataset Execute leaves as Output: the

@@ -562,7 +562,7 @@ func oracleEval(q nrc.Expr, env nrc.Env, inputs map[string]value.Bag) (value.Bag
 // Output, the nested answer on every route. A shredded run (cq.Strategy is the
 // resolved route, so AUTO runs land in the right branch too) is read a second
 // way: its top bag (Result.Top) and dictionaries are unshredded at the value
-// level (shred.UnshredValue), an inverse sharing no code with the stitching
+// level (unshredValue), an inverse sharing no code with the stitching
 // behind Output, and the two reads must be bit-identical.
 func nestedOutput(cq *runner.Compiled, res *runner.Result) (value.Bag, error) {
 	out := make(value.Bag, 0)
@@ -579,17 +579,71 @@ func nestedOutput(cq *runner.Compiled, res *runner.Result) (value.Bag, error) {
 	dicts := map[string][]value.Tuple{}
 	for _, d := range cq.Mat.Dicts {
 		rows := make([]value.Tuple, 0)
-		for _, r := range res.Shredded[d.Name].Collect() {
+		for _, r := range res.Shredded()[d.Name].Collect() {
 			rows = append(rows, value.Tuple(r))
 		}
 		dicts[strings.Join(d.Path, "_")] = rows
 	}
-	unshredded, err := shred.UnshredValue(top, dicts, cq.Mat.OutType)
+	unshredded, err := unshredValue(top, dicts, cq.Mat.OutType)
 	if err != nil {
 		return nil, err
 	}
 	if !bitIdentical(out, unshredded) {
 		return nil, fmt.Errorf("stitched Output %s, the top bag unshredded %s", value.Format(out), value.Format(unshredded))
+	}
+	return out, nil
+}
+
+// unshredValue rebuilds a nested bag from shredded components — the value
+// unshredding function, value shredding's inverse. dicts maps
+// attribute paths (joined by "_") to flat dictionary rows.
+func unshredValue(top []value.Tuple, dicts map[string][]value.Tuple, t nrc.BagType) (value.Bag, error) {
+	idx := map[string]map[string][]value.Tuple{}
+	for path, rows := range dicts {
+		m := map[string][]value.Tuple{}
+		for _, r := range rows {
+			k := value.Key(r[0])
+			m[k] = append(m[k], r[1:])
+		}
+		idx[path] = m
+	}
+	return unshredBag(top, t.Elem, "", idx)
+}
+
+func unshredBag(rows []value.Tuple, elem nrc.Type, path string, idx map[string]map[string][]value.Tuple) (value.Bag, error) {
+	tt, isTuple := elem.(nrc.TupleType)
+	out := make(value.Bag, 0, len(rows))
+	for _, r := range rows {
+		if !isTuple {
+			out = append(out, r[0])
+			continue
+		}
+		nr := make(value.Tuple, len(tt.Fields))
+		for i, f := range tt.Fields {
+			bagT, isBag := f.Type.(nrc.BagType)
+			if !isBag {
+				nr[i] = r[i]
+				continue
+			}
+			sub := f.Name
+			if path != "" {
+				sub = path + "_" + f.Name
+			}
+			m, ok := idx[sub]
+			if !ok {
+				return nil, fmt.Errorf("shred: missing dictionary for path %s", sub)
+			}
+			lbl, ok := r[i].(value.Label)
+			if !ok {
+				return nil, fmt.Errorf("shred: attribute %s is not a label: %v", f.Name, r[i])
+			}
+			inner, err := unshredBag(m[value.Key(lbl)], bagT.Elem, sub, idx)
+			if err != nil {
+				return nil, err
+			}
+			nr[i] = inner
+		}
+		out = append(out, nr)
 	}
 	return out, nil
 }
@@ -636,8 +690,10 @@ type diffCounts struct {
 	shreddedSteps int
 	// stitchResolved counts seeds whose stitched replies resolved a label
 	// inside the comparator, stitchDeep those that stitched a bag two levels
-	// down.
-	stitchResolved, stitchDeep int
+	// down; stitchDemanded those where a limited read ran fewer input rows
+	// through a deferred dictionary's chain than it holds, stitchDemandTie
+	// those where the comparator resolved a label demanded of one.
+	stitchResolved, stitchDeep, stitchDemanded, stitchDemandTie int
 }
 
 func (c *diffCounts) add(o diffCounts) {
@@ -661,6 +717,8 @@ func (c *diffCounts) add(o diffCounts) {
 	c.shreddedSteps += o.shreddedSteps
 	c.stitchResolved += o.stitchResolved
 	c.stitchDeep += o.stitchDeep
+	c.stitchDemanded += o.stitchDemanded
+	c.stitchDemandTie += o.stitchDemandTie
 }
 
 // runDifferential executes one generated query under the full
@@ -736,15 +794,16 @@ func runDifferential(data []byte, strict bool) (n diffCounts, err error) {
 					n.indexed++
 				}
 				res := runner.ExecuteBags(context.Background(), []*runner.Compiled{cq}, inputs, runner.NewRunContext(cfg), runner.ExecOptions{})
-				var got value.Bag
-				var gerr error
-				if !res.Failed() {
-					got, gerr = nestedOutput(cq, res)
-				}
 				if res.Failed() {
 					return n, fmt.Errorf("%s (full=%t, noidx=%t) failed: %v\n%s",
 						strat, full, noIdx, res.Err, nrc.Print(q))
 				}
+				if cq.Strategy.IsShredded() {
+					if err := checkStitch(res, want, stitchK, &st); err != nil {
+						return n, fmt.Errorf("%s (full=%t, noidx=%t): %v\n%s", strat, full, noIdx, err, nrc.Print(q))
+					}
+				}
+				got, gerr := nestedOutput(cq, res)
 				if res.Metrics.ShuffleRecords > 0 {
 					n.shuffled++
 				}
@@ -779,11 +838,6 @@ func runDifferential(data []byte, strict bool) (n diffCounts, err error) {
 				}
 				if err := stagesAddUp(res); err != nil {
 					return n, fmt.Errorf("%s (full=%t, noidx=%t): %v\n%s", strat, full, noIdx, err, nrc.Print(q))
-				}
-				if cq.Strategy.IsShredded() {
-					if err := checkStitch(res, want, stitchK, &st); err != nil {
-						return n, fmt.Errorf("%s (full=%t, noidx=%t): %v\n%s", strat, full, noIdx, err, nrc.Print(q))
-					}
 				}
 				n.runs++
 			}
@@ -836,14 +890,15 @@ func runDifferential(data []byte, strict bool) (n diffCounts, err error) {
 		}
 		last := prog[1]
 		res := runner.ExecuteBags(context.Background(), prog, inputs, runner.NewRunContext(cfg), runner.ExecOptions{})
-		var got value.Bag
-		var gerr error
-		if !res.Failed() {
-			got, gerr = nestedOutput(last, res)
-		}
 		if res.Failed() {
 			return n, fmt.Errorf("%s program failed at step %d: %v\n%s", strat, res.FailedStep, res.Err, nrc.Print(q))
 		}
+		if last.Strategy.IsShredded() {
+			if err := checkStitch(res, want, stitchK, &st); err != nil {
+				return n, fmt.Errorf("%s program: %v\n%s", strat, err, nrc.Print(q))
+			}
+		}
+		got, gerr := nestedOutput(last, res)
 		if _, _, _, lerr := exchangesAsPlanned(res.Program(), res); lerr != nil {
 			return n, fmt.Errorf("%s program: %v\n%s", strat, lerr, runner.Explain(prog))
 		}
@@ -861,11 +916,6 @@ func runDifferential(data []byte, strict bool) (n diffCounts, err error) {
 		}
 		if err := stagesAddUp(res); err != nil {
 			return n, fmt.Errorf("%s program: %v\n%s", strat, err, nrc.Print(q))
-		}
-		if last.Strategy.IsShredded() {
-			if err := checkStitch(res, want, stitchK, &st); err != nil {
-				return n, fmt.Errorf("%s program: %v\n%s", strat, err, nrc.Print(q))
-			}
 		}
 		n.runs++
 	}
@@ -899,6 +949,11 @@ func runDifferential(data []byte, strict bool) (n diffCounts, err error) {
 		if res.Failed() {
 			return n, fmt.Errorf("%s grouped-join program failed at step %d: %v", strat, res.FailedStep, res.Err)
 		}
+		if prog[1].Strategy.IsShredded() {
+			if err := checkStitch(res, gwant, stitchK, &st); err != nil {
+				return n, fmt.Errorf("%s grouped-join program: %v", strat, err)
+			}
+		}
 		got, gerr := nestedOutput(prog[1], res)
 		if gerr != nil {
 			return n, fmt.Errorf("%s grouped-join program unshred: %v", strat, gerr)
@@ -920,11 +975,6 @@ func runDifferential(data []byte, strict bool) (n diffCounts, err error) {
 		}
 		if err := stagesAddUp(res); err != nil {
 			return n, fmt.Errorf("%s grouped-join program: %v", strat, err)
-		}
-		if prog[1].Strategy.IsShredded() {
-			if err := checkStitch(res, gwant, stitchK, &st); err != nil {
-				return n, fmt.Errorf("%s grouped-join program: %v", strat, err)
-			}
 		}
 		n.runs++
 	}
@@ -998,11 +1048,14 @@ func runDifferential(data []byte, strict bool) (n diffCounts, err error) {
 				continue
 			}
 			res := runner.ExecuteBags(context.Background(), []*runner.Compiled{cq}, inputs, runner.NewRunContext(cfg), runner.ExecOptions{})
-			var got value.Bag
-			if !res.Failed() {
-				got, err = nestedOutput(cq, res)
+			if res.Failed() {
+				return n, fmt.Errorf("%s stitching query failed: %v\n%s", strat, res.Err, nrc.Print(sq()))
 			}
-			if res.Failed() || err != nil {
+			if err := checkStitch(res, swant, stitchK, &st); err != nil {
+				return n, fmt.Errorf("%s stitching query: %v\n%s", strat, err, nrc.Print(sq()))
+			}
+			got, err := nestedOutput(cq, res)
+			if err != nil {
 				return n, fmt.Errorf("%s stitching query failed: %v %v\n%s", strat, res.Err, err, nrc.Print(sq()))
 			}
 			if !bitIdentical(got, swant) {
@@ -1015,9 +1068,6 @@ func runDifferential(data []byte, strict bool) (n diffCounts, err error) {
 			overDict, overScan := boundReuse(res.Program(), env)
 			boundSkip = boundSkip || overDict
 			scanLocal = scanLocal || overScan
-			if err := checkStitch(res, swant, stitchK, &st); err != nil {
-				return n, fmt.Errorf("%s stitching query: %v\n%s", strat, err, nrc.Print(sq()))
-			}
 			n.runs++
 		}
 	}
@@ -1032,6 +1082,12 @@ func runDifferential(data []byte, strict bool) (n diffCounts, err error) {
 	}
 	if st.depth >= 2 {
 		n.stitchDeep++
+	}
+	if st.demandedFewer > 0 {
+		n.stitchDemanded++
+	}
+	if st.demandTies > 0 {
+		n.stitchDemandTie++
 	}
 	return n, nil
 }
@@ -1097,19 +1153,23 @@ func (g *dgen) stitchQuery(counted bool) nrc.Expr {
 	return nrc.ForIn("x", nrc.V("R"), body)
 }
 
-// stitchSeen tallies one seed's stitching checks for the vacuity floors.
-type stitchSeen struct{ resolved, depth int }
+// stitchSeen tallies one seed's stitching checks for the vacuity floors:
+// label pairs the comparator resolved, those of them through a label demanded
+// of a deferred dictionary, the deepest level stitched, and limited reads
+// that demanded fewer input rows than the deferred dictionaries they read.
+type stitchSeen struct{ resolved, demandTies, depth, demandedFewer int }
 
 // checkStitch holds the rows a shredded route stitches from its shredded
-// output to the reference evaluator's answer: top(0) and top(k) equal the
+// output to the reference evaluator's answer: top(k), then top(0), equal the
 // first rows of want in the canonical order (value.Compare) row by row — bags
 // as multisets, since a stitched bag lists its elements in the dictionary's
-// order — with the total len(want).
+// order — with the total len(want). The limited read comes first, before a
+// full read forces what the run deferred.
 func checkStitch(res *runner.Result, want value.Bag, k int, seen *stitchSeen) error {
 	sorted := slices.Clone(want)
 	slices.SortStableFunc(sorted, value.Compare)
-	for _, limit := range []int{0, k} {
-		got, total, resolved, depth := runner.StitchTop(res, limit)
+	for _, limit := range []int{k, 0} {
+		got, total, s := runner.StitchTop(res, limit)
 		wantTop := sorted
 		if limit > 0 && limit < len(sorted) {
 			wantTop = sorted[:limit]
@@ -1123,8 +1183,12 @@ func checkStitch(res *runner.Result, want value.Bag, k int, seen *stitchSeen) er
 					limit, i, value.Format(value.Tuple(got[i])), value.Format(wantTop[i]))
 			}
 		}
-		seen.resolved += resolved
-		seen.depth = max(seen.depth, depth)
+		seen.resolved += s.Resolved
+		seen.demandTies += s.DemandTies
+		seen.depth = max(seen.depth, s.Depth)
+		if s.Demanded > 0 && s.Demanded < s.Held {
+			seen.demandedFewer++
+		}
 	}
 	return nil
 }
@@ -1518,7 +1582,12 @@ func TestDifferentialOracle(t *testing.T) {
 	if total.stitchResolved < n/8 || total.stitchDeep < n/8 {
 		t.Fatalf("%d of %d seeds resolved a label inside the stitching comparator and %d stitched two nesting levels — stitching is no longer exercised", total.stitchResolved, n, total.stitchDeep)
 	}
-	t.Logf("%d seeds stitched through a label comparison, %d two levels deep; %d index scans served", total.stitchResolved, total.stitchDeep, after["index.scans"]-before["index.scans"])
+	// And limited reads must demand deferred dictionaries: fewer input rows
+	// than a force runs, and labels the comparator reads to order rows.
+	if total.stitchDemanded < n/8 || total.stitchDemandTie < n/8 {
+		t.Fatalf("%d of %d seeds stitched a limited read from fewer input rows than its deferred dictionaries hold and %d resolved a tie through a demanded label — the demand path is no longer exercised", total.stitchDemanded, n, total.stitchDemandTie)
+	}
+	t.Logf("%d seeds stitched through a label comparison, %d two levels deep, %d demanded fewer rows than forcing runs, %d broke a tie on a demanded label; %d index scans served", total.stitchResolved, total.stitchDeep, total.stitchDemanded, total.stitchDemandTie, after["index.scans"]-before["index.scans"])
 	t.Logf("%d queries × %d runs each agreed with the oracle; optimizer changed plans in %d runs (%d crossings); %d seeds grouped above an addIndex, %d keyed a Γ by the IDs; %d seeds fused a join and %d composed a chain; %d seeds reduced in place, %d combined; %d seeds summed a NULL, %d reals whose float sum depends on their order; %d seed × strategy pairs placed a join side (%d grouped-join programs); %d seeds skipped an exchange over a placed input dictionary, %d reduced in place over a placed Scan; %d runs planned index scans; %d runs moved rows across an exchange; %d programs read a shredded step output",
 		n, total.runs/n, total.optimized, total.pushed, total.nested, total.narrowed, total.fused, total.composed, total.local, total.combined, total.nullSummed, total.orderSummed, total.placed, total.groupedPlaced, total.boundSkip, total.scanLocal, total.indexed, total.shuffled, total.shreddedSteps)
 }

@@ -18,11 +18,12 @@ import (
 func Explain(prog []*Compiled) string {
 	var sb strings.Builder
 	prog = placeProgram(prog)
+	deferred := deferredStmts(prog)
 	for i, cq := range prog {
 		stepHeader(&sb, prog, i)
 		cq.explainHeader(&sb)
 		for _, st := range cq.Stmts {
-			explainPair(&sb, st)
+			explainPair(&sb, st, i == len(prog)-1 && deferred[st.Bind] != "")
 		}
 	}
 	prog[len(prog)-1].explainStitch(&sb)
@@ -84,7 +85,14 @@ func (r *Result) ExplainAnalyze() string {
 		}
 		var qerrs []plan.QError
 		for _, st := range cq.Stmts {
-			fmt.Fprintf(&sb, "=== %s (analyzed) ===\n%s", st.Label, plan.ExplainAnalyzed(st.Plan, a, wall, shuffled))
+			label := st.Label
+			if d := r.deferred[st.Bind]; d != nil && i == len(r.prog)-1 {
+				label += " [deferred]"
+				if n := d.labels.Load(); n > 0 {
+					label += fmt.Sprintf(" demanded=%d→%d", n, d.rows.Load())
+				}
+			}
+			fmt.Fprintf(&sb, "=== %s (analyzed) ===\n%s", label, plan.ExplainAnalyzed(st.Plan, a, wall, shuffled))
 			qerrs = append(qerrs, plan.QErrors(st.Plan, a)...)
 		}
 		if i == len(r.prog)-1 {
@@ -122,13 +130,38 @@ func (cq *Compiled) explainStitch(sb *strings.Builder) {
 
 // explainPair prints one plan section; when the optimizer changed the plan,
 // both the before and after trees are shown. The tree shown as the outcome is
-// the one that runs; fusion alone does not count as an optimizer change.
-func explainPair(sb *strings.Builder, st Stmt) {
+// the one that runs; fusion alone does not count as an optimizer change. A
+// statement a run defers is marked so on the tree that runs.
+func explainPair(sb *strings.Builder, st Stmt, deferred bool) {
 	before, after := plan.Explain(st.Raw), plan.Explain(st.Plan)
+	label := st.Label
+	if deferred {
+		label += " [deferred]"
+	}
 	if before == plan.Explain(st.unfused) {
-		fmt.Fprintf(sb, "=== %s (unchanged by optimizer) ===\n%s", st.Label, after)
+		fmt.Fprintf(sb, "=== %s (unchanged by optimizer) ===\n%s", label, after)
 		return
 	}
 	fmt.Fprintf(sb, "=== %s (before optimizer) ===\n%s", st.Label, before)
-	fmt.Fprintf(sb, "=== %s (after optimizer) ===\n%s", st.Label, after)
+	fmt.Fprintf(sb, "=== %s (after optimizer) ===\n%s", label, after)
+}
+
+// deferredStmts names the statements Execute leaves unforced when it runs
+// prog without a memory cap, each beside the dictionary it reads: the final
+// step's with a src no earlier step binds — an input's, whose chunks say
+// where its labels lie.
+func deferredStmts(prog []*Compiled) map[string]string {
+	bound := map[string]bool{}
+	for _, cq := range prog[:len(prog)-1] {
+		for _, st := range cq.Stmts {
+			bound[st.Bind] = true
+		}
+	}
+	out := map[string]string{}
+	for _, st := range prog[len(prog)-1].Stmts {
+		if st.src != "" && !bound[st.src] {
+			out[st.Bind] = st.src
+		}
+	}
+	return out
 }

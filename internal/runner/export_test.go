@@ -71,10 +71,33 @@ func RunProgram(steps []nrc.Assignment, env nrc.Env, inputs map[string]value.Bag
 	return ExecuteBags(context.Background(), prog, inputs, NewRunContext(cfg), ExecOptions{})
 }
 
-// StitchTop is Output.CollectTop(limit) on a shredded route, beside the
-// label pairs its comparator stitched and the deepest dictionary level it
-// stitched a bag from.
-func StitchTop(r *Result, limit int) (rows []dataflow.Row, total, resolved, depth int) {
+// StitchStats is what one stitched read did: the label pairs its comparator
+// stitched, those of them demanded of a deferred dictionary, the deepest
+// dictionary level it stitched a bag from, and the input rows it ran through
+// deferred chains beside the rows of the input dictionaries they read.
+type StitchStats struct{ Resolved, DemandTies, Depth, Demanded, Held int }
+
+// StitchTop is Output.CollectTop(limit) on a shredded route, beside what the
+// read did. Run it on one goroutine: it reads the demand counters of r's
+// deferred dictionaries before and after.
+func StitchTop(r *Result, limit int) (rows []dataflow.Row, total int, st StitchStats) {
+	before := demandedRows(r)
 	rows, total, s := stitchTop(r.Output, limit)
-	return rows, total, s.resolved, s.depth
+	st = StitchStats{Resolved: s.resolved, DemandTies: s.demandTies, Depth: s.depth, Demanded: demandedRows(r) - before}
+	for _, d := range r.deferred {
+		for _, c := range d.pd.Chunks {
+			for _, p := range c.Parts {
+				st.Held += len(p)
+			}
+		}
+	}
+	return rows, total, st
+}
+
+// demandedRows is the input rows r's deferred dictionaries ran on demand.
+func demandedRows(r *Result) (n int) {
+	for _, d := range r.deferred {
+		n += int(d.rows.Load())
+	}
+	return n
 }

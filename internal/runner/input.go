@@ -53,7 +53,58 @@ type conversion struct {
 // datasets.
 type Components struct {
 	Rows   map[string][]dataflow.Row
-	Placed map[string]*dataflow.Placed
+	Placed map[string]*PlacedDict
+}
+
+// PlacedDict is an input dictionary hash-placed on its label over a run's
+// partitions, chunk by chunk: each chunk's placement, in chunk order, beside
+// the sequence numbers of the labels the chunk's shredding minted. Whole
+// concatenates the chunks partition by partition, on first use and once —
+// placing rows chunk by chunk and concatenating is placing them whole — for a
+// run that scans the dictionary; a limited read finds a label's rows in its
+// chunk instead (find), so a run that only demands rows never concatenates.
+type PlacedDict struct {
+	Chunks []DictChunk
+	once   sync.Once
+	whole  *dataflow.Placed
+}
+
+// DictChunk is one chunk's placement of a dictionary and the label sequence
+// numbers, First to Last, its shredding minted.
+type DictChunk struct {
+	*dataflow.Placed
+	First, Last int64
+}
+
+// Whole is the dictionary placed whole: the chunks' placements concatenated
+// (a one-chunk dictionary's, as it is).
+func (p *PlacedDict) Whole() *dataflow.Placed {
+	p.once.Do(func() {
+		if len(p.Chunks) == 1 {
+			p.whole = p.Chunks[0].Placed
+			return
+		}
+		p.whole = concatPlaced(p.Chunks)
+	})
+	return p.whole
+}
+
+// find returns the chunk holding the rows labelled lbl and where they lie in
+// its partition part: rows lo to hi, empty when no row carries lbl. Within a
+// chunk's partition a label's rows are one run, in minting order, so a binary
+// search finds them (shred.LabelRows).
+func (p *PlacedDict) find(part int, lbl value.Value) (chunk, lo, hi int) {
+	seq, ok := shred.LabelSeq(lbl)
+	if !ok {
+		return 0, 0, 0
+	}
+	for i, c := range p.Chunks {
+		if c.First <= seq && seq <= c.Last {
+			lo, hi = shred.LabelRows(c.Parts[part], lbl)
+			return i, lo, hi
+		}
+	}
+	return 0, 0, 0
 }
 
 // labelKey is the column every dictionary component is placed on: its label.
@@ -113,7 +164,11 @@ func (c *Chunk) convert(name string, shredded bool, parts int) (comp Components,
 		return comp, err
 	}
 	top := shred.MatName(name, nil)
-	return Components{Rows: map[string][]dataflow.Row{top: tuplesToRows(si.Rows[top])}, Placed: si.Placed}, nil
+	comp = Components{Rows: map[string][]dataflow.Row{top: tuplesToRows(si.Rows[top])}, Placed: map[string]*PlacedDict{}}
+	for d, pl := range si.Placed {
+		comp.Placed[d] = &PlacedDict{Chunks: []DictChunk{{Placed: pl, First: c.labelBase + 1, Last: c.labelBase + si.Labels}}}
+	}
+	return comp, nil
 }
 
 // Index returns the chunk's index part over column col, positions local to
@@ -195,7 +250,7 @@ func (ins Inputs) Bind(prog []*Compiled, parts int) (Components, map[string]*ind
 	for _, c := range prog {
 		planned = planned || c.Idx.Planned > 0
 	}
-	all := Components{Rows: map[string][]dataflow.Row{}, Placed: map[string]*dataflow.Placed{}}
+	all := Components{Rows: map[string][]dataflow.Row{}, Placed: map[string]*PlacedDict{}}
 	var idxs map[string]*index.Set
 	for name, in := range ins {
 		comp, err := in.Components(shredded, parts)
@@ -221,10 +276,11 @@ func (ins Inputs) Bind(prog []*Compiled, parts int) (Components, map[string]*ind
 }
 
 // Components returns the input's components on a route (dictionaries placed
-// over parts partitions): each chunk's, concatenated in chunk order — rows
+// over parts partitions): each chunk's, in chunk order — rows concatenated
 // end to end, so top rows keep the positions the indexes hold, and placed
-// dictionaries partition by partition (a one-chunk input binds its chunk's
-// as they are). The engine never mutates them.
+// dictionaries as the list of their chunks, concatenated partition by
+// partition when a run first scans them whole (a one-chunk input binds its
+// chunk's as they are). The engine never mutates them.
 func (in *Input) Components(shredded bool, parts int) (Components, error) {
 	if !shredded {
 		parts = 0
@@ -259,13 +315,13 @@ func (in *Input) concat(shredded bool, parts int) (Components, error) {
 		all.Rows[name] = rows
 	}
 	if each[0].Placed != nil {
-		all.Placed = map[string]*dataflow.Placed{}
+		all.Placed = map[string]*PlacedDict{}
 		for name := range each[0].Placed {
-			pls := make([]*dataflow.Placed, len(each))
-			for i, comp := range each {
-				pls[i] = comp.Placed[name]
+			pd := &PlacedDict{}
+			for _, comp := range each {
+				pd.Chunks = append(pd.Chunks, comp.Placed[name].Chunks...)
 			}
-			all.Placed[name] = concatPlaced(pls)
+			all.Placed[name] = pd
 		}
 	}
 	return all, nil
@@ -309,7 +365,7 @@ func buildIndex(b value.Bag, bt nrc.BagType, col string) (*index.ColumnIndex, er
 // concatPlaced lays placements over the same partitions end to end,
 // partition by partition in order: placing rows chunk by chunk and
 // concatenating is placing them whole.
-func concatPlaced(pls []*dataflow.Placed) *dataflow.Placed {
+func concatPlaced(pls []DictChunk) *dataflow.Placed {
 	p := len(pls[0].Parts)
 	out := &dataflow.Placed{Cols: pls[0].Cols, Parts: make([][]dataflow.Row, p), Hashes: make([][]uint64, p)}
 	for t := range out.Parts {

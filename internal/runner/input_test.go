@@ -46,7 +46,7 @@ func TestChunkPlacementMatchesTheExchange(t *testing.T) {
 	if _, kept := whole.Rows["D__xs"]; kept || len(whole.Placed) != 1 {
 		t.Fatalf("components %v / placed %v: want the dictionary placed and not kept as rows", whole.Rows, whole.Placed)
 	}
-	w, pc := whole.Placed["D__xs"], pieced.Placed["D__xs"]
+	w, pc := whole.Placed["D__xs"].Whole(), pieced.Placed["D__xs"].Whole()
 	ex, err := dataflow.NewContext(p).FromRows(tuplesToRows(flat.Rows["D__xs"])).RepartitionBy("x", labelKey, false)
 	if err != nil {
 		t.Fatal(err)

@@ -7,7 +7,10 @@ package runner
 import (
 	"context"
 	"errors"
+	"fmt"
 	"io"
+	"maps"
+	"slices"
 	"time"
 
 	"github.com/trance-go/trance/internal/dataflow"
@@ -155,14 +158,12 @@ type Result struct {
 	// types — from the same compilation the rows came from (see
 	// OutputColumn).
 	Columns []OutputColumn
-	// Shredded holds every materialized assignment of the final step for
-	// shredded strategies.
-	Shredded map[string]*dataflow.Dataset
 	// Mat is the final step's materialized program (shredded strategies only).
 	Mat     *shred.Materialized
 	Metrics dataflow.Snapshot
 	// Elapsed is the total of StepElapsed, the per-step runtimes (one entry
 	// per step that started; input conversion is outside the timed region).
+	// Work Execute deferred is outside it too, until Materialized adds it.
 	Elapsed     time.Duration
 	StepElapsed []time.Duration
 	// Analyze holds per-operator runtime statistics when the run executed
@@ -184,6 +185,47 @@ type Result struct {
 	prog []*Compiled
 	// enc renders rows of Columns (WriteJSON).
 	enc *ingest.RowEncoder
+	// shredded holds the assignments of the final step of a shredded route by
+	// name, and deferred those Execute left unforced (Stmt.src) instead.
+	shredded map[string]*dataflow.Dataset
+	deferred map[string]*deferred
+}
+
+// Shredded returns every assignment of the final step of a shredded route by
+// name, forcing any Execute deferred: each dataset is materialized and safe
+// for concurrent readers (a failed force leaves it poisoned, Dataset.Err).
+func (r *Result) Shredded() map[string]*dataflow.Dataset {
+	if len(r.deferred) == 0 {
+		return r.shredded
+	}
+	out := maps.Clone(r.shredded)
+	for name, d := range r.deferred {
+		d.force()
+		out[name] = d.full
+	}
+	return out
+}
+
+// Materialized is r with every statement Execute deferred forced: a view
+// whose Elapsed, and final StepElapsed, count what forcing them took, as a
+// run that materializes its whole shredded output is timed (the paper's
+// runtimes); r itself when nothing was deferred. A failed force is the
+// view's Err.
+func (r *Result) Materialized() *Result {
+	if len(r.deferred) == 0 {
+		return r
+	}
+	v := *r
+	v.StepElapsed = slices.Clone(r.StepElapsed)
+	for _, name := range slices.Sorted(maps.Keys(r.deferred)) {
+		d := r.deferred[name]
+		if err := d.force(); err != nil && v.Err == nil {
+			v.Err, v.FailedStep = fmt.Errorf("%s: %w", name, err), len(r.prog)-1
+		}
+		v.Elapsed += d.took
+		v.StepElapsed[len(v.StepElapsed)-1] += d.took
+	}
+	return &v
 }
 
 // Top is the result read in its shredded form: on a shredded route a view of
@@ -225,10 +267,12 @@ func Failure(strat Strategy, err error) *Result {
 // Execute left.
 type Output struct {
 	d *dataflow.Dataset // the output dataset, or the top bag when stitched
-	// mat and shredded lay out the shredded output it is stitched from; mat
-	// is nil when nothing is stitched.
+	// mat and shredded lay out the shredded output it is stitched from, and
+	// deferred says which of its dictionaries Execute left unforced; mat is
+	// nil when nothing is stitched.
 	mat      *shred.Materialized
 	shredded map[string]*dataflow.Dataset
+	deferred map[string]*deferred
 }
 
 // Count returns the number of output rows; when stitched the top bag's, so it
@@ -244,12 +288,24 @@ func (o *Output) CollectSorted() []dataflow.Row {
 // CollectTop gathers the first k output rows of the value order (all of them
 // when k <= 0) beside the row count (Dataset.CollectTop). When stitched it
 // finds the k rows in the top bag first and stitches only those (stitchTop).
+// A deferred dictionary that fails as it is read — a row-local chain over
+// checked inputs has no failure of its own, so that is a bug — panics here;
+// WriteJSON returns it.
 func (o *Output) CollectTop(k int) ([]dataflow.Row, int) {
-	if o.mat != nil {
-		rows, total, _ := stitchTop(o, k)
-		return rows, total
+	rows, total, err := o.collectTop(k)
+	if err != nil {
+		panic(err)
 	}
-	return o.d.CollectTop(k)
+	return rows, total
+}
+
+func (o *Output) collectTop(k int) ([]dataflow.Row, int, error) {
+	if o.mat == nil {
+		rows, total := o.d.CollectTop(k)
+		return rows, total, nil
+	}
+	rows, total, s := stitchTop(o, k)
+	return rows, total, s.err
 }
 
 // JSON renders the output rows as objects typed by Columns, in the engine's
@@ -272,8 +328,11 @@ func (r *Result) JSON(limit int) (out []map[string]any, total int) {
 func (r *Result) WriteJSON(ctx context.Context, w io.Writer, limit int, lead, sep string) (returned, total int, err error) {
 	sp := trace.From(ctx).Span()
 	csp := sp.Child("collect")
-	rows, total := r.Output.CollectTop(limit)
+	rows, total, err := r.Output.collectTop(limit)
 	csp.End()
+	if err != nil {
+		return 0, 0, err
+	}
 	esp := sp.Child("encode")
 	defer esp.End()
 	return len(rows), total, r.enc.WriteRows(w, rows, lead, sep)

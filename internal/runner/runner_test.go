@@ -71,11 +71,11 @@ func TestRunShredExposesMaterializedProgram(t *testing.T) {
 	if res.Mat == nil || len(res.Mat.Dicts) != 2 {
 		t.Fatalf("materialized metadata missing: %+v", res.Mat)
 	}
-	if res.Shredded[res.Mat.TopName] == nil {
+	if res.Shredded()[res.Mat.TopName] == nil {
 		t.Fatal("top bag dataset missing")
 	}
 	for _, d := range res.Mat.Dicts {
-		if res.Shredded[d.Name] == nil {
+		if res.Shredded()[d.Name] == nil {
 			t.Fatalf("dictionary %s dataset missing", d.Name)
 		}
 	}

@@ -3,9 +3,13 @@ package runner
 import (
 	"slices"
 	"strings"
+	"sync"
+	"sync/atomic"
+	"time"
 
 	"github.com/trance-go/trance/internal/dataflow"
 	"github.com/trance-go/trance/internal/nrc"
+	"github.com/trance-go/trance/internal/shred"
 	"github.com/trance-go/trance/internal/value"
 )
 
@@ -15,7 +19,9 @@ import (
 // and nested bags are built by looking labels up only for the rows returned,
 // as Cheney, Lindley and Wadler's query shredding rebuilds nested results at
 // the host. The paper's distributed unshred plan (a cascade of Γ⊎ and ⟕) is
-// not run: here the output lives in one heap.
+// not run: here the output lives in one heap. A dictionary Execute deferred
+// is not even computed whole for a limited read: each label the read asks for
+// has its rows run through the dictionary's chain on demand.
 
 // stitcher rebuilds nested values from one run's shredded output. Each
 // dictionary gets its label lookup, and each bag it stitches is kept, on first
@@ -23,8 +29,10 @@ import (
 type stitcher struct {
 	top level
 	// resolved counts the label pairs the comparator stitched to decide an
-	// order; depth is the deepest dictionary level a bag was stitched from.
-	resolved, depth int
+	// order, and demandTies those of them read from a deferred dictionary on
+	// demand; depth is the deepest dictionary level a bag was stitched from.
+	resolved, demandTies, depth int
+	err                         error // the first failure of a deferred chain
 }
 
 // level lays out the rows of one bag: the top bag, or a dictionary whose
@@ -51,13 +59,21 @@ type dict struct {
 	depth  int
 	lookup *dataflow.Lookup
 	bags   []value.Bag // per label group, the stitched bag (nil: not yet)
+	// dem, when set, is the deferred statement the dictionary's bags are
+	// demanded from, byLabel the bags demanded so far.
+	dem     *deferred
+	byLabel map[labelID]value.Bag
 }
 
-// labelCol keys a dictionary's rows by their label.
-var labelCol = []int{0}
+// labelID identifies an input label: its site and sequence number.
+type labelID struct {
+	site int32
+	seq  int64
+}
 
-// newStitcher lays out o's shredded output after its nested output type.
-func newStitcher(o *Output) *stitcher {
+// newStitcher lays out o's shredded output after its nested output type; with
+// demand set, the bags of a deferred dictionary are demanded label by label.
+func newStitcher(o *Output, demand bool) *stitcher {
 	names := map[string]string{}
 	for _, d := range o.mat.Dicts {
 		names[strings.Join(d.Path, "_")] = d.Name
@@ -79,6 +95,11 @@ func newStitcher(o *Output) *stitcher {
 				p = path + "_" + f.Name
 			}
 			d := &dict{rows: o.shredded[names[p]], depth: depth + 1}
+			if dem := o.deferred[names[p]]; dem != nil && demand {
+				d.dem, d.byLabel = dem, map[labelID]value.Bag{}
+			} else if dem != nil {
+				d.rows = dem.full // a read of every row forced it first
+			}
 			d.lvl = layout(bt.Elem, p, 1, depth+1)
 			lv.bags = append(lv.bags, bagCol{field: i, cols: []int{off + i}, dict: d})
 		}
@@ -92,9 +113,17 @@ func newStitcher(o *Output) *stitcher {
 // the top bag's Collect order, each with its bags stitched. The rows and their
 // order are the first limit of the nested value's canonical order (value.
 // CompareSeq), up to the element order inside bags, which is the
-// dictionaries' Collect order.
+// dictionaries' Collect order. A limited read demands the bags of a deferred
+// dictionary; reading every row forces it first.
 func stitchTop(o *Output, limit int) ([]dataflow.Row, int, *stitcher) {
-	s := newStitcher(o)
+	if limit <= 0 {
+		for _, d := range o.deferred {
+			if err := d.force(); err != nil {
+				return nil, 0, &stitcher{err: err}
+			}
+		}
+	}
+	s := newStitcher(o, limit > 0)
 	rows, total := o.d.CollectTopFunc(limit, s.compare)
 	if len(s.top.bags) > 0 {
 		for i, r := range rows {
@@ -113,6 +142,9 @@ func (s *stitcher) compare(a, b dataflow.Row) int {
 		var c int
 		if len(bags) > 0 && bags[0].field == i {
 			s.resolved++
+			if bags[0].dict.dem != nil {
+				s.demandTies++
+			}
 			c = value.Compare(s.bag(bags[0], a), s.bag(bags[0], b))
 			bags = bags[1:]
 		} else {
@@ -146,8 +178,11 @@ func (s *stitcher) elem(lv *level, r dataflow.Row) value.Value {
 // carries, is the empty bag, as plan.CastNullBag makes it.
 func (s *stitcher) bag(bc bagCol, r dataflow.Row) value.Bag {
 	d := bc.dict
+	if d.dem != nil {
+		return s.demand(d, r[bc.cols[0]])
+	}
 	if d.lookup == nil {
-		d.lookup = d.rows.Lookup(labelCol)
+		d.lookup = d.rows.Lookup(labelKey)
 		d.bags = make([]value.Bag, d.lookup.Len())
 	}
 	id, rows := d.lookup.Find(r, bc.cols)
@@ -163,4 +198,80 @@ func (s *stitcher) bag(bc bagCol, r dataflow.Row) value.Bag {
 		s.depth = max(s.depth, d.depth)
 	}
 	return d.bags[id]
+}
+
+// demand is bag on a deferred dictionary: the rows labelled lbl, run through
+// its chain from the input's rows of that label alone. A value that is not an
+// input label labels no row of it.
+func (s *stitcher) demand(d *dict, lbl value.Value) value.Bag {
+	seq, ok := shred.LabelSeq(lbl)
+	if !ok {
+		return value.Bag{}
+	}
+	id := labelID{lbl.(value.Label).Site, seq}
+	if b, ok := d.byLabel[id]; ok {
+		return b
+	}
+	rows, err := d.dem.demand(lbl)
+	if err != nil && s.err == nil {
+		s.err = err
+	}
+	b := make(value.Bag, len(rows))
+	for i, row := range rows {
+		b[i] = s.elem(&d.lvl, row)
+	}
+	if len(rows) > 0 {
+		s.depth = max(s.depth, d.depth)
+	}
+	d.byLabel[id] = b
+	return b
+}
+
+// deferred is a dictionary statement Execute left unforced (Stmt.src), built
+// over each chunk of the input dictionary pd it reads: fulls, the chains a
+// reader of the whole dictionary forces once and concatenates into full, and
+// chains, the same chains nothing forces, through which the stitcher runs
+// just the rows of the labels it returns, from any number of goroutines at
+// once.
+type deferred struct {
+	fulls, chains []*dataflow.Dataset
+	pd            *PlacedDict
+	once          sync.Once
+	full          *dataflow.Dataset
+	err           error
+	// took is what force took when it ran after Execute, outside Elapsed
+	// (Result.Materialized adds it back).
+	took time.Duration
+	// labels and rows count what limited reads demanded: labels and the
+	// input rows run through the chains for them (EXPLAIN ANALYZE).
+	labels, rows atomic.Int64
+}
+
+// force materializes the whole dictionary, once: the chunks' chains forced
+// and concatenated partition by partition, which is the chain forced over
+// the dictionary placed whole.
+func (d *deferred) force() error {
+	d.once.Do(func() {
+		start := time.Now()
+		full := d.fulls[0]
+		for _, f := range d.fulls[1:] {
+			full = full.Union(f)
+		}
+		d.full = full.Force()
+		d.err = d.full.Err()
+		d.took = time.Since(start)
+	})
+	return d.err
+}
+
+// demand returns the dictionary's rows labelled lbl, as a force leaves them,
+// run through a chain from the input dictionary's rows of lbl: one run of the
+// partition lbl hashes to, in the chunk that minted it (PlacedDict.find).
+func (d *deferred) demand(lbl value.Value) (rows []dataflow.Row, err error) {
+	part := int(value.Hash64(lbl) % uint64(len(d.pd.Chunks[0].Parts)))
+	c, lo, hi := d.pd.find(part, lbl)
+	d.labels.Add(1)
+	d.rows.Add(int64(hi - lo))
+	err = d.chains[c].Demand(part, lo, hi, func(r dataflow.Row) { rows = append(rows, r) })
+	return rows, err
 }

@@ -6,7 +6,6 @@ import (
 
 	"github.com/trance-go/trance/internal/shred"
 	"github.com/trance-go/trance/internal/testdata"
-	"github.com/trance-go/trance/internal/value"
 )
 
 // BenchmarkValueShred measures converting nested values to the shredded
@@ -17,26 +16,6 @@ func BenchmarkValueShred(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := shred.ShredInput("COP", cop, testdata.COPType); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkValueUnshred measures the inverse conversion.
-func BenchmarkValueUnshred(b *testing.B) {
-	r := rand.New(rand.NewSource(1))
-	cop := testdata.RandomCOP(r, 500, 6, 6, 50)
-	si, err := shred.ShredInput("COP", cop, testdata.COPType)
-	if err != nil {
-		b.Fatal(err)
-	}
-	dicts := map[string][]value.Tuple{
-		"corders":        si.Rows["COP__corders"],
-		"corders_oparts": si.Rows["COP__corders_oparts"],
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := shred.UnshredValue(si.Rows["COP__F"], dicts, testdata.COPType); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -2,6 +2,7 @@ package shred_test
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -48,7 +49,7 @@ func TestValueShredUnshredRoundTrip(t *testing.T) {
 		"corders":        si.Rows["COP__corders"],
 		"corders_oparts": si.Rows["COP__corders_oparts"],
 	}
-	back, err := shred.UnshredValue(top, dicts, testdata.COPType)
+	back, err := unshredValue(top, dicts, testdata.COPType)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +70,7 @@ func TestQuickValueShredRoundTrip(t *testing.T) {
 			"corders":        si.Rows["COP__corders"],
 			"corders_oparts": si.Rows["COP__corders_oparts"],
 		}
-		back, err := shred.UnshredValue(si.Rows["COP__F"], dicts, testdata.COPType)
+		back, err := unshredValue(si.Rows["COP__F"], dicts, testdata.COPType)
 		if err != nil {
 			return false
 		}
@@ -77,6 +78,99 @@ func TestQuickValueShredRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// unshredValue rebuilds a nested bag from shredded components — the value
+// unshredding function, value shredding's inverse. dicts maps
+// attribute paths (joined by "_") to flat dictionary rows.
+func unshredValue(top []value.Tuple, dicts map[string][]value.Tuple, t nrc.BagType) (value.Bag, error) {
+	idx := map[string]map[string][]value.Tuple{}
+	for path, rows := range dicts {
+		m := map[string][]value.Tuple{}
+		for _, r := range rows {
+			k := value.Key(r[0])
+			m[k] = append(m[k], r[1:])
+		}
+		idx[path] = m
+	}
+	return unshredBag(top, t.Elem, "", idx)
+}
+
+func unshredBag(rows []value.Tuple, elem nrc.Type, path string, idx map[string]map[string][]value.Tuple) (value.Bag, error) {
+	tt, isTuple := elem.(nrc.TupleType)
+	out := make(value.Bag, 0, len(rows))
+	for _, r := range rows {
+		if !isTuple {
+			out = append(out, r[0])
+			continue
+		}
+		nr := make(value.Tuple, len(tt.Fields))
+		for i, f := range tt.Fields {
+			bagT, isBag := f.Type.(nrc.BagType)
+			if !isBag {
+				nr[i] = r[i]
+				continue
+			}
+			sub := f.Name
+			if path != "" {
+				sub = path + "_" + f.Name
+			}
+			m, ok := idx[sub]
+			if !ok {
+				return nil, fmt.Errorf("shred: missing dictionary for path %s", sub)
+			}
+			lbl, ok := r[i].(value.Label)
+			if !ok {
+				return nil, fmt.Errorf("shred: attribute %s is not a label: %v", f.Name, r[i])
+			}
+			inner, err := unshredBag(m[value.Key(lbl)], bagT.Elem, sub, idx)
+			if err != nil {
+				return nil, err
+			}
+			nr[i] = inner
+		}
+		out = append(out, nr)
+	}
+	return out, nil
+}
+
+// TestPlacedDictionaryRowsLieInMintingOrder pins what a limited read's
+// demand path relies on: in every partition of a dictionary value shredding
+// placed, the rows of one label are contiguous and the labels' sequence
+// numbers never decrease, all of them within the range the shredding reports
+// it minted, so LabelRows finds exactly a label's rows and nothing for a
+// value no row carries.
+func TestPlacedDictionaryRowsLieInMintingOrder(t *testing.T) {
+	const base, parts = 1 << 32, 4
+	cop := testdata.RandomCOP(rand.New(rand.NewSource(7)), 40, 5, 4, 9)
+	si, err := shred.ShredInputFrom("COP", cop, testdata.COPType, base, parts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(si.Placed) != 2 || si.Labels == 0 {
+		t.Fatalf("%d dictionaries placed, %d labels minted", len(si.Placed), si.Labels)
+	}
+	for name, pl := range si.Placed {
+		for p, rows := range pl.Parts {
+			last := int64(0)
+			for i, r := range rows {
+				seq, ok := shred.LabelSeq(r[0])
+				if !ok || seq < last || seq <= base || seq > base+si.Labels {
+					t.Fatalf("%s partition %d row %d: label %s after sequence %d, minted %d..%d", name, p, i, value.Format(r[0]), last, base+1, base+si.Labels)
+				}
+				last = seq
+				lo, hi := shred.LabelRows(rows, r[0])
+				if lo > i || hi <= i || !value.Equal(rows[lo][0], r[0]) || hi < len(rows) && value.Equal(rows[hi][0], r[0]) || lo > 0 && value.Equal(rows[lo-1][0], r[0]) {
+					t.Fatalf("%s partition %d: LabelRows of row %d's label is %d..%d", name, p, i, lo, hi)
+				}
+			}
+			for _, v := range []value.Value{nil, int64(base + 1), value.Label{Site: 1, Payload: value.Tuple{int64(base + 1)}}} {
+				if lo, hi := shred.LabelRows(rows, v); lo != hi {
+					t.Fatalf("%s partition %d: LabelRows(%s) = %d..%d, want none", name, p, value.Format(v), lo, hi)
+				}
+			}
+		}
 	}
 }
 
@@ -401,7 +495,7 @@ func TestShredTupleVarHeadDictionarySchema(t *testing.T) {
 	if len(res.Mat.Dicts) != 1 {
 		t.Fatalf("want one output dictionary, got %+v", res.Mat.Dicts)
 	}
-	dict := res.Shredded[res.Mat.Dicts[0].Name]
+	dict := res.Shredded()[res.Mat.Dicts[0].Name]
 	if dict == nil {
 		t.Fatalf("dictionary %s not materialized", res.Mat.Dicts[0].Name)
 	}

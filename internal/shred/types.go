@@ -1,8 +1,8 @@
 // Package shred implements the shredded compilation route of the paper
 // (Section 4): the shredded representation of nested data, symbolic query
 // shredding (paper Figure 4), the materialization phase (paper Figure 5),
-// the domain-elimination optimizations, and value-level unshredding
-// (UnshredValue; the engine stitches nested output, see runner's stitch.go).
+// and the domain-elimination optimizations; the engine restores nested output
+// by stitching it (runner's stitch.go).
 //
 // A nested bag is represented by a flat top bag whose bag-valued attributes
 // are replaced by labels, plus one dictionary per nesting path. Materialized

@@ -1,7 +1,7 @@
 package shred
 
 import (
-	"fmt"
+	"sort"
 
 	"github.com/trance-go/trance/internal/dataflow"
 	"github.com/trance-go/trance/internal/nrc"
@@ -19,6 +19,10 @@ type ShreddedInput struct {
 	// Placed holds every dictionary of an input shredded placed: its rows
 	// hash-placed on their label (column 0), each partition in input order.
 	Placed map[string]*dataflow.Placed
+	// Labels is how many labels the shredding minted: every label it put in
+	// a row has a sequence number (LabelSeq) from labelBase+1 to
+	// labelBase+Labels.
+	Labels int64
 }
 
 // ShredInput value-shreds a nested bag: every inner bag instance is replaced
@@ -44,7 +48,7 @@ func ShredInputFrom(name string, b value.Bag, t nrc.BagType, labelBase int64, pa
 	s := &shredder{input: name, parts: parts, label: labelBase, sinks: map[string]*rowSink{}}
 	top := newRowSink(0)
 	s.shredBag(b, s.shapeOf(t.Elem, nil), nil, top)
-	si := &ShreddedInput{Name: name, Rows: map[string][]value.Tuple{MatName(name, nil): top.parts[0]}}
+	si := &ShreddedInput{Name: name, Rows: map[string][]value.Tuple{MatName(name, nil): top.parts[0]}, Labels: s.label - labelBase}
 	if parts > 0 {
 		si.Placed = map[string]*dataflow.Placed{}
 	}
@@ -182,56 +186,35 @@ func (k *rowSink) add(t int, h uint64, width int) value.Tuple {
 	return row
 }
 
-// UnshredValue rebuilds a nested bag from shredded components — the value
-// unshredding function, used as the inverse check in tests. dicts maps
-// attribute paths (joined by "_") to flat dictionary rows.
-func UnshredValue(top []value.Tuple, dicts map[string][]value.Tuple, t nrc.BagType) (value.Bag, error) {
-	idx := map[string]map[string][]value.Tuple{}
-	for path, rows := range dicts {
-		m := map[string][]value.Tuple{}
-		for _, r := range rows {
-			k := value.Key(r[0])
-			m[k] = append(m[k], r[1:])
-		}
-		idx[path] = m
+// LabelSeq is the sequence number value shredding minted label v under; ok is
+// false for any value that is not a label it mints.
+func LabelSeq(v value.Value) (seq int64, ok bool) {
+	l, isLabel := v.(value.Label)
+	if !isLabel || len(l.Payload) != 1 {
+		return 0, false
 	}
-	return unshredBag(top, t.Elem, "", idx)
+	seq, ok = l.Payload[0].(int64)
+	return seq, ok
 }
 
-func unshredBag(rows []value.Tuple, elem nrc.Type, path string, idx map[string]map[string][]value.Tuple) (value.Bag, error) {
-	tt, isTuple := elem.(nrc.TupleType)
-	out := make(value.Bag, 0, len(rows))
-	for _, r := range rows {
-		if !isTuple {
-			out = append(out, r[0])
-			continue
-		}
-		nr := make(value.Tuple, len(tt.Fields))
-		for i, f := range tt.Fields {
-			bagT, isBag := f.Type.(nrc.BagType)
-			if !isBag {
-				nr[i] = r[i]
-				continue
-			}
-			sub := f.Name
-			if path != "" {
-				sub = path + "_" + f.Name
-			}
-			m, ok := idx[sub]
-			if !ok {
-				return nil, fmt.Errorf("shred: missing dictionary for path %s", sub)
-			}
-			lbl, ok := r[i].(value.Label)
-			if !ok {
-				return nil, fmt.Errorf("shred: attribute %s is not a label: %v", f.Name, r[i])
-			}
-			inner, err := unshredBag(m[value.Key(lbl)], bagT.Elem, sub, idx)
-			if err != nil {
-				return nil, err
-			}
-			nr[i] = inner
-		}
-		out = append(out, nr)
+// LabelRows returns where the rows labelled lbl lie in rows — a partition of a
+// dictionary ShredInputFrom placed, or one shredding's run of such a
+// partition — as the range lo to hi, empty when no row carries it. Value
+// shredding adds each inner bag whole and in the order it mints their labels,
+// so those rows are sorted on their labels' sequence numbers and one binary
+// search finds a bag.
+func LabelRows(rows []value.Tuple, lbl value.Value) (lo, hi int) {
+	seq, ok := LabelSeq(lbl)
+	if !ok {
+		return 0, 0
 	}
-	return out, nil
+	lo = sort.Search(len(rows), func(i int) bool {
+		s, _ := LabelSeq(rows[i][0])
+		return s >= seq
+	})
+	hi = lo
+	for hi < len(rows) && value.Equal(rows[hi][0], lbl) {
+		hi++
+	}
+	return lo, hi
 }
