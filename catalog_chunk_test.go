@@ -393,3 +393,69 @@ func TestHeldResultStitchesItsGeneration(t *testing.T) {
 		t.Fatalf("held result, whole:\n%s\nits generation's:\n%s", got, wantAll)
 	}
 }
+
+// TestHeldFlatToNestedResultStitchesItsGeneration: a flat-to-nested Result —
+// its dictionary's label minted from the flat input O, deferred — held
+// across an Append to O and Deletes from it writes its own generation's
+// answer, limited and whole.
+func TestHeldFlatToNestedResultStitchesItsGeneration(t *testing.T) {
+	ordersType := trance.BagOf(trance.Tup("cid", trance.IntT, "item", trance.IntT))
+	orders := func(from, n int) trance.Bag {
+		b := make(trance.Bag, n)
+		for i := range b {
+			b[i] = trance.Tuple{int64((from + i) % 23), int64(from + i)}
+		}
+		return b
+	}
+	cat := trance.NewCatalog()
+	if err := cat.Register("C", chunkType(), chunkRows(rand.New(rand.NewSource(5)), new(int64), 40)); err != nil {
+		t.Fatal(err)
+	}
+	if err := cat.Register("O", ordersType, orders(0, 120)); err != nil {
+		t.Fatal(err)
+	}
+	c, o := trance.V("c"), trance.V("o")
+	sq, err := cat.NewSession(trance.SessionOptions{}).PrepareNamed("", trance.ForIn("c", trance.V("C"),
+		trance.SingOf(trance.Record("id", trance.P(c, "id"), "orders", trance.ForIn("o", trance.V("O"),
+			trance.IfThen(trance.EqOf(trance.P(o, "cid"), trance.P(c, "id")),
+				trance.SingOf(trance.Record("item", trance.P(o, "item")))))))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if text, err := sq.Prepared().Explain(trance.Shred); err != nil || !strings.Contains(text, "[deferred]") {
+		t.Fatalf("nothing deferred (%v):\n%s", err, text)
+	}
+	run := func() *trance.Result {
+		res, err := sq.Run(context.Background(), trance.Shred)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	write := func(res *trance.Result, limit int) string {
+		var b strings.Builder
+		if _, _, err := res.WriteJSON(context.Background(), &b, limit, "", "\n"); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
+	}
+	held, ref := run(), run()
+	want5, wantAll := write(ref, 5), write(ref, 0)
+	if _, err := cat.Append("O", orders(120, 60)); err != nil {
+		t.Fatal(err)
+	}
+	for _, cid := range []int64{0, 3, 17} {
+		if _, err := cat.Delete("O", "cid", cid); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if write(run(), 0) == wantAll {
+		t.Fatal("the mutations left the answer as it was")
+	}
+	if got := write(held, 5); got != want5 {
+		t.Fatalf("held result, limit 5:\n%s\nits generation's:\n%s", got, want5)
+	}
+	if got := write(held, 0); got != wantAll {
+		t.Fatalf("held result, whole:\n%s\nits generation's:\n%s", got, wantAll)
+	}
+}

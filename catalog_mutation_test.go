@@ -460,8 +460,8 @@ func runJSON(ctx context.Context, sq *trance.SessionQuery, strat trance.Strategy
 	if err != nil {
 		return nil, err
 	}
-	rows, _ := res.JSON(0)
-	return rows, nil
+	rows, _, err := res.JSON(0)
+	return rows, err
 }
 
 // TestRunJSONFollowsReregisteredType: the JSON field names come from the same

@@ -226,7 +226,10 @@ func runJob(w io.Writer, j job, name string, cfg trance.Config, show int) error 
 	}
 	fmt.Fprintf(w, "%s: %s, rows=%d, %s\n", label, elapsed, res.Output.Count(), res.Metrics)
 	if show > 0 { // CollectTop(0) would be every row
-		top, _ := res.Output.CollectTop(show)
+		top, _, err := res.Output.CollectTop(show)
+		if err != nil {
+			return err
+		}
 		for _, row := range top {
 			fmt.Fprintln(w, "  ", value.Format(value.Tuple(row)))
 		}

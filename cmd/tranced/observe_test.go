@@ -8,14 +8,12 @@ import (
 	"strings"
 	"sync"
 	"testing"
-
-	"github.com/trance-go/trance/internal/promtext"
 )
 
 // scrapeProm fetches the Prometheus exposition and strict-parses it; any
 // format violation (declaration order, label escaping, histogram bucket
 // monotonicity) fails the test.
-func scrapeProm(t *testing.T, ts *httptest.Server, path string, hdr map[string]string) map[string]*promtext.ParsedFamily {
+func scrapeProm(t *testing.T, ts *httptest.Server, path string, hdr map[string]string) map[string]*promFamily {
 	t.Helper()
 	req, err := http.NewRequest(http.MethodGet, ts.URL+path, nil)
 	if err != nil {
@@ -39,7 +37,7 @@ func scrapeProm(t *testing.T, ts *httptest.Server, path string, hdr map[string]s
 	if ct := resp.Header.Get("Content-Type"); !strings.Contains(ct, "version=0.0.4") {
 		t.Fatalf("GET %s: content type %q, want the 0.0.4 text exposition", path, ct)
 	}
-	fams, err := promtext.Parse(string(body))
+	fams, err := parseProm(string(body))
 	if err != nil {
 		t.Fatalf("GET %s: exposition does not strict-parse: %v\n%s", path, err, body)
 	}

@@ -146,7 +146,11 @@ func ExampleParse() {
 		fmt.Println("run failed:", err)
 		return
 	}
-	rows, _ := res.JSON(0) // 0: no row limit
+	rows, _, err := res.JSON(0) // 0: no row limit
+	if err != nil {
+		fmt.Println("read failed:", err)
+		return
+	}
 	for _, row := range rows {
 		b, _ := json.Marshal(row)
 		fmt.Println(string(b))
@@ -202,7 +206,11 @@ func ExampleCatalog() {
 		fmt.Println("run failed:", err)
 		return
 	}
-	rows, _ := res.JSON(0) // 0: no row limit
+	rows, _, err := res.JSON(0) // 0: no row limit
+	if err != nil {
+		fmt.Println("read failed:", err)
+		return
+	}
 	for _, row := range rows {
 		b, _ := json.Marshal(row)
 		fmt.Println(string(b))

@@ -119,7 +119,10 @@ for cop in COP union
 		if err != nil {
 			log.Fatalf("%s failed: %v", strat, err)
 		}
-		rows, _ := res.JSON(0) // 0: no row limit; nested rows (res.Top(): the shredded top bag)
+		rows, _, err := res.JSON(0) // 0: no row limit; nested rows (res.Top(): the shredded top bag)
+		if err != nil {
+			log.Fatalf("%s failed: %v", strat, err)
+		}
 		fmt.Printf("=== %s result (JSON) ===\n", strat)
 		for _, row := range rows {
 			b, _ := json.Marshal(row)

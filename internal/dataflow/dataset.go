@@ -39,10 +39,6 @@ type Dataset struct {
 	// datasets never inherit them.
 	hashes   [][]uint64
 	hashCols []int
-	// positional marks a pending chain holding a stage whose output depends on
-	// where a row lies in its partition (AddUniqueID's sequence), not on the
-	// row alone: Demand cannot run part of a partition through it.
-	positional bool
 	// err poisons the dataset after a partition task failed (memory cap or a
 	// recovered panic): operators and actions keep returning it instead of
 	// computing over partial data.
@@ -114,44 +110,22 @@ func (d *Dataset) withStage(f stageFactory) *Dataset {
 	stages := make([]stageFactory, len(d.stages)+1)
 	copy(stages, d.stages)
 	stages[len(d.stages)] = f
-	return &Dataset{ctx: d.ctx, parts: d.parts, stages: stages, positional: d.positional, err: d.err}
+	return &Dataset{ctx: d.ctx, parts: d.parts, stages: stages, err: d.err}
 }
 
 // feed streams partition part through the fused operator chain into sink.
 // This is the pipelined execution path: a row travels Map → Filter → … →
 // sink without any intermediate partition ever being allocated.
 func (d *Dataset) feed(part int, sink func(Row)) {
-	d.feedRows(part, d.parts[part], sink)
-}
-
-// feedRows streams rows, a run of partition part, through the fused chain.
-func (d *Dataset) feedRows(part int, rows []Row, sink func(Row)) {
 	emit := sink
 	for i := len(d.stages) - 1; i >= 0; i-- {
 		fn := d.stages[i](part)
 		next := emit
 		emit = func(r Row) { fn(r, next) }
 	}
-	for _, r := range rows {
+	for _, r := range d.parts[part] {
 		emit(r)
 	}
-}
-
-// Demand streams rows lo to hi of partition part through the pending chain
-// into sink, leaving the dataset unforced and the partition's other rows
-// unread: sink receives, in order, what a force would leave in the partition
-// for those rows. It only reads the dataset, so any number of Demand calls may
-// run at once, but a force replaces the partitions it reads: demand a dataset
-// nothing forces. A chain holding a positional stage (AddUniqueID) is refused,
-// and a panic in a stage is returned as an error.
-func (d *Dataset) Demand(part, lo, hi int, sink func(Row)) error {
-	if d.positional {
-		return errors.New("dataflow: demand through a positional stage")
-	}
-	return runTask(func(int) error {
-		d.feedRows(part, d.parts[part][lo:hi], sink)
-		return nil
-	}, part)
 }
 
 // force runs the pending fused chain (in parallel over the worker pool) and
@@ -170,7 +144,7 @@ func (d *Dataset) force() error {
 		return nil
 	})
 	d.parts = parts
-	d.stages, d.positional = nil, false
+	d.stages = nil
 	if err != nil && d.err == nil {
 		d.err = err
 	}
@@ -361,7 +335,7 @@ func (d *Dataset) FlatMap(fn func(Row) []Row) *Dataset {
 // partition field share no ID. This implements the unique-ID insertion
 // performed by the outer-unnest operator of the paper.
 func (d *Dataset) AddUniqueID(tag int64) *Dataset {
-	out := d.withStage(func(part int) stageFn {
+	return d.withStage(func(part int) stageFn {
 		base := tag | int64(part)<<40
 		var seq int64
 		var a Arena
@@ -373,8 +347,6 @@ func (d *Dataset) AddUniqueID(tag int64) *Dataset {
 			emit(nr)
 		}
 	})
-	out.positional = true
-	return out
 }
 
 // Union concatenates two datasets partition-wise, with no shuffle. Both sides

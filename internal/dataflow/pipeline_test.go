@@ -164,33 +164,6 @@ func TestAddUniqueIDDeterministicAcrossReplays(t *testing.T) {
 	}
 }
 
-// TestDemandRunsARangeThroughTheChain: Demand of rows lo to hi of a partition
-// hands over what a force leaves in that partition for those rows, in order,
-// running the chain over them alone and leaving the dataset unforced; it
-// refuses a chain holding AddUniqueID, whose IDs number a partition's rows,
-// and returns a stage's panic as an error.
-func TestDemandRunsARangeThroughTheChain(t *testing.T) {
-	c := NewContext(2)
-	var calls atomic.Int64
-	d := c.FromPartitions([][]Row{rowsOfInts(1, 1, 2, 2, 3, 3, 4, 4), rowsOfInts(5, 5, 6, 6)}).
-		Filter(func(r Row) bool { calls.Add(1); return r[0].(int64) != 3 }).
-		Map(func(a *Arena, r Row) Row { nr := a.Row(2); nr[0], nr[1] = r[0], r[1].(int64)*10; return nr })
-	var got []Row
-	if err := d.Demand(0, 1, 3, func(r Row) { got = append(got, r) }); err != nil {
-		t.Fatal(err)
-	}
-	if fmt.Sprint(got) != "[[2 20]]" || calls.Load() != 2 || len(d.stages) != 2 {
-		t.Fatalf("demanded rows 1-3 of partition 0: %v after %d calls, %d stages pending", got, calls.Load(), len(d.stages))
-	}
-	if err := d.AddUniqueID(0).Demand(0, 0, 1, func(Row) {}); err == nil {
-		t.Fatal("Demand ran a positional chain")
-	}
-	boom := d.Map(func(*Arena, Row) Row { panic("boom") })
-	if err := boom.Demand(1, 0, 1, func(Row) {}); err == nil {
-		t.Fatal("a stage panic escaped Demand")
-	}
-}
-
 // TestParallelismEquivalence verifies that the same chain of narrow and wide
 // operators produces identical results at Workers=1/Parallelism=1 and at
 // full parallelism — the correctness half of the scaling claim.

@@ -27,7 +27,10 @@ func replyRows(tb testing.TB, class tpch.QueryClass, level, skew, limit int) ([]
 	if res.Failed() {
 		tb.Fatal(res.Err)
 	}
-	rows, _ := res.Output.CollectTop(limit)
+	rows, _, err := res.Output.CollectTop(limit)
+	if err != nil {
+		tb.Fatal(err)
+	}
 	return rows, res.Columns
 }
 

@@ -5,50 +5,51 @@ import (
 	"testing"
 )
 
+// series reads an exposition's sample lines back: each series as written —
+// name and escaped labels — to its value. The strict parser proving a whole
+// scrape well-formed lives with tranced's tests (cmd/tranced).
+func series(text string) map[string]string {
+	out := map[string]string{}
+	for _, line := range strings.Split(strings.TrimSuffix(text, "\n"), "\n") {
+		if i := strings.LastIndexByte(line, ' '); !strings.HasPrefix(line, "#") && i > 0 {
+			out[line[:i]] = line[i+1:]
+		}
+	}
+	return out
+}
+
+func write(t *testing.T, fams []Family) string {
+	t.Helper()
+	var sb strings.Builder
+	if err := Write(&sb, fams); err != nil {
+		t.Fatal(err)
+	}
+	return sb.String()
+}
+
 func TestWriteAndParseRoundTrip(t *testing.T) {
-	fams := []Family{
+	text := write(t, []Family{
 		{Name: "up_seconds", Help: "Uptime.", Type: "gauge", Samples: []Sample{{Value: 12.5}}},
 		{Name: "reqs_total", Help: "Requests.", Type: "counter", Samples: []Sample{
 			{Labels: []Label{{Name: "route", Value: "a/L0/standard"}}, Value: 3},
 			{Labels: []Label{{Name: "route", Value: "b/L1/shred"}}, Value: 7},
 		}},
+	})
+	if !strings.HasPrefix(text, "# HELP up_seconds Uptime.\n# TYPE up_seconds gauge\nup_seconds 12.5\n# HELP reqs_total Requests.\n# TYPE reqs_total counter\n") {
+		t.Fatalf("declarations out of place:\n%s", text)
 	}
-	var sb strings.Builder
-	if err := Write(&sb, fams); err != nil {
-		t.Fatal(err)
-	}
-	parsed, err := Parse(sb.String())
-	if err != nil {
-		t.Fatalf("parse own output: %v\n%s", err, sb.String())
-	}
-	if got := parsed["up_seconds"]; got == nil || got.Type != "gauge" || got.Samples[0].Value != 12.5 {
-		t.Fatalf("up_seconds parsed wrong: %+v", got)
-	}
-	reqs := parsed["reqs_total"]
-	if reqs == nil || len(reqs.Samples) != 2 {
-		t.Fatalf("reqs_total parsed wrong: %+v", reqs)
-	}
-	if reqs.Samples[0].Labels["route"] != "a/L0/standard" {
-		t.Fatalf("label lost: %+v", reqs.Samples[0])
+	got := series(text)
+	if got["up_seconds"] != "12.5" || got[`reqs_total{route="a/L0/standard"}`] != "3" || got[`reqs_total{route="b/L1/shred"}`] != "7" || len(got) != 3 {
+		t.Fatalf("samples read back as %v from\n%s", got, text)
 	}
 }
 
 func TestLabelEscaping(t *testing.T) {
-	fams := []Family{{Name: "m", Help: "H.", Type: "gauge", Samples: []Sample{
+	text := write(t, []Family{{Name: "m", Help: "H.", Type: "gauge", Samples: []Sample{
 		{Labels: []Label{{Name: "k", Value: `a\b"c` + "\nd"}}, Value: 1},
-	}}}
-	var sb strings.Builder
-	if err := Write(&sb, fams); err != nil {
-		t.Fatal(err)
-	}
-	parsed, err := Parse(sb.String())
-	if err != nil {
-		t.Fatalf("parse escaped labels: %v\n%s", err, sb.String())
-	}
-	got := parsed["m"].Samples[0].Labels["k"]
-	want := `a\b"c` + "\nd"
-	if got != want {
-		t.Fatalf("escape round trip: got %q want %q", got, want)
+	}}})
+	if got := series(text); got[`m{k="a\\b\"c\nd"}`] != "1" {
+		t.Fatalf("escaped label read back as %v from\n%s", got, text)
 	}
 }
 
@@ -56,63 +57,21 @@ func TestHistogramSamples(t *testing.T) {
 	bounds := []float64{0.1, 1, 10}
 	counts := []int64{2, 3, 0}
 	samples := HistogramSamples([]Label{{Name: "route", Value: "r"}}, bounds, counts, 1, 4.2)
-	fams := []Family{{Name: "lat_seconds", Help: "Latency.", Type: "histogram", Samples: samples}}
-	var sb strings.Builder
-	if err := Write(&sb, fams); err != nil {
-		t.Fatal(err)
-	}
-	parsed, err := Parse(sb.String())
-	if err != nil {
-		t.Fatalf("parse histogram: %v\n%s", err, sb.String())
-	}
-	var infVal, countVal float64
-	for _, s := range parsed["lat_seconds"].Samples {
-		switch s.Name {
-		case "lat_seconds_bucket":
-			if s.Labels["le"] == "+Inf" {
-				infVal = s.Value
-			}
-		case "lat_seconds_count":
-			countVal = s.Value
+	text := write(t, []Family{{Name: "lat_seconds", Help: "Latency.", Type: "histogram", Samples: samples}})
+	got := series(text)
+	for s, want := range map[string]string{
+		`lat_seconds_bucket{route="r",le="0.1"}`:  "2",
+		`lat_seconds_bucket{route="r",le="1"}`:    "5",
+		`lat_seconds_bucket{route="r",le="10"}`:   "5",
+		`lat_seconds_bucket{route="r",le="+Inf"}`: "6",
+		`lat_seconds_sum{route="r"}`:              "4.2",
+		`lat_seconds_count{route="r"}`:            "6",
+	} {
+		if got[s] != want {
+			t.Errorf("%s = %q, want %s", s, got[s], want)
 		}
 	}
-	if infVal != 6 || countVal != 6 {
-		t.Fatalf("+Inf=%g count=%g, want 6", infVal, countVal)
-	}
-}
-
-func TestParseRejectsMalformed(t *testing.T) {
-	bad := []struct {
-		name, text string
-	}{
-		{"sample before HELP", "m 1\n"},
-		{"sample before TYPE", "# HELP m h\nm 1\n"},
-		{"unknown type", "# HELP m h\n# TYPE m widget\nm 1\n"},
-		{"duplicate HELP", "# HELP m h\n# TYPE m gauge\n# HELP m h2\n"},
-		{"duplicate TYPE", "# HELP m h\n# TYPE m gauge\n# TYPE m gauge\n"},
-		{"foreign sample", "# HELP m h\n# TYPE m gauge\nother 1\n"},
-		{"trailing content", "# HELP m h\n# TYPE m gauge\nm 1 extra stuff\n"},
-		{"bad value", "# HELP m h\n# TYPE m gauge\nm xyz\n"},
-		{"duplicate label", `# HELP m h` + "\n" + `# TYPE m gauge` + "\n" + `m{a="1",a="2"} 1` + "\n"},
-		{"unterminated labels", `# HELP m h` + "\n" + `# TYPE m gauge` + "\n" + `m{a="1" 1` + "\n"},
-		{"histogram missing inf", "# HELP h x\n# TYPE h histogram\nh_bucket{le=\"1\"} 2\nh_count 2\n"},
-		{"histogram non-cumulative", "# HELP h x\n# TYPE h histogram\nh_bucket{le=\"1\"} 5\nh_bucket{le=\"2\"} 3\nh_bucket{le=\"+Inf\"} 5\nh_count 5\n"},
-		{"histogram count mismatch", "# HELP h x\n# TYPE h histogram\nh_bucket{le=\"+Inf\"} 5\nh_count 4\n"},
-	}
-	for _, tc := range bad {
-		if _, err := Parse(tc.text); err == nil {
-			t.Errorf("%s: parse accepted malformed input", tc.name)
-		}
-	}
-}
-
-func TestParseAcceptsInfAndComments(t *testing.T) {
-	text := "# HELP m h\n# TYPE m gauge\n# a free-form comment\nm +Inf\n"
-	parsed, err := Parse(text)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(parsed["m"].Samples) != 1 {
-		t.Fatalf("samples: %+v", parsed["m"].Samples)
+	if len(got) != 6 {
+		t.Fatalf("%d series from\n%s", len(got), text)
 	}
 }

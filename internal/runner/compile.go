@@ -92,10 +92,21 @@ type Stmt struct {
 	// placed is the hash placement of the statement's dataset (plan.Place),
 	// which a later statement or step scanning Bind finds it in.
 	placed []int
-	// src, on a dictionary statement a final step leaves unforced (see
-	// markDeferrable), is the input dictionary its chain reads; empty
+	// src, on a dictionary statement a final step may leave unforced (see
+	// markDeferrable), is where its rows of one label come from; nil
 	// otherwise.
-	src string
+	src *labelSource
+}
+
+// labelSource is where a deferrable statement's rows of one label come from:
+// the rows of input that carry the label — a dictionary placed on it, its
+// column 0, or, when minted, the rows of a flat input whose columns args the
+// statement's MkLabel at site makes the label of.
+type labelSource struct {
+	input  string
+	minted bool
+	site   int32
+	args   []int
 }
 
 // addStmt optimizes raw, folding the rule hits into cq.Opt, and appends it to
@@ -386,22 +397,28 @@ func (cq *Compiled) compileShredded(q nrc.Expr) error {
 
 // markDeferrable sets src on every statement Execute may leave unforced when
 // the step is a program's last: a dictionary of the output that no later
-// statement scans, computed by a row-local chain — σ, π or ext, no addIndex,
-// whose sequence numbers depend on the partition — over an input dictionary
-// placed on its label, its label column that Scan's column 0 passed through.
-// Its rows of one label are then computed from the input's rows of that
-// label alone, which a limited reply demands (PlacedDict.find) instead of
-// forcing the whole dictionary. A run under a memory cap defers nothing:
-// every statement is sized where it runs.
+// statement scans, whose plan is partition-local — no exchange, no addIndex,
+// whose sequence numbers depend on the partition — and label-closed — each of
+// its output rows of a label comes from input rows of that label alone
+// (labelClosed). A limited reply then runs the plan over just the input rows
+// of the labels it returns, which keeps each label's rows, and their order,
+// as the whole plan leaves them, instead of forcing the whole dictionary. A
+// run under a memory cap defers nothing: every statement is sized where it
+// runs.
 func (cq *Compiled) markDeferrable() {
 	if cq.Cfg.MaxPartitionBytes > 0 {
 		return
 	}
-	scanned := map[string]bool{}
+	scanned, bound := map[string]bool{}, map[string]bool{}
+	for _, st := range cq.Stmts {
+		bound[st.Bind] = true
+	}
 	for i := len(cq.Stmts) - 1; i >= 0; i-- {
 		st := &cq.Stmts[i]
 		if !scanned[st.Bind] && slices.ContainsFunc(cq.Mat.Dicts, func(d shred.DictInfo) bool { return d.Name == st.Bind }) {
-			st.src = labelChain(st.Plan, cq.dicts)
+			if src := labelClosed(st.Plan, cq.dicts, cq.Strategy.SkewAware()); src != nil && !bound[src.input] {
+				st.src = src
+			}
 		}
 		addScans(st.Plan, scanned)
 	}
@@ -416,35 +433,134 @@ func addScans(op plan.Op, set map[string]bool) {
 	})
 }
 
-// labelChain is the input dictionary op reads through a row-local chain that
-// passes that dictionary's label through as its own column 0 (see
-// markDeferrable), or "".
-func labelChain(op plan.Op, dicts []string) string {
-	col := 0
+// labelClosed is where the rows of op of one label, its column 0, come from
+// when op is partition-local and label-closed (see markDeferrable), or nil.
+// It follows the columns carrying the label down to the Scan they come from:
+// through σ (unless it nullifies one), ext and π, where a column reference
+// passes a label on and a π's MkLabel over column references mints it; the
+// probe side of a broadcast ⋈ whose build side is partition-local and does not
+// read that Scan; and a Γ or dedup reducing in place with its key holding
+// them. The Scan is an input dictionary placed on its label, its column 0, or,
+// for a minted label, a flat input whose payload columns hold no label (a
+// one-column MkLabel passes a label on as it is). Under skew no join keeps a
+// plan label-closed: a skew join splits its input on keys sampled over all of
+// it.
+func labelClosed(op plan.Op, dicts []string, skewAware bool) *labelSource {
+	src, cols := &labelSource{}, []int{0}
+	var builds []plan.Op
+	beyond := func(w int) bool { return slices.ContainsFunc(cols, func(c int) bool { return c >= w }) }
+	// through maps cols through outs, the expressions writing an output.
+	through := func(outs []plan.NamedExpr) bool {
+		for i, c := range cols {
+			switch e := outs[c].Expr.(type) {
+			case *plan.Col:
+				cols[i] = e.Idx
+			case *plan.MkLabel:
+				if src.minted {
+					return false
+				}
+				src.minted, src.site, cols = true, e.Site, nil
+				for _, a := range e.Args {
+					ref, ok := a.(*plan.Col)
+					if !ok {
+						return false
+					}
+					cols = append(cols, ref.Idx)
+				}
+				return true // the label not yet minted is the one column followed
+			default:
+				return false
+			}
+		}
+		return true
+	}
 	for {
 		switch x := op.(type) {
 		case *plan.Select:
-			if slices.Contains(x.NullifyCols, col) {
-				return ""
+			if slices.ContainsFunc(cols, func(c int) bool { return slices.Contains(x.NullifyCols, c) }) {
+				return nil
 			}
 			op = x.In
 		case *plan.Extend:
-			op = x.In // input columns keep their positions
+			if beyond(len(x.In.Columns())) {
+				return nil
+			}
+			op = x.In
 		case *plan.Project:
-			ref, ok := x.Outs[col].Expr.(*plan.Col)
-			if !ok {
-				return ""
+			if !through(x.Outs) {
+				return nil
 			}
-			col, op = ref.Idx, x.In
+			op = x.In
+		case *plan.Join:
+			if skewAware || !broadcasts(x) || x.Outs != nil && !through(x.Outs) || beyond(len(x.L.Columns())) {
+				return nil
+			}
+			builds, op = append(builds, x.R), x.L
+		case *plan.Nest:
+			if !reducesInPlace(x.Local, x.Combine) || beyond(len(x.GroupCols)) {
+				return nil
+			}
+			for i, c := range cols {
+				cols[i] = x.GroupCols[c]
+			}
+			op = x.In
+		case *plan.DedupOp:
+			if !reducesInPlace(x.Local, x.Combine) {
+				return nil
+			}
+			op = x.In
 		case *plan.Scan:
-			if col != 0 || !slices.Equal(x.Placed, labelKey) || !slices.Contains(dicts, x.Input) {
-				return ""
+			if src.minted {
+				if x.Placed != nil || slices.Contains(dicts, x.Input) ||
+					slices.ContainsFunc(cols, func(c int) bool { return nrc.TypesEqual(x.Cols[c].Type, nrc.LabelT) }) {
+					return nil
+				}
+				src.args = cols
+			} else if cols[0] != 0 || !slices.Equal(x.Placed, labelKey) || !slices.Contains(dicts, x.Input) {
+				return nil
 			}
-			return x.Input
+			if src.input = x.Input; slices.ContainsFunc(builds, func(b plan.Op) bool { return !partitionLocal(b, x.Input) }) {
+				return nil
+			}
+			return src
 		default:
-			return ""
+			return nil
 		}
 	}
+}
+
+// broadcasts reports whether the join runs as a broadcast whatever its sides
+// hold: a cross join, or one the cost model decided to broadcast.
+func broadcasts(j *plan.Join) bool {
+	return len(j.LCols) == 0 || j.Cost != nil && j.Cost.Method == plan.JoinBroadcast
+}
+
+// reducesInPlace reports whether a Γ or dedup reduces each partition's groups
+// where they lie, with no exchange (plan.Place set Local).
+func reducesInPlace(local []int, combine bool) bool { return local != nil && !combine }
+
+// partitionLocal reports whether the skew-unaware plan op runs without an
+// exchange or an addIndex and without reading input: what the build side of
+// a label-closed broadcast ⋈ must be to compute the same rows under a limited
+// read as under a whole one.
+func partitionLocal(op plan.Op, input string) bool {
+	ok := true
+	walkPlan(op, func(op plan.Op) {
+		switch x := op.(type) {
+		case *plan.Scan:
+			ok = ok && x.Input != input
+		case *plan.Select, *plan.Extend, *plan.Project, *plan.Values:
+		case *plan.Join:
+			ok = ok && broadcasts(x)
+		case *plan.Nest:
+			ok = ok && reducesInPlace(x.Local, x.Combine)
+		case *plan.DedupOp:
+			ok = ok && reducesInPlace(x.Local, x.Combine)
+		default:
+			ok = false
+		}
+	})
+	return ok
 }
 
 // NewRunContext builds the dataflow context of one execution under the
@@ -494,21 +610,30 @@ func Execute(ctx context.Context, prog []*Compiled, in Components, idxs map[stri
 	prog = placeProgram(prog)
 	last := prog[len(prog)-1]
 	res := &Result{Strategy: last.Strategy, Mat: last.Mat, Columns: last.Columns, Analyze: opts.Analysis, FailedStep: -1, prog: prog, enc: last.rowEnc}
-	ex := exec.New(dctx)
-	ex.SkewAware = last.Strategy.SkewAware()
+	ex := newExecutor(dctx, last.Strategy.SkewAware(), nil)
 	ex.Indexes = idxs
 	ex.Analysis = opts.Analysis
 	for name, r := range in.Rows {
 		ex.BindRows(name, r)
 	}
 	// The final step's statements a run without a memory cap defers, each
-	// over the chunks of the input dictionary it reads; an input dictionary
+	// beside the input rows its labels' rows come from; an input dictionary
 	// that only they read is never concatenated or bound whole.
-	defers := map[string]*PlacedDict{}
+	defers := map[string]*deferred{}
 	if dctx.MaxPartitionBytes <= 0 {
 		for bind, src := range deferredStmts(prog) {
-			if pd := in.Placed[src]; pd != nil {
-				defers[bind] = pd
+			d, ok := &deferred{src: src}, false
+			if src.minted {
+				d.flat, ok = in.Rows[src.input]
+				if d.keys = in.keys[src.input]; d.keys == nil {
+					d.keys = &rowKeys{}
+				}
+			} else {
+				d.pd = in.Placed[src.input]
+				ok = d.pd != nil
+			}
+			if ok {
+				defers[bind] = d
 			}
 		}
 	}
@@ -531,7 +656,7 @@ func Execute(ctx context.Context, prog []*Compiled, in Components, idxs map[stri
 	}
 	for i, cq := range prog {
 		var out *dataflow.Dataset
-		var final map[string]*PlacedDict
+		var final map[string]*deferred
 		if i == len(prog)-1 {
 			final = defers
 		}
@@ -550,6 +675,16 @@ func Execute(ctx context.Context, prog []*Compiled, in Components, idxs map[stri
 	}
 	res.Metrics = dctx.Metrics.Snapshot()
 	return res
+}
+
+// newExecutor is where every executor is built: a run's, and each of its
+// deferred statements' (deferred.run), on dctx over the datasets inputs
+// binds.
+func newExecutor(dctx *dataflow.Context, skewAware bool, inputs map[string]*dataflow.Dataset) *exec.Executor {
+	ex := exec.New(dctx)
+	ex.SkewAware = skewAware
+	maps.Copy(ex.Inputs, inputs)
+	return ex
 }
 
 // runStep runs f as step i, converting a panic into an error: it appends the
@@ -576,18 +711,21 @@ func (r *Result) runStep(i int, f func() error) (err error) {
 // execute runs the step's statements in order on the program's executor. An
 // assignment is bound for the statements after it and kept in res.shredded;
 // the last statement yielding output returns its dataset. A statement defers
-// names is left unforced over the chunks of the input dictionary it reads
-// and kept in res.deferred instead: no later statement scans it. sp, when
-// non-nil, receives one child span per executed statement.
-func (cq *Compiled) execute(ctx context.Context, ex *exec.Executor, res *Result, sp *trace.Span, defers map[string]*PlacedDict) (out *dataflow.Dataset, err error) {
+// names is left unforced and kept in res.deferred instead: no later statement
+// scans it. sp, when non-nil, receives one child span per executed statement.
+func (cq *Compiled) execute(ctx context.Context, ex *exec.Executor, res *Result, sp *trace.Span, defers map[string]*deferred) (out *dataflow.Dataset, err error) {
 	if cq.Mat != nil {
 		res.shredded, res.deferred = map[string]*dataflow.Dataset{}, map[string]*deferred{}
 	}
 	for _, st := range cq.Stmts {
-		if pd := defers[st.Bind]; pd != nil {
-			if res.deferred[st.Bind], err = deferStmt(ctx, ex, st, pd, sp); err != nil {
+		if d := defers[st.Bind]; d != nil {
+			if err := ctx.Err(); err != nil {
 				return out, err
 			}
+			if err := d.bind(ctx, ex, st, sp); err != nil {
+				return out, err
+			}
+			res.deferred[st.Bind] = d
 			continue
 		}
 		d, err := runStmt(ctx, ex, st, sp)
@@ -621,50 +759,6 @@ func runStmt(ctx context.Context, ex *exec.Executor, st Stmt, sp *trace.Span) (*
 		err = fmt.Errorf("%s: %w", st.Label, err)
 	}
 	return d, err
-}
-
-// deferStmt builds st's chain over each chunk of pd, the input dictionary it
-// reads, without running it: once as it runs for a reader of the whole
-// dictionary, which forces the chunks' chains and concatenates them, and once
-// uninstrumented, for the stitcher to demand rows of, which nothing forces.
-// An analyzed run forces the first at once, as it does every statement, so
-// every operator reports the rows it produced. sp, when non-nil, receives its
-// span.
-func deferStmt(ctx context.Context, ex *exec.Executor, st Stmt, pd *PlacedDict, sp *trace.Span) (*deferred, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	ssp := sp.Child(st.spanName())
-	defer ssp.End()
-	if prev, ok := ex.Inputs[st.src]; ok {
-		defer func() { ex.Inputs[st.src] = prev }()
-	} else {
-		defer delete(ex.Inputs, st.src)
-	}
-	d := &deferred{pd: pd}
-	a := ex.Analysis
-	defer func() { ex.Analysis = a }()
-	for _, c := range pd.Chunks {
-		ex.Bind(st.src, ex.Ctx.FromPlaced(c.Placed))
-		ex.Analysis = a
-		full, err := ex.Run(st.Plan)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", st.Label, err)
-		}
-		ex.Analysis = nil
-		chain, err := ex.Run(st.Plan)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", st.Label, err)
-		}
-		d.fulls, d.chains = append(d.fulls, full), append(d.chains, chain)
-	}
-	if a != nil {
-		if err := d.force(); err != nil {
-			return nil, fmt.Errorf("%s: %w", st.Label, err)
-		}
-		d.took = 0 // inside the step's time
-	}
-	return d, nil
 }
 
 // OutputPlan returns the plan of the dataset Execute leaves as Output: the

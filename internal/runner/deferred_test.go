@@ -20,7 +20,11 @@ var itemsEnv = nrc.Env{"D": nrc.BagOf(nrc.Tup(
 	"id", nrc.IntT,
 	"items", nrc.BagOf(nrc.Tup("k", nrc.IntT, "w", nrc.RealT))))}
 
-func itemsData(from, n int) value.Bag {
+func itemsData(from, n int) value.Bag { return itemsDataMod(from, n, 5) }
+
+// itemsDataMod is itemsData with ids drawn modulo mod: the fewer rows share an
+// id, the fewer ties a limited read breaks inside the bags.
+func itemsDataMod(from, n, mod int) value.Bag {
 	d := make(value.Bag, n)
 	for i := range d {
 		id := from + i
@@ -28,7 +32,7 @@ func itemsData(from, n int) value.Bag {
 		for j := range items {
 			items[j] = value.Tuple{int64(100 + (id*7+j*311)%900), float64(j) + 0.5}
 		}
-		d[i] = value.Tuple{int64(id % 5), items}
+		d[i] = value.Tuple{int64(id % mod), items}
 	}
 	return d
 }
@@ -44,12 +48,15 @@ func itemsQuery() nrc.Expr {
 
 // itemsInput binds the items data in three chunks whose label ranges are not
 // in chunk order, as a catalog generation rebuilt by a delete holds them.
-func itemsInput() Inputs {
+func itemsInput() Inputs { return itemsInputMod(5) }
+
+// itemsInputMod is itemsInput over itemsDataMod's ids modulo mod.
+func itemsInputMod(mod int) Inputs {
 	bt := itemsEnv["D"]
 	return Inputs{"D": NewInput("D", bt, []*Chunk{
-		NewChunk(itemsData(0, 300), bt, 0),
-		NewChunk(itemsData(300, 120), bt, 7<<32),
-		NewChunk(itemsData(420, 60), bt, 3<<32),
+		NewChunk(itemsDataMod(0, 300, mod), bt, 0),
+		NewChunk(itemsDataMod(300, 120, mod), bt, 7<<32),
+		NewChunk(itemsDataMod(420, 60, mod), bt, 3<<32),
 	}, nil)}
 }
 
@@ -83,31 +90,40 @@ func reply(t *testing.T, res *Result, limit int) string {
 }
 
 // TestLimitedReadDemandsItsLabels: the σ/π dictionary of the nested read is
-// deferred, and a limited reply stitches it by running only the input rows of
-// the labels it returns — and of those its comparator reads to break ties on
-// id — through the chain, never forcing the dictionary, while writing the
-// same bytes as the first rows of a full read.
+// deferred, and a limited reply stitches it by demanding only the labels it
+// returns — and, one at a time, those its comparator reads to break ties on
+// id — never forcing the dictionary while those ties stay within its limit
+// (ids modulo 300: a few rows share one), and forcing it once they exceed it
+// (ids modulo 5: 96 rows share each); either way it writes the same bytes as
+// the first rows of a full read.
 func TestLimitedReadDemandsItsLabels(t *testing.T) {
 	for _, strat := range []Strategy{Shred, ShredSkew} {
-		res := runItems(t, itemsInput(), strat, DefaultConfig(), ExecOptions{})
-		d := res.deferred["Q__big"]
-		if d == nil || len(res.deferred) != 1 {
-			t.Fatalf("%s: deferred %v, want Q__big alone", strat, res.deferred)
-		}
-		got := reply(t, res, 9)
-		rows, _, s := StitchTop(res, 9)
-		if len(rows) != 9 || s.Demanded == 0 || s.Demanded >= s.Held || s.DemandTies == 0 {
-			t.Fatalf("%s: %d rows, %d of %d input rows demanded, %d ties through demanded labels", strat, len(rows), s.Demanded, s.Held, s.DemandTies)
-		}
-		if d.took != 0 {
-			t.Fatalf("%s: a limited read forced the deferred dictionary", strat)
-		}
-		whole := reply(t, runItems(t, itemsInput(), strat, DefaultConfig(), ExecOptions{}), 0)
-		if first := strings.Join(strings.Split(whole, "\n")[:9], "\n"); got != first {
-			t.Fatalf("%s: limit 9 wrote\n%s\nthe full read begins\n%s", strat, got, first)
-		}
-		if text := res.Materialized().ExplainAnalyze(); !strings.Contains(text, "no runtime statistics") {
-			t.Fatalf("%s: an uninstrumented result explained as analyzed:\n%s", strat, text)
+		for _, mod := range []int{300, 5} {
+			res := runItems(t, itemsInputMod(mod), strat, DefaultConfig(), ExecOptions{})
+			d := res.deferred["Q__big"]
+			if d == nil || len(res.deferred) != 1 {
+				t.Fatalf("%s: deferred %v, want Q__big alone", strat, res.deferred)
+			}
+			got := reply(t, res, 9)
+			if forced := d.took != 0; forced != (mod == 5) {
+				t.Fatalf("%s, ids modulo %d: a limited read forced the deferred dictionary: %v", strat, mod, forced)
+			}
+			if mod == 300 {
+				rows, _, s, err := StitchTop(res, 9)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(rows) != 9 || s.Demanded == 0 || s.Demanded >= s.Held || s.DemandTies == 0 {
+					t.Fatalf("%s: %d rows, %d of %d input rows demanded, %d ties through demanded labels", strat, len(rows), s.Demanded, s.Held, s.DemandTies)
+				}
+			}
+			whole := reply(t, runItems(t, itemsInputMod(mod), strat, DefaultConfig(), ExecOptions{}), 0)
+			if first := strings.Join(strings.Split(whole, "\n")[:9], "\n"); got != first {
+				t.Fatalf("%s, ids modulo %d: limit 9 wrote\n%s\nthe full read begins\n%s", strat, mod, got, first)
+			}
+			if text := res.Materialized().ExplainAnalyze(); !strings.Contains(text, "no runtime statistics") {
+				t.Fatalf("%s: an uninstrumented result explained as analyzed:\n%s", strat, text)
+			}
 		}
 	}
 }
@@ -187,32 +203,70 @@ func TestDeferredResultConcurrentReaders(t *testing.T) {
 	}
 }
 
-// TestPositionalChainIsNotDeferred: a chain holding addIndex, whose IDs
-// number rows per partition, is not a row-local chain; neither is one that
-// does not pass the scan's label through as its column 0, or that reads an
-// input not placed on its label.
+// TestPositionalChainIsNotDeferred: labelClosed defers a plan that is
+// partition-local and label-closed — σ/π/ext, the probe side of a broadcast
+// ⋈, a Γ or dedup reduced in place whose key holds the label, over an input
+// dictionary placed on its label or a flat input the label is minted from —
+// and nothing else: not a chain holding addIndex, whose IDs number rows per
+// partition, an exchanged Γ, a Γ whose key omits the label, a shuffle ⋈, a
+// join under skew, a label the plan does not pass through or nullifies, an
+// input not placed on its label, nor a label minted over a label column or
+// from a dictionary.
 func TestPositionalChainIsNotDeferred(t *testing.T) {
 	cols := []plan.Column{{Name: "label", Type: nrc.LabelT}, {Name: "k", Type: nrc.IntT}}
 	scan := func(placed []int) *plan.Scan { return &plan.Scan{Input: "D__items", Cols: cols, Placed: placed} }
-	label := func(idx int) []plan.NamedExpr {
-		return []plan.NamedExpr{{Name: "label", Expr: &plan.Col{Idx: idx, Name: "label", Typ: nrc.LabelT}}}
+	col := func(idx int, t nrc.Type) *plan.Col { return &plan.Col{Idx: idx, Name: cols[idx].Name, Typ: t} }
+	label := func(idx int) []plan.NamedExpr { return []plan.NamedExpr{{Name: "label", Expr: col(idx, nrc.LabelT)}} }
+	flat := &plan.Scan{Input: "S__F", Cols: []plan.Column{{Name: "k", Type: nrc.IntT}, {Name: "l", Type: nrc.LabelT}}}
+	mint := func(in plan.Op, args ...int) plan.Op {
+		mk := &plan.MkLabel{Site: 1}
+		for _, a := range args {
+			mk.Args = append(mk.Args, &plan.Col{Idx: a, Typ: in.Columns()[a].Type})
+		}
+		return &plan.Project{In: in, Outs: []plan.NamedExpr{{Name: "label", Expr: mk}}}
+	}
+	build := &plan.Scan{Input: "P__F", Cols: []plan.Column{{Name: "p", Type: nrc.IntT}}}
+	join := func(l, r plan.Op, m plan.JoinMethod) *plan.Join {
+		return &plan.Join{L: l, R: r, LCols: []int{1}, RCols: []int{0}, Cost: &plan.Costs{Method: m}}
+	}
+	nest := func(in plan.Op, key []int, local []int) *plan.Nest {
+		return &plan.Nest{In: in, GroupCols: key, ValueCols: []int{1}, Agg: plan.AggSum, Local: local}
 	}
 	dicts := []string{"D__items"}
 	for _, c := range []struct {
 		what string
 		op   plan.Op
+		skew bool
 		want string
 	}{
-		{"π over a placed scan", &plan.Project{In: scan(labelKey), Outs: label(0)}, "D__items"},
-		{"π over ext over σ", &plan.Project{In: &plan.Extend{In: &plan.Select{In: scan(labelKey), Pred: &plan.ConstE{Val: true, Typ: nrc.BoolT}}}, Outs: label(0)}, "D__items"},
-		{"addIndex", &plan.Project{In: &plan.AddIndex{In: scan(labelKey), Name: "_id1"}, Outs: label(0)}, ""},
-		{"label not passed through", &plan.Project{In: scan(labelKey), Outs: label(1)}, ""},
-		{"label nullified", &plan.Select{In: scan(labelKey), Pred: &plan.ConstE{Val: true, Typ: nrc.BoolT}, NullifyCols: []int{0}}, ""},
-		{"unplaced scan", &plan.Project{In: scan(nil), Outs: label(0)}, ""},
-		{"not an input dictionary", &plan.Project{In: &plan.Scan{Input: "X", Cols: cols, Placed: labelKey}, Outs: label(0)}, ""},
+		{"π over a placed scan", &plan.Project{In: scan(labelKey), Outs: label(0)}, false, "D__items"},
+		{"π over ext over σ", &plan.Project{In: &plan.Extend{In: &plan.Select{In: scan(labelKey), Pred: &plan.ConstE{Val: true, Typ: nrc.BoolT}}}, Outs: label(0)}, false, "D__items"},
+		{"broadcast ⋈ probed by the label", join(scan(labelKey), build, plan.JoinBroadcast), false, "D__items"},
+		{"Γ in place keyed by the label", nest(scan(labelKey), []int{0}, labelKey), false, "D__items"},
+		{"dedup in place", &plan.DedupOp{In: scan(labelKey), Local: labelKey}, false, "D__items"},
+		{"label minted from a flat input", mint(flat, 0), false, "S__F"},
+		{"addIndex", &plan.Project{In: &plan.AddIndex{In: scan(labelKey), Name: "_id1"}, Outs: label(0)}, false, ""},
+		{"exchanged Γ", nest(scan(labelKey), []int{0}, nil), false, ""},
+		{"combined dedup", &plan.DedupOp{In: scan(labelKey), Combine: true}, false, ""},
+		{"Γ in place keyed without the label", &plan.Project{In: &plan.Nest{In: scan(labelKey), GroupCols: []int{1}, CarryCols: []int{0}, ValueCols: []int{1}, Agg: plan.AggSum, Local: labelKey}, Outs: label(1)}, false, ""},
+		{"shuffle ⋈", join(scan(labelKey), build, plan.JoinShuffle), false, ""},
+		{"⋈ the executor decides", &plan.Join{L: scan(labelKey), R: build, LCols: []int{1}, RCols: []int{0}}, false, ""},
+		{"broadcast ⋈ under skew", join(scan(labelKey), build, plan.JoinBroadcast), true, ""},
+		{"broadcast ⋈ building on the label", &plan.Project{In: join(build, scan(labelKey), plan.JoinBroadcast), Outs: label(1)}, false, ""},
+		{"build side reading the label's input", join(scan(labelKey), scan(labelKey), plan.JoinBroadcast), false, ""},
+		{"label not passed through", &plan.Project{In: scan(labelKey), Outs: label(1)}, false, ""},
+		{"label nullified", &plan.Select{In: scan(labelKey), Pred: &plan.ConstE{Val: true, Typ: nrc.BoolT}, NullifyCols: []int{0}}, false, ""},
+		{"unplaced scan", &plan.Project{In: scan(nil), Outs: label(0)}, false, ""},
+		{"not an input dictionary", &plan.Project{In: &plan.Scan{Input: "X", Cols: cols, Placed: labelKey}, Outs: label(0)}, false, ""},
+		{"label minted over a label", mint(flat, 1), false, ""},
+		{"label minted from a dictionary", mint(scan(labelKey), 1), false, ""},
 	} {
-		if got := labelChain(c.op, dicts); got != c.want {
-			t.Errorf("%s: labelChain = %q, want %q", c.what, got, c.want)
+		got := ""
+		if src := labelClosed(c.op, dicts, c.skew); src != nil {
+			got = src.input
+		}
+		if got != c.want {
+			t.Errorf("%s: labelClosed reads %q, want %q", c.what, got, c.want)
 		}
 	}
 }

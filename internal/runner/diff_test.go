@@ -692,8 +692,11 @@ type diffCounts struct {
 	// inside the comparator, stitchDeep those that stitched a bag two levels
 	// down; stitchDemanded those where a limited read ran fewer input rows
 	// through a deferred dictionary's chain than it holds, stitchDemandTie
-	// those where the comparator resolved a label demanded of one.
-	stitchResolved, stitchDeep, stitchDemanded, stitchDemandTie int
+	// those where the comparator resolved a label demanded of one;
+	// stitchMinted those where a limited read demanded rows of a deferred
+	// statement whose label is minted from a flat input's columns, stitchWide
+	// of one holding a broadcast ⋈ or a Γ reduced in place.
+	stitchResolved, stitchDeep, stitchDemanded, stitchDemandTie, stitchMinted, stitchWide int
 }
 
 func (c *diffCounts) add(o diffCounts) {
@@ -719,6 +722,8 @@ func (c *diffCounts) add(o diffCounts) {
 	c.stitchDeep += o.stitchDeep
 	c.stitchDemanded += o.stitchDemanded
 	c.stitchDemandTie += o.stitchDemandTie
+	c.stitchMinted += o.stitchMinted
+	c.stitchWide += o.stitchWide
 }
 
 // runDifferential executes one generated query under the full
@@ -1071,11 +1076,48 @@ func runDifferential(data []byte, strict bool) (n diffCounts, err error) {
 			n.runs++
 		}
 	}
+	// The minted arm: a query whose dictionaries a limited read demands
+	// through a label minted from S's columns and through a join over R's
+	// placed items, on the shredded routes, checked as the stitching arm is.
+	// Its S is larger than the seed's, so a few labels' rows are not most of
+	// it, which a limited read forces instead of demanding.
+	mq := func() nrc.Expr { return mintedDraws(data, "query").mintedQuery() }
+	minputs := maps.Clone(inputs)
+	minputs["S"] = mintedDraws(data, "S").flatS()
+	mwant, err := oracleEval(mq(), env, minputs)
+	if err != nil {
+		return n, fmt.Errorf("minted query fails Check (generator bug): %v\n%s", err, nrc.Print(mq()))
+	}
+	mests := collectDiffStats(env, minputs)
+	for _, strat := range []runner.Strategy{runner.Shred, runner.ShredSkew} {
+		cfg, cst := diffConfig(true, true, mests, limit)
+		cq, cerr := runner.CompileStep(mq(), env, strat, cfg, cst, "Q")
+		if cerr != nil {
+			return n, fmt.Errorf("%s minted query does not compile: %v\n%s", strat, cerr, nrc.Print(mq()))
+		}
+		res := runner.ExecuteBags(context.Background(), []*runner.Compiled{cq}, minputs, runner.NewRunContext(cfg), runner.ExecOptions{})
+		if res.Failed() {
+			return n, fmt.Errorf("%s minted query failed: %v\n%s", strat, res.Err, nrc.Print(mq()))
+		}
+		if err := checkStitch(res, mwant, stitchK, &st); err != nil {
+			return n, fmt.Errorf("%s minted query: %v\n%s\n%s", strat, err, nrc.Print(mq()), cq.Explain())
+		}
+		if got, err := nestedOutput(cq, res); err != nil || !bitIdentical(got, mwant) {
+			return n, fmt.Errorf("%s minted query diverges from the nrc.Eval oracle (%v)\n got: %s\nwant: %s\n%s", strat, err, value.Format(got), value.Format(mwant), cq.Explain())
+		}
+		n.runs++
+	}
 	if boundSkip {
 		n.boundSkip++
 	}
 	if scanLocal {
 		n.scanLocal++
+	}
+	if st.minted > 0 {
+		n.stitchMinted++
+	}
+	if st.wide > 0 {
+		n.stitchWide++
 	}
 	if st.resolved > 0 {
 		n.stitchResolved++
@@ -1153,11 +1195,81 @@ func (g *dgen) stitchQuery(counted bool) nrc.Expr {
 	return nrc.ForIn("x", nrc.V("R"), body)
 }
 
+// mintedDraws is a generator of the minted arm's: a byte stream of its own,
+// one per salt, derived from the seed's bytes as laterDraws' is, so no
+// earlier draw moves.
+func mintedDraws(data []byte, salt string) *dgen {
+	h := fnv.New32a()
+	h.Write(data)
+	h.Write([]byte("minted " + salt))
+	return &dgen{data: seedBytes(int(h.Sum32()) | 1<<31)}
+}
+
+// flatS is the minted arm's S: 24 to 40 rows over the seed's key and name
+// domains, so R's rows match some of them on k, and on k and name.
+func (g *dgen) flatS() value.Bag {
+	S := value.Bag{}
+	for i := 24 + g.n(17); i > 0; i-- {
+		S = append(S, value.Tuple{g.intv(), g.str()})
+	}
+	return S
+}
+
+// mintedQuery builds the minted arm's query over R: per row a leading scalar
+// (a constant or x.a, so rows tie on it), the names of the S rows whose k is
+// x.a — and, in half the seeds, whose name is x.b too — and per item the
+// names of the S rows whose k is its v. Domain elimination computes the first
+// dictionary from S directly, its label minted from one or two of S's
+// columns — in a quarter of the seeds from S's k summed per name, which a Γ
+// keyed without the label computes, in the column the rows' own k takes
+// before it; the second joins R's placed items with S, a broadcast where the cost model
+// decides so. In a third of the seeds the first is counted per name (a Γ
+// keyed by its minted label), and in another third the second is (a Γ keyed
+// by the items' label, reduced in place).
+func (g *dgen) mintedQuery() nrc.Expr {
+	x, it, s := nrc.V("x"), nrc.V("it"), nrc.V("s")
+	lead := nrc.Expr(nrc.C(g.intv()))
+	if g.coin() {
+		lead = nrc.P(x, "a")
+	}
+	var src nrc.Expr = nrc.V("S")
+	if g.n(4) == 0 {
+		y := nrc.V("y")
+		src = nrc.SumByOf(nrc.ForIn("y", nrc.V("S"), nrc.SingOf(nrc.Record(
+			"name", nrc.P(y, "name"), "k", nrc.P(y, "k")))), []string{"name"}, []string{"k"})
+	}
+	match := nrc.Expr(nrc.EqOf(nrc.P(s, "k"), nrc.P(x, "a")))
+	if g.coin() {
+		match = nrc.AndOf(match, nrc.EqOf(nrc.P(s, "name"), nrc.P(x, "b")))
+	}
+	counted := g.n(3)
+	names := nrc.Expr(nrc.ForIn("s", src, nrc.IfThen(match, nrc.SingOf(nrc.Record("n", nrc.P(s, "name"))))))
+	if counted == 1 {
+		names = nrc.SumByOf(nrc.ForIn("s", src, nrc.IfThen(match,
+			nrc.SingOf(nrc.Record("n", nrc.P(s, "name"), "c", nrc.C(int64(1)))))), []string{"n"}, []string{"c"})
+	}
+	// u, not s: Check types a variable node in place, and s is bound to the
+	// summed rows above in half the seeds.
+	u := nrc.V("u")
+	pairs := func(head nrc.Expr) nrc.Expr {
+		return nrc.ForIn("it", nrc.P(x, "items"), nrc.ForIn("u", nrc.V("S"),
+			nrc.IfThen(nrc.EqOf(nrc.P(u, "k"), nrc.P(it, "v")), nrc.SingOf(head))))
+	}
+	joined := pairs(nrc.Record("v", nrc.P(it, "v"), "n", nrc.P(u, "name")))
+	if counted == 2 {
+		joined = nrc.SumByOf(pairs(nrc.Record("v", nrc.P(it, "v"), "c", nrc.C(int64(1)))), []string{"v"}, []string{"c"})
+	}
+	return nrc.ForIn("x", nrc.V("R"), nrc.SingOf(nrc.Record(
+		"k", lead, "ss", names, "js", joined)))
+}
+
 // stitchSeen tallies one seed's stitching checks for the vacuity floors:
 // label pairs the comparator resolved, those of them through a label demanded
-// of a deferred dictionary, the deepest level stitched, and limited reads
-// that demanded fewer input rows than the deferred dictionaries they read.
-type stitchSeen struct{ resolved, demandTies, depth, demandedFewer int }
+// of a deferred dictionary, the deepest level stitched, limited reads that
+// demanded fewer input rows than the deferred dictionaries they read, and
+// limited reads that demanded rows of a deferred statement whose label is
+// minted from a flat input's columns, and of one holding a ⋈ or a Γ.
+type stitchSeen struct{ resolved, demandTies, depth, demandedFewer, minted, wide int }
 
 // checkStitch holds the rows a shredded route stitches from its shredded
 // output to the reference evaluator's answer: top(k), then top(0), equal the
@@ -1169,7 +1281,10 @@ func checkStitch(res *runner.Result, want value.Bag, k int, seen *stitchSeen) er
 	sorted := slices.Clone(want)
 	slices.SortStableFunc(sorted, value.Compare)
 	for _, limit := range []int{k, 0} {
-		got, total, s := runner.StitchTop(res, limit)
+		got, total, s, err := runner.StitchTop(res, limit)
+		if err != nil {
+			return fmt.Errorf("stitched top(%d): %v", limit, err)
+		}
 		wantTop := sorted
 		if limit > 0 && limit < len(sorted) {
 			wantTop = sorted[:limit]
@@ -1188,6 +1303,10 @@ func checkStitch(res *runner.Result, want value.Bag, k int, seen *stitchSeen) er
 		seen.depth = max(seen.depth, s.Depth)
 		if s.Demanded > 0 && s.Demanded < s.Held {
 			seen.demandedFewer++
+		}
+		if limit > 0 {
+			seen.minted += s.MintedRows
+			seen.wide += s.WideRows
 		}
 	}
 	return nil
@@ -1587,7 +1706,12 @@ func TestDifferentialOracle(t *testing.T) {
 	if total.stitchDemanded < n/8 || total.stitchDemandTie < n/8 {
 		t.Fatalf("%d of %d seeds stitched a limited read from fewer input rows than its deferred dictionaries hold and %d resolved a tie through a demanded label — the demand path is no longer exercised", total.stitchDemanded, n, total.stitchDemandTie)
 	}
-	t.Logf("%d seeds stitched through a label comparison, %d two levels deep, %d demanded fewer rows than forcing runs, %d broke a tie on a demanded label; %d index scans served", total.stitchResolved, total.stitchDeep, total.stitchDemanded, total.stitchDemandTie, after["index.scans"]-before["index.scans"])
+	// And through more than a σ/π chain over a placed dictionary: a label
+	// minted from a flat input's columns, and a join or an in-place Γ.
+	if total.stitchMinted < n/8 || total.stitchWide < n/8 {
+		t.Fatalf("%d of %d seeds demanded rows of a deferred statement whose label is minted from a flat input and %d of one holding a ⋈ or Γ — the label-closed rule is no longer exercised", total.stitchMinted, n, total.stitchWide)
+	}
+	t.Logf("%d seeds stitched through a label comparison, %d two levels deep, %d demanded fewer rows than forcing runs, %d broke a tie on a demanded label, %d demanded through a minted label, %d through a ⋈ or Γ; %d index scans served", total.stitchResolved, total.stitchDeep, total.stitchDemanded, total.stitchDemandTie, total.stitchMinted, total.stitchWide, after["index.scans"]-before["index.scans"])
 	t.Logf("%d queries × %d runs each agreed with the oracle; optimizer changed plans in %d runs (%d crossings); %d seeds grouped above an addIndex, %d keyed a Γ by the IDs; %d seeds fused a join and %d composed a chain; %d seeds reduced in place, %d combined; %d seeds summed a NULL, %d reals whose float sum depends on their order; %d seed × strategy pairs placed a join side (%d grouped-join programs); %d seeds skipped an exchange over a placed input dictionary, %d reduced in place over a placed Scan; %d runs planned index scans; %d runs moved rows across an exchange; %d programs read a shredded step output",
 		n, total.runs/n, total.optimized, total.pushed, total.nested, total.narrowed, total.fused, total.composed, total.local, total.combined, total.nullSummed, total.orderSummed, total.placed, total.groupedPlaced, total.boundSkip, total.scanLocal, total.indexed, total.shuffled, total.shreddedSteps)
 }

@@ -23,7 +23,7 @@ func Explain(prog []*Compiled) string {
 		stepHeader(&sb, prog, i)
 		cq.explainHeader(&sb)
 		for _, st := range cq.Stmts {
-			explainPair(&sb, st, i == len(prog)-1 && deferred[st.Bind] != "")
+			explainPair(&sb, st, i == len(prog)-1 && deferred[st.Bind] != nil)
 		}
 	}
 	prog[len(prog)-1].explainStitch(&sb)
@@ -147,19 +147,19 @@ func explainPair(sb *strings.Builder, st Stmt, deferred bool) {
 }
 
 // deferredStmts names the statements Execute leaves unforced when it runs
-// prog without a memory cap, each beside the dictionary it reads: the final
-// step's with a src no earlier step binds — an input's, whose chunks say
-// where its labels lie.
-func deferredStmts(prog []*Compiled) map[string]string {
+// prog without a memory cap, each beside where its rows of a label come from:
+// the final step's with a src no earlier step binds — an input's.
+func deferredStmts(prog []*Compiled) map[string]*labelSource {
 	bound := map[string]bool{}
 	for _, cq := range prog[:len(prog)-1] {
+		bound[cq.stepName()] = true
 		for _, st := range cq.Stmts {
 			bound[st.Bind] = true
 		}
 	}
-	out := map[string]string{}
+	out := map[string]*labelSource{}
 	for _, st := range prog[len(prog)-1].Stmts {
-		if st.src != "" && !bound[st.src] {
+		if st.src != nil && !bound[st.src.input] {
 			out[st.Bind] = st.src
 		}
 	}

@@ -73,31 +73,59 @@ func RunProgram(steps []nrc.Assignment, env nrc.Env, inputs map[string]value.Bag
 
 // StitchStats is what one stitched read did: the label pairs its comparator
 // stitched, those of them demanded of a deferred dictionary, the deepest
-// dictionary level it stitched a bag from, and the input rows it ran through
-// deferred chains beside the rows of the input dictionaries they read.
-type StitchStats struct{ Resolved, DemandTies, Depth, Demanded, Held int }
+// dictionary level it stitched a bag from, the input rows it selected for
+// deferred statements beside the rows of the inputs they read, and those of
+// them selected for statements whose label is minted from a flat input's
+// columns and for statements holding a ⋈, Γ or dedup.
+type StitchStats struct{ Resolved, DemandTies, Depth, Demanded, Held, MintedRows, WideRows int }
 
 // StitchTop is Output.CollectTop(limit) on a shredded route, beside what the
 // read did. Run it on one goroutine: it reads the demand counters of r's
 // deferred dictionaries before and after.
-func StitchTop(r *Result, limit int) (rows []dataflow.Row, total int, st StitchStats) {
-	before := demandedRows(r)
-	rows, total, s := stitchTop(r.Output, limit)
-	st = StitchStats{Resolved: s.resolved, DemandTies: s.demandTies, Depth: s.depth, Demanded: demandedRows(r) - before}
+func StitchTop(r *Result, limit int) (rows []dataflow.Row, total int, st StitchStats, err error) {
+	before := map[*deferred]int64{}
 	for _, d := range r.deferred {
+		before[d] = d.rows.Load()
+	}
+	rows, total, s := stitchTop(r.Output, limit)
+	st = StitchStats{Resolved: s.resolved, DemandTies: s.demandTies, Depth: s.depth}
+	for _, d := range r.deferred {
+		n := int(d.rows.Load() - before[d])
+		st.Demanded += n
+		if d.src.minted {
+			st.MintedRows += n
+		}
+		wide := false
+		walkPlan(d.st.Plan, func(op plan.Op) {
+			switch op.(type) {
+			case *plan.Join, *plan.Nest, *plan.DedupOp:
+				wide = true
+			}
+		})
+		if wide {
+			st.WideRows += n
+		}
+		if d.pd == nil {
+			st.Held += len(d.flat)
+			continue
+		}
 		for _, c := range d.pd.Chunks {
 			for _, p := range c.Parts {
 				st.Held += len(p)
 			}
 		}
 	}
-	return rows, total, st
+	return rows, total, st, s.err
 }
 
-// demandedRows is the input rows r's deferred dictionaries ran on demand.
-func demandedRows(r *Result) (n int) {
+// DeferredRan reports what ran of r's deferred statements: how many were
+// forced and how many labels limited reads demanded of them.
+func DeferredRan(r *Result) (deferred, forced int, labels int64) {
 	for _, d := range r.deferred {
-		n += int(d.rows.Load())
+		if d.full != nil {
+			forced++
+		}
+		labels += d.labels.Load()
 	}
-	return n
+	return len(r.deferred), forced, labels
 }

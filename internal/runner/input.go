@@ -54,6 +54,36 @@ type conversion struct {
 type Components struct {
 	Rows   map[string][]dataflow.Row
 	Placed map[string]*PlacedDict
+	// keys index the shredded routes' Rows by some of their columns, kept
+	// with them (rowKeys).
+	keys map[string]*rowKeys
+}
+
+// rowKeys indexes a flat input's rows by the hash of some of their columns —
+// the payload a deferred statement mints its labels from — per column list,
+// each built on first use, once: where a limited read finds the rows of the
+// labels it demands.
+type rowKeys struct {
+	mu sync.Mutex
+	by map[string]*rowPositions
+}
+
+type rowPositions struct {
+	once sync.Once
+	at   map[uint64][]int32
+}
+
+// positions is where rows holds each hash of its columns cols.
+func (k *rowKeys) positions(rows []dataflow.Row, cols []int) map[uint64][]int32 {
+	e := entry(&k.mu, &k.by, fmt.Sprint(cols))
+	e.once.Do(func() {
+		e.at = map[uint64][]int32{}
+		for i, r := range rows {
+			h := value.HashCols(r, cols)
+			e.at[h] = append(e.at[h], int32(i))
+		}
+	})
+	return e.at
 }
 
 // PlacedDict is an input dictionary hash-placed on its label over a run's
@@ -164,7 +194,7 @@ func (c *Chunk) convert(name string, shredded bool, parts int) (comp Components,
 		return comp, err
 	}
 	top := shred.MatName(name, nil)
-	comp = Components{Rows: map[string][]dataflow.Row{top: tuplesToRows(si.Rows[top])}, Placed: map[string]*PlacedDict{}}
+	comp = Components{Rows: map[string][]dataflow.Row{top: tuplesToRows(si.Rows[top])}, Placed: map[string]*PlacedDict{}, keys: map[string]*rowKeys{top: {}}}
 	for d, pl := range si.Placed {
 		comp.Placed[d] = &PlacedDict{Chunks: []DictChunk{{Placed: pl, First: c.labelBase + 1, Last: c.labelBase + si.Labels}}}
 	}
@@ -250,7 +280,7 @@ func (ins Inputs) Bind(prog []*Compiled, parts int) (Components, map[string]*ind
 	for _, c := range prog {
 		planned = planned || c.Idx.Planned > 0
 	}
-	all := Components{Rows: map[string][]dataflow.Row{}, Placed: map[string]*PlacedDict{}}
+	all := Components{Rows: map[string][]dataflow.Row{}, Placed: map[string]*PlacedDict{}, keys: map[string]*rowKeys{}}
 	var idxs map[string]*index.Set
 	for name, in := range ins {
 		comp, err := in.Components(shredded, parts)
@@ -259,6 +289,7 @@ func (ins Inputs) Bind(prog []*Compiled, parts int) (Components, map[string]*ind
 		}
 		maps.Copy(all.Rows, comp.Rows)
 		maps.Copy(all.Placed, comp.Placed)
+		maps.Copy(all.keys, comp.keys)
 		if !planned {
 			continue
 		}
@@ -315,7 +346,10 @@ func (in *Input) concat(shredded bool, parts int) (Components, error) {
 		all.Rows[name] = rows
 	}
 	if each[0].Placed != nil {
-		all.Placed = map[string]*PlacedDict{}
+		all.Placed, all.keys = map[string]*PlacedDict{}, map[string]*rowKeys{}
+		for name := range each[0].keys {
+			all.keys[name] = &rowKeys{}
+		}
 		for name := range each[0].Placed {
 			pd := &PlacedDict{}
 			for _, comp := range each {

@@ -7,7 +7,6 @@ package runner
 import (
 	"context"
 	"errors"
-	"fmt"
 	"io"
 	"maps"
 	"slices"
@@ -193,24 +192,26 @@ type Result struct {
 
 // Shredded returns every assignment of the final step of a shredded route by
 // name, forcing any Execute deferred: each dataset is materialized and safe
-// for concurrent readers (a failed force leaves it poisoned, Dataset.Err).
+// for concurrent readers. One whose force failed is absent (Materialized's
+// Err says why).
 func (r *Result) Shredded() map[string]*dataflow.Dataset {
 	if len(r.deferred) == 0 {
 		return r.shredded
 	}
 	out := maps.Clone(r.shredded)
 	for name, d := range r.deferred {
-		d.force()
-		out[name] = d.full
+		if d.force() == nil {
+			out[name] = d.full
+		}
 	}
 	return out
 }
 
 // Materialized is r with every statement Execute deferred forced: a view
-// whose Elapsed, and final StepElapsed, count what forcing them took, as a
-// run that materializes its whole shredded output is timed (the paper's
-// runtimes); r itself when nothing was deferred. A failed force is the
-// view's Err.
+// whose Elapsed, and final StepElapsed, count what forcing them took, and
+// whose Metrics count what they did, as a run that materializes its whole
+// shredded output is timed and metered (the paper's runtimes); r itself when
+// nothing was deferred. A failed force is the view's Err.
 func (r *Result) Materialized() *Result {
 	if len(r.deferred) == 0 {
 		return r
@@ -220,10 +221,11 @@ func (r *Result) Materialized() *Result {
 	for _, name := range slices.Sorted(maps.Keys(r.deferred)) {
 		d := r.deferred[name]
 		if err := d.force(); err != nil && v.Err == nil {
-			v.Err, v.FailedStep = fmt.Errorf("%s: %w", name, err), len(r.prog)-1
+			v.Err, v.FailedStep = err, len(r.prog)-1
 		}
 		v.Elapsed += d.took
 		v.StepElapsed[len(v.StepElapsed)-1] += d.took
+		v.Metrics = d.ctx.Metrics.Snapshot()
 	}
 	return &v
 }
@@ -279,27 +281,22 @@ type Output struct {
 // stitches nothing.
 func (o *Output) Count() int64 { return o.d.Count() }
 
-// CollectSorted gathers the output rows in the deterministic value order.
+// CollectSorted gathers the output rows in the deterministic value order. A
+// deferred statement that fails as it is read panics here; CollectTop
+// returns the failure.
 func (o *Output) CollectSorted() []dataflow.Row {
-	rows, _ := o.CollectTop(0)
+	rows, _, err := o.CollectTop(0)
+	if err != nil {
+		panic(err)
+	}
 	return rows
 }
 
 // CollectTop gathers the first k output rows of the value order (all of them
 // when k <= 0) beside the row count (Dataset.CollectTop). When stitched it
-// finds the k rows in the top bag first and stitches only those (stitchTop).
-// A deferred dictionary that fails as it is read — a row-local chain over
-// checked inputs has no failure of its own, so that is a bug — panics here;
-// WriteJSON returns it.
-func (o *Output) CollectTop(k int) ([]dataflow.Row, int) {
-	rows, total, err := o.collectTop(k)
-	if err != nil {
-		panic(err)
-	}
-	return rows, total
-}
-
-func (o *Output) collectTop(k int) ([]dataflow.Row, int, error) {
+// finds the k rows in the top bag first and stitches only those (stitchTop);
+// a deferred statement that fails as they are stitched is its error.
+func (o *Output) CollectTop(k int) ([]dataflow.Row, int, error) {
 	if o.mat == nil {
 		rows, total := o.d.CollectTop(k)
 		return rows, total, nil
@@ -312,10 +309,14 @@ func (o *Output) collectTop(k int) ([]dataflow.Row, int, error) {
 // canonical sorted order — the query half of the catalog's JSON-in → query →
 // JSON-out round trip, for callers that want Go values; WriteJSON writes the
 // same rows as bytes. A positive limit keeps only the first limit rows; total
-// counts them all.
-func (r *Result) JSON(limit int) (out []map[string]any, total int) {
-	rows, total := r.Output.CollectTop(limit)
-	return ingest.EncodeRows(rows, r.Columns), total
+// counts them all. A deferred statement that fails as the rows are stitched
+// is its error.
+func (r *Result) JSON(limit int) (out []map[string]any, total int, err error) {
+	rows, total, err := r.Output.CollectTop(limit)
+	if err != nil {
+		return nil, 0, err
+	}
+	return ingest.EncodeRows(rows, r.Columns), total, nil
 }
 
 // WriteJSON streams the output rows to w as compact JSON objects typed by
@@ -328,7 +329,7 @@ func (r *Result) JSON(limit int) (out []map[string]any, total int) {
 func (r *Result) WriteJSON(ctx context.Context, w io.Writer, limit int, lead, sep string) (returned, total int, err error) {
 	sp := trace.From(ctx).Span()
 	csp := sp.Child("collect")
-	rows, total, err := r.Output.collectTop(limit)
+	rows, total, err := r.Output.CollectTop(limit)
 	csp.End()
 	if err != nil {
 		return 0, 0, err

@@ -1,15 +1,12 @@
 package runner
 
 import (
+	"fmt"
 	"slices"
 	"strings"
-	"sync"
-	"sync/atomic"
-	"time"
 
 	"github.com/trance-go/trance/internal/dataflow"
 	"github.com/trance-go/trance/internal/nrc"
-	"github.com/trance-go/trance/internal/shred"
 	"github.com/trance-go/trance/internal/value"
 )
 
@@ -20,19 +17,24 @@ import (
 // as Cheney, Lindley and Wadler's query shredding rebuilds nested results at
 // the host. The paper's distributed unshred plan (a cascade of Γ⊎ and ⟕) is
 // not run: here the output lives in one heap. A dictionary Execute deferred
-// is not even computed whole for a limited read: each label the read asks for
-// has its rows run through the dictionary's chain on demand.
+// is not even computed whole for a limited read: level by level, the labels
+// of the rows returned are demanded of it in one batch.
 
 // stitcher rebuilds nested values from one run's shredded output. Each
 // dictionary gets its label lookup, and each bag it stitches is kept, on first
 // use; a reply that never reaches a dictionary never indexes it.
 type stitcher struct {
 	top level
+	// dicts are the deferred dictionaries the read demands of, limit its
+	// row limit.
+	dicts []*dict
+	limit int
 	// resolved counts the label pairs the comparator stitched to decide an
-	// order, and demandTies those of them read from a deferred dictionary on
-	// demand; depth is the deepest dictionary level a bag was stitched from.
-	resolved, demandTies, depth int
-	err                         error // the first failure of a deferred chain
+	// order, demandTies those of them read from a deferred dictionary and
+	// singles the labels it demanded one at a time; depth is the deepest
+	// dictionary level a bag was stitched from, batch the last demand's.
+	resolved, demandTies, singles, depth, batch int
+	err                                         error // the first failure of a deferred statement
 }
 
 // level lays out the rows of one bag: the top bag, or a dictionary whose
@@ -59,21 +61,45 @@ type dict struct {
 	depth  int
 	lookup *dataflow.Lookup
 	bags   []value.Bag // per label group, the stitched bag (nil: not yet)
-	// dem, when set, is the deferred statement the dictionary's bags are
-	// demanded from, byLabel the bags demanded so far.
-	dem     *deferred
-	byLabel map[labelID]value.Bag
+	// dem, when set, is the deferred statement the dictionary's rows are
+	// demanded of, got what the read demanded of each label, by its hash.
+	dem *deferred
+	got map[uint64]*demanded
 }
 
-// labelID identifies an input label: its site and sequence number.
-type labelID struct {
-	site int32
-	seq  int64
+// demanded is what a read demanded of a deferred dictionary for one label:
+// in which batch, the rows that came back and, once stitched, their bag;
+// next is another label of the same hash.
+type demanded struct {
+	lbl   value.Value
+	batch int
+	rows  []dataflow.Row
+	bag   value.Bag
+	next  *demanded
+}
+
+// entry is d's demand of lbl, or, if there is none and batch is not 0, a new
+// one in batch (fresh).
+func (d *dict) entry(lbl value.Value, batch int) (g *demanded, fresh bool) {
+	h := value.Hash64(lbl)
+	for g := d.got[h]; g != nil; g = g.next {
+		if value.EqualKey(g.lbl, lbl) {
+			return g, false
+		}
+	}
+	if batch == 0 {
+		return nil, false
+	}
+	g = &demanded{lbl: lbl, batch: batch, next: d.got[h]}
+	d.got[h] = g
+	return g, true
 }
 
 // newStitcher lays out o's shredded output after its nested output type; with
-// demand set, the bags of a deferred dictionary are demanded label by label.
-func newStitcher(o *Output, demand bool) *stitcher {
+// limit > 0 the rows of a deferred dictionary are demanded, otherwise it was
+// forced first.
+func newStitcher(o *Output, limit int) *stitcher {
+	s := &stitcher{limit: limit}
 	names := map[string]string{}
 	for _, d := range o.mat.Dicts {
 		names[strings.Join(d.Path, "_")] = d.Name
@@ -95,8 +121,9 @@ func newStitcher(o *Output, demand bool) *stitcher {
 				p = path + "_" + f.Name
 			}
 			d := &dict{rows: o.shredded[names[p]], depth: depth + 1}
-			if dem := o.deferred[names[p]]; dem != nil && demand {
-				d.dem, d.byLabel = dem, map[labelID]value.Bag{}
+			if dem := o.deferred[names[p]]; dem != nil && limit > 0 {
+				d.dem, d.got = dem, map[uint64]*demanded{}
+				s.dicts = append(s.dicts, d)
 			} else if dem != nil {
 				d.rows = dem.full // a read of every row forced it first
 			}
@@ -105,7 +132,8 @@ func newStitcher(o *Output, demand bool) *stitcher {
 		}
 		return lv
 	}
-	return &stitcher{top: layout(o.mat.OutType.Elem, "", 0, 0)}
+	s.top = layout(o.mat.OutType.Elem, "", 0, 0)
+	return s
 }
 
 // stitchTop is Output.CollectTop on a shredded route: the first limit rows
@@ -114,7 +142,7 @@ func newStitcher(o *Output, demand bool) *stitcher {
 // order are the first limit of the nested value's canonical order (value.
 // CompareSeq), up to the element order inside bags, which is the
 // dictionaries' Collect order. A limited read demands the bags of a deferred
-// dictionary; reading every row forces it first.
+// dictionary, level by level (fetch); reading every row forces it first.
 func stitchTop(o *Output, limit int) ([]dataflow.Row, int, *stitcher) {
 	if limit <= 0 {
 		for _, d := range o.deferred {
@@ -123,9 +151,10 @@ func stitchTop(o *Output, limit int) ([]dataflow.Row, int, *stitcher) {
 			}
 		}
 	}
-	s := newStitcher(o, limit > 0)
+	s := newStitcher(o, limit)
 	rows, total := o.d.CollectTopFunc(limit, s.compare)
 	if len(s.top.bags) > 0 {
+		s.fetch(&s.top, rows)
 		for i, r := range rows {
 			rows[i] = dataflow.Row(s.elem(&s.top, r).(value.Tuple))
 		}
@@ -179,43 +208,42 @@ func (s *stitcher) elem(lv *level, r dataflow.Row) value.Value {
 func (s *stitcher) bag(bc bagCol, r dataflow.Row) value.Bag {
 	d := bc.dict
 	if d.dem != nil {
-		return s.demand(d, r[bc.cols[0]])
+		lbl := r[bc.cols[0]]
+		if !isLabel(lbl) {
+			return value.Bag{}
+		}
+		g, _ := d.entry(lbl, 0)
+		if g == nil {
+			g = s.single(d, lbl)
+		}
+		if g != nil {
+			if g.bag == nil {
+				g.bag = s.stitch(d, g.rows)
+			}
+			return g.bag
+		}
 	}
-	if d.lookup == nil {
-		d.lookup = d.rows.Lookup(labelKey)
-		d.bags = make([]value.Bag, d.lookup.Len())
-	}
-	id, rows := d.lookup.Find(r, bc.cols)
+	id, rows := s.lookup(d).Find(r, bc.cols)
 	if id < 0 {
 		return value.Bag{}
 	}
 	if d.bags[id] == nil {
-		b := make(value.Bag, len(rows))
-		for i, row := range rows {
-			b[i] = s.elem(&d.lvl, row)
-		}
-		d.bags[id] = b
-		s.depth = max(s.depth, d.depth)
+		d.bags[id] = s.stitch(d, rows)
 	}
 	return d.bags[id]
 }
 
-// demand is bag on a deferred dictionary: the rows labelled lbl, run through
-// its chain from the input's rows of that label alone. A value that is not an
-// input label labels no row of it.
-func (s *stitcher) demand(d *dict, lbl value.Value) value.Bag {
-	seq, ok := shred.LabelSeq(lbl)
-	if !ok {
-		return value.Bag{}
+// lookup is d's label lookup, built on first use.
+func (s *stitcher) lookup(d *dict) *dataflow.Lookup {
+	if d.lookup == nil {
+		d.lookup = d.rows.Lookup(labelKey)
+		d.bags = make([]value.Bag, d.lookup.Len())
 	}
-	id := labelID{lbl.(value.Label).Site, seq}
-	if b, ok := d.byLabel[id]; ok {
-		return b
-	}
-	rows, err := d.dem.demand(lbl)
-	if err != nil && s.err == nil {
-		s.err = err
-	}
+	return d.lookup
+}
+
+// stitch is the bag of rows, rows of d under one label.
+func (s *stitcher) stitch(d *dict, rows []dataflow.Row) value.Bag {
 	b := make(value.Bag, len(rows))
 	for i, row := range rows {
 		b[i] = s.elem(&d.lvl, row)
@@ -223,55 +251,136 @@ func (s *stitcher) demand(d *dict, lbl value.Value) value.Bag {
 	if len(rows) > 0 {
 		s.depth = max(s.depth, d.depth)
 	}
-	d.byLabel[id] = b
 	return b
 }
 
-// deferred is a dictionary statement Execute left unforced (Stmt.src), built
-// over each chunk of the input dictionary pd it reads: fulls, the chains a
-// reader of the whole dictionary forces once and concatenates into full, and
-// chains, the same chains nothing forces, through which the stitcher runs
-// just the rows of the labels it returns, from any number of goroutines at
-// once.
-type deferred struct {
-	fulls, chains []*dataflow.Dataset
-	pd            *PlacedDict
-	once          sync.Once
-	full          *dataflow.Dataset
-	err           error
-	// took is what force took when it ran after Execute, outside Elapsed
-	// (Result.Materialized adds it back).
-	took time.Duration
-	// labels and rows count what limited reads demanded: labels and the
-	// input rows run through the chains for them (EXPLAIN ANALYZE).
-	labels, rows atomic.Int64
-}
-
-// force materializes the whole dictionary, once: the chunks' chains forced
-// and concatenated partition by partition, which is the chain forced over
-// the dictionary placed whole.
-func (d *deferred) force() error {
-	d.once.Do(func() {
-		start := time.Now()
-		full := d.fulls[0]
-		for _, f := range d.fulls[1:] {
-			full = full.Union(f)
+// single demands lbl alone of d, as the comparator does to break a tie, and
+// the bags its rows hold a level further down in one batch each. Once the
+// ties the read broke this way exceed its limit — each demands up to two
+// labels — it forces every deferred dictionary instead, and single returns
+// nil: d is read whole.
+func (s *stitcher) single(d *dict, lbl value.Value) *demanded {
+	if s.singles++; s.singles > 2*s.limit {
+		for _, x := range s.dicts {
+			s.force(x)
 		}
-		d.full = full.Force()
-		d.err = d.full.Err()
-		d.took = time.Since(start)
-	})
-	return d.err
+	}
+	if d.dem == nil {
+		return nil
+	}
+	s.batch++
+	g, _ := d.entry(lbl, s.batch)
+	if s.demand(d, []value.Value{lbl}); d.dem == nil {
+		return nil
+	}
+	s.fetch(&d.lvl, g.rows)
+	return g
 }
 
-// demand returns the dictionary's rows labelled lbl, as a force leaves them,
-// run through a chain from the input dictionary's rows of lbl: one run of the
-// partition lbl hashes to, in the chunk that minted it (PlacedDict.find).
-func (d *deferred) demand(lbl value.Value) (rows []dataflow.Row, err error) {
-	part := int(value.Hash64(lbl) % uint64(len(d.pd.Chunks[0].Parts)))
-	c, lo, hi := d.pd.find(part, lbl)
-	d.labels.Add(1)
-	d.rows.Add(int64(hi - lo))
-	err = d.chains[c].Demand(part, lo, hi, func(r dataflow.Row) { rows = append(rows, r) })
-	return rows, err
+// force forces d and reads it whole from then on: a failed force leaves it
+// demanded.
+func (s *stitcher) force(d *dict) {
+	if d.dem == nil {
+		return
+	}
+	if err := d.dem.force(); err != nil {
+		s.fail(err)
+		return
+	}
+	d.rows, d.dem = d.dem.full, nil
+}
+
+// fetch demands of each deferred dictionary at or below lv, in one batch per
+// dictionary, the labels rows of lv hold that no earlier demand fetched,
+// then the labels the rows that came back hold, a level further down. A
+// dictionary whose batch would be most of its labels, or of its source's rows
+// (demand), is forced instead: a force, reading the source in order, costs
+// less.
+func (s *stitcher) fetch(lv *level, rows []dataflow.Row) {
+	if len(rows) == 0 || !lv.demands() {
+		return
+	}
+	for _, bc := range lv.bags {
+		d := bc.dict
+		var next []dataflow.Row
+		if d.dem != nil && 2*len(rows) > d.dem.labelsAtMost() {
+			s.force(d)
+		}
+		if d.dem != nil {
+			s.batch++
+			var lbls []value.Value
+			var got []*demanded
+			for _, r := range rows {
+				if lbl := r[bc.cols[0]]; isLabel(lbl) {
+					g, fresh := d.entry(lbl, s.batch)
+					if fresh {
+						lbls = append(lbls, lbl)
+					}
+					got = append(got, g)
+				}
+			}
+			s.demand(d, lbls)
+			for _, g := range got {
+				next = append(next, g.rows...)
+			}
+		}
+		if d.dem == nil { // read whole, or forced just now
+			if !d.lvl.demands() {
+				continue
+			}
+			next = next[:0]
+			for _, r := range rows {
+				_, rs := s.lookup(d).Find(r, bc.cols)
+				next = append(next, rs...)
+			}
+		}
+		s.fetch(&d.lvl, next)
+	}
+}
+
+// demands reports whether a dictionary at or below lv is demanded.
+func (lv *level) demands() bool {
+	return slices.ContainsFunc(lv.bags, func(bc bagCol) bool { return bc.dict.dem != nil || bc.dict.lvl.demands() })
+}
+
+// isLabel reports whether v is a label: a NULL, or anything else, labels no
+// row.
+func isLabel(v value.Value) bool {
+	_, ok := v.(value.Label)
+	return ok
+}
+
+// demand runs one demand of d's labels of the batch, lbls, and files the rows
+// that came back under them, or forces d when they are most of its source's.
+// A row of a label it did not ask for means the statement is not
+// label-closed, or the rows selected for it were not those of its labels:
+// the read fails.
+func (s *stitcher) demand(d *dict, lbls []value.Value) {
+	if len(lbls) == 0 {
+		return
+	}
+	rows, most, err := d.dem.demand(lbls)
+	if most {
+		s.force(d)
+		return
+	}
+	s.fail(err)
+	var g *demanded
+	for _, r := range rows {
+		if g == nil || !value.EqualKey(g.lbl, r[0]) {
+			if g, _ = d.entry(r[0], 0); g == nil || g.batch != s.batch {
+				s.fail(fmt.Errorf("%s: demanded %d labels, a row of another came back", d.dem.st.Label, len(lbls)))
+				g = nil
+				continue
+			}
+		}
+		g.rows = append(g.rows, r)
+	}
+}
+
+// fail keeps err as the read's failure unless one came first.
+func (s *stitcher) fail(err error) {
+	if s.err == nil {
+		s.err = err
+	}
 }

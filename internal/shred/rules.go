@@ -2,6 +2,7 @@ package shred
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/trance-go/trance/internal/nrc"
 )
@@ -122,30 +123,34 @@ func (m *materializer) tryRule1(entry *DictEntry) (nrc.Expr, bool, error) {
 
 // tryRule2 implements the second domain-elimination rule: a dictionary
 //
-//	λl. match l = NewLabel(x) then for y in Y union … if (e == x.b) then e'
+//	λl. match l = NewLabel(x₁, …, xₙ) then for y in Y union … if (e₁ == x₁) … then e'
 //
-// whose label captures a single scalar used only in one equality filter is
-// computed from Y directly, with the label rebuilt from the compared value
-// (transforming x from free to bound).
+// whose label captures scalars each used only in one equality filter is
+// computed from Y directly, with the label rebuilt from the compared values
+// (transforming the xᵢ from free to bound).
 func (m *materializer) tryRule2(entry *DictEntry) (nrc.Expr, bool, error) {
-	if len(entry.Params) != 1 {
+	if len(entry.Params) == 0 {
 		return nil, false, nil
 	}
-	if _, isScalar := entry.Params[0].Type.(nrc.ScalarType); !isScalar {
-		return nil, false, nil
-	}
-	p := entry.Params[0].Name
 	body, sum := unwrapSumBy(entry.Body)
-
-	rewritten, capExpr, found := stripEqFilter(body, p)
-	if !found {
-		return nil, false, nil
+	lblExpr := &nrc.NewLabel{Site: entry.Site}
+	for _, p := range entry.Params {
+		if _, isScalar := p.Type.(nrc.ScalarType); !isScalar {
+			return nil, false, nil
+		}
+		var capExpr nrc.Expr
+		var found bool
+		if body, capExpr, found = stripEqFilter(body, p.Name); !found {
+			return nil, false, nil
+		}
+		lblExpr.Capture = append(lblExpr.Capture, nrc.NamedExpr{Name: p.Name, Expr: capExpr})
 	}
-	if nrc.FreeVars(rewritten)[p] {
-		return nil, false, nil // param used beyond the equality
+	for _, p := range entry.Params {
+		if nrc.FreeVars(body)[p.Name] || slices.ContainsFunc(lblExpr.Capture, func(c nrc.NamedExpr) bool { return nrc.FreeVars(c.Expr)[p.Name] }) {
+			return nil, false, nil // a parameter used beyond its equality
+		}
 	}
-	lblExpr := &nrc.NewLabel{Site: entry.Site, Capture: []nrc.NamedExpr{{Name: p, Expr: capExpr}}}
-	rewritten, err := addLabelToHead(rewritten, lblExpr)
+	rewritten, err := addLabelToHead(body, lblExpr)
 	if err != nil {
 		return nil, false, nil
 	}

@@ -336,18 +336,42 @@ func flatToNested() nrc.Expr {
 }
 
 func TestShredFlatToNestedRule2(t *testing.T) {
-	m, err := shred.ShredQuery(flatToNested(), flatEnv(), "Q", shred.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
+	// Correlated on two attributes, the orders label is rebuilt from two of
+	// Orders' columns.
+	twoEnv := flatEnv()
+	twoEnv["Orders"] = nrc.BagOf(nrc.Tup("okey", nrc.IntT, "custkey", nrc.IntT, "cname", nrc.StringT))
+	twoInputs := flatInputs()
+	twoInputs["Orders"] = value.Bag{
+		value.Tuple{int64(10), int64(1), "alice"},
+		value.Tuple{int64(11), int64(1), "bob"},
+		value.Tuple{int64(12), int64(2), "bob"},
+		value.Tuple{int64(13), int64(3), "alice"},
 	}
-	// Rule 2 computes the orders dictionary from Orders alone: no MatLookup
-	// and no label domains in the program.
-	prog := nrc.PrintProgram(m.Program)
-	if strings.Contains(prog, "MatLookup") || strings.Contains(prog, "LabDomain") {
-		t.Fatalf("rule 2 should compute the dictionary directly from Orders:\n%s", prog)
+	c, o := nrc.V("c"), nrc.V("o")
+	twoKeys := func() nrc.Expr {
+		return nrc.ForIn("c", nrc.V("Customer"), nrc.SingOf(nrc.Record(
+			"name", nrc.P(c, "name"),
+			"orders", nrc.ForIn("o", nrc.V("Orders"), nrc.IfThen(
+				nrc.AndOf(nrc.EqOf(nrc.P(o, "custkey"), nrc.P(c, "custkey")), nrc.EqOf(nrc.P(o, "cname"), nrc.P(c, "name"))),
+				nrc.SingOf(nrc.Record("okey", nrc.P(o, "okey"))))))))
 	}
-	assertShredMatchesOracle(t, flatToNested(), flatEnv(), flatInputs(),
-		runner.Shred, runner.DefaultConfig())
+	for _, tc := range []struct {
+		q      func() nrc.Expr
+		env    nrc.Env
+		inputs map[string]value.Bag
+	}{{flatToNested, flatEnv(), flatInputs()}, {twoKeys, twoEnv, twoInputs}} {
+		m, err := shred.ShredQuery(tc.q(), tc.env, "Q", shred.DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Rule 2 computes the orders dictionary from Orders alone: no
+		// MatLookup and no label domains in the program.
+		prog := nrc.PrintProgram(m.Program)
+		if strings.Contains(prog, "MatLookup") || strings.Contains(prog, "LabDomain") {
+			t.Fatalf("rule 2 should compute the dictionary directly from Orders:\n%s", prog)
+		}
+		assertShredMatchesOracle(t, tc.q(), tc.env, tc.inputs, runner.Shred, runner.DefaultConfig())
+	}
 }
 
 func TestShredIdentityCarry(t *testing.T) {

@@ -213,7 +213,7 @@ func LabelRows(rows []value.Tuple, lbl value.Value) (lo, hi int) {
 		return s >= seq
 	})
 	hi = lo
-	for hi < len(rows) && value.Equal(rows[hi][0], lbl) {
+	for hi < len(rows) && value.EqualKey(rows[hi][0], lbl) {
 		hi++
 	}
 	return lo, hi

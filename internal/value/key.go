@@ -83,6 +83,10 @@ func EqualCols(a Tuple, acols []int, b Tuple, bcols []int) bool {
 	return true
 }
 
+// EqualKey reports whether a and b are equal as keys: EqualCols of one
+// column each.
+func EqualKey(a, b Value) bool { return equalKey(a, b) }
+
 func equalKey(a, b Value) bool {
 	switch x := a.(type) {
 	case nil:

@@ -24,8 +24,8 @@
 //	        trance.SingOf(trance.Record("b", trance.AddOf(trance.P(trance.V("x"), "a"), trance.C(1)))))
 //	sq, _ := cat.NewSession(trance.SessionOptions{}).PrepareNamed("inc", q)
 //	res, _ := sq.Run(ctx, trance.Shred)
-//	rows, _ := res.JSON(0)       // JSON in, JSON out: the nested answer
-//	top, _ := res.Top().JSON(0)  // the same run's shredded top bag
+//	rows, _, _ := res.JSON(0)       // JSON in, JSON out: the nested answer
+//	top, _, _ := res.Top().JSON(0)  // the same run's shredded top bag
 //
 // Queries can equally be written as text in the paper's comprehension
 // syntax (docs/QUERYLANG.md) — Parse/ParseProgram produce the same ASTs,
