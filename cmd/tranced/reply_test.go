@@ -247,6 +247,21 @@ func TestReplyEnvelopeShape(t *testing.T) {
 			t.Fatalf("replies differ from %s at line %d:\n got %q\nwant %q", golden, i+1, at(got, i), at(wantLines, i))
 		}
 	}
+
+	// Skew-aware nested-to-nested joins Part by broadcast, which splits
+	// nothing: standard-skew, and auto, which picks it here, return the rows
+	// standard returns, bags in the same element order.
+	results := func(strategy string) string {
+		path := "=== /query?name=tpch/nested-to-nested&level=1&limit=2&strategy=" + strategy + "\n"
+		body := replies.String()[strings.Index(replies.String(), path):]
+		body = body[strings.Index(body, `"results": [`):]
+		return body[:strings.Index(body, "\n  ]")]
+	}
+	for _, name := range []string{"standard-skew", "auto"} {
+		if got, want := results(name), results("standard"); got != want {
+			t.Errorf("nested-to-nested level 1 %s returned\n%s\nstandard\n%s", name, got, want)
+		}
+	}
 }
 
 // at is lines[i], or "" past the end.

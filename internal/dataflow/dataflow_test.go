@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -277,6 +278,45 @@ func TestUnionAndAddUniqueID(t *testing.T) {
 			t.Fatalf("duplicate id %d", id)
 		}
 		seen[id] = true
+	}
+}
+
+// TestUnionIsZeroCopy: a union runs neither side's fused chain and copies no
+// row until it is consumed; then each side's rows stream through that side's
+// own chain, partition by partition, d's before o's, and a chain over the
+// union runs once over both. A side that yields nothing is left out: the
+// union is the other side itself.
+func TestUnionIsZeroCopy(t *testing.T) {
+	c := NewContext(2)
+	var ran atomic.Int64
+	tagged := func(tag int64, rows []Row) *Dataset {
+		return c.FromRows(rows).Map(func(a *Arena, r Row) Row {
+			ran.Add(1)
+			nr := a.Row(len(r) + 1)
+			copy(nr, r)
+			nr[len(r)] = tag
+			return nr
+		})
+	}
+	a, b := tagged(1, rowsOfInts(1, 1, 2, 2, 3, 3, 4, 4)), tagged(2, rowsOfInts(5, 5, 6, 6))
+	u := a.Union(b)
+	if n := ran.Load(); n != 0 {
+		t.Fatalf("Union ran %d rows through the sides' chains", n)
+	}
+	got, err := u.Map(func(_ *Arena, r Row) Row { return r }).GroupReduce("g", []int{2}, true, nil, func(int, int) Reducer {
+		return func(out, g []Row) []Row { return append(out, Row{g[0][2], int64(len(g))}) }
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := ran.Load(); n != 6 {
+		t.Fatalf("consuming the union ran %d rows through the sides' chains, want each of 6 once", n)
+	}
+	if parts := got.parts; len(parts) != 2 || len(parts[0]) != 2 || parts[0][0][0] != int64(1) || parts[0][1][0] != int64(2) {
+		t.Fatalf("partition 0 of the union reduced to %v, want side 1's group before side 2's", parts)
+	}
+	if empty := c.Empty().Map(func(_ *Arena, r Row) Row { return r }); a.Union(empty) != a || empty.Union(b) != b {
+		t.Fatal("a union with a dataset yielding nothing is not the other side itself")
 	}
 }
 

@@ -39,6 +39,11 @@ type Dataset struct {
 	// datasets never inherit them.
 	hashes   [][]uint64
 	hashCols []int
+	// cat, when non-nil, makes d a concatenation (Union): partition i's
+	// source rows are parts[i] (none) followed by each cat dataset's rows of
+	// partition i, streamed through that dataset's own chain. force copies
+	// them out once; until then no row is copied.
+	cat []*Dataset
 	// err poisons the dataset after a partition task failed (memory cap or a
 	// recovered panic): operators and actions keep returning it instead of
 	// computing over partial data.
@@ -110,7 +115,7 @@ func (d *Dataset) withStage(f stageFactory) *Dataset {
 	stages := make([]stageFactory, len(d.stages)+1)
 	copy(stages, d.stages)
 	stages[len(d.stages)] = f
-	return &Dataset{ctx: d.ctx, parts: d.parts, stages: stages, err: d.err}
+	return &Dataset{ctx: d.ctx, parts: d.parts, stages: stages, cat: d.cat, err: d.err}
 }
 
 // feed streams partition part through the fused operator chain into sink.
@@ -126,6 +131,38 @@ func (d *Dataset) feed(part int, sink func(Row)) {
 	for _, r := range d.parts[part] {
 		emit(r)
 	}
+	for _, c := range d.cat {
+		if part < len(c.parts) {
+			c.feed(part, emit)
+		}
+	}
+}
+
+// sourceRows is the number of source rows partition part streams through
+// the chain: a capacity hint for what the chain emits.
+func (d *Dataset) sourceRows(part int) int {
+	n := len(d.parts[part])
+	for _, c := range d.cat {
+		if part < len(c.parts) {
+			n += c.sourceRows(part)
+		}
+	}
+	return n
+}
+
+// YieldsNothing reports, without running a chain, that d yields no row and
+// no failure: no partition holds a source row, and a fused chain emits
+// nothing from nothing.
+func (d *Dataset) YieldsNothing() bool {
+	if d.err != nil {
+		return false
+	}
+	for i := range d.parts {
+		if d.sourceRows(i) > 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // force runs the pending fused chain (in parallel over the worker pool) and
@@ -133,18 +170,18 @@ func (d *Dataset) feed(part int, sink func(Row)) {
 // first failure. Idempotent; a dataset with no pending stages is already
 // materialized.
 func (d *Dataset) force() error {
-	if len(d.stages) == 0 {
+	if len(d.stages) == 0 && d.cat == nil {
 		return d.err
 	}
 	parts := make([][]Row, len(d.parts))
 	err := d.ctx.runParts(len(d.parts), func(i int) error {
-		out := make([]Row, 0, len(d.parts[i]))
+		out := make([]Row, 0, d.sourceRows(i))
 		d.feed(i, func(r Row) { out = append(out, r) })
 		parts[i] = out
 		return nil
 	})
 	d.parts = parts
-	d.stages = nil
+	d.stages, d.cat = nil, nil
 	if err != nil && d.err == nil {
 		d.err = err
 	}
@@ -349,27 +386,20 @@ func (d *Dataset) AddUniqueID(tag int64) *Dataset {
 	})
 }
 
-// Union concatenates two datasets partition-wise, with no shuffle. Both sides
-// are materialized first so their fused chains are not cross-multiplied.
+// Union is d's rows followed by o's, partition by partition: partition i
+// holds d's partition i, then o's. It is narrow and lazy like Map — neither
+// side's chain runs and no row is copied until the union is consumed, each
+// side's rows streaming through its own chain — and a side that yields
+// nothing is left out, so the union with an empty dataset is the other side
+// itself, carried hashes and all.
 func (d *Dataset) Union(o *Dataset) *Dataset {
-	d.force()
-	o.force()
-	n := len(d.parts)
-	if len(o.parts) > n {
-		n = len(o.parts)
+	switch {
+	case o.YieldsNothing():
+		return d
+	case d.YieldsNothing():
+		return o
 	}
-	parts := make([][]Row, n)
-	for i := 0; i < n; i++ {
-		var dp, op []Row
-		if i < len(d.parts) {
-			dp = d.parts[i]
-		}
-		if i < len(o.parts) {
-			op = o.parts[i]
-		}
-		parts[i] = append(append(make([]Row, 0, len(dp)+len(op)), dp...), op...)
-	}
-	return &Dataset{ctx: d.ctx, parts: parts, err: errors.Join(d.err, o.err)}
+	return &Dataset{ctx: d.ctx, parts: make([][]Row, max(len(d.parts), len(o.parts))), cat: []*Dataset{d, o}, err: errors.Join(d.err, o.err)}
 }
 
 // CheckMemory materializes pending stages and enforces the per-partition

@@ -36,7 +36,7 @@ func (d *Dataset) Join(stage string, right *Dataset, lcols, rcols []int, placed 
 		if i < len(rs.parts) {
 			build.keys, build.rows = rs.groupPart(i, rcols, true)
 		}
-		out := make([]Row, 0, len(ls.parts[i]))
+		out := make([]Row, 0, ls.sourceRows(i))
 		write := jo.writer()
 		ls.feedKeyed(i, lcols, func(l Row, h uint64) {
 			out = build.probe(out, l, h, lcols, write, leftOuter)
@@ -84,7 +84,7 @@ func (d *Dataset) BroadcastJoin(stage string, right *Dataset, lcols, rcols []int
 	build.keys, build.rows = d.ctx.FromPartitions([][]Row{rrows}).groupPart(0, rcols, true)
 	parts := make([][]Row, len(d.parts))
 	joinErr := d.ctx.runParts(len(d.parts), func(i int) error {
-		out := make([]Row, 0, len(d.parts[i]))
+		out := make([]Row, 0, d.sourceRows(i))
 		write := jo.writer()
 		d.feedKeyed(i, lcols, func(l Row, h uint64) {
 			out = build.probe(out, l, h, lcols, write, leftOuter)

@@ -58,7 +58,7 @@ func (d *Dataset) RepartitionBy(stage string, cols []int, placed bool) (*Dataset
 		local := exchangeBuffers{rows: make([][]Row, p), hashes: make([][]uint64, p), mem: make([]int64, p)}
 		// Pre-size every per-target slice for a uniform spread of this
 		// source's rows — a capacity hint only, skew just grows past it.
-		hint := len(d.parts[i])/p + 1
+		hint := d.sourceRows(i)/p + 1
 		for t := range local.rows {
 			local.rows[t] = rowScratch.get(hint)[:0]
 			local.hashes[t] = hashScratch.get(hint)[:0]

@@ -180,13 +180,14 @@ func (d *Dataset) feedKeyed(part int, cols []int, sink func(Row, uint64)) {
 // pending); place is the second. With joinSide set, NULL-keyed rows are left
 // out — they never match in a join. The caller releases both results.
 func (d *Dataset) groupPart(part int, cols []int, joinSide bool) (*groupTable, grouped) {
-	t := newGroupTable(cols, len(d.parts[part])/2)
+	n := d.sourceRows(part)
+	t := newGroupTable(cols, n/2)
 	rows := d.parts[part]
-	pending := len(d.stages) > 0
+	pending := len(d.stages) > 0 || d.cat != nil
 	if pending {
-		rows = rowScratch.get(len(rows))[:0]
+		rows = rowScratch.get(n)[:0]
 	}
-	ids := idScratch.get(len(d.parts[part]))[:0]
+	ids := idScratch.get(n)[:0]
 	d.feedKeyed(part, cols, func(r Row, h uint64) {
 		if pending {
 			rows = append(rows, r)
@@ -251,6 +252,9 @@ func (l *Lookup) Find(r Row, cols []int) (int, []Row) {
 	}
 	return int(id), l.g.group(id)
 }
+
+// Group returns the rows of group id, a number Find returned.
+func (l *Lookup) Group(id int) []Row { return l.g.group(uint32(id)) }
 
 // Len is the number of distinct keys.
 func (l *Lookup) Len() int { return l.t.len() }

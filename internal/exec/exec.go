@@ -191,24 +191,27 @@ func (ex *Executor) run(op plan.Op) (triple, error) {
 			return triple{}, err
 		}
 		right, record, jo := rt.merge(), recordWide(ns), joinOut(x)
-		if !ex.SkewAware || len(x.LCols) == 0 {
-			// No key to be heavy on: the standard join, of each component (a
-			// cross join broadcasts the right side to both).
+		if broadcast := ex.broadcasts(x, right); !ex.SkewAware || broadcast {
+			// The standard join, of each component: a skew-unaware run has one,
+			// and a broadcast leaves every left row where it lies, heavy key or
+			// not, so a skew-aware run has nothing to split (a cross join
+			// broadcasts too).
 			out := in
-			if out.light, err = record(ex.join(in.light, right, x, jo, ns)); err != nil {
+			if out.light, err = record(ex.join(in.light, right, x, jo, ns, broadcast)); err != nil {
 				return triple{}, err
 			}
-			if in.heavy != nil && in.heavy.Count() > 0 {
-				out.heavy, err = record(ex.join(in.heavy, right, x, jo, ns))
+			if in.heavy != nil && !in.heavy.YieldsNothing() {
+				out.heavy, err = record(ex.join(in.heavy, right, x, jo, ns, broadcast))
 			}
 			return out, err
 		}
 		// Skew-aware join (paper Figure 6): the light parts join with
 		// key-based shuffling; the heavy rows of the left stay in place and
-		// the matching right rows are broadcast to them.
-		in = ex.keysFor(in, x.LCols, x.KeepSplit)
-		rightLight, rightHeavy := skew.Split(right, x.RCols, in.keys)
-		light, err := record(ex.join(in.light, rightLight, x, jo, ns))
+		// the matching right rows are broadcast to them. A NULL key matches no
+		// row, so a heavy NULL splits nothing off the right side.
+		in = ex.keysFor(in, x.LCols, x.KeepSplit, ns)
+		rightLight, rightHeavy := skew.Split(right, x.RCols, in.keys.Matching())
+		light, err := record(ex.join(in.light, rightLight, x, jo, ns, ex.broadcasts(x, rightLight)))
 		if err != nil {
 			return triple{}, err
 		}
@@ -243,7 +246,7 @@ func (ex *Executor) run(op plan.Op) (triple, error) {
 		if ex.SkewAware {
 			// Skew-aware BagToDict (paper Figure 6): repartition only the
 			// light labels; heavy labels stay where they are.
-			in = ex.keysFor(in, cols, x.KeepSplit)
+			in = ex.keysFor(in, cols, x.KeepSplit, ns)
 		}
 		light, err := recordWide(ns)(in.light.RepartitionBy(ex.wideStage(ns, "bagToDict"), cols, x.Placed))
 		if err != nil {
@@ -299,24 +302,28 @@ func (ex *Executor) runIndexScan(x *plan.IndexScan) (*dataflow.Dataset, error) {
 	return ex.applySelect(d, sel), nil
 }
 
-// join dispatches between shuffle and broadcast joins; like Spark, inputs
-// under the broadcast limit are broadcast automatically.
-func (ex *Executor) join(l, r *dataflow.Dataset, x *plan.Join, jo dataflow.JoinOut, ns *plan.NodeStats) (*dataflow.Dataset, error) {
-	if len(x.LCols) == 0 {
-		// Cross join: broadcast the right side.
+// broadcasts reports whether join x broadcasts its right side r: every cross
+// join does; a keyed one as the cost model decided at plan time, by the same
+// rule over estimates (honored over the measured size: the two can disagree
+// when estimates are off, and the differential oracle checks both paths stay
+// sound), or, without a Cost, as that rule picks over r's measured size —
+// like Spark, inputs under the broadcast limit are broadcast automatically.
+func (ex *Executor) broadcasts(x *plan.Join, r *dataflow.Dataset) bool {
+	switch {
+	case len(x.LCols) == 0:
+		return true
+	case x.Cost != nil:
+		return x.Cost.Method == plan.JoinBroadcast
+	}
+	return plan.Broadcasts(float64(r.SizeBytes()), ex.Ctx.BroadcastLimit)
+}
+
+// join runs x over l and r as a broadcast or a shuffle join.
+func (ex *Executor) join(l, r *dataflow.Dataset, x *plan.Join, jo dataflow.JoinOut, ns *plan.NodeStats, broadcast bool) (*dataflow.Dataset, error) {
+	switch {
+	case len(x.LCols) == 0:
 		return l.BroadcastJoin(ex.wideStage(ns, "cross"), r, nil, nil, jo, x.Outer)
-	}
-	var broadcast bool
-	if x.Cost != nil {
-		// The cost model decided at plan time, by the same rule over
-		// estimates; honor it over the measured size (the two can disagree
-		// when estimates are off — the differential oracle checks both paths
-		// stay sound).
-		broadcast = x.Cost.Method == plan.JoinBroadcast
-	} else {
-		broadcast = plan.Broadcasts(float64(r.SizeBytes()), ex.Ctx.BroadcastLimit)
-	}
-	if broadcast {
+	case broadcast:
 		return l.BroadcastJoin(ex.wideStage(ns, "bjoin"), r, x.LCols, x.RCols, jo, x.Outer)
 	}
 	return l.Join(ex.wideStage(ns, "join"), r, x.LCols, x.RCols, x.Placed, jo, x.Outer)

@@ -206,7 +206,7 @@ func TestFusedJoinRemapsSkewKeys(t *testing.T) {
 		ex := New(dataflow.NewContext(4))
 		ex.SkewAware = true
 		l, r := keyedInputs(ex)
-		j := &plan.Join{L: l, R: r, LCols: []int{0}, RCols: []int{0}, Outs: p.outs}
+		j := &plan.Join{L: l, R: r, LCols: []int{0}, RCols: []int{0}, Outs: p.outs, Cost: &plan.Costs{Method: plan.JoinShuffle}}
 		tr, err := ex.run(j)
 		if err != nil {
 			t.Fatal(err)

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"github.com/trance-go/trance/internal/dataflow"
+	"github.com/trance-go/trance/internal/plan"
 	"github.com/trance-go/trance/internal/skew"
 )
 
@@ -34,9 +35,10 @@ func (ex *Executor) allLight(d *dataflow.Dataset, err error) (triple, error) {
 }
 
 // merge is the dataset of both components, for the operators that follow
-// their standard implementation.
+// their standard implementation: their zero-copy concatenation (Union), which
+// is the light component itself when the heavy one holds nothing.
 func (t triple) merge() *dataflow.Dataset {
-	if t.heavy == nil || t.heavy.Count() == 0 {
+	if t.heavy == nil {
 		return t.light
 	}
 	return t.light.Union(t.heavy)
@@ -54,13 +56,18 @@ func (t triple) mapBoth(fn func(*dataflow.Dataset) *dataflow.Dataset) triple {
 
 // keysFor returns the triple split on its heavy keys over cols: t itself where
 // the plan keeps its split (plan.Place knows the heavy keys lie over cols),
-// otherwise found by sampling the merged components.
-func (ex *Executor) keysFor(t triple, cols []int, keep bool) triple {
-	if keep && t.keys != nil {
-		return t
+// otherwise found by sampling the merged components. ns, when non-nil, gets
+// what the split holds and where its keys came from (EXPLAIN ANALYZE heavy=).
+func (ex *Executor) keysFor(t triple, cols []int, keep bool, ns *plan.NodeStats) triple {
+	kept := keep && t.keys != nil
+	if !kept {
+		merged := t.merge()
+		hk := skew.NewDetector().HeavyKeys(merged, cols)
+		light, heavy := skew.Split(merged, cols, hk)
+		t = triple{light: light, heavy: heavy, keys: hk}
 	}
-	merged := t.merge()
-	hk := skew.NewDetector().HeavyKeys(merged, cols)
-	light, heavy := skew.Split(merged, cols, hk)
-	return triple{light: light, heavy: heavy, keys: hk}
+	if ns != nil {
+		ns.Heavy = &plan.HeavySplit{Keys: len(t.keys), Rows: t.heavy.Count(), Kept: kept}
+	}
+	return t
 }

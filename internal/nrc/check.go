@@ -26,8 +26,15 @@ type Env map[string]Type
 
 // Check type-checks e against env, annotates every node with its type, and
 // returns the root type.
+//
+// A node holds one type, so it may appear in several places of e only where
+// it types the same in each: one *Var used under two binders of different
+// types would be read by Eval through the type of the last one checked.
+// Check refuses such a variable with an ExprError naming it. (A shared node
+// of any other kind types apart only through a variable it holds, which is
+// then shared too.)
 func Check(e Expr, env Env) (Type, error) {
-	c := &checker{}
+	c := &checker{vars: map[*Var]Type{}}
 	c.push()
 	for k, v := range env {
 		c.bind(k, v)
@@ -56,6 +63,8 @@ func CheckProgram(p *Program, env Env) (map[string]Type, error) {
 
 type checker struct {
 	scopes []map[string]Type
+	// vars is the type each variable node checked so far was given.
+	vars map[*Var]Type
 }
 
 func (c *checker) push()                    { c.scopes = append(c.scopes, map[string]Type{}) }
@@ -80,6 +89,12 @@ func (c *checker) check(e Expr) (Type, error) {
 			err = &ExprError{Node: e, Err: err}
 		}
 		return nil, err
+	}
+	if v, ok := e.(*Var); ok {
+		if prev, ok := c.vars[v]; ok && !TypesEqual(prev, t) {
+			return nil, &ExprError{Node: e, Err: fmt.Errorf("one node of variable %s is used as %s and as %s: give each use its own node", v.Name, prev, t)}
+		}
+		c.vars[v] = t
 	}
 	e.setType(t)
 	return t, nil

@@ -1,6 +1,7 @@
 package nrc_test
 
 import (
+	"errors"
 	"math/rand"
 	"strings"
 	"testing"
@@ -456,5 +457,44 @@ func TestFreeVarsProgram(t *testing.T) {
 	got := nrc.FreeVarsProgram(steps)
 	if len(got) != 2 || !got["R"] || !got["S"] {
 		t.Fatalf("FreeVarsProgram = %v, want {R, S}", got)
+	}
+}
+
+// TestCheckRefusesNodeSharedUnderTwoTypes: a node holds one type, so one
+// *Var used under two binders of different tuple types — `for s in
+// sumby[name; k](…)` beside `for s in S`, with k at another position in each
+// — would be read by Eval through whichever binder was checked last. Check
+// refuses it, naming the node; the same query with a node per use checks and
+// evaluates as written.
+func TestCheckRefusesNodeSharedUnderTwoTypes(t *testing.T) {
+	env := nrc.Env{
+		"R": nrc.BagOf(nrc.Tup("a", nrc.IntT)),
+		"S": nrc.BagOf(nrc.Tup("v", nrc.IntT, "name", nrc.StringT, "k", nrc.IntT)),
+	}
+	query := func(s1, s2 *nrc.Var) nrc.Expr {
+		x, y := nrc.V("x"), nrc.V("y")
+		summed := nrc.SumByOf(nrc.ForIn("y", nrc.V("S"), nrc.SingOf(nrc.Record(
+			"name", nrc.P(y, "name"), "k", nrc.P(y, "k")))), []string{"name"}, []string{"k"})
+		names := func(s *nrc.Var, src nrc.Expr) nrc.Expr {
+			return nrc.ForIn("s", src, nrc.IfThen(nrc.EqOf(nrc.P(s, "k"), nrc.P(x, "a")), nrc.SingOf(nrc.Record("n", nrc.P(s, "name")))))
+		}
+		return nrc.ForIn("x", nrc.V("R"), nrc.SingOf(nrc.Record(
+			"summed", names(s1, summed), "plain", names(s2, nrc.V("S")))))
+	}
+
+	shared := nrc.V("s")
+	_, err := nrc.Check(query(shared, shared), env)
+	var xe *nrc.ExprError
+	if !errors.As(err, &xe) || xe.Node != shared {
+		t.Fatalf("Check of a shared s: %v (node %v), want an ExprError naming s", err, xe)
+	}
+
+	scope := (&nrc.Scope{}).
+		Bind("R", value.Bag{value.Tuple{int64(3)}}).
+		Bind("S", value.Bag{value.Tuple{int64(9), "p", int64(3)}, value.Tuple{int64(3), "q", int64(1)}})
+	got := evalChecked(t, query(nrc.V("s"), nrc.V("s")), env, scope)
+	want := value.Bag{value.Tuple{value.Bag{value.Tuple{"p"}}, value.Bag{value.Tuple{"p"}}}}
+	if !value.Equal(got, want) {
+		t.Fatalf("got %s, want %s", value.Format(got), value.Format(want))
 	}
 }

@@ -39,6 +39,18 @@ type NodeStats struct {
 	// Stage names the dataflow stage a wide operator ran under ("join#3");
 	// empty for narrow operators.
 	Stage string
+	// Heavy is the light/heavy split a skew join or skew BagToDict ran over;
+	// nil for every other operator. Written driver-side, like Stage.
+	Heavy *HeavySplit
+}
+
+// HeavySplit is the split of one skew operator's (left) input: how many heavy
+// keys it was made on, how many rows carry one, and whether the keys were
+// kept from the input's split (plan.Place's KeepSplit) rather than sampled.
+type HeavySplit struct {
+	Keys int
+	Rows int64
+	Kept bool
 }
 
 // Wall returns the accumulated closure wall time.
@@ -220,6 +232,13 @@ func analyzeAnnotation(op Op, a *Analysis, stageWall map[string]time.Duration, s
 	}
 	if in := ns.CombinedIn.Load(); in > 0 {
 		fmt.Fprintf(&sb, " combined=%d→%d", in, ns.CombinedOut.Load())
+	}
+	if h := ns.Heavy; h != nil {
+		from := "sampled"
+		if h.Kept {
+			from = "kept"
+		}
+		fmt.Fprintf(&sb, " heavy=%d/%d %s", h.Keys, h.Rows, from)
 	}
 	if b := shuffled[ns.Stage]; ns.Stage != "" && b > 0 {
 		fmt.Fprintf(&sb, " shuffled=%dB", b)

@@ -193,37 +193,44 @@ func (p placement) through(src []int) placement {
 // left (l) and right (r) inputs lie.
 func (pl placer) join(x *Join, l, r placement) placement {
 	keyed := len(x.LCols) > 0
-	skew := pl.SkewAware && keyed
+	// A join the cost model broadcasts is the plain join under skew too: a
+	// broadcast leaves every left row where it lies, heavy key or not. One
+	// without a Cost decides at run time, by size, unless nothing broadcasts.
+	broadcast := !keyed || x.Cost != nil && x.Cost.Method == JoinBroadcast
+	undecided := keyed && x.Cost == nil && !pl.NoBroadcast
+	skew := pl.SkewAware && !broadcast
 	x.KeepSplit = skew && slices.Equal(l.keyed, x.LCols)
 	lhash := l.hash
 	if skew && !x.KeepSplit {
 		lhash = l.merged() // the left components are merged to be split anew
 	}
-	// A side may exchange unless the cost model chose broadcast: a join
-	// without a Cost decides at run time, by size, unless nothing broadcasts.
-	exchanges := keyed && (x.Cost == nil || x.Cost.Method == JoinShuffle)
 	x.Placed = [2]bool{
-		exchanges && slices.Equal(lhash, x.LCols),
-		exchanges && slices.Equal(r.merged(), x.RCols),
+		!broadcast && slices.Equal(lhash, x.LCols),
+		!broadcast && slices.Equal(r.merged(), x.RCols),
 	}
 	out := placement{apart: l.apart, keyed: l.keyed}
 	switch {
-	case !exchanges:
+	case broadcast:
 		out.hash = lhash // the left rows stay where they are
-	case x.Cost != nil || pl.NoBroadcast || x.Placed[0]:
+	case !undecided || x.Placed[0]:
 		out.hash = x.LCols // an exchange on LCols puts them there, if they are not already
 	}
 	if skew {
 		// The skew arm broadcasts the matches of the heavy rows to where they
-		// lie, which is where they lay in the input, merged or not.
+		// lie, which is where they lay in the input, merged or not. A join the
+		// size rule may yet broadcast keeps its left's split instead: the heavy
+		// keys are known over LCols only if that split was made on them.
 		out.apart, out.keyed = !slices.Equal(out.hash, l.merged()), x.LCols
+		if undecided && !x.KeepSplit {
+			out.keyed = nil
+		}
 	}
 
 	// Co-located sets: a broadcast join, and the skew arm's heavy rows, leave
 	// the left rows in place; otherwise they hash by LCols, which a set must
 	// determine.
 	out.sets = l.sets
-	if x.Cost == nil || x.Cost.Method != JoinBroadcast {
+	if !broadcast {
 		deps := idDepsOf(x.L, pl.cols)
 		out.sets = slices.DeleteFunc(out.sets, func(s []int) bool { return !determines(s, x.LCols, deps) })
 	}

@@ -63,6 +63,7 @@ func TestColocateRules(t *testing.T) {
 		{"μ̄ not writing the ID loses it", sumBy(&Unnest{In: numbered(), BagCol: 2, Prefix: "x", Outer: true, Outs: []int{0, 1, 4}}, 0, 1), false, "exchange"},
 		{"⊎ carries none", sumBy(&UnionAll{L: numbered(), R: numbered()}, 3), false, "exchange"},
 		{"a broadcast join keeps its left's sets", sumBy(joinOn(un, 4, bcast), 3), false, "local on _id"},
+		{"… under skew too, where it splits nothing", sumBy(joinOn(un, 4, bcast), 3), true, "local on _id"},
 		{"a shuffle join keeps a set determining its key", sumBy(joinOn(un, 0, shuffle), 3), false, "local on _id"},
 		{"a shuffle join drops a set not determining its key", sumBy(joinOn(un, 4, shuffle), 3), false, "exchange"},
 		{"without a Cost only the key rule applies", sumBy(joinOn(un, 4, nil), 3), false, "exchange"},
@@ -201,6 +202,10 @@ func TestPlaceRules(t *testing.T) {
 		{"… and a skew join on it reuses the split", joinOn(joinOn(p, 1, shuffle), 1, shuffle), skewed, "⋈ [L placed] [split kept] / ⋈ → none"},
 		{"… a skew BagToDict on it too", &BagToDict{In: joinOn(p, 1, shuffle), LabelCol: 1}, skewed, "bagToDict [placed] [split kept] / ⋈ → none"},
 		{"a skew BagToDict over rows placed on the label", &BagToDict{In: p}, skewed, "bagToDict [placed] → [0]"},
+		{"a skew-aware broadcast join is the plain one", joinOn(joinOn(p, 1, bcast), 0, shuffle), skewed, "⋈ [L placed] / ⋈ → [0]"},
+		{"… and leaves no split a skew join could keep", joinOn(joinOn(p, 1, bcast), 1, shuffle), skewed, "⋈ / ⋈ → none"},
+		{"a join the size rule may broadcast keeps no split it was not given", joinOn(joinOn(p, 1, nil), 1, shuffle), skewed, "⋈ / ⋈ → none"},
+		{"… and passes on one it was", joinOn(joinOn(joinOn(p, 1, shuffle), 1, nil), 1, shuffle), skewed, "⋈ [L placed] [split kept] / ⋈ [L placed] [split kept] / ⋈ → none"},
 	}
 	for _, c := range cases {
 		if got := decisions(c.op, c.opts); got != c.want {

@@ -416,7 +416,7 @@ func (cq *Compiled) markDeferrable() {
 	for i := len(cq.Stmts) - 1; i >= 0; i-- {
 		st := &cq.Stmts[i]
 		if !scanned[st.Bind] && slices.ContainsFunc(cq.Mat.Dicts, func(d shred.DictInfo) bool { return d.Name == st.Bind }) {
-			if src := labelClosed(st.Plan, cq.dicts, cq.Strategy.SkewAware()); src != nil && !bound[src.input] {
+			if src := labelClosed(st.Plan, cq.dicts); src != nil && !bound[src.input] {
 				st.src = src
 			}
 		}
@@ -442,10 +442,9 @@ func addScans(op plan.Op, set map[string]bool) {
 // read that Scan; and a Γ or dedup reducing in place with its key holding
 // them. The Scan is an input dictionary placed on its label, its column 0, or,
 // for a minted label, a flat input whose payload columns hold no label (a
-// one-column MkLabel passes a label on as it is). Under skew no join keeps a
-// plan label-closed: a skew join splits its input on keys sampled over all of
-// it.
-func labelClosed(op plan.Op, dicts []string, skewAware bool) *labelSource {
+// one-column MkLabel passes a label on as it is). Skew changes nothing here:
+// a skew-aware run joins a broadcast ⋈ without splitting its input.
+func labelClosed(op plan.Op, dicts []string) *labelSource {
 	src, cols := &labelSource{}, []int{0}
 	var builds []plan.Op
 	beyond := func(w int) bool { return slices.ContainsFunc(cols, func(c int) bool { return c >= w }) }
@@ -492,7 +491,7 @@ func labelClosed(op plan.Op, dicts []string, skewAware bool) *labelSource {
 			}
 			op = x.In
 		case *plan.Join:
-			if skewAware || !broadcasts(x) || x.Outs != nil && !through(x.Outs) || beyond(len(x.L.Columns())) {
+			if !broadcasts(x) || x.Outs != nil && !through(x.Outs) || beyond(len(x.L.Columns())) {
 				return nil
 			}
 			builds, op = append(builds, x.R), x.L

@@ -209,7 +209,7 @@ func TestDeferredResultConcurrentReaders(t *testing.T) {
 // dictionary placed on its label or a flat input the label is minted from —
 // and nothing else: not a chain holding addIndex, whose IDs number rows per
 // partition, an exchanged Γ, a Γ whose key omits the label, a shuffle ⋈, a
-// join under skew, a label the plan does not pass through or nullifies, an
+// label the plan does not pass through or nullifies, an
 // input not placed on its label, nor a label minted over a label column or
 // from a dictionary.
 func TestPositionalChainIsNotDeferred(t *testing.T) {
@@ -236,33 +236,31 @@ func TestPositionalChainIsNotDeferred(t *testing.T) {
 	for _, c := range []struct {
 		what string
 		op   plan.Op
-		skew bool
 		want string
 	}{
-		{"π over a placed scan", &plan.Project{In: scan(labelKey), Outs: label(0)}, false, "D__items"},
-		{"π over ext over σ", &plan.Project{In: &plan.Extend{In: &plan.Select{In: scan(labelKey), Pred: &plan.ConstE{Val: true, Typ: nrc.BoolT}}}, Outs: label(0)}, false, "D__items"},
-		{"broadcast ⋈ probed by the label", join(scan(labelKey), build, plan.JoinBroadcast), false, "D__items"},
-		{"Γ in place keyed by the label", nest(scan(labelKey), []int{0}, labelKey), false, "D__items"},
-		{"dedup in place", &plan.DedupOp{In: scan(labelKey), Local: labelKey}, false, "D__items"},
-		{"label minted from a flat input", mint(flat, 0), false, "S__F"},
-		{"addIndex", &plan.Project{In: &plan.AddIndex{In: scan(labelKey), Name: "_id1"}, Outs: label(0)}, false, ""},
-		{"exchanged Γ", nest(scan(labelKey), []int{0}, nil), false, ""},
-		{"combined dedup", &plan.DedupOp{In: scan(labelKey), Combine: true}, false, ""},
-		{"Γ in place keyed without the label", &plan.Project{In: &plan.Nest{In: scan(labelKey), GroupCols: []int{1}, CarryCols: []int{0}, ValueCols: []int{1}, Agg: plan.AggSum, Local: labelKey}, Outs: label(1)}, false, ""},
-		{"shuffle ⋈", join(scan(labelKey), build, plan.JoinShuffle), false, ""},
-		{"⋈ the executor decides", &plan.Join{L: scan(labelKey), R: build, LCols: []int{1}, RCols: []int{0}}, false, ""},
-		{"broadcast ⋈ under skew", join(scan(labelKey), build, plan.JoinBroadcast), true, ""},
-		{"broadcast ⋈ building on the label", &plan.Project{In: join(build, scan(labelKey), plan.JoinBroadcast), Outs: label(1)}, false, ""},
-		{"build side reading the label's input", join(scan(labelKey), scan(labelKey), plan.JoinBroadcast), false, ""},
-		{"label not passed through", &plan.Project{In: scan(labelKey), Outs: label(1)}, false, ""},
-		{"label nullified", &plan.Select{In: scan(labelKey), Pred: &plan.ConstE{Val: true, Typ: nrc.BoolT}, NullifyCols: []int{0}}, false, ""},
-		{"unplaced scan", &plan.Project{In: scan(nil), Outs: label(0)}, false, ""},
-		{"not an input dictionary", &plan.Project{In: &plan.Scan{Input: "X", Cols: cols, Placed: labelKey}, Outs: label(0)}, false, ""},
-		{"label minted over a label", mint(flat, 1), false, ""},
-		{"label minted from a dictionary", mint(scan(labelKey), 1), false, ""},
+		{"π over a placed scan", &plan.Project{In: scan(labelKey), Outs: label(0)}, "D__items"},
+		{"π over ext over σ", &plan.Project{In: &plan.Extend{In: &plan.Select{In: scan(labelKey), Pred: &plan.ConstE{Val: true, Typ: nrc.BoolT}}}, Outs: label(0)}, "D__items"},
+		{"broadcast ⋈ probed by the label (skew-aware or not: it splits nothing)", join(scan(labelKey), build, plan.JoinBroadcast), "D__items"},
+		{"Γ in place keyed by the label", nest(scan(labelKey), []int{0}, labelKey), "D__items"},
+		{"dedup in place", &plan.DedupOp{In: scan(labelKey), Local: labelKey}, "D__items"},
+		{"label minted from a flat input", mint(flat, 0), "S__F"},
+		{"addIndex", &plan.Project{In: &plan.AddIndex{In: scan(labelKey), Name: "_id1"}, Outs: label(0)}, ""},
+		{"exchanged Γ", nest(scan(labelKey), []int{0}, nil), ""},
+		{"combined dedup", &plan.DedupOp{In: scan(labelKey), Combine: true}, ""},
+		{"Γ in place keyed without the label", &plan.Project{In: &plan.Nest{In: scan(labelKey), GroupCols: []int{1}, CarryCols: []int{0}, ValueCols: []int{1}, Agg: plan.AggSum, Local: labelKey}, Outs: label(1)}, ""},
+		{"shuffle ⋈", join(scan(labelKey), build, plan.JoinShuffle), ""},
+		{"⋈ the executor decides", &plan.Join{L: scan(labelKey), R: build, LCols: []int{1}, RCols: []int{0}}, ""},
+		{"broadcast ⋈ building on the label", &plan.Project{In: join(build, scan(labelKey), plan.JoinBroadcast), Outs: label(1)}, ""},
+		{"build side reading the label's input", join(scan(labelKey), scan(labelKey), plan.JoinBroadcast), ""},
+		{"label not passed through", &plan.Project{In: scan(labelKey), Outs: label(1)}, ""},
+		{"label nullified", &plan.Select{In: scan(labelKey), Pred: &plan.ConstE{Val: true, Typ: nrc.BoolT}, NullifyCols: []int{0}}, ""},
+		{"unplaced scan", &plan.Project{In: scan(nil), Outs: label(0)}, ""},
+		{"not an input dictionary", &plan.Project{In: &plan.Scan{Input: "X", Cols: cols, Placed: labelKey}, Outs: label(0)}, ""},
+		{"label minted over a label", mint(flat, 1), ""},
+		{"label minted from a dictionary", mint(scan(labelKey), 1), ""},
 	} {
 		got := ""
-		if src := labelClosed(c.op, dicts, c.skew); src != nil {
+		if src := labelClosed(c.op, dicts); src != nil {
 			got = src.input
 		}
 		if got != c.want {

@@ -19,6 +19,11 @@ import (
 // inputs' columns, nested-to-nested reads placed input dictionaries, its
 // lineitems through a broadcast ⋈ with Part and a Γ+ reduced in place.
 func tpchDeferred(t *testing.T, class tpch.QueryClass, cfg runner.Config) *runner.Result {
+	return tpchDeferredUnder(t, class, runner.Shred, cfg)
+}
+
+// tpchDeferredUnder is tpchDeferred run by strat, Shred or ShredSkew.
+func tpchDeferredUnder(t *testing.T, class tpch.QueryClass, strat runner.Strategy, cfg runner.Config) *runner.Result {
 	t.Helper()
 	tables := tpch.Generate(tpch.Config{Customers: 40, OrdersPerCustomer: 5, LinesPerOrder: 4, Parts: 30, Seed: 3})
 	inputs := tables.Inputs()
@@ -30,7 +35,7 @@ func tpchDeferred(t *testing.T, class tpch.QueryClass, cfg runner.Config) *runne
 	for name, te := range ests {
 		ests[shred.MatName(name, nil)] = te // a top component carries its input's
 	}
-	cq, err := runner.CompileStep(tpch.Query(class, 2, false), env, runner.Shred, cfg, ests, "Q")
+	cq, err := runner.CompileStep(tpch.Query(class, 2, false), env, strat, cfg, ests, "Q")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,15 +64,18 @@ func writeJSON(t *testing.T, res *runner.Result, limit int) string {
 var deferredClasses = []tpch.QueryClass{tpch.FlatToNested, tpch.NestedToNested}
 
 // TestTopReadRunsNoDeferredStatement: both dictionaries of each class are
-// deferred, and a Result read only through Top — the shred reply — runs
-// neither, limited or whole.
+// deferred, skew-aware or not — a skew-aware run joins a broadcast ⋈ as the
+// plain run does, splitting nothing — and a Result read only through Top —
+// the shred reply — runs neither, limited or whole.
 func TestTopReadRunsNoDeferredStatement(t *testing.T) {
-	for _, class := range deferredClasses {
-		res := tpchDeferred(t, class, runner.DefaultConfig())
-		writeJSON(t, res.Top(), 20)
-		writeJSON(t, res.Top(), 0)
-		if n, forced, labels := runner.DeferredRan(res); n != 2 || forced != 0 || labels != 0 {
-			t.Fatalf("%s: %d deferred statements; top reads forced %d and demanded %d labels", class, n, forced, labels)
+	for _, strat := range []runner.Strategy{runner.Shred, runner.ShredSkew} {
+		for _, class := range deferredClasses {
+			res := tpchDeferredUnder(t, class, strat, runner.DefaultConfig())
+			writeJSON(t, res.Top(), 20)
+			writeJSON(t, res.Top(), 0)
+			if n, forced, labels := runner.DeferredRan(res); n != 2 || forced != 0 || labels != 0 {
+				t.Fatalf("%s %s: %d deferred statements; top reads forced %d and demanded %d labels", strat, class, n, forced, labels)
+			}
 		}
 	}
 }
@@ -81,13 +89,19 @@ func TestTopReadRunsNoDeferredStatement(t *testing.T) {
 func TestDeferredTPCHReadsWriteTheForcedBytes(t *testing.T) {
 	capped := runner.DefaultConfig()
 	capped.MaxPartitionBytes = 1 << 40
+	for _, strat := range []runner.Strategy{runner.Shred, runner.ShredSkew} {
+		testDeferredTPCHReadsWriteTheForcedBytes(t, strat, capped)
+	}
+}
+
+func testDeferredTPCHReadsWriteTheForcedBytes(t *testing.T, strat runner.Strategy, capped runner.Config) {
 	for _, class := range deferredClasses {
-		forced := tpchDeferred(t, class, capped)
+		forced := tpchDeferredUnder(t, class, strat, capped)
 		if n, _, _ := runner.DeferredRan(forced); n != 0 {
 			t.Fatalf("%s: a capped run deferred %d statements", class, n)
 		}
 		for _, c := range []struct{ limit, forced int }{{5, 0}, {30, 2}} {
-			res := tpchDeferred(t, class, runner.DefaultConfig())
+			res := tpchDeferredUnder(t, class, strat, runner.DefaultConfig())
 			if got, want := writeJSON(t, res, c.limit), writeJSON(t, forced, c.limit); got != want {
 				t.Fatalf("%s: limit %d wrote\n%s\nthe capped run\n%s", class, c.limit, got, want)
 			}

@@ -685,6 +685,10 @@ type diffCounts struct {
 	// groupedPlaced counts seeds whose grouped-join program places a join
 	// side on some strategy.
 	groupedPlaced int
+	// skewBroadcast counts seeds where a skew-aware run ran a keyed
+	// broadcast join, which splits nothing; skewLight those where a
+	// skew-aware run found no heavy key and so matched its skew-unaware twin.
+	skewBroadcast, skewLight int
 	// shreddedSteps counts program runs whose second step read the first
 	// step's output in shredded form.
 	shreddedSteps int
@@ -717,6 +721,8 @@ func (c *diffCounts) add(o diffCounts) {
 	c.boundSkip += o.boundSkip
 	c.scanLocal += o.scanLocal
 	c.groupedPlaced += o.groupedPlaced
+	c.skewBroadcast += o.skewBroadcast
+	c.skewLight += o.skewLight
 	c.shreddedSteps += o.shreddedSteps
 	c.stitchResolved += o.stitchResolved
 	c.stitchDeep += o.stitchDeep
@@ -874,6 +880,16 @@ func runDifferential(data []byte, strict bool) (n diffCounts, err error) {
 	}
 	if combined {
 		n.combined++
+	}
+	broadcast, light, err := skewTwins(mkQuery("R"), mkQuery, env, inputs, ests, limit)
+	if err != nil {
+		return n, err
+	}
+	if broadcast {
+		n.skewBroadcast++
+	}
+	if light {
+		n.skewLight++
 	}
 
 	// The program arm: the same query as the second step of a two-step
@@ -1248,8 +1264,8 @@ func (g *dgen) mintedQuery() nrc.Expr {
 		names = nrc.SumByOf(nrc.ForIn("s", src, nrc.IfThen(match,
 			nrc.SingOf(nrc.Record("n", nrc.P(s, "name"), "c", nrc.C(int64(1)))))), []string{"n"}, []string{"c"})
 	}
-	// u, not s: Check types a variable node in place, and s is bound to the
-	// summed rows above in half the seeds.
+	// u, not s: a node holds one type, and s is bound to the summed rows
+	// above in half the seeds — Check refuses one node under two types.
 	u := nrc.V("u")
 	pairs := func(head nrc.Expr) nrc.Expr {
 		return nrc.ForIn("it", nrc.P(x, "items"), nrc.ForIn("u", nrc.V("S"),
@@ -1261,6 +1277,73 @@ func (g *dgen) mintedQuery() nrc.Expr {
 	}
 	return nrc.ForIn("x", nrc.V("R"), nrc.SingOf(nrc.Record(
 		"k", lead, "ss", names, "js", joined)))
+}
+
+// skewTwins runs each skew-aware strategy beside its skew-unaware twin on the
+// full plans, both analyzed. A keyed join the skew-aware plans broadcast runs
+// the plain join: it splits its input on no heavy key, sampled or kept, and
+// its plan marks no kept split and no placed side; broadcast reports that one
+// ran. Where a skew-aware run found no heavy key anywhere (light), its answer
+// is bit-identical to its twin's: the heavy set only picks where rows run.
+// Where it split nothing at all, it shuffles the same bytes too. A shuffle
+// join that split on no heavy key may still shuffle more: plan.Place cannot
+// know at plan time that no key will be heavy, so a Γ above it on its key
+// exchanges instead of reducing in place.
+func skewTwins(q nrc.Expr, mkQuery func(string) nrc.Expr, env nrc.Env, inputs map[string]value.Bag, ests map[string]plan.TableEstimate, limit int64) (broadcast, light bool, err error) {
+	cfg, cst := diffConfig(true, false, ests, limit)
+	for _, twins := range [][2]runner.Strategy{{runner.StandardSkew, runner.Standard}, {runner.ShredSkew, runner.Shred}} {
+		var got [2]value.Bag
+		var res [2]*runner.Result
+		for i, strat := range twins {
+			cq, cerr := runner.CompileStep(mkQuery("R"), env, strat, cfg, cst, "Q")
+			if cerr != nil {
+				return false, false, fmt.Errorf("%s (analyzed) does not compile: %v\n%s", strat, cerr, nrc.Print(q))
+			}
+			res[i] = runner.ExecuteBags(context.Background(), []*runner.Compiled{cq}, inputs, runner.NewRunContext(cfg), runner.ExecOptions{Analysis: plan.NewAnalysis()})
+			if res[i].Failed() {
+				return false, false, fmt.Errorf("%s (analyzed) failed: %v\n%s", strat, res[i].Err, nrc.Print(q))
+			}
+			if got[i], err = nestedOutput(cq, res[i]); err != nil {
+				return false, false, fmt.Errorf("%s (analyzed): %v\n%s", strat, err, nrc.Print(q))
+			}
+		}
+		heavy, split := false, false
+		var walk func(op plan.Op)
+		walk = func(op plan.Op) {
+			for _, ch := range op.Children() {
+				walk(ch)
+			}
+			ns := res[0].Analyze.Lookup(op)
+			if ns == nil {
+				return // never ran
+			}
+			heavy = heavy || ns.Heavy != nil && ns.Heavy.Keys > 0
+			split = split || ns.Heavy != nil
+			if j, ok := op.(*plan.Join); ok && len(j.LCols) > 0 && j.Cost != nil && j.Cost.Method == plan.JoinBroadcast {
+				if ns.Heavy != nil || j.KeepSplit || j.Placed != [2]bool{} {
+					err = fmt.Errorf("%s splits a broadcast join (heavy %v, split kept %t, placed %v):\n%s", twins[0], ns.Heavy, j.KeepSplit, j.Placed, j.Describe())
+				}
+				broadcast = true
+			}
+		}
+		for _, cq := range res[0].Program() {
+			for _, st := range cq.Stmts {
+				walk(st.Plan)
+			}
+		}
+		switch {
+		case err != nil:
+			return false, false, fmt.Errorf("%v\n%s", err, nrc.Print(q))
+		case heavy:
+			continue
+		case !bitIdentical(got[0], got[1]):
+			return false, false, fmt.Errorf("%s found no heavy key yet answers apart from %s\n got: %s\nwant: %s\n%s", twins[0], twins[1], value.Format(got[0]), value.Format(got[1]), nrc.Print(q))
+		case !split && res[0].Metrics.ShuffleBytes != res[1].Metrics.ShuffleBytes:
+			return false, false, fmt.Errorf("%s split nothing yet shuffles %dB, %s %dB\n%s", twins[0], res[0].Metrics.ShuffleBytes, twins[1], res[1].Metrics.ShuffleBytes, nrc.Print(q))
+		}
+		light = true
+	}
+	return broadcast, light, nil
 }
 
 // stitchSeen tallies one seed's stitching checks for the vacuity floors:
@@ -1674,6 +1757,12 @@ func TestDifferentialOracle(t *testing.T) {
 	if total.boundSkip < n/8 || total.scanLocal < n/8 {
 		t.Fatalf("%d of %d seeds skip an exchange over a placed input dictionary and %d reduce a Γ/dedup in place over a placed Scan — bound placement is no longer exercised", total.boundSkip, n, total.scanLocal)
 	}
+	// And a skew-aware run must actually meet keyed broadcast joins, which
+	// it runs as plain joins (skewTwins checks each splits nothing), and
+	// must actually find no heavy key, which makes it its twin.
+	if total.skewBroadcast < n/8 || total.skewLight < n/8 {
+		t.Fatalf("%d of %d seeds ran a keyed broadcast join skew-aware and %d found no heavy key — skew handling where it does not act is no longer exercised", total.skewBroadcast, n, total.skewLight)
+	}
 	if total.groupedPlaced < n/15 {
 		t.Fatalf("%d of %d grouped-join programs place a join side on some strategy — plan.Place no longer skips join exchanges", total.groupedPlaced, n)
 	}
@@ -1711,6 +1800,7 @@ func TestDifferentialOracle(t *testing.T) {
 	if total.stitchMinted < n/8 || total.stitchWide < n/8 {
 		t.Fatalf("%d of %d seeds demanded rows of a deferred statement whose label is minted from a flat input and %d of one holding a ⋈ or Γ — the label-closed rule is no longer exercised", total.stitchMinted, n, total.stitchWide)
 	}
+	t.Logf("%d seeds ran a keyed broadcast join skew-aware, %d matched their skew-unaware twin with no heavy key", total.skewBroadcast, total.skewLight)
 	t.Logf("%d seeds stitched through a label comparison, %d two levels deep, %d demanded fewer rows than forcing runs, %d broke a tie on a demanded label, %d demanded through a minted label, %d through a ⋈ or Γ; %d index scans served", total.stitchResolved, total.stitchDeep, total.stitchDemanded, total.stitchDemandTie, total.stitchMinted, total.stitchWide, after["index.scans"]-before["index.scans"])
 	t.Logf("%d queries × %d runs each agreed with the oracle; optimizer changed plans in %d runs (%d crossings); %d seeds grouped above an addIndex, %d keyed a Γ by the IDs; %d seeds fused a join and %d composed a chain; %d seeds reduced in place, %d combined; %d seeds summed a NULL, %d reals whose float sum depends on their order; %d seed × strategy pairs placed a join side (%d grouped-join programs); %d seeds skipped an exchange over a placed input dictionary, %d reduced in place over a placed Scan; %d runs planned index scans; %d runs moved rows across an exchange; %d programs read a shredded step output",
 		n, total.runs/n, total.optimized, total.pushed, total.nested, total.narrowed, total.fused, total.composed, total.local, total.combined, total.nullSummed, total.orderSummed, total.placed, total.groupedPlaced, total.boundSkip, total.scanLocal, total.indexed, total.shuffled, total.shreddedSteps)

@@ -32,9 +32,10 @@ type stitcher struct {
 	// resolved counts the label pairs the comparator stitched to decide an
 	// order, demandTies those of them read from a deferred dictionary and
 	// singles the labels it demanded one at a time; depth is the deepest
-	// dictionary level a bag was stitched from, batch the last demand's.
-	resolved, demandTies, singles, depth, batch int
-	err                                         error // the first failure of a deferred statement
+	// dictionary level a bag was stitched from, batch the last demand's;
+	// finds counts the label lookups in read-whole dictionaries.
+	resolved, demandTies, singles, depth, batch, finds int
+	err                                                error // the first failure of a deferred statement
 }
 
 // level lays out the rows of one bag: the top bag, or a dictionary whose
@@ -61,6 +62,9 @@ type dict struct {
 	depth  int
 	lookup *dataflow.Lookup
 	bags   []value.Bag // per label group, the stitched bag (nil: not yet)
+	// found holds, per label group fetch went down through, what it found
+	// for the group's rows (see fetch); nil where it went down through none.
+	found [][]int
 	// dem, when set, is the deferred statement the dictionary's rows are
 	// demanded of, got what the read demanded of each label, by its hash.
 	dem *deferred
@@ -68,14 +72,27 @@ type dict struct {
 }
 
 // demanded is what a read demanded of a deferred dictionary for one label:
-// in which batch, the rows that came back and, once stitched, their bag;
-// next is another label of the same hash.
+// in which batch, the rows that came back, what fetch found for them a level
+// down and, once stitched, their bag; next is another label of the same hash.
 type demanded struct {
 	lbl   value.Value
 	batch int
 	rows  []dataflow.Row
+	found []int
 	bag   value.Bag
 	next  *demanded
+}
+
+// unfound is a found entry fetch did not look up: bag looks the label up.
+const unfound = -2
+
+// foundOf is row i's entries of found, a level of nb bag columns; nil when
+// found is empty.
+func foundOf(found []int, i, nb int) []int {
+	if len(found) == 0 {
+		return nil
+	}
+	return found[i*nb : (i+1)*nb]
 }
 
 // entry is d's demand of lbl, or, if there is none and batch is not 0, a new
@@ -153,10 +170,10 @@ func stitchTop(o *Output, limit int) ([]dataflow.Row, int, *stitcher) {
 	}
 	s := newStitcher(o, limit)
 	rows, total := o.d.CollectTopFunc(limit, s.compare)
-	if len(s.top.bags) > 0 {
-		s.fetch(&s.top, rows)
+	if nb := len(s.top.bags); nb > 0 {
+		found := s.fetch(&s.top, rows)
 		for i, r := range rows {
-			rows[i] = dataflow.Row(s.elem(&s.top, r).(value.Tuple))
+			rows[i] = dataflow.Row(s.elem(&s.top, r, foundOf(found, i, nb)).(value.Tuple))
 		}
 	}
 	return rows, total, s
@@ -174,7 +191,7 @@ func (s *stitcher) compare(a, b dataflow.Row) int {
 			if bags[0].dict.dem != nil {
 				s.demandTies++
 			}
-			c = value.Compare(s.bag(bags[0], a), s.bag(bags[0], b))
+			c = value.Compare(s.bag(bags[0], a, unfound), s.bag(bags[0], b, unfound))
 			bags = bags[1:]
 		} else {
 			c = value.Compare(a[i], b[i])
@@ -186,8 +203,9 @@ func (s *stitcher) compare(a, b dataflow.Row) int {
 	return len(a) - len(b)
 }
 
-// elem is the nested element a row of lv stands for.
-func (s *stitcher) elem(lv *level, r dataflow.Row) value.Value {
+// elem is the nested element a row of lv stands for; found, when not nil,
+// holds what fetch found for the row (see fetch).
+func (s *stitcher) elem(lv *level, r dataflow.Row, found []int) value.Value {
 	if lv.scalar {
 		return r[lv.off]
 	}
@@ -196,16 +214,22 @@ func (s *stitcher) elem(lv *level, r dataflow.Row) value.Value {
 		return t
 	}
 	t = slices.Clone(t)
-	for _, bc := range lv.bags {
-		t[bc.field] = s.bag(bc, r)
+	for k, bc := range lv.bags {
+		id := unfound
+		if found != nil {
+			id = found[k]
+		}
+		t[bc.field] = s.bag(bc, r, id)
 	}
 	return t
 }
 
 // bag is the bag the label in r's bc column stands for: the dictionary's rows
 // under it in Collect order, stitched in turn. A NULL label, or one no row
-// carries, is the empty bag, as plan.CastNullBag makes it.
-func (s *stitcher) bag(bc bagCol, r dataflow.Row) value.Bag {
+// carries, is the empty bag, as plan.CastNullBag makes it. id is the label's
+// group in a read-whole dictionary, or -1 for none, as fetch found it, or
+// unfound.
+func (s *stitcher) bag(bc bagCol, r dataflow.Row, id int) value.Bag {
 	d := bc.dict
 	if d.dem != nil {
 		lbl := r[bc.cols[0]]
@@ -218,19 +242,32 @@ func (s *stitcher) bag(bc bagCol, r dataflow.Row) value.Bag {
 		}
 		if g != nil {
 			if g.bag == nil {
-				g.bag = s.stitch(d, g.rows)
+				g.bag = s.stitch(d, g.rows, g.found)
 			}
 			return g.bag
 		}
 	}
-	id, rows := s.lookup(d).Find(r, bc.cols)
+	if id == unfound {
+		id = s.find(d, r, bc.cols)
+	}
 	if id < 0 {
 		return value.Bag{}
 	}
 	if d.bags[id] == nil {
-		d.bags[id] = s.stitch(d, rows)
+		var found []int
+		if d.found != nil {
+			found = d.found[id]
+		}
+		d.bags[id] = s.stitch(d, d.lookup.Group(id), found)
 	}
 	return d.bags[id]
+}
+
+// find is the group of the label in r's cols in read-whole d, -1 for none.
+func (s *stitcher) find(d *dict, r dataflow.Row, cols []int) int {
+	s.finds++
+	id, _ := s.lookup(d).Find(r, cols)
+	return id
 }
 
 // lookup is d's label lookup, built on first use.
@@ -242,11 +279,12 @@ func (s *stitcher) lookup(d *dict) *dataflow.Lookup {
 	return d.lookup
 }
 
-// stitch is the bag of rows, rows of d under one label.
-func (s *stitcher) stitch(d *dict, rows []dataflow.Row) value.Bag {
+// stitch is the bag of rows, rows of d under one label, and what fetch found
+// for them, or nil.
+func (s *stitcher) stitch(d *dict, rows []dataflow.Row, found []int) value.Bag {
 	b := make(value.Bag, len(rows))
 	for i, row := range rows {
-		b[i] = s.elem(&d.lvl, row)
+		b[i] = s.elem(&d.lvl, row, foundOf(found, i, len(d.lvl.bags)))
 	}
 	if len(rows) > 0 {
 		s.depth = max(s.depth, d.depth)
@@ -273,7 +311,7 @@ func (s *stitcher) single(d *dict, lbl value.Value) *demanded {
 	if s.demand(d, []value.Value{lbl}); d.dem == nil {
 		return nil
 	}
-	s.fetch(&d.lvl, g.rows)
+	g.found = s.fetch(&d.lvl, g.rows)
 	return g
 }
 
@@ -295,47 +333,79 @@ func (s *stitcher) force(d *dict) {
 // then the labels the rows that came back hold, a level further down. A
 // dictionary whose batch would be most of its labels, or of its source's rows
 // (demand), is forced instead: a force, reading the source in order, costs
-// less.
-func (s *stitcher) fetch(lv *level, rows []dataflow.Row) {
+// less. A read-whole dictionary with a demanded one below it has the labels
+// of rows looked up here, to reach the rows a level down, and fetch returns
+// what it found: per row of rows, per bag column of lv, the label's group (-1:
+// none) or unfound, nil when it looked nothing up. Stitching reads it, so each
+// row is looked up once.
+func (s *stitcher) fetch(lv *level, rows []dataflow.Row) []int {
 	if len(rows) == 0 || !lv.demands() {
-		return
+		return nil
 	}
-	for _, bc := range lv.bags {
+	nb := len(lv.bags)
+	var found []int
+	for k, bc := range lv.bags {
 		d := bc.dict
-		var next []dataflow.Row
 		if d.dem != nil && 2*len(rows) > d.dem.labelsAtMost() {
 			s.force(d)
 		}
 		if d.dem != nil {
 			s.batch++
 			var lbls []value.Value
-			var got []*demanded
+			var fresh []*demanded
 			for _, r := range rows {
 				if lbl := r[bc.cols[0]]; isLabel(lbl) {
-					g, fresh := d.entry(lbl, s.batch)
-					if fresh {
+					if g, isNew := d.entry(lbl, s.batch); isNew {
 						lbls = append(lbls, lbl)
+						fresh = append(fresh, g)
 					}
-					got = append(got, g)
 				}
 			}
-			s.demand(d, lbls)
-			for _, g := range got {
-				next = append(next, g.rows...)
-			}
-		}
-		if d.dem == nil { // read whole, or forced just now
-			if !d.lvl.demands() {
+			if s.demand(d, lbls); d.dem != nil {
+				var next []dataflow.Row
+				for _, g := range fresh {
+					next = append(next, g.rows...)
+				}
+				if below := s.fetch(&d.lvl, next); below != nil {
+					for _, g := range fresh {
+						n := len(g.rows) * len(d.lvl.bags)
+						g.found, below = below[:n], below[n:]
+					}
+				}
 				continue
 			}
-			next = next[:0]
-			for _, r := range rows {
-				_, rs := s.lookup(d).Find(r, bc.cols)
-				next = append(next, rs...)
+		}
+		// Read whole, or forced just now.
+		if !d.lvl.demands() {
+			continue
+		}
+		if found == nil {
+			found = make([]int, len(rows)*nb)
+			for i := range found {
+				found[i] = unfound
 			}
 		}
-		s.fetch(&d.lvl, next)
+		if d.found == nil {
+			d.found = make([][]int, s.lookup(d).Len())
+		}
+		var next []dataflow.Row
+		var groups []int
+		for i, r := range rows {
+			id := s.find(d, r, bc.cols)
+			if found[i*nb+k] = id; id >= 0 && d.found[id] == nil {
+				d.found[id] = []int{} // going down now
+				groups = append(groups, id)
+				next = append(next, d.lookup.Group(id)...)
+			}
+		}
+		if below := s.fetch(&d.lvl, next); below != nil {
+			for _, id := range groups {
+				n := len(d.lookup.Group(id)) * len(d.lvl.bags)
+				d.found[id], below = below[:n], below[n:]
+			}
+		}
 	}
+	return found
 }
 
 // demands reports whether a dictionary at or below lv is demanded.

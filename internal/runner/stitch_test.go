@@ -170,3 +170,64 @@ func TestStitchedReplyAllocs(t *testing.T) {
 		t.Fatalf("Output.Count allocates %.0f objects on a shredded route; it should stitch nothing", count)
 	}
 }
+
+// TestStitchFindsEachRowOnce: the items dictionary is read whole — its plan
+// joins S by shuffle, so it is not deferred — and the tags dictionary below
+// it is deferred; a limited read of 3 of 4 top rows demands their 3 items'
+// tags (of 103 tag rows). Reaching them looks each returned row's items label
+// up once, and stitching reads what that lookup found instead of looking the
+// label up again; the rows are the first 3 of the whole read.
+func TestStitchFindsEachRowOnce(t *testing.T) {
+	env := nrc.Env{
+		"R": nrc.BagOf(nrc.Tup(
+			"a", nrc.IntT,
+			"items", nrc.BagOf(nrc.Tup("v", nrc.IntT, "tags", nrc.BagOf(nrc.Tup("t", nrc.IntT)))))),
+		"S": nrc.BagOf(nrc.Tup("k", nrc.IntT)),
+	}
+	var r value.Bag
+	for a := int64(1); a <= 4; a++ {
+		tags := value.Bag{value.Tuple{10 * a}}
+		for a == 4 && len(tags) < 100 {
+			tags = append(tags, value.Tuple{int64(len(tags))})
+		}
+		r = append(r, value.Tuple{a, value.Bag{value.Tuple{a, tags}}})
+	}
+	inputs := map[string]value.Bag{"R": r, "S": {value.Tuple{int64(1)}, value.Tuple{int64(2)}, value.Tuple{int64(3)}, value.Tuple{int64(4)}}}
+	x, it, s, tg := nrc.V("x"), nrc.V("it"), nrc.V("s"), nrc.V("tg")
+	q := nrc.ForIn("x", nrc.V("R"), nrc.SingOf(nrc.Record(
+		"a", nrc.P(x, "a"),
+		"items", nrc.ForIn("it", nrc.P(x, "items"), nrc.ForIn("s", nrc.V("S"), nrc.IfThen(nrc.EqOf(nrc.P(it, "v"), nrc.P(s, "k")),
+			nrc.SingOf(nrc.Record(
+				"v", nrc.P(it, "v"),
+				"tags", nrc.ForIn("tg", nrc.P(it, "tags"), nrc.SingOf(nrc.Record("t", nrc.P(tg, "t"))))))))))))
+	cfg := DefaultConfig()
+	cfg.BroadcastLimit = 0
+	cq, err := CompileStep(q, env, Shred, cfg, nil, "Q")
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func() *Result {
+		res := ExecuteBags(context.Background(), []*Compiled{cq}, inputs, NewRunContext(cfg), ExecOptions{})
+		if res.Failed() {
+			t.Fatal(res.Err)
+		}
+		return res
+	}
+	res := run()
+	rows, _, st := stitchTop(res.Output, 3)
+	if st.err != nil {
+		t.Fatal(st.err)
+	}
+	if n, forced, labels := DeferredRan(res); n != 1 || forced != 0 || labels != 3 {
+		t.Fatalf("%d deferred dictionaries, %d forced, %d labels demanded: want the tags one, 3 labels demanded of it\n%s", n, forced, labels, cq.Explain())
+	}
+	if st.finds != len(rows) {
+		t.Fatalf("%d label lookups for %d returned rows, want one each", st.finds, len(rows))
+	}
+	whole, _, _ := stitchTop(run().Output, 0)
+	for i, row := range rows {
+		if !value.Equal(value.Tuple(row), value.Tuple(whole[i])) {
+			t.Fatalf("row %d stitched %s, the whole read %s", i, value.Format(value.Tuple(row)), value.Format(value.Tuple(whole[i])))
+		}
+	}
+}

@@ -63,6 +63,17 @@ func (s KeySet) Find(row dataflow.Row, cols []int) int {
 // Has reports whether row's key over cols is in the set.
 func (s KeySet) Has(row dataflow.Row, cols []int) bool { return s.Find(row, cols) >= 0 }
 
+// Matching is the set less its keys with a NULL column: a NULL key matches
+// no row (dataflow.Join), so those are the keys a join's right side is split
+// on. It is s itself when no key holds a NULL.
+func (s KeySet) Matching() KeySet {
+	null := func(k Key) bool { return slices.ContainsFunc(k.cols, func(c int) bool { return k.row[c] == nil }) }
+	if !slices.ContainsFunc(s, null) {
+		return s
+	}
+	return slices.DeleteFunc(slices.Clone(s), null)
+}
+
 // search returns k's position in the set, or where to insert it.
 func (s KeySet) search(k Key) (at int, found bool) {
 	at, _ = slices.BinarySearchFunc(s, k.hash, func(e Key, h uint64) int { return cmp.Compare(e.hash, h) })
