@@ -66,7 +66,7 @@ func TestRunHeaderLines(t *testing.T) {
 		{tpch.NestedToNested, "standard", 0, []string{"STANDARD: ", "rows=200, shuffle=0B/0rec broadcast=32096B ", " stages=0 skipped=3\n"}},
 		{tpch.NestedToNested, "shred-skew", 3, []string{"SHRED-SKEW: ", "rows=200, shuffle=0B/0rec ", " stages=0 skipped=1\n"}},
 		{tpch.FlatToNested, "shred+unshred", 0, []string{"SHRED+UNSHRED: ", "rows=200, shuffle=0B/0rec ", " stages=0 skipped=0\n"}},
-		{tpch.NestedToFlat, "shred", 0, []string{"SHRED: ", "rows=200, shuffle=94982B/2331rec broadcast=400000B ", " stages=2 skipped=1\n"}},
+		{tpch.NestedToFlat, "shred", 0, []string{"SHRED: ", "rows=200, shuffle=8864B/200rec broadcast=16000B ", " stages=1 skipped=4\n"}},
 	} {
 		job, cfg := tpchJob(c.class, 2, false, defaultCustomers, c.skew)
 		var out strings.Builder
@@ -101,10 +101,11 @@ func runShuffled(t *testing.T, class tpch.QueryClass, level, customers int, stra
 
 // TestCombinedGammaShipsPartials: at 300 customers, level 2, the
 // nested-to-flat routes' exchanged Γ+ combines on its source partitions and
-// ships one partial row per (partition, name) — 300 on standard, about 1 700
-// on shred — instead of 7 200 rows (216 000 B before, and 300 000 B in all
-// on shred), while the other classes, whose exchanges carry only Γ⊎ rows or
-// none, move exactly what they moved before at every level.
+// ships one partial row per (partition, name) — 300 on standard, and 300 on
+// shred, whose root-aligned rows of one customer share a partition — instead
+// of 7 200 rows (216 000 B before, and 300 000 B in all on shred), while the
+// other classes, whose exchanges carry only Γ⊎ rows or none, move exactly
+// what they moved before at every level.
 func TestCombinedGammaShipsPartials(t *testing.T) {
 	if n, out := runShuffled(t, tpch.NestedToFlat, 2, 300, "standard"); n > 15000 {
 		t.Errorf("nested-to-flat L2 standard shuffled %d bytes, want at most 15000:\n%s", n, out)
@@ -134,9 +135,9 @@ func TestCombinedGammaShipsPartials(t *testing.T) {
 // TestShreddedInputsArrivePlaced: each value-shredded dictionary is bound
 // hash-placed on its label, so at every level the shredded nested-to-nested
 // route's label Γ reduces where its rows lie and the run shuffles nothing,
-// and the shredded nested-to-flat route's label joins exchange only their
-// top-side inputs: below the bytes it shuffled when every dictionary was
-// exchanged (the ceilings, measured at the default scale).
+// and the shredded nested-to-flat route's label joins exchange nothing: below
+// the bytes it shuffled when every dictionary was exchanged (the ceilings,
+// measured at the default scale).
 func TestShreddedInputsArrivePlaced(t *testing.T) {
 	exchanged := map[int]int64{1: 271200, 2: 355200, 3: 289005, 4: 287510}
 	shuffled := func(class tpch.QueryClass, level int) (int64, string) {
@@ -149,6 +150,26 @@ func TestShreddedInputsArrivePlaced(t *testing.T) {
 		}
 		if n, out := shuffled(tpch.NestedToFlat, level); n >= exchanged[level] {
 			t.Errorf("nested-to-flat L%d shred shuffled %d bytes, want fewer than the %d of exchanged dictionaries:\n%s", level, n, exchanged[level], out)
+		}
+	}
+}
+
+// TestRootAlignedLabelJoinsMoveNothing pins the shredded nested-to-flat
+// route at 300 customers, levels 1–4: value shredding mints one customer's
+// labels to land on one partition and binds every component placed on its
+// label columns, so each label join has both sides placed and moves nothing —
+// what it shuffles is its Γ+'s combined partials alone, and what it
+// broadcasts is Part alone, no dictionary — and it moves no more than the
+// standard route does.
+func TestRootAlignedLabelJoinsMoveNothing(t *testing.T) {
+	pinned := map[int]int64{1: 46880, 2: 13096, 3: 937, 4: 194}
+	for level := 1; level <= 4; level++ {
+		n, out := runShuffled(t, tpch.NestedToFlat, level, 300, "shred")
+		if n != pinned[level] || !strings.Contains(out, " broadcast=16000B ") {
+			t.Errorf("nested-to-flat L%d shred printed\n%s\nwant shuffle=%dB and broadcast=16000B", level, out, pinned[level])
+		}
+		if std, sout := runShuffled(t, tpch.NestedToFlat, level, 300, "standard"); n > std || !strings.Contains(sout, " broadcast=16000B ") {
+			t.Errorf("nested-to-flat L%d shred shuffled %d bytes, standard %d:\n%s", level, n, std, sout)
 		}
 	}
 }

@@ -47,9 +47,10 @@ func fetchRoute(t *testing.T, ts *httptest.Server, path, text string) (string, [
 
 var updateReplies = flag.Bool("update", false, "rewrite testdata/replies.golden")
 
-// volatileFields are the reply fields that differ from run to run (a
-// fingerprint digests the generations the preloads were registered under).
-var volatileFields = regexp.MustCompile(`"(elapsed_ms|fingerprint|trace_id)": [^,\n]*`)
+// volatileFields are the reply fields that differ from run to run. The
+// fingerprint is not one: it digests the query, the types, the knobs and the
+// statistics, which the same data gives every start.
+var volatileFields = regexp.MustCompile(`"(elapsed_ms|trace_id)": [^,\n]*`)
 
 // reply is the envelope with each row kept as the bytes it arrived in.
 type reply struct {
@@ -229,6 +230,21 @@ func TestReplyEnvelopeShape(t *testing.T) {
 			path := tc.path + "&strategy=" + url.QueryEscape(name)
 			route, body := fetchRoute(t, ts, path, tc.text)
 			fmt.Fprintf(&replies, "=== %s\nX-Trance-Strategy: %s\n%s", path, route, volatileFields.ReplaceAll(body, []byte(`"$1": -`)))
+		}
+	}
+	// A second start over the same data keys every route as the first does.
+	again := httptest.NewServer(smallServer(t))
+	defer again.Close()
+	fingerprint := func(body []byte) string {
+		var out struct{ Fingerprint string }
+		if err := json.Unmarshal(body, &out); err != nil || out.Fingerprint == "" {
+			t.Fatalf("no fingerprint in %s (%v)", body, err)
+		}
+		return out.Fingerprint
+	}
+	for _, text := range []string{nested, selective} {
+		if a, b := fingerprint(fetch(t, ts, "/query?limit=2", text)), fingerprint(fetch(t, again, "/query?limit=2", text)); a != b {
+			t.Fatalf("%s: one start replies fingerprint %s, another %s", text, a, b)
 		}
 	}
 	const golden = "testdata/replies.golden"

@@ -270,9 +270,9 @@ func BenchmarkCombinedGroupReduce(b *testing.B) {
 			rows[i] = Row{int64(i / repeat), int64(i)}
 		}
 		for _, combined := range []bool{false, true} {
-			var combine func(int, int) Reducer
+			var combine *Combiner
 			if combined {
-				combine = sum
+				combine = &Combiner{Fold: sum, Merge: sum}
 			}
 			b.Run(fmt.Sprintf("keys=1in%d/combined=%t", repeat, combined), func(b *testing.B) {
 				b.ReportAllocs()

@@ -168,7 +168,7 @@ func TestCombineShipsPartials(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := c.Metrics.Snapshot()
-	combined, err := in().GroupReduce("combined", []int{0}, false, fold(false), fold(true))
+	combined, err := in().GroupReduce("combined", []int{0}, false, &Combiner{Fold: fold(false), Merge: fold(true)}, fold(false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func TestCombineShipsPartials(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := dups.Distinct("d2", false, KeepFirst)
+	got, err := dups.Distinct("d2", false, &Combiner{Fold: KeepFirst, Merge: KeepFirst})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,72 @@ func TestCombineShipsPartials(t *testing.T) {
 	}
 
 	none := func(int, int) Reducer { return func(out, _ []Row) []Row { return out } }
-	if _, err := in().GroupReduce("bad", []int{0}, false, none, fold(true)); err == nil {
+	if _, err := in().GroupReduce("bad", []int{0}, false, &Combiner{Fold: none, Merge: fold(true)}, fold(false)); err == nil {
 		t.Fatal("a combiner that drops groups ran without an error")
+	}
+}
+
+// TestCombineBacksOffWhereKeysDoNotRepeat: a source partition whose keys do
+// not repeat ships its rows without folding groups — when no partition's
+// keys repeat, as they are, reduced by the plain reducer; beside partitions
+// whose keys do, as one partial per row — and either way the output is the
+// uncombined one and Seen reports what each partition read and shipped.
+func TestCombineBacksOffWhereKeysDoNotRepeat(t *testing.T) {
+	count := func(partials bool) func(int, int) Reducer {
+		return func(int, int) Reducer {
+			return func(out, group []Row) []Row {
+				var n int64
+				for _, r := range group {
+					if partials {
+						n += r[1].(int64)
+					} else {
+						n++
+					}
+				}
+				return append(out, Row{group[0][0], n})
+			}
+		}
+	}
+	distinct := func(from int) []Row {
+		rows := make([]Row, 200)
+		for i := range rows {
+			rows[i] = Row{int64(from + i), int64(i)}
+		}
+		return rows
+	}
+	repeating := func(from int) []Row {
+		rows := make([]Row, 200)
+		for i := range rows {
+			rows[i] = Row{int64(from + i%10), int64(i)}
+		}
+		return rows
+	}
+	for _, c := range []struct {
+		name    string
+		src     [][]Row
+		shipped int64
+	}{
+		{"no partition repeats", [][]Row{distinct(0), distinct(1000), distinct(2000)}, 600},
+		{"one partition does not", [][]Row{distinct(0), repeating(1000), repeating(2000)}, 220},
+	} {
+		ctx := NewContext(3)
+		in := func() *Dataset { return ctx.FromPartitions(c.src).Map(func(_ *Arena, r Row) Row { return r }) }
+		plain, err := in().GroupReduce("plain", []int{0}, false, nil, count(false))
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := ctx.Metrics.Snapshot().ShuffleRecords
+		var read, sent int
+		comb := &Combiner{Fold: count(false), Merge: count(true), Seen: func(rows, shipped int) { read, sent = read+rows, sent+shipped }}
+		combined, err := in().GroupReduce("combined", []int{0}, false, comb, count(false))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := fmt.Sprint(combined.Collect()), fmt.Sprint(plain.Collect()); got != want {
+			t.Fatalf("%s: combined reduce\n%s\nuncombined\n%s", c.name, got, want)
+		}
+		if shipped := ctx.Metrics.Snapshot().ShuffleRecords - before; shipped != c.shipped || read != 600 || int64(sent) != c.shipped {
+			t.Fatalf("%s: shipped %d rows, Seen %d→%d, want 600→%d", c.name, shipped, read, sent, c.shipped)
+		}
 	}
 }

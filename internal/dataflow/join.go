@@ -68,39 +68,64 @@ func (d *Dataset) Join(stage string, right *Dataset, lcols, rcols []int, placed 
 // where they are). The broadcast volume is metered separately from shuffle
 // (Spark likewise reports it apart).
 func (d *Dataset) BroadcastJoin(stage string, right *Dataset, lcols, rcols []int, jo JoinOut, leftOuter bool) (*Dataset, error) {
-	if d.err != nil {
-		return nil, d.err
+	out, err := BroadcastJoins(stage, []*Dataset{d}, right, lcols, rcols, jo, leftOuter)
+	if err != nil {
+		return nil, err
 	}
+	return out[0], nil
+}
+
+// BroadcastJoins is BroadcastJoin of each of lefts, datasets of one context —
+// the components of a skew-triple — over one broadcast of right: it collects
+// right once, builds one hash table every partition of every left probes
+// read-only, meters the broadcast once and records one stage.
+func BroadcastJoins(stage string, lefts []*Dataset, right *Dataset, lcols, rcols []int, jo JoinOut, leftOuter bool) ([]*Dataset, error) {
+	for _, d := range lefts {
+		if d.err != nil {
+			return nil, d.err
+		}
+	}
+	ctx := lefts[0].ctx
 	rrows := right.Collect()
 	if right.err != nil {
 		return nil, right.err
 	}
-	d.ctx.Metrics.BroadcastBytes.Add(value.SizeRows(rrows) * int64(d.ctx.Parallelism))
+	ctx.Metrics.BroadcastBytes.Add(value.SizeRows(rrows) * int64(ctx.Parallelism))
 	start := time.Now()
 	// One table over the collected rows, probed read-only by every partition.
 	// With rcols nil (cross join) every row lands under the empty key, so each
 	// probe matches all of them.
 	var build joinTable
-	build.keys, build.rows = d.ctx.FromPartitions([][]Row{rrows}).groupPart(0, rcols, true)
-	parts := make([][]Row, len(d.parts))
-	joinErr := d.ctx.runParts(len(d.parts), func(i int) error {
-		out := make([]Row, 0, d.sourceRows(i))
-		write := jo.writer()
-		d.feedKeyed(i, lcols, func(l Row, h uint64) {
-			out = build.probe(out, l, h, lcols, write, leftOuter)
+	build.keys, build.rows = ctx.FromPartitions([][]Row{rrows}).groupPart(0, rcols, true)
+	outs := make([]*Dataset, len(lefts))
+	var joinErr error
+	for k, d := range lefts {
+		parts := make([][]Row, len(d.parts))
+		joinErr = ctx.runParts(len(d.parts), func(i int) error {
+			out := make([]Row, 0, d.sourceRows(i))
+			write := jo.writer()
+			d.feedKeyed(i, lcols, func(l Row, h uint64) {
+				out = build.probe(out, l, h, lcols, write, leftOuter)
+			})
+			parts[i] = out
+			return nil
 		})
-		parts[i] = out
-		return nil
-	})
+		if joinErr != nil {
+			break
+		}
+		outs[k] = &Dataset{ctx: ctx, parts: parts}
+	}
 	build.release()
-	d.ctx.Metrics.addStage(stage, time.Since(start), 0)
+	ctx.Metrics.addStage(stage, time.Since(start), 0)
 	if joinErr != nil {
 		return nil, joinErr
 	}
-	if err := d.ctx.checkPartitions(stage+"/out", parts); err != nil {
-		return nil, err
+	for _, o := range outs {
+		if err := ctx.checkPartitions(stage+"/out", o.parts); err != nil {
+			return nil, err
+		}
 	}
-	return &Dataset{ctx: d.ctx, parts: parts}, nil
+	return outs, nil
 }
 
 // JoinOut describes the row a join writes for a left row l and a right row r

@@ -32,18 +32,19 @@ func recordWide(ns *plan.NodeStats) func(*dataflow.Dataset, error) (*dataflow.Da
 	}
 }
 
-// countCombined wraps a map-side combiner so each source partition adds the
-// rows it folds and the partial rows it ships to ns (EXPLAIN ANALYZE
-// combined=IN→OUT).
-func countCombined(ns *plan.NodeStats, combine func(rows, groups int) dataflow.Reducer) func(rows, groups int) dataflow.Reducer {
-	if ns == nil {
-		return combine
+// combiner is the Combiner of a Γ+ or dedup whose source partitions fold
+// their groups with fold and whose partials merge reduces; with ns non-nil
+// each source partition adds the rows it read and the rows it shipped to ns
+// (EXPLAIN ANALYZE combined=IN→OUT).
+func combiner(ns *plan.NodeStats, fold, merge func(rows, groups int) dataflow.Reducer) *dataflow.Combiner {
+	c := &dataflow.Combiner{Fold: fold, Merge: merge}
+	if ns != nil {
+		c.Seen = func(rows, shipped int) {
+			ns.CombinedIn.Add(int64(rows))
+			ns.CombinedOut.Add(int64(shipped))
+		}
 	}
-	return func(rows, groups int) dataflow.Reducer {
-		ns.CombinedIn.Add(int64(rows))
-		ns.CombinedOut.Add(int64(groups))
-		return combine(rows, groups)
-	}
+	return c
 }
 
 // countRows is an identity row function counting 1:1 throughput — used to

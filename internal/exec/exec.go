@@ -191,19 +191,27 @@ func (ex *Executor) run(op plan.Op) (triple, error) {
 			return triple{}, err
 		}
 		right, record, jo := rt.merge(), recordWide(ns), joinOut(x)
-		if broadcast := ex.broadcasts(x, right); !ex.SkewAware || broadcast {
+		if broadcast := ex.broadcasts(x, in, right); !ex.SkewAware || broadcast || x.MovesNothing() {
 			// The standard join, of each component: a skew-unaware run has one,
-			// and a broadcast leaves every left row where it lies, heavy key or
-			// not, so a skew-aware run has nothing to split (a cross join
-			// broadcasts too).
-			out := in
-			if out.light, err = record(ex.join(in.light, right, x, jo, ns, broadcast)); err != nil {
+			// a broadcast leaves every left row where it lies, heavy key or
+			// not, and a join of two placed sides moves no row, so a
+			// skew-aware run has nothing to split (a cross join broadcasts
+			// too).
+			out, lefts := in, []*dataflow.Dataset{in.light}
+			if in.heavy != nil && !in.heavy.YieldsNothing() {
+				lefts = append(lefts, in.heavy)
+			}
+			joined, err := ex.join(lefts, right, x, jo, ns, broadcast)
+			if err != nil {
 				return triple{}, err
 			}
-			if in.heavy != nil && !in.heavy.YieldsNothing() {
-				out.heavy, err = record(ex.join(in.heavy, right, x, jo, ns, broadcast))
+			for _, d := range joined {
+				record(d, nil)
 			}
-			return out, err
+			if out.light = joined[0]; len(joined) > 1 {
+				out.heavy = joined[1]
+			}
+			return out, nil
 		}
 		// Skew-aware join (paper Figure 6): the light parts join with
 		// key-based shuffling; the heavy rows of the left stay in place and
@@ -211,10 +219,11 @@ func (ex *Executor) run(op plan.Op) (triple, error) {
 		// row, so a heavy NULL splits nothing off the right side.
 		in = ex.keysFor(in, x.LCols, x.KeepSplit, ns)
 		rightLight, rightHeavy := skew.Split(right, x.RCols, in.keys.Matching())
-		light, err := record(ex.join(in.light, rightLight, x, jo, ns, ex.broadcasts(x, rightLight)))
+		joined, err := ex.join([]*dataflow.Dataset{in.light}, rightLight, x, jo, ns, ex.broadcasts(x, in, rightLight))
 		if err != nil {
 			return triple{}, err
 		}
+		light, _ := record(joined[0], nil)
 		// The broadcast side's rows are part of the same join node's output:
 		// record them too, so skew-strategy plans carry a complete actual_rows.
 		heavy, err := record(in.heavy.BroadcastJoin(ex.nextStage("skewjoin"), rightHeavy, x.LCols, x.RCols, jo, x.Outer))
@@ -227,9 +236,9 @@ func (ex *Executor) run(op plan.Op) (triple, error) {
 		return ex.allLight(recordWide(ns)(ex.nest(in.merge(), x, ex.wideStage(ns, "nest"), ns)))
 
 	case *plan.DedupOp:
-		var combine func(rows, groups int) dataflow.Reducer
+		var combine *dataflow.Combiner
 		if x.Combine {
-			combine = countCombined(ns, dataflow.KeepFirst)
+			combine = combiner(ns, dataflow.KeepFirst, dataflow.KeepFirst)
 		}
 		return ex.allLight(recordWide(ns)(in.merge().Distinct(ex.wideStage(ns, "dedup"), x.Local != nil, combine)))
 
@@ -302,31 +311,55 @@ func (ex *Executor) runIndexScan(x *plan.IndexScan) (*dataflow.Dataset, error) {
 	return ex.applySelect(d, sel), nil
 }
 
-// broadcasts reports whether join x broadcasts its right side r: every cross
-// join does; a keyed one as the cost model decided at plan time, by the same
-// rule over estimates (honored over the measured size: the two can disagree
-// when estimates are off, and the differential oracle checks both paths stay
-// sound), or, without a Cost, as that rule picks over r's measured size —
-// like Spark, inputs under the broadcast limit are broadcast automatically.
-func (ex *Executor) broadcasts(x *plan.Join, r *dataflow.Dataset) bool {
+// broadcasts reports whether join x of the left input l broadcasts its right
+// side r: every cross join does, and no join of two sides placed on its key
+// (plan.Place), which moves nothing; a keyed one as the cost model decided at
+// plan time, by the same rule over estimates (honored over the measured size:
+// the two can disagree when estimates are off, and the differential oracle
+// checks both paths stay sound), or, without a Cost, as that rule picks over
+// r's measured size — like Spark, inputs under the broadcast limit are
+// broadcast automatically — and what each moves: with the left side placed a
+// shuffle moves r once, a broadcast once per partition, so it never
+// broadcasts; with the right side placed a shuffle moves the left side, so it
+// broadcasts only if r on every partition is smaller.
+func (ex *Executor) broadcasts(x *plan.Join, l triple, r *dataflow.Dataset) bool {
 	switch {
 	case len(x.LCols) == 0:
 		return true
+	case x.MovesNothing():
+		return false
 	case x.Cost != nil:
 		return x.Cost.Method == plan.JoinBroadcast
+	case x.Placed[0]:
+		return false
 	}
-	return plan.Broadcasts(float64(r.SizeBytes()), ex.Ctx.BroadcastLimit)
+	rb := float64(r.SizeBytes())
+	if x.Placed[1] && rb*float64(ex.Ctx.Parallelism) >= float64(l.sizeBytes()) {
+		return false
+	}
+	return plan.Broadcasts(rb, ex.Ctx.BroadcastLimit)
 }
 
-// join runs x over l and r as a broadcast or a shuffle join.
-func (ex *Executor) join(l, r *dataflow.Dataset, x *plan.Join, jo dataflow.JoinOut, ns *plan.NodeStats, broadcast bool) (*dataflow.Dataset, error) {
+// join runs x over each of lefts — a triple's components — and r as one
+// stage: a broadcast over one table built once, or a shuffle join of each,
+// which the executor runs over more than one left only when both sides lie
+// placed and nothing moves.
+func (ex *Executor) join(lefts []*dataflow.Dataset, r *dataflow.Dataset, x *plan.Join, jo dataflow.JoinOut, ns *plan.NodeStats, broadcast bool) ([]*dataflow.Dataset, error) {
 	switch {
 	case len(x.LCols) == 0:
-		return l.BroadcastJoin(ex.wideStage(ns, "cross"), r, nil, nil, jo, x.Outer)
+		return dataflow.BroadcastJoins(ex.wideStage(ns, "cross"), lefts, r, nil, nil, jo, x.Outer)
 	case broadcast:
-		return l.BroadcastJoin(ex.wideStage(ns, "bjoin"), r, x.LCols, x.RCols, jo, x.Outer)
+		return dataflow.BroadcastJoins(ex.wideStage(ns, "bjoin"), lefts, r, x.LCols, x.RCols, jo, x.Outer)
 	}
-	return l.Join(ex.wideStage(ns, "join"), r, x.LCols, x.RCols, x.Placed, jo, x.Outer)
+	stage := ex.wideStage(ns, "join")
+	out := make([]*dataflow.Dataset, len(lefts))
+	for i, l := range lefts {
+		var err error
+		if out[i], err = l.Join(stage, r, x.LCols, x.RCols, x.Placed, jo, x.Outer); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
 }
 
 // joinOut is the row x's probe writes: L ++ R, or x.Outs over it with plain

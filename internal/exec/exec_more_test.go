@@ -239,8 +239,20 @@ func TestOperatorsOverSkewJoinOutput(t *testing.T) {
 				t.Fatalf("%s (skew-aware %t): %v", name, skewAware, err)
 			}
 			got[i] = out.CollectSorted()
-			if stages := ctx.Metrics.Snapshot().StageWall; skewAware && !slices.ContainsFunc(stages, func(sw dataflow.StageTime) bool { return strings.HasPrefix(sw.Stage, "skewjoin#") }) {
+			stages := ctx.Metrics.Snapshot().StageWall
+			if skewAware && !slices.ContainsFunc(stages, func(sw dataflow.StageTime) bool { return strings.HasPrefix(sw.Stage, "skewjoin#") }) {
 				t.Fatalf("%s: the input join did not take the skew-aware arm: %v", name, stages)
+			}
+			// A broadcast over both components of a triple is one stage of
+			// one node: one table, probed by each.
+			crosses := 0
+			for _, sw := range stages {
+				if strings.HasPrefix(sw.Stage, "cross#") {
+					crosses++
+				}
+			}
+			if want := map[string]int{"cross": 1}[name]; crosses != want {
+				t.Fatalf("%s (skew-aware %t): %d cross# stages, want %d: %v", name, skewAware, crosses, want, stages)
 			}
 		}
 		if len(got[0]) == 0 || value.Compare(bagOf(got[0], false), bagOf(got[1], false)) != 0 {

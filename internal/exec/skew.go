@@ -44,6 +44,15 @@ func (t triple) merge() *dataflow.Dataset {
 	return t.light.Union(t.heavy)
 }
 
+// sizeBytes is the size of both components, each materialized in place.
+func (t triple) sizeBytes() int64 {
+	n := t.light.SizeBytes()
+	if t.heavy != nil {
+		n += t.heavy.SizeBytes()
+	}
+	return n
+}
+
 // mapBoth applies a narrow operator to both components; nothing runs until a
 // wide operator consumes them.
 func (t triple) mapBoth(fn func(*dataflow.Dataset) *dataflow.Dataset) triple {

@@ -116,7 +116,7 @@ func sumNest(in *dataflow.Dataset, x *plan.Nest, stage string, ns *plan.NodeStat
 			return append(out, p)
 		}
 	}
-	return in.GroupReduce(stage, x.GroupCols, false, countCombined(ns, combine), reducer(true))
+	return in.GroupReduce(stage, x.GroupCols, false, combiner(ns, combine, reducer(true)), reducer(false))
 }
 
 // sumAcc accumulates one group of a Γ+ at a time, unboxed: per value column

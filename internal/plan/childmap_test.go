@@ -118,7 +118,7 @@ func TestPassesKeepFieldsTheyDoNotOwn(t *testing.T) {
 		return &plan.Join{L: l, R: r, LCols: []int{lcol}, RCols: []int{0}, Cost: &plan.Costs{Method: plan.JoinShuffle}}
 	}
 	k, w := &plan.Col{Idx: 0, Name: "k", Typ: nrc.IntT}, &plan.Col{Idx: 3, Name: "w", Typ: nrc.IntT}
-	bound := map[string][]int{"P": {0}}
+	bound := map[string][][]int{"P": {{0}}}
 	for _, c := range []struct {
 		op   plan.Op
 		opts plan.PlaceOptions

@@ -36,10 +36,6 @@ type ColEstimate struct {
 
 // TableEstimate summarizes one input for the cost model.
 type TableEstimate struct {
-	// Generation stamps the catalog registration the statistics were collected
-	// from, so re-registered datasets never reuse stale cost decisions (it is
-	// folded into the compilation fingerprint). 0 outside a catalog.
-	Generation int64
 	// Rows and Bytes size the whole input.
 	Rows  int64
 	Bytes int64
@@ -75,6 +71,10 @@ type Costs struct {
 	// smaller side is broadcast (inner equi-joins only; a projection above
 	// restores the original column order).
 	Swapped bool
+	// Repriced records that Place turned the cost model's broadcast into a
+	// shuffle because the left side lies placed on the key; placing the plan
+	// again where it does not restores the broadcast.
+	Repriced bool
 }
 
 func (c *Costs) describe() string {

@@ -53,15 +53,22 @@ func (m NestMode) String() string {
 type Scan struct {
 	Input string
 	Cols  []Column
-	// Placed, when non-nil, lists the columns the input's rows lie
-	// hash-placed on (PlaceOptions.Bound). Only Place sets it.
-	Placed []int
+	// Placed, when non-nil, lists the keys the input's rows lie hash-placed
+	// on, each a list of columns (PlaceOptions.Bound). Only Place sets it.
+	Placed [][]int
 }
 
 func (s *Scan) Columns() []Column { return s.Cols }
 func (s *Scan) Children() []Op    { return nil }
 func (s *Scan) Describe() string {
-	return "Scan " + s.Input + colsMark(s.Cols, s.Placed, "placed on")
+	if s.Placed == nil {
+		return "Scan " + s.Input
+	}
+	keys := make([]string, len(s.Placed))
+	for i, k := range s.Placed {
+		keys[i] = colNames(s.Cols, k)
+	}
+	return "Scan " + s.Input + " [placed on " + strings.Join(keys, ",") + "]"
 }
 
 // Values is an inline literal relation (used for constant queries).
@@ -219,6 +226,11 @@ func (j *Join) Describe() string {
 	return s + j.placedMark() + mark(j.KeepSplit, "split kept")
 }
 
+// MovesNothing reports that both sides of j lie placed on its key, heavy
+// rows included (no split kept under skew): each partition joins its own
+// rows, which no broadcast or skew split could improve on.
+func (j *Join) MovesNothing() bool { return j.Placed == [2]bool{true, true} && !j.KeepSplit }
+
 // placedMark renders Placed: the sides that skip their exchange.
 func (j *Join) placedMark() string {
 	sides := map[[2]bool]string{{true, false}: "L", {false, true}: "R", {true, true}: "L R"}[j.Placed]
@@ -341,11 +353,16 @@ func colsMark(cols []Column, positions []int, what string) string {
 	if positions == nil {
 		return ""
 	}
+	return " [" + what + " " + colNames(cols, positions) + "]"
+}
+
+// colNames names the columns at positions, space-separated.
+func colNames(cols []Column, positions []int) string {
 	names := make([]string, len(positions))
 	for i, c := range positions {
 		names[i] = cols[c].Name
 	}
-	return " [" + what + " " + strings.Join(names, " ") + "]"
+	return strings.Join(names, " ")
 }
 
 // UnionAll is additive bag union of two inputs with identical schemas.

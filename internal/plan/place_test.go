@@ -150,7 +150,11 @@ func decisions(op Op, opts PlaceOptions) string {
 	walk(placed)
 	where := "none"
 	if hash != nil {
-		where = fmt.Sprint(hash)
+		keys := make([]string, len(hash))
+		for i, k := range hash {
+			keys[i] = fmt.Sprint(k)
+		}
+		where = strings.Join(keys, " ")
 	}
 	return strings.Join(out, " / ") + " → " + where
 }
@@ -160,7 +164,7 @@ func decisions(op Op, opts PlaceOptions) string {
 // it, and the exchanges it lets a join side, a BagToDict or a Γ skip.
 func TestPlaceRules(t *testing.T) {
 	p, s := intScan("P", "k", "v"), intScan("S", "k", "w")
-	bound := map[string][]int{"P": {0}}
+	bound := map[string][][]int{"P": {{0}}}
 	shuffle, bcast := &Costs{Method: JoinShuffle}, &Costs{Method: JoinBroadcast}
 	joinOn := func(l Op, lcol int, cost *Costs) *Join {
 		return &Join{L: l, R: s, LCols: []int{lcol}, RCols: []int{0}, Cost: cost}
@@ -192,9 +196,9 @@ func TestPlaceRules(t *testing.T) {
 		{"a join without a Cost clears it", joinOn(joinOn(p, 1, nil), 0, shuffle), plain, "⋈ / ⋈ → [0]"},
 		{"… unless its left side lies on its key already", joinOn(joinOn(p, 0, nil), 0, shuffle), plain, "⋈ [L placed] / ⋈ [L placed] → [0]"},
 		{"… or nothing broadcasts", joinOn(joinOn(p, 1, nil), 1, nil), PlaceOptions{NoBroadcast: true, Bound: bound}, "⋈ [L placed] / ⋈ → [1]"},
-		{"an exchanged Γ is placed on its key", &Join{L: s, R: sumBy(s, 0), LCols: []int{0}, RCols: []int{0}, Cost: shuffle}, plain, "⋈ [R placed] / Γ exchange → [0]"},
+		{"an exchanged Γ is placed on its key", &Join{L: s, R: sumBy(s, 0), LCols: []int{0}, RCols: []int{0}, Cost: shuffle}, plain, "⋈ [R placed] / Γ exchange → [0] [2]"},
 		{"a Γ over rows placed on its key reduces where they lie", sumBy(p, 0), plain, "Γ local on k → [0]"},
-		{"an exchanged dedup is placed on all its columns", &Join{L: s, R: &DedupOp{In: intScan("T", "k")}, LCols: []int{0}, RCols: []int{0}, Cost: shuffle}, plain, "⋈ [R placed] / dedup exchange → [0]"},
+		{"an exchanged dedup is placed on all its columns", &Join{L: s, R: &DedupOp{In: intScan("T", "k")}, LCols: []int{0}, RCols: []int{0}, Cost: shuffle}, plain, "⋈ [R placed] / dedup exchange → [0] [2]"},
 		{"BagToDict is placed on its label", &BagToDict{In: &BagToDict{In: s}}, plain, "bagToDict [placed] / bagToDict → [0]"},
 		{"a skew join keeps a placement on its key", joinOn(p, 0, shuffle), skewed, "⋈ [L placed] → [0]"},
 		{"… where its heavy rows lie apart on another", joinOn(p, 1, shuffle), skewed, "⋈ → none"},
@@ -206,12 +210,30 @@ func TestPlaceRules(t *testing.T) {
 		{"… and leaves no split a skew join could keep", joinOn(joinOn(p, 1, bcast), 1, shuffle), skewed, "⋈ / ⋈ → none"},
 		{"a join the size rule may broadcast keeps no split it was not given", joinOn(joinOn(p, 1, nil), 1, shuffle), skewed, "⋈ / ⋈ → none"},
 		{"… and passes on one it was", joinOn(joinOn(joinOn(p, 1, shuffle), 1, nil), 1, shuffle), skewed, "⋈ [L placed] [split kept] / ⋈ [L placed] [split kept] / ⋈ → none"},
+		// Placement sets.
+		{"a join of two placed sides moves nothing and keeps both sides' keys", &Join{L: p, R: p, LCols: []int{0}, RCols: []int{0}, Cost: bcast}, plain, "⋈ [L R placed] → [0] [2]"},
+		{"… an outer one only the left's", &Join{L: p, R: p, LCols: []int{0}, RCols: []int{0}, Outer: true}, plain, "⋈ [L R placed] → [0]"},
+		{"… on the skew-aware strategies too", &Join{L: p, R: p, LCols: []int{0}, RCols: []int{0}}, skewed, "⋈ [L R placed] → [0] [2]"},
+		{"… but not over a kept split, whose heavy rows lie apart", &Join{L: joinOn(p, 1, shuffle), R: intScan("P", "k", "v"), LCols: []int{1}, RCols: []int{0}, Cost: shuffle}, skewed, "⋈ [L R placed] [split kept] / ⋈ → none"},
+		{"a priced broadcast over a placed left side shuffles the right", joinOn(p, 0, bcast), plain, "⋈ [L placed] → [0]"},
+		{"a join the size rule decides keeps a placed left side's keys", joinOn(p, 0, nil), plain, "⋈ [L placed] → [0]"},
+		{"a Scan lies on every key it is bound on", &Join{L: intScan("Q", "a", "b"), R: p, LCols: []int{1}, RCols: []int{0}, Cost: shuffle}, PlaceOptions{Bound: map[string][][]int{"Q": {{0}, {1}}, "P": {{0}}}}, "⋈ [L R placed] → [0] [1] [2]"},
 	}
 	for _, c := range cases {
 		if got := decisions(c.op, c.opts); got != c.want {
 			placed, _ := Place(c.op, c.opts)
 			t.Errorf("%s:\n got %s\nwant %s\n%s", c.name, got, c.want, Explain(placed))
 		}
+	}
+	// A repriced broadcast is a broadcast again where the left side, placed
+	// again, no longer lies on the key; the cost Place was given is untouched.
+	priced, _ := Place(joinOn(p, 0, bcast), plain)
+	again, _ := Place(priced, PlaceOptions{})
+	if c := priced.(*Join).Cost; c.Method != JoinShuffle || !c.Repriced {
+		t.Errorf("a broadcast over a placed left side is priced %+v, want a repriced shuffle", c)
+	}
+	if c := again.(*Join).Cost; c.Method != JoinBroadcast || c.Repriced || bcast.Method != JoinBroadcast {
+		t.Errorf("placed again over an unplaced left side: %+v (given %+v), want the broadcast back", c, bcast)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"maps"
 	"runtime/debug"
 	"slices"
+	"strings"
 	"time"
 
 	"github.com/trance-go/trance/internal/core"
@@ -70,8 +71,10 @@ type Compiled struct {
 	// (annotate).
 	stats map[string]plan.TableEstimate
 	// dicts are the dictionary components of the step's inputs on a shredded
-	// route, which Execute binds hash-placed on their label (Inputs.Bind).
-	dicts []string
+	// route, and placedOn the keys Execute binds each component with labels
+	// hash-placed on, root-aligned (Inputs.Bind): every label column.
+	dicts    []string
+	placedOn map[string][][]int
 }
 
 // Stmt is one plan of a compiled step.
@@ -91,7 +94,7 @@ type Stmt struct {
 	unfused plan.Op
 	// placed is the hash placement of the statement's dataset (plan.Place),
 	// which a later statement or step scanning Bind finds it in.
-	placed []int
+	placed [][]int
 	// src, on a dictionary statement a final step may leave unforced (see
 	// markDeferrable), is where its rows of one label come from; nil
 	// otherwise.
@@ -131,7 +134,7 @@ func (cq *Compiled) addOptimized(label, bind string, raw, opt plan.Op) {
 // place runs plan.Place over st, whose scans of the names in bound find the
 // datasets there placed as bound says. The SparkSQL-style baseline reuses no
 // placement: every exchange of its plans runs.
-func (cq *Compiled) place(st Stmt, bound map[string][]int) Stmt {
+func (cq *Compiled) place(st Stmt, bound map[string][][]int) Stmt {
 	if cq.Strategy != SparkSQLStyle {
 		st.Plan, st.placed = plan.Place(st.Plan, plan.PlaceOptions{
 			SkewAware:   cq.Strategy.SkewAware(),
@@ -143,14 +146,14 @@ func (cq *Compiled) place(st Stmt, bound map[string][]int) Stmt {
 }
 
 // bound is where the datasets the step's statements scan lie: its input
-// dictionaries on their label, then outer (nil: none), then the datasets the
-// step's statements bound so far, under the names later statements scan them
-// by. Within a program outer holds the earlier steps' outputs, which a later
-// step's environment lists as inputs.
-func (cq *Compiled) bound(outer map[string][]int) map[string][]int {
-	b := map[string][]int{}
-	for _, d := range cq.dicts {
-		b[d] = labelKey
+// components on their label columns, then outer (nil: none), then the
+// datasets the step's statements bound so far, under the names later
+// statements scan them by. Within a program outer holds the earlier steps'
+// outputs, which a later step's environment lists as inputs.
+func (cq *Compiled) bound(outer map[string][][]int) map[string][][]int {
+	b := maps.Clone(cq.placedOn)
+	if b == nil {
+		b = map[string][][]int{}
 	}
 	maps.Copy(b, outer)
 	for _, st := range cq.Stmts {
@@ -170,7 +173,7 @@ func placeProgram(prog []*Compiled) []*Compiled {
 		return prog
 	}
 	out := slices.Clone(prog)
-	bound := map[string][]int{}
+	bound := map[string][][]int{}
 	for i, cq := range prog {
 		if i > 0 {
 			c := *cq
@@ -345,6 +348,72 @@ func (cq *Compiled) standardPlan(q nrc.Expr) (plan.Op, error) {
 	return raw, nil
 }
 
+// keepReadTops keeps each of tops, top components of the step's inputs,
+// bound placed only where a plan decision reads its placement: where the
+// step placed again without it decides every exchange, join method and reduce
+// as before, it is bound as its rows are, in input order, and the step runs
+// placed that way. Its placement pays only where a join lines it up with a
+// dictionary; elsewhere it would only reorder the step's output and cost a
+// concatenation per generation.
+func (cq *Compiled) keepReadTops(tops []string) {
+	for _, top := range tops {
+		keys := cq.placedOn[top]
+		delete(cq.placedOn, top)
+		c := *cq
+		c.Stmts = nil
+		for _, st := range cq.Stmts {
+			c.Stmts = append(c.Stmts, c.place(st, c.bound(nil)))
+		}
+		if placeDecisions(c.Stmts) == placeDecisions(cq.Stmts) {
+			cq.Stmts = c.Stmts
+		} else {
+			cq.placedOn[top] = keys
+		}
+	}
+}
+
+// placeDecisions renders every decision plan.Place took on stmts.
+func placeDecisions(stmts []Stmt) string {
+	var b strings.Builder
+	for _, st := range stmts {
+		walkPlan(st.Plan, func(op plan.Op) {
+			switch x := op.(type) {
+			case *plan.Join:
+				fmt.Fprint(&b, "⋈", x.Placed, x.KeepSplit)
+				if x.Cost != nil {
+					fmt.Fprint(&b, x.Cost.Method)
+				}
+			case *plan.Nest:
+				fmt.Fprint(&b, "Γ", x.Local, x.Combine)
+			case *plan.DedupOp:
+				fmt.Fprint(&b, "dedup", x.Local, x.Combine)
+			case *plan.BagToDict:
+				fmt.Fprint(&b, "bagToDict", x.Placed, x.KeepSplit)
+			}
+		})
+		b.WriteString(";")
+	}
+	return b.String()
+}
+
+// placedIn reports whether a step of prog binds input component name placed.
+func placedIn(prog []*Compiled, name string) bool {
+	return slices.ContainsFunc(prog, func(cq *Compiled) bool { return cq.placedOn[name] != nil })
+}
+
+// labelColumns is each label column of a shredded input component of type t,
+// as a one-column key: what value shredding places the component on.
+func labelColumns(t nrc.Type) (keys [][]int) {
+	bt, _ := t.(nrc.BagType)
+	tt, _ := bt.Elem.(nrc.TupleType)
+	for i, f := range tt.Fields {
+		if nrc.TypesEqual(f.Type, nrc.LabelT) {
+			keys = append(keys, []int{i})
+		}
+	}
+	return keys
+}
+
 // optimize runs the rule-based plan optimizer (predicate pushdown, select
 // fusion, constant folding) unless the ablation flag disables it.
 func (cq *Compiled) optimize(op plan.Op) (plan.Op, plan.OptStats) {
@@ -363,6 +432,7 @@ func (cq *Compiled) compileShredded(q nrc.Expr) error {
 
 	// Compiler environment: shredded components of every input.
 	cenv := nrc.Env{}
+	var tops []string
 	for name, t := range cq.Env {
 		b, ok := t.(nrc.BagType)
 		if !ok {
@@ -376,6 +446,15 @@ func (cq *Compiled) compileShredded(q nrc.Expr) error {
 			cenv[k] = v
 			if k != shred.MatName(name, nil) {
 				cq.dicts = append(cq.dicts, k)
+			}
+			if keys := labelColumns(v); keys != nil {
+				if cq.placedOn == nil {
+					cq.placedOn = map[string][][]int{}
+				}
+				cq.placedOn[k] = keys
+				if k == shred.MatName(name, nil) {
+					tops = append(tops, k)
+				}
 			}
 		}
 	}
@@ -391,6 +470,7 @@ func (cq *Compiled) compileShredded(q nrc.Expr) error {
 	for _, st := range stmts {
 		cq.addStmt("assignment "+st.Name, st.Name, st.Plan)
 	}
+	cq.keepReadTops(tops)
 	cq.markDeferrable()
 	return nil
 }
@@ -515,7 +595,7 @@ func labelClosed(op plan.Op, dicts []string) *labelSource {
 					return nil
 				}
 				src.args = cols
-			} else if cols[0] != 0 || !slices.Equal(x.Placed, labelKey) || !slices.Contains(dicts, x.Input) {
+			} else if cols[0] != 0 || !slices.ContainsFunc(x.Placed, func(k []int) bool { return slices.Equal(k, labelKey) }) || !slices.Contains(dicts, x.Input) {
 				return nil
 			}
 			if src.input = x.Input; slices.ContainsFunc(builds, func(b plan.Op) bool { return !partitionLocal(b, x.Input) }) {
@@ -623,7 +703,10 @@ func Execute(ctx context.Context, prog []*Compiled, in Components, idxs map[stri
 		for bind, src := range deferredStmts(prog) {
 			d, ok := &deferred{src: src}, false
 			if src.minted {
+				// Rows another step binds placed lie elsewhere than the
+				// contiguous ranges a demand cuts: force those instead.
 				d.flat, ok = in.Rows[src.input]
+				ok = ok && !placedIn(prog, src.input)
 				if d.keys = in.keys[src.input]; d.keys == nil {
 					d.keys = &rowKeys{}
 				}
@@ -649,7 +732,7 @@ func Execute(ctx context.Context, prog []*Compiled, in Components, idxs map[stri
 			res.Err = fmt.Errorf("input %s is placed over %d partitions, the run over %d", name, n, dctx.Parallelism)
 			return res
 		}
-		if scanned[name] {
+		if scanned[name] && placedIn(prog, name) {
 			ex.Bind(name, dctx.FromPlaced(pd.Whole()))
 		}
 	}

@@ -109,7 +109,7 @@ func (d *deferred) labelsAtMost() int {
 	}
 	n := 0
 	for _, c := range d.pd.Chunks {
-		n += int(c.Last - c.First + 1)
+		n += int(c.Labels)
 	}
 	return n
 }

@@ -214,7 +214,12 @@ func TestDeferredResultConcurrentReaders(t *testing.T) {
 // from a dictionary.
 func TestPositionalChainIsNotDeferred(t *testing.T) {
 	cols := []plan.Column{{Name: "label", Type: nrc.LabelT}, {Name: "k", Type: nrc.IntT}}
-	scan := func(placed []int) *plan.Scan { return &plan.Scan{Input: "D__items", Cols: cols, Placed: placed} }
+	scan := func(placed []int) *plan.Scan {
+		if placed == nil {
+			return &plan.Scan{Input: "D__items", Cols: cols}
+		}
+		return &plan.Scan{Input: "D__items", Cols: cols, Placed: [][]int{placed}}
+	}
 	col := func(idx int, t nrc.Type) *plan.Col { return &plan.Col{Idx: idx, Name: cols[idx].Name, Typ: t} }
 	label := func(idx int) []plan.NamedExpr { return []plan.NamedExpr{{Name: "label", Expr: col(idx, nrc.LabelT)}} }
 	flat := &plan.Scan{Input: "S__F", Cols: []plan.Column{{Name: "k", Type: nrc.IntT}, {Name: "l", Type: nrc.LabelT}}}
@@ -255,7 +260,7 @@ func TestPositionalChainIsNotDeferred(t *testing.T) {
 		{"label not passed through", &plan.Project{In: scan(labelKey), Outs: label(1)}, ""},
 		{"label nullified", &plan.Select{In: scan(labelKey), Pred: &plan.ConstE{Val: true, Typ: nrc.BoolT}, NullifyCols: []int{0}}, ""},
 		{"unplaced scan", &plan.Project{In: scan(nil), Outs: label(0)}, ""},
-		{"not an input dictionary", &plan.Project{In: &plan.Scan{Input: "X", Cols: cols, Placed: labelKey}, Outs: label(0)}, ""},
+		{"not an input dictionary", &plan.Project{In: &plan.Scan{Input: "X", Cols: cols, Placed: [][]int{labelKey}}, Outs: label(0)}, ""},
 		{"label minted over a label", mint(flat, 1), ""},
 		{"label minted from a dictionary", mint(scan(labelKey), 1), ""},
 	} {

@@ -682,6 +682,11 @@ type diffCounts struct {
 	// input dictionary bound placed on its label; scanLocal those where a Γ
 	// or dedup reduces in place over a placed Scan.
 	boundSkip, scanLocal int
+	// labelLocal counts seeds where a shredded route joins two of an input's
+	// root-aligned components on a label with both sides placed; backedOff
+	// those where an analyzed run's combined Γ+/dedup shipped a row per row,
+	// its keys repeating in no source partition.
+	labelLocal, backedOff int
 	// groupedPlaced counts seeds whose grouped-join program places a join
 	// side on some strategy.
 	groupedPlaced int
@@ -720,6 +725,8 @@ func (c *diffCounts) add(o diffCounts) {
 	c.placed += o.placed
 	c.boundSkip += o.boundSkip
 	c.scanLocal += o.scanLocal
+	c.labelLocal += o.labelLocal
+	c.backedOff += o.backedOff
 	c.groupedPlaced += o.groupedPlaced
 	c.skewBroadcast += o.skewBroadcast
 	c.skewLight += o.skewLight
@@ -760,7 +767,7 @@ func runDifferential(data []byte, strict bool) (n diffCounts, err error) {
 	applyIndexes(ests, chosen)
 
 	nested, narrowed, fused, composed, local, combined := false, false, false, false, false, false
-	boundSkip, scanLocal := false, false
+	boundSkip, scanLocal, labelLocal := false, false, false
 	stitchK := 1 + g.n(4) // the stitching checks' limit besides 0
 	var st stitchSeen
 	for _, strat := range diffStrategies {
@@ -809,16 +816,9 @@ func runDifferential(data []byte, strict bool) (n diffCounts, err error) {
 					return n, fmt.Errorf("%s (full=%t, noidx=%t) failed: %v\n%s",
 						strat, full, noIdx, res.Err, nrc.Print(q))
 				}
-				if cq.Strategy.IsShredded() {
-					if err := checkStitch(res, want, stitchK, &st); err != nil {
-						return n, fmt.Errorf("%s (full=%t, noidx=%t): %v\n%s", strat, full, noIdx, err, nrc.Print(q))
-					}
-				}
-				got, gerr := nestedOutput(cq, res)
-				if res.Metrics.ShuffleRecords > 0 {
-					n.shuffled++
-				}
-				marked, sides, merged, lerr := exchangesAsPlanned(res.Program(), res)
+				// The plans' exchanges first: a skipped exchange over rows that
+				// lie elsewhere than planned explains any wrong answer below.
+				marked, sides, merged, lerr := exchangesAsPlanned(res.Program(), res, inputs, cfg.Parallelism)
 				if skipped := res.Metrics.SkippedShuffles; lerr == nil && skipped > 0 && strat == runner.SparkSQLStyle {
 					lerr = fmt.Errorf("%d Γ/dedup marked local, %d join sides placed and %d exchanges skipped on the baseline that reuses no placement", marked, sides, skipped)
 				}
@@ -828,15 +828,25 @@ func runDifferential(data []byte, strict bool) (n diffCounts, err error) {
 				if lerr != nil {
 					return n, fmt.Errorf("%s (full=%t, noidx=%t): %v\n%s", strat, full, noIdx, lerr, cq.Explain())
 				}
+				if cq.Strategy.IsShredded() {
+					if err := checkStitch(res, want, stitchK, &st); err != nil {
+						return n, fmt.Errorf("%s (full=%t, noidx=%t): %v\n%s", strat, full, noIdx, err, nrc.Print(q))
+					}
+				}
+				got, gerr := nestedOutput(cq, res)
+				if res.Metrics.ShuffleRecords > 0 {
+					n.shuffled++
+				}
 				local = local || full && marked > 0
 				combined = combined || merged > 0
 				placed = placed || full && sides > 0
-				overDict, overScan := boundReuse(res.Program(), env)
-				if strat == runner.SparkSQLStyle && (overDict || overScan) {
+				overDict, overScan, bothPlaced := boundReuse(res.Program(), env)
+				if strat == runner.SparkSQLStyle && (overDict || overScan || bothPlaced) {
 					return n, fmt.Errorf("the baseline that reuses no placement skipped an exchange over a placed input\n%s", cq.Explain())
 				}
 				boundSkip = boundSkip || overDict
 				scanLocal = scanLocal || overScan
+				labelLocal = labelLocal || bothPlaced
 				if gerr != nil {
 					return n, fmt.Errorf("%s (full=%t, noidx=%t) unshred: %v\n%s",
 						strat, full, noIdx, gerr, nrc.Print(q))
@@ -881,9 +891,12 @@ func runDifferential(data []byte, strict bool) (n diffCounts, err error) {
 	if combined {
 		n.combined++
 	}
-	broadcast, light, err := skewTwins(mkQuery("R"), mkQuery, env, inputs, ests, limit)
+	broadcast, light, backedOff, err := skewTwins(mkQuery("R"), mkQuery, env, inputs, ests, limit)
 	if err != nil {
 		return n, err
+	}
+	if backedOff {
+		n.backedOff++
 	}
 	if broadcast {
 		n.skewBroadcast++
@@ -920,7 +933,7 @@ func runDifferential(data []byte, strict bool) (n diffCounts, err error) {
 			}
 		}
 		got, gerr := nestedOutput(last, res)
-		if _, _, _, lerr := exchangesAsPlanned(res.Program(), res); lerr != nil {
+		if _, _, _, lerr := exchangesAsPlanned(res.Program(), res, inputs, cfg.Parallelism); lerr != nil {
 			return n, fmt.Errorf("%s program: %v\n%s", strat, lerr, runner.Explain(prog))
 		}
 		if gerr != nil {
@@ -983,7 +996,7 @@ func runDifferential(data []byte, strict bool) (n diffCounts, err error) {
 			return n, fmt.Errorf("%s grouped-join program diverges from the nrc.Eval oracle\n got: %s\nwant: %s\nexplain:\n%s",
 				strat, value.Format(got), value.Format(gwant), runner.Explain(prog))
 		}
-		_, sides, merged, lerr := exchangesAsPlanned(res.Program(), res)
+		_, sides, merged, lerr := exchangesAsPlanned(res.Program(), res, inputs, cfg.Parallelism)
 		if skipped := res.Metrics.SkippedShuffles; lerr == nil && (skipped > 0 || merged > 0) && strat == runner.SparkSQLStyle {
 			lerr = fmt.Errorf("%d exchanges skipped and %d Γ/dedup combined on the baseline that places nothing", skipped, merged)
 		}
@@ -1031,7 +1044,7 @@ func runDifferential(data []byte, strict bool) (n diffCounts, err error) {
 			return n, fmt.Errorf("%s summing query diverges from the nrc.Eval oracle (%v)\n got: %s\nwant: %s\nexplain:\n%s",
 				strat, gerr, value.Format(got), value.Format(sumWant), cq.Explain())
 		}
-		if _, _, _, lerr := exchangesAsPlanned(res.Program(), res); lerr != nil {
+		if _, _, _, lerr := exchangesAsPlanned(res.Program(), res, inputs, cfg.Parallelism); lerr != nil {
 			return n, fmt.Errorf("%s summing query: %v\n%s", strat, lerr, cq.Explain())
 		}
 		n.runs++
@@ -1086,9 +1099,10 @@ func runDifferential(data []byte, strict bool) (n diffCounts, err error) {
 			if err := stagesAddUp(res); err != nil {
 				return n, fmt.Errorf("%s stitching query: %v\n%s", strat, err, nrc.Print(sq()))
 			}
-			overDict, overScan := boundReuse(res.Program(), env)
+			overDict, overScan, bothPlaced := boundReuse(res.Program(), env)
 			boundSkip = boundSkip || overDict
 			scanLocal = scanLocal || overScan
+			labelLocal = labelLocal || bothPlaced
 			n.runs++
 		}
 	}
@@ -1128,6 +1142,9 @@ func runDifferential(data []byte, strict bool) (n diffCounts, err error) {
 	}
 	if scanLocal {
 		n.scanLocal++
+	}
+	if labelLocal {
+		n.labelLocal++
 	}
 	if st.minted > 0 {
 		n.stitchMinted++
@@ -1289,7 +1306,7 @@ func (g *dgen) mintedQuery() nrc.Expr {
 // join that split on no heavy key may still shuffle more: plan.Place cannot
 // know at plan time that no key will be heavy, so a Γ above it on its key
 // exchanges instead of reducing in place.
-func skewTwins(q nrc.Expr, mkQuery func(string) nrc.Expr, env nrc.Env, inputs map[string]value.Bag, ests map[string]plan.TableEstimate, limit int64) (broadcast, light bool, err error) {
+func skewTwins(q nrc.Expr, mkQuery func(string) nrc.Expr, env nrc.Env, inputs map[string]value.Bag, ests map[string]plan.TableEstimate, limit int64) (broadcast, light, backedOff bool, err error) {
 	cfg, cst := diffConfig(true, false, ests, limit)
 	for _, twins := range [][2]runner.Strategy{{runner.StandardSkew, runner.Standard}, {runner.ShredSkew, runner.Shred}} {
 		var got [2]value.Bag
@@ -1297,14 +1314,14 @@ func skewTwins(q nrc.Expr, mkQuery func(string) nrc.Expr, env nrc.Env, inputs ma
 		for i, strat := range twins {
 			cq, cerr := runner.CompileStep(mkQuery("R"), env, strat, cfg, cst, "Q")
 			if cerr != nil {
-				return false, false, fmt.Errorf("%s (analyzed) does not compile: %v\n%s", strat, cerr, nrc.Print(q))
+				return false, false, false, fmt.Errorf("%s (analyzed) does not compile: %v\n%s", strat, cerr, nrc.Print(q))
 			}
 			res[i] = runner.ExecuteBags(context.Background(), []*runner.Compiled{cq}, inputs, runner.NewRunContext(cfg), runner.ExecOptions{Analysis: plan.NewAnalysis()})
 			if res[i].Failed() {
-				return false, false, fmt.Errorf("%s (analyzed) failed: %v\n%s", strat, res[i].Err, nrc.Print(q))
+				return false, false, false, fmt.Errorf("%s (analyzed) failed: %v\n%s", strat, res[i].Err, nrc.Print(q))
 			}
 			if got[i], err = nestedOutput(cq, res[i]); err != nil {
-				return false, false, fmt.Errorf("%s (analyzed): %v\n%s", strat, err, nrc.Print(q))
+				return false, false, false, fmt.Errorf("%s (analyzed): %v\n%s", strat, err, nrc.Print(q))
 			}
 		}
 		heavy, split := false, false
@@ -1318,6 +1335,11 @@ func skewTwins(q nrc.Expr, mkQuery func(string) nrc.Expr, env nrc.Env, inputs ma
 				return // never ran
 			}
 			heavy = heavy || ns.Heavy != nil && ns.Heavy.Keys > 0
+			// A combined Γ+/dedup whose source partitions shipped a row per
+			// row backed off: no partition's keys repeated.
+			if in := ns.CombinedIn.Load(); in > 0 && in == ns.CombinedOut.Load() {
+				backedOff = true
+			}
 			split = split || ns.Heavy != nil
 			if j, ok := op.(*plan.Join); ok && len(j.LCols) > 0 && j.Cost != nil && j.Cost.Method == plan.JoinBroadcast {
 				if ns.Heavy != nil || j.KeepSplit || j.Placed != [2]bool{} {
@@ -1333,17 +1355,17 @@ func skewTwins(q nrc.Expr, mkQuery func(string) nrc.Expr, env nrc.Env, inputs ma
 		}
 		switch {
 		case err != nil:
-			return false, false, fmt.Errorf("%v\n%s", err, nrc.Print(q))
+			return false, false, false, fmt.Errorf("%v\n%s", err, nrc.Print(q))
 		case heavy:
 			continue
 		case !bitIdentical(got[0], got[1]):
-			return false, false, fmt.Errorf("%s found no heavy key yet answers apart from %s\n got: %s\nwant: %s\n%s", twins[0], twins[1], value.Format(got[0]), value.Format(got[1]), nrc.Print(q))
+			return false, false, false, fmt.Errorf("%s found no heavy key yet answers apart from %s\n got: %s\nwant: %s\n%s", twins[0], twins[1], value.Format(got[0]), value.Format(got[1]), nrc.Print(q))
 		case !split && res[0].Metrics.ShuffleBytes != res[1].Metrics.ShuffleBytes:
-			return false, false, fmt.Errorf("%s split nothing yet shuffles %dB, %s %dB\n%s", twins[0], res[0].Metrics.ShuffleBytes, twins[1], res[1].Metrics.ShuffleBytes, nrc.Print(q))
+			return false, false, false, fmt.Errorf("%s split nothing yet shuffles %dB, %s %dB\n%s", twins[0], res[0].Metrics.ShuffleBytes, twins[1], res[1].Metrics.ShuffleBytes, nrc.Print(q))
 		}
 		light = true
 	}
-	return broadcast, light, nil
+	return broadcast, light, backedOff, nil
 }
 
 // stitchSeen tallies one seed's stitching checks for the vacuity floors:
@@ -1451,21 +1473,13 @@ func fusionOf(cq *runner.Compiled) (fusedJoins, narrowOps int) {
 	return fusedJoins, narrowOps
 }
 
-// exchangesAsPlanned checks a run against the exchange decisions plan.Place
-// left on its plans. Every Γ/dedup marked local ran its reduce stage and no
-// exchange stage, every unmarked one ran both. Every BagToDict ran its
-// exchange iff it is not placed. Every keyed join ran as one shuffle join
-// (join#k, with join#k/L and join#k/R exchanges) or one broadcast join
-// (bjoin#k, no exchange): a shuffle join exchanged exactly the sides its plan
-// did not place; a join whose Cost says shuffle ran as one, one that says
-// broadcast did not, and one without a Cost (the executor decides) may run as
-// either. It returns how many Γ/dedup were marked local and how many join
-// sides placed.
 // boundReuse reports whether the plans a run ran skip an exchange over an
 // input dictionary of env bound placed on its label — a placed join side or
-// BagToDict, or a local Γ/dedup, above a Scan of one marked placed — and
-// whether a Γ or dedup reduces in place above any placed Scan.
-func boundReuse(prog []*runner.Compiled, env nrc.Env) (overDict, overScan bool) {
+// BagToDict, or a local Γ/dedup, above a Scan of one marked placed — whether
+// a Γ or dedup reduces in place above any placed Scan, and whether a join on
+// label columns has both sides placed over placed Scans of env's shredded
+// inputs, so it moves nothing.
+func boundReuse(prog []*runner.Compiled, env nrc.Env) (overDict, overScan, labelLocal bool) {
 	isDict := func(name string) bool {
 		for in := range env {
 			if strings.HasPrefix(name, in+"__") && name != shred.MatName(in, nil) {
@@ -1491,11 +1505,15 @@ func boundReuse(prog []*runner.Compiled, env nrc.Env) (overDict, overScan bool) 
 	walk = func(op plan.Op) {
 		switch x := op.(type) {
 		case *plan.Join:
+			onScans := len(x.LCols) > 0 && nrc.TypesEqual(x.L.Columns()[x.LCols[0]].Type, nrc.LabelT)
 			for i, c := range x.Children() {
-				if d, _ := below(c); x.Placed[i] && d {
+				d, a := below(c)
+				if x.Placed[i] && d {
 					overDict = true
 				}
+				onScans = onScans && x.Placed[i] && a
 			}
+			labelLocal = labelLocal || onScans
 		case *plan.BagToDict:
 			if d, _ := below(x.In); x.Placed && d {
 				overDict = true
@@ -1515,7 +1533,7 @@ func boundReuse(prog []*runner.Compiled, env nrc.Env) (overDict, overScan bool) 
 			walk(st.Plan)
 		}
 	}
-	return overDict, overScan
+	return overDict, overScan, labelLocal
 }
 
 // nestLocal is the Local mark of a Γ or dedup.
@@ -1529,7 +1547,22 @@ func nestLocal(op plan.Op) []int {
 	return nil
 }
 
-func exchangesAsPlanned(prog []*runner.Compiled, res *runner.Result) (local, placed, combined int, err error) {
+// exchangesAsPlanned checks a run against the exchange decisions plan.Place
+// left on its plans. Every Scan marked placed over an input bound from inputs
+// over parts partitions reads rows that lie where each of its keys says: a
+// skipped exchange is sound only then. Every Γ/dedup marked local ran its
+// reduce stage and no exchange stage, every unmarked one ran both. Every
+// BagToDict ran its exchange iff it is not placed. Every keyed join ran as one
+// shuffle join (join#k, with join#k/L and join#k/R exchanges) or one
+// broadcast join (bjoin#k, no exchange): a shuffle join exchanged exactly the
+// sides its plan did not place; a join whose Cost says shuffle ran as one, one
+// that says broadcast did not, and one without a Cost (the executor decides)
+// may run as either. It returns how many Γ/dedup were marked local and how
+// many join sides placed.
+func exchangesAsPlanned(prog []*runner.Compiled, res *runner.Result, inputs map[string]value.Bag, parts int) (local, placed, combined int, err error) {
+	if err := placedAsClaimed(prog, inputs, parts); err != nil {
+		return 0, 0, 0, err
+	}
 	var reduces, dicts, dictsPlaced, joins int
 	var must, may [4]int // keyed joins that shuffle (or may), by the sides they exchange: 1 L, 2 R
 	var walk func(plan.Op)
@@ -1636,6 +1669,41 @@ func exchangesAsPlanned(prog []*runner.Compiled, res *runner.Result) (local, pla
 		return local, placed, combined, fmt.Errorf("joins planned to shuffle exchanging sides 0-3 %v ran as broadcasts", must)
 	}
 	return local, placed, combined, nil
+}
+
+// placedAsClaimed checks that every Scan prog marks placed over an input
+// component bound from inputs over parts partitions reads rows hash-placed on
+// each of the keys the Scan lists: every row of partition p hashes to p over
+// each of them.
+func placedAsClaimed(prog []*runner.Compiled, inputs map[string]value.Bag, parts int) error {
+	comp, _, err := runner.BindBags(prog, inputs, parts)
+	if err != nil {
+		return err
+	}
+	var bad error
+	var walk func(plan.Op)
+	walk = func(op plan.Op) {
+		if s, ok := op.(*plan.Scan); ok && s.Placed != nil && comp.Placed[s.Input] != nil {
+			for p, rows := range comp.Placed[s.Input].Whole().Parts {
+				for _, r := range rows {
+					for _, k := range s.Placed {
+						if h := value.HashCols(r, k); h%uint64(parts) != uint64(p) && bad == nil {
+							bad = fmt.Errorf("Scan %s is placed on %v, but its row %s lies in partition %d of %d, its key hashes to %d", s.Input, s.Placed, value.Format(value.Tuple(r)), p, parts, h%uint64(parts))
+						}
+					}
+				}
+			}
+		}
+		for _, c := range op.Children() {
+			walk(c)
+		}
+	}
+	for _, cq := range prog {
+		for _, st := range cq.Stmts {
+			walk(st.Plan)
+		}
+	}
+	return bad
 }
 
 // errSkip marks an uncompilable fuzz-generated query (tolerated only in the
@@ -1757,6 +1825,15 @@ func TestDifferentialOracle(t *testing.T) {
 	if total.boundSkip < n/8 || total.scanLocal < n/8 {
 		t.Fatalf("%d of %d seeds skip an exchange over a placed input dictionary and %d reduce a Γ/dedup in place over a placed Scan — bound placement is no longer exercised", total.boundSkip, n, total.scanLocal)
 	}
+	// Root-aligned shredding must leave label joins of two placed input
+	// components that move nothing.
+	if total.labelLocal < n/8 {
+		t.Fatalf("%d of %d seeds join two root-aligned input components on a label with both sides placed — root alignment is no longer exercised", total.labelLocal, n)
+	}
+	// And a combiner must meet keys that do not repeat, and back off.
+	if total.backedOff < n/8 || total.combined < n/8 {
+		t.Fatalf("%d of %d seeds combined a Γ+/dedup and %d backed off — the combiner's back-off is no longer exercised", total.combined, n, total.backedOff)
+	}
 	// And a skew-aware run must actually meet keyed broadcast joins, which
 	// it runs as plain joins (skewTwins checks each splits nothing), and
 	// must actually find no heavy key, which makes it its twin.
@@ -1801,6 +1878,7 @@ func TestDifferentialOracle(t *testing.T) {
 		t.Fatalf("%d of %d seeds demanded rows of a deferred statement whose label is minted from a flat input and %d of one holding a ⋈ or Γ — the label-closed rule is no longer exercised", total.stitchMinted, n, total.stitchWide)
 	}
 	t.Logf("%d seeds ran a keyed broadcast join skew-aware, %d matched their skew-unaware twin with no heavy key", total.skewBroadcast, total.skewLight)
+	t.Logf("%d seeds joined two root-aligned input components on a label with both sides placed; %d backed off combining", total.labelLocal, total.backedOff)
 	t.Logf("%d seeds stitched through a label comparison, %d two levels deep, %d demanded fewer rows than forcing runs, %d broke a tie on a demanded label, %d demanded through a minted label, %d through a ⋈ or Γ; %d index scans served", total.stitchResolved, total.stitchDeep, total.stitchDemanded, total.stitchDemandTie, total.stitchMinted, total.stitchWide, after["index.scans"]-before["index.scans"])
 	t.Logf("%d queries × %d runs each agreed with the oracle; optimizer changed plans in %d runs (%d crossings); %d seeds grouped above an addIndex, %d keyed a Γ by the IDs; %d seeds fused a join and %d composed a chain; %d seeds reduced in place, %d combined; %d seeds summed a NULL, %d reals whose float sum depends on their order; %d seed × strategy pairs placed a join side (%d grouped-join programs); %d seeds skipped an exchange over a placed input dictionary, %d reduced in place over a placed Scan; %d runs planned index scans; %d runs moved rows across an exchange; %d programs read a shredded step output",
 		n, total.runs/n, total.optimized, total.pushed, total.nested, total.narrowed, total.fused, total.composed, total.local, total.combined, total.nullSummed, total.orderSummed, total.placed, total.groupedPlaced, total.boundSkip, total.scanLocal, total.indexed, total.shuffled, total.shreddedSteps)

@@ -36,7 +36,15 @@ func (cq *Compiled) Explain() string { return Explain([]*Compiled{cq}) }
 // against flag Indexed (IndexChunks), as a catalog generation holds them, and
 // executes prog on dctx.
 func ExecuteBags(ctx context.Context, prog []*Compiled, inputs map[string]value.Bag, dctx *dataflow.Context, opts ExecOptions) *Result {
-	fail := func(err error) *Result { return Failure(prog[len(prog)-1].Strategy, err) }
+	rows, idxs, err := BindBags(prog, inputs, dctx.Parallelism)
+	if err != nil {
+		return Failure(prog[len(prog)-1].Strategy, err)
+	}
+	return Execute(ctx, prog, rows, idxs, dctx, opts)
+}
+
+// BindBags is what ExecuteBags binds for prog over parts partitions.
+func BindBags(prog []*Compiled, inputs map[string]value.Bag, parts int) (Components, map[string]*index.Set, error) {
 	ins := Inputs{}
 	for name, b := range inputs {
 		t := prog[0].Env[name]
@@ -48,17 +56,13 @@ func ExecuteBags(ctx context.Context, prog []*Compiled, inputs map[string]value.
 			}
 			ci, err := IndexChunks(chunks, col)
 			if err != nil {
-				return fail(err)
+				return Components{}, nil, err
 			}
 			set.Put(ci)
 		}
 		ins[name] = NewInput(name, t, chunks, set)
 	}
-	rows, idxs, err := ins.Bind(prog, dctx.Parallelism)
-	if err != nil {
-		return fail(err)
-	}
-	return Execute(ctx, prog, rows, idxs, dctx, opts)
+	return ins.Bind(prog, parts)
 }
 
 // RunProgram compiles a program (CompileProgram) and executes it over nested

@@ -45,12 +45,14 @@ type conversion struct {
 }
 
 // Components are the engine datasets of an input, or of a run's inputs, on
-// one route. Rows are bound as they are (over contiguous ranges, FromRows):
-// the top-level rows on standard routes and the top component on shredded
-// ones, whose positions the indexes hold. Placed are the dictionary
-// components of shredded routes, each hash-placed on its label (column 0) —
-// where plan.Place finds them (Compiled.bound) — and bound as placed
-// datasets.
+// one route. Rows are the top-level rows on standard routes and the top
+// component on shredded ones, in input order: what the indexes' positions and
+// the deferred lookups (rowKeys) address, bound as they are (over contiguous
+// ranges, FromRows) unless placed. Placed are the components of shredded
+// routes value shredding placed root-aligned — every dictionary, hash-placed
+// on its label (column 0) and on every label column it carries, and a top
+// component with label columns, on each of them — where plan.Place finds them
+// (Compiled.bound), bound as placed datasets.
 type Components struct {
 	Rows   map[string][]dataflow.Row
 	Placed map[string]*PlacedDict
@@ -86,9 +88,10 @@ func (k *rowKeys) positions(rows []dataflow.Row, cols []int) map[uint64][]int32 
 	return e.at
 }
 
-// PlacedDict is an input dictionary hash-placed on its label over a run's
-// partitions, chunk by chunk: each chunk's placement, in chunk order, beside
-// the sequence numbers of the labels the chunk's shredding minted. Whole
+// PlacedDict is an input component hash-placed over a run's partitions — a
+// dictionary on its label, a top component on its label columns — chunk by
+// chunk: each chunk's placement, in chunk order, beside the sequence numbers
+// of the labels the chunk's shredding minted. Whole
 // concatenates the chunks partition by partition, on first use and once —
 // placing rows chunk by chunk and concatenating is placing them whole — for a
 // run that scans the dictionary; a limited read finds a label's rows in its
@@ -99,11 +102,14 @@ type PlacedDict struct {
 	whole  *dataflow.Placed
 }
 
-// DictChunk is one chunk's placement of a dictionary and the label sequence
-// numbers, First to Last, its shredding minted.
+// DictChunk is one chunk's placement of a component, the range of label
+// sequence numbers, First to Last, its shredding drew from, and how many
+// labels it minted there: root-aligned minting skips the numbers whose label
+// lands on another partition.
 type DictChunk struct {
 	*dataflow.Placed
 	First, Last int64
+	Labels      int64
 }
 
 // Whole is the dictionary placed whole: the chunks' placements concatenated
@@ -157,8 +163,8 @@ func (c *Chunk) LabelBase() int64 { return c.labelBase }
 
 // Components returns the chunk's engine datasets on a route when bound as
 // variable name: its rows under name on standard routes (parts 0); on
-// shredded ones the value-shredded components, each dictionary placed stably
-// over parts partitions.
+// shredded ones the value-shredded components, the top rows in input order
+// and every component with labels placed stably over parts partitions.
 func (c *Chunk) Components(name string, shredded bool, parts int) (Components, error) {
 	r := entry(&c.mu, &c.conv, convKey{name, shredded, parts})
 	r.once.Do(func() { r.comp, r.err = c.convert(name, shredded, parts) })
@@ -196,7 +202,7 @@ func (c *Chunk) convert(name string, shredded bool, parts int) (comp Components,
 	top := shred.MatName(name, nil)
 	comp = Components{Rows: map[string][]dataflow.Row{top: tuplesToRows(si.Rows[top])}, Placed: map[string]*PlacedDict{}, keys: map[string]*rowKeys{top: {}}}
 	for d, pl := range si.Placed {
-		comp.Placed[d] = &PlacedDict{Chunks: []DictChunk{{Placed: pl, First: c.labelBase + 1, Last: c.labelBase + si.Labels}}}
+		comp.Placed[d] = &PlacedDict{Chunks: []DictChunk{{Placed: pl, First: c.labelBase + 1, Last: si.Last, Labels: si.Labels}}}
 	}
 	return comp, nil
 }

@@ -1,8 +1,10 @@
 package runner
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"github.com/trance-go/trance/internal/dataflow"
@@ -11,12 +13,14 @@ import (
 	"github.com/trance-go/trance/internal/value"
 )
 
-// TestChunkPlacementMatchesTheExchange: a dictionary placed as value
+// TestChunkPlacementMatchesTheExchange: a component placed as value
 // shredding builds it, chunk by chunk and concatenated partition by
-// partition, is the dictionary placed whole, which is what an exchange on the
-// label over its flat rows bound whole (FromRows) delivers — the same rows in
+// partition, is the component placed whole, which is what an exchange on its
+// key over its flat rows bound whole (FromRows) delivers — the same rows in
 // the same order, with the same hashes — so a Γ+ reducing a placed dictionary
-// in place adds its floats in the order the exchanged one did.
+// in place adds its floats in the order the exchanged one did. That holds for
+// the dictionary, on its label, and for the top rows, on their label column,
+// in input order.
 func TestChunkPlacementMatchesTheExchange(t *testing.T) {
 	const p = 4
 	bt := nrc.BagOf(nrc.Tup("k", nrc.IntT, "xs", nrc.BagOf(nrc.Tup("v", nrc.RealT))))
@@ -28,9 +32,18 @@ func TestChunkPlacementMatchesTheExchange(t *testing.T) {
 		}
 		b = append(b, value.Tuple{int64(i), xs})
 	}
-	// Every element mints one label, so a chunk numbering its labels from its
-	// first element's position numbers them as the whole input does.
-	chunks := []*Chunk{NewChunk(b[:20], bt, 0), NewChunk(b[20:21], bt, 20), NewChunk(b[21:], bt, 21)}
+	// A chunk numbering its labels from where the chunk before it stopped
+	// numbers them as the whole input does.
+	var chunks []*Chunk
+	base := int64(0)
+	for _, r := range [][2]int{{0, 20}, {20, 21}, {21, 53}} {
+		ch := NewChunk(b[r[0]:r[1]], bt, base)
+		comp, err := ch.Components("D", true, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		chunks, base = append(chunks, ch), comp.Placed["D__xs"].Chunks[0].Last
+	}
 	pieced, err := NewInput("D", bt, chunks, nil).Components(true, p)
 	if err != nil {
 		t.Fatal(err)
@@ -39,29 +52,35 @@ func TestChunkPlacementMatchesTheExchange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	flat, err := shred.ShredInput("D", b, bt)
-	if err != nil {
-		t.Fatal(err)
+	if _, kept := whole.Rows["D__xs"]; kept || len(whole.Placed) != 2 || len(whole.Rows["D__F"]) != len(b) {
+		t.Fatalf("components %v / placed %v: want the dictionary placed and not kept as rows, the top rows kept and placed", whole.Rows, whole.Placed)
 	}
-	if _, kept := whole.Rows["D__xs"]; kept || len(whole.Placed) != 1 {
-		t.Fatalf("components %v / placed %v: want the dictionary placed and not kept as rows", whole.Rows, whole.Placed)
+	// The dictionary's flat rows in minting order: its labels' sequence
+	// numbers increase as value shredding mints them.
+	var dict []dataflow.Row
+	for _, part := range whole.Placed["D__xs"].Whole().Parts {
+		dict = append(dict, part...)
 	}
-	w, pc := whole.Placed["D__xs"].Whole(), pieced.Placed["D__xs"].Whole()
-	ex, err := dataflow.NewContext(p).FromRows(tuplesToRows(flat.Rows["D__xs"])).RepartitionBy("x", labelKey, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ex.SamplePartitions(math.MaxInt, func(i int, got []dataflow.Row) {
-		if fmt.Sprint(w.Parts[i]) != fmt.Sprint(got) || fmt.Sprint(pc.Parts[i]) != fmt.Sprint(got) {
-			t.Errorf("partition %d: placed whole %v, by chunk %v, the exchange delivered %v", i, w.Parts[i], pc.Parts[i], got)
+	seq := func(r dataflow.Row) int64 { s, _ := shred.LabelSeq(r[0]); return s }
+	slices.SortStableFunc(dict, func(a, b dataflow.Row) int { return cmp.Compare(seq(a), seq(b)) })
+	for name, flat := range map[string][]dataflow.Row{"D__xs": dict, "D__F": whole.Rows["D__F"]} {
+		w, pc := whole.Placed[name].Whole(), pieced.Placed[name].Whole()
+		ex, err := dataflow.NewContext(p).FromRows(flat).RepartitionBy("x", w.Cols, false)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if fmt.Sprint(w.Hashes[i]) != fmt.Sprint(pc.Hashes[i]) {
-			t.Errorf("partition %d: hashes placed whole %v, by chunk %v", i, w.Hashes[i], pc.Hashes[i])
-		}
-		for j, r := range w.Parts[i] {
-			if h := value.HashCols(r, labelKey); w.Hashes[i][j] != h || h%p != uint64(i) {
-				t.Errorf("partition %d row %d: hash %d, the label hashes to %d", i, j, w.Hashes[i][j], h)
+		ex.SamplePartitions(math.MaxInt, func(i int, got []dataflow.Row) {
+			if fmt.Sprint(w.Parts[i]) != fmt.Sprint(got) || fmt.Sprint(pc.Parts[i]) != fmt.Sprint(got) {
+				t.Errorf("%s partition %d: placed whole %v, by chunk %v, the exchange delivered %v", name, i, w.Parts[i], pc.Parts[i], got)
 			}
-		}
-	})
+			if fmt.Sprint(w.Hashes[i]) != fmt.Sprint(pc.Hashes[i]) {
+				t.Errorf("%s partition %d: hashes placed whole %v, by chunk %v", name, i, w.Hashes[i], pc.Hashes[i])
+			}
+			for j, r := range w.Parts[i] {
+				if h := value.HashCols(r, w.Cols); w.Hashes[i][j] != h || h%p != uint64(i) {
+					t.Errorf("%s partition %d row %d: hash %d, the key hashes to %d", name, i, j, w.Hashes[i][j], h)
+				}
+			}
+		})
+	}
 }

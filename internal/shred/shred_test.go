@@ -148,16 +148,19 @@ func TestPlacedDictionaryRowsLieInMintingOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(si.Placed) != 2 || si.Labels == 0 {
-		t.Fatalf("%d dictionaries placed, %d labels minted", len(si.Placed), si.Labels)
+	if len(si.Placed) != 3 || si.Labels == 0 || si.Last-base < si.Labels {
+		t.Fatalf("%d components placed, %d labels minted up to sequence %d", len(si.Placed), si.Labels, si.Last)
 	}
 	for name, pl := range si.Placed {
+		if name == shred.MatName("COP", nil) {
+			continue
+		}
 		for p, rows := range pl.Parts {
 			last := int64(0)
 			for i, r := range rows {
 				seq, ok := shred.LabelSeq(r[0])
-				if !ok || seq < last || seq <= base || seq > base+si.Labels {
-					t.Fatalf("%s partition %d row %d: label %s after sequence %d, minted %d..%d", name, p, i, value.Format(r[0]), last, base+1, base+si.Labels)
+				if !ok || seq < last || seq <= base || seq > si.Last {
+					t.Fatalf("%s partition %d row %d: label %s after sequence %d, minted %d..%d", name, p, i, value.Format(r[0]), last, base+1, si.Last)
 				}
 				last = seq
 				lo, hi := shred.LabelRows(rows, r[0])
@@ -171,6 +174,66 @@ func TestPlacedDictionaryRowsLieInMintingOrder(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestShreddedRowsAreRootAligned: value shredding placed mints every label
+// of one nested value to land where the value's top row lies, so every label
+// column of every component's row — the top rows' and each dictionary's —
+// hashes to the partition the row lies in, with the hash the placement
+// carries over its key column; the labels are distinct, and the top rows
+// keep input order in Rows.
+func TestShreddedRowsAreRootAligned(t *testing.T) {
+	const parts = 5
+	cop := testdata.RandomCOP(rand.New(rand.NewSource(11)), 60, 4, 3, 9)
+	si, err := shred.ShredInputFrom("COP", cop, testdata.COPType, 0, parts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flat, err := shred.ShredInput("COP", cop, testdata.COPType)
+	if err != nil {
+		t.Fatal(err)
+	}
+	top := shred.MatName("COP", nil)
+	if len(si.Rows[top]) != len(cop) || len(si.Placed) != 3 {
+		t.Fatalf("%d top rows for %d values, %d components placed", len(si.Rows[top]), len(cop), len(si.Placed))
+	}
+	if si.Labels != flat.Labels {
+		t.Fatalf("minted %d labels placed, %d unplaced", si.Labels, flat.Labels)
+	}
+	seen := map[string]bool{}
+	labels := 0
+	for name, pl := range si.Placed {
+		rows := 0
+		for p, part := range pl.Parts {
+			for i, r := range part {
+				if h := value.HashCols(r, pl.Cols); pl.Hashes[p][i] != h || h%parts != uint64(p) {
+					t.Fatalf("%s partition %d row %d: carried hash %d, its key hashes to %d", name, p, i, pl.Hashes[p][i], h)
+				}
+				for c, v := range r {
+					if _, ok := v.(value.Label); !ok {
+						continue
+					}
+					if h := value.Hash64(v); h%parts != uint64(p) {
+						t.Fatalf("%s partition %d row %d: label column %d hashes to partition %d", name, p, i, c, h%parts)
+					}
+					if k := value.Key(v); c > 0 || name == top {
+						if seen[k] {
+							t.Fatalf("%s: label %s minted twice", name, value.Format(v))
+						}
+						seen[k] = true
+						labels++
+					}
+				}
+			}
+			rows += len(part)
+		}
+		if want := len(flat.Rows[name]); rows != want {
+			t.Fatalf("%s: %d rows placed, %d shredded unplaced", name, rows, want)
+		}
+	}
+	if int64(labels) != si.Labels {
+		t.Fatalf("%d labels in the rows, %d minted", labels, si.Labels)
 	}
 }
 

@@ -13,16 +13,22 @@ import (
 // materialized name (MatName).
 type ShreddedInput struct {
 	Name string
-	// Rows holds the top rows and, unless the input was shredded placed, every
-	// dictionary's rows.
+	// Rows holds the top rows, in input order, and, unless the input was
+	// shredded placed, every dictionary's rows.
 	Rows map[string][]value.Tuple
-	// Placed holds every dictionary of an input shredded placed: its rows
-	// hash-placed on their label (column 0), each partition in input order.
+	// Placed holds the components of an input shredded placed: every
+	// dictionary, its rows hash-placed on their label (column 0), and the top
+	// rows, when they carry labels, hash-placed on their first label column;
+	// each partition in input order. Labels are minted root-aligned (see
+	// ShredInputFrom), so every label column of a row hashes to the partition
+	// it lies in.
 	Placed map[string]*dataflow.Placed
-	// Labels is how many labels the shredding minted: every label it put in
-	// a row has a sequence number (LabelSeq) from labelBase+1 to
-	// labelBase+Labels.
-	Labels int64
+	// Labels is how many labels the shredding minted, and Last the sequence
+	// number (LabelSeq) of the last one: every label it put in a row has a
+	// sequence number from labelBase+1 to Last. Shredded placed, the numbers
+	// skip those whose label lands elsewhere, so Last-labelBase may exceed
+	// Labels.
+	Labels, Last int64
 }
 
 // ShredInput value-shreds a nested bag: every inner bag instance is replaced
@@ -33,24 +39,41 @@ func ShredInput(name string, b value.Bag, t nrc.BagType) (*ShreddedInput, error)
 }
 
 // ShredInputFrom is ShredInput numbering its labels from labelBase+1 rather
-// than 1 and, with parts > 0, placing every dictionary over parts partitions
-// on its label as it goes: a row lands in the partition its label hashes to,
-// after the rows that landed there before it — where an exchange on the label
-// over the flat dictionary would put it. Labels are opaque keys that only have
-// to be distinct within an input, so runs of one input's rows shredded from
-// disjoint label ranges concatenate, component by component (and partition by
-// partition), into a shredding of the whole input.
+// than 1 and, with parts > 0, placing every component over parts partitions
+// as it goes. The labels are then root-aligned: a top row — a root — gets a
+// partition drawn from the next sequence number, and every label of its
+// subtree, its own first, takes the next sequence number whose label hashes
+// to that partition. So one nested value's top row and dictionary rows share
+// a partition, and a row lands in the partition each of its labels hashes to,
+// after the rows that landed there before it — where an exchange on any label
+// column over the flat component would put it. The draw is a mix of the
+// sequence number rather than the hash of the root's first label: FNV's low
+// bits follow the low bits of the sequence number, so after a subtree landed
+// on a partition its label hash would pick the next root's from a short
+// cycle, and the roots would crowd a few partitions.
+// Labels are opaque keys that only have to be distinct within an input
+// (Cheney, Lindley and Wadler: any injective index will do), so runs of one
+// input's rows shredded from disjoint label ranges concatenate, component by
+// component (and partition by partition), into a shredding of the whole input.
 func ShredInputFrom(name string, b value.Bag, t nrc.BagType, labelBase int64, parts int) (*ShreddedInput, error) {
 	_, dicts, err := ShredType(t)
 	if err != nil {
 		return nil, err
 	}
-	s := &shredder{input: name, parts: parts, label: labelBase, sinks: map[string]*rowSink{}}
+	s := &shredder{input: name, parts: uint64(parts), label: labelBase, top: make([]value.Tuple, 0, len(b)), sinks: map[string]*rowSink{}}
+	sh := s.shapeOf(t.Elem, nil)
 	top := newRowSink(0)
-	s.shredBag(b, s.shapeOf(t.Elem, nil), nil, top)
-	si := &ShreddedInput{Name: name, Rows: map[string][]value.Tuple{MatName(name, nil): top.parts[0]}, Labels: s.label - labelBase}
+	if sh.first >= 0 {
+		top = newRowSink(parts)
+	}
+	s.shredBag(b, sh, nil, 0, top)
+	topName := MatName(name, nil)
+	si := &ShreddedInput{Name: name, Rows: map[string][]value.Tuple{topName: s.top}, Labels: s.minted, Last: s.label}
 	if parts > 0 {
 		si.Placed = map[string]*dataflow.Placed{}
+		if sh.first >= 0 {
+			si.Placed[topName] = &dataflow.Placed{Cols: []int{sh.first}, Parts: top.parts, Hashes: top.hashes}
+		}
 	}
 	for _, d := range dicts {
 		key := MatName(name, d.Path)
@@ -64,23 +87,30 @@ func ShredInputFrom(name string, b value.Bag, t nrc.BagType, labelBase int64, pa
 	return si, nil
 }
 
-// shredder is one value shredding of an input: the label last minted and the
-// rows of each dictionary, placed over parts partitions (0: not placed).
+// shredder is one value shredding of an input: the last sequence number
+// used, how many labels it minted, the top rows in input order and the rows
+// of each dictionary, placed over parts partitions (0: not placed) — placed,
+// root is the partition of the top row being shredded.
 type shredder struct {
-	input string
-	parts int
-	label int64
-	sinks map[string]*rowSink
+	input  string
+	parts  uint64
+	label  int64
+	minted int64
+	root   uint64
+	top    []value.Tuple
+	sinks  map[string]*rowSink
 }
 
 // shape is what value shredding needs of a bag's element type, worked out
 // once per input rather than once per element: whether the elements are
-// tuples and how wide, and for each bag-valued field the site its labels
-// carry, the dictionary its elements go to and their own shape.
+// tuples and how wide, for each bag-valued field the site its labels carry,
+// the dictionary its elements go to and their own shape, and the first such
+// field (-1: none).
 type shape struct {
 	tuple bool
 	width int
 	bags  []*dictField // by field position; nil for a field that is not a bag
+	first int
 }
 
 type dictField struct {
@@ -92,37 +122,45 @@ type dictField struct {
 func (s *shredder) shapeOf(elem nrc.Type, path []string) *shape {
 	tt, ok := elem.(nrc.TupleType)
 	if !ok {
-		return &shape{width: 1}
+		return &shape{width: 1, first: -1}
 	}
-	sh := &shape{tuple: true, width: len(tt.Fields), bags: make([]*dictField, len(tt.Fields))}
+	sh := &shape{tuple: true, width: len(tt.Fields), bags: make([]*dictField, len(tt.Fields)), first: -1}
 	for i, f := range tt.Fields {
 		if bt, isBag := f.Type.(nrc.BagType); isBag {
 			sub := append(append([]string{}, path...), f.Name)
-			k := newRowSink(s.parts)
+			k := newRowSink(int(s.parts))
 			s.sinks[MatName(s.input, sub)] = k
 			sh.bags[i] = &dictField{site: inputSite(s.input, sub), dict: k, elem: s.shapeOf(bt.Elem, sub)}
+			if sh.first < 0 {
+				sh.first = i
+			}
 		}
 	}
 	return sh
 }
 
 // shredBag adds a row per element of b to out — led by lead, the label of the
-// bag the elements came from, on a dictionary (lead nil: the top rows) — with
-// a fresh label in place of each inner bag, whose elements it adds to that
-// bag's dictionary in turn. Every row of one inner bag shares one label value,
-// and so one partition.
-func (s *shredder) shredBag(b value.Bag, sh *shape, lead value.Value, out *rowSink) {
-	off, t, h := 0, 0, uint64(0)
+// bag the elements came from, hashing to lh, on a dictionary (lead nil: the
+// top rows) — with a fresh label in place of each inner bag, whose elements
+// it adds to that bag's dictionary in turn. Every row of one inner bag shares
+// one label value, and so one partition.
+func (s *shredder) shredBag(b value.Bag, sh *shape, lead value.Value, lh uint64, out *rowSink) {
+	off := 0
 	if lead != nil {
 		off = 1
-		if out.hashes != nil {
-			h = value.Hash64(lead)
-			t = int(h % uint64(len(out.parts)))
-		}
 	}
 	for _, e := range b {
-		row := out.add(t, h, off+sh.width)
-		if lead != nil {
+		h := lh
+		if lead == nil && out.hashes != nil {
+			// A placed top row is a root: it lies where its first label
+			// hashes to, in a partition drawn from the next sequence number.
+			s.root = mix64(uint64(s.label+1)) % s.parts
+			_, h = s.next(sh.bags[sh.first].site)
+		}
+		row := out.add(int(h%max(s.parts, 1)), h, off+sh.width)
+		if lead == nil {
+			s.top = append(s.top, row)
+		} else {
 			row[0] = lead
 		}
 		if !sh.tuple {
@@ -136,17 +174,36 @@ func (s *shredder) shredBag(b value.Bag, sh *shape, lead value.Value, out *rowSi
 				row[off+i] = src[i]
 				continue
 			}
-			s.label++
-			lbl := value.Value(value.Label{Site: d.site, Payload: value.Tuple{s.label}})
+			lbl, h := s.mint(d.site)
 			row[off+i] = lbl
-			s.shredBag(src[i].(value.Bag), d.elem, lbl, d.dict)
+			s.shredBag(src[i].(value.Bag), d.elem, lbl, h, d.dict)
 		}
 	}
 }
 
-// rowSink collects one component's rows: over one partition (the top rows, or
-// a dictionary not placed), or over the partitions its rows' labels hash to
-// (hashes). Each partition cuts its rows from blocks of its own, so a scan of
+// mint returns a fresh label of site and, placed, its hash.
+func (s *shredder) mint(site int32) (value.Value, uint64) {
+	seq, h := s.next(site)
+	s.label = seq
+	s.minted++
+	return value.Label{Site: site, Payload: value.Tuple{seq}}, h
+}
+
+// next is the sequence number the next label of site takes and, placed, its
+// hash: the next one, or placed, the next one whose label hashes to the
+// root's partition.
+func (s *shredder) next(site int32) (seq int64, h uint64) {
+	seq = s.label + 1
+	if s.parts > 0 {
+		for h = value.HashSeqLabel(site, seq); h%s.parts != s.root; h = value.HashSeqLabel(site, seq) {
+			seq++
+		}
+	}
+	return seq, h
+}
+
+// rowSink collects one component's rows: over one partition (a component not
+// placed), or over the partitions its rows' labels hash to (hashes). Each partition cuts its rows from blocks of its own, so a scan of
 // a partition reads its rows in memory order, as a scan of a contiguous range
 // of the flat rows does.
 type rowSink struct {
@@ -184,6 +241,16 @@ func (k *rowSink) add(t int, h uint64, width int) value.Tuple {
 		k.hashes[t] = append(k.hashes[t], h)
 	}
 	return row
+}
+
+// mix64 is MurmurHash3's 64-bit finalizer: every input bit moves every output
+// bit.
+func mix64(x uint64) uint64 {
+	x ^= x >> 33
+	x *= 0xff51afd7ed558ccd
+	x ^= x >> 33
+	x *= 0xc4ceb9fe1a85ec53
+	return x ^ x>>33
 }
 
 // LabelSeq is the sequence number value shredding minted label v under; ok is

@@ -155,7 +155,7 @@ func (t *Table) SelectiveColumns() []string {
 
 // Estimate converts the collected statistics into the cost model's form.
 func (t *Table) Estimate() plan.TableEstimate {
-	te := plan.TableEstimate{Generation: t.Generation, Rows: t.Rows, Bytes: t.Bytes, Cols: map[string]plan.ColEstimate{}}
+	te := plan.TableEstimate{Rows: t.Rows, Bytes: t.Bytes, Cols: map[string]plan.ColEstimate{}}
 	for _, c := range t.Columns {
 		te.Cols[c.Name] = plan.ColEstimate{NDV: c.NDV, Min: c.Min, Max: c.Max, HeavyFraction: c.HeavyFraction}
 	}

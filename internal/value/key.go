@@ -193,6 +193,15 @@ func foldTuple(h uint64, t Tuple) uint64 {
 // Hash64 hashes a flat value with FNV-1a over its canonical encoding.
 func Hash64(v Value) uint64 { return foldKey(fnvOffset64, v) }
 
+// HashSeqLabel is Hash64(Label{Site: site, Payload: Tuple{seq}}) without
+// building the label: what value shredding reads while it looks for a
+// sequence number whose label lands on a given partition.
+func HashSeqLabel(site int32, seq int64) uint64 {
+	h := fnvU32(fnvByte(fnvOffset64, 0x06), uint32(site))
+	h = fnvU32(fnvByte(h, 0x07), 1)
+	return fnvU64(fnvByte(h, 0x02), uint64(seq))
+}
+
 // HashCols hashes the composite key of row projected on cols: FNV-1a over the
 // concatenated per-column encodings, i.e. over the bytes of KeyCols.
 func HashCols(row Tuple, cols []int) uint64 {

@@ -42,6 +42,13 @@ func TestHashMatchesFNVOverAppendKey(t *testing.T) {
 			t.Errorf("Hash64(%s) = %x, fnv over AppendKey = %x", Format(v), got, want)
 		}
 	}
+	for _, site := range []int32{0, 1, -3, math.MaxInt32} {
+		for _, seq := range []int64{0, 1, -1, 1 << 32, math.MaxInt64, math.MinInt64} {
+			if got, want := HashSeqLabel(site, seq), Hash64(Label{Site: site, Payload: Tuple{seq}}); got != want {
+				t.Errorf("HashSeqLabel(%d, %d) = %x, Hash64 of the label = %x", site, seq, got, want)
+			}
+		}
+	}
 	// Composite keys: every value as a single-column key, then all of them as
 	// one wide key, then a permuted projection with a repeated column.
 	row := Tuple(vals)

@@ -247,11 +247,11 @@ func fingerprint(st PipelineStep, env Env, cfg Config, stats map[string]plan.Tab
 	fmt.Fprintf(h, "de=%t prune=%t pushdown=%t\n",
 		cfg.DomainElimination, !cfg.NoColumnPruning, !cfg.NoPredicatePushdown)
 	// Cost-model inputs: the broadcast limit changes what Annotate compiles,
-	// and the statistics digest ties cached plans to the dataset generation
-	// they were costed against (and Auto chose by) — a Drop + re-register
-	// under the same name yields new statistics (new generation) and
-	// therefore a new fingerprint, never a stale cached route. The index flags
-	// decide which selections plan as index scans.
+	// and the statistics digest ties cached plans to the estimates they were
+	// costed against (and Auto chose by) — data registered again with other
+	// statistics gets a new fingerprint, never a stale cached route, while
+	// the same data under any generation, in any process, gets the same one.
+	// The index flags decide which selections plan as index scans.
 	fmt.Fprintf(h, "bcast=%d\n", cfg.BroadcastLimit)
 	statNames := make([]string, 0, len(stats))
 	for n := range stats {
@@ -260,7 +260,7 @@ func fingerprint(st PipelineStep, env Env, cfg Config, stats map[string]plan.Tab
 	sort.Strings(statNames)
 	for _, n := range statNames {
 		te := stats[n]
-		fmt.Fprintf(h, "stats %s: gen=%d rows=%d bytes=%d\n", n, te.Generation, te.Rows, te.Bytes)
+		fmt.Fprintf(h, "stats %s: rows=%d bytes=%d\n", n, te.Rows, te.Bytes)
 		colNames := make([]string, 0, len(te.Cols))
 		for cn := range te.Cols {
 			colNames = append(colNames, cn)

@@ -8,21 +8,22 @@ import (
 )
 
 // TestFingerprintCoversStatistics: a step's plan-cache key changes with the
-// statistics it is compiled against — their presence, the generation they
-// were collected from and a column's index flag — and not with an
+// statistics it is compiled against — their presence, the estimates and a
+// column's index flag — and not with the generation they were collected from,
+// so two processes over the same data agree on it, nor with an
 // execution-only knob.
 func TestFingerprintCoversStatistics(t *testing.T) {
 	st := PipelineStep{Name: "Q", Expr: nrc.ForIn("r", nrc.V("R"), nrc.SingOf(nrc.V("r")))}
 	env := Env{"R": nrc.BagOf(nrc.Tup("a", nrc.IntT))}
 	cfg := DefaultConfig()
-	stats := func(gen int64, indexed bool) map[string]plan.TableEstimate {
-		return map[string]plan.TableEstimate{"R": {Generation: gen, Rows: 3, Cols: map[string]plan.ColEstimate{"a": {NDV: 3, Indexed: indexed}}}}
+	stats := func(rows int64, indexed bool) map[string]plan.TableEstimate {
+		return map[string]plan.TableEstimate{"R": {Rows: rows, Cols: map[string]plan.ColEstimate{"a": {NDV: 3, Indexed: indexed}}}}
 	}
 	fps := map[string]string{
 		"none":    fingerprint(st, env, cfg, nil),
-		"gen 1":   fingerprint(st, env, cfg, stats(1, false)),
-		"gen 2":   fingerprint(st, env, cfg, stats(2, false)),
-		"indexed": fingerprint(st, env, cfg, stats(1, true)),
+		"3 rows":  fingerprint(st, env, cfg, stats(3, false)),
+		"4 rows":  fingerprint(st, env, cfg, stats(4, false)),
+		"indexed": fingerprint(st, env, cfg, stats(3, true)),
 	}
 	seen := map[string]string{}
 	for name, fp := range fps {
@@ -33,7 +34,7 @@ func TestFingerprintCoversStatistics(t *testing.T) {
 	}
 	wide := cfg
 	wide.Parallelism *= 2
-	if fingerprint(st, env, wide, stats(1, true)) != fps["indexed"] {
+	if fingerprint(st, env, wide, stats(3, true)) != fps["indexed"] {
 		t.Fatal("an execution-only knob changed the fingerprint")
 	}
 }
