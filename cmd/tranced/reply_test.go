@@ -265,17 +265,18 @@ func TestReplyEnvelopeShape(t *testing.T) {
 	}
 
 	// Skew-aware nested-to-nested joins Part by broadcast, which splits
-	// nothing: standard-skew, and auto, which picks it here, return the rows
-	// standard returns, bags in the same element order.
+	// nothing: standard-skew returns the rows standard returns, bags in the
+	// same element order. The output has a bag column, so auto picks the
+	// shredded route, skew-aware here, and replies as shred+unshred-skew does.
 	results := func(strategy string) string {
-		path := "=== /query?name=tpch/nested-to-nested&level=1&limit=2&strategy=" + strategy + "\n"
+		path := "=== /query?name=tpch/nested-to-nested&level=1&limit=2&strategy=" + url.QueryEscape(strategy) + "\n"
 		body := replies.String()[strings.Index(replies.String(), path):]
 		body = body[strings.Index(body, `"results": [`):]
 		return body[:strings.Index(body, "\n  ]")]
 	}
-	for _, name := range []string{"standard-skew", "auto"} {
-		if got, want := results(name), results("standard"); got != want {
-			t.Errorf("nested-to-nested level 1 %s returned\n%s\nstandard\n%s", name, got, want)
+	for name, twin := range map[string]string{"standard-skew": "standard", "auto": "shred+unshred-skew"} {
+		if got, want := results(name), results(twin); got != want {
+			t.Errorf("nested-to-nested level 1 %s returned\n%s\n%s\n%s", name, got, twin, want)
 		}
 	}
 }

@@ -77,11 +77,113 @@ func compileNode(t nrc.Type) encNode {
 
 // AppendRow appends one row's JSON object to dst.
 func (e *RowEncoder) AppendRow(dst []byte, row value.Tuple) []byte {
-	return e.row.appendFields(dst, row)
+	rw := RowWriter{buf: dst}
+	rw.fields(&e.row, row, nil)
+	return rw.buf
 }
 
-func (n *encNode) appendFields(dst []byte, t value.Tuple) []byte {
-	dst = append(dst, '{')
+// RowWriter streams rows to an io.Writer through a pooled buffer. The buffer
+// goes to the writer whenever it passes flushAt — between rows, and inside a
+// row after any scalar, in a bag too — so a reply never holds more than
+// flushAt bytes plus one scalar, and a huge row never grows the buffer. A
+// row's bags are value.Bag values, or are written element by element by a
+// Bags.
+type RowWriter struct {
+	row       *encNode
+	w         io.Writer
+	buf       []byte
+	err       error
+	lead, sep string
+	rows      int
+	// elem and first are the bag a Bags is writing: its element schema, and
+	// whether none of its elements is written yet.
+	elem  *encNode
+	first bool
+}
+
+// Bags writes the bags of rows that hold them as something other than
+// value.Bag values — the labels of a shredded output — element by element.
+// For each bag-typed field col of a tuple the writer reaches with bags — a
+// row, or an element Tuple wrote — in the schema's order of names, the writer
+// opens the array, calls Bag, and closes it; Bag writes the bag's elements
+// with Tuple or Value.
+type Bags interface {
+	Bag(rw *RowWriter, col int)
+}
+
+// NewWriter starts streaming rows to w, each written as lead followed by its
+// object and consecutive rows joined by sep: ("", "\n") is NDJSON without its
+// final newline, ("\n    ", ",") the elements of an indented array. Close
+// hands over what is left.
+func (e *RowEncoder) NewWriter(w io.Writer, lead, sep string) *RowWriter {
+	rw := rowWriters.Get().(*RowWriter)
+	rw.row, rw.w, rw.lead, rw.sep = &e.row, w, lead, sep
+	return rw
+}
+
+// Row writes one row, its bag fields read by bags when bags is not nil.
+// After a failed write it writes nothing.
+func (rw *RowWriter) Row(row value.Tuple, bags Bags) {
+	if rw.err != nil {
+		return
+	}
+	if rw.rows > 0 {
+		rw.buf = append(rw.buf, rw.sep...)
+	}
+	rw.rows++
+	rw.buf = append(rw.buf, rw.lead...)
+	rw.fields(rw.row, row, bags)
+	rw.spill()
+}
+
+// Tuple writes a tuple element of the bag a Bags is writing, its bag fields
+// read by bags.
+func (rw *RowWriter) Tuple(t value.Tuple, bags Bags) {
+	rw.comma()
+	rw.fields(rw.elem, t, bags)
+}
+
+// Value writes an element of the bag a Bags is writing that holds its own
+// bags, if any.
+func (rw *RowWriter) Value(v value.Value) {
+	rw.comma()
+	rw.value(rw.elem, v)
+}
+
+// Close hands the rest of the buffer to the writer and returns the first
+// write error; rw is not used again.
+func (rw *RowWriter) Close() error {
+	if rw.err == nil && len(rw.buf) > 0 {
+		_, rw.err = rw.w.Write(rw.buf)
+	}
+	err := rw.err
+	if cap(rw.buf) <= 8*flushAt { // one huge scalar must not pin its buffer in the pool
+		*rw = RowWriter{buf: rw.buf[:0]}
+		rowWriters.Put(rw)
+	}
+	return err
+}
+
+// spill hands the buffer to the writer once it has passed flushAt.
+func (rw *RowWriter) spill() {
+	if len(rw.buf) < flushAt || rw.w == nil {
+		return
+	}
+	if rw.err == nil {
+		_, rw.err = rw.w.Write(rw.buf)
+	}
+	rw.buf = rw.buf[:0]
+}
+
+func (rw *RowWriter) comma() {
+	if !rw.first {
+		rw.buf = append(rw.buf, ',')
+	}
+	rw.first = false
+}
+
+func (rw *RowWriter) fields(n *encNode, t value.Tuple, bags Bags) {
+	rw.buf = append(rw.buf, '{')
 	first := true
 	for i := range n.fields {
 		f := &n.fields[i]
@@ -89,53 +191,77 @@ func (n *encNode) appendFields(dst []byte, t value.Tuple) []byte {
 			continue // a row shorter than its schema omits the missing fields
 		}
 		if !first {
-			dst = append(dst, ',')
+			rw.buf = append(rw.buf, ',')
 		}
 		first = false
-		dst = append(dst, f.key...)
-		dst = f.append(dst, t[f.col])
+		rw.buf = append(rw.buf, f.key...)
+		if bags == nil || f.kind != encBag {
+			rw.value(&f.encNode, t[f.col])
+			continue
+		}
+		elem, efirst := rw.elem, rw.first
+		rw.elem, rw.first = f.elem, true
+		rw.buf = append(rw.buf, '[')
+		bags.Bag(rw, f.col)
+		rw.buf = append(rw.buf, ']')
+		rw.elem, rw.first = elem, efirst
 	}
-	return append(dst, '}')
+	rw.buf = append(rw.buf, '}')
 }
 
-func (n *encNode) append(dst []byte, v value.Value) []byte {
+func (rw *RowWriter) value(n *encNode, v value.Value) {
 	if v == nil {
-		return append(dst, "null"...)
+		rw.buf = append(rw.buf, "null"...)
+		rw.spill()
+		return
 	}
 	switch n.kind {
 	case encBag:
 		if b, ok := v.(value.Bag); ok {
-			dst = append(dst, '[')
+			rw.buf = append(rw.buf, '[')
 			for i, e := range b {
 				if i > 0 {
-					dst = append(dst, ',')
+					rw.buf = append(rw.buf, ',')
 				}
-				dst = n.elem.append(dst, e)
+				rw.value(n.elem, e)
 			}
-			return append(dst, ']')
+			rw.buf = append(rw.buf, ']')
+			return
 		}
 	case encTuple:
 		if t, ok := v.(value.Tuple); ok {
-			return n.appendFields(dst, t)
+			rw.fields(n, t, nil)
+			return
 		}
 	default:
-		switch x := v.(type) {
-		case int64:
-			return strconv.AppendInt(dst, x, 10)
-		case float64:
-			return appendFloat(dst, x)
-		case string:
-			return appendString(dst, x)
-		case bool:
-			return strconv.AppendBool(dst, x)
-		case value.Date:
-			dst = append(dst, '"')
-			return append(x.AppendText(dst), '"')
+		if dst, ok := appendScalar(rw.buf, v); ok {
+			rw.buf = dst
+			rw.spill()
+			return
 		}
 	}
 	// Labels, and any value that contradicts its static type.
 	var scratch [128]byte
-	return appendString(dst, value.AppendFormat(scratch[:0], v))
+	rw.buf = appendString(rw.buf, value.AppendFormat(scratch[:0], v))
+	rw.spill()
+}
+
+// appendScalar appends a scalar of a JSON type, or reports that v is none.
+func appendScalar(dst []byte, v value.Value) ([]byte, bool) {
+	switch x := v.(type) {
+	case int64:
+		return strconv.AppendInt(dst, x, 10), true
+	case float64:
+		return appendFloat(dst, x), true
+	case string:
+		return appendString(dst, x), true
+	case bool:
+		return strconv.AppendBool(dst, x), true
+	case value.Date:
+		dst = append(dst, '"')
+		return append(x.AppendText(dst), '"'), true
+	}
+	return dst, false
 }
 
 // appendFloat follows encoding/json: shortest round-trip digits, exponent
@@ -209,45 +335,23 @@ func appendString[S []byte | string](dst []byte, s S) []byte {
 	return append(append(dst, s[start:]...), '"')
 }
 
-// flushAt is the buffered size past which WriteRows hands its bytes to the
-// writer: large enough to amortize the write, small enough that a big reply
-// never sits in memory whole.
+// flushAt is the buffered size past which a RowWriter hands its bytes to
+// the writer: large enough to amortize the write, small enough that a big
+// reply never sits in memory whole.
 const flushAt = 32 << 10
 
-var rowBufPool = sync.Pool{New: func() any {
-	b := make([]byte, 0, flushAt+flushAt/4)
-	return &b
+var rowWriters = sync.Pool{New: func() any {
+	return &RowWriter{buf: make([]byte, 0, flushAt+flushAt/4)}
 }}
 
-// WriteRows streams rows to w through a pooled buffer, each row written as
-// lead followed by its object and consecutive rows joined by sep: ("", "\n")
-// is NDJSON without its final newline, ("\n    ", ",") the elements of an
-// indented array.
+// WriteRows streams rows to w through a RowWriter framed by lead and sep (see
+// NewWriter).
 func (e *RowEncoder) WriteRows(w io.Writer, rows []value.Tuple, lead, sep string) error {
-	bp := rowBufPool.Get().(*[]byte)
-	buf := (*bp)[:0]
-	var err error
-	for i, row := range rows {
-		if i > 0 {
-			buf = append(buf, sep...)
-		}
-		buf = append(buf, lead...)
-		buf = e.AppendRow(buf, row)
-		if len(buf) >= flushAt {
-			if _, err = w.Write(buf); err != nil {
-				break
-			}
-			buf = buf[:0]
-		}
+	rw := e.NewWriter(w, lead, sep)
+	for _, row := range rows {
+		rw.Row(row, nil)
 	}
-	if err == nil && len(buf) > 0 {
-		_, err = w.Write(buf)
-	}
-	if cap(buf) <= 8*flushAt { // one huge row must not pin its buffer in the pool
-		*bp = buf[:0]
-		rowBufPool.Put(bp)
-	}
-	return err
+	return rw.Close()
 }
 
 // Encode renders a runtime value as a json.Marshal-able Go value guided by

@@ -17,21 +17,23 @@ type Choice struct {
 }
 
 // ChooseStrategy resolves the Auto meta-strategy for one query: it reads op,
-// the query's optimized standard plan, and the per-input statistics stats,
-// and picks
+// the query's optimized standard plan, out, its output type, and the
+// per-input statistics stats, and picks
 //
 //   - a skew-aware variant when any scanned input has a column whose heavy-key
 //     row fraction reaches AutoSkewFraction (paper Section 5: skewed keys
 //     saturate single partitions under key-based shuffling);
-//   - the shredded route when a pushed-down predicate with estimated
+//   - the shredded route when the output has a bag column — a nested reply
+//     is written straight from the shredded dictionaries, the cheapest way
+//     to write it — or when a pushed-down predicate with estimated
 //     selectivity at or below AutoSelectivity lands on a nested input —
 //     shredding avoids materializing inner collections the predicate
 //     discards;
 //   - Standard otherwise, and always when statistics are absent.
 //
 // Both signals together select ShredSkew. An Auto run is read nested, as
-// Standard's is; the decision is deterministic in (op, env, stats).
-func ChooseStrategy(op plan.Op, env nrc.Env, stats map[string]plan.TableEstimate) Choice {
+// Standard's is; the decision is deterministic in (op, env, out, stats).
+func ChooseStrategy(op plan.Op, env nrc.Env, out nrc.Type, stats map[string]plan.TableEstimate) Choice {
 	if len(stats) == 0 {
 		return Choice{Strategy: Standard, Reasons: []string{"no statistics available; defaulting to standard"}}
 	}
@@ -77,6 +79,11 @@ func ChooseStrategy(op plan.Op, env nrc.Env, stats map[string]plan.TableEstimate
 		}
 	})
 
+	if col, ok := bagColumn(out); ok {
+		shreddy = true
+		reasons = append(reasons, fmt.Sprintf("output column %s is a bag → shredded route", col))
+	}
+
 	ch := Choice{Strategy: Standard}
 	switch {
 	case skewed && shreddy:
@@ -87,7 +94,7 @@ func ChooseStrategy(op plan.Op, env nrc.Env, stats map[string]plan.TableEstimate
 		ch.Strategy = Shred
 	default:
 		reasons = append(reasons, fmt.Sprintf(
-			"no input reaches the skew threshold (%.2f) and no selective pushed predicate on a nested input (≤ %.2f) → standard",
+			"flat output, no input reaches the skew threshold (%.2f) and no selective pushed predicate on a nested input (≤ %.2f) → standard",
 			AutoSkewFraction, AutoSelectivity))
 	}
 	ch.Reasons = reasons
@@ -142,20 +149,26 @@ func pushedSelectivity(s *plan.Select, scan *plan.Scan, te plan.TableEstimate) f
 // nestedInput reports whether the input's element type contains a bag-typed
 // field — the inputs the shredded route represents as dictionaries.
 func nestedInput(env nrc.Env, name string) bool {
-	bt, ok := env[name].(nrc.BagType)
+	_, ok := bagColumn(env[name])
+	return ok
+}
+
+// bagColumn is the first bag-typed field of a bag of tuples, t.
+func bagColumn(t nrc.Type) (string, bool) {
+	bt, ok := t.(nrc.BagType)
 	if !ok {
-		return false
+		return "", false
 	}
 	tt, ok := bt.Elem.(nrc.TupleType)
 	if !ok {
-		return false
+		return "", false
 	}
 	for _, f := range tt.Fields {
 		if _, isBag := f.Type.(nrc.BagType); isBag {
-			return true
+			return f.Name, true
 		}
 	}
-	return false
+	return "", false
 }
 
 // autoStrategy counts compile-time Auto resolutions by the chosen route read

@@ -250,7 +250,7 @@ func CompileStep(q nrc.Expr, env nrc.Env, strat Strategy, cfg Config, stats map[
 		opt, st = cq.optimize(raw)
 	}
 	if strat == Auto {
-		choice := ChooseStrategy(opt, env, stats)
+		choice := ChooseStrategy(opt, env, out, stats)
 		cq.Strategy = choice.Strategy
 		cq.AutoReasons = choice.Reasons
 	}

@@ -325,16 +325,37 @@ func (r *Result) JSON(limit int) (out []map[string]any, total int, err error) {
 // first limit rows, found without sorting the rest; total counts them all.
 // Each row is preceded by lead and consecutive rows are joined by sep, so
 // ("", "\n") frames NDJSON and ("\n    ", ",") the elements of an indented
-// array. When ctx carries a trace the call records collect and encode spans.
+// array. A stitched output is written from its shredded output as it is
+// walked: every demand is made, and a deferred statement that fails is the
+// error, before the first byte (collect), and then each row's bags are
+// encoded straight from the dictionary rows, with no nested value built.
+// When ctx carries a trace the call records collect and encode spans.
 func (r *Result) WriteJSON(ctx context.Context, w io.Writer, limit int, lead, sep string) (returned, total int, err error) {
 	sp := trace.From(ctx).Span()
 	csp := sp.Child("collect")
-	rows, total, err := r.Output.CollectTop(limit)
+	o := r.Output
+	var s *stitcher
+	var rows []dataflow.Row
+	var found []int
+	if o.mat == nil {
+		rows, total = o.d.CollectTop(limit)
+	} else {
+		s, rows, total, found = collect(o, limit)
+		err = s.err
+	}
 	csp.End()
 	if err != nil {
 		return 0, 0, err
 	}
 	esp := sp.Child("encode")
 	defer esp.End()
-	return len(rows), total, r.enc.WriteRows(w, rows, lead, sep)
+	rw := r.enc.NewWriter(w, lead, sep)
+	if s != nil {
+		s.writeTop(rw, rows, found)
+	} else {
+		for _, row := range rows {
+			rw.Row(row, nil)
+		}
+	}
+	return len(rows), total, rw.Close()
 }

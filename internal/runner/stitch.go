@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"github.com/trance-go/trance/internal/dataflow"
+	"github.com/trance-go/trance/internal/ingest"
 	"github.com/trance-go/trance/internal/nrc"
 	"github.com/trance-go/trance/internal/value"
 )
@@ -36,6 +37,15 @@ type stitcher struct {
 	// finds counts the label lookups in read-whole dictionaries.
 	resolved, demandTies, singles, depth, batch, finds int
 	err                                                error // the first failure of a deferred statement
+	// at is the element the encoding sink is writing.
+	at cursor
+}
+
+// cursor is a row of a level and what fetch found for it.
+type cursor struct {
+	lv    *level
+	r     dataflow.Row
+	found []int
 }
 
 // level lays out the rows of one bag: the top bag, or a dictionary whose
@@ -153,30 +163,73 @@ func newStitcher(o *Output, limit int) *stitcher {
 	return s
 }
 
-// stitchTop is Output.CollectTop on a shredded route: the first limit rows
-// (all when limit <= 0) of the top bag in the order of compare, ties ranked by
-// the top bag's Collect order, each with its bags stitched. The rows and their
+// collect finds the rows a read of limit rows (all when limit <= 0) of o
+// returns, before a byte of them is written: the first limit rows of the top
+// bag in the order of compare, ties ranked by the top bag's Collect order,
+// with every demand their bags make (fetch) — a limited read demands the bags
+// of a deferred dictionary, level by level; reading every row forces it
+// first. found is what fetch found for the rows, and s, which walks their
+// bags, holds the first failure of a deferred statement. The rows and their
 // order are the first limit of the nested value's canonical order (value.
 // CompareSeq), up to the element order inside bags, which is the
-// dictionaries' Collect order. A limited read demands the bags of a deferred
-// dictionary, level by level (fetch); reading every row forces it first.
-func stitchTop(o *Output, limit int) ([]dataflow.Row, int, *stitcher) {
+// dictionaries' Collect order.
+func collect(o *Output, limit int) (s *stitcher, rows []dataflow.Row, total int, found []int) {
 	if limit <= 0 {
 		for _, d := range o.deferred {
 			if err := d.force(); err != nil {
-				return nil, 0, &stitcher{err: err}
+				return &stitcher{err: err}, nil, 0, nil
 			}
 		}
 	}
-	s := newStitcher(o, limit)
-	rows, total := o.d.CollectTopFunc(limit, s.compare)
+	s = newStitcher(o, limit)
+	rows, total = o.d.CollectTopFunc(limit, s.compare)
+	return s, rows, total, s.fetch(&s.top, rows)
+}
+
+// stitchTop is Output.CollectTop on a shredded route: the rows collect finds,
+// each with its bags stitched — the walk's value-building sink.
+func stitchTop(o *Output, limit int) ([]dataflow.Row, int, *stitcher) {
+	s, rows, total, found := collect(o, limit)
 	if nb := len(s.top.bags); nb > 0 {
-		found := s.fetch(&s.top, rows)
 		for i, r := range rows {
 			rows[i] = dataflow.Row(s.elem(&s.top, r, foundOf(found, i, nb)).(value.Tuple))
 		}
 	}
 	return rows, total, s
+}
+
+// writeTop is Result.WriteJSON on a shredded route: it writes the rows collect
+// found, each field straight from the dictionary rows the walk reaches — the
+// walk's encoding sink, which builds no stitched value.
+func (s *stitcher) writeTop(rw *ingest.RowWriter, rows []dataflow.Row, found []int) {
+	lv, nb := &s.top, len(s.top.bags)
+	for i, r := range rows {
+		if nb == 0 {
+			rw.Row(r, nil)
+			continue
+		}
+		s.at = cursor{lv, r, foundOf(found, i, nb)}
+		rw.Row(r[lv.off:lv.off+lv.width], s)
+	}
+}
+
+// Bag writes the bag of field col of the element being written, s.at, one
+// element at a time (ingest.Bags).
+func (s *stitcher) Bag(rw *ingest.RowWriter, col int) {
+	at := s.at
+	k := slices.IndexFunc(at.lv.bags, func(bc bagCol) bool { return bc.field == col })
+	bc := at.lv.bags[k]
+	rows, found, _, _ := s.members(bc, at.r, foundAt(at.found, k))
+	lv := &bc.dict.lvl
+	for i, r := range rows {
+		if lv.scalar {
+			rw.Value(r[lv.off])
+			continue
+		}
+		s.at = cursor{lv, r, foundOf(found, i, len(lv.bags))}
+		rw.Tuple(r[lv.off:lv.off+lv.width], s)
+	}
+	s.at = at
 }
 
 // compare is value.CompareSeq over two top rows as if their bags were
@@ -215,52 +268,85 @@ func (s *stitcher) elem(lv *level, r dataflow.Row, found []int) value.Value {
 	}
 	t = slices.Clone(t)
 	for k, bc := range lv.bags {
-		id := unfound
-		if found != nil {
-			id = found[k]
-		}
-		t[bc.field] = s.bag(bc, r, id)
+		t[bc.field] = s.bag(bc, r, foundAt(found, k))
 	}
 	return t
 }
 
-// bag is the bag the label in r's bc column stands for: the dictionary's rows
-// under it in Collect order, stitched in turn. A NULL label, or one no row
-// carries, is the empty bag, as plan.CastNullBag makes it. id is the label's
-// group in a read-whole dictionary, or -1 for none, as fetch found it, or
-// unfound.
+// foundAt is a row's found entry for its k-th bag column: unfound when fetch
+// found nothing for the row.
+func foundAt(found []int, k int) int {
+	if found == nil {
+		return unfound
+	}
+	return found[k]
+}
+
+// bag is the bag the label in r's bc column stands for (members), stitched in
+// turn, and kept: a label's bag is stitched once per read.
 func (s *stitcher) bag(bc bagCol, r dataflow.Row, id int) value.Bag {
+	rows, found, g, id := s.members(bc, r, id)
+	d := bc.dict
+	switch {
+	case g != nil:
+		if g.bag == nil {
+			g.bag = s.stitch(d, rows, found)
+		}
+		return g.bag
+	case id < 0:
+		return value.Bag{}
+	}
+	if d.bags == nil {
+		d.bags = make([]value.Bag, d.lookup.Len())
+	}
+	if d.bags[id] == nil {
+		d.bags[id] = s.stitch(d, rows, found)
+	}
+	return d.bags[id]
+}
+
+// members is what the label in r's bc column stands for, the one label
+// lookup both sinks of the walk read: the dictionary's rows under it in
+// Collect order and what fetch found for them a level down (nil: nothing),
+// either from a demand of a deferred dictionary, g, or as group id of a
+// read-whole one. A NULL label, or one no row carries, stands for the empty
+// bag, as plan.CastNullBag makes it: no rows, g nil and id -1. id is the
+// label's group in a read-whole dictionary, or -1 for none, as fetch found
+// it, or unfound.
+func (s *stitcher) members(bc bagCol, r dataflow.Row, id int) (rows []dataflow.Row, found []int, g *demanded, _ int) {
 	d := bc.dict
 	if d.dem != nil {
 		lbl := r[bc.cols[0]]
 		if !isLabel(lbl) {
-			return value.Bag{}
+			return nil, nil, nil, -1
 		}
-		g, _ := d.entry(lbl, 0)
-		if g == nil {
+		if g, _ = d.entry(lbl, 0); g == nil {
 			g = s.single(d, lbl)
 		}
 		if g != nil {
-			if g.bag == nil {
-				g.bag = s.stitch(d, g.rows, g.found)
-			}
-			return g.bag
+			s.reached(d, g.rows)
+			return g.rows, g.found, g, -1
 		}
 	}
 	if id == unfound {
 		id = s.find(d, r, bc.cols)
 	}
 	if id < 0 {
-		return value.Bag{}
+		return nil, nil, nil, -1
 	}
-	if d.bags[id] == nil {
-		var found []int
-		if d.found != nil {
-			found = d.found[id]
-		}
-		d.bags[id] = s.stitch(d, d.lookup.Group(id), found)
+	if d.found != nil {
+		found = d.found[id]
 	}
-	return d.bags[id]
+	rows = d.lookup.Group(id)
+	s.reached(d, rows)
+	return rows, found, nil, id
+}
+
+// reached notes that the walk reached rows of d.
+func (s *stitcher) reached(d *dict, rows []dataflow.Row) {
+	if len(rows) > 0 {
+		s.depth = max(s.depth, d.depth)
+	}
 }
 
 // find is the group of the label in r's cols in read-whole d, -1 for none.
@@ -274,7 +360,6 @@ func (s *stitcher) find(d *dict, r dataflow.Row, cols []int) int {
 func (s *stitcher) lookup(d *dict) *dataflow.Lookup {
 	if d.lookup == nil {
 		d.lookup = d.rows.Lookup(labelKey)
-		d.bags = make([]value.Bag, d.lookup.Len())
 	}
 	return d.lookup
 }
@@ -285,9 +370,6 @@ func (s *stitcher) stitch(d *dict, rows []dataflow.Row, found []int) value.Bag {
 	b := make(value.Bag, len(rows))
 	for i, row := range rows {
 		b[i] = s.elem(&d.lvl, row, foundOf(found, i, len(d.lvl.bags)))
-	}
-	if len(rows) > 0 {
-		s.depth = max(s.depth, d.depth)
 	}
 	return b
 }
