@@ -62,10 +62,11 @@ func projectingJoin() (left []Row, build joinTable, jo JoinOut) {
 func TestJoinWriterProjects(t *testing.T) {
 	left, build, jo := projectingJoin()
 	w := jo.writer()
-	var out []Row
+	b := newRowBuilder(0)
 	for _, l := range left {
-		out = build.probe(out, l, value.HashCols(l, []int{0}), []int{0}, w, true)
+		build.probe(b, l, value.HashCols(l, []int{0}), []int{0}, w, true)
 	}
+	out := b.rows()
 	if len(out) != len(left) {
 		t.Fatalf("%d rows, want %d", len(out), len(left))
 	}
@@ -78,8 +79,9 @@ func TestJoinWriterProjects(t *testing.T) {
 			t.Fatalf("row %d = %v, want %v", i, r, want)
 		}
 	}
-	if inner := build.probe(nil, left[1], value.HashCols(left[1], []int{0}), []int{0}, w, false); inner != nil {
-		t.Fatalf("an inner join wrote %v for a miss", inner)
+	b = newRowBuilder(0)
+	if build.probe(b, left[1], value.HashCols(left[1], []int{0}), []int{0}, w, false); len(b.buf) != 0 {
+		t.Fatalf("an inner join wrote %v for a miss", b.buf)
 	}
 	// Cols empty but not nil is a projection to no columns, not l ++ r.
 	none := JoinOut{RightWidth: jo.RightWidth, Cols: []int{}}.writer()
@@ -96,12 +98,12 @@ func TestJoinWriterAllocatesPerChunk(t *testing.T) {
 	for i, l := range left {
 		hashes[i] = value.HashCols(l, []int{0})
 	}
-	out := make([]Row, 0, len(left))
+	out := &rowBuilder{buf: make([]Row, 0, len(left))}
 	allocs := testing.AllocsPerRun(10, func() {
 		w := jo.writer()
-		out = out[:0]
+		out.buf = out.buf[:0]
 		for i, l := range left {
-			out = build.probe(out, l, hashes[i], []int{0}, w, true)
+			build.probe(out, l, hashes[i], []int{0}, w, true)
 		}
 	})
 	if limit := float64(len(left) / 8); allocs >= limit {

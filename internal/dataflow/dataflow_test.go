@@ -46,11 +46,11 @@ func TestMapFilterFlatMap(t *testing.T) {
 	if evens.Count() != 2 {
 		t.Fatalf("filter count=%d", evens.Count())
 	}
-	expanded := d.FlatMap(func(r Row) []Row {
-		n := int(r[0].(int64))
-		out := make([]Row, n)
-		for i := range out {
-			out[i] = Row{r[0], int64(i)}
+	expanded := d.FlatMap(func(a *Arena, out []Row, r Row) []Row {
+		for i := range int(r[0].(int64)) {
+			nr := a.Row(2)
+			nr[0], nr[1] = r[0], int64(i)
+			out = append(out, nr)
 		}
 		return out
 	})

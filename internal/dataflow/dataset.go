@@ -175,9 +175,9 @@ func (d *Dataset) force() error {
 	}
 	parts := make([][]Row, len(d.parts))
 	err := d.ctx.runParts(len(d.parts), func(i int) error {
-		out := make([]Row, 0, d.sourceRows(i))
-		d.feed(i, func(r Row) { out = append(out, r) })
-		parts[i] = out
+		out := newRowBuilder(d.sourceRows(i))
+		d.feed(i, out.add)
+		parts[i] = out.rows()
 		return nil
 	})
 	d.parts = parts
@@ -353,11 +353,17 @@ func (d *Dataset) Split(pred func(Row) bool) (yes, no *Dataset) {
 	return yes, no
 }
 
-// FlatMap expands every row to zero or more rows. Narrow, fused, lazy.
-func (d *Dataset) FlatMap(fn func(Row) []Row) *Dataset {
+// FlatMap expands every row to zero or more rows. Narrow, fused, lazy. fn
+// appends the rows it writes for r to out and returns it; like Map's, it
+// takes them from the arena it is handed, and out is a slice it is handed
+// again for the next row, both one per partition task.
+func (d *Dataset) FlatMap(fn func(a *Arena, out []Row, r Row) []Row) *Dataset {
 	return d.withStage(func(int) stageFn {
+		a := new(Arena)
+		var out []Row
 		return func(r Row, emit func(Row)) {
-			for _, o := range fn(r) {
+			out = fn(a, out[:0], r)
+			for _, o := range out {
 				emit(o)
 			}
 		}

@@ -36,12 +36,12 @@ func (d *Dataset) Join(stage string, right *Dataset, lcols, rcols []int, placed 
 		if i < len(rs.parts) {
 			build.keys, build.rows = rs.groupPart(i, rcols, true)
 		}
-		out := make([]Row, 0, ls.sourceRows(i))
+		out := newRowBuilder(ls.sourceRows(i))
 		write := jo.writer()
 		ls.feedKeyed(i, lcols, func(l Row, h uint64) {
-			out = build.probe(out, l, h, lcols, write, leftOuter)
+			build.probe(out, l, h, lcols, write, leftOuter)
 		})
-		parts[i] = out
+		parts[i] = out.rows()
 		build.release()
 		if ls != d {
 			ls.releasePart(i)
@@ -102,12 +102,12 @@ func BroadcastJoins(stage string, lefts []*Dataset, right *Dataset, lcols, rcols
 	for k, d := range lefts {
 		parts := make([][]Row, len(d.parts))
 		joinErr = ctx.runParts(len(d.parts), func(i int) error {
-			out := make([]Row, 0, d.sourceRows(i))
+			out := newRowBuilder(d.sourceRows(i))
 			write := jo.writer()
 			d.feedKeyed(i, lcols, func(l Row, h uint64) {
-				out = build.probe(out, l, h, lcols, write, leftOuter)
+				build.probe(out, l, h, lcols, write, leftOuter)
 			})
-			parts[i] = out
+			parts[i] = out.rows()
 			return nil
 		})
 		if joinErr != nil {
@@ -187,21 +187,21 @@ type joinTable struct {
 	rows grouped
 }
 
-// probe appends to out the rows one left row (key hash h over lcols) joins to:
+// probe adds to out the rows one left row (key hash h over lcols) joins to:
 // what write makes of every match in build order, or of the miss under
 // leftOuter when there is none.
-func (b *joinTable) probe(out []Row, l Row, h uint64, lcols []int, write func(l, r Row) Row, leftOuter bool) []Row {
+func (b *joinTable) probe(out *rowBuilder, l Row, h uint64, lcols []int, write func(l, r Row) Row, leftOuter bool) {
 	var matches []Row
 	if b.keys != nil && !anyNullCols(l, lcols) {
 		matches = b.rows.group(b.keys.find(h, l, lcols))
 	}
 	if len(matches) == 0 && leftOuter {
-		return append(out, write(l, nil))
+		out.add(write(l, nil))
+		return
 	}
 	for _, r := range matches {
-		out = append(out, write(l, r))
+		out.add(write(l, r))
 	}
-	return out
 }
 
 func anyNullCols(r Row, cols []int) bool {

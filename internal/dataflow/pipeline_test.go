@@ -238,7 +238,7 @@ func TestNarrowOperatorsAndThePartitioner(t *testing.T) {
 		{"Map", func(d *Dataset) *Dataset {
 			return d.Map(func(_ *Arena, r Row) Row { return Row{r[0], r[1].(int64) * 10} })
 		}, 6},
-		{"FlatMap", func(d *Dataset) *Dataset { return d.FlatMap(func(r Row) []Row { return []Row{r, r} }) }, 12},
+		{"FlatMap", func(d *Dataset) *Dataset { return d.FlatMap(func(_ *Arena, out []Row, r Row) []Row { return append(out, r, r) }) }, 12},
 		{"Filter", func(d *Dataset) *Dataset {
 			return d.Filter(func(r Row) bool { return r[1].(int64) > 1 })
 		}, 3},
@@ -282,7 +282,7 @@ func TestNarrowOperatorsAndThePartitioner(t *testing.T) {
 // pending chain under a named stage wall, tracks the peak, and fails the job
 // once a partition outgrows MaxPartitionBytes.
 func TestCheckMemory(t *testing.T) {
-	expand := func(r Row) []Row { return []Row{r, r, r, r} }
+	expand := func(_ *Arena, out []Row, r Row) []Row { return append(out, r, r, r, r) }
 	c := NewContext(2)
 	c.MaxPartitionBytes = 1 << 20
 	d := c.FromRows(rowsOfInts(1, 1, 2, 2)).FlatMap(expand)

@@ -89,3 +89,34 @@ func (d *Dataset) releasePart(i int) {
 		d.hashes[i] = nil
 	}
 }
+
+// rowBuilder gathers the rows one partition task writes in a pooled buffer
+// that moves up a size class when full, so a task that writes more rows than
+// it reads — an unnest, a fanning-out join — grows no slice by append, and
+// keeps an exact-size copy of them (rows).
+type rowBuilder struct{ buf []Row }
+
+// newRowBuilder starts a builder sized for about hint rows.
+func newRowBuilder(hint int) *rowBuilder {
+	return &rowBuilder{buf: rowScratch.get(max(hint, scratchMin))[:0]}
+}
+
+func (b *rowBuilder) add(r Row) {
+	if len(b.buf) == cap(b.buf) {
+		next := rowScratch.get(2 * cap(b.buf))[:len(b.buf)]
+		copy(next, b.buf)
+		rowScratch.put(b.buf)
+		b.buf = next
+	}
+	b.buf = append(b.buf, r)
+}
+
+// rows returns the rows added, in an exact-size slice, and the buffer to the
+// pool: the builder is not used again.
+func (b *rowBuilder) rows() []Row {
+	out := make([]Row, len(b.buf))
+	copy(out, b.buf)
+	rowScratch.put(b.buf)
+	b.buf = nil
+	return out
+}

@@ -186,6 +186,37 @@ func TestReleasedRowBufferIsZeroed(t *testing.T) {
 	}
 }
 
+// TestForcedPartitionsAreExact: a forced 1:4 FlatMap, and a join that
+// writes four rows per left row, grow their rows in pooled buffers and keep
+// exact-size partitions: a partition's capacity is its length, not the
+// doubled slice an append left.
+func TestForcedPartitionsAreExact(t *testing.T) {
+	c := NewContext(3)
+	var left, right []Row
+	for k := range int64(21) {
+		left = append(left, Row{k})
+		for range 4 {
+			right = append(right, Row{k, "r"})
+		}
+	}
+	in := c.FromRows(left)
+	fanned := in.FlatMap(func(_ *Arena, out []Row, r Row) []Row { return append(out, r, r, r, r) })
+	joined, err := in.Join("j", c.FromRows(right), []int{0}, []int{0}, [2]bool{}, JoinOut{RightWidth: 2}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, d := range map[string]*Dataset{"FlatMap": fanned.Force(), "Join": joined} {
+		if n := d.Count(); n != 4*21 {
+			t.Fatalf("%s: %d rows, want %d", name, n, 4*21)
+		}
+		for i, p := range d.parts {
+			if cap(p) != len(p) {
+				t.Fatalf("%s: partition %d holds %d rows in a slice of capacity %d", name, i, len(p), cap(p))
+			}
+		}
+	}
+}
+
 // TestWarmOperatorsReuseScratch pins the recycling: with the collector off so
 // the pools keep what they are given, a second identical GroupReduce or
 // shuffle join allocates a fraction of the bytes the first did. Both calls run

@@ -98,7 +98,9 @@ func TestGroupTableMatchesKeyStrings(t *testing.T) {
 				if k == nil {
 					want = nil
 				}
-				got := build.probe(nil, l, hash(Row{k}), []int{1}, JoinOut{RightWidth: 2}.writer(), false)
+				out := newRowBuilder(0)
+				build.probe(out, l, hash(Row{k}), []int{1}, JoinOut{RightWidth: 2}.writer(), false)
+				got := out.rows()
 				if len(got) != len(want) {
 					t.Fatalf("probe %s matched %d rows, key strings give %d", value.Format(k), len(got), len(want))
 				}

@@ -90,16 +90,17 @@ func instrMap(ns *plan.NodeStats, fn func(*dataflow.Arena, dataflow.Row) dataflo
 }
 
 // instrFlatMap wraps a 1:N row function with rows/wall accounting.
-func instrFlatMap(ns *plan.NodeStats, fn func(dataflow.Row) []dataflow.Row) func(dataflow.Row) []dataflow.Row {
+func instrFlatMap(ns *plan.NodeStats, fn func(*dataflow.Arena, []dataflow.Row, dataflow.Row) []dataflow.Row) func(*dataflow.Arena, []dataflow.Row, dataflow.Row) []dataflow.Row {
 	if ns == nil {
 		return fn
 	}
-	return func(r dataflow.Row) []dataflow.Row {
+	return func(a *dataflow.Arena, out []dataflow.Row, r dataflow.Row) []dataflow.Row {
 		start := time.Now()
-		out := fn(r)
+		n := len(out)
+		out = fn(a, out, r)
 		ns.WallNS.Add(time.Since(start).Nanoseconds())
 		ns.RowsIn.Add(1)
-		ns.RowsOut.Add(int64(len(out)))
+		ns.RowsOut.Add(int64(len(out) - n))
 		return out
 	}
 }

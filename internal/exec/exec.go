@@ -435,7 +435,7 @@ func (ex *Executor) applyProject(in *dataflow.Dataset, x *plan.Project) *dataflo
 
 // applyUnnest writes, per input row, one output row per bag element (one
 // NULL-extended row for an empty bag under μ̄) holding only the columns x
-// lists, all of them cut from one slab.
+// lists, cut from the stage's arena.
 func applyUnnest(in *dataflow.Dataset, x *plan.Unnest, ns *plan.NodeStats) *dataflow.Dataset {
 	width := len(x.In.Columns())
 	// Output cells by source: input columns (the tombstoned bag column is left
@@ -452,19 +452,17 @@ func applyUnnest(in *dataflow.Dataset, x *plan.Unnest, ns *plan.NodeStats) *data
 		}
 	}
 	_, tupleElem := x.In.Columns()[x.BagCol].Type.(nrc.BagType).Elem.(nrc.TupleType)
-	return in.FlatMap(instrFlatMap(ns, func(r dataflow.Row) []dataflow.Row {
+	return in.FlatMap(instrFlatMap(ns, func(a *dataflow.Arena, out []dataflow.Row, r dataflow.Row) []dataflow.Row {
 		bag, _ := r[x.BagCol].(value.Bag)
 		n := len(bag)
 		if n == 0 {
 			if !x.Outer {
-				return nil
+				return out
 			}
 			n = 1
 		}
-		slab := make(dataflow.Slab, n*w)
-		out := make([]dataflow.Row, n)
-		for i := range out {
-			nr := dataflow.Row(slab.Cut(w))
+		for i := range n {
+			nr := a.Row(w)
 			for _, c := range passed {
 				nr[c.out] = r[c.src]
 			}
@@ -481,7 +479,7 @@ func applyUnnest(in *dataflow.Dataset, x *plan.Unnest, ns *plan.NodeStats) *data
 					nr[c.out] = bag[i]
 				}
 			}
-			out[i] = nr
+			out = append(out, nr)
 		}
 		return out
 	}))
