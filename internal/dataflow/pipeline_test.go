@@ -238,7 +238,9 @@ func TestNarrowOperatorsAndThePartitioner(t *testing.T) {
 		{"Map", func(d *Dataset) *Dataset {
 			return d.Map(func(_ *Arena, r Row) Row { return Row{r[0], r[1].(int64) * 10} })
 		}, 6},
-		{"FlatMap", func(d *Dataset) *Dataset { return d.FlatMap(func(_ *Arena, out []Row, r Row) []Row { return append(out, r, r) }) }, 12},
+		{"FlatMap", func(d *Dataset) *Dataset {
+			return d.FlatMap(func(_ *Arena, out []Row, r Row) []Row { return append(out, r, r) })
+		}, 12},
 		{"Filter", func(d *Dataset) *Dataset {
 			return d.Filter(func(r Row) bool { return r[1].(int64) > 1 })
 		}, 3},

@@ -203,6 +203,64 @@ func TestWriteRowsFraming(t *testing.T) {
 	}
 }
 
+// A single row of about 300 KB — a bag of 6 000 tuples, each with a bag of
+// its own — reaches the writer in several writes, none larger than the flush
+// size plus one scalar and its punctuation, whether its bags are values or
+// written element by element by a Bags; both write the bytes AppendRow does.
+func TestRowStreamsInsideItsBags(t *testing.T) {
+	leaf := strings.Repeat("x", 40)
+	item := nrc.Tup("name", nrc.StringT, "tags", nrc.BagOf(nrc.IntT))
+	cols := []nrc.Field{{Name: "id", Type: nrc.IntT}, {Name: "items", Type: nrc.BagType{Elem: item}}}
+	items := make(value.Bag, 6000)
+	for i := range items {
+		items[i] = value.Tuple{leaf, value.Bag{int64(i), int64(2 * i)}}
+	}
+	row := value.Tuple{int64(1), items}
+	enc := NewRowEncoder(cols)
+	want := enc.AppendRow(nil, row)
+	if len(want) < 300<<10 {
+		t.Fatalf("the row is %d bytes", len(want))
+	}
+	for name, write := range map[string]func(rw *RowWriter){
+		"values": func(rw *RowWriter) { rw.Row(row, nil) },
+		"bags":   func(rw *RowWriter) { rw.Row(value.Tuple{int64(1), nil}, &bagWalk{items: items}) },
+	} {
+		var cw chunkWriter
+		rw := enc.NewWriter(&cw, "", "\n")
+		write(rw)
+		if err := rw.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(cw.all, want) {
+			t.Fatalf("%s: streamed bytes differ from AppendRow's", name)
+		}
+		if cw.writes < 9 || cw.largest > flushAt+len(leaf)+16 {
+			t.Fatalf("%s: %d writes, the largest %d bytes; want several, each at most %d", name, cw.writes, cw.largest, flushAt+len(leaf)+16)
+		}
+	}
+}
+
+// bagWalk writes the items field of a row, and each item's tags, element by
+// element (Bags): an item is its name and, in place of its tags, NULL.
+type bagWalk struct {
+	items value.Bag
+	cur   value.Tuple // the item being written
+}
+
+func (b *bagWalk) Bag(rw *RowWriter, col int) {
+	if col == 1 && b.cur != nil { // an item's tags
+		for _, tg := range b.cur[1].(value.Bag) {
+			rw.Value(tg)
+		}
+		return
+	}
+	for _, it := range b.items {
+		b.cur = it.(value.Tuple)
+		rw.Tuple(value.Tuple{b.cur[0], nil}, b)
+	}
+	b.cur = nil
+}
+
 type chunkWriter struct {
 	all             []byte
 	writes, largest int
