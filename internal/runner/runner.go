@@ -41,8 +41,8 @@ const (
 	// Auto picks a concrete route per query at compile time from dataset
 	// statistics (CompileStep's stats): a skew-aware variant when a scanned
 	// input's heavy-key fraction reaches AutoSkewFraction, the shredded route
-	// when a selective pushed-down predicate lands on a nested input, Standard
-	// otherwise. The Compiled artifact records the chosen route in Strategy
+	// when the output has a bag column or a selective pushed-down predicate
+	// lands on a nested input, Standard otherwise. The Compiled artifact records the chosen route in Strategy
 	// and the inputs to the decision in AutoReasons. See docs/COSTMODEL.md.
 	Auto
 )
