@@ -166,6 +166,42 @@ func twoLevelRead() (nrc.Env, map[string]value.Bag, nrc.Expr) {
 	return env, inputs, q
 }
 
+// TestNullInputBagRepliesEmpty: a NULL where the input holds a bag — JSON's
+// null for an array — is the empty bag on every route: the shredded routes,
+// and auto, which takes one for this nested output, reply what standard does
+// instead of failing to shred the input.
+func TestNullInputBagRepliesEmpty(t *testing.T) {
+	data := value.Bag{
+		value.Tuple{int64(1), nil},
+		value.Tuple{int64(2), value.Bag{value.Tuple{int64(600), 1.5}}},
+		value.Tuple{int64(3), value.Bag{}},
+	}
+	r := nrc.V("r")
+	q := nrc.ForIn("r", nrc.V("D"), nrc.SingOf(nrc.Record("id", nrc.P(r, "id"), "items", nrc.P(r, "items"))))
+	ests := map[string]plan.TableEstimate{"D": stats.Collect(data, itemsEnv["D"].(nrc.BagType), stats.Options{}).Estimate()}
+	var want string
+	for _, strat := range append(AllStrategies(), Auto) {
+		cq, err := CompileStep(q, itemsEnv, strat, DefaultConfig(), ests, "Q")
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := ExecuteBags(context.Background(), []*Compiled{cq}, map[string]value.Bag{"D": data}, NewRunContext(DefaultConfig()), ExecOptions{})
+		if res.Failed() {
+			t.Fatalf("%s: %v", strat, res.Err)
+		}
+		if strat == Auto && !res.Strategy.IsShredded() {
+			t.Fatalf("auto chose %s for a query with a bag column", res.Strategy)
+		}
+		got := replyTwice(t, strat.String(), res, 0)
+		if want == "" {
+			want = got
+		}
+		if got != want || !strings.Contains(got, `{"id":1,"items":[]}`) {
+			t.Fatalf("%s replied\n%s\nstandard\n%s", strat, got, want)
+		}
+	}
+}
+
 // writeCounter counts the bytes written to it.
 type writeCounter struct{ n int }
 

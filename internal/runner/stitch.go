@@ -14,16 +14,19 @@ import (
 // Stitching is how a shredded route restores its nested output: from the
 // final step's shredded output — the top bag plus one dictionary per bag path,
 // keyed by labels (paper Section 4) — the top-k of the top bag is found first,
-// and nested bags are built by looking labels up only for the rows returned,
-// as Cheney, Lindley and Wadler's query shredding rebuilds nested results at
-// the host. The paper's distributed unshred plan (a cascade of Γ⊎ and ⟕) is
-// not run: here the output lives in one heap. A dictionary Execute deferred
-// is not even computed whole for a limited read: level by level, the labels
-// of the rows returned are demanded of it in one batch.
+// and nested bags are reached by looking labels up only for the rows
+// returned, as Cheney, Lindley and Wadler's query shredding rebuilds nested
+// results at the host. The paper's distributed unshred plan (a cascade of Γ⊎
+// and ⟕) is not run: here the output lives in one heap. A dictionary Execute
+// deferred is not even computed whole for a limited read: level by level, the
+// labels of the rows returned are demanded of it in one batch. One walk
+// reaches the bags (members) and hands their elements to one of two sinks:
+// a reply is encoded straight from the dictionary rows (writeTop, Bag), and
+// every other read builds nested values (stitchTop, elem, bag).
 
-// stitcher rebuilds nested values from one run's shredded output. Each
-// dictionary gets its label lookup, and each bag it stitches is kept, on first
-// use; a reply that never reaches a dictionary never indexes it.
+// stitcher walks one run's shredded output. Each dictionary gets its label
+// lookup on first use, and each bag the value-building sink stitches is kept;
+// a read that never reaches a dictionary never indexes it.
 type stitcher struct {
 	top level
 	// dicts are the deferred dictionaries the read demands of, limit its

@@ -176,7 +176,8 @@ func (s *shredder) shredBag(b value.Bag, sh *shape, lead value.Value, lh uint64,
 			}
 			lbl, h := s.mint(d.site)
 			row[off+i] = lbl
-			s.shredBag(src[i].(value.Bag), d.elem, lbl, h, d.dict)
+			inner, _ := src[i].(value.Bag) // a NULL bag labels no row: the empty bag
+			s.shredBag(inner, d.elem, lbl, h, d.dict)
 		}
 	}
 }
