@@ -19,7 +19,7 @@ type Reducer func(out []Row, group []Row) []Row
 // len(cols) cells are the group's key, and Merge folds a group of partials
 // into output rows, as GroupReduce's reducer does a group of rows. Seen, when
 // set, is told per source partition how many rows it read and how many it
-// shipped.
+// shipped, from the partitions' tasks at once.
 type Combiner struct {
 	Fold, Merge func(rows, groups int) Reducer
 	Seen        func(rows, shipped int)

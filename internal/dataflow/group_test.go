@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"sync/atomic"
 	"testing"
 
 	"github.com/trance-go/trance/internal/value"
@@ -250,8 +251,8 @@ func TestCombineBacksOffWhereKeysDoNotRepeat(t *testing.T) {
 			t.Fatal(err)
 		}
 		before := ctx.Metrics.Snapshot().ShuffleRecords
-		var read, sent int
-		comb := &Combiner{Fold: count(false), Merge: count(true), Seen: func(rows, shipped int) { read, sent = read+rows, sent+shipped }}
+		var read, sent atomic.Int64 // Seen is told from every source partition's task at once
+		comb := &Combiner{Fold: count(false), Merge: count(true), Seen: func(rows, shipped int) { read.Add(int64(rows)); sent.Add(int64(shipped)) }}
 		combined, err := in().GroupReduce("combined", []int{0}, false, comb, count(false))
 		if err != nil {
 			t.Fatal(err)
@@ -259,8 +260,8 @@ func TestCombineBacksOffWhereKeysDoNotRepeat(t *testing.T) {
 		if got, want := fmt.Sprint(combined.Collect()), fmt.Sprint(plain.Collect()); got != want {
 			t.Fatalf("%s: combined reduce\n%s\nuncombined\n%s", c.name, got, want)
 		}
-		if shipped := ctx.Metrics.Snapshot().ShuffleRecords - before; shipped != c.shipped || read != 600 || int64(sent) != c.shipped {
-			t.Fatalf("%s: shipped %d rows, Seen %d→%d, want 600→%d", c.name, shipped, read, sent, c.shipped)
+		if shipped := ctx.Metrics.Snapshot().ShuffleRecords - before; shipped != c.shipped || read.Load() != 600 || sent.Load() != c.shipped {
+			t.Fatalf("%s: shipped %d rows, Seen %d→%d, want 600→%d", c.name, shipped, read.Load(), sent.Load(), c.shipped)
 		}
 	}
 }
