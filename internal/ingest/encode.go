@@ -143,8 +143,8 @@ func (rw *RowWriter) Tuple(t value.Tuple, bags Bags) {
 	rw.fields(rw.elem, t, bags)
 }
 
-// Value writes an element of the bag a Bags is writing that holds its own
-// bags, if any.
+// Value writes an element of the bag a Bags is writing whose own bags, if it
+// has any, are values: a scalar, or a tuple of them.
 func (rw *RowWriter) Value(v value.Value) {
 	rw.comma()
 	rw.value(rw.elem, v)

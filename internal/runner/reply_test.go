@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"runtime"
 	"slices"
 	"strings"
@@ -202,14 +203,6 @@ func TestNullInputBagRepliesEmpty(t *testing.T) {
 	}
 }
 
-// writeCounter counts the bytes written to it.
-type writeCounter struct{ n int }
-
-func (w *writeCounter) Write(p []byte) (int, error) {
-	w.n += len(p)
-	return len(p), nil
-}
-
 // TestFailingDeferredReplyWritesNothing: when the deferred statement a reply
 // demands of fails, WriteJSON returns its failure before writing a byte, at
 // every limit, and CollectTop returns it too.
@@ -222,9 +215,9 @@ func TestFailingDeferredReplyWritesNothing(t *testing.T) {
 				t.Fatalf("%s: Q__big is not deferred", strat)
 			}
 			d.st.Plan = &plan.Scan{Input: "gone"} // its source is unbound: the statement fails
-			var w writeCounter
-			if _, _, err := res.WriteJSON(context.Background(), &w, limit, "", "\n"); err == nil || w.n != 0 {
-				t.Fatalf("%s, limit %d: a failing deferred statement gave %v after %d bytes", strat, limit, err, w.n)
+			var w spyWriter
+			if _, _, err := res.WriteJSON(context.Background(), &w, limit, "", "\n"); err == nil || w.writes != 0 {
+				t.Fatalf("%s, limit %d: a failing deferred statement gave %v after %d writes", strat, limit, err, w.writes)
 			}
 			if _, _, err := res.Output.CollectTop(limit); err == nil {
 				t.Fatalf("%s, limit %d: CollectTop read past a failing deferred statement", strat, limit)
@@ -277,7 +270,7 @@ func TestNestedReplyAllocs(t *testing.T) {
 	run := servedF2N(t, ShredSkew)
 	const before = 4.00e6
 	got := allocBytes(5, func() {
-		if _, _, err := run().WriteJSON(context.Background(), &writeCounter{}, 20, "\n    ", ","); err != nil {
+		if _, _, err := run().WriteJSON(context.Background(), io.Discard, 20, "\n    ", ","); err != nil {
 			t.Fatal(err)
 		}
 	})

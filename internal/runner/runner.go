@@ -42,8 +42,9 @@ const (
 	// statistics (CompileStep's stats): a skew-aware variant when a scanned
 	// input's heavy-key fraction reaches AutoSkewFraction, the shredded route
 	// when the output has a bag column or a selective pushed-down predicate
-	// lands on a nested input, Standard otherwise. The Compiled artifact records the chosen route in Strategy
-	// and the inputs to the decision in AutoReasons. See docs/COSTMODEL.md.
+	// lands on a nested input, Standard otherwise. The Compiled artifact
+	// records the chosen route in Strategy and the inputs to the decision in
+	// AutoReasons. See docs/COSTMODEL.md.
 	Auto
 )
 

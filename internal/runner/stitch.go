@@ -311,12 +311,12 @@ func (s *stitcher) bag(bc bagCol, r dataflow.Row, id int) value.Bag {
 // members is what the label in r's bc column stands for, the one label
 // lookup both sinks of the walk read: the dictionary's rows under it in
 // Collect order and what fetch found for them a level down (nil: nothing),
-// either from a demand of a deferred dictionary, g, or as group id of a
+// either from a demand of a deferred dictionary, g, or as a group of a
 // read-whole one. A NULL label, or one no row carries, stands for the empty
-// bag, as plan.CastNullBag makes it: no rows, g nil and id -1. id is the
+// bag, as plan.CastNullBag makes it: no rows, g nil and group -1. id is the
 // label's group in a read-whole dictionary, or -1 for none, as fetch found
 // it, or unfound.
-func (s *stitcher) members(bc bagCol, r dataflow.Row, id int) (rows []dataflow.Row, found []int, g *demanded, _ int) {
+func (s *stitcher) members(bc bagCol, r dataflow.Row, id int) (rows []dataflow.Row, found []int, g *demanded, group int) {
 	d := bc.dict
 	if d.dem != nil {
 		lbl := r[bc.cols[0]]
