@@ -337,17 +337,8 @@ func appendString[S []byte | string](dst []byte, s S) []byte {
 
 // flushAt is the buffered size past which a RowWriter hands its bytes to
 // the writer: large enough to amortize the write, small enough that a big
-// reply never sits in memory whole. Only FlushAtForTest changes it.
-var flushAt = 32 << 10
-
-// FlushAtForTest makes RowWriters flush past n bytes until the function it
-// returns restores the size: a test's small replies then flush inside their
-// rows. Call both while no reply is being written.
-func FlushAtForTest(n int) (restore func()) {
-	old := flushAt
-	flushAt = n
-	return func() { flushAt = old }
-}
+// reply never sits in memory whole.
+const flushAt = 32 << 10
 
 var rowWriters = sync.Pool{New: func() any {
 	return &RowWriter{buf: make([]byte, 0, flushAt+flushAt/4)}

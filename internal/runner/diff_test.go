@@ -706,8 +706,7 @@ type diffCounts struct {
 	// stitchMinted those where a limited read demanded rows of a deferred
 	// statement whose label is minted from a flat input's columns, stitchWide
 	// of one holding a broadcast ⋈ or a Γ reduced in place.
-	// stitchFlushed those where a stitched reply flushed inside a row.
-	stitchResolved, stitchDeep, stitchDemanded, stitchDemandTie, stitchMinted, stitchWide, stitchFlushed int
+	stitchResolved, stitchDeep, stitchDemanded, stitchDemandTie, stitchMinted, stitchWide int
 }
 
 func (c *diffCounts) add(o diffCounts) {
@@ -739,7 +738,6 @@ func (c *diffCounts) add(o diffCounts) {
 	c.stitchDemandTie += o.stitchDemandTie
 	c.stitchMinted += o.stitchMinted
 	c.stitchWide += o.stitchWide
-	c.stitchFlushed += o.stitchFlushed
 }
 
 // runDifferential executes one generated query under the full
@@ -1167,9 +1165,6 @@ func runDifferential(data []byte, strict bool) (n diffCounts, err error) {
 	if st.demandTies > 0 {
 		n.stitchDemandTie++
 	}
-	if st.flushedInside > 0 {
-		n.stitchFlushed++
-	}
 	return n, nil
 }
 
@@ -1379,22 +1374,16 @@ func skewTwins(q nrc.Expr, mkQuery func(string) nrc.Expr, env nrc.Env, inputs ma
 // of a deferred dictionary, the deepest level stitched, limited reads that
 // demanded fewer input rows than the deferred dictionaries they read, and
 // limited reads that demanded rows of a deferred statement whose label is
-// minted from a flat input's columns, and of one holding a ⋈ or a Γ, and
-// replies that reached their writer flushed inside a row.
-type stitchSeen struct{ resolved, demandTies, depth, demandedFewer, minted, wide, flushedInside int }
-
-// replyFlushAt is the flush size the oracle's replies are written under:
-// small enough that most of its nested rows hold a flush.
-const replyFlushAt = 48
+// minted from a flat input's columns, and of one holding a ⋈ or a Γ.
+type stitchSeen struct{ resolved, demandTies, depth, demandedFewer, minted, wide int }
 
 // checkStitch holds the rows a shredded route stitches from its shredded
 // output to the reference evaluator's answer: top(k), then top(0), equal the
 // first rows of want in the canonical order (value.Compare) row by row — bags
 // as multisets, since a stitched bag lists its elements in the dictionary's
 // order — with the total len(want). Each read's reply, streamed from the
-// dictionaries under replyFlushAt, is the bytes the encoder writes over the
-// stitched rows. The limited reads come first, before a full read forces what
-// the run deferred.
+// dictionaries, is the bytes the encoder writes over the stitched rows. The
+// limited reads come first, before a full read forces what the run deferred.
 func checkStitch(res *runner.Result, want value.Bag, k int, seen *stitchSeen) error {
 	sorted := slices.Clone(want)
 	slices.SortStableFunc(sorted, value.Compare)
@@ -1426,15 +1415,12 @@ func checkStitch(res *runner.Result, want value.Bag, k int, seen *stitchSeen) er
 			seen.minted += s.MintedRows
 			seen.wide += s.WideRows
 		}
-		streamed, collected, inside, err := runner.ReplyTwoWays(res, limit, replyFlushAt)
+		streamed, collected, err := runner.ReplyTwoWays(res, limit)
 		if err != nil {
 			return fmt.Errorf("reply(%d): %v", limit, err)
 		}
 		if !bytes.Equal(streamed, collected) {
 			return fmt.Errorf("reply(%d) streamed from the dictionaries\n%s\nthe stitched rows encoded\n%s", limit, streamed, collected)
-		}
-		if inside {
-			seen.flushedInside++
 		}
 	}
 	return nil
@@ -1902,12 +1888,7 @@ func TestDifferentialOracle(t *testing.T) {
 	}
 	t.Logf("%d seeds ran a keyed broadcast join skew-aware, %d matched their skew-unaware twin with no heavy key", total.skewBroadcast, total.skewLight)
 	t.Logf("%d seeds joined two root-aligned input components on a label with both sides placed; %d backed off combining", total.labelLocal, total.backedOff)
-	// And a streamed reply must flush inside its rows, where it writes
-	// straight from the dictionaries.
-	if total.stitchFlushed < n/8 {
-		t.Fatalf("%d of %d seeds wrote a stitched reply that flushed inside a row — streaming inside a row is no longer exercised", total.stitchFlushed, n)
-	}
-	t.Logf("%d seeds stitched through a label comparison, %d two levels deep, %d demanded fewer rows than forcing runs, %d broke a tie on a demanded label, %d demanded through a minted label, %d through a ⋈ or Γ, %d flushed a reply inside a row; %d index scans served", total.stitchResolved, total.stitchDeep, total.stitchDemanded, total.stitchDemandTie, total.stitchMinted, total.stitchWide, total.stitchFlushed, after["index.scans"]-before["index.scans"])
+	t.Logf("%d seeds stitched through a label comparison, %d two levels deep, %d demanded fewer rows than forcing runs, %d broke a tie on a demanded label, %d demanded through a minted label, %d through a ⋈ or Γ; %d index scans served", total.stitchResolved, total.stitchDeep, total.stitchDemanded, total.stitchDemandTie, total.stitchMinted, total.stitchWide, after["index.scans"]-before["index.scans"])
 	t.Logf("%d queries × %d runs each agreed with the oracle; optimizer changed plans in %d runs (%d crossings); %d seeds grouped above an addIndex, %d keyed a Γ by the IDs; %d seeds fused a join and %d composed a chain; %d seeds reduced in place, %d combined; %d seeds summed a NULL, %d reals whose float sum depends on their order; %d seed × strategy pairs placed a join side (%d grouped-join programs); %d seeds skipped an exchange over a placed input dictionary, %d reduced in place over a placed Scan; %d runs planned index scans; %d runs moved rows across an exchange; %d programs read a shredded step output",
 		n, total.runs/n, total.optimized, total.pushed, total.nested, total.narrowed, total.fused, total.composed, total.local, total.combined, total.nullSummed, total.orderSummed, total.placed, total.groupedPlaced, total.boundSkip, total.scanLocal, total.indexed, total.shuffled, total.shreddedSteps)
 }

@@ -3,11 +3,9 @@ package runner
 import (
 	"bytes"
 	"context"
-	"slices"
 
 	"github.com/trance-go/trance/internal/dataflow"
 	"github.com/trance-go/trance/internal/index"
-	"github.com/trance-go/trance/internal/ingest"
 	"github.com/trance-go/trance/internal/nrc"
 	"github.com/trance-go/trance/internal/plan"
 	"github.com/trance-go/trance/internal/value"
@@ -139,33 +137,18 @@ func DeferredRan(r *Result) (deferred, forced int, labels int64) {
 
 // ReplyTwoWays is r's reply for limit written as a reply is — WriteJSON,
 // which streams a stitched output from its dictionaries — and as the encoder
-// writes the rows Output.CollectTop returns, both by RowWriters that flush
-// past flushAt bytes; inside reports that the streamed reply reached its
-// writer in pieces one of which ends inside a row.
-func ReplyTwoWays(r *Result, limit, flushAt int) (streamed, collected []byte, inside bool, err error) {
-	defer ingest.FlushAtForTest(flushAt)()
-	var pieces [][]byte
-	if _, _, err := r.WriteJSON(context.Background(), writerFunc(func(p []byte) (int, error) {
-		pieces = append(pieces, slices.Clone(p))
-		return len(p), nil
-	}), limit, "", "\n"); err != nil {
-		return nil, nil, false, err
+// writes the rows Output.CollectTop returns.
+func ReplyTwoWays(r *Result, limit int) (streamed, collected []byte, err error) {
+	var s, c bytes.Buffer
+	if _, _, err := r.WriteJSON(context.Background(), &s, limit, "", "\n"); err != nil {
+		return nil, nil, err
 	}
 	rows, _, err := r.Output.CollectTop(limit)
 	if err != nil {
-		return nil, nil, false, err
+		return nil, nil, err
 	}
-	var b bytes.Buffer
-	if err := r.enc.WriteRows(&b, rows, "", "\n"); err != nil {
-		return nil, nil, false, err
+	if err := r.enc.WriteRows(&c, rows, "", "\n"); err != nil {
+		return nil, nil, err
 	}
-	for i, p := range pieces {
-		streamed = append(streamed, p...)
-		inside = inside || i > 0 && p[0] != '\n'
-	}
-	return streamed, b.Bytes(), inside, nil
+	return s.Bytes(), c.Bytes(), nil
 }
-
-type writerFunc func(p []byte) (int, error)
-
-func (f writerFunc) Write(p []byte) (int, error) { return f(p) }
