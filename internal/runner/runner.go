@@ -334,14 +334,13 @@ func (r *Result) JSON(limit int) (out []map[string]any, total int, err error) {
 func (r *Result) WriteJSON(ctx context.Context, w io.Writer, limit int, lead, sep string) (returned, total int, err error) {
 	sp := trace.From(ctx).Span()
 	csp := sp.Child("collect")
-	o := r.Output
 	var s *stitcher
 	var rows []dataflow.Row
 	var found []int
-	if o.mat == nil {
-		rows, total = o.d.CollectTop(limit)
+	if r.Output.mat == nil {
+		rows, total, err = r.Output.CollectTop(limit)
 	} else {
-		s, rows, total, found = collect(o, limit)
+		s, rows, total, found = collect(r.Output, limit)
 		err = s.err
 	}
 	csp.End()
@@ -350,13 +349,10 @@ func (r *Result) WriteJSON(ctx context.Context, w io.Writer, limit int, lead, se
 	}
 	esp := sp.Child("encode")
 	defer esp.End()
-	rw := r.enc.NewWriter(w, lead, sep)
-	if s != nil {
-		s.writeTop(rw, rows, found)
-	} else {
-		for _, row := range rows {
-			rw.Row(row, nil)
-		}
+	if s == nil || len(s.top.bags) == 0 {
+		return len(rows), total, r.enc.WriteRows(w, rows, lead, sep)
 	}
+	rw := r.enc.NewWriter(w, lead, sep)
+	s.writeTop(rw, rows, found)
 	return len(rows), total, rw.Close()
 }

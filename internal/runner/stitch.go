@@ -201,16 +201,13 @@ func stitchTop(o *Output, limit int) ([]dataflow.Row, int, *stitcher) {
 	return rows, total, s
 }
 
-// writeTop is Result.WriteJSON on a shredded route: it writes the rows collect
-// found, each field straight from the dictionary rows the walk reaches — the
-// walk's encoding sink, which builds no stitched value.
+// writeTop is Result.WriteJSON on a shredded route whose top rows hold bags:
+// it writes the rows collect found, each field straight from the dictionary
+// rows the walk reaches — the walk's encoding sink, which builds no stitched
+// value.
 func (s *stitcher) writeTop(rw *ingest.RowWriter, rows []dataflow.Row, found []int) {
 	lv, nb := &s.top, len(s.top.bags)
 	for i, r := range rows {
-		if nb == 0 {
-			rw.Row(r, nil)
-			continue
-		}
 		s.at = cursor{lv, r, foundOf(found, i, nb)}
 		rw.Row(r[lv.off:lv.off+lv.width], s)
 	}
