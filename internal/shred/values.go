@@ -1,6 +1,7 @@
 package shred
 
 import (
+	"fmt"
 	"sort"
 
 	"github.com/trance-go/trance/internal/dataflow"
@@ -66,7 +67,9 @@ func ShredInputFrom(name string, b value.Bag, t nrc.BagType, labelBase int64, pa
 	if sh.first >= 0 {
 		top = newRowSink(parts)
 	}
-	s.shredBag(b, sh, nil, 0, top)
+	if err := s.shredBag(b, sh, nil, 0, top); err != nil {
+		return nil, err
+	}
 	topName := MatName(name, nil)
 	si := &ShreddedInput{Name: name, Rows: map[string][]value.Tuple{topName: s.top}, Labels: s.minted, Last: s.label}
 	if parts > 0 {
@@ -143,13 +146,19 @@ func (s *shredder) shapeOf(elem nrc.Type, path []string) *shape {
 // bag the elements came from, hashing to lh, on a dictionary (lead nil: the
 // top rows) — with a fresh label in place of each inner bag, whose elements
 // it adds to that bag's dictionary in turn. Every row of one inner bag shares
-// one label value, and so one partition.
-func (s *shredder) shredBag(b value.Bag, sh *shape, lead value.Value, lh uint64, out *rowSink) {
+// one label value, and so one partition. An element of a bag of tuples that
+// is not a tuple — JSON's null among objects — has no row to stand for it,
+// and is an error.
+func (s *shredder) shredBag(b value.Bag, sh *shape, lead value.Value, lh uint64, out *rowSink) error {
 	off := 0
 	if lead != nil {
 		off = 1
 	}
 	for _, e := range b {
+		src, ok := e.(value.Tuple)
+		if sh.tuple && !ok {
+			return fmt.Errorf("input %s: a bag of tuples holds %s, which has no shredded form", s.input, value.Format(e))
+		}
 		h := lh
 		if lead == nil && out.hashes != nil {
 			// A placed top row is a root: it lies where its first label
@@ -167,7 +176,6 @@ func (s *shredder) shredBag(b value.Bag, sh *shape, lead value.Value, lh uint64,
 			row[off] = e
 			continue
 		}
-		src := e.(value.Tuple)
 		for i := range sh.width {
 			d := sh.bags[i]
 			if d == nil {
@@ -177,9 +185,12 @@ func (s *shredder) shredBag(b value.Bag, sh *shape, lead value.Value, lh uint64,
 			lbl, h := s.mint(d.site)
 			row[off+i] = lbl
 			inner, _ := src[i].(value.Bag) // a NULL bag labels no row: the empty bag
-			s.shredBag(inner, d.elem, lbl, h, d.dict)
+			if err := s.shredBag(inner, d.elem, lbl, h, d.dict); err != nil {
+				return err
+			}
 		}
 	}
+	return nil
 }
 
 // mint returns a fresh label of site and, placed, its hash.

@@ -175,6 +175,21 @@ func (pq *PreparedQuery) run(ctx context.Context, inputs runner.Inputs, strat St
 	dctx.Pool = pq.pool
 	bsp := tr.Span().Child("bind")
 	rows, idxs, err := inputs.Bind(prog, dctx.Parallelism)
+	if err != nil && strat == Auto && prog[0].Strategy.IsShredded() {
+		// An input value shredding cannot represent (a NULL among a bag's
+		// tuples) fails the shredded route as it binds, where Auto's
+		// compile-time choice cannot see it: answer on the standard variant
+		// with the same skew-awareness instead, as for a shredded route that
+		// cannot compile.
+		bsp.Set("fallback", err.Error())
+		variant := Standard
+		if prog[0].Strategy.SkewAware() {
+			variant = StandardSkew
+		}
+		if prog, _, err = pq.compiled(variant); err == nil {
+			rows, idxs, err = inputs.Bind(prog, dctx.Parallelism)
+		}
+	}
 	bsp.End()
 	if err != nil {
 		err = fmt.Errorf("%s (%s): prepare inputs: %w", pq.label(), strat, err)

@@ -256,3 +256,47 @@ func TestParseRoot(t *testing.T) {
 		t.Fatalf("steps: %+v", steps)
 	}
 }
+
+// TestAutoAnswersWhereShreddingCannot: a NULL among a bag's tuples has no
+// shredded form, so the shredded routes fail to bind such an input. Auto,
+// which picks the shredded route for a nested output, answers on the standard
+// variant instead, with the bytes standard replies.
+func TestAutoAnswersWhereShreddingCannot(t *testing.T) {
+	cat := trance.NewCatalog()
+	const ndjson = `
+{"cname": "alice", "orders": [null, {"pid": 1, "qty": 12.0}]}
+{"cname": "bob",   "orders": [{"pid": 2, "qty": 40.0}]}
+`
+	if _, err := cat.RegisterJSON("CO", strings.NewReader(ndjson)); err != nil {
+		t.Fatal(err)
+	}
+	sq, err := cat.NewSession(trance.SessionOptions{}).PrepareText("", "for c in CO union { { cname := c.cname, orders := c.orders } }")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ex, err := sq.Prepared().Explain(trance.Auto); err != nil || !strings.Contains(ex, "output column orders is a bag") {
+		t.Fatalf("auto does not choose the shredded route (%v):\n%s", err, ex)
+	}
+	reply := func(strat trance.Strategy) (string, trance.Strategy, error) {
+		res, err := sq.Run(context.Background(), strat)
+		if err != nil {
+			return "", 0, err
+		}
+		var b strings.Builder
+		if _, _, err := res.WriteJSON(context.Background(), &b, 0, "", "\n"); err != nil {
+			return "", 0, err
+		}
+		return b.String(), res.Strategy, nil
+	}
+	want, _, err := reply(trance.Standard)
+	if err != nil || !strings.Contains(want, `"orders":[null,`) {
+		t.Fatalf("standard replied %q, %v", want, err)
+	}
+	if _, _, err := reply(trance.Shred); err == nil || !strings.Contains(err.Error(), "no shredded form") {
+		t.Fatalf("shred bound a NULL tuple element: %v", err)
+	}
+	got, chosen, err := reply(trance.Auto)
+	if err != nil || got != want || chosen != trance.Standard {
+		t.Fatalf("auto replied %q on %s (%v), standard %q", got, chosen, err, want)
+	}
+}
