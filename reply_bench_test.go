@@ -48,26 +48,32 @@ func servedRoutes(tb testing.TB, customers, skew int) map[tpch.QueryClass]*tranc
 }
 
 // BenchmarkServedReply is what a tranced request for a level-2 route at 300
-// customers and skew 3 costs in process: the run plus a 20-row reply written
-// by Result.WriteJSON, read nested (shred names the shredded route read
-// nested, shred+unshred in a reply). B/op and allocs/op are the figures the
-// nested reply path is judged by.
+// customers costs in process: the run plus a reply written by
+// Result.WriteJSON, read nested (shred names the shredded route read nested,
+// shred+unshred in a reply), on unskewed data and at skew 3, for a 20-row
+// reply and for a whole one (limit 0), which forces every deferred
+// dictionary. B/op and allocs/op are the figures the nested reply path is
+// judged by.
 func BenchmarkServedReply(b *testing.B) {
-	routes := servedRoutes(b, 300, 3)
-	for _, qc := range []tpch.QueryClass{tpch.FlatToNested, tpch.NestedToNested, tpch.NestedToFlat} {
-		for _, strat := range []trance.Strategy{trance.Standard, trance.Shred, trance.StandardSkew, trance.ShredSkew, trance.Auto} {
-			b.Run(fmt.Sprintf("%s/%s", qc, strat.CLIName()), func(b *testing.B) {
-				b.ReportAllocs()
-				for range b.N {
-					res, err := routes[qc].Run(context.Background(), strat)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if _, _, err := res.WriteJSON(context.Background(), io.Discard, 20, "\n    ", ","); err != nil {
-						b.Fatal(err)
-					}
+	for _, skew := range []int{0, 3} {
+		routes := servedRoutes(b, 300, skew)
+		for _, limit := range []int{20, 0} {
+			for _, qc := range []tpch.QueryClass{tpch.FlatToNested, tpch.NestedToNested, tpch.NestedToFlat} {
+				for _, strat := range []trance.Strategy{trance.Standard, trance.Shred, trance.StandardSkew, trance.ShredSkew, trance.Auto} {
+					b.Run(fmt.Sprintf("skew%d/limit%d/%s/%s", skew, limit, qc, strat.CLIName()), func(b *testing.B) {
+						b.ReportAllocs()
+						for range b.N {
+							res, err := routes[qc].Run(context.Background(), strat)
+							if err != nil {
+								b.Fatal(err)
+							}
+							if _, _, err := res.WriteJSON(context.Background(), io.Discard, limit, "\n    ", ","); err != nil {
+								b.Fatal(err)
+							}
+						}
+					})
 				}
-			})
+			}
 		}
 	}
 }
